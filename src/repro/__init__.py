@@ -76,7 +76,6 @@ __all__ = [
     "PrefetchConfig",
     "ServerConfig",
     "WorkloadConfig",
-    "PSBackend",
     "ReadBackend",
     "TrainBackend",
     "ServingBackend",
@@ -106,14 +105,3 @@ __all__ = [
     "RecoveryError",
     "CrashError",
 ]
-
-
-def __getattr__(name: str):
-    # PSBackend is a deprecated alias of TrainBackend (see
-    # repro.core.backend); resolve it lazily so importing repro stays
-    # warning-free while direct use still warns.
-    if name == "PSBackend":
-        from repro.core import backend as _backend
-
-        return _backend.PSBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

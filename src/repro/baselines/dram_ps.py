@@ -209,7 +209,7 @@ class DRAMPSNode:
         return stats
 
     def request_checkpoint(self, batch_id: int | None = None) -> int:
-        """PSBackend checkpoint entry point.
+        """TrainBackend checkpoint entry point.
 
         An incremental checkpoint has no deferred-completion machinery:
         the dump is synchronous, so requesting IS completing.

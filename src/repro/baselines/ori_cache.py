@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.config import CacheConfig, ServerConfig
 from repro.core.cache import MaintainResult, PullResult
-from repro.core.entry import EmbeddingEntry, Location
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer
 from repro.core.serving_backend import LookupResult
@@ -182,7 +181,7 @@ class OriCacheNode:
         return stats
 
     def request_checkpoint(self, batch_id: int | None = None) -> int:
-        """PSBackend checkpoint entry point (synchronous incremental).
+        """TrainBackend checkpoint entry point (synchronous incremental).
 
         Raises:
             CheckpointError: no trained batch to snapshot.
@@ -235,9 +234,7 @@ class OriCacheNode:
         )
         for key, stored in state.items():
             node._node.store.put(key, batch_id, stored)
-            entry = EmbeddingEntry(key, version=batch_id)
-            entry.location = Location.PMEM
-            node._node.cache.index.insert(entry)
+            node._node.cache.adopt(key, batch_id)
         node._node.latest_completed_batch = batch_id
         return node, batch_id
 
@@ -273,15 +270,8 @@ class OriCacheNode:
         return self._node.state_snapshot()
 
     def _read_state(self, keys: Iterable[int]) -> dict[int, np.ndarray | None]:
-        state: dict[int, np.ndarray | None] = {}
-        for key in keys:
-            entry = self._node.cache.index.find(key)
-            if entry is None:
-                state[key] = None
-                continue
-            if entry.in_dram:
-                state[key] = self._node.cache._pack(entry)
-            else:
-                __, stored = self._node.store.read_latest(key)
-                state[key] = stored
-        return state
+        cache = self._node.cache
+        return {
+            key: cache.read_current_state(key) if key in cache.index else None
+            for key in keys
+        }

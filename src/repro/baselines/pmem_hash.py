@@ -190,7 +190,7 @@ class PMemHashNode:
         return len(aggregated)
 
     # ------------------------------------------------------------------
-    # checkpoint control (PSBackend surface; Observation 2's caveat)
+    # checkpoint control (TrainBackend surface; Observation 2's caveat)
     # ------------------------------------------------------------------
 
     def request_checkpoint(self, batch_id: int | None = None) -> int:

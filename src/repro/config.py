@@ -58,12 +58,10 @@ class CacheConfig:
             beyond the paper): a missed key is only promoted to DRAM
             after being seen this many times. 0 (the paper's behaviour)
             admits every miss.
-        arena: store DRAM-resident payloads in one contiguous float32
-            arena (``repro.core.arena``) and serve batched pulls/pushes
-            through vectorized gather/scatter fast paths. Disabling it
-            falls back to per-entry numpy arrays and per-key loops —
-            functionally identical (the equivalence tests compare the
-            two), kept as the reference path and benchmark baseline.
+
+    DRAM-resident payloads always live in the cache's contiguous float32
+    arena (``repro.core.arena``); pull and update each run one batched
+    path over it.
     """
 
     capacity_bytes: int = 2 << 30
@@ -72,7 +70,6 @@ class CacheConfig:
     track_dirty: bool = False
     policy: EvictionPolicy = EvictionPolicy.LRU
     admission_threshold: int = 0
-    arena: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:

@@ -50,7 +50,6 @@ from repro.core.server import OpenEmbeddingServer
 from repro.core.sharding import HashPartitioner
 
 __all__ = [
-    "PSBackend",
     "ReadBackend",
     "TrainBackend",
     "PS_BACKEND_METHODS",
@@ -92,14 +91,3 @@ __all__ = [
     "NodeState",
     "PromotionReport",
 ]
-
-
-def __getattr__(name: str):
-    # PSBackend is a deprecated alias of TrainBackend; resolving it
-    # lazily keeps `import repro.core` warning-free while still warning
-    # anyone who actually touches the old name.
-    if name == "PSBackend":
-        from repro.core import backend as _backend
-
-        return _backend.PSBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,8 +8,8 @@ overhead instead of one contiguous memcpy.
 
 The arena stores every DRAM-resident entry's payload as one row of a
 single ``(capacity, dim + state_width)`` float32 matrix: weights in
-``[:dim]``, optimizer state in ``[dim:]``. The cache keeps a
-``key -> row`` map next to its hash index, so
+``[:dim]``, optimizer state in ``[dim:]``. Each resident entry records
+its row number, so
 
 * a batched pull is one fancy-index gather ``data[rows, :dim]``,
 * a batched push gathers ``data[rows]``, applies the vectorized
@@ -18,10 +18,9 @@ single ``(capacity, dim + state_width)`` float32 matrix: weights in
   pool copies on write).
 
 Rows are recycled through a free list on eviction. When the arena is
-full it doubles (amortized O(1)); growth replaces the backing matrix,
-which invalidates any live row *views* — the cache watches
-:attr:`generation` and rebinds the views of resident entries after a
-growth (see ``PipelinedCache._arena_alloc``).
+full it doubles (amortized O(1)); growth replaces the backing matrix
+:attr:`EmbeddingArena.data`, so callers address payloads by row number
+through ``arena.data`` and never hold a row view across an ``alloc``.
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ class EmbeddingArena:
         self.data = np.zeros((initial_rows, self.row_width), dtype=np.float32)
         # Popping from the end hands out low rows first.
         self._free: list[int] = list(range(initial_rows - 1, -1, -1))
-        self.generation = 0
 
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
 
     def alloc(self) -> int:
-        """Reserve a row; grows (bumping :attr:`generation`) when full."""
+        """Reserve a row; doubles the arena (replacing ``data``) when full."""
         if not self._free:
             self._grow()
         return self._free.pop()
@@ -83,25 +81,6 @@ class EmbeddingArena:
         grown[: len(old)] = old
         self.data = grown
         self._free.extend(range(new_capacity - 1, len(old) - 1, -1))
-        self.generation += 1
-
-    # ------------------------------------------------------------------
-    # views
-    # ------------------------------------------------------------------
-
-    def row_view(self, row: int) -> np.ndarray:
-        """The packed ``weights || state`` view of one row."""
-        return self.data[row]
-
-    def weights_view(self, row: int) -> np.ndarray:
-        """The weights slice of one row (a live view)."""
-        return self.data[row, : self.dim]
-
-    def state_view(self, row: int) -> np.ndarray | None:
-        """The optimizer-state slice of one row, or None when stateless."""
-        if self.state_width == 0:
-            return None
-        return self.data[row, self.dim :]
 
     # ------------------------------------------------------------------
     # introspection

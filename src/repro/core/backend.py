@@ -29,10 +29,6 @@ not inherit from them, they merely expose the right surface, which
 ``@runtime_checkable``. :func:`check_backend` validates either role
 with a friendlier error.
 
-``PSBackend`` — the pre-split name for the whole surface — remains
-importable as a deprecated alias of :class:`TrainBackend` and warns on
-first access.
-
 ``maintain`` returns ``list[MaintainResult]`` — one element per shard —
 on every backend. Baselines without deferred maintenance return an
 empty list (nothing was maintained), and the remote client wires the
@@ -43,7 +39,6 @@ one summed :class:`~repro.core.cache.MaintainResult`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -257,17 +252,3 @@ def check_backend(backend: object, role: str = "train"):
             f"missing: {', '.join(sorted(missing))}"
         )
     return backend
-
-
-def __getattr__(name: str):
-    # Deprecated alias kept importable without triggering the warning at
-    # module-import time (so merely importing repro.core stays silent).
-    if name == "PSBackend":
-        warnings.warn(
-            "PSBackend is deprecated; use TrainBackend (trainer-facing) "
-            "or ReadBackend (serving-facing) from repro.core.backend",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TrainBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from repro.errors import ServerError
 
 
@@ -45,17 +43,15 @@ def unpack_handle(handle: int) -> tuple[int, Location]:
 class EmbeddingEntry:
     """DRAM-side state of one embedding entry.
 
-    The object always exists in DRAM (it is the index's target); whether
-    the *weights* are DRAM-resident is tracked by ``location``. When the
-    entry lives in PMem, ``weights``/``opt_state`` are None and the
-    authoritative copy sits in the versioned store.
+    The object always exists in DRAM (it is the index's target) and
+    carries metadata only; whether the *payload* (weights + PS-side
+    optimizer state) is DRAM-resident is tracked by ``location``. A
+    resident payload is row ``row`` of the cache's embedding arena; a
+    PMem-resident entry's authoritative copy sits in the versioned
+    store.
 
     Attributes:
         key: embedding id.
-        weights: float32 vector, or None when not DRAM-resident (or in
-            metadata-only simulation mode).
-        opt_state: PS-side optimizer state (e.g. Adagrad accumulator),
-            same residency rules as weights.
         version: batch id of the last access (Algorithm 1 line 10 /
             Algorithm 2 lines 16, 20).
         updated: batch id at which the entry's *state* last changed
@@ -69,14 +65,11 @@ class EmbeddingEntry:
         slot: arena slot backing this entry's handle.
         row: row of the cache's embedding arena holding this entry's
             packed weights+state while DRAM-resident (``-1`` otherwise,
-            and always ``-1`` in the non-arena reference path). When
-            set, ``weights``/``opt_state`` are live views into that row.
+            and always ``-1`` in metadata-only simulation mode).
     """
 
     __slots__ = (
         "key",
-        "weights",
-        "opt_state",
         "version",
         "updated",
         "location",
@@ -91,8 +84,6 @@ class EmbeddingEntry:
 
     def __init__(self, key: int, version: int = -1):
         self.key = key
-        self.weights: np.ndarray | None = None
-        self.opt_state: np.ndarray | None = None
         self.version = version
         self.updated = version
         self.location = Location.DRAM

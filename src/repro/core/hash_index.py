@@ -8,16 +8,12 @@ after a crash it is reconstructed from the PMem scan
 
 The tagged-handle map is the paper's mechanism and stays authoritative
 for location tags; alongside it the index keeps a direct
-``key -> entry`` dict so single lookups skip the handle unpack and bulk
-lookups (:meth:`find_many`) run at C speed through
-:func:`operator.itemgetter` — the entry point of the vectorized
-pull/push fast paths.
+``key -> entry`` dict so a lookup skips the handle unpack.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.entry import EmbeddingEntry, EntryArena, Location, pack_handle, unpack_handle
 from repro.errors import ServerError
@@ -44,23 +40,6 @@ class HashIndex:
     def find(self, key: int) -> EmbeddingEntry | None:
         """Look up ``key``; returns None when absent (Algorithm 1 ``find``)."""
         return self._entries.get(key)
-
-    def find_many(self, keys: Sequence[int]) -> tuple[EmbeddingEntry, ...] | None:
-        """All entries for ``keys`` at once, or None if ANY key is absent.
-
-        The all-or-nothing contract is what the vectorized fast paths
-        need: a single missing key sends the whole batch down the
-        per-key slow path, which handles creation / PMem residency.
-        """
-        if not keys:
-            return ()
-        try:
-            found = operator.itemgetter(*keys)(self._entries)
-        except KeyError:
-            return None
-        if len(keys) == 1:
-            return (found,)
-        return found
 
     def location_of(self, key: int) -> Location:
         """Read the tag bit without dereferencing the entry.

@@ -75,8 +75,8 @@ class LRUList:
         """Batched :meth:`move_to_front` — identical final order.
 
         Equivalent to ``for e in entries: move_to_front(e)`` with the
-        unlink/link surgery inlined into one loop: the vectorized
-        maintenance fast path reorders thousands of entries per round,
+        unlink/link surgery inlined into one loop: the cache's
+        ``_maintain_fast`` reorders thousands of entries per round,
         and two Python function calls per entry dominate its cost.
         Passing ``version`` also stamps each entry as it moves —
         versions are assigned at reorder time anyway (module docstring),

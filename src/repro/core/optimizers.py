@@ -10,8 +10,8 @@ the entry, so entries carry an ``opt_state`` vector of
 Both rules are elementwise, so :meth:`PSOptimizer.apply_batch` applies a
 whole aggregated batch — ``(n, dim)`` weights/state/gradients — in one
 vectorized call that is bitwise-identical to ``n`` single-row
-:meth:`PSOptimizer.apply` calls. The cache's fast path depends on that
-equivalence.
+:meth:`PSOptimizer.apply` calls. The cache applies every push through
+``apply_batch``; ``apply`` is the row-wise definition it must match.
 
 Dtype discipline: embedding state is float32 end to end. A float64
 gradient slipping in used to make ``state += grad * grad`` compute in

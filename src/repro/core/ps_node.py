@@ -24,7 +24,6 @@ from repro.core.aggregators import (
 )
 from repro.core.cache import MaintainResult, PipelinedCache, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
-from repro.core.entry import EmbeddingEntry, Location
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.serving_backend import LookupResult
 from repro.core.staleness import StalenessController
@@ -389,9 +388,7 @@ class PSNode:
                 self._drop_key(existing)
             for batch_id, stored in versions:
                 self.store.ingest(key, batch_id, stored)
-            entry = EmbeddingEntry(key, version=max(b for b, __ in versions))
-            entry.location = Location.PMEM
-            self.cache.index.insert(entry)
+            self.cache.adopt(key, max(b for b, __ in versions))
             ingested += 1
         return ingested
 
@@ -413,8 +410,8 @@ class PSNode:
 
     def _drop_key(self, entry) -> None:
         # drop_entry clears every cache structure (LRU link, residency
-        # maps, arena row, index handle) so the vectorized fast paths
-        # can never resolve a departed key.
+        # map, arena row, index handle) so a batch probe can never
+        # resolve a departed key.
         self.cache.drop_entry(entry)
         self.store.drop_key(entry.key)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import CacheConfig, ServerConfig
-from repro.core.entry import EmbeddingEntry, Location
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer
 from repro.errors import RecoveryError
@@ -112,10 +111,7 @@ def recover_node(
     # PMem-resident (the DRAM cache refills as training resumes).
     recovered = {key: versions[-1] for key, versions in _surviving(store).items()}
     for key, batch_id in recovered.items():
-        entry = EmbeddingEntry(key, version=batch_id)
-        entry.location = Location.PMEM
-        entry.weights = None
-        node.cache.index.insert(entry)
+        node.cache.adopt(key, batch_id)
 
     # The node resumes from the checkpoint; its coordinator state must
     # agree with what is durable.

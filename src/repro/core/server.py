@@ -6,7 +6,7 @@ request order; checkpoints are coordinated cluster-wide so recovery
 always restores a single consistent batch across all shards.
 
 This is the reference implementation of the
-:class:`~repro.core.backend.PSBackend` protocol — the surface the
+:class:`~repro.core.backend.TrainBackend` protocol — the surface the
 trainers and the lookahead :class:`~repro.dlrm.prefetch.PrefetchPipeline`
 program against. :class:`~repro.network.frontend.RemotePSClient` speaks
 the same protocol over RPC and is a drop-in replacement.
@@ -39,7 +39,7 @@ from repro.pmem.space import CHECKPOINT_ID_FIELD, NO_CHECKPOINT
 
 class OpenEmbeddingServer:
     """A cluster of PS nodes behind one pull/push interface
-    (the in-process :class:`~repro.core.backend.PSBackend`).
+    (the in-process :class:`~repro.core.backend.TrainBackend`).
 
     Args:
         server_config: shard count, embedding dim, pool sizing, seed.

@@ -89,7 +89,6 @@ class AsynchronousTrainer:
     Args:
         backend: the embedding parameter server — anything implementing
             the :class:`~repro.core.backend.TrainBackend` protocol.
-            ``server=`` is accepted as a deprecated alias.
         model: the dense DeepFM (no first-order term).
         dataset: deterministic batch source; worker ``w`` consumes the
             global batches ``w, w + W, w + 2W, ...`` — at scheduler
@@ -138,18 +137,7 @@ class AsynchronousTrainer:
         worker_faults: dict[int, WorkerFaultProfile] | None = None,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
-        server: TrainBackend | None = None,
     ):
-        if server is not None:
-            warnings.warn(
-                "AsynchronousTrainer(server=...) is deprecated; "
-                "pass backend=... (any TrainBackend)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is not None:
-                raise ConfigError("pass either backend= or server=, not both")
-            backend = server
         if backend is None or model is None or dataset is None:
             raise ConfigError("backend, model and dataset are required")
         if num_workers <= 0 or batch_size <= 0:

@@ -19,7 +19,6 @@ resume deterministically — the dataset is indexed by batch id.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +85,7 @@ class SynchronousTrainer:
             the :class:`~repro.core.backend.TrainBackend` protocol
             (:class:`OpenEmbeddingServer`, a
             :class:`~repro.network.frontend.RemotePSClient`, or a
-            baseline). ``server=`` is accepted as a deprecated alias.
+            baseline).
         model: the dense DeepFM (built without the first-order term
             unless ``first_order_server`` is given).
         dataset: deterministic batch source.
@@ -129,18 +128,7 @@ class SynchronousTrainer:
         clock: SimClock | None = None,
         gpu_batch_time_s: float = 0.0,
         tracer: Tracer | None = None,
-        server: TrainBackend | None = None,
     ):
-        if server is not None:
-            warnings.warn(
-                "SynchronousTrainer(server=...) is deprecated; "
-                "pass backend=... (any TrainBackend)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if backend is not None:
-                raise ConfigError("pass either backend= or server=, not both")
-            backend = server
         if backend is None or model is None or dataset is None:
             raise ConfigError("backend, model and dataset are required")
         if num_workers <= 0 or batch_size <= 0:

@@ -1,61 +1,29 @@
-"""The pipelined DRAM cache with co-designed checkpointing.
+"""Test oracle: the per-key, dict-backed DRAM cache.
 
-This module is the paper's core: Algorithm 1 (*Pull Weights*) and
-Algorithm 2 (*Cache Replacement & Checkpoint*), plus the update path.
+This is the reference implementation the production
+:class:`repro.core.cache.PipelinedCache` is compared against, bit for
+bit (``tests/test_hotpath_equivalence.py``). It is the cache as it stood
+before the arena became the only payload store, reduced to its per-key
+path: every resident entry owns its own ``weights`` / ``opt_state``
+numpy arrays, pull / maintain / update are plain loops over keys that
+follow Algorithms 1 and 2 line by line, duplicate gradients are summed
+in a dict and applied with one ``optimizer.apply`` per row.
 
-The functional contract (independent of timing):
-
-* ``pull(keys, n)`` serves weights from DRAM or PMem and enqueues the
-  accessed entries on the access queue — it never mutates the LRU list
-  or moves data between tiers (that is deferred, the "pipeline").
-* ``maintain(n)`` is one cache-maintainer round for batch ``n``: flush
-  entries whose version is covered by an outstanding checkpoint, advance
-  versions, reorder the LRU, load missed entries into DRAM and evict
-  victims — completing the on-going checkpoint when the victim's version
-  has moved past it (Algorithm 2 lines 22-28).
-* ``update(keys, grads, n)`` applies pushed gradients via the PS-side
-  optimizer.
-
-Whether the *time* of ``maintain`` overlaps GPU compute is decided by
-the performance model (``CacheConfig.pipelined``); the functional
-behaviour — and therefore the trained weights — is identical either
-way, which tests assert.
-
-The cache supports a **metadata-only mode** (``initializer=None``) where
-entries carry no weight arrays: all bookkeeping, versioning, eviction
-and checkpoint logic runs identically, but pulls return None. The
-performance benchmarks run in this mode to simulate billions-scale
-models cheaply.
-
-**One hot path.** Every DRAM-resident payload is one row of a
-contiguous :class:`~repro.core.arena.EmbeddingArena` (``weights ||
-optimizer state``); entries carry only metadata and their row number.
-``pull`` and ``update`` each have a single body: probe the residency map
-for the whole batch at once, resolve the positions that are not resident
-(create the key into a fresh row / read its PMem row / read-modify-write
-it through the store), then serve the batch with one fancy-index gather,
-or one ``np.unique`` segment-sum and one ``apply_batch`` — an all-hit
-batch is simply the case where the non-resident set is empty.
-
-``maintain`` keeps two bodies on purpose. The per-entry loop is
-Algorithm 2 in full; ``_maintain_fast`` is a shortcut the cache takes
-when the state it observes (LRU policy, no pending checkpoint, every
-accessed entry resident, no eviction possible) reduces the round to a
-reorder. ``tests/harness/reference_cache.py`` holds the per-key,
-dict-backed oracle the equivalence suites compare this module against.
+It shares the leaf structures (hash index, LRU list, access queue,
+checkpoint coordinator, versioned store) with production but none of
+the hot-path code. Tests install it on a built node with
+:func:`install_reference_cache`; production has no seam for it.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.config import CacheConfig, EvictionPolicy
 from repro.core.admission import FrequencyAdmission
-from repro.core.arena import EmbeddingArena
+from repro.core.cache import MaintainResult, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import EmbeddingEntry, Location
 from repro.core.hash_index import HashIndex
@@ -68,36 +36,19 @@ from repro.pmem.space import VersionedEntryStore
 from repro.simulation.metrics import Metrics
 
 
-@dataclass(frozen=True)
-class PullResult:
-    """Outcome of one pull request (Algorithm 1)."""
+class ReferenceEntry(EmbeddingEntry):
+    """An entry that owns its payload arrays (None while PMem-resident)."""
 
-    weights: np.ndarray | None
-    hits: int
-    misses: int
-    created: int
+    __slots__ = ("weights", "opt_state")
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses + self.created
+    def __init__(self, key: int, version: int = -1):
+        super().__init__(key, version)
+        self.weights: np.ndarray | None = None
+        self.opt_state: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class MaintainResult:
-    """Outcome of one maintenance round (Algorithm 2)."""
-
-    processed: int
-    loads: int
-    flushes: int
-    evictions: int
-    checkpoints_completed: int
-
-
-_ROW = operator.attrgetter("row")
-
-
-class PipelinedCache:
-    """DRAM cache over a versioned PMem store (Figures 4 and 5).
+class ReferenceCache:
+    """Per-key DRAM cache over a versioned PMem store (Figures 4 and 5).
 
     Args:
         config: capacity / policy / pipelining flags.
@@ -138,22 +89,12 @@ class PipelinedCache:
         self.index = HashIndex()
         self.lru = LRUList()
         self.access_queue = AccessQueue()
-        self.state_width = self.optimizer.state_width(dim)
         self.capacity_entries = config.capacity_entries(self._stored_bytes())
         self.admission = (
             FrequencyAdmission(config.admission_threshold)
             if config.admission_threshold > 0
             else None
         )
-        # The payload store; metadata-only mode has no payloads at all.
-        self.arena = (
-            EmbeddingArena(dim, self.state_width) if initializer is not None else None
-        )
-        # DRAM-residency map: exactly the entries whose location is
-        # DRAM (in value mode each holds an arena row in ``entry.row``).
-        # It mirrors ``index`` state and exists so pull/update can probe
-        # a whole batch with one C-level ``map(dict.get)``.
-        self._dram: dict[int, EmbeddingEntry] = {}
 
     # ------------------------------------------------------------------
     # Algorithm 1: pull
@@ -170,62 +111,34 @@ class PipelinedCache:
         Raises:
             KeyNotFoundError: unseen key with ``auto_create`` disabled.
         """
+        value_mode = self.initializer is not None
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
-        n = len(keys)
-        entries = list(map(self._dram.get, keys))
-        misses = created = 0
-        cold = []
-        if not all(entries):  # some probe came back None (entries are truthy)
-            misses, created, cold = self._resolve_nonresident(keys, entries, batch_id)
-        out = None
-        if self.arena is not None:
-            # A PMem-resident entry's row is -1: the gather reads some
-            # valid row for it, and its stored weights overwrite that.
-            rows = np.asarray(list(map(_ROW, entries)), dtype=np.intp)
-            out = self.arena.data[rows, : self.dim]
-            for i, stored in cold:
-                out[i] = stored[: self.dim]
-        hits = n - misses - created
-        self.access_queue.append(batch_id, entries)
-        self.metrics.pulls += n
-        self.metrics.cache.hits += hits
-        self.metrics.cache.misses += misses
-        self.metrics.entries_created += created
-        return PullResult(weights=out, hits=hits, misses=misses, created=created)
-
-    def _resolve_nonresident(
-        self,
-        keys: Sequence[int],
-        entries: list[EmbeddingEntry | None],
-        batch_id: int,
-    ) -> tuple[int, int, list[tuple[int, np.ndarray]]]:
-        """Fill the ``None`` positions of a pull's residency probe.
-
-        An unseen key is created into an arena row (a repeat of it later
-        in the same pull is then a hit); a PMem-resident key is a miss
-        and, in value mode, its stored row is read. Returns ``(misses,
-        created, cold)`` with ``cold`` the ``(position, stored row)`` of
-        every miss.
-        """
-        misses = created = 0
-        cold: list[tuple[int, np.ndarray]] = []
-        for i, entry in enumerate(entries):
-            if entry is not None:
-                continue
-            key = keys[i]
+        out = (
+            np.empty((len(keys), self.dim), dtype=np.float32) if value_mode else None
+        )
+        entries: list[EmbeddingEntry] = []
+        hits = misses = created = 0
+        for i, key in enumerate(keys):
             entry = self.index.find(key)
             if entry is None:
                 if not self.auto_create:
                     raise KeyNotFoundError(key)
                 entry = self._create_entry(key, batch_id)
                 created += 1
-            elif not entry.in_dram:
+            elif entry.in_dram:
+                hits += 1
+            else:
                 misses += 1
-                if self.arena is not None:
-                    cold.append((i, self._read_row(key)))
-            entries[i] = entry
-        return misses, created, cold
+            if out is not None:
+                out[i] = self._read_weights(entry)
+            entries.append(entry)
+        self.access_queue.append(batch_id, entries)
+        self.metrics.pulls += len(keys)
+        self.metrics.cache.hits += hits
+        self.metrics.cache.misses += misses
+        self.metrics.entries_created += created
+        return PullResult(weights=out, hits=hits, misses=misses, created=created)
 
     # ------------------------------------------------------------------
     # Algorithm 2: deferred cache maintenance + checkpointing
@@ -250,14 +163,6 @@ class PipelinedCache:
 
     def _maintain(self, batch_id: int) -> MaintainResult:
         entries = self.access_queue.pop_batch(batch_id)
-        if (
-            entries
-            and self.config.policy == EvictionPolicy.LRU
-            and self.coordinator.max_pending() is None
-        ):
-            fast = self._maintain_fast(entries, batch_id)
-            if fast is not None:
-                return fast
         loads = flushes = evictions = completed = 0
         for entry in entries:
             flush_barrier = self.coordinator.max_pending()
@@ -295,42 +200,6 @@ class PipelinedCache:
             checkpoints_completed=completed,
         )
 
-    def _maintain_fast(
-        self, entries: list[EmbeddingEntry], batch_id: int
-    ) -> MaintainResult | None:
-        """All-resident LRU round with no checkpoint or eviction work.
-
-        Under those preconditions the per-entry loop degenerates to
-        "advance version, move to front" per occurrence; processing only
-        each entry's LAST occurrence (most recent first in reverse)
-        lands on the identical final LRU order in one pass per entry.
-        Returns None (no state mutated) when any accessed entry is
-        cold or the round could evict.
-        """
-        # C-level dedup: first-seen in the reversed sequence is each
-        # entry's last occurrence, newest first.
-        uniq = list(dict.fromkeys(reversed(entries)))
-        dram = Location.DRAM
-        fresh = 0
-        for entry in uniq:
-            if entry.location is not dram:
-                return None
-            if not entry.in_lru:
-                fresh += 1
-        # The resident set only grows during a round, so its maximum is
-        # the final size: no intermediate eviction is possible either.
-        if len(self.lru) + fresh > self.capacity_entries:
-            return None
-        uniq.reverse()  # process oldest last-occurrence first
-        self.lru.move_many_to_front(uniq, version=batch_id)
-        return MaintainResult(
-            processed=len(entries),
-            loads=0,
-            flushes=0,
-            evictions=0,
-            checkpoints_completed=0,
-        )
-
     # ------------------------------------------------------------------
     # update (push) path
     # ------------------------------------------------------------------
@@ -359,8 +228,9 @@ class PipelinedCache:
             KeyNotFoundError: a key that was never pulled.
             ServerError: gradient shape mismatch.
         """
+        value_mode = self.initializer is not None
         n = len(keys)
-        if self.arena is not None:
+        if value_mode:
             if grads is None:
                 raise ServerError("value-mode cache requires gradients on update")
             grads = np.asarray(grads)
@@ -369,86 +239,45 @@ class PipelinedCache:
                     f"gradient shape {grads.shape} != ({n}, {self.dim})"
                 )
             grads = coerce_f32(grads)
-        if n == 0:
-            return 0
-        uniq, first_idx, inverse = np.unique(
-            np.asarray(keys, dtype=np.uint64), return_index=True, return_inverse=True
-        )
-        key_list = uniq.tolist()
-        entries = list(map(self._dram.get, key_list))
-        # Not expected in the normal pull -> maintain -> update order
-        # (maintenance loads every accessed entry) but reachable behind
-        # the admission filter or a lookahead: a PMem-resident key is
-        # updated by read-modify-write through the store, which retains
-        # checkpoint-protected versions.
-        cold: list[int] = []
-        if not all(entries):
-            for i, entry in enumerate(entries):
-                if entry is None:
-                    entries[i] = entry = self.index.find(key_list[i])
-                    if entry is None:
-                        raise KeyNotFoundError(key_list[i])
-                    cold.append(i)
-        # Per-entry bookkeeping. In the strictly serial flow maintain
-        # already advanced every entry to ``batch_id``, so this is one
-        # flag per entry; only the lookahead flow (or a cold key, whose
-        # version stays behind) needs the ordered second pass.
-        advance = False
-        for entry in entries:
-            entry.dirty = True
-            if batch_id > entry.updated:
-                entry.updated = batch_id
-            if batch_id > entry.version:
-                advance = True
-        if advance:
-            # Lookahead flow: this entry's pull for ``batch_id`` was
-            # served from a prefetch buffer, so no maintenance round
-            # advanced it. Apply maintain's flush-before-advance rule
-            # here instead — persist the pre-update state if a pending
-            # checkpoint still needs it, then advance the version and
-            # reorder so the LRU keeps its version order (the
-            # one-comparison checkpoint-completion test depends on it).
-            # Entries go in first-occurrence order of the push, which
-            # the LRU reorder sequence (and so eviction order) follows.
-            for i in np.argsort(first_idx, kind="stable").tolist():
-                entry = entries[i]
-                if entry.in_dram and batch_id > entry.version:
+        else:
+            grads = None
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        aggregated = self._aggregate(keys, grads)
+        for key, grad in aggregated.items():
+            entry = self.index.find(key)
+            if entry is None:
+                raise KeyNotFoundError(key)
+            if entry.in_dram:
+                if batch_id > entry.version:
+                    # Lookahead flow: this entry's pull for ``batch_id``
+                    # was served from a prefetch buffer, so no
+                    # maintenance round advanced it. Apply maintain's
+                    # flush-before-advance rule here instead — persist
+                    # the pre-update state if a pending checkpoint still
+                    # needs it, then advance the version and reorder so
+                    # the LRU keeps its version order (the one-comparison
+                    # checkpoint-completion test depends on it). In the
+                    # strictly serial flow ``batch_id == entry.version``
+                    # after maintain, so this branch never fires.
                     flush_barrier = self.coordinator.max_pending()
                     if flush_barrier is not None and entry.version <= flush_barrier:
                         self._flush(entry)
                     entry.version = batch_id
                     self._reorder(entry)
-                    entry.dirty = True  # _flush clears it; final state is dirty
-        block = None
-        if self.arena is not None:
-            # Segment-sum: the first occurrence of each key seeds its
-            # row (a copy — decoded wire gradients may be read-only),
-            # later duplicates accumulate in occurrence order.
-            agg = grads[first_idx]
-            if n != len(key_list):
-                dup = np.ones(n, dtype=bool)
-                dup[first_idx] = False
-                np.add.at(agg, inverse[dup], grads[dup])
-            rows = np.asarray(list(map(_ROW, entries)), dtype=np.intp)
-            block = self.arena.data[rows]
-            for i in cold:
-                block[i] = self._read_row(key_list[i])
-            self.optimizer.apply_batch(
-                block[:, : self.dim],
-                block[:, self.dim :] if self.state_width else None,
-                agg,
-            )
-            if cold:
-                resident = rows >= 0
-                self.arena.data[rows[resident]] = block[resident]
+                if value_mode:
+                    self.optimizer.apply(entry.weights, entry.opt_state, grad)
+                entry.dirty = True
             else:
-                self.arena.data[rows] = block
-        for i in cold:
-            self.store.put(key_list[i], batch_id, None if block is None else block[i])
-            entries[i].dirty = False  # the store holds this state
-            self.metrics.pmem_flush_entries += 1
-        self.metrics.updates += len(key_list)
-        return len(key_list)
+                # Not expected in the normal pull -> maintain -> update
+                # order (maintenance loads every accessed entry), but
+                # kept for robustness: read-modify-write through the
+                # store, which retains checkpoint-protected versions.
+                self._update_in_pmem(entry, grad, batch_id, value_mode)
+            if batch_id > entry.updated:
+                entry.updated = batch_id
+        self.metrics.updates += len(aggregated)
+        return len(aggregated)
 
     # ------------------------------------------------------------------
     # barriers / draining
@@ -494,16 +323,8 @@ class PipelinedCache:
         return dropped
 
     def adopt(self, key: int, version: int) -> None:
-        """Register ``key`` as existing and PMem-resident at ``version``.
-
-        For keys whose durable rows reached the store from outside the
-        training path (a migration transfer, a recovery scan, a restored
-        checkpoint): the first pull is a miss and maintenance loads it.
-
-        Raises:
-            ServerError: the key is already indexed.
-        """
-        entry = EmbeddingEntry(key, version=version)
+        """Register ``key`` as existing and PMem-resident at ``version``."""
+        entry = ReferenceEntry(key, version=version)
         entry.location = Location.PMEM
         self.index.insert(entry)
 
@@ -511,14 +332,14 @@ class PipelinedCache:
         """Remove ``entry`` from every cache structure (ownership drop).
 
         Used when a key leaves the node entirely (shard migration): the
-        LRU link, residency map, arena row and index handle all go at
-        once, so a batch probe can never resolve a departed key. The
-        caller drops the durable versions from the store.
+        LRU link and index handle go at once. The caller drops the
+        durable versions from the store.
         """
         if entry.in_lru:
             self.lru.remove(entry)
-        self._release(entry)
         self.index.remove(entry.key)
+        entry.weights = None
+        entry.opt_state = None
 
     # ------------------------------------------------------------------
     # introspection
@@ -532,9 +353,8 @@ class PipelinedCache:
         """Keys currently DRAM-resident, MRU first."""
         return [entry.key for entry in self.lru]
 
-    def read_current_state(self, key: int) -> np.ndarray | None:
-        """The live packed ``weights || optimizer state`` of ``key``
-        regardless of tier, as a copy (None in metadata-only mode).
+    def read_current_weights(self, key: int) -> np.ndarray:
+        """The live weights of ``key`` regardless of tier (testing aid).
 
         Raises:
             KeyNotFoundError: unknown key.
@@ -542,18 +362,7 @@ class PipelinedCache:
         entry = self.index.find(key)
         if entry is None:
             raise KeyNotFoundError(key)
-        if entry.in_dram:
-            packed = self._pack(entry)
-            return None if packed is None else packed.copy()
-        return self.store.read_latest(key)[1]
-
-    def read_current_weights(self, key: int) -> np.ndarray:
-        """The live weights of ``key`` regardless of tier (testing aid).
-
-        Raises:
-            KeyNotFoundError: unknown key.
-        """
-        return self.read_current_state(key)[: self.dim]
+        return np.array(self._read_weights(entry), copy=True)
 
     def validate(self) -> None:
         """Check cross-structure invariants; used by tests."""
@@ -569,20 +378,6 @@ class PipelinedCache:
             raise ServerError(
                 f"{dram_count} DRAM entries but {len(self.lru)} listed in LRU"
             )
-        if len(self._dram) != dram_count:
-            raise ServerError(
-                f"{dram_count} DRAM entries but {len(self._dram)} in residency map"
-            )
-        for key, entry in self._dram.items():
-            if not entry.in_dram or entry.key != key:
-                raise ServerError(f"stale residency-map entry for key {key}")
-        if self.arena is not None:
-            rows = {entry.row for entry in self._dram.values()}
-            if len(rows) != dram_count or len(self.arena) != dram_count or -1 in rows:
-                raise ServerError(
-                    f"{dram_count} DRAM entries hold {len(rows)} distinct arena "
-                    f"rows of {len(self.arena)} allocated"
-                )
 
     # ------------------------------------------------------------------
     # internals
@@ -590,45 +385,31 @@ class PipelinedCache:
 
     def _stored_bytes(self) -> int:
         """Bytes one entry occupies (weights + optimizer state)."""
-        return max(1, self.dim + self.state_width) * 4
+        width = self.dim + self.optimizer.state_width(self.dim)
+        return max(1, width) * 4
 
     def _create_entry(self, key: int, batch_id: int) -> EmbeddingEntry:
-        entry = EmbeddingEntry(key, version=batch_id)
-        if self.arena is not None:
+        entry = ReferenceEntry(key, version=batch_id)
+        if self.initializer is not None:
             weights = np.asarray(self.initializer(key), dtype=np.float32)
             if weights.shape != (self.dim,):
                 raise ServerError(
                     f"initializer returned shape {weights.shape}, want ({self.dim},)"
                 )
-            entry.row = self.arena.alloc()
-            packed = self.arena.data[entry.row]
-            packed[: self.dim] = weights
-            if self.state_width:
-                packed[self.dim :] = self.optimizer.init_state(self.dim)
+            entry.weights = weights
+            entry.opt_state = self.optimizer.init_state(self.dim)
         entry.location = Location.DRAM
         entry.dirty = True
         self.index.insert(entry)
-        self._dram[key] = entry
         return entry
 
-    def _read_row(self, key: int) -> np.ndarray | None:
-        """The newest stored row of ``key`` (None in metadata-only mode).
-
-        Raises:
-            ServerError: the row is not ``dim + state_width`` floats —
-                written by a node with another dimension or optimizer.
-        """
-        stored = self.store.read_latest(key)[1]
-        if self.arena is not None and (
-            stored is None or stored.size != self.arena.row_width
-        ):
-            raise ServerError(
-                f"stored row of key {key} is "
-                f"{0 if stored is None else stored.size} floats wide, this "
-                f"cache's rows are {self.arena.row_width} (dim {self.dim} + "
-                f"optimizer state {self.state_width})"
-            )
-        return stored
+    def _read_weights(self, entry: EmbeddingEntry) -> np.ndarray | None:
+        if entry.in_dram:
+            return entry.weights
+        __, stored = self.store.read_latest(entry.key)
+        if stored is None:
+            return None
+        return stored[: self.dim]
 
     def _reorder(self, entry: EmbeddingEntry) -> None:
         if self.config.policy == EvictionPolicy.LRU:
@@ -681,27 +462,18 @@ class PipelinedCache:
         """Algorithm 2 ``loadToDRAM``: promote the newest PMem version."""
         if entry.in_dram:
             raise ServerError(f"entry {entry.key} already resident")
-        stored = self._read_row(entry.key)
-        if stored is not None:
-            entry.row = self.arena.alloc()
-            self.arena.data[entry.row] = stored
+        __, stored = self.store.read_latest(entry.key)
+        self._unpack(entry, stored)
         self.index.set_location(entry, Location.DRAM)
         entry.dirty = False
-        self._dram[entry.key] = entry
         self.metrics.pmem_load_entries += 1
         self.metrics.cache.loads += 1
         self.tracer.instant("pmem.load", track="pmem", key=entry.key)
 
     def _demote(self, entry: EmbeddingEntry) -> None:
         self.index.set_location(entry, Location.PMEM)
-        self._release(entry)
-
-    def _release(self, entry: EmbeddingEntry) -> None:
-        """Drop ``entry`` from the residency map and free its arena row."""
-        self._dram.pop(entry.key, None)
-        if entry.row >= 0:
-            self.arena.free(entry.row)
-            entry.row = -1
+        entry.weights = None
+        entry.opt_state = None
 
     def _evict_to_capacity(self) -> tuple[int, int, int]:
         """Evict victims until within capacity.
@@ -766,10 +538,77 @@ class PipelinedCache:
         """Minimum version across the cache (policy-agnostic scan)."""
         return min(entry.version for entry in self.lru)
 
-    def _pack(self, entry: EmbeddingEntry) -> np.ndarray | None:
-        """The resident entry's packed row (None in metadata-only mode).
+    def _update_in_pmem(
+        self,
+        entry: EmbeddingEntry,
+        grad: np.ndarray | None,
+        batch_id: int,
+        value_mode: bool,
+    ) -> None:
+        if value_mode:
+            __, stored = self.store.read_latest(entry.key)
+            weights = stored[: self.dim]
+            state = stored[self.dim :] if stored.size > self.dim else None
+            self.optimizer.apply(weights, state, grad)
+            packed = stored
+        else:
+            packed = None
+        self.store.put(entry.key, batch_id, packed)
+        self.metrics.pmem_flush_entries += 1
 
-        The arena row IS the stored layout; the pool copies on write,
-        so handing the store the live view is safe.
-        """
-        return self.arena.data[entry.row] if entry.row >= 0 else None
+    def _pack(self, entry: EmbeddingEntry) -> np.ndarray | None:
+        if entry.weights is None:
+            return None
+        if entry.opt_state is None:
+            return entry.weights
+        return np.concatenate([entry.weights, entry.opt_state])
+
+    def _unpack(self, entry: EmbeddingEntry, stored: np.ndarray | None) -> None:
+        if stored is None:
+            entry.weights = None
+            entry.opt_state = None
+            return
+        entry.weights = np.array(stored[: self.dim], copy=True)
+        if stored.size > self.dim:
+            entry.opt_state = np.array(stored[self.dim :], copy=True)
+        else:
+            entry.opt_state = None
+
+    @staticmethod
+    def _aggregate(
+        keys: Sequence[int], grads: np.ndarray | None
+    ) -> dict[int, np.ndarray | None]:
+        """Sum duplicate keys' gradients (None grads pass through)."""
+        aggregated: dict[int, np.ndarray | None] = {}
+        for i, key in enumerate(keys):
+            if grads is None:
+                aggregated[key] = None
+            elif key in aggregated:
+                aggregated[key] = aggregated[key] + grads[i]
+            else:
+                aggregated[key] = np.array(grads[i], copy=True)
+        return aggregated
+
+
+def install_reference_cache(node):
+    """Swap ``node``'s cache for a :class:`ReferenceCache`; returns ``node``.
+
+    Must run on a freshly built node, before any key exists: the oracle
+    shares the node's store, coordinator, optimizer, initializer and
+    metrics, but starts with its own empty index.
+    """
+    cache = node.cache
+    if len(cache.index) != 0:
+        raise ServerError("install_reference_cache needs an empty node")
+    node.cache = ReferenceCache(
+        cache.config,
+        cache.store,
+        cache.coordinator,
+        dim=cache.dim,
+        initializer=cache.initializer,
+        optimizer=cache.optimizer,
+        metrics=cache.metrics,
+        auto_create=cache.auto_create,
+        tracer=cache.tracer,
+    )
+    return node

@@ -71,12 +71,10 @@ class TestPSBackendProtocol:
         ]
 
     def test_isinstance_and_check(self):
-        with pytest.warns(DeprecationWarning, match="PSBackend"):
-            from repro.core.backend import PSBackend
-        from repro.core.backend import check_backend
+        from repro.core.backend import TrainBackend, check_backend
 
         for backend in self._implementations():
-            assert isinstance(backend, PSBackend), type(backend).__name__
+            assert isinstance(backend, TrainBackend), type(backend).__name__
             assert check_backend(backend) is backend
 
     def test_every_implementation_is_a_read_backend(self):
@@ -131,16 +129,16 @@ class TestPSBackendProtocol:
             assert result.weights.shape == (3, 8), name
             assert result.snapshot_id == pin, name
 
-    def test_deprecated_alias_reexported_at_top_level(self):
-        """`from repro import PSBackend` still works (and warns)."""
+    def test_psbackend_alias_is_gone(self):
+        """The pre-split name resolves nowhere: no module-level shim."""
         import repro
         import repro.core
-        from repro.core.backend import TrainBackend
+        import repro.core.backend
 
-        for module in (repro, repro.core):
-            with pytest.warns(DeprecationWarning, match="PSBackend"):
-                alias = module.PSBackend
-            assert alias is TrainBackend
+        for module in (repro, repro.core, repro.core.backend):
+            assert "PSBackend" not in getattr(module, "__all__", ())
+            with pytest.raises(AttributeError):
+                module.PSBackend
 
     def test_check_backend_rejects_partial(self):
         from repro.core.backend import check_backend
@@ -184,11 +182,12 @@ class TestPSBackendProtocol:
             assert all(isinstance(r, MaintainResult) for r in results)
 
 
-def test_trainer_server_kwarg_deprecated():
-    """The renamed trainer kwarg still works but warns."""
+def test_trainer_server_kwarg_removed():
+    """Trainers take ``backend=`` only; ``server=`` is a plain TypeError."""
     from repro.config import CacheConfig, ServerConfig
     from repro.core.server import OpenEmbeddingServer
     from repro.dlrm.criteo import CriteoSynthetic
+    from repro.dlrm.async_trainer import AsynchronousTrainer
     from repro.dlrm.deepfm import DeepFM
     from repro.dlrm.trainer import SynchronousTrainer
 
@@ -198,12 +197,14 @@ def test_trainer_server_kwarg_deprecated():
     )
     model = DeepFM(4, 8, hidden=(8,), use_first_order=False, seed=0)
     dataset = CriteoSynthetic(num_fields=4, vocab_per_field=50, seed=0)
-    with pytest.warns(DeprecationWarning, match="backend"):
-        trainer = SynchronousTrainer(
-            server=server, model=model, dataset=dataset, batch_size=8
-        )
+    with pytest.raises(TypeError, match="server"):
+        SynchronousTrainer(server=server, model=model, dataset=dataset, batch_size=8)
+    with pytest.raises(TypeError, match="server"):
+        AsynchronousTrainer(server=server, model=model, dataset=dataset, batch_size=8)
+    trainer = SynchronousTrainer(
+        backend=server, model=model, dataset=dataset, batch_size=8
+    )
     assert trainer.backend is server
-    assert trainer.server is server  # legacy alias still readable
     trainer.train(2)
 
 

@@ -1,5 +1,7 @@
 """Config validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -38,6 +40,19 @@ class TestCacheConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             CacheConfig().capacity_bytes = 1
+
+    def test_payload_storage_is_not_an_option(self):
+        """The arena is the only payload store: six fields, no shim."""
+        assert [f.name for f in dataclasses.fields(CacheConfig)] == [
+            "capacity_bytes",
+            "pipelined",
+            "maintainer_threads",
+            "track_dirty",
+            "policy",
+            "admission_threshold",
+        ]
+        with pytest.raises(TypeError):
+            CacheConfig(arena=False)
 
 
 class TestCheckpointConfig:

@@ -1,14 +1,14 @@
-"""Property test: the vectorized arena hot path is bitwise-identical to
-the per-key dict-backed reference path.
+"""Property test: the arena-backed cache is bitwise-identical to the
+per-key dict-backed oracle.
 
 Two PS nodes run the SAME hypothesis-generated interleaving of
 pull/maintain/push (with duplicate keys), checkpoint requests, forced
 eviction (``drop_cache``) and a wire-framed migration roundtrip — one
-with ``CacheConfig.arena=True`` (vectorized fast paths), one with
-``arena=False`` (the legacy reference loops). Everything observable must
-match to the bit: pulled weights, live state, durable store contents
-*including optimizer state after eviction and reload*, and the metrics
-counters.
+with the production :class:`~repro.core.cache.PipelinedCache`, one with
+``tests/harness/reference_cache.py`` installed in its place. Everything
+observable must match to the bit: pulled weights, live state, durable
+store contents *including optimizer state after eviction and reload*,
+and the metrics counters.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.network.messages import (
     decode_message,
     encode_message,
 )
+from tests.harness.reference_cache import install_reference_cache
 
 DIM = 3
 NUM_KEYS = 10
@@ -42,15 +43,17 @@ def schedule_strategy():
     return st.lists(batch, min_size=2, max_size=10)
 
 
-def make_node(arena: bool, capacity_entries: int, optimizer) -> PSNode:
+def make_node(arena: bool, capacity_entries: int, optimizer, **cache_options) -> PSNode:
+    """``arena=False`` builds the node around the per-key oracle."""
     entry_bytes = (DIM + optimizer.state_width(DIM)) * 4
     server_config = ServerConfig(
         embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=7
     )
     cache_config = CacheConfig(
-        capacity_bytes=capacity_entries * entry_bytes, arena=arena
+        capacity_bytes=capacity_entries * entry_bytes, **cache_options
     )
-    return PSNode(0, server_config, cache_config, optimizer)
+    node = PSNode(0, server_config, cache_config, optimizer)
+    return node if arena else install_reference_cache(node)
 
 
 def drive(node: PSNode, schedule) -> list[np.ndarray]:
@@ -75,6 +78,16 @@ def drive(node: PSNode, schedule) -> list[np.ndarray]:
             node.cache.drop_cache()
         node.cache.validate()
     return pulled
+
+
+def step(node: PSNode, rng, keys, batch_id: int):
+    """One serial pull -> maintain -> push round; returns the pull."""
+    result = node.pull(keys, batch_id)
+    node.maintain(batch_id)
+    grads = rng.standard_normal((len(keys), DIM)).astype(np.float32)
+    node.push(keys, grads, batch_id)
+    node.cache.validate()
+    return result
 
 
 def store_dump(node: PSNode) -> dict:
@@ -187,3 +200,81 @@ class TestArenaEquivalence:
                 dst.cache.read_current_weights(key),
                 ref.cache.read_current_weights(key),
             )
+
+
+class TestArenaGrowsMidPull:
+    """One pull the 10-key hypothesis schedules cannot produce: enough
+    never-seen keys to double the arena while the same pull also serves
+    resident and PMem-cold keys."""
+
+    NEW_KEYS = 320  # more than arena.INITIAL_ROWS: forces a doubling
+    WARM = list(range(40))
+    NEW = list(range(1000, 1000 + NEW_KEYS))
+    # resident 20..39, then new keys around PMem-cold 0..19, with one
+    # new key and one resident key a second time.
+    MIXED = WARM[20:] + NEW[:160] + WARM[:20] + [NEW[0]] + NEW[160:] + [WARM[25]]
+    FOLLOW_UP = NEW[::3] + WARM[:10] + list(range(5000, 5200))
+
+    def run(self, node: PSNode) -> list:
+        rng = np.random.default_rng(5)
+        step(node, rng, self.WARM, 0)
+        node.cache.drop_cache()  # everything PMem-cold ...
+        step(node, rng, self.WARM[20:], 1)  # ... then 20..39 resident again
+        pulled = step(node, rng, self.MIXED, 2)
+        node.coordinator.request(2)
+        # Capacity is 400 rows: this round evicts and flushes under a
+        # pending checkpoint; the last one reloads what was evicted.
+        after = step(node, rng, self.FOLLOW_UP, 3)
+        node.cache.drop_cache()
+        return [pulled, after, step(node, rng, self.MIXED, 4)]
+
+    def test_mixed_pull_across_a_doubling_matches_oracle(self):
+        fast = make_node(arena=True, capacity_entries=400, optimizer=PSAdagrad(lr=0.1))
+        ref = make_node(arena=False, capacity_entries=400, optimizer=PSAdagrad(lr=0.1))
+        rows_at_start = fast.cache.arena.capacity
+        pulls_fast, pulls_ref = self.run(fast), self.run(ref)
+        assert fast.cache.arena.capacity > rows_at_start
+
+        mixed = pulls_fast[0]
+        assert (mixed.hits, mixed.misses, mixed.created) == (22, 20, self.NEW_KEYS)
+        for a, b in zip(pulls_fast, pulls_ref):
+            assert (a.hits, a.misses, a.created) == (b.hits, b.misses, b.created)
+            assert np.array_equal(a.weights, b.weights)
+        snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+        assert set(snap_fast) == set(snap_ref)
+        for key in snap_fast:
+            assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
+        assert store_dump(fast) == store_dump(ref)
+        assert metrics_tuple(fast) == metrics_tuple(ref)
+        assert fast.metrics.cache.evictions > 0 and fast.metrics.cache.loads > 0
+
+
+class TestPushToPmemResidentKeys:
+    def test_read_modify_write_matches_oracle(self):
+        """Behind the admission filter a pulled key stays in PMem, so its
+        push is a read-modify-write through the store — here in one push
+        with resident keys and duplicates of both."""
+        nodes = [
+            make_node(
+                arena=arena,
+                capacity_entries=8,
+                optimizer=PSAdagrad(lr=0.1),
+                admission_threshold=3,
+            )
+            for arena in (True, False)
+        ]
+        for node in nodes:
+            rng = np.random.default_rng(9)
+            step(node, rng, [0, 1, 2, 3], 0)
+            node.cache.drop_cache()
+            node.coordinator.request(0)
+            step(node, rng, [0, 7, 1, 0, 7, 2], 1)  # 0, 1, 2 seen once: not admitted
+            assert node.cache.cached_keys() == [7]
+            step(node, rng, [2, 0, 8], 2)
+        fast, ref = nodes
+        assert fast.metrics.pmem_flush_entries > fast.metrics.cache.flushes
+        snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+        for key in snap_ref:
+            assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
+        assert store_dump(fast) == store_dump(ref)
+        assert metrics_tuple(fast) == metrics_tuple(ref)

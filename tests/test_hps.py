@@ -8,15 +8,12 @@ Unit coverage for the online inference extension:
 * :class:`~repro.dlrm.hps.HierarchicalPS` — hot-row cache hits,
   snapshot-window invalidation at every ``staleness_bound_k``, pinned
   reads bypassing the cache, frequency-gated admission;
-* the role-split backend protocols (``ReadBackend`` / ``TrainBackend``)
-  and the deprecated ``PSBackend`` alias;
+* the role-split backend protocols (``ReadBackend`` / ``TrainBackend``);
 * checkpoint-pinned model export and
   :meth:`~repro.dlrm.serving.InferenceSession.from_backend`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -105,17 +102,6 @@ class TestServingProtocol:
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown backend role"):
             check_backend(make_server(), role="serve")
-
-    def test_psbackend_alias_deprecated(self):
-        import repro.core.backend as backend_module
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = backend_module.PSBackend
-        assert alias is TrainBackend
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
 
 
 class TestReplicaSelector:

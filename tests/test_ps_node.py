@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.optimizers import PSAdagrad
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ServerError
 
 from tests.conftest import DIM, make_node
 
@@ -65,10 +65,23 @@ class TestOptimizerState:
         node.maintain(2)
         node.push([1], grads(1), 2)
         first_step = np.abs(after_first - np.full(DIM, node.read_weights(1)[0]))
-        entry = node.cache.index.find(1)
-        assert entry.opt_state is not None
+        state = node.cache.read_current_state(1)[DIM:]
+        assert state.shape == (DIM,)
         # accumulator grew: 0.1 (init) + 1 + 1
-        assert np.allclose(entry.opt_state, 2.1)
+        assert np.allclose(state, 2.1)
+
+
+    def test_ingested_row_of_wrong_width_is_a_typed_error(self):
+        """A row written without the accumulator (an SGD node's export)
+        cannot become an Adagrad node's arena row: the error names the
+        key and both widths instead of silently changing storage."""
+        node = make_node(optimizer=PSAdagrad(lr=0.1))
+        node.ingest_entries([(7, [(3, np.ones(DIM, dtype=np.float32))])])
+        with pytest.raises(
+            ServerError, match=rf"key 7 is {DIM} floats wide.* are {2 * DIM} "
+        ):
+            node.pull([7], 4)
+        node.cache.validate()
 
 
 class TestCheckpointControl:

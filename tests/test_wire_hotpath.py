@@ -31,12 +31,12 @@ from repro.network.messages import (
 DIM = 4
 
 
-def make_node(optimizer=None, arena=True) -> PSNode:
+def make_node(optimizer=None) -> PSNode:
     entry_bytes = (DIM + (optimizer or PSSGD()).state_width(DIM)) * 4
     return PSNode(
         0,
         ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=3),
-        CacheConfig(capacity_bytes=64 * entry_bytes, arena=arena),
+        CacheConfig(capacity_bytes=64 * entry_bytes),
         optimizer or PSSGD(lr=0.5),
     )
 
@@ -54,8 +54,7 @@ class TestReadonlyWirePush:
         with pytest.raises(ValueError):
             decoded.keys[0] = 9
 
-    @pytest.mark.parametrize("arena", [True, False])
-    def test_push_through_wire_path_matches_mutable_twin(self, arena):
+    def test_push_through_wire_path_matches_mutable_twin(self):
         """The update path must not require writable request arrays:
         pushing decoded (frozen) views lands the same bits as pushing a
         writable copy — including with duplicate keys, where the
@@ -75,8 +74,8 @@ class TestReadonlyWirePush:
         decoded = decode_message(frame)
         assert not decoded.grads.flags.writeable
 
-        wire_node = make_node(arena=arena)
-        twin_node = make_node(arena=arena)
+        wire_node = make_node()
+        twin_node = make_node()
         for node in (wire_node, twin_node):
             node.pull(keys, 0)
             node.maintain(0)
@@ -90,9 +89,8 @@ class TestReadonlyWirePush:
 
 
 class TestDistinctUpdateAccounting:
-    @pytest.mark.parametrize("arena", [True, False])
-    def test_duplicate_keys_count_once(self, arena):
-        node = make_node(arena=arena)
+    def test_duplicate_keys_count_once(self):
+        node = make_node()
         keys = [1, 1, 2, 1, 2]
         node.pull(keys, 0)
         node.maintain(0)
