@@ -7,8 +7,11 @@ maintenance (Algorithm 2) and delegated back here, which then
 
 1. atomically persists the checkpointed batch id in the PMem root,
 2. pops the request queue, and
-3. tells the space manager which versions must now be retained and
-   recycles the rest.
+3. tells the space manager which versions must now be retained and,
+   when the completion retired the previous checkpoint (standalone
+   nodes), recycles the rest. A cluster-mode shard's superseded
+   checkpoints are released by the external barrier instead and
+   reclaimed when the next checkpoint is requested.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ class CheckpointCoordinator:
                 f"checkpoint {batch_id} not newer than completed "
                 f"{self.last_completed}"
             )
+        if self.cluster_mode:
+            # The external barrier releases superseded checkpoints
+            # without reclaiming them. Reclaim before this checkpoint's
+            # flush writes a new generation of versions, so a shard
+            # never holds three.
+            self.store.recycle()
         self.queue.push(batch_id)
         self._sync_barriers()
 
@@ -115,7 +124,11 @@ class CheckpointCoordinator:
         self.completed_count += 1
         self._completed_history.append(batch_id)
         self._sync_barriers()
-        self.store.recycle()
+        if not self.cluster_mode:
+            # Standalone, completing this checkpoint retired the previous
+            # one. In cluster mode completion retires nothing (the id only
+            # moves from the queue into the history).
+            self.store.recycle()
         return batch_id
 
     def complete_all_pending(self) -> list[int]:

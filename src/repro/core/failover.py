@@ -19,7 +19,7 @@ Three pieces:
 * ``FailoverTransport`` — how the manager talks to the cluster. The
   in-process :class:`LocalFailoverTransport` is defined here; the RPC
   one (heartbeat probes over dedicated channels, promotion via a
-  ``Promote`` message) lives in :mod:`repro.network.frontend` so core
+  ``Promote`` message) lives in :mod:`repro.network.transports` so core
   stays import-light.
 * :class:`FailoverManager` — the policy loop. ``beat()`` probes every
   shard, renews leases and advances background re-replication;

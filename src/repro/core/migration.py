@@ -93,7 +93,7 @@ class MigrationTransport(Protocol):
 
     Two implementations exist: the in-process one below (direct node
     method calls, used by :class:`~repro.core.server.OpenEmbeddingServer`)
-    and :class:`~repro.network.frontend.RpcMigrationTransport`, which
+    and :class:`~repro.network.transports.RpcMigrationTransport`, which
     moves the same payloads through framed ``MigrateRequest`` RPCs with
     the client's usual retry + dedup discipline.
     """

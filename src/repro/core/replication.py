@@ -66,7 +66,7 @@ class ReplicatedPSNode:
     Failure semantics: once :meth:`fail_primary` / :meth:`kill_primary`
     crashed the primary, every data-plane operation raises
     :class:`~repro.errors.NodeDeadError` (over RPC the node simply goes
-    *silent* — see :class:`~repro.network.frontend.PSNodeService`).
+    *silent* — see :class:`~repro.network.service.PSNodeService`).
     :meth:`failover` promotes the backup; afterwards the node is
     *degraded* until :meth:`finish_rebuild` (or the step-wise
     :meth:`rebuild_tick`) re-replicates a fresh backup in the

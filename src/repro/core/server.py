@@ -8,8 +8,12 @@ always restores a single consistent batch across all shards.
 This is the reference implementation of the
 :class:`~repro.core.backend.TrainBackend` protocol — the surface the
 trainers and the lookahead :class:`~repro.dlrm.prefetch.PrefetchPipeline`
-program against. :class:`~repro.network.frontend.RemotePSClient` speaks
-the same protocol over RPC and is a drop-in replacement.
+program against — and the *only* copy of cluster policy: routing and
+request-order gather, cluster-wide checkpoints and retention barriers,
+the ring commit. How one shard is reached is five small ``_shard_*``
+methods; here they call the node object, and
+:class:`~repro.network.frontend.RemotePSClient` overrides them to send
+the same request as a framed RPC.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.recovery import RecoveryReport, recover_node
+from repro.core.replication import ReplicatedPSNode
 from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.sharding import (
     RING_STATE_FIELD,
@@ -29,7 +34,7 @@ from repro.core.sharding import (
     pack_ring_state,
     unpack_ring_state,
 )
-from repro.errors import CheckpointError, RecoveryError
+from repro.errors import RecoveryError
 from repro.obs.registry import MetricsRegistry, collect_bundle
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
@@ -86,7 +91,7 @@ class OpenEmbeddingServer:
         )
         if nodes is None:
             self.nodes = [
-                self._build_node(node_id, self.server_config)
+                self._build_node(node_id, self.server_config, self.cluster_mode)
                 for node_id in range(self.server_config.num_nodes)
             ]
         else:
@@ -98,32 +103,73 @@ class OpenEmbeddingServer:
         if self.server_config.partitioner == "ring":
             self._restore_or_seed_ring_state()
 
-    def _build_node(self, node_id: int, server_config: ServerConfig):
+    def _node_tracer(self, node_id: int) -> Tracer:
+        """The span sink handed to shard ``node_id``."""
+        return self.tracer
+
+    def _build_node(
+        self, node_id: int, server_config: ServerConfig, cluster_mode: bool
+    ) -> PSNode | ReplicatedPSNode:
         """One shard: plain for ``replicas=1``; a synchronously-mirrored
         primary/backup pair (:class:`ReplicatedPSNode`) for
         ``replicas=2``, enabling hot failover instead of ~380 s
         checkpoint recovery."""
-        if server_config.replicas == 2:
-            from repro.core.replication import ReplicatedPSNode
-
-            return ReplicatedPSNode(
-                node_id,
-                server_config,
-                self.cache_config,
-                self.optimizer,
-                metadata_only=self.metadata_only,
-                cluster_mode=self.cluster_mode,
-                tracer=self.tracer,
-            )
-        return PSNode(
+        node_cls = ReplicatedPSNode if server_config.replicas == 2 else PSNode
+        return node_cls(
             node_id,
             server_config,
             self.cache_config,
             self.optimizer,
             metadata_only=self.metadata_only,
-            cluster_mode=self.cluster_mode,
-            tracer=self.tracer,
+            cluster_mode=cluster_mode,
+            tracer=self._node_tracer(node_id),
         )
+
+    # ------------------------------------------------------------------
+    # reaching one shard (RemotePSClient overrides these with RPCs)
+    # ------------------------------------------------------------------
+    # ``index`` is the shard's position in ``self.nodes``; ``flows`` is
+    # how many shards the operation touches (a wire client prices the
+    # shared link with it).
+
+    def _shard_pull(
+        self, index: int, keys, batch_id: int, worker_id, progress, flows: int
+    ) -> PullResult:
+        return self.nodes[index].pull(
+            keys, batch_id, worker_id=worker_id, progress=progress
+        )
+
+    def _shard_push(
+        self, index: int, keys, grads, batch_id: int, worker_id, seq: int, flows: int
+    ) -> int:
+        return self.nodes[index].push(
+            keys, grads, batch_id, worker_id=worker_id, seq=seq
+        )
+
+    def _shard_lookup(
+        self, index: int, keys, snapshot_id: int, replica: int | None, flows: int
+    ) -> LookupResult:
+        if replica is None:
+            return self.nodes[index].lookup(keys, snapshot_id)
+        return self.nodes[index].lookup(keys, snapshot_id, replica=replica)
+
+    def _shard_maintain(self, index: int, batch_id: int) -> MaintainResult:
+        return self.nodes[index].maintain(batch_id)
+
+    def _shard_request_checkpoint(self, index: int, batch_id: int) -> None:
+        self.nodes[index].request_checkpoint(batch_id)
+
+    def _route(self, keys) -> list[tuple]:
+        """``(shard index, its keys, their request positions)`` for every
+        shard that owns at least one of ``keys``."""
+        per_node_keys, per_node_positions = self.partitioner.split(keys)
+        return [
+            (index, node_keys, positions)
+            for index, (node_keys, positions) in enumerate(
+                zip(per_node_keys, per_node_positions)
+            )
+            if len(node_keys)
+        ]
 
     # ------------------------------------------------------------------
     # PS protocol
@@ -147,7 +193,7 @@ class OpenEmbeddingServer:
         with self.tracer.span(
             "server.pull", batch=batch_id, keys=len(keys)
         ) as span:
-            per_node_keys, per_node_positions = self.partitioner.split(keys)
+            slices = self._route(keys)
             value_mode = not self.metadata_only
             out = (
                 np.empty(
@@ -157,14 +203,9 @@ class OpenEmbeddingServer:
                 else None
             )
             hits = misses = created = 0
-            for node, node_keys, positions in zip(
-                self.nodes, per_node_keys, per_node_positions
-            ):
-                if len(node_keys) == 0:
-                    continue
-                result = node.pull(
-                    node_keys, batch_id,
-                    worker_id=worker_id, progress=progress,
+            for index, node_keys, positions in slices:
+                result = self._shard_pull(
+                    index, node_keys, batch_id, worker_id, progress, len(slices)
                 )
                 hits += result.hits
                 misses += result.misses
@@ -189,31 +230,27 @@ class OpenEmbeddingServer:
         ) as span:
             if snapshot_id is None:
                 snapshot_id = self.global_completed_checkpoint
-            per_node_keys, per_node_positions = self.partitioner.split(keys)
+            slices = self._route(keys)
             out = np.empty(
                 (len(keys), self.server_config.embedding_dim), dtype=np.float32
             )
             row_snapshots = np.empty(len(keys), dtype=np.int64)
             hits = cold = 0
-            for node, node_keys, positions in zip(
-                self.nodes, per_node_keys, per_node_positions
-            ):
-                if len(node_keys) == 0:
-                    continue
+            for index, node_keys, positions in slices:
+                node = self.nodes[index]
                 replicas = ReplicaSelector.replica_count(node)
-                if replicas > 1:
-                    replica = self.replica_selector.pick(node.node_id, replicas)
-                    result = node.lookup(node_keys, snapshot_id, replica=replica)
-                else:
-                    result = node.lookup(node_keys, snapshot_id)
+                replica = (
+                    self.replica_selector.pick(node.node_id, replicas)
+                    if replicas > 1
+                    else None
+                )
+                result = self._shard_lookup(
+                    index, node_keys, snapshot_id, replica, len(slices)
+                )
                 hits += result.hits
                 cold += result.cold
                 out[positions] = result.weights
-                row_snapshots[positions] = (
-                    result.row_snapshots
-                    if result.row_snapshots is not None
-                    else result.snapshot_id
-                )
+                row_snapshots[positions] = result.snapshot_id
             span.set(snapshot=snapshot_id, hits=hits, cold=cold)
             return LookupResult(
                 weights=out,
@@ -238,7 +275,10 @@ class OpenEmbeddingServer:
     def maintain(self, batch_id: int) -> list[MaintainResult]:
         """Run the maintenance round on every shard."""
         with self.tracer.span("server.maintain", batch=batch_id) as span:
-            results = [node.maintain(batch_id) for node in self.nodes]
+            results = [
+                self._shard_maintain(index, batch_id)
+                for index in range(len(self.nodes))
+            ]
             self._sync_external_barriers()
             span.set(processed=sum(r.processed for r in results))
             return results
@@ -261,17 +301,13 @@ class OpenEmbeddingServer:
         with self.tracer.span(
             "server.push", batch=batch_id, keys=len(keys)
         ) as span:
-            per_node_keys, per_node_positions = self.partitioner.split(keys)
+            slices = self._route(keys)
             updated = 0
-            for node, node_keys, positions in zip(
-                self.nodes, per_node_keys, per_node_positions
-            ):
-                if len(node_keys) == 0:
-                    continue
+            for index, node_keys, positions in slices:
                 node_grads = grads[positions] if grads is not None else None
-                updated += node.push(
-                    node_keys, node_grads, batch_id,
-                    worker_id=worker_id, seq=seq,
+                updated += self._shard_push(
+                    index, node_keys, node_grads, batch_id,
+                    worker_id, seq, len(slices),
                 )
             span.set(updated=updated)
             return updated
@@ -288,14 +324,13 @@ class OpenEmbeddingServer:
         """Queue a cluster-wide checkpoint on every shard.
 
         Raises:
-            CheckpointError: no trained batch to snapshot.
+            CheckpointError: no trained batch to snapshot (the derived
+                id is ``-1``; the first shard rejects it).
         """
         if batch_id is None:
             batch_id = self.latest_completed_batch
-        if batch_id < 0:
-            raise CheckpointError("no completed batch to checkpoint")
-        for node in self.nodes:
-            node.request_checkpoint(batch_id)
+        for index in range(len(self.nodes)):
+            self._shard_request_checkpoint(index, batch_id)
         return batch_id
 
     def barrier_checkpoint(self, batch_id: int | None = None) -> int:
@@ -422,28 +457,9 @@ class OpenEmbeddingServer:
 
     def provision_node(self, node_id: int, server_config: ServerConfig) -> PSNode:
         """Build an empty PS node for scale-out (same stack as __init__,
-        replicated when ``replicas=2``)."""
-        if server_config.replicas == 2:
-            from repro.core.replication import ReplicatedPSNode
-
-            return ReplicatedPSNode(
-                node_id,
-                server_config,
-                self.cache_config,
-                self.optimizer,
-                metadata_only=self.metadata_only,
-                cluster_mode=True,
-                tracer=self.tracer,
-            )
-        return PSNode(
-            node_id,
-            server_config,
-            self.cache_config,
-            self.optimizer,
-            metadata_only=self.metadata_only,
-            cluster_mode=True,
-            tracer=self.tracer,
-        )
+        replicated when ``replicas=2``; a grown cluster always has
+        siblings, so the node is born in cluster mode)."""
+        return self._build_node(node_id, server_config, cluster_mode=True)
 
     # ------------------------------------------------------------------
     # failure / recovery
@@ -453,9 +469,8 @@ class OpenEmbeddingServer:
         """Kill every node process; the pools survive."""
         return [node.crash() for node in self.nodes]
 
-    @classmethod
+    @staticmethod
     def recover(
-        cls,
         pools: list[PmemPool],
         server_config: ServerConfig,
         cache_config: CacheConfig | None = None,
@@ -474,7 +489,9 @@ class OpenEmbeddingServer:
         a multi-table collection — must agree on an older one), so the
         recovered model is batch-consistent. Per-shard recoveries are
         independent and would run in parallel on real hardware; the
-        reports' times reflect one shard each.
+        reports' times reflect one shard each. The result is always the
+        in-process facade, whichever backend crashed: the pools are
+        local objects.
         """
         if len(pools) != server_config.num_nodes:
             raise RecoveryError(
@@ -515,15 +532,13 @@ class OpenEmbeddingServer:
             # Recovered shards come back replicated: wrap each fresh
             # node as a degraded pair and re-replicate synchronously so
             # the cluster regains single-fault tolerance before serving.
-            from repro.core.replication import ReplicatedPSNode
-
             wrapped = []
             for node in nodes:
                 replicated = ReplicatedPSNode.from_primary(node)
                 replicated.rebuild_backup()
                 wrapped.append(replicated)
             nodes = wrapped
-        server = cls(
+        server = OpenEmbeddingServer(
             server_config,
             cache_config,
             optimizer,
@@ -584,25 +599,17 @@ class OpenEmbeddingServer:
         for node in self.nodes:
             labels = {"node": str(node.node_id)}
             collect_bundle(registry, node.metrics, labels)
-            controller = getattr(node, "staleness", None)
-            if controller is not None:
-                registry.gauge(
-                    "repro_async_pulls_admitted", labels
-                ).set(controller.admitted)
-                registry.gauge(
-                    "repro_async_pulls_rejected", labels
-                ).set(controller.rejected)
-                registry.gauge(
-                    "repro_async_max_admitted_lag", labels
-                ).set(controller.max_admitted_lag())
-            buffer = getattr(node, "aggregation", None)
+            controller, buffer = node.staleness, node.aggregation
+            gauges = {
+                "repro_async_pulls_admitted": controller.admitted,
+                "repro_async_pulls_rejected": controller.rejected,
+                "repro_async_max_admitted_lag": controller.max_admitted_lag(),
+            }
             if buffer is not None:
-                registry.gauge(
-                    "repro_async_aggregator_folds", labels
-                ).set(buffer.stats.folds)
-                registry.gauge(
-                    "repro_async_aggregator_pending", labels
-                ).set(buffer.pending)
-                registry.gauge(
-                    "repro_async_duplicates_dropped", labels
-                ).set(buffer.stats.duplicates_dropped)
+                gauges["repro_async_aggregator_folds"] = buffer.stats.folds
+                gauges["repro_async_aggregator_pending"] = buffer.pending
+                gauges["repro_async_duplicates_dropped"] = (
+                    buffer.stats.duplicates_dropped
+                )
+            for name, value in gauges.items():
+                registry.gauge(name, labels).set(value)

@@ -13,17 +13,24 @@ real wire messages:
   backoff + per-call timeout budgets and wire-error discipline
   (server-side exceptions arrive as error-coded status frames and are
   re-raised as typed errors), plus a server-side dispatcher;
-* :mod:`repro.network.frontend` — ``RemotePSClient``, a drop-in for
-  :class:`~repro.core.server.OpenEmbeddingServer` whose every operation
-  round-trips through encoded messages, so byte counts and wire timing
-  are real; pushes carry ``(worker_id, seq)`` dedup headers so retries
-  never double-apply gradients.
+* :mod:`repro.network.service` — ``PSNodeService``, one PS node's
+  handlers behind the dispatcher, with a bounded replay window per
+  mutating message kind so retries never double-apply;
+* :mod:`repro.network.frontend` — ``RemotePSClient``, an
+  :class:`~repro.core.server.OpenEmbeddingServer` whose per-shard calls
+  round-trip through encoded messages, so byte counts and wire timing
+  are real; pushes carry ``(worker_id, seq)`` dedup headers. Cluster
+  policy (routing, checkpoints, retention, ring commit) is inherited
+  from ``core/server.py``, not restated;
+* :mod:`repro.network.transports` — ``RpcMigrationTransport`` /
+  ``RpcFailoverTransport``: live resharding and failure detection +
+  promotion over the same wire.
 
 Fault injection on this boundary lives in
 :mod:`repro.failure.network_faults`.
 """
 
-from repro.network.frontend import PSNodeService, RemotePSClient
+from repro.network.frontend import RemotePSClient
 from repro.network.messages import (
     CheckpointRequest,
     MaintainRequest,
@@ -42,6 +49,7 @@ from repro.network.rpc import (
     RpcServer,
     RpcStats,
 )
+from repro.network.service import PSNodeService
 
 __all__ = [
     "PullRequest",

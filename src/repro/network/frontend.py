@@ -1,15 +1,15 @@
-"""Remote PS frontend: the server protocol over wire messages.
+"""Remote PS frontend: :class:`RemotePSClient`, the cluster over RPC.
 
-:class:`PSNodeService` wraps one :class:`~repro.core.ps_node.PSNode`
-behind an :class:`~repro.network.rpc.RpcServer`; :class:`RemotePSClient`
-exposes the familiar ``pull`` / ``maintain`` / ``push`` /
-``request_checkpoint`` surface, but every operation round-trips through
-encoded bytes on a simulated link — a faithful stand-in for the paper's
-TensorFlow-operator <-> PS RPC.
-
-``RemotePSClient`` is protocol-compatible with
-:class:`~repro.core.server.OpenEmbeddingServer`, so the functional
-trainer runs over it unchanged; tests assert the trained weights are
+The client *is* an :class:`~repro.core.server.OpenEmbeddingServer`:
+routing, request-order gather, cluster-wide checkpoints, retention
+barriers and the ring commit are inherited, not restated. What this
+module adds is how one shard is reached — every per-shard ``pull`` /
+``push`` / ``lookup`` / ``maintain`` / checkpoint request round-trips
+through encoded bytes on a simulated link (a faithful stand-in for the
+paper's TensorFlow-operator <-> PS RPC) — plus the bookkeeping that only
+exists on the wire: one :class:`~repro.network.service.PSNodeService`
+and :class:`~repro.network.rpc.RpcChannel` per shard, failover-aware
+re-issue, and the wire statistics. Tests assert the trained weights are
 identical to the in-process path.
 
 Fault tolerance: pass a :class:`~repro.config.NetworkFaultConfig` and
@@ -25,8 +25,6 @@ clean wire.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.config import CacheConfig, NetworkFaultConfig, RetryConfig, ServerConfig
@@ -35,603 +33,50 @@ from repro.core.failover import FailoverManager, NodeState
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer
 from repro.core.replication import ReplicatedPSNode
-from repro.core.sharding import (
-    RING_STATE_FIELD,
-    HashPartitioner,
-    make_partitioner,
-    pack_ring_state,
-    unpack_ring_state,
-)
+from repro.core.server import OpenEmbeddingServer
+from repro.core.serving_backend import LookupResult
+from repro.core.sharding import HashPartitioner, make_partitioner, unpack_ring_state
 from repro.errors import (
     NodeDeadError,
-    PoolClosedError,
     RpcTimeoutError,
     ServerError,
     ShardRoutingError,
 )
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
-from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.network.messages import (
     CheckpointRequest,
-    HeartbeatRequest,
     LookupRequest,
-    LookupResponse,
     MaintainRequest,
-    MaintainResponse,
-    MigrateRequest,
-    MigrateResponse,
-    PromoteRequest,
     PullRequest,
-    PullResponse,
     PushRequest,
     RingUpdateRequest,
-    StatusResponse,
 )
-from repro.network.rpc import RpcChannel, RpcServer, Unresponsive
-from repro.obs.registry import MetricsRegistry, collect_bundle
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.network.rpc import RpcChannel
+from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService
+from repro.network.transports import RpcFailoverTransport, RpcMigrationTransport
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.simulation.clock import SimClock
 from repro.simulation.metrics import RpcReliabilityStats
 from repro.simulation.network import NetworkModel
 
-DEFAULT_DEDUP_WINDOW = 1024
-"""Replayed pushes older than this many pushes are no longer absorbed."""
 
-
-class PSNodeService:
-    """One PS node's RPC surface.
-
-    Args:
-        node: the wrapped shard.
-        dedup_window: how many recent ``(worker_id, seq)`` push
-            identities to remember (and whose cached replies to
-            replay). A retried push inside the window is suppressed —
-            at-most-once gradient application; its original reply is
-            returned verbatim.
-        tracer: span sink; every handler invocation becomes a
-            ``ps.pull`` / ``ps.push`` / ``ps.maintain`` /
-            ``ps.checkpoint`` span carrying its request counts.
-    """
-
-    def __init__(
-        self,
-        node: PSNode,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
-        tracer: Tracer | None = None,
-    ):
-        if dedup_window < 1:
-            raise ServerError(f"dedup_window must be >= 1, got {dedup_window}")
-        self.node = node
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.dedup_window = dedup_window
-        self.dup_suppressed = 0
-        self._push_replies: OrderedDict[tuple[int, int], StatusResponse] = (
-            OrderedDict()
-        )
-        self._maintain_replies: OrderedDict[int, MaintainResponse] = OrderedDict()
-        self._checkpoint_replies: OrderedDict[int, StatusResponse] = OrderedDict()
-        self._migrate_replies: OrderedDict[tuple[int, int], StatusResponse] = (
-            OrderedDict()
-        )
-        self.server = RpcServer()
-        self.server.register(PullRequest.TYPE, self._handle_pull)
-        self.server.register(PushRequest.TYPE, self._handle_push)
-        self.server.register(CheckpointRequest.TYPE, self._handle_checkpoint)
-        self.server.register(MaintainRequest.TYPE, self._handle_maintain)
-        self.server.register(MigrateRequest.TYPE, self._handle_migrate)
-        self.server.register(RingUpdateRequest.TYPE, self._handle_ring_update)
-        self.server.register(HeartbeatRequest.TYPE, self._handle_heartbeat)
-        self.server.register(PromoteRequest.TYPE, self._handle_promote)
-        self.server.register(LookupRequest.TYPE, self._handle_lookup)
-
-    def _span(self, name: str, track: str = "main", **attrs):
-        """Open a handler span parented to the requesting client.
-
-        When the dispatched frame carried a wire
-        :class:`~repro.network.messages.TraceContext`, the span is
-        stamped with ``trace_id``/``parent_span_id`` so
-        :mod:`repro.obs.merge` can flow-link it back to the exact
-        client attempt that caused it.
-        """
-        context = self.server.current_context
-        if context is not None and context.sampled:
-            attrs["trace_id"] = context.trace_id
-            attrs["parent_span_id"] = context.parent_span_id
-        return self.tracer.span(name, track=track, **attrs)
-
-    def _check_alive(self) -> None:
-        """A dead primary answers nothing, not an error frame.
-
-        When the wrapped shard is a :class:`ReplicatedPSNode` whose
-        primary was killed, every data-plane handler raises
-        :class:`~repro.network.rpc.Unresponsive` — the dispatcher drops
-        the request silently, so from the client's side the node looks
-        exactly like a vanished machine: the attempt times out, the
-        retry ladder runs dry, and only the failure detector (via the
-        lease table) can say *why*.
-        """
-        if isinstance(self.node, ReplicatedPSNode) and not self.node.primary_alive:
-            raise Unresponsive(f"node {self.node.node_id} primary is dead")
-
-    def _handle_heartbeat(self, request: HeartbeatRequest) -> StatusResponse:
-        """Answer a lease-renewal probe (silence when the primary died).
-
-        The reply carries the node's newest completed batch so the
-        detector doubles as a liveness *and* progress probe. While a
-        promoted node is re-replicating, each heartbeat also advances
-        the background rebuild one chunk — re-replication literally
-        rides the heartbeat cadence, the way the paper's asynchronous
-        recovery rides training traffic.
-        """
-        self._check_alive()
-        if isinstance(self.node, ReplicatedPSNode) and self.node.degraded:
-            self.node.rebuild_tick()
-        return StatusResponse(
-            code=StatusResponse.OK, value=self.node.latest_completed_batch
-        )
-
-    def _handle_promote(self, request: PromoteRequest) -> StatusResponse:
-        """Client-driven replica promotion; idempotent on a live primary.
-
-        A client whose lease on this node expired asks the replica pair
-        to fail over. If the primary is in fact alive (a false positive:
-        the probe frames were dropped, not the node), the request is an
-        acknowledged no-op — promotion must be safe to request twice or
-        on mere suspicion. A genuinely dead primary hands the shard to
-        its synchronously-maintained backup; with no backup standing
-        (double fault) a typed :class:`~repro.errors.FailoverError`
-        travels back as ``ERR_FAILOVER`` and the client falls through to
-        checkpoint recovery.
-        """
-        if not isinstance(self.node, ReplicatedPSNode):
-            raise ServerError(
-                f"node {self.node.node_id} is unreplicated; promotion "
-                "requires replicas=2"
-            )
-        with self._span(
-            "ps.promote", track="failover", node=self.node.node_id
-        ) as span:
-            if self.node.primary_alive:
-                span.set(noop=True)
-                return StatusResponse(
-                    code=StatusResponse.OK,
-                    value=self.node.latest_completed_batch,
-                )
-            committed = int(request.committed_epoch)
-            self.node.failover(committed_epoch=committed if committed >= 0 else None)
-            span.set(epoch=self.node.ring_epoch)
-            return StatusResponse(
-                code=StatusResponse.OK, value=self.node.latest_completed_batch
-            )
-
-    def _handle_pull(self, request: PullRequest) -> PullResponse:
-        self._check_alive()
-        with self._span(
-            "ps.pull", node=self.node.node_id, keys=len(request.keys)
-        ) as span:
-            # The decoded key array goes straight through: the cache
-            # normalizes it once, instead of a per-key int() loop here.
-            # worker_id/progress feed the bounded-staleness admission
-            # check; -1 on the wire means anonymous (no admission).
-            worker_id = int(request.worker_id)
-            result = self.node.pull(
-                request.keys,
-                int(request.batch_id),
-                worker_id=worker_id if worker_id >= 0 else None,
-                progress=int(request.progress),
-            )
-            if result.weights is None:
-                raise ServerError("remote pull requires a value-mode node")
-            span.set(hits=result.hits, misses=result.misses, created=result.created)
-            return PullResponse(
-                batch_id=request.batch_id,
-                weights=result.weights,
-                hits=result.hits,
-                misses=result.misses,
-                created=result.created,
-            )
-
-    def _handle_lookup(self, request: LookupRequest) -> LookupResponse:
-        """Serve a snapshot-pinned batched read (the inference path).
-
-        Lookups are pure reads — idempotent by construction, so unlike
-        pushes they carry no dedup identity and need no replay cache: a
-        retried frame reads the same snapshot again. A dead primary
-        answers with silence (the failover machinery reroutes the
-        reader); a ``-1`` request pin resolves to the shard's newest
-        completed checkpoint, echoed back in the response.
-        """
-        self._check_alive()
-        with self._span(
-            "ps.lookup",
-            track="serving",
-            node=self.node.node_id,
-            keys=len(request.keys),
-        ) as span:
-            snapshot = int(request.snapshot_id)
-            pin = None if snapshot < 0 else snapshot
-            if isinstance(self.node, ReplicatedPSNode):
-                result = self.node.lookup(
-                    request.keys, pin, replica=int(request.replica)
-                )
-            else:
-                result = self.node.lookup(request.keys, pin)
-            span.set(
-                snapshot=result.snapshot_id, hits=result.hits, cold=result.cold
-            )
-            return LookupResponse(
-                snapshot_id=result.snapshot_id,
-                weights=result.weights,
-                hits=result.hits,
-                cold=result.cold,
-            )
-
-    def _handle_push(self, request: PushRequest) -> StatusResponse:
-        self._check_alive()
-        with self._span(
-            "ps.push", node=self.node.node_id, keys=len(request.keys)
-        ) as span:
-            dedup_key = request.dedup_key
-            if dedup_key is not None:
-                cached = self._push_replies.get(dedup_key)
-                if cached is not None:
-                    self.dup_suppressed += 1
-                    self.node.metrics.rpc.dup_suppressed += 1
-                    span.set(dup_suppressed=True)
-                    return cached
-            # Keys and grads flow in as zero-copy decode views; the
-            # update path aggregates into fresh arrays, never mutating
-            # the (read-only) request payload.
-            updated = self.node.push(
-                request.keys,
-                request.grads,
-                int(request.batch_id),
-                worker_id=int(request.worker_id),
-                seq=int(request.seq),
-            )
-            span.set(updated=updated)
-            response = StatusResponse(code=StatusResponse.OK, value=updated)
-            if dedup_key is not None:
-                self._push_replies[dedup_key] = response
-                while len(self._push_replies) > self.dedup_window:
-                    self._push_replies.popitem(last=False)
-            return response
-
-    def _handle_checkpoint(self, request: CheckpointRequest) -> StatusResponse:
-        """Queue a batch-aware checkpoint; idempotent per batch id.
-
-        ``request_checkpoint`` rejects re-queuing the same batch, so a
-        duplicated or retried request frame replays the cached OK
-        instead of surfacing a spurious ``CheckpointError`` to a client
-        whose first copy already landed.
-        """
-        batch_id = int(request.batch_id)
-        self._check_alive()
-        with self._span(
-            "ps.checkpoint", node=self.node.node_id, batch=batch_id
-        ) as span:
-            cached = self._checkpoint_replies.get(batch_id)
-            if cached is not None:
-                self.dup_suppressed += 1
-                self.node.metrics.rpc.dup_suppressed += 1
-                span.set(dup_suppressed=True)
-                return cached
-            self.node.request_checkpoint(batch_id)
-            response = StatusResponse(code=StatusResponse.OK, value=batch_id)
-            self._checkpoint_replies[batch_id] = response
-            while len(self._checkpoint_replies) > self.dedup_window:
-                self._checkpoint_replies.popitem(last=False)
-            return response
-
-    def _handle_maintain(self, request: MaintainRequest) -> MaintainResponse:
-        """Run the deferred maintenance round for one batch.
-
-        Maintenance is state-idempotent — a retried trigger (first reply
-        lost on the wire) pops an already-drained access queue and does
-        no work — but its *counters* are not: the retry would report
-        zeros. So the last few rounds' replies are cached per batch id
-        and replayed when a re-trigger finds nothing to do, keeping the
-        client's maintenance accounting exact under retries.
-        """
-        batch_id = int(request.batch_id)
-        self._check_alive()
-        with self._span(
-            "ps.maintain", node=self.node.node_id, batch=batch_id
-        ) as span:
-            result = self.node.maintain(batch_id)
-            span.set(processed=result.processed, flushes=result.flushes)
-            if result.processed == 0 and batch_id in self._maintain_replies:
-                self.dup_suppressed += 1
-                self.node.metrics.rpc.dup_suppressed += 1
-                return self._maintain_replies[batch_id]
-        response = MaintainResponse(
-            batch_id=batch_id,
-            processed=result.processed,
-            loads=result.loads,
-            flushes=result.flushes,
-            evictions=result.evictions,
-            checkpoints_completed=result.checkpoints_completed,
-        )
-        self._maintain_replies[batch_id] = response
-        while len(self._maintain_replies) > self.dedup_window:
-            self._maintain_replies.popitem(last=False)
-        return response
-
-    def _handle_migrate(self, request: MigrateRequest):
-        """One live-migration op against this shard.
-
-        ``EXPORT`` is read-only and replays harmlessly. ``PUT`` and
-        ``DELETE`` mutate ownership, so — exactly like pushes — they
-        carry a ``(source, seq)`` identity whose cached reply is
-        replayed when a retried frame arrives after the first copy
-        already applied. (Both ops are *also* state-idempotent at the
-        node level; the dedup cache additionally keeps the coordinator's
-        moved-key accounting exact under retries.)
-        """
-        self._check_alive()
-        with self._span(
-            "ps.migrate", track="migration", node=self.node.node_id, op=request.op
-        ) as span:
-            if request.op == MigrateRequest.OP_EXPORT:
-                entries = self.node.export_entries(list(request.keys))
-                width = (
-                    0 if self.node.metadata_only
-                    else self.node.store.entry_bytes // 4
-                )
-                span.set(keys=len(entries))
-                return MigrateResponse(
-                    width=width,
-                    entries=tuple((k, tuple(v)) for k, v in entries),
-                )
-            dedup_key = request.dedup_key
-            if dedup_key is not None:
-                cached = self._migrate_replies.get(dedup_key)
-                if cached is not None:
-                    self.dup_suppressed += 1
-                    self.node.metrics.rpc.dup_suppressed += 1
-                    span.set(dup_suppressed=True)
-                    return cached
-            if request.op == MigrateRequest.OP_PUT:
-                count = self.node.ingest_entries(
-                    [(k, list(v)) for k, v in request.entries]
-                )
-            elif request.op == MigrateRequest.OP_DELETE:
-                count = self.node.drop_keys(list(request.keys))
-            else:
-                raise ServerError(f"unknown migrate op {request.op}")
-            span.set(keys=count)
-            response = StatusResponse(code=StatusResponse.OK, value=count)
-            if dedup_key is not None:
-                self._migrate_replies[dedup_key] = response
-                while len(self._migrate_replies) > self.dedup_window:
-                    self._migrate_replies.popitem(last=False)
-            return response
-
-    def _handle_ring_update(self, request: RingUpdateRequest) -> StatusResponse:
-        """Serve the committed ring state (coordinator shard only).
-
-        The packed ring word travels back in ``StatusResponse.value``;
-        a shard whose pool holds no ring state answers ``ERR_ROUTING``
-        so a misdirected refresh fails typed, not silently.
-        """
-        self._check_alive()
-        fields = self.node.pool.root.fields()
-        if RING_STATE_FIELD not in fields:
-            raise ShardRoutingError(
-                f"node {self.node.node_id} holds no ring state "
-                "(ask the coordinator, node 0)"
-            )
-        return StatusResponse(
-            code=StatusResponse.OK, value=fields[RING_STATE_FIELD]
-        )
-
-
-class RpcMigrationTransport:
-    """Move migration payloads through framed RPCs with retry + dedup.
-
-    The :class:`~repro.core.migration.ShardMigrator` calls this instead
-    of touching node objects, so every entry transferred during a live
-    reshard crosses the (possibly faulty) simulated wire: drops,
-    duplicates and corruption are retried/absorbed by the exact same
-    discipline the training path uses — which the crash-point sweep
-    runs with fault injection enabled to prove.
-    """
-
-    def __init__(self, client: "RemotePSClient"):
-        self.client = client
-
-    def provision(self, node_id: int, server_config):
-        return self.client.provision_node(node_id, server_config)
-
-    def export(self, node, keys):
-        if not keys:
-            return []
-        response = self._call(
-            node,
-            MigrateRequest(
-                op=MigrateRequest.OP_EXPORT,
-                source=self.client.worker_id,
-                seq=self.client.next_migrate_seq(),
-                width=self._width(node),
-                keys=tuple(int(k) for k in keys),
-            ),
-        )
-        return [(key, list(versions)) for key, versions in response.entries]
-
-    def put(self, node, entries) -> int:
-        if not entries:
-            return 0
-        response = self._call(
-            node,
-            MigrateRequest(
-                op=MigrateRequest.OP_PUT,
-                source=self.client.worker_id,
-                seq=self.client.next_migrate_seq(),
-                width=self._width(node),
-                entries=tuple((k, tuple(v)) for k, v in entries),
-            ),
-        )
-        if not response.ok:
-            raise ServerError(f"migrate put rejected with code {response.code}")
-        return response.value
-
-    def delete(self, node, keys) -> int:
-        if not keys:
-            return 0
-        response = self._call(
-            node,
-            MigrateRequest(
-                op=MigrateRequest.OP_DELETE,
-                source=self.client.worker_id,
-                seq=self.client.next_migrate_seq(),
-                keys=tuple(int(k) for k in keys),
-            ),
-        )
-        if not response.ok:
-            raise ServerError(f"migrate delete rejected with code {response.code}")
-        return response.value
-
-    def _width(self, node) -> int:
-        return 0 if node.metadata_only else node.store.entry_bytes // 4
-
-    def _call(self, node, request):
-        return self.client.channel_for(node.node_id).call(request)
-
-
-PROBE_CHANNEL_BASE = 1000
-"""Probe channels get ``PROBE_CHANNEL_BASE + node_id`` identities so
-their RPC spans/metrics never collide with the data-plane channels."""
-
-PROBE_RETRY = RetryConfig(
-    max_attempts=3,
-    attempt_timeout_s=0.05,
-    call_timeout_s=0.5,
-    base_backoff_s=1e-3,
-    max_backoff_s=0.02,
-    jitter=0.0,
-)
-"""Short-fused policy for heartbeats and promotions.
-
-A probe exists to *measure* liveness, so it must not hide death behind
-a long retry ladder: three quick attempts, then the prober reports the
-silence to the failure detector and lets the lease decide.
-"""
-
-
-class RpcFailoverTransport:
-    """Failure detection + promotion over the wire, for
-    :class:`~repro.core.failover.FailoverManager`.
-
-    Satisfies :class:`~repro.core.failover.FailoverTransport` with real
-    framed RPCs: probes are :class:`HeartbeatRequest` frames on
-    dedicated short-retry channels (sharing the client's — possibly
-    faulty — link), promotion is a :class:`PromoteRequest` whose
-    ``ERR_FAILOVER`` reply decodes back into a typed
-    :class:`~repro.errors.FailoverError` on a double fault.
-
-    The probe channels deliberately have **no** ``node_dead`` callback:
-    they must keep reaching a node the detector already declared dead —
-    that is how an idempotent promotion (or a false-positive recheck)
-    gets through.
-    """
-
-    def __init__(self, client: "RemotePSClient"):
-        self.client = client
-        self._probe_channels: dict[int, RpcChannel] = {}
-
-    def num_nodes(self) -> int:
-        return len(self.client.nodes)
-
-    def probe_channel(self, node_id: int) -> RpcChannel:
-        """The (lazily built) dedicated heartbeat channel to ``node_id``."""
-        channel = self._probe_channels.get(node_id)
-        if channel is None:
-            service = None
-            for candidate in self.client.services:
-                if candidate.node.node_id == node_id:
-                    service = candidate
-                    break
-            if service is None:
-                raise ShardRoutingError(f"no service for node {node_id}")
-            channel = RpcChannel(
-                service.server,
-                self.client.link,
-                self.client.clock,
-                retry=PROBE_RETRY,
-                channel_id=PROBE_CHANNEL_BASE + node_id,
-                tracer=self.client.tracer,
-                registry=self.client.registry,
-            )
-            self._probe_channels[node_id] = channel
-        return channel
-
-    def probe(self, node_id: int) -> bool:
-        """One heartbeat round-trip; ``False`` means *silence*, which the
-        detector converts into lease expiry, never directly into death."""
-        try:
-            response = self.probe_channel(node_id).call(
-                HeartbeatRequest(node_id=node_id, requester=self.client.worker_id)
-            )
-        except RpcTimeoutError:
-            return False
-        return response.ok
-
-    def committed_epoch(self) -> int:
-        """The durably committed ring epoch, read from the coordinator
-        shard's surviving replica pool (promotion must install the
-        *committed* routing state, not the client's possibly-stale
-        view). Falls back to the client's epoch for modulo clusters."""
-        for pool in self.client.ring_pools():
-            try:
-                fields = pool.root.fields()
-            except PoolClosedError:
-                continue
-            if RING_STATE_FIELD in fields:
-                epoch, _, _ = unpack_ring_state(fields[RING_STATE_FIELD])
-                return epoch
-        return self.client.ring_epoch
-
-    def promote(self, node_id: int, committed_epoch: int) -> float:
-        """Ask ``node_id`` to fail over; returns the modeled promotion
-        cost. :class:`~repro.errors.FailoverError` (double fault)
-        propagates to the caller after crossing the wire as
-        ``ERR_FAILOVER``."""
-        from repro.core.replication import FAILOVER_SECONDS
-
-        response = self.probe_channel(node_id).call(
-            PromoteRequest(
-                node_id=node_id,
-                committed_epoch=committed_epoch,
-                requester=self.client.worker_id,
-            )
-        )
-        if not response.ok:
-            raise ServerError(f"promotion rejected with code {response.code}")
-        return FAILOVER_SECONDS
-
-    def rebuild_tick(self, node_id: int, max_keys: int = 64) -> str:
-        node = self.client.node_for(node_id)
-        tick = getattr(node, "rebuild_tick", None)
-        return tick(max_keys) if tick is not None else "idle"
-
-    def rebuild_progress(self, node_id: int) -> float:
-        node = self.client.node_for(node_id)
-        report = getattr(node, "rebuild_report", None)
-        if report is None:
-            return 1.0
-        return 1.0 if report.finished else report.progress
-
-
-class RemotePSClient:
+class RemotePSClient(OpenEmbeddingServer):
     """Sharded PS access over RPC channels, one per node.
 
-    Implements both :class:`~repro.core.backend.TrainBackend` and
-    :class:`~repro.core.backend.ReadBackend`, drop-in for
-    :class:`OpenEmbeddingServer`. ``maintain``
-    sends a :class:`MaintainRequest` trigger per shard — the work runs
-    node-side (the maintainer threads live in the PS process) but the
-    round's counters travel back over the wire, so remote and
-    in-process backends report identical ``list[MaintainResult]``.
+    An :class:`OpenEmbeddingServer` whose five per-shard calls are
+    framed RPCs (so it implements
+    :class:`~repro.core.backend.TrainBackend` and
+    :class:`~repro.core.backend.ReadBackend` by inheritance).
+    ``client.nodes`` are the real shard objects — the PS processes this
+    client talks to; barriers that are not data-plane traffic
+    (``complete_pending_checkpoints``, ``flush_aggregation``, the
+    watermark properties) act on them directly, as on the in-process
+    facade. ``maintain`` sends a :class:`MaintainRequest` trigger per
+    shard — the work runs node-side (the maintainer threads live in the
+    PS process) but the round's counters travel back over the wire, so
+    remote and in-process backends report identical
+    ``list[MaintainResult]``.
 
     Args:
         retry: channel retry/timeout policy (defaults applied when
@@ -673,20 +118,14 @@ class RemotePSClient:
         node_tracers: list[Tracer] | None = None,
         recorder=None,
     ):
-        self.server_config = server_config or ServerConfig()
-        self.partitioner = make_partitioner(
-            self.server_config.partitioner,
-            self.server_config.num_nodes,
-            self.server_config.ring_vnodes,
-        )
-        self.cache_config = cache_config
-        self.optimizer = optimizer
+        # The shards are built by the base constructor, through
+        # _node_tracer — so per-node tracing is the one thing set first.
+        self.node_tracers = node_tracers
+        super().__init__(server_config, cache_config, optimizer, tracer=tracer)
         self.retry = retry
         self.dedup_window = dedup_window
         self.clock = clock or SimClock()
         self.worker_id = worker_id
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.node_tracers = node_tracers
         self.recorder = recorder
         self.registry = registry
         self._op_seq = 0
@@ -696,53 +135,13 @@ class RemotePSClient:
             if faults is not None and faults.any_faults
             else network
         )
-        self.nodes = [
-            self._build_node(node_id, self.server_config)
-            for node_id in range(self.server_config.num_nodes)
-        ]
-        self.services = [
-            PSNodeService(
-                node,
-                dedup_window=dedup_window,
-                tracer=self._node_tracer(node.node_id),
-            )
-            for node in self.nodes
-        ]
-        self.channels = [
-            RpcChannel(
-                service.server,
-                self.link,
-                self.clock,
-                retry=retry,
-                channel_id=node_id,
-                tracer=self.tracer,
-                registry=registry,
-            )
-            for node_id, service in enumerate(self.services)
-        ]
+        members = [self._connect(node) for node in self.nodes]
+        self.services = [service for service, __ in members]
+        self.channels = [channel for __, channel in members]
         self._push_seq = 0
         self._migrate_seq = 0
-        # Serving lookups fan out across replicated shards' replicas.
-        self.replica_selector = ReplicaSelector(
-            policy=self.server_config.serving_replica_policy
-        )
         self._pending_members: dict[int, tuple[PSNodeService, RpcChannel]] = {}
-        self.ring_epoch = 0
         self.failover: FailoverManager | None = None
-        if self.server_config.partitioner == "ring":
-            # Same durable ring seeding as the in-process server: the
-            # coordinator (node 0) pool records epoch 0 so a crashed
-            # cluster can be recovered onto the committed ring. Writing
-            # through the node (not the pool) mirrors the word onto both
-            # replica pools when the shard is replicated.
-            self.nodes[0].set_root_field(
-                RING_STATE_FIELD,
-                pack_ring_state(
-                    0,
-                    self.server_config.num_nodes,
-                    self.server_config.ring_vnodes,
-                ),
-            )
 
     def _node_tracer(self, node_id: int) -> Tracer:
         """The span sink for one node: its own tracer when per-node
@@ -751,26 +150,26 @@ class RemotePSClient:
             return self.node_tracers[node_id]
         return self.tracer
 
-    def _build_node(
-        self, node_id: int, server_config: ServerConfig
-    ) -> PSNode | ReplicatedPSNode:
-        """One shard: plain when ``replicas=1``, primary/backup pair when
-        ``replicas=2`` (hot failover instead of checkpoint recovery)."""
-        if server_config.replicas == 2:
-            return ReplicatedPSNode(
-                node_id,
-                server_config,
-                self.cache_config,
-                self.optimizer,
-                tracer=self._node_tracer(node_id),
-            )
-        return PSNode(
-            node_id,
-            server_config,
-            self.cache_config,
-            self.optimizer,
-            tracer=self._node_tracer(node_id),
+    def _connect(
+        self, node: PSNode | ReplicatedPSNode
+    ) -> tuple[PSNodeService, RpcChannel]:
+        """Put ``node`` behind a service and open this client's channel
+        to it (the channel id is the node id)."""
+        service = PSNodeService(
+            node,
+            dedup_window=self.dedup_window,
+            tracer=self._node_tracer(node.node_id),
         )
+        channel = RpcChannel(
+            service.server,
+            self.link,
+            self.clock,
+            retry=self.retry,
+            channel_id=node.node_id,
+            tracer=self.tracer,
+            registry=self.registry,
+        )
+        return service, channel
 
     # ------------------------------------------------------------------
     # failure detection + hot failover
@@ -813,15 +212,16 @@ class RemotePSClient:
                 lambda nid=node_id: detector.state_of(nid) is NodeState.DEAD
             )
 
-    def node_for(self, node_id: int) -> PSNode | ReplicatedPSNode:
-        """The shard object with ``node_id`` (pending members included)."""
+    def channel_for(self, node_id: int) -> RpcChannel:
+        """The RPC channel reaching ``node_id`` — including a node that
+        is being provisioned by an in-flight scale-out."""
         pending = self._pending_members.get(node_id)
         if pending is not None:
-            return pending[0].node
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise ShardRoutingError(f"no node {node_id}")
+            return pending[1]
+        for channel in self.channels:
+            if channel.channel_id == node_id:
+                return channel
+        raise ShardRoutingError(f"no channel for node {node_id}")
 
     def ring_pools(self):
         """Every pool that may hold the durable ring word, in preference
@@ -855,10 +255,6 @@ class RemotePSClient:
         attempt that finally landed as *one* causal story.
         """
         trace_id = self._next_trace_id()
-        if self.failover is None:
-            return channel.call(
-                request, concurrent_flows=concurrent_flows, trace_id=trace_id
-            )
         attempts = 0
         while True:
             try:
@@ -867,7 +263,7 @@ class RemotePSClient:
                 )
             except (RpcTimeoutError, NodeDeadError):
                 attempts += 1
-                if attempts > 3:
+                if self.failover is None or attempts > 3:
                     raise
                 self.failover.handle_timeout(channel.channel_id)
 
@@ -880,251 +276,130 @@ class RemotePSClient:
         return ((self.worker_id + 1) << 40) | self._op_seq
 
     # ------------------------------------------------------------------
-    # PS protocol over the wire
+    # PS protocol over the wire: how one shard is reached
     # ------------------------------------------------------------------
 
-    def pull(
-        self,
-        keys,
-        batch_id: int,
-        *,
-        worker_id: int | None = None,
-        progress: int | None = None,
+    def _shard_pull(
+        self, index: int, keys, batch_id: int, worker_id, progress, flows: int
     ) -> PullResult:
-        """Pull via per-node RPC; responses gathered in request order.
+        """One shard's pull as a :class:`PullRequest` round-trip.
 
-        Per-shard cache statistics travel back in each
-        :class:`PullResponse` and are aggregated here, so the remote
-        path reports the same hit/miss/created accounting as the
-        in-process server. ``worker_id`` / ``progress`` travel in the
-        request frame for the server-side bounded-staleness admission
-        check (``-1`` on the wire = anonymous); a rejection arrives
-        back as a typed :class:`~repro.errors.StalenessError`.
+        The shard's cache statistics travel back in the
+        :class:`~repro.network.messages.PullResponse`. ``worker_id`` /
+        ``progress`` ride the request frame for the server-side
+        bounded-staleness admission check (``-1`` on the wire =
+        anonymous); a rejection arrives back as a typed
+        :class:`~repro.errors.StalenessError`.
         """
-        per_node_keys, per_node_positions = self.partitioner.split(keys)
-        dim = self.server_config.embedding_dim
-        out = np.empty((len(keys), dim), dtype=np.float32)
-        flows = sum(1 for node_keys in per_node_keys if len(node_keys))
-        hits = misses = created = 0
-        for channel, node_keys, positions in zip(
-            self.channels, per_node_keys, per_node_positions
-        ):
-            if len(node_keys) == 0:
-                continue
-            response = self._ha_call(
-                channel,
-                PullRequest(
-                    batch_id=batch_id,
-                    keys=np.asarray(node_keys),
-                    worker_id=-1 if worker_id is None else int(worker_id),
-                    progress=-1 if progress is None else int(progress),
-                ),
-                concurrent_flows=max(1, flows),
-            )
-            out[positions] = response.weights
-            hits += response.hits
-            misses += response.misses
-            created += response.created
-        return PullResult(weights=out, hits=hits, misses=misses, created=created)
-
-    def lookup(self, keys, snapshot_id: int | None = None) -> LookupResult:
-        """Snapshot-pinned batched read over the wire (the serving path).
-
-        Every per-shard :class:`LookupRequest` carries the same pinned
-        Checkpointed Batch ID (default: the cluster-wide
-        :attr:`latest_serving_snapshot`), so a multi-shard read is
-        consistent even while training pushes land between the RPCs. On
-        replicated shards the request's ``replica`` field fans reads out
-        across primary/backup per the configured selector policy; a
-        shard whose primary died answers with silence and the read
-        reroutes through the standard failover machinery
-        (:meth:`_ha_call`) — the re-issued request is idempotent, so no
-        dedup identity is needed.
-        """
-        if snapshot_id is None:
-            snapshot_id = self.latest_serving_snapshot
-        per_node_keys, per_node_positions = self.partitioner.split(keys)
-        dim = self.server_config.embedding_dim
-        out = np.empty((len(keys), dim), dtype=np.float32)
-        row_snapshots = np.empty(len(keys), dtype=np.int64)
-        flows = sum(1 for node_keys in per_node_keys if len(node_keys))
-        hits = cold = 0
-        for node, channel, node_keys, positions in zip(
-            self.nodes, self.channels, per_node_keys, per_node_positions
-        ):
-            if len(node_keys) == 0:
-                continue
-            replicas = ReplicaSelector.replica_count(node)
-            replica = (
-                self.replica_selector.pick(node.node_id, replicas)
-                if replicas > 1
-                else 0
-            )
-            response = self._ha_call(
-                channel,
-                LookupRequest(
-                    snapshot_id=snapshot_id,
-                    keys=np.asarray(node_keys),
-                    replica=replica,
-                ),
-                concurrent_flows=max(1, flows),
-            )
-            out[positions] = response.weights
-            row_snapshots[positions] = response.snapshot_id
-            hits += response.hits
-            cold += response.cold
-        return LookupResult(
-            weights=out,
-            snapshot_id=snapshot_id,
-            hits=hits,
-            cold=cold,
-            row_snapshots=row_snapshots,
+        response = self._ha_call(
+            self.channels[index],
+            PullRequest(
+                batch_id=batch_id,
+                keys=np.asarray(keys),
+                worker_id=-1 if worker_id is None else int(worker_id),
+                progress=-1 if progress is None else int(progress),
+            ),
+            concurrent_flows=flows,
+        )
+        return PullResult(
+            weights=response.weights,
+            hits=response.hits,
+            misses=response.misses,
+            created=response.created,
         )
 
-    def maintain(self, batch_id: int) -> list[MaintainResult]:
-        """Trigger the maintenance round on every shard; one result each.
+    def _shard_lookup(
+        self, index: int, keys, snapshot_id: int, replica: int | None, flows: int
+    ) -> LookupResult:
+        """One shard's snapshot-pinned read as a :class:`LookupRequest`.
 
-        The trigger is a real RPC (:class:`MaintainRequest`): the wire
-        carries the round's counters back, so the remote backend reports
-        the same per-shard :class:`MaintainResult` accounting as the
-        in-process :class:`OpenEmbeddingServer` — this used to return
-        ``None``, an API drift the protocol now forbids.
+        Every shard of one lookup receives the same pinned Checkpointed
+        Batch ID, so a multi-shard read is consistent even while
+        training pushes land between the RPCs; ``replica`` picks the
+        serving replica of a replicated shard. A shard whose primary
+        died answers with silence and the read reroutes through
+        :meth:`_ha_call` — the re-issued request is idempotent, so no
+        dedup identity is needed.
         """
-        results: list[MaintainResult] = []
-        for channel in self.channels:
-            response = self._ha_call(channel, MaintainRequest(batch_id=batch_id))
-            results.append(
-                MaintainResult(
-                    processed=response.processed,
-                    loads=response.loads,
-                    flushes=response.flushes,
-                    evictions=response.evictions,
-                    checkpoints_completed=response.checkpoints_completed,
-                )
-            )
-        return results
+        response = self._ha_call(
+            self.channels[index],
+            LookupRequest(
+                snapshot_id=snapshot_id,
+                keys=np.asarray(keys),
+                replica=replica or 0,
+            ),
+            concurrent_flows=flows,
+        )
+        return LookupResult(
+            weights=response.weights,
+            snapshot_id=response.snapshot_id,
+            hits=response.hits,
+            cold=response.cold,
+        )
 
-    def push(
-        self,
-        keys,
-        grads: np.ndarray | None,
-        batch_id: int,
-        *,
-        worker_id: int | None = None,
-        seq: int = 0,
+    def _shard_maintain(self, index: int, batch_id: int) -> MaintainResult:
+        """Trigger one shard's maintenance round; the round's counters
+        come back in the :class:`~repro.network.messages.MaintainResponse`."""
+        response = self._ha_call(
+            self.channels[index], MaintainRequest(batch_id=batch_id)
+        )
+        return MaintainResult(
+            processed=response.processed,
+            loads=response.loads,
+            flushes=response.flushes,
+            evictions=response.evictions,
+            checkpoints_completed=response.checkpoints_completed,
+        )
+
+    def _shard_push(
+        self, index: int, keys, grads, batch_id: int, worker_id, seq: int, flows: int
     ) -> int:
-        """Push via per-node RPC.
+        """One shard's push as a :class:`PushRequest` round-trip.
 
-        By default each shard RPC carries this client's ``worker_id``
-        and a fresh auto-incremented ``seq`` (the wire-retry dedup
-        identity). An async trainer simulating several logical workers
-        over one client passes explicit ``worker_id``/``seq`` overrides
-        so the server-side aggregation buffer attributes contributions
-        to the right worker — and so an *intentionally duplicated* push
-        reuses its seq and is absorbed exactly-once everywhere.
+        By default the RPC carries this client's ``worker_id`` and a
+        fresh auto-incremented ``seq`` (the wire-retry dedup identity).
+        An async trainer simulating several logical workers over one
+        client passes explicit ``worker_id``/``seq`` overrides so the
+        server-side aggregation buffer attributes contributions to the
+        right worker — and so an *intentionally duplicated* push reuses
+        its seq and is absorbed exactly-once everywhere.
         """
         if grads is None:
             raise ServerError("remote push requires gradients")
-        per_node_keys, per_node_positions = self.partitioner.split(keys)
-        flows = sum(1 for node_keys in per_node_keys if len(node_keys))
-        updated = 0
-        for channel, node_keys, positions in zip(
-            self.channels, per_node_keys, per_node_positions
-        ):
-            if len(node_keys) == 0:
-                continue
-            if worker_id is None:
-                self._push_seq += 1
-            response = self._ha_call(
-                channel,
-                PushRequest(
-                    batch_id=batch_id,
-                    keys=np.asarray(node_keys),
-                    grads=grads[positions],
-                    worker_id=(
-                        self.worker_id if worker_id is None else int(worker_id)
-                    ),
-                    seq=self._push_seq if worker_id is None else int(seq),
-                ),
-                concurrent_flows=max(1, flows),
-            )
-            if not response.ok:
-                raise ServerError(f"push rejected with code {response.code}")
-            updated += response.value
-        return updated
+        if worker_id is None:
+            self._push_seq += 1
+            worker_id, seq = self.worker_id, self._push_seq
+        return self._ha_call(
+            self.channels[index],
+            PushRequest(
+                batch_id=batch_id,
+                keys=np.asarray(keys),
+                grads=grads,
+                worker_id=int(worker_id),
+                seq=int(seq),
+            ),
+            concurrent_flows=flows,
+        ).value
 
-    # ------------------------------------------------------------------
-    # checkpoint control
-    # ------------------------------------------------------------------
-
-    def request_checkpoint(self, batch_id: int | None = None) -> int:
-        """Checkpoint every shard as of ``batch_id``.
+    def _shard_request_checkpoint(self, index: int, batch_id: int) -> None:
+        """Queue a checkpoint on one shard over the wire.
 
         On an untrained cluster the derived batch id is ``-1``; the
-        server rejects it with a typed
+        shard rejects it with a typed
         :class:`~repro.errors.CheckpointError` through the error-coded
         response path (regression: this used to escape the dispatcher
         as a raw in-process exception).
         """
-        if batch_id is None:
-            batch_id = max(node.latest_completed_batch for node in self.nodes)
-        for channel in self.channels:
-            response = self._ha_call(channel, CheckpointRequest(batch_id=batch_id))
-            if not response.ok:
-                raise ServerError("checkpoint request rejected")
-        return batch_id
-
-    def barrier_checkpoint(self, batch_id: int | None = None) -> int:
-        """Checkpoint every shard and synchronously complete (parity
-        with :meth:`OpenEmbeddingServer.barrier_checkpoint`)."""
-        requested = self.request_checkpoint(batch_id)
-        self.complete_pending_checkpoints()
-        return requested
-
-    def complete_pending_checkpoints(self) -> None:
-        for node in self.nodes:
-            node.complete_pending_checkpoints()
-
-    def flush_aggregation(self) -> int:
-        """Fold every shard's buffered contributions now (quiesce).
-
-        Like :meth:`complete_pending_checkpoints`, this is a training
-        barrier executed in-process on the shard objects, not a
-        data-plane RPC (``request_checkpoint`` over the wire also
-        flushes server-side before snapshotting).
-        """
-        return sum(node.flush_aggregation() for node in self.nodes)
+        self._ha_call(self.channels[index], CheckpointRequest(batch_id=batch_id))
 
     # ------------------------------------------------------------------
     # elasticity (repro.core.migration over the wire)
     # ------------------------------------------------------------------
 
-    @property
-    def coordinator_pool(self):
-        """Node 0's pool — where the committed ring state lives."""
-        return self.nodes[0].pool
-
-    @property
-    def global_completed_checkpoint(self) -> int:
-        """Newest checkpoint durably completed by ALL shards (-1 if none),
-        parity with :meth:`OpenEmbeddingServer.global_completed_checkpoint`."""
-        return min(node.coordinator.last_completed for node in self.nodes)
-
     def next_migrate_seq(self) -> int:
         """Fresh dedup sequence number for one migration RPC."""
         self._migrate_seq += 1
         return self._migrate_seq
-
-    def channel_for(self, node_id: int) -> RpcChannel:
-        """The RPC channel reaching ``node_id`` — including a node that
-        is being provisioned by an in-flight scale-out."""
-        pending = self._pending_members.get(node_id)
-        if pending is not None:
-            return pending[1]
-        for service, channel in zip(self.services, self.channels):
-            if service.node.node_id == node_id:
-                return channel
-        raise ShardRoutingError(f"no channel for node {node_id}")
 
     def provision_node(self, node_id: int, server_config: ServerConfig) -> PSNode:
         """Build the node + service + channel for a joining shard.
@@ -1134,20 +409,8 @@ class RemotePSClient:
         membership — a crash before commit discards them with the
         uncommitted migration.
         """
-        node = self._build_node(node_id, server_config)
-        service = PSNodeService(
-            node, dedup_window=self.dedup_window, tracer=self._node_tracer(node_id)
-        )
-        channel = RpcChannel(
-            service.server,
-            self.link,
-            self.clock,
-            retry=self.retry,
-            channel_id=node_id,
-            tracer=self.tracer,
-            registry=self.registry,
-        )
-        self._pending_members[node_id] = (service, channel)
+        node = super().provision_node(node_id, server_config)
+        self._pending_members[node_id] = self._connect(node)
         return node
 
     def commit_ring(
@@ -1156,31 +419,18 @@ class RemotePSClient:
         server_config: ServerConfig,
         nodes: list[PSNode],
     ) -> int:
-        """Atomically commit a new ring epoch and re-route (see
-        :meth:`OpenEmbeddingServer.commit_ring`)."""
-        new_epoch = self.ring_epoch + 1
-        self.nodes[0].set_root_field(
-            RING_STATE_FIELD,
-            pack_ring_state(
-                new_epoch, server_config.num_nodes, server_config.ring_vnodes
-            ),
-        )
+        """Commit the new ring epoch (the inherited root-field write is
+        the commit point), then bring the wire membership — services,
+        channels, lease table — in line with the committed node list."""
+        new_epoch = super().commit_ring(partitioner, server_config, nodes)
         by_id = {
             service.node.node_id: (service, channel)
             for service, channel in zip(self.services, self.channels)
         }
         by_id.update(self._pending_members)
-        self.partitioner = partitioner
-        self.server_config = server_config
-        self.nodes = nodes
         self.services = [by_id[node.node_id][0] for node in nodes]
         self.channels = [by_id[node.node_id][1] for node in nodes]
         self._pending_members = {}
-        self.ring_epoch = new_epoch
-        for node in nodes:
-            follow = getattr(node, "follow_ring", None)
-            if follow is not None:
-                follow(new_epoch)
         if self.failover is not None:
             # New members enter the lease table; channel death checks
             # re-arm over the post-commit membership.
@@ -1188,37 +438,26 @@ class RemotePSClient:
                 if node.node_id not in self.failover.detector.watched():
                     self.failover.detector.watch(node.node_id)
             self._arm_channel_death_checks()
-        self.tracer.instant(
-            "migration.ring_commit",
-            track="migration",
-            epoch=new_epoch,
-            nodes=server_config.num_nodes,
-        )
         return new_epoch
+
+    def _migrator(self, on_step):
+        from repro.core.migration import ShardMigrator
+
+        return ShardMigrator(
+            self,
+            transport=RpcMigrationTransport(self),
+            on_step=on_step,
+            tracer=self.tracer,
+            recorder=self.recorder,
+        )
 
     def scale_out(self, on_step=None):
         """Live-grow the cluster by one node, entries moving over RPC."""
-        from repro.core.migration import ShardMigrator
-
-        return ShardMigrator(
-            self,
-            transport=RpcMigrationTransport(self),
-            on_step=on_step,
-            tracer=self.tracer,
-            recorder=self.recorder,
-        ).scale_out()
+        return self._migrator(on_step).scale_out()
 
     def scale_in(self, on_step=None):
         """Live-shrink the cluster by one node, entries moving over RPC."""
-        from repro.core.migration import ShardMigrator
-
-        return ShardMigrator(
-            self,
-            transport=RpcMigrationTransport(self),
-            on_step=on_step,
-            tracer=self.tracer,
-            recorder=self.recorder,
-        ).scale_in()
+        return self._migrator(on_step).scale_in()
 
     def refresh_ring(self) -> int:
         """Re-sync the partitioner with the committed ring over the wire.
@@ -1236,8 +475,6 @@ class RemotePSClient:
         response = self.channels[0].call(
             RingUpdateRequest(requester=self.worker_id)
         )
-        if not response.ok:
-            raise ServerError(f"ring update rejected with code {response.code}")
         epoch, num_nodes, vnodes = unpack_ring_state(response.value)
         if num_nodes != len(self.nodes):
             raise ShardRoutingError(
@@ -1249,52 +486,9 @@ class RemotePSClient:
             self.ring_epoch = epoch
         return self.ring_epoch
 
-    def crash(self):
-        """Kill every node process; the pools survive (parity with
-        :meth:`OpenEmbeddingServer.crash`)."""
-        return [node.crash() for node in self.nodes]
-
     # ------------------------------------------------------------------
-    # introspection
+    # wire statistics
     # ------------------------------------------------------------------
-
-    @property
-    def latest_completed_batch(self) -> int:
-        """Newest batch whose updates reached every shard it touched
-        (parity with the in-process server's property)."""
-        return max(node.latest_completed_batch for node in self.nodes)
-
-    @property
-    def latest_serving_snapshot(self) -> int:
-        """Newest checkpoint completed by ALL shards — the serving pin
-        (parity with the in-process server's property). Read from the
-        local node objects, like the other watermark properties."""
-        return self.global_completed_checkpoint
-
-    @property
-    def checkpoints_completed(self) -> int:
-        """Monotone count of checkpoints completed by ALL shards (parity
-        with :attr:`OpenEmbeddingServer.checkpoints_completed`)."""
-        return min(node.checkpoints_completed for node in self.nodes)
-
-    @property
-    def num_entries(self) -> int:
-        return sum(node.num_entries for node in self.nodes)
-
-    def owned_keys(self) -> list[int]:
-        """Every key the cluster currently holds, across all shards."""
-        keys: list[int] = []
-        for node in self.nodes:
-            keys.extend(node.owned_keys())
-        return keys
-
-    def state_snapshot(self) -> dict[int, np.ndarray]:
-        """Live weights of every key (training/debug-only — not
-        checkpoint-consistent; serving uses :meth:`lookup`)."""
-        snapshot: dict[int, np.ndarray] = {}
-        for node in self.nodes:
-            snapshot.update(node.state_snapshot())
-        return snapshot
 
     def wire_bytes(self) -> int:
         """Total request+response bytes moved over all channels.
@@ -1330,15 +524,10 @@ class RemotePSClient:
         return LinkFaultStats()
 
     def collect_metrics(self, registry: MetricsRegistry) -> None:
-        """Hoist per-node bundles plus client RPC totals into ``registry``.
-
-        Mirrors :meth:`OpenEmbeddingServer.collect_metrics` — each node
-        contributes under a ``node=<id>`` label — and adds the client's
-        aggregated reliability counters under ``{"node": "client"}``
-        (channel retries/backoff are a client-side cost, not a shard's).
-        """
-        for node in self.nodes:
-            collect_bundle(registry, node.metrics, {"node": str(node.node_id)})
+        """The inherited per-node series plus the client's aggregated
+        reliability counters under ``{"node": "client"}`` (channel
+        retries/backoff are a client-side cost, not a shard's)."""
+        super().collect_metrics(registry)
         rel = self.reliability()
         labels = {"node": "client"}
         for name, value in (

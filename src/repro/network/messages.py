@@ -57,7 +57,7 @@ LookupResponse          0x0E  snapshot_id i64, nkeys u32, dim u32,
 ``PushRequest``'s ``(worker_id, seq)`` header gives the server a dedup
 identity: a retried push (the client never learned whether its first
 copy applied) carries the same header, and
-:class:`~repro.network.frontend.PSNodeService` suppresses the replay —
+:class:`~repro.network.service.PSNodeService` suppresses the replay —
 at-most-once gradient application under at-least-once delivery.
 ``seq == 0`` means "no dedup identity" (raw protocol users).
 
@@ -370,8 +370,6 @@ class StatusResponse:
 
     OK = 0
     ERR_INTERNAL = 1
-    #: Backwards-compatible alias for the generic error code.
-    ERROR = 1
     ERR_SERVER = 2
     ERR_CHECKPOINT = 3
     ERR_KEY_NOT_FOUND = 4

@@ -331,17 +331,9 @@ class RpcChannel:
             if sampled:
                 call_span.set(trace_id=trace_id)
             while attempt < retry.max_attempts:
-                if self.node_dead is not None and self.node_dead():
-                    # Declared dead: fail fast and typed instead of
-                    # burning the remaining retry budget on a corpse.
-                    self.stats.dead_fails += 1
-                    call_span.set(dead=True, attempts=attempt)
-                    raise NodeDeadError(
-                        f"node behind channel {self.channel_id} declared dead "
-                        f"after {attempt} attempt(s)",
-                        node_id=self.channel_id,
-                        attempts=attempt,
-                    )
+                # Declared dead: fail fast and typed instead of burning
+                # the remaining retry budget on a corpse.
+                self._raise_if_dead(call_span, attempt)
                 patience = min(
                     retry.attempt_timeout_s, retry.call_timeout_s - spent
                 )
@@ -410,15 +402,7 @@ class RpcChannel:
                     self.stats.backoff_seconds += backoff
                     with self.tracer.span("rpc.backoff", seconds=backoff):
                         self._advance(backoff)
-            if self.node_dead is not None and self.node_dead():
-                self.stats.dead_fails += 1
-                call_span.set(dead=True, attempts=attempt)
-                raise NodeDeadError(
-                    f"node behind channel {self.channel_id} declared dead "
-                    f"after {attempt} attempt(s)",
-                    node_id=self.channel_id,
-                    attempts=attempt,
-                )
+            self._raise_if_dead(call_span, attempt)
             self.stats.timeouts += 1
             call_span.set(timeout=True, attempts=attempt)
             raise RpcTimeoutError(
@@ -431,6 +415,19 @@ class RpcChannel:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+
+    def _raise_if_dead(self, call_span, attempt: int) -> None:
+        """Abandon the call with :class:`NodeDeadError` once the failure
+        detector declared the node behind this channel dead."""
+        if self.node_dead is not None and self.node_dead():
+            self.stats.dead_fails += 1
+            call_span.set(dead=True, attempts=attempt)
+            raise NodeDeadError(
+                f"node behind channel {self.channel_id} declared dead "
+                f"after {attempt} attempt(s)",
+                node_id=self.channel_id,
+                attempts=attempt,
+            )
 
     def _attempt(
         self, frame: bytes, concurrent_flows: int, patience: float

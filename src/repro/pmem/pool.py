@@ -80,8 +80,10 @@ class PmemPool:
         self.capacity_bytes = capacity_bytes
         self.device = device or MemoryDevice(PMEM_SPEC, capacity_bytes)
         self.root = PoolRoot()
-        self._durable: dict[object, tuple[np.ndarray | None, int]] = {}
-        self._staged: dict[object, tuple[np.ndarray | None, int]] = {}
+        # key -> the stored array, or (metadata-only) its payload size:
+        # an array's size is its ``nbytes``, so it is not held twice.
+        self._durable: dict[object, np.ndarray | int] = {}
+        self._staged: dict[object, np.ndarray | int] = {}
         self._used_bytes = 0
         self._closed = False
 
@@ -120,13 +122,13 @@ class PmemPool:
                 f"pool full: used={self._used_bytes}, need={size}, "
                 f"capacity={self.capacity_bytes}"
             )
-        stored = None if value is None else np.array(value, copy=True)
+        held = size if value is None else np.array(value, copy=True)
         self._used_bytes += size - old_size
         if flush:
-            self._durable[key] = (stored, size)
+            self._durable[key] = held
             self._staged.pop(key, None)
         else:
-            self._staged[key] = (stored, size)
+            self._staged[key] = held
         return self.device.write(size)
 
     def read(self, key: object) -> np.ndarray | None:
@@ -138,9 +140,12 @@ class PmemPool:
             KeyError: unknown key.
         """
         self._check_open()
-        value, size = self._lookup(key)
-        self.device.read(size)
-        return None if value is None else np.array(value, copy=True)
+        held = self._lookup(key)
+        if isinstance(held, int):
+            self.device.read(held)
+            return None
+        self.device.read(held.nbytes)
+        return np.array(held, copy=True)
 
     def free(self, key: object) -> None:
         """Remove ``key`` from the pool and reclaim its space."""
@@ -171,8 +176,8 @@ class PmemPool:
     def items(self) -> Iterator[tuple[object, np.ndarray | None]]:
         """All live (key, value) pairs; values are NOT copied (scan path)."""
         for key in self.keys():
-            value, __ = self._lookup(key)
-            yield key, value
+            held = self._lookup(key)
+            yield key, None if isinstance(held, int) else held
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -186,7 +191,7 @@ class PmemPool:
         is wiped. Space accounting is recomputed from durable contents.
         """
         self._staged.clear()
-        self._used_bytes = sum(size for __, size in self._durable.values())
+        self._used_bytes = sum(map(self._size, self._durable.values()))
 
     def close(self) -> None:
         """Cleanly close the pool (drains staged writes first)."""
@@ -236,14 +241,17 @@ class PmemPool:
             raise PMemError(f"negative payload size {nbytes}")
         return nbytes
 
-    def _current_size(self, key: object) -> int:
-        if key in self._staged:
-            return self._staged[key][1]
-        if key in self._durable:
-            return self._durable[key][1]
-        return 0
+    @staticmethod
+    def _size(held: np.ndarray | int) -> int:
+        return held if isinstance(held, int) else int(held.nbytes)
 
-    def _lookup(self, key: object) -> tuple[np.ndarray | None, int]:
+    def _current_size(self, key: object) -> int:
+        held = self._staged.get(key)
+        if held is None:
+            held = self._durable.get(key)
+        return 0 if held is None else self._size(held)
+
+    def _lookup(self, key: object) -> np.ndarray | int:
         if key in self._staged:
             return self._staged[key]
         if key in self._durable:

@@ -40,7 +40,8 @@ from repro.core.migration import (
 )
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
-from repro.network.frontend import RemotePSClient, RpcMigrationTransport
+from repro.network.frontend import RemotePSClient
+from repro.network.transports import RpcMigrationTransport
 
 DIM = 8
 NUM_KEYS = 96

@@ -182,6 +182,96 @@ class TestPSBackendProtocol:
             assert all(isinstance(r, MaintainResult) for r in results)
 
 
+class TestClusterExistsOnce:
+    """``RemotePSClient`` inherits cluster policy; it may not re-fork it."""
+
+    #: Everything the RPC client is allowed to define over the facade:
+    #: construction (itself, its nodes' tracers), the five per-shard
+    #: calls, and the three extensions that call ``super()`` and then
+    #: do their wire-side half.
+    WIRE_OVERRIDES = {
+        "__init__",
+        "_node_tracer",
+        "_shard_pull",
+        "_shard_push",
+        "_shard_lookup",
+        "_shard_maintain",
+        "_shard_request_checkpoint",
+        "provision_node",
+        "commit_ring",
+        "collect_metrics",
+    }
+
+    def test_cluster_members_resolve_to_the_facade(self):
+        """Every method/property of ``OpenEmbeddingServer`` is the very
+        same object on ``RemotePSClient`` unless allow-listed — pasting
+        a cluster method into the client fails here."""
+        import inspect
+
+        from repro.core.server import OpenEmbeddingServer
+        from repro.network.frontend import RemotePSClient
+
+        assert issubclass(RemotePSClient, OpenEmbeddingServer)
+        members = {
+            name: member
+            for name, member in vars(OpenEmbeddingServer).items()
+            if inspect.isfunction(member)
+            or isinstance(member, (property, staticmethod, classmethod))
+        }
+        assert {"pull", "push", "lookup", "maintain", "request_checkpoint",
+                "barrier_checkpoint", "complete_pending_checkpoints",
+                "flush_aggregation", "crash", "state_snapshot", "owned_keys",
+                "read_weights", "aggregate_miss_rate", "num_entries",
+                "global_completed_checkpoint", "latest_completed_batch",
+                "latest_serving_snapshot", "checkpoints_completed",
+                "_sync_external_barriers", "_route"} <= set(members)
+        overridden = {
+            name
+            for name, member in members.items()
+            if inspect.getattr_static(RemotePSClient, name) is not member
+        }
+        assert overridden == self.WIRE_OVERRIDES
+
+    def test_extensions_call_the_facade(self):
+        """The three non-hook overrides extend, never replace."""
+        import inspect
+
+        from repro.network.frontend import RemotePSClient
+
+        for name in ("provision_node", "commit_ring", "collect_metrics"):
+            source = inspect.getsource(getattr(RemotePSClient, name))
+            assert f"super().{name}(" in source, name
+
+    def test_moved_names_import_from_their_new_homes(self):
+        """``frontend.py`` was split: the service and the transports have
+        their own modules and are *not* re-exported from the old one."""
+        import repro.network
+        import repro.network.frontend as frontend
+        from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService
+        from repro.network.transports import (
+            PROBE_CHANNEL_BASE,
+            PROBE_RETRY,
+            RpcFailoverTransport,
+            RpcMigrationTransport,
+        )
+
+        assert repro.network.PSNodeService is PSNodeService
+        assert repro.network.RemotePSClient is frontend.RemotePSClient
+        assert DEFAULT_DEDUP_WINDOW == 1024
+        assert PROBE_CHANNEL_BASE == 1000 and PROBE_RETRY.max_attempts == 3
+        for moved in (PSNodeService, RpcFailoverTransport, RpcMigrationTransport):
+            assert moved.__module__ != frontend.__name__
+        for name in ("PROBE_CHANNEL_BASE", "PROBE_RETRY"):
+            assert not hasattr(frontend, name)
+        assert repro.network.__all__ == [
+            "PullRequest", "PullResponse", "PushRequest", "CheckpointRequest",
+            "MaintainRequest", "MaintainResponse", "StatusResponse",
+            "MessageError", "decode_message", "Delivery", "PerfectLink",
+            "RpcChannel", "RpcServer", "RpcStats", "RemotePSClient",
+            "PSNodeService",
+        ]
+
+
 def test_trainer_server_kwarg_removed():
     """Trainers take ``backend=`` only; ``server=`` is a plain TypeError."""
     from repro.config import CacheConfig, ServerConfig

@@ -162,3 +162,43 @@ class TestAsyncVsSyncBitwise:
         assert all(
             node.staleness.admitted > 0 for node in tracked_backend.nodes
         )
+
+
+class TestMetricsParity:
+    def test_both_backends_emit_the_same_series(self):
+        """The per-node half of ``collect_metrics`` is inherited by the
+        RPC client, so the same defended schedule yields the same
+        ``(name, labels)`` series — values included — on both backends;
+        only the client's own ``repro_rpc_*`` wire counters are extra."""
+        from repro.obs.registry import MetricsRegistry
+
+        def series(transport):
+            model, dataset = model_and_data()
+            backend = build_backend(transport, defended=True)
+            AsynchronousTrainer(
+                backend, model, dataset,
+                num_workers=1, batch_size=BATCH, staleness=0,
+                dense_optimizer=Adam(1e-2),
+            ).run_steps(8)
+            registry = MetricsRegistry()
+            backend.collect_metrics(registry)
+            return {
+                (name, tuple(sorted(labels.items()))): metric.value
+                for name, labels, metric in registry.items()
+                if labels.get("node") != "client"
+            }, {
+                name
+                for name, labels, __ in registry.items()
+                if labels.get("node") == "client"
+            }
+
+        local, local_client = series("local")
+        rpc, __ = series("rpc")
+        __, faulty_client = series("faulty")
+        assert rpc == local
+        assert any(name == "repro_async_aggregator_folds" for name, __ in local)
+        assert any(name == "repro_async_pulls_admitted" for name, __ in local)
+        assert not local_client
+        assert faulty_client and all(
+            name.startswith("repro_rpc_") for name in faulty_client
+        )

@@ -25,7 +25,8 @@ from repro.errors import (
     RpcTimeoutError,
 )
 from repro.failure.network_faults import FaultyLink
-from repro.network.frontend import PSNodeService, RemotePSClient
+from repro.network.frontend import RemotePSClient
+from repro.network.service import PSNodeService
 from repro.network.messages import (
     CheckpointRequest,
     MessageError,
