@@ -232,8 +232,10 @@ class OriCacheNode:
             metadata_only=metadata_only,
             checkpoint_pool=checkpoint_pool,
         )
-        for key, stored in state.items():
-            node._node.store.put(key, batch_id, stored)
+        if state:
+            rows = None if metadata_only else np.stack(list(state.values()))
+            node._node.store.put(list(state), batch_id, rows)
+        for key in state:
             node._node.cache.adopt(key, batch_id)
         node._node.latest_completed_batch = batch_id
         return node, batch_id

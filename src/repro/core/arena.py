@@ -14,8 +14,9 @@ its row number, so
 * a batched pull is one fancy-index gather ``data[rows, :dim]``,
 * a batched push gathers ``data[rows]``, applies the vectorized
   optimizer, and scatters the block back, and
-* flushing an entry hands the store its packed row view directly (the
-  pool copies on write).
+* flushing gathers the rows that leave (``data[rows]``) into the block
+  one ``store.put`` persists, and loading scatters the block one
+  ``store.read_latest`` returned into freshly allocated rows.
 
 Rows are recycled through a free list on eviction. When the arena is
 full it doubles (amortized O(1)); growth replaces the backing matrix
@@ -68,11 +69,27 @@ class EmbeddingArena:
             self._grow()
         return self._free.pop()
 
+    def alloc_many(self, n: int) -> list[int]:
+        """Reserve ``n`` rows at once (growing as often as it takes)."""
+        while len(self._free) < n:
+            self._grow()
+        if n == 0:
+            return []
+        rows = self._free[-n:]
+        del self._free[-n:]
+        return rows
+
     def free(self, row: int) -> None:
         """Return ``row`` to the free list (its contents are garbage now)."""
         if row < 0 or row >= len(self.data):
             raise ServerError(f"invalid arena row {row}")
         self._free.append(row)
+
+    def free_many(self, rows: list[int]) -> None:
+        """Return every row of ``rows`` to the free list."""
+        if rows and not 0 <= min(rows) <= max(rows) < len(self.data):
+            raise ServerError(f"invalid arena row among {len(rows)} freed")
+        self._free.extend(rows)
 
     def _grow(self) -> None:
         old = self.data

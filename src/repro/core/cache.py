@@ -37,8 +37,15 @@ it through the store), then serve the batch with one fancy-index gather,
 or one ``np.unique`` segment-sum and one ``apply_batch`` — an all-hit
 batch is simply the case where the non-resident set is empty.
 
-``maintain`` keeps two bodies on purpose. The per-entry loop is
-Algorithm 2 in full; ``_maintain_fast`` is a shortcut the cache takes
+``maintain`` is **plan-then-move**. One metadata pass over the round's
+accessed entries does everything Algorithm 2 decides — flush-before-
+advance under a pending checkpoint, version advance, LRU / CLOCK / FIFO
+reorder, admission, loads, victim selection, checkpoint completion —
+on the entries alone, recording which rows leave DRAM and which keys
+arrive. The data then moves in bulk: gather the leaving rows from the
+arena, one ``store.put``, one ``store.read_latest``, one arena scatter.
+Every planned flush is durable before ``complete_head()`` persists the
+Checkpointed Batch ID. ``_maintain_fast`` is a shortcut the cache takes
 when the state it observes (LRU policy, no pending checkpoint, every
 accessed entry resident, no eviction possible) reduces the round to a
 reorder. ``tests/harness/reference_cache.py`` holds the per-key,
@@ -94,6 +101,7 @@ class MaintainResult:
 
 
 _ROW = operator.attrgetter("row")
+_FLUSH_ROW = operator.itemgetter(2)  # of a planned flush, see _plan_then_move
 
 
 class PipelinedCache:
@@ -109,9 +117,10 @@ class PipelinedCache:
         optimizer: PS-side update rule (default plain SGD).
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
-            ``cache.maintain`` spans, per-entry PMem traffic becomes
-            ``pmem.store`` / ``pmem.load`` instants, and opportunistic
-            checkpoint completion emits ``checkpoint.completed``.
+            ``cache.maintain`` spans, every bulk move to or from PMem
+            one ``pmem.store`` / ``pmem.load`` instant carrying
+            ``rows=`` and ``bytes=``, and opportunistic checkpoint
+            completion emits ``checkpoint.completed``.
     """
 
     def __init__(
@@ -175,7 +184,7 @@ class PipelinedCache:
         n = len(keys)
         entries = list(map(self._dram.get, keys))
         misses = created = 0
-        cold = []
+        cold: list[int] = []
         if not all(entries):  # some probe came back None (entries are truthy)
             misses, created, cold = self._resolve_nonresident(keys, entries, batch_id)
         out = None
@@ -184,8 +193,9 @@ class PipelinedCache:
             # valid row for it, and its stored weights overwrite that.
             rows = np.asarray(list(map(_ROW, entries)), dtype=np.intp)
             out = self.arena.data[rows, : self.dim]
-            for i, stored in cold:
-                out[i] = stored[: self.dim]
+            if cold:
+                stored = self.store.read_latest([keys[i] for i in cold])[1]
+                out[cold] = stored[:, : self.dim]
         hits = n - misses - created
         self.access_queue.append(batch_id, entries)
         self.metrics.pulls += n
@@ -199,17 +209,16 @@ class PipelinedCache:
         keys: Sequence[int],
         entries: list[EmbeddingEntry | None],
         batch_id: int,
-    ) -> tuple[int, int, list[tuple[int, np.ndarray]]]:
+    ) -> tuple[int, int, list[int]]:
         """Fill the ``None`` positions of a pull's residency probe.
 
         An unseen key is created into an arena row (a repeat of it later
-        in the same pull is then a hit); a PMem-resident key is a miss
-        and, in value mode, its stored row is read. Returns ``(misses,
-        created, cold)`` with ``cold`` the ``(position, stored row)`` of
-        every miss.
+        in the same pull is then a hit); a PMem-resident key is a miss.
+        Returns ``(misses, created, cold)`` with ``cold`` the position
+        of every miss — the rows the pull reads from the store.
         """
-        misses = created = 0
-        cold: list[tuple[int, np.ndarray]] = []
+        created = 0
+        cold: list[int] = []
         for i, entry in enumerate(entries):
             if entry is not None:
                 continue
@@ -221,11 +230,9 @@ class PipelinedCache:
                 entry = self._create_entry(key, batch_id)
                 created += 1
             elif not entry.in_dram:
-                misses += 1
-                if self.arena is not None:
-                    cold.append((i, self._read_row(key)))
+                cold.append(i)
             entries[i] = entry
-        return misses, created, cold
+        return len(cold), created, cold
 
     # ------------------------------------------------------------------
     # Algorithm 2: deferred cache maintenance + checkpointing
@@ -258,38 +265,174 @@ class PipelinedCache:
             fast = self._maintain_fast(entries, batch_id)
             if fast is not None:
                 return fast
-        loads = flushes = evictions = completed = 0
+        return self._plan_then_move(entries, batch_id)
+
+    def _plan_then_move(
+        self, entries: list[EmbeddingEntry], batch_id: int
+    ) -> MaintainResult:
+        """Algorithm 2 for one round: plan on metadata, move rows in bulk.
+
+        The plan pass is the oracle's per-entry loop with every store
+        and arena access replaced by a note of it; list order, versions,
+        dirty bits and counters come out exactly as if each row had
+        moved the moment it was planned. A row's bytes cannot change
+        inside a round (no update runs), which is what lets the moves
+        be reordered into blocks:
+
+        1. gather the rows that leave from the arena, ``store.put``;
+        2. ``store.read_latest`` the rows that arrive (after the put,
+           so a key evicted and re-loaded in the round reads what it
+           just wrote);
+        3. ``store.put`` the rare flushes of rows that arrived in this
+           very round (loaded and evicted again: their bytes are in the
+           block just read, never in the arena);
+        4. only now ``complete_head()`` for every completion the plan
+           reached — no flush a checkpoint depends on is still pending;
+        5. scatter the arrived rows into freshly allocated arena rows.
+        """
+        policy = self.config.policy
+        lru_policy = policy == EvictionPolicy.LRU
+        clock_policy = policy == EvictionPolicy.CLOCK
+        flush_clean = not self.config.track_dirty
+        capacity = self.capacity_entries
+        value_mode = self.arena is not None
+        lru, dram, admission = self.lru, self._dram, self.admission
+        reorder = lru.move_to_front if lru_policy else self._reorder
+        in_dram, in_pmem = Location.DRAM, Location.PMEM
+        # Local view of the request queue: planned completions pop its
+        # head, and the flush barrier (its tail) changes only then.
+        pending = self.coordinator.queue.pending()
+        flush_barrier = pending[-1] if pending else None
+
+        # Planned flushes: (key, version to store it under, the arena
+        # row holding it — negative when the row arrived this round).
+        out: list[tuple[int, int, int]] = []
+        loads: list[EmbeddingEntry] = []
+        load_keys: list[int] = []
+        moved: dict[int, Location] = {}  # entry slot -> tier it ended in
+        freed_rows: list[int] = []
+        flushes = evictions = completed = transient = 0
+        size = len(lru)
+
         for entry in entries:
-            flush_barrier = self.coordinator.max_pending()
-            if entry.in_dram:
+            if entry.location is in_dram:
                 if flush_barrier is not None and entry.version <= flush_barrier:
                     # The entry's current weights are the state the
                     # on-going checkpoint must capture; persist them
                     # before the version advances (Alg. 2 lines 13-15).
-                    self._flush(entry)
+                    out.append((entry.key, entry.version, entry.row))
+                    entry.dirty = False
                     flushes += 1
-                entry.version = batch_id
-                self._reorder(entry)
             else:
-                if self.admission is not None and not self.admission.should_admit(
-                    entry.key
-                ):
+                if admission is not None and not admission.should_admit(entry.key):
                     # Admission filter (extension): a cold key stays in
                     # PMem — its durable copy remains authoritative and
                     # its version does not advance, so checkpoint
                     # bookkeeping is untouched.
                     continue
-                self._load_to_dram(entry)
-                loads += 1
-                entry.version = batch_id
-                self._reorder(entry)
-            ev, fl, done = self._evict_to_capacity()
-            evictions += ev
-            flushes += fl
-            completed += done
+                # Algorithm 2 ``loadToDRAM``: promote the newest version.
+                loads.append(entry)
+                load_keys.append(entry.key)
+                entry.location = moved[entry.slot] = in_dram
+                entry.dirty = False
+                dram[entry.key] = entry
+            entry.version = batch_id
+            if not entry.in_lru:
+                size += 1
+            reorder(entry)
+            while size > capacity:
+                victim = lru.peek_victim()
+                if clock_policy:
+                    # Sweep from the tail; referenced entries get a
+                    # second chance (bit cleared, moved to the front).
+                    while victim.referenced:
+                        victim.referenced = False
+                        lru.move_to_front(victim)
+                        victim = lru.peek_victim()
+                if pending and victim.version > pending[0]:
+                    # Algorithm 2 lines 23-28: once the oldest cached
+                    # version has moved past the on-going checkpoint,
+                    # every entry it needs is (planned) durable. The
+                    # paper's one-comparison test is sound ONLY under
+                    # LRU, where list order equals version order; FIFO
+                    # and CLOCK keep insertion order, so they scan for
+                    # the true minimum cached version instead.
+                    floor = (
+                        victim.version
+                        if lru_policy
+                        else min(cached.version for cached in lru)
+                    )
+                    while pending and floor > pending[0]:
+                        del pending[0]
+                        completed += 1
+                    flush_barrier = pending[-1] if pending else None
+                lru.remove(victim)
+                size -= 1
+                if victim.dirty or flush_clean:
+                    out.append((victim.key, victim.version, victim.row))
+                    victim.dirty = False
+                    flushes += 1
+                if pending:
+                    barrier = _backfill_barrier(victim, pending)
+                    if barrier is not None:
+                        out.append((victim.key, barrier, victim.row))
+                victim.location = moved[victim.slot] = in_pmem
+                del dram[victim.key]
+                if victim.row >= 0:
+                    freed_rows.append(victim.row)
+                    victim.row = -1
+                elif value_mode:
+                    transient += 1
+                evictions += 1
+
+        late: list[tuple[int, int, int]] = []
+        if value_mode and out and min(map(_FLUSH_ROW, out)) < 0:
+            late = [flush for flush in out if flush[2] < 0]
+            out = [flush for flush in out if flush[2] >= 0]
+        if out:
+            keys, versions, rows = zip(*out)
+            self._store_rows(keys, versions, self._gather(list(rows)))
+        block = None
+        if loads:
+            block = self._load_rows(load_keys)
+        if late or transient:
+            # key -> index of its last load (any of its loads read the
+            # same bytes; the last one is the one that may land).
+            loaded_at = {key: i for i, key in enumerate(load_keys)}
+        if late:
+            keys, versions, __ = zip(*late)
+            self._store_rows(keys, versions, block[[loaded_at[key] for key in keys]])
+        for __ in range(completed):
+            head = self.coordinator.complete_head()
+            self.metrics.checkpoints_completed += 1
+            self.tracer.instant("checkpoint.completed", track="checkpoint", batch=head)
+        if value_mode:
+            self.arena.free_many(freed_rows)
+            landing = loads
+            if transient:
+                # Some row arrived and left again inside the round: only
+                # an entry's last load, and only if it stayed, lands.
+                last = [
+                    i
+                    for i, entry in enumerate(loads)
+                    if entry.location is in_dram and loaded_at[entry.key] == i
+                ]
+                landing, block = [loads[i] for i in last], block[last]
+            if landing:
+                rows = self.arena.alloc_many(len(landing))
+                self.arena.data[rows] = block
+                for entry, row in zip(landing, rows):
+                    entry.row = row
+        self.index.retag(moved)
+        metrics = self.metrics
+        metrics.pmem_load_entries += len(loads)
+        metrics.cache.loads += len(loads)
+        metrics.pmem_flush_entries += flushes
+        metrics.cache.flushes += flushes
+        metrics.cache.evictions += evictions
         return MaintainResult(
             processed=len(entries),
-            loads=loads,
+            loads=len(loads),
             flushes=flushes,
             evictions=evictions,
             checkpoints_completed=completed,
@@ -410,15 +553,21 @@ class PipelinedCache:
             # one-comparison checkpoint-completion test depends on it).
             # Entries go in first-occurrence order of the push, which
             # the LRU reorder sequence (and so eviction order) follows.
-            for i in np.argsort(first_idx, kind="stable").tolist():
-                entry = entries[i]
-                if entry.in_dram and batch_id > entry.version:
-                    flush_barrier = self.coordinator.max_pending()
-                    if flush_barrier is not None and entry.version <= flush_barrier:
-                        self._flush(entry)
-                    entry.version = batch_id
-                    self._reorder(entry)
-                    entry.dirty = True  # _flush clears it; final state is dirty
+            advancing = [
+                entries[i]
+                for i in np.argsort(first_idx, kind="stable").tolist()
+                if entries[i].in_dram and batch_id > entries[i].version
+            ]
+            flush_barrier = self.coordinator.max_pending()
+            if flush_barrier is not None:
+                self._flush_entries(
+                    [e for e in advancing if e.version <= flush_barrier],
+                    backfill=False,
+                )
+            for entry in advancing:
+                entry.version = batch_id
+                self._reorder(entry)
+                entry.dirty = True  # the flush cleared it; final state is dirty
         block = None
         if self.arena is not None:
             # Segment-sum: the first occurrence of each key seeds its
@@ -431,8 +580,8 @@ class PipelinedCache:
                 np.add.at(agg, inverse[dup], grads[dup])
             rows = np.asarray(list(map(_ROW, entries)), dtype=np.intp)
             block = self.arena.data[rows]
-            for i in cold:
-                block[i] = self._read_row(key_list[i])
+            if cold:
+                block[cold] = self.store.read_latest([key_list[i] for i in cold])[1]
             self.optimizer.apply_batch(
                 block[:, : self.dim],
                 block[:, self.dim :] if self.state_width else None,
@@ -443,10 +592,15 @@ class PipelinedCache:
                 self.arena.data[rows[resident]] = block[resident]
             else:
                 self.arena.data[rows] = block
-        for i in cold:
-            self.store.put(key_list[i], batch_id, None if block is None else block[i])
-            entries[i].dirty = False  # the store holds this state
-            self.metrics.pmem_flush_entries += 1
+        if cold:
+            self.store.put(
+                [key_list[i] for i in cold],
+                batch_id,
+                None if block is None else block[cold],
+            )
+            for i in cold:
+                entries[i].dirty = False  # the store holds this state
+            self.metrics.pmem_flush_entries += len(cold)
         self.metrics.updates += len(key_list)
         return len(key_list)
 
@@ -461,13 +615,10 @@ class PipelinedCache:
         the number of entries flushed.
         """
         with self.tracer.span("cache.flush_all") as span:
-            flushed = 0
-            for entry in self.lru:
-                self._flush(entry)
-                self._backfill_pending(entry)
-                flushed += 1
-            span.set(flushed=flushed)
-            return flushed
+            cached = list(self.lru)
+            self._flush_entries(cached, backfill=True)
+            span.set(flushed=len(cached))
+            return len(cached)
 
     def complete_pending_checkpoints(self) -> list[int]:
         """Flush the cache and complete every queued checkpoint.
@@ -484,14 +635,13 @@ class PipelinedCache:
 
     def drop_cache(self) -> int:
         """Flush and evict everything (leaves an empty, consistent cache)."""
-        dropped = 0
-        while len(self.lru) > 0:
-            victim = self.lru.pop_victim()
-            self._flush(victim)
-            self._backfill_pending(victim)
-            self._demote(victim)
-            dropped += 1
-        return dropped
+        cached = list(self.lru)
+        self._flush_entries(cached, backfill=True)
+        for victim in cached:
+            self.lru.remove(victim)
+            self.index.set_location(victim, Location.PMEM)
+            self._release(victim)
+        return len(cached)
 
     def adopt(self, key: int, version: int) -> None:
         """Register ``key`` as existing and PMem-resident at ``version``.
@@ -543,9 +693,9 @@ class PipelinedCache:
         if entry is None:
             raise KeyNotFoundError(key)
         if entry.in_dram:
-            packed = self._pack(entry)
-            return None if packed is None else packed.copy()
-        return self.store.read_latest(key)[1]
+            return None if entry.row < 0 else self.arena.data[entry.row].copy()
+        rows = self.store.read_latest([key])[1]
+        return None if rows is None else rows[0]
 
     def read_current_weights(self, key: int) -> np.ndarray:
         """The live weights of ``key`` regardless of tier (testing aid).
@@ -611,25 +761,6 @@ class PipelinedCache:
         self._dram[key] = entry
         return entry
 
-    def _read_row(self, key: int) -> np.ndarray | None:
-        """The newest stored row of ``key`` (None in metadata-only mode).
-
-        Raises:
-            ServerError: the row is not ``dim + state_width`` floats —
-                written by a node with another dimension or optimizer.
-        """
-        stored = self.store.read_latest(key)[1]
-        if self.arena is not None and (
-            stored is None or stored.size != self.arena.row_width
-        ):
-            raise ServerError(
-                f"stored row of key {key} is "
-                f"{0 if stored is None else stored.size} floats wide, this "
-                f"cache's rows are {self.arena.row_width} (dim {self.dim} + "
-                f"optimizer state {self.state_width})"
-            )
-        return stored
-
     def _reorder(self, entry: EmbeddingEntry) -> None:
         if self.config.policy == EvictionPolicy.LRU:
             self.lru.move_to_front(entry)
@@ -644,57 +775,50 @@ class PipelinedCache:
         elif self.config.policy == EvictionPolicy.CLOCK:
             entry.referenced = True
 
-    def _backfill_pending(self, entry: EmbeddingEntry) -> None:
-        """Give pending checkpoints a durable row despite read-advances.
+    def _gather(self, rows: list[int]) -> np.ndarray | None:
+        """Copy of arena rows ``rows`` (None in metadata-only mode)."""
+        return None if self.arena is None else self.arena.data[rows]
 
-        Read-only traffic (evaluation pulls, serving warm-up) advances
-        ``entry.version`` without changing state. A checkpoint then
-        requested at a barrier ``B < entry.version`` finds the flush
-        stamped too new — ``read_at_most(key, B)`` misses the row even
-        though the bytes *are* the state at ``B``, because nothing
-        updated the entry since ``entry.updated <= B``. Write one extra
-        version at the smallest such barrier; reads pinned to every
-        higher pending barrier resolve to it too. Barriers below
-        ``entry.updated`` were already served by flush-before-advance
-        when the update landed.
-        """
-        for barrier in self.coordinator.queue.pending():
-            if barrier >= entry.version:
-                return
-            if barrier >= entry.updated:
-                self.store.put(entry.key, barrier, self._pack(entry))
-                return
-
-    def _flush(self, entry: EmbeddingEntry) -> None:
-        """Persist the entry's current state under its current version."""
-        if not entry.in_dram:
-            raise ServerError(f"cannot flush non-resident entry {entry.key}")
-        self.store.put(entry.key, entry.version, self._pack(entry))
-        entry.dirty = False
-        self.metrics.pmem_flush_entries += 1
-        self.metrics.cache.flushes += 1
+    def _store_rows(self, keys, versions, block: np.ndarray | None) -> None:
+        """One bulk move DRAM -> PMem: ``block[i]`` becomes version
+        ``versions[i]`` of ``keys[i]``."""
+        self.store.put(keys, versions, block)
         self.tracer.instant(
-            "pmem.store", track="pmem", key=entry.key, version=entry.version
+            "pmem.store", track="pmem",
+            rows=len(keys), bytes=len(keys) * self.store.entry_bytes,
         )
 
-    def _load_to_dram(self, entry: EmbeddingEntry) -> None:
-        """Algorithm 2 ``loadToDRAM``: promote the newest PMem version."""
-        if entry.in_dram:
-            raise ServerError(f"entry {entry.key} already resident")
-        stored = self._read_row(entry.key)
-        if stored is not None:
-            entry.row = self.arena.alloc()
-            self.arena.data[entry.row] = stored
-        self.index.set_location(entry, Location.DRAM)
-        entry.dirty = False
-        self._dram[entry.key] = entry
-        self.metrics.pmem_load_entries += 1
-        self.metrics.cache.loads += 1
-        self.tracer.instant("pmem.load", track="pmem", key=entry.key)
+    def _load_rows(self, keys: list[int]) -> np.ndarray | None:
+        """One bulk move PMem -> DRAM: the newest stored row of ``keys``."""
+        block = self.store.read_latest(keys)[1]
+        self.tracer.instant(
+            "pmem.load", track="pmem",
+            rows=len(keys), bytes=len(keys) * self.store.entry_bytes,
+        )
+        return block
 
-    def _demote(self, entry: EmbeddingEntry) -> None:
-        self.index.set_location(entry, Location.PMEM)
-        self._release(entry)
+    def _flush_entries(self, entries: list[EmbeddingEntry], backfill: bool) -> None:
+        """Persist resident ``entries`` at their current versions, as one
+        put; ``backfill`` adds the row a pending checkpoint still lacks
+        (see :func:`_backfill_barrier`)."""
+        if not entries:
+            return
+        keys = [entry.key for entry in entries]
+        versions = [entry.version for entry in entries]
+        rows = [entry.row for entry in entries]
+        pending = self.coordinator.queue.pending() if backfill else ()
+        if pending:
+            for entry in entries:
+                barrier = _backfill_barrier(entry, pending)
+                if barrier is not None:
+                    keys.append(entry.key)
+                    versions.append(barrier)
+                    rows.append(entry.row)
+        self._store_rows(keys, versions, self._gather(rows))
+        for entry in entries:
+            entry.dirty = False
+        self.metrics.pmem_flush_entries += len(entries)
+        self.metrics.cache.flushes += len(entries)
 
     def _release(self, entry: EmbeddingEntry) -> None:
         """Drop ``entry`` from the residency map and free its arena row."""
@@ -703,73 +827,24 @@ class PipelinedCache:
             self.arena.free(entry.row)
             entry.row = -1
 
-    def _evict_to_capacity(self) -> tuple[int, int, int]:
-        """Evict victims until within capacity.
 
-        Returns (evictions, flushes, checkpoints_completed). The
-        checkpoint-completion test of Algorithm 2 lines 23-28 runs on
-        every victim: once the oldest cached version has moved past the
-        on-going checkpoint's batch id, every entry the checkpoint needs
-        is durable, so the *Checkpointed Batch ID* is persisted and the
-        request dequeued.
+def _backfill_barrier(entry: EmbeddingEntry, pending: Sequence[int]) -> int | None:
+    """The pending checkpoint a flush of ``entry`` must also be stamped at.
 
-        The paper's one-comparison completion test (victim.version > cp)
-        is sound ONLY under LRU, where list order equals version order
-        and the victim carries the cache's minimum version. FIFO and
-        CLOCK keep insertion order, so a re-accessed tail entry can have
-        a high version while a middle entry still holds pre-checkpoint
-        state — for those policies the completion check scans for the
-        true minimum cached version instead.
-        """
-        evictions = flushes = completed = 0
-        while len(self.lru) > self.capacity_entries:
-            victim = self._select_victim()
-            head = self.coordinator.head()
-            if head is not None and victim.version > head:
-                floor = (
-                    victim.version
-                    if self.config.policy == EvictionPolicy.LRU
-                    else self._min_cached_version()
-                )
-                while head is not None and floor > head:
-                    self.coordinator.complete_head()
-                    self.metrics.checkpoints_completed += 1
-                    completed += 1
-                    self.tracer.instant(
-                        "checkpoint.completed", track="checkpoint", batch=head
-                    )
-                    head = self.coordinator.head()
-            self.lru.remove(victim)
-            if victim.dirty or not self.config.track_dirty:
-                self._flush(victim)
-                flushes += 1
-            self._backfill_pending(victim)
-            self._demote(victim)
-            evictions += 1
-            self.metrics.cache.evictions += 1
-        return evictions, flushes, completed
-
-    def _select_victim(self) -> EmbeddingEntry:
-        """The entry to evict under the configured policy."""
-        if self.config.policy != EvictionPolicy.CLOCK:
-            return self.lru.peek_victim()
-        # CLOCK: sweep from the tail; referenced entries get a second
-        # chance (bit cleared, moved to the front).
-        while True:
-            candidate = self.lru.peek_victim()
-            if not candidate.referenced:
-                return candidate
-            candidate.referenced = False
-            self.lru.move_to_front(candidate)
-
-    def _min_cached_version(self) -> int:
-        """Minimum version across the cache (policy-agnostic scan)."""
-        return min(entry.version for entry in self.lru)
-
-    def _pack(self, entry: EmbeddingEntry) -> np.ndarray | None:
-        """The resident entry's packed row (None in metadata-only mode).
-
-        The arena row IS the stored layout; the pool copies on write,
-        so handing the store the live view is safe.
-        """
-        return self.arena.data[entry.row] if entry.row >= 0 else None
+    Read-only traffic (evaluation pulls, serving warm-up) advances
+    ``entry.version`` without changing state. A checkpoint then
+    requested at a barrier ``B < entry.version`` finds the flush
+    stamped too new — ``read_at_most(key, B)`` misses the row even
+    though the bytes *are* the state at ``B``, because nothing
+    updated the entry since ``entry.updated <= B``. One extra version
+    at the smallest such barrier fixes that; reads pinned to every
+    higher pending barrier resolve to it too. Barriers below
+    ``entry.updated`` were already served by flush-before-advance
+    when the update landed.
+    """
+    for barrier in pending:
+        if barrier >= entry.version:
+            return None
+        if barrier >= entry.updated:
+            return barrier
+    return None

@@ -1,4 +1,4 @@
-"""DRAM hash index: key -> tagged handle -> entry.
+"""DRAM hash index: key -> entry, tagged handle per entry slot.
 
 Figure 4/5: every request thread consults the *DRAM-based Hash Index* to
 locate an entry in either DRAM or PMem; the stored value is a tagged
@@ -6,48 +6,53 @@ pointer whose low bit is the location. The index itself is volatile —
 after a crash it is reconstructed from the PMem scan
 (:mod:`repro.core.recovery`).
 
-The tagged-handle map is the paper's mechanism and stays authoritative
-for location tags; alongside it the index keeps a direct
-``key -> entry`` dict so a lookup skips the handle unpack.
+The tagged handles are the paper's mechanism and stay authoritative for
+location tags. They live in one integer column indexed by entry slot
+(a handle's upper bits *are* its slot), so a maintenance round that
+moves thousands of entries between tiers re-tags them with one array
+assignment; a lookup goes through the direct ``key -> entry`` dict and
+skips the handle unpack.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.core.entry import EmbeddingEntry, EntryArena, Location, pack_handle, unpack_handle
 from repro.errors import ServerError
 
 
 class HashIndex:
-    """Key -> tagged-handle map over an entry arena.
+    """Key -> entry map plus the tagged handle of every entry slot.
 
     All mutations keep the handle's tag bit in sync with the entry's
     ``location`` field; :meth:`validate` checks that invariant.
     """
 
     def __init__(self) -> None:
-        self._handles: dict[int, int] = {}
-        self._arena = EntryArena()
         self._entries: dict[int, EmbeddingEntry] = {}
+        self._arena = EntryArena()
+        self._handles = np.zeros(256, dtype=np.int64)  # slot -> tagged handle
 
     def __len__(self) -> int:
-        return len(self._handles)
+        return len(self._entries)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._handles
+        return key in self._entries
 
     def find(self, key: int) -> EmbeddingEntry | None:
         """Look up ``key``; returns None when absent (Algorithm 1 ``find``)."""
         return self._entries.get(key)
 
     def location_of(self, key: int) -> Location:
-        """Read the tag bit without dereferencing the entry.
+        """Read the tag bit without dereferencing the entry's location.
 
         Raises:
             KeyError: unknown key.
         """
-        __, location = unpack_handle(self._handles[key])
+        __, location = unpack_handle(int(self._handles[self._entries[key].slot]))
         return location
 
     def insert(self, entry: EmbeddingEntry) -> None:
@@ -56,53 +61,60 @@ class HashIndex:
         Raises:
             ServerError: the key is already present.
         """
-        if entry.key in self._handles:
+        if entry.key in self._entries:
             raise ServerError(f"key {entry.key} already indexed")
         slot = self._arena.alloc(entry)
-        self._handles[entry.key] = pack_handle(slot, entry.location)
+        if slot >= len(self._handles):
+            self._handles = np.concatenate([self._handles, np.zeros_like(self._handles)])
+        self._handles[slot] = pack_handle(slot, entry.location)
         self._entries[entry.key] = entry
 
     def set_location(self, entry: EmbeddingEntry, location: Location) -> None:
         """Flip the entry's location and its handle's tag bit together."""
-        if entry.key not in self._handles:
+        if entry.key not in self._entries:
             raise ServerError(f"key {entry.key} not indexed")
         entry.location = location
-        self._handles[entry.key] = pack_handle(entry.slot, location)
+        self._handles[entry.slot] = pack_handle(entry.slot, location)
+
+    def retag(self, moved: dict[int, Location]) -> None:
+        """Re-tag the handles of the entry slots in ``moved``.
+
+        Cache maintenance plans a whole round on the entries themselves
+        (flipping ``entry.location`` as rows are planned in and out,
+        noting ``entry.slot -> new location``) and tags every touched
+        handle here, once, with one array assignment.
+        """
+        slots = np.fromiter(moved.keys(), np.int64, len(moved))
+        tags = np.fromiter(moved.values(), np.int64, len(moved))
+        self._handles[slots] = (slots << 1) | tags
 
     def remove(self, key: int) -> None:
         """Drop ``key`` entirely (entry leaves the node)."""
-        handle = self._handles.pop(key, None)
-        if handle is None:
+        entry = self._entries.pop(key, None)
+        if entry is None:
             raise KeyError(key)
-        slot, __ = unpack_handle(handle)
-        self._arena.free(slot)
-        del self._entries[key]
+        self._arena.free(entry.slot)
 
     def entries(self) -> Iterator[EmbeddingEntry]:
         """Iterate all indexed entries (order unspecified)."""
-        for handle in self._handles.values():
-            slot, __ = unpack_handle(handle)
-            yield self._arena.get(slot)
+        return iter(self._entries.values())
 
     def keys(self) -> Iterator[int]:
-        return iter(self._handles)
+        return iter(self._entries)
 
     def validate(self) -> None:
         """Check tag-bit/entry consistency; used by tests."""
-        if len(self._entries) != len(self._handles):
+        if len(self._entries) != len(self._arena):
             raise ServerError(
                 f"direct map holds {len(self._entries)} entries, "
-                f"handle map {len(self._handles)}"
+                f"entry arena {len(self._arena)}"
             )
-        for key, handle in self._handles.items():
-            slot, location = unpack_handle(handle)
-            entry = self._arena.get(slot)
-            if entry.key != key:
-                raise ServerError(f"handle for {key} resolves to entry {entry.key}")
+        for key, entry in self._entries.items():
+            slot, location = unpack_handle(int(self._handles[entry.slot]))
+            if entry.key != key or self._arena.get(slot) is not entry:
+                raise ServerError(f"handle for {key} resolves to another entry")
             if entry.location != location:
                 raise ServerError(
                     f"tag bit {location.name} disagrees with entry location "
                     f"{entry.location.name} for key {key}"
                 )
-            if self._entries.get(key) is not entry:
-                raise ServerError(f"direct map disagrees with handle for key {key}")

@@ -58,18 +58,21 @@ class LRUList:
         if not entry.in_lru:
             self.push_front(entry)
             return
-        if self._head is entry:
+        head = self._head
+        if head is entry:
             return
-        self._unlink(entry)
+        # Unlink (entry is listed and not the head, so it has a prev)
+        # and relink at the front in one go.
+        prev, nxt = entry.lru_prev, entry.lru_next
+        prev.lru_next = nxt
+        if nxt is not None:
+            nxt.lru_prev = prev
+        else:
+            self._tail = prev
         entry.lru_prev = None
-        entry.lru_next = self._head
-        if self._head is not None:
-            self._head.lru_prev = entry
+        entry.lru_next = head
+        head.lru_prev = entry
         self._head = entry
-        if self._tail is None:
-            self._tail = entry
-        entry.in_lru = True
-        self._size += 1
 
     def move_many_to_front(self, entries, version: int | None = None) -> None:
         """Batched :meth:`move_to_front` — identical final order.

@@ -30,7 +30,7 @@ from repro.core.staleness import StalenessController
 from repro.errors import CheckpointError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
-from repro.pmem.space import VersionedEntryStore
+from repro.pmem.space import NO_VERSION, VersionedEntryStore
 from repro.simulation.metrics import Metrics
 
 
@@ -249,17 +249,15 @@ class PSNode:
         dim = self.server_config.embedding_dim
         initializer = self.cache.initializer
         n = len(keys)
+        versions, stored = self.store.read_at_most(keys, snapshot_id)
         weights = np.empty((n, dim), dtype=np.float32)
-        hits = cold = 0
-        for i, key in enumerate(keys):
-            try:
-                __, stored = self.store.read_at_most(int(key), snapshot_id)
-            except KeyError:
-                weights[i] = initializer(int(key))
-                cold += 1
-            else:
-                weights[i] = stored[:dim]
-                hits += 1
+        if stored is not None:  # None: this shard never stored a row
+            weights[:] = stored[:, :dim]
+        missing = np.flatnonzero(versions == NO_VERSION).tolist()
+        for i in missing:
+            weights[i] = initializer(int(keys[i]))
+        cold = len(missing)
+        hits = n - cold
         self.metrics.serving_lookups += 1
         self.metrics.serving_rows += n
         self.metrics.serving_cold_rows += cold
@@ -360,14 +358,17 @@ class PSNode:
         ``stored`` is the packed weights+optimizer-state array (None in
         metadata-only mode).
         """
-        out: list[tuple[int, list[tuple[int, np.ndarray | None]]]] = []
-        for key in keys:
-            versions: list[tuple[int, np.ndarray | None]] = []
-            for batch_id in self.store.versions_of(key):
-                stored = self.pool.read(("entry", key, batch_id))
-                versions.append((batch_id, stored))
-            out.append((key, versions))
-        return out
+        keys = list(keys)
+        retained = [self.store.versions_of(key) for key in keys]
+        flat_keys = [key for key, versions in zip(keys, retained) for __ in versions]
+        flat_versions = [version for versions in retained for version in versions]
+        # Every (key, version) pair exists, so "at most" is "exactly".
+        rows = self.store.read_at_most(flat_keys, flat_versions)[1]
+        stored = iter([None] * len(flat_keys) if rows is None else rows)
+        return [
+            (key, [(version, next(stored)) for version in versions])
+            for key, versions in zip(keys, retained)
+        ]
 
     def ingest_entries(
         self, entries: list[tuple[int, list[tuple[int, np.ndarray | None]]]]
@@ -379,18 +380,31 @@ class PSNode:
         result is always exactly the sender's versions. Returns the
         number of keys ingested.
         """
-        ingested = 0
+        entries = [(key, versions) for key, versions in entries if versions]
+        width = self.store.entry_bytes // 4
+        flat = [
+            (key, batch_id, stored)
+            for key, versions in entries
+            for batch_id, stored in versions
+        ]
+        for key, __, stored in flat:
+            if stored is not None and stored.size != width:
+                raise ServerError(
+                    f"transferred row of key {key} is {stored.size} floats wide, "
+                    f"this node's rows are {width} (dim "
+                    f"{self.server_config.embedding_dim} + optimizer state)"
+                )
         for key, versions in entries:
-            if not versions:
-                continue
             existing = self.cache.index.find(key)
             if existing is not None:
                 self._drop_key(existing)
-            for batch_id, stored in versions:
-                self.store.ingest(key, batch_id, stored)
+        if flat:
+            keys, batch_ids, stored = zip(*flat)
+            rows = None if stored[0] is None else np.stack(stored)
+            self.store.ingest(keys, batch_ids, rows)
+        for key, versions in entries:
             self.cache.adopt(key, max(b for b, __ in versions))
-            ingested += 1
-        return ingested
+        return len(entries)
 
     def drop_keys(self, keys) -> int:
         """Relinquish ownership: remove ``keys`` from every tier.

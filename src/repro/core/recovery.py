@@ -92,7 +92,7 @@ def recover_node(
     store = node.store
 
     # Step 0: the volatile version index died with the process; rebuild
-    # it by scanning the pool, then establish the recovery target.
+    # it from the slab's slot headers, then establish the recovery target.
     store.rebuild_from_pool()
     versions_scanned = store.total_versions()
     own_checkpoint = store.checkpointed_batch_id()
@@ -109,7 +109,7 @@ def recover_node(
 
     # Step 2: reconstruct the DRAM hash index; every entry is
     # PMem-resident (the DRAM cache refills as training resumes).
-    recovered = {key: versions[-1] for key, versions in _surviving(store).items()}
+    recovered = store.latest_versions()
     for key, batch_id in recovered.items():
         node.cache.adopt(key, batch_id)
 
@@ -194,7 +194,3 @@ def estimate_dram_ps_recovery_seconds(
     read = entries * entry_bytes / read_bw
     insert = entries * calibration.index_insert_dram_ps_s
     return read + insert
-
-
-def _surviving(store) -> dict[int, list[int]]:
-    return {key: store.versions_of(key) for key in store.keys()}

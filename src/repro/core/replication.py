@@ -619,6 +619,12 @@ class ReplicatedPSNode:
         return self.primary.store
 
     @property
+    def cache(self):
+        """The primary's DRAM cache — read-only use (occupancy gauges);
+        mutations must go through mirrored node methods."""
+        return self.primary.cache
+
+    @property
     def coordinator(self):
         """The primary's checkpoint coordinator — read-only use
         (``last_completed``); mutations must go through mirrored node

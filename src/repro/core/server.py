@@ -600,7 +600,11 @@ class OpenEmbeddingServer:
             labels = {"node": str(node.node_id)}
             collect_bundle(registry, node.metrics, labels)
             controller, buffer = node.staleness, node.aggregation
+            arena = node.cache.arena
             gauges = {
+                "repro_pmem_slab_rows": node.store.slab.rows,
+                "repro_pmem_slab_free_rows": node.store.slab.free_rows,
+                "repro_arena_rows": 0 if arena is None else len(arena),
                 "repro_async_pulls_admitted": controller.admitted,
                 "repro_async_pulls_rejected": controller.rejected,
                 "repro_async_max_admitted_lag": controller.max_admitted_lag(),

@@ -44,6 +44,7 @@ from repro.errors import (
 )
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
 from repro.network.messages import (
+    ANONYMOUS_SEQ_BASE,
     CheckpointRequest,
     LookupRequest,
     MaintainRequest,
@@ -357,7 +358,9 @@ class RemotePSClient(OpenEmbeddingServer):
         """One shard's push as a :class:`PushRequest` round-trip.
 
         By default the RPC carries this client's ``worker_id`` and a
-        fresh auto-incremented ``seq`` (the wire-retry dedup identity).
+        fresh auto-incremented ``seq`` above
+        :data:`~repro.network.messages.ANONYMOUS_SEQ_BASE` (the
+        wire-retry dedup identity, disjoint from every explicit one).
         An async trainer simulating several logical workers over one
         client passes explicit ``worker_id``/``seq`` overrides so the
         server-side aggregation buffer attributes contributions to the
@@ -368,7 +371,7 @@ class RemotePSClient(OpenEmbeddingServer):
             raise ServerError("remote push requires gradients")
         if worker_id is None:
             self._push_seq += 1
-            worker_id, seq = self.worker_id, self._push_seq
+            worker_id, seq = self.worker_id, ANONYMOUS_SEQ_BASE | self._push_seq
         return self._ha_call(
             self.channels[index],
             PushRequest(

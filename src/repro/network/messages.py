@@ -195,13 +195,22 @@ class PullResponse:
         )
 
 
+ANONYMOUS_SEQ_BASE = 1 << 63
+"""Where a client numbers the pushes it stamps itself (callers that
+pass no ``worker_id``). Explicit ``(worker_id, seq)`` pushes count from
+1, so the two halves of the u64 space never share a dedup identity —
+a client's own pushes cannot shadow the first pushes of the logical
+worker that happens to carry the client's id."""
+
+
 @dataclass(frozen=True)
 class PushRequest:
     """Worker -> PS: gradients for ``keys`` at batch ``batch_id``.
 
     ``(worker_id, seq)`` is the at-most-once dedup identity: retried
     copies of one logical push carry the same header. ``seq == 0``
-    opts out of dedup (callers that never retry).
+    opts out of dedup (callers that never retry); client-stamped
+    pushes use seqs above :data:`ANONYMOUS_SEQ_BASE`.
     """
 
     TYPE = 0x03

@@ -15,6 +15,14 @@ decoupled from the caller's live DRAM buffer) or ``None`` in
 metadata-only mode, where only sizes are accounted — used by the
 performance benchmarks, which need traffic and versions but not actual
 weights.
+
+Embedding rows do not go through the object dict. They live in the
+pool's :class:`EntrySlab`: one contiguous float32 matrix of fixed-size
+slots with a free list and a ``(key, batch_id, live)`` header per slot,
+written, read and freed a block of slots at a time. A slab write is
+always flushed (the ``live`` bit is its commit point), so a crash keeps
+every live slot; the pool owns the slab so that space accounting,
+:class:`OutOfSpaceError` and device charging stay in one place.
 """
 
 from __future__ import annotations
@@ -60,6 +68,137 @@ class PoolRoot:
         return dict(self._fields)
 
 
+INITIAL_SLOTS = 256
+"""Starting slot count of a slab; it doubles on demand."""
+
+
+class EntrySlab:
+    """Fixed-size row slots inside a pool (see the module docstring).
+
+    Attributes:
+        key, batch, live: the per-slot header columns. A slot whose
+            ``live`` bit is clear is free space whatever else it holds.
+        data: the ``(capacity, width)`` float32 payload matrix; None
+            until a row with a payload is written, so metadata-only
+            pools keep the slot accounting and no matrix.
+
+    Every slot costs ``slot_bytes`` of pool space and one device
+    operation of ``slot_bytes`` per write or read, exactly what one
+    pool object of that size costs.
+    """
+
+    def __init__(self, pool: "PmemPool", slot_bytes: int):
+        self.pool = pool
+        self.slot_bytes = slot_bytes
+        self.width = slot_bytes // 4
+        self.key = np.zeros(INITIAL_SLOTS, dtype=np.uint64)
+        self.batch = np.zeros(INITIAL_SLOTS, dtype=np.int64)
+        self.live = np.zeros(INITIAL_SLOTS, dtype=bool)
+        self.data: np.ndarray | None = None
+        # A stack of free slot numbers (top at ``_nfree - 1``); popping
+        # from the end hands out low slots first.
+        self._free = np.arange(INITIAL_SLOTS - 1, -1, -1, dtype=np.intp)
+        self._nfree = INITIAL_SLOTS
+
+    @property
+    def capacity(self) -> int:
+        return len(self.live)
+
+    @property
+    def free_rows(self) -> int:
+        """Allocated-but-unused slots (what a put can take without growing)."""
+        return self._nfree
+
+    @property
+    def rows(self) -> int:
+        """Live slots."""
+        return len(self.live) - self._nfree
+
+    def write(
+        self, keys: np.ndarray, batches: np.ndarray, rows: np.ndarray | None
+    ) -> np.ndarray:
+        """Persist one new slot per ``(key, batch)``; returns the slots.
+
+        All or nothing: raises before anything changes.
+
+        Raises:
+            PoolClosedError: the pool was closed.
+            OutOfSpaceError: the pool cannot hold ``len(keys)`` more slots.
+            PMemError: ``rows`` is not ``(len(keys), width)``.
+        """
+        n = len(keys)
+        self._check_rows(n, rows)
+        self.pool._reserve(n * self.slot_bytes)
+        if n > self._nfree:
+            self._grow(n - self._nfree)
+        self._nfree -= n
+        slots = self._free[self._nfree : self._nfree + n].copy()
+        self.key[slots] = keys
+        self.batch[slots] = batches
+        self._store(slots, rows)
+        self.live[slots] = True
+        return slots
+
+    def rewrite(
+        self, slots: np.ndarray, batches: np.ndarray, rows: np.ndarray | None
+    ) -> None:
+        """Overwrite live ``slots`` in place: new batch ids, new payload."""
+        self._check_rows(len(slots), rows)
+        self.pool._check_open()
+        self.batch[slots] = batches
+        self._store(slots, rows)
+
+    def read(self, slots: np.ndarray) -> np.ndarray | None:
+        """Copy of the payload of ``slots`` (None without a matrix)."""
+        self.pool._check_open()
+        self.pool.device.read(self.slot_bytes, ops=len(slots))
+        return None if self.data is None else self.data[slots]
+
+    def free(self, slots: np.ndarray) -> None:
+        """Clear the ``live`` bit of ``slots`` and reclaim their space."""
+        n = len(slots)
+        self.pool._reserve(0, replacing=n * self.slot_bytes)
+        self.live[slots] = False
+        self._free[self._nfree : self._nfree + n] = slots
+        self._nfree += n
+
+    def _check_rows(self, n: int, rows: np.ndarray | None) -> None:
+        if rows is not None and rows.shape != (n, self.width):
+            raise PMemError(
+                f"rows of shape {rows.shape} do not fill {n} slots of "
+                f"{self.width} floats"
+            )
+
+    def _store(self, slots: np.ndarray, rows: np.ndarray | None) -> None:
+        if rows is not None:
+            if self.data is None:
+                self.data = np.zeros((self.capacity, self.width), dtype=np.float32)
+            self.data[slots] = rows
+        self.pool.device.write(self.slot_bytes, ops=len(slots))
+
+    def _grow(self, shortfall: int) -> None:
+        old = self.capacity
+        capacity = old * 2
+        while capacity - old < shortfall:
+            capacity *= 2
+
+        def grown(column: np.ndarray) -> np.ndarray:
+            out = np.zeros((capacity,) + column.shape[1:], dtype=column.dtype)
+            out[:old] = column
+            return out
+
+        self.key, self.batch, self.live = map(grown, (self.key, self.batch, self.live))
+        if self.data is not None:
+            self.data = grown(self.data)
+        # New (high) slots go under the existing free ones.
+        free = np.empty(capacity, dtype=np.intp)
+        added = capacity - old
+        free[:added] = np.arange(capacity - 1, old - 1, -1)
+        free[added : added + self._nfree] = self._free[: self._nfree]
+        self._free = free
+        self._nfree += added
+
+
 class PmemPool:
     """Persistent object pool backed by a (simulated) PMem device.
 
@@ -71,7 +210,7 @@ class PmemPool:
 
     The pool tracks used bytes exactly: an object's footprint is its
     payload size (callers pass explicit ``nbytes`` in metadata-only
-    mode).
+    mode), a live slab slot's is the slab's slot size.
     """
 
     def __init__(self, capacity_bytes: int, device: MemoryDevice | None = None):
@@ -84,8 +223,26 @@ class PmemPool:
         # an array's size is its ``nbytes``, so it is not held twice.
         self._durable: dict[object, np.ndarray | int] = {}
         self._staged: dict[object, np.ndarray | int] = {}
+        self._slab: EntrySlab | None = None
         self._used_bytes = 0
         self._closed = False
+
+    def slab(self, slot_bytes: int) -> EntrySlab:
+        """The pool's row slab, created on first use.
+
+        Raises:
+            PMemError: the pool already holds a slab of another slot
+                size (rows written by a node with another dimension or
+                optimizer).
+        """
+        if self._slab is None:
+            self._slab = EntrySlab(self, slot_bytes)
+        elif self._slab.slot_bytes != slot_bytes:
+            raise PMemError(
+                f"pool holds rows of {self._slab.slot_bytes} bytes, "
+                f"asked for {slot_bytes}"
+            )
+        return self._slab
 
     # ------------------------------------------------------------------
     # basic object operations
@@ -114,16 +271,9 @@ class PmemPool:
             PoolClosedError: the pool was closed or crashed.
             OutOfSpaceError: capacity would be exceeded.
         """
-        self._check_open()
         size = self._payload_size(value, nbytes)
-        old_size = self._current_size(key)
-        if self._used_bytes - old_size + size > self.capacity_bytes:
-            raise OutOfSpaceError(
-                f"pool full: used={self._used_bytes}, need={size}, "
-                f"capacity={self.capacity_bytes}"
-            )
+        self._reserve(size, replacing=self._current_size(key))
         held = size if value is None else np.array(value, copy=True)
-        self._used_bytes += size - old_size
         if flush:
             self._durable[key] = held
             self._staged.pop(key, None)
@@ -188,10 +338,13 @@ class PmemPool:
 
         The pool remains usable afterwards (it represents the same
         physical DIMMs after a restart); only the volatile staging layer
-        is wiped. Space accounting is recomputed from durable contents.
+        is wiped. Space accounting is recomputed from durable contents
+        (slab slots are never staged, so every live one stays).
         """
         self._staged.clear()
         self._used_bytes = sum(map(self._size, self._durable.values()))
+        if self._slab is not None:
+            self._used_bytes += self._slab.rows * self._slab.slot_bytes
 
     def close(self) -> None:
         """Cleanly close the pool (drains staged writes first)."""
@@ -221,7 +374,9 @@ class PmemPool:
         return [key for key in self._durable if key not in self._staged]
 
     def __len__(self) -> int:
-        return len(set(self._staged) | set(self._durable))
+        """Objects plus live slab slots."""
+        slots = 0 if self._slab is None else self._slab.rows
+        return len(set(self._staged) | set(self._durable)) + slots
 
     # ------------------------------------------------------------------
     # internals
@@ -230,6 +385,25 @@ class PmemPool:
     def _check_open(self) -> None:
         if self._closed:
             raise PoolClosedError("pool is closed")
+
+    def require_free(self, size: int) -> None:
+        """Raise unless the pool is open and ``size`` more bytes fit.
+
+        Raises:
+            PoolClosedError: the pool was closed or crashed.
+            OutOfSpaceError: capacity would be exceeded.
+        """
+        self._check_open()
+        if self._used_bytes + size > self.capacity_bytes:
+            raise OutOfSpaceError(
+                f"pool full: used={self._used_bytes}, need={size}, "
+                f"capacity={self.capacity_bytes}"
+            )
+
+    def _reserve(self, size: int, replacing: int = 0) -> None:
+        """Account ``size`` new bytes in place of ``replacing`` old ones."""
+        self.require_free(size - replacing)
+        self._used_bytes += size - replacing
 
     @staticmethod
     def _payload_size(value: np.ndarray | None, nbytes: int | None) -> int:

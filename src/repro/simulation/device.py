@@ -156,19 +156,21 @@ class MemoryDevice:
         self.write_ops = 0
         self.busy_seconds = 0.0
 
-    def read(self, nbytes: int, streams: int = 1) -> float:
-        """Charge a read; returns the simulated seconds it took."""
-        elapsed = self.spec.read_time(nbytes, streams)
-        self.bytes_read += nbytes
-        self.read_ops += 1
+    def read(self, nbytes: int, streams: int = 1, ops: int = 1) -> float:
+        """Charge ``ops`` serial reads of ``nbytes`` each; returns the
+        simulated seconds they took."""
+        elapsed = ops * self.spec.read_time(nbytes, streams)
+        self.bytes_read += ops * nbytes
+        self.read_ops += ops
         self.busy_seconds += elapsed
         return elapsed
 
-    def write(self, nbytes: int, streams: int = 1) -> float:
-        """Charge a write; returns the simulated seconds it took."""
-        elapsed = self.spec.write_time(nbytes, streams)
-        self.bytes_written += nbytes
-        self.write_ops += 1
+    def write(self, nbytes: int, streams: int = 1, ops: int = 1) -> float:
+        """Charge ``ops`` serial writes of ``nbytes`` each; returns the
+        simulated seconds they took."""
+        elapsed = ops * self.spec.write_time(nbytes, streams)
+        self.bytes_written += ops * nbytes
+        self.write_ops += ops
         self.busy_seconds += elapsed
         return elapsed
 

@@ -406,7 +406,7 @@ class ReferenceCache:
     def _read_weights(self, entry: EmbeddingEntry) -> np.ndarray | None:
         if entry.in_dram:
             return entry.weights
-        __, stored = self.store.read_latest(entry.key)
+        stored = self._read_row(entry.key)
         if stored is None:
             return None
         return stored[: self.dim]
@@ -443,14 +443,14 @@ class ReferenceCache:
             if barrier >= entry.version:
                 return
             if barrier >= entry.updated:
-                self.store.put(entry.key, barrier, self._pack(entry))
+                self._put_row(entry.key, barrier, self._pack(entry))
                 return
 
     def _flush(self, entry: EmbeddingEntry) -> None:
         """Persist the entry's current state under its current version."""
         if not entry.in_dram:
             raise ServerError(f"cannot flush non-resident entry {entry.key}")
-        self.store.put(entry.key, entry.version, self._pack(entry))
+        self._put_row(entry.key, entry.version, self._pack(entry))
         entry.dirty = False
         self.metrics.pmem_flush_entries += 1
         self.metrics.cache.flushes += 1
@@ -462,7 +462,7 @@ class ReferenceCache:
         """Algorithm 2 ``loadToDRAM``: promote the newest PMem version."""
         if entry.in_dram:
             raise ServerError(f"entry {entry.key} already resident")
-        __, stored = self.store.read_latest(entry.key)
+        stored = self._read_row(entry.key)
         self._unpack(entry, stored)
         self.index.set_location(entry, Location.DRAM)
         entry.dirty = False
@@ -546,15 +546,25 @@ class ReferenceCache:
         value_mode: bool,
     ) -> None:
         if value_mode:
-            __, stored = self.store.read_latest(entry.key)
+            stored = self._read_row(entry.key)
             weights = stored[: self.dim]
             state = stored[self.dim :] if stored.size > self.dim else None
             self.optimizer.apply(weights, state, grad)
             packed = stored
         else:
             packed = None
-        self.store.put(entry.key, batch_id, packed)
+        self._put_row(entry.key, batch_id, packed)
         self.metrics.pmem_flush_entries += 1
+
+    # The store speaks blocks; the oracle moves one row at a time, so
+    # it goes through this length-1 adapter.
+
+    def _read_row(self, key: int) -> np.ndarray | None:
+        rows = self.store.read_latest([key])[1]
+        return None if rows is None else rows[0]
+
+    def _put_row(self, key: int, version: int, packed: np.ndarray | None) -> None:
+        self.store.put([key], version, None if packed is None else packed[None, :])
 
     def _pack(self, entry: EmbeddingEntry) -> np.ndarray | None:
         if entry.weights is None:

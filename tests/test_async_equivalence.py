@@ -202,3 +202,36 @@ class TestMetricsParity:
         assert faulty_client and all(
             name.startswith("repro_rpc_") for name in faulty_client
         )
+
+
+class TestAnonymousPushIdentity:
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_client_stamped_pushes_do_not_shadow_worker_zero(self, transport):
+        """Regression: a default client (``worker_id=0``) used to stamp
+        its own pushes ``(0, 1), (0, 2), ...`` — the identity logical
+        worker 0 uses — so the replay window and the aggregation buffer
+        dropped that worker's first pushes as replays of the set-up's.
+        Set-up pushes through a default backend, then worker 0's own
+        ``seq=1``: it must be folded."""
+        backend = build_backend(transport, defended=True)
+        keys = list(range(12))
+        grads = np.ones((len(keys), DIM), dtype=np.float32)
+        for batch in range(3):  # set-up: the backend stamps these itself
+            backend.pull(keys, batch)
+            backend.maintain(batch)
+            assert backend.push(keys, grads, batch) == len(keys)
+        before = backend.state_snapshot()
+        backend.pull(keys, 3)
+        backend.maintain(3)
+        assert backend.push(keys, grads, 3, worker_id=0, seq=1) == len(keys)
+        assert all(
+            node.aggregation.stats.duplicates_dropped == 0 for node in backend.nodes
+        )
+        if transport == "rpc":
+            assert sum(service.dup_suppressed for service in backend.services) == 0
+        after = backend.state_snapshot()
+        assert all(not np.array_equal(after[key], before[key]) for key in keys)
+        # The wire retry of that very push is still absorbed exactly once.
+        assert backend.push(keys, grads, 3, worker_id=0, seq=1) in (0, len(keys))
+        final = backend.state_snapshot()
+        assert all(np.array_equal(final[key], after[key]) for key in keys)

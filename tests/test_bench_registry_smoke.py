@@ -16,6 +16,13 @@ from repro.bench import REGISTRY, discover
 
 MODULES_IMPORTED = discover()
 
+WALL_CLOCK_ACCEPTANCE = {"obs_overhead"}
+"""Benches whose acceptance check is a wall-clock ceiling. Tier-1 does
+not gate wall-clock (a loaded runner flakes it): for these the test
+holds the deterministic half of the contract here — the metrics exist,
+``identical`` is true — and the ceiling stays with the CI step that runs
+``repro bench run <name> --smoke`` on its own."""
+
 
 def test_discovery_finds_all_bench_modules():
     assert MODULES_IMPORTED >= 30
@@ -48,5 +55,8 @@ def test_bench_smoke(name):
     missing = sorted(set(spec.headline) - set(metrics))
     assert missing == [], f"{name}: headline metrics absent: {missing}"
 
+    if name in WALL_CLOCK_ACCEPTANCE:
+        assert metrics["identical"] is True
+        return
     failures = spec.failures(metrics, params)
     assert failures == [], f"{name}: acceptance check failed: {failures}"

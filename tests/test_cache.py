@@ -96,8 +96,8 @@ class TestMaintain:
     def test_eviction_flushes_victim_weights(self, cache):
         cache.pull([1, 2, 3, 4, 5], 0)
         cache.maintain(0)
-        __, stored = cache.store.read_latest(1)
-        assert np.array_equal(stored[:DIM], np.full(DIM, 1.0))
+        __, stored = cache.store.read_latest([1])
+        assert np.array_equal(stored[0, :DIM], np.full(DIM, 1.0))
 
     def test_miss_load_promotes_to_dram(self, cache):
         cache.pull([1], 0)
@@ -182,9 +182,9 @@ class TestCheckpointCoDesign:
         # Accessing key 1 at batch 1 must first persist its batch-0 state.
         state_at_0 = np.array(cache.read_current_weights(1), copy=True)
         self._train_batch(cache, [1], 1)
-        stored_batch, stored = cache.store.read_at_most(1, 0)
-        assert stored_batch == 0
-        assert np.array_equal(stored[:DIM], state_at_0)
+        stored_batch, stored = cache.store.read_at_most([1], 0)
+        assert stored_batch[0] == 0
+        assert np.array_equal(stored[0, :DIM], state_at_0)
 
     def test_completion_via_eviction(self, cache):
         self._train_batch(cache, [1, 2, 3, 4], 0)
@@ -228,7 +228,7 @@ class TestCheckpointCoDesign:
         assert recovered == {1: 0, 2: 0}
         for key in (1, 2):
             assert np.array_equal(
-                cache.store.read_latest(key)[1][:DIM], expected[key]
+                cache.store.read_latest([key])[1][0, :DIM], expected[key]
             )
 
 

@@ -56,23 +56,23 @@ class TestCoordinator:
 
     def test_barriers_follow_requests(self, coordinator, store):
         coordinator.request(5)
-        store.put(1, 2, None)
-        store.put(1, 9, None)
+        store.put([1], 2, None)
+        store.put([1], 9, None)
         assert store.versions_of(1) == [2, 9]  # 2 kept for checkpoint 5
 
     def test_barriers_include_last_completed(self, coordinator, store):
         coordinator.request(5)
         coordinator.complete_head()
-        store.put(1, 4, None)
-        store.put(1, 8, None)
+        store.put([1], 4, None)
+        store.put([1], 8, None)
         assert store.versions_of(1) == [4, 8]  # 4 recoverable for ckpt 5
 
     def test_completion_recycles(self, coordinator, store):
         coordinator.request(5)
-        store.put(1, 2, None)
-        store.put(1, 9, None)
+        store.put([1], 2, None)
+        store.put([1], 9, None)
         coordinator.request(12)
-        store.put(1, 13, None)
+        store.put([1], 13, None)
         coordinator.complete_head()  # ckpt 5 done; barrier moves on
         coordinator.complete_head()  # ckpt 12 done -> only <=12 + newest
         assert store.versions_of(1) == [9, 13]
@@ -85,9 +85,9 @@ class TestCoordinator:
         coordinator.complete_head()
         # Own last_completed is 10 but the cluster is only at 5: both
         # barriers hold.
-        store.put(1, 4, None)
-        store.put(1, 7, None)
-        store.put(1, 11, None)
+        store.put([1], 4, None)
+        store.put([1], 7, None)
+        store.put([1], 11, None)
         assert store.versions_of(1) == [4, 7, 11]
 
     def test_recovered_coordinator_reads_durable_id(self, store):

@@ -14,10 +14,11 @@ and the metrics counters.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CacheConfig, ServerConfig
+from repro.config import CacheConfig, EvictionPolicy, ServerConfig
 from repro.core.optimizers import PSAdagrad, PSSGD
 from repro.core.ps_node import PSNode
 from repro.network.messages import (
@@ -43,7 +44,13 @@ def schedule_strategy():
     return st.lists(batch, min_size=2, max_size=10)
 
 
-def make_node(arena: bool, capacity_entries: int, optimizer, **cache_options) -> PSNode:
+def make_node(
+    arena: bool,
+    capacity_entries: int,
+    optimizer,
+    metadata_only: bool = False,
+    **cache_options,
+) -> PSNode:
     """``arena=False`` builds the node around the per-key oracle."""
     entry_bytes = (DIM + optimizer.state_width(DIM)) * 4
     server_config = ServerConfig(
@@ -52,7 +59,9 @@ def make_node(arena: bool, capacity_entries: int, optimizer, **cache_options) ->
     cache_config = CacheConfig(
         capacity_bytes=capacity_entries * entry_bytes, **cache_options
     )
-    node = PSNode(0, server_config, cache_config, optimizer)
+    node = PSNode(
+        0, server_config, cache_config, optimizer, metadata_only=metadata_only
+    )
     return node if arena else install_reference_cache(node)
 
 
@@ -95,8 +104,8 @@ def store_dump(node: PSNode) -> dict:
     dump = {}
     for key in node.cache.index.keys():
         for version in node.store.versions_of(key):
-            __, stored = node.store.read_at_most(key, version)
-            dump[(key, version)] = None if stored is None else stored.tobytes()
+            __, stored = node.store.read_at_most([key], version)
+            dump[(key, version)] = None if stored is None else stored[0].tobytes()
     return dump
 
 
@@ -278,3 +287,188 @@ class TestPushToPmemResidentKeys:
             assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
         assert store_dump(fast) == store_dump(ref)
         assert metrics_tuple(fast) == metrics_tuple(ref)
+
+
+class TestMaintainPlanHazards:
+    """The rounds where moving rows in bulk can go wrong.
+
+    ``maintain`` plans a whole round on metadata and then moves the rows
+    as a few blocks; the oracle moves each row the moment Algorithm 2
+    says so. Every round here makes the two orders differ — a row that
+    arrives and leaves inside one round, a row flushed twice, a
+    checkpoint completing between two flushes — and everything
+    observable must still match: the round's counts, the ten metrics
+    counters, the LRU list order, every durable version and the rows
+    served afterwards.
+    """
+
+    def pair(self, capacity: int, *, metadata_only: bool = False, **cache_options):
+        return [
+            make_node(
+                arena=arena,
+                capacity_entries=capacity,
+                optimizer=PSAdagrad(lr=0.1),
+                metadata_only=metadata_only,
+                **cache_options,
+            )
+            for arena in (True, False)
+        ]
+
+    @staticmethod
+    def round(nodes, keys, batch_id: int, *, push: bool = True):
+        """One pull -> maintain (-> push) round on both nodes; compares
+        what the round returned and everything it left behind."""
+        pulls = [node.pull(keys, batch_id) for node in nodes]
+        rounds = [node.maintain(batch_id) for node in nodes]
+        assert rounds[0] == rounds[1]
+        value_mode = not nodes[0].metadata_only
+        if push:
+            rng = np.random.default_rng((batch_id, 5))
+            grads = rng.standard_normal((len(keys), DIM)).astype(np.float32)
+            for node in nodes:
+                node.push(keys, grads if value_mode else None, batch_id)
+        fast, ref = nodes
+        fast.cache.validate()
+        a, b = pulls
+        assert (a.hits, a.misses, a.created) == (b.hits, b.misses, b.created)
+        if value_mode:
+            assert np.array_equal(a.weights, b.weights)
+            snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+            assert set(snap_fast) == set(snap_ref)
+            for key in snap_ref:
+                assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
+        assert metrics_tuple(fast) == metrics_tuple(ref)
+        assert fast.cache.cached_keys() == ref.cache.cached_keys()
+        assert store_dump(fast) == store_dump(ref)
+        assert fast.coordinator.last_completed == ref.coordinator.last_completed
+        assert fast.coordinator.queue.pending() == ref.coordinator.queue.pending()
+        for entry in ref.cache.index.entries():
+            twin = fast.cache.index.find(entry.key)
+            assert (twin.version, twin.updated, twin.dirty, twin.location) == (
+                entry.version, entry.updated, entry.dirty, entry.location
+            ), f"key {entry.key}"
+        return rounds[0]
+
+    def test_row_loaded_and_evicted_in_the_same_round(self):
+        """More distinct misses than the cache holds: most rows arrive
+        and leave inside the round and never see the arena."""
+        nodes = self.pair(2)
+        self.round(nodes, [0, 1, 2, 3, 4, 5], 0)
+        for node in nodes:
+            node.cache.drop_cache()
+        result = self.round(nodes, [0, 1, 2, 0, 3, 4, 0, 5], 1)
+        assert result.loads == 8 and result.evictions == 6
+        self.round(nodes, [5, 0, 3], 2)
+
+    def test_resident_row_evicted_and_reloaded_in_the_same_round(self):
+        """12 is resident when the round starts (a hit for the pull), is
+        evicted to make room for 10 and comes back later in the same
+        round: its load must read what its eviction just wrote."""
+        nodes = self.pair(2)
+        self.round(nodes, [10, 11], 0)
+        self.round(nodes, [12, 13], 1)  # 10, 11 now in PMem; LRU: 13, 12
+        assert nodes[0].cache.cached_keys() == [13, 12]
+        # 10 evicts 12, 11 evicts 13, 12's own access reloads it (evicting 10).
+        result = self.round(nodes, [10, 11, 12], 2)
+        assert (result.loads, result.evictions) == (3, 3)
+        assert nodes[0].cache.cached_keys() == [12, 11]
+        self.round(nodes, [12, 10, 12], 3)
+
+    @pytest.mark.parametrize("track_dirty", (False, True))
+    def test_flush_before_advance_then_eviction_of_the_same_entry(
+        self, track_dirty
+    ):
+        """Under a pending checkpoint the accessed entry is flushed at
+        its old version, advanced, then evicted by the next key — a
+        second flush of the same row (unless dirty tracking skips it),
+        with the checkpoint completing in between."""
+        nodes = self.pair(1, track_dirty=track_dirty)
+        self.round(nodes, [1], 0)
+        for node in nodes:
+            node.coordinator.request(0)
+        result = self.round(nodes, [1, 2], 1)
+        assert result.checkpoints_completed == 1
+        assert result.flushes == (1 if track_dirty else 2)
+        self.round(nodes, [1], 2)
+
+    def test_checkpoints_completing_mid_round(self):
+        """Two queued checkpoints; the round's evictions complete the
+        first early and the second later, flushes before, between and
+        after — and a read-advanced row needs a backfilled version."""
+        nodes = self.pair(3)
+        self.round(nodes, [0, 1, 2], 0)
+        self.round(nodes, [0, 1, 2], 1, push=False)  # read-only: versions advance
+        for node in nodes:
+            node.coordinator.request(0)
+        self.round(nodes, [2], 2)
+        for node in nodes:
+            node.coordinator.request(2)
+        result = self.round(nodes, [3, 4, 5, 6, 0], 3)
+        assert result.checkpoints_completed == 2
+        for node in nodes:
+            assert node.coordinator.last_completed == 2
+
+    @pytest.mark.parametrize(
+        "policy", (EvictionPolicy.LRU, EvictionPolicy.CLOCK, EvictionPolicy.FIFO)
+    )
+    @pytest.mark.parametrize("track_dirty", (False, True))
+    def test_seeded_schedules_under_every_policy(self, policy, track_dirty):
+        nodes = self.pair(3, policy=policy, track_dirty=track_dirty)
+        rng = np.random.default_rng(17)
+        for batch_id in range(40):
+            keys = rng.integers(0, 12, size=int(rng.integers(1, 9))).tolist()
+            self.round(nodes, keys, batch_id, push=bool(rng.integers(0, 4)))
+            if rng.integers(0, 3) == 0:
+                for node in nodes:
+                    if batch_id > node.coordinator.last_completed and (
+                        not node.coordinator.queue.pending()
+                        or node.coordinator.queue.pending()[-1] < batch_id
+                    ):
+                        node.coordinator.request(batch_id)
+        assert nodes[0].metrics.checkpoints_completed > 0
+        assert nodes[0].metrics.cache.evictions > 20
+
+    def test_admission_filter_keeps_cold_rows_out_of_the_plan(self):
+        nodes = self.pair(2, admission_threshold=2)
+        self.round(nodes, [0, 1, 2, 3], 0)
+        for node in nodes:
+            node.cache.drop_cache()
+            node.coordinator.request(0)
+        result = self.round(nodes, [0, 1, 0, 2, 3, 0, 1], 1)
+        assert 0 < result.loads < 7
+        self.round(nodes, [3, 3, 2, 0], 2)
+
+    def test_arena_grows_while_the_round_lands(self):
+        """600 rows arrive in one round (the arena holds 256) while 40
+        resident rows are flushed under a pending checkpoint: the gather
+        runs before the growth replaces the arena's matrix."""
+        nodes = self.pair(700)
+        resident = list(range(2000, 2040))
+        batch_id = 0
+        for lo in (0, 200, 400):
+            self.round(nodes, list(range(lo, lo + 200)), batch_id)
+            for node in nodes:
+                node.cache.drop_cache()
+            batch_id += 1
+        self.round(nodes, resident, batch_id)
+        rows_at_start = nodes[0].cache.arena.capacity
+        assert rows_at_start < 600
+        for node in nodes:
+            node.coordinator.request(batch_id)
+        result = self.round(nodes, resident + list(range(600)), batch_id + 1)
+        assert result.loads == 600 and result.flushes == 40
+        assert nodes[0].cache.arena.capacity > rows_at_start
+
+    def test_metadata_only_mode(self):
+        """No arena, no rows: the plan is the whole round."""
+        nodes = self.pair(2, metadata_only=True)
+        rng = np.random.default_rng(3)
+        for batch_id in range(30):
+            keys = rng.integers(0, 9, size=int(rng.integers(1, 7))).tolist()
+            self.round(nodes, keys, batch_id)
+            if batch_id % 7 == 3:
+                for node in nodes:
+                    node.coordinator.request(batch_id)
+        assert nodes[0].cache.arena is None
+        assert nodes[0].metrics.checkpoints_completed > 0
+        assert nodes[0].pool.slab(nodes[0].store.entry_bytes).data is None

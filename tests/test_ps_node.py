@@ -73,14 +73,19 @@ class TestOptimizerState:
 
     def test_ingested_row_of_wrong_width_is_a_typed_error(self):
         """A row written without the accumulator (an SGD node's export)
-        cannot become an Adagrad node's arena row: the error names the
-        key and both widths instead of silently changing storage."""
+        cannot become an Adagrad node's slab row: the ingest is refused
+        whole, with an error naming the key and both widths, instead of
+        silently changing storage."""
         node = make_node(optimizer=PSAdagrad(lr=0.1))
-        node.ingest_entries([(7, [(3, np.ones(DIM, dtype=np.float32))])])
+        rows = [
+            (6, [(3, np.ones(2 * DIM, dtype=np.float32))]),
+            (7, [(3, np.ones(DIM, dtype=np.float32))]),
+        ]
         with pytest.raises(
             ServerError, match=rf"key 7 is {DIM} floats wide.* are {2 * DIM} "
         ):
-            node.pull([7], 4)
+            node.ingest_entries(rows)
+        assert node.num_entries == 0 and node.store.total_versions() == 0
         node.cache.validate()
 
 

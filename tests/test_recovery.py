@@ -120,6 +120,73 @@ class TestRecoverNode:
         assert recovered.coordinator.last_completed == 1
 
 
+class _Killed(Exception):
+    """The node process died here."""
+
+
+class TestMaintainCrashPoints:
+    """Durability order of one plan-then-move round.
+
+    The round below evicts 0, 1, 2 (their batch-1 state is what the
+    pending checkpoint 1 must capture), completes checkpoint 1 when the
+    next victim's version has moved past it, and re-loads key 0. The
+    Checkpointed Batch ID may only become durable after every flush the
+    checkpoint depends on: killing the node anywhere in the round must
+    recover exactly one checkpoint, bit for bit.
+    """
+
+    def crashed_round(self, kill):
+        node = make_node(capacity_entries=3)
+        train(node, [0, 1, 2], 0)
+        node.barrier_checkpoint()
+        at_0 = node.state_snapshot()
+        train(node, [0, 1, 2], 1)
+        node.request_checkpoint(1)
+        at_1 = node.state_snapshot()
+        node.pull([3, 4, 5, 0], 2)
+        kill(node)
+        with pytest.raises(_Killed):
+            node.maintain(2)
+        durable_id = node.store.checkpointed_batch_id()
+        recovered, report = recover_node(node.crash(), *node_configs(node))
+        assert report.checkpoint_batch_id == durable_id
+        restored = recovered.state_snapshot()
+        expected = {0: at_0, 1: at_1}[durable_id]
+        assert set(restored) == set(expected)
+        for key, weights in expected.items():
+            assert np.array_equal(restored[key], weights), f"key {key}"
+        return durable_id
+
+    @staticmethod
+    def dies(obj, name):
+        def dead(*args, **kwargs):
+            raise _Killed(name)
+
+        setattr(obj, name, dead)
+
+    def test_killed_before_the_bulk_put(self):
+        assert self.crashed_round(lambda node: self.dies(node.store, "put")) == 0
+
+    def test_killed_between_the_bulk_put_and_complete_head(self):
+        def kill(node):
+            def dead():
+                # Every flush checkpoint 1 depends on is already durable ...
+                versions, __ = node.store.read_at_most([0, 1, 2], 1)
+                assert versions.tolist() == [1, 1, 1]
+                raise _Killed("complete_head")
+
+            node.coordinator.complete_head = dead
+
+        # ... but its id is not: recovery lands on checkpoint 0.
+        assert self.crashed_round(kill) == 0
+
+    def test_killed_between_complete_head_and_the_bulk_load(self):
+        assert (
+            self.crashed_round(lambda node: self.dies(node.cache.arena, "alloc_many"))
+            == 1
+        )
+
+
 class TestRecoveryTiming:
     def test_time_scales_with_entries(self):
         small = estimate_recovery_seconds(entries=1000, versions=1000, entry_bytes=256)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import RecoveryError
+from repro.errors import OutOfSpaceError, RecoveryError
 from repro.pmem.pool import PmemPool
-from repro.pmem.space import NO_CHECKPOINT, VersionedEntryStore
+from repro.pmem.space import NO_CHECKPOINT, NO_VERSION, VersionedEntryStore
 
 
 @pytest.fixture
@@ -17,62 +19,78 @@ def w(v):
     return np.full(4, float(v), dtype=np.float32)
 
 
+def put(store, key, version, row):
+    """One row through the block API."""
+    store.put([key], version, row[None, :])
+
+
+def latest(store, key):
+    versions, rows = store.read_latest([key])
+    return int(versions[0]), rows[0]
+
+
+def at_most(store, key, barrier):
+    versions, rows = store.read_at_most([key], barrier)
+    return int(versions[0]), rows[0]
+
+
 class TestVersioning:
     def test_put_and_read_latest(self, store):
-        store.put(1, 5, w(5))
-        batch, value = store.read_latest(1)
+        put(store, 1, 5, w(5))
+        batch, value = latest(store, 1)
         assert batch == 5
         assert value[0] == 5.0
 
     def test_latest_wins(self, store):
-        store.put(1, 5, w(5))
-        store.put(1, 9, w(9))
-        batch, value = store.read_latest(1)
+        put(store, 1, 5, w(5))
+        put(store, 1, 9, w(9))
+        batch, value = latest(store, 1)
         assert batch == 9
         assert value[0] == 9.0
 
     def test_without_barriers_only_newest_kept(self, store):
-        store.put(1, 5, w(5))
-        store.put(1, 9, w(9))
+        put(store, 1, 5, w(5))
+        put(store, 1, 9, w(9))
         assert store.versions_of(1) == [9]
 
     def test_read_at_most(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
-        batch, value = store.read_at_most(1, 5)
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
+        batch, value = at_most(store, 1, 5)
         assert batch == 3
         assert value[0] == 3.0
 
     def test_read_at_most_no_eligible(self, store):
-        store.put(1, 9, w(9))
-        with pytest.raises(KeyError):
-            store.read_at_most(1, 5)
+        put(store, 1, 9, w(9))
+        versions, rows = store.read_at_most([1, 2], 5)
+        assert versions.tolist() == [NO_VERSION, NO_VERSION]
+        assert not rows.any()
 
     def test_missing_key(self, store):
         assert not store.has(1)
         with pytest.raises(KeyError):
-            store.read_latest(1)
+            store.read_latest([1])
 
 
 class TestRetention:
     def test_barrier_protects_old_version(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
         assert store.versions_of(1) == [3, 9]
 
     def test_multiple_barriers(self, store):
         store.set_retention_barriers((4, 8))
         for batch in (2, 6, 10):
-            store.put(1, batch, w(batch))
+            put(store, 1, batch, w(batch))
         # newest <= 4 is 2; newest <= 8 is 6; newest overall is 10.
         assert store.versions_of(1) == [2, 6, 10]
 
     def test_recycle_after_barrier_moves(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
         store.set_retention_barriers((9,))
         freed = store.recycle()
         assert freed == 1
@@ -81,14 +99,14 @@ class TestRetention:
     def test_footprint_bounded_by_barriers(self, store):
         store.set_retention_barriers((50,))
         for batch in range(100):
-            store.put(1, batch, w(batch))
+            put(store, 1, batch, w(batch))
         assert len(store.versions_of(1)) <= 2
 
     def test_idempotent_put_same_version(self, store):
-        store.put(1, 5, w(5))
-        store.put(1, 5, w(6))
+        put(store, 1, 5, w(5))
+        put(store, 1, 5, w(6))
         assert store.versions_of(1) == [5]
-        assert store.read_latest(1)[1][0] == 6.0
+        assert latest(store, 1)[1][0] == 6.0
 
 
 class TestCheckpointId:
@@ -104,9 +122,9 @@ class TestCheckpointId:
 class TestRecovery:
     def test_rebuild_from_pool(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
-        store.put(2, 4, w(4))
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
+        put(store, 2, 4, w(4))
         fresh = VersionedEntryStore(store.pool, entry_bytes=16)
         fresh.rebuild_from_pool()
         assert fresh.versions_of(1) == [3, 9]
@@ -114,9 +132,9 @@ class TestRecovery:
 
     def test_discard_newer_than(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
-        store.put(2, 8, w(8))
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
+        put(store, 2, 8, w(8))
         discarded = store.discard_newer_than(5)
         assert discarded == 2
         assert store.versions_of(1) == [3]
@@ -124,24 +142,212 @@ class TestRecovery:
 
     def test_full_recover(self, store):
         store.set_retention_barriers((5,))
-        store.put(1, 3, w(3))
-        store.put(1, 9, w(9))
+        put(store, 1, 3, w(3))
+        put(store, 1, 9, w(9))
         store.set_checkpointed_batch_id(5)
         store.pool.crash()
         recovered = store.recover()
         assert recovered == {1: 3}
-        assert store.read_latest(1)[1][0] == 3.0
+        assert latest(store, 1)[1][0] == 3.0
 
     def test_recover_without_checkpoint_fails(self, store):
-        store.put(1, 3, w(3))
+        put(store, 1, 3, w(3))
         with pytest.raises(RecoveryError):
             store.recover()
 
-    def test_staged_writes_invisible_to_recovery(self, store):
-        store.put(1, 3, w(3))
+    def test_uncommitted_slot_invisible_to_recovery(self, store):
+        """A slab write commits by setting the slot's ``live`` bit last.
+        A crash before that (in-flight IO: header and payload landed,
+        the bit did not) leaves free space, not a version."""
+        put(store, 1, 3, w(3))
+        put(store, 2, 3, w(4))
         store.set_checkpointed_batch_id(3)
-        # A write that never got flushed (simulates in-flight IO).
-        store.pool.write(("entry", 2, 4), w(4), nbytes=16, flush=False)
+        slab = store.pool.slab(16)
+        torn = np.flatnonzero(slab.live & (slab.key == 2))
+        slab.live[torn] = False
         store.pool.crash()
         recovered = store.recover()
-        assert 2 not in recovered
+        assert recovered == {1: 3}
+
+
+# ----------------------------------------------------------------------
+# model test: the block API against a plain dict
+# ----------------------------------------------------------------------
+
+SLOT = 16
+MODEL_CAPACITY = 7 * SLOT  # small enough that blocks run out of space
+MODEL_KEYS = st.integers(0, 5)
+MODEL_VERSIONS = st.integers(0, 9)
+
+
+def _block():
+    return st.lists(st.tuples(MODEL_KEYS, MODEL_VERSIONS), min_size=1, max_size=6)
+
+
+def model_operations():
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), _block()),
+            st.tuples(st.just("ingest"), _block()),
+            st.tuples(st.just("read_latest"), st.lists(MODEL_KEYS, max_size=5)),
+            st.tuples(
+                st.just("read_at_most"),
+                st.tuples(st.lists(MODEL_KEYS, max_size=5), MODEL_VERSIONS),
+            ),
+            st.tuples(st.just("barriers"), st.lists(MODEL_VERSIONS, max_size=3)),
+            st.tuples(st.just("recycle"), st.none()),
+            st.tuples(st.just("drop_key"), MODEL_KEYS),
+            st.tuples(st.just("checkpoint"), MODEL_VERSIONS),
+            st.tuples(st.just("crash_recover"), st.none()),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+
+
+class StoreModel:
+    """What the store should hold, one dict entry per version."""
+
+    def __init__(self):
+        self.rows: dict[tuple[int, int], float] = {}
+        self.barriers: tuple[int, ...] = ()
+        self.checkpoint = NO_CHECKPOINT
+        self.written = self.read = 0  # device operations charged
+
+    def versions_of(self, key):
+        return sorted(v for k, v in self.rows if k == key)
+
+    def keys(self):
+        return sorted({k for k, __ in self.rows})
+
+    def prune(self, key):
+        versions = self.versions_of(key)
+        keep = {versions[-1]} if versions else set()
+        for barrier in self.barriers:
+            eligible = [v for v in versions if v <= barrier]
+            if eligible:
+                keep.add(eligible[-1])
+        for version in versions:
+            if version not in keep:
+                del self.rows[(key, version)]
+        return len(versions) - len(keep)
+
+    def write(self, block, values, prune):
+        """Row by row, the way the per-key store did it. Returns False
+        (nothing written) when the block's new versions do not fit."""
+        added = len({pair for pair in block if pair not in self.rows})
+        if (len(self.rows) + added) * SLOT > MODEL_CAPACITY:
+            return False
+        for (key, version), value in zip(block, values):
+            self.rows[(key, version)] = value
+            self.written += 1
+            if prune:
+                self.prune(key)
+        return True
+
+    def at_most(self, key, barrier):
+        eligible = [v for v in self.versions_of(key) if v <= barrier]
+        return eligible[-1] if eligible else NO_VERSION
+
+
+def _assert_store_matches(store, model, value_mode):
+    pool, slab = store.pool, store.slab
+    for key in range(6):
+        assert store.versions_of(key) == model.versions_of(key), f"key {key}"
+        assert store.has(key) == bool(model.versions_of(key))
+    assert sorted(store.keys()) == model.keys()
+    assert store.total_versions() == len(model.rows)
+    assert pool.used_bytes == len(model.rows) * SLOT
+    device = pool.device
+    assert (device.write_ops, device.bytes_written) == (model.written, model.written * SLOT)
+    assert (device.read_ops, device.bytes_read) == (model.read, model.read * SLOT)
+    # Slot reuse: every indexed version sits in its own live slot, and
+    # no live slot is on the free stack (so none can be handed out twice).
+    slots = [slot for key in store.keys() for slot in store._chain(key)]
+    assert len(set(slots)) == len(slots) == slab.rows == int(slab.live.sum())
+    assert slab.live[slots].all()
+    free = slab._free[: slab.free_rows].tolist()
+    assert len(set(free)) == len(free) and not slab.live[free].any()
+    assert slab.rows + slab.free_rows == slab.capacity
+    if value_mode:
+        for slot in slots:
+            pair = (int(slab.key[slot]), int(slab.batch[slot]))
+            assert slab.data[slot, 0] == model.rows[pair]
+
+
+@given(ops=model_operations(), value_mode=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_block_store_matches_dict_model(ops, value_mode):
+    pool = PmemPool(MODEL_CAPACITY)
+    store = VersionedEntryStore(pool, entry_bytes=SLOT)
+    model = StoreModel()
+    stamp = 0.0
+    for op, arg in ops:
+        if op in ("put", "ingest"):
+            values = [stamp + i + 1 for i in range(len(arg))]
+            stamp += len(arg)
+            rows = (
+                np.repeat(np.array(values, dtype=np.float32)[:, None], 4, axis=1)
+                if value_mode
+                else None
+            )
+            keys = [key for key, __ in arg]
+            versions = [version for __, version in arg]
+            write = store.put if op == "put" else store.ingest
+            if model.write(arg, values, prune=op == "put"):
+                write(keys, versions, rows)
+            else:
+                with pytest.raises(OutOfSpaceError):
+                    write(keys, versions, rows)
+        elif op == "read_latest":
+            if all(model.versions_of(key) for key in arg):
+                versions, rows = store.read_latest(arg)
+                model.read += len(arg)
+                want = [model.versions_of(key)[-1] for key in arg]
+                assert versions.tolist() == want
+                if value_mode and arg:
+                    assert rows[:, 0].tolist() == [
+                        model.rows[pair] for pair in zip(arg, want)
+                    ]
+            else:
+                with pytest.raises(KeyError):
+                    store.read_latest(arg)
+        elif op == "read_at_most":
+            keys, barrier = arg
+            versions, rows = store.read_at_most(keys, barrier)
+            want = [model.at_most(key, barrier) for key in keys]
+            model.read += sum(version != NO_VERSION for version in want)
+            assert versions.tolist() == want
+            if value_mode and rows is not None:
+                assert rows[:, 0].tolist() == [
+                    model.rows.get((key, version), 0.0)
+                    for key, version in zip(keys, want)
+                ]
+        elif op == "barriers":
+            model.barriers = tuple(arg)
+            store.set_retention_barriers(tuple(arg))
+        elif op == "recycle":
+            assert store.recycle() == sum(model.prune(key) for key in model.keys())
+        elif op == "drop_key":
+            dropped = model.versions_of(arg)
+            for version in dropped:
+                del model.rows[(arg, version)]
+            assert store.drop_key(arg) == len(dropped)
+        elif op == "checkpoint":
+            model.checkpoint = arg
+            store.set_checkpointed_batch_id(arg)
+        else:  # the process dies; a fresh store recovers from the pool
+            pool.crash()
+            store = VersionedEntryStore(pool, entry_bytes=SLOT)
+            store.set_retention_barriers(model.barriers)
+            if model.checkpoint == NO_CHECKPOINT:
+                with pytest.raises(RecoveryError):
+                    store.recover()
+                store.rebuild_from_pool()
+            else:
+                for pair in [p for p in model.rows if p[1] > model.checkpoint]:
+                    del model.rows[pair]
+                assert store.recover() == {
+                    key: model.versions_of(key)[-1] for key in model.keys()
+                }
+        _assert_store_matches(store, model, value_mode)
