@@ -32,16 +32,27 @@ to an unbuffered one when the fold is an identity), and a fold round
 fires whenever a quorum ``q = max(1, num_workers - f)`` of workers has
 a contribution pending — the ``f`` workers the defense is sized for
 may be straggling or dead, and must not be able to stall folding.
+
+A round is folded **in blocks, by multiplicity class**: the popped
+contributions are concatenated, one ``np.unique`` lays the key union
+out in (worker order, occurrence order), keys only one worker pushed
+are copied straight through, and for every multiplicity ``c >= 2``
+present the ``n_c`` keys exactly ``c`` workers pushed are gathered into
+one ``(n_c, c, width)`` block that :meth:`GradientAggregator.fold`
+reduces in a single call. The float32 bits equal a key-by-key fold of
+the same rows; ``tests/harness/reference_fold.py`` keeps that per-key
+loop as the oracle the property test compares against.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "AGGREGATOR_NAMES",
@@ -70,7 +81,14 @@ class GradientAggregator:
     name = "abstract"
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` is ``f32[m, width]`` with ``m >= 1``; returns ``f32[width]``."""
+        """Reduce axis -2 (the ``m >= 1`` workers) of ``rows``.
+
+        ``rows`` is ``f32[m, width]`` — one key — and yields
+        ``f32[width]``, or a block ``f32[n, m, width]`` of ``n`` keys
+        with ``m`` contributions each and yields ``f32[n, width]``:
+        slice ``i`` of the block result carries the bits
+        ``fold(rows[i])`` would.
+        """
         raise NotImplementedError
 
 
@@ -80,10 +98,10 @@ class Mean(GradientAggregator):
     name = "mean"
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
-        if len(rows) == 1:
+        if rows.shape[-2] == 1:
             # sum/1 is an exact identity, but skip the flops anyway.
-            return rows[0]
-        return np.mean(rows, axis=0, dtype=np.float32)
+            return rows[..., 0, :]
+        return np.mean(rows, axis=-2, dtype=np.float32)
 
 
 class TrimmedMean(GradientAggregator):
@@ -97,15 +115,13 @@ class TrimmedMean(GradientAggregator):
         self.f = f
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
-        m = len(rows)
+        m = rows.shape[-2]
         if m == 1:
-            return rows[0]
+            return rows[..., 0, :]
         trim = min(self.f, (m - 1) // 2)
-        if trim == 0:
-            return np.mean(rows, axis=0, dtype=np.float32)
-        ordered = np.sort(rows, axis=0)
-        kept = ordered[trim : m - trim]
-        return np.mean(kept, axis=0, dtype=np.float32)
+        if trim:
+            rows = np.sort(rows, axis=-2)[..., trim : m - trim, :]
+        return np.mean(rows, axis=-2, dtype=np.float32)
 
 
 class Median(GradientAggregator):
@@ -114,9 +130,9 @@ class Median(GradientAggregator):
     name = "median"
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
-        if len(rows) == 1:
-            return rows[0]
-        return np.median(rows, axis=0).astype(np.float32, copy=False)
+        if rows.shape[-2] == 1:
+            return rows[..., 0, :]
+        return np.median(rows, axis=-2).astype(np.float32, copy=False)
 
 
 class Krum(GradientAggregator):
@@ -130,18 +146,19 @@ class Krum(GradientAggregator):
         self.f = f
 
     def fold(self, rows: np.ndarray) -> np.ndarray:
-        m = len(rows)
+        m = rows.shape[-2]
         if m == 1:
-            return rows[0]
+            return rows[..., 0, :]
         # Pairwise squared distances; each row scored by its k nearest
         # *other* rows, k = m - f - 2 clamped to [1, m - 1].
-        diffs = rows[:, None, :] - rows[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        np.fill_diagonal(dist2, np.inf)
+        diffs = rows[..., :, None, :] - rows[..., None, :, :]
+        dist2 = np.einsum("...ijk,...ijk->...ij", diffs, diffs)
+        diagonal = np.arange(m)
+        dist2[..., diagonal, diagonal] = np.inf
         k = min(max(1, m - self.f - 2), m - 1)
-        nearest = np.sort(dist2, axis=1)[:, :k]
-        scores = nearest.sum(axis=1)
-        return rows[int(np.argmin(scores))]
+        scores = np.sort(dist2, axis=-1)[..., :k].sum(axis=-1)
+        best = np.argmin(scores, axis=-1)
+        return np.take_along_axis(rows, best[..., None, None], axis=-2)[..., 0, :]
 
 
 def make_aggregator(name: str, f: int = 1) -> GradientAggregator | None:
@@ -186,25 +203,39 @@ class AggregatorStats:
     duplicates_dropped: int = 0
     folds: int = 0
     rows_folded: int = 0
+    #: Folded rows with >= 2 contributors — the ones the robust
+    #: statistic actually touched (the rest were copied through).
+    rows_reduced: int = 0
+    #: Deepest any one worker's queue of unfolded pushes has been.
+    max_queue_depth: int = 0
+
+
+def _first_occurrence_layout(keys: np.ndarray):
+    """``np.unique`` of ``keys``, re-laid in first-occurrence order.
+
+    Returns ``(unique, first, inverse, counts)``: ``unique[i]`` is the
+    i-th distinct key to appear, ``first[i]`` where it first appears,
+    ``counts[i]`` how often, and ``inverse`` maps every position of
+    ``keys`` to its row of that layout.
+    """
+    unique, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return unique[order], first[order], rank[inverse], counts[order]
 
 
 def _segment_sum(keys: np.ndarray, grads: np.ndarray):
     """Occurrence-order per-key sum — the cache fast path's exact idiom,
     so buffering + folding stays bitwise-transparent when the fold is
     an identity."""
-    unique, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    unique = unique[order]
-    remap = np.empty_like(order)
-    remap[order] = np.arange(len(order))
-    inverse = remap[inverse]
-    first_occurrence = np.sort(first_idx)
-    agg = np.array(grads[first_occurrence], dtype=np.float32, copy=True)
-    dup = np.ones(len(keys), dtype=bool)
-    dup[first_occurrence] = False
-    if dup.any():
+    unique, first, inverse, __ = _first_occurrence_layout(keys)
+    agg = grads[first]  # a copy: decoded wire gradients may be read-only
+    if len(unique) != len(keys):
+        dup = np.ones(len(keys), dtype=bool)
+        dup[first] = False
         np.add.at(agg, inverse[dup], grads[dup])
     return unique, agg
 
@@ -215,10 +246,15 @@ class AggregationBuffer:
     Pushes are buffered per worker; whenever at least
     ``q = max(1, num_workers - f)`` workers have a contribution
     pending, one contribution is popped from *every* pending worker and
-    folded key-by-key with the aggregator. ``(worker_id, seq)`` replay
-    dedup happens here too (``seq=0`` opts out), so duplicated pushes
-    are absorbed identically on the local and RPC transports.
+    the round is folded with the aggregator, one block per multiplicity
+    class (module docstring). ``(worker_id, seq)`` replay dedup happens
+    here too (``seq=0`` opts out), so duplicated pushes are absorbed
+    identically on the local and RPC transports.
     """
+
+    #: Sink of the per-round ``aggregator.fold`` span; the owning
+    #: :class:`~repro.core.ps_node.PSNode` points it at its own tracer.
+    tracer: Tracer = NULL_TRACER
 
     def __init__(
         self,
@@ -237,14 +273,17 @@ class AggregationBuffer:
         self.num_workers = num_workers
         self.f = f
         self.quorum = max(1, num_workers - f)
-        self._queues: OrderedDict[int, deque[_Contribution]] = OrderedDict()
+        #: worker id -> its unfolded pushes; kept in worker-id order.
+        self._queues: dict[int, deque[_Contribution]] = {}
+        self._pending = 0  # contributions queued, over every worker
+        self._pending_workers = 0  # workers whose queue is not empty
         self._seen: deque[tuple[int, int]] = deque(maxlen=dedup_window)
         self._seen_set: set[tuple[int, int]] = set()
         self.stats = AggregatorStats()
 
     @property
     def pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return self._pending
 
     def add(
         self,
@@ -269,12 +308,20 @@ class AggregationBuffer:
             np.asarray(keys, dtype=np.uint64),
             np.asarray(grads, dtype=np.float32),
         )
-        self._queues.setdefault(wid, deque()).append(
+        queue = self._queues.get(wid)
+        if queue is None:
+            self._queues[wid] = queue = deque()
+            self._queues = dict(sorted(self._queues.items()))
+        if not queue:
+            self._pending_workers += 1
+        queue.append(
             _Contribution(keys=unique, grads=summed, batch_id=int(batch_id))
         )
+        self._pending += 1
         self.stats.pushes_buffered += 1
+        self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(queue))
         folded = []
-        while self._ready():
+        while self._pending_workers >= self.quorum:
             folded.append(self._fold_round())
         return folded
 
@@ -285,53 +332,52 @@ class AggregationBuffer:
         captures every buffered gradient.
         """
         folded = []
-        while self.pending:
+        while self._pending:
             folded.append(self._fold_round())
         return folded
 
     # ------------------------------------------------------------------
 
-    def _ready(self) -> bool:
-        pending_workers = sum(1 for q in self._queues.values() if q)
-        return pending_workers >= self.quorum
-
     def _fold_round(self) -> FoldedPush:
-        popped = [
-            (wid, self._queues[wid].popleft())
-            for wid in sorted(self._queues)
-            if self._queues[wid]
-        ]
-        contributions = [contribution for __, contribution in popped]
-        batch_id = max(c.batch_id for c in contributions)
-        if len(contributions) == 1:
-            # Identity fold: apply the pre-summed push untouched so the
-            # single-worker path stays bitwise-equal to no buffering.
-            only = contributions[0]
+        with self.tracer.span("aggregator.fold") as span:
+            popped = []
+            for queue in self._queues.values():
+                if queue:
+                    popped.append(queue.popleft())
+                    if not queue:
+                        self._pending_workers -= 1
+            self._pending -= len(popped)
+            # One contribution is the identity fold: the pre-summed push
+            # goes through untouched, so the single-worker path stays
+            # bitwise-equal to no buffering.
+            keys, grads, reduced = popped[0].keys, popped[0].grads, 0
+            if len(popped) > 1:
+                # Concatenated in worker order, so first-occurrence order
+                # is the output layout: worker order, then occurrence order.
+                rows = np.concatenate([c.grads for c in popped])
+                keys, first, inverse, counts = _first_occurrence_layout(
+                    np.concatenate([c.keys for c in popped])
+                )
+                grads = rows[first]  # one-contributor keys are done
+                shared = counts > 1
+                reduced = int(shared.sum())
+                if reduced:
+                    # Positions grouped by output row; inside a group
+                    # they ascend, which is worker order (a contribution
+                    # holds each key once).
+                    by_row = np.argsort(inverse, kind="stable")
+                    starts = np.cumsum(counts) - counts
+                    for c in np.unique(counts[shared]).tolist():
+                        at = np.flatnonzero(counts == c)
+                        block = rows[by_row[starts[at, None] + np.arange(c)]]
+                        grads[at] = self.aggregator.fold(block)
             self.stats.folds += 1
-            self.stats.rows_folded += len(only.keys)
+            self.stats.rows_folded += len(keys)
+            self.stats.rows_reduced += reduced
+            span.set(rows=len(keys), contributors=len(popped), reduced=reduced)
             return FoldedPush(
-                keys=only.keys, grads=only.grads,
-                batch_id=batch_id, contributors=1,
+                keys=keys,
+                grads=grads,
+                batch_id=max(c.batch_id for c in popped),
+                contributors=len(popped),
             )
-        # Union of keys in (worker order, occurrence order) for a
-        # deterministic output layout.
-        index: OrderedDict[int, list] = OrderedDict()
-        for ci, contribution in enumerate(contributions):
-            for ki, key in enumerate(contribution.keys.tolist()):
-                index.setdefault(key, []).append((ci, ki))
-        width = contributions[0].grads.shape[1]
-        out_keys = np.fromiter(index, dtype=np.uint64, count=len(index))
-        out = np.empty((len(index), width), dtype=np.float32)
-        for row, (key, sources) in enumerate(index.items()):
-            rows = np.stack(
-                [contributions[ci].grads[ki] for ci, ki in sources]
-            )
-            out[row] = (
-                rows[0] if len(rows) == 1 else self.aggregator.fold(rows)
-            )
-        self.stats.folds += 1
-        self.stats.rows_folded += len(out_keys)
-        return FoldedPush(
-            keys=out_keys, grads=out,
-            batch_id=batch_id, contributors=len(contributions),
-        )

@@ -534,8 +534,8 @@ class PipelinedCache:
                     cold.append(i)
         # Per-entry bookkeeping. In the strictly serial flow maintain
         # already advanced every entry to ``batch_id``, so this is one
-        # flag per entry; only the lookahead flow (or a cold key, whose
-        # version stays behind) needs the ordered second pass.
+        # flag per entry; a push stamped ahead of its rows (or a cold
+        # key, whose version stays behind) takes the second pass.
         advance = False
         for entry in entries:
             entry.dirty = True
@@ -544,29 +544,32 @@ class PipelinedCache:
             if batch_id > entry.version:
                 advance = True
         if advance:
-            # Lookahead flow: this entry's pull for ``batch_id`` was
-            # served from a prefetch buffer, so no maintenance round
-            # advanced it. Apply maintain's flush-before-advance rule
-            # here instead — persist the pre-update state if a pending
-            # checkpoint still needs it, then advance the version and
-            # reorder so the LRU keeps its version order (the
-            # one-comparison checkpoint-completion test depends on it).
-            # Entries go in first-occurrence order of the push, which
-            # the LRU reorder sequence (and so eviction order) follows.
+            # No maintenance round advanced these entries to
+            # ``batch_id``. That is the normal case in async training —
+            # a delayed push carries the scheduler step it is applied
+            # in, ahead of the last round that maintained its rows —
+            # and the lookahead case, where the pull was served from a
+            # prefetch buffer. Apply maintain's flush-before-advance
+            # rule here instead: persist the pre-update state if a
+            # pending checkpoint still needs it, then advance the
+            # version and reorder so the LRU keeps its version order
+            # (the one-comparison checkpoint-completion test depends on
+            # it). Entries go in first-occurrence order of the push,
+            # which the reorder sequence (and so eviction order) follows.
+            in_dram = Location.DRAM
+            order = np.argsort(first_idx, kind="stable").tolist()
             advancing = [
-                entries[i]
-                for i in np.argsort(first_idx, kind="stable").tolist()
-                if entries[i].in_dram and batch_id > entries[i].version
+                entry
+                for entry in map(entries.__getitem__, order)
+                if batch_id > entry.version and entry.location is in_dram
             ]
+            flushed: list[EmbeddingEntry] = []
             flush_barrier = self.coordinator.max_pending()
             if flush_barrier is not None:
-                self._flush_entries(
-                    [e for e in advancing if e.version <= flush_barrier],
-                    backfill=False,
-                )
-            for entry in advancing:
-                entry.version = batch_id
-                self._reorder(entry)
+                flushed = [e for e in advancing if e.version <= flush_barrier]
+                self._flush_entries(flushed, backfill=False)
+            self._reorder_many(advancing, batch_id)
+            for entry in flushed:
                 entry.dirty = True  # the flush cleared it; final state is dirty
         block = None
         if self.arena is not None:
@@ -774,6 +777,16 @@ class PipelinedCache:
             entry.referenced = False
         elif self.config.policy == EvictionPolicy.CLOCK:
             entry.referenced = True
+
+    def _reorder_many(self, entries: list[EmbeddingEntry], version: int) -> None:
+        """Stamp ``version`` on each of ``entries`` and :meth:`_reorder`
+        it, in order — as one list splice under LRU."""
+        if self.config.policy == EvictionPolicy.LRU:
+            self.lru.move_many_to_front(entries, version=version)
+            return
+        for entry in entries:
+            entry.version = version
+            self._reorder(entry)
 
     def _gather(self, rows: list[int]) -> np.ndarray | None:
         """Copy of arena rows ``rows`` (None in metadata-only mode)."""

@@ -113,6 +113,7 @@ class PSNode:
                 num_workers=workers,
                 f=min(f, max(0, workers - 1)),
             )
+            self.aggregation.tracer = self.tracer
 
     # ------------------------------------------------------------------
     # PS protocol
@@ -160,18 +161,24 @@ class PSNode:
         gradient reaches ``apply_batch``; without one it applies
         directly (the synchronous path, bit-identical to before the
         defense layer existed).
+
+        Raises:
+            ServerError: gradient shape mismatch. A push bound for the
+                buffer is refused here, before the progress vector, the
+                dedup window or a queue changes — inside a fold it would
+                take the round's honest contributions down with it.
         """
+        buffered = self.aggregation is not None and grads is not None
+        if buffered:
+            grads = np.asarray(grads)
+            n, dim = len(keys), self.server_config.embedding_dim
+            if grads.shape != (n, dim):
+                raise ServerError(f"gradient shape {grads.shape} != ({n}, {dim})")
         self.staleness.record_push(worker_id, batch_id)
-        if self.aggregation is not None and grads is not None:
-            updated = 0
-            for fold in self.aggregation.add(
-                worker_id, keys, grads, batch_id, seq=seq
-            ):
-                updated += self.cache.update(fold.keys, fold.grads, fold.batch_id)
-                self.latest_completed_batch = max(
-                    self.latest_completed_batch, fold.batch_id
-                )
-            return updated
+        if buffered:
+            return self._apply_folds(
+                self.aggregation.add(worker_id, keys, grads, batch_id, seq=seq)
+            )
         updated = self.cache.update(keys, grads, batch_id)
         self.latest_completed_batch = max(self.latest_completed_batch, batch_id)
         return updated
@@ -185,8 +192,12 @@ class PSNode:
         """
         if self.aggregation is None:
             return 0
+        return self._apply_folds(self.aggregation.flush())
+
+    def _apply_folds(self, folds) -> int:
+        """Apply fold rounds in order; returns the entries updated."""
         updated = 0
-        for fold in self.aggregation.flush():
+        for fold in folds:
             updated += self.cache.update(fold.keys, fold.grads, fold.batch_id)
             self.latest_completed_batch = max(
                 self.latest_completed_batch, fold.batch_id

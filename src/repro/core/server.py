@@ -610,10 +610,14 @@ class OpenEmbeddingServer:
                 "repro_async_max_admitted_lag": controller.max_admitted_lag(),
             }
             if buffer is not None:
-                gauges["repro_async_aggregator_folds"] = buffer.stats.folds
+                stats = buffer.stats
+                gauges["repro_async_aggregator_folds"] = stats.folds
+                gauges["repro_async_aggregator_rows_folded"] = stats.rows_folded
+                gauges["repro_async_aggregator_rows_reduced"] = stats.rows_reduced
                 gauges["repro_async_aggregator_pending"] = buffer.pending
-                gauges["repro_async_duplicates_dropped"] = (
-                    buffer.stats.duplicates_dropped
+                gauges["repro_async_aggregator_queue_depth_max"] = (
+                    stats.max_queue_depth
                 )
+                gauges["repro_async_duplicates_dropped"] = stats.duplicates_dropped
             for name, value in gauges.items():
                 registry.gauge(name, labels).set(value)

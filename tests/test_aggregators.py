@@ -1,8 +1,13 @@
 """Robust-aggregation math and the quorum-fold buffer."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import ServerConfig
 from repro.core.aggregators import (
     AGGREGATOR_NAMES,
     AggregationBuffer,
@@ -14,7 +19,13 @@ from repro.core.aggregators import (
     default_byzantine_tolerance,
     make_aggregator,
 )
+from repro.core.ps_node import PSNode
 from repro.errors import ConfigError
+from repro.obs.tracer import Tracer
+from tests.harness.reference_fold import (
+    ReferenceAggregationBuffer,
+    make_reference_aggregator,
+)
 
 DIM = 4
 
@@ -164,8 +175,157 @@ class TestAggregationBuffer:
         assert len(folds) == 1 and folds[0].batch_id == 5
         assert folds[0].grads[0, 0] == 2.0
 
+    def test_counters_and_fold_span(self):
+        """``rows_reduced`` counts the rows the statistic touched,
+        ``max_queue_depth`` how far one worker ran ahead of the quorum,
+        and every round is one ``aggregator.fold`` span."""
+        buf = AggregationBuffer(Mean(), num_workers=2, f=0)
+        buf.tracer = Tracer()
+        self.push(buf, 0, [1, 2, 3], 1.0)
+        self.push(buf, 0, [4], 1.0)  # worker 0 runs ahead: depth 2
+        self.push(buf, 1, [3, 2, 9], 3.0)  # round 1: keys 2, 3 shared
+        assert buf.pending == 1 and buf.stats.max_queue_depth == 2
+        buf.flush()  # round 2: worker 0's second push alone
+        assert (buf.stats.folds, buf.stats.rows_folded) == (2, 5)
+        assert buf.stats.rows_reduced == 2
+        spans = buf.tracer.spans_named("aggregator.fold")
+        assert [span.attrs for span in spans] == [
+            {"rows": 4, "contributors": 2, "reduced": 2},
+            {"rows": 1, "contributors": 1, "reduced": 0},
+        ]
+
+    def test_node_points_the_buffer_at_its_own_tracer(self):
+        tracer = Tracer()
+        node = PSNode(
+            0,
+            ServerConfig(
+                embedding_dim=DIM, pmem_capacity_bytes=1 << 22,
+                aggregator="median", aggregator_workers=2, aggregator_f=0,
+            ),
+            tracer=tracer,
+        )
+        node.pull([1, 2], 0)
+        node.maintain(0)
+        grads = np.ones((2, DIM), dtype=np.float32)
+        node.push([1, 2], grads, 0, worker_id=0, seq=1)
+        assert not tracer.spans_named("aggregator.fold")  # below quorum
+        node.push([2, 1], grads, 0, worker_id=1, seq=1)
+        (span,) = tracer.spans_named("aggregator.fold")
+        assert span.attrs == {"rows": 2, "contributors": 2, "reduced": 2}
+
+    def test_queues_fold_in_worker_id_order_whatever_the_arrival_order(self):
+        buf = AggregationBuffer(Krum(0), num_workers=3, f=0)
+        self.push(buf, 2, [7], 2.0)
+        self.push(buf, 0, [5], 0.0)
+        (fold,) = self.push(buf, 1, [6], 1.0)
+        assert fold.keys.tolist() == [5, 6, 7]  # worker order, not arrival order
+
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             AggregationBuffer(Mean(), num_workers=2, f=2)
         with pytest.raises(ConfigError):
             AggregationBuffer(Mean(), num_workers=0)
+
+
+# Quantised on purpose: a handful of values makes exact ties common, so
+# Krum's ``argmin`` and the trim sort have to break them the way the
+# per-key fold does. The second pool adds what hostile workers send:
+# 3e38 squares to inf, inf - inf is NaN.
+FINITE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 0.1, 7e-8]
+FOLD_VALUES = FINITE_VALUES + [3e38, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def fold_schedules(draw):
+    """A buffer configuration and the pushes it receives."""
+    workers = draw(st.integers(1, 9))
+    width = draw(st.sampled_from([1, 2, 3, 8]))
+    push = st.tuples(
+        st.integers(0, workers - 1),  # worker id
+        st.lists(st.integers(0, 11), max_size=8),  # keys, repeats allowed
+        st.integers(0, 20),  # batch id
+        st.integers(0, 6),  # seq: 0 opts out, small values replay
+        st.sampled_from(["plain", "readonly", "strided", "fortran"]),
+        st.randoms(use_true_random=False),
+    )
+    return (
+        draw(st.sampled_from(AGGREGATOR_NAMES[1:])),
+        draw(st.integers(0, 2)),  # the aggregator's f
+        workers,
+        width,
+        draw(st.lists(push, min_size=1, max_size=24)),
+    )
+
+
+def fold_gradients(rng, n: int, width: int, layout: str) -> np.ndarray:
+    pool = rng.choice([FINITE_VALUES, FOLD_VALUES])
+    values = [rng.choice(pool) for __ in range(n * width)]
+    grads = np.asarray(values, dtype=np.float32).reshape(n, width)
+    if layout == "readonly":
+        grads.setflags(write=False)
+    elif layout == "strided":  # every other column of a wider block
+        wide = np.zeros((n, 2 * width), dtype=np.float32)
+        wide[:, ::2] = grads
+        grads = wide[:, ::2]
+    elif layout == "fortran":
+        grads = np.asfortranarray(grads)
+    return grads
+
+
+def assert_same_folds(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.keys.dtype == b.keys.dtype and a.keys.tolist() == b.keys.tolist()
+        assert a.grads.dtype == b.grads.dtype and a.grads.shape == b.grads.shape
+        assert a.grads.tobytes() == b.grads.tobytes()
+        assert (a.batch_id, a.contributors) == (b.batch_id, b.contributors)
+
+
+class TestBlockFoldMatchesPerKeyOracle:
+    """The block fold against ``tests/harness/reference_fold.py``: same
+    keys in the same order, same ``batch_id`` / ``contributors`` /
+    counters, and the same float32 *bits* — NaN, infinities, signed
+    zeros and exact ties included."""
+
+    @given(schedule=fold_schedules())
+    @settings(max_examples=300, deadline=None)
+    def test_quorum_and_flush_rounds_are_bit_identical(self, schedule):
+        name, f, workers, width, pushes = schedule
+        tolerated = min(f, workers - 1)
+        fast = AggregationBuffer(make_aggregator(name, f), workers, tolerated)
+        ref = ReferenceAggregationBuffer(
+            make_reference_aggregator(name, f), workers, tolerated
+        )
+        with np.errstate(all="ignore"):  # overflow and inf - inf are the point
+            for wid, keys, batch_id, seq, layout, rng in pushes:
+                keys = np.asarray(keys, dtype=np.uint64)
+                grads = fold_gradients(rng, len(keys), width, layout)
+                assert_same_folds(
+                    fast.add(wid, keys, grads, batch_id, seq=seq),
+                    ref.add(wid, keys, grads, batch_id, seq=seq),
+                )
+                assert fast.pending == ref.pending
+            assert_same_folds(fast.flush(), ref.flush())
+        assert fast.pending == ref.pending == 0
+        for counter in (
+            "pushes_buffered", "duplicates_dropped", "folds", "rows_folded"
+        ):
+            assert getattr(fast.stats, counter) == getattr(ref.stats, counter)
+        assert fast.stats.rows_reduced <= fast.stats.rows_folded
+
+    @pytest.mark.parametrize("name", AGGREGATOR_NAMES[1:])
+    @pytest.mark.parametrize("f", (0, 1, 2))
+    def test_block_slices_equal_the_single_key_fold(self, name, f):
+        """``fold`` on ``(n, m, width)`` is ``fold`` on each ``(m, width)``."""
+        rng = np.random.default_rng(f)
+        aggregator = make_aggregator(name, f)
+        oracle = make_reference_aggregator(name, f)
+        for m, pool in itertools.product(range(1, 10), (FINITE_VALUES, FOLD_VALUES)):
+            block = rng.choice(np.asarray(pool, dtype=np.float32), size=(40, m, 5))
+            with np.errstate(all="ignore"):
+                folded = aggregator.fold(block)
+                assert folded.shape == (40, 5) and folded.dtype == np.float32
+                for i, rows_of_key in enumerate(block):
+                    want = oracle.fold(rows_of_key)
+                    assert folded[i].tobytes() == want.tobytes()
+                    assert aggregator.fold(rows_of_key).tobytes() == want.tobytes()

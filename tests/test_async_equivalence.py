@@ -26,6 +26,7 @@ from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
+from repro.errors import ServerError
 from repro.network.frontend import RemotePSClient
 
 FIELDS, DIM = 5, 8
@@ -196,8 +197,18 @@ class TestMetricsParity:
         rpc, __ = series("rpc")
         __, faulty_client = series("faulty")
         assert rpc == local
-        assert any(name == "repro_async_aggregator_folds" for name, __ in local)
-        assert any(name == "repro_async_pulls_admitted" for name, __ in local)
+        emitted = {name for name, __ in local}
+        assert {
+            "repro_async_pulls_admitted",
+            "repro_async_aggregator_folds",
+            "repro_async_aggregator_rows_folded",
+            "repro_async_aggregator_rows_reduced",
+            "repro_async_aggregator_queue_depth_max",
+        } <= emitted
+        node0 = (("node", "0"),)
+        assert local["repro_async_aggregator_rows_folded", node0] > 0
+        assert local["repro_async_aggregator_rows_reduced", node0] == 0  # one worker
+        assert local["repro_async_aggregator_queue_depth_max", node0] == 1
         assert not local_client
         assert faulty_client and all(
             name.startswith("repro_rpc_") for name in faulty_client
@@ -235,3 +246,49 @@ class TestAnonymousPushIdentity:
         assert backend.push(keys, grads, 3, worker_id=0, seq=1) in (0, len(keys))
         final = backend.state_snapshot()
         assert all(np.array_equal(final[key], after[key]) for key in keys)
+
+
+class TestMalformedPushRefused:
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_wrong_width_push_is_refused_before_any_state_changes(self, transport):
+        """Regression: a push whose gradient block is not ``(len(keys),
+        embedding_dim)`` used to be buffered unchecked and blow up inside
+        the fold as a raw ``ValueError`` — after the round had popped the
+        honest worker's contribution (lost) and after ``(worker_id, seq)``
+        had entered the dedup window (the corrected retry dropped as a
+        replay). It is refused typed, on both transports, with nothing
+        changed."""
+        server_config = ServerConfig(
+            num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 26, seed=SEED,
+            aggregator="mean", aggregator_workers=2, aggregator_f=0,
+        )
+        backend_cls = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = backend_cls(
+            server_config, CacheConfig(capacity_bytes=64 << 10), PSSGD(lr=0.05)
+        )
+        (node,) = backend.nodes
+        keys = list(range(6))
+        backend.pull(keys, 0)
+        backend.maintain(0)
+        before = backend.state_snapshot()
+        honest = np.ones((len(keys), DIM), dtype=np.float32)
+
+        assert backend.push(keys, honest, 0, worker_id=0, seq=1) == 0  # buffered
+        malformed = np.ones((len(keys), 2 * DIM), dtype=np.float32)
+        with pytest.raises(ServerError, match="gradient shape"):
+            backend.push(keys, malformed, 0, worker_id=1, seq=1)
+        buffer = node.aggregation
+        assert buffer.pending == 1 and buffer.stats.folds == 0  # worker 0 intact
+        assert buffer.stats.pushes_buffered == 1
+        assert node.staleness.last_push.get(1) is None  # no progress recorded
+
+        # The corrected push reuses the seq: not a replay, and the round
+        # folds both workers.
+        assert backend.push(keys, 3 * honest, 0, worker_id=1, seq=1) == len(keys)
+        assert buffer.pending == 0 and buffer.stats.duplicates_dropped == 0
+        assert (buffer.stats.folds, buffer.stats.rows_reduced) == (1, len(keys))
+        after = backend.state_snapshot()
+        for key in keys:  # SGD on the mean of the two pushes: (1 + 3) / 2
+            assert np.array_equal(
+                after[key], before[key] - np.float32(0.05) * np.float32(2.0)
+            )

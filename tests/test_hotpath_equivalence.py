@@ -472,3 +472,101 @@ class TestMaintainPlanHazards:
         assert nodes[0].cache.arena is None
         assert nodes[0].metrics.checkpoints_completed > 0
         assert nodes[0].pool.slab(nodes[0].store.entry_bytes).data is None
+
+
+class TestUpdateAdvanceHazards:
+    """The async-shaped update: a push stamped *ahead* of the rows it
+    touches, which is every delayed push of the asynchronous trainer.
+
+    No maintenance round ran at the push's batch id, so ``update`` itself
+    applies flush-before-advance, stamps the version and reorders — the
+    production cache for the whole push at once, the oracle one key at a
+    time. Each push here repeats keys (reorder follows first occurrence),
+    mixes rows a pending checkpoint still needs with rows it does not,
+    and carries a PMem-resident key the admission filter kept out of
+    DRAM; list order, per-entry metadata, every durable version and the
+    rows served afterwards must match.
+    """
+
+    @staticmethod
+    def same(nodes):
+        fast, ref = nodes
+        fast.cache.validate()
+        assert fast.cache.cached_keys() == ref.cache.cached_keys()
+        for entry in ref.cache.index.entries():
+            twin = fast.cache.index.find(entry.key)
+            assert (
+                twin.version, twin.updated, twin.dirty, twin.referenced, twin.location
+            ) == (
+                entry.version, entry.updated, entry.dirty, entry.referenced,
+                entry.location,
+            ), f"key {entry.key}"
+        assert store_dump(fast) == store_dump(ref)
+        assert metrics_tuple(fast) == metrics_tuple(ref)
+        assert fast.coordinator.queue.pending() == ref.coordinator.queue.pending()
+        snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+        assert set(snap_fast) == set(snap_ref)
+        for key in snap_ref:
+            assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
+
+    @pytest.mark.parametrize(
+        "policy", (EvictionPolicy.LRU, EvictionPolicy.CLOCK, EvictionPolicy.FIFO)
+    )
+    @pytest.mark.parametrize("track_dirty", (False, True))
+    @pytest.mark.parametrize("checkpoint", (False, True))
+    def test_push_ahead_of_the_maintained_versions(
+        self, policy, track_dirty, checkpoint
+    ):
+        nodes = [
+            make_node(
+                arena=arena,
+                capacity_entries=6,
+                optimizer=PSAdagrad(lr=0.1),
+                policy=policy,
+                track_dirty=track_dirty,
+                admission_threshold=1,
+            )
+            for arena in (True, False)
+        ]
+        served = []
+        for node in nodes:
+            rng = np.random.default_rng(21)
+            step(node, rng, [0, 1, 2, 3, 9], 0)
+            node.cache.drop_cache()
+            # 0..3 are seen twice and admitted back; 9, seen once, stays
+            # in PMem behind the filter.
+            step(node, rng, [0, 1, 2, 3, 3, 2, 1, 0, 9], 1)
+            step(node, rng, [4, 5], 2)
+            assert sorted(node.cache.cached_keys()) == [0, 1, 2, 3, 4, 5]
+            if checkpoint:
+                # 0..3 (version 1) are flushed before they advance; 4 and
+                # 5 (version 2) are past the barrier and are not.
+                node.coordinator.request(1)
+            flushes = node.metrics.cache.flushes
+            keys = [4, 0, 9, 0, 2, 5, 4, 1]  # 3 is left behind at version 1
+            grads = rng.standard_normal((len(keys), DIM)).astype(np.float32)
+            assert node.push(keys, grads, 3) == 6
+            assert node.metrics.cache.flushes - flushes == (3 if checkpoint else 0)
+        self.same(nodes)
+        fast = nodes[0]
+        if policy == EvictionPolicy.LRU:  # first-occurrence order, MRU first
+            assert fast.cache.cached_keys() == [1, 5, 2, 0, 4, 3]
+        assert fast.cache.index.find(9).version == 0  # cold: its version stays behind
+        assert all(fast.cache.index.find(key).dirty for key in (0, 1, 2, 4, 5))
+
+        for node in nodes:
+            rng = np.random.default_rng(22)
+            # A maintained round that evicts in the order the push left,
+            # then a second push ahead of it, now with 9 resident.
+            served.append(step(node, rng, [6, 7, 9, 9, 3], 4))
+            keys = [9, 3, 6, 9, 0]
+            grads = rng.standard_normal((len(keys), DIM)).astype(np.float32)
+            node.push(keys, grads, 6)
+        self.same(nodes)
+        assert np.array_equal(served[0].weights, served[1].weights)
+        for node in nodes:
+            node.barrier_checkpoint(6)
+            served.append(node.pull(list(range(8)) + [9], 7))
+        self.same(nodes)
+        assert np.array_equal(served[2].weights, served[3].weights)
+        assert fast.metrics.cache.evictions > 0
