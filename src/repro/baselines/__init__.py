@@ -3,39 +3,29 @@
 * :class:`DRAMPSNode` — 'DRAM-PS': the classic pure-DRAM parameter
   server (the paper's performance upper bound), checkpointed with the
   incremental scheme.
-* :class:`OriCacheNode` — 'Ori-Cache': DRAM-PMem cache built from a
-  concurrent hash map + STL list, with *inline* (non-pipelined) LRU
-  maintenance and incremental checkpointing.
 * :class:`PMemHashNode` — 'PMem-Hash': entries stored directly in a
   PMem hash (libpmemobj-style), no DRAM cache, no batch consistency.
 * :class:`TensorFlowPS` — the TensorFlow parameter-server baseline of
   Section VI-F (single-process, DRAM-only).
 * :class:`IncrementalCheckpointer` — the CheckFreq-style incremental
-  checkpoint used by DRAM-PS and Ori-Cache.
-* :class:`CheckNRunCheckpointer` — Check-N-Run-style incremental +
-  quantized checkpointing (the paper's reference [6], complementary
-  remote-backup work).
+  checkpoint used by DRAM-PS.
+
+'Ori-Cache' (inline, non-pipelined LRU maintenance) is not a module
+here: figures 3 / 6 / 7 / 11 model it as
+:attr:`repro.simulation.cluster.SystemKind.ORI_CACHE`, a real
+:class:`~repro.core.ps_node.PSNode` that the cost model prices
+unpipelined.
 """
 
-from repro.baselines.checknrun import (
-    CheckNRunCheckpointer,
-    QuantizedCheckpointStats,
-    quantize,
-)
 from repro.baselines.dram_ps import DRAMPSNode
 from repro.baselines.incremental import CheckpointStats, IncrementalCheckpointer
-from repro.baselines.ori_cache import OriCacheNode
 from repro.baselines.pmem_hash import PMemHashNode
 from repro.baselines.tensorflow_ps import TensorFlowPS
 
 __all__ = [
     "DRAMPSNode",
-    "OriCacheNode",
     "PMemHashNode",
     "TensorFlowPS",
     "IncrementalCheckpointer",
     "CheckpointStats",
-    "CheckNRunCheckpointer",
-    "QuantizedCheckpointStats",
-    "quantize",
 ]

@@ -65,6 +65,7 @@ from repro.core.optimizers import PSOptimizer
 from repro.errors import RecoveryError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
+from repro.pmem.space import EntryBlock
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 
 MIGRATION_STEPS = (
@@ -84,10 +85,6 @@ its schedule from this tuple, so adding a step here automatically adds
 it to the crash matrix.
 """
 
-Entries = list[tuple[int, list[tuple[int, object]]]]
-"""``[(key, [(batch_id, stored_array_or_None), ...]), ...]``"""
-
-
 class MigrationTransport(Protocol):
     """How entry data moves between shards during a migration.
 
@@ -95,18 +92,20 @@ class MigrationTransport(Protocol):
     method calls, used by :class:`~repro.core.server.OpenEmbeddingServer`)
     and :class:`~repro.network.transports.RpcMigrationTransport`, which
     moves the same payloads through framed ``MigrateRequest`` RPCs with
-    the client's usual retry + dedup discipline.
+    the client's usual retry + dedup discipline. Either way entries
+    travel as one :class:`~repro.pmem.space.EntryBlock` from the source
+    store to the target store.
     """
 
     def provision(self, node_id: int, server_config: ServerConfig) -> PSNode:
         """Create the empty node joining the cluster (scale-out)."""
         ...
 
-    def export(self, node: PSNode, keys: list[int]) -> Entries:
+    def export(self, node: PSNode, keys: list[int]) -> EntryBlock:
         """Read all retained versions of ``keys`` from ``node``."""
         ...
 
-    def put(self, node: PSNode, entries: Entries) -> int:
+    def put(self, node: PSNode, block: EntryBlock) -> int:
         """Ingest transferred entries on ``node``; idempotent."""
         ...
 
@@ -124,11 +123,11 @@ class InProcessTransport:
     def provision(self, node_id: int, server_config: ServerConfig) -> PSNode:
         return self.cluster.provision_node(node_id, server_config)
 
-    def export(self, node: PSNode, keys: list[int]) -> Entries:
+    def export(self, node: PSNode, keys: list[int]) -> EntryBlock:
         return node.export_entries(keys)
 
-    def put(self, node: PSNode, entries: Entries) -> int:
-        return node.ingest_entries(entries)
+    def put(self, node: PSNode, block: EntryBlock) -> int:
+        return node.ingest_entries(block)
 
     def delete(self, node: PSNode, keys: list[int]) -> int:
         return node.drop_keys(keys)
@@ -319,10 +318,10 @@ class ShardMigrator:
         self._step("transfer")
         keys_moved = versions_moved = 0
         for i, (source, owner, keys) in enumerate(moves):
-            entries = self.transport.export(source, keys)
-            self.transport.put(node_for(owner), entries)
+            block = self.transport.export(source, keys)
+            self.transport.put(node_for(owner), block)
             keys_moved += len(keys)
-            versions_moved += sum(len(v) for __, v in entries)
+            versions_moved += block.batch_ids.size
             if i == 0:
                 # Label the partially-transferred state exactly once so
                 # the crash sweep exercises a half-copied cluster.

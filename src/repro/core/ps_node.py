@@ -30,7 +30,7 @@ from repro.core.staleness import StalenessController
 from repro.errors import CheckpointError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
-from repro.pmem.space import NO_VERSION, VersionedEntryStore
+from repro.pmem.space import NO_VERSION, EntryBlock, VersionedEntryStore
 from repro.simulation.metrics import Metrics
 
 
@@ -358,64 +358,46 @@ class PSNode:
         """Every key this shard currently holds (any tier)."""
         return list(self.cache.index.keys())
 
-    def export_entries(
-        self, keys
-    ) -> list[tuple[int, list[tuple[int, np.ndarray | None]]]]:
+    def export_entries(self, keys) -> EntryBlock:
         """Read all retained durable versions of ``keys`` for transfer.
 
         Must be called after a barrier checkpoint (``barrier_checkpoint``)
         so the store's newest version of every key equals its live
-        state. Returns ``[(key, [(batch_id, stored), ...]), ...]`` where
-        ``stored`` is the packed weights+optimizer-state array (None in
-        metadata-only mode).
+        state. The block's rows are the packed weights+optimizer-state
+        arrays (None in metadata-only mode).
         """
-        keys = list(keys)
-        retained = [self.store.versions_of(key) for key in keys]
-        flat_keys = [key for key, versions in zip(keys, retained) for __ in versions]
-        flat_versions = [version for versions in retained for version in versions]
-        # Every (key, version) pair exists, so "at most" is "exactly".
-        rows = self.store.read_at_most(flat_keys, flat_versions)[1]
-        stored = iter([None] * len(flat_keys) if rows is None else rows)
-        return [
-            (key, [(version, next(stored)) for version in versions])
-            for key, versions in zip(keys, retained)
-        ]
+        return self.store.export(keys)
 
-    def ingest_entries(
-        self, entries: list[tuple[int, list[tuple[int, np.ndarray | None]]]]
-    ) -> int:
+    def ingest_entries(self, block: EntryBlock) -> int:
         """Adopt transferred entries as PMem-resident keys.
 
         Idempotent: a key that already exists (a retried transfer after
         a partial earlier attempt) is dropped and re-ingested, so the
         result is always exactly the sender's versions. Returns the
-        number of keys ingested.
+        number of keys ingested (keys the block holds no version of are
+        skipped).
         """
-        entries = [(key, versions) for key, versions in entries if versions]
         width = self.store.entry_bytes // 4
-        flat = [
-            (key, batch_id, stored)
-            for key, versions in entries
-            for batch_id, stored in versions
-        ]
-        for key, __, stored in flat:
-            if stored is not None and stored.size != width:
-                raise ServerError(
-                    f"transferred row of key {key} is {stored.size} floats wide, "
-                    f"this node's rows are {width} (dim "
-                    f"{self.server_config.embedding_dim} + optimizer state)"
-                )
-        for key, versions in entries:
+        if block.rows is not None and block.rows.shape[1] != width:
+            raise ServerError(
+                f"transferred rows are {block.rows.shape[1]} floats wide, "
+                f"this node's rows are {width} (dim "
+                f"{self.server_config.embedding_dim} + optimizer state)"
+            )
+        counts = block.nversions.astype(np.intp)
+        held = np.flatnonzero(counts)
+        keys = block.keys[held].tolist()
+        for key in keys:
             existing = self.cache.index.find(key)
             if existing is not None:
                 self._drop_key(existing)
-        if flat:
-            keys, batch_ids, stored = zip(*flat)
-            rows = None if stored[0] is None else np.stack(stored)
-            self.store.ingest(keys, batch_ids, rows)
-        for key, versions in entries:
-            self.cache.adopt(key, max(b for b, __ in versions))
-        return len(entries)
+        self.store.ingest(block)
+        if keys:
+            starts = (np.cumsum(counts) - counts)[held]
+            newest = np.maximum.reduceat(block.batch_ids, starts)
+            for key, version in zip(keys, newest.tolist()):
+                self.cache.adopt(key, version)
+        return len(keys)
 
     def drop_keys(self, keys) -> int:
         """Relinquish ownership: remove ``keys`` from every tier.

@@ -33,6 +33,7 @@ from repro.core.optimizers import PSOptimizer
 from repro.errors import FailoverError, NodeDeadError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
+from repro.pmem.space import EntryBlock
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 
 
@@ -313,13 +314,13 @@ class ReplicatedPSNode:
     def owned_keys(self) -> list[int]:
         return self.primary.owned_keys()
 
-    def export_entries(self, keys):
+    def export_entries(self, keys) -> EntryBlock:
         """Transfer reads come from the primary (replicas are bitwise
         identical, which :meth:`verify_replicas_identical` checks)."""
         self._check_alive()
         return self.primary.export_entries(keys)
 
-    def ingest_entries(self, entries) -> int:
+    def ingest_entries(self, block: EntryBlock) -> int:
         """Adopt migrated entries on primary AND backup.
 
         Mirroring the ingest keeps the replicas bitwise identical across
@@ -327,11 +328,11 @@ class ReplicatedPSNode:
         exactly the post-migration shard.
         """
         self._check_alive()
-        count = self.primary.ingest_entries(entries)
+        count = self.primary.ingest_entries(block)
         if self.backup is not None:
-            self.backup.ingest_entries(entries)
+            self.backup.ingest_entries(block)
         elif self._rebuilding:
-            self._rebuild_touched.update(key for key, __ in entries)
+            self._rebuild_touched.update(block.keys.tolist())
         return count
 
     def drop_keys(self, keys) -> int:
@@ -503,8 +504,7 @@ class ReplicatedPSNode:
         chunk = self._rebuild_pending[:max_keys]
         self._rebuild_pending = self._rebuild_pending[max_keys:]
         if chunk:
-            entries = self.primary.export_entries(chunk)
-            self._rebuild_target.ingest_entries(entries)
+            self._rebuild_target.ingest_entries(self.primary.export_entries(chunk))
             self.rebuild_report.keys_copied += len(chunk)
         return len(chunk)
 

@@ -5,9 +5,12 @@ Section V-C: the TensorFlow operators (``PullWeights`` /
 low-overhead RPC on RDMA. This package reproduces that boundary with
 real wire messages:
 
-* :mod:`repro.network.messages` — binary encode/decode of every
-  request/response (numpy payloads, fixed little-endian headers, CRC32
-  frame checksums);
+* :mod:`repro.network.messages` — the 14 message kinds, each a frozen
+  dataclass that declares its body once (a fixed little-endian header
+  whose slots are fields or array extents, then typed numpy arrays);
+  one generic encode / zero-copy decode pair, the type registry and the
+  tests' strategies derive from the declarations. Frames carry a CRC32
+  over the type byte, the optional trace context and the body;
 * :mod:`repro.network.rpc` — a channel that moves encoded bytes over
   the simulated link, charging transfer time, with retry + exponential
   backoff + per-call timeout budgets and wire-error discipline

@@ -51,6 +51,7 @@ from repro.network.messages import (
     PullRequest,
     PushRequest,
     RingUpdateRequest,
+    mirror,
 )
 from repro.network.rpc import RpcChannel
 from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService
@@ -302,12 +303,7 @@ class RemotePSClient(OpenEmbeddingServer):
             ),
             concurrent_flows=flows,
         )
-        return PullResult(
-            weights=response.weights,
-            hits=response.hits,
-            misses=response.misses,
-            created=response.created,
-        )
+        return mirror(PullResult, response)
 
     def _shard_lookup(
         self, index: int, keys, snapshot_id: int, replica: int | None, flows: int
@@ -331,12 +327,7 @@ class RemotePSClient(OpenEmbeddingServer):
             ),
             concurrent_flows=flows,
         )
-        return LookupResult(
-            weights=response.weights,
-            snapshot_id=response.snapshot_id,
-            hits=response.hits,
-            cold=response.cold,
-        )
+        return mirror(LookupResult, response)
 
     def _shard_maintain(self, index: int, batch_id: int) -> MaintainResult:
         """Trigger one shard's maintenance round; the round's counters
@@ -344,13 +335,7 @@ class RemotePSClient(OpenEmbeddingServer):
         response = self._ha_call(
             self.channels[index], MaintainRequest(batch_id=batch_id)
         )
-        return MaintainResult(
-            processed=response.processed,
-            loads=response.loads,
-            flushes=response.flushes,
-            evictions=response.evictions,
-            checkpoints_completed=response.checkpoints_completed,
-        )
+        return mirror(MaintainResult, response)
 
     def _shard_push(
         self, index: int, keys, grads, batch_id: int, worker_id, seq: int, flows: int

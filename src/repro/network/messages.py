@@ -1,17 +1,29 @@
 """Binary wire messages for the PS protocol.
 
-Every message is ``[1-byte type][4-byte LE body length][4-byte CRC32 of
-body][body]``; bodies pack fixed little-endian headers followed by raw
-numpy buffers, so the byte counts the simulator charges are the byte
-counts a real implementation would move. When the high bit of the type
-byte (:data:`CONTEXT_FLAG`) is set, a 17-byte :class:`TraceContext`
-prefix (``trace_id u64, parent_span_id u64, sampled u8``) sits between
-the header and the body and is covered by the CRC — see
-:func:`decode_envelope`. Context-free frames are unchanged, so old
-decoders and obs-off traffic are unaffected. The checksum makes in-flight
-corruption (see :class:`~repro.failure.network_faults.FaultyLink`)
-always detectable: a corrupt frame decodes to :class:`MessageError`,
-never to silently wrong weights.
+Every message is ``[1-byte type][4-byte LE body length][4-byte CRC32]
+[body]``; bodies pack fixed little-endian headers followed by raw numpy
+buffers, so the byte counts the simulator charges are the byte counts a
+real implementation would move. When the high bit of the type byte
+(:data:`CONTEXT_FLAG`) is set, a 17-byte :class:`TraceContext` prefix
+(``trace_id u64, parent_span_id u64, sampled u8``) sits between the
+header and the body — see :func:`decode_envelope`. The CRC covers the
+type byte as sent (flag bit included), the context and the body, so
+in-flight corruption (see
+:class:`~repro.failure.network_faults.FaultyLink`) is always
+detectable: a corrupt frame decodes to :class:`MessageError`, never to
+silently wrong weights or to another kind of message.
+
+**One statement per kind.** A message is a frozen dataclass that states
+its body once, in ``WIRE``, in the notation of the catalogue below:
+``name type`` header slots, then ``name type[extents]`` arrays whose
+extents name header slots. A slot that is not a dataclass field is an
+*extent*: encoding reads it off the arrays' shapes, decoding sizes the
+arrays with it. From that one declaration the generic
+:func:`encode_body` / :func:`decode_body` pair derives the
+single-buffer encode, the exact-length check (a truncated, trailing or
+extent-inconsistent body is a :class:`MessageError` naming the kind),
+the zero-copy decode views and the type registry; the tests derive
+their per-kind strategies from it too.
 
 Message catalogue:
 
@@ -19,27 +31,30 @@ Message catalogue:
 Message                 Type  Body
 ======================  ====  =======================================
 PullRequest             0x01  batch_id u64, worker_id i32, progress i64,
-                              nkeys u32, keys u64[n]
-PullResponse            0x02  batch_id u64, nkeys u32, dim u32,
+                              n u32, keys u64[n]
+PullResponse            0x02  batch_id u64, n u32, dim u32,
                               hits u32, misses u32, created u32,
-                              weights f32[n*dim]
+                              weights f32[n, dim]
 PushRequest             0x03  batch_id u64, worker_id u32, seq u64,
-                              nkeys u32, dim u32,
-                              keys u64[n], grads f32[n*dim]
+                              n u32, dim u32,
+                              keys u64[n], grads f32[n, dim]
 CheckpointRequest       0x04  batch_id i64
 StatusResponse          0x05  code u8, value i64, detail_len u16,
-                              detail utf-8[detail_len]
+                              detail utf8[detail_len]
 MaintainRequest         0x06  batch_id u64
 MaintainResponse        0x07  batch_id u64, processed u32, loads u32,
                               flushes u32, evictions u32,
                               checkpoints_completed u32
 MigrateRequest          0x08  op u8, source u32, seq u64, width u32,
-                              count u32, then keys u64[n] (EXPORT /
-                              DELETE) or the columnar entry block
-                              (PUT): keys u64[n], nversions u32[n],
-                              batch_ids i64[total], f32[total*width]
-MigrateResponse         0x09  width u32, count u32, columnar entry
-                              block (EXPORT reply)
+                              n u32, then keys u64[n] (EXPORT /
+                              DELETE) or the entry block (PUT):
+                              keys u64[n], nversions u32[n],
+                              batch_ids i64[total],
+                              rows f32[total, width]
+MigrateResponse         0x09  width u32, n u32, then the entry block
+                              (EXPORT reply): keys u64[n],
+                              nversions u32[n], batch_ids i64[total],
+                              rows f32[total, width]
 RingUpdateRequest       0x0A  requester u32 (reply: StatusResponse
                               whose value is the packed ring state)
 HeartbeatRequest        0x0B  node_id u32, requester u32 (reply:
@@ -49,10 +64,14 @@ PromoteRequest          0x0C  node_id u32, committed_epoch i64,
                               requester u32 (reply: StatusResponse,
                               value = latest batch after promotion)
 LookupRequest           0x0D  snapshot_id i64, replica u8, pad[3],
-                              nkeys u32, keys u64[n]
-LookupResponse          0x0E  snapshot_id i64, nkeys u32, dim u32,
-                              hits u32, cold u32, weights f32[n*dim]
+                              n u32, keys u64[n]
+LookupResponse          0x0E  snapshot_id i64, n u32, dim u32,
+                              hits u32, cold u32, weights f32[n, dim]
 ======================  ====  =======================================
+
+The entry block is an :class:`~repro.pmem.space.EntryBlock` — the
+columns a store exports are the arrays on the wire, with ``total =
+nversions.sum()`` and no ``rows`` when ``width`` is 0 (metadata-only).
 
 ``PushRequest``'s ``(worker_id, seq)`` header gives the server a dedup
 identity: a retried push (the client never learned whether its first
@@ -62,25 +81,31 @@ at-most-once gradient application under at-least-once delivery.
 ``seq == 0`` means "no dedup identity" (raw protocol users).
 
 Ownership contract (zero-copy decode): array fields of decoded
-messages — ``keys``, ``grads``, ``weights``, migration ``stored`` rows
-— are **read-only views into the received frame**, not fresh arrays.
-Decoding a frame costs one CRC pass and a few ``np.frombuffer`` view
-constructions, never a payload copy. Consumers that need to mutate (or
-outlive the frame) must copy explicitly; writing through a view raises
-``ValueError: assignment destination is read-only``, so a violation is
-loud, not silent. Bulk encoders likewise assemble the body in a single
-buffer with ``pack_into`` instead of concatenating per-field ``bytes``.
+messages — ``keys``, ``grads``, ``weights``, the columns of migration
+``entries`` — are **read-only views into the received frame**, not
+fresh arrays. Decoding a frame costs one CRC pass and a few
+``np.frombuffer`` view constructions, never a payload copy. Consumers
+that need to mutate (or outlive the frame) must copy explicitly; writing
+through a view raises ``ValueError: assignment destination is
+read-only``, so a violation is loud, not silent. Encoding likewise
+copies each payload byte once: the body is one ``join`` of the packed
+header and the arrays' own buffers, never per-field ``tobytes``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from repro.errors import ReproError
+from repro.pmem.space import NO_ENTRIES, EntryBlock
 
 _HEADER = struct.Struct("<BII")
 
@@ -92,8 +117,231 @@ class MessageError(ReproError):
     """Malformed or unexpected wire message."""
 
 
+# ----------------------------------------------------------------------
+# the schema: one declaration per kind, one codec for all of them
+# ----------------------------------------------------------------------
+
+_SLOT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i32": "i", "i64": "q"}
+_COLUMN_DTYPES = {"u32": "<u4", "u64": "<u8", "i64": "<i8", "f32": "<f4"}
+_ITEM = re.compile(r"(?:([\w.]+) )?(\w+)(?:\[([\w, ]+)\])?(\??)")
+
+
+class _Column(NamedTuple):
+    """One typed array of a body: ``name type[extents]``."""
+
+    #: Attribute path on the message: ``keys``, or ``entries.rows`` for
+    #: a column of the message's :class:`EntryBlock`.
+    name: str
+    get: Callable  # reads it off a message
+    dtype: np.dtype
+    shape: tuple[str, ...]  # its extents, by name
+    optional: bool  # ``?``: None on the message when its rows are 0 wide
+    sums_to: str | None  # the extent this column's sum defines
+
+
+class _Wire:
+    """One kind's body layout, compiled from its ``WIRE`` declaration.
+
+    Args:
+        body: the header slots, then the columns every body of the kind
+            has — or one ``name utf8[len]`` string, the kind's last
+            field, ``len`` being the last slot after the other fields in
+            field order (:class:`StatusResponse`'s detail).
+        switch: ``(slot, {value: columns})`` — further columns chosen
+            by one header field (:class:`MigrateRequest`'s ``op``).
+        sums: ``{column: extent}`` — an extent no header slot carries,
+            defined as a column's sum (``total = nversions.sum()``).
+    """
+
+    def __init__(self, body: str, switch=None, sums=None):
+        self.slot_types: dict[str, str] = {}
+        self.text: str | None = None
+        fmt = "<"
+        for name, kind, extents, __ in _ITEM.findall(body):
+            if kind == "pad":
+                fmt += "x" * int(extents)
+            elif kind == "utf8":
+                self.text = name
+            elif not extents:
+                fmt += _SLOT_CODES[kind]
+                self.slot_types[name] = kind
+        self.header = struct.Struct(fmt)
+        self.slots = tuple(self.slot_types)
+        #: The columns of a body, by the value of its switch slot (kinds
+        #: without one keep theirs under None).
+        self.switch, cases = switch or (None, {None: ""})
+        self.cases = {
+            value: _columns(f"{body}, {text}", sums or {})
+            for value, text in cases.items()
+        }
+
+    def bind(self, cls: type) -> None:
+        """Learn from the message class which slots are its fields."""
+        self.kind = cls.__name__
+        fields = tuple(cls.__annotations__)
+        self.field_slots = tuple(slot for slot in self.slots if slot in fields)
+        get = operator.attrgetter(*self.field_slots)
+        self.get_fields = get if len(self.field_slots) > 1 else lambda m: (get(m),)
+        #: Header-only kinds whose slots are the fields, in field order,
+        #: pack and unpack without the column walk.
+        self.fixed = self.slots == fields
+
+    def wrong_length(self, body, want: int) -> MessageError:
+        return MessageError(f"{self.kind} length {len(body)}, want {want}")
+
+    def columns_for(self, extents: dict) -> tuple[_Column, ...]:
+        """The columns of a body with these header values."""
+        selector = extents.get(self.switch)
+        if selector not in self.cases:
+            raise MessageError(f"unknown {self.kind} {self.switch} {selector}")
+        return self.cases[selector]
+
+
+def _columns(text: str, sums: dict[str, str]) -> tuple[_Column, ...]:
+    """The ``name type[extents]`` array items of a declaration."""
+    return tuple(
+        _Column(
+            name=name,
+            get=operator.attrgetter(name),
+            dtype=np.dtype(_COLUMN_DTYPES[kind]),
+            shape=tuple(extents.split(", ")),
+            optional=bool(optional),
+            sums_to=sums.get(name),
+        )
+        for name, kind, extents, optional in _ITEM.findall(text)
+        if kind in _COLUMN_DTYPES and extents
+    )
+
+
+def _bounded_utf8(text: str) -> bytes:
+    """``text`` as at most :data:`_MAX_DETAIL_BYTES` of valid UTF-8."""
+    data = text.encode("utf-8")
+    if len(data) > _MAX_DETAIL_BYTES:
+        # Truncate at a character boundary: a raw byte slice can cut
+        # a multibyte UTF-8 sequence in half, making the frame decode
+        # to U+FFFD garbage. ``errors="ignore"`` drops only the
+        # trailing partial sequence (the input is valid UTF-8).
+        data = (
+            data[:_MAX_DETAIL_BYTES].decode("utf-8", errors="ignore").encode("utf-8")
+        )
+    return data
+
+
+_MESSAGE_TYPES: dict[int, type] = {}
+
+
+class _Message:
+    """What every kind shares: the codec over its ``WIRE`` declaration."""
+
+    TYPE: ClassVar[int]
+    WIRE: ClassVar[_Wire]
+
+    def __init_subclass__(cls) -> None:
+        cls.WIRE.bind(cls)
+        _MESSAGE_TYPES[cls.TYPE] = cls
+
+    def encode_body(self) -> bytes:
+        """This message's body as ``WIRE`` lays it out, in one buffer."""
+        wire = self.WIRE
+        header = wire.header
+        if wire.fixed:
+            return header.pack(*wire.get_fields(self))
+        if wire.text:
+            text = _bounded_utf8(getattr(self, wire.text))
+            return header.pack(*wire.get_fields(self), len(text)) + text
+        extents = dict(zip(wire.field_slots, wire.get_fields(self)))
+        parts = [b""]  # the header's place, once the extents are known
+        for name, get, dtype, shape, optional, sums_to in wire.columns_for(extents):
+            value = get(self)
+            if value is None and optional:
+                # Absent (metadata-only rows) is how an empty column reads.
+                if math.prod(extents[extent] for extent in shape):
+                    raise MessageError(f"{wire.kind}.{name} is missing")
+                continue
+            array = np.ascontiguousarray(value, dtype=dtype)
+            if sums_to:
+                extents[sums_to] = int(array.sum())
+            # The first array to name an extent sets it; the rest must agree.
+            sizes = tuple(
+                extents.setdefault(extent, n) for extent, n in zip(shape, array.shape)
+            )
+            if array.shape != sizes or array.ndim != len(shape):
+                raise MessageError(
+                    f"{wire.kind}.{name} has shape {array.shape}, not "
+                    f"[{', '.join(shape)}] = {sizes}"
+                )
+            parts.append(array)
+        parts[0] = header.pack(*map(extents.__getitem__, wire.slots))
+        return b"".join(parts)
+
+    @classmethod
+    def decode_body(cls, body):
+        """Inverse of :meth:`encode_body`. Arrays of the result are
+        read-only views into ``body`` (the module's ownership contract).
+
+        Raises:
+            MessageError: the body is truncated, has trailing bytes or
+                its extents disagree with its length.
+        """
+        wire = cls.WIRE
+        header = wire.header
+        if wire.fixed:
+            if len(body) != header.size:
+                raise wire.wrong_length(body, header.size)
+            return cls(*header.unpack(body))
+        if len(body) < header.size:
+            raise MessageError(f"truncated {wire.kind}")
+        offset = header.size
+        if wire.text:
+            *fields, length = header.unpack_from(body)
+            if len(body) != offset + length:
+                raise wire.wrong_length(body, offset + length)
+            return cls(*fields, bytes(body[offset:]).decode("utf-8", errors="replace"))
+        extents = dict(zip(wire.slots, header.unpack_from(body)))
+        fields = {slot: extents[slot] for slot in wire.field_slots}
+        block = {}
+        for name, __, dtype, shape, optional, sums_to in wire.columns_for(extents):
+            shape = [extents[extent] for extent in shape]
+            count = math.prod(shape)
+            end = offset + count * dtype.itemsize
+            if end > len(body):
+                raise MessageError(f"truncated {wire.kind}.{name}")
+            value = np.frombuffer(body, dtype, count, offset)
+            offset = end
+            if sums_to:
+                extents[sums_to] = int(value.sum())
+            if optional and not shape[-1]:
+                value = None
+            elif len(shape) > 1:
+                value = value.reshape(shape)
+            group, __, leaf = name.rpartition(".")
+            (block if group else fields)[leaf] = value
+        if offset != len(body):
+            raise wire.wrong_length(body, offset)
+        if block:
+            fields["entries"] = EntryBlock(**block)
+        return cls(**fields)
+
+
+def mirror(cls: type, source, **fields):
+    """Build ``cls`` from ``source`` by the dataclass fields they share.
+
+    A reply message and the result it carries (``PullResponse`` /
+    ``PullResult``, ...) name their counters alike; either side is built
+    from the other with the rest given as ``fields``.
+    """
+    for name in cls.__dataclass_fields__.keys() & source.__dataclass_fields__.keys():
+        fields[name] = getattr(source, name)
+    return cls(**fields)
+
+
+# ----------------------------------------------------------------------
+# the 14 kinds
+# ----------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class PullRequest:
+class PullRequest(_Message):
     """Worker -> PS: fetch weights for ``keys`` at batch ``batch_id``.
 
     ``worker_id`` / ``progress`` identify the caller for the PS-side
@@ -108,46 +356,16 @@ class PullRequest:
     """
 
     TYPE = 0x01
+    WIRE = _Wire("batch_id u64, worker_id i32, progress i64, n u32, keys u64[n]")
 
     batch_id: int
     keys: np.ndarray  # u64[n]
-    worker_id: int = -1  # i32; -1 = anonymous (no admission tracking)
-    progress: int = -1  # i64; batches completed by the caller
-
-    _HEADER = "<QiqI"
-    _HEADER_LEN = struct.calcsize(_HEADER)  # 24, keeps keys 8-aligned
-
-    def encode_body(self) -> bytes:
-        keys = np.ascontiguousarray(self.keys, dtype="<u8")
-        body = bytearray(self._HEADER_LEN + keys.nbytes)
-        struct.pack_into(
-            self._HEADER, body, 0,
-            self.batch_id, self.worker_id, self.progress, len(keys),
-        )
-        body[self._HEADER_LEN:] = memoryview(keys).cast("B")
-        return body
-
-    @classmethod
-    def decode_body(cls, body) -> "PullRequest":
-        if len(body) < cls._HEADER_LEN:
-            raise MessageError("truncated PullRequest")
-        batch_id, worker_id, progress, nkeys = struct.unpack_from(
-            cls._HEADER, body
-        )
-        expected = cls._HEADER_LEN + 8 * nkeys
-        if len(body) != expected:
-            raise MessageError(f"PullRequest length {len(body)}, want {expected}")
-        # Read-only view into the frame (ownership contract above).
-        keys = np.frombuffer(
-            body, dtype="<u8", count=nkeys, offset=cls._HEADER_LEN
-        )
-        return cls(
-            batch_id=batch_id, keys=keys, worker_id=worker_id, progress=progress
-        )
+    worker_id: int = -1  # -1 = anonymous (no admission tracking)
+    progress: int = -1  # batches completed by the caller
 
 
 @dataclass(frozen=True)
-class PullResponse:
+class PullResponse(_Message):
     """PS -> worker: the requested weight rows plus cache statistics.
 
     The per-request ``hits`` / ``misses`` / ``created`` counters let the
@@ -156,43 +374,16 @@ class PullResponse:
     """
 
     TYPE = 0x02
+    WIRE = _Wire(
+        "batch_id u64, n u32, dim u32, hits u32, misses u32, created u32, "
+        "weights f32[n, dim]"
+    )
 
     batch_id: int
     weights: np.ndarray  # f32[n, dim]
     hits: int = 0
     misses: int = 0
     created: int = 0
-
-    def encode_body(self) -> bytes:
-        weights = np.ascontiguousarray(self.weights, dtype="<f4")
-        if weights.ndim != 2:
-            raise MessageError(f"weights must be 2-D, got shape {weights.shape}")
-        n, dim = weights.shape
-        body = bytearray(28 + weights.nbytes)
-        struct.pack_into(
-            "<QIIIII", body, 0, self.batch_id, n, dim,
-            self.hits, self.misses, self.created,
-        )
-        body[28:] = memoryview(weights).cast("B")
-        return body
-
-    @classmethod
-    def decode_body(cls, body) -> "PullResponse":
-        if len(body) < 28:
-            raise MessageError("truncated PullResponse")
-        batch_id, n, dim, hits, misses, created = struct.unpack_from("<QIIIII", body)
-        expected = 28 + 4 * n * dim
-        if len(body) != expected:
-            raise MessageError(f"PullResponse length {len(body)}, want {expected}")
-        # Read-only view into the frame (ownership contract above).
-        weights = np.frombuffer(body, dtype="<f4", count=n * dim, offset=28)
-        return cls(
-            batch_id=batch_id,
-            weights=weights.reshape(n, dim),
-            hits=hits,
-            misses=misses,
-            created=created,
-        )
 
 
 ANONYMOUS_SEQ_BASE = 1 << 63
@@ -204,7 +395,7 @@ worker that happens to carry the client's id."""
 
 
 @dataclass(frozen=True)
-class PushRequest:
+class PushRequest(_Message):
     """Worker -> PS: gradients for ``keys`` at batch ``batch_id``.
 
     ``(worker_id, seq)`` is the at-most-once dedup identity: retried
@@ -214,49 +405,16 @@ class PushRequest:
     """
 
     TYPE = 0x03
+    WIRE = _Wire(
+        "batch_id u64, worker_id u32, seq u64, n u32, dim u32, "
+        "keys u64[n], grads f32[n, dim]"
+    )
 
     batch_id: int
     keys: np.ndarray  # u64[n]
     grads: np.ndarray  # f32[n, dim]
     worker_id: int = 0
     seq: int = 0
-
-    def encode_body(self) -> bytes:
-        keys = np.ascontiguousarray(self.keys, dtype="<u8")
-        grads = np.ascontiguousarray(self.grads, dtype="<f4")
-        if grads.ndim != 2 or grads.shape[0] != len(keys):
-            raise MessageError(
-                f"grads shape {grads.shape} inconsistent with {len(keys)} keys"
-            )
-        n, dim = grads.shape
-        body = bytearray(28 + keys.nbytes + grads.nbytes)
-        struct.pack_into(
-            "<QIQII", body, 0, self.batch_id, self.worker_id, self.seq, n, dim
-        )
-        body[28 : 28 + keys.nbytes] = memoryview(keys).cast("B")
-        body[28 + keys.nbytes :] = memoryview(grads).cast("B")
-        return body
-
-    @classmethod
-    def decode_body(cls, body) -> "PushRequest":
-        if len(body) < 28:
-            raise MessageError("truncated PushRequest")
-        batch_id, worker_id, seq, n, dim = struct.unpack_from("<QIQII", body)
-        expected = 28 + 8 * n + 4 * n * dim
-        if len(body) != expected:
-            raise MessageError(f"PushRequest length {len(body)}, want {expected}")
-        # Read-only views into the frame (ownership contract above): the
-        # update path aggregates into fresh arrays and never writes back
-        # through these.
-        keys = np.frombuffer(body, dtype="<u8", count=n, offset=28)
-        grads = np.frombuffer(body, dtype="<f4", count=n * dim, offset=28 + 8 * n)
-        return cls(
-            batch_id=batch_id,
-            keys=keys,
-            grads=grads.reshape(n, dim),
-            worker_id=worker_id,
-            seq=seq,
-        )
 
     @property
     def dedup_key(self) -> tuple[int, int] | None:
@@ -267,7 +425,7 @@ class PushRequest:
 
 
 @dataclass(frozen=True)
-class CheckpointRequest:
+class CheckpointRequest(_Message):
     """Trainer -> PS: snapshot the state as of ``batch_id``.
 
     ``batch_id`` is signed on the wire so an untrained cluster's ``-1``
@@ -277,21 +435,13 @@ class CheckpointRequest:
     """
 
     TYPE = 0x04
+    WIRE = _Wire("batch_id i64")
 
     batch_id: int
 
-    def encode_body(self) -> bytes:
-        return struct.pack("<q", self.batch_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "CheckpointRequest":
-        if len(body) != 8:
-            raise MessageError(f"CheckpointRequest length {len(body)}, want 8")
-        return cls(batch_id=struct.unpack("<q", body)[0])
-
 
 @dataclass(frozen=True)
-class MaintainRequest:
+class MaintainRequest(_Message):
     """Worker -> PS: run the deferred maintenance round for a batch.
 
     In the paper's system the maintainer threads live inside the PS
@@ -303,21 +453,13 @@ class MaintainRequest:
     """
 
     TYPE = 0x06
+    WIRE = _Wire("batch_id u64")
 
     batch_id: int
 
-    def encode_body(self) -> bytes:
-        return struct.pack("<Q", self.batch_id)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "MaintainRequest":
-        if len(body) != 8:
-            raise MessageError(f"MaintainRequest length {len(body)}, want 8")
-        return cls(batch_id=struct.unpack("<Q", body)[0])
-
 
 @dataclass(frozen=True)
-class MaintainResponse:
+class MaintainResponse(_Message):
     """PS -> worker: the maintenance round's counters.
 
     Mirrors :class:`~repro.core.cache.MaintainResult`, so the remote
@@ -326,6 +468,10 @@ class MaintainResponse:
     """
 
     TYPE = 0x07
+    WIRE = _Wire(
+        "batch_id u64, processed u32, loads u32, flushes u32, evictions u32, "
+        "checkpoints_completed u32"
+    )
 
     batch_id: int
     processed: int = 0
@@ -334,36 +480,9 @@ class MaintainResponse:
     evictions: int = 0
     checkpoints_completed: int = 0
 
-    def encode_body(self) -> bytes:
-        return struct.pack(
-            "<QIIIII",
-            self.batch_id,
-            self.processed,
-            self.loads,
-            self.flushes,
-            self.evictions,
-            self.checkpoints_completed,
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "MaintainResponse":
-        if len(body) != 28:
-            raise MessageError(f"MaintainResponse length {len(body)}, want 28")
-        batch_id, processed, loads, flushes, evictions, completed = struct.unpack(
-            "<QIIIII", body
-        )
-        return cls(
-            batch_id=batch_id,
-            processed=processed,
-            loads=loads,
-            flushes=flushes,
-            evictions=evictions,
-            checkpoints_completed=completed,
-        )
-
 
 @dataclass(frozen=True)
-class StatusResponse:
+class StatusResponse(_Message):
     """PS -> caller: an ack carrying a status code, integer and detail.
 
     Non-``OK`` codes are the wire-error discipline: server-side
@@ -376,6 +495,7 @@ class StatusResponse:
     """
 
     TYPE = 0x05
+    WIRE = _Wire("code u8, value i64, detail_len u16, detail utf8[detail_len]")
 
     OK = 0
     ERR_INTERNAL = 1
@@ -398,31 +518,6 @@ class StatusResponse:
     value: int = 0
     detail: str = ""
 
-    def encode_body(self) -> bytes:
-        detail = self.detail.encode("utf-8")
-        if len(detail) > _MAX_DETAIL_BYTES:
-            # Truncate at a character boundary: a raw byte slice can cut
-            # a multibyte UTF-8 sequence in half, making the frame decode
-            # to U+FFFD garbage. ``errors="ignore"`` drops only the
-            # trailing partial sequence (the input is valid UTF-8).
-            detail = (
-                detail[:_MAX_DETAIL_BYTES]
-                .decode("utf-8", errors="ignore")
-                .encode("utf-8")
-            )
-        return struct.pack("<BqH", self.code, self.value, len(detail)) + detail
-
-    @classmethod
-    def decode_body(cls, body) -> "StatusResponse":
-        if len(body) < 11:
-            raise MessageError(f"StatusResponse length {len(body)}, want >= 11")
-        code, value, detail_len = struct.unpack_from("<BqH", body)
-        expected = 11 + detail_len
-        if len(body) != expected:
-            raise MessageError(f"StatusResponse length {len(body)}, want {expected}")
-        detail = bytes(body[11:]).decode("utf-8", errors="replace")
-        return cls(code=code, value=value, detail=detail)
-
     @property
     def ok(self) -> bool:
         return self.code == self.OK
@@ -433,85 +528,19 @@ class StatusResponse:
         return self.code == self.ERR_MESSAGE
 
 
-def _encode_entries(entries, width: int) -> bytes:
-    """Pack ``[(key, [(batch_id, stored), ...]), ...]`` (migration payload).
+_ENTRY_COLUMNS = (
+    "entries.keys u64[n], entries.nversions u32[n], "
+    "entries.batch_ids i64[total], entries.rows f32[total, width]?"
+)
+"""An :class:`~repro.pmem.space.EntryBlock` on the wire: its four
+columns as they are. ``rows`` is absent (``?``) when ``width`` is 0."""
 
-    Columnar layout: ``keys u64[count]``, ``nversions u32[count]``,
-    ``batch_ids i64[total]``, ``payload f32[total * width]`` — four raw
-    buffers instead of per-key-per-version struct packing, so encoding
-    a large transfer is four ``tobytes`` calls, not thousands.
-
-    ``width`` is the float count of each stored array (weights +
-    optimizer state); ``0`` means metadata-only (no payload floats).
-    """
-    count = len(entries)
-    keys = np.empty(count, dtype="<u8")
-    nversions = np.empty(count, dtype="<u4")
-    batch_ids: list[int] = []
-    payloads: list[np.ndarray] = []
-    for i, (key, versions) in enumerate(entries):
-        keys[i] = int(key)
-        nversions[i] = len(versions)
-        for batch_id, stored in versions:
-            batch_ids.append(int(batch_id))
-            if width:
-                arr = np.ascontiguousarray(stored, dtype="<f4")
-                if arr.shape != (width,):
-                    raise MessageError(
-                        f"stored entry shape {arr.shape}, want ({width},)"
-                    )
-                payloads.append(arr)
-    parts = [
-        keys.tobytes(),
-        nversions.tobytes(),
-        np.asarray(batch_ids, dtype="<i8").tobytes(),
-    ]
-    if payloads:
-        parts.append(np.concatenate(payloads).tobytes())
-    return b"".join(parts)
-
-
-def _decode_entries(body, offset: int, count: int, width: int):
-    """Inverse of :func:`_encode_entries`; returns ``(entries, offset)``.
-
-    Decoded ``stored`` rows are read-only views into the frame's payload
-    block (ownership contract in the module docstring); the PMem pool
-    copies on write, so ingesting them is safe without a decode copy.
-    """
-    if len(body) < offset + 12 * count:
-        raise MessageError("truncated migration entry table")
-    keys = np.frombuffer(body, dtype="<u8", count=count, offset=offset)
-    offset += 8 * count
-    nversions = np.frombuffer(body, dtype="<u4", count=count, offset=offset)
-    offset += 4 * count
-    total = int(nversions.sum())
-    if len(body) < offset + 8 * total:
-        raise MessageError("truncated migration batch ids")
-    batch_ids = np.frombuffer(body, dtype="<i8", count=total, offset=offset)
-    offset += 8 * total
-    payload = None
-    if width:
-        if len(body) < offset + 4 * total * width:
-            raise MessageError("truncated migration payload")
-        payload = np.frombuffer(
-            body, dtype="<f4", count=total * width, offset=offset
-        ).reshape(total, width)
-        offset += 4 * total * width
-    entries = []
-    pos = 0
-    for i in range(count):
-        n = int(nversions[i])
-        versions = [
-            (int(batch_ids[j]), payload[j] if width else None)
-            for j in range(pos, pos + n)
-        ]
-        pos += n
-        entries.append((int(keys[i]), versions))
-    return entries, offset
+_ENTRY_TOTAL = {"entries.nversions": "total"}
+_KEYS = "keys u64[n]"
 
 
 @dataclass(frozen=True)
-class MigrateRequest:
+class MigrateRequest(_Message):
     """Coordinator -> PS: one step of a live shard migration.
 
     Three ops share the frame:
@@ -536,54 +565,18 @@ class MigrateRequest:
     OP_PUT = 1
     OP_DELETE = 2
 
+    WIRE = _Wire(
+        "op u8, source u32, seq u64, width u32, n u32",
+        switch=("op", {OP_EXPORT: _KEYS, OP_PUT: _ENTRY_COLUMNS, OP_DELETE: _KEYS}),
+        sums=_ENTRY_TOTAL,
+    )
+
     op: int
     source: int = 0
     seq: int = 0
     width: int = 0
-    keys: tuple = ()
-    entries: tuple = ()
-
-    def encode_body(self) -> bytes:
-        if self.op == self.OP_PUT:
-            count = len(self.entries)
-            payload = _encode_entries(self.entries, self.width)
-        elif self.op in (self.OP_EXPORT, self.OP_DELETE):
-            count = len(self.keys)
-            keys = np.ascontiguousarray(np.asarray(self.keys, dtype="<u8"))
-            payload = keys.tobytes()
-        else:
-            raise MessageError(f"unknown migrate op {self.op}")
-        return (
-            struct.pack("<BIQII", self.op, self.source, self.seq, self.width, count)
-            + payload
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "MigrateRequest":
-        if len(body) < 21:
-            raise MessageError("truncated MigrateRequest")
-        op, source, seq, width, count = struct.unpack_from("<BIQII", body)
-        offset = 21
-        if op == cls.OP_PUT:
-            entries, offset = _decode_entries(body, offset, count, width)
-            if offset != len(body):
-                raise MessageError("trailing bytes in MigrateRequest")
-            return cls(
-                op=op, source=source, seq=seq, width=width,
-                entries=tuple(entries),
-            )
-        if op in (cls.OP_EXPORT, cls.OP_DELETE):
-            expected = offset + 8 * count
-            if len(body) != expected:
-                raise MessageError(
-                    f"MigrateRequest length {len(body)}, want {expected}"
-                )
-            keys = np.frombuffer(body, dtype="<u8", count=count, offset=offset)
-            return cls(
-                op=op, source=source, seq=seq, width=width,
-                keys=tuple(int(k) for k in keys),
-            )
-        raise MessageError(f"unknown migrate op {op}")
+    keys: np.ndarray = ()  # u64[n] (EXPORT / DELETE)
+    entries: EntryBlock = NO_ENTRIES  # (PUT)
 
     @property
     def dedup_key(self) -> tuple[int, int] | None:
@@ -594,33 +587,18 @@ class MigrateRequest:
 
 
 @dataclass(frozen=True)
-class MigrateResponse:
+class MigrateResponse(_Message):
     """PS -> coordinator: the exported entries (``OP_EXPORT`` reply)."""
 
     TYPE = 0x09
+    WIRE = _Wire("width u32, n u32, " + _ENTRY_COLUMNS, sums=_ENTRY_TOTAL)
 
     width: int = 0
-    entries: tuple = ()
-
-    def encode_body(self) -> bytes:
-        return (
-            struct.pack("<II", self.width, len(self.entries))
-            + _encode_entries(self.entries, self.width)
-        )
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "MigrateResponse":
-        if len(body) < 8:
-            raise MessageError("truncated MigrateResponse")
-        width, count = struct.unpack_from("<II", body)
-        entries, offset = _decode_entries(body, 8, count, width)
-        if offset != len(body):
-            raise MessageError("trailing bytes in MigrateResponse")
-        return cls(width=width, entries=tuple(entries))
+    entries: EntryBlock = NO_ENTRIES
 
 
 @dataclass(frozen=True)
-class HeartbeatRequest:
+class HeartbeatRequest(_Message):
     """Detector -> PS: prove you are alive.
 
     The reply is a :class:`StatusResponse` whose ``value`` is the
@@ -633,23 +611,14 @@ class HeartbeatRequest:
     """
 
     TYPE = 0x0B
+    WIRE = _Wire("node_id u32, requester u32")
 
     node_id: int
     requester: int = 0
 
-    def encode_body(self) -> bytes:
-        return struct.pack("<II", self.node_id, self.requester)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "HeartbeatRequest":
-        if len(body) != 8:
-            raise MessageError(f"HeartbeatRequest length {len(body)}, want 8")
-        node_id, requester = struct.unpack("<II", body)
-        return cls(node_id=node_id, requester=requester)
-
 
 @dataclass(frozen=True)
-class PromoteRequest:
+class PromoteRequest(_Message):
     """Detector -> PS: promote the backup replica to primary.
 
     Carries the coordinator's ``committed_epoch`` (the durable ring
@@ -666,26 +635,15 @@ class PromoteRequest:
     """
 
     TYPE = 0x0C
+    WIRE = _Wire("node_id u32, committed_epoch i64, requester u32")
 
     node_id: int
     committed_epoch: int = 0
     requester: int = 0
 
-    def encode_body(self) -> bytes:
-        return struct.pack("<IqI", self.node_id, self.committed_epoch, self.requester)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "PromoteRequest":
-        if len(body) != 16:
-            raise MessageError(f"PromoteRequest length {len(body)}, want 16")
-        node_id, committed_epoch, requester = struct.unpack("<IqI", body)
-        return cls(
-            node_id=node_id, committed_epoch=committed_epoch, requester=requester
-        )
-
 
 @dataclass(frozen=True)
-class RingUpdateRequest:
+class RingUpdateRequest(_Message):
     """Worker -> coordinator PS: fetch the committed ring state.
 
     The reply is a :class:`StatusResponse` whose ``value`` carries the
@@ -695,21 +653,13 @@ class RingUpdateRequest:
     """
 
     TYPE = 0x0A
+    WIRE = _Wire("requester u32")
 
     requester: int = 0
 
-    def encode_body(self) -> bytes:
-        return struct.pack("<I", self.requester)
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "RingUpdateRequest":
-        if len(body) != 4:
-            raise MessageError(f"RingUpdateRequest length {len(body)}, want 4")
-        return cls(requester=struct.unpack("<I", body)[0])
-
 
 @dataclass(frozen=True)
-class LookupRequest:
+class LookupRequest(_Message):
     """Serving client -> PS: snapshot-pinned batched read (inference).
 
     ``snapshot_id`` is the Checkpointed Batch ID the read is pinned to
@@ -722,35 +672,15 @@ class LookupRequest:
     """
 
     TYPE = 0x0D
+    WIRE = _Wire("snapshot_id i64, replica u8, pad[3], n u32, keys u64[n]")
 
     snapshot_id: int
     keys: np.ndarray  # u64[n]
     replica: int = 0
 
-    def encode_body(self) -> bytes:
-        keys = np.ascontiguousarray(self.keys, dtype="<u8")
-        body = bytearray(16 + keys.nbytes)
-        struct.pack_into(
-            "<qBxxxI", body, 0, self.snapshot_id, self.replica, len(keys)
-        )
-        body[16:] = memoryview(keys).cast("B")
-        return body
-
-    @classmethod
-    def decode_body(cls, body) -> "LookupRequest":
-        if len(body) < 16:
-            raise MessageError("truncated LookupRequest")
-        snapshot_id, replica, nkeys = struct.unpack_from("<qBxxxI", body)
-        expected = 16 + 8 * nkeys
-        if len(body) != expected:
-            raise MessageError(f"LookupRequest length {len(body)}, want {expected}")
-        # Read-only view into the frame (ownership contract above).
-        keys = np.frombuffer(body, dtype="<u8", count=nkeys, offset=16)
-        return cls(snapshot_id=snapshot_id, keys=keys, replica=replica)
-
 
 @dataclass(frozen=True)
-class LookupResponse:
+class LookupResponse(_Message):
     """PS -> serving client: the snapshot-pinned weight rows.
 
     ``snapshot_id`` echoes the pin the shard actually served (resolving
@@ -760,75 +690,27 @@ class LookupResponse:
     """
 
     TYPE = 0x0E
+    WIRE = _Wire(
+        "snapshot_id i64, n u32, dim u32, hits u32, cold u32, weights f32[n, dim]"
+    )
 
     snapshot_id: int
     weights: np.ndarray  # f32[n, dim]
     hits: int = 0
     cold: int = 0
 
-    def encode_body(self) -> bytes:
-        weights = np.ascontiguousarray(self.weights, dtype="<f4")
-        if weights.ndim != 2:
-            raise MessageError(f"weights must be 2-D, got shape {weights.shape}")
-        n, dim = weights.shape
-        body = bytearray(24 + weights.nbytes)
-        struct.pack_into(
-            "<qIIII", body, 0, self.snapshot_id, n, dim, self.hits, self.cold
-        )
-        body[24:] = memoryview(weights).cast("B")
-        return body
-
-    @classmethod
-    def decode_body(cls, body) -> "LookupResponse":
-        if len(body) < 24:
-            raise MessageError("truncated LookupResponse")
-        snapshot_id, n, dim, hits, cold = struct.unpack_from("<qIIII", body)
-        expected = 24 + 4 * n * dim
-        if len(body) != expected:
-            raise MessageError(f"LookupResponse length {len(body)}, want {expected}")
-        # Read-only view into the frame (ownership contract above).
-        weights = np.frombuffer(body, dtype="<f4", count=n * dim, offset=24)
-        return cls(
-            snapshot_id=snapshot_id,
-            weights=weights.reshape(n, dim),
-            hits=hits,
-            cold=cold,
-        )
-
-
-_MESSAGE_TYPES = {
-    cls.TYPE: cls
-    for cls in (
-        PullRequest,
-        PullResponse,
-        PushRequest,
-        CheckpointRequest,
-        StatusResponse,
-        MaintainRequest,
-        MaintainResponse,
-        MigrateRequest,
-        MigrateResponse,
-        RingUpdateRequest,
-        HeartbeatRequest,
-        PromoteRequest,
-        LookupRequest,
-        LookupResponse,
-    )
-}
-
 
 CONTEXT_FLAG = 0x80
 """High bit of the type byte: frame carries a trace context prefix.
 
 Context-bearing frames are ``[type|0x80][4-byte LE length of
-ctx+body][4-byte CRC32 of ctx+body][17-byte ctx][body]`` where ctx is
-``trace_id u64, parent_span_id u64, sampled u8``. The CRC covers the
-context bytes, so a context corrupted in flight surfaces as
-:class:`MessageError` (retryable) rather than a mis-parented span.
-Frames without the flag are the original layout byte for byte — old
-frames decode with ``context=None``, and senders only attach a context
-when tracing is enabled, so obs-off wire traffic is bit-identical to
-the pre-context protocol.
+ctx+body][4-byte CRC32][17-byte ctx][body]`` where ctx is ``trace_id
+u64, parent_span_id u64, sampled u8``. The CRC covers the flagged type
+byte and the context bytes, so a flag or context corrupted in flight
+surfaces as :class:`MessageError` (retryable) rather than a mis-parented
+span. Senders only attach a context when tracing is enabled, so obs-off
+wire traffic carries no flag and no prefix: a context costs exactly its
+17 bytes, and a frame without one decodes with ``context=None``.
 """
 
 _CONTEXT = struct.Struct("<QQB")
@@ -853,24 +735,28 @@ class TraceContext:
     def unpack(cls, raw) -> "TraceContext":
         trace_id, parent_span_id, sampled = _CONTEXT.unpack(raw)
         if sampled > 1:
-            # Encoders only ever write 0 or 1. Anything else means the
-            # CONTEXT_FLAG bit was set by corruption (the type byte is
-            # outside the CRC) and these 17 bytes are really body data.
+            # Encoders only ever write 0 or 1; anything else did not come
+            # from one (outside input is checked, checksum or not).
             raise MessageError(
                 f"trace context sampled byte 0x{sampled:02x} is not a flag"
             )
         return cls(trace_id, parent_span_id, bool(sampled))
 
 
+_TYPE_CRC = tuple(zlib.crc32(bytes([type_byte])) for type_byte in range(256))
+"""CRC32 of each possible type byte: where a frame's payload checksum
+starts, so the type byte as sent (flag bit included) is covered with no
+second pass over the payload. Without it a one-bit flip of byte 0
+decodes clean as another kind of the same body size."""
+
+
 def encode_frame(msg_type: int, body, context: TraceContext | None = None) -> bytes:
     """Frame an already-encoded body (lets retry loops reuse one body)."""
-    if context is None:
-        return _HEADER.pack(msg_type, len(body), zlib.crc32(body)) + body
-    payload = context.pack() + body
-    return (
-        _HEADER.pack(msg_type | CONTEXT_FLAG, len(payload), zlib.crc32(payload))
-        + payload
-    )
+    if context is not None:
+        msg_type |= CONTEXT_FLAG
+        body = context.pack() + body
+    crc = zlib.crc32(body, _TYPE_CRC[msg_type])
+    return _HEADER.pack(msg_type, len(body), crc) + body
 
 
 def encode_message(message, context: TraceContext | None = None) -> bytes:
@@ -882,10 +768,9 @@ def decode_envelope(data: bytes):
     """Decode one framed message plus its optional trace context.
 
     Returns ``(message, context)`` where ``context`` is ``None`` for
-    frames without the :data:`CONTEXT_FLAG` bit (all pre-context
-    senders, and context-free senders today).
+    frames without the :data:`CONTEXT_FLAG` bit.
 
-    The body is handed to the per-message decoder as a ``memoryview``:
+    The body is handed to the kind's ``decode_body`` as a ``memoryview``:
     no slice copy, and array fields of the result are read-only views
     into ``data`` (the ownership contract in the module docstring).
 
@@ -899,7 +784,7 @@ def decode_envelope(data: bytes):
     payload = memoryview(data)[_HEADER.size :]
     if len(payload) != length:
         raise MessageError(f"frame body {len(payload)} bytes, header says {length}")
-    if zlib.crc32(payload) != crc:
+    if zlib.crc32(payload, _TYPE_CRC[msg_type]) != crc:
         raise MessageError(
             f"frame checksum mismatch (type 0x{msg_type:02x}, {length} bytes)"
         )

@@ -37,6 +37,7 @@ from repro.network.messages import (
     PushRequest,
     RingUpdateRequest,
     StatusResponse,
+    mirror,
 )
 from repro.network.rpc import RpcServer, Unresponsive
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -211,13 +212,7 @@ class PSNodeService:
             if result.weights is None:
                 raise ServerError("remote pull requires a value-mode node")
             span.set(hits=result.hits, misses=result.misses, created=result.created)
-            return PullResponse(
-                batch_id=request.batch_id,
-                weights=result.weights,
-                hits=result.hits,
-                misses=result.misses,
-                created=result.created,
-            )
+            return mirror(PullResponse, result, batch_id=request.batch_id)
 
     def _handle_lookup(self, request: LookupRequest) -> LookupResponse:
         """Serve a snapshot-pinned batched read (the inference path).
@@ -247,12 +242,7 @@ class PSNodeService:
             span.set(
                 snapshot=result.snapshot_id, hits=result.hits, cold=result.cold
             )
-            return LookupResponse(
-                snapshot_id=result.snapshot_id,
-                weights=result.weights,
-                hits=result.hits,
-                cold=result.cold,
-            )
+            return mirror(LookupResponse, result)
 
     def _handle_push(self, request: PushRequest) -> StatusResponse:
         self._check_alive()
@@ -322,15 +312,7 @@ class PSNodeService:
                 if cached is not None:
                     return cached
         return self._maintain_replies.remember(
-            batch_id,
-            MaintainResponse(
-                batch_id=batch_id,
-                processed=result.processed,
-                loads=result.loads,
-                flushes=result.flushes,
-                evictions=result.evictions,
-                checkpoints_completed=result.checkpoints_completed,
-            ),
+            batch_id, mirror(MaintainResponse, result, batch_id=batch_id)
         )
 
     def _handle_migrate(self, request: MigrateRequest):
@@ -349,26 +331,21 @@ class PSNodeService:
             "ps.migrate", track="migration", node=self.node.node_id, op=request.op
         ) as span:
             if request.op == MigrateRequest.OP_EXPORT:
-                entries = self.node.export_entries(list(request.keys))
+                block = self.node.export_entries(request.keys)
                 width = (
                     0 if self.node.metadata_only
                     else self.node.store.entry_bytes // 4
                 )
-                span.set(keys=len(entries))
-                return MigrateResponse(
-                    width=width,
-                    entries=tuple((k, tuple(v)) for k, v in entries),
-                )
+                span.set(keys=len(block))
+                return MigrateResponse(width=width, entries=block)
             dedup_key = request.dedup_key
             cached = self._replayed(self._migrate_replies, dedup_key, span)
             if cached is not None:
                 return cached
             if request.op == MigrateRequest.OP_PUT:
-                count = self.node.ingest_entries(
-                    [(k, list(v)) for k, v in request.entries]
-                )
+                count = self.node.ingest_entries(request.entries)
             elif request.op == MigrateRequest.OP_DELETE:
-                count = self.node.drop_keys(list(request.keys))
+                count = self.node.drop_keys(request.keys.tolist())
             else:
                 raise ServerError(f"unknown migrate op {request.op}")
             span.set(keys=count)

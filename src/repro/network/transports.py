@@ -16,6 +16,8 @@ from repro.core.sharding import RING_STATE_FIELD, unpack_ring_state
 from repro.errors import PoolClosedError, RpcTimeoutError
 from repro.network.messages import HeartbeatRequest, MigrateRequest, PromoteRequest
 from repro.network.rpc import RpcChannel
+from repro.pmem.space import NO_ENTRIES, EntryBlock
+
 
 class RpcMigrationTransport:
     """Move migration payloads through framed RPCs with retry + dedup.
@@ -34,33 +36,24 @@ class RpcMigrationTransport:
     def provision(self, node_id: int, server_config):
         return self.client.provision_node(node_id, server_config)
 
-    def export(self, node, keys):
+    def export(self, node, keys) -> EntryBlock:
         if not keys:
-            return []
-        response = self._send(
-            node,
-            MigrateRequest.OP_EXPORT,
-            width=self._width(node),
-            keys=tuple(int(k) for k in keys),
-        )
-        return [(key, list(versions)) for key, versions in response.entries]
+            return NO_ENTRIES
+        return self._send(
+            node, MigrateRequest.OP_EXPORT, width=self._width(node), keys=keys
+        ).entries
 
-    def put(self, node, entries) -> int:
-        if not entries:
+    def put(self, node, block: EntryBlock) -> int:
+        if not len(block):
             return 0
         return self._send(
-            node,
-            MigrateRequest.OP_PUT,
-            width=self._width(node),
-            entries=tuple((k, tuple(v)) for k, v in entries),
+            node, MigrateRequest.OP_PUT, width=self._width(node), entries=block
         ).value
 
     def delete(self, node, keys) -> int:
         if not keys:
             return 0
-        return self._send(
-            node, MigrateRequest.OP_DELETE, keys=tuple(int(k) for k in keys)
-        ).value
+        return self._send(node, MigrateRequest.OP_DELETE, keys=keys).value
 
     def _width(self, node) -> int:
         return 0 if node.metadata_only else node.store.entry_bytes // 4

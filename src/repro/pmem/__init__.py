@@ -12,7 +12,8 @@ the equivalents the PS core needs:
   Section V-C: it keeps the entry version belonging to the latest
   successful checkpoint from being overwritten by newer flushes, and
   recycles superseded versions once a newer checkpoint completes. It
-  moves rows a block at a time.
+  moves rows a block at a time, and whole keys between stores as an
+  :class:`~repro.pmem.space.EntryBlock`.
 
 Durability model: a write is durable once flushed (the default). Writes
 staged with ``flush=False`` live in the simulated CPU cache and are lost
@@ -20,6 +21,6 @@ on :meth:`~repro.pmem.pool.PmemPool.crash`.
 """
 
 from repro.pmem.pool import EntrySlab, PmemPool, PoolRoot
-from repro.pmem.space import VersionedEntryStore
+from repro.pmem.space import EntryBlock, VersionedEntryStore
 
-__all__ = ["PmemPool", "PoolRoot", "EntrySlab", "VersionedEntryStore"]
+__all__ = ["PmemPool", "PoolRoot", "EntrySlab", "EntryBlock", "VersionedEntryStore"]

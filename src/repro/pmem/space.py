@@ -25,12 +25,16 @@ batch id. The store adds a volatile version index over the slots —
 same key's next-older version — and speaks **blocks**: :meth:`put`,
 :meth:`read_latest` and :meth:`read_at_most` take a sequence of keys and
 cost one slab scatter or gather plus one index update, not a Python call
-chain per row.
+chain per row. Whole keys change stores as an :class:`EntryBlock`:
+:meth:`export` gathers every retained version of some keys into four
+columns and :meth:`ingest` scatters such a block in, which is all that
+migration, replica rebuild and the wire ever see of an entry.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +51,32 @@ NO_CHECKPOINT = -1
 NO_VERSION = -1
 """What :meth:`VersionedEntryStore.read_at_most` reports for a key with
 no version at or below its barrier (batch ids are non-negative)."""
+
+
+@dataclass(frozen=True, eq=False)
+class EntryBlock:
+    """Every retained version of some keys, as four columns.
+
+    The one format entries move in — store to store within a process,
+    between replicas, or over the wire, where these columns *are* the
+    arrays of a ``MigrateRequest(OP_PUT)`` / ``MigrateResponse`` body.
+    ``keys[i]`` owns the next ``nversions[i]`` positions of
+    ``batch_ids`` and ``rows``.
+    """
+
+    keys: np.ndarray  # u64[n]
+    nversions: np.ndarray  # u32[n]
+    batch_ids: np.ndarray  # i64[total], total = nversions.sum()
+    rows: np.ndarray | None  # f32[total, width]; None = metadata-only
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+NO_ENTRIES = EntryBlock(
+    np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty(0, np.int64), None
+)
+"""The block of no keys (what exporting nothing returns)."""
 
 
 class VersionedEntryStore:
@@ -94,7 +124,7 @@ class VersionedEntryStore:
         """
         self._write(keys, versions, rows, prune=True)
 
-    def ingest(self, keys: Sequence[int], versions, rows: np.ndarray | None) -> None:
+    def ingest(self, block: EntryBlock) -> None:
         """:meth:`put` a block copied from another shard, WITHOUT pruning.
 
         Migration (``repro.core.migration``) transfers every retained
@@ -103,7 +133,8 @@ class VersionedEntryStore:
         the new owner can recover to exactly the same checkpoints the
         old owner could.
         """
-        self._write(keys, versions, rows, prune=False)
+        keys = np.repeat(block.keys, block.nversions)
+        self._write(keys, block.batch_ids, block.rows, prune=False)
 
     def set_retention_barriers(self, barriers: tuple[int, ...]) -> None:
         """Declare which checkpoint batch ids must stay recoverable.
@@ -195,6 +226,20 @@ class VersionedEntryStore:
             rows = np.zeros((n, self.slab.width), dtype=np.float32)
             rows[found] = stored
         return np.where(found, batch[slots], NO_VERSION), rows
+
+    def export(self, keys: Sequence[int]) -> EntryBlock:
+        """Every stored version of ``keys``, oldest first within a key —
+        the block :meth:`ingest` takes. A key with no version stays in
+        the block with ``nversions`` 0."""
+        keys = _key_list(keys)
+        chains = [self._chain(key)[::-1] for key in keys]
+        slots = np.fromiter(chain.from_iterable(chains), np.intp)
+        return EntryBlock(
+            keys=np.asarray(keys, dtype=np.uint64),
+            nversions=np.fromiter(map(len, chains), np.uint32, len(keys)),
+            batch_ids=self.slab.batch[slots],
+            rows=self.slab.read(slots),
+        )
 
     def keys(self) -> list[int]:
         """All keys with at least one stored version."""

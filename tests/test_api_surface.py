@@ -49,7 +49,6 @@ class TestPSBackendProtocol:
         import numpy as np
 
         from repro.baselines.dram_ps import DRAMPSNode
-        from repro.baselines.ori_cache import OriCacheNode
         from repro.baselines.pmem_hash import PMemHashNode
         from repro.config import CacheConfig, ServerConfig
         from repro.core.server import OpenEmbeddingServer
@@ -65,9 +64,6 @@ class TestPSBackendProtocol:
             RemotePSClient(sc, cc),
             DRAMPSNode(sc),
             PMemHashNode(sc),
-            OriCacheNode(
-                0, sc, CacheConfig(capacity_bytes=1 << 18, pipelined=False)
-            ),
         ]
 
     def test_isinstance_and_check(self):

@@ -1,14 +1,9 @@
-"""Baseline systems: DRAM-PS, Ori-Cache, PMem-Hash, TensorFlow PS."""
+"""Baseline systems: DRAM-PS, PMem-Hash, TensorFlow PS."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    DRAMPSNode,
-    OriCacheNode,
-    PMemHashNode,
-    TensorFlowPS,
-)
+from repro.baselines import DRAMPSNode, PMemHashNode, TensorFlowPS
 from repro.config import CacheConfig, ServerConfig
 from repro.core.ps_node import PSNode
 from repro.errors import ConfigError, KeyNotFoundError, RecoveryError
@@ -96,51 +91,6 @@ class TestDRAMPS:
         node.pull([1, 2], 0)
         with pytest.raises(MemoryError):
             node.pull([3], 0)
-
-
-class TestOriCache:
-    def test_functionally_equivalent_to_pmem_oe(self):
-        """Same LRU policy, same weights — the paper's same-miss-rate
-        observation, strengthened to bitwise equality."""
-        cache_config = CacheConfig(capacity_bytes=3 * DIM * 4)
-        ori = OriCacheNode(0, server_config(seed=2), cache_config)
-        oe = PSNode(0, server_config(seed=2), cache_config)
-        stream = [[1, 2, 3], [4, 5], [1, 4], [6, 7, 1], [2]]
-        for batch, keys in enumerate(stream):
-            r_ori = ori.pull(keys, batch)
-            r_oe = oe.pull(keys, batch)
-            oe.maintain(batch)
-            assert (r_ori.hits, r_ori.misses) == (r_oe.hits, r_oe.misses)
-            ori.push(keys, grads(len(keys), 0.3), batch)
-            oe.push(keys, grads(len(keys), 0.3), batch)
-        assert ori.metrics.cache.miss_rate == oe.metrics.cache.miss_rate
-        for key in range(1, 8):
-            assert np.array_equal(ori.read_weights(key), oe.read_weights(key))
-
-    def test_maintenance_is_inline(self):
-        ori = OriCacheNode(0, server_config(), CacheConfig(capacity_bytes=1 << 16))
-        ori.pull([1, 2], 0)
-        assert ori.cache.cached_entries == 2  # already in LRU, no defer
-        assert len(ori.cache.access_queue) == 0
-
-    def test_incremental_checkpoint_roundtrip(self):
-        cache_config = CacheConfig(capacity_bytes=2 * DIM * 4)
-        ori = OriCacheNode(0, server_config(), cache_config)
-        keys = [1, 2, 3, 4]
-        ori.pull(keys, 0)
-        ori.push(keys, grads(4), 0)
-        ori.checkpoint()
-        snapshot = ori.state_snapshot()
-        ori.pull(keys, 1)
-        ori.push(keys, grads(4), 1)
-        ckpt_pool = ori.crash()
-        recovered, batch_id = OriCacheNode.recover(
-            ckpt_pool, server_config(), cache_config
-        )
-        assert batch_id == 0
-        restored = recovered.state_snapshot()
-        for key, weights in snapshot.items():
-            assert np.array_equal(restored[key], weights)
 
 
 class TestPMemHash:

@@ -1,0 +1,49 @@
+"""scripts/code_lines.py: the code-line count simplicity PRs quote."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
+code_lines = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(code_lines)
+
+FIXTURE = '''"""Module docstring,
+two lines."""
+
+import os  # a trailing comment does not uncount the line
+
+# a comment-only line
+LIMIT = 3
+"""Attribute doc: a bare string statement."""
+
+
+def f(x):
+    """Docstring."""
+    text = """a string that is
+    # data, not a comment"""
+    return (
+        x
+        + LIMIT
+    )
+'''
+
+
+def test_counts_code_not_blank_comment_docstring_or_bare_string():
+    # import, LIMIT, def, text (2 lines), return ( x + LIMIT ) (4 lines)
+    assert code_lines.code_lines(FIXTURE) == 9
+
+
+def test_diff_report_lists_changed_files_packages_and_total():
+    report = code_lines._report(
+        {"src/a/x.py": 10, "src/a/y.py": 5, "src/b/z.py": 7},
+        {"src/a/x.py": 4, "src/a/y.py": 5, "src/b/new.py": 2, "src/b/z.py": 7},
+    )
+    rows = [line.split() for line in report.splitlines()]
+    assert rows == [
+        ["src/a/x.py", "10", "4", "-6"],
+        ["src/b/new.py", "0", "2", "+2"],
+        ["src/a/", "15", "9", "-6"],
+        ["src/b/", "7", "9", "+2"],
+        ["total", "22", "18", "-4"],
+    ]

@@ -175,12 +175,12 @@ class TestArenaEquivalence:
         keys = sorted(src.owned_keys())
         width = DIM + PSAdagrad().state_width(DIM)
         frame = encode_message(
-            MigrateResponse(width=width, entries=tuple(src.export_entries(keys)))
+            MigrateResponse(width=width, entries=src.export_entries(keys))
         )
         decoded = decode_message(bytes(frame))
 
         dst = make_node(arena=True, capacity_entries=capacity, optimizer=PSAdagrad())
-        assert dst.ingest_entries(list(decoded.entries)) == len(keys)
+        assert dst.ingest_entries(decoded.entries) == len(keys)
         dst.seal_at(last)
         snap_src, snap_dst = src.state_snapshot(), dst.state_snapshot()
         assert set(snap_src) == set(snap_dst)
@@ -192,7 +192,7 @@ class TestArenaEquivalence:
         # transferred rows into the arena and the fast path takes over.
         extra = [(keys[:4] or [0], False, False, False)]
         ref = make_node(arena=False, capacity_entries=capacity, optimizer=PSAdagrad())
-        assert ref.ingest_entries(list(decoded.entries)) == len(keys)
+        assert ref.ingest_entries(decoded.entries) == len(keys)
         ref.seal_at(last)
         for batch_id, step in enumerate(extra, start=last + 1):
             ka = step[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import DRAMPSNode, OriCacheNode, PMemHashNode
+from repro.baselines import DRAMPSNode, PMemHashNode
 from repro.config import CacheConfig, ServerConfig
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSAdagrad, PSSGD
@@ -51,15 +51,12 @@ STREAM = random_stream(np.random.default_rng(0))
 
 class TestSystemEquivalence:
     def test_all_backends_train_identically(self):
-        """DRAM-PS, PMem-OE, Ori-Cache and PMem-Hash produce the same
-        weights for the same schedule — storage tier is semantics-free."""
+        """DRAM-PS, PMem-OE and PMem-Hash produce the same weights for
+        the same schedule — storage tier is semantics-free."""
         results = {}
         results["dram"] = drive(DRAMPSNode(server_config()), STREAM)
         results["oe"] = drive(
             PSNode(0, server_config(), cache_config(4)), STREAM
-        )
-        results["ori"] = drive(
-            OriCacheNode(0, server_config(), cache_config(4)), STREAM
         )
         results["hash"] = drive(PMemHashNode(server_config()), STREAM)
         reference = results["dram"]
@@ -123,24 +120,3 @@ class TestSystemEquivalence:
         lazy = lazy_node.state_snapshot()
         for key in eager:
             assert np.array_equal(eager[key], lazy[key])
-
-
-class TestMissRateEquivalence:
-    def test_ori_and_oe_identical_miss_streams(self):
-        """Section VI-C4: same LRU -> same miss rate. We assert the
-        stronger per-batch equality."""
-        oe = PSNode(0, server_config(), cache_config(3))
-        ori = OriCacheNode(0, server_config(), cache_config(3))
-        for batch_id, keys in enumerate(STREAM):
-            r_oe = oe.pull(keys, batch_id)
-            oe.maintain(batch_id)
-            r_ori = ori.pull(keys, batch_id)
-            assert (r_oe.hits, r_oe.misses, r_oe.created) == (
-                r_ori.hits,
-                r_ori.misses,
-                r_ori.created,
-            )
-            grads = np.full((len(keys), DIM), 0.3, dtype=np.float32)
-            oe.push(keys, grads, batch_id)
-            ori.push(keys, grads, batch_id)
-        assert oe.metrics.cache.miss_rate == ori.metrics.cache.miss_rate

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.optimizers import PSAdagrad
 from repro.errors import CheckpointError, ServerError
+from repro.pmem.space import EntryBlock
 
 from tests.conftest import DIM, make_node
 
@@ -72,19 +73,21 @@ class TestOptimizerState:
 
 
     def test_ingested_row_of_wrong_width_is_a_typed_error(self):
-        """A row written without the accumulator (an SGD node's export)
-        cannot become an Adagrad node's slab row: the ingest is refused
-        whole, with an error naming the key and both widths, instead of
-        silently changing storage."""
+        """Rows written without the accumulator (an SGD node's export)
+        cannot become an Adagrad node's slab rows: the ingest is refused
+        whole, with an error naming both widths, instead of silently
+        changing storage."""
         node = make_node(optimizer=PSAdagrad(lr=0.1))
-        rows = [
-            (6, [(3, np.ones(2 * DIM, dtype=np.float32))]),
-            (7, [(3, np.ones(DIM, dtype=np.float32))]),
-        ]
+        block = EntryBlock(
+            keys=np.array([6, 7], dtype=np.uint64),
+            nversions=np.array([1, 1], dtype=np.uint32),
+            batch_ids=np.array([3, 3], dtype=np.int64),
+            rows=np.ones((2, DIM), dtype=np.float32),
+        )
         with pytest.raises(
-            ServerError, match=rf"key 7 is {DIM} floats wide.* are {2 * DIM} "
+            ServerError, match=rf"rows are {DIM} floats wide.* are {2 * DIM} "
         ):
-            node.ingest_entries(rows)
+            node.ingest_entries(block)
         assert node.num_entries == 0 and node.store.total_versions() == 0
         node.cache.validate()
 

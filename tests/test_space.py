@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from repro.errors import OutOfSpaceError, RecoveryError
 from repro.pmem.pool import PmemPool
-from repro.pmem.space import NO_CHECKPOINT, NO_VERSION, VersionedEntryStore
+from repro.pmem.space import (
+    NO_CHECKPOINT,
+    NO_VERSION,
+    EntryBlock,
+    VersionedEntryStore,
+)
 
 
 @pytest.fixture
@@ -190,6 +195,7 @@ def model_operations():
             st.tuples(st.just("put"), _block()),
             st.tuples(st.just("ingest"), _block()),
             st.tuples(st.just("read_latest"), st.lists(MODEL_KEYS, max_size=5)),
+            st.tuples(st.just("export"), st.lists(MODEL_KEYS, max_size=5)),
             st.tuples(
                 st.just("read_at_most"),
                 st.tuples(st.lists(MODEL_KEYS, max_size=5), MODEL_VERSIONS),
@@ -293,12 +299,21 @@ def test_block_store_matches_dict_model(ops, value_mode):
             )
             keys = [key for key, __ in arg]
             versions = [version for __, version in arg]
-            write = store.put if op == "put" else store.ingest
+            if op == "put":
+                write = lambda: store.put(keys, versions, rows)
+            else:  # any (key, version) sequence is a block of one-version keys
+                block = EntryBlock(
+                    keys=np.array(keys, dtype=np.uint64),
+                    nversions=np.ones(len(keys), dtype=np.uint32),
+                    batch_ids=np.array(versions, dtype=np.int64),
+                    rows=rows,
+                )
+                write = lambda: store.ingest(block)
             if model.write(arg, values, prune=op == "put"):
-                write(keys, versions, rows)
+                write()
             else:
                 with pytest.raises(OutOfSpaceError):
-                    write(keys, versions, rows)
+                    write()
         elif op == "read_latest":
             if all(model.versions_of(key) for key in arg):
                 versions, rows = store.read_latest(arg)
@@ -312,6 +327,17 @@ def test_block_store_matches_dict_model(ops, value_mode):
             else:
                 with pytest.raises(KeyError):
                     store.read_latest(arg)
+        elif op == "export":
+            block = store.export(arg)
+            retained = [model.versions_of(key) for key in arg]
+            model.read += sum(map(len, retained))
+            assert block.keys.tolist() == arg
+            assert block.nversions.tolist() == [len(v) for v in retained]
+            assert block.batch_ids.tolist() == [v for vs in retained for v in vs]
+            if value_mode and block.rows is not None:
+                assert block.rows[:, 0].tolist() == [
+                    model.rows[key, v] for key, vs in zip(arg, retained) for v in vs
+                ]
         elif op == "read_at_most":
             keys, barrier = arg
             versions, rows = store.read_at_most(keys, barrier)

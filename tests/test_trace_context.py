@@ -3,13 +3,14 @@
 Property coverage (Hypothesis) for the :data:`CONTEXT_FLAG` frame
 extension in :mod:`repro.network.messages`:
 
-* any message ± any :class:`TraceContext` roundtrips exactly, and
-  ``decode_message`` drops the context;
-* context-free frames are byte-for-byte the pre-context layout (old
-  decoders and obs-off traffic unaffected), a context costs exactly the
-  17 context bytes;
-* flipping any CRC-covered payload bit of a context frame decodes to
-  :class:`MessageError`, never a mis-parented span;
+* any message of any kind ± any :class:`TraceContext` roundtrips
+  exactly, and ``decode_message`` drops the context (the strategies are
+  derived from the wire schema, :mod:`tests.harness.wire`);
+* context-free frames carry no flag, a context costs exactly the 17
+  context bytes;
+* flipping any bit of a frame — header, type byte and flag included —
+  decodes to :class:`MessageError`, never a mis-parented span or
+  another kind of message;
 
 plus the retry-visible span attributes: a deterministically dropped
 first attempt yields ``reason="lost"`` then ``reason="ok"`` under one
@@ -21,7 +22,6 @@ bit-identical final state.
 
 from __future__ import annotations
 
-import dataclasses
 import struct
 import zlib
 
@@ -40,12 +40,8 @@ from repro.network.frontend import RemotePSClient
 from repro.network.messages import (
     CONTEXT_FLAG,
     CheckpointRequest,
-    HeartbeatRequest,
-    MaintainRequest,
     MessageError,
-    PullRequest,
     StatusResponse,
-    TraceContext,
     decode_envelope,
     decode_message,
     encode_message,
@@ -54,49 +50,9 @@ from repro.network.rpc import RpcChannel, RpcServer
 from repro.obs import Tracer
 from repro.simulation.clock import SimClock
 from repro.simulation.network import Delivery, NetworkModel
+from tests.harness.wire import CONTEXTS, MESSAGES, assert_same_message
 
 DIM = 4
-HEADER_SIZE = 9  # [type u8][length u32][crc u32] — not CRC-covered
-
-u32 = st.integers(0, 2**32 - 1)
-u64 = st.integers(0, 2**64 - 1)
-i64 = st.integers(-(2**63), 2**63 - 1)
-
-MESSAGES = st.one_of(
-    st.builds(CheckpointRequest, batch_id=i64),
-    st.builds(MaintainRequest, batch_id=u64),
-    st.builds(HeartbeatRequest, node_id=u32, requester=u32),
-    st.builds(
-        StatusResponse,
-        code=st.integers(0, 8),
-        value=i64,
-        detail=st.text(max_size=32),
-    ),
-    st.builds(
-        PullRequest,
-        batch_id=u64,
-        keys=st.lists(u64, max_size=6).map(
-            lambda ks: np.asarray(ks, dtype="<u8")
-        ),
-    ),
-)
-
-CONTEXTS = st.builds(
-    TraceContext,
-    trace_id=u64,
-    parent_span_id=u64,
-    sampled=st.booleans(),
-)
-
-
-def assert_same_message(a, b) -> None:
-    assert type(a) is type(b)
-    for field in dataclasses.fields(a):
-        va, vb = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            assert np.array_equal(np.asarray(va), np.asarray(vb))
-        else:
-            assert va == vb
 
 
 # ----------------------------------------------------------------------
@@ -120,17 +76,19 @@ class TestFraming:
         plain = encode_message(message)
         traced = encode_message(message, context)
         assert len(traced) == len(plain) + 17
-        # The plain frame is the pre-context layout, byte for byte:
-        # an old decoder never sees the flag.
+        # The plain frame carries no flag and no prefix.
         assert plain[0] == message.TYPE
         assert plain[0] & CONTEXT_FLAG == 0
 
-    @given(message=MESSAGES, context=CONTEXTS, data=st.data())
+    @given(
+        message=MESSAGES, context=st.one_of(st.none(), CONTEXTS), data=st.data()
+    )
     def test_any_payload_corruption_is_detected(self, message, context, data):
         frame = bytearray(encode_message(message, context))
-        # The CRC covers context + body (everything past the header);
-        # flip one payload bit — a context frame always has >= 17.
-        offset = data.draw(st.integers(HEADER_SIZE, len(frame) - 1))
+        # Not only the payload: the CRC covers the type byte, the
+        # context and the body, and the length must match, so no bit of
+        # the frame is unprotected.
+        offset = data.draw(st.integers(0, len(frame) - 1))
         bit = data.draw(st.integers(0, 7))
         frame[offset] ^= 1 << bit
         with pytest.raises(MessageError):
@@ -138,12 +96,13 @@ class TestFraming:
 
     def test_flagged_frame_too_short_for_context(self):
         payload = b"\x00" * 10  # < the 17-byte context prefix
+        type_byte = CheckpointRequest.TYPE | CONTEXT_FLAG
         frame = (
             struct.pack(
                 "<BII",
-                CheckpointRequest.TYPE | CONTEXT_FLAG,
+                type_byte,
                 len(payload),
-                zlib.crc32(payload),
+                zlib.crc32(payload, zlib.crc32(bytes([type_byte]))),
             )
             + payload
         )

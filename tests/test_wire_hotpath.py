@@ -27,6 +27,7 @@ from repro.network.messages import (
     decode_message,
     encode_message,
 )
+from repro.pmem.space import NO_ENTRIES, EntryBlock
 
 DIM = 4
 
@@ -159,11 +160,14 @@ class TestDetailTruncation:
 class TestColumnarMigratePayload:
     def test_put_roundtrip(self):
         width = 6
-        entries = (
-            (7, [(0, np.arange(width, dtype=np.float32))]),
-            (9, [
-                (1, np.full(width, 2.0, dtype=np.float32)),
-                (4, np.full(width, 3.0, dtype=np.float32)),
+        entries = EntryBlock(
+            keys=np.array([7, 9], dtype=np.uint64),
+            nversions=np.array([1, 2], dtype=np.uint32),
+            batch_ids=np.array([0, 1, 4], dtype=np.int64),
+            rows=np.stack([
+                np.arange(width, dtype=np.float32),
+                np.full(width, 2.0, dtype=np.float32),
+                np.full(width, 3.0, dtype=np.float32),
             ]),
         )
         msg = MigrateRequest(
@@ -172,21 +176,28 @@ class TestColumnarMigratePayload:
         decoded = decode_message(bytes(encode_message(msg)))
         assert decoded.op == MigrateRequest.OP_PUT
         assert len(decoded.entries) == 2
-        for (k0, v0), (k1, v1) in zip(entries, decoded.entries):
-            assert k0 == k1
-            assert [b for b, __ in v0] == [b for b, __ in v1]
-            for (__, a), (__, b) in zip(v0, v1):
-                assert np.array_equal(a, b)
-                assert not b.flags.writeable  # zero-copy frame view
+        assert decoded.entries.keys.tolist() == [7, 9]
+        assert decoded.entries.nversions.tolist() == [1, 2]
+        assert decoded.entries.batch_ids.tolist() == [0, 1, 4]
+        assert np.array_equal(decoded.entries.rows, entries.rows)
+        assert not decoded.entries.rows.flags.writeable  # zero-copy frame view
 
     def test_metadata_only_roundtrip(self):
-        entries = ((3, [(0, None), (2, None)]), (4, [(1, None)]))
+        entries = EntryBlock(
+            keys=np.array([3, 4], dtype=np.uint64),
+            nversions=np.array([2, 1], dtype=np.uint32),
+            batch_ids=np.array([0, 2, 1], dtype=np.int64),
+            rows=None,
+        )
         msg = MigrateResponse(width=0, entries=entries)
-        decoded = decode_message(bytes(encode_message(msg)))
-        assert decoded.entries == ((3, [(0, None), (2, None)]), (4, [(1, None)]))
+        decoded = decode_message(bytes(encode_message(msg))).entries
+        assert decoded.keys.tolist() == [3, 4]
+        assert decoded.nversions.tolist() == [2, 1]
+        assert decoded.batch_ids.tolist() == [0, 2, 1]
+        assert decoded.rows is None
 
     def test_empty_payload(self):
         decoded = decode_message(
-            bytes(encode_message(MigrateResponse(width=4, entries=())))
+            bytes(encode_message(MigrateResponse(width=4, entries=NO_ENTRIES)))
         )
-        assert decoded.entries == ()
+        assert len(decoded.entries) == 0 and decoded.entries.batch_ids.size == 0
