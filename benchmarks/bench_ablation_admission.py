@@ -6,80 +6,21 @@ the 2 GB point but grows as skew weakens (more tail churn) — a
 candidate improvement the paper leaves on the table.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 
 
-def test_ablation_admission_filter(benchmark, report):
-    def run():
-        rows = {}
-        for name, skew in (("original", 1.0), ("less skew", 0.85)):
-            plain = simulate_epoch(
-                SystemKind.PMEM_OE,
-                16,
-                skew=skew,
-                cache=DEFAULT_PROFILE.cache_config(paper_mb=400),
-            )
-            filtered = simulate_epoch(
-                SystemKind.PMEM_OE,
-                16,
-                skew=skew,
-                cache=DEFAULT_PROFILE.cache_config(
-                    paper_mb=400, admission_threshold=1
-                ),
-            )
-            rows[name] = (plain, filtered)
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title(
-        "ablation_admission",
-        "Ablation: admission filter off/on (16 GPUs, 400 MB-eq cache)",
-    )
-    for name, (plain, filtered) in rows.items():
-        report.row(
-            f"{name}: epoch time",
-            "-",
-            f"{plain.sim_seconds:.2f} s -> {filtered.sim_seconds:.2f} s",
-        )
-        report.row(
-            f"{name}: PMem load+flush ops",
-            "-",
-            f"{plain.maintain_deferred_seconds * 1e3:.1f} -> "
-            f"{filtered.maintain_deferred_seconds * 1e3:.1f} ms deferred",
-        )
-
-    for plain, filtered in rows.values():
-        # The filter must never hurt the epoch materially, and it must
-        # genuinely reduce the deferred PMem traffic.
-        assert filtered.sim_seconds <= plain.sim_seconds * 1.02
-        assert (
-            filtered.maintain_deferred_seconds < plain.maintain_deferred_seconds
-        )
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["epoch_ratio"] > 1.02:
-        failures.append(
-            f"admission filter slowed the epoch {metrics['epoch_ratio']:.3f}x"
-        )
-    if metrics["deferred_reduction"] <= 0:
-        failures.append("filter failed to reduce deferred PMem traffic")
-    return failures
+    # The filter must never hurt the epoch materially, and it must
+    # genuinely reduce the deferred PMem traffic.
+    return failures(
+        (metrics["epoch_ratio"] <= 1.02,
+         f"admission filter slowed the epoch {metrics['epoch_ratio']:.3f}x"),
+        (metrics["deferred_reduction"] > 0,
+         "filter failed to reduce deferred PMem traffic"),
+    )
 
 
 @register(
@@ -94,10 +35,17 @@ def _check(metrics: dict, params: dict) -> list:
         "deferred_reduction": Headline(direction="higher", max_regression=0.10),
     },
     check=_check,
+    along="skew",
+    refs=[
+        Ref("plain_seconds", "skew {skew}: epoch, filter off", "{:.2f} s"),
+        Ref("filtered_seconds", "skew {skew}: epoch, filter on", "{:.2f} s"),
+        Ref("plain_deferred_ms", "skew {skew}: deferred, off", "{:.1f} ms"),
+        Ref("filtered_deferred_ms", "skew {skew}: deferred, on", "{:.1f} ms"),
+    ],
 )
 def entry(*, skew, cache_mb, workers):
-    """Epoch-time and deferred-traffic effect of the TinyLFU-style
-    admission filter at one skew and cache size."""
+    """Ablation: admission filter off/on — epoch time and deferred PMem
+    load+flush work at one skew and cache size."""
     plain = simulate_epoch(
         SystemKind.PMEM_OE, workers, skew=skew,
         cache=DEFAULT_PROFILE.cache_config(paper_mb=cache_mb),
@@ -109,14 +57,12 @@ def entry(*, skew, cache_mb, workers):
         ),
     )
     return {
+        "plain_seconds": plain.sim_seconds,
+        "filtered_seconds": filtered.sim_seconds,
+        "plain_deferred_ms": plain.maintain_deferred_seconds * 1e3,
+        "filtered_deferred_ms": filtered.maintain_deferred_seconds * 1e3,
         "epoch_ratio": filtered.sim_seconds / plain.sim_seconds,
         "deferred_reduction": 1
         - filtered.maintain_deferred_seconds
         / max(plain.maintain_deferred_seconds, 1e-12),
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_admission"))

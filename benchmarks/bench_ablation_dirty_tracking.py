@@ -8,61 +8,22 @@ dirty, so the paper's simpler design gives up little; this bench
 quantifies exactly how much at the benchmark operating point.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 
 
-def test_ablation_dirty_tracking(benchmark, report):
-    def run():
-        base_cache = DEFAULT_PROFILE.cache_config(paper_mb=2048)
-        always = simulate_epoch(SystemKind.PMEM_OE, 16, cache=base_cache)
-        tracked = simulate_epoch(
-            SystemKind.PMEM_OE,
-            16,
-            cache=DEFAULT_PROFILE.cache_config(paper_mb=2048, track_dirty=True),
-        )
-        return always, tracked
-
-    always, tracked = run_once(benchmark, run)
-    report.title(
-        "ablation_dirty_tracking",
-        "Ablation: eviction write-back policy (16 GPUs, 2 GB cache)",
-    )
-    report.row("epoch, always-flush (paper)", "-", f"{always.sim_seconds:.2f} s")
-    report.row("epoch, dirty-tracked", "-", f"{tracked.sim_seconds:.2f} s")
-    saving = 1 - tracked.sim_seconds / always.sim_seconds
-    report.row("epoch-time saving", "expected small", f"{saving:.2%}")
-
+def _check(metrics: dict, params: dict) -> list:
     # Dirty tracking can only help, and because pull/update pairs make
     # most victims dirty anyway, the win stays small — supporting the
     # paper's choice of the simpler always-flush design.
-    assert tracked.sim_seconds <= always.sim_seconds * (1 + 1e-9)
-    assert saving < 0.10
-
-
-# --- registry entry -------------------------------------------------------
-
-
-def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["saving"] < 0:
-        failures.append("dirty tracking made the epoch slower")
-    if metrics["saving"] >= 0.10:
-        failures.append(
-            f"saving {metrics['saving']:.1%} too large — pull/update pairing "
-            "should make most victims dirty"
-        )
-    return failures
+    return failures(
+        (metrics["saving"] >= -1e-9, "dirty tracking made the epoch slower"),
+        (metrics["saving"] < 0.10,
+         f"saving {metrics['saving']:.1%} too large — pull/update pairing "
+         "should make most victims dirty"),
+    )
 
 
 @register(
@@ -74,10 +35,15 @@ def _check(metrics: dict, params: dict) -> list:
     headline={"saving": Headline(direction="higher", max_regression=0.10,
                                  noise=0.005)},
     check=_check,
+    refs=[
+        Ref("always_seconds", "epoch, always-flush (paper)", "{:.2f} s"),
+        Ref("tracked_seconds", "epoch, dirty-tracked", "{:.2f} s"),
+        Ref("saving", "epoch-time saving", "{:.2%}", paper="expected small"),
+    ],
 )
 def entry(*, cache_mb, workers):
-    """Epoch-time saving of dirty-only eviction write-back over the
-    paper's always-flush design."""
+    """Ablation: eviction write-back policy — epoch time of the paper's
+    always-flush design vs dirty-only write-back."""
     always = simulate_epoch(
         SystemKind.PMEM_OE, workers,
         cache=DEFAULT_PROFILE.cache_config(paper_mb=cache_mb),
@@ -86,10 +52,8 @@ def entry(*, cache_mb, workers):
         SystemKind.PMEM_OE, workers,
         cache=DEFAULT_PROFILE.cache_config(paper_mb=cache_mb, track_dirty=True),
     )
-    return {"saving": 1 - tracked.sim_seconds / always.sim_seconds}
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_dirty_tracking"))
+    return {
+        "always_seconds": always.sim_seconds,
+        "tracked_seconds": tracked.sim_seconds,
+        "saving": 1 - tracked.sim_seconds / always.sim_seconds,
+    }

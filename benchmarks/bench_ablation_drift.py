@@ -13,33 +13,16 @@ spike per rotation, not a permanent miss-rate shift — as long as the
 cache comfortably holds the (rotated) hot set.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, ServerConfig, WorkloadConfig
 from repro.core.ps_node import PSNode
 from repro.workload.drift import DriftingWorkload
 
-ITERS_PER_DAY = 60
-DAYS = 3
-WORKERS = 8
 
-
-def run_drift_trace(
-    days: int = DAYS,
-    iters_per_day: int = ITERS_PER_DAY,
-    workers: int = WORKERS,
-    drift_fraction: float = 0.6,
-):
+def run_drift_trace(days: int, iters_per_day: int, workers: int, drift_fraction: float):
     profile_keys = 200_000
     workload = DriftingWorkload(
         WorkloadConfig(num_keys=profile_keys, features_per_sample=4, seed=5),
@@ -64,83 +47,62 @@ def run_drift_trace(
     return np.array(cold), workload.rotations
 
 
-def test_ablation_temporal_drift(benchmark, report):
-    cold, rotations = run_once(benchmark, run_drift_trace)
-    steady_day0 = float(cold[ITERS_PER_DAY - 15 : ITERS_PER_DAY].mean())
-    # The re-warm transient lasts ~one synchronous iteration: the first
-    # pull after a rotation takes all the cold traffic at once.
-    spike_day1 = float(cold[ITERS_PER_DAY])
-    recovered_day1 = float(cold[2 * ITERS_PER_DAY - 15 : 2 * ITERS_PER_DAY].mean())
-    spike_day2 = float(cold[2 * ITERS_PER_DAY])
-
-    report.title(
-        "ablation_drift",
-        "Extension: cold rate around daily 60% hot-set rotations (2 GB-eq cache)",
-    )
-    report.row("steady state (end of day 0)", "-", f"{steady_day0:.2%}")
-    report.row("transient after rotation 1", "spike", f"{spike_day1:.2%}")
-    report.row("re-adapted (end of day 1)", "back near steady", f"{recovered_day1:.2%}")
-    report.row("transient after rotation 2", "spike again", f"{spike_day2:.2%}")
-    report.line(f"  rotations executed: {rotations}")
-
-    # Each rotation produces a clear one-iteration transient...
-    assert spike_day1 > 1.3 * steady_day0
-    assert spike_day2 > 1.3 * recovered_day1
-    # ...and LRU re-adapts well below the spike before the next day.
-    assert recovered_day1 < 0.75 * spike_day1
-    assert rotations in (DAYS - 1, DAYS)
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["spike_ratio"] <= 1.3:
-        failures.append(
-            f"rotation transient {metrics['spike_ratio']:.2f}x not a clear spike"
-        )
-    if metrics["recovered_cold"] >= 0.75 * metrics["spike_cold"]:
-        failures.append("LRU failed to re-adapt after the rotation")
-    return failures
+    return failures(
+        # Each rotation produces a clear one-iteration transient...
+        (metrics["spike_cold"] > 1.3 * metrics["steady_cold"],
+         f"rotation 1 transient {metrics['spike_ratio']:.2f}x not a clear spike"),
+        (metrics["spike2_cold"] > 1.3 * metrics["recovered_cold"],
+         "rotation 2 transient not a clear spike over the re-adapted rate"),
+        # ...and LRU re-adapts well below the spike before the next day.
+        (metrics["recovered_cold"] < 0.75 * metrics["spike_cold"],
+         "LRU failed to re-adapt after the rotation"),
+        (metrics["rotations"] in (params["days"] - 1, params["days"]),
+         f"{metrics['rotations']} rotations over {params['days']} days"),
+    )
 
 
 @register(
     "ablation_drift",
     params=[
-        Param("days", "int", DAYS),
-        Param("iters_per_day", "int", ITERS_PER_DAY),
-        Param("workers", "int", WORKERS),
+        Param("days", "int", 3, help="simulated days (>= 3: two rotations)"),
+        Param("iters_per_day", "int", 60),
+        Param("workers", "int", 8),
         Param("drift_fraction", "float", 0.6),
     ],
-    smoke={"days": 2, "iters_per_day": 30},
+    smoke={"iters_per_day": 20},
     headline={
         "spike_ratio": Headline(direction="higher", max_regression=0.10),
         "recovered_cold": Headline(direction="lower", max_regression=0.10),
     },
     check=_check,
+    refs=[
+        Ref("steady_cold", "steady state (end of day 0)", "{:.2%}"),
+        Ref("spike_cold", "transient after rotation 1", "{:.2%}", paper="spike"),
+        Ref("recovered_cold", "re-adapted (end of day 1)", "{:.2%}",
+            paper="back near steady"),
+        Ref("spike2_cold", "transient after rotation 2", "{:.2%}",
+            paper="spike again"),
+        Ref("rotations", "rotations executed", "{}"),
+    ],
 )
 def entry(*, days, iters_per_day, workers, drift_fraction):
-    """Cold-rate spike and LRU re-adaptation around daily hot-set
-    rotations of ``drift_fraction`` of the rank->key mapping."""
+    """Extension: cold rate around daily hot-set rotations of
+    ``drift_fraction`` of the rank->key mapping (2 GB-eq cache)."""
     cold, rotations = run_drift_trace(days, iters_per_day, workers,
                                       drift_fraction)
     tail = max(iters_per_day // 4, 2)
     steady_cold = float(cold[iters_per_day - tail : iters_per_day].mean())
+    # The re-warm transient lasts ~one synchronous iteration: the first
+    # pull after a rotation takes all the cold traffic at once.
     spike_cold = float(cold[iters_per_day])
-    recovered_cold = float(
-        cold[2 * iters_per_day - tail : 2 * iters_per_day].mean()
-    )
     return {
         "steady_cold": steady_cold,
         "spike_cold": spike_cold,
-        "recovered_cold": recovered_cold,
+        "recovered_cold": float(
+            cold[2 * iters_per_day - tail : 2 * iters_per_day].mean()
+        ),
+        "spike2_cold": float(cold[2 * iters_per_day]),
         "spike_ratio": spike_cold / max(steady_cold, 1e-9),
         "rotations": rotations,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_drift"))

@@ -8,65 +8,23 @@ the warm mid-band of the skew even though the very hot head survives
 either policy.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.config import EvictionPolicy
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 
 
-def test_ablation_eviction_policy(benchmark, report):
-    def run():
-        lru = simulate_epoch(
-            SystemKind.PMEM_OE, 16, cache=DEFAULT_PROFILE.cache_config(paper_mb=400)
-        )
-        fifo = simulate_epoch(
-            SystemKind.PMEM_OE,
-            16,
-            cache=DEFAULT_PROFILE.cache_config(
-                paper_mb=400, policy=EvictionPolicy.FIFO
-            ),
-        )
-        return lru, fifo
-
-    lru, fifo = run_once(benchmark, run)
-    report.title(
-        "ablation_eviction_policy",
-        "Ablation: LRU vs FIFO (16 GPUs, 400 MB-eq cache)",
-    )
-    report.row("LRU miss rate (paper's choice)", "-", f"{lru.miss_rate:.2%}")
-    report.row("FIFO miss rate", "-", f"{fifo.miss_rate:.2%}")
-    report.row(
-        "epoch time LRU / FIFO",
-        "-",
-        f"{lru.sim_seconds:.2f} s / {fifo.sim_seconds:.2f} s",
-    )
-
+def _check(metrics: dict, params: dict) -> list:
     # LRU never loses, and at this cache size the gap is material —
     # supporting the paper's LRU default.
-    assert lru.miss_rate <= fifo.miss_rate + 1e-9
-    assert fifo.miss_rate - lru.miss_rate > 0.02
-    assert lru.sim_seconds < fifo.sim_seconds
-
-
-# --- registry entry -------------------------------------------------------
-
-
-def _check(metrics: dict, params: dict) -> list:
-    if metrics["miss_gap"] <= 0.02:
-        return [
-            f"FIFO-LRU miss gap {metrics['miss_gap']:.2%} too small — "
-            "LRU default no longer load-bearing"
-        ]
-    return []
+    return failures(
+        (metrics["miss_gap"] > 0.02,
+         f"FIFO-LRU miss gap {metrics['miss_gap']:.2%} too small — "
+         "LRU default no longer load-bearing"),
+        (metrics["lru_seconds"] < metrics["fifo_seconds"],
+         "LRU epoch no faster than FIFO's"),
+    )
 
 
 @register(
@@ -80,9 +38,16 @@ def _check(metrics: dict, params: dict) -> list:
         "miss_gap": Headline(direction="higher", max_regression=0.10),
     },
     check=_check,
+    refs=[
+        Ref("lru_miss", "LRU miss rate (paper's choice)", "{:.2%}"),
+        Ref("fifo_miss", "FIFO miss rate", "{:.2%}"),
+        Ref("lru_seconds", "epoch time LRU", "{:.2f} s"),
+        Ref("fifo_seconds", "epoch time FIFO", "{:.2f} s"),
+    ],
 )
 def entry(*, cache_mb, workers):
-    """LRU vs FIFO miss rates at one cache size under the DLRM skew."""
+    """Ablation: LRU vs FIFO miss rates and epoch times at one cache
+    size under the DLRM skew."""
     lru = simulate_epoch(
         SystemKind.PMEM_OE, workers,
         cache=DEFAULT_PROFILE.cache_config(paper_mb=cache_mb),
@@ -97,10 +62,6 @@ def entry(*, cache_mb, workers):
         "lru_miss": lru.miss_rate,
         "fifo_miss": fifo.miss_rate,
         "miss_gap": fifo.miss_rate - lru.miss_rate,
+        "lru_seconds": lru.sim_seconds,
+        "fifo_seconds": fifo.sim_seconds,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_eviction_policy"))

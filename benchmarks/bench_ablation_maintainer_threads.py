@@ -7,16 +7,8 @@ pressure: with one thread the deferred work spills past the GPU window
 onto the critical path; adding threads pulls it back under.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import CheckpointConfig
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
@@ -39,43 +31,15 @@ def epoch(threads: int):
     return simulator.run(60)
 
 
-def test_ablation_maintainer_threads(benchmark, report):
-    rows = run_once(benchmark, lambda: {t: epoch(t) for t in (1, 2, 4, 8)})
-    report.title(
-        "ablation_maintainer_threads",
-        "Ablation: maintainer threads (16 GPUs, 100 MB-eq cache, small GPU window)",
-    )
-    spills = {}
-    for threads, result in rows.items():
-        per_iter_deferred = result.maintain_deferred_seconds / result.iterations
-        spills[threads] = per_iter_deferred > GPU_BATCH_S
-        report.row(
-            f"{threads} maintainer thread(s)",
-            "-",
-            f"epoch {result.sim_seconds:.3f} s",
-            note=f"deferred {per_iter_deferred * 1e3:.2f} ms/iter vs gpu "
-            f"{GPU_BATCH_S * 1e3:.1f} ms -> "
-            f"{'SPILLS' if spills[threads] else 'hidden'}",
-        )
-
-    times = [rows[t].sim_seconds for t in (1, 2, 4, 8)]
-    # More threads never hurt; a starved maintainer spills while the
-    # well-provisioned one hides completely, so only the 1-thread run
-    # pays any maintenance on the critical path.
-    assert all(a >= b - 1e-9 for a, b in zip(times, times[1:]))
-    assert spills[1] and not spills[8]
-    assert times[0] > times[-1]
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    if params["threads"] == 1 and not metrics["spills"]:
-        return ["a lone maintainer should spill under this pressure"]
-    if params["threads"] >= 8 and metrics["spills"]:
-        return ["8 maintainer threads should hide all deferred work"]
-    return []
+    # A starved maintainer spills while the well-provisioned one hides
+    # completely.
+    return failures(
+        (params["threads"] != 1 or metrics["spills"],
+         "a lone maintainer should spill under this pressure"),
+        (params["threads"] < 8 or not metrics["spills"],
+         "8 maintainer threads should hide all deferred work"),
+    )
 
 
 @register(
@@ -85,10 +49,20 @@ def _check(metrics: dict, params: dict) -> list:
         "epoch_seconds": Headline(direction="lower", max_regression=0.05),
     },
     check=_check,
+    along="threads",
+    refs=[
+        Ref("epoch_seconds", "{threads} maintainer thread(s)", "epoch {:.3f} s"),
+        Ref("deferred_ms_per_iter", "  deferred vs 1.2 ms gpu window",
+            "{:.2f} ms/iter"),
+        Ref("spills", "  spills past the window", "{}"),
+    ],
+    # More threads never hurt, and only the 1-thread run pays any
+    # maintenance on the critical path.
+    trends=[Trend("epoch_seconds", along="threads", shape="falling", by=0.0)],
 )
 def entry(*, threads):
-    """Epoch time and deferred-work spill at one maintainer thread
-    count under a tight GPU window and miss-heavy cache."""
+    """Ablation: maintainer threads (16 GPUs, 100 MB-eq cache, small GPU
+    window) — epoch time and deferred-work spill at one thread count."""
     result = epoch(threads)
     per_iter_deferred = result.maintain_deferred_seconds / result.iterations
     return {
@@ -96,9 +70,3 @@ def entry(*, threads):
         "deferred_ms_per_iter": per_iter_deferred * 1e3,
         "spills": per_iter_deferred > GPU_BATCH_S,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_maintainer_threads"))

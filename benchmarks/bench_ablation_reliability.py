@@ -13,35 +13,12 @@ and each system's recovery model at paper scale, scaled into the
 simulated epoch. PMem-OE wins on all three terms at once: cheaper
 checkpoints, same lost work, and ~4x faster recovery.
 
-A second ablation makes the *network* the failure domain: the same
-functional training is run over ``RemotePSClient`` under seeded
-message drop/duplicate/delay/corrupt schedules, reporting the retry,
-timeout and wire-byte overhead the fault-tolerant RPC layer pays —
-while asserting the trained weights stay bit-identical to a clean
-wire (retries and dedup are semantics-free).
+(The *network* as the failure domain is ``bench_ablation_network_faults``.)
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import numpy as np
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
-from repro.config import (
-    CacheConfig,
-    CheckpointConfig,
-    CheckpointMode,
-    NetworkFaultConfig,
-    RetryConfig,
-    ServerConfig,
-)
-from repro.network.frontend import RemotePSClient
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
+from repro.config import CheckpointConfig, CheckpointMode
 from repro.core.recovery import (
     estimate_dram_ps_recovery_seconds,
     estimate_recovery_seconds,
@@ -53,237 +30,73 @@ from repro.simulation.trainer_sim import TrainingSimulator
 
 PAPER_ENTRIES = 2_100_000_000
 ENTRY_BYTES = 256
-MTTF_HOURS = 12.0
-
-
-def test_ablation_reliability_composite(benchmark, report):
-    def run():
-        iters = DEFAULT_PROFILE.iterations(16)
-        base = simulate_epoch(SystemKind.PMEM_OE, 16, iterations=iters)
-        interval = TrainingSimulator.interval_for_epoch_fraction(
-            base.sim_seconds, 20, PAPER_EPOCH_HOURS
-        )
-        oe = simulate_epoch(
-            SystemKind.PMEM_OE, 16, iterations=iters,
-            checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-        ).sim_seconds
-        dram = simulate_epoch(
-            SystemKind.DRAM_PS, 16, iterations=iters,
-            checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-        ).sim_seconds
-
-        # Scale paper-scale recovery and MTTF into the simulated epoch:
-        # one simulated epoch stands for PAPER_EPOCH_HOURS of wall time.
-        scale = base.sim_seconds / (PAPER_EPOCH_HOURS * 3600)
-        recovery = {
-            "PMem-OE": estimate_recovery_seconds(
-                entries=PAPER_ENTRIES, versions=PAPER_ENTRIES,
-                entry_bytes=ENTRY_BYTES,
-            ) * scale,
-            "DRAM-PS": estimate_dram_ps_recovery_seconds(
-                entries=PAPER_ENTRIES, entry_bytes=ENTRY_BYTES,
-                checkpoint_device="pmem",
-            ) * scale,
-        }
-        mttf = MTTF_HOURS * 3600 * scale
-        failures_per_epoch = {
-            "PMem-OE": oe / mttf,
-            "DRAM-PS": dram / mttf,
-        }
-        lost = expected_lost_work_seconds(interval, mttf)
-        totals = {
-            "PMem-OE": oe + failures_per_epoch["PMem-OE"] * (lost + recovery["PMem-OE"]),
-            "DRAM-PS": dram
-            + failures_per_epoch["DRAM-PS"] * (lost + recovery["DRAM-PS"]),
-        }
-        return {
-            "epochs": {"PMem-OE": oe, "DRAM-PS": dram},
-            "recovery": recovery,
-            "lost": lost,
-            "totals": totals,
-        }
-
-    data = run_once(benchmark, run)
-    report.title(
-        "ablation_reliability",
-        f"Extension: expected epoch completion, MTTF {MTTF_HOURS:.0f} h "
-        "(simulated-epoch units)",
-    )
-    for name in ("PMem-OE", "DRAM-PS"):
-        report.row(
-            f"{name} epoch w/ checkpoints", "-", f"{data['epochs'][name]:.2f} s"
-        )
-        report.row(
-            f"{name} recovery (scaled)", "-", f"{data['recovery'][name]:.3f} s"
-        )
-        report.row(
-            f"{name} expected total", "-", f"{data['totals'][name]:.2f} s"
-        )
-    advantage = 1 - data["totals"]["PMem-OE"] / data["totals"]["DRAM-PS"]
-    report.line()
-    report.row(
-        "PMem-OE end-to-end advantage",
-        "> its checkpoint-only win",
-        f"{advantage:.1%}",
-    )
-
-    # PMem-OE's composite advantage must meet or beat its
-    # checkpoint-only advantage: recovery can only widen the gap.
-    ckpt_only = 1 - data["epochs"]["PMem-OE"] / data["epochs"]["DRAM-PS"]
-    assert data["recovery"]["PMem-OE"] < data["recovery"]["DRAM-PS"]
-    assert advantage >= ckpt_only - 1e-6
-
-
-# ----------------------------------------------------------------------
-# network-fault ablation
-# ----------------------------------------------------------------------
-
-FAULT_DIM = 8
-FAULT_BATCHES = 25
-FAULT_LEVELS = (0.0, 0.02, 0.08)
-
-
-def _remote_training_run(fault_rate: float, batches: int = FAULT_BATCHES):
-    """Functional remote training under a seeded fault schedule."""
-    server_config = ServerConfig(
-        num_nodes=2, embedding_dim=FAULT_DIM, pmem_capacity_bytes=1 << 24, seed=4
-    )
-    cache_config = CacheConfig(capacity_bytes=32 * FAULT_DIM * 4)
-    faults = (
-        NetworkFaultConfig(
-            drop_rate=fault_rate,
-            duplicate_rate=fault_rate / 2,
-            corrupt_rate=fault_rate / 2,
-            delay_rate=fault_rate,
-            delay_mean_s=2e-3,
-            seed=13,
-        )
-        if fault_rate > 0
-        else None
-    )
-    client = RemotePSClient(
-        server_config,
-        cache_config,
-        faults=faults,
-        retry=RetryConfig(
-            max_attempts=12, attempt_timeout_s=0.02, call_timeout_s=2.0, seed=1
-        ),
-    )
-    rng = np.random.default_rng(0)
-    for batch in range(batches):
-        keys = sorted(rng.choice(200, size=10, replace=False).tolist())
-        grads = rng.normal(0, 0.1, (10, FAULT_DIM)).astype(np.float32)
-        client.pull(keys, batch)
-        client.maintain(batch)
-        client.push(keys, grads, batch)
-    return client
-
-
-def test_ablation_network_faults(benchmark, report):
-    def run():
-        rows = {}
-        baseline_state = None
-        for rate in FAULT_LEVELS:
-            client = _remote_training_run(rate)
-            state = client.state_snapshot()
-            if baseline_state is None:
-                baseline_state = state
-            identical = set(state) == set(baseline_state) and all(
-                np.array_equal(state[key], baseline_state[key])
-                for key in baseline_state
-            )
-            reliability = client.reliability()
-            rows[rate] = {
-                "retries": reliability.retries,
-                "timeouts": reliability.timeouts,
-                "dup_suppressed": reliability.dup_suppressed,
-                "faults": reliability.faults_injected,
-                "wire_bytes": client.wire_bytes(),
-                "sim_seconds": client.clock.now,
-                "identical": identical,
-            }
-        return rows
-
-    data = run_once(benchmark, run)
-    report.title(
-        "ablation_network_faults",
-        f"Extension: RPC fault tolerance, {FAULT_BATCHES} remote batches "
-        "(drop/dup/corrupt/delay schedule, seeded)",
-    )
-    clean = data[0.0]
-    for rate, row in data.items():
-        overhead = row["wire_bytes"] / clean["wire_bytes"] - 1
-        report.row(
-            f"fault rate {rate:.0%}",
-            "bit-identical",
-            f"retries {row['retries']:3d}, dedup {row['dup_suppressed']:2d}, "
-            f"wire +{overhead:.1%}, {row['sim_seconds'] * 1e3:.1f} ms",
-        )
-    report.line()
-    report.row(
-        "weights vs clean wire",
-        "identical at every fault level",
-        str(all(row["identical"] for row in data.values())),
-    )
-
-    # Retries are semantics-free at every fault level, and a lossy wire
-    # must actually cost retries + bytes + time.
-    assert all(row["identical"] for row in data.values())
-    assert all(row["timeouts"] == 0 for row in data.values())
-    worst = data[max(FAULT_LEVELS)]
-    assert worst["retries"] > 0
-    assert worst["wire_bytes"] > clean["wire_bytes"]
-    assert worst["sim_seconds"] > clean["sim_seconds"]
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["identical"]:
-        failures.append("faulty-wire weights diverged from the clean wire")
-    if params["fault_rate"] > 0 and metrics["retries"] == 0:
-        failures.append("a lossy wire must cost retries")
-    return failures
+    return failures(
+        (metrics["oe_recovery_s"] < metrics["dram_recovery_s"],
+         "PMem-OE recovery no faster than DRAM-PS's"),
+        # Recovery can only widen the gap checkpointing opened.
+        (metrics["advantage"] >= metrics["ckpt_only_advantage"] - 1e-6,
+         f"composite advantage {metrics['advantage']:.1%} below the "
+         f"checkpoint-only {metrics['ckpt_only_advantage']:.1%}"),
+    )
 
 
 @register(
     "ablation_reliability",
-    params=[
-        Param("fault_rate", "float", 0.08, help="drop/delay rate; dup and "
-              "corrupt run at half this"),
-        Param("batches", "int", FAULT_BATCHES),
-    ],
-    smoke={"batches": 15},
-    headline={
-        "identical": Headline(),
-        "wire_overhead_frac": Headline(direction="lower", max_regression=0.25),
-    },
+    params=[Param("mttf_hours", "float", 12.0, help="fleet MTTF, paper scale")],
+    headline={"advantage": Headline(direction="higher", max_regression=0.05)},
     check=_check,
+    along="mttf_hours",
+    refs=[
+        Ref("oe_epoch_s", "PMem-OE epoch w/ checkpoints", "{:.2f} s"),
+        Ref("oe_recovery_s", "PMem-OE recovery (scaled)", "{:.3f} s"),
+        Ref("oe_total_s", "PMem-OE expected total", "{:.2f} s"),
+        Ref("dram_epoch_s", "DRAM-PS epoch w/ checkpoints", "{:.2f} s"),
+        Ref("dram_recovery_s", "DRAM-PS recovery (scaled)", "{:.3f} s"),
+        Ref("dram_total_s", "DRAM-PS expected total", "{:.2f} s"),
+        Ref("advantage", "PMem-OE end-to-end advantage", "{:.1%}",
+            paper="> checkpoint-only"),
+        Ref("ckpt_only_advantage", "  checkpoint-only advantage", "{:.1%}"),
+    ],
 )
-def entry(*, fault_rate, batches):
-    """Retry/wire/time overhead of remote training on a lossy wire vs a
-    clean one, plus the bit-identical-weights invariant."""
-    clean = _remote_training_run(0.0, batches)
-    faulty = _remote_training_run(fault_rate, batches)
-    clean_state = clean.state_snapshot()
-    faulty_state = faulty.state_snapshot()
-    identical = set(clean_state) == set(faulty_state) and all(
-        np.array_equal(faulty_state[key], clean_state[key])
-        for key in clean_state
+def entry(*, mttf_hours):
+    """Extension: expected epoch completion at one MTTF, PMem-OE vs
+    DRAM-PS, in simulated-epoch units."""
+    iters = DEFAULT_PROFILE.iterations(16)
+    base = simulate_epoch(SystemKind.PMEM_OE, 16, iterations=iters).sim_seconds
+    interval = TrainingSimulator.interval_for_epoch_fraction(
+        base, 20, PAPER_EPOCH_HOURS
     )
-    reliability = faulty.reliability()
+    oe = simulate_epoch(
+        SystemKind.PMEM_OE, 16, iterations=iters,
+        checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
+    ).sim_seconds
+    dram = simulate_epoch(
+        SystemKind.DRAM_PS, 16, iterations=iters,
+        checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
+    ).sim_seconds
+    # Scale paper-scale recovery and MTTF into the simulated epoch: one
+    # simulated epoch stands for PAPER_EPOCH_HOURS of wall time.
+    scale = base / (PAPER_EPOCH_HOURS * 3600)
+    oe_recovery = scale * estimate_recovery_seconds(
+        entries=PAPER_ENTRIES, versions=PAPER_ENTRIES, entry_bytes=ENTRY_BYTES
+    )
+    dram_recovery = scale * estimate_dram_ps_recovery_seconds(
+        entries=PAPER_ENTRIES, entry_bytes=ENTRY_BYTES, checkpoint_device="pmem"
+    )
+    mttf = mttf_hours * 3600 * scale
+    lost = expected_lost_work_seconds(interval, mttf)
+    oe_total = oe + oe / mttf * (lost + oe_recovery)
+    dram_total = dram + dram / mttf * (lost + dram_recovery)
     return {
-        "identical": identical,
-        "retries": reliability.retries,
-        "dup_suppressed": reliability.dup_suppressed,
-        "wire_overhead_frac": faulty.wire_bytes() / clean.wire_bytes() - 1,
-        "sim_ms": faulty.clock.now * 1e3,
+        "oe_epoch_s": oe,
+        "dram_epoch_s": dram,
+        "oe_recovery_s": oe_recovery,
+        "dram_recovery_s": dram_recovery,
+        "oe_total_s": oe_total,
+        "dram_total_s": dram_total,
+        "advantage": 1 - oe_total / dram_total,
+        "ckpt_only_advantage": 1 - oe / dram,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_reliability"))

@@ -12,32 +12,26 @@ sides of the trade at the paper's scale:
   batches included), where recovery by design rolls back.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, ServerConfig
+from repro.core.optimizers import PSSGD
 from repro.core.replication import (
     FAILOVER_SECONDS,
     ReplicatedPSNode,
     replication_vs_recovery_seconds,
 )
-from repro.core.optimizers import PSSGD
 from repro.cost.pricing import PMEM_OE_DEPLOYMENT, cost_per_epoch
+from repro.simulation.profiles import PAPER_EPOCH_HOURS
 
 DIM = 8
 PAPER_ENTRIES = 2_100_000_000
 
 
 def live_demo():
+    """(simulated failover seconds, post-checkpoint work preserved?)"""
     node = ReplicatedPSNode(
         0,
         ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 24, seed=6),
@@ -64,50 +58,14 @@ def live_demo():
     return elapsed, preserved
 
 
-def test_ablation_replication_vs_recovery(benchmark, report):
-    def run():
-        failover, recovery = replication_vs_recovery_seconds(
-            entries=PAPER_ENTRIES, entry_bytes=256
-        )
-        return failover, recovery, live_demo()
-
-    failover, recovery, (demo_elapsed, demo_preserved) = run_once(benchmark, run)
-    report.title(
-        "ablation_replication",
-        "Extension: checkpoint recovery vs hot-standby replication",
-    )
-    report.row("downtime per failure: recovery", "380.2 s (Fig 14)", f"{recovery:.1f} s")
-    report.row("downtime per failure: failover", "O(seconds)", f"{failover:.1f} s")
-    report.row("failover speedup", "-", f"{recovery / failover:.0f}x")
-    single = cost_per_epoch(PMEM_OE_DEPLOYMENT, 5.33)
-    report.row(
-        "PS cost per epoch (1x -> 2x)",
-        "replication doubles Table V",
-        f"${single:.1f} -> ${2 * single:.1f}",
-    )
-    report.line()
-    report.line(
-        f"  live demo: failover took {demo_elapsed:.1f} s (simulated) and "
-        f"preserved post-checkpoint work: {demo_preserved}"
-    )
-
-    assert failover == FAILOVER_SECONDS
-    assert recovery / failover > 100
-    assert demo_preserved
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["demo_preserved"]:
-        failures.append("failover lost post-checkpoint work")
-    if metrics["speedup_x"] <= 100:
-        failures.append(
-            f"failover only {metrics['speedup_x']:.0f}x faster than recovery"
-        )
-    return failures
+    return failures(
+        (metrics["demo_preserved"], "failover lost post-checkpoint work"),
+        (metrics["failover_s"] == FAILOVER_SECONDS,
+         "failover downtime is not the constant role switch"),
+        (metrics["speedup_x"] > 100,
+         f"failover only {metrics['speedup_x']:.0f}x faster than recovery"),
+    )
 
 
 @register(
@@ -118,23 +76,33 @@ def _check(metrics: dict, params: dict) -> list:
         "demo_preserved": Headline(),
     },
     check=_check,
+    refs=[
+        Ref("recovery_s", "downtime per failure: recovery", "{:.1f} s",
+            paper="380.2 s (Fig 14)"),
+        Ref("failover_s", "downtime per failure: failover", "{:.1f} s",
+            paper="O(seconds)"),
+        Ref("speedup_x", "failover speedup", "{:.0f}x"),
+        Ref("cost_single", "PS cost per epoch, 1x", "${:.1f}", paper="Table V"),
+        Ref("cost_replicated", "PS cost per epoch, replicated", "${:.1f}",
+            paper="doubles Table V"),
+        Ref("demo_failover_s", "live demo: failover took", "{:.1f} s"),
+        Ref("demo_preserved", "live demo: work preserved", "{}", paper="True"),
+    ],
 )
 def entry(*, entries):
-    """Downtime of checkpoint recovery vs hot-standby failover at the
-    analytic scale, plus the nothing-lost live failover demo."""
+    """Extension: downtime and cost of checkpoint recovery vs hot-standby
+    replication, plus the nothing-lost live failover demo."""
     failover, recovery = replication_vs_recovery_seconds(
         entries=entries, entry_bytes=256
     )
-    __, demo_preserved = live_demo()
+    demo_elapsed, demo_preserved = live_demo()
+    single = cost_per_epoch(PMEM_OE_DEPLOYMENT, PAPER_EPOCH_HOURS)
     return {
         "failover_s": failover,
         "recovery_s": recovery,
         "speedup_x": recovery / failover,
+        "cost_single": single,
+        "cost_replicated": 2 * single,
+        "demo_failover_s": demo_elapsed,
         "demo_preserved": demo_preserved,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_replication"))

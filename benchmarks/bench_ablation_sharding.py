@@ -9,28 +9,20 @@ processes so scanning and index rebuilding parallelize. Two parts:
   is verified independent (entry counts partition the key space).
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, ServerConfig
 from repro.core.recovery import estimate_recovery_seconds
 from repro.core.server import OpenEmbeddingServer
 
 ENTRIES = 2_100_000_000
 ENTRY_BYTES = 256
+PAPER_1SHARD_S = 380.2
 
 
-def live_sharded_recovery(num_nodes: int, num_keys: int = 3000):
+def live_sharded_recovery(num_nodes: int, num_keys: int):
     server_config = ServerConfig(
         num_nodes=num_nodes, embedding_dim=8, pmem_capacity_bytes=1 << 24, seed=2
     )
@@ -42,65 +34,25 @@ def live_sharded_recovery(num_nodes: int, num_keys: int = 3000):
     server.push(keys, np.full((len(keys), 8), 0.1, dtype=np.float32), 0)
     server.barrier_checkpoint()
     pools = server.crash()
-    recovered, reports = OpenEmbeddingServer.recover(pools, server_config, cache_config)
-    return recovered, reports
-
-
-def test_ablation_sharded_recovery(benchmark, report):
-    def run():
-        analytic = {
-            shards: estimate_recovery_seconds(
-                entries=ENTRIES,
-                versions=ENTRIES,
-                entry_bytes=ENTRY_BYTES,
-                parallelism=shards,
-            )
-            for shards in (1, 2, 4, 8)
-        }
-        recovered, reports = live_sharded_recovery(4)
-        return analytic, recovered, reports
-
-    analytic, recovered, reports = run_once(benchmark, run)
-    report.title(
-        "ablation_sharding", "Ablation: recovery time vs PS shard count (paper scale)"
-    )
-    for shards, seconds in analytic.items():
-        paper = "380.2" if shards == 1 else f"~{380.2 / shards:.0f} (linear)"
-        report.row(f"{shards} shard(s)", paper, f"{seconds:.1f} s")
-    report.line()
-    per_shard = [r.entries_recovered for r in reports]
-    report.line(
-        f"  live 4-shard demo: per-shard entries {per_shard} "
-        f"(sum {sum(per_shard)}), all to checkpoint "
-        f"{reports[0].checkpoint_batch_id}"
-    )
-
-    assert analytic[1] == pytest.approx(380.2, rel=0.12)
-    for shards in (2, 4, 8):
-        assert analytic[shards] == pytest.approx(analytic[1] / shards)
-    assert sum(per_shard) == 3000
-    assert all(r.checkpoint_batch_id == 0 for r in reports)
-    # Hash partitioning balances the shards reasonably.
-    assert max(per_shard) < 2 * min(per_shard)
-    assert recovered.num_entries == 3000
-
-
-# --- registry entry -------------------------------------------------------
+    return OpenEmbeddingServer.recover(pools, server_config, cache_config)
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["linear_ok"]:
-        failures.append("sharded recovery no longer scales linearly")
-    if not metrics["live_sum_ok"]:
-        failures.append("live shards lost or duplicated entries")
-    return failures
+    return failures(
+        (metrics["linear_ok"], "sharded recovery no longer scales linearly"),
+        (metrics["live_sum_ok"], "live shards lost or duplicated entries"),
+        (metrics["live_at_checkpoint"],
+         "a live shard recovered to the wrong checkpoint"),
+        # Hash partitioning balances the shards reasonably.
+        (metrics["shard_imbalance"] < 2,
+         f"largest shard {metrics['shard_imbalance']:.2f}x the smallest"),
+    )
 
 
 @register(
     "ablation_sharding",
     params=[
-        Param("shards", "int", 4, help="PS shard count for the live demo"),
+        Param("shards", "int", 4, help="PS shard count"),
         Param("live_keys", "int", 3000),
     ],
     smoke={"live_keys": 1500},
@@ -110,10 +62,19 @@ def _check(metrics: dict, params: dict) -> list:
         "live_sum_ok": Headline(),
     },
     check=_check,
+    along="shards",
+    refs=[
+        Ref("recovery_sharded_s", "{shards} shard(s)", "{:.1f} s",
+            paper={n: PAPER_1SHARD_S / n for n in (1, 2, 4, 8)}, rel=0.12),
+    ] + [
+        Ref(f"live_shard{shard}_entries", f"  live demo: shard {shard} entries",
+            "{}", paper="balanced")
+        for shard in range(8)
+    ],
 )
 def entry(*, shards, live_keys):
-    """Analytic recovery scaling with shard count plus a live sharded
-    crash/recover verifying the shards partition the key space."""
+    """Ablation: recovery time vs PS shard count at paper scale, plus a
+    live sharded crash/recover verifying the shards partition the keys."""
     one = estimate_recovery_seconds(
         entries=ENTRIES, versions=ENTRIES, entry_bytes=ENTRY_BYTES, parallelism=1
     )
@@ -131,11 +92,10 @@ def entry(*, shards, live_keys):
             sum(per_shard) == live_keys
             and recovered.num_entries == live_keys
         ),
+        "live_at_checkpoint": all(r.checkpoint_batch_id == 0 for r in reports),
         "shard_imbalance": max(per_shard) / max(min(per_shard), 1),
+        **{
+            f"live_shard{shard}_entries": entries
+            for shard, entries in enumerate(per_shard)
+        },
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_sharding"))

@@ -8,38 +8,22 @@ pushes). Held-out AUC / log-loss are the headlines the perf gate
 guards: a regression here means the defense layer stopped earning its
 keep, not that a loop got slower.
 
-The report shows the two rows the paper's Section II argument needs:
-robust aggregation under a hostile minority stays inside the sync
-envelope, while plain mean under the *same* injection diverges.
+Each cell also reports the two references the paper's Section II
+argument needs: the fault-free synchronous baseline, and plain ``mean``
+under the *same* injection — robust aggregation under a hostile
+minority stays inside the sync envelope, plain mean diverges.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.failure.injection import hostile_fleet
 from tests.harness.async_chaos import run_async, run_sync_baseline
 
-WORKERS = 6  # n >= 3f + 2 for f = 1
-STEPS = 180
 SCALE = 6.0  # sign-flip amplification (matches the chaos soak)
+ROBUST = ("trimmed_mean", "median", "krum")
 
 
-def _cell(
-    *,
-    steps: int,
-    workers: int,
-    staleness_k: int,
-    aggregator: str,
-    hostile_fraction: float,
-    seed: int,
-):
+def _cell(*, steps, workers, staleness_k, aggregator, hostile_fraction, seed):
     """One grid cell: a full hostile (or honest) async run, evaluated."""
     byzantine = round(hostile_fraction * workers)
     fleet = None
@@ -64,76 +48,31 @@ def _cell(
     )
 
 
-def test_ablation_staleness(benchmark, report):
-    aggs = ("trimmed_mean", "median", "mean")
-
-    def grid():
-        baseline = run_sync_baseline(batches=STEPS)
-        hostile = {
-            agg: _cell(
-                steps=STEPS, workers=WORKERS, staleness_k=3,
-                aggregator=agg, hostile_fraction=1 / WORKERS, seed=7,
-            )
-            for agg in aggs
-        }
-        honest = _cell(
-            steps=STEPS, workers=WORKERS, staleness_k=3,
-            aggregator="trimmed_mean", hostile_fraction=0.0, seed=7,
-        )
-        return baseline, honest, hostile
-
-    baseline, honest, hostile = run_once(benchmark, grid)
-    report.title(
-        "ablation_staleness",
-        "Ablation: bounded-staleness async vs hostile workers "
-        f"({WORKERS} workers, {STEPS} steps, f=1 sign-flip x{SCALE:.0f})",
-    )
-    report.row(
-        "sync baseline (fault-free)",
-        "converges (Sec. II)",
-        f"auc {baseline['auc']:.3f}  logloss {baseline['logloss']:.3f}",
-    )
-    report.row(
-        "honest async, trimmed_mean",
-        "within sync envelope",
-        f"auc {honest.metrics['auc']:.3f}  "
-        f"logloss {honest.metrics['logloss']:.3f}",
-    )
-    for agg in aggs:
-        run = hostile[agg]
-        note = "defense off" if agg == "mean" else "defense on"
-        report.row(
-            f"hostile async, {agg}",
-            "survives" if agg != "mean" else "diverges",
-            f"auc {run.metrics['auc']:.3f}  "
-            f"logloss {run.metrics['logloss']:.3f}",
-            note,
-        )
-    # The defense earns its keep: robust folds hold the envelope, plain
-    # mean under the identical injection does not.
-    assert honest.metrics["auc"] >= baseline["auc"] - 0.03
-    for agg in ("trimmed_mean", "median"):
-        assert hostile[agg].metrics["auc"] >= hostile["mean"].metrics["auc"] + 0.08
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    problems = []
-    if not 0.0 <= metrics["auc"] <= 1.0:
-        problems.append(f"auc {metrics['auc']} out of range")
     byzantine = round(params["hostile_fraction"] * params["workers"])
-    defended = params["aggregator"] in ("trimmed_mean", "median", "krum")
-    tolerated = params["workers"] >= 3 * byzantine + 2
-    if defended and tolerated and params["steps"] >= 120:
-        if metrics["auc"] < 0.65:
-            problems.append(
-                f"robust aggregation lost convergence (auc {metrics['auc']:.3f})"
-            )
-    if byzantine and metrics["byzantine_pushes"] == 0:
-        problems.append("hostile fraction set but no Byzantine push injected")
-    return problems
+    # n >= 3f + 2 is the fold's tolerance; short runs have not converged.
+    defended = (
+        params["aggregator"] in ROBUST
+        and params["workers"] >= 3 * byzantine + 2
+        and params["steps"] >= 120
+    )
+    auc = metrics["auc"]
+    return failures(
+        (0.0 <= auc <= 1.0, f"auc {auc} out of range"),
+        (not defended or auc >= 0.65,
+         f"robust aggregation lost convergence (auc {auc:.3f})"),
+        (not byzantine or metrics["byzantine_pushes"] > 0,
+         "hostile fraction set but no Byzantine push injected"),
+        # The defense earns its keep: honest async holds the sync
+        # envelope, and a robust fold under a hostile minority beats
+        # plain mean under the identical injection.
+        (byzantine or not defended or auc >= metrics["sync_auc"] - 0.03,
+         f"honest async auc {auc:.3f} fell out of the sync envelope "
+         f"({metrics['sync_auc']:.3f})"),
+        (not (byzantine and defended) or auc >= metrics["mean_auc"] + 0.08,
+         f"{params['aggregator']} auc {auc:.3f} no better than plain mean "
+         f"({metrics['mean_auc']:.3f}) under the same injection"),
+    )
 
 
 @register(
@@ -142,15 +81,15 @@ def _check(metrics: dict, params: dict) -> list:
         Param("staleness_k", "int", 3, help="PS-side staleness bound k"),
         Param(
             "aggregator", "str", "trimmed_mean",
-            choices=("mean", "trimmed_mean", "median", "krum"),
+            choices=("mean",) + ROBUST,
             help="robust gradient fold at the PS",
         ),
         Param(
             "hostile_fraction", "float", 0.0,
             help="fraction of workers turned Byzantine (sign-flip)",
         ),
-        Param("workers", "int", WORKERS),
-        Param("steps", "int", STEPS),
+        Param("workers", "int", 6),  # n >= 3f + 2 for f = 1
+        Param("steps", "int", 180),
         Param("seed", "int", 7),
     ],
     smoke={"steps": 120},
@@ -159,34 +98,37 @@ def _check(metrics: dict, params: dict) -> list:
         "logloss": Headline(direction="lower", max_regression=0.10, noise=0.01),
     },
     check=_check,
+    along=("hostile_fraction", "aggregator"),
+    refs=[
+        Ref("sync_auc", "sync baseline (fault-free) auc", paper="converges (Sec. II)"),
+        Ref("sync_logloss", "sync baseline logloss"),
+        Ref("auc", "{aggregator}, hostile {hostile_fraction}: auc",
+            paper="survives unless mean"),
+        Ref("logloss", "{aggregator}, hostile {hostile_fraction}: logloss"),
+    ],
 )
 def entry(*, staleness_k, aggregator, hostile_fraction, workers, steps, seed):
-    """Held-out AUC / log-loss of one bounded-staleness async cell."""
-    run = _cell(
-        steps=steps,
-        workers=workers,
-        staleness_k=staleness_k,
-        aggregator=aggregator,
-        hostile_fraction=hostile_fraction,
-        seed=seed,
+    """Ablation: held-out AUC / log-loss of one bounded-staleness async
+    cell, beside the sync baseline and plain mean under the same fleet."""
+    cell = dict(
+        steps=steps, workers=workers, staleness_k=staleness_k,
+        hostile_fraction=hostile_fraction, seed=seed,
     )
-    pulls_rejected = sum(node.staleness.rejected for node in run.server.nodes)
-    folds = sum(
-        node.aggregation.stats.folds
-        for node in run.server.nodes
-        if node.aggregation is not None
-    )
+    run = _cell(aggregator=aggregator, **cell)
+    mean = run if aggregator == "mean" else _cell(aggregator="mean", **cell)
+    baseline = run_sync_baseline(batches=steps)
     return {
         "auc": run.metrics["auc"],
         "logloss": run.metrics["logloss"],
+        "mean_auc": mean.metrics["auc"],
+        "sync_auc": baseline["auc"],
+        "sync_logloss": baseline["logloss"],
         "byzantine_pushes": run.stats.byzantine_pushes,
         "duplicate_pushes": run.stats.duplicate_pushes,
-        "pulls_rejected": pulls_rejected,
-        "aggregator_folds": folds,
+        "pulls_rejected": sum(node.staleness.rejected for node in run.server.nodes),
+        "aggregator_folds": sum(
+            node.aggregation.stats.folds
+            for node in run.server.nodes
+            if node.aggregation is not None
+        ),
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_staleness"))

@@ -12,18 +12,10 @@ same 240 worker-batches at the same learning rate; only the staleness
 Staleness 0 is equivalent to fully synchronous sequential SGD.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import CacheConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
@@ -32,11 +24,10 @@ from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 
-FIELDS, DIM, BATCH, STEPS = 8, 16, 32, 240
-STALENESS_LEVELS = (0, 4, 12, 24)
+FIELDS, DIM, BATCH = 8, 16, 32
 
 
-def _run(staleness: int, steps: int = STEPS) -> list[float]:
+def _run(staleness: int, steps: int) -> list[float]:
     server = OpenEmbeddingServer(
         ServerConfig(
             num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 28, seed=3
@@ -57,46 +48,18 @@ def _run(staleness: int, steps: int = STEPS) -> list[float]:
     return trainer.run_steps(steps)
 
 
-def test_ablation_gradient_staleness(benchmark, report):
-    results = run_once(
-        benchmark, lambda: {s: _run(s) for s in STALENESS_LEVELS}
-    )
-    report.title(
-        "ablation_sync_async",
-        "Ablation: convergence vs gradient staleness (240 batches, same lr)",
-    )
-    window = STEPS // 5
-    finals = {}
-    for staleness, losses in results.items():
-        finals[staleness] = float(np.mean(losses[-window:]))
-        label = "synchronous" if staleness == 0 else f"async, staleness {staleness}"
-        report.row(
-            label,
-            "fresher is better (paper Sec. II)",
-            f"final loss {finals[staleness]:.4f}",
-        )
-
-    ordered = [finals[s] for s in STALENESS_LEVELS]
-    # Synchronous (staleness 0) converges best; degradation is monotone
-    # in staleness — the effect the paper's design choice avoids.
-    assert ordered == sorted(ordered)
-    assert finals[STALENESS_LEVELS[-1]] > finals[0] + 0.01
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    if metrics["degradation"] < 0:
-        return ["stale gradients converged better than synchronous SGD"]
-    return []
+    return failures(
+        (metrics["degradation"] >= 0,
+         "stale gradients converged better than synchronous SGD"),
+    )
 
 
 @register(
     "ablation_sync_async",
     params=[
         Param("staleness", "int", 24, help="scheduler steps of staleness"),
-        Param("steps", "int", STEPS),
+        Param("steps", "int", 240),
     ],
     smoke={"steps": 80},
     headline={
@@ -104,23 +67,23 @@ def _check(metrics: dict, params: dict) -> list:
         "final_loss_sync": Headline(direction="lower", max_regression=0.10),
     },
     check=_check,
+    along="staleness",
+    refs=[
+        Ref("final_loss_stale", "staleness {staleness} (0 = synchronous)",
+            "final loss {:.4f}", paper="fresher is better"),
+    ],
+    # Synchronous (staleness 0) converges best; degradation is monotone
+    # in staleness — the effect the paper's design choice avoids.
+    trends=[Trend("final_loss_stale", along="staleness", shape="rising", by=0.01)],
 )
 def entry(*, staleness, steps):
-    """Final-loss gap between synchronous SGD and one asynchronous
-    staleness level on the same batch stream."""
+    """Ablation: convergence vs gradient staleness — final loss of
+    synchronous SGD and of one staleness level on the same batches."""
     window = max(steps // 5, 4)
-    sync_losses = _run(0, steps)
-    stale_losses = _run(staleness, steps)
-    final_sync = float(np.mean(sync_losses[-window:]))
-    final_stale = float(np.mean(stale_losses[-window:]))
+    final_sync = float(np.mean(_run(0, steps)[-window:]))
+    final_stale = float(np.mean(_run(staleness, steps)[-window:]))
     return {
         "final_loss_sync": final_sync,
         "final_loss_stale": final_stale,
         "degradation": final_stale - final_sync,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("ablation_sync_async"))

@@ -10,43 +10,34 @@ bounds the remap at the theoretical minimum ``1/(n+1)`` (keys only move
   counts — the ring must stay within 2x of the theoretical minimum
   while modulo moves the near-total ~n/(n+1);
 * **throughput dip**: the simulated migration pause of a mid-epoch
-  reshard (``TrainingSimulator(reshard_at=...)``), ring vs modulo —
-  the pause scales with keys moved, so the ring's dip is a fraction of
-  modulo's;
+  reshard 4 -> 5 nodes (``TrainingSimulator(reshard_at=...)``), ring vs
+  modulo — the pause scales with keys moved, so the ring's dip is a
+  fraction of modulo's;
 * a **live migration demo** on a real 3-node cluster: scale out, then
   in, and verify the weights never change by a bit.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
+import dataclasses
 
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, ServerConfig
 from repro.core.migration import ShardMigrator
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.core.sharding import ConsistentHashRing, HashPartitioner
 from repro.simulation.cluster import SystemKind
+from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
-SAMPLE_KEYS = 200_000
-NODE_COUNTS = (2, 4, 8)
 VNODES = 64
 DIM = 8
 
 
-def moved_fractions(
-    num_nodes: int, sample_keys: int = SAMPLE_KEYS
-) -> tuple[float, float]:
+def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float]:
     """(ring, modulo) fraction of a sampled keyspace that changes owner
     when the cluster grows ``num_nodes -> num_nodes + 1``."""
     keys = range(sample_keys)
@@ -58,11 +49,10 @@ def moved_fractions(
     return ring_moved / sample_keys, modulo_moved / sample_keys
 
 
-def throughput_dip(partitioner: str, profile) -> tuple[float, float, int]:
-    """(migration pause s, epoch s, keys moved) of a mid-epoch reshard
-    4 -> 5 nodes under ``partitioner`` in the training simulator."""
-    import dataclasses
-
+def throughput_dip(partitioner: str):
+    """The simulated epoch with a mid-epoch reshard 4 -> 5 nodes under
+    ``partitioner``."""
+    profile = DEFAULT_PROFILE
     simulator = TrainingSimulator(
         SystemKind.PMEM_OE,
         profile.cluster_config(8),
@@ -73,12 +63,7 @@ def throughput_dip(partitioner: str, profile) -> tuple[float, float, int]:
         workload=WorkloadGenerator(profile.workload_config(1.0)),
         reshard_at=40,
     )
-    result = simulator.run(80)
-    return (
-        result.migration_pause_seconds,
-        result.sim_seconds,
-        result.migration_keys_moved,
-    )
+    return simulator.run(80)
 
 
 def live_demo() -> tuple[float, float, bool]:
@@ -113,84 +98,29 @@ def live_demo() -> tuple[float, float, bool]:
     return out.moved_fraction, in_.moved_fraction, identical
 
 
-def test_elastic_ring_vs_modulo(benchmark, report, profile):
-    def run():
-        fractions = {n: moved_fractions(n) for n in NODE_COUNTS}
-        dips = {p: throughput_dip(p, profile) for p in ("ring", "modulo")}
-        return fractions, dips, live_demo()
-
-    fractions, dips, (out_frac, in_frac, identical) = run_once(benchmark, run)
-
-    report.title(
-        "elastic",
-        "Elasticity: consistent-hash ring vs modulo partition (scale-out by 1)",
-    )
-    for n in NODE_COUNTS:
-        ring_frac, modulo_frac = fractions[n]
-        minimum = 1 / (n + 1)
-        report.row(
-            f"keys moved, {n} -> {n + 1} nodes",
-            f"min {minimum:.1%} / mod ~{n / (n + 1):.0%}",
-            f"ring {ring_frac:.1%} / mod {modulo_frac:.1%}",
-            f"ring = {ring_frac / minimum:.2f}x min",
-        )
-    report.line()
-    ring_pause, ring_epoch, ring_moved = dips["ring"]
-    mod_pause, mod_epoch, mod_moved = dips["modulo"]
-    report.row(
-        "reshard pause (sim, 4 -> 5)",
-        "scales w/ moved",
-        f"ring {ring_pause * 1e3:.2f} ms / mod {mod_pause * 1e3:.2f} ms",
-        f"{mod_pause / ring_pause:.1f}x dip saved",
-    )
-    report.row(
-        "keys moved mid-epoch",
-        "-",
-        f"ring {ring_moved} / mod {mod_moved}",
-    )
-    report.row(
-        "epoch time w/ reshard",
-        "-",
-        f"ring {ring_epoch:.3f} s / mod {mod_epoch:.3f} s",
-    )
-    report.line()
-    report.line(
-        f"  live 3-node demo: scale-out moved {out_frac:.1%} of resident keys, "
-        f"scale-in moved {in_frac:.1%}; weights bit-identical: {identical}"
-    )
-
-    # Acceptance: ring within 2x of the theoretical minimum at every
-    # node count; modulo near-total; the live reshard touches no value.
-    for n in NODE_COUNTS:
-        ring_frac, modulo_frac = fractions[n]
-        assert ring_frac <= 2 * (1 / (n + 1)), (n, ring_frac)
-        assert modulo_frac >= 0.9 * (n / (n + 1)), (n, modulo_frac)
-    assert ring_moved < mod_moved
-    assert ring_pause < mod_pause
-    assert identical
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    minimum = 1 / (params["num_nodes"] + 1)
-    if metrics["ring_moved_frac"] > 2 * minimum:
-        failures.append(
-            f"ring moved {metrics['ring_moved_frac']:.1%}, over 2x the "
-            f"{minimum:.1%} theoretical minimum"
-        )
-    if not metrics["live_identical"]:
-        failures.append("live scale-out/in changed a weight")
-    return failures
+    # Ring within 2x of the theoretical minimum at every node count;
+    # modulo near-total; the live reshard touches no value.
+    nodes = params["num_nodes"]
+    return failures(
+        (metrics["ring_moved_frac"] <= 2 / (nodes + 1),
+         f"ring moved {metrics['ring_moved_frac']:.1%}, over 2x the "
+         f"{1 / (nodes + 1):.1%} theoretical minimum"),
+        (metrics["modulo_moved_frac"] >= 0.9 * nodes / (nodes + 1),
+         f"modulo moved only {metrics['modulo_moved_frac']:.1%}"),
+        (metrics["ring_keys_moved"] < metrics["modulo_keys_moved"],
+         "mid-epoch reshard moved no fewer keys on the ring than modulo"),
+        (metrics["ring_pause_ms"] < metrics["modulo_pause_ms"],
+         "the ring's reshard pause is no shorter than modulo's"),
+        (metrics["live_identical"], "live scale-out/in changed a weight"),
+    )
 
 
 @register(
     "elastic",
     params=[
         Param("num_nodes", "int", 4, help="cluster size before scale-out"),
-        Param("sample_keys", "int", SAMPLE_KEYS),
+        Param("sample_keys", "int", 200_000),
     ],
     smoke={"sample_keys": 20_000},
     headline={
@@ -198,23 +128,46 @@ def _check(metrics: dict, params: dict) -> list:
         "live_identical": Headline(),
     },
     check=_check,
+    along="num_nodes",
+    refs=[
+        Ref("ring_moved_frac", "keys moved, {num_nodes} -> +1: ring", "{:.1%}",
+            paper={n: 1 / (n + 1) for n in (2, 4, 8)}),
+        Ref("modulo_moved_frac", "keys moved, {num_nodes} -> +1: modulo",
+            "{:.1%}", paper={n: n / (n + 1) for n in (2, 4, 8)}),
+        Ref("ring_vs_min_x", "  ring vs theoretical minimum", "{:.2f}x min"),
+        Ref("ring_pause_ms", "reshard pause (sim, 4 -> 5): ring", "{:.2f} ms",
+            paper="scales w/ moved"),
+        Ref("modulo_pause_ms", "reshard pause (sim, 4 -> 5): mod", "{:.2f} ms",
+            paper="scales w/ moved"),
+        Ref("dip_saved_x", "  pause, modulo over ring", "{:.1f}x dip saved"),
+        Ref("ring_keys_moved", "keys moved mid-epoch: ring", "{}"),
+        Ref("modulo_keys_moved", "keys moved mid-epoch: mod", "{}"),
+        Ref("ring_epoch_s", "epoch time w/ reshard: ring", "{:.3f} s"),
+        Ref("modulo_epoch_s", "epoch time w/ reshard: mod", "{:.3f} s"),
+        Ref("live_out_frac", "live 3-node demo: scale-out moved", "{:.1%}"),
+        Ref("live_in_frac", "live 3-node demo: scale-in moved", "{:.1%}"),
+        Ref("live_identical", "live demo: weights bit-identical", "{}",
+            paper="True"),
+    ],
 )
 def entry(*, num_nodes, sample_keys):
-    """Ring-vs-modulo moved-key fractions at one cluster size plus the
-    live scale-out/in bit-identicality demo."""
+    """Elasticity: ring-vs-modulo moved-key fractions at one cluster
+    size, the mid-epoch reshard dip, and the live scale-out/in demo."""
     ring_frac, modulo_frac = moved_fractions(num_nodes, sample_keys)
+    ring, modulo = throughput_dip("ring"), throughput_dip("modulo")
     out_frac, in_frac, identical = live_demo()
     return {
         "ring_moved_frac": ring_frac,
         "modulo_moved_frac": modulo_frac,
         "ring_vs_min_x": ring_frac * (num_nodes + 1),
+        "ring_pause_ms": ring.migration_pause_seconds * 1e3,
+        "modulo_pause_ms": modulo.migration_pause_seconds * 1e3,
+        "dip_saved_x": modulo.migration_pause_seconds / ring.migration_pause_seconds,
+        "ring_keys_moved": ring.migration_keys_moved,
+        "modulo_keys_moved": modulo.migration_keys_moved,
+        "ring_epoch_s": ring.sim_seconds,
+        "modulo_epoch_s": modulo.sim_seconds,
         "live_out_frac": out_frac,
         "live_in_frac": in_frac,
         "live_identical": identical,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("elastic"))

@@ -18,116 +18,64 @@ default lease) against the paper's ~380 s — and unlike recovery, the
 failover loses *nothing*: post-checkpoint batches survive on the
 backup.
 
-The live half runs the MTTF chaos soak (``tests/harness/chaos.py``):
+The live half runs the MTTF chaos soak (``tests/harness/chaos.py``) on
+all three transports (in-process, RPC, RPC over a lossy wire):
 Poisson-scheduled kills land mid-batch while a deterministic workload
 trains, promotions answer them, and the final weights are compared
-bitwise against a fault-free replay.
-
-Run under pytest-benchmark for the full report, or standalone for CI:
-
-    python benchmarks/bench_failover.py --smoke
-
-Smoke mode runs a short 2-kill soak over all three transports
-(in-process, RPC, RPC over a lossy wire) and exits non-zero if any
-soak loses an update, regresses a checkpoint id, or blows the
-unavailability bound.
+bitwise against a fault-free replay. A soak fails if it loses an
+update, regresses a checkpoint id, or blows the unavailability bound.
 """
 
 from __future__ import annotations
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.core.replication import (
     FAILOVER_SECONDS,
     replication_vs_recovery_seconds,
 )
 from repro.failure.mttf import expected_lost_work_seconds, young_interval_seconds
+from tests.harness.chaos import assert_soak_survived, percentile, run_chaos_soak
 
 PAPER_ENTRIES = 2_100_000_000
-PAPER_RECOVERY_S = 380.2  # Figure 14, PMem-OE scan + rebuild
 LEASE_S = 0.5
+MTTF_S = 12.0 * 3600
+SCENARIOS = {
+    "local": dict(seed=0),
+    "remote": dict(remote=True, seed=1),
+    "faulty": dict(remote=True, faulty=True, seed=2, mttf_s=2.0),
+}
+#: per-transport soak counters reported beside the verdict
+SOAK_COLUMNS = ("kills", "promotions", "double_faults", "absorbed", "rebuilt")
 
 
-def soak_line(result, label: str) -> str:
-    from tests.harness.chaos import percentile
-
-    p99 = percentile(result.unavailability_seconds, 99)
-    return (
-        f"  {label:<10} kills={result.kills} promotions={len(result.promotions)} "
-        f"double_faults={result.double_faults} absorbed={result.absorbed_kills} "
-        f"p99_unavail={p99:.3f}s (bound {result.unavailability_bound_s:.3f}s) "
-        f"rebuilt={result.rebuilds_completed}/{len(result.backend.nodes)}"
-    )
-
-
-def run_soaks(kills: int, batches: int):
-    """The three-transport chaos soak; returns ``(results, failures)``."""
-    from tests.harness.chaos import assert_soak_survived, run_chaos_soak
-
-    scenarios = [
-        ("local", dict(seed=0)),
-        ("remote", dict(remote=True, seed=1)),
-        ("faulty", dict(remote=True, faulty=True, seed=2, mttf_s=2.0)),
-    ]
-    results = []
-    failures = 0
-    for label, kwargs in scenarios:
+def run_soaks(kills: int, batches: int) -> dict:
+    """The three-transport chaos soak: flat per-transport metrics plus
+    ``soak_failures``."""
+    metrics = {"soak_failures": 0}
+    for label, kwargs in SCENARIOS.items():
         result = run_chaos_soak(kills=kills, batches=batches, **kwargs)
         try:
             assert_soak_survived(result, min_kills=kills)
-            verdict = "ok"
-        except AssertionError as exc:
-            verdict = f"FAIL: {exc}"
-            failures += 1
-        results.append((label, result, verdict))
-    return results, failures
+        except AssertionError:
+            metrics["soak_failures"] += 1
+        metrics.update({
+            f"{label}_kills": result.kills,
+            f"{label}_promotions": len(result.promotions),
+            f"{label}_double_faults": result.double_faults,
+            f"{label}_absorbed": result.absorbed_kills,
+            f"{label}_rebuilt": result.rebuilds_completed,
+            f"{label}_p99_unavail_s": percentile(result.unavailability_seconds, 99),
+            f"{label}_unavail_bound_s": result.unavailability_bound_s,
+        })
+    return metrics
 
 
-def test_failover_vs_recovery(benchmark, report):
-    from benchmarks.conftest import run_once
-
-    def run():
-        failover, recovery = replication_vs_recovery_seconds(
-            entries=PAPER_ENTRIES, entry_bytes=4 * 64
-        )
-        soaks, failures = run_soaks(kills=3, batches=30)
-        return failover, recovery, soaks, failures
-
-    failover, recovery, soaks, failures = run_once(benchmark, run)
-    unavailability = LEASE_S + FAILOVER_SECONDS
-    interval = young_interval_seconds(15.0, 12.0 * 3600)
-    lost = expected_lost_work_seconds(interval, 12.0 * 3600)
-
-    report.title("failover", "Extension: MTTF chaos soak — detection + hot failover")
-    report.row(
-        "recovery per failure", f"{PAPER_RECOVERY_S} s (Fig 14)", f"{recovery:.1f} s"
+def _check(metrics: dict, params: dict) -> list:
+    return failures(
+        (metrics["all_survived"],
+         "a chaos soak lost updates or blew its unavailability bound"),
     )
-    report.row(
-        "failover unavailability", "O(seconds)",
-        f"{unavailability:.1f} s (lease {LEASE_S} + promote {FAILOVER_SECONDS})",
-    )
-    report.row(
-        "recovery -> failover", "-", f"{recovery / unavailability:.0f}x less downtime"
-    )
-    report.row(
-        "Young interval (12h MTTF)", "sqrt(2*C*MTTF)",
-        f"{interval:.0f} s ({lost:.0f} s lost/failure)",
-    )
-    report.line()
-    report.line("  chaos soak: 3 Poisson kills per transport, bitwise-exact finish")
-    for label, result, verdict in soaks:
-        report.line(soak_line(result, label) + f" [{verdict}]")
-    assert failures == 0, "a chaos soak lost updates or blew its bound"
-
-
-# --- registry entry -------------------------------------------------------
 
 
 @register(
@@ -142,31 +90,47 @@ def test_failover_vs_recovery(benchmark, report):
         # Analytic model: deterministic, gate tightly.
         "recovery_vs_failover_x": Headline(direction="higher", max_regression=0.05),
     },
-    check=lambda metrics, params: (
-        []
-        if metrics["all_survived"]
-        else ["a chaos soak lost updates or blew its unavailability bound"]
-    ),
+    check=_check,
+    refs=[
+        Ref("recovery_seconds", "recovery per failure", "{:.1f} s",
+            paper="380.2 s (Fig 14)"),
+        Ref("unavailability_s", "failover unavailability", "{:.1f} s",
+            paper="O(seconds)"),
+        Ref("recovery_vs_failover_x", "recovery -> failover", "{:.0f}x less downtime"),
+        Ref("young_interval_s", "Young interval (12h MTTF)", "{:.0f} s",
+            paper="sqrt(2*C*MTTF)"),
+        Ref("lost_work_s", "  lost work per failure", "{:.0f} s"),
+        Ref("all_survived", "chaos soaks: bitwise-exact finish", "{}", paper="True"),
+    ] + [
+        Ref(f"{label}_{column}", f"  {label} {column}", "{}")
+        for label in SCENARIOS for column in SOAK_COLUMNS
+    ] + [
+        ref
+        for label in SCENARIOS
+        for ref in (
+            Ref(f"{label}_p99_unavail_s", f"  {label} p99 unavailability",
+                "{:.3f}s", paper="under its bound"),
+            Ref(f"{label}_unavail_bound_s", f"  {label} bound", "{:.3f}s"),
+        )
+    ],
 )
 def entry(*, kills, batches):
-    """Three-transport MTTF chaos soak plus the recovery-vs-failover
-    downtime ratio from the analytic model."""
+    """Extension: MTTF chaos soak on three transports — detection + hot
+    failover — beside the analytic recovery-vs-failover downtime."""
     __, recovery = replication_vs_recovery_seconds(
         entries=PAPER_ENTRIES, entry_bytes=4 * 64
     )
     unavailability = LEASE_S + FAILOVER_SECONDS
-    results, failures = run_soaks(kills=kills, batches=batches)
+    interval = young_interval_seconds(15.0, MTTF_S)
+    soaks = run_soaks(kills=kills, batches=batches)
     return {
-        "all_survived": failures == 0,
-        "soak_failures": failures,
-        "kills_total": sum(result.kills for __, result, __ in results),
-        "promotions": sum(len(result.promotions) for __, result, __ in results),
+        "all_survived": soaks["soak_failures"] == 0,
+        "kills_total": sum(soaks[f"{label}_kills"] for label in SCENARIOS),
+        "promotions": sum(soaks[f"{label}_promotions"] for label in SCENARIOS),
         "recovery_vs_failover_x": recovery / unavailability,
         "recovery_seconds": recovery,
+        "unavailability_s": unavailability,
+        "young_interval_s": interval,
+        "lost_work_s": expected_lost_work_seconds(interval, MTTF_S),
+        **soaks,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("failover"))

@@ -2,74 +2,24 @@
 
 Sorts features by access frequency, fits the exponential-decay model
 ``freq = a * exp(-b * rank/N)`` (the paper's fit), and generates the
-more-/less-skewed variants used by Figure 11, keeping total accesses
-fixed while the decay rate changes.
+more-/less-skewed variants used by Figure 11 (skew 1.15 / 0.85),
+keeping total accesses fixed while the decay rate changes.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.trace import AccessTraceAnalyzer
 
-SKEWS = {"less skew": 0.85, "original": 1.0, "more skew": 1.15}
-
-
-def test_fig10_distribution_fit(benchmark, report):
-    profile = DEFAULT_PROFILE
-
-    def run():
-        fits = {}
-        for name, temperature in SKEWS.items():
-            generator = WorkloadGenerator(profile.workload_config(temperature))
-            stream = generator.access_stream(num_batches=150, batch_size=256)
-            analyzer = AccessTraceAnalyzer(stream)
-            a, b = analyzer.fit_exponential()
-            fits[name] = (a, b, analyzer.total_accesses)
-        return fits
-
-    fits = run_once(benchmark, run)
-    report.title(
-        "fig10_distribution",
-        "Figure 10: exponential fit freq = a*exp(-b*rank/N) per skew variant",
-    )
-    for name, (a, b, total) in fits.items():
-        report.row(
-            name,
-            "exp decay",
-            f"a={a:9.1f} b={b:6.1f}",
-            note=f"({total} accesses)",
-        )
-
-    # Total access volume is held constant across variants (the paper
-    # adjusts the distribution "while keeping the total amount of
-    # accesses the same").
-    totals = {total for *_, total in fits.values()}
-    assert len(totals) == 1
-    # More skew -> faster decay (larger b).
-    assert fits["more skew"][1] > fits["original"][1] > fits["less skew"][1]
-    # The head dominates: fitted a (head frequency) far exceeds the tail.
-    assert fits["original"][0] > 50
-
-
-# --- registry entry -------------------------------------------------------
-
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["fit_a"] <= 50:
-        failures.append("fitted head frequency too small — skew fit collapsed")
-    if metrics["fit_b"] <= 0:
-        failures.append("fitted decay rate must be positive")
-    return failures
+    return failures(
+        # The head dominates: fitted a (head frequency) far exceeds the tail.
+        (metrics["fit_a"] > 50,
+         "fitted head frequency too small — skew fit collapsed"),
+        (metrics["fit_b"] > 0, "fitted decay rate must be positive"),
+    )
 
 
 @register(
@@ -85,18 +35,24 @@ def _check(metrics: dict, params: dict) -> list:
         "fit_b": Headline(direction="higher", max_regression=0.10),
     },
     check=_check,
+    along="skew",
+    refs=[
+        Ref("fit_a", "skew {skew}: a", "{:.1f}", paper="exp decay"),
+        Ref("fit_b", "skew {skew}: b", "{:.1f}", paper="exp decay"),
+        Ref("total_accesses", "skew {skew}: accesses", "{}"),
+    ],
+    trends=[
+        # The paper adjusts the distribution "while keeping the total
+        # amount of accesses the same"; more skew -> faster decay.
+        Trend("total_accesses", along="skew", shape="flat", by=0),
+        Trend("fit_b", along="skew", shape="rising", strict=True),
+    ],
 )
 def entry(*, skew, batches, batch_size):
-    """Exponential-decay fit ``freq = a * exp(-b * rank/N)`` of the
+    """Figure 10: exponential fit ``freq = a*exp(-b*rank/N)`` of the
     access distribution at one skew temperature."""
     generator = WorkloadGenerator(DEFAULT_PROFILE.workload_config(skew))
     stream = generator.access_stream(num_batches=batches, batch_size=batch_size)
     analyzer = AccessTraceAnalyzer(stream)
     a, b = analyzer.fit_exponential()
     return {"fit_a": a, "fit_b": b, "total_accesses": analyzer.total_accesses}
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig10_distribution"))

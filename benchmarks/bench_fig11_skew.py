@@ -4,94 +4,31 @@ Paper, with a 2 GB cache: miss rate 13.63 % (original) / 10.04 % (more
 skew) / 17.08 % (less skew); PMem-OE's gap to DRAM-PS shrinks from 9 %
 to 7 % with more skew; with less skew Ori-Cache loses >20 % more time
 while PMem-OE loses <5 %.
+
+At benchmark scale the skew knob moves miss rates by a few points (the
+paper's trace moves ~3.5pp on 1000x more requests), so Ori-Cache's
+absolute slowdown compresses; the ordering and PMem-OE's insensitivity
+are preserved.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.simulation.cluster import SystemKind
-
-PAPER_MISS = {"more skew": 0.1004, "original": 0.1363, "less skew": 0.1708}
-SKEWS = {"more skew": 1.15, "original": 1.0, "less skew": 0.85}
-
-
-def test_fig11_distribution_skews(benchmark, report):
-    def run():
-        rows = {}
-        for name, temperature in SKEWS.items():
-            dram = simulate_epoch(SystemKind.DRAM_PS, 16, skew=temperature)
-            oe = simulate_epoch(SystemKind.PMEM_OE, 16, skew=temperature)
-            ori = simulate_epoch(SystemKind.ORI_CACHE, 16, skew=temperature)
-            rows[name] = {
-                "miss": oe.miss_rate,
-                "oe_ratio": oe.sim_seconds / dram.sim_seconds,
-                "ori_ratio": ori.sim_seconds / dram.sim_seconds,
-                "oe_seconds": oe.sim_seconds,
-                "ori_seconds": ori.sim_seconds,
-            }
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title("fig11_skew", "Figure 11: miss rate & training time by skew")
-    for name, row in rows.items():
-        report.row(
-            f"{name} miss rate",
-            f"{PAPER_MISS[name]:.2%}",
-            f"{row['miss']:.2%}",
-        )
-        report.row(
-            f"{name} PMem-OE vs DRAM-PS", "<= 9% gap", f"{row['oe_ratio'] - 1:.1%} gap"
-        )
-        report.row(
-            f"{name} Ori-Cache vs DRAM-PS", "large gap", f"{row['ori_ratio'] - 1:.1%} gap"
-        )
-    oe_delta = rows["less skew"]["oe_seconds"] / rows["original"]["oe_seconds"] - 1
-    ori_delta = rows["less skew"]["ori_seconds"] / rows["original"]["ori_seconds"] - 1
-    report.line()
-    report.row("less-skew slowdown PMem-OE", "<5%", f"{oe_delta:.1%}")
-    report.row("less-skew slowdown Ori-Cache", ">20% (see note)", f"{ori_delta:.1%}")
-    report.line(
-        "  note: at benchmark scale the skew knob moves miss rates by a few"
-    )
-    report.line(
-        "  points (the paper's trace moves ~3.5pp on 1000x more requests),"
-    )
-    report.line(
-        "  so Ori-Cache's absolute slowdown compresses; the ordering and"
-    )
-    report.line("  PMem-OE's insensitivity are preserved.")
-
-    # Shape: miss rate orders with skew; OE's gap to DRAM-PS stays in
-    # single digits at every skew while Ori-Cache's is massive; and a
-    # less skewed workload slows both (Ori at least as much as OE).
-    assert rows["more skew"]["miss"] < rows["original"]["miss"] < rows["less skew"]["miss"]
-    for row in rows.values():
-        assert row["oe_ratio"] < 1.12
-        assert row["ori_ratio"] > 1.5
-    assert rows["more skew"]["oe_ratio"] < rows["less skew"]["oe_ratio"]
-    assert oe_delta > 0 and ori_delta > 0
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["oe_ratio"] >= 1.12:
-        failures.append(
-            f"PMem-OE gap to DRAM-PS {metrics['oe_ratio'] - 1:.1%} "
-            "exceeds the 12% envelope"
-        )
-    if metrics["ori_ratio"] <= 1.5:
-        failures.append("Ori-Cache should lose badly at every skew")
-    return failures
+    # OE's gap to DRAM-PS stays in single digits at every skew while
+    # Ori-Cache's is massive; a less skewed workload slows both.
+    slower = params["skew"] >= 1.0 or min(
+        metrics["oe_slowdown"], metrics["ori_slowdown"]
+    ) > 0
+    return failures(
+        (metrics["oe_ratio"] < 1.12,
+         f"PMem-OE gap to DRAM-PS {metrics['oe_gap']:.1%} "
+         "exceeds the 12% envelope"),
+        (metrics["ori_ratio"] > 1.5, "Ori-Cache should lose badly at every skew"),
+        (slower, "a less skewed workload should slow PMem-OE and Ori-Cache"),
+    )
 
 
 @register(
@@ -105,21 +42,41 @@ def _check(metrics: dict, params: dict) -> list:
         "oe_ratio": Headline(direction="lower", max_regression=0.05),
     },
     check=_check,
+    along="skew",
+    refs=[
+        Ref("miss_rate", "skew {skew} miss rate", "{:.2%}",
+            paper={1.15: 0.1004, 1.0: 0.1363, 0.85: 0.1708}),
+        Ref("oe_gap", "skew {skew} PMem-OE vs DRAM-PS", "{:.1%} gap",
+            paper="<= 9% gap"),
+        Ref("ori_gap", "skew {skew} Ori-Cache vs DRAM-PS", "{:.1%} gap",
+            paper="large gap"),
+        Ref("oe_slowdown", "skew {skew} vs 1.0: PMem-OE", "{:.1%}",
+            paper="<5% at less skew"),
+        Ref("ori_slowdown", "skew {skew} vs 1.0: Ori-Cache", "{:.1%}",
+            paper=">20% at less skew"),
+    ],
+    # Miss rate orders with skew, and so does OE's gap to DRAM-PS.
+    trends=[
+        Trend("miss_rate", along="skew", shape="falling", strict=True),
+        Trend("oe_ratio", along="skew", shape="falling", by=0.0),
+    ],
 )
 def entry(*, skew, workers):
-    """Miss rate and training-time ratios to DRAM-PS at one skew
-    temperature."""
+    """Figure 11: miss rate and training-time gaps to DRAM-PS at one
+    skew temperature, and the slowdown against the original skew."""
     dram = simulate_epoch(SystemKind.DRAM_PS, workers, skew=skew)
     oe = simulate_epoch(SystemKind.PMEM_OE, workers, skew=skew)
     ori = simulate_epoch(SystemKind.ORI_CACHE, workers, skew=skew)
+    oe_original, ori_original = oe, ori
+    if skew != 1.0:
+        oe_original = simulate_epoch(SystemKind.PMEM_OE, workers)
+        ori_original = simulate_epoch(SystemKind.ORI_CACHE, workers)
     return {
         "miss_rate": oe.miss_rate,
         "oe_ratio": oe.sim_seconds / dram.sim_seconds,
         "ori_ratio": ori.sim_seconds / dram.sim_seconds,
+        "oe_gap": oe.sim_seconds / dram.sim_seconds - 1,
+        "ori_gap": ori.sim_seconds / dram.sim_seconds - 1,
+        "oe_slowdown": oe.sim_seconds / oe_original.sim_seconds - 1,
+        "ori_slowdown": ori.sim_seconds / ori_original.sim_seconds - 1,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig11_skew"))

@@ -6,111 +6,24 @@ Paper overheads vs no-checkpoint at 10/20/30/40-minute intervals:
   PMem-OE (incremental):       21.4 / 19.6 / 17.6 / 16.5 %
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import CheckpointConfig, CheckpointMode
 from repro.simulation.cluster import SystemKind
+from repro.simulation.profiles import DEFAULT_PROFILE, PAPER_EPOCH_HOURS
 from repro.simulation.trainer_sim import TrainingSimulator
-
-PAPER_PROPOSED = {10: 0.024, 20: 0.012, 30: 0.008, 40: 0.006}
-PAPER_INCREMENTAL = {10: 0.214, 20: 0.196, 30: 0.176, 40: 0.165}
-PAPER_EPOCH_HOURS = 5.33
-
-
-def test_fig12_checkpoint_interval(benchmark, report):
-    def run():
-        # Checkpoint overheads compare a fixed-size dense pause against
-        # the interval length, so these runs use the FULL profile epoch
-        # (not the shortened bench epoch) to keep the ratio faithful.
-        from repro.simulation.profiles import DEFAULT_PROFILE
-
-        iters = DEFAULT_PROFILE.iterations(16)
-        base = simulate_epoch(SystemKind.PMEM_OE, 16, iterations=iters)
-        rows = {}
-        for minutes in (10, 20, 30, 40):
-            interval = TrainingSimulator.interval_for_epoch_fraction(
-                base.sim_seconds, minutes, PAPER_EPOCH_HOURS
-            )
-            proposed = simulate_epoch(
-                SystemKind.PMEM_OE, 16, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-            )
-            sparse = simulate_epoch(
-                SystemKind.PMEM_OE, 16, iterations=iters,
-                checkpoint=CheckpointConfig(
-                    CheckpointMode.SPARSE_ONLY, interval, include_dense=False
-                ),
-            )
-            incremental = simulate_epoch(
-                SystemKind.PMEM_OE, 16, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-            )
-            rows[minutes] = {
-                "proposed": proposed.sim_seconds / base.sim_seconds - 1,
-                "sparse": sparse.sim_seconds / base.sim_seconds - 1,
-                "incremental": incremental.sim_seconds / base.sim_seconds - 1,
-                "count": proposed.checkpoints_completed,
-            }
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title("fig12_ckpt_interval", "Figure 12: checkpoint overhead by interval")
-    for minutes, row in rows.items():
-        report.row(
-            f"proposed    @ {minutes} min",
-            f"+{PAPER_PROPOSED[minutes]:.1%}",
-            f"+{row['proposed']:.2%}",
-            note=f"({row['count']} ckpts)",
-        )
-        report.row(
-            f"sparse only @ {minutes} min", "+0.0%", f"+{row['sparse']:.2%}"
-        )
-        report.row(
-            f"incremental @ {minutes} min",
-            f"+{PAPER_INCREMENTAL[minutes]:.1%}",
-            f"+{row['incremental']:.2%}",
-        )
-
-    for minutes, row in rows.items():
-        # Sparse-only is free; proposed is near-zero (dense dump only);
-        # incremental is an order of magnitude worse.
-        assert row["sparse"] == pytest.approx(0.0, abs=0.005)
-        assert row["proposed"] < 0.05
-        assert row["incremental"] > 4 * max(row["proposed"], 0.01)
-    # Overhead shrinks as the interval grows.
-    proposed = [rows[m]["proposed"] for m in (10, 20, 30, 40)]
-    incremental = [rows[m]["incremental"] for m in (10, 20, 30, 40)]
-    assert proposed == sorted(proposed, reverse=True)
-    assert incremental == sorted(incremental, reverse=True)
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["proposed_overhead"] >= 0.05:
-        failures.append(
-            f"proposed checkpoint overhead {metrics['proposed_overhead']:+.2%} "
-            ">= 5%"
-        )
-    if abs(metrics["sparse_overhead"]) >= 0.005:
-        failures.append("sparse-only checkpointing should be free")
-    if metrics["incremental_overhead"] <= 4 * max(
-        metrics["proposed_overhead"], 0.01
-    ):
-        failures.append("incremental should cost 4x+ the proposed mode")
-    return failures
+    # Sparse-only is free (the toleranced +0.0% reference); proposed is
+    # near-zero (dense dump only); incremental is an order of magnitude
+    # worse.
+    proposed = metrics["proposed_overhead"]
+    return failures(
+        (proposed < 0.05, f"proposed checkpoint overhead {proposed:+.2%} >= 5%"),
+        (metrics["incremental_overhead"] > 4 * max(proposed, 0.01),
+         "incremental should cost 4x+ the proposed mode"),
+    )
 
 
 @register(
@@ -127,12 +40,28 @@ def _check(metrics: dict, params: dict) -> list:
                                          max_regression=0.10),
     },
     check=_check,
+    along="minutes",
+    refs=[
+        Ref("proposed_overhead", "proposed    @ {minutes} min", "+{:.2%}",
+            paper={10: 0.024, 20: 0.012, 30: 0.008, 40: 0.006}),
+        Ref("checkpoints", "proposed    @ {minutes} min: ckpts", "{}"),
+        Ref("sparse_overhead", "sparse only @ {minutes} min", "+{:.2%}",
+            paper=0.0, abs=0.005),
+        Ref("incremental_overhead", "incremental @ {minutes} min", "+{:.2%}",
+            paper={10: 0.214, 20: 0.196, 30: 0.176, 40: 0.165}),
+    ],
+    # Overhead shrinks as the interval grows.
+    trends=[
+        Trend("proposed_overhead", along="minutes", shape="falling"),
+        Trend("incremental_overhead", along="minutes", shape="falling"),
+    ],
 )
 def entry(*, minutes, workers, iterations):
-    """Checkpoint overhead vs no-checkpoint at one interval for the
-    proposed / sparse-only / incremental modes."""
-    from repro.simulation.profiles import DEFAULT_PROFILE
-
+    """Figure 12: checkpoint overhead vs no-checkpoint at one interval
+    for the proposed / sparse-only / incremental modes."""
+    # Checkpoint overheads compare a fixed-size dense pause against the
+    # interval length, so these runs use the FULL profile epoch (not the
+    # shortened bench epoch) to keep the ratio faithful.
     iters = iterations or DEFAULT_PROFILE.iterations(workers)
     base = simulate_epoch(SystemKind.PMEM_OE, workers, iterations=iters)
     interval = TrainingSimulator.interval_for_epoch_fraction(
@@ -158,9 +87,3 @@ def entry(*, minutes, workers, iterations):
         "incremental_overhead": incremental.sim_seconds / base.sim_seconds - 1,
         "checkpoints": proposed.checkpoints_completed,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig12_ckpt_interval"))

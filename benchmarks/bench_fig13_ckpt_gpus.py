@@ -5,92 +5,19 @@ dense dump, done by ONE GPU regardless of worker count), and the
 sparse-only configuration has no overhead at any scale.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, paper_interval, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import CheckpointConfig, CheckpointMode
 from repro.simulation.cluster import SystemKind
-from repro.simulation.trainer_sim import TrainingSimulator
-
-PAPER_OVERHEAD = 0.012
-PAPER_EPOCH_HOURS = 5.33
-
-
-def test_fig13_checkpoint_vs_gpus(benchmark, report):
-    def run():
-        # The paper's interval is the same wall-clock 20 minutes at
-        # every GPU count, so the simulated interval is anchored once
-        # (to the 16-GPU epoch, the calibration anchor) and reused —
-        # that is what makes the overhead constant across worker counts.
-        from repro.simulation.profiles import DEFAULT_PROFILE
-
-        anchor = simulate_epoch(
-            SystemKind.PMEM_OE, 16, iterations=DEFAULT_PROFILE.iterations(16)
-        )
-        interval = TrainingSimulator.interval_for_epoch_fraction(
-            anchor.sim_seconds, 20, PAPER_EPOCH_HOURS
-        )
-        rows = {}
-        for workers in (4, 8, 16):
-            iters = DEFAULT_PROFILE.iterations(workers)
-            base = simulate_epoch(SystemKind.PMEM_OE, workers, iterations=iters)
-            proposed = simulate_epoch(
-                SystemKind.PMEM_OE, workers, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-            )
-            sparse = simulate_epoch(
-                SystemKind.PMEM_OE, workers, iterations=iters,
-                checkpoint=CheckpointConfig(
-                    CheckpointMode.SPARSE_ONLY, interval, include_dense=False
-                ),
-            )
-            rows[workers] = (
-                proposed.sim_seconds / base.sim_seconds - 1,
-                sparse.sim_seconds / base.sim_seconds - 1,
-            )
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title("fig13_ckpt_gpus", "Figure 13: checkpoint overhead by GPU count")
-    for workers, (proposed, sparse) in rows.items():
-        report.row(
-            f"proposed    @ {workers} GPUs",
-            f"+{PAPER_OVERHEAD:.1%}",
-            f"+{proposed:.2%}",
-        )
-        report.row(f"sparse only @ {workers} GPUs", "+0.0%", f"+{sparse:.2%}")
-
-    overheads = [rows[w][0] for w in (4, 8, 16)]
-    for proposed, sparse in rows.values():
-        assert sparse == pytest.approx(0.0, abs=0.005)
-        assert 0.0 <= proposed < 0.05
-    # Scaling GPUs does not inflate the checkpoint overhead (one GPU
-    # dumps the dense model either way).
-    assert max(overheads) - min(overheads) < 0.02
-
-
-# --- registry entry -------------------------------------------------------
+from repro.simulation.profiles import DEFAULT_PROFILE
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not 0.0 <= metrics["proposed_overhead"] < 0.05:
-        failures.append(
-            f"proposed overhead {metrics['proposed_overhead']:+.2%} "
-            "outside [0%, 5%)"
-        )
-    if abs(metrics["sparse_overhead"]) >= 0.005:
-        failures.append("sparse-only checkpointing should be free")
-    return failures
+    return failures(
+        (0.0 <= metrics["proposed_overhead"] < 0.05,
+         f"proposed overhead {metrics['proposed_overhead']:+.2%} "
+         "outside [0%, 5%)"),
+    )
 
 
 @register(
@@ -104,18 +31,21 @@ def _check(metrics: dict, params: dict) -> list:
                                       noise=0.005),
     },
     check=_check,
+    along="workers",
+    refs=[
+        Ref("proposed_overhead", "proposed    @ {workers} GPUs", "+{:.2%}",
+            paper=0.012),
+        Ref("sparse_overhead", "sparse only @ {workers} GPUs", "+{:.2%}",
+            paper=0.0, abs=0.005),
+    ],
+    # Scaling GPUs does not inflate the checkpoint overhead (one GPU
+    # dumps the dense model either way).
+    trends=[Trend("proposed_overhead", along="workers", shape="flat", by=0.02)],
 )
 def entry(*, workers, iterations):
-    """Checkpoint overhead at one GPU count with the wall-clock 20-min
-    interval anchored to the 16-GPU epoch (as in the paper)."""
-    from repro.simulation.profiles import DEFAULT_PROFILE
-
-    anchor = simulate_epoch(
-        SystemKind.PMEM_OE, 16, iterations=DEFAULT_PROFILE.iterations(16)
-    )
-    interval = TrainingSimulator.interval_for_epoch_fraction(
-        anchor.sim_seconds, 20, PAPER_EPOCH_HOURS
-    )
+    """Figure 13: checkpoint overhead at one GPU count under the same
+    wall-clock 20-min interval at every scale (as in the paper)."""
+    interval = paper_interval(20)
     iters = iterations or DEFAULT_PROFILE.iterations(workers)
     base = simulate_epoch(SystemKind.PMEM_OE, workers, iterations=iters)
     proposed = simulate_epoch(
@@ -132,9 +62,3 @@ def entry(*, workers, iterations):
         "proposed_overhead": proposed.sim_seconds / base.sim_seconds - 1,
         "sparse_overhead": sparse.sim_seconds / base.sim_seconds - 1,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig13_ckpt_gpus"))

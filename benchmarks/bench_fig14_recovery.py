@@ -10,19 +10,11 @@ Two parts here: (a) the analytic model evaluated at the paper's scale,
 show the same ordering with real data structures.
 """
 
-import pathlib
-import sys
+import numpy as np
 
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.common import failures
 from repro.baselines.dram_ps import DRAMPSNode
-from repro.bench import Headline, Param, register
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, ServerConfig
 from repro.core.ps_node import PSNode
 from repro.core.recovery import (
@@ -31,15 +23,13 @@ from repro.core.recovery import (
     recover_node,
 )
 
-PAPER = {"dram_ps_ssd": 1512.8, "dram_ps_pmem": 751.08, "pmem_oe": 380.2}
 ENTRIES = 2_100_000_000
 ENTRY_BYTES = 256
 
 
-def live_recovery_demo(num_keys: int = 5000):
-    """Crash scaled-down live systems; return their recovery reports."""
-    import numpy as np
-
+def live_recovery_demo(num_keys: int):
+    """Crash scaled-down live systems; return (PMem-OE, DRAM-PS) entries
+    recovered."""
     server_config = ServerConfig(
         embedding_dim=16, pmem_capacity_bytes=1 << 26, seed=1
     )
@@ -52,70 +42,22 @@ def live_recovery_demo(num_keys: int = 5000):
     oe.maintain(0)
     oe.push(keys, grads, 0)
     oe.barrier_checkpoint()
-    oe_pool = oe.crash()
-    __, oe_report = recover_node(oe_pool, server_config, cache_config)
+    __, oe_report = recover_node(oe.crash(), server_config, cache_config)
 
     dram = DRAMPSNode(server_config)
     dram.pull(keys, 0)
     dram.push(keys, grads, 0)
     dram.checkpoint()
-    dram_pool = dram.crash()
-    recovered, batch_id = DRAMPSNode.recover(dram_pool, server_config)
-    return oe_report, recovered.num_entries, batch_id
-
-
-def test_fig14_recovery_time(benchmark, report):
-    def run():
-        analytic = {
-            "dram_ps_ssd": estimate_dram_ps_recovery_seconds(
-                entries=ENTRIES, entry_bytes=ENTRY_BYTES, checkpoint_device="ssd"
-            ),
-            "dram_ps_pmem": estimate_dram_ps_recovery_seconds(
-                entries=ENTRIES, entry_bytes=ENTRY_BYTES, checkpoint_device="pmem"
-            ),
-            "pmem_oe": estimate_recovery_seconds(
-                entries=ENTRIES, versions=ENTRIES, entry_bytes=ENTRY_BYTES
-            ),
-        }
-        return analytic, live_recovery_demo()
-
-    analytic, (oe_report, dram_entries, dram_batch) = run_once(benchmark, run)
-    report.title("fig14_recovery", "Figure 14: recovery time (paper scale, seconds)")
-    labels = {
-        "dram_ps_ssd": "DRAM-PS, checkpoint on SSD",
-        "dram_ps_pmem": "DRAM-PS, checkpoint on PMem",
-        "pmem_oe": "PMem-OE, scan + rebuild",
-    }
-    for key, label in labels.items():
-        report.row(label, f"{PAPER[key]:.1f}", f"{analytic[key]:.1f}")
-        assert analytic[key] == pytest.approx(PAPER[key], rel=0.12)
-    speedup = analytic["dram_ps_ssd"] / analytic["pmem_oe"]
-    report.row("PMem-OE speedup vs SSD path", "3.97x", f"{speedup:.2f}x")
-    assert speedup == pytest.approx(3.97, rel=0.15)
-
-    report.line()
-    report.line(
-        f"  live demo (5000 entries): PMem-OE recovered "
-        f"{oe_report.entries_recovered} entries to checkpoint "
-        f"{oe_report.checkpoint_batch_id}; DRAM-PS restored "
-        f"{dram_entries} entries to checkpoint {dram_batch}"
-    )
-    assert oe_report.entries_recovered == dram_entries == 5000
-
-
-# --- registry entry -------------------------------------------------------
+    recovered, __ = DRAMPSNode.recover(dram.crash(), server_config)
+    return oe_report.entries_recovered, recovered.num_entries
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["live_recovered_equal"]:
-        failures.append("live PMem-OE and DRAM-PS recovered entry counts differ")
-    if metrics["speedup_vs_ssd"] <= 2.0:
-        failures.append(
-            f"PMem-OE recovery speedup {metrics['speedup_vs_ssd']:.2f}x "
-            "vs SSD checkpoint below 2x"
-        )
-    return failures
+    return failures(
+        (metrics["live_oe_entries"] == metrics["live_dram_entries"]
+         == params["live_entries"],
+         "live PMem-OE and DRAM-PS recovered entry counts differ"),
+    )
 
 
 @register(
@@ -127,13 +69,27 @@ def _check(metrics: dict, params: dict) -> list:
     smoke={"live_entries": 2000},
     headline={
         "speedup_vs_ssd": Headline(direction="higher", max_regression=0.05),
-        "live_recovered_equal": Headline(),
+        "live_oe_entries": Headline(direction="higher", max_regression=0.0),
     },
     check=_check,
+    refs=[
+        Ref("dram_ssd_s", "DRAM-PS, checkpoint on SSD", "{:.1f}",
+            paper=1512.8, rel=0.12),
+        Ref("dram_pmem_s", "DRAM-PS, checkpoint on PMem", "{:.1f}",
+            paper=751.08, rel=0.12),
+        Ref("pmem_oe_s", "PMem-OE, scan + rebuild", "{:.1f}",
+            paper=380.2, rel=0.12),
+        Ref("speedup_vs_ssd", "PMem-OE speedup vs SSD path", "{:.2f}x",
+            paper=3.97, rel=0.15),
+        Ref("live_oe_entries", "live demo: PMem-OE recovered", "{}",
+            paper="every entry"),
+        Ref("live_dram_entries", "live demo: DRAM-PS restored", "{}",
+            paper="every entry"),
+    ],
 )
 def entry(*, entries, live_entries):
-    """Analytic recovery times at paper scale plus a live scaled-down
-    crash/recover on real data structures."""
+    """Figure 14: analytic recovery times at paper scale plus a live
+    scaled-down crash/recover on real data structures."""
     dram_ssd = estimate_dram_ps_recovery_seconds(
         entries=entries, entry_bytes=ENTRY_BYTES, checkpoint_device="ssd"
     )
@@ -143,19 +99,12 @@ def entry(*, entries, live_entries):
     pmem_oe = estimate_recovery_seconds(
         entries=entries, versions=entries, entry_bytes=ENTRY_BYTES
     )
-    oe_report, dram_entries, __ = live_recovery_demo(live_entries)
+    live_oe, live_dram = live_recovery_demo(live_entries)
     return {
         "dram_ssd_s": dram_ssd,
         "dram_pmem_s": dram_pmem,
         "pmem_oe_s": pmem_oe,
         "speedup_vs_ssd": dram_ssd / pmem_oe,
-        "live_recovered_equal": (
-            oe_report.entries_recovered == dram_entries == live_entries
-        ),
+        "live_oe_entries": live_oe,
+        "live_dram_entries": live_dram,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig14_recovery"))

@@ -10,19 +10,9 @@ TensorFlow's time. Also: the 500 GB production model simply does not
 fit the TensorFlow single-server baseline.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.common import failures
 from repro.baselines.tensorflow_ps import TensorFlowPS
-from repro.bench import Headline, Param, register
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import (
     CacheConfig,
     CheckpointConfig,
@@ -35,11 +25,6 @@ from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
-PAPER_OE_REDUCTION = {
-    16: {1: 0.063, 2: 0.195, 4: 0.301},
-    64: {1: 0.064, 2: 0.342, 4: 0.52},
-}
-
 #: Criteo-scale operating point (scaled like the main profile).
 CRITEO_KEYS = 100_000
 FEATURES = 8
@@ -48,7 +33,6 @@ BATCH = 64
 
 def criteo_epoch(system, workers, dim):
     server = ServerConfig(embedding_dim=dim, pmem_capacity_bytes=1 << 30)
-    table_bytes = CRITEO_KEYS * dim * 4
     # 128 MB of a 2 GB (dim-16) table = 6.4 %; same absolute cache for
     # dim 64 = 1.6 % — exactly the paper's setup.
     cache = CacheConfig(capacity_bytes=max(1, int(0.064 * CRITEO_KEYS * 16 * 4)))
@@ -63,68 +47,20 @@ def criteo_epoch(system, workers, dim):
     simulator = TrainingSimulator(
         system, cluster, server, cache, CheckpointConfig.none(), workload
     )
-    return simulator.run(max(60, 960 // (workers * 4)))
-
-
-def test_fig15_vs_tensorflow(benchmark, report):
-    def run():
-        rows = {}
-        for dim in (16, 64):
-            for workers in (1, 2, 4):
-                tf = criteo_epoch(SystemKind.TF_PS, workers, dim).sim_seconds
-                oe = criteo_epoch(SystemKind.PMEM_OE, workers, dim).sim_seconds
-                dram = criteo_epoch(SystemKind.DRAM_PS, workers, dim).sim_seconds
-                ph = criteo_epoch(SystemKind.PMEM_HASH, workers, dim).sim_seconds
-                rows[(dim, workers)] = {"tf": tf, "oe": oe, "dram": dram, "ph": ph}
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title("fig15_tensorflow", "Figure 15: Criteo comparison vs TensorFlow")
-    for (dim, workers), row in rows.items():
-        reduction = 1 - row["oe"] / row["tf"]
-        report.row(
-            f"OE vs TF, dim {dim:>2} @ {workers} GPUs",
-            f"{PAPER_OE_REDUCTION[dim][workers]:.1%} faster",
-            f"{reduction:.1%} faster",
-        )
-    report.line()
-    worst_gap = max(row["oe"] / row["dram"] - 1 for row in rows.values())
-    worst_ph = max(row["ph"] / row["tf"] for row in rows.values())
-    report.row("OE gap to DRAM-PS (max)", "< 5%", f"{worst_gap:.1%}")
-    report.row("PMem-Hash vs TF (max)", "up to 4.3x", f"{worst_ph:.2f}x")
-    tf_500gb = TensorFlowPS(ServerConfig(embedding_dim=64))
-    report.row(
-        "500 GB model deployable on TF",
-        "no (exceeds 384 GB DRAM)",
-        str(tf_500gb.supports_model_bytes(500 << 30)),
-    )
-
-    for dim in (16, 64):
-        reductions = [1 - rows[(dim, w)]["oe"] / rows[(dim, w)]["tf"] for w in (1, 2, 4)]
-        # OE always wins and the gap widens with workers.
-        assert all(r > 0 for r in reductions)
-        assert reductions == sorted(reductions)
-    # Dim 64 amplifies the gap at scale.
-    assert (1 - rows[(64, 4)]["oe"] / rows[(64, 4)]["tf"]) > (
-        1 - rows[(16, 4)]["oe"] / rows[(16, 4)]["tf"]
-    )
-    assert worst_gap < 0.08
-    assert worst_ph < 5.0
-    assert not tf_500gb.supports_model_bytes(500 << 30)
-
-
-# --- registry entry -------------------------------------------------------
+    return simulator.run(max(60, 960 // (workers * 4))).sim_seconds
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["reduction_vs_tf"] <= 0:
-        failures.append("PMem-OE should beat the TensorFlow baseline")
-    if metrics["gap_vs_dram"] >= 0.08:
-        failures.append(
-            f"PMem-OE gap to DRAM-PS {metrics['gap_vs_dram']:.1%} >= 8%"
-        )
-    return failures
+    return failures(
+        (metrics["reduction_vs_tf"] > 0,
+         "PMem-OE should beat the TensorFlow baseline"),
+        (metrics["gap_vs_dram"] < 0.08,
+         f"PMem-OE gap to DRAM-PS {metrics['gap_vs_dram']:.1%} >= 8%"),
+        (metrics["ph_vs_tf"] < 5.0,
+         f"PMem-Hash at {metrics['ph_vs_tf']:.2f}x TensorFlow's time (>= 5x)"),
+        (not metrics["tf_fits_500gb"],
+         "the 500 GB model should not fit the TensorFlow single server"),
+    )
 
 
 @register(
@@ -139,22 +75,34 @@ def _check(metrics: dict, params: dict) -> list:
                                 noise=0.01),
     },
     check=_check,
+    along=("dim", "workers"),
+    refs=[
+        Ref("reduction_vs_tf", "OE vs TF, dim {dim:>2} @ {workers} GPUs",
+            "{:.1%} faster",
+            paper={(16, 1): 0.063, (16, 2): 0.195, (16, 4): 0.301,
+                   (64, 1): 0.064, (64, 2): 0.342, (64, 4): 0.52}),
+        Ref("gap_vs_dram", "  OE gap to DRAM-PS", "{:.1%}", paper="< 5%"),
+        Ref("ph_vs_tf", "  PMem-Hash vs TF", "{:.2f}x", paper="up to 4.3x"),
+        Ref("tf_fits_500gb", "  500 GB model deployable on TF", "{}",
+            paper="no (> 384 GB)"),
+    ],
+    # OE's win over TF widens with workers, and dim 64 amplifies it.
+    trends=[
+        Trend("reduction_vs_tf", along="workers", shape="rising"),
+        Trend("reduction_vs_tf", along="dim", shape="rising", strict=True),
+    ],
 )
 def entry(*, dim, workers):
-    """Criteo-scale training-time comparison against TensorFlow,
-    DRAM-PS, and PMem-Hash at one (dim, workers) point."""
-    tf = criteo_epoch(SystemKind.TF_PS, workers, dim).sim_seconds
-    oe = criteo_epoch(SystemKind.PMEM_OE, workers, dim).sim_seconds
-    dram = criteo_epoch(SystemKind.DRAM_PS, workers, dim).sim_seconds
-    ph = criteo_epoch(SystemKind.PMEM_HASH, workers, dim).sim_seconds
+    """Figure 15: Criteo-scale training time against TensorFlow, DRAM-PS
+    and PMem-Hash at one (dim, workers) point."""
+    tf = criteo_epoch(SystemKind.TF_PS, workers, dim)
+    oe = criteo_epoch(SystemKind.PMEM_OE, workers, dim)
+    dram = criteo_epoch(SystemKind.DRAM_PS, workers, dim)
+    ph = criteo_epoch(SystemKind.PMEM_HASH, workers, dim)
+    tf_500gb = TensorFlowPS(ServerConfig(embedding_dim=64))
     return {
         "reduction_vs_tf": 1 - oe / tf,
         "gap_vs_dram": oe / dram - 1,
         "ph_vs_tf": ph / tf,
+        "tf_fits_500gb": bool(tf_500gb.supports_model_bytes(500 << 30)),
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig15_tensorflow"))

@@ -8,73 +8,23 @@ batches and buckets them per millisecond. The figure's two signatures:
    with an idle gap (GPU compute) in between.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.cluster import SystemKind
-from repro.simulation.metrics import RequestTrace
-
-
-def test_fig2_burst_pattern(benchmark, report):
-    result = run_once(
-        benchmark,
-        lambda: simulate_epoch(
-            SystemKind.PMEM_OE, workers=4, iterations=4, record_trace=True
-        ),
-    )
-    trace = result.trace
-    totals = trace.totals()
-    pull_buckets = trace.per_millisecond(RequestTrace.PULL)
-    update_buckets = trace.per_millisecond(RequestTrace.UPDATE)
-
-    report.title("fig2_burst", "Figure 2: per-ms request pattern over batches")
-    report.row(
-        "pull == update totals (pairs)",
-        "equal",
-        f"{totals['pull']} == {totals['update']}",
-    )
-    busy_ms = len(set(pull_buckets) | set(update_buckets))
-    span_ms = int(result.sim_seconds * 1000) + 1
-    report.row(
-        "bursts at batch boundaries",
-        "sharp spikes",
-        f"{busy_ms} busy ms of {span_ms} total ms",
-    )
-    report.line("  per-ms request counts (P=pull burst, U=update burst):")
-    for ms in sorted(set(pull_buckets) | set(update_buckets)):
-        pulls = pull_buckets.get(ms, 0)
-        updates = update_buckets.get(ms, 0)
-        tag = "P" if pulls else " "
-        tag += "U" if updates else " "
-        report.line(f"    t={ms:5d} ms  [{tag}]  pulls={pulls:<6d} updates={updates}")
-
-    assert totals["pull"] == totals["update"]
-    # The bursts occupy a small fraction of wall time: idle GPU-compute
-    # gaps separate them.
-    assert busy_ms <= 2 * result.iterations
-    assert busy_ms < span_ms
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["pairs_equal"]:
-        failures.append("pull and update totals differ (requests not paired)")
-    if metrics["busy_ms"] > 2 * params["iterations"]:
-        failures.append(
-            f"traffic not bursty: {metrics['busy_ms']} busy ms for "
-            f"{params['iterations']} iterations"
-        )
-    return failures
+    return failures(
+        (metrics["pairs_equal"],
+         "pull and update totals differ (requests not paired)"),
+        # The bursts occupy a small fraction of wall time: idle
+        # GPU-compute gaps separate them.
+        (metrics["busy_ms"] <= 2 * params["iterations"],
+         f"traffic not bursty: {metrics['busy_ms']} busy ms for "
+         f"{params['iterations']} iterations"),
+        (metrics["busy_ms"] < metrics["span_ms"],
+         "requests in every millisecond of the run: no idle gap"),
+    )
 
 
 @register(
@@ -85,9 +35,24 @@ def _check(metrics: dict, params: dict) -> list:
     ],
     headline={"pairs_equal": Headline()},
     check=_check,
+    refs=[
+        Ref("pull_total", "pull total", "{}", paper="pull == update"),
+        Ref("update_total", "update total (pairs)", "{}", paper="pull == update"),
+        Ref("busy_ms", "busy ms (bursts)", "{}", paper="sharp spikes"),
+        Ref("span_ms", "total ms", "{}"),
+    ] + [
+        # The figure itself: each busy millisecond, in time order —
+        # pull and update bursts alternate (first 8 shown).
+        ref
+        for burst in range(8)
+        for ref in (
+            Ref(f"burst{burst}_ms", f"burst {burst}: t", "{} ms"),
+            Ref(f"burst{burst}_requests", f"burst {burst}: requests", "{}"),
+        )
+    ],
 )
 def entry(*, workers, iterations):
-    """Per-millisecond request trace over a few synchronous batches:
+    """Figure 2: per-ms request pattern over a few synchronous batches —
     pull/update pairing and burst concentration."""
     result = simulate_epoch(
         SystemKind.PMEM_OE, workers=workers, iterations=iterations,
@@ -95,19 +60,15 @@ def entry(*, workers, iterations):
     )
     trace = result.trace
     totals = trace.totals()
-    pull_buckets = trace.per_millisecond(RequestTrace.PULL)
-    update_buckets = trace.per_millisecond(RequestTrace.UPDATE)
-    busy_ms = len(set(pull_buckets) | set(update_buckets))
-    return {
+    bursts = sorted(trace.per_millisecond().items())
+    metrics = {
         "pairs_equal": totals["pull"] == totals["update"],
         "pull_total": totals["pull"],
         "update_total": totals["update"],
-        "busy_ms": busy_ms,
+        "busy_ms": len(bursts),
         "span_ms": int(result.sim_seconds * 1000) + 1,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig2_burst"))
+    for index, (ms, requests) in enumerate(bursts):
+        metrics[f"burst{index}_ms"] = ms
+        metrics[f"burst{index}_requests"] = requests
+    return metrics

@@ -10,71 +10,21 @@ Paper numbers (training-time ratio to DRAM-PS at the same GPU count):
   PMem-Hash:    2.16 (4), 2.85 (8),  4.17 (16)
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.simulation.cluster import SystemKind
-
-PAPER_HYBRID = {4: 1.24, 8: 1.558, 16: 2.27}
-PAPER_HASH = {4: 2.16, 8: 2.85, 16: 4.17}
-
-
-def test_fig3_motivation(benchmark, report):
-    def run():
-        rows = {}
-        for workers in (4, 8, 16):
-            dram = simulate_epoch(SystemKind.DRAM_PS, workers).sim_seconds
-            hybrid = simulate_epoch(SystemKind.ORI_CACHE, workers).sim_seconds
-            pmem_hash = simulate_epoch(SystemKind.PMEM_HASH, workers).sim_seconds
-            rows[workers] = (hybrid / dram, pmem_hash / dram)
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title(
-        "fig3_motivation",
-        "Figure 3: naive hybrid & PMem-Hash training time vs DRAM-PS",
-    )
-    for workers, (hybrid, pmem_hash) in rows.items():
-        report.row(
-            f"hybrid cache @ {workers} GPUs",
-            f"{PAPER_HYBRID[workers]:.2f}x",
-            f"{hybrid:.2f}x",
-        )
-        report.row(
-            f"PMem-Hash    @ {workers} GPUs",
-            f"{PAPER_HASH[workers]:.2f}x",
-            f"{pmem_hash:.2f}x",
-        )
-
-    # Shape assertions: both penalties exist and grow with worker count.
-    hybrids = [rows[w][0] for w in (4, 8, 16)]
-    hashes = [rows[w][1] for w in (4, 8, 16)]
-    assert hybrids[0] > 1.05 and hashes[0] > 1.5
-    assert hybrids == sorted(hybrids)
-    assert hashes == sorted(hashes)
-    assert hybrids[2] == pytest.approx(PAPER_HYBRID[16], rel=0.25)
-    assert hashes[2] == pytest.approx(PAPER_HASH[16], rel=0.25)
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["hybrid_ratio"] <= 1.0:
-        failures.append("hybrid cache shows no penalty over DRAM-PS")
-    if metrics["pmem_hash_ratio"] <= metrics["hybrid_ratio"]:
-        failures.append("PMem-Hash should degrade worse than the hybrid cache")
-    return failures
+    return failures(
+        # Both penalties exist at every scale.
+        (metrics["hybrid_ratio"] > 1.05,
+         "hybrid cache shows no penalty over DRAM-PS"),
+        (metrics["pmem_hash_ratio"] > 1.5,
+         "PMem-Hash penalty over DRAM-PS below 1.5x"),
+        (metrics["pmem_hash_ratio"] > metrics["hybrid_ratio"],
+         "PMem-Hash should degrade worse than the hybrid cache"),
+    )
 
 
 @register(
@@ -85,10 +35,22 @@ def _check(metrics: dict, params: dict) -> list:
         "pmem_hash_ratio": Headline(direction="lower", max_regression=0.10),
     },
     check=_check,
+    along="workers",
+    refs=[
+        Ref("hybrid_ratio", "hybrid cache @ {workers} GPUs", "{:.2f}x",
+            paper={4: 1.24, 8: 1.558, 16: 2.27}, rel=0.25),
+        Ref("pmem_hash_ratio", "PMem-Hash    @ {workers} GPUs", "{:.2f}x",
+            paper={4: 2.16, 8: 2.85, 16: 4.17}, rel=0.25),
+    ],
+    # ...and grow with worker count.
+    trends=[
+        Trend("hybrid_ratio", along="workers", shape="rising"),
+        Trend("pmem_hash_ratio", along="workers", shape="rising"),
+    ],
 )
 def entry(*, workers):
-    """Training-time penalty of the naive hybrid cache and PMem hash
-    relative to the DRAM parameter server at one GPU count."""
+    """Figure 3: training-time penalty of the naive hybrid cache and the
+    PMem hash relative to DRAM-PS at one GPU count."""
     dram = simulate_epoch(SystemKind.DRAM_PS, workers).sim_seconds
     hybrid = simulate_epoch(SystemKind.ORI_CACHE, workers).sim_seconds
     pmem_hash = simulate_epoch(SystemKind.PMEM_HASH, workers).sim_seconds
@@ -96,9 +58,3 @@ def entry(*, workers):
         "hybrid_ratio": hybrid / dram,
         "pmem_hash_ratio": pmem_hash / dram,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig3_motivation"))

@@ -5,93 +5,22 @@ equivalent interval. Paper: PMem-OE is 7.2/6.4/5.6 % faster than
 DRAM-PS and 23.8/36.9/53.8 % faster than Ori-Cache at 4/8/16 GPUs.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, paper_interval, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.config import CheckpointConfig, CheckpointMode
 from repro.simulation.cluster import SystemKind
-from repro.simulation.trainer_sim import TrainingSimulator
-
-PAPER_VS_DRAM = {4: 0.072, 8: 0.064, 16: 0.056}
-PAPER_VS_ORI = {4: 0.238, 8: 0.369, 16: 0.538}
-PAPER_EPOCH_HOURS = 5.33
-PAPER_INTERVAL_MIN = 20
-
-
-def test_fig6_overall_training_time(benchmark, report):
-    def run():
-        # The 20-minute interval is absolute wall time at every GPU
-        # count (as in Figure 13), so it is anchored once to the 16-GPU
-        # PMem-OE epoch; checkpoint overheads compare a dump against
-        # the interval, so full profile epochs are used throughout.
-        from repro.simulation.profiles import DEFAULT_PROFILE
-
-        anchor = simulate_epoch(
-            SystemKind.PMEM_OE, 16, iterations=DEFAULT_PROFILE.iterations(16)
-        )
-        interval = TrainingSimulator.interval_for_epoch_fraction(
-            anchor.sim_seconds, PAPER_INTERVAL_MIN, PAPER_EPOCH_HOURS
-        )
-        rows = {}
-        for workers in (4, 8, 16):
-            iters = DEFAULT_PROFILE.iterations(workers)
-            oe = simulate_epoch(
-                SystemKind.PMEM_OE, workers, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-            ).sim_seconds
-            dram = simulate_epoch(
-                SystemKind.DRAM_PS, workers, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-            ).sim_seconds
-            ori = simulate_epoch(
-                SystemKind.ORI_CACHE, workers, iterations=iters,
-                checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-            ).sim_seconds
-            rows[workers] = (1 - oe / dram, 1 - oe / ori)
-        return rows
-
-    rows = run_once(benchmark, run)
-    report.title(
-        "fig6_overall", "Figure 6: PMem-OE training-time advantage with checkpoints"
-    )
-    for workers, (vs_dram, vs_ori) in rows.items():
-        report.row(
-            f"vs DRAM-PS @ {workers} GPUs",
-            f"{PAPER_VS_DRAM[workers]:.1%} faster",
-            f"{vs_dram:.1%} faster",
-        )
-        report.row(
-            f"vs Ori-Cache @ {workers} GPUs",
-            f"{PAPER_VS_ORI[workers]:.1%} faster",
-            f"{vs_ori:.1%} faster",
-        )
-
-    # Headline shape: PMem-OE wins against BOTH baselines at EVERY scale
-    # once checkpointing is on, and the Ori-Cache gap widens with GPUs.
-    for workers, (vs_dram, vs_ori) in rows.items():
-        assert vs_dram > 0.0
-        assert vs_ori > 0.1
-    ori_gaps = [rows[w][1] for w in (4, 8, 16)]
-    assert ori_gaps == sorted(ori_gaps)
-
-
-# --- registry entry -------------------------------------------------------
+from repro.simulation.profiles import DEFAULT_PROFILE
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["vs_dram"] <= 0.0:
-        failures.append("PMem-OE not faster than DRAM-PS with checkpoints on")
-    if metrics["vs_ori"] <= 0.1:
-        failures.append("PMem-OE advantage over Ori-Cache below 10%")
-    return failures
+    # Headline shape: PMem-OE wins against BOTH baselines at EVERY scale
+    # once checkpointing is on.
+    return failures(
+        (metrics["vs_dram"] > 0.0,
+         "PMem-OE not faster than DRAM-PS with checkpoints on"),
+        (metrics["vs_ori"] > 0.1,
+         "PMem-OE advantage over Ori-Cache below 10%"),
+    )
 
 
 @register(
@@ -105,20 +34,23 @@ def _check(metrics: dict, params: dict) -> list:
         "vs_ori": Headline(direction="higher", max_regression=0.10),
     },
     check=_check,
+    along="workers",
+    refs=[
+        Ref("vs_dram", "vs DRAM-PS @ {workers} GPUs", "{:.1%} faster",
+            paper={4: 0.072, 8: 0.064, 16: 0.056}),
+        Ref("vs_ori", "vs Ori-Cache @ {workers} GPUs", "{:.1%} faster",
+            paper={4: 0.238, 8: 0.369, 16: 0.538}),
+    ],
+    # ...and the Ori-Cache gap widens with GPUs.
+    trends=[Trend("vs_ori", along="workers", shape="rising")],
 )
 def entry(*, workers, iterations):
-    """End-to-end training-time advantage of PMem-OE over DRAM-PS and
+    """Figure 6: PMem-OE's training-time advantage over DRAM-PS and
     Ori-Cache with each system's checkpoint configuration active."""
-    from repro.simulation.profiles import DEFAULT_PROFILE
-
+    # Full profile epochs: a checkpoint overhead is a dump against the
+    # interval, which the shortened bench epoch would distort.
     iters = iterations or DEFAULT_PROFILE.iterations(workers)
-    # Interval anchored to the full-profile 16-GPU epoch (see the test).
-    anchor = simulate_epoch(
-        SystemKind.PMEM_OE, 16, iterations=DEFAULT_PROFILE.iterations(16)
-    )
-    interval = TrainingSimulator.interval_for_epoch_fraction(
-        anchor.sim_seconds, PAPER_INTERVAL_MIN, PAPER_EPOCH_HOURS
-    )
+    interval = paper_interval(20)
     oe = simulate_epoch(
         SystemKind.PMEM_OE, workers, iterations=iters,
         checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
@@ -132,9 +64,3 @@ def entry(*, workers, iterations):
         checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
     ).sim_seconds
     return {"vs_dram": 1 - oe / dram, "vs_ori": 1 - oe / ori}
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig6_overall"))

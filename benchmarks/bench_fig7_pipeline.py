@@ -6,75 +6,17 @@ Paper (ratio to DRAM-PS at the same GPU count):
 and DRAM-PS's own epoch shrinks 40 % / 65 % going 4 -> 8 / 16 GPUs.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-import pytest
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.cluster import SystemKind
-
-PAPER_OE = {4: 1.012, 8: 1.043, 16: 1.087}
-PAPER_ORI = {4: 1.24, 8: 1.56, 16: 2.27}
-PAPER_DRAM_SCALING = {8: 0.60, 16: 0.35}
-
-
-def test_fig7_pipelined_cache(benchmark, report):
-    def run():
-        epochs = {}
-        for workers in (4, 8, 16):
-            epochs[workers] = {
-                system: simulate_epoch(system, workers)
-                for system in (
-                    SystemKind.DRAM_PS,
-                    SystemKind.PMEM_OE,
-                    SystemKind.ORI_CACHE,
-                )
-            }
-        return epochs
-
-    epochs = run_once(benchmark, run)
-    report.title("fig7_pipeline", "Figure 7: training time without checkpoints")
-    for workers, row in epochs.items():
-        dram = row[SystemKind.DRAM_PS].sim_seconds
-        oe = row[SystemKind.PMEM_OE].sim_seconds / dram
-        ori = row[SystemKind.ORI_CACHE].sim_seconds / dram
-        report.row(
-            f"PMem-OE   @ {workers} GPUs", f"{PAPER_OE[workers]:.3f}x", f"{oe:.3f}x"
-        )
-        report.row(
-            f"Ori-Cache @ {workers} GPUs", f"{PAPER_ORI[workers]:.2f}x", f"{ori:.2f}x"
-        )
-    dram4 = epochs[4][SystemKind.DRAM_PS].sim_seconds
-    for workers, paper in PAPER_DRAM_SCALING.items():
-        measured = epochs[workers][SystemKind.DRAM_PS].sim_seconds / dram4
-        report.row(
-            f"DRAM-PS epoch {workers}/{4} GPUs", f"{paper:.2f}x", f"{measured:.2f}x"
-        )
-
-    for workers in (4, 8, 16):
-        dram = epochs[workers][SystemKind.DRAM_PS].sim_seconds
-        oe = epochs[workers][SystemKind.PMEM_OE].sim_seconds / dram
-        ori = epochs[workers][SystemKind.ORI_CACHE].sim_seconds / dram
-        # PMem-OE tracks DRAM-PS closely; Ori-Cache falls away.
-        assert oe == pytest.approx(PAPER_OE[workers], abs=0.06)
-        assert ori == pytest.approx(PAPER_ORI[workers], rel=0.25)
-        assert oe < ori
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    if metrics["oe_ratio"] >= metrics["ori_ratio"]:
-        return ["pipelined PMem-OE should beat the inline Ori-Cache"]
-    return []
+    return failures(
+        # PMem-OE tracks DRAM-PS closely; Ori-Cache falls away.
+        (metrics["oe_ratio"] < metrics["ori_ratio"],
+         "pipelined PMem-OE should beat the inline Ori-Cache"),
+    )
 
 
 @register(
@@ -85,17 +27,25 @@ def _check(metrics: dict, params: dict) -> list:
         "ori_ratio": Headline(direction="lower", max_regression=0.10),
     },
     check=_check,
+    along="workers",
+    refs=[
+        Ref("oe_ratio", "PMem-OE   @ {workers} GPUs", "{:.3f}x",
+            paper={4: 1.012, 8: 1.043, 16: 1.087}, abs=0.06),
+        Ref("ori_ratio", "Ori-Cache @ {workers} GPUs", "{:.2f}x",
+            paper={4: 1.24, 8: 1.56, 16: 2.27}, rel=0.25),
+        Ref("dram_vs_4gpu", "DRAM-PS epoch {workers}/4 GPUs", "{:.2f}x",
+            paper={8: 0.60, 16: 0.35}, abs=0.05),
+    ],
 )
 def entry(*, workers):
-    """Checkpoint-free training-time ratios to DRAM-PS: pipelined
-    PMem-OE vs the inline Ori-Cache."""
+    """Figure 7: training time without checkpoints — pipelined PMem-OE
+    and the inline Ori-Cache as ratios to DRAM-PS."""
     dram = simulate_epoch(SystemKind.DRAM_PS, workers).sim_seconds
     oe = simulate_epoch(SystemKind.PMEM_OE, workers).sim_seconds
     ori = simulate_epoch(SystemKind.ORI_CACHE, workers).sim_seconds
-    return {"oe_ratio": oe / dram, "ori_ratio": ori / dram}
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig7_pipeline"))
+    dram4 = dram if workers == 4 else simulate_epoch(SystemKind.DRAM_PS, 4).sim_seconds
+    return {
+        "oe_ratio": oe / dram,
+        "ori_ratio": ori / dram,
+        "dram_vs_4gpu": dram / dram4,
+    }

@@ -6,16 +6,8 @@ Sweeps the cache from the 10 MB-equivalent to the 20 GB-equivalent of a
 means a small cache already captures the hot set.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, Trend, register
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 
@@ -23,44 +15,14 @@ from repro.simulation.profiles import DEFAULT_PROFILE
 PAPER = {10: 1.0, 20: 0.856, 40: 0.82, 100: 0.751, 400: 0.678, 2048: 0.618, 20480: 0.612}
 
 
-def test_fig8_cache_size(benchmark, report):
-    def run():
-        rows = {}
-        for paper_mb in PAPER:
-            cache = DEFAULT_PROFILE.cache_config(paper_mb=paper_mb)
-            rows[paper_mb] = simulate_epoch(SystemKind.PMEM_OE, 16, cache=cache)
-        return rows
-
-    rows = run_once(benchmark, run)
-    base = rows[10].sim_seconds
-    report.title("fig8_cache_size", "Figure 8: cache-size sweep (normalised to 10 MB)")
-    for paper_mb, result in rows.items():
-        measured = result.sim_seconds / base
-        report.row(
-            f"{paper_mb:>6} MB-equivalent",
-            f"{PAPER[paper_mb]:.3f}",
-            f"{measured:.3f}",
-            note=f"miss rate {result.miss_rate:.1%}",
-        )
-
-    ratios = [rows[mb].sim_seconds / base for mb in PAPER]
-    # Monotone improvement with diminishing returns past 2 GB.
-    assert all(a >= b - 1e-9 for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-2] < 0.75  # 2 GB well below the 10 MB baseline
-    assert ratios[-2] - ratios[-1] < 0.06  # 2 GB -> 20 GB nearly flat
-    misses = [rows[mb].miss_rate for mb in PAPER]
-    assert all(a >= b for a, b in zip(misses, misses[1:]))
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    if params["cache_mb"] > 10 and metrics["ratio_vs_10mb"] >= 1.0:
-        return [
-            f"{params['cache_mb']} MB cache no faster than the 10 MB baseline"
-        ]
-    return []
+    ratio, cache_mb = metrics["ratio_vs_10mb"], params["cache_mb"]
+    return failures(
+        (cache_mb <= 10 or ratio < 1.0,
+         f"{cache_mb} MB cache no faster than the 10 MB baseline"),
+        (cache_mb < 2048 or ratio < 0.75,
+         f"{cache_mb} MB cache at {ratio:.3f}, not well below the 10 MB baseline"),
+    )
 
 
 @register(
@@ -74,10 +36,22 @@ def _check(metrics: dict, params: dict) -> list:
         "miss_rate": Headline(direction="lower", max_regression=0.10),
     },
     check=_check,
+    along="cache_mb",
+    refs=[
+        Ref("ratio_vs_10mb", "{cache_mb:>6.0f} MB-equivalent", "{:.3f}", paper=PAPER),
+        Ref("miss_rate", "{cache_mb:>6.0f} MB miss rate", "{:.1%}"),
+    ],
+    trends=[
+        # Monotone improvement with diminishing returns past 2 GB.
+        Trend("ratio_vs_10mb", along="cache_mb", shape="falling"),
+        Trend("miss_rate", along="cache_mb", shape="falling"),
+        Trend("ratio_vs_10mb", along="cache_mb", shape="flat", by=0.06,
+              points=(2048, 20480)),
+    ],
 )
 def entry(*, cache_mb, workers):
-    """Training time at one cache size normalised to the 10 MB-equivalent
-    baseline, plus the cache miss rate."""
+    """Figure 8: training time at one cache size normalised to the 10
+    MB-equivalent baseline, plus the cache miss rate."""
     base = simulate_epoch(
         SystemKind.PMEM_OE, workers,
         cache=DEFAULT_PROFILE.cache_config(paper_mb=10),
@@ -90,9 +64,3 @@ def entry(*, cache_mb, workers):
         "ratio_vs_10mb": result.sim_seconds / base,
         "miss_rate": result.miss_rate,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig8_cache_size"))

@@ -6,71 +6,25 @@ cache alone cuts 42.1 % of training time, the pipeline on top of the
 cache cuts another 54.9 %, and together they remove 73.9 %.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.cluster import SystemKind
-
-PAPER_CACHE_ONLY = 1 - 0.421  # 0.579 of the all-disabled time
-PAPER_BOTH = 1 - 0.739  # 0.261
-
-
-def test_fig9_cache_pipeline_ablation(benchmark, report):
-    def run():
-        return {
-            "none": simulate_epoch(
-                SystemKind.PMEM_OE, 16, use_cache=False, pipelined=False
-            ).sim_seconds,
-            "cache_only": simulate_epoch(
-                SystemKind.PMEM_OE, 16, use_cache=True, pipelined=False
-            ).sim_seconds,
-            "pipeline_only": simulate_epoch(
-                SystemKind.PMEM_OE, 16, use_cache=False, pipelined=True
-            ).sim_seconds,
-            "both": simulate_epoch(
-                SystemKind.PMEM_OE, 16, use_cache=True, pipelined=True
-            ).sim_seconds,
-        }
-
-    times = run_once(benchmark, run)
-    base = times["none"]
-    report.title("fig9_ablation", "Figure 9: cache x pipeline ablation (norm. to both-off)")
-    report.row("cache + pipeline disabled", "1.000", "1.000")
-    report.row("cache only", f"{PAPER_CACHE_ONLY:.3f}", f"{times['cache_only'] / base:.3f}")
-    report.row("pipeline only", "(not quoted)", f"{times['pipeline_only'] / base:.3f}")
-    report.row("cache + pipeline", f"{PAPER_BOTH:.3f}", f"{times['both'] / base:.3f}")
-    cache_cut = 1 - times["cache_only"] / base
-    pipeline_cut = 1 - times["both"] / times["cache_only"]
-    total_cut = 1 - times["both"] / base
-    report.line()
-    report.row("reduction from cache", "42.1%", f"{cache_cut:.1%}")
-    report.row("reduction from pipeline", "54.9%", f"{pipeline_cut:.1%}")
-    report.row("combined reduction", "73.9%", f"{total_cut:.1%}")
-
-    assert times["both"] < times["cache_only"] < base
-    assert times["both"] < times["pipeline_only"] < base
-    assert 0.2 < cache_cut < 0.6
-    assert 0.3 < pipeline_cut < 0.7
-    assert 0.55 < total_cut < 0.85
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not 0.2 < metrics["cache_cut"] < 0.6:
-        failures.append(f"cache cut {metrics['cache_cut']:.1%} outside 20-60%")
-    if not 0.55 < metrics["total_cut"] < 0.85:
-        failures.append(f"total cut {metrics['total_cut']:.1%} outside 55-85%")
-    return failures
+    both = metrics["both_ratio"]
+    return failures(
+        (both < metrics["cache_only_ratio"] < 1.0,
+         "cache-only should sit between both-on and both-off"),
+        (both < metrics["pipeline_only_ratio"] < 1.0,
+         "pipeline-only should sit between both-on and both-off"),
+        (0.2 < metrics["cache_cut"] < 0.6,
+         f"cache cut {metrics['cache_cut']:.1%} outside 20-60%"),
+        (0.3 < metrics["pipeline_cut"] < 0.7,
+         f"pipeline cut {metrics['pipeline_cut']:.1%} outside 30-70%"),
+        (0.55 < metrics["total_cut"] < 0.85,
+         f"total cut {metrics['total_cut']:.1%} outside 55-85%"),
+    )
 
 
 @register(
@@ -82,10 +36,19 @@ def _check(metrics: dict, params: dict) -> list:
         "total_cut": Headline(direction="higher", max_regression=0.05),
     },
     check=_check,
+    refs=[
+        # normalised to the both-disabled time
+        Ref("cache_only_ratio", "cache only", paper=1 - 0.421),
+        Ref("pipeline_only_ratio", "pipeline only", paper="(not quoted)"),
+        Ref("both_ratio", "cache + pipeline", paper=1 - 0.739),
+        Ref("cache_cut", "reduction from cache", "{:.1%}", paper=0.421),
+        Ref("pipeline_cut", "reduction from pipeline", "{:.1%}", paper=0.549),
+        Ref("total_cut", "combined reduction", "{:.1%}", paper=0.739),
+    ],
 )
 def entry(*, workers):
-    """Training-time reductions attributable to the cache, the pipeline,
-    and both together (four-configuration ablation)."""
+    """Figure 9: cache x pipeline ablation — training time of each
+    configuration normalised to both-off, and the reductions."""
     none = simulate_epoch(
         SystemKind.PMEM_OE, workers, use_cache=False, pipelined=False
     ).sim_seconds
@@ -99,14 +62,10 @@ def entry(*, workers):
         SystemKind.PMEM_OE, workers, use_cache=True, pipelined=True
     ).sim_seconds
     return {
+        "cache_only_ratio": cache_only / none,
+        "pipeline_only_ratio": pipeline_only / none,
+        "both_ratio": both / none,
         "cache_cut": 1 - cache_only / none,
         "pipeline_cut": 1 - both / cache_only,
-        "pipeline_only_cut": 1 - pipeline_only / none,
         "total_cut": 1 - both / none,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("fig9_ablation"))

@@ -11,24 +11,14 @@ Wall-clock speed of the hot path is not measured here: ``sync_hot`` /
 ``sync_miss`` in ``BENCHMARK.json`` (``benchmarks/e2e``) are the
 end-to-end figures, with ``cache.pull_s`` / ``cache.maintain_s`` /
 ``cache.update_s`` attributed per layer.
-
-    python benchmarks/bench_hotpath.py            # full scale
-    python benchmarks/bench_hotpath.py --smoke    # CI scale
 """
 
 from __future__ import annotations
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
 import numpy as np
 
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CacheConfig, NetworkFaultConfig, RetryConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
@@ -91,14 +81,11 @@ def transport_equivalence(batches: int = 30):
     return rows
 
 
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["transports_identical"]:
-        failures.append("a transport diverged from the in-process reference")
-    return failures
+    return failures(
+        (metrics["transports_identical"],
+         "a transport diverged from the in-process reference"),
+    )
 
 
 @register(
@@ -107,18 +94,18 @@ def _check(metrics: dict, params: dict) -> list:
     smoke={"transport_batches": 12},
     headline={"transports_identical": Headline()},
     check=_check,
+    refs=[
+        Ref("transports_identical", "RPC clean + faulty wire vs local", "{}",
+            paper="True (same bits)"),
+        Ref("faults_injected", "wire faults injected", "{}"),
+    ],
 )
 def entry(*, transport_batches):
-    """Bitwise equality of the trained embeddings across the in-process,
-    RPC and fault-injected-RPC transports."""
+    """Hot path: bitwise equality of the trained embeddings across the
+    in-process, RPC and fault-injected-RPC transports."""
     transports = transport_equivalence(batches=transport_batches)
     return {
         "transports_identical": all(identical for __, identical, __ in transports),
         "faults_injected": sum(injected for *__, injected in transports),
     }
 
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("hotpath"))

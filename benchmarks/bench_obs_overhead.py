@@ -17,29 +17,23 @@ Two invariants are asserted:
 1. **Semantics**: the simulated outcome (``sim_seconds``, request
    counts, per-phase totals) is bit-identical across all three
    configurations.  Observability must never perturb what it observes.
-2. **Cost**: enabled tracing adds less than ``CEILING`` (5 %) to the
+2. **Cost**: enabled tracing adds less than the ``ceiling`` to the
    best-of-N wall time of the untraced run.
 
-Run standalone::
-
-    python benchmarks/bench_obs_overhead.py            # full, writes
-                                                       # results/obs_overhead.txt
-    python benchmarks/bench_obs_overhead.py --smoke    # fast CI check
+This is the one wall-clock bench of the registry: ``overhead`` /
+``noop_overhead`` / ``wall_off_s`` differ run to run, so they are
+exempt from the "same numbers" rule the SimClock benches obey; the
+deterministic half (``identical``, ``events``, ``sim_seconds``,
+``requests``) is not.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pathlib
-import sys
 import time
 
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.config import (
     CheckpointConfig,
     ClusterConfig,
@@ -50,13 +44,6 @@ from repro.obs import FlightRecorder, MetricsRegistry, Tracer
 from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
-
-CEILING = 0.05  # enabled tracing may cost at most 5% wall time
-
-ITERATIONS = 200
-REPEATS = 5
-SMOKE_ITERATIONS = 40
-SMOKE_REPEATS = 3
 
 CONFIGS = ("off", "noop", "enabled")
 
@@ -132,112 +119,54 @@ def measure(iterations: int, repeats: int):
     return best, events, reference
 
 
-def report(iterations: int, repeats: int, out=None) -> int:
-    best, events, reference = measure(iterations, repeats)
-    base = best["off"]
-    lines = [
-        "obs_overhead: tracing cost on the simulated training loop",
-        f"  run: PMem-OE, 8 workers x batch 256, 50k keys, lookahead 2, "
-        f"batch-aware checkpoints, {iterations} iterations, "
-        f"best of {repeats}",
-        f"  simulated outcome identical across configs: "
-        f"sim_seconds={reference['sim_seconds']:.6f} "
-        f"requests={reference['total_requests']}",
-        "",
-        f"  {'config':<10} {'wall (s)':>10} {'overhead':>10} {'events':>8}",
-    ]
-    for config in CONFIGS:
-        overhead = (best[config] - base) / base
-        lines.append(
-            f"  {config:<10} {best[config]:>10.4f} {overhead:>+9.1%} "
-            f"{events[config]:>8}"
-        )
-    enabled_overhead = (best["enabled"] - base) / base
-    verdict = "PASS" if enabled_overhead < CEILING else "FAIL"
-    lines += [
-        "",
-        f"  ceiling: enabled < {CEILING:.0%} -> {verdict} "
-        f"({enabled_overhead:+.1%})",
-    ]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if out is not None:
-        pathlib.Path(out).write_text(text)
-        print(f"wrote {out}")
-    return 0 if verdict == "PASS" else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0]
+def _check(metrics: dict, params: dict) -> list:
+    return failures(
+        (metrics["identical"], "observability perturbed the simulated outcome"),
+        (metrics["overhead"] < params["ceiling"],
+         f"enabled tracing overhead {metrics['overhead']:+.1%} "
+         f">= ceiling {params['ceiling']:.0%}"),
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="fast check for CI (fewer iterations/repeats, no result file)",
-    )
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return report(SMOKE_ITERATIONS, SMOKE_REPEATS)
-    out = _ROOT / "benchmarks" / "results" / "obs_overhead.txt"
-    return report(ITERATIONS, REPEATS, out=str(out))
-
-
-# --- registry entry -------------------------------------------------------
-
-
-def _entry_check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not metrics["identical"]:
-        failures.append("observability perturbed the simulated outcome")
-    if metrics["overhead"] >= params["ceiling"]:
-        failures.append(
-            f"enabled tracing overhead {metrics['overhead']:+.1%} "
-            f">= ceiling {params['ceiling']:.0%}"
-        )
-    return failures
 
 
 @register(
     "obs_overhead",
     params=[
-        Param("iterations", "int", ITERATIONS),
-        Param("repeats", "int", REPEATS),
-        # The registry check uses a softer ceiling than the historical
-        # standalone 5%: wall-clock overhead on shared CI runners jitters
-        # by several points, and the deterministic `identical` invariant
-        # is the guard that actually matters.
+        Param("iterations", "int", 200),
+        Param("repeats", "int", 5),
+        # Softer than the 5% a quiet machine holds: wall-clock overhead
+        # on shared CI runners jitters by several points, and the
+        # deterministic `identical` invariant is the guard that matters.
         Param("ceiling", "float", 0.15),
     ],
-    smoke={"iterations": SMOKE_ITERATIONS, "repeats": SMOKE_REPEATS},
-    headline={
-        "identical": Headline(),
-        # Wall-clock fraction near zero: gate on the absolute noise
-        # floor, not a relative move.
-        "overhead": Headline(direction="lower", max_regression=1.0, noise=0.10),
-    },
-    check=_entry_check,
+    smoke={"iterations": 40, "repeats": 3},
+    # `overhead` is wall-clock: the same tree reads -15 %..+8 % run to
+    # run on a shared machine, so the gate holds the deterministic
+    # invariant and the ceiling stays with `check`.
+    headline={"identical": Headline()},
+    check=_check,
+    saturated={"ceiling": "consumed by the acceptance check, not the run"},
+    refs=[
+        Ref("sim_seconds", "simulated outcome (all configs)", "sim_seconds={:.6f}",
+            paper="identical"),
+        Ref("requests", "  demand requests", "{}", paper="identical"),
+        Ref("wall_off_s", "off: wall (varies run to run)", "{:.4f} s"),
+        Ref("noop_overhead", "noop: overhead (varies)", "{:+.1%}"),
+        Ref("overhead", "enabled: overhead (varies)", "{:+.1%}", paper="< 5%"),
+        Ref("events", "enabled: events recorded", "{}"),
+    ],
 )
 def entry(*, iterations, repeats, ceiling):
-    """Enabled-tracing wall-clock overhead plus the semantics-identical
-    invariant across off/noop/enabled configurations."""
+    """Observability overhead: enabled-tracing wall-clock cost on the
+    simulated training loop, and the semantics-identical invariant."""
     del ceiling  # consumed by the acceptance check, not the run
-    best, events, __ = measure(iterations, repeats)
+    best, events, reference = measure(iterations, repeats)
     base = best["off"]
     return {
         "overhead": (best["enabled"] - base) / base,
         "noop_overhead": (best["noop"] - base) / base,
+        "wall_off_s": base,
         "identical": True,  # measure() raises on any divergence
         "events": events["enabled"],
+        "sim_seconds": reference["sim_seconds"],
+        "requests": reference["total_requests"],
     }
-
-
-if __name__ == "__main__":
-    if not sys.argv[1:]:
-        # Bare invocation keeps the historical full report + txt artifact.
-        sys.exit(main())
-    from repro.bench.shim import main as shim_main
-
-    sys.exit(shim_main("obs_overhead"))

@@ -19,28 +19,19 @@ replicated RPC cluster — under the paper's own Table 2 access skew
   staler than the k-checkpoint bound, and reads keep being served
   through the failover.
 
-Run under pytest-benchmark for the full report, or standalone for CI:
-
-    python benchmarks/bench_serving.py --smoke
-
-Headline numbers land in ``benchmarks/results/BENCH_serving.json``.
+The chaos soak's ``repro-slo-v1`` verdict rides along as the
+``slo_serving.json`` artifact: recorded beside the trajectory under
+``--record DIR`` / ``sweep --out DIR``, rendered by ``repro slo``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
 
 import numpy as np
 
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.core.optimizers import PSAdagrad
 from repro.dlrm.hps import HierarchicalPS
 from repro.network.frontend import RemotePSClient
@@ -53,8 +44,8 @@ from repro.simulation.serving_sim import (
     TrainServeSoak,
 )
 from repro.workload.distributions import TABLE2_BANDS, BandedSkewDistribution
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from tests.harness.chaos import replicated_config
+from tests.harness.crashpoints import cache_config
 
 NUM_KEYS = 20_000
 BATCH_KEYS = 64
@@ -72,9 +63,6 @@ TOP1PCT_SKEW = sum(mass for frac, mass in TABLE2_BANDS[:3])
 
 def build_tier(seed: int, capacity_rows: int, policy: str = "round_robin", slo=None):
     """Replicated 3-shard RPC cluster + serving tier + closed-loop driver."""
-    from tests.harness.chaos import replicated_config
-    from tests.harness.crashpoints import cache_config
-
     config = dataclasses.replace(
         replicated_config(3, seed=seed, lease_s=0.5),
         serving_replica_policy=policy,
@@ -203,145 +191,17 @@ def run_chaos(requests: int) -> dict:
     }
 
 
-def check(results: dict) -> list[str]:
-    """The acceptance bars; returns a list of failure strings."""
-    failures = []
-    headline = results["cached_vs_uncached"]
-    if headline["hit_path_p99_speedup"] < 5.0:
-        failures.append(
-            f"hit-path p99 speedup {headline['hit_path_p99_speedup']:.1f}x < 5x"
-        )
-    chaos = results["chaos"]
-    if chaos["torn_rows"]:
-        failures.append(f"{chaos['torn_rows']} torn rows served")
-    if chaos["stale_rows"]:
-        failures.append(f"{chaos['stale_rows']} rows beyond the staleness bound")
-    if chaos["kills"] and not chaos["served_through_kill"]:
-        failures.append("no reads served after the primary kill")
-    for row in chaos["slo"]["objectives"]:
-        if not row["ok"]:
-            failures.append(
-                f"SLO {row['name']} error budget exhausted "
-                f"(burn {row['burn_rate']:.2f})"
-            )
-    return failures
-
-
-def run_all(warm: int, measure: int, chaos_requests: int) -> tuple[dict, list[str]]:
-    results = {
-        "cached_vs_uncached": run_cached_vs_uncached(warm, measure),
-        "flash_crowd": run_flash_crowd(warm, measure),
-        "chaos": run_chaos(chaos_requests),
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    headline = results["cached_vs_uncached"]
-    chaos = results["chaos"]
-    # Headline numbers land in the repro-bench-v1 trajectory (the same
-    # file the sweep runner and regression gate read).
-    from repro.bench import RunRecord, Trajectory, derive_seed, environment_info
-
-    params = {"warm": warm, "measure": measure, "chaos_requests": chaos_requests}
-    record = RunRecord(
-        bench="serving",
-        params=params,
-        seed=derive_seed(0, "serving", params),
-        scale="full",
-        env=environment_info(),
-        metrics={
-            "hit_path_p99_speedup": headline["hit_path_p99_speedup"],
-            "hit_rate": headline["cached"]["hit_rate"],
-            "qps_cached": headline["cached"]["qps"],
-            "qps_uncached": headline["uncached"]["qps"],
-            "hit_p99_us": headline["cached"]["hit_p99_us"],
-            "uncached_p99_us": headline["uncached"]["p99_us"],
-            "torn_rows": chaos["torn_rows"],
-            "stale_rows": chaos["stale_rows"],
-            "served_through_kill": bool(chaos["served_through_kill"]),
-            "slo_ok": bool(chaos["slo"]["ok"]),
-        },
-    )
-    trajectory = Trajectory.load_or_create(RESULTS_DIR, "serving")
-    trajectory.append(record)
-    trajectory.save(RESULTS_DIR)
-    # Standalone machine-readable SLO verdict; render with `repro slo`.
-    (RESULTS_DIR / "slo_serving.json").write_text(
-        json.dumps(results["chaos"]["slo"], indent=2) + "\n"
-    )
-    return results, check(results)
-
-
-def test_serving_tier(benchmark, report):
-    from benchmarks.conftest import run_once
-
-    results, failures = run_once(
-        benchmark, lambda: run_all(warm=100, measure=300, chaos_requests=150)
-    )
-    headline = results["cached_vs_uncached"]
-    crowd = results["flash_crowd"]
-    chaos = results["chaos"]
-    report.title(
-        "serving", "Extension: hierarchical online serving tier (HPS-style)"
-    )
-    report.row(
-        "access skew (top 1%)", "95.7% (Table 2)", f"{TOP1PCT_SKEW:.1%}"
-    )
-    report.row(
-        "uncached p99", "-", f"{headline['uncached']['p99_us']:.1f} us"
-    )
-    report.row(
-        "cached p99", "-", f"{headline['cached']['p99_us']:.1f} us",
-        f"hit rate {headline['cached']['hit_rate']:.1%}",
-    )
-    report.row(
-        "hit-path p99", ">= 5x lower",
-        f"{headline['cached']['hit_p99_us']:.2f} us "
-        f"({headline['hit_path_p99_speedup']:.0f}x)",
-    )
-    report.row(
-        "QPS cached/uncached", "-",
-        f"{headline['cached']['qps']:.0f} / {headline['uncached']['qps']:.0f}",
-    )
-    report.row(
-        "flash crowd p99", "-",
-        f"{crowd['stationary_p99_us']:.0f} -> {crowd['crowd_p99_us']:.0f} "
-        f"-> {crowd['recovered_p99_us']:.0f} us",
-    )
-    report.row(
-        "chaos torn/stale rows", "0 / 0",
-        f"{chaos['torn_rows']} / {chaos['stale_rows']} "
-        f"({chaos['rows_audited']} audited, k={chaos['staleness_bound_k']})",
-    )
-    report.row(
-        "served through kill", "yes",
-        "yes" if chaos["served_through_kill"] else "NO",
-    )
-    report.row(
-        "SLO error budgets", "all within budget",
-        "ok" if chaos["slo"]["ok"] else "EXHAUSTED",
-    )
-    assert not failures, "; ".join(failures)
-
-
-# --- registry entry -------------------------------------------------------
-
-
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if metrics["hit_path_p99_speedup"] < 5.0:
-        failures.append(
-            f"hit-path p99 speedup {metrics['hit_path_p99_speedup']:.1f}x < 5x"
-        )
-    if metrics["torn_rows"]:
-        failures.append(f"{metrics['torn_rows']:.0f} torn rows served")
-    if metrics["stale_rows"]:
-        failures.append(
-            f"{metrics['stale_rows']:.0f} rows beyond the staleness bound"
-        )
-    if not metrics["served_through_kill"]:
-        failures.append("no reads served after the primary kill")
-    if not metrics["slo_ok"]:
-        failures.append("an SLO error budget was exhausted")
-    return failures
+    return failures(
+        (metrics["hit_path_p99_speedup"] >= 5.0,
+         f"hit-path p99 speedup {metrics['hit_path_p99_speedup']:.1f}x < 5x"),
+        (not metrics["torn_rows"], f"{metrics['torn_rows']:.0f} torn rows served"),
+        (not metrics["stale_rows"],
+         f"{metrics['stale_rows']:.0f} rows beyond the staleness bound"),
+        (not metrics["kills"] or metrics["served_through_kill"],
+         "no reads served after the primary kill"),
+        (metrics["slo_ok"], "an SLO error budget was exhausted"),
+    )
 
 
 @register(
@@ -359,27 +219,48 @@ def _check(metrics: dict, params: dict) -> list:
         "slo_ok": Headline(),
     },
     check=_check,
+    refs=[
+        Ref("skew_top1pct", "access skew (top 1%)", "{:.1%}", paper="95.7% (Table 2)"),
+        Ref("uncached_p99_us", "uncached p99", "{:.1f} us"),
+        Ref("cached_p99_us", "cached p99", "{:.1f} us"),
+        Ref("hit_rate", "  hit rate", "{:.1%}"),
+        Ref("hit_p99_us", "hit-path p99", "{:.2f} us", paper=">= 5x lower"),
+        Ref("hit_path_p99_speedup", "  vs uncached p99", "{:.0f}x", paper=">= 5x"),
+        Ref("qps_cached", "QPS cached", "{:.0f}"),
+        Ref("qps_uncached", "QPS uncached", "{:.0f}"),
+        Ref("crowd_stationary_p99_us", "flash crowd p99: before", "{:.0f} us"),
+        Ref("crowd_p99_us", "flash crowd p99: hot set jumps", "{:.0f} us"),
+        Ref("crowd_recovered_p99_us", "flash crowd p99: re-warmed", "{:.0f} us"),
+        Ref("torn_rows", "chaos torn rows", "{}", paper="0"),
+        Ref("stale_rows", "chaos rows beyond k=1", "{}", paper="0"),
+        Ref("rows_audited", "  rows audited", "{}"),
+        Ref("served_through_kill", "served through kill", "{}", paper="True"),
+        Ref("slo_ok", "SLO error budgets within budget", "{}", paper="True"),
+    ],
 )
 def entry(*, warm, measure, chaos_requests):
-    """Serving-tier headline: cached-vs-uncached p99 speedup, hit rate,
-    and the chaos soak's torn/stale/SLO verdict."""
+    """Extension: hierarchical online serving tier (HPS-style) — cached
+    vs uncached p99, flash-crowd p99, and the chaos soak's verdict."""
     headline = run_cached_vs_uncached(warm, measure)
+    crowd = run_flash_crowd(warm, measure)
     chaos = run_chaos(chaos_requests)
     return {
+        "skew_top1pct": headline["skew_top1pct"],
         "hit_path_p99_speedup": headline["hit_path_p99_speedup"],
         "hit_rate": headline["cached"]["hit_rate"],
         "qps_cached": headline["cached"]["qps"],
         "qps_uncached": headline["uncached"]["qps"],
         "hit_p99_us": headline["cached"]["hit_p99_us"],
+        "cached_p99_us": headline["cached"]["p99_us"],
         "uncached_p99_us": headline["uncached"]["p99_us"],
+        "crowd_stationary_p99_us": crowd["stationary_p99_us"],
+        "crowd_p99_us": crowd["crowd_p99_us"],
+        "crowd_recovered_p99_us": crowd["recovered_p99_us"],
+        "rows_audited": chaos["rows_audited"],
         "torn_rows": chaos["torn_rows"],
         "stale_rows": chaos["stale_rows"],
+        "kills": chaos["kills"],
         "served_through_kill": bool(chaos["served_through_kill"]),
         "slo_ok": bool(chaos["slo"]["ok"]),
+        "artifacts": {"slo_serving.json": chaos["slo"]},
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("serving"))

@@ -5,77 +5,38 @@ bandwidth over large sequential transfers and per-op latency on tiny
 accesses — the same quantities the paper's microbenchmarks report.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once
-from repro.bench import Headline, register
+from benchmarks.common import failures
+from repro.bench import Headline, Ref, register
 from repro.simulation.device import DRAM_SPEC, GB, MemoryDevice, PMEM_SPEC, SSD_SPEC
 
+SPECS = {"dram": DRAM_SPEC, "pmem": PMEM_SPEC, "ssd": SSD_SPEC}
+#: per device: read / write bandwidth (GB/s), read / write latency (ns)
+COLUMNS = ("read_gbps", "write_gbps", "read_ns", "write_ns")
 PAPER = {
-    "DRAM": ("115 / 79", "81 / 86"),
-    "PMem": ("39 / 14", "305 / 94"),
-    "Flash SSD": ("2~3 / 1~2", ">10000"),
+    "dram": (115, 79, 81, 86),
+    "pmem": (39, 14, 305, 94),
+    "ssd": ("2~3", "1~2", ">10000", ">10000"),
 }
 
 
-def measure(spec):
+def measure(spec) -> dict:
     device = MemoryDevice(spec)
     big = 4 * GB
-    read_bw = big / device.read(big)
-    write_elapsed = device.write(big)
-    write_bw = big / write_elapsed
-    read_latency_ns = spec.read_time(0) * 1e9
-    write_latency_ns = spec.write_time(0) * 1e9
-    return read_bw / GB, write_bw / GB, read_latency_ns, write_latency_ns
-
-
-def test_table1_device_comparison(benchmark, report):
-    rows = run_once(
-        benchmark,
-        lambda: {spec.name: measure(spec) for spec in (DRAM_SPEC, PMEM_SPEC, SSD_SPEC)},
-    )
-    report.title("table1_devices", "Table I: device bandwidth (GB/s) and latency (ns)")
-    for name, (r_bw, w_bw, r_lat, w_lat) in rows.items():
-        paper_bw, paper_lat = PAPER[name]
-        report.row(
-            f"{name} bandwidth R/W", paper_bw, f"{r_bw:.0f} / {w_bw:.0f}"
-        )
-        report.row(
-            f"{name} latency R/W", paper_lat, f"{r_lat:.0f} / {w_lat:.0f}"
-        )
-    dram = rows["DRAM"]
-    pmem = rows["PMem"]
-    report.line()
-    report.row(
-        "PMem/DRAM read throughput", "~1/3", f"1/{dram[0] / pmem[0]:.1f}"
-    )
-    report.row(
-        "PMem/DRAM write throughput", "~1/5", f"1/{dram[1] / pmem[1]:.1f}"
-    )
-    assert 2.5 < dram[0] / pmem[0] < 3.5
-    assert 4.5 < dram[1] / pmem[1] < 6.5
-
-
-# --- registry entry -------------------------------------------------------
+    return {
+        "read_gbps": big / device.read(big) / GB,
+        "write_gbps": big / device.write(big) / GB,
+        "read_ns": spec.read_time(0) * 1e9,
+        "write_ns": spec.write_time(0) * 1e9,
+    }
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not 2.5 < metrics["read_ratio"] < 3.5:
-        failures.append(
-            f"DRAM/PMem read ratio {metrics['read_ratio']:.1f} outside ~3x"
-        )
-    if not 4.5 < metrics["write_ratio"] < 6.5:
-        failures.append(
-            f"DRAM/PMem write ratio {metrics['write_ratio']:.1f} outside ~5x"
-        )
-    return failures
+    return failures(
+        (2.5 < metrics["read_ratio"] < 3.5,
+         f"DRAM/PMem read ratio {metrics['read_ratio']:.1f} outside ~3x"),
+        (4.5 < metrics["write_ratio"] < 6.5,
+         f"DRAM/PMem write ratio {metrics['write_ratio']:.1f} outside ~5x"),
+    )
 
 
 @register(
@@ -86,25 +47,23 @@ def _check(metrics: dict, params: dict) -> list:
         "write_ratio": Headline(direction="higher", max_regression=0.05),
     },
     check=_check,
+    refs=[
+        Ref(f"{device}_{column}", f"{SPECS[device].name} {column}", "{:.0f}", paper)
+        for device, papers in PAPER.items()
+        for column, paper in zip(COLUMNS, papers)
+    ] + [
+        Ref("read_ratio", "PMem/DRAM read throughput", "1/{:.1f}", paper="~1/3"),
+        Ref("write_ratio", "PMem/DRAM write throughput", "1/{:.1f}", paper="~1/5"),
+    ],
 )
 def entry():
-    """Device-model bandwidths and the DRAM/PMem throughput ratios the
-    paper's Table I reports."""
-    dram = measure(DRAM_SPEC)
-    pmem = measure(PMEM_SPEC)
-    ssd = measure(SSD_SPEC)
-    return {
-        "dram_read_gbps": dram[0],
-        "dram_write_gbps": dram[1],
-        "pmem_read_gbps": pmem[0],
-        "pmem_write_gbps": pmem[1],
-        "ssd_read_gbps": ssd[0],
-        "read_ratio": dram[0] / pmem[0],
-        "write_ratio": dram[1] / pmem[1],
+    """Table I: device bandwidth (GB/s) and latency (ns) from the device
+    models, and the DRAM/PMem throughput ratios."""
+    metrics = {
+        f"{device}_{column}": value
+        for device, spec in SPECS.items()
+        for column, value in measure(spec).items()
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("table1_devices"))
+    metrics["read_ratio"] = metrics["dram_read_gbps"] / metrics["pmem_read_gbps"]
+    metrics["write_ratio"] = metrics["dram_write_gbps"] / metrics["pmem_write_gbps"]
+    return metrics

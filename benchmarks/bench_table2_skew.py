@@ -5,55 +5,18 @@ accesses the hottest 0.05 % / 0.1 % / 1 % of the key space receives —
 the paper's 85.7 % / 89.5 % / 95.7 %.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures
+from repro.bench import Headline, Param, Ref, register
 from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.trace import AccessTraceAnalyzer
 
-PAPER = {0.0005: 0.857, 0.001: 0.895, 0.01: 0.957}
-
-
-def test_table2_access_skew(benchmark, report):
-    profile = DEFAULT_PROFILE
-
-    def run():
-        generator = WorkloadGenerator(profile.workload_config())
-        stream = generator.access_stream(num_batches=200, batch_size=256)
-        analyzer = AccessTraceAnalyzer(stream)
-        return analyzer.skew_report(
-            key_fractions=tuple(PAPER), of_keyspace=profile.num_keys
-        )
-
-    skew = run_once(benchmark, run)
-    report.title("table2_skew", "Table II: share of accesses to top entries")
-    report.line(f"  trace: {skew.total_accesses} accesses, "
-                f"{skew.distinct_keys} distinct of {profile.num_keys} keys")
-    for fraction, paper_share in PAPER.items():
-        measured = skew.top_shares[fraction]
-        report.row(
-            f"top {fraction:.2%} of entries",
-            f"{paper_share:.1%}",
-            f"{measured:.1%}",
-        )
-        assert abs(measured - paper_share) < 0.02
-
-
-# --- registry entry -------------------------------------------------------
-
 
 def _check(metrics: dict, params: dict) -> list:
-    if not metrics["top_1pct_share"] > metrics["top_01pct_share"] > 0.5:
-        return ["skew shares lost their ordering or collapsed below 50%"]
-    return []
+    return failures(
+        (metrics["top_1pct_share"] > metrics["top_01pct_share"] > 0.5,
+         "skew shares lost their ordering or collapsed below 50%"),
+    )
 
 
 @register(
@@ -68,10 +31,21 @@ def _check(metrics: dict, params: dict) -> list:
         "top_01pct_share": Headline(direction="higher", max_regression=0.05),
     },
     check=_check,
+    refs=[
+        Ref("total_accesses", "trace: accesses", "{}"),
+        Ref("distinct_keys", "trace: distinct keys", "{}",
+            paper=f"of {DEFAULT_PROFILE.num_keys}"),
+        Ref("top_005pct_share", "top 0.05% of entries", "{:.1%}",
+            paper=0.857, abs=0.02),
+        Ref("top_01pct_share", "top 0.10% of entries", "{:.1%}",
+            paper=0.895, abs=0.02),
+        Ref("top_1pct_share", "top 1.00% of entries", "{:.1%}",
+            paper=0.957, abs=0.02),
+    ],
 )
 def entry(*, batches, batch_size):
-    """Share of accesses landing on the hottest 0.05%/0.1%/1% of the
-    keyspace in the synthetic DLRM trace."""
+    """Table II: share of accesses landing on the hottest 0.05%/0.1%/1%
+    of the keyspace in the synthetic DLRM trace."""
     generator = WorkloadGenerator(DEFAULT_PROFILE.workload_config())
     stream = generator.access_stream(num_batches=batches, batch_size=batch_size)
     analyzer = AccessTraceAnalyzer(stream)
@@ -83,10 +57,5 @@ def entry(*, batches, batch_size):
         "top_01pct_share": skew.top_shares[0.001],
         "top_1pct_share": skew.top_shares[0.01],
         "distinct_keys": skew.distinct_keys,
+        "total_accesses": skew.total_accesses,
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("table2_skew"))

@@ -7,16 +7,8 @@ DRAM-PS baseline with OUR measured relative epoch times, so the
 $-per-epoch column is a genuine model output, not a transcription.
 """
 
-import pathlib
-import sys
-
-_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for _path in (str(_ROOT), str(_ROOT / "src")):
-    if _path not in sys.path:
-        sys.path.insert(0, _path)
-
-from benchmarks.conftest import run_once, simulate_epoch
-from repro.bench import Headline, Param, register
+from benchmarks.common import failures, simulate_epoch
+from repro.bench import Headline, Param, Ref, register
 from repro.config import CheckpointConfig, CheckpointMode
 from repro.cost.pricing import (
     R6E_13XLARGE,
@@ -28,83 +20,41 @@ from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 
 GB = 1 << 30
+PAPER_DRAM_EPOCH_HOURS = 5.75
+#: name -> (metric prefix, system, its checkpoint mode, instance type)
+SYSTEMS = {
+    "DRAM-PS": ("dram", SystemKind.DRAM_PS, CheckpointMode.INCREMENTAL, R6E_13XLARGE),
+    "PMem-OE": ("oe", SystemKind.PMEM_OE, CheckpointMode.BATCH_AWARE, RE6P_13XLARGE),
+    "Ori-Cache": ("ori", SystemKind.ORI_CACHE, CheckpointMode.INCREMENTAL, RE6P_13XLARGE),
+}
+#: name -> the paper's (machines, $/hour, epoch hours, $/epoch)
 PAPER = {
     "DRAM-PS": (2, 6.07, 5.75, 34.9),
     "PMem-OE": (1, 3.80, 5.33, 20.3),
     "Ori-Cache": (1, 3.80, 7.01, 26.6),
 }
-PAPER_DRAM_EPOCH_HOURS = 5.75
-
-
-def test_table5_ps_cost(benchmark, report):
-    def run():
-        base = simulate_epoch(SystemKind.DRAM_PS, 4)
-        interval = TrainingSimulator.interval_for_epoch_fraction(
-            base.sim_seconds, 20, PAPER_DRAM_EPOCH_HOURS
-        )
-        dram = simulate_epoch(
-            SystemKind.DRAM_PS, 4,
-            checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-        ).sim_seconds
-        oe = simulate_epoch(
-            SystemKind.PMEM_OE, 4,
-            checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-        ).sim_seconds
-        ori = simulate_epoch(
-            SystemKind.ORI_CACHE, 4,
-            checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-        ).sim_seconds
-        hours = {
-            "DRAM-PS": PAPER_DRAM_EPOCH_HOURS,
-            "PMem-OE": PAPER_DRAM_EPOCH_HOURS * oe / dram,
-            "Ori-Cache": PAPER_DRAM_EPOCH_HOURS * ori / dram,
-        }
-        deployments = {
-            "DRAM-PS": deployment_for_model(500 * GB, R6E_13XLARGE, "DRAM-PS"),
-            "PMem-OE": deployment_for_model(500 * GB, RE6P_13XLARGE, "PMem-OE"),
-            "Ori-Cache": deployment_for_model(500 * GB, RE6P_13XLARGE, "Ori-Cache"),
-        }
-        return hours, deployments
-
-    hours, deployments = run_once(benchmark, run)
-    report.title("table5_cost", "Table V: parameter-server cost for the 500 GB model")
-    for name, (paper_machines, paper_rate, paper_hours, paper_epoch) in PAPER.items():
-        deployment = deployments[name]
-        epoch_cost = cost_per_epoch(deployment, hours[name])
-        report.row(f"{name} machines", paper_machines, deployment.machines)
-        report.row(
-            f"{name} $/hour", f"{paper_rate:.2f}", f"{deployment.dollars_per_hour:.2f}"
-        )
-        report.row(
-            f"{name} epoch hours", f"{paper_hours:.2f}", f"{hours[name]:.2f}"
-        )
-        report.row(f"{name} $/epoch", f"{paper_epoch:.1f}", f"{epoch_cost:.1f}")
-        assert deployment.machines == paper_machines
-        assert abs(deployment.dollars_per_hour - paper_rate) < 0.01
-
-    oe_cost = cost_per_epoch(deployments["PMem-OE"], hours["PMem-OE"])
-    dram_cost = cost_per_epoch(deployments["DRAM-PS"], hours["DRAM-PS"])
-    ori_cost = cost_per_epoch(deployments["Ori-Cache"], hours["Ori-Cache"])
-    report.line()
-    report.row("PMem-OE saving vs DRAM-PS", "42%", f"{1 - oe_cost / dram_cost:.0%}")
-    report.row("PMem-OE saving vs Ori-Cache", "24%", f"{1 - oe_cost / ori_cost:.0%}")
-    assert 0.30 < 1 - oe_cost / dram_cost < 0.50
-    assert 0.05 < 1 - oe_cost / ori_cost < 0.35
-
-
-# --- registry entry -------------------------------------------------------
 
 
 def _check(metrics: dict, params: dict) -> list:
-    failures = []
-    if not 0.30 < metrics["oe_saving_vs_dram"] < 0.50:
-        failures.append(
-            f"PMem-OE saving vs DRAM-PS "
-            f"{metrics['oe_saving_vs_dram']:.0%} outside 30-50%"
-        )
-    if metrics["dram_machines"] != 2 or metrics["oe_machines"] != 1:
-        failures.append("deployment sizing drifted from 2 DRAM / 1 PMem")
-    return failures
+    return failures(
+        (0.30 < metrics["oe_saving_vs_dram"] < 0.50,
+         f"PMem-OE saving vs DRAM-PS "
+         f"{metrics['oe_saving_vs_dram']:.0%} outside 30-50%"),
+        (0.05 < metrics["oe_saving_vs_ori"] < 0.35,
+         f"PMem-OE saving vs Ori-Cache "
+         f"{metrics['oe_saving_vs_ori']:.0%} outside 5-35%"),
+    )
+
+
+def _refs():
+    for name, (machines, rate, hours, cost) in PAPER.items():
+        key = SYSTEMS[name][0]
+        yield Ref(f"{key}_machines", f"{name} machines", "{}", machines, abs=0)
+        yield Ref(f"{key}_rate", f"{name} $/hour", "{:.2f}", rate, abs=0.01)
+        yield Ref(f"{key}_hours", f"{name} epoch hours", "{:.2f}", hours)
+        yield Ref(f"{key}_cost", f"{name} $/epoch", "{:.1f}", cost)
+    yield Ref("oe_saving_vs_dram", "PMem-OE saving vs DRAM-PS", "{:.0%}", 0.42)
+    yield Ref("oe_saving_vs_ori", "PMem-OE saving vs Ori-Cache", "{:.0%}", 0.24)
 
 
 @register(
@@ -115,41 +65,29 @@ def _check(metrics: dict, params: dict) -> list:
         "oe_saving_vs_ori": Headline(direction="higher", max_regression=0.10),
     },
     check=_check,
+    refs=list(_refs()),
 )
 def entry(*, workers):
-    """Cost-per-epoch of the 500 GB deployment: PMem-OE's savings over
-    DRAM-PS and Ori-Cache from the pricing model + measured ratios."""
+    """Table V: parameter-server cost for the 500 GB model — sizing,
+    $/hour, epoch hours and $/epoch per system, and PMem-OE's savings."""
     base = simulate_epoch(SystemKind.DRAM_PS, workers)
     interval = TrainingSimulator.interval_for_epoch_fraction(
         base.sim_seconds, 20, PAPER_DRAM_EPOCH_HOURS
     )
-    dram = simulate_epoch(
-        SystemKind.DRAM_PS, workers,
-        checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-    ).sim_seconds
-    oe = simulate_epoch(
-        SystemKind.PMEM_OE, workers,
-        checkpoint=CheckpointConfig(CheckpointMode.BATCH_AWARE, interval),
-    ).sim_seconds
-    ori = simulate_epoch(
-        SystemKind.ORI_CACHE, workers,
-        checkpoint=CheckpointConfig(CheckpointMode.INCREMENTAL, interval),
-    ).sim_seconds
-    dram_dep = deployment_for_model(500 * GB, R6E_13XLARGE, "DRAM-PS")
-    oe_dep = deployment_for_model(500 * GB, RE6P_13XLARGE, "PMem-OE")
-    ori_dep = deployment_for_model(500 * GB, RE6P_13XLARGE, "Ori-Cache")
-    dram_cost = cost_per_epoch(dram_dep, PAPER_DRAM_EPOCH_HOURS)
-    oe_cost = cost_per_epoch(oe_dep, PAPER_DRAM_EPOCH_HOURS * oe / dram)
-    ori_cost = cost_per_epoch(ori_dep, PAPER_DRAM_EPOCH_HOURS * ori / dram)
-    return {
-        "oe_saving_vs_dram": 1 - oe_cost / dram_cost,
-        "oe_saving_vs_ori": 1 - oe_cost / ori_cost,
-        "dram_machines": dram_dep.machines,
-        "oe_machines": oe_dep.machines,
+    seconds = {
+        key: simulate_epoch(
+            system, workers, checkpoint=CheckpointConfig(mode, interval)
+        ).sim_seconds
+        for key, system, mode, __ in SYSTEMS.values()
     }
-
-
-if __name__ == "__main__":
-    from repro.bench.shim import main
-
-    raise SystemExit(main("table5_cost"))
+    metrics = {}
+    for name, (key, __, __, instance) in SYSTEMS.items():
+        deployment = deployment_for_model(500 * GB, instance, name)
+        hours = PAPER_DRAM_EPOCH_HOURS * seconds[key] / seconds["dram"]
+        metrics[f"{key}_machines"] = deployment.machines
+        metrics[f"{key}_rate"] = deployment.dollars_per_hour
+        metrics[f"{key}_hours"] = hours
+        metrics[f"{key}_cost"] = cost_per_epoch(deployment, hours)
+    metrics["oe_saving_vs_dram"] = 1 - metrics["oe_cost"] / metrics["dram_cost"]
+    metrics["oe_saving_vs_ori"] = 1 - metrics["oe_cost"] / metrics["ori_cost"]
+    return metrics

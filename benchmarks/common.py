@@ -1,68 +1,27 @@
-"""Shared benchmark infrastructure.
+"""Shared benchmark helpers.
 
-Every bench reproduces one table or figure of the paper:
-
-* the experiment runs exactly once inside ``benchmark.pedantic`` (the
-  simulated experiment is deterministic; re-running it only burns time),
-* the paper-vs-measured comparison is printed AND written to
-  ``benchmarks/results/<name>.txt`` so it survives pytest's output
-  capture.
-
-All benches share one scaled operating point
+Every ``bench_*.py`` states one table or figure of the paper (or one
+ablation) exactly once: a ``@register``-ed entry that measures one
+point, the paper's reference values and tolerances as data on the
+registration, and a ``check`` that holds each measurement to the
+figure's claims. All simulated benches share one scaled operating point
 (:data:`repro.simulation.profiles.DEFAULT_PROFILE`); see that module's
 docstring for the scaling rules.
 """
 
 from __future__ import annotations
 
-import pathlib
-
-import pytest
-
 from repro.config import CacheConfig, CheckpointConfig
 from repro.simulation.cluster import SystemKind
-from repro.simulation.profiles import DEFAULT_PROFILE
+from repro.simulation.profiles import DEFAULT_PROFILE, PAPER_EPOCH_HOURS
 from repro.simulation.trainer_sim import TrainingRunResult, TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-
-@pytest.fixture(scope="session")
-def profile():
-    return DEFAULT_PROFILE
-
-
-@pytest.fixture
-def report():
-    """Collects report lines; prints and persists them on exit."""
-
-    class Report:
-        def __init__(self):
-            self.lines: list[str] = []
-            self.name = "report"
-
-        def title(self, name: str, text: str) -> None:
-            self.name = name
-            self.lines.append(f"=== {text} ===")
-
-        def line(self, text: str = "") -> None:
-            self.lines.append(text)
-
-        def row(self, label: str, paper, measured, note: str = "") -> None:
-            self.lines.append(
-                f"  {label:<28} paper: {paper:<14} measured: {measured:<14} {note}"
-            )
-
-        def flush(self) -> None:
-            text = "\n".join(self.lines)
-            print("\n" + text)
-            RESULTS_DIR.mkdir(exist_ok=True)
-            (RESULTS_DIR / f"{self.name}.txt").write_text(text + "\n")
-
-    rep = Report()
-    yield rep
-    rep.flush()
+def failures(*claims) -> list:
+    """The messages of the ``(holds, message)`` claims that do not hold
+    — how a bench's ``check`` states its assertions, one per line."""
+    return [message for holds, message in claims if not holds]
 
 
 def bench_iterations(workers: int) -> int:
@@ -113,6 +72,15 @@ def simulate_epoch(
     return simulator.run(iterations or bench_iterations(workers))
 
 
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark and return its value."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def paper_interval(minutes: float = 20.0) -> float:
+    """Simulated seconds standing for ``minutes`` of the paper's wall
+    clock. Checkpoint overheads compare a fixed-size dense pause against
+    the interval, and the paper's interval is the same wall time at
+    every GPU count, so it is anchored once: to the FULL profile epoch
+    of 16-GPU PMem-OE, which stands for the testbed's 5.33 h."""
+    anchor = simulate_epoch(
+        SystemKind.PMEM_OE, 16, iterations=DEFAULT_PROFILE.iterations(16)
+    )
+    return TrainingSimulator.interval_for_epoch_fraction(
+        anchor.sim_seconds, minutes, PAPER_EPOCH_HOURS
+    )

@@ -19,11 +19,14 @@ Checks five artifact kinds against their schemas:
 * Flight-recorder dump (``--flightrec``): ``repro-flightrec-v1``
   postmortem record — trigger/node identity, well-formed events in
   non-decreasing time order.
-* BENCH trajectory (``--bench``): ``repro-bench-v1`` sweep records —
-  full schema validation via ``repro.bench.validate_trajectory``, the
-  filename matching the bench it claims, and (when the registry is
-  importable) that the bench is registered and every ok run at some
-  scale carries all of its declared headline metrics.
+* BENCH trajectories (``--bench``): ``repro-bench-v1`` sweep records —
+  one file, or a results directory (every ``BENCH_*.json`` in it, and
+  no registered bench missing). Full schema validation via
+  ``repro.bench.validate_trajectory``, the filename matching the bench
+  it claims, and (when the registry is importable) that the bench is
+  registered, every ok run carries all of its declared headline
+  metrics, and no two ok runs differ in params yet agree in every
+  metric (``repro.bench.stuck_params``).
 * Gate verdict (``--gate``): ``repro-bench-gate-v1`` machine-readable
   verdict from ``repro bench gate`` — check shape, self-consistent
   counts, and ``ok`` agreeing with the regression count.
@@ -35,7 +38,7 @@ Usage::
     python scripts/check_obs_export.py --trace t.json --prom m.prom \
         --snapshot m.json [--require-overlap] \
         --merged merged.json --flightrec flightrec_promotion_1.json \
-        --bench benchmarks/results/BENCH_prefetch.json --gate verdict.json
+        --bench benchmarks/results --gate verdict.json
 """
 
 from __future__ import annotations
@@ -327,9 +330,34 @@ BENCH_SCHEMA = "repro-bench-v1"
 GATE_SCHEMA = "repro-bench-gate-v1"
 
 
+def _bench_registry():
+    """The populated bench registry, or None when there is no checkout
+    next to the package (schema checks only)."""
+    try:
+        from repro.bench import REGISTRY, discover
+
+        discover()
+    except Exception:
+        return None
+    return REGISTRY
+
+
 def check_bench(path: str) -> None:
     import pathlib
 
+    if pathlib.Path(path).is_dir():
+        files = sorted(pathlib.Path(path).glob("BENCH_*.json"))
+        check(bool(files), f"bench: no BENCH_*.json under {path}")
+        for file in files:
+            check_bench(str(file))
+        registry = _bench_registry()
+        if registry is not None:
+            absent = set(registry.names()) - {
+                file.stem[len("BENCH_"):] for file in files
+            }
+            check(not absent, f"bench: {path} has no trajectory for {sorted(absent)}")
+        return
+    errors_before = len(_errors)
     with open(path) as fh:
         payload = json.load(fh)
     try:
@@ -348,16 +376,13 @@ def check_bench(path: str) -> None:
             f"bench: file {actual!r} holds bench {bench!r} "
             f"(expected name {expected!r})",
         )
-    try:
-        from repro.bench import REGISTRY, discover
-
-        discover()
-    except Exception:
-        return  # no checkout next to the package: schema checks only
-    if not (isinstance(bench, str) and bench in REGISTRY):
+    registry = _bench_registry()
+    if registry is None:
+        return
+    if not (isinstance(bench, str) and bench in registry):
         fail(f"bench: {bench!r} is not a registered benchmark")
         return
-    headline = set(REGISTRY.get(bench).headline)
+    headline = set(registry.get(bench).headline)
     for index, run in enumerate(payload.get("runs", [])):
         if not isinstance(run, dict) or run.get("status") != "ok":
             continue
@@ -366,6 +391,13 @@ def check_bench(path: str) -> None:
             not missing,
             f"bench: runs[{index}] missing headline metrics {sorted(missing)}",
         )
+    if len(_errors) == errors_before:  # a valid trajectory: lint its rows
+        from repro.bench import Trajectory, stuck_params
+
+        for error in stuck_params(
+            Trajectory.load(path), registry.get(bench).saturated
+        ):
+            fail(f"bench: {error}")
 
 
 def check_gate(path: str) -> None:
@@ -437,7 +469,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--bench",
         action="append",
-        help="repro-bench-v1 BENCH_<name>.json trajectory (repeatable)",
+        help="repro-bench-v1 BENCH_<name>.json trajectory, or a results "
+             "directory of them (repeatable)",
     )
     parser.add_argument(
         "--gate", help="repro-bench-gate-v1 verdict from `repro bench gate`"

@@ -1,22 +1,25 @@
 """Parallel experiment-sweep harness with machine-readable trajectories.
 
-``repro.bench`` turns the repository's ``benchmarks/bench_*.py``
-scripts into a *registry* of typed, sweepable experiment entries and
-gives them three shared services:
+``repro.bench`` holds the repository's ``benchmarks/bench_*.py``
+experiments as a *registry* of typed, sweepable entries — each stated
+once, with its paper reference (:class:`Ref`, :class:`Trend`) on the
+registration — and gives them three shared services:
 
 * **Sweeps** — :class:`SweepRunner` expands a declarative parameter
   :class:`Grid` (conditional axes included) into cells with
   deterministic derived seeds, fans them out over a process pool with
-  per-run failure isolation, and records results.
+  per-run failure isolation, and — the one recorder — writes results
+  where ``--record`` / ``--out`` says, nowhere otherwise.
 * **Trajectories** — every run becomes a schema-versioned
   ``repro-bench-v1`` :class:`RunRecord` appended to
   ``benchmarks/results/BENCH_<name>.json`` with environment and git
-  provenance (:class:`Trajectory`, :func:`validate_trajectory`).
+  provenance (:class:`Trajectory`, :func:`validate_trajectory`,
+  :func:`stuck_params`).
 * **The gate** — :func:`evaluate_gate` pairs current runs against
   committed baselines by cell fingerprint and fails on headline-metric
   regressions beyond per-metric :class:`Headline` thresholds.
 
-CLI entry points: ``repro sweep`` and ``repro bench list|run|gate``.
+CLI entry points: ``repro sweep`` and ``repro bench list|run|show|gate``.
 """
 
 from repro.bench.gate import GATE_SCHEMA, evaluate_gate, render_gate
@@ -27,6 +30,7 @@ from repro.bench.records import (
     cell_fingerprint,
     derive_seed,
     environment_info,
+    stuck_params,
     validate_trajectory,
 )
 from repro.bench.registry import (
@@ -34,15 +38,12 @@ from repro.bench.registry import (
     BenchRegistry,
     BenchSpec,
     Headline,
+    Ref,
+    Trend,
     discover,
     register,
 )
-from repro.bench.runner import (
-    SweepCell,
-    SweepResult,
-    SweepRunner,
-    default_results_dir,
-)
+from repro.bench.runner import SweepCell, SweepResult, SweepRunner
 from repro.bench.space import Axis, Grid, Param, expand_grid, load_grid, parse_grid
 
 __all__ = [
@@ -55,13 +56,14 @@ __all__ = [
     "Headline",
     "Param",
     "REGISTRY",
+    "Ref",
     "RunRecord",
     "SweepCell",
     "SweepResult",
     "SweepRunner",
     "Trajectory",
+    "Trend",
     "cell_fingerprint",
-    "default_results_dir",
     "derive_seed",
     "discover",
     "environment_info",
@@ -71,5 +73,6 @@ __all__ = [
     "parse_grid",
     "register",
     "render_gate",
+    "stuck_params",
     "validate_trajectory",
 ]

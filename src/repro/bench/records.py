@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import itertools
 import json
 import pathlib
 import platform
@@ -33,6 +34,7 @@ __all__ = [
     "cell_fingerprint",
     "derive_seed",
     "environment_info",
+    "stuck_params",
     "validate_trajectory",
 ]
 
@@ -218,6 +220,27 @@ class Trajectory:
             if metric is None or metric in run.metrics:
                 return run
         return None
+
+
+def stuck_params(trajectory: Trajectory, saturated=()) -> list:
+    """Pairs of ok runs whose params differ while every metric agrees to
+    the last digit: a param that moves nothing (or a row copied instead
+    of run). Params the registration declares ``saturated`` are exempt.
+    Returns one error string per offending pair."""
+    errors = []
+    for first, second in itertools.combinations(trajectory.ok_runs(), 2):
+        moved = {
+            key
+            for key in first.params.keys() | second.params.keys()
+            if first.params.get(key) != second.params.get(key)
+        }
+        if moved - set(saturated) and first.metrics == second.metrics:
+            errors.append(
+                f"{trajectory.bench}: runs {first.fingerprint} [{first.scale}] "
+                f"and {second.fingerprint} [{second.scale}] differ in "
+                f"{sorted(moved)} yet report identical metrics"
+            )
+    return errors
 
 
 def validate_trajectory(payload) -> list:

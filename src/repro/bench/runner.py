@@ -5,8 +5,11 @@
 cell runs) into validated cells with deterministic per-cell seeds, fans
 the cells out over a ``multiprocessing`` pool, isolates per-run
 failures (a crashed run records an *error* record, it never kills the
-sweep), and appends schema-versioned ``repro-bench-v1`` records to the
-per-benchmark ``BENCH_<name>.json`` trajectories.
+sweep), and — only when given a ``results_dir`` — appends
+schema-versioned ``repro-bench-v1`` records to the per-benchmark
+``BENCH_<name>.json`` trajectories there. It is the one recorder:
+``repro bench run --record`` and ``repro sweep --out`` both end in
+:meth:`SweepRunner.run`, and nothing else writes a trajectory.
 
 Design invariants:
 
@@ -23,6 +26,7 @@ Design invariants:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import pathlib
 import time
@@ -40,12 +44,7 @@ from repro.bench.registry import REGISTRY, BenchRegistry
 from repro.bench.space import Grid
 from repro.errors import ConfigError
 
-__all__ = ["SweepCell", "SweepResult", "SweepRunner", "default_results_dir"]
-
-
-def default_results_dir() -> pathlib.Path:
-    """``benchmarks/results`` of the enclosing checkout."""
-    return pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
+__all__ = ["SweepCell", "SweepResult", "SweepRunner"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,8 @@ def _pool_init(registry: BenchRegistry | None) -> None:
 
 
 def _run_cell(payload: dict) -> dict:
-    """Execute one cell; *always* returns a record dict, never raises.
+    """Execute one cell; *always* returns a record dict (plus the
+    entry's ``artifacts`` documents), never raises.
 
     Module-level (picklable) so a Pool can map it; failure isolation
     lives here — any exception from the benchmark becomes an ``error``
@@ -101,23 +101,15 @@ def _run_cell(payload: dict) -> dict:
     """
     registry = _WORKER_REGISTRY if _WORKER_REGISTRY is not None else REGISTRY
     start = time.perf_counter()
-    base = dict(
-        bench=payload["bench"],
-        params=payload["params"],
-        seed=payload["seed"],
-        scale=payload["scale"],
-        repeat=payload["repeat"],
-        fingerprint=payload["fingerprint"],
-        env=payload["env"],
-    )
+    artifacts: dict = {}
     try:
         spec = registry.get(payload["bench"])
-        metrics = spec.run(payload["params"])
+        metrics = spec.run(payload["params"], artifacts)
         record = RunRecord(
             status="ok",
             metrics={key: _plain(value) for key, value in metrics.items()},
             duration_s=time.perf_counter() - start,
-            **base,
+            **payload,
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         raise
@@ -126,9 +118,9 @@ def _run_cell(payload: dict) -> dict:
             status="error",
             error=traceback.format_exc(limit=20),
             duration_s=time.perf_counter() - start,
-            **base,
+            **payload,
         )
-    return record.to_dict()
+    return {**record.to_dict(), "artifacts": artifacts}
 
 
 def _plain(value):
@@ -165,8 +157,9 @@ class SweepRunner:
         if repeats < 1:
             raise ConfigError("repeats must be >= 1")
         self.registry = registry if registry is not None else REGISTRY
-        self.results_dir = pathlib.Path(
-            results_dir if results_dir is not None else default_results_dir()
+        #: where :meth:`run` records; None = run and report, write nothing
+        self.results_dir = (
+            pathlib.Path(results_dir) if results_dir is not None else None
         )
         self.jobs = jobs
         self.scale = scale
@@ -176,16 +169,31 @@ class SweepRunner:
 
     # -- expansion -----------------------------------------------------
 
-    def expand(self, grid: Grid) -> list:
-        """Grid -> validated :class:`SweepCell` list (deterministic).
-
-        Every cell dict must carry a ``bench`` key naming a registered
-        benchmark; the remaining keys are coerced against that
-        benchmark's typed parameter space (smoke overrides applied
+    def cell(self, bench: str, overrides: dict | None = None, repeat: int = 0):
+        """One validated :class:`SweepCell`: ``overrides`` coerced against
+        the benchmark's typed parameter space (smoke overrides applied
         first at smoke scale). A derived seed is injected into the
-        ``seed`` param when the benchmark declares one and the grid did
-        not pin it.
+        ``seed`` param when the benchmark declares one and the
+        overrides did not pin it.
         """
+        overrides = overrides or {}
+        spec = self.registry.get(bench)
+        params = spec.resolve(overrides, scale=self.scale)
+        seed = derive_seed(self.base_seed, spec.name, params, repeat)
+        if "seed" in spec.params and "seed" not in overrides:
+            params["seed"] = spec.params["seed"].coerce(seed % (2**31 - 1))
+        return SweepCell(
+            bench=spec.name,
+            params=params,
+            seed=seed,
+            repeat=repeat,
+            fingerprint=cell_fingerprint(spec.name, params),
+        )
+
+    def expand(self, grid: Grid) -> list:
+        """Grid -> :meth:`cell` list (deterministic). Every cell dict
+        must carry a ``bench`` key naming a registered benchmark; the
+        remaining keys are its param overrides."""
         cells = []
         for raw in grid.cells():
             if "bench" not in raw:
@@ -194,33 +202,21 @@ class SweepRunner:
                     f"(got {sorted(raw)})"
                 )
             overrides = {key: value for key, value in raw.items() if key != "bench"}
-            spec = self.registry.get(raw["bench"])
-            params = spec.resolve(overrides, scale=self.scale)
-            for repeat in range(self.repeats):
-                seed = derive_seed(self.base_seed, spec.name, params, repeat)
-                cell_params = dict(params)
-                if "seed" in spec.params and "seed" not in overrides:
-                    cell_params["seed"] = spec.params["seed"].coerce(
-                        seed % (2**31 - 1)
-                    )
-                cells.append(
-                    SweepCell(
-                        bench=spec.name,
-                        params=cell_params,
-                        seed=seed,
-                        repeat=repeat,
-                        fingerprint=cell_fingerprint(spec.name, cell_params),
-                    )
-                )
+            cells += [
+                self.cell(raw["bench"], overrides, repeat)
+                for repeat in range(self.repeats)
+            ]
         return cells
 
     # -- execution -----------------------------------------------------
 
     def run(self, cells, resume: bool = False, progress=None) -> SweepResult:
-        """Run cells, write trajectories, return the sweep summary."""
+        """Run cells and return the sweep summary; with a ``results_dir``,
+        append the records to its trajectories and write each entry's
+        ``artifacts`` documents beside them."""
         cells = list(cells)
         result = SweepResult()
-        if resume:
+        if resume and self.results_dir is not None:
             done: dict[str, set] = {}
             for bench in {cell.bench for cell in cells}:
                 trajectory = Trajectory.load_or_create(self.results_dir, bench)
@@ -236,29 +232,15 @@ class SweepRunner:
             return result
 
         env = environment_info()
-        payloads = [
-            {
-                "bench": cell.bench,
-                "params": cell.params,
-                "seed": cell.seed,
-                "scale": self.scale,
-                "repeat": cell.repeat,
-                "fingerprint": cell.fingerprint,
-                "env": env,
-            }
-            for cell in cells
-        ]
-        if self.jobs == 1 or len(cells) == 1:
-            _pool_init(self.registry)
-            raws = []
-            for payload in payloads:
-                raws.append(_run_cell(payload))
-                self._report(progress, raws[-1])
-        else:
-            raws = self._run_pool(payloads, progress)
-
+        raws, artifacts = [], {}
+        for raw in self._outcomes([self._payload(cell, env) for cell in cells]):
+            self._report(progress, raw)
+            artifacts.update(raw.pop("artifacts"))
+            raws.append(raw)
         records = [RunRecord.from_dict(raw) for raw in raws]
         result.records.extend(records)
+        if self.results_dir is None:
+            return result
         by_bench: dict[str, list] = {}
         for record in records:
             by_bench.setdefault(record.bench, []).append(record)
@@ -267,26 +249,42 @@ class SweepRunner:
             for record in bench_records:
                 trajectory.append(record, keep_history=self.keep_history)
             result.paths.append(trajectory.save(self.results_dir))
+        for name, document in sorted(artifacts.items()):
+            path = self.results_dir / name
+            path.write_text(json.dumps(document, indent=2) + "\n")
+            result.paths.append(path)
         return result
 
-    def _run_pool(self, payloads, progress):
-        """Fan out over a process pool; falls back to in-process when
-        the platform cannot fork/pickle the registry."""
+    def _payload(self, cell: SweepCell, env: dict) -> dict:
+        """What a worker needs to run one cell: its record's identity."""
+        return {
+            "bench": cell.bench,
+            "params": cell.params,
+            "seed": cell.seed,
+            "scale": self.scale,
+            "repeat": cell.repeat,
+            "fingerprint": cell.fingerprint,
+            "env": env,
+        }
+
+    def _outcomes(self, payloads):
+        """Each cell's raw record, in cell order: in-process for one job
+        or one cell, else fanned out over a fork pool."""
+        if self.jobs == 1 or len(payloads) == 1:
+            _pool_init(self.registry)
+            yield from map(_run_cell, payloads)
+            return
         initargs = (None if self.registry is REGISTRY else self.registry,)
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
             context = multiprocessing.get_context()
-        raws = []
         with context.Pool(
             processes=min(self.jobs, len(payloads)),
             initializer=_pool_init,
             initargs=initargs,
         ) as pool:
-            for raw in pool.imap(_run_cell, payloads):
-                raws.append(raw)
-                self._report(progress, raw)
-        return raws
+            yield from pool.imap(_run_cell, payloads)
 
     @staticmethod
     def _report(progress, raw: dict) -> None:
@@ -304,20 +302,9 @@ class SweepRunner:
     # -- one-shot convenience ------------------------------------------
 
     def run_single(self, bench: str, overrides: dict | None = None) -> RunRecord:
-        """Resolve + run one benchmark in-process; returns the record."""
-        spec = self.registry.get(bench)
-        params = spec.resolve(overrides or {}, scale=self.scale)
-        seed = derive_seed(self.base_seed, bench, params, 0)
-        if "seed" in spec.params and "seed" not in (overrides or {}):
-            params["seed"] = spec.params["seed"].coerce(seed % (2**31 - 1))
-        payload = {
-            "bench": bench,
-            "params": params,
-            "seed": seed,
-            "scale": self.scale,
-            "repeat": 0,
-            "fingerprint": cell_fingerprint(bench, params),
-            "env": environment_info(),
-        }
+        """Resolve + run one benchmark in-process; returns the record
+        without recording it."""
         _pool_init(self.registry)
-        return RunRecord.from_dict(_run_cell(payload))
+        raw = _run_cell(self._payload(self.cell(bench, overrides), environment_info()))
+        del raw["artifacts"]
+        return RunRecord.from_dict(raw)

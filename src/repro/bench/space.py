@@ -165,18 +165,24 @@ def expand_grid(axes) -> list:
     """Cross product of ``axes`` honouring conditional (``when``) axes.
 
     Axes are processed in declared order; a conditional axis may only
-    reference axes declared before it. Cells that collapse to the same
-    parameter dict (because a conditional axis was omitted) are
-    de-duplicated, keeping first occurrence order.
+    reference axes declared before it. A name may repeat when the
+    repeats are conditional — each occurrence fills the cells its
+    condition selects that no earlier one did, so benchmarks that share
+    a param name (``workers``) sweep different values in one grid.
+    Cells that collapse to the same parameter dict (because a
+    conditional axis was omitted) are de-duplicated, keeping first
+    occurrence order.
     """
-    names = [axis.name for axis in axes]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"duplicate axis names in {names}")
+    names = set()
+    for axis in axes:
+        if axis.name in names and not axis.when:
+            raise ConfigError(f"axis {axis.name!r} repeats without a condition")
+        names.add(axis.name)
     cells = [{}]
     for axis in axes:
         expanded = []
         for cell in cells:
-            if axis.applies(cell):
+            if axis.name not in cell and axis.applies(cell):
                 for value in axis.values:
                     grown = dict(cell)
                     grown[axis.name] = value

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Twelve subcommands::
+Eleven subcommands::
 
     repro simulate   --system pmem_oe --workers 16 ...   # one simulated epoch
     repro train      --batches 200 --crash-at 120 ...    # functional DeepFM demo
@@ -11,9 +11,8 @@ Twelve subcommands::
     repro metrics    run.metrics.json                    # pretty-print a snapshot
     repro trace      merge node0.json node1.json -o m.json  # multi-node timeline
     repro slo        slo_serving.json                    # render an SLO verdict
-    repro reproduce  fig7 table2 ...                     # run paper experiments
-    repro sweep      --grid 'bench=prefetch;lookahead[bench=prefetch]=0,2' --smoke
-    repro bench      list | run NAME --smoke | gate --baseline DIR ...
+    repro sweep      --grid benchmarks/grids/paper.json --full   # every figure
+    repro bench      list | run NAME --smoke | show NAME | gate --baseline DIR ...
 
 ``simulate`` and ``train`` accept ``--trace-out FILE.json`` (Chrome
 ``trace_event`` timeline, open in Perfetto / ``chrome://tracing``) and
@@ -22,7 +21,7 @@ Twelve subcommands::
 merge`` stitches per-node trace files into one causally flow-linked
 timeline; ``repro trace show`` summarizes any trace file in the
 terminal. ``repro slo`` renders the machine-readable SLO verdict that
-``serve-bench --chaos`` and ``bench_serving.py`` emit.
+``serve-bench --chaos`` and ``bench run serving --record DIR`` emit.
 
 Run ``python -m repro.cli <subcommand> --help`` for options.
 """
@@ -675,80 +674,33 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
-    """Run the named experiments' benchmarks via pytest."""
-    import pathlib
-
-    import pytest as pytest_module
-
-    bench_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-    if not bench_dir.is_dir():
-        print(
-            "error: benchmarks/ not found next to the package; "
-            "`repro reproduce` needs the repository checkout",
-            file=sys.stderr,
-        )
-        return 2
-    available = sorted(
-        path.name[len("bench_"):-len(".py")]
-        for path in bench_dir.glob("bench_*.py")
-    )
-    if args.list or not args.experiments:
-        print("available experiments:")
-        for name in available:
-            print(f"  {name}")
-        return 0
-    targets = []
-    for experiment in args.experiments:
-        matches = [name for name in available if name.startswith(experiment)]
-        if not matches:
-            print(f"error: no experiment matches {experiment!r}; "
-                  f"try `repro reproduce --list`", file=sys.stderr)
-            return 2
-        targets.extend(str(bench_dir / f"bench_{name}.py") for name in matches)
-    code = pytest_module.main([*dict.fromkeys(targets), "--benchmark-only", "-q"])
-    results_dir = bench_dir / "results"
-    if results_dir.is_dir():
-        print(f"\nreports written under {results_dir}")
-    return int(code)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Expand a parameter grid and fan it out across worker processes."""
+    """``repro sweep`` and ``repro bench run NAME`` (a one-bench grid
+    whose ``--set`` values are grid clauses): expand the grid, run its
+    cells through the one recorder, and hold every bench's rows to its
+    check, paper tolerances and cross-point trends."""
     import json
     import pathlib
 
-    from repro.bench import (
-        SweepRunner,
-        default_results_dir,
-        discover,
-        load_grid,
-        parse_grid,
-    )
+    from repro.bench import REGISTRY, SweepRunner, discover, load_grid, parse_grid
     from repro.errors import ConfigError
 
+    one = getattr(args, "name", None)
     try:
         discover()
-        grid_path = pathlib.Path(args.grid)
-        if grid_path.is_file():
-            grid = load_grid(grid_path)
+        if one is not None:
+            grid = parse_grid("; ".join([f"bench={one}", *args.set]))
+        elif pathlib.Path(args.grid).is_file():
+            grid = load_grid(args.grid)
         else:
             grid = parse_grid(args.grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    results_dir = (
-        pathlib.Path(args.out) if args.out else default_results_dir()
-    )
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    runner = SweepRunner(
-        results_dir=results_dir,
-        jobs=jobs,
-        scale="smoke" if args.smoke else "full",
-        base_seed=args.seed,
-        repeats=args.repeats,
-    )
-    try:
+        runner = SweepRunner(
+            results_dir=args.out,
+            jobs=args.jobs if args.jobs > 0 else (os.cpu_count() or 1),
+            scale="smoke" if args.smoke else "full",
+            base_seed=args.seed,
+            repeats=args.repeats,
+        )
         cells = runner.expand(grid)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -758,16 +710,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{len(benches)} bench(es) [{', '.join(benches)}], "
           f"jobs={runner.jobs}, scale={runner.scale}")
     result = runner.run(cells, resume=args.resume, progress=print)
+    failures = []
+    for bench in benches:
+        failures += REGISTRY.get(bench).verify([
+            (record.params, record.metrics)
+            for record in result.records
+            if record.bench == bench and record.status == "ok"
+        ])
+    for record in result.records:
+        if record.status == "error":
+            # one bench: its whole traceback; a sweep: the last line
+            lines = (record.error or "unknown").strip().splitlines()
+            detail = "\n".join(lines if one else lines[-1:])
+            print(f"  ERROR {record.bench} {record.fingerprint}: {detail}",
+                  file=sys.stderr)
+        elif one:
+            for key, value in sorted(record.metrics.items()):
+                print(f"  {key} = {value}")
     print(f"done: {result.ok} ok, {result.errors} error(s), "
-          f"{result.skipped} skipped (resume)")
+          f"{len(failures)} check failure(s), {result.skipped} skipped (resume)")
     for path in result.paths:
         print(f"  -> {path}")
-    for record in result.records:
-        if record.status != "error":
-            continue
-        last = (record.error or "").strip().splitlines()
-        print(f"  ERROR {record.bench} {record.fingerprint}: "
-              f"{last[-1] if last else 'unknown'}", file=sys.stderr)
+    for failure in failures:
+        print(f"  CHECK {failure}", file=sys.stderr)
     if args.verdict_out:
         summary = {
             "schema": "repro-bench-sweep-v1",
@@ -776,69 +741,56 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "ok": result.ok,
             "errors": result.errors,
             "skipped": result.skipped,
+            "check_failures": failures,
             "benches": benches,
             "paths": [str(p) for p in result.paths],
         }
         with open(args.verdict_out, "w") as handle:
             json.dump(summary, handle, indent=2)
             handle.write("\n")
-    return 1 if result.errors else 0
+    return 1 if result.errors or failures else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Registry-driven benchmark actions: list / run / gate."""
+    """Registry-driven benchmark actions: list / show / gate (``bench
+    run`` is :func:`_cmd_sweep`)."""
     import json
-    import pathlib
 
-    from repro.bench import REGISTRY, discover, evaluate_gate, render_gate
+    from repro.bench import REGISTRY, Trajectory, discover, evaluate_gate, render_gate
     from repro.errors import ConfigError
 
     try:
         discover()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.action == "list":
-        for name in REGISTRY.names():
-            spec = REGISTRY.get(name)
-            headlines = ", ".join(sorted(spec.headline)) or "-"
-            print(f"{name:28s} [{headlines}]")
-            if args.verbose:
-                params = ", ".join(
-                    f"{p.name}={p.default!r}" for p in spec.params.values()
-                )
-                print(f"    params: {params or '-'}")
-                if spec.description:
-                    print(f"    {spec.description}")
-        return 0
-
-    if args.action == "run":
-        from repro.bench.shim import main as shim_main
-
-        argv = []
-        if args.smoke:
-            argv.append("--smoke")
-        for assignment in args.set or []:
-            argv += ["--set", assignment]
-        if args.record:
-            argv += ["--record", args.record]
-        argv += ["--seed", str(args.seed)]
-        return shim_main(args.name, argv)
-
-    # gate
-    baseline_dir = pathlib.Path(args.baseline)
-    current_dir = pathlib.Path(args.current) if args.current else baseline_dir
-    if not baseline_dir.is_dir():
-        print(f"error: no such baseline directory: {baseline_dir}",
-              file=sys.stderr)
-        return 2
-    try:
+        if args.action == "list":
+            for name in REGISTRY.names():
+                spec = REGISTRY.get(name)
+                headlines = ", ".join(sorted(spec.headline)) or "-"
+                print(f"{name:28s} [{headlines}]")
+                if args.verbose:
+                    params = ", ".join(
+                        f"{p.name}={p.default!r}" for p in spec.params.values()
+                    )
+                    print(f"    params: {params or '-'}")
+                    if spec.description:
+                        print(f"    {spec.description}")
+            return 0
+        if args.action == "show":
+            spec = REGISTRY.get(args.name)
+            path = Trajectory.path_for(args.baseline, args.name)
+            runs = Trajectory.load(path).ok_runs(scale=args.scale)
+            rows = [(run.params, run.metrics) for run in runs]
+            print(f"=== {spec.name}: {len(rows)} {args.scale} row(s) of {path} ===")
+            print(spec.description)
+            print("\n".join(spec.table(rows)))
+            failures = spec.verify(rows)
+            for failure in failures:
+                print(f"FAIL: {failure}")
+            return 1 if failures else 0
         verdict = evaluate_gate(
-            baseline_dir, current_dir,
+            args.baseline, args.current or args.baseline,
             scale=args.scale, benches=args.bench or None,
         )
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_gate(verdict))
@@ -1100,23 +1052,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("verdict",
                      help="verdict file from serve-bench --slo-out or "
-                          "benchmarks/results/slo_serving.json")
+                          "bench run serving --record DIR (slo_serving.json)")
     slo.set_defaults(handler=_cmd_slo)
-
-    reproduce = sub.add_parser(
-        "reproduce", help="re-run paper experiments (tables/figures/ablations)"
-    )
-    reproduce.add_argument(
-        "experiments", nargs="*",
-        help="experiment name prefixes, e.g. fig7 table2 ablation",
-    )
-    reproduce.add_argument("--list", action="store_true", help="list experiments")
-    reproduce.set_defaults(handler=_cmd_reproduce)
 
     sweep = sub.add_parser(
         "sweep",
-        help="expand a parameter grid over registered benchmarks and fan "
-             "it out across worker processes (repro-bench-v1 trajectories)",
+        help="expand a parameter grid over registered benchmarks, fan it out "
+             "across worker processes and hold the rows to every check, paper "
+             "tolerance and trend (--out records repro-bench-v1 trajectories)",
     )
     sweep.add_argument(
         "--grid", required=True, metavar="SPEC|FILE.json",
@@ -1132,20 +1075,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=0,
                        help="worker processes (0 = one per available core)")
     sweep.add_argument("--out", metavar="DIR", default=None,
-                       help="trajectory directory "
-                            "(default benchmarks/results)")
+                       help="record into DIR/BENCH_<name>.json "
+                            "(default: run, check and report, write nothing)")
     sweep.add_argument("--seed", type=int, default=0,
                        help="base seed; per-cell seeds are derived from it")
     sweep.add_argument("--repeats", type=int, default=1,
                        help="repeats per cell (gate takes the best)")
     sweep.add_argument("--resume", action="store_true",
-                       help="skip cells already recorded at this scale")
+                       help="skip cells --out already holds at this scale")
     sweep.add_argument("--verdict-out", metavar="FILE.json", default=None,
                        help="write a machine-readable sweep summary")
     sweep.set_defaults(handler=_cmd_sweep)
 
     bench = sub.add_parser(
-        "bench", help="registry-driven benchmarks: list / run / gate"
+        "bench", help="registry-driven benchmarks: list / run / show / gate"
     )
     bench_sub = bench.add_subparsers(dest="action", required=True)
     bench_list = bench_sub.add_parser(
@@ -1162,11 +1105,25 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run at smoke scale")
     bench_run.add_argument("--set", action="append", default=[],
                            metavar="KEY=VALUE",
-                           help="override one parameter (repeatable)")
-    bench_run.add_argument("--record", metavar="DIR", default=None,
+                           help="override one parameter (repeatable; "
+                                "KEY=V1,V2 runs one cell per value)")
+    bench_run.add_argument("--record", metavar="DIR", default=None, dest="out",
                            help="append the record to DIR/BENCH_<name>.json")
     bench_run.add_argument("--seed", type=int, default=0)
-    bench_run.set_defaults(handler=_cmd_bench)
+    bench_run.set_defaults(handler=_cmd_sweep, jobs=1, repeats=1, resume=False,
+                           verdict_out=None)
+    bench_show = bench_sub.add_parser(
+        "show",
+        help="print a benchmark's paper-vs-measured table from its recorded "
+             "rows; exit 1 if they break a check, paper tolerance or trend",
+    )
+    bench_show.add_argument("name", help="benchmark name (see `bench list`)")
+    bench_show.add_argument("--baseline", metavar="DIR",
+                            default="benchmarks/results",
+                            help="trajectory directory to read")
+    bench_show.add_argument("--scale", choices=["smoke", "full"],
+                            default="full", help="which scale's rows to print")
+    bench_show.set_defaults(handler=_cmd_bench)
     bench_gate = bench_sub.add_parser(
         "gate",
         help="compare current trajectories against committed baselines; "

@@ -23,7 +23,7 @@ Three objective kinds:
   checkpoints).
 
 :meth:`SLOTracker.verdict` emits a machine-readable, schema-versioned
-record (``repro-slo-v1``) that ``bench_serving.py`` writes and
+record (``repro-slo-v1``) that the ``serving`` bench records and
 ``repro slo`` renders; :meth:`SLOTracker.emit_metrics` exports the
 same numbers as ``repro_slo_*`` series on a
 :class:`~repro.obs.registry.MetricsRegistry`.

@@ -39,6 +39,10 @@ def toy_bad_metrics(*, x):
     return {"value": "not a number"}
 
 
+def toy_with_artifact(*, x):
+    return {"value": float(x), "artifacts": {"toy_verdict.json": {"x": x}}}
+
+
 def make_registry() -> BenchRegistry:
     registry = BenchRegistry()
     registry.register(
@@ -56,6 +60,9 @@ def make_registry() -> BenchRegistry:
     registry.register(
         "bad_metrics", params=[Param("x", "int", 0)],
     )(toy_bad_metrics)
+    registry.register(
+        "artifact", params=[Param("x", "int", 0)],
+    )(toy_with_artifact)
     return registry
 
 
@@ -221,6 +228,27 @@ class TestRun:
         assert record.metrics["value"] == 5.0
         # run_single does not persist
         assert not Trajectory.path_for(tmp_path, "linear").is_file()
+
+    def test_without_results_dir_nothing_is_written(
+        self, registry, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        runner = SweepRunner(registry)
+        result = runner.run(
+            runner.expand(parse_grid("bench=linear,artifact")), resume=True
+        )
+        assert result.ok == 2 and result.paths == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_artifacts_land_beside_the_trajectory(self, registry, tmp_path):
+        import json
+
+        runner = SweepRunner(registry, results_dir=tmp_path, jobs=2)
+        result = runner.run(runner.expand(parse_grid("bench=artifact,linear; x=7")))
+        [record] = [r for r in result.records if r.bench == "artifact"]
+        assert record.metrics == {"value": 7.0}  # the document is not a metric
+        assert json.loads((tmp_path / "toy_verdict.json").read_text()) == {"x": 7}
+        assert tmp_path / "toy_verdict.json" in result.paths
 
     def test_constructor_validation(self, registry):
         with pytest.raises(ConfigError):

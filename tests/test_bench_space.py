@@ -113,6 +113,20 @@ class TestExpandGrid:
         with pytest.raises(ConfigError):
             expand_grid([Axis("a", (1,)), Axis("a", (2,))])
 
+    def test_a_name_may_repeat_under_disjoint_conditions(self):
+        grid = (
+            Grid()
+            .axis("bench", "a", "b", "c")
+            .axis("workers", 4, 16, when={"bench": "a"})
+            .axis("workers", 1, when={"bench": "b"})
+        )
+        assert grid.cells() == [
+            {"bench": "a", "workers": 4},
+            {"bench": "a", "workers": 16},
+            {"bench": "b", "workers": 1},
+            {"bench": "c"},
+        ]
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
             Axis("a", ())

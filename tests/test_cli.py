@@ -177,23 +177,70 @@ class TestServeBench:
         assert "--replicas 2" in capsys.readouterr().err
 
 
-class TestReproduce:
-    def test_list_experiments(self, capsys):
-        assert main(["reproduce", "--list"]) == 0
+class TestBench:
+    """`bench show` / `bench run`: what `reproduce` did, from the registry."""
+
+    def test_show_prints_table_from_recorded_rows(self, tmp_path, capsys):
+        from repro.bench import RunRecord, Trajectory
+
+        trajectory = Trajectory("fig7_pipeline")
+        for workers, oe in ((4, 1.009), (16, 1.061)):
+            trajectory.append(RunRecord(
+                bench="fig7_pipeline", params={"workers": workers}, seed=0,
+                scale="full",
+                metrics={"oe_ratio": oe, "ori_ratio": 2.0, "dram_vs_4gpu": 0.36},
+            ))
+        trajectory.save(tmp_path)
+        code = main(["bench", "show", "fig7_pipeline", "--baseline", str(tmp_path)])
         out = capsys.readouterr().out
-        assert "fig7_pipeline" in out
-        assert "table2_skew" in out
+        assert "PMem-OE   @ 4 GPUs" in out and "paper: 1.012x" in out
+        assert "measured: 1.009x" in out and "measured: 1.061x" in out
+        # the recorded Ori-Cache ratio at 4 GPUs is past the paper's 25 %
+        assert code == 1 and "FAIL: fig7_pipeline [workers=4]" in out
 
-    def test_no_args_lists(self, capsys):
-        assert main(["reproduce"]) == 0
-        assert "available experiments" in capsys.readouterr().out
+    def test_show_unknown_name(self, capsys):
+        assert main(["bench", "show", "not_an_experiment"]) == 2
+        assert "unknown benchmark" in capsys.readouterr().err
 
-    def test_unknown_experiment(self, capsys):
-        assert main(["reproduce", "not_an_experiment"]) == 2
+    def test_run_unknown_name_or_param(self, capsys):
+        assert main(["bench", "run", "not_an_experiment", "--smoke"]) == 2
+        assert main(["bench", "run", "table1_devices", "--set", "bogus=1"]) == 2
 
-    def test_runs_one_experiment(self, capsys):
-        assert main(["reproduce", "table1"]) == 0
-        assert "reports written under" in capsys.readouterr().out
+    def test_run_records_only_where_told(self, tmp_path, capsys):
+        import pathlib
+
+        results = pathlib.Path(__file__).resolve().parents[1] / "benchmarks/results"
+
+        def committed():
+            return {path.name: path.stat().st_mtime_ns for path in results.iterdir()}
+
+        before = committed()
+        assert main(["bench", "run", "table1_devices", "--smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "read_ratio = 2.9" in out and "1 ok, 0 error(s), 0 check" in out
+        assert main(["bench", "run", "table1_devices", "--smoke",
+                     "--record", str(tmp_path)]) == 0
+        assert f"-> {tmp_path / 'BENCH_table1_devices.json'}" in capsys.readouterr().out
+        assert (tmp_path / "BENCH_table1_devices.json").is_file()
+        assert committed() == before
+
+
+class TestSweep:
+    def test_a_broken_paper_tolerance_fails_the_sweep(self, tmp_path, capsys):
+        """`repro sweep` is the paper-fidelity gate: exit 1 on any check,
+        tolerance or trend failure; without --out nothing is recorded."""
+        import json
+
+        verdict = tmp_path / "sweep.json"
+        # two batches are far too few to show Table II's skew
+        code = main(["sweep", "--grid", "bench=table2_skew; batches=2",
+                     "--jobs", "1", "--verdict-out", str(verdict)])
+        captured = capsys.readouterr()
+        assert code == 1 and "1 ok, 0 error(s)" in captured.out
+        assert "CHECK table2_skew [batches=2 batch_size=256]: top 1.00%" in captured.err
+        summary = json.loads(verdict.read_text())
+        assert summary["paths"] == [] and len(summary["check_failures"]) == 2
+        assert main(["sweep", "--grid", "bench=table2_skew", "--jobs", "1"]) == 0
 
 
 class TestObservabilityFlags:
