@@ -31,7 +31,7 @@ from repro.core.serving_backend import (
     check_serving_backend,
 )
 from repro.core.checkpoint import CheckpointCoordinator
-from repro.core.entry import EmbeddingEntry, Location, pack_handle, unpack_handle
+from repro.core.entry import EntryColumns, EntryView, Location, pack_handle, unpack_handle
 from repro.core.failover import (
     FailoverManager,
     FailureDetector,
@@ -40,7 +40,6 @@ from repro.core.failover import (
     PromotionReport,
 )
 from repro.core.hash_index import HashIndex
-from repro.core.lru import LRUList
 from repro.core.optimizers import PSAdagrad, PSOptimizer, PSSGD
 from repro.core.ps_node import PSNode
 from repro.core.queues import AccessQueue, CheckpointRequestQueue
@@ -63,12 +62,12 @@ __all__ = [
     "check_serving_backend",
     "aggregate_maintain",
     "check_backend",
-    "EmbeddingEntry",
+    "EntryColumns",
+    "EntryView",
     "Location",
     "pack_handle",
     "unpack_handle",
     "HashIndex",
-    "LRUList",
     "AccessQueue",
     "CheckpointRequestQueue",
     "PipelinedCache",

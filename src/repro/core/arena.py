@@ -18,7 +18,7 @@ its row number, so
   one ``store.put`` persists, and loading scatters the block one
   ``store.read_latest`` returned into freshly allocated rows.
 
-Rows are recycled through a free list on eviction. When the arena is
+Rows are recycled through a :class:`FreeList` on eviction. When the arena is
 full it doubles (amortized O(1)); growth replaces the backing matrix
 :attr:`EmbeddingArena.data`, so callers address payloads by row number
 through ``arena.data`` and never hold a row view across an ``alloc``.
@@ -33,6 +33,32 @@ from repro.errors import ServerError
 INITIAL_ROWS = 256
 """Starting row count; the arena doubles on demand up to the cache's
 working set, so a huge configured capacity costs no upfront memory."""
+
+
+class FreeList:
+    """Stack of the free ids of ``range(capacity)``; low ids come out first."""
+
+    def __init__(self, capacity: int):
+        self._ids = np.arange(capacity - 1, -1, -1, dtype=np.int64)
+
+    def __len__(self) -> int:
+        """Ids currently free."""
+        return len(self._ids)
+
+    def pop(self, n: int) -> np.ndarray:
+        """Take ``n`` ids (the caller extends the range first if short)."""
+        keep = len(self._ids) - n
+        ids, self._ids = self._ids[keep:][::-1].copy(), self._ids[:keep]
+        return ids
+
+    def push(self, ids: np.ndarray) -> None:
+        """Give ``ids`` back, as a block (one copy of the free ids per
+        block, not a step per id)."""
+        self._ids = np.concatenate([self._ids, ids])
+
+    def extend(self, start: int, stop: int) -> None:
+        """The range grew from ``start`` to ``stop`` ids; the new are free."""
+        self.push(np.arange(stop - 1, start - 1, -1, dtype=np.int64))
 
 
 class EmbeddingArena:
@@ -56,8 +82,7 @@ class EmbeddingArena:
         self.state_width = state_width
         self.row_width = dim + state_width
         self.data = np.zeros((initial_rows, self.row_width), dtype=np.float32)
-        # Popping from the end hands out low rows first.
-        self._free: list[int] = list(range(initial_rows - 1, -1, -1))
+        self._free = FreeList(initial_rows)
 
     # ------------------------------------------------------------------
     # allocation
@@ -65,39 +90,25 @@ class EmbeddingArena:
 
     def alloc(self) -> int:
         """Reserve a row; doubles the arena (replacing ``data``) when full."""
-        if not self._free:
-            self._grow()
-        return self._free.pop()
+        return int(self.alloc_many(1)[0])
 
-    def alloc_many(self, n: int) -> list[int]:
+    def alloc_many(self, n: int) -> np.ndarray:
         """Reserve ``n`` rows at once (growing as often as it takes)."""
         while len(self._free) < n:
-            self._grow()
-        if n == 0:
-            return []
-        rows = self._free[-n:]
-        del self._free[-n:]
-        return rows
+            old = len(self.data)
+            self.data = np.concatenate([self.data, np.zeros_like(self.data)])
+            self._free.extend(old, 2 * old)
+        return self._free.pop(n)
 
     def free(self, row: int) -> None:
         """Return ``row`` to the free list (its contents are garbage now)."""
-        if row < 0 or row >= len(self.data):
-            raise ServerError(f"invalid arena row {row}")
-        self._free.append(row)
+        self.free_many(np.array([row], dtype=np.int64))
 
-    def free_many(self, rows: list[int]) -> None:
+    def free_many(self, rows: np.ndarray) -> None:
         """Return every row of ``rows`` to the free list."""
-        if rows and not 0 <= min(rows) <= max(rows) < len(self.data):
+        if len(rows) and not 0 <= rows.min() <= rows.max() < len(self.data):
             raise ServerError(f"invalid arena row among {len(rows)} freed")
-        self._free.extend(rows)
-
-    def _grow(self) -> None:
-        old = self.data
-        new_capacity = len(old) * 2
-        grown = np.zeros((new_capacity, self.row_width), dtype=np.float32)
-        grown[: len(old)] = old
-        self.data = grown
-        self._free.extend(range(new_capacity - 1, len(old) - 1, -1))
+        self._free.push(rows)
 
     # ------------------------------------------------------------------
     # introspection

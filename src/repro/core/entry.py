@@ -1,16 +1,25 @@
-"""Embedding entries and tagged ("smart") pointers.
+"""Tagged ("smart") pointers and the per-slot entry columns.
 
 Section V-A: the DRAM hash index stores pointers that *"use the lowest
 bit to indicate whether the target embedding entry is in DRAM or PMem"*
 (after the smart pointers of Chen et al., VLDB'21). We reproduce the
 mechanism literally: index handles are integers whose low bit is the
-location tag and whose upper bits are an arena slot.
+location tag and whose upper bits are an entry slot.
+
+An entry is not an object. Everything the cache knows about a key is one
+position — its **slot** — of the :class:`EntryColumns` arrays, so a
+batch of thousands of keys is probed, versioned, flushed and reordered
+with array operations and no Python step per key. :class:`EntryView`
+is the read-only, one-slot window tests and introspection look through.
 """
 
 from __future__ import annotations
 
 import enum
 
+import numpy as np
+
+from repro.core.arena import FreeList
 from repro.errors import ServerError
 
 
@@ -22,7 +31,7 @@ class Location(enum.IntEnum):
 
 
 def pack_handle(slot: int, location: Location) -> int:
-    """Pack an arena slot and location tag into one index handle.
+    """Pack an entry slot and location tag into one index handle.
 
     The low bit carries the location (DRAM=0 / PMem=1); the remaining
     bits carry the slot, mirroring pointer tagging on 8-byte-aligned
@@ -40,18 +49,30 @@ def unpack_handle(handle: int) -> tuple[int, Location]:
     return handle >> 1, Location(handle & 1)
 
 
-class EmbeddingEntry:
-    """DRAM-side state of one embedding entry.
+NO_HANDLE = -1
+"""Handle of a free slot."""
 
-    The object always exists in DRAM (it is the index's target) and
-    carries metadata only; whether the *payload* (weights + PS-side
-    optimizer state) is DRAM-resident is tracked by ``location``. A
-    resident payload is row ``row`` of the cache's embedding arena; a
-    PMem-resident entry's authoritative copy sits in the versioned
-    store.
+_COLUMNS = (
+    # name, dtype, value of a free slot
+    ("key", np.uint64, 0),
+    ("handle", np.int64, NO_HANDLE),
+    ("version", np.int64, -1),
+    ("updated", np.int64, -1),
+    ("dirty", np.bool_, False),
+    ("referenced", np.bool_, False),
+    ("row", np.int64, -1),
+    ("stamp", np.int64, -1),
+)
 
-    Attributes:
+
+class EntryColumns:
+    """DRAM-side state of every entry, one array per fact, indexed by slot.
+
+    Columns:
         key: embedding id.
+        handle: the tagged pointer — ``slot << 1 | Location`` — and the
+            authority for where the payload lives (:data:`NO_HANDLE`
+            while the slot is free).
         version: batch id of the last access (Algorithm 1 line 10 /
             Algorithm 2 lines 16, 20).
         updated: batch id at which the entry's *state* last changed
@@ -59,95 +80,77 @@ class EmbeddingEntry:
             loaded from). Read-only traffic advances ``version`` but not
             ``updated``; the gap tells a flush that the current bytes
             still equal the state at any barrier in between.
-        location: DRAM or PMEM — the tag bit of the index handle.
         dirty: weights were updated since the last flush (used by the
             dirty-tracking ablation; the paper's system always flushes).
-        slot: arena slot backing this entry's handle.
-        row: row of the cache's embedding arena holding this entry's
-            packed weights+state while DRAM-resident (``-1`` otherwise,
-            and always ``-1`` in metadata-only simulation mode).
+        referenced: CLOCK's second-chance bit.
+        row: row of the cache's embedding arena holding the packed
+            weights+state while DRAM-resident (``-1`` otherwise, and
+            always ``-1`` in metadata-only simulation mode).
+        stamp: replacement order — larger is more recent, ``-1`` means
+            not listed (PMem-resident, or created and not yet seen by
+            the maintainer). Stamps come from one monotone clock, so
+            ``argsort(stamp)`` over the listed slots *is* the list the
+            replacement policy evicts from.
+
+    Growth replaces the arrays, so callers read them through this object
+    and never hold one across an :meth:`alloc`.
     """
 
-    __slots__ = (
-        "key",
-        "version",
-        "updated",
-        "location",
-        "dirty",
-        "referenced",
-        "slot",
-        "row",
-        "lru_prev",
-        "lru_next",
-        "in_lru",
-    )
+    def __init__(self, capacity: int = 256):
+        for name, dtype, fill in _COLUMNS:
+            setattr(self, name, np.full(capacity, fill, dtype=dtype))
+        self._free = FreeList(capacity)
 
-    def __init__(self, key: int, version: int = -1):
-        self.key = key
-        self.version = version
-        self.updated = version
-        self.location = Location.DRAM
-        self.dirty = False
-        self.referenced = False
-        self.slot = -1
-        self.row = -1
-        self.lru_prev: EmbeddingEntry | None = None
-        self.lru_next: EmbeddingEntry | None = None
-        self.in_lru = False
+    def __len__(self) -> int:
+        """Slots in use."""
+        return len(self.handle) - len(self._free)
+
+    def alloc(self, n: int) -> np.ndarray:
+        """Reserve ``n`` slots (doubling the columns as often as it takes)."""
+        while len(self._free) < n:
+            old = len(self.handle)
+            for name, dtype, fill in _COLUMNS:
+                grown = np.full(old, fill, dtype=dtype)
+                setattr(self, name, np.concatenate([getattr(self, name), grown]))
+            self._free.extend(old, 2 * old)
+        return self._free.pop(n)
+
+    def free(self, slots: np.ndarray) -> None:
+        """Reset ``slots`` to the free-slot values and recycle them."""
+        for name, __, fill in _COLUMNS:
+            getattr(self, name)[slots] = fill
+        self._free.push(slots)
+
+    def live(self) -> np.ndarray:
+        """Slots in use, ascending."""
+        return np.flatnonzero(self.handle >= 0)
+
+
+class EntryView:
+    """Read-only window on one slot of the columns.
+
+    What ``HashIndex.find`` / ``entries`` hand to tests and node
+    introspection: ``.key .version .updated .dirty .referenced .row``
+    read through to the columns on every access (so the view of a slot
+    that was dropped shows a free slot, not the entry that was).
+    """
+
+    __slots__ = ("_columns", "slot")
+
+    def __init__(self, columns: EntryColumns, slot: int):
+        self._columns = columns
+        self.slot = slot
+
+    def __getattr__(self, column: str):
+        return getattr(self._columns, column)[self.slot].item()
+
+    @property
+    def location(self) -> Location:
+        return Location(self.handle & 1)
 
     @property
     def in_dram(self) -> bool:
         return self.location == Location.DRAM
 
     def __repr__(self) -> str:
-        return (
-            f"EmbeddingEntry(key={self.key}, version={self.version}, "
-            f"loc={self.location.name}, dirty={self.dirty})"
-        )
-
-
-class EntryArena:
-    """Slab of entries addressed by slot, backing the tagged handles.
-
-    Models the PS node's entry allocator: the hash index never stores
-    object references, only integer handles; resolving a handle goes
-    through the arena, exactly like dereferencing a tagged pointer.
-    """
-
-    def __init__(self) -> None:
-        self._slots: list[EmbeddingEntry | None] = []
-        self._free: list[int] = []
-
-    def alloc(self, entry: EmbeddingEntry) -> int:
-        """Place ``entry`` in the arena and return its slot."""
-        if self._free:
-            slot = self._free.pop()
-            self._slots[slot] = entry
-        else:
-            slot = len(self._slots)
-            self._slots.append(entry)
-        entry.slot = slot
-        return slot
-
-    def get(self, slot: int) -> EmbeddingEntry:
-        """Resolve a slot to its entry.
-
-        Raises:
-            ServerError: the slot is invalid or was freed.
-        """
-        if slot < 0 or slot >= len(self._slots):
-            raise ServerError(f"invalid arena slot {slot}")
-        entry = self._slots[slot]
-        if entry is None:
-            raise ServerError(f"arena slot {slot} is free (dangling handle)")
-        return entry
-
-    def free(self, slot: int) -> None:
-        """Release a slot (the entry is gone from the node entirely)."""
-        entry = self.get(slot)
-        entry.slot = -1
-        self._slots[slot] = None
-        self._free.append(slot)
-
-    def __len__(self) -> int:
-        return len(self._slots) - len(self._free)
+        return f"EntryView(key={self.key}, version={self.version}, {self.location.name})"

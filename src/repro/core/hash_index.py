@@ -1,4 +1,4 @@
-"""DRAM hash index: key -> entry, tagged handle per entry slot.
+"""DRAM hash index: key -> entry slot, tagged handle per slot.
 
 Figure 4/5: every request thread consults the *DRAM-based Hash Index* to
 locate an entry in either DRAM or PMem; the stored value is a tagged
@@ -6,12 +6,21 @@ pointer whose low bit is the location. The index itself is volatile —
 after a crash it is reconstructed from the PMem scan
 (:mod:`repro.core.recovery`).
 
-The tagged handles are the paper's mechanism and stay authoritative for
-location tags. They live in one integer column indexed by entry slot
-(a handle's upper bits *are* its slot), so a maintenance round that
-moves thousands of entries between tiers re-tags them with one array
-assignment; a lookup goes through the direct ``key -> entry`` dict and
-skips the handle unpack.
+The index is the one key -> slot map of a node: an open-addressing table
+(linear probing over a power-of-two array, Fibonacci hashing of the
+``uint64`` key) whose probe runs for a whole batch at once —
+:meth:`HashIndex.lookup` takes an array of keys and returns an array of
+slots, ``-1`` where a key is absent. A slot addresses the
+:class:`~repro.core.entry.EntryColumns` the index owns; the ``handle``
+column holds the paper's tagged pointers and stays the authority for
+location, so a maintenance round that moves thousands of entries between
+tiers re-tags them with one array assignment.
+
+Emptiness is a property of the table's *slot* cell (``_EMPTY`` /
+``_TOMB``), never of its key cell, so every ``uint64`` — ``2**64 - 1``
+included — is a storable key. A removed key leaves a tombstone that
+later inserts reuse; the table is rebuilt when live cells plus
+tombstones pass half of it, which keeps probe chains short.
 """
 
 from __future__ import annotations
@@ -20,101 +29,162 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.entry import EmbeddingEntry, EntryArena, Location, pack_handle, unpack_handle
+from repro.core.entry import EntryColumns, EntryView, Location
 from repro.errors import ServerError
+
+_EMPTY = -1
+_TOMB = -2
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # 2**64 / golden ratio
+_MIN_CELLS = 512
 
 
 class HashIndex:
-    """Key -> entry map plus the tagged handle of every entry slot.
-
-    All mutations keep the handle's tag bit in sync with the entry's
-    ``location`` field; :meth:`validate` checks that invariant.
-    """
+    """Vectorised key -> slot table plus the columns the slots address."""
 
     def __init__(self) -> None:
-        self._entries: dict[int, EmbeddingEntry] = {}
-        self._arena = EntryArena()
-        self._handles = np.zeros(256, dtype=np.int64)  # slot -> tagged handle
+        self.columns = EntryColumns()
+        self._reset(_MIN_CELLS)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.columns)
 
     def __contains__(self, key: int) -> bool:
-        return key in self._entries
+        return self.find(key) is not None
 
-    def find(self, key: int) -> EmbeddingEntry | None:
-        """Look up ``key``; returns None when absent (Algorithm 1 ``find``)."""
-        return self._entries.get(key)
+    @property
+    def load_factor(self) -> float:
+        """Occupied share of the table (live keys + tombstones)."""
+        return self._used / len(self._slots)
 
-    def location_of(self, key: int) -> Location:
-        """Read the tag bit without dereferencing the entry's location.
+    # ------------------------------------------------------------------
+    # batch interface (the hot path)
+    # ------------------------------------------------------------------
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of every key of ``keys`` (``uint64``), ``-1`` if absent."""
+        cells = self._probe(keys)
+        return np.where(cells >= 0, self._slots[cells], -1)
+
+    def insert_many(self, keys: np.ndarray, location: Location) -> np.ndarray:
+        """Index ``keys`` — distinct and all absent — as one block.
+
+        Reserves a slot per key, writes its ``key`` and tagged ``handle``
+        and returns the slots; the caller fills the other columns.
+        """
+        if 2 * (self._used + len(keys)) > len(self._slots):
+            cells = len(self._slots)
+            while cells < 4 * (len(self.columns) + len(keys)):
+                cells *= 2
+            self._reset(cells)  # grown, or just swept of its tombstones
+            occupied = self.columns.live()
+            self._place(self.columns.key[occupied], occupied)
+        slots = self.columns.alloc(len(keys))
+        self.columns.key[slots] = keys
+        self.columns.handle[slots] = (slots << 1) | int(location)
+        self._place(keys, slots)
+        return slots
+
+    def remove(self, key: int) -> None:
+        """Drop ``key`` entirely (entry leaves the node).
 
         Raises:
             KeyError: unknown key.
         """
-        __, location = unpack_handle(int(self._handles[self._entries[key].slot]))
-        return location
+        cell = int(self._probe(np.array([key], dtype=np.uint64))[0])
+        if cell < 0:
+            raise KeyError(key)
+        self.columns.free(self._slots[cell : cell + 1].copy())
+        self._slots[cell] = _TOMB
 
-    def insert(self, entry: EmbeddingEntry) -> None:
-        """Register a new entry.
+    # ------------------------------------------------------------------
+    # one-key introspection (tests, node tooling)
+    # ------------------------------------------------------------------
+
+    def find(self, key: int) -> EntryView | None:
+        """Look up ``key``; returns None when absent (Algorithm 1 ``find``)."""
+        if not 0 <= key < 1 << 64:
+            return None
+        slot = int(self.lookup(np.array([key], dtype=np.uint64))[0])
+        return EntryView(self.columns, slot) if slot >= 0 else None
+
+    def location_of(self, key: int) -> Location:
+        """Read the tag bit of ``key``'s handle.
 
         Raises:
-            ServerError: the key is already present.
+            KeyError: unknown key.
         """
-        if entry.key in self._entries:
-            raise ServerError(f"key {entry.key} already indexed")
-        slot = self._arena.alloc(entry)
-        if slot >= len(self._handles):
-            self._handles = np.concatenate([self._handles, np.zeros_like(self._handles)])
-        self._handles[slot] = pack_handle(slot, entry.location)
-        self._entries[entry.key] = entry
-
-    def set_location(self, entry: EmbeddingEntry, location: Location) -> None:
-        """Flip the entry's location and its handle's tag bit together."""
-        if entry.key not in self._entries:
-            raise ServerError(f"key {entry.key} not indexed")
-        entry.location = location
-        self._handles[entry.slot] = pack_handle(entry.slot, location)
-
-    def retag(self, moved: dict[int, Location]) -> None:
-        """Re-tag the handles of the entry slots in ``moved``.
-
-        Cache maintenance plans a whole round on the entries themselves
-        (flipping ``entry.location`` as rows are planned in and out,
-        noting ``entry.slot -> new location``) and tags every touched
-        handle here, once, with one array assignment.
-        """
-        slots = np.fromiter(moved.keys(), np.int64, len(moved))
-        tags = np.fromiter(moved.values(), np.int64, len(moved))
-        self._handles[slots] = (slots << 1) | tags
-
-    def remove(self, key: int) -> None:
-        """Drop ``key`` entirely (entry leaves the node)."""
-        entry = self._entries.pop(key, None)
+        entry = self.find(key)
         if entry is None:
             raise KeyError(key)
-        self._arena.free(entry.slot)
+        return entry.location
 
-    def entries(self) -> Iterator[EmbeddingEntry]:
-        """Iterate all indexed entries (order unspecified)."""
-        return iter(self._entries.values())
+    def entries(self) -> Iterator[EntryView]:
+        """Iterate a view of every indexed entry (slot order)."""
+        return (EntryView(self.columns, slot) for slot in self.columns.live().tolist())
 
-    def keys(self) -> Iterator[int]:
-        return iter(self._entries)
+    def keys(self) -> list[int]:
+        """Every indexed key (slot order)."""
+        return self.columns.key[self.columns.live()].tolist()
 
     def validate(self) -> None:
-        """Check tag-bit/entry consistency; used by tests."""
-        if len(self._entries) != len(self._arena):
+        """Check table/column consistency; used by tests."""
+        columns = self.columns
+        live = columns.live()
+        if not (len(live) == len(columns) == np.count_nonzero(self._slots >= 0)):
             raise ServerError(
-                f"direct map holds {len(self._entries)} entries, "
-                f"entry arena {len(self._arena)}"
+                f"{len(live)} slots carry a handle, {len(columns)} are allocated, "
+                f"{np.count_nonzero(self._slots >= 0)} are in the table"
             )
-        for key, entry in self._entries.items():
-            slot, location = unpack_handle(int(self._handles[entry.slot]))
-            if entry.key != key or self._arena.get(slot) is not entry:
-                raise ServerError(f"handle for {key} resolves to another entry")
-            if entry.location != location:
-                raise ServerError(
-                    f"tag bit {location.name} disagrees with entry location "
-                    f"{entry.location.name} for key {key}"
-                )
+        if np.any(columns.handle[live] >> 1 != live):
+            raise ServerError("a handle's upper bits are not its slot")
+        if not np.array_equal(self.lookup(columns.key[live]), live):
+            raise ServerError("a live key does not resolve to its own slot")
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+
+    def _reset(self, cells: int) -> None:
+        self._keys = np.zeros(cells, dtype=np.uint64)
+        self._slots = np.full(cells, _EMPTY, dtype=np.int64)
+        self._used = 0
+        self._mask = cells - 1
+        self._shift = np.uint64(64 - cells.bit_length() + 1)
+
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """First cell of each key's probe sequence."""
+        return ((keys * _GOLDEN) >> self._shift).astype(np.int64)
+
+    def _probe(self, keys: np.ndarray) -> np.ndarray:
+        """Table cell holding each key, ``-1`` where the key is absent."""
+        cell = self._home(keys)
+        rest = None  # positions still walking their probe sequence; None: all
+        while True:
+            slots = self._slots[cell]
+            hit = (slots >= 0) & (self._keys[cell] == keys)
+            # Whatever neither hit nor ended on an empty cell collided
+            # (or passed a tombstone) and walks on: a shrinking set.
+            walking = np.flatnonzero(~hit & (slots != _EMPTY))
+            if rest is None:
+                out, rest = np.where(hit, cell, -1), walking
+            else:
+                out[rest[hit]], rest = cell[hit], rest[walking]
+            if not len(rest):
+                return out
+            keys, cell = keys[walking], (cell[walking] + 1) & self._mask
+
+    def _place(self, keys: np.ndarray, slots: np.ndarray) -> None:
+        """Write ``keys[i] -> slots[i]`` into the table (keys absent)."""
+        table = self._slots
+        cell = self._home(keys)
+        while len(keys):
+            before = table[cell]
+            free = before < 0
+            # Several new keys may want one free cell: the largest slot
+            # wins it, the others walk on.
+            np.maximum.at(table, cell[free], slots[free])
+            won = table[cell] == slots
+            self._keys[cell[won]] = keys[won]
+            self._used += int(np.count_nonzero(before[won] == _EMPTY))
+            lost = ~won
+            keys, slots, cell = keys[lost], slots[lost], (cell[lost] + 1) & self._mask

@@ -394,9 +394,7 @@ class PSNode:
         self.store.ingest(block)
         if keys:
             starts = (np.cumsum(counts) - counts)[held]
-            newest = np.maximum.reduceat(block.batch_ids, starts)
-            for key, version in zip(keys, newest.tolist()):
-                self.cache.adopt(key, version)
+            self.cache.adopt_many(keys, np.maximum.reduceat(block.batch_ids, starts))
         return len(keys)
 
     def drop_keys(self, keys) -> int:
@@ -416,11 +414,12 @@ class PSNode:
         return dropped
 
     def _drop_key(self, entry) -> None:
-        # drop_entry clears every cache structure (LRU link, residency
-        # map, arena row, index handle) so a batch probe can never
-        # resolve a departed key.
+        # drop_entry clears every cache structure (order stamp, arena
+        # row, index cell, queued accesses) so neither a batch probe nor
+        # a pending maintenance round can resolve a departed key.
+        key = entry.key  # a view reads through to its slot: read before the drop
         self.cache.drop_entry(entry)
-        self.store.drop_key(entry.key)
+        self.store.drop_key(key)
 
     # ------------------------------------------------------------------
     # failure simulation
@@ -454,10 +453,7 @@ class PSNode:
 
     def state_snapshot(self) -> dict[int, np.ndarray]:
         """Copy of every key's live weights (reference-model testing)."""
-        return {
-            entry.key: np.array(self.cache.read_current_weights(entry.key), copy=True)
-            for entry in self.cache.index.entries()
-        }
+        return self.cache.state_snapshot()
 
     def _make_initializer(self):
         scale = self.server_config.initializer_scale

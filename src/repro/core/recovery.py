@@ -110,8 +110,7 @@ def recover_node(
     # Step 2: reconstruct the DRAM hash index; every entry is
     # PMem-resident (the DRAM cache refills as training resumes).
     recovered = store.latest_versions()
-    for key, batch_id in recovered.items():
-        node.cache.adopt(key, batch_id)
+    node.cache.adopt_many(list(recovered), list(recovered.values()))
 
     # The node resumes from the checkpoint; its coordinator state must
     # agree with what is durable.

@@ -600,11 +600,17 @@ class OpenEmbeddingServer:
             labels = {"node": str(node.node_id)}
             collect_bundle(registry, node.metrics, labels)
             controller, buffer = node.staleness, node.aggregation
-            arena = node.cache.arena
+            cache = node.cache
+            arena = cache.arena
             gauges = {
                 "repro_pmem_slab_rows": node.store.slab.rows,
                 "repro_pmem_slab_free_rows": node.store.slab.free_rows,
                 "repro_arena_rows": 0 if arena is None else len(arena),
+                "repro_arena_capacity_rows": 0 if arena is None else arena.capacity,
+                "repro_cache_resident_entries": cache.cached_entries,
+                "repro_cache_capacity_entries": cache.capacity_entries,
+                "repro_cache_index_keys": len(cache.index),
+                "repro_cache_index_load_factor": cache.index.load_factor,
                 "repro_async_pulls_admitted": controller.admitted,
                 "repro_async_pulls_rejected": controller.rejected,
                 "repro_async_max_admitted_lag": controller.max_admitted_lag(),

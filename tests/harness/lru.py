@@ -1,4 +1,7 @@
-"""Intrusive LRU list over embedding entries.
+"""Test oracle leaf: intrusive LRU list over embedding entries.
+
+Production orders replacement by a stamp column (:mod:`repro.core.cache`);
+this linked list is what the per-key oracle evicts from.
 
 The paper keeps hot entries in DRAM under an LRU-like policy whose
 maintenance is deferred to the pipelined maintainer threads (Section
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.entry import EmbeddingEntry
+from tests.harness.entry import EmbeddingEntry
 from repro.errors import ServerError
 
 
@@ -73,53 +76,6 @@ class LRUList:
         entry.lru_next = head
         head.lru_prev = entry
         self._head = entry
-
-    def move_many_to_front(self, entries, version: int | None = None) -> None:
-        """Batched :meth:`move_to_front` — identical final order.
-
-        Equivalent to ``for e in entries: move_to_front(e)`` with the
-        unlink/link surgery inlined into one loop: the cache's
-        ``_maintain_fast`` reorders thousands of entries per round,
-        and two Python function calls per entry dominate its cost.
-        Passing ``version`` also stamps each entry as it moves —
-        versions are assigned at reorder time anyway (module docstring),
-        and fusing the stamp avoids a second pass over the batch.
-        """
-        head = self._head
-        tail = self._tail
-        size = self._size
-        stamp = version is not None
-        for entry in entries:
-            if stamp:
-                entry.version = version
-            if entry.in_lru:
-                if head is entry:
-                    continue
-                # inline _unlink (entry is never head here)
-                prev = entry.lru_prev
-                nxt = entry.lru_next
-                if prev is not None:
-                    prev.lru_next = nxt
-                else:
-                    head = nxt
-                if nxt is not None:
-                    nxt.lru_prev = prev
-                else:
-                    tail = prev
-            else:
-                entry.in_lru = True
-                size += 1
-            # inline link-at-front
-            entry.lru_prev = None
-            entry.lru_next = head
-            if head is not None:
-                head.lru_prev = entry
-            head = entry
-            if tail is None:
-                tail = entry
-        self._head = head
-        self._tail = tail
-        self._size = size
 
     def peek_victim(self) -> EmbeddingEntry:
         """The LRU tail — Algorithm 2's ``findOldestEntry`` (no removal).

@@ -9,14 +9,16 @@ numpy arrays, pull / maintain / update are plain loops over keys that
 follow Algorithms 1 and 2 line by line, duplicate gradients are summed
 in a dict and applied with one ``optimizer.apply`` per row.
 
-It shares the leaf structures (hash index, LRU list, access queue,
-checkpoint coordinator, versioned store) with production but none of
-the hot-path code. Tests install it on a built node with
+It shares the checkpoint coordinator and the versioned store with
+production but none of the hot-path code, and keeps the object-per-entry
+leaves production retired for slot columns: ``tests/harness/entry.py``,
+``lru.py`` and ``hash_index.py``. Tests install it on a built node with
 :func:`install_reference_cache`; production has no seam for it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,15 +27,16 @@ from repro.config import CacheConfig, EvictionPolicy
 from repro.core.admission import FrequencyAdmission
 from repro.core.cache import MaintainResult, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
-from repro.core.entry import EmbeddingEntry, Location
-from repro.core.hash_index import HashIndex
-from repro.core.lru import LRUList
+from repro.core.entry import Location
 from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
 from repro.core.queues import AccessQueue
 from repro.errors import KeyNotFoundError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.space import VersionedEntryStore
 from repro.simulation.metrics import Metrics
+from tests.harness.entry import EmbeddingEntry
+from tests.harness.hash_index import HashIndex
+from tests.harness.lru import LRUList
 
 
 class ReferenceEntry(EmbeddingEntry):
@@ -45,6 +48,18 @@ class ReferenceEntry(EmbeddingEntry):
         super().__init__(key, version)
         self.weights: np.ndarray | None = None
         self.opt_state: np.ndarray | None = None
+
+
+class EntryAccessQueue(AccessQueue):
+    """The access queue, carrying lists of entry objects (production's
+    carries slot arrays)."""
+
+    def pop_batch(self, batch_id: int) -> list[EmbeddingEntry]:
+        return list(chain.from_iterable(self._drain(batch_id)))
+
+    def discard(self, entry: EmbeddingEntry) -> None:
+        for __, task in self._tasks:
+            task[:] = [queued for queued in task if queued is not entry]
 
 
 class ReferenceCache:
@@ -88,7 +103,7 @@ class ReferenceCache:
         self.auto_create = auto_create
         self.index = HashIndex()
         self.lru = LRUList()
-        self.access_queue = AccessQueue()
+        self.access_queue = EntryAccessQueue()
         self.capacity_entries = config.capacity_entries(self._stored_bytes())
         self.admission = (
             FrequencyAdmission(config.admission_threshold)
@@ -328,6 +343,10 @@ class ReferenceCache:
         entry.location = Location.PMEM
         self.index.insert(entry)
 
+    def adopt_many(self, keys: Sequence[int], versions: Sequence[int]) -> None:
+        for key, version in zip(keys, np.asarray(versions).tolist()):
+            self.adopt(int(key), version)
+
     def drop_entry(self, entry: EmbeddingEntry) -> None:
         """Remove ``entry`` from every cache structure (ownership drop).
 
@@ -337,6 +356,7 @@ class ReferenceCache:
         """
         if entry.in_lru:
             self.lru.remove(entry)
+        self.access_queue.discard(entry)
         self.index.remove(entry.key)
         entry.weights = None
         entry.opt_state = None
@@ -363,6 +383,13 @@ class ReferenceCache:
         if entry is None:
             raise KeyNotFoundError(key)
         return np.array(self._read_weights(entry), copy=True)
+
+    def state_snapshot(self) -> dict[int, np.ndarray]:
+        """Copy of every key's live weights, any tier."""
+        return {
+            entry.key: self.read_current_weights(entry.key)
+            for entry in self.index.entries()
+        }
 
     def validate(self) -> None:
         """Check cross-structure invariants; used by tests."""

@@ -209,6 +209,15 @@ class TestMetricsParity:
         assert local["repro_async_aggregator_rows_folded", node0] > 0
         assert local["repro_async_aggregator_rows_reduced", node0] == 0  # one worker
         assert local["repro_async_aggregator_queue_depth_max", node0] == 1
+        # Cache / arena internals, per node, with values (rpc == local above).
+        for node in (node0, (("node", "1"),)):
+            keys = local["repro_cache_index_keys", node]
+            assert keys > 0
+            assert local["repro_cache_resident_entries", node] == keys  # all fit
+            assert local["repro_arena_rows", node] == keys
+            assert local["repro_arena_capacity_rows", node] >= keys
+            assert local["repro_cache_capacity_entries", node] == (64 << 10) // (DIM * 4)
+            assert 0 < local["repro_cache_index_load_factor", node] <= 0.5
         assert not local_client
         assert faulty_client and all(
             name.startswith("repro_rpc_") for name in faulty_client

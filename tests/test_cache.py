@@ -37,7 +37,7 @@ class TestPull:
     def test_pull_does_not_touch_lru(self, cache):
         """Maintenance is deferred: the pull path never reorders."""
         cache.pull([1, 2, 3], 0)
-        assert len(cache.lru) == 0
+        assert cache.cached_entries == 0
         assert len(cache.access_queue) == 1
 
     def test_pull_from_pmem_is_a_miss(self, cache):

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.core.entry import (
-    EmbeddingEntry,
-    EntryArena,
-    Location,
-    pack_handle,
-    unpack_handle,
-)
+from repro.core.entry import Location, pack_handle, unpack_handle
 from repro.errors import ServerError
+from tests.harness.entry import EmbeddingEntry, EntryArena
 
 
 class TestTaggedHandles:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.entry import EmbeddingEntry, Location
-from repro.core.hash_index import HashIndex
+from repro.core.entry import Location
 from repro.errors import ServerError
+from tests.harness.entry import EmbeddingEntry
+from tests.harness.hash_index import HashIndex
 
 
 @pytest.fixture

@@ -315,10 +315,15 @@ class TestMaintainPlanHazards:
         ]
 
     @staticmethod
-    def round(nodes, keys, batch_id: int, *, push: bool = True):
+    def round(nodes, keys, batch_id: int, *, push: bool = True, more=()):
         """One pull -> maintain (-> push) round on both nodes; compares
-        what the round returned and everything it left behind."""
+        what the round returned and everything it left behind. ``more``
+        are further pulls of the same round (other workers')."""
         pulls = [node.pull(keys, batch_id) for node in nodes]
+        for extra in more:
+            for node in nodes:
+                node.pull(extra, batch_id)
+            keys = keys + extra
         rounds = [node.maintain(batch_id) for node in nodes]
         assert rounds[0] == rounds[1]
         value_mode = not nodes[0].metadata_only
@@ -347,6 +352,7 @@ class TestMaintainPlanHazards:
             assert (twin.version, twin.updated, twin.dirty, twin.location) == (
                 entry.version, entry.updated, entry.dirty, entry.location
             ), f"key {entry.key}"
+            assert twin.referenced == entry.referenced, f"key {entry.key}"
         return rounds[0]
 
     def test_row_loaded_and_evicted_in_the_same_round(self):
@@ -472,6 +478,135 @@ class TestMaintainPlanHazards:
         assert nodes[0].cache.arena is None
         assert nodes[0].metrics.checkpoints_completed > 0
         assert nodes[0].pool.slab(nodes[0].store.entry_bytes).data is None
+
+
+SPARSE_KEYS = [0, 1, 2**64 - 1, 2**63, 2**32] + [
+    (0x9E3779B97F4A7C15 * i) % 2**64 for i in range(3, 12)
+]
+"""14 keys spread over the whole ``uint64`` range, both ends included."""
+
+
+def planner_schedule():
+    """Rounds of 1-3 pulls (key indices, duplicates allowed), a push
+    flag, and what happens after the round."""
+    pull = st.lists(st.integers(0, len(SPARSE_KEYS) - 1), min_size=1, max_size=8)
+    after = st.sampled_from(
+        ("nothing", "nothing", "request", "barrier", "drop_cache", "migrate")
+    )
+    round_ = st.tuples(st.lists(pull, min_size=1, max_size=3), st.booleans(), after)
+    return st.lists(round_, min_size=2, max_size=8)
+
+
+class TestColumnarPlanner:
+    """The columnar cache against the per-key oracle, wider than the
+    seeded hazards above: sparse 64-bit keys, several pulls a round,
+    rounds both shorter and longer than the cache (so a round is planned
+    in segments, and rows are evicted and reloaded inside it), every
+    policy, dirty tracking, the admission filter, checkpoints requested
+    and forced, ``drop_cache``, keys migrated out and back in."""
+
+    @staticmethod
+    def act(node: PSNode, action: str, batch_id: int) -> None:
+        coordinator = node.coordinator
+        pending = coordinator.queue.pending()
+        fresh = batch_id > coordinator.last_completed and (
+            not pending or pending[-1] < batch_id
+        )
+        if action == "request" and fresh:
+            coordinator.request(batch_id)
+        elif action == "barrier" and fresh and node.latest_completed_batch >= 0:
+            node.barrier_checkpoint(batch_id)
+        elif action == "drop_cache":
+            node.cache.drop_cache()
+        elif action == "migrate":
+            # Out through the durable versions and back in: every other
+            # key comes back PMem-resident, adopted at its newest version.
+            node.cache.flush_all()
+            node.complete_pending_checkpoints()
+            keys = sorted(node.owned_keys())[::2]
+            block = node.export_entries(keys)
+            assert node.drop_keys(keys) == len(keys)
+            assert node.ingest_entries(block) == len(keys)
+
+    @given(
+        schedule=planner_schedule(),
+        capacity=st.integers(1, 6),
+        policy=st.sampled_from(list(EvictionPolicy)),
+        track_dirty=st.booleans(),
+        admission=st.sampled_from((0, 0, 1, 2)),
+        metadata_only=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_observable_matches_the_oracle(
+        self, schedule, capacity, policy, track_dirty, admission, metadata_only
+    ):
+        nodes = TestMaintainPlanHazards().pair(
+            capacity,
+            metadata_only=metadata_only,
+            policy=policy,
+            track_dirty=track_dirty,
+            admission_threshold=admission,
+        )
+        for batch_id, (pulls, push, after) in enumerate(schedule):
+            first, *more = ([SPARSE_KEYS[i] for i in pull] for pull in pulls)
+            TestMaintainPlanHazards.round(nodes, first, batch_id, push=push, more=more)
+            for node in nodes:
+                self.act(node, after, batch_id)
+            fast, ref = nodes
+            fast.cache.validate()
+            assert fast.cache.cached_keys() == ref.cache.cached_keys()
+            assert store_dump(fast) == store_dump(ref)
+            assert metrics_tuple(fast) == metrics_tuple(ref)
+            assert fast.coordinator.last_completed == ref.coordinator.last_completed
+
+
+class TestNoPerKeyPython:
+    """Structural guard: on a warm all-hit batch the cache layer executes
+    (nearly) the same number of bytecode instructions for 4 096 keys as
+    for 256 — no Python step per key or per entry is left on the
+    resident path."""
+
+    @staticmethod
+    def opcodes(node: PSNode, keys: np.ndarray, batch_id: int) -> int:
+        import sys
+
+        grads = np.ones((len(keys), DIM), dtype=np.float32)
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            if "/repro/core/" not in frame.f_code.co_filename:
+                return None
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                count += 1
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            node.cache.pull(keys, batch_id)
+            node.cache.maintain(batch_id)
+            node.cache.update(keys, grads, batch_id)
+        finally:
+            sys.settrace(None)
+        return count
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_opcode_count_does_not_grow_with_the_batch(self, policy):
+        node = make_node(
+            arena=True, capacity_entries=10_000, optimizer=PSAdagrad(), policy=policy
+        )
+        rng = np.random.default_rng(1)
+        universe = rng.integers(0, 2**63, 6_000).astype(np.uint64)
+        step(node, rng, universe, 0)  # everything resident and listed
+        small = self.opcodes(node, rng.choice(universe, 256), 1)
+        large = self.opcodes(node, rng.choice(universe, 4096), 2)
+        assert node.metrics.cache.misses == 0 and node.metrics.entries_created == 6_000
+        # The index probe walks collision chains as a shrinking loop, and
+        # 16x the keys meet a few longer chains: each costs one more
+        # ~60-instruction pass per lookup. A single Python step per key
+        # would add at least 3 840.
+        assert small > 100 and large <= small + 1000, (small, large)
 
 
 class TestUpdateAdvanceHazards:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.entry import EmbeddingEntry
-from repro.core.lru import LRUList
 from repro.errors import ServerError
+from tests.harness.entry import EmbeddingEntry
+from tests.harness.lru import LRUList
 
 
 def entry(key, version=0):

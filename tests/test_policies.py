@@ -65,6 +65,70 @@ class TestClock:
         assert node.cache.cached_entries == 2
 
 
+class TestVictimChoice:
+    """Each policy on a cache small enough to reason about: fill it,
+    touch, overflow, and name the victim. ``cached_keys()`` is the
+    replacement order, most recent first."""
+
+    def test_lru_evicts_the_least_recently_touched(self):
+        node = make_node(EvictionPolicy.LRU, capacity_entries=3)
+        cycle(node, [1, 2, 3], 0)
+        assert node.cache.cached_keys() == [3, 2, 1]
+        cycle(node, [1], 1)  # a touch makes 1 the newest ...
+        assert node.cache.cached_keys() == [1, 3, 2]
+        cycle(node, [4], 2)  # ... so the overflow takes 2
+        assert node.cache.cached_keys() == [4, 1, 3]
+        assert node.cache.index.location_of(2) == Location.PMEM
+        # Untouched, 1 would have been the victim instead.
+        node = make_node(EvictionPolicy.LRU, capacity_entries=3)
+        cycle(node, [1, 2, 3], 0)
+        cycle(node, [4], 1)
+        assert node.cache.cached_keys() == [4, 3, 2]
+
+    def test_lru_orders_a_round_by_last_touch(self):
+        node = make_node(EvictionPolicy.LRU, capacity_entries=4)
+        cycle(node, [1, 2, 3, 4], 0)
+        cycle(node, [2, 1, 2, 3, 1], 1)  # last touches: 2 at 2, 3 at 3, 1 at 4
+        assert node.cache.cached_keys() == [1, 3, 2, 4]
+        cycle(node, [5, 6], 2)
+        assert node.cache.cached_keys() == [6, 5, 1, 3]
+
+    def test_lru_victim_touched_later_in_the_round_is_reloaded(self):
+        """1 is the oldest when 4 arrives and is evicted — its own access
+        comes later in the round and brings it back (evicting 2)."""
+        node = make_node(EvictionPolicy.LRU, capacity_entries=3)
+        cycle(node, [1, 2, 3], 0)
+        node.pull([4, 1], 1)
+        result = node.maintain(1)
+        assert (result.loads, result.evictions) == (1, 2)
+        assert node.cache.cached_keys() == [1, 4, 3]
+
+    def test_fifo_ignores_touches(self):
+        node = make_node(EvictionPolicy.FIFO, capacity_entries=3)
+        cycle(node, [1, 2, 3], 0)
+        cycle(node, [1, 1, 2], 1)  # no reorder
+        assert node.cache.cached_keys() == [3, 2, 1]
+        cycle(node, [4], 2)  # first in, first out
+        assert node.cache.cached_keys() == [4, 3, 2]
+        cycle(node, [1], 3)  # back in, as the newest
+        assert node.cache.cached_keys() == [1, 4, 3]
+
+    def test_clock_second_chance_is_spent_once(self):
+        node = make_node(EvictionPolicy.CLOCK, capacity_entries=3)
+        cycle(node, [1, 2, 3], 0)
+        cycle(node, [1], 1)  # sets 1's bit; the order does not move
+        assert node.cache.cached_keys() == [3, 2, 1]
+        assert node.cache.index.find(1).referenced
+        cycle(node, [4], 2)  # the sweep spares 1 (bit cleared, requeued), takes 2
+        assert node.cache.cached_keys() == [1, 4, 3]
+        assert not node.cache.index.find(1).referenced
+        cycle(node, [5, 6], 3)  # nobody is referenced: plain FIFO order
+        assert node.cache.cached_keys() == [6, 5, 1]
+        cycle(node, [7], 4)  # 1's chance is spent
+        assert node.cache.cached_keys() == [7, 6, 5]
+        node.cache.validate()
+
+
 class TestPolicySemantics:
     @pytest.mark.parametrize(
         "policy", [EvictionPolicy.LRU, EvictionPolicy.FIFO, EvictionPolicy.CLOCK]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.config import CacheConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad
+from repro.core.server import OpenEmbeddingServer
 from repro.errors import CheckpointError, ServerError
+from repro.network.frontend import RemotePSClient
 from repro.pmem.space import EntryBlock
 
 from tests.conftest import DIM, make_node
@@ -131,3 +134,62 @@ class TestMetadataOnly:
         node.maintain(0)
         node.push([1, 2], None, 0)
         assert node.num_entries == 2
+
+
+class TestQueuedAccessHazards:
+    """Accesses wait in the queue between a pull and its maintenance
+    round; what happens to the node in between must not corrupt it."""
+
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_pull_queued_ahead_waits_for_its_own_round(self, transport):
+        """Regression: a pull of a later batch queued behind the round at
+        hand (a prefetch window) made ``maintain`` raise — after it had
+        dequeued the round's own accesses, which were then lost: resident
+        rows never listed, never evictable."""
+        server_config = ServerConfig(
+            num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 22
+        )
+        build = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = build(server_config, CacheConfig(capacity_bytes=8 * DIM * 4))
+        backend.pull([1, 2], 5)
+        backend.pull([3], 6)
+        assert [r.processed for r in backend.maintain(5)] == [2]
+        cache = backend.nodes[0].cache
+        assert sorted(cache.cached_keys()) == [1, 2]
+        assert [r.processed for r in backend.maintain(6)] == [1]
+        assert cache.cached_keys() == [3, 2, 1]
+        cache.validate()
+
+    def test_key_dropped_between_its_pull_and_its_round(self):
+        """Regression: ``drop_keys`` (the source side of a reshard) on a
+        key with a queued access left a ghost — listed, counted against
+        capacity, absent from the index, its arena row freed — that a
+        later round died on with a raw ``KeyError``. With slots the same
+        access would alias whichever key re-uses the slot."""
+        node = make_node(capacity_entries=2)
+        node.pull([1, 2], 1)
+        assert node.drop_keys([1]) == 1
+        # Key 9 takes the slot key 1 gave up while 1's access is queued.
+        node.pull([9], 1)
+        assert node.cache.index.find(9).slot == 0
+        assert node.maintain(1).processed == 2  # keys 2 and 9; not 1, not 9 twice
+        node.cache.validate()
+        assert node.cache.cached_keys() == [9, 2]
+        assert node.cache.index.find(9).version == 1
+        node.push([2, 9], grads(2), 1)
+        for batch_id, keys in enumerate(([3, 4], [5, 2], [9, 3]), start=2):
+            node.pull(keys, batch_id)
+            assert node.maintain(batch_id).evictions == 2  # no ghost in the way
+            node.cache.validate()
+        assert not node.store.has(1) and 1 not in node.owned_keys()
+        # Re-ingested, key 1 is an ordinary PMem-resident key again.
+        row = np.arange(DIM, dtype=np.float32)[None, :]
+        block = EntryBlock(
+            np.array([1], np.uint64), np.array([1], np.uint32), np.array([0]), row
+        )
+        assert node.ingest_entries(block) == 1
+        result = node.pull([1], 5)
+        assert (result.misses, result.created) == (1, 0)
+        assert np.array_equal(result.weights, row)
+        assert node.maintain(5).loads == 1
+        node.cache.validate()

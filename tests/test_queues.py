@@ -2,52 +2,71 @@
 
 import pytest
 
-from repro.core.entry import EmbeddingEntry
+import numpy as np
+
 from repro.core.queues import AccessQueue, CheckpointRequestQueue
 from repro.errors import CheckpointError, ServerError
 
 
-def entries(*keys):
-    return [EmbeddingEntry(k) for k in keys]
+def slots(*ids):
+    return np.array(ids, dtype=np.int64)
 
 
 class TestAccessQueue:
     def test_append_pop_batch(self):
         queue = AccessQueue()
-        batch = entries(1, 2, 3)
-        queue.append(0, batch)
-        assert [e.key for e in queue.pop_batch(0)] == [1, 2, 3]
+        queue.append(0, slots(1, 2, 3))
+        assert queue.pop_batch(0).tolist() == [1, 2, 3]
         assert len(queue) == 0
 
     def test_multiple_tasks_same_batch_drain_together(self):
         """Each worker's pull appends its own task; the maintainer for
         batch n consumes them all."""
         queue = AccessQueue()
-        queue.append(0, entries(1))
-        queue.append(0, entries(2))
-        assert [e.key for e in queue.pop_batch(0)] == [1, 2]
+        queue.append(0, slots(1))
+        queue.append(0, slots(2))
+        assert queue.pop_batch(0).tolist() == [1, 2]
 
     def test_stale_tasks_drain_with_later_round(self):
         queue = AccessQueue()
-        queue.append(0, entries(1))
-        queue.append(1, entries(2))
-        assert [e.key for e in queue.pop_batch(1)] == [1, 2]
+        queue.append(0, slots(1))
+        queue.append(1, slots(2))
+        assert queue.pop_batch(1).tolist() == [1, 2]
 
     def test_future_batch_at_head_rejected(self):
         queue = AccessQueue()
-        queue.append(5, entries(1))
+        queue.append(5, slots(1))
         with pytest.raises(ServerError):
             queue.pop_batch(3)
+        assert queue.pending_entries == 1  # nothing was dequeued
+
+    def test_future_batch_behind_the_round_stays_queued(self):
+        """Pulls queued ahead (a prefetch window) wait for their own
+        round; the round at hand loses none of its accesses."""
+        queue = AccessQueue()
+        queue.append(5, slots(1, 2))
+        queue.append(6, slots(3))
+        queue.append(5, slots(4))
+        assert queue.pop_batch(5).tolist() == [1, 2, 4]
+        assert queue.pending_entries == 1
+        assert queue.pop_batch(6).tolist() == [3]
+
+    def test_discard_scrubs_pending_tasks(self):
+        queue = AccessQueue()
+        queue.append(0, slots(1, 2, 1))
+        queue.append(1, slots(2, 3))
+        queue.discard(slots(1, 3))
+        assert queue.pop_batch(1).tolist() == [2, 2]
 
     def test_pending_counters(self):
         queue = AccessQueue()
-        queue.append(0, entries(1, 2))
-        queue.append(0, entries(3))
+        queue.append(0, slots(1, 2))
+        queue.append(0, slots(3))
         assert queue.pending_entries == 3
         assert queue.total_entries_enqueued == 3
 
     def test_pop_empty_returns_nothing(self):
-        assert AccessQueue().pop_batch(0) == []
+        assert AccessQueue().pop_batch(0).tolist() == []
 
 
 class TestCheckpointRequestQueue:
