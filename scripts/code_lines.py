@@ -9,6 +9,7 @@ number; deleting docs or comments does not.
 
     python scripts/code_lines.py src                  # per file, per package
     python scripts/code_lines.py --diff origin/main src
+    python scripts/code_lines.py --max 1136 src/repro/core/cache.py ...  # a budget: exit 1 over it
 
 ``--diff REV`` prints before / after / delta against ``git show
 REV:<path>`` for every file that exists on either side.
@@ -100,9 +101,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="files or directories")
     parser.add_argument("--diff", metavar="REV", help="compare against a git revision")
+    parser.add_argument(
+        "--max", type=int, metavar="N", help="exit 1 if the working tree's total exceeds N"
+    )
     args = parser.parse_args(argv)
     before = _at_revision(args.diff, args.paths) if args.diff else None
-    print(_report(before, _working_tree(args.paths)))
+    after = _working_tree(args.paths)
+    print(_report(before, after))
+    total = sum(after.values())
+    if args.max is not None and total > args.max:
+        print(f"code lines: {total} exceeds the budget of {args.max}", file=sys.stderr)
+        return 1
     return 0
 
 

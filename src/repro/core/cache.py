@@ -30,11 +30,17 @@ models cheaply.
 **Everything is a column.** An entry is a *slot*: one position of the
 :class:`~repro.core.entry.EntryColumns` the hash index owns (``key``,
 tagged ``handle``, ``version``, ``updated``, ``dirty``, ``referenced``,
-arena ``row``, order ``stamp``), and its DRAM-resident payload is one row
-of a contiguous :class:`~repro.core.arena.EmbeddingArena` (``weights ||
-optimizer state``). ``pull`` is one vectorised index lookup, a tag-bit
-mask, and one fancy-index gather; ``update`` one lookup, column writes,
-a segment-sum and one ``apply_batch``. The positions that are not
+arena ``row``, PMem ``head``, order ``stamp``), and its DRAM-resident
+payload is one row of a contiguous
+:class:`~repro.core.arena.EmbeddingArena` (``weights || optimizer
+state``). The index is the node's **one** key map (Section V-A): the
+slot's tag bit says DRAM or PMem, ``row`` is the DRAM pointer and
+``head`` the PMem pointer — the slab slot of the key's newest durable
+version. The store owns no map: every call into it passes
+``columns.head[slots]`` and the writing ones hand the new heads back.
+``pull`` is one vectorised index lookup, a tag-bit mask, and one
+fancy-index gather; ``update`` one lookup, column writes, a segment-sum
+and one ``apply_batch``. The positions that are not
 resident (a key to create, a PMem row to read or read-modify-write) are
 resolved as blocks; an all-hit batch is the case where there are none.
 
@@ -49,18 +55,24 @@ chance (CLOCK). ``cached_keys()`` is an ``argsort`` of the stamps.
 decide everything a guaranteed hit does — flush-before-advance under a
 pending checkpoint, version advance, restamp. What is left are *events*:
 arrivals (an accessed slot that is not listed: created, PMem-resident,
-or evicted earlier in the round) and the evictions they force. One loop
-walks the arrivals in access order; each one past the free capacity
-takes the next victim candidate (listed slots oldest stamp first) the
-policy does not protect at that position, an evicted candidate that is
-accessed later re-enters as an arrival, and checkpoint completion,
-backfill and admission run per event. A round longer than the capacity
-is cut into segments of at most ``capacity_entries`` accesses so that
-the slots touched inside one segment can never all be needed as victims
-(see :class:`_Events`). The rows then move in bulk:
-gather the leaving rows from the arena, one ``store.put``, one
-``store.read_latest``, one arena scatter; every planned flush is durable
-before ``complete_head()`` persists the Checkpointed Batch ID.
+or evicted earlier in the round) and the evictions they owe. The ``k``-th
+arrival past the free room takes the next victim candidate (listed
+slots oldest stamp first) the policy does not protect at that position,
+and an evicted candidate that is accessed later re-enters as an arrival.
+One loop (:class:`_Events`) visits the candidates whose fate depends on
+where the walk stands — touched in the segment, second-chance, or past
+the oldest pending checkpoint; the runs of candidates between them, and
+the arrivals that pay for those, are counted, and what the evictions
+produce (flushes, backfills, freed rows, loads) is gathered from the
+columns afterwards. A round longer than the capacity is cut into
+segments of at most ``capacity_entries`` accesses so that the slots
+touched inside one segment can never all be needed as victims. The rows
+then move in bulk: gather the leaving rows from the arena, one
+``store.put`` (heads in, heads out), one ``store.read_latest`` at the
+heads, one arena scatter; every planned flush is durable before
+``complete_head()`` persists the Checkpointed Batch ID. A segment whose
+flushes the pool cannot hold is refused before it writes anything, and
+stays queued.
 ``tests/harness/reference_cache.py`` holds the per-key, object-per-entry
 oracle the equivalence suites compare this module against.
 """
@@ -79,11 +91,11 @@ from repro.config import CacheConfig, EvictionPolicy
 from repro.core.admission import FrequencyAdmission
 from repro.core.arena import EmbeddingArena
 from repro.core.checkpoint import CheckpointCoordinator
-from repro.core.entry import EntryView, Location
+from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
 from repro.core.queues import AccessQueue
-from repro.errors import KeyNotFoundError, ServerError
+from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.space import VersionedEntryStore
 from repro.simulation.metrics import Metrics
@@ -132,20 +144,6 @@ _RULES = {
 
 _NEVER = 2**63 - 1
 """First-touch position of a slot the segment never accesses."""
-
-
-def _round() -> SimpleNamespace:
-    """What one maintenance round plans: the rows to move, the counts.
-
-    ``out`` holds the planned flushes in plan order, as (keys, versions
-    to store them under, arena rows holding them — negative when the row
-    arrived this very round and never reached the arena); ``loads`` the
-    slots to load, in order; ``freed`` the arena rows given up.
-    """
-    return SimpleNamespace(
-        out=[], loads=[], freed=[], flushes=0, evictions=0, completed=0,
-        transient=0, candidates=0, segments=0,
-    )
 
 
 class PipelinedCache:
@@ -235,7 +233,7 @@ class PipelinedCache:
             # valid row for it, and its stored weights overwrite that.
             out = self.arena.data[columns.row[slots], : self.dim]
             if misses:
-                out[cold] = self.store.read_latest(keys[cold])[1][:, : self.dim]
+                out[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
         hits = n - misses - created
         self.access_queue.append(batch_id, slots)
         self.metrics.pulls += n
@@ -254,16 +252,7 @@ class PipelinedCache:
             raise KeyNotFoundError(int(keys[absent[0]]))
         new_keys = keys[absent]
         new_keys = new_keys[np.sort(np.unique(new_keys, return_index=True)[1])]
-        block = None
-        if self.arena is not None:
-            block = np.empty((len(new_keys), self.dim), dtype=np.float32)
-            for i, key in enumerate(new_keys.tolist()):
-                weights = np.asarray(self.initializer(key), dtype=np.float32)
-                if weights.shape != (self.dim,):
-                    raise ServerError(
-                        f"initializer returned shape {weights.shape}, want ({self.dim},)"
-                    )
-                block[i] = weights
+        block = None if self.arena is None else self.initial_rows(new_keys)
         new_slots = self.index.insert_many(new_keys, Location.DRAM)
         columns = self.index.columns
         columns.version[new_slots] = columns.updated[new_slots] = batch_id
@@ -275,6 +264,19 @@ class PipelinedCache:
                 self.arena.data[rows, self.dim :] = self.optimizer.init_state(self.dim)
         slots[absent] = self.index.lookup(keys[absent])
         return len(new_keys)
+
+    def initial_rows(self, keys: np.ndarray) -> np.ndarray:
+        """The initializer's weights for ``keys``, as one block (the one
+        per-key step left: the initializer is seeded by the key)."""
+        block = np.empty((len(keys), self.dim), dtype=np.float32)
+        for i, key in enumerate(keys.tolist()):
+            weights = np.asarray(self.initializer(key), dtype=np.float32)
+            if weights.shape != (self.dim,):
+                raise ServerError(
+                    f"initializer returned shape {weights.shape}, want ({self.dim},)"
+                )
+            block[i] = weights
+        return block
 
     # ------------------------------------------------------------------
     # Algorithm 2: deferred cache maintenance + checkpointing
@@ -294,37 +296,68 @@ class PipelinedCache:
         below a pending checkpoint's batch id (a checkpoint of a batch
         not trained yet) would flush a row again on every repeated touch:
         its segments are single accesses.
+
+        Raises:
+            OutOfSpaceError: the pool cannot hold the rows a segment
+                would flush. The round is all or nothing about space per
+                segment: what earlier segments planned has moved, the
+                refused segment changed nothing, and its accesses and
+                every later one stay queued for the same batch id — once
+                room exists, ``maintain(batch_id)`` finishes the round.
+                (An admission filter has by then counted the refused
+                segment's cold arrivals once more.)
         """
         with self.tracer.span("cache.maintain", batch=batch_id) as span:
             accessed = self.access_queue.pop_batch(batch_id)
-            plan, n = _round(), len(accessed)
+            # What the round plans: ``out`` holds the planned flushes in
+            # plan order, one ``(slots, versions to store them under, arena
+            # rows holding them — negative when the row arrived this very
+            # round and never reached the arena)`` block per segment part;
+            # ``loads`` the slots to load, in order; ``freed`` the arena
+            # rows given up; ``rows`` how many rows it flushes so far (what
+            # the pool must have room for); and the counts.
+            plan, n = SimpleNamespace(
+                out=[], loads=[], freed=[], rows=0, flushes=0, evictions=0, completed=0,
+                examined=0, steps=0, segments=0,
+            ), len(accessed)
             # Local view of the request queue: planned completions pop
             # its head, and the flush barrier (its tail) changes only then.
             pending = self.coordinator.queue.pending()
-            columns = self.index.columns
-            unlisted = accessed[columns.stamp[accessed] < 0]
-            room = self.capacity_entries - self._listed
+            unlisted = np.count_nonzero(self.index.columns.stamp[accessed] < 0)
             step = max(n, 1)
             if pending and batch_id <= pending[-1]:
                 step = 1
-            elif len(unlisted) > room and len(np.unique(unlisted)) > room:
+            elif unlisted > self.capacity_entries - self._listed:
                 step = self.capacity_entries
-            for lo in range(0, n, step):
-                self._plan_segment(accessed[lo : lo + step], batch_id, pending, plan)
+            lo = 0
+            # (A segment the walk cut short leaves evictions owed: the
+            # next one, empty if need be, starts by paying them.)
+            while lo < n or (lo and self._listed > self.capacity_entries):
+                segment = accessed[lo : lo + step]
+                try:
+                    lo += self._plan_segment(segment, batch_id, pending, plan, lo > 0)
+                except OutOfSpaceError:
+                    self.access_queue.requeue(batch_id, accessed[lo:])
+                    self._move(plan, lo)
+                    raise
                 plan.segments += 1
             result = self._move(plan, n)
             span.set(
                 processed=n, loads=result.loads, flushes=result.flushes,
-                evictions=result.evictions, candidates=plan.candidates,
-                segments=plan.segments,
+                evictions=result.evictions, candidates=plan.examined,
+                decisions=plan.steps, segments=plan.segments,
             )
             return result
 
     def _plan_segment(
-        self, accessed: np.ndarray, batch_id: int, pending: list[int], plan: SimpleNamespace
-    ) -> None:
+        self, accessed: np.ndarray, batch_id: int, pending: list[int],
+        plan: SimpleNamespace, follows: bool,
+    ) -> int:
         """Algorithm 2 for the accesses ``accessed`` (slots, in order), on
-        metadata alone: decide, move nothing.
+        metadata alone: decide, move nothing. Returns how many of them it
+        planned — all, unless the walk ended the segment early; a
+        segment that ``follows`` another and finds the list over capacity
+        follows such a cut, and evicts before its first access.
 
         Array operations apply what a hit — an access to a listed slot —
         does: flush before the version advances if a pending checkpoint
@@ -337,7 +370,10 @@ class PipelinedCache:
         to slots that are not listed, and a list already over capacity,
         are events and go through :class:`_Events` first (it reads the
         columns as the segment found them, and its results overwrite the
-        defaults written here).
+        defaults written here). Nothing is written — no column, not
+        ``pending``, no planned move — before the pool is known to have
+        room for every row the round flushes so far (counting a row that
+        merely restates a stored version, which ``put`` would not charge).
         """
         columns, rule = self.index.columns, self._rule
         listed = columns.stamp[accessed] >= 0
@@ -351,33 +387,34 @@ class PipelinedCache:
             first = self._first_touch(accessed)
             arrivals = np.flatnonzero(~listed & (first == np.arange(len(accessed))))
             try:
-                events = _Events(self, accessed, due, batch_id, pending, plan)
-                events.walk(arrivals)
+                carried = follows and self._listed > self.capacity_entries
+                events = _Events(self, accessed, arrivals, due, batch_id, pending, carried)
             finally:
                 self._first[accessed] = _NEVER
-            if len(due):  # less the slots evicted before that touch
-                due = due[[slot in events.flush_due for slot in due.tolist()]]
+            # A prefix, if the walk cut the segment; what is still due in it.
+            accessed, due = events.accessed, events.due
+            hits = accessed[listed[: len(accessed)]]
+        plan.rows += len(due) + (len(events.out[0]) if events is not None else 0)
+        self.store.pool.require_free(plan.rows * self.store.entry_bytes)
         if len(due):
             # Ahead of the events' flushes: a slot's touch precedes any
             # eviction that does not cancel it.
-            plan.out.append((columns.key[due], columns.version[due], columns.row[due]))
+            plan.out.append((due, columns.version[due], columns.row[due]))
             columns.dirty[due] = False
             plan.flushes += len(due)
-        if events is not None and events.flushes:
-            plan.out.append(tuple(zip(*events.flushes)))
         columns.version[accessed] = batch_id
         if rule.second_chance:
             columns.referenced[hits] = True
         self._stamp(accessed if rule.touch_restamps else events.inserted if events else ())
         if events is not None:
-            events.write_back()
+            events.write_back(pending, plan)
+        return len(accessed)
 
     def _candidates(self, chunk: int) -> Iterator[tuple]:
-        """Listed slots, oldest stamp first, each as ``(slot, first touch
-        in the segment being planned, version, dirty, row, key, updated,
-        referenced)`` — fetched ``chunk`` at a time (then twice that, …),
-        so a round pays for the candidates it examines, not for sorting
-        the cache."""
+        """Listed slots, oldest stamp first, as column blocks (see
+        :meth:`_describe`) — ``chunk`` of them, then twice that, …, so a
+        round pays for the candidates it examines, not for sorting the
+        cache."""
         columns = self.index.columns
         after = -1
         while True:
@@ -390,14 +427,16 @@ class PipelinedCache:
                 slots, stamps = slots[oldest], stamps[oldest]
             slots = slots[np.argsort(stamps)]
             after = int(columns.stamp[slots[-1]])
-            yield from self._describe(slots)
+            yield self._describe(slots)
             chunk *= 2
 
-    def _describe(self, slots: np.ndarray) -> Iterator[tuple]:
+    def _describe(self, slots: np.ndarray) -> tuple:
+        """``(slots, first touch in the segment being planned, version,
+        referenced, dirty, row, updated)`` of victim candidates."""
         columns = self.index.columns
-        fields = (self._first, columns.version, columns.dirty, columns.row,
-                  columns.key, columns.updated, columns.referenced)
-        return zip(slots.tolist(), *(field[slots].tolist() for field in fields))
+        fields = (self._first, columns.version, columns.referenced, columns.dirty,
+                  columns.row, columns.updated)
+        return (slots, *(field[slots] for field in fields))
 
     def _move(self, plan: SimpleNamespace, processed: int) -> MaintainResult:
         """Move the rows a round planned, in blocks.
@@ -407,10 +446,11 @@ class PipelinedCache:
         row's bytes cannot change inside a round (no update runs), which
         is what lets the moves be reordered:
 
-        1. gather the rows that leave from the arena, ``store.put``;
+        1. gather the rows that leave from the arena, ``store.put`` —
+           from the heads the slots carry to the heads it returns;
         2. ``store.read_latest`` the rows that arrive (after the put,
-           so a key evicted and re-loaded in the round reads what it
-           just wrote);
+           so a key evicted and re-loaded in the round reads, at the
+           head that put just returned, what it just wrote);
         3. ``store.put`` the rare flushes of rows that arrived in this
            very round (loaded and evicted again: their bytes are in the
            block just read, never in the arena);
@@ -419,58 +459,50 @@ class PipelinedCache:
         5. scatter the arrived rows into freshly allocated arena rows.
         """
         columns, value_mode = self.index.columns, self.arena is not None
-        loads = np.asarray(plan.loads, dtype=np.int64)
-        load_keys = columns.key[loads]
+        loads = np.concatenate(plan.loads) if plan.loads else np.empty(0, np.int64)
         late = None
         if plan.out:
-            keys, versions, rows = (
-                np.concatenate([np.asarray(part[i], dtype=dtype) for part in plan.out])
-                for i, dtype in enumerate((np.uint64, np.int64, np.int64))
-            )
-            if value_mode and rows.min() < 0:
+            slots, versions, rows = (np.concatenate(column) for column in zip(*plan.out))
+            if value_mode and len(rows) and rows.min() < 0:
                 late = rows < 0
-                late_keys, late_versions = keys[late], versions[late]
-                keys, versions, rows = keys[~late], versions[~late], rows[~late]
-            if len(keys):
-                self._store_rows(keys, versions, self._gather(rows))
+                late_slots, late_versions = slots[late], versions[late]
+                slots, versions, rows = slots[~late], versions[~late], rows[~late]
+            if len(slots):
+                self._store_rows(slots, versions, self._gather(rows))
         block = None
         if len(loads):
-            block = self.store.read_latest(load_keys)[1]
+            block = self.store.read_latest(columns.head[loads])[1]
             self._moved("pmem.load", len(loads))
-        if late is not None or plan.transient:
-            # key -> index of its last load (any of its loads read the
-            # same bytes; the last one is the one that may land).
-            loaded_at = {key: i for i, key in enumerate(load_keys.tolist())}
+        # Position in ``loads`` of each slot's last load (any of its
+        # loads read the same bytes; the last is the one that may land).
+        last = len(loads) - 1 - self._first_touch(loads[::-1])[::-1]
         if late is not None:
-            at = [loaded_at[key] for key in late_keys.tolist()]
-            self._store_rows(late_keys, late_versions, block[at])
+            at = len(loads) - 1 - self._first[late_slots]
+            self._store_rows(late_slots, late_versions, block[at])
+        self._first[loads] = _NEVER
         for __ in range(plan.completed):
             head = self.coordinator.complete_head()
             self.metrics.checkpoints_completed += 1
             self.tracer.instant("checkpoint.completed", track="checkpoint", batch=head)
+        loaded = len(loads)
         if value_mode:
-            self.arena.free_many(np.asarray(plan.freed, dtype=np.int64))
-            if plan.transient:
-                # Some row arrived and left again inside the round: only
-                # an entry's last load, and only if it stayed, lands.
-                stayed = (columns.handle[loads] & 1) == 0
-                last = [
-                    i
-                    for i, key in enumerate(load_keys.tolist())
-                    if stayed[i] and loaded_at[key] == i
-                ]
-                loads, block = loads[last], block[last]
+            if plan.freed:
+                self.arena.free_many(np.concatenate(plan.freed))
+            # A row may arrive and leave again inside the round: only an
+            # entry's last load, and only if it stayed, lands.
+            stayed = (columns.handle[loads] & 1) == 0
+            lands = np.flatnonzero(stayed & (last == np.arange(loaded)))
+            if len(lands) < loaded:
+                loads, block = loads[lands], block[lands]
             if len(loads):
                 rows = columns.row[loads] = self.arena.alloc_many(len(loads))
                 self.arena.data[rows] = block
-        self.metrics.pmem_load_entries += len(plan.loads)
-        self.metrics.cache.loads += len(plan.loads)
+        self.metrics.pmem_load_entries += loaded
+        self.metrics.cache.loads += loaded
         self.metrics.pmem_flush_entries += plan.flushes
         self.metrics.cache.flushes += plan.flushes
         self.metrics.cache.evictions += plan.evictions
-        return MaintainResult(
-            processed, len(plan.loads), plan.flushes, plan.evictions, plan.completed
-        )
+        return MaintainResult(processed, loaded, plan.flushes, plan.evictions, plan.completed)
 
     # ------------------------------------------------------------------
     # update (push) path
@@ -568,7 +600,7 @@ class PipelinedCache:
             rows = columns.row[slots]
             block = self.arena.data[rows]
             if len(cold):
-                block[cold] = self.store.read_latest(columns.key[slots[cold]])[1]
+                block[cold] = self.store.read_latest(columns.head[slots[cold]])[1]
             self.optimizer.apply_batch(
                 block[:, : self.dim],
                 block[:, self.dim :] if self.state_width else None,
@@ -577,9 +609,8 @@ class PipelinedCache:
             resident = rows >= 0 if len(cold) else slice(None)
             self.arena.data[rows[resident]] = block[resident]
         if len(cold):
-            self.store.put(
-                columns.key[slots[cold]], batch_id, None if block is None else block[cold]
-            )
+            stored = None if block is None else block[cold]
+            self._store_rows(slots[cold], batch_id, stored, traced=False)
             columns.dirty[slots[cold]] = False  # the store holds this state
             self.metrics.pmem_flush_entries += len(cold)
         self.metrics.updates += len(slots)
@@ -624,12 +655,9 @@ class PipelinedCache:
         self._listed = 0
         return len(cached)
 
-    def adopt(self, key: int, version: int) -> None:
-        """:meth:`adopt_many` for one key."""
-        self.adopt_many([key], [version])
-
-    def adopt_many(self, keys: Sequence[int], versions: Sequence[int]) -> None:
-        """Register ``keys`` as existing and PMem-resident at ``versions``.
+    def adopt_many(self, keys: Sequence[int], versions, heads) -> None:
+        """Register ``keys`` as existing and PMem-resident at ``versions``,
+        their newest durable versions being the store's slots ``heads``.
 
         For keys whose durable rows reached the store from outside the
         training path (a migration transfer, a recovery scan, a restored
@@ -645,23 +673,25 @@ class PipelinedCache:
         slots = self.index.insert_many(keys, Location.PMEM)
         columns = self.index.columns
         columns.version[slots] = columns.updated[slots] = versions
+        columns.head[slots] = heads
 
-    def drop_entry(self, entry: EntryView) -> None:
-        """Remove ``entry`` from every cache structure (ownership drop).
+    def drop_slots(self, slots: np.ndarray) -> None:
+        """Remove the entries at ``slots`` from every cache structure
+        (ownership drop), as one block.
 
-        Used when a key leaves the node entirely (shard migration): the
-        stamp, arena row, index cell and slot all go at once, so a batch
-        probe can never resolve a departed key — and the slot is scrubbed
-        from the access queue, so a pull still waiting for its
-        maintenance round cannot resurrect it (or touch whichever key
-        the recycled slot belongs to by then). The caller drops the
-        durable versions from the store.
+        Used when keys leave the node entirely (shard migration): the
+        stamps, arena rows, index cells and slots all go at once, so a
+        batch probe can never resolve a departed key — and the slots are
+        scrubbed from the access queue, so a pull still waiting for its
+        maintenance round cannot resurrect one (or touch whichever key a
+        recycled slot belongs to by then). The caller drops the durable
+        versions from the store first: a freed slot's ``head`` is gone.
         """
-        slot = np.array([entry.slot], dtype=np.int64)
-        self._listed -= int(self.index.columns.stamp[entry.slot] >= 0)
-        self._release(slot)
-        self.access_queue.discard(slot)
-        self.index.remove(entry.key)
+        columns = self.index.columns
+        self._listed -= int(np.count_nonzero(columns.stamp[slots] >= 0))
+        self._release(slots)
+        self.access_queue.discard(slots)
+        self.index.remove_many(columns.key[slots])
 
     # ------------------------------------------------------------------
     # introspection
@@ -688,7 +718,7 @@ class PipelinedCache:
         if entry is None:
             raise KeyNotFoundError(key)
         if not entry.in_dram:
-            rows = self.store.read_latest([key])[1]
+            rows = self.store.read_latest([entry.head])[1]
             return None if rows is None else rows[0]
         return None if self.arena is None else self.arena.data[entry.row].copy()
 
@@ -709,7 +739,7 @@ class PipelinedCache:
         weights = self.arena.data[columns.row[slots], : self.dim]
         cold = np.flatnonzero(columns.handle[slots] & 1)
         if len(cold):
-            weights[cold] = self.store.read_latest(keys[cold])[1][:, : self.dim]
+            weights[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
         return dict(zip(keys.tolist(), weights))
 
     def validate(self) -> None:
@@ -766,16 +796,19 @@ class PipelinedCache:
         """Copy of arena rows ``rows`` (None in metadata-only mode)."""
         return None if self.arena is None else self.arena.data[rows]
 
-    def _store_rows(self, keys, versions, block: np.ndarray | None) -> None:
+    def _store_rows(self, slots: np.ndarray, versions, block, traced: bool = True) -> None:
         """One bulk move DRAM -> PMem: ``block[i]`` becomes version
-        ``versions[i]`` of ``keys[i]``."""
-        self.store.put(keys, versions, block)
-        self._moved("pmem.store", len(keys))
+        ``versions[i]`` of the entry at ``slots[i]`` — one ``store.put``
+        from the slots' heads to their new ones (a slot may repeat: all
+        its positions then report its final head)."""
+        columns = self.index.columns
+        heads = self.store.put(columns.key[slots], columns.head[slots], versions, block)
+        columns.head[slots] = heads
+        if traced:
+            self._moved("pmem.store", len(slots))
 
     def _moved(self, event: str, rows: int) -> None:
-        self.tracer.instant(
-            event, track="pmem", rows=rows, bytes=rows * self.store.entry_bytes
-        )
+        self.tracer.instant(event, track="pmem", rows=rows, bytes=rows * self.store.entry_bytes)
 
     def _flush_slots(self, slots: np.ndarray, backfill: bool) -> None:
         """Persist resident ``slots`` at their current versions, as one
@@ -784,14 +817,14 @@ class PipelinedCache:
         if not len(slots):
             return
         columns = self.index.columns
-        keys, versions, rows = columns.key[slots], columns.version[slots], columns.row[slots]
+        flushed, versions, rows = slots, columns.version[slots], columns.row[slots]
         pending = self.coordinator.queue.pending() if backfill else ()
         if pending:
             behind, at = _backfill(versions, columns.updated[slots], pending)
-            keys = np.concatenate([keys, keys[behind]])
+            flushed = np.concatenate([slots, slots[behind]])
             versions = np.concatenate([versions, at[behind]])
             rows = np.concatenate([rows, rows[behind]])
-        self._store_rows(keys, versions, self._gather(rows))
+        self._store_rows(flushed, versions, self._gather(rows))
         columns.dirty[slots] = False
         self.metrics.pmem_flush_entries += len(slots)
         self.metrics.cache.flushes += len(slots)
@@ -809,164 +842,250 @@ class _Events:
     """The part of a segment that is not a hit: arrivals and evictions.
 
     Arrivals are the first positions of the accessed slots that are not
-    listed. Walking them in order (merged with a heap of positions that
-    become arrivals on the way: a later access of a slot evicted here, or
-    of a PMem-resident slot the admission filter turned away), each one
-    loads or adopts its slot and lists it; whenever the list is over
-    capacity the next victim candidate — listed slots, oldest stamp
-    first — is examined, and the policy either protects it at this
-    position (LRU: it was touched earlier in the segment and is no longer
-    old; CLOCK: it is referenced — clear the bit and requeue it as the
-    newest) or it is evicted.
+    listed, merged in position order with a heap of positions that become
+    arrivals on the way: a later access of a slot evicted here, or of a
+    PMem-resident slot the admission filter turned away. Each one loads
+    or adopts its slot and lists it; the ``k``-th arrival past the free
+    room owes the ``k``-th eviction, which takes the next victim
+    candidate — listed slots, oldest stamp first — the policy does not
+    protect at that arrival's position (LRU: it was touched earlier in
+    the segment and is no longer old; CLOCK: it is referenced — clear
+    the bit and requeue it as the newest).
+
+    **The walk visits decisions, not rows.** A candidate needs to know
+    where the walk stands only if it is touched in the segment (protected
+    or not, what it is evicted with, when it comes back), if CLOCK may
+    spare it, or if its version is past the oldest pending checkpoint
+    (its eviction may complete one). Every other candidate is evicted
+    whenever its turn comes, with no side effect on the walk, so a *run*
+    of ``u`` of them between two decisions is not walked: it absorbs the
+    next ``u`` evictions owed, and the arrivals that owe them are
+    *counted* — the sorted static arrivals are jumped with one ``bisect``
+    up to the next reload, and only reloads are stepped through.
+    Eviction ``j`` is owed by arrival number ``j + free + 1`` (``free``,
+    the room before the segment, may be negative: a list over capacity
+    evicts at position 0), which is all the arithmetic there is. What the
+    evictions produce — flushes, backfills, freed rows — is computed
+    afterwards as column gathers over the examined candidates less the
+    protected ones: candidate order *is* eviction order, because every
+    eviction takes the first candidate not yet consumed.
 
     A segment is at most ``capacity_entries`` accesses long, so when the
     list is over capacity the slots touched so far cannot fill it: an
     untouched slot listed before the segment is always left, and under
-    LRU and FIFO it is older than everything the segment listed. Only
-    CLOCK, which requeues, can walk past them into this segment's own
-    insertions (``requeue``).
+    LRU it is older than everything the segment listed. FIFO and CLOCK
+    (which requeues) can run out of slots listed before the segment; the
+    walk then *ends the segment* after the arrival it stands at
+    (``accessed`` is cut there) with evictions still owed, and the next
+    segment — for which this one's listings are ordinary candidates —
+    starts by paying them, before its first access (``carried``).
 
-    The walk reads the columns as the segment found them and writes none;
-    :meth:`write_back` applies what it decided.
+    The walk reads the columns as the segment found them and writes
+    nothing, ``pending`` included; :meth:`write_back` applies what it
+    decided once the pool is known to hold the flushes.
     """
 
-    def __init__(self, cache, accessed, due, batch_id, pending, plan):
-        self.cache, self.accessed, self.batch_id = cache, accessed, batch_id
-        self.pending, self.plan = pending, plan
-        self.size = cache._listed
-        # Slots to flush before their version advances, if they are
-        # still resident (and a checkpoint pending) when first touched.
-        self.flush_due = set(due.tolist())
-        self.flushes: list[tuple[int, int, int]] = []  # (key, version, row)
-        # slot -> version it was evicted (or turned away) with: slots the
-        # walk leaves PMem-resident and unlisted.
-        self.gone: dict[int, int] = {}
-        self.loaded: set[int] = set()  # loaded here and still listed
-        self.inserted: list[int] = []  # FIFO / CLOCK: (re)insertions, in order
-        # CLOCK: position a slot was last (re)inserted at — its bit was
-        # cleared there and is set by any access after it — and the bits
-        # of the slots the walk inserted, when it ends.
-        self.since: dict[int, int] = {}
-        self.referenced: dict[int, bool] = {}
-        self.next = None  # see later()
+    def __init__(self, cache, accessed, arrivals, due, batch_id, pending, carried):
+        """Walk the segment ``accessed`` (whose ``arrivals`` are the
+        first positions of its unlisted slots); ``due`` are the slots to
+        flush before their version advances, if they are still resident
+        (and a checkpoint pending) when first touched."""
+        self.cache, self.accessed = cache, accessed
+        self.pending, self.carried, self.due, self.next = pending, carried, due, None  # later()
+        pending = list(pending)  # the walk's own copy
+        columns, rule, first = cache.index.columns, cache._rule, cache._first
+        admission, later = cache.admission, self.later
+        arrived = accessed[arrivals]
+        cold = (columns.handle[arrived] & 1) != 0
+        # ``gone``: slot -> the candidate it was evicted as (-1: it was
+        # never listed), for the slots that are to arrive again — at the
+        # positions in the ``reloads`` heap.
+        gone, reloads = {}, []
+        if admission is not None:
+            # Every cold arrival asks the filter: it is walked as the
+            # reload of a slot that is gone from the start.
+            gone = dict.fromkeys(arrived[cold].tolist(), -1)
+            reloads = arrivals[cold].tolist()
+            arrivals, arrived, cold = arrivals[~cold], arrived[~cold], cold[~cold]
+        static, free = arrivals.tolist(), cache.capacity_entries - cache._listed
+        # (2 * position, + 1 for a requeued candidate: it follows the
+        # arrival at its position; slot) of what the walk lists one at a
+        # time. The static arrivals list themselves.
+        listings: list[tuple] = []
+        blocks = [cache._describe(arrivals[:0])]  # candidates examined, in order
+        # Candidates by what was decided; ``completions`` holds one per
+        # checkpoint completed: the candidate whose eviction completed it.
+        protected, returned, advanced, completions = [], [], [], []
+        taken = at = examined = evicted = steps = 0
+        position, unbarred = -1 if self.carried else 0, _NEVER
 
-    def walk(self, arrivals: np.ndarray) -> None:
-        cache, plan, accessed, pending = self.cache, self.plan, self.accessed, self.pending
-        columns, rule, capacity = cache.index.columns, cache._rule, cache.capacity_entries
-        admission, value_mode = cache.admission, cache.arena is not None
-        flush_clean = not cache.config.track_dirty
-        batch_id, later, first = self.batch_id, self.later, cache._first
-        gone, loaded, flush_due = self.gone, self.loaded, self.flush_due
-        inserted, since = self.inserted, self.since
-        loads, freed, flush = plan.loads, plan.freed, self.flushes.append
-        examined = flushes = evictions = 0
-        slots = accessed[arrivals]
-        cold, versions = columns.handle[slots] & 1, columns.version[slots]
-        static = list(zip(*(a.tolist() for a in (arrivals, slots, cold, versions))))
-        static.reverse()
-        candidates = cache._candidates(len(static) + 64)
-        reloads: list[int] = []
-        size, requeued = self.size, 0  # requeued: how far into ``inserted``
-        if size > capacity and not (static and static[-1][0] == 0):
-            reloads.append(0)  # over capacity before the round: evict at once
-        # (a slot never accessed again "reloads" at _NEVER: the heap's dregs)
-        while static or (reloads and reloads[0] < _NEVER):
-            if static and (not reloads or static[-1][0] < reloads[0]):
-                position, slot, cold, version = static.pop()
-            else:
+        def take(target: int) -> bool:
+            """Let arrivals in, in position order, until ``target`` of
+            them are listed; False when they run out first."""
+            nonlocal taken, at, position, steps
+            while taken < target:
+                stop = bisect_left(static, reloads[0], at) if reloads else len(static)
+                if stop > at:  # static arrivals up to the next reload: counted
+                    jump = min(stop - at, target - taken)
+                    at, taken = at + jump, taken + jump
+                    position = static[at - 1]
+                    continue
+                if not reloads:
+                    return False
+                steps += 1
                 position = heapq.heappop(reloads)
                 slot = int(accessed[position])
-                # Not gone: nothing arrives, the list is just too long.
-                cold, version = slot in gone, gone.pop(slot, None)
-            if cold and admission is not None:
-                if not admission.should_admit(int(columns.key[slot])):
+                if admission is not None and not admission.should_admit(int(columns.key[slot])):
                     # Admission filter (extension): a cold key stays in
                     # PMem — its durable copy remains authoritative and
                     # its version does not advance, so checkpoint
                     # bookkeeping is untouched. Its next access asks again.
-                    gone[slot] = version
-                    heapq.heappush(reloads, later(slot, position))
+                    if (again := later(slot, position)) < _NEVER:
+                        heapq.heappush(reloads, again)
                     continue
-            if cold:  # Algorithm 2 ``loadToDRAM``: promote the newest version
-                loads.append(slot)
-                loaded.add(slot)
-            if version is not None:
-                size += 1
+                if (index := gone.pop(slot)) >= 0:
+                    returned.append(index)
+                listings.append((2 * position, slot))  # ``loadToDRAM``
+                taken += 1
+            return True
+
+        def decisions() -> Iterator[tuple]:
+            """The candidates that need a decision, each as ``(index among
+            the candidates, slot, first touch, version, referenced)``; a
+            negative slot is no candidate: -1 closes a block of candidates
+            (a run may end there), -2 says none is left."""
+            barrier, total = pending[0] if pending else _NEVER, 0
+            for block in cache._candidates(2 * (len(static) + len(reloads)) + 64):
+                blocks.append(block)
+                slots, touch, version, referenced = block[:4]
+                ask = (touch < _NEVER) | (version > barrier) | (referenced & rule.second_chance)
+                ask = np.flatnonzero(ask)
+                yield from zip(
+                    (ask + total).tolist(), slots[ask].tolist(), touch[ask].tolist(),
+                    version[ask].tolist(), referenced[ask].tolist(),
+                )
+                total += len(slots)
+                yield total, -1, 0, 0, False
+            yield total, -2, 0, 0, False
+
+        if free < 0 and not self.carried and 0 in (static[:1] + reloads[:1]):
+            take(1)  # the arrival at position 0 is in before its evictions
+        for index, slot, touch, version, referenced in decisions():
+            # The candidates before this one concern no decision: the next
+            # evictions owed take them, as far as the arrivals go; one more
+            # arrival owes the eviction this decision is about.
+            run = index - examined
+            short = evicted + run + free + 1 - taken
+            if short > 0:
+                stop = bisect_left(static, reloads[0], at) if reloads else len(static)
+                if stop - at >= short:  # static arrivals, all of them: counted
+                    at, taken = at + short, taken + short
+                    position = static[at - 1]
+                elif not take(taken + short):
+                    run = max(0, min(run, taken - free - evicted))
+                    examined, evicted = examined + run, evicted + run
+                    break  # no eviction is owed any more: the arrivals are all in
+            examined, evicted, steps = index, evicted + run, steps + 1
+            if slot < 0:
+                if slot == -1:
+                    continue
+                # Every slot listed before the segment is spoken for: it
+                # ends here, after the arrival the walk stands at.
+                self.accessed = accessed[: position + 1]
+                break
+            examined += 1
+            touched = touch <= position
+            if touched and rule.touch_restamps or rule.second_chance and (referenced or touched):
+                protected.append(index)
+                if rule.second_chance:  # requeued as the newest, its bit cleared
+                    listings.append((2 * position + 1, slot))
+                continue
+            again = touch
+            if touched:
+                version, again = batch_id, later(slot, position)
+                advanced.append(index)
+            if pending and version > pending[0]:
+                # Algorithm 2 lines 23-28: once the oldest cached
+                # version has moved past the on-going checkpoint,
+                # every entry it needs is (planned) durable. The
+                # paper's one-comparison test is sound ONLY under
+                # LRU, where stamp order equals version order; FIFO
+                # and CLOCK keep insertion order, so they scan for
+                # the true minimum cached version instead.
+                floor = version
                 if not rule.touch_restamps:
-                    inserted.append(slot)
-                    since[slot] = position
-            while size > capacity:
-                while True:  # next victim the policy does not protect
-                    examined += 1
-                    victim = next(candidates, None)
-                    if victim is None:
-                        # Past every slot listed before the segment: on
-                        # to its own insertions, in order.
-                        if requeued == len(inserted):
-                            raise ServerError("cache is over capacity with no victim")
-                        (victim,) = cache._describe(np.array([inserted[requeued]]))
-                        requeued += 1
-                    slot, touch, version, dirty, row, key, updated, spared = victim
-                    touched = touch <= position
-                    if touched and rule.touch_restamps:
-                        continue
-                    if rule.second_chance:
-                        if slot in since:
-                            spared = later(slot, since[slot]) <= position
-                        if spared or (touched and slot not in since):
-                            inserted.append(slot)
-                            since[slot] = position
-                            continue
-                    break
-                if slot in loaded:
-                    loaded.discard(slot)
-                    dirty, row = False, -1
-                again = touch
-                if touched:
-                    version, again = batch_id, later(slot, position)
-                    dirty = dirty and slot not in flush_due
-                elif flush_due:
-                    flush_due.discard(slot)  # evicted before its touch
-                if pending and version > pending[0]:
-                    # Algorithm 2 lines 23-28: once the oldest cached
-                    # version has moved past the on-going checkpoint,
-                    # every entry it needs is (planned) durable. The
-                    # paper's one-comparison test is sound ONLY under
-                    # LRU, where stamp order equals version order; FIFO
-                    # and CLOCK keep insertion order, so they scan for
-                    # the true minimum cached version instead.
-                    floor = version
-                    if not rule.touch_restamps:
-                        floor = self._min_listed_version(position, size)
-                    while pending and floor > pending[0]:
-                        del pending[0]
-                        plan.completed += 1
-                    if not pending:  # no barrier left for later touches
-                        flush_due -= {due for due in flush_due if first[due] > position}
-                size -= 1
-                if dirty or flush_clean:
-                    flush((key, version, row))
-                    flushes += 1
-                if pending:  # _backfill, for one row
-                    at = bisect_left(pending, updated)
-                    if at < len(pending) and pending[at] < version:
-                        flush((key, pending[at], row))
-                if row >= 0:
-                    freed.append(row)
-                elif value_mode:
-                    plan.transient += 1
-                gone[slot] = version
-                evictions += 1
+                    # ... over the slots listed before the segment, at the
+                    # batch id if touched by now, less those that have left
+                    # — plus, at the batch id, whatever the segment listed.
+                    old = np.flatnonzero(columns.stamp >= 0)
+                    floor = np.where(first[old] <= position, batch_id, columns.version[old])
+                    left = np.ones(index, dtype=bool)
+                    left[protected + returned] = False
+                    left = np.concatenate([block[0] for block in blocks])[:index][left]
+                    floor[np.isin(old, left)] = _NEVER
+                    floor = np.append(floor, batch_id if taken > len(returned) else _NEVER).min()
+                while pending and floor > pending[0]:
+                    completions.append(index)
+                    del pending[0]
+                if not pending:
+                    unbarred = position  # no barrier left for later touches
+            evicted += 1
+            if again < _NEVER:
+                gone[slot] = index
                 heapq.heappush(reloads, again)
-        self.size = size
-        plan.candidates += examined
-        plan.flushes += flushes
-        plan.evictions += evictions
-        if rule.second_chance:
-            self.referenced = {
-                slot: slot not in gone and later(slot, position) < _NEVER
-                for slot, position in since.items()
-            }
+        if self.accessed is accessed:
+            take(_NEVER)
+        self.size, self.examined, self.steps = cache._listed + taken - evicted, examined, steps
+
+        # What the decisions produce, as arrays over the candidates.
+        slots, __, version, __, dirty, row, updated = (
+            np.concatenate(column)[:examined] for column in zip(*blocks)
+        )
+        evicted, late = np.ones(examined, dtype=bool), np.zeros(examined, dtype=bool)
+        evicted[protected], late[advanced] = False, True
+        version[late] = batch_id
+        # A due slot is not flushed at its touch if it was evicted before
+        # it, if no checkpoint was pending any more, or if the walk cut the
+        # segment before it; one evicted after that flush leaves clean.
+        if len(self.due):
+            due, touch = self.due, first[self.due]
+            self.due = due = due[
+                (touch <= unbarred) & (touch < len(self.accessed))
+                & ~np.isin(due, slots[evicted & ~late])
+            ]
+            dirty[late & np.isin(slots, due)] = False
+        stays = evicted.copy()  # gone for good: evicted and not let in again
+        stays[returned] = False
+        # ... and the cold slots the admission filter never let in.
+        barred = np.array([slot for slot, index in gone.items() if index < 0], dtype=np.int64)
+        self.gone = np.concatenate([slots[stays], barred])
+        self.gone_version = np.concatenate([version[stays], columns.version[barred]])
+        order = np.flatnonzero(evicted)  # candidate order is eviction order
+        slots, version, row, updated = slots[order], version[order], row[order], updated[order]
+        # Every eviction flushes its row (unless clean and tracked) and
+        # then the version a pending checkpoint still lacks (_backfill):
+        # two planned rows per eviction, in that order, less the unneeded.
+        wanted = np.zeros((len(order), 2), dtype=bool)
+        stored = np.stack([version, version], axis=1)
+        wanted[:, 0] = dirty[order] | (not cache.config.track_dirty)
+        if self.pending:
+            done = np.searchsorted(completions, order, side="right")
+            wanted[:, 1], stored[:, 1] = _backfill(version, updated, self.pending, done)
+        self.pending, self.completed, self.freed = pending, len(completions), row[row >= 0]
+        wanted = wanted.ravel()
+        self.out = (
+            np.repeat(slots, 2)[wanted], stored.ravel()[wanted], np.repeat(row, 2)[wanted]
+        )
+        self.flushes, self.evictions = int(np.count_nonzero(wanted[::2])), len(order)
+        # What the segment listed, in order: the static arrivals let in
+        # and the one-at-a-time listings, an arrival ahead of the
+        # candidates requeued at its position. All of it is still listed.
+        when, listed = np.array(listings, dtype=np.int64).reshape(-1, 2).T
+        when = np.concatenate([2 * arrivals[:at], when])
+        order = np.argsort(when, kind="stable")
+        self.inserted = np.concatenate([arrived[:at], listed])[order]
+        self.inserted_at = when[order] >> 1
+        self.loads = self.inserted[np.concatenate([cold[:at], when[at:] & 1 == 0])[order]]
 
     def later(self, slot: int, position: int) -> int:
         """The first access of ``slot`` after ``position`` in the
@@ -975,54 +1094,44 @@ class _Events:
         if self.next is None:
             accessed = self.accessed
             order = np.argsort(accessed, kind="stable")
-            repeat = np.flatnonzero(accessed[order[1:]] == accessed[order[:-1]])
+            repeated = np.flatnonzero(accessed[order[1:]] == accessed[order[:-1]])
             following = np.full(len(order), _NEVER, dtype=np.int64)
-            following[order[repeat]] = order[repeat + 1]
+            following[order[repeated]] = order[repeated + 1]
             self.next = following.tolist()
         at = int(self.cache._first[slot])
         while at <= position:
             at = self.next[at]
         return at
 
-    def _min_listed_version(self, position: int, size: int) -> int:
-        """Minimum version across the list as the walk stands at
-        ``position`` (policy-agnostic scan): the slots listed before the
-        segment that have not left, at the batch id if touched by now,
-        plus — at the batch id — whatever the segment listed."""
-        cache, gone = self.cache, self.gone
-        columns = cache.index.columns
-        slots = np.flatnonzero(columns.stamp >= 0)
-        slots = slots[~np.isin(slots, np.fromiter(gone, np.int64, len(gone)))]
-        versions = np.where(
-            cache._first[slots] <= position, self.batch_id, columns.version[slots]
-        )
-        if size > len(slots):
-            versions = np.append(versions, self.batch_id)
-        return int(versions.min())
-
-    def write_back(self) -> None:
-        """Apply the walk to the columns (after the hits' defaults)."""
-        cache = self.cache
-        columns = cache.index.columns
-        loaded = np.fromiter(self.loaded, np.int64, len(self.loaded))
-        columns.handle[loaded] = loaded << 1
-        columns.row[loaded] = -1  # lands when the round moves its rows
-        columns.dirty[loaded] = False
-        gone = np.fromiter(self.gone, np.int64, len(self.gone))
+    def write_back(self, pending: list[int], plan: SimpleNamespace) -> None:
+        """Apply the walk: its share of the round's plan, the request
+        queue as it left it, the columns (after the hits' defaults)."""
+        cache, columns = self.cache, self.cache.index.columns
+        pending[:] = self.pending
+        for name in ("out", "loads", "freed"):
+            getattr(plan, name).append(getattr(self, name))
+        for name in ("flushes", "evictions", "completed", "examined", "steps"):
+            setattr(plan, name, getattr(plan, name) + getattr(self, name))
+        columns.handle[self.loads] = self.loads << 1
+        columns.row[self.loads] = -1  # lands when the round moves its rows
+        columns.dirty[self.loads] = False
+        gone = self.gone
+        columns.version[gone] = self.gone_version
         columns.handle[gone] = (gone << 1) | 1
-        columns.version[gone] = np.fromiter(self.gone.values(), np.int64, len(gone))
         if cache._rule.second_chance:
             # Whatever was evicted had its bit clear; accesses after that
-            # (hits by the defaults) did not set it.
+            # (hits by the defaults) did not set it. What the segment
+            # listed has it set by any access after the listing.
             columns.referenced[gone[columns.stamp[gone] >= 0]] = False
-            slots = np.fromiter(self.referenced, np.int64, len(self.referenced))
-            columns.referenced[slots] = list(self.referenced.values())
+            last = np.full(len(columns.stamp), -1)
+            np.maximum.at(last, self.accessed, np.arange(len(self.accessed)))
+            columns.referenced[self.inserted] = last[self.inserted] > self.inserted_at
         columns.stamp[gone] = columns.row[gone] = -1
         columns.dirty[gone] = False
         cache._listed = self.size
 
 
-def _backfill(version, updated, pending: Sequence[int]):
+def _backfill(version, updated, pending: Sequence[int], done=0):
     """The pending checkpoint a flush must also be stamped at, if any.
 
     Read-only traffic (evaluation pulls, serving warm-up) advances an
@@ -1035,9 +1144,11 @@ def _backfill(version, updated, pending: Sequence[int]):
     it too. Barriers below ``updated`` were already served by
     flush-before-advance when the update landed.
 
-    Takes scalars or arrays; returns ``(needed, barrier)``.
+    ``done`` says how many of ``pending`` (oldest first) had completed
+    when the row was flushed. Takes scalars or arrays; returns ``(needed,
+    barrier)``.
     """
     pending = np.asarray(pending)
-    at = np.searchsorted(pending, updated)  # smallest barrier >= updated
+    at = np.maximum(np.searchsorted(pending, updated), done)  # smallest barrier >= updated
     barrier = pending[np.minimum(at, len(pending) - 1)]
     return (at < len(pending)) & (barrier < version), barrier

@@ -6,7 +6,8 @@ bit to indicate whether the target embedding entry is in DRAM or PMem"*
 mechanism literally: index handles are integers whose low bit is the
 location tag and whose upper bits are an entry slot.
 
-An entry is not an object. Everything the cache knows about a key is one
+An entry is not an object. Everything the node knows about a key — the
+PMem pointer of its newest durable version included — is one
 position — its **slot** — of the :class:`EntryColumns` arrays, so a
 batch of thousands of keys is probed, versioned, flushed and reordered
 with array operations and no Python step per key. :class:`EntryView`
@@ -62,6 +63,7 @@ _COLUMNS = (
     ("referenced", np.bool_, False),
     ("row", np.int64, -1),
     ("stamp", np.int64, -1),
+    ("head", np.int64, -1),
 )
 
 
@@ -91,6 +93,10 @@ class EntryColumns:
             the maintainer). Stamps come from one monotone clock, so
             ``argsort(stamp)`` over the listed slots *is* the list the
             replacement policy evicts from.
+        head: the PMem pointer — slot of the key's newest durable
+            version in the store's slab (``-1``: none yet). The store
+            keeps no key map of its own: every call into it takes the
+            heads of the keys it concerns and returns the new ones.
 
     Growth replaces the arrays, so callers read them through this object
     and never hold one across an :meth:`alloc`.

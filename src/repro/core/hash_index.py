@@ -84,17 +84,21 @@ class HashIndex:
         self._place(keys, slots)
         return slots
 
-    def remove(self, key: int) -> None:
-        """Drop ``key`` entirely (entry leaves the node).
+    def remove_many(self, keys: np.ndarray) -> None:
+        """Drop ``keys`` (distinct) entirely: the entries leave the node.
 
         Raises:
-            KeyError: unknown key.
+            KeyError: an unknown key (nothing is removed).
         """
-        cell = int(self._probe(np.array([key], dtype=np.uint64))[0])
-        if cell < 0:
-            raise KeyError(key)
-        self.columns.free(self._slots[cell : cell + 1].copy())
-        self._slots[cell] = _TOMB
+        cells = self._probe(keys)
+        if len(cells) and cells.min() < 0:
+            raise KeyError(int(keys[cells < 0][0]))
+        self.columns.free(self._slots[cells])
+        self._slots[cells] = _TOMB
+
+    def remove(self, key: int) -> None:
+        """:meth:`remove_many` for one key."""
+        self.remove_many(np.array([key], dtype=np.uint64))
 
     # ------------------------------------------------------------------
     # one-key introspection (tests, node tooling)

@@ -258,16 +258,16 @@ class PSNode:
                 f"(newest completed: {latest})"
             )
         dim = self.server_config.embedding_dim
-        initializer = self.cache.initializer
+        keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
-        versions, stored = self.store.read_at_most(keys, snapshot_id)
+        versions, stored = self.store.read_at_most(self._heads(keys), snapshot_id)
         weights = np.empty((n, dim), dtype=np.float32)
         if stored is not None:  # None: this shard never stored a row
             weights[:] = stored[:, :dim]
-        missing = np.flatnonzero(versions == NO_VERSION).tolist()
-        for i in missing:
-            weights[i] = initializer(int(keys[i]))
+        missing = np.flatnonzero(versions == NO_VERSION)
         cold = len(missing)
+        if cold:
+            weights[missing] = self.cache.initial_rows(keys[missing])
         hits = n - cold
         self.metrics.serving_lookups += 1
         self.metrics.serving_rows += n
@@ -366,7 +366,8 @@ class PSNode:
         state. The block's rows are the packed weights+optimizer-state
         arrays (None in metadata-only mode).
         """
-        return self.store.export(keys)
+        keys = np.asarray(keys, dtype=np.uint64)
+        return self.store.export(keys, self._heads(keys))
 
     def ingest_entries(self, block: EntryBlock) -> int:
         """Adopt transferred entries as PMem-resident keys.
@@ -386,16 +387,24 @@ class PSNode:
             )
         counts = block.nversions.astype(np.intp)
         held = np.flatnonzero(counts)
-        keys = block.keys[held].tolist()
-        for key in keys:
-            existing = self.cache.index.find(key)
-            if existing is not None:
-                self._drop_key(existing)
-        self.store.ingest(block)
-        if keys:
+        keys = block.keys[held]
+        self.drop_keys(keys)
+        heads = self.store.ingest(block)
+        if len(keys):
             starts = (np.cumsum(counts) - counts)[held]
-            self.cache.adopt_many(keys, np.maximum.reduceat(block.batch_ids, starts))
+            newest = np.maximum.reduceat(block.batch_ids, starts)
+            self.cache.adopt_many(keys, newest, heads[held])
         return len(keys)
+
+    def _heads(self, keys: np.ndarray) -> np.ndarray:
+        """The PMem pointer of every key: the node's one index resolves a
+        key to its slot, and the slot carries the head of the key's
+        durable chain (no slot, or no durable version yet: -1)."""
+        slots = self.cache.index.lookup(keys)
+        heads = self.cache.index.columns.head[slots]
+        if len(slots) and slots.min() < 0:
+            heads[slots < 0] = -1  # mask: slot -1 indexed some other key's head
+        return heads
 
     def drop_keys(self, keys) -> int:
         """Relinquish ownership: remove ``keys`` from every tier.
@@ -404,22 +413,17 @@ class PSNode:
         (end of the dual-ownership window). Unknown keys are ignored so
         the call is idempotent under RPC retry. Returns keys dropped.
         """
-        dropped = 0
-        for key in keys:
-            entry = self.cache.index.find(key)
-            if entry is None:
-                continue
-            self._drop_key(entry)
-            dropped += 1
-        return dropped
-
-    def _drop_key(self, entry) -> None:
-        # drop_entry clears every cache structure (order stamp, arena
-        # row, index cell, queued accesses) so neither a batch probe nor
-        # a pending maintenance round can resolve a departed key.
-        key = entry.key  # a view reads through to its slot: read before the drop
-        self.cache.drop_entry(entry)
-        self.store.drop_key(key)
+        index = self.cache.index
+        slots = index.lookup(np.unique(np.asarray(keys, dtype=np.uint64)))
+        slots = slots[slots >= 0]
+        # The store first: a freed slot no longer says where its chain is
+        # (nor whose it was). Then every cache structure at once — order
+        # stamp, arena row, index cell, queued accesses — so neither a
+        # batch probe nor a pending maintenance round can resolve a
+        # departed key.
+        self.store.drop(index.columns.head[slots])
+        self.cache.drop_slots(slots)
+        return len(slots)
 
     # ------------------------------------------------------------------
     # failure simulation

@@ -48,6 +48,10 @@ class AccessQueue:
         tasks = self._drain(batch_id)
         return np.concatenate(tasks) if tasks else np.empty(0, dtype=np.int64)
 
+    def requeue(self, batch_id: int, slots: np.ndarray) -> None:
+        """Put accesses a round could not process back at the head."""
+        self._tasks.appendleft((batch_id, slots))
+
     def discard(self, slots: np.ndarray) -> None:
         """Scrub ``slots`` from every pending task.
 

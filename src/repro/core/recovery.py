@@ -6,7 +6,10 @@ Batch ID, (2) and then reconstruct the hash index in DRAM."*
 
 :func:`recover_node` takes a surviving :class:`PmemPool` (what a node
 process leaves behind) and produces a fresh :class:`PSNode` whose live
-state is exactly the last completed checkpoint. It also returns a
+state is exactly the last completed checkpoint: one sweep over the slab's
+slot headers (``discard_newer_than``), one scan that relinks the version
+chains and names every key's head (``rebuild_from_pool``), one block
+insert into the node's only key map (``adopt_many``). It also returns a
 :class:`RecoveryReport` with the simulated recovery time, modelled as a
 sequential PMem scan of every stored version plus per-entry index
 rebuild cost — the two components the paper says dominate (Section
@@ -91,9 +94,7 @@ def recover_node(
     )
     store = node.store
 
-    # Step 0: the volatile version index died with the process; rebuild
-    # it from the slab's slot headers, then establish the recovery target.
-    store.rebuild_from_pool()
+    # Step 0: establish the recovery target.
     versions_scanned = store.total_versions()
     own_checkpoint = store.checkpointed_batch_id()
     if own_checkpoint < 0:
@@ -104,13 +105,16 @@ def recover_node(
             f"target checkpoint {checkpoint_id} newer than durable {own_checkpoint}"
         )
 
-    # Step 1: discard versions newer than the checkpoint.
+    # Step 1: scan PMem, discarding versions newer than the checkpoint.
     discarded = store.discard_newer_than(checkpoint_id)
 
-    # Step 2: reconstruct the DRAM hash index; every entry is
-    # PMem-resident (the DRAM cache refills as training resumes).
-    recovered = store.latest_versions()
-    node.cache.adopt_many(list(recovered), list(recovered.values()))
+    # Step 2: reconstruct the DRAM hash index — the node's one key map —
+    # from the slot headers that survive: one block insert, every entry
+    # PMem-resident at its newest surviving version, its slot carrying
+    # that version's PMem address (the DRAM cache refills as training
+    # resumes).
+    keys, heads, versions = store.rebuild_from_pool()
+    node.cache.adopt_many(keys, versions, heads)
 
     # The node resumes from the checkpoint; its coordinator state must
     # agree with what is durable.
@@ -120,7 +124,7 @@ def recover_node(
     node.latest_completed_batch = checkpoint_id
 
     sim_seconds = estimate_recovery_seconds(
-        entries=len(recovered),
+        entries=len(keys),
         versions=versions_scanned,
         entry_bytes=store.entry_bytes,
         calibration=calibration,
@@ -129,7 +133,7 @@ def recover_node(
     report = RecoveryReport(
         node_id=node_id,
         checkpoint_batch_id=checkpoint_id,
-        entries_recovered=len(recovered),
+        entries_recovered=len(keys),
         versions_scanned=versions_scanned,
         versions_discarded=discarded,
         sim_seconds=sim_seconds,
@@ -143,7 +147,7 @@ def recover_node(
         track="recovery",
         node=node_id,
         checkpoint=checkpoint_id,
-        entries=len(recovered),
+        entries=len(keys),
         discarded=discarded,
     )
     return node, report

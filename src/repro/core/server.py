@@ -602,9 +602,21 @@ class OpenEmbeddingServer:
             controller, buffer = node.staleness, node.aggregation
             cache = node.cache
             arena = cache.arena
+            stored_keys = int(np.count_nonzero(cache.index.columns.head >= 0))
             gauges = {
+                "repro_pmem_pool_used_bytes": node.pool.used_bytes,
+                "repro_pmem_pool_free_bytes": node.pool.free_bytes,
                 "repro_pmem_slab_rows": node.store.slab.rows,
                 "repro_pmem_slab_free_rows": node.store.slab.free_rows,
+                # Keys with a durable version (their slot carries a head),
+                # and how many versions each holds on average: 1 + the
+                # barriers that protect one — unbounded while requested
+                # checkpoints never complete.
+                "repro_pmem_stored_keys": stored_keys,
+                "repro_pmem_versions_per_key": (
+                    node.store.slab.rows / stored_keys if stored_keys else 0.0
+                ),
+                "repro_checkpoint_pending": len(node.coordinator.queue),
                 "repro_arena_rows": 0 if arena is None else len(arena),
                 "repro_arena_capacity_rows": 0 if arena is None else arena.capacity,
                 "repro_cache_resident_entries": cache.cached_entries,

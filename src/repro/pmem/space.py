@@ -20,26 +20,34 @@ at most ``1 + len(barriers)`` versions per key.
 
 **Layout.** A version is one slot of the pool's
 :class:`~repro.pmem.pool.EntrySlab`; the slot header carries its key and
-batch id. The store adds a volatile version index over the slots —
-``key -> slot of the newest version`` plus, per slot, the slot of the
-same key's next-older version — and speaks **blocks**: :meth:`put`,
-:meth:`read_latest` and :meth:`read_at_most` take a sequence of keys and
-cost one slab scatter or gather plus one index update, not a Python call
-chain per row. Whole keys change stores as an :class:`EntryBlock`:
-:meth:`export` gathers every retained version of some keys into four
-columns and :meth:`ingest` scatters such a block in, which is all that
-migration, replica rebuild and the wire ever see of an entry.
+batch id, and the store links every slot to the slot of the same key's
+next-older version (``_older``, volatile, rebuilt by the recovery scan).
+A key's versions are therefore one chain, addressed by its **head**: the
+slot of its newest version, ``-1`` for a key with none.
+
+**The store owns no key map.** The node has one index (Section V-A):
+the DRAM hash index, whose entry carries the PMem pointer — the ``head``
+column of :class:`repro.core.entry.EntryColumns`. Every call takes the
+heads of the keys it concerns and the writing calls return the new ones:
+:meth:`put`, :meth:`read_latest`, :meth:`read_at_most`, :meth:`export`,
+:meth:`ingest` and :meth:`drop` speak **blocks of slots** and cost one
+slab scatter or gather plus array operations on the chains, not a Python
+step per row. Keys only feed the slot headers, which is what
+:meth:`rebuild_from_pool` reads them back from. (``pmem/`` imports
+nothing from ``core/``; tests that want a key-taking store wrap this
+one in ``tests/harness/keyed_store.py``.) Whole keys change stores as an
+:class:`EntryBlock`: :meth:`export` gathers every retained version of
+some keys into four columns and :meth:`ingest` scatters such a block in,
+which is all that migration, replica rebuild and the wire ever see of an
+entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Sequence
-
 import numpy as np
 
-from repro.errors import PMemError, RecoveryError
+from repro.errors import PMemError
 from repro.pmem.pool import PmemPool
 
 CHECKPOINT_ID_FIELD = "checkpointed_batch_id"
@@ -87,8 +95,9 @@ class VersionedEntryStore:
         entry_bytes: payload size of one entry — the slot size of the
             pool's slab.
 
-    The version index is volatile DRAM state; after a crash it is
-    rebuilt by :meth:`rebuild_from_pool`.
+    The chain links are volatile DRAM state; after a crash they are
+    rebuilt by :meth:`rebuild_from_pool`, which also hands the caller the
+    head of every surviving key.
     """
 
     def __init__(self, pool: PmemPool, entry_bytes: int):
@@ -97,7 +106,6 @@ class VersionedEntryStore:
         self.pool = pool
         self.entry_bytes = entry_bytes
         self.slab = pool.slab(entry_bytes)
-        self._latest: dict[int, int] = {}
         self._older = np.full(self.slab.capacity, -1, dtype=np.intp)
         self._barriers = np.empty(0, dtype=np.int64)
         if CHECKPOINT_ID_FIELD not in pool.root.fields():
@@ -107,11 +115,14 @@ class VersionedEntryStore:
     # write path
     # ------------------------------------------------------------------
 
-    def put(self, keys: Sequence[int], versions, rows: np.ndarray | None) -> None:
-        """Persist ``rows[i]`` as version ``versions[i]`` of ``keys[i]``.
+    def put(self, keys, heads, versions, rows: np.ndarray | None) -> np.ndarray:
+        """Persist ``rows[i]`` as version ``versions[i]`` of ``keys[i]``,
+        whose newest stored version is slot ``heads[i]`` (-1: none).
 
-        ``versions`` is one batch id for the whole block or one per key;
-        ``rows`` is ``(len(keys), entry_bytes / 4)`` float32, or None in
+        Returns the new head of every position (every occurrence of a
+        repeated key reports that key's final head). ``versions`` is one
+        batch id for the whole block or one per key; ``rows`` is
+        ``(len(keys), entry_bytes / 4)`` float32, or None in
         metadata-only mode. A key may repeat: the block then behaves
         like its rows put one after another. Versions of the written
         keys that no retention barrier protects are recycled.
@@ -122,10 +133,15 @@ class VersionedEntryStore:
         Raises:
             OutOfSpaceError: the pool cannot hold the new versions.
         """
-        self._write(keys, versions, rows, prune=True)
+        return self._write(
+            np.asarray(keys, dtype=np.uint64), np.array(heads, dtype=np.intp),
+            versions, rows, prune=True,
+        )
 
-    def ingest(self, block: EntryBlock) -> None:
-        """:meth:`put` a block copied from another shard, WITHOUT pruning.
+    def ingest(self, block: EntryBlock) -> np.ndarray:
+        """:meth:`put` a block copied from another shard, WITHOUT pruning;
+        its keys must hold no version here. Returns the head of every
+        key of the block (-1 for a key the block holds no version of).
 
         Migration (``repro.core.migration``) transfers every retained
         version of a key verbatim — including versions protected by the
@@ -133,8 +149,13 @@ class VersionedEntryStore:
         the new owner can recover to exactly the same checkpoints the
         old owner could.
         """
-        keys = np.repeat(block.keys, block.nversions)
-        self._write(keys, block.batch_ids, block.rows, prune=False)
+        counts = block.nversions.astype(np.intp)
+        heads = self._write(
+            np.repeat(block.keys, counts), np.full(int(counts.sum()), -1, np.intp),
+            block.batch_ids, block.rows, prune=False,
+        )
+        last = np.cumsum(counts) - 1  # any occurrence holds the final head
+        return np.where(counts > 0, heads[last] if len(heads) else -1, -1)
 
     def set_retention_barriers(self, barriers: tuple[int, ...]) -> None:
         """Declare which checkpoint batch ids must stay recoverable.
@@ -146,8 +167,9 @@ class VersionedEntryStore:
         """
         self._barriers = np.unique(np.asarray(barriers, dtype=np.int64))
 
-    def drop_key(self, key: int) -> int:
-        """Free *every* stored version of ``key``; returns versions freed.
+    def drop(self, heads) -> int:
+        """Free *every* stored version of the (distinct) keys whose
+        chains start at ``heads``; returns versions freed.
 
         Used by live shard migration (``repro.core.migration``): after a
         key's entries have been copied to their new owner and the ring
@@ -155,10 +177,8 @@ class VersionedEntryStore:
         are intentionally ignored — ownership has moved, so this shard
         will never be asked to recover the key.
         """
-        slots = self._chain(key)
-        if slots:
-            del self._latest[key]
-            self._free(np.asarray(slots, dtype=np.intp))
+        slots = self._chains(heads)[1]
+        self._free(slots)
         return len(slots)
 
     def recycle(self) -> int:
@@ -167,7 +187,7 @@ class VersionedEntryStore:
         Returns the number of versions freed. Invoked when a checkpoint
         completes ("the space manager will recycle the space of these
         entries once the new checkpoint is done"). Only keys holding
-        more than one version are visited.
+        more than one version are visited; no head ever moves.
         """
         older = self._older
         linked = np.flatnonzero(self.slab.live & (older >= 0))
@@ -179,76 +199,52 @@ class VersionedEntryStore:
     # read path
     # ------------------------------------------------------------------
 
-    def has(self, key: int) -> bool:
-        return key in self._latest
+    def read_latest(self, heads) -> tuple[np.ndarray, np.ndarray | None]:
+        """The version at every head as ``(batch ids, rows)``.
 
-    def latest_versions(self) -> dict[int, int]:
-        """``key -> batch id of its newest stored version``, every key."""
-        slots = np.fromiter(self._latest.values(), np.intp, len(self._latest))
-        return dict(zip(self._latest, self.slab.batch[slots].tolist()))
-
-    def read_latest(
-        self, keys: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Newest version of every key as ``(batch ids, rows)``.
-
-        ``rows`` is a fresh ``(len(keys), entry_bytes / 4)`` array (None
+        ``rows`` is a fresh ``(len(heads), entry_bytes / 4)`` array (None
         in metadata-only mode).
 
         Raises:
-            KeyError: a key has no stored version.
+            KeyError: a head is -1 (the key has no stored version).
         """
-        keys = _key_list(keys)
-        slots = np.fromiter(map(self._latest.__getitem__, keys), np.intp, len(keys))
-        return self.slab.batch[slots], self.slab.read(slots)
+        heads = np.asarray(heads, dtype=np.intp)
+        if len(heads) and heads.min() < 0:
+            raise KeyError(f"{np.count_nonzero(heads < 0)} keys have no stored version")
+        return self.slab.batch[heads], self.slab.read(heads)
 
-    def read_at_most(
-        self, keys: Sequence[int], barrier
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Newest version of every key with ``batch_id <= barrier``.
+    def read_at_most(self, heads, barrier) -> tuple[np.ndarray, np.ndarray | None]:
+        """Newest version of every chain with ``batch_id <= barrier``.
 
-        ``barrier`` is one batch id or one per key. A key with no such
-        version (or no version at all) reports :data:`NO_VERSION` and a
-        zero row, and is not charged a read.
+        ``barrier`` is one batch id or one per head. A key with no such
+        version (or no version at all, head -1) reports
+        :data:`NO_VERSION` and a zero row, and is not charged a read.
         """
-        keys = _key_list(keys)
-        n = len(keys)
         batch = self.slab.batch
-        slots = self._at_most(
-            np.fromiter(map(self._latest.get, keys, repeat(-1)), np.intp, n), barrier
-        )
+        slots = self._at_most(np.array(heads, dtype=np.intp), barrier)
         found = slots >= 0
         if found.all():
             return batch[slots], self.slab.read(slots)
         stored = self.slab.read(slots[found])
         rows = None
         if stored is not None:
-            rows = np.zeros((n, self.slab.width), dtype=np.float32)
+            rows = np.zeros((len(slots), self.slab.width), dtype=np.float32)
             rows[found] = stored
         return np.where(found, batch[slots], NO_VERSION), rows
 
-    def export(self, keys: Sequence[int]) -> EntryBlock:
-        """Every stored version of ``keys``, oldest first within a key —
-        the block :meth:`ingest` takes. A key with no version stays in
-        the block with ``nversions`` 0."""
-        keys = _key_list(keys)
-        chains = [self._chain(key)[::-1] for key in keys]
-        slots = np.fromiter(chain.from_iterable(chains), np.intp)
+    def export(self, keys, heads) -> EntryBlock:
+        """Every stored version of ``keys`` (chains at ``heads``), oldest
+        first within a key — the block :meth:`ingest` takes. A key with
+        no version stays in the block with ``nversions`` 0."""
+        at, slots = self._chains(heads)
+        order = np.lexsort((self.slab.batch[slots], at))
+        slots = slots[order]
         return EntryBlock(
             keys=np.asarray(keys, dtype=np.uint64),
-            nversions=np.fromiter(map(len, chains), np.uint32, len(keys)),
+            nversions=np.bincount(at, minlength=len(keys)).astype(np.uint32),
             batch_ids=self.slab.batch[slots],
             rows=self.slab.read(slots),
         )
-
-    def keys(self) -> list[int]:
-        """All keys with at least one stored version."""
-        return list(self._latest)
-
-    def versions_of(self, key: int) -> list[int]:
-        """Sorted batch ids currently stored for ``key`` (may be empty)."""
-        chain = np.asarray(self._chain(key)[::-1], dtype=np.intp)
-        return self.slab.batch[chain].tolist()
 
     def total_versions(self) -> int:
         return self.slab.rows
@@ -269,12 +265,26 @@ class VersionedEntryStore:
     # crash recovery
     # ------------------------------------------------------------------
 
-    def rebuild_from_pool(self) -> None:
-        """Rebuild the volatile version index from the slot headers.
+    def discard_newer_than(self, checkpoint_id: int) -> int:
+        """Drop all versions newer than ``checkpoint_id`` (recovery step
+        1): one sweep over the slot headers. A key whose every version
+        is newer (created after the checkpoint) disappears. Heads held
+        by the caller are stale afterwards; :meth:`rebuild_from_pool`
+        reports the surviving ones. Returns the versions discarded.
+        """
+        slab = self.slab
+        doomed = np.flatnonzero(slab.live & (slab.batch > checkpoint_id))
+        self._free(doomed)
+        return len(doomed)
+
+    def rebuild_from_pool(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rebuild the volatile chain links from the slot headers.
 
         This is recovery step 2's first half: after
-        :meth:`PmemPool.crash` the in-DRAM index is gone; one scan of
-        the live slots' ``(key, batch_id)`` headers restores it.
+        :meth:`PmemPool.crash` the DRAM state is gone; one scan of the
+        live slots' ``(key, batch_id)`` headers restores the links and
+        returns ``(keys, heads, versions)`` of every stored key — what
+        the caller inserts into the hash index.
         """
         slab = self.slab
         slots = np.flatnonzero(slab.live)
@@ -285,78 +295,54 @@ class VersionedEntryStore:
         self._older = np.full(slab.capacity, -1, dtype=np.intp)
         self._older[slots[1:][same_key]] = slots[:-1][same_key]
         newest = np.append(~same_key, True)[: len(slots)]
-        self._latest = dict(zip(keys[newest].tolist(), slots[newest].tolist()))
-
-    def discard_newer_than(self, checkpoint_id: int) -> int:
-        """Drop all versions newer than ``checkpoint_id`` (recovery step 1).
-
-        A key whose every version is newer (created after the
-        checkpoint) disappears. Returns the number of versions discarded.
-        """
-        slab = self.slab
-        keys = list(self._latest)
-        slots = self._at_most(
-            np.fromiter(self._latest.values(), np.intp, len(keys)), checkpoint_id
-        )
-        doomed = np.flatnonzero(slab.live & (slab.batch > checkpoint_id))
-        self._free(doomed)
-        self._latest = {
-            key: slot for key, slot in zip(keys, slots.tolist()) if slot >= 0
-        }
-        return len(doomed)
-
-    def recover(self) -> dict[int, int]:
-        """Full recovery: scan, discard post-checkpoint versions.
-
-        Returns ``key -> recovered batch_id`` for every surviving key.
-        The caller (``repro.core.recovery``) then rebuilds the DRAM hash
-        index from this mapping.
-        """
-        self.rebuild_from_pool()
-        checkpoint_id = self.checkpointed_batch_id()
-        if checkpoint_id == NO_CHECKPOINT:
-            raise RecoveryError("no completed checkpoint recorded in PMem root")
-        self.discard_newer_than(checkpoint_id)
-        return self.latest_versions()
+        return keys[newest], slots[newest], slab.batch[slots[newest]]
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _write(self, keys, versions, rows, prune: bool) -> None:
-        keys = _key_list(keys)
+    def _write(self, keys, head, versions, rows, prune: bool) -> np.ndarray:
         n = len(keys)
         if n == 0:
-            return
+            return head
         versions = np.broadcast_to(np.asarray(versions, dtype=np.int64), (n,))
-        if len(set(keys)) < n:
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
             # Repeated keys: one sub-block per occurrence rank (keys are
-            # independent, so only each key's own order matters).
-            self._check_room(keys, versions)
-            seen: dict[int, int] = {}
+            # independent, so only each key's own order matters), each
+            # key's head threaded from one rank to the next.
+            self._check_room(keys, head, versions)
+            order = np.argsort(keys, kind="stable")
+            first = np.append(True, ordered[1:] != ordered[:-1])
+            starts, group = np.flatnonzero(first), np.empty(n, dtype=np.intp)
+            group[order] = np.cumsum(first) - 1
             rank = np.empty(n, dtype=np.intp)
-            for i, key in enumerate(keys):
-                rank[i] = seen[key] = seen.get(key, -1) + 1
+            rank[order] = np.arange(n) - starts[group[order]]
+            current = head[order[starts]]
             for r in range(int(rank.max()) + 1):
                 pick = np.flatnonzero(rank == r)
-                self._write(_take(keys, pick), versions[pick], _take(rows, pick), prune)
-            return
-        slab, latest = self.slab, self._latest
-        head = np.fromiter(map(latest.get, keys, repeat(-1)), np.intp, n)
+                current[group[pick]] = self._write(
+                    keys[pick], current[group[pick]], versions[pick],
+                    _pick(rows, pick), prune,
+                )
+            return current[group]
+        slab = self.slab
         head_batch = np.where(head >= 0, slab.batch[head], NO_VERSION)
         below = versions < head_batch
         if below.any():
             # Rows older than their key's newest version (a backfill
             # behind a read-advanced flush): placed one by one, after
-            # the rest of the block.
-            self._check_room(keys, versions)
+            # the rest of the block. They move no head.
+            self._check_room(keys, head, versions)
             pick = np.flatnonzero(~below)
-            self._write(_take(keys, pick), versions[pick], _take(rows, pick), prune)
+            head[pick] = self._write(
+                keys[pick], head[pick], versions[pick], _pick(rows, pick), prune
+            )
             for i in np.flatnonzero(below).tolist():
-                self._write_below(keys[i], versions[i], _take(rows, [i]), prune)
-            return
+                self._write_below(keys[i], head[i], versions[i], _pick(rows, [i]), prune)
+            return head
         # Every row becomes (or overwrites) its key's newest version:
-        # one slab scatter, one index update. The block needs room for
+        # one slab scatter, one chain update. The block needs room for
         # every version it adds; a row then takes over its key's newest
         # slot when it restates that version or (put) when no barrier
         # protects it — the space of a superseded version is recycled
@@ -364,7 +350,6 @@ class VersionedEntryStore:
         self.pool.require_free(
             int(np.count_nonzero(versions != head_batch)) * self.entry_bytes
         )
-        key_column = np.asarray(keys, dtype=np.uint64)
         reuse = versions == head_batch
         if prune:
             barriers = self._barriers
@@ -374,47 +359,44 @@ class VersionedEntryStore:
             )
         if reuse.any():
             fresh = np.flatnonzero(~reuse)
-            slots = slab.write(key_column[fresh], versions[fresh], _take(rows, fresh))
-            slab.rewrite(head[reuse], versions[reuse], _take(rows, reuse))
-            keys, tops = _take(keys, fresh), np.concatenate([slots, head[reuse]])
-            head = head[fresh]
+            slab.rewrite(head[reuse], versions[reuse], _pick(rows, reuse))
+            keys, versions, rows = keys[fresh], versions[fresh], _pick(rows, fresh)
         else:
-            tops = slots = slab.write(key_column, versions, rows)
+            fresh = slice(None)
+        slots = slab.write(keys, versions, rows)
         self._fit_index()
-        self._older[slots] = head
-        latest.update(zip(keys, slots.tolist()))
+        self._older[slots] = head[fresh]
+        head[fresh] = slots
         if prune:
-            self._prune(tops[self._older[tops] >= 0])
+            self._prune(head[self._older[head] >= 0])
+        return head
 
-    def _write_below(self, key: int, version: int, row, prune: bool) -> None:
-        """Place one version under ``key``'s newest one."""
-        slab = self.slab
-        above = self._latest[key]
+    def _write_below(self, key, above: int, version: int, row, prune: bool) -> None:
+        """Place one version under ``key``'s newest one, slot ``above``."""
+        slab, top = self.slab, np.array([above], dtype=np.intp)
         slot = self._older[above]
         while slot >= 0 and slab.batch[slot] > version:
             above, slot = slot, self._older[slot]
         if slot >= 0 and slab.batch[slot] == version:
             slab.rewrite(np.array([slot]), version, row)
         else:
-            (new,) = slab.write(
-                np.array([key], dtype=np.uint64), np.array([version]), row
-            )
+            (new,) = slab.write(np.array([key], dtype=np.uint64), np.array([version]), row)
             self._fit_index()
             self._older[new] = slot
             self._older[above] = new
         if prune:
-            self._prune(np.array([self._latest[key]], dtype=np.intp))
+            self._prune(top)
 
-    def _check_room(self, keys: list[int], versions: np.ndarray) -> None:
+    def _check_room(self, keys, heads, versions) -> None:
         """Refuse a multi-step block the pool cannot hold in full."""
-        added = sum(
-            key not in self._latest or version not in self.versions_of(key)
-            for key, version in set(zip(keys, versions.tolist()))
-        )
-        self.pool.require_free(added * self.entry_bytes)
+        at, slots = self._chains(heads)
+        stored = np.zeros(len(keys), dtype=bool)
+        stored[at[self.slab.batch[slots] == versions[at]]] = True
+        added = np.unique(np.stack([keys[~stored], versions[~stored].astype(np.uint64)]), axis=1)
+        self.pool.require_free(added.shape[1] * self.entry_bytes)
 
     def _fit_index(self) -> None:
-        """Grow the version index to the slab's capacity."""
+        """Grow the chain links to the slab's capacity."""
         if len(self._older) < self.slab.capacity:
             grown = np.full(self.slab.capacity, -1, dtype=np.intp)
             grown[: len(self._older)] = self._older
@@ -453,28 +435,24 @@ class VersionedEntryStore:
                 return slots
             slots[newer] = self._older[slots[newer]]
 
+    def _chains(self, heads) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot of the chains at ``heads``, level by level (newest
+        first within a chain), as ``(position in heads, slot)``."""
+        slots = np.asarray(heads, dtype=np.intp)
+        at = np.flatnonzero(slots >= 0)
+        slots = slots[at]
+        found = [(at, slots)]
+        while len(slots):
+            slots = self._older[slots]
+            at, slots = at[slots >= 0], slots[slots >= 0]
+            found.append((at, slots))
+        return tuple(np.concatenate(column) for column in zip(*found))
+
     def _free(self, slots: np.ndarray) -> None:
         self._older[slots] = -1
         self.slab.free(slots)
 
-    def _chain(self, key: int) -> list[int]:
-        """Slots of ``key``'s versions, newest first."""
-        slots = []
-        slot = self._latest.get(key, -1)
-        while slot >= 0:
-            slots.append(slot)
-            slot = int(self._older[slot])
-        return slots
 
-
-def _key_list(keys) -> list[int]:
-    return keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
-
-
-def _take(block, pick):
-    """``block[pick]`` for a key list, a row matrix or None (no rows)."""
-    if block is None:
-        return None
-    if isinstance(block, np.ndarray):
-        return block[pick]
-    return [block[i] for i in np.asarray(pick).tolist()]
+def _pick(rows, pick):
+    """``rows[pick]`` of a row matrix, or None (no rows)."""
+    return None if rows is None else rows[pick]

@@ -9,7 +9,8 @@ numpy arrays, pull / maintain / update are plain loops over keys that
 follow Algorithms 1 and 2 line by line, duplicate gradients are summed
 in a dict and applied with one ``optimizer.apply`` per row.
 
-It shares the checkpoint coordinator and the versioned store with
+It shares the checkpoint coordinator and the versioned store (through
+``tests/harness/keyed_store.py``: the oracle addresses it by key) with
 production but none of the hot-path code, and keeps the object-per-entry
 leaves production retired for slot columns: ``tests/harness/entry.py``,
 ``lru.py`` and ``hash_index.py``. Tests install it on a built node with
@@ -29,6 +30,7 @@ from repro.core.cache import MaintainResult, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import Location
 from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
+from repro.core.ps_node import PSNode
 from repro.core.queues import AccessQueue
 from repro.errors import KeyNotFoundError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -36,6 +38,7 @@ from repro.pmem.space import VersionedEntryStore
 from repro.simulation.metrics import Metrics
 from tests.harness.entry import EmbeddingEntry
 from tests.harness.hash_index import HashIndex
+from tests.harness.keyed_store import KeyedStore
 from tests.harness.lru import LRUList
 
 
@@ -627,19 +630,56 @@ class ReferenceCache:
         return aggregated
 
 
+class _KeyedNode(PSNode):
+    """The node calls that resolve a key to its durable chain, by key.
+
+    Production resolves through the ``head`` column of its slot index;
+    the oracle's index holds entry objects, so its node asks the
+    :class:`~tests.harness.keyed_store.KeyedStore` it carries instead —
+    the bodies these methods had while the store kept its own key map.
+    """
+
+    def export_entries(self, keys):
+        return self.store.export([int(key) for key in keys])
+
+    def ingest_entries(self, block) -> int:
+        counts = block.nversions.astype(np.intp)
+        held = np.flatnonzero(counts)
+        keys = block.keys[held].tolist()
+        self.drop_keys(keys)
+        self.store.ingest(block)
+        if keys:
+            starts = (np.cumsum(counts) - counts)[held]
+            self.cache.adopt_many(keys, np.maximum.reduceat(block.batch_ids, starts))
+        return len(keys)
+
+    def drop_keys(self, keys) -> int:
+        dropped = 0
+        for key in keys:
+            entry = self.cache.index.find(int(key))
+            if entry is not None:
+                self.cache.drop_entry(entry)
+                self.store.drop_key(int(key))
+                dropped += 1
+        return dropped
+
+
 def install_reference_cache(node):
     """Swap ``node``'s cache for a :class:`ReferenceCache`; returns ``node``.
 
     Must run on a freshly built node, before any key exists: the oracle
-    shares the node's store, coordinator, optimizer, initializer and
-    metrics, but starts with its own empty index.
+    shares the node's store (behind a key-taking face: the ``key ->
+    head`` dict is the oracle's), coordinator, optimizer, initializer
+    and metrics, but starts with its own empty index.
     """
     cache = node.cache
     if len(cache.index) != 0:
         raise ServerError("install_reference_cache needs an empty node")
+    node.__class__ = _KeyedNode
+    node.store = KeyedStore(cache.store)
     node.cache = ReferenceCache(
         cache.config,
-        cache.store,
+        node.store,
         cache.coordinator,
         dim=cache.dim,
         initializer=cache.initializer,

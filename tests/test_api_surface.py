@@ -310,3 +310,66 @@ def test_quickstart_snippet_from_readme():
     server.maintain(0)
     server.push(keys, np.ones((3, 16), dtype=np.float32), 0)
     server.request_checkpoint()
+
+
+class TestOneKeyMapPerNode:
+    """The node has one index (Section V-A): the DRAM hash index, whose
+    slot carries the PMem pointer. The store takes heads and owns no
+    key map; ``pmem/`` stays a layer below ``core/``."""
+
+    @staticmethod
+    def sources(package: str):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        return {path: path.read_text() for path in (root / package).rglob("*.py")}
+
+    def test_pmem_imports_nothing_from_core(self):
+        import ast
+
+        for path, source in self.sources("pmem").items():
+            for node in ast.walk(ast.parse(source)):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                assert not any(name.startswith("repro.core") for name in names), path
+
+    def test_the_store_keeps_no_key_map(self):
+        """No ``_latest`` (the retired ``key -> newest slot`` dict), no
+        key-list helpers, anywhere in ``src/``; and a store under load
+        holds no dict besides the pool's generic object table."""
+        import numpy as np
+
+        from repro.pmem.pool import PmemPool
+        from repro.pmem.space import VersionedEntryStore
+
+        for package in ("pmem", "core"):
+            for path, source in self.sources(package).items():
+                for retired in ("_latest", "_key_list", "_take("):
+                    assert retired not in source.replace("read_latest", ""), (path, retired)
+        store = VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16)
+        store.set_retention_barriers((1,))
+        heads = store.put([1, 2, 1], [-1, -1, -1], [0, 0, 2], np.zeros((3, 4), np.float32))
+        assert store.total_versions() == 3 and heads[0] == heads[2]
+        held = {name: value for name, value in vars(store).items() if isinstance(value, dict)}
+        assert held == {}, f"the store holds a map: {sorted(held)}"
+
+    def test_store_calls_take_heads(self):
+        import inspect
+
+        from repro.pmem.space import VersionedEntryStore
+
+        def params(name):
+            return list(inspect.signature(getattr(VersionedEntryStore, name)).parameters)[1:]
+
+        assert params("put") == ["keys", "heads", "versions", "rows"]
+        assert params("read_latest") == ["heads"]
+        assert params("read_at_most") == ["heads", "barrier"]
+        assert params("export") == ["keys", "heads"]
+        assert params("drop") == ["heads"]
+        for gone in ("has", "keys", "latest_versions", "drop_key"):
+            assert not hasattr(VersionedEntryStore, gone), gone

@@ -224,6 +224,43 @@ class TestMetricsParity:
         )
 
 
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_store_internals_are_gauges(self, transport):
+        """What the PMem tier holds, per node, with values: pool bytes,
+        stored keys (slots whose ``head`` is set), versions per stored
+        key and checkpoints still pending — the same on both backends."""
+        from repro.obs.registry import MetricsRegistry
+
+        server_config = ServerConfig(
+            num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 20
+        )
+        build = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = build(server_config, CacheConfig(capacity_bytes=4 * DIM * 4), PSSGD(lr=0.05))
+        ones = np.ones((4, DIM), dtype=np.float32)
+        for batch_id, keys in enumerate(([0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 8, 9])):
+            backend.pull(keys, batch_id)
+            backend.maintain(batch_id)
+            backend.push(keys, ones, batch_id)
+            if batch_id == 1:
+                backend.request_checkpoint(1)  # stays pending: nothing newer is evicted
+        registry = MetricsRegistry()
+        backend.collect_metrics(registry)
+        gauges = {
+            name: metric.value
+            for name, labels, metric in registry.items()
+            if labels.get("node") == "0"
+        }
+        # Stored: 0..3 (evicted by round 1) and 4..7 (by round 2), one
+        # version each; 8 and 9 live in DRAM only, 0 and 1 were loaded back.
+        assert gauges["repro_pmem_stored_keys"] == 8
+        assert gauges["repro_pmem_slab_rows"] == 8
+        assert gauges["repro_pmem_versions_per_key"] == 1.0
+        assert gauges["repro_pmem_pool_used_bytes"] == 8 * DIM * 4
+        assert gauges["repro_pmem_pool_free_bytes"] == (1 << 20) - 8 * DIM * 4
+        assert gauges["repro_checkpoint_pending"] == 1
+        assert gauges["repro_cache_index_keys"] == 10
+
+
 class TestAnonymousPushIdentity:
     @pytest.mark.parametrize("transport", ("local", "rpc"))
     def test_client_stamped_pushes_do_not_shadow_worker_zero(self, transport):

@@ -13,6 +13,7 @@ from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
 
 from tests.conftest import DIM, ENTRY_BYTES, make_cache
+from tests.harness.keyed_store import keyed
 
 
 def grads(keys, value=1.0):
@@ -96,7 +97,7 @@ class TestMaintain:
     def test_eviction_flushes_victim_weights(self, cache):
         cache.pull([1, 2, 3, 4, 5], 0)
         cache.maintain(0)
-        __, stored = cache.store.read_latest([1])
+        __, stored = keyed(cache).read_latest([1])
         assert np.array_equal(stored[0, :DIM], np.full(DIM, 1.0))
 
     def test_miss_load_promotes_to_dram(self, cache):
@@ -182,7 +183,7 @@ class TestCheckpointCoDesign:
         # Accessing key 1 at batch 1 must first persist its batch-0 state.
         state_at_0 = np.array(cache.read_current_weights(1), copy=True)
         self._train_batch(cache, [1], 1)
-        stored_batch, stored = cache.store.read_at_most([1], 0)
+        stored_batch, stored = keyed(cache).read_at_most([1], 0)
         assert stored_batch[0] == 0
         assert np.array_equal(stored[0, :DIM], state_at_0)
 
@@ -224,11 +225,11 @@ class TestCheckpointCoDesign:
         self._train_batch(cache, [1, 2], 1)  # post-checkpoint updates
         cache.complete_pending_checkpoints()  # completes ckpt 0
         cache.store.pool.crash()
-        recovered = cache.store.recover()
+        recovered = keyed(cache).recover()
         assert recovered == {1: 0, 2: 0}
         for key in (1, 2):
             assert np.array_equal(
-                cache.store.read_latest([key])[1][0, :DIM], expected[key]
+                keyed(cache).read_latest([key])[1][0, :DIM], expected[key]
             )
 
 
@@ -317,7 +318,7 @@ class TestBarriers:
         cache.maintain(0)
         assert cache.flush_all() == 3
         for key in (1, 2, 3):
-            assert cache.store.has(key)
+            assert keyed(cache).has(key)
 
     def test_drop_cache_empties_and_stays_consistent(self, cache):
         cache.pull([1, 2, 3], 0)

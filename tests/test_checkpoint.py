@@ -6,11 +6,12 @@ from repro.core.checkpoint import CheckpointCoordinator, PeriodicCheckpointer
 from repro.errors import CheckpointError
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
+from tests.harness.keyed_store import KeyedStore
 
 
 @pytest.fixture
 def store():
-    return VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16)
+    return KeyedStore(VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16))
 
 
 @pytest.fixture

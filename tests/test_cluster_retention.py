@@ -27,6 +27,7 @@ from repro.core.optimizers import PSSGD
 from repro.network.frontend import RemotePSClient
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
+from tests.harness.keyed_store import KeyedStore, keyed
 
 DIM = 2
 
@@ -100,7 +101,7 @@ class TestStragglerRetention:
         node = server.nodes[owner]
         entry = node.cache.index.find(1)
         recoverable = (entry.in_dram and entry.version <= 0) or any(
-            v <= 0 for v in node.store.versions_of(1)
+            v <= 0 for v in keyed(node).versions_of(1)
         )
         assert recoverable
         # A read pinned at the cluster snapshot serves the checkpointed
@@ -166,7 +167,7 @@ class TestRpcClusterIsACluster:
 class TestCoordinatorClusterMode:
     @pytest.fixture
     def store(self):
-        return VersionedEntryStore(PmemPool(1 << 16), entry_bytes=8)
+        return KeyedStore(VersionedEntryStore(PmemPool(1 << 16), entry_bytes=8))
 
     def test_history_retained_until_external_confirms(self, store):
         coordinator = CheckpointCoordinator(store, cluster_mode=True)

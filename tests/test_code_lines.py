@@ -47,3 +47,24 @@ def test_diff_report_lists_changed_files_packages_and_total():
         ["src/b/", "7", "9", "+2"],
         ["total", "22", "18", "-4"],
     ]
+
+
+MISS_PATH_FILES = [
+    "src/repro/core/cache.py", "src/repro/core/entry.py", "src/repro/core/hash_index.py",
+    "src/repro/core/queues.py", "src/repro/core/arena.py", "src/repro/pmem/space.py",
+]
+
+
+def test_max_turns_the_total_into_a_budget(tmp_path, capsys):
+    module = tmp_path / "m.py"
+    module.write_text(FIXTURE)
+    assert code_lines.main(["--max", "9", str(module)]) == 0
+    assert code_lines.main(["--max", "8", str(module)]) == 1
+    assert "9 exceeds the budget of 8" in capsys.readouterr().err
+
+
+def test_the_miss_path_files_stay_within_their_budget():
+    """What CI's tier-1 job gates: the six cache files plus the store
+    (and any module split out of them) hold at most 1 136 code lines."""
+    root = SCRIPT.parents[1]
+    assert code_lines.main(["--max", "1136", *(str(root / name) for name in MISS_PATH_FILES)]) == 0

@@ -27,6 +27,7 @@ from repro.network.messages import (
     encode_message,
 )
 from tests.harness.reference_cache import install_reference_cache
+from tests.harness.keyed_store import keyed
 
 DIM = 3
 NUM_KEYS = 10
@@ -103,8 +104,8 @@ def store_dump(node: PSNode) -> dict:
     """Every durable (key, version) -> packed bytes (weights + state)."""
     dump = {}
     for key in node.cache.index.keys():
-        for version in node.store.versions_of(key):
-            __, stored = node.store.read_at_most([key], version)
+        for version in keyed(node).versions_of(key):
+            __, stored = keyed(node).read_at_most([key], version)
             dump[(key, version)] = None if stored is None else stored[0].tobytes()
     return dump
 
@@ -560,6 +561,136 @@ class TestColumnarPlanner:
             assert fast.coordinator.last_completed == ref.coordinator.last_completed
 
 
+class TestDecisionWalk:
+    """Directed rounds for the walk that visits decisions instead of
+    rows: a *run* of candidates nothing in the segment concerns is
+    counted, not walked, and the arrivals that pay for it are jumped.
+    Each round is compared with the per-key oracle (``round``); the span
+    of the production round says how much was walked."""
+
+    pair = TestMaintainPlanHazards.pair
+    round = staticmethod(TestMaintainPlanHazards.round)
+
+    @staticmethod
+    def traced(nodes):
+        from repro.obs.tracer import Tracer
+
+        nodes[0].cache.tracer = tracer = Tracer()
+        return lambda: tracer.spans_named("cache.maintain")[-1].attrs
+
+    def fill(self, nodes, count: int, batch_id: int = 0, first_key: int = 1000):
+        """``count`` resident, listed keys; the first is the oldest."""
+        keys = list(range(first_key, first_key + count))
+        self.round(nodes, keys, batch_id)
+        return keys
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_untouched_run_across_a_candidate_block_boundary(self, policy):
+        """10 arrivals fetch candidates in blocks of 2 * 10 + 64 = 84. The
+        80 oldest rows are touched first (LRU protects them, CLOCK spares
+        them; FIFO just evicts ten of them), so the run of untouched rows
+        that pays for the arrivals starts in the first block and ends in
+        the second."""
+        nodes = self.pair(120, policy=policy)
+        old = self.fill(nodes, 120)
+        attrs = self.traced(nodes)
+        result = self.round(nodes, old[:80] + list(range(10)), 1)
+        assert attrs()["segments"] == 1
+        assert attrs()["candidates"] == (10 if policy == EvictionPolicy.FIFO else 90)
+        if policy == EvictionPolicy.LRU:
+            assert (result.evictions, result.loads) == (10, 0)
+            assert attrs()["decisions"] <= 85
+            assert set(nodes[0].cache.cached_keys()) == set(old[:80] + old[90:]) | set(range(10))
+        self.round(nodes, old[85:95] + [3, 4], 2)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_reload_lands_inside_an_untouched_run(self, policy):
+        """The oldest row is evicted by the first arrival and accessed
+        again in the middle of the round: its reload is one more arrival,
+        between static ones that a single run of untouched rows pays for."""
+        nodes = self.pair(40, policy=policy)
+        old = self.fill(nodes, 40)
+        attrs = self.traced(nodes)
+        keys = list(range(8)) + [old[0]] + list(range(8, 16))
+        result = self.round(nodes, keys, 1)
+        assert (result.evictions, result.loads) == (17, 1)
+        # old[0], the reload, the run before it and the run after: not 17 + 17.
+        assert attrs()["candidates"] == 17 and attrs()["decisions"] <= 6
+        self.round(nodes, [old[0], old[20], 3], 2)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    @pytest.mark.parametrize("arrival_first", (False, True))
+    def test_list_over_capacity_before_the_round(self, policy, arrival_first):
+        """The list holds 6 more rows than the cache may (as after pushes
+        ahead of their rows): they are owed at position 0 — after the
+        access there, be it a hit or an arrival."""
+        nodes = self.pair(30, policy=policy)
+        old = self.fill(nodes, 30)
+        for node in nodes:
+            node.cache.capacity_entries = 24
+        keys = ([7] if arrival_first else []) + [old[2], 8, old[1], 9, old[2]]
+        result = self.round(nodes, keys, 1)
+        if policy != EvictionPolicy.FIFO:  # old[2] is spared at 0; old[1] leaves and returns
+            assert (result.evictions, result.loads) == (9 + 2 * arrival_first, 1 + arrival_first)
+        assert nodes[0].cache.cached_entries == 24
+        self.round(nodes, [old[0], old[29], 7], 2)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    @pytest.mark.parametrize("track_dirty", (False, True))
+    def test_pending_barrier_passed_in_the_middle_of_a_run(self, policy, track_dirty):
+        """Rows of batch 0, then rows of batch 1; a checkpoint of batch
+        0 and one of batch 1 are pending when 14 arrivals evict
+        across the boundary: the first batch-1 victim completes
+        checkpoint 0, the flushes before and after it differ (backfills
+        stop), and a batch-1 row touched late in the round is still due
+        its flush-before-advance — unless evicted first."""
+        nodes = self.pair(20, policy=policy, track_dirty=track_dirty)
+        first = self.fill(nodes, 10, batch_id=0)
+        second = self.fill(nodes, 10, batch_id=1, first_key=2000)
+        self.round(nodes, first[:4], 2, push=False)  # read-advanced: they will need backfills
+        for node in nodes:
+            node.coordinator.request(0)
+            node.coordinator.request(1)
+        keys = list(range(7)) + [second[8]] + list(range(7, 14)) + [second[1], first[9]]
+        result = self.round(nodes, keys, 3)
+        assert result.checkpoints_completed >= 1 and result.evictions >= 14
+        self.round(nodes, [first[0], second[9], 2], 4)
+        for node in nodes:
+            node.barrier_checkpoint(4)
+        self.round(nodes, first[:3] + second[:3], 5)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_admission_refusals_inside_the_round(self, policy):
+        """Cold keys seen once are turned away — each asks again at its
+        next access in the round, and some get in the second time."""
+        nodes = self.pair(6, policy=policy, admission_threshold=1)
+        self.fill(nodes, 12)
+        for node in nodes:
+            node.cache.drop_cache()
+        keys = [1000, 1001, 1000, 1002, 1003, 1001, 1004, 1000, 1005, 1006, 1004, 1007, 1003]
+        result = self.round(nodes, keys, 1)
+        assert 0 < result.loads < len(set(keys))
+        self.round(nodes, keys[::-1], 2)
+        self.round(nodes, [1, 2, 1000, 1004], 3)
+
+    def test_clock_walks_into_the_segments_own_insertions(self):
+        """Every listed row is referenced, so CLOCK spares (requeues) them
+        all and runs out of rows listed before the segment: the segment
+        ends there, and the next one — whose candidates are what this one
+        listed — pays the evictions still owed before its first access."""
+        nodes = self.pair(4, policy=EvictionPolicy.CLOCK)
+        old = self.fill(nodes, 4)
+        self.round(nodes, old, 1)  # all four referenced
+        attrs = self.traced(nodes)
+        result = self.round(nodes, [1, 2, 3], 2)
+        assert attrs()["segments"] == 2  # three accesses fit one segment: it was cut
+        assert result.evictions == 3 and attrs()["candidates"] == 4 + 3
+        self.round(nodes, [1, old[3], 2, 3, 1], 3)  # all four referenced again
+        result = self.round(nodes, [5, 6, old[3], 7, 5, 8], 4)
+        assert (result.evictions, result.loads) == (6, 2)  # old[3] and 5 leave and return
+        self.round(nodes, [old[0], 1, 5, 6, 7, 8, 1], 5)
+
+
 class TestNoPerKeyPython:
     """Structural guard: on a warm all-hit batch the cache layer executes
     (nearly) the same number of bytecode instructions for 4 096 keys as
@@ -568,28 +699,14 @@ class TestNoPerKeyPython:
 
     @staticmethod
     def opcodes(node: PSNode, keys: np.ndarray, batch_id: int) -> int:
-        import sys
-
         grads = np.ones((len(keys), DIM), dtype=np.float32)
-        count = 0
 
-        def tracer(frame, event, arg):
-            nonlocal count
-            if "/repro/core/" not in frame.f_code.co_filename:
-                return None
-            frame.f_trace_opcodes = True
-            if event == "opcode":
-                count += 1
-            return tracer
-
-        sys.settrace(tracer)
-        try:
+        def one_step():
             node.cache.pull(keys, batch_id)
             node.cache.maintain(batch_id)
             node.cache.update(keys, grads, batch_id)
-        finally:
-            sys.settrace(None)
-        return count
+
+        return TestNoPerKeyPython.count(one_step, where=("/repro/core/",))
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
     def test_opcode_count_does_not_grow_with_the_batch(self, policy):
@@ -607,6 +724,77 @@ class TestNoPerKeyPython:
         # ~60-instruction pass per lookup. A single Python step per key
         # would add at least 3 840.
         assert small > 100 and large <= small + 1000, (small, large)
+
+
+    @staticmethod
+    def count(call, where=("/repro/core/", "/repro/pmem/")) -> int:
+        """Bytecode instructions ``call()`` executes in ``where``."""
+        import sys
+
+        count = 0
+
+        def tracer(frame, event, arg):
+            nonlocal count
+            if not any(part in frame.f_code.co_filename for part in where):
+                return None
+            frame.f_trace_opcodes = True
+            if event == "opcode":
+                count += 1
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            call()
+        finally:
+            sys.settrace(None)
+        return count
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_a_round_of_cold_arrivals_is_counted_not_walked(self, policy):
+        """4 096 PMem-resident keys arrive and evict 4 096 rows nothing
+        in the round touches: one run, whatever its length — the walk,
+        the moves and the store execute the instructions of 256."""
+        node = make_node(
+            arena=True, capacity_entries=9_000, optimizer=PSAdagrad(), policy=policy
+        )
+        rng = np.random.default_rng(2)
+        universe = rng.choice(2**40, 18_000, replace=False).astype(np.uint64)
+        cold, resident = universe[:9_000], universe[9_000:]
+        step(node, rng, cold, 0)
+        node.cache.drop_cache()
+        step(node, rng, resident, 1)  # the cache is full of rows the rounds below never touch
+
+        def round_of(keys, batch_id):
+            node.cache.pull(keys, batch_id)
+            return self.count(lambda: node.cache.maintain(batch_id))
+
+        small = round_of(cold[:256], 2)
+        large = round_of(cold[256 : 256 + 4096], 3)
+        assert node.metrics.cache.evictions == 256 + 4096
+        assert node.metrics.cache.loads == 256 + 4096
+        node.cache.validate()
+        # (A collision chain or a second block of candidates more is a
+        # few dozen instructions; one step per row would be > 10 000.)
+        assert small > 300 and large <= small + 600, (small, large)
+
+    def test_lookup_opcode_count_does_not_grow_with_the_batch(self):
+        """A snapshot read is one index probe, one chain walk and one
+        slab gather, whatever the number of keys."""
+        node = make_node(arena=True, capacity_entries=2_000, optimizer=PSAdagrad())
+        rng = np.random.default_rng(3)
+        universe = rng.choice(2**40, 8_000, replace=False).astype(np.uint64)
+        step(node, rng, universe, 0)
+        node.barrier_checkpoint(0)
+        step(node, rng, universe[:3_000], 1)  # newer versions on top: the chain walk steps
+        served = {}
+
+        def lookup(keys):
+            served[len(keys)] = node.lookup(keys)
+
+        small = self.count(lambda: lookup(rng.choice(universe, 256)))
+        large = self.count(lambda: lookup(rng.choice(universe, 4096)))
+        assert served[4096].hits == 4096 and served[256].cold == 0
+        assert small > 100 and large <= small + 400, (small, large)
 
 
 class TestUpdateAdvanceHazards:

@@ -20,6 +20,7 @@ from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSSGD
 from repro.core.recovery import recover_node
 from repro.errors import RecoveryError
+from tests.harness.keyed_store import keyed
 
 DIM = 2
 NUM_KEYS = 8
@@ -167,7 +168,7 @@ class TestFlushInvariant:
                         continue  # born after the checkpoint: exempt
                     if entry.version > cp:
                         eligible = [
-                            v for v in node.store.versions_of(entry.key) if v <= cp
+                            v for v in keyed(node).versions_of(entry.key) if v <= cp
                         ]
                         assert eligible, (
                             f"entry {entry.key} at version {entry.version} has no "

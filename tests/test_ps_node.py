@@ -6,11 +6,12 @@ import pytest
 from repro.config import CacheConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
-from repro.errors import CheckpointError, ServerError
+from repro.errors import CheckpointError, OutOfSpaceError, ReproError, ServerError
 from repro.network.frontend import RemotePSClient
 from repro.pmem.space import EntryBlock
 
 from tests.conftest import DIM, make_node
+from tests.harness.keyed_store import keyed
 
 
 def grads(n, value=1.0):
@@ -181,7 +182,7 @@ class TestQueuedAccessHazards:
             node.pull(keys, batch_id)
             assert node.maintain(batch_id).evictions == 2  # no ghost in the way
             node.cache.validate()
-        assert not node.store.has(1) and 1 not in node.owned_keys()
+        assert not keyed(node).has(1) and 1 not in node.owned_keys()
         # Re-ingested, key 1 is an ordinary PMem-resident key again.
         row = np.arange(DIM, dtype=np.float32)[None, :]
         block = EntryBlock(
@@ -193,3 +194,115 @@ class TestQueuedAccessHazards:
         assert np.array_equal(result.weights, row)
         assert node.maintain(5).loads == 1
         node.cache.validate()
+
+
+class TestRecycledSlot:
+    def test_a_recycled_slot_starts_without_a_head(self):
+        """Key 1 leaves the node with durable versions behind it; key 9
+        is created in the slot it gave up. 9's first flush must open its
+        own chain, not land on top of what 1's head pointed at."""
+        node = make_node(capacity_entries=2)
+        for batch_id, keys in enumerate(([1, 2], [3, 4])):
+            node.pull(keys, batch_id)
+            node.maintain(batch_id)
+            node.push(keys, grads(2), batch_id)
+        slot = node.cache.index.find(1).slot
+        assert keyed(node).versions_of(1) == [0] and node.cache.index.find(1).head >= 0
+        assert node.drop_keys([1]) == 1 and node.store.total_versions() == 1
+        (key_2,) = np.flatnonzero(node.store.slab.live)  # 1's slab slot is free again
+        node.pull([9], 2)
+        entry = node.cache.index.find(9)
+        assert (entry.slot, entry.head) == (slot, -1)
+        node.maintain(2)
+        node.push([9], grads(1), 2)
+        node.pull([3, 4], 3)
+        assert node.maintain(3).evictions == 2  # 9 and 3 or 4 leave
+        assert keyed(node).versions_of(9) == [2]
+        head = node.cache.index.find(9).head
+        assert node.store.slab.key[head] == 9 and node.store._older[head] == -1
+        assert keyed(node).versions_of(2) == [0] and node.store.slab.live[key_2]
+        node.cache.validate()
+
+
+class TestPoolTooSmallForTheRound:
+    """A maintenance round whose flushes the pool cannot hold is refused
+    whole (per segment), before any column is written — it used to raise
+    from the bulk ``store.put`` *after* the plan had rewritten the
+    columns, leaving trained rows tagged PMEM with no stored version."""
+
+    SLOTS = 12  # pool rows; the cache holds 4
+
+    def build(self, transport: str, pool_rows: int):
+        server_config = ServerConfig(
+            num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=pool_rows * DIM * 4
+        )
+        build = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        return build(server_config, CacheConfig(capacity_bytes=4 * DIM * 4))
+
+    @staticmethod
+    def step(backend, batch_id: int, keys, *, maintain: bool = True):
+        backend.pull(keys, batch_id)
+        if maintain:
+            backend.maintain(batch_id)
+            backend.push(keys, np.ones((len(keys), DIM), dtype=np.float32), batch_id)
+
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_refused_round_corrupts_nothing_and_finishes_once_room_exists(self, transport):
+        small = self.build(transport, self.SLOTS)
+        big = self.build(transport, 1 << 16)  # the same run, never short of room
+        for batch_id in range(4):
+            keys = list(range(4 * batch_id, 4 * batch_id + 4))
+            self.step(small, batch_id, keys)
+            self.step(big, batch_id, keys)
+        node, twin = small.nodes[0], big.nodes[0]
+        assert node.pool.free_bytes == 0  # keys 0..11 fill it; 12..15 are in DRAM
+
+        # Round 4 loads 0..3 and must evict 12..15 (trained at batch 3,
+        # never stored) — four rows the pool has no room for.
+        self.step(small, 4, [0, 1, 2, 3], maintain=False)
+        self.step(big, 4, [0, 1, 2, 3], maintain=False)
+        for __ in range(2):  # refused, and refused again: nothing changes
+            with pytest.raises(ReproError):
+                small.maintain(4)
+            node.cache.validate()
+            assert node.cache.access_queue.pending_entries == 4  # queued, for batch 4
+            assert sorted(node.cache.cached_keys()) == [12, 13, 14, 15]
+            trained = twin.state_snapshot()
+            for key, weights in node.state_snapshot().items():
+                assert np.array_equal(weights, trained[key]), f"key {key}"
+
+        # Room appears (a reshard moves keys away): the round finishes,
+        # and training goes on as it does on the big pool.
+        for owner in (node, twin):
+            assert owner.drop_keys(range(4, 12)) == 8
+        assert [r.processed for r in small.maintain(4)] == [4]
+        big.maintain(4)
+        for backend in (small, big):
+            backend.push([0, 1, 2, 3], np.ones((4, DIM), dtype=np.float32), 4)
+        for batch_id, keys in enumerate(([12, 13, 14, 15], [0, 1, 14, 15], [2, 3, 12]), start=5):
+            self.step(small, batch_id, keys)
+            self.step(big, batch_id, keys)
+            node.cache.validate()
+        assert node.metrics.cache.evictions == twin.metrics.cache.evictions == 25
+        trained = twin.state_snapshot()
+        assert sorted(node.state_snapshot()) == sorted(trained) == [0, 1, 2, 3, 12, 13, 14, 15]
+        for key, weights in node.state_snapshot().items():
+            assert np.array_equal(weights, trained[key]), f"key {key}"
+
+    def test_a_long_round_keeps_what_fitted(self):
+        """A round cut into segments (here of keys it creates): the ones
+        that fit have moved when a later one is refused; the rest stays
+        queued, and no trained or created row is lost."""
+        node = self.build("local", self.SLOTS).nodes[0]
+        expected = {key: node.pull([key], 0).weights[0] for key in range(40)}
+        with pytest.raises(OutOfSpaceError):
+            node.maintain(0)  # ten segments of four; three fit
+        assert node.pool.free_bytes == 0 and node.metrics.cache.evictions == self.SLOTS
+        assert node.cache.access_queue.pending_entries == 40 - 4 - self.SLOTS
+        assert node.drop_keys(range(12)) == 12
+        with pytest.raises(OutOfSpaceError):  # twelve more fit, not all
+            node.maintain(0)
+        assert node.cache.access_queue.pending_entries == 40 - 4 - 2 * self.SLOTS
+        node.cache.index.validate()
+        for key in range(12, 40):
+            assert np.array_equal(node.read_weights(key), expected[key])

@@ -9,6 +9,7 @@ from repro.core.recovery import estimate_recovery_seconds, recover_node
 from repro.errors import RecoveryError
 
 from tests.conftest import DIM, make_node
+from tests.harness.keyed_store import keyed
 
 
 def grads(n, value=1.0):
@@ -171,7 +172,7 @@ class TestMaintainCrashPoints:
         def kill(node):
             def dead():
                 # Every flush checkpoint 1 depends on is already durable ...
-                versions, __ = node.store.read_at_most([0, 1, 2], 1)
+                versions, __ = keyed(node).read_at_most([0, 1, 2], 1)
                 assert versions.tolist() == [1, 1, 1]
                 raise _Killed("complete_head")
 

@@ -141,3 +141,42 @@ class TestMutation:
         index.columns.handle[slot] = ((slot + 1) << 1) | 1
         with pytest.raises(ServerError):
             index.validate()
+
+
+class TestHeadColumn:
+    """``head`` — the PMem pointer of a key's newest durable version — is
+    one more column of the slot: it follows the key through column
+    growth and table rebuilds, and a recycled slot starts without one."""
+
+    def test_head_survives_growth_and_the_tombstone_sweep(self):
+        index = HashIndex()
+        keys = np.arange(1, 301, dtype=np.uint64) * np.uint64(2654435761)
+        slots = index.insert_many(keys[:200], Location.PMEM)
+        index.columns.head[slots] = np.arange(1000, 1200)
+        assert (index.columns.head[index.columns.live()] >= 1000).all()
+        # Tombstones, then enough inserts to double the columns (256 ->
+        # 512 slots) and rebuild the table (swept of its tombstones).
+        index.remove_many(keys[:50])
+        cells = len(index._slots)
+        more = index.insert_many(keys[200:], Location.DRAM)
+        more = np.concatenate([more, index.insert_many(keys[:50] + np.uint64(1), Location.DRAM)])
+        assert len(index.columns.handle) > 256 and len(index._slots) >= cells
+        assert (index._slots != -2).all()  # no tombstone left
+        found = index.lookup(keys[50:200])
+        assert index.columns.head[found].tolist() == list(range(1050, 1200))
+        # Fresh slots — new ones and the 50 recycled ones — carry no head.
+        assert (index.columns.head[more] == -1).all()
+        assert set(slots[:50].tolist()) <= set(more.tolist())
+        index.validate()
+
+    def test_remove_many_is_all_or_nothing(self):
+        index = HashIndex()
+        slots = index.insert_many(u64(1, 2, 3), Location.PMEM)
+        index.columns.head[slots] = [7, 8, 9]
+        with pytest.raises(KeyError):
+            index.remove_many(u64(2, 4))
+        assert index.lookup(u64(1, 2, 3)).tolist() == slots.tolist()
+        index.remove_many(u64(3, 1))
+        assert index.lookup(u64(1, 2, 3)).tolist() == [-1, slots[1], -1]
+        assert index.columns.head[slots].tolist() == [-1, 8, -1]
+        index.validate()

@@ -13,11 +13,12 @@ from repro.pmem.space import (
     EntryBlock,
     VersionedEntryStore,
 )
+from tests.harness.keyed_store import KeyedStore
 
 
 @pytest.fixture
 def store():
-    return VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16)
+    return KeyedStore(VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16))
 
 
 def w(v):
@@ -130,7 +131,7 @@ class TestRecovery:
         put(store, 1, 3, w(3))
         put(store, 1, 9, w(9))
         put(store, 2, 4, w(4))
-        fresh = VersionedEntryStore(store.pool, entry_bytes=16)
+        fresh = KeyedStore(VersionedEntryStore(store.pool, entry_bytes=16))
         fresh.rebuild_from_pool()
         assert fresh.versions_of(1) == [3, 9]
         assert fresh.versions_of(2) == [4]
@@ -173,6 +174,120 @@ class TestRecovery:
         store.pool.crash()
         recovered = store.recover()
         assert recovered == {1: 3}
+
+
+class TestHeadsInHeadsOut:
+    """The production surface: the store owns no key map. A call takes
+    the head (slot of the newest version, -1 for none) of every key it
+    concerns, and the writing calls return the new heads."""
+
+    @pytest.fixture
+    def raw(self):
+        return VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16)
+
+    @staticmethod
+    def rows(*values):
+        return np.repeat(np.array(values, dtype=np.float32)[:, None], 4, axis=1)
+
+    @staticmethod
+    def chain(store, head):
+        """(version, first float) of every version under ``head``, oldest first."""
+        slots = store._chains([head])[1][::-1]
+        return list(zip(store.slab.batch[slots].tolist(), store.slab.data[slots, 0].tolist()))
+
+    def test_put_returns_a_head_per_position(self, raw):
+        heads = raw.put([7, 8, 9], [-1, -1, -1], 3, self.rows(1, 2, 3))
+        assert len(set(heads.tolist())) == 3 and (heads >= 0).all()
+        assert raw.slab.key[heads].tolist() == [7, 8, 9]
+        versions, rows = raw.read_latest(heads)
+        assert versions.tolist() == [3, 3, 3] and rows[:, 0].tolist() == [1.0, 2.0, 3.0]
+        # No barrier protects version 3: the next put takes the slots over.
+        again = raw.put([7, 8, 9], heads, 4, self.rows(4, 5, 6))
+        assert again.tolist() == heads.tolist() and raw.total_versions() == 3
+        assert raw.read_latest(again)[0].tolist() == [4, 4, 4]
+
+    def test_repeated_key_threads_its_head_through_the_ranks(self, raw):
+        """Key 5 three times in one block, with a barrier between each
+        pair of versions: every occurrence opens a new slot on top of the
+        one before, and all three positions report the final head."""
+        raw.set_retention_barriers((1, 3))
+        heads = raw.put([5, 6, 5, 5], [-1, -1, -1, -1], [0, 0, 2, 4], self.rows(10, 20, 12, 14))
+        assert heads[0] == heads[2] == heads[3] != heads[1]
+        assert self.chain(raw, heads[0]) == [(0, 10.0), (2, 12.0), (4, 14.0)]
+        assert self.chain(raw, heads[1]) == [(0, 20.0)]
+        # The same block again restates every version in place.
+        slots_before = sorted(np.flatnonzero(raw.slab.live).tolist())
+        again = raw.put([5, 6, 5, 5], heads, [0, 0, 2, 4], self.rows(11, 21, 13, 15))
+        assert again.tolist() == heads.tolist()
+        assert sorted(np.flatnonzero(raw.slab.live).tolist()) == slots_before
+        assert self.chain(raw, heads[0]) == [(0, 11.0), (2, 13.0), (4, 15.0)]
+
+    def test_row_below_its_keys_head_moves_no_head(self, raw):
+        raw.set_retention_barriers((2,))
+        (head,) = raw.put([5], [-1], 7, self.rows(7))
+        (same,) = raw.put([5], [head], 2, self.rows(2))  # a backfill behind the flush
+        assert same == head
+        assert self.chain(raw, head) == [(2, 2.0), (7, 7.0)]
+        # Mixed block: key 6 is new, key 5 gets a row below and restates it.
+        heads = raw.put([6, 5], [-1, head], [9, 2], self.rows(9, 3))
+        assert heads[1] == head and heads[0] not in (-1, head)
+        assert self.chain(raw, head) == [(2, 3.0), (7, 7.0)]
+
+    def test_rewrite_in_place_under_a_barrier(self, raw):
+        """Versions 6 and 8 sit on the same side of barrier 5: 8 takes
+        6's slot over. 3 is below the barrier and keeps its own."""
+        raw.set_retention_barriers((5,))
+        (first,) = raw.put([1], [-1], 3, self.rows(3))
+        (second,) = raw.put([1], [first], 6, self.rows(6))
+        assert second != first  # a barrier lies in [3, 6)
+        (third,) = raw.put([1], [second], 8, self.rows(8))
+        assert third == second
+        assert self.chain(raw, third) == [(3, 3.0), (8, 8.0)]
+
+    def test_read_at_most_of_absent_and_barred_keys(self, raw):
+        raw.set_retention_barriers((4,))
+        a, b = raw.put([1, 2], [-1, -1], [2, 6], self.rows(2, 6))
+        (a,) = raw.put([1], [a], 9, self.rows(9))
+        # Key 1 has 2 and 9, key 2 has 6, key 3 (head -1) has nothing.
+        versions, rows = raw.read_at_most([a, b, -1], 5)
+        assert versions.tolist() == [2, NO_VERSION, NO_VERSION]
+        assert rows[:, 0].tolist() == [2.0, 0.0, 0.0]
+        reads = raw.pool.device.read_ops
+        versions, rows = raw.read_at_most([a, b, -1, a], np.array([9, 7, 7, 1]))  # per key
+        assert versions.tolist() == [9, 6, NO_VERSION, NO_VERSION]
+        assert rows[:, 0].tolist() == [9.0, 6.0, 0.0, 0.0]
+        assert raw.pool.device.read_ops - reads == 2  # only what was found is charged
+        with pytest.raises(KeyError):
+            raw.read_latest([a, -1])
+
+    def test_export_ingest_and_drop_by_head(self, raw):
+        raw.set_retention_barriers((4,))
+        heads = raw.put([1, 2, 1], [-1, -1, -1], [2, 6, 9], self.rows(2, 6, 9))
+        block = raw.export([1, 3, 2], [heads[0], -1, heads[1]])
+        assert block.keys.tolist() == [1, 3, 2]
+        assert block.nversions.tolist() == [2, 0, 1]
+        assert block.batch_ids.tolist() == [2, 9, 6]
+        other = VersionedEntryStore(PmemPool(1 << 16), entry_bytes=16)
+        taken = other.ingest(block)
+        assert taken[1] == -1 and other.slab.key[taken[[0, 2]]].tolist() == [1, 2]
+        assert self.chain(other, taken[0]) == [(2, 2.0), (9, 9.0)]
+        assert raw.drop([heads[0], -1]) == 2 and raw.total_versions() == 1
+
+    def test_dropped_keys_slot_reused_by_another_key(self, raw):
+        """A head is only ever what a call returned for that key: after a
+        drop the caller holds -1, and whoever gets the slot next starts
+        its own chain there."""
+        (old,) = raw.put([1], [-1], 3, self.rows(3))
+        assert raw.drop([old]) == 1
+        (new,) = raw.put([2], [-1], 1, self.rows(1))
+        assert new == old  # the slot is recycled ...
+        assert self.chain(raw, new) == [(1, 1.0)]  # ... with no link to key 1's past
+        (again,) = raw.put([1], [-1], 4, self.rows(4))
+        assert again != new and self.chain(raw, again) == [(4, 4.0)]
+        keys, heads, versions = raw.rebuild_from_pool()
+        assert dict(zip(keys.tolist(), zip(heads.tolist(), versions.tolist()))) == {
+            1: (again, 4), 2: (new, 1),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +400,7 @@ def _assert_store_matches(store, model, value_mode):
 @settings(max_examples=150, deadline=None)
 def test_block_store_matches_dict_model(ops, value_mode):
     pool = PmemPool(MODEL_CAPACITY)
-    store = VersionedEntryStore(pool, entry_bytes=SLOT)
+    store = KeyedStore(VersionedEntryStore(pool, entry_bytes=SLOT))
     model = StoreModel()
     stamp = 0.0
     for op, arg in ops:
@@ -364,7 +479,7 @@ def test_block_store_matches_dict_model(ops, value_mode):
             store.set_checkpointed_batch_id(arg)
         else:  # the process dies; a fresh store recovers from the pool
             pool.crash()
-            store = VersionedEntryStore(pool, entry_bytes=SLOT)
+            store = KeyedStore(VersionedEntryStore(pool, entry_bytes=SLOT))
             store.set_retention_barriers(model.barriers)
             if model.checkpoint == NO_CHECKPOINT:
                 with pytest.raises(RecoveryError):

@@ -16,6 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.config import CacheConfig, ServerConfig
 from repro.core.server import OpenEmbeddingServer
 from repro.core.optimizers import PSSGD
+from tests.harness.keyed_store import keyed
 
 DIM = 2
 NUM_NODES = 3
@@ -142,7 +143,7 @@ class ServerMachine(RuleBasedStateMachine):
             for entry in node.cache.index.entries():
                 if entry.key not in expected:
                     continue
-                versions = node.store.versions_of(entry.key)
+                versions = keyed(node).versions_of(entry.key)
                 in_dram_covered = entry.in_dram and entry.version <= global_ckpt
                 durable_covered = any(v <= global_ckpt for v in versions)
                 assert in_dram_covered or durable_covered, (
