@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.config import ServerConfig
 from repro.core.cache import MaintainResult, PullResult
+from repro.core.initializer import key_seeded_rows
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.serving_backend import LookupResult
 from repro.baselines.incremental import CheckpointStats, IncrementalCheckpointer
@@ -150,10 +151,7 @@ class DRAMPSNode:
             except KeyError:
                 stored = None
             if stored is None:
-                rng = np.random.default_rng((cfg.seed, int(key)))
-                weights[i] = rng.uniform(
-                    -cfg.initializer_scale, cfg.initializer_scale, dim
-                ).astype(np.float32)
+                weights[i] = key_seeded_rows(cfg.seed, [key], cfg.initializer_scale, dim)[0]
                 cold += 1
             else:
                 weights[i] = np.asarray(stored)[:dim]
@@ -319,10 +317,9 @@ class DRAMPSNode:
             self._opt_state[key] = None
         else:
             cfg = self.server_config
-            rng = np.random.default_rng((cfg.seed, key))
-            self._weights[key] = rng.uniform(
-                -cfg.initializer_scale, cfg.initializer_scale, cfg.embedding_dim
-            ).astype(np.float32)
+            self._weights[key] = key_seeded_rows(
+                cfg.seed, [key], cfg.initializer_scale, cfg.embedding_dim
+            )[0]
             self._opt_state[key] = self.optimizer.init_state(cfg.embedding_dim)
         self.checkpointer.mark_dirty([key])
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.config import ServerConfig
 from repro.core.cache import MaintainResult, PullResult
+from repro.core.initializer import key_seeded_rows
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.serving_backend import LookupResult
 from repro.errors import CheckpointError, KeyNotFoundError, ServerError
@@ -138,10 +139,7 @@ class PMemHashNode:
                 weights[i] = stored[:dim]
                 hits += 1
             else:
-                rng = np.random.default_rng((cfg.seed, int(key)))
-                weights[i] = rng.uniform(
-                    -cfg.initializer_scale, cfg.initializer_scale, dim
-                ).astype(np.float32)
+                weights[i] = key_seeded_rows(cfg.seed, [key], cfg.initializer_scale, dim)[0]
                 cold += 1
         self.metrics.serving_lookups += 1
         self.metrics.serving_rows += n
@@ -260,10 +258,9 @@ class PMemHashNode:
             self.pool.write(("entry", key), None, nbytes=self.entry_bytes)
             return
         cfg = self.server_config
-        rng = np.random.default_rng((cfg.seed, key))
-        weights = rng.uniform(
-            -cfg.initializer_scale, cfg.initializer_scale, cfg.embedding_dim
-        ).astype(np.float32)
+        weights = key_seeded_rows(
+            cfg.seed, [key], cfg.initializer_scale, cfg.embedding_dim
+        )[0]
         opt_state = self.optimizer.init_state(cfg.embedding_dim)
         stored = weights if opt_state is None else np.concatenate([weights, opt_state])
         self.pool.write(("entry", key), stored, nbytes=self.entry_bytes)

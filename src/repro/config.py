@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -128,8 +129,11 @@ class ServerConfig:
         num_nodes: number of PS shards; keys are hash-partitioned.
         embedding_dim: floats per embedding entry (paper default 64).
         pmem_capacity_bytes: persistent pool size per node.
-        initializer_scale: uniform(-s, s) initialisation for new entries.
-        seed: base RNG seed; node ``i`` derives ``seed + i``.
+        initializer_scale: uniform(-s, s) initialisation for new entries
+            (finite, >= 0; 0 starts every weight at +0.0).
+        seed: seed of the key-seeded initializer, >= 0: a new key's
+            weights are a function of ``(seed, key)`` on every node
+            (:func:`repro.core.initializer.key_seeded_rows`).
         auto_create: initialise unseen keys on first pull (Algorithm 1
             lines 6-12); when False unseen keys raise KeyNotFoundError.
         partitioner: key -> node routing scheme. ``"modulo"`` is the
@@ -202,6 +206,13 @@ class ServerConfig:
             raise ConfigError("embedding_dim must be >= 1")
         if self.pmem_capacity_bytes <= 0:
             raise ConfigError("pmem_capacity_bytes must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # 2 * scale is the width of the uniform range: it must be finite too.
+        if not (self.initializer_scale >= 0 and math.isfinite(2.0 * self.initializer_scale)):
+            raise ConfigError(
+                f"initializer_scale must be finite and >= 0, got {self.initializer_scale}"
+            )
         if self.partitioner not in ("modulo", "ring"):
             raise ConfigError(
                 f"partitioner must be 'modulo' or 'ring', got {self.partitioner!r}"

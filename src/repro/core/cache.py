@@ -43,6 +43,9 @@ fancy-index gather; ``update`` one lookup, column writes, a segment-sum
 and one ``apply_batch``. The positions that are not
 resident (a key to create, a PMem row to read or read-modify-write) are
 resolved as blocks; an all-hit batch is the case where there are none.
+Creation is a block too: the initializer is a function of the key
+column (:mod:`repro.core.initializer`), so a pull of unseen keys
+draws, indexes and fills their rows without a Python step per key.
 
 **Replacement is a stamp.** A listed (evictable) slot carries a stamp
 from one monotone clock; the list the policy evicts from is the listed
@@ -93,6 +96,7 @@ from repro.core.arena import EmbeddingArena
 from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
+from repro.core.initializer import block_min
 from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
 from repro.core.queues import AccessQueue
 from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
@@ -154,15 +158,19 @@ class PipelinedCache:
         store: the PMem-side versioned entry store.
         coordinator: checkpoint request/completion tracking.
         dim: embedding dimension.
-        initializer: ``key -> float32[dim]`` for new entries; None puts
-            the cache in metadata-only mode.
+        initializer: ``uint64[n] keys -> float32[n, dim]`` for new
+            entries, as one block; None puts the cache in metadata-only
+            mode.
         optimizer: PS-side update rule (default plain SGD).
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
-            ``cache.maintain`` spans, every bulk move to or from PMem
-            one ``pmem.store`` / ``pmem.load`` instant carrying
-            ``rows=`` and ``bytes=``, and opportunistic checkpoint
-            completion emits ``checkpoint.completed``.
+            ``cache.maintain`` spans, a pull that creates keys one
+            ``cache.create`` span (``rows=``, and ``block=`` whether the
+            block reached the size the key-seeded initializer draws in
+            its array form), every bulk move to or from PMem one
+            ``pmem.store`` / ``pmem.load`` instant carrying ``rows=``
+            and ``bytes=``, and opportunistic checkpoint completion
+            emits ``checkpoint.completed``.
     """
 
     def __init__(
@@ -171,7 +179,7 @@ class PipelinedCache:
         store: VersionedEntryStore,
         coordinator: CheckpointCoordinator,
         dim: int,
-        initializer: Callable[[int], np.ndarray] | None = None,
+        initializer: Callable[[np.ndarray], np.ndarray] | None = None,
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
         auto_create: bool = True,
@@ -252,30 +260,26 @@ class PipelinedCache:
             raise KeyNotFoundError(int(keys[absent[0]]))
         new_keys = keys[absent]
         new_keys = new_keys[np.sort(np.unique(new_keys, return_index=True)[1])]
-        block = None if self.arena is None else self.initial_rows(new_keys)
-        new_slots = self.index.insert_many(new_keys, Location.DRAM)
-        columns = self.index.columns
-        columns.version[new_slots] = columns.updated[new_slots] = batch_id
-        columns.dirty[new_slots] = True
-        if block is not None:
-            rows = columns.row[new_slots] = self.arena.alloc_many(len(new_keys))
-            self.arena.data[rows, : self.dim] = block
-            if self.state_width:
-                self.arena.data[rows, self.dim :] = self.optimizer.init_state(self.dim)
-        slots[absent] = self.index.lookup(keys[absent])
+        arrays = self.arena is not None and len(new_keys) >= block_min(self.dim)
+        with self.tracer.span("cache.create", track="cache", rows=len(new_keys), block=arrays):
+            block = None if self.arena is None else self.initial_rows(new_keys)
+            new_slots = self.index.insert_many(new_keys, Location.DRAM)
+            columns = self.index.columns
+            columns.version[new_slots] = columns.updated[new_slots] = batch_id
+            columns.dirty[new_slots] = True
+            if block is not None:
+                rows = columns.row[new_slots] = self.arena.alloc_many(len(new_keys))
+                self.arena.data[rows, : self.dim] = block
+                if self.state_width:
+                    self.arena.data[rows, self.dim :] = self.optimizer.init_state(self.dim)
+            slots[absent] = self.index.lookup(keys[absent])
         return len(new_keys)
 
     def initial_rows(self, keys: np.ndarray) -> np.ndarray:
-        """The initializer's weights for ``keys``, as one block (the one
-        per-key step left: the initializer is seeded by the key)."""
-        block = np.empty((len(keys), self.dim), dtype=np.float32)
-        for i, key in enumerate(keys.tolist()):
-            weights = np.asarray(self.initializer(key), dtype=np.float32)
-            if weights.shape != (self.dim,):
-                raise ServerError(
-                    f"initializer returned shape {weights.shape}, want ({self.dim},)"
-                )
-            block[i] = weights
+        """The initializer's weights for ``keys``, as one block."""
+        block = np.asarray(self.initializer(keys), dtype=np.float32)
+        if block.shape != (want := (len(keys), self.dim)):
+            raise ServerError(f"initializer returned shape {block.shape}, want {want}")
         return block
 
     # ------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 A node bundles: a PMem pool + versioned store (persistent tier), the
 pipelined DRAM cache (Algorithms 1/2), a checkpoint coordinator, and a
-deterministic per-key initializer. The node exposes the PS protocol the
+deterministic key-seeded initializer. The node exposes the PS protocol the
 TensorFlow operators call: ``pull``, ``push`` (gradients), ``maintain``
 (the cache-maintainer round) and checkpoint control.
 
-Determinism: new entries are initialised from an RNG seeded by
+Determinism: new entries are initialised by
+:func:`~repro.core.initializer.key_seeded_rows`, a pure function of
 ``(seed, key)``, so initial weights depend only on the key — never on
 access order, cache size or pipelining. Tests rely on this to prove the
 pipeline is semantics-free.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from repro.core.aggregators import (
 )
 from repro.core.cache import MaintainResult, PipelinedCache, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
+from repro.core.initializer import key_seeded_rows
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.serving_backend import LookupResult
 from repro.core.staleness import StalenessController
@@ -460,12 +464,9 @@ class PSNode:
         return self.cache.state_snapshot()
 
     def _make_initializer(self):
-        scale = self.server_config.initializer_scale
-        dim = self.server_config.embedding_dim
-        seed = self.server_config.seed
-
-        def initialize(key: int) -> np.ndarray:
-            rng = np.random.default_rng((seed, key))
-            return rng.uniform(-scale, scale, dim).astype(np.float32)
-
-        return initialize
+        """``keys -> rows``: the key-seeded initializer at this config."""
+        config = self.server_config
+        return partial(
+            key_seeded_rows, config.seed,
+            scale=config.initializer_scale, dim=config.embedding_dim,
+        )

@@ -298,8 +298,7 @@ class AsynchronousTrainer:
                 embeddings = self.pipeline.gather(batch.keys)
                 self.pipeline.run_overlap(self.step)
             else:
-                flat_keys = batch.keys.reshape(-1).tolist()
-                pulled = self._pull(worker, flat_keys)
+                pulled = self._pull(worker, batch.keys.reshape(-1))
                 self.backend.maintain(self.step)
                 embeddings = pulled.weights.reshape(
                     self.batch_size, self.model.num_fields, self.model.dim
@@ -403,7 +402,7 @@ class AsynchronousTrainer:
     def _push(self, work: _PendingWork) -> None:
         """Apply one delayed gradient (through the pipeline if present)."""
         self._last_push_batch = max(self._last_push_batch, self.step)
-        flat_keys = work.keys.reshape(-1).tolist()
+        flat_keys = work.keys.reshape(-1)
         flat_grads = work.embedding_grads.reshape(-1, self.model.dim)
         if self.pipeline is not None:
             # Routing through the pipeline invalidates buffered copies

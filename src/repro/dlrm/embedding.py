@@ -7,7 +7,10 @@ distributed server, and pushes the per-lookup gradients back.
 
 The synchronous-batch protocol is: ``pull`` at the start of the batch,
 ``maintain`` once every worker's pulls are in (the trainer calls it),
-``push`` at the end. Duplicate keys inside one batch are pulled as
+``push`` at the end. A key matrix crosses this layer as the flattened
+``ndarray`` it already is — the server's partitioner works on arrays, so
+no key becomes a Python ``int`` between the trainer and the wire.
+Duplicate keys inside one batch are pulled as
 duplicates (they all see the same pre-batch weights) and their
 gradients are aggregated by the server on push — exactly the paired
 burst pattern of Figure 2.
@@ -43,8 +46,7 @@ class PSEmbedding:
         key_matrix = np.asarray(key_matrix)
         if key_matrix.ndim != 2:
             raise ConfigError(f"key matrix must be 2-D, got shape {key_matrix.shape}")
-        flat = key_matrix.reshape(-1).tolist()
-        result = self.server.pull(flat, batch_id)
+        result = self.server.pull(key_matrix.reshape(-1), batch_id)
         if result.weights is None:
             raise ConfigError("server is metadata-only; cannot train weights")
         return result.weights.reshape(*key_matrix.shape, self.dim)
@@ -58,6 +60,5 @@ class PSEmbedding:
         expected = (*key_matrix.shape, self.dim)
         if grads.shape != expected:
             raise ConfigError(f"grads shape {grads.shape}, want {expected}")
-        flat_keys = key_matrix.reshape(-1).tolist()
         flat_grads = grads.reshape(-1, self.dim)
-        return self.server.push(flat_keys, flat_grads, batch_id)
+        return self.server.push(key_matrix.reshape(-1), flat_grads, batch_id)

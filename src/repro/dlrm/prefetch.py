@@ -262,8 +262,7 @@ class PrefetchPipeline:
         :meth:`begin_batch` (lazy) re-pulls it.
         """
         updated = self.backend.push(keys, grads, batch_id)
-        for key in keys:
-            key = int(key)
+        for key in np.asarray(keys).tolist():
             self._pushed.add(key)
             if self._buffer.pop(key, None) is not None:
                 self.stats.invalidated_keys += 1

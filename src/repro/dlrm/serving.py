@@ -20,6 +20,7 @@ import pathlib
 
 import numpy as np
 
+from repro.core.initializer import key_seeded_rows
 from repro.errors import ConfigError, ServerError
 
 _FORMAT_VERSION = 1
@@ -234,10 +235,7 @@ class InferenceSession:
         """The vector an unseen key would have on the live PS."""
         if self.default_weight is not None:
             return self.default_weight
-        rng = np.random.default_rng((self._init_seed, key))
-        return rng.uniform(-self._init_scale, self._init_scale, self.dim).astype(
-            np.float32
-        )
+        return key_seeded_rows(self._init_seed, [key], self._init_scale, self.dim)[0]
 
     @property
     def num_entries(self) -> int:

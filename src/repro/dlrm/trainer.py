@@ -254,7 +254,7 @@ class SynchronousTrainer:
                         grads.embedding_grads * scale, dtype=np.float32
                     ).reshape(-1, self.model.dim)
                     self.pipeline.push(
-                        np.asarray(keys).reshape(-1).tolist(),
+                        np.asarray(keys).reshape(-1),
                         flat_grads,
                         batch_id,
                     )

@@ -174,7 +174,7 @@ class MetricsRegistry:
 _BUNDLE_COUNTERS: tuple[tuple[str, str], ...] = (
     ("repro_pulls_total", "pulls"),
     ("repro_updates_total", "updates"),
-    ("repro_entries_created_total", "entries_created"),
+    ("repro_cache_created_rows_total", "entries_created"),
     ("repro_checkpoints_completed_total", "checkpoints_completed"),
     ("repro_pmem_flush_entries_total", "pmem_flush_entries"),
     ("repro_pmem_load_entries_total", "pmem_load_entries"),

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.initializer import key_seeded_rows
 from repro.errors import SimulationError
 from repro.obs.histogram import Histogram
 from repro.simulation.clock import SimClock
@@ -415,7 +416,4 @@ class TrainServeSoak:
 
     def _cold_reference(self, key: int) -> np.ndarray:
         cfg = self.tier.backend.server_config
-        rng = np.random.default_rng((cfg.seed, key))
-        return rng.uniform(
-            -cfg.initializer_scale, cfg.initializer_scale, self.dim
-        ).astype(np.float32)
+        return key_seeded_rows(cfg.seed, [key], cfg.initializer_scale, self.dim)[0]

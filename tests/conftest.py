@@ -48,6 +48,11 @@ def coordinator(store):
     return CheckpointCoordinator(store)
 
 
+def key_valued_rows(keys: np.ndarray) -> np.ndarray:
+    """A block initializer for tests: every weight of a row is its key."""
+    return np.repeat(keys.astype(np.float32)[:, None], DIM, axis=1)
+
+
 def make_cache(
     store,
     coordinator,
@@ -60,7 +65,7 @@ def make_cache(
     config = CacheConfig(
         capacity_bytes=capacity_entries * ENTRY_BYTES, track_dirty=track_dirty
     )
-    initializer = (lambda key: np.full(DIM, float(key), dtype=np.float32)) if value_mode else None
+    initializer = key_valued_rows if value_mode else None
     return PipelinedCache(
         config,
         store,

@@ -73,8 +73,9 @@ class ReferenceCache:
         store: the PMem-side versioned entry store.
         coordinator: checkpoint request/completion tracking.
         dim: embedding dimension.
-        initializer: ``key -> float32[dim]`` for new entries; None puts
-            the cache in metadata-only mode.
+        initializer: the production block callable (``uint64[n] keys ->
+            float32[n, dim]``), which the oracle calls with one key at a
+            time; None puts the cache in metadata-only mode.
         optimizer: PS-side update rule (default plain SGD).
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
@@ -89,7 +90,7 @@ class ReferenceCache:
         store: VersionedEntryStore,
         coordinator: CheckpointCoordinator,
         dim: int,
-        initializer: Callable[[int], np.ndarray] | None = None,
+        initializer: Callable[[np.ndarray], np.ndarray] | None = None,
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
         auto_create: bool = True,
@@ -421,7 +422,8 @@ class ReferenceCache:
     def _create_entry(self, key: int, batch_id: int) -> EmbeddingEntry:
         entry = ReferenceEntry(key, version=batch_id)
         if self.initializer is not None:
-            weights = np.asarray(self.initializer(key), dtype=np.float32)
+            one = np.array([key], dtype=np.uint64)
+            weights = np.asarray(self.initializer(one), dtype=np.float32)[0]
             if weights.shape != (self.dim,):
                 raise ServerError(
                     f"initializer returned shape {weights.shape}, want ({self.dim},)"

@@ -373,3 +373,59 @@ class TestOneKeyMapPerNode:
         assert params("drop") == ["heads"]
         for gone in ("has", "keys", "latest_versions", "drop_key"):
             assert not hasattr(VersionedEntryStore, gone), gone
+
+
+class TestInitializerExistsOnce:
+    """A new key's weights are one function of ``(seed, key)``, stated in
+    ``core/initializer.py`` and called from everywhere else."""
+
+    def test_the_key_seeded_generator_is_built_in_one_place(self):
+        """``default_rng((…, key))`` — a generator seeded by a key — is
+        constructed once in ``src/``: the small-block branch of
+        ``key_seeded_rows``. (Generators salted with a constant, a batch
+        or a worker id are other streams and not counted.)"""
+        import ast
+
+        sites = []
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            for node in ast.walk(ast.parse(source)):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", "") == "default_rng"
+                    and node.args
+                    and isinstance(node.args[0], ast.Tuple)
+                    and any(
+                        isinstance(part, ast.Name) and "key" in part.id.lower()
+                        for element in node.args[0].elts
+                        for part in ast.walk(element)
+                    )
+                ):
+                    sites.append(path.name)
+        assert sites == ["initializer.py"]
+
+    def test_nothing_else_draws_with_the_initializer_scale(self):
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            if path.name != "initializer.py":
+                assert not (".uniform(" in source and "initializer_scale" in source), path
+
+    def test_the_cache_asks_for_rows_as_one_block(self):
+        import ast
+        import inspect
+        import textwrap
+
+        from repro.core.cache import PipelinedCache
+
+        body = textwrap.dedent(inspect.getsource(PipelinedCache.initial_rows))
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(node, loops) for node in ast.walk(ast.parse(body)))
+        assert ".tolist()" not in body
+
+    def test_the_module_sits_below_the_store_and_the_wire(self):
+        import ast
+
+        source = TestOneKeyMapPerNode.sources("core")
+        (tree,) = [ast.parse(text) for path, text in source.items() if path.name == "initializer.py"]
+        imported = [
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        ]
+        assert not any(name.startswith(("repro.pmem", "repro.network")) for name in imported)

@@ -218,6 +218,8 @@ class TestMetricsParity:
             assert local["repro_arena_capacity_rows", node] >= keys
             assert local["repro_cache_capacity_entries", node] == (64 << 10) // (DIM * 4)
             assert 0 < local["repro_cache_index_load_factor", node] <= 0.5
+            # Every key the shard holds was cold-created by a pull, once.
+            assert local["repro_cache_created_rows_total", node] == keys
         assert not local_client
         assert faulty_client and all(
             name.startswith("repro_rpc_") for name in faulty_client

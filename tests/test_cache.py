@@ -12,7 +12,7 @@ from repro.errors import KeyNotFoundError, ServerError
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
 
-from tests.conftest import DIM, ENTRY_BYTES, make_cache
+from tests.conftest import DIM, ENTRY_BYTES, key_valued_rows, make_cache
 from tests.harness.keyed_store import keyed
 
 
@@ -67,7 +67,7 @@ class TestPull:
             store,
             coordinator,
             dim=DIM,
-            initializer=lambda key: np.zeros(DIM + 1, dtype=np.float32),
+            initializer=lambda keys: np.zeros((len(keys), DIM + 1), dtype=np.float32),
         )
         with pytest.raises(ServerError):
             cache.pull([1], 0)
@@ -271,7 +271,7 @@ class TestPolicies:
             store,
             coordinator,
             dim=DIM,
-            initializer=lambda key: np.full(DIM, float(key), dtype=np.float32),
+            initializer=key_valued_rows,
             optimizer=PSSGD(lr=0.5),
         )
         cache.pull([1, 2], 0)
