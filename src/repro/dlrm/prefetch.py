@@ -43,6 +43,21 @@ round entirely; the cache's update path compensates by applying
 maintain's flush-before-advance rule on push (see
 :meth:`repro.core.cache.PipelinedCache.update`).
 
+Buffer layout
+-------------
+The whole state is four arrays: a sorted ``uint64`` key column, the
+``(n, dim)`` row block aligned with it, the window as a sorted unique
+key array and the keys pushed this step, appended as they arrive. Every step is set algebra on them, so a
+step costs a fixed number of numpy calls whatever the batch size. The
+*order* of the keys inside each backend pull is part of the contract —
+demand keys in first-appearance order, prefetch and patch keys
+ascending — because the server's LRU order, and through it every
+eviction and every counter, follows it. A metadata-only backend
+(:class:`~repro.simulation.trainer_sim.TrainingSimulator` drives this
+same class over one) returns no weights: the row block is dropped,
+membership is all that is kept, and :meth:`PrefetchPipeline.gather`
+refuses.
+
 Timing
 ------
 When constructed with a :class:`~repro.simulation.clock.SimClock` (the
@@ -71,6 +86,18 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.clock import SimClock
 from repro.simulation.metrics import Metrics, PrefetchStats
 
+_NO_KEYS = np.empty(0, dtype=np.uint64)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending. One sort: ``np.unique`` without
+    ``return_index`` takes a hash pass since numpy 2.3 that measured ~10x
+    slower on a batch's worth of integer keys."""
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
 
 class PrefetchPipeline:
     """Client-side lookahead buffer in front of a :class:`TrainBackend`.
@@ -85,7 +112,7 @@ class PrefetchPipeline:
 
     Args:
         backend: any :class:`TrainBackend` (in-process server, remote RPC
-            client, or a baseline).
+            client, a baseline, or a metadata-only node).
         config: lookahead depth / patching / buffer cap.
         dim: embedding dimension of the buffered rows.
         keys_for_batch: deterministic peek into the workload stream —
@@ -131,9 +158,11 @@ class PrefetchPipeline:
         self.horizon = horizon
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = metrics.prefetch if metrics is not None else PrefetchStats()
-        self._buffer: dict[int, np.ndarray] = {}
-        self._window: set[int] = set()
-        self._pushed: set[int] = set()
+        self._keys = _NO_KEYS
+        #: rows aligned with ``_keys``; None once a pull returned no weights
+        self._rows: np.ndarray | None = np.empty((0, dim), dtype=np.float32)
+        self._window = _NO_KEYS
+        self._pushed = _NO_KEYS
 
     # ------------------------------------------------------------------
     # step protocol
@@ -146,18 +175,20 @@ class PrefetchPipeline:
         the critical path, and the ones its ``maintain`` round will
         process. Under warm lookahead the demand set is (near) empty.
         """
-        flat = np.asarray(keys).reshape(-1)
-        missing = self._missing_in_order(flat)
-        self.stats.demand_keys += len(missing)
-        self.stats.buffer_hits += int(flat.size) - len(missing)
-        if missing:
+        flat = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        unique, first = np.unique(flat, return_index=True)
+        absent = np.isin(unique, self._keys, assume_unique=True, invert=True)
+        missing = flat[np.sort(first[absent])]  # first-appearance order
+        self.stats.demand_keys += missing.size
+        self.stats.buffer_hits += flat.size - missing.size
+        if missing.size:
             with self.tracer.span(
                 "prefetch.demand",
                 track="prefetch",
                 batch=batch_id,
-                keys=len(missing),
+                keys=missing.size,
             ):
-                self._pull_into_buffer(missing, batch_id)
+                self._pull_into_buffer(missing, batch_id, lookahead=False)
 
     def gather(self, key_matrix: np.ndarray) -> np.ndarray:
         """Serve a (batch, fields) lookup matrix from the buffer.
@@ -171,17 +202,17 @@ class PrefetchPipeline:
             raise ConfigError(
                 f"key matrix must be 2-D, got shape {key_matrix.shape}"
             )
-        out = np.empty((*key_matrix.shape, self.dim), dtype=np.float32)
-        for i in range(key_matrix.shape[0]):
-            for j in range(key_matrix.shape[1]):
-                key = int(key_matrix[i, j])
-                row = self._buffer.get(key)
-                if row is None:
-                    raise ServerError(
-                        f"key {key} not buffered; begin_batch not run?"
-                    )
-                out[i, j] = row
-        return out
+        if self._rows is None:
+            raise ConfigError("gather requires a value-mode backend")
+        flat = key_matrix.reshape(-1).astype(np.uint64, copy=False)
+        at = np.searchsorted(self._keys, flat)
+        found = at < self._keys.size
+        found[found] = self._keys[at[found]] == flat[found]
+        if not found.all():
+            raise ServerError(
+                f"key {flat[~found][0]} not buffered; begin_batch not run?"
+            )
+        return self._rows[at].reshape(*key_matrix.shape, self.dim)
 
     def run_overlap(self, batch_id: int) -> list[MaintainResult]:
         """The overlap window: deferred maintain + lookahead prefetch.
@@ -190,65 +221,49 @@ class PrefetchPipeline:
         then prefetches the deduplicated keys of the next ``lookahead``
         batches, tagged ``batch_id + 1``. On a clocked backend the
         whole window is charged overlapping ``gpu_batch_time_s``. With
-        ``lookahead == 0`` this is the strictly serial schedule:
-        maintain sits on the critical path and GPU time follows it.
+        ``lookahead == 0`` the window is empty and this is the strictly
+        serial schedule: maintain sits on the critical path and GPU
+        time follows it.
         """
-        if not self.config.enabled:
-            with self.tracer.span(
-                "prefetch.maintain", track="maintainer", batch=batch_id
-            ):
-                results = self.backend.maintain(batch_id)
-            self._window = set()
-            if self.clock is not None and self.gpu_batch_time_s > 0:
-                gpu_start = self.clock.now
-                self.clock.advance(self.gpu_batch_time_s)
-                self.tracer.add_span(
-                    "gpu.compute",
-                    start=gpu_start,
-                    duration=self.gpu_batch_time_s,
-                    track="gpu",
-                    batch=batch_id,
-                )
-            return results
-
         start = self.clock.now if self.clock is not None else 0.0
         with self.tracer.span(
             "prefetch.maintain", track="maintainer", batch=batch_id
         ):
             results = self.backend.maintain(batch_id)
-        window_keys = self._peek_window(batch_id)
-        self._window = window_keys
-        candidates = sorted(window_keys - self._buffer.keys())
-        self.stats.deduped_keys += len(window_keys) - len(candidates)
+        self._window = self._peek_window(batch_id)
+        candidates = np.setdiff1d(self._window, self._keys, assume_unique=True)
+        self.stats.deduped_keys += self._window.size - candidates.size
         cap = self.config.max_buffer_entries
         if cap is not None:
-            room = max(0, cap - len(self._buffer))
-            candidates = candidates[:room]
-        if candidates:
+            candidates = candidates[: max(0, cap - self._keys.size)]
+        if candidates.size:
             with self.tracer.span(
                 "prefetch.prefetch_pull",
                 track="maintainer",
                 batch=batch_id,
-                keys=len(candidates),
+                keys=candidates.size,
             ):
-                self._pull_into_buffer(candidates, batch_id + 1)
-            self.stats.prefetch_keys += len(candidates)
-        if self.clock is not None and self.gpu_batch_time_s > 0:
-            work = self.clock.now - start
-            self.clock.advance_overlapping(start, self.gpu_batch_time_s)
-            self.stats.overlap_hidden_seconds += min(
-                work, self.gpu_batch_time_s
-            )
+                self._pull_into_buffer(candidates, batch_id + 1, lookahead=True)
+            self.stats.prefetch_keys += candidates.size
+        gpu = self.gpu_batch_time_s
+        if self.clock is None or gpu <= 0:
+            return results
+        if self.config.enabled:
             # GPU compute starts when the overlap window opens — the
             # trace shows maintainer-track work riding underneath it.
+            hidden = min(self.clock.now - start, gpu)
+            self.clock.advance_overlapping(start, gpu)
+            self.stats.overlap_hidden_seconds += hidden
             self.tracer.add_span(
-                "gpu.compute",
-                start=start,
-                duration=self.gpu_batch_time_s,
-                track="gpu",
-                batch=batch_id,
-                hidden_s=min(work, self.gpu_batch_time_s),
+                "gpu.compute", start=start, duration=gpu, track="gpu",
+                batch=batch_id, hidden_s=hidden,
             )
+        else:
+            self.tracer.add_span(
+                "gpu.compute", start=self.clock.now, duration=gpu,
+                track="gpu", batch=batch_id,
+            )
+            self.clock.advance(gpu)
         return results
 
     def push(
@@ -262,10 +277,11 @@ class PrefetchPipeline:
         :meth:`begin_batch` (lazy) re-pulls it.
         """
         updated = self.backend.push(keys, grads, batch_id)
-        for key in np.asarray(keys).tolist():
-            self._pushed.add(key)
-            if self._buffer.pop(key, None) is not None:
-                self.stats.invalidated_keys += 1
+        pushed = np.asarray(keys, dtype=np.uint64)
+        self._pushed = np.concatenate((self._pushed, pushed))
+        held = self._keys.size
+        self._keep(np.isin(self._keys, pushed, invert=True))
+        self.stats.invalidated_keys += held - self._keys.size
         return updated
 
     def end_batch(self, batch_id: int) -> None:
@@ -279,25 +295,20 @@ class PrefetchPipeline:
         roughly ``lookahead`` batches' worth of distinct keys.
         """
         if self.config.patch and self.config.enabled:
-            to_patch = sorted(self._pushed & self._window)
-            if to_patch:
+            to_patch = np.intersect1d(
+                _distinct(self._pushed), self._window, assume_unique=True
+            )
+            if to_patch.size:
                 with self.tracer.span(
                     "prefetch.patch",
                     track="prefetch",
                     batch=batch_id,
-                    keys=len(to_patch),
+                    keys=to_patch.size,
                 ):
-                    self._pull_into_buffer(to_patch, batch_id + 1)
-                self.stats.patched_keys += len(to_patch)
-        if self._window:
-            self._buffer = {
-                key: row
-                for key, row in self._buffer.items()
-                if key in self._window
-            }
-        else:
-            self._buffer.clear()
-        self._pushed.clear()
+                    self._pull_into_buffer(to_patch, batch_id + 1, lookahead=True)
+                self.stats.patched_keys += to_patch.size
+        self._keep(np.isin(self._keys, self._window, assume_unique=True))
+        self._pushed = _NO_KEYS
         self.stats.batches += 1
 
     # ------------------------------------------------------------------
@@ -307,48 +318,48 @@ class PrefetchPipeline:
     @property
     def buffered_keys(self) -> int:
         """Distinct keys currently held in the lookahead buffer."""
-        return len(self._buffer)
+        return self._keys.size
 
     def validate(self) -> None:
         """No buffered key may be marked pushed-but-unpatched."""
-        stale = self._pushed & self._buffer.keys()
-        if stale:
+        stale = np.intersect1d(self._pushed, self._keys)
+        if stale.size:
             raise ServerError(
-                f"staleness invariant violated for keys {sorted(stale)[:8]}"
+                f"staleness invariant violated for keys {stale[:8]}"
             )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
-    def _missing_in_order(self, flat: np.ndarray) -> list[int]:
-        """Unique keys absent from the buffer, first-appearance order."""
-        seen: set[int] = set()
-        missing: list[int] = []
-        for key in flat.tolist():
-            key = int(key)
-            if key in seen or key in self._buffer:
-                continue
-            seen.add(key)
-            missing.append(key)
-        return missing
-
-    def _peek_window(self, batch_id: int) -> set[int]:
+    def _peek_window(self, batch_id: int) -> np.ndarray:
         """Deduplicated keys of batches ``batch_id+1 .. batch_id+L``."""
         last = batch_id + self.config.lookahead
         if self.horizon is not None:
             last = min(last, self.horizon)
-        window: set[int] = set()
-        for future in range(batch_id + 1, last + 1):
-            keys = np.asarray(self.keys_for_batch(future)).reshape(-1)
-            window.update(int(k) for k in keys.tolist())
-        return window
+        blocks = [
+            np.asarray(self.keys_for_batch(future), dtype=np.uint64).reshape(-1)
+            for future in range(batch_id + 1, last + 1)
+        ]
+        return _distinct(np.concatenate([_NO_KEYS, *blocks]))
 
-    def _pull_into_buffer(self, keys: list[int], tag: int) -> None:
+    def _keep(self, mask: np.ndarray) -> None:
+        """Drop every buffered key whose ``mask`` entry is False."""
+        self._keys = self._keys[mask]
+        if self._rows is not None:
+            self._rows = self._rows[mask]
+
+    def _pull_into_buffer(
+        self, keys: np.ndarray, tag: int, *, lookahead: bool
+    ) -> None:
+        """Pull unique ``keys`` and merge them (newest wins) in key order."""
         result = self.backend.pull(keys, tag)
+        self.stats.count_pull(result, lookahead)
+        self._keep(np.isin(self._keys, keys, invert=True))
+        merged = np.concatenate((self._keys, keys))
+        order = np.argsort(merged)
+        self._keys = merged[order]
         if result.weights is None:
-            raise ConfigError(
-                "prefetch pipeline requires a value-mode backend"
-            )
-        for i, key in enumerate(keys):
-            self._buffer[int(key)] = np.array(result.weights[i], copy=True)
+            self._rows = None
+        else:
+            self._rows = np.concatenate((self._rows, result.weights))[order]

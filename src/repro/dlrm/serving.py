@@ -26,8 +26,14 @@ from repro.errors import ConfigError, ServerError
 _FORMAT_VERSION = 1
 
 
-def _pinned_snapshot(server) -> dict[int, np.ndarray] | None:
-    """Checkpoint-pinned embedding table, or None if unsupported.
+def _read_pinned(backend, snapshot_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every owned key (sorted ``uint64``) and its row at ``snapshot_id``."""
+    keys = np.array(sorted(backend.owned_keys()), dtype=np.uint64)
+    return keys, backend.lookup(keys, snapshot_id).weights
+
+
+def _pinned_snapshot(server) -> tuple[np.ndarray, np.ndarray] | None:
+    """Checkpoint-pinned ``(keys, weights)``, or None if unsupported.
 
     The preferred export path: barrier-checkpoint the server (bitwise
     flush of any cached dirty rows), then read every owned key through
@@ -46,9 +52,7 @@ def _pinned_snapshot(server) -> dict[int, np.ndarray] | None:
         # There is trained state newer than the newest checkpoint:
         # barrier so the export pin captures it bitwise.
         snapshot_id = server.barrier_checkpoint()
-    keys = sorted(server.owned_keys())
-    result = server.lookup(keys, snapshot_id)
-    return {int(k): result.weights[i] for i, k in enumerate(keys)}
+    return _read_pinned(server, snapshot_id)
 
 
 def export_model(
@@ -77,19 +81,21 @@ def export_model(
     """
     if getattr(server, "num_entries", 0) == 0:
         raise ServerError("server holds no embedding entries to export")
-    snapshot = _pinned_snapshot(server)
-    if snapshot is None:
+    pinned = _pinned_snapshot(server)
+    if pinned is not None:
+        keys, weights = pinned
+    else:
         snapshot = server.state_snapshot()
-    if not snapshot:
-        raise ServerError("server holds no embedding entries to export")
-    keys = np.array(sorted(snapshot), dtype=np.int64)
-    dim = len(next(iter(snapshot.values())))
-    weights = np.stack([snapshot[int(k)] for k in keys]).astype(np.float32)
+        if not snapshot:
+            raise ServerError("server holds no embedding entries to export")
+        ordered = sorted(snapshot)
+        keys = np.array(ordered, dtype=np.uint64)
+        weights = np.stack([snapshot[key] for key in ordered])
     arrays = {
         "version": np.int64(_FORMAT_VERSION),
         "keys": keys,
-        "weights": weights,
-        "dim": np.int64(dim),
+        "weights": weights.astype(np.float32),
+        "dim": np.int64(weights.shape[1]),
         "model_kind": np.bytes_(type(model).__name__.encode()),
     }
     # Cold-start metadata: initialisation is seeded by (server seed,
@@ -126,9 +132,9 @@ class InferenceSession:
         with np.load(path) as data:
             try:
                 version = int(data["version"])
-                keys = data["keys"]
+                # artifacts written before keys were uint64 hold int64
+                keys = data["keys"].astype(np.uint64)
                 weights = data["weights"]
-                self.dim = int(data["dim"])
                 dense_count = int(data["dense_count"])
                 dense_state = [data[f"dense_{i}"] for i in range(dense_count)]
                 exported_kind = bytes(data["model_kind"]).decode()
@@ -136,21 +142,33 @@ class InferenceSession:
                 raise ConfigError(
                     f"not a model artifact: missing field {missing}"
                 ) from None
-            self._init_seed = int(data["init_seed"]) if "init_seed" in data else None
-            self._init_scale = (
-                float(data["init_scale"]) if "init_scale" in data else 0.0
-            )
+            init_seed = int(data["init_seed"]) if "init_seed" in data else None
+            init_scale = float(data["init_scale"]) if "init_scale" in data else 0.0
         if version != _FORMAT_VERSION:
             raise ConfigError(f"unsupported artifact version {version}")
         if exported_kind != type(model).__name__:
             raise ConfigError(
                 f"artifact holds a {exported_kind}, got a {type(model).__name__}"
             )
-        self.model = model
         model.load_dense_state([np.array(t, copy=True) for t in dense_state])
-        self._table: dict[int, np.ndarray] = {
-            int(k): weights[i] for i, k in enumerate(keys)
-        }
+        self._init(
+            model, default_weight, keys, weights,
+            init_seed=init_seed,
+            init_scale=init_scale,
+            snapshot_id=None,  # artifact sessions are not pinned
+        )
+
+    def _init(
+        self, model, default_weight, keys, weights, *, init_seed, init_scale,
+        snapshot_id,
+    ) -> None:
+        """The one place a session's fields are set (both constructors)."""
+        self.model = model
+        self._keys = keys  # sorted uint64, aligned with _weights
+        self._weights = np.array(weights, dtype=np.float32)
+        self.dim = self._weights.shape[1]
+        self._init_seed = init_seed
+        self._init_scale = init_scale
         self.default_weight = None
         if default_weight is not None:
             self.default_weight = np.asarray(default_weight, dtype=np.float32)
@@ -159,10 +177,10 @@ class InferenceSession:
                     f"default weight shape {self.default_weight.shape}, "
                     f"want ({self.dim},)"
                 )
-        elif self._init_seed is None:
+        elif init_seed is None:
             self.default_weight = np.zeros(self.dim, dtype=np.float32)
         self.cold_lookups = 0
-        self.snapshot_id = None  # artifact sessions are not pinned
+        self.snapshot_id = snapshot_id
 
     @classmethod
     def from_backend(cls, backend, model, default_weight=None) -> "InferenceSession":
@@ -199,61 +217,42 @@ class InferenceSession:
             raise ServerError(
                 "backend has no completed checkpoint to pin the session to"
             )
-        keys = sorted(backend.owned_keys())
-        result = backend.lookup(keys, snapshot_id)
+        config = getattr(backend, "server_config", None)
         session = cls.__new__(cls)
-        session.dim = int(result.weights.shape[1])
-        session.model = model
-        session._table = {
-            int(k): np.array(result.weights[i], copy=True)
-            for i, k in enumerate(keys)
-        }
-        server_config = getattr(backend, "server_config", None)
-        session._init_seed = (
-            int(server_config.seed) if server_config is not None else None
+        session._init(
+            model,
+            default_weight,
+            *_read_pinned(backend, snapshot_id),
+            init_seed=int(config.seed) if config is not None else None,
+            init_scale=float(config.initializer_scale) if config is not None else 0.0,
+            snapshot_id=snapshot_id,
         )
-        session._init_scale = (
-            float(server_config.initializer_scale)
-            if server_config is not None
-            else 0.0
-        )
-        session.default_weight = None
-        if default_weight is not None:
-            session.default_weight = np.asarray(default_weight, dtype=np.float32)
-            if session.default_weight.shape != (session.dim,):
-                raise ConfigError(
-                    f"default weight shape {session.default_weight.shape}, "
-                    f"want ({session.dim},)"
-                )
-        elif session._init_seed is None:
-            session.default_weight = np.zeros(session.dim, dtype=np.float32)
-        session.cold_lookups = 0
-        session.snapshot_id = snapshot_id
         return session
-
-    def _cold_weight(self, key: int) -> np.ndarray:
-        """The vector an unseen key would have on the live PS."""
-        if self.default_weight is not None:
-            return self.default_weight
-        return key_seeded_rows(self._init_seed, [key], self._init_scale, self.dim)[0]
 
     @property
     def num_entries(self) -> int:
-        return len(self._table)
+        return self._keys.size
 
     def lookup(self, key_matrix: np.ndarray) -> np.ndarray:
-        """(batch, fields, dim) embeddings; unseen keys get the default."""
+        """(batch, fields, dim) embeddings; unseen keys get the default
+        (or the vector they would have on the live PS)."""
         key_matrix = np.asarray(key_matrix)
         if key_matrix.ndim != 2:
             raise ConfigError(f"key matrix must be 2-D, got {key_matrix.shape}")
-        out = np.empty((*key_matrix.shape, self.dim), dtype=np.float32)
-        for index, key in np.ndenumerate(key_matrix):
-            weight = self._table.get(int(key))
-            if weight is None:
-                weight = self._cold_weight(int(key))
-                self.cold_lookups += 1
-            out[index] = weight
-        return out
+        flat = key_matrix.reshape(-1).astype(np.uint64, copy=False)
+        at = np.minimum(np.searchsorted(self._keys, flat), self._keys.size - 1)
+        out = self._weights[at]
+        cold = np.flatnonzero(self._keys[at] != flat)
+        if cold.size:
+            self.cold_lookups += cold.size
+            out[cold] = (
+                self.default_weight
+                if self.default_weight is not None
+                else key_seeded_rows(
+                    self._init_seed, flat[cold], self._init_scale, self.dim
+                )
+            )
+        return out.reshape(*key_matrix.shape, self.dim)
 
     def predict_proba(
         self, key_matrix: np.ndarray, dense: np.ndarray | None = None

@@ -167,6 +167,13 @@ class SynchronousTrainer:
                 gpu_batch_time_s=gpu_batch_time_s,
                 tracer=self.tracer,
             )
+        # The update burst goes through the pipeline when there is one,
+        # so every pushed key's buffered copy is invalidated.
+        self._push_embedding = (
+            PSEmbedding(self.pipeline, model.dim)
+            if self.pipeline is not None
+            else self.embedding
+        )
 
     def _keys_for_batch(self, batch_id: int) -> np.ndarray:
         """Deterministic peek into the global-batch key stream."""
@@ -247,21 +254,9 @@ class SynchronousTrainer:
             for w, (keys, labels, dense) in enumerate(shards):
                 grads = worker_grads[w]
                 scale = 1.0 / self.num_workers
-                if self.pipeline is not None:
-                    # Identical flattening to PSEmbedding.push so the
-                    # backend sees byte-for-byte the same update burst.
-                    flat_grads = np.asarray(
-                        grads.embedding_grads * scale, dtype=np.float32
-                    ).reshape(-1, self.model.dim)
-                    self.pipeline.push(
-                        np.asarray(keys).reshape(-1),
-                        flat_grads,
-                        batch_id,
-                    )
-                else:
-                    self.embedding.push(
-                        keys, grads.embedding_grads * scale, batch_id
-                    )
+                self._push_embedding.push(
+                    keys, grads.embedding_grads * scale, batch_id
+                )
                 if self.first_order is not None:
                     self.first_order.push(
                         keys, grads.first_order_grads * scale, batch_id

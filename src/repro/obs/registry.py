@@ -197,6 +197,12 @@ _BUNDLE_COUNTERS: tuple[tuple[str, str], ...] = (
     ("repro_prefetch_deduped_keys_total", "prefetch.deduped_keys"),
     ("repro_prefetch_batches_total", "prefetch.batches"),
     ("repro_prefetch_overlap_hidden_seconds_total", "prefetch.overlap_hidden_seconds"),
+    ("repro_prefetch_demand_hits_total", "prefetch.demand_hits"),
+    ("repro_prefetch_demand_misses_total", "prefetch.demand_misses"),
+    ("repro_prefetch_demand_created_total", "prefetch.demand_created"),
+    ("repro_prefetch_lookahead_hits_total", "prefetch.lookahead_hits"),
+    ("repro_prefetch_lookahead_misses_total", "prefetch.lookahead_misses"),
+    ("repro_prefetch_lookahead_created_total", "prefetch.lookahead_created"),
     ("repro_serving_lookups_total", "serving_lookups"),
     ("repro_serving_rows_total", "serving_rows"),
     ("repro_serving_cold_rows_total", "serving_cold_rows"),

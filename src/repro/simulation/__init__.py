@@ -15,7 +15,6 @@ from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.simulation.clock import PeriodicTimer, SimClock
 from repro.simulation.device import DRAM_SPEC, PMEM_SPEC, SSD_SPEC, DeviceSpec, MemoryDevice
 from repro.simulation.metrics import (
-    Counter,
     Metrics,
     PrefetchStats,
     RequestTrace,
@@ -35,7 +34,6 @@ __all__ = [
     "PMEM_SPEC",
     "SSD_SPEC",
     "Metrics",
-    "Counter",
     "RequestTrace",
     "RpcReliabilityStats",
     "PrefetchStats",

@@ -1,4 +1,4 @@
-"""Metrics collection: counters, cache statistics, request traces.
+"""Metrics collection: cache statistics, stat bundles, request traces.
 
 ``RequestTrace`` records per-request timestamps on the simulated clock
 and buckets them per millisecond — the exact view of Figure 2 ("Access
@@ -9,25 +9,33 @@ at batch boundaries.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
-@dataclass
-class Counter:
-    """A named monotone counter."""
+class _Additive:
+    """A dataclass of counters: ``merge`` adds field by field, ``reset``
+    returns every field to its default; nested bundles recurse."""
 
-    name: str
-    value: int = 0
-
-    def add(self, n: int = 1) -> None:
-        self.value += n
+    def merge(self, other) -> None:
+        """Accumulate another bundle of the same type into this one."""
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            if isinstance(mine, _Additive):
+                mine.merge(getattr(other, spec.name))
+            elif isinstance(mine, (int, float)):
+                setattr(self, spec.name, mine + getattr(other, spec.name))
 
     def reset(self) -> None:
-        self.value = 0
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            if isinstance(mine, _Additive):
+                mine.reset()
+            elif isinstance(mine, (int, float)):
+                setattr(self, spec.name, spec.default)
 
 
 @dataclass
-class CacheStats:
+class CacheStats(_Additive):
     """Hit/miss accounting for a DRAM cache."""
 
     hits: int = 0
@@ -47,24 +55,9 @@ class CacheStats:
             return 0.0
         return self.misses / self.accesses
 
-    def merge(self, other: "CacheStats") -> None:
-        """Accumulate another stats bundle into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.flushes += other.flushes
-        self.loads += other.loads
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.flushes = 0
-        self.loads = 0
-
 
 @dataclass
-class RpcReliabilityStats:
+class RpcReliabilityStats(_Additive):
     """Retry/timeout/dedup observability for the RPC path.
 
     Channels contribute ``retries`` / ``timeouts`` / ``wire_errors`` /
@@ -80,26 +73,9 @@ class RpcReliabilityStats:
     backoff_seconds: float = 0.0
     faults_injected: int = 0
 
-    def merge(self, other: "RpcReliabilityStats") -> None:
-        """Accumulate another stats bundle into this one."""
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.wire_errors += other.wire_errors
-        self.dup_suppressed += other.dup_suppressed
-        self.backoff_seconds += other.backoff_seconds
-        self.faults_injected += other.faults_injected
-
-    def reset(self) -> None:
-        self.retries = 0
-        self.timeouts = 0
-        self.wire_errors = 0
-        self.dup_suppressed = 0
-        self.backoff_seconds = 0.0
-        self.faults_injected = 0
-
 
 @dataclass
-class PrefetchStats:
+class PrefetchStats(_Additive):
     """Observability for the lookahead prefetch pipeline.
 
     ``demand_keys`` are pulls that had to run on the critical path
@@ -109,7 +85,9 @@ class PrefetchStats:
     are pushed keys re-pulled to restore the staleness invariant;
     ``deduped_keys`` are window keys skipped because a valid buffered
     copy already existed; ``overlap_hidden_seconds`` is simulated
-    maintenance + prefetch time hidden behind GPU compute.
+    maintenance + prefetch time hidden behind GPU compute. The
+    ``demand_*`` and ``lookahead_*`` (prefetch + patch) outcomes are
+    what the backend answered to the pipeline's own pulls, per cause.
     """
 
     demand_keys: int = 0
@@ -120,6 +98,12 @@ class PrefetchStats:
     deduped_keys: int = 0
     batches: int = 0
     overlap_hidden_seconds: float = 0.0
+    demand_hits: int = 0
+    demand_misses: int = 0
+    demand_created: int = 0
+    lookahead_hits: int = 0
+    lookahead_misses: int = 0
+    lookahead_created: int = 0
 
     @property
     def backend_keys(self) -> int:
@@ -134,26 +118,16 @@ class PrefetchStats:
             return 0.0
         return self.buffer_hits / total
 
-    def merge(self, other: "PrefetchStats") -> None:
-        """Accumulate another stats bundle into this one."""
-        self.demand_keys += other.demand_keys
-        self.buffer_hits += other.buffer_hits
-        self.prefetch_keys += other.prefetch_keys
-        self.patched_keys += other.patched_keys
-        self.invalidated_keys += other.invalidated_keys
-        self.deduped_keys += other.deduped_keys
-        self.batches += other.batches
-        self.overlap_hidden_seconds += other.overlap_hidden_seconds
-
-    def reset(self) -> None:
-        self.demand_keys = 0
-        self.buffer_hits = 0
-        self.prefetch_keys = 0
-        self.patched_keys = 0
-        self.invalidated_keys = 0
-        self.deduped_keys = 0
-        self.batches = 0
-        self.overlap_hidden_seconds = 0.0
+    def count_pull(self, result, lookahead: bool) -> None:
+        """Add one backend :class:`~repro.core.cache.PullResult`."""
+        if lookahead:
+            self.lookahead_hits += result.hits
+            self.lookahead_misses += result.misses
+            self.lookahead_created += result.created
+        else:
+            self.demand_hits += result.hits
+            self.demand_misses += result.misses
+            self.demand_created += result.created
 
 
 class RequestTrace:
@@ -208,7 +182,7 @@ class RequestTrace:
 
 
 @dataclass
-class Metrics:
+class Metrics(_Additive):
     """A bundle of all statistics one PS node (or run) collects.
 
     Every sub-bundle lives here — cache, RPC reliability, prefetch
@@ -232,36 +206,6 @@ class Metrics:
     serving_rows: int = 0
     serving_cold_rows: int = 0
 
-    def merge(self, other: "Metrics") -> None:
-        """Accumulate another node's bundle (multi-node aggregation).
-
-        Request traces are not merged — they are per-run event logs,
-        not additive counters.
-        """
-        self.cache.merge(other.cache)
-        self.rpc.merge(other.rpc)
-        self.prefetch.merge(other.prefetch)
-        self.pulls += other.pulls
-        self.updates += other.updates
-        self.entries_created += other.entries_created
-        self.checkpoints_completed += other.checkpoints_completed
-        self.pmem_flush_entries += other.pmem_flush_entries
-        self.pmem_load_entries += other.pmem_load_entries
-        self.serving_lookups += other.serving_lookups
-        self.serving_rows += other.serving_rows
-        self.serving_cold_rows += other.serving_cold_rows
-
     def reset(self) -> None:
-        self.cache.reset()
-        self.rpc.reset()
-        self.prefetch.reset()
+        super().reset()
         self.trace.clear()
-        self.pulls = 0
-        self.updates = 0
-        self.entries_created = 0
-        self.checkpoints_completed = 0
-        self.pmem_flush_entries = 0
-        self.pmem_load_entries = 0
-        self.serving_lookups = 0
-        self.serving_rows = 0
-        self.serving_cold_rows = 0

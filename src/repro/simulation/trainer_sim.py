@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.config import (
     CacheConfig,
     CheckpointConfig,
@@ -42,7 +44,7 @@ from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.simulation.clock import PeriodicTimer, SimClock
 from repro.simulation.cluster import IterationCounts, PSCostModel, SystemKind
 from repro.simulation.device import PMEM_SPEC
-from repro.simulation.metrics import RequestTrace
+from repro.simulation.metrics import PrefetchStats, RequestTrace
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -106,8 +108,10 @@ class TrainingSimulator:
             (PMem-OE with the pipelined cache only): demand pulls on
             the critical path shrink to buffer misses, the next
             ``lookahead`` batches' deduplicated keys are pulled inside
-            the overlap slot, and pushed keys are invalidated/patched
-            exactly as in :class:`repro.dlrm.prefetch.PrefetchPipeline`.
+            the overlap slot, and pushed keys are invalidated/patched —
+            by a real :class:`repro.dlrm.prefetch.PrefetchPipeline`
+            (:attr:`pipeline`) over the metadata backend, so the priced
+            op streams are the functional pipeline's by construction.
         use_cache: Figure 9 ablation switch (hybrids only).
         reshard_at: perform one live reshard after this many completed
             iterations (elasticity ablation). The pause is priced by
@@ -189,9 +193,20 @@ class TrainingSimulator:
                 )
         self.backend = self._build_backend()
         self._dirty_since_ckpt: set[int] = set()
-        self._key_stream: list[list[int]] = []
-        self._buffered: set[int] = set()
+        self._key_stream: list[np.ndarray] = []
         self._keys_seen: set[int] = set()
+        #: the lookahead discipline itself, over the metadata backend
+        self.pipeline = None
+        if self.prefetch.enabled:
+            # not at module level: repro.dlrm.prefetch imports this package
+            from repro.dlrm.prefetch import PrefetchPipeline
+
+            self.pipeline = PrefetchPipeline(
+                self.backend,
+                self.prefetch,
+                self.server.embedding_dim,
+                self._batch_keys,
+            )
         self.reshard_at = reshard_at
         self.reshard_to = reshard_to
         self._resharded = False
@@ -239,9 +254,11 @@ class TrainingSimulator:
         if self.checkpoint_config.mode != CheckpointMode.NONE:
             timer = PeriodicTimer(self.checkpoint_config.interval_seconds)
 
+        if self.pipeline is not None:
+            self.pipeline.horizon = iterations - 1
         for batch_id in range(iterations):
-            counts = self._run_functional_iteration(batch_id, iterations - 1)
-            self._keys_seen.update(self._key_stream[batch_id])
+            counts = self._run_functional_iteration(batch_id)
+            self._keys_seen.update(self._key_stream[batch_id].tolist())
             timing = self.cost_model.price_iteration(counts)
             start = self.clock.now
             self.trace.record(start, RequestTrace.PULL, counts.requests)
@@ -446,133 +463,70 @@ class TrainingSimulator:
     # functional iteration
     # ------------------------------------------------------------------
 
-    def _batch_keys(self, batch_id: int) -> list[int]:
-        """Flat key list (duplicates kept) of global batch ``batch_id``.
+    def _batch_keys(self, batch_id: int) -> np.ndarray:
+        """Flat key array (duplicates kept) of global batch ``batch_id``.
 
         Batches are sampled lazily in order, so the generated stream is
         identical whether or not future batches are peeked early.
         """
         while len(self._key_stream) <= batch_id:
-            keys: list[int] = []
-            for batch in self.workload.sample_worker_batches(
+            batches = self.workload.sample_worker_batches(
                 self.cluster.num_workers, self.cluster.batch_size
-            ):
-                keys.extend(batch.tolist())
-            self._key_stream.append(keys)
+            )
+            self._key_stream.append(np.concatenate(batches))
         return self._key_stream[batch_id]
 
-    def _run_functional_iteration(
-        self, batch_id: int, horizon: int
-    ) -> IterationCounts:
+    def _run_functional_iteration(self, batch_id: int) -> IterationCounts:
         keys = self._batch_keys(batch_id)
-        if self.prefetch.enabled:
-            return self._run_prefetch_iteration(batch_id, keys, horizon)
-        pull = self.backend.pull(keys, batch_id)
-        maintain = aggregate_maintain(self.backend.maintain(batch_id))
-        self.backend.push(keys, None, batch_id)
+        pipeline = self.pipeline
+        lookahead = {}
+        if pipeline is None:
+            pull = self.backend.pull(keys, batch_id)
+            requests = len(keys)
+            hits, misses, created = pull.hits, pull.misses, pull.created
+            maintain = aggregate_maintain(self.backend.maintain(batch_id))
+            self.backend.push(keys, None, batch_id)
+        else:
+            # One pipeline step, counted into a bundle of its own so the
+            # iteration's share can be priced; the run's totals stay on
+            # ``pipeline.stats``.
+            total, pipeline.stats = pipeline.stats, PrefetchStats()
+            pipeline.begin_batch(batch_id, keys)
+            maintain = aggregate_maintain(pipeline.run_overlap(batch_id))
+            pipeline.push(keys, None, batch_id)
+            pipeline.end_batch(batch_id)
+            step, pipeline.stats = pipeline.stats, total
+            total.merge(step)
+            requests = step.demand_keys
+            hits, misses = step.demand_hits, step.demand_misses
+            created = step.demand_created
+            lookahead = dict(
+                prefetch_requests=step.prefetch_keys + step.patched_keys,
+                prefetch_hits=step.lookahead_hits,
+                prefetch_misses=step.lookahead_misses,
+                prefetch_created=step.lookahead_created,
+                push_requests=len(keys),
+            )
         if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL:
-            self._dirty_since_ckpt.update(keys)
-        loads = maintain.loads
-        flushes = maintain.flushes
-        evictions = maintain.evictions
-        processed = maintain.processed
+            self._dirty_since_ckpt.update(keys.tolist())
         if not self.use_cache and self.system in (
             SystemKind.PMEM_OE,
             SystemKind.ORI_CACHE,
         ):
             # Cache-disabled ablation: hit/miss accounting is moot; the
             # cost model treats every request as a PMem access.
-            return IterationCounts(
-                requests=len(keys),
-                hits=0,
-                misses=len(keys) - pull.created,
-                created=pull.created,
-                maintain_processed=processed,
-                maintain_loads=0,
-                maintain_flushes=0,
-                maintain_evictions=0,
-            )
+            hits, misses = 0, requests - created
+            maintain = replace(maintain, loads=0, flushes=0, evictions=0)
         return IterationCounts(
-            requests=len(keys),
-            hits=pull.hits,
-            misses=pull.misses,
-            created=pull.created,
-            maintain_processed=processed,
-            maintain_loads=loads,
-            maintain_flushes=flushes,
-            maintain_evictions=evictions,
-        )
-
-    def _run_prefetch_iteration(
-        self, batch_id: int, keys: list[int], horizon: int
-    ) -> IterationCounts:
-        """One iteration through the lookahead-buffer discipline.
-
-        Mirrors :class:`repro.dlrm.prefetch.PrefetchPipeline` step for
-        step on the metadata backend — demand pulls tag ``batch_id``,
-        prefetch/patch pulls tag ``batch_id + 1`` after the maintenance
-        round, pushes invalidate, eager patching restores — so the
-        priced op streams are exactly the functional pipeline's.
-        """
-        unique: list[int] = []
-        seen: set[int] = set()
-        for key in keys:
-            if key not in seen:
-                seen.add(key)
-                unique.append(key)
-        demand = [k for k in unique if k not in self._buffered]
-        pull = self.backend.pull(demand, batch_id)
-        self._buffered.update(demand)
-        maintain = aggregate_maintain(self.backend.maintain(batch_id))
-
-        window: set[int] = set()
-        last = min(batch_id + self.prefetch.lookahead, horizon)
-        for future in range(batch_id + 1, last + 1):
-            window.update(self._batch_keys(future))
-        candidates = sorted(window - self._buffered)
-        cap = self.prefetch.max_buffer_entries
-        if cap is not None:
-            candidates = candidates[: max(0, cap - len(self._buffered))]
-        pf_requests = pf_hits = pf_misses = pf_created = 0
-        if candidates:
-            pf = self.backend.pull(candidates, batch_id + 1)
-            self._buffered.update(candidates)
-            pf_requests += len(candidates)
-            pf_hits += pf.hits
-            pf_misses += pf.misses
-            pf_created += pf.created
-
-        self.backend.push(keys, None, batch_id)
-        if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL:
-            self._dirty_since_ckpt.update(keys)
-
-        pushed = seen
-        self._buffered -= pushed
-        if self.prefetch.patch:
-            to_patch = sorted(pushed & window)
-            if to_patch:
-                patch = self.backend.pull(to_patch, batch_id + 1)
-                self._buffered.update(to_patch)
-                pf_requests += len(to_patch)
-                pf_hits += patch.hits
-                pf_misses += patch.misses
-                pf_created += patch.created
-        self._buffered &= window
-
-        return IterationCounts(
-            requests=len(demand),
-            hits=pull.hits,
-            misses=pull.misses,
-            created=pull.created,
+            requests=requests,
+            hits=hits,
+            misses=misses,
+            created=created,
             maintain_processed=maintain.processed,
             maintain_loads=maintain.loads,
             maintain_flushes=maintain.flushes,
             maintain_evictions=maintain.evictions,
-            prefetch_requests=pf_requests,
-            prefetch_hits=pf_hits,
-            prefetch_misses=pf_misses,
-            prefetch_created=pf_created,
-            push_requests=len(keys),
+            **lookahead,
         )
 
     # ------------------------------------------------------------------

@@ -429,3 +429,67 @@ class TestInitializerExistsOnce:
             node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         ]
         assert not any(name.startswith(("repro.pmem", "repro.network")) for name in imported)
+
+
+class TestLookaheadExistsOnce:
+    """The lookahead discipline (demand → maintain → prefetch the window →
+    invalidate on push → patch → prune) is stated in ``dlrm/prefetch.py``
+    and nowhere else; the simulator and both trainers drive that object."""
+
+    def test_the_mirror_is_gone(self):
+        """(``pushes_buffered``, an aggregation counter, is another word.)"""
+        import re
+
+        retired = re.compile(r"_run_prefetch_iteration|(?<![A-Za-z0-9])_buffered\b")
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            assert not retired.search(source), path
+
+    def test_only_the_pipeline_reads_the_config(self):
+        """``PrefetchConfig``'s fields are read in ``config.py`` (which
+        validates them) and ``dlrm/prefetch.py``; everyone else passes
+        the config along. (``args.lookahead`` is argparse's namespace.)"""
+        import ast
+
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            if path.name == "config.py" or path.parts[-2:] == ("dlrm", "prefetch.py"):
+                continue
+            for node in ast.walk(ast.parse(source)):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("lookahead", "patch", "max_buffer_entries")
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+                ):
+                    raise AssertionError(f"{path}:{node.lineno} reads .{node.attr}")
+
+    def test_the_pipeline_state_is_arrays(self):
+        """No loop or comprehension over keys (the one comprehension walks
+        the ``lookahead`` batch ids), no ``.tolist()``, no dict or set."""
+        import ast
+        from pathlib import Path
+
+        import repro.dlrm.prefetch as module
+
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            assert not isinstance(node, (ast.For, ast.While)), node.lineno
+            if isinstance(node, ast.comprehension):
+                assert isinstance(node.iter, ast.Call) and node.iter.func.id == "range", (
+                    f"line {node.iter.lineno}: a comprehension over something "
+                    "other than range(...)"
+                )
+            assert not isinstance(node, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)), (
+                node.lineno
+            )
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                assert name not in ("tolist", "dict", "set", "list"), (node.lineno, name)
+
+    def test_the_trainers_do_not_flatten_for_the_pipeline(self):
+        """``SynchronousTrainer`` pushes through one ``PSEmbedding.push``
+        whether or not a pipeline sits in front of the backend."""
+        import inspect
+
+        from repro.dlrm.trainer import SynchronousTrainer
+
+        body = inspect.getsource(SynchronousTrainer._step)
+        assert "pipeline.push" not in body and "reshape" not in body

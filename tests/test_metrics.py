@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.simulation.metrics import CacheStats, Counter, Metrics, RequestTrace
-
-
-class TestCounter:
-    def test_add_and_reset(self):
-        counter = Counter("pulls")
-        counter.add()
-        counter.add(5)
-        assert counter.value == 6
-        counter.reset()
-        assert counter.value == 0
+from repro.simulation.metrics import CacheStats, Metrics, RequestTrace
 
 
 class TestCacheStats:

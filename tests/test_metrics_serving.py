@@ -165,3 +165,84 @@ class TestExportServe:
         model = DeepFM(FIELDS, DIM, use_first_order=False)
         with pytest.raises(ConfigError):
             InferenceSession(path, model)
+
+    WIDE_KEYS = [1, 2**63 + 5, 2**64 - 1]
+
+    def _wide_server(self):
+        """A server whose resident keys span the full ``uint64`` range."""
+        server = OpenEmbeddingServer(
+            ServerConfig(
+                num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=4
+            ),
+            CacheConfig(capacity_bytes=64 << 10),
+            PSAdagrad(lr=0.05),
+        )
+        keys = np.array(self.WIDE_KEYS, dtype=np.uint64)
+        server.pull(keys, 0)
+        server.maintain(0)
+        server.push(keys, np.ones((3, DIM), dtype=np.float32), 0)
+        return server, keys
+
+    def test_keys_beyond_int64_round_trip(self, tmp_path):
+        """The parent raised a bare ``OverflowError`` in ``export_model``
+        for any resident key >= 2**63."""
+        server, keys = self._wide_server()
+        model = DeepFM(3, DIM, hidden=(16,), use_first_order=False, seed=4)
+        path = tmp_path / "wide.npz"
+        assert export_model(path, server, model) == 3
+        with np.load(path) as data:
+            assert data["keys"].dtype == np.uint64
+        fresh = DeepFM(3, DIM, hidden=(16,), use_first_order=False, seed=9)
+        expected = server.lookup(keys, server.latest_serving_snapshot).weights
+        for session in (
+            InferenceSession(path, fresh),
+            InferenceSession.from_backend(server, model),
+        ):
+            rows = session.lookup(keys.reshape(1, 3))
+            assert np.array_equal(rows[0], expected)
+            assert session.cold_lookups == 0
+
+    def test_int64_key_artifact_still_loads(self, trained, tmp_path):
+        """Artifacts written before keys were ``uint64`` hold ``int64``."""
+        trainer, server, model, dataset = trained
+        path, old_path = tmp_path / "new.npz", tmp_path / "old.npz"
+        export_model(path, server, model)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["keys"] = arrays["keys"].astype(np.int64)
+        np.savez_compressed(old_path, **arrays)
+        keys = dataset.batch(16, 50_000).keys
+        sessions = [
+            InferenceSession(p, DeepFM(FIELDS, DIM, hidden=(16,), use_first_order=False))
+            for p in (path, old_path)
+        ]
+        assert np.array_equal(sessions[0].lookup(keys), sessions[1].lookup(keys))
+
+    def test_cold_keys_are_one_block(self, trained, tmp_path, monkeypatch):
+        """A lookup asks the initializer once for all its cold keys, and
+        the rows are the live PS's, repeated keys and all."""
+        from repro.dlrm import serving
+
+        trainer, server, model, __ = trained
+        path = tmp_path / "model.npz"
+        export_model(path, server, model)
+        session = InferenceSession(
+            path, DeepFM(FIELDS, DIM, hidden=(16,), use_first_order=False)
+        )
+        calls = []
+        real = serving.key_seeded_rows
+
+        def spy(seed, keys, scale, dim):
+            calls.append(len(keys))
+            return real(seed, keys, scale, dim)
+
+        monkeypatch.setattr(serving, "key_seeded_rows", spy)
+        resident = int(server.owned_keys()[0])
+        cold = np.arange(30_000_000, 30_000_000 + 2 * FIELDS - 1)
+        matrix = np.concatenate([cold, [resident]]).reshape(2, FIELDS)
+        matrix[1, 0] = cold[0]  # a repeated cold key
+        out = session.lookup(matrix)
+        assert calls == [2 * FIELDS - 1]
+        assert session.cold_lookups == 2 * FIELDS - 1
+        live = server.pull(matrix.reshape(-1), 95_000).weights
+        assert np.array_equal(out.reshape(-1, DIM), live)

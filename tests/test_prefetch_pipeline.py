@@ -1,5 +1,9 @@
 """Unit tests for the lookahead prefetch pipeline."""
 
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -161,7 +165,7 @@ class TestStepProtocol:
     def test_validate_raises_on_stale_buffer(self):
         pipeline, _ = make_pipeline(lookahead=1)
         pipeline.begin_batch(0, stream(0))
-        pipeline._pushed.add(2)  # simulate a missed invalidation
+        pipeline._pushed = np.array([2], dtype=np.uint64)  # a missed invalidation
         with pytest.raises(ServerError, match="staleness"):
             pipeline.validate()
 
@@ -228,3 +232,167 @@ class TestClockPrimitive:
         clock = SimClock()
         with pytest.raises(ClockError):
             clock.advance_overlapping(0.0, -1.0)
+
+
+class TestMetadataBackend:
+    """A metadata-only backend returns no weights: the pipeline keeps
+    membership only (the parent refused with ``ConfigError: requires a
+    value-mode backend`` at the first demand pull)."""
+
+    def test_full_step_without_rows(self):
+        from repro.core.ps_node import PSNode
+
+        node = PSNode(
+            0,
+            ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22),
+            CacheConfig(capacity_bytes=1 << 18),
+            metadata_only=True,
+        )
+        pipeline = PrefetchPipeline(node, PrefetchConfig(lookahead=2), DIM, stream)
+        for batch_id in range(3):
+            pipeline.begin_batch(batch_id, stream(batch_id))
+            pipeline.run_overlap(batch_id)
+            pipeline.push(stream(batch_id).reshape(-1), None, batch_id)
+            pipeline.end_batch(batch_id)
+            pipeline.validate()
+        assert pipeline.stats.demand_keys == 4  # batch 0 only
+        assert pipeline.stats.patched_keys > 0
+        assert pipeline.buffered_keys == 6  # the window of batch 2: keys 6..11
+        assert node.num_entries == 12
+        with pytest.raises(ConfigError, match="value-mode"):
+            pipeline.gather(stream(2))
+
+
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "golden_prefetch_pulls.json").read_text()
+)
+SCENARIOS = {
+    "lookahead2_patched": PrefetchConfig(lookahead=2),
+    "lookahead3_unpatched": PrefetchConfig(lookahead=3, patch=False),
+    "lookahead2_capped": PrefetchConfig(lookahead=2, max_buffer_entries=20),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestPullGoldens:
+    """``tests/golden_prefetch_pulls.json`` was recorded on the tree whose
+    pipeline was a dict of rows and whose simulator carried its own copy
+    of the discipline. The order of the keys inside each backend pull is
+    part of the contract (the server's LRU order follows it), so it is
+    pinned element for element."""
+
+    BATCHES = 10
+
+    @staticmethod
+    def keys(batch_id: int) -> np.ndarray:
+        return np.random.default_rng(100 + batch_id).integers(0, 30, size=(6, 3))
+
+    def test_backend_sees_the_recorded_pulls(self, name):
+        backend = OpenEmbeddingServer(
+            ServerConfig(num_nodes=2, embedding_dim=4, pmem_capacity_bytes=1 << 22),
+            CacheConfig(capacity_bytes=1 << 18),
+        )
+        pulls, real_pull = [], backend.pull
+
+        def spy(keys, batch_id):
+            assert isinstance(keys, np.ndarray) and keys.dtype == np.uint64
+            pulls.append([batch_id, keys.tolist()])
+            return real_pull(keys, batch_id)
+
+        backend.pull = spy
+        pipeline = PrefetchPipeline(
+            backend, SCENARIOS[name], 4, self.keys, horizon=self.BATCHES - 1
+        )
+        for b in range(self.BATCHES):
+            keys = self.keys(b)
+            pipeline.begin_batch(b, keys)
+            pipeline.gather(keys)
+            pipeline.run_overlap(b)
+            pipeline.push(keys.reshape(-1), np.ones((keys.size, 4), np.float32), b)
+            pipeline.end_batch(b)
+            pipeline.validate()
+        assert pulls == GOLDENS[name]["pulls"]
+        stats = dataclasses.asdict(pipeline.stats)
+        recorded = GOLDENS[name]["stats"]
+        assert {field: stats[field] for field in recorded} == recorded
+        # the per-cause outcomes account for every key the backend was sent
+        assert (
+            stats["demand_hits"] + stats["demand_misses"] + stats["demand_created"]
+            == stats["demand_keys"]
+        )
+        assert (
+            stats["lookahead_hits"] + stats["lookahead_misses"]
+            + stats["lookahead_created"]
+            == stats["prefetch_keys"] + stats["patched_keys"]
+        )
+
+    def test_simulator_prices_the_recorded_counts(self, name):
+        from repro.config import (
+            CheckpointConfig, ClusterConfig, NetworkConfig, WorkloadConfig,
+        )
+        from repro.simulation.cluster import SystemKind
+        from repro.simulation.trainer_sim import TrainingSimulator
+        from repro.workload.generator import WorkloadGenerator
+
+        sim = TrainingSimulator(
+            SystemKind.PMEM_OE,
+            ClusterConfig(
+                num_workers=4, batch_size=32,
+                network=NetworkConfig(bandwidth_bytes_per_s=60e6),
+            ),
+            ServerConfig(embedding_dim=16, pmem_capacity_bytes=1 << 26),
+            CacheConfig(capacity_bytes=96 * 16 * 4),
+            CheckpointConfig.none(),
+            WorkloadGenerator(
+                WorkloadConfig(num_keys=2_000, features_per_sample=4, seed=1)
+            ),
+            prefetch=SCENARIOS[name],
+        )
+        counts, real_price = [], sim.cost_model.price_iteration
+
+        def spy(iteration_counts):
+            counts.append(dataclasses.asdict(iteration_counts))
+            return real_price(iteration_counts)
+
+        sim.cost_model.price_iteration = spy
+        sim.run(16)
+        assert counts == GOLDENS[name]["simulator"]
+
+
+class TestNoPerKeyPython:
+    """Structural guard: a warm step (nothing to demand-pull, everything
+    pushed, everything patched) executes the same bytecode in
+    ``dlrm/prefetch.py`` for 8 192 keys as for 256."""
+
+    @staticmethod
+    def warm_step_opcodes(num_keys: int) -> int:
+        from tests.test_hotpath_equivalence import TestNoPerKeyPython as guard
+
+        rng = np.random.default_rng(num_keys)
+        matrix = rng.choice(2**40, num_keys, replace=False).reshape(-1, 8)
+        backend = OpenEmbeddingServer(
+            ServerConfig(num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 26),
+            CacheConfig(capacity_bytes=1 << 24),
+        )
+        pipeline = PrefetchPipeline(
+            backend, PrefetchConfig(lookahead=2), DIM, lambda batch_id: matrix
+        )
+        grads = np.ones((num_keys, DIM), dtype=np.float32)
+
+        def one_step(batch_id):
+            pipeline.begin_batch(batch_id, matrix)
+            pipeline.gather(matrix)
+            pipeline.run_overlap(batch_id)
+            pipeline.push(matrix.reshape(-1), grads, batch_id)
+            pipeline.end_batch(batch_id)
+
+        one_step(0)
+        demanded = pipeline.stats.demand_keys
+        opcodes = guard.count(lambda: one_step(1), where=("/repro/dlrm/prefetch.py",))
+        assert pipeline.stats.demand_keys == demanded == num_keys
+        assert pipeline.stats.patched_keys == 2 * num_keys
+        return opcodes
+
+    def test_opcode_count_does_not_grow_with_the_batch(self):
+        small, large = self.warm_step_opcodes(256), self.warm_step_opcodes(8192)
+        assert small > 100 and large == small, (small, large)

@@ -190,6 +190,24 @@ class TestPrefetch:
         speedup = base.sim_seconds / pipelined.sim_seconds
         assert speedup >= 1.3
 
+    def test_simulator_runs_the_functional_pipeline(self):
+        """The lookahead discipline is not re-stated here: the simulator
+        owns a ``PrefetchPipeline`` over its metadata backend, and what
+        it prices is what that object did."""
+        from repro.config import PrefetchConfig
+        from repro.dlrm.prefetch import PrefetchPipeline
+
+        sim = make_sim(SystemKind.PMEM_OE, prefetch=PrefetchConfig(lookahead=2))
+        assert isinstance(sim.pipeline, PrefetchPipeline)
+        assert sim.pipeline.backend is sim.backend
+        result = sim.run(30)
+        stats = sim.pipeline.stats
+        assert stats.batches == 30
+        assert result.prefetch_requests == stats.prefetch_keys + stats.patched_keys > 0
+        assert result.total_requests == stats.demand_keys
+        assert stats.demand_hits + stats.demand_misses + stats.demand_created == stats.demand_keys
+        assert make_sim(SystemKind.PMEM_OE).pipeline is None
+
     def test_lookahead_zero_matches_baseline(self):
         base = self._run(None)
         serial = self._run(0)
