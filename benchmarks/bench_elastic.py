@@ -40,12 +40,11 @@ DIM = 8
 def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float]:
     """(ring, modulo) fraction of a sampled keyspace that changes owner
     when the cluster grows ``num_nodes -> num_nodes + 1``."""
-    keys = range(sample_keys)
+    keys = np.arange(sample_keys, dtype=np.uint64)
     ring = ConsistentHashRing(num_nodes, VNODES)
     ring_moved = len(ring.moved_keys(ring.with_nodes(num_nodes + 1), keys))
-    old = HashPartitioner(num_nodes)
-    new = HashPartitioner(num_nodes + 1)
-    modulo_moved = sum(1 for k in keys if old.node_of(k) != new.node_of(k))
+    modulo = HashPartitioner(num_nodes)
+    modulo_moved = len(modulo.moved_keys(HashPartitioner(num_nodes + 1), keys))
     return ring_moved / sample_keys, modulo_moved / sample_keys
 
 

@@ -35,7 +35,6 @@ from repro.core.entry import EntryColumns, EntryView, Location, pack_handle, unp
 from repro.core.failover import (
     FailoverManager,
     FailureDetector,
-    LocalFailoverTransport,
     NodeState,
     PromotionReport,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "RebuildReport",
     "FailureDetector",
     "FailoverManager",
-    "LocalFailoverTransport",
     "NodeState",
     "PromotionReport",
 ]

@@ -9,20 +9,21 @@ supplies the detection and orchestration half of that availability
 layer; :class:`~repro.core.replication.ReplicatedPSNode` supplies the
 replica.
 
-Three pieces:
+Two pieces:
 
 * :class:`FailureDetector` — a pure, SimClock-driven lease table. Each
   watched node holds a lease of ``ServerConfig.lease_s`` seconds that a
   successful heartbeat renews. A node whose lease has expired is DEAD;
   one past the suspect threshold but inside its lease is SUSPECT (do
   not reroute yet — the wire may just be slow).
-* ``FailoverTransport`` — how the manager talks to the cluster. The
-  in-process :class:`LocalFailoverTransport` is defined here; the RPC
-  one (heartbeat probes over dedicated channels, promotion via a
-  ``Promote`` message) lives in :mod:`repro.network.transports` so core
-  stays import-light.
-* :class:`FailoverManager` — the policy loop. ``beat()`` probes every
-  shard, renews leases and advances background re-replication;
+* :class:`FailoverManager` — the policy loop over one cluster facade
+  (:class:`~repro.core.server.OpenEmbeddingServer`), reaching each
+  shard through its ``_shard_probe`` / ``_shard_promote`` /
+  ``_shard_rebuild_*`` hooks: node calls in process; on a
+  :class:`~repro.network.frontend.RemotePSClient` the probe is a
+  ``Heartbeat`` RPC on a short-retry channel and the promotion a
+  ``Promote`` RPC. ``beat()`` probes every shard, renews leases and
+  advances background re-replication one chunk per round;
   ``handle_timeout(node)`` is the client's reaction to an unanswered
   call: re-probe, wait out the remaining lease on the shared clock
   (detection latency is therefore *bounded by the lease*), promote the
@@ -41,9 +42,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
-from repro.config import ServerConfig
 from repro.errors import FailoverError, ServerError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -174,71 +173,6 @@ class FailureDetector:
         return [n for n in sorted(self._leases) if self.state_of(n) is NodeState.DEAD]
 
 
-@runtime_checkable
-class FailoverTransport(Protocol):
-    """How the manager observes and operates one cluster."""
-
-    def num_nodes(self) -> int:
-        """Shard count under watch."""
-
-    def probe(self, node_id: int) -> bool:
-        """One liveness check; True iff the primary answered."""
-
-    def committed_epoch(self) -> int:
-        """The durably committed ring epoch (0 for modulo routing)."""
-
-    def promote(self, node_id: int, committed_epoch: int) -> float:
-        """Promote the shard's backup; returns simulated seconds.
-
-        Raises:
-            FailoverError: double fault — no backup survives.
-        """
-
-    def rebuild_tick(self, node_id: int, max_keys: int) -> str:
-        """Advance the shard's background re-replication one increment."""
-
-    def rebuild_progress(self, node_id: int) -> float:
-        """Fraction of the census copied (1.0 = fully replicated)."""
-
-
-class LocalFailoverTransport:
-    """In-process transport over an :class:`OpenEmbeddingServer` whose
-    shards are :class:`~repro.core.replication.ReplicatedPSNode`."""
-
-    def __init__(self, server):
-        self.server = server
-
-    def num_nodes(self) -> int:
-        return len(self.server.nodes)
-
-    def probe(self, node_id: int) -> bool:
-        node = self.server.nodes[node_id]
-        return bool(getattr(node, "primary_alive", True))
-
-    def committed_epoch(self) -> int:
-        return self.server.ring_epoch
-
-    def promote(self, node_id: int, committed_epoch: int) -> float:
-        node = self.server.nodes[node_id]
-        if getattr(node, "primary_alive", True):
-            # False positive (e.g. probes lost, lease lapsed while the
-            # node lived): promotion must be an acknowledged no-op.
-            return 0.0
-        return node.failover(committed_epoch=committed_epoch)
-
-    def rebuild_tick(self, node_id: int, max_keys: int) -> str:
-        node = self.server.nodes[node_id]
-        tick = getattr(node, "rebuild_tick", None)
-        return tick(max_keys) if tick is not None else "idle"
-
-    def rebuild_progress(self, node_id: int) -> float:
-        node = self.server.nodes[node_id]
-        report = getattr(node, "rebuild_report", None)
-        if report is None:
-            return 1.0
-        return 1.0 if report.finished else report.progress
-
-
 @dataclass
 class PromotionReport:
     """One detection → promotion episode, fully accounted."""
@@ -257,27 +191,27 @@ class PromotionReport:
 
 
 class FailoverManager:
-    """Detection + promotion + re-replication policy over one transport.
+    """Detection + promotion + re-replication policy over one cluster.
 
     The same manager drives the local server, the RPC client, and the
-    RPC-client-over-FaultyLink — only the transport differs, which is
-    what lets the chaos soak run all three against one schedule.
+    RPC-client-over-FaultyLink — it reaches each shard through the
+    cluster's ``_shard_*`` hooks, so only those differ, which is what
+    lets the chaos soak run all three against one schedule. The lease
+    comes from ``cluster.server_config``.
     """
 
     def __init__(
         self,
-        transport: FailoverTransport,
+        cluster,
         clock: SimClock,
-        config: ServerConfig,
         *,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         rebuild_chunk: int = 64,
         recorder=None,
     ):
-        self.transport = transport
+        self.cluster = cluster
         self.clock = clock
-        self.config = config
         self.registry = registry
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional :class:`~repro.obs.flightrec.FlightRecorder`. Every
@@ -287,8 +221,8 @@ class FailoverManager:
         #: saw in the seconds around the outage.
         self.recorder = recorder
         self.rebuild_chunk = rebuild_chunk
-        self.detector = FailureDetector(clock, config.lease_s)
-        for node_id in range(transport.num_nodes()):
+        self.detector = FailureDetector(clock, cluster.server_config.lease_s)
+        for node_id in range(len(cluster.nodes)):
             self.detector.watch(node_id)
         self.promotions: list[PromotionReport] = []
         self.double_faults = 0
@@ -302,24 +236,26 @@ class FailoverManager:
 
         Returns each shard's post-round state. Heartbeats ride the
         background (off the request critical path), so the round itself
-        charges no clock time beyond what the transport's probes do.
+        charges no clock time beyond what the probes do. A shard that
+        answered advances its re-replication by one ``rebuild_chunk`` —
+        once per round, here and nowhere else.
         """
         states: dict[int, NodeState] = {}
-        for node_id in range(self.transport.num_nodes()):
+        for node_id in range(len(self.cluster.nodes)):
             if not self.detector.declared_dead(node_id):
                 # An expired-but-undeclared lease is exactly what a
                 # probe is for: a live answer renews it.
-                if self.transport.probe(node_id):
+                if self.cluster._shard_probe(node_id):
                     self.detector.heartbeat(node_id)
                     self._tick_rebuild(node_id)
             states[node_id] = self.detector.state_of(node_id)
         return states
 
     def _tick_rebuild(self, node_id: int) -> None:
-        state = self.transport.rebuild_tick(node_id, self.rebuild_chunk)
+        state = self.cluster._shard_rebuild_tick(node_id, self.rebuild_chunk)
         if state == "idle":
             return
-        progress = self.transport.rebuild_progress(node_id)
+        progress = self.cluster._shard_rebuild_progress(node_id)
         if self.registry is not None:
             self.registry.gauge(
                 "repro_failover_rereplication_progress",
@@ -361,7 +297,7 @@ class FailoverManager:
         if not self.detector.declared_dead(node_id):
             # Even an expired lease yields to fresh evidence of life —
             # the one-way door is declare_dead, not expiry.
-            if self.transport.probe(node_id):
+            if self.cluster._shard_probe(node_id):
                 self.detector.heartbeat(node_id)
                 self._rec("probe_alive", node=node_id)
                 return "retry"
@@ -378,12 +314,12 @@ class FailoverManager:
         self._rec("declared_dead", node=node_id, detection_s=detection_s)
         if self.recorder is not None:
             self.recorder.dump("declare_dead", node=node_id)
-        epoch = self.transport.committed_epoch()
+        epoch = self.cluster.committed_epoch()
         with self.tracer.span(
             "failover.promote", track="failure", node=node_id, epoch=epoch
         ) as span:
             try:
-                promotion_s = self.transport.promote(node_id, epoch)
+                promotion_s = self.cluster._shard_promote(node_id, epoch)
             except FailoverError:
                 self.double_faults += 1
                 if self.registry is not None:
@@ -444,12 +380,12 @@ class FailoverManager:
 
         noticed -> promoted is at most: the remaining lease (full
         ``lease_s`` in the worst case) + one probe round trip (absorbed
-        in ``call_timeout_s`` for RPC transports) + the promotion cost
-        itself. The chaos soak asserts p99 under this.
+        in ``call_timeout_s`` over RPC) + the promotion cost itself. The
+        chaos soak asserts p99 under this.
         """
         from repro.core.replication import FAILOVER_SECONDS
 
-        return self.config.lease_s + call_timeout_s + FAILOVER_SECONDS
+        return self.detector.lease_s + call_timeout_s + FAILOVER_SECONDS
 
     def max_unavailability_s(self) -> float:
         if not self.promotions:

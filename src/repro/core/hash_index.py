@@ -126,9 +126,9 @@ class HashIndex:
         """Iterate a view of every indexed entry (slot order)."""
         return (EntryView(self.columns, slot) for slot in self.columns.live().tolist())
 
-    def keys(self) -> list[int]:
-        """Every indexed key (slot order)."""
-        return self.columns.key[self.columns.live()].tolist()
+    def keys(self) -> np.ndarray:
+        """Every indexed key (``uint64``, slot order)."""
+        return self.columns.key[self.columns.live()]
 
     def validate(self) -> None:
         """Check table/column consistency; used by tests."""

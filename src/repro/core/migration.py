@@ -36,6 +36,12 @@ cleanup     End the dual-ownership window: sources drop the moved
 done        Migration complete; training resumes.
 ========== ==========================================================
 
+A shard is reached one way: through the cluster facade's ``_shard_*``
+hooks (:class:`~repro.core.server.OpenEmbeddingServer`), so the same
+migrator moves entries by node calls in process and as ``Migrate`` RPCs
+— retried and deduplicated like training traffic — on a
+:class:`~repro.network.frontend.RemotePSClient`.
+
 Crash consistency: every step is labelled and the
 ``tests/harness/crashpoints.py`` scheduler kills the cluster at each
 label. Because transfer copies and the ring commit is a single
@@ -50,7 +56,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
+
+import numpy as np
 
 from repro.config import CacheConfig, ServerConfig
 from repro.core.ps_node import PSNode
@@ -65,7 +73,6 @@ from repro.core.optimizers import PSOptimizer
 from repro.errors import RecoveryError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
-from repro.pmem.space import EntryBlock
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 
 MIGRATION_STEPS = (
@@ -84,53 +91,6 @@ The crash-point sweep (``tests/test_migration_crashpoints.py``) derives
 its schedule from this tuple, so adding a step here automatically adds
 it to the crash matrix.
 """
-
-class MigrationTransport(Protocol):
-    """How entry data moves between shards during a migration.
-
-    Two implementations exist: the in-process one below (direct node
-    method calls, used by :class:`~repro.core.server.OpenEmbeddingServer`)
-    and :class:`~repro.network.transports.RpcMigrationTransport`, which
-    moves the same payloads through framed ``MigrateRequest`` RPCs with
-    the client's usual retry + dedup discipline. Either way entries
-    travel as one :class:`~repro.pmem.space.EntryBlock` from the source
-    store to the target store.
-    """
-
-    def provision(self, node_id: int, server_config: ServerConfig) -> PSNode:
-        """Create the empty node joining the cluster (scale-out)."""
-        ...
-
-    def export(self, node: PSNode, keys: list[int]) -> EntryBlock:
-        """Read all retained versions of ``keys`` from ``node``."""
-        ...
-
-    def put(self, node: PSNode, block: EntryBlock) -> int:
-        """Ingest transferred entries on ``node``; idempotent."""
-        ...
-
-    def delete(self, node: PSNode, keys: list[int]) -> int:
-        """Drop ``keys`` from ``node`` (cleanup); idempotent."""
-        ...
-
-
-class InProcessTransport:
-    """Direct node-object transport for the in-process server."""
-
-    def __init__(self, cluster: OpenEmbeddingServer):
-        self.cluster = cluster
-
-    def provision(self, node_id: int, server_config: ServerConfig) -> PSNode:
-        return self.cluster.provision_node(node_id, server_config)
-
-    def export(self, node: PSNode, keys: list[int]) -> EntryBlock:
-        return node.export_entries(keys)
-
-    def put(self, node: PSNode, block: EntryBlock) -> int:
-        return node.ingest_entries(block)
-
-    def delete(self, node: PSNode, keys: list[int]) -> int:
-        return node.drop_keys(keys)
 
 
 @dataclass(frozen=True)
@@ -159,11 +119,10 @@ class ShardMigrator:
     """Executes live scale-out / scale-in against a running cluster.
 
     Args:
-        cluster: an :class:`OpenEmbeddingServer` or any object with the
-            same elastic surface (``nodes``, ``partitioner``,
-            ``server_config``, ``barrier_checkpoint``, ``commit_ring``,
-            ``provision_node``) — :class:`RemotePSClient` qualifies.
-        transport: how entries move (defaults to direct node calls).
+        cluster: the :class:`OpenEmbeddingServer` (or its RPC subclass)
+            to reshard; entries travel through its ``_shard_export`` /
+            ``_shard_ingest`` / ``_shard_drop`` hooks as one
+            :class:`~repro.pmem.space.EntryBlock` per move.
         on_step: hook invoked with each label *before* the step runs —
             the crash-point scheduler plugs in here.
         tracer: each step emits a ``migration.<label>`` instant on the
@@ -180,14 +139,12 @@ class ShardMigrator:
 
     def __init__(
         self,
-        cluster,
-        transport: MigrationTransport | None = None,
+        cluster: OpenEmbeddingServer,
         on_step: Callable[[str], None] | None = None,
         tracer: Tracer | None = None,
         recorder=None,
     ):
         self.cluster = cluster
-        self.transport = transport or InProcessTransport(cluster)
         self.on_step = on_step
         self.tracer = tracer if tracer is not None else getattr(
             cluster, "tracer", NULL_TRACER
@@ -288,38 +245,30 @@ class ShardMigrator:
         # -- provision ------------------------------------------------
         self._step("provision")
         if scale_out:
-            target = self.transport.provision(old_n, new_cfg)
+            target = cluster.provision_node(old_n, new_cfg)
             self.pending_target = target
             node_for = lambda nid: target if nid == old_n else cluster.nodes[nid]
         else:
             node_for = lambda nid: cluster.nodes[nid]
 
-        # Plan the moves: (source node, new owner id, keys).
-        moves: list[tuple[PSNode, int, list[int]]] = []
-        keys_total = 0
-        if scale_out:
-            for node in cluster.nodes:
-                owned = node.owned_keys()
-                keys_total += len(owned)
-                moved = [k for k in owned if new_ring.node_of(k) == old_n]
-                if moved:
-                    moves.append((node, old_n, moved))
-        else:
-            leaving = cluster.nodes[-1]
-            for node in cluster.nodes:
-                keys_total += len(node.owned_keys())
-            per_owner: dict[int, list[int]] = {}
-            for key in leaving.owned_keys():
-                per_owner.setdefault(new_ring.node_of(key), []).append(key)
-            for owner in sorted(per_owner):
-                moves.append((leaving, owner, per_owner[owner]))
+        # Plan the moves: (source node, new owner id, keys). Every node's
+        # keys can leave on scale-out, only the leaving node's on
+        # scale-in; the split keeps slot order within each owner.
+        owned = [(node, node.owned_keys()) for node in cluster.nodes]
+        keys_total = sum(len(keys) for __, keys in owned)
+        moves: list[tuple[PSNode, int, np.ndarray]] = [
+            (source, owner, keys)
+            for source, held in (owned if scale_out else owned[-1:])
+            for owner, keys in enumerate(new_ring.split(held)[0])
+            if owner != source.node_id and len(keys)
+        ]
 
         # -- transfer: copy, never move -------------------------------
         self._step("transfer")
         keys_moved = versions_moved = 0
         for i, (source, owner, keys) in enumerate(moves):
-            block = self.transport.export(source, keys)
-            self.transport.put(node_for(owner), block)
+            block = cluster._shard_export(source, keys)
+            cluster._shard_ingest(node_for(owner), block)
             keys_moved += len(keys)
             versions_moved += block.batch_ids.size
             if i == 0:
@@ -348,7 +297,7 @@ class ShardMigrator:
         member_ids = {node.node_id for node in new_nodes}
         for source, __, keys in moves:
             if source.node_id in member_ids:
-                self.transport.delete(source, keys)
+                cluster._shard_drop(source, keys)
             else:
                 # Scale-in: the source left the membership at commit, so
                 # releasing its copies is a local decommission wipe, not
@@ -472,11 +421,8 @@ def recover_elastic(
     )
     purged = 0
     for node in server.nodes:
-        stale = [
-            k for k in node.owned_keys()
-            if server.partitioner.node_of(k) != node.node_id
-        ]
-        purged += node.drop_keys(stale)
+        held = node.owned_keys()
+        purged += node.drop_keys(held[server.partitioner.owners(held) != node.node_id])
     tracer.instant(
         "migration.recovered",
         track="migration",

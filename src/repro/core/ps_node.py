@@ -358,9 +358,10 @@ class PSNode:
     # shard migration (repro.core.migration)
     # ------------------------------------------------------------------
 
-    def owned_keys(self) -> list[int]:
-        """Every key this shard currently holds (any tier)."""
-        return list(self.cache.index.keys())
+    def owned_keys(self) -> np.ndarray:
+        """Every key this shard currently holds (any tier; ``uint64``,
+        slot order)."""
+        return self.cache.index.keys()
 
     def export_entries(self, keys) -> EntryBlock:
         """Read all retained durable versions of ``keys`` for transfer.

@@ -173,7 +173,7 @@ class ReplicatedPSNode:
         elif self._rebuilding:
             # Auto-create may have made new keys; the catch-up copy must
             # re-read them after the finish barrier.
-            self._rebuild_touched.update(keys)
+            self._touch(keys)
         return result
 
     def lookup(self, keys, snapshot_id: int | None = None, replica: int = 0):
@@ -229,7 +229,7 @@ class ReplicatedPSNode:
             )
         elif self._rebuilding:
             # Weights changed after the rebuild census: re-copy at finish.
-            self._rebuild_touched.update(keys)
+            self._touch(keys)
         return updated
 
     @property
@@ -311,7 +311,7 @@ class ReplicatedPSNode:
             )
         self.ring_epoch = epoch
 
-    def owned_keys(self) -> list[int]:
+    def owned_keys(self) -> np.ndarray:
         return self.primary.owned_keys()
 
     def export_entries(self, keys) -> EntryBlock:
@@ -332,7 +332,7 @@ class ReplicatedPSNode:
         if self.backup is not None:
             self.backup.ingest_entries(block)
         elif self._rebuilding:
-            self._rebuild_touched.update(block.keys.tolist())
+            self._touch(block.keys)
         return count
 
     def drop_keys(self, keys) -> int:
@@ -342,12 +342,10 @@ class ReplicatedPSNode:
         if self.backup is not None:
             self.backup.drop_keys(keys)
         elif self._rebuilding:
-            keys = set(keys)
-            self._rebuild_target.drop_keys(list(keys))
-            self._rebuild_pending = [
-                k for k in self._rebuild_pending if k not in keys
-            ]
-            self._rebuild_touched -= keys
+            keys = np.asarray(keys, dtype=np.uint64)
+            self._rebuild_target.drop_keys(keys)
+            self._rebuild_pending = np.setdiff1d(self._rebuild_pending, keys)
+            self._rebuild_touched = np.setdiff1d(self._rebuild_touched, keys)
         return dropped
 
     # ------------------------------------------------------------------
@@ -455,9 +453,16 @@ class ReplicatedPSNode:
     def _reset_rebuild(self) -> None:
         self._rebuilding = False
         self._rebuild_target: PSNode | None = None
-        self._rebuild_pending: list[int] = []
-        self._rebuild_touched: set[int] = set()
+        # The census still to copy and the keys written since it was
+        # taken: sorted unique uint64 arrays.
+        self._rebuild_pending = self._rebuild_touched = np.empty(0, np.uint64)
         self.rebuild_report = RebuildReport(finished=not getattr(self, "degraded", False))
+
+    def _touch(self, keys) -> None:
+        """Mark ``keys`` for the finish-time catch-up copy."""
+        self._rebuild_touched = np.union1d(
+            self._rebuild_touched, np.asarray(keys, dtype=np.uint64)
+        )
 
     def begin_rebuild(self) -> int:
         """Start re-replicating a fresh backup; returns keys to copy.
@@ -480,8 +485,8 @@ class ReplicatedPSNode:
             self.optimizer, metadata_only=self.primary.metadata_only,
             cluster_mode=self.cluster_mode, tracer=self.tracer,
         )
-        self._rebuild_pending = sorted(self.primary.owned_keys())
-        self._rebuild_touched = set()
+        self._rebuild_pending = np.sort(self.primary.owned_keys())
+        self._rebuild_touched = np.empty(0, np.uint64)
         self._rebuilding = True
         self.rebuild_report = RebuildReport(keys_total=len(self._rebuild_pending))
         self.tracer.instant(
@@ -503,7 +508,7 @@ class ReplicatedPSNode:
             raise ServerError(f"max_keys must be positive, got {max_keys}")
         chunk = self._rebuild_pending[:max_keys]
         self._rebuild_pending = self._rebuild_pending[max_keys:]
-        if chunk:
+        if len(chunk):
             self._rebuild_target.ingest_entries(self.primary.export_entries(chunk))
             self.rebuild_report.keys_copied += len(chunk)
         return len(chunk)
@@ -524,11 +529,11 @@ class ReplicatedPSNode:
         sealed = self.primary.coordinator.last_completed
         if self.primary.latest_completed_batch > sealed:
             sealed = self.primary.barrier_checkpoint()
-        patch = sorted(
-            (set(self._rebuild_pending) | self._rebuild_touched)
-            & set(self.primary.owned_keys())
+        patch = np.intersect1d(
+            np.union1d(self._rebuild_pending, self._rebuild_touched),
+            self.primary.owned_keys(),
         )
-        if patch:
+        if len(patch):
             self._rebuild_target.ingest_entries(self.primary.export_entries(patch))
         if sealed >= 0:
             self._rebuild_target.seal_at(sealed)
@@ -550,8 +555,7 @@ class ReplicatedPSNode:
         report.finished = True
         self._rebuilding = False
         self._rebuild_target = None
-        self._rebuild_pending = []
-        self._rebuild_touched = set()
+        self._rebuild_pending = self._rebuild_touched = np.empty(0, np.uint64)
         self.tracer.instant(
             "failover.rebuild_done", track="failure", node=self.node_id,
             patched=report.keys_patched, sealed=sealed,
@@ -572,7 +576,7 @@ class ReplicatedPSNode:
         if not self._rebuilding:
             self.begin_rebuild()
             return "started"
-        if self._rebuild_pending:
+        if len(self._rebuild_pending):
             self.rebuild_step(max_keys)
             return "copying"
         self.finish_rebuild()
@@ -581,7 +585,7 @@ class ReplicatedPSNode:
     def rebuild_backup(self, max_keys: int = 64) -> RebuildReport:
         """Run a whole rebuild to completion (synchronous convenience)."""
         self.begin_rebuild()
-        while self._rebuild_pending:
+        while len(self._rebuild_pending):
             self.rebuild_step(max_keys)
         return self.finish_rebuild()
 

@@ -10,10 +10,13 @@ This is the reference implementation of the
 trainers and the lookahead :class:`~repro.dlrm.prefetch.PrefetchPipeline`
 program against — and the *only* copy of cluster policy: routing and
 request-order gather, cluster-wide checkpoints and retention barriers,
-the ring commit. How one shard is reached is five small ``_shard_*``
-methods; here they call the node object, and
-:class:`~repro.network.frontend.RemotePSClient` overrides them to send
-the same request as a framed RPC.
+the ring commit, live resharding and failover. How one shard is reached
+is a set of small ``_shard_*`` methods — pull, push, lookup, maintain
+and checkpoint for training, export / ingest / drop for
+:mod:`~repro.core.migration`, probe / promote / rebuild for
+:mod:`~repro.core.failover`. Here they call the node object, and
+:class:`~repro.network.frontend.RemotePSClient` overrides the ones that
+cross the wire to send the same request as a framed RPC.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.obs.registry import MetricsRegistry, collect_bundle
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.pmem.space import CHECKPOINT_ID_FIELD, NO_CHECKPOINT
+from repro.pmem.space import CHECKPOINT_ID_FIELD, NO_CHECKPOINT, EntryBlock
 
 
 class OpenEmbeddingServer:
@@ -126,7 +129,7 @@ class OpenEmbeddingServer:
         )
 
     # ------------------------------------------------------------------
-    # reaching one shard (RemotePSClient overrides these with RPCs)
+    # reaching one shard (RemotePSClient overrides the wire ones)
     # ------------------------------------------------------------------
     # ``index`` is the shard's position in ``self.nodes``; ``flows`` is
     # how many shards the operation touches (a wire client prices the
@@ -158,6 +161,46 @@ class OpenEmbeddingServer:
 
     def _shard_request_checkpoint(self, index: int, batch_id: int) -> None:
         self.nodes[index].request_checkpoint(batch_id)
+
+    # The control plane reaches a shard here too. Migration names the
+    # node object (a scale-out target is not a member until the ring
+    # commits); failover names a member by its index.
+
+    def _shard_export(self, node, keys) -> EntryBlock:
+        return node.export_entries(keys)
+
+    def _shard_ingest(self, node, block: EntryBlock) -> int:
+        return node.ingest_entries(block)
+
+    def _shard_drop(self, node, keys) -> int:
+        return node.drop_keys(keys)
+
+    def _shard_probe(self, index: int) -> bool:
+        """One liveness check; True iff the shard's primary answered."""
+        return bool(getattr(self.nodes[index], "primary_alive", True))
+
+    def _shard_promote(self, index: int, committed_epoch: int) -> float:
+        """Promote the shard's backup; returns simulated seconds (0 for a
+        live primary: a false positive is an acknowledged no-op).
+
+        Raises:
+            FailoverError: double fault — no backup survives.
+        """
+        node = self.nodes[index]
+        if getattr(node, "primary_alive", True):
+            return 0.0
+        return node.failover(committed_epoch=committed_epoch)
+
+    def _shard_rebuild_tick(self, index: int, max_keys: int) -> str:
+        """Advance the shard's background re-replication one increment
+        (a node-side background task, never wire traffic)."""
+        tick = getattr(self.nodes[index], "rebuild_tick", None)
+        return "idle" if tick is None else tick(max_keys)
+
+    def _shard_rebuild_progress(self, index: int) -> float:
+        """Fraction of the rebuild census copied (1.0 = fully replicated)."""
+        report = getattr(self.nodes[index], "rebuild_report", None)
+        return 1.0 if report is None or report.finished else report.progress
 
     def _route(self, keys) -> list[tuple]:
         """``(shard index, its keys, their request positions)`` for every
@@ -368,7 +411,7 @@ class OpenEmbeddingServer:
             node.set_external_barrier(barrier)
 
     # ------------------------------------------------------------------
-    # elasticity (repro.core.migration drives these)
+    # elasticity and the committed ring (migration and failover read these)
     # ------------------------------------------------------------------
 
     @property
@@ -460,6 +503,38 @@ class OpenEmbeddingServer:
         replicated when ``replicas=2``; a grown cluster always has
         siblings, so the node is born in cluster mode)."""
         return self._build_node(node_id, server_config, cluster_mode=True)
+
+    def scale_out(self, on_step=None):
+        """Live-grow the cluster by one node (see
+        :class:`~repro.core.migration.ShardMigrator`)."""
+        from repro.core.migration import ShardMigrator  # it imports this module
+
+        return ShardMigrator(self, on_step=on_step).scale_out()
+
+    def scale_in(self, on_step=None):
+        """Live-shrink the cluster by one node (the highest id leaves)."""
+        from repro.core.migration import ShardMigrator
+
+        return ShardMigrator(self, on_step=on_step).scale_in()
+
+    def ring_pools(self) -> list[PmemPool]:
+        """Every pool that holds the durable ring word, in preference
+        order: the coordinator's, then — when replicated — its backup's
+        (the mirror a promotion hands the shard to)."""
+        coordinator = self.nodes[0]
+        backup = getattr(coordinator, "backup", None)
+        return [coordinator.pool] + ([] if backup is None else [backup.pool])
+
+    def committed_epoch(self) -> int:
+        """The durably committed ring epoch, read from the ring word (a
+        promotion installs the *committed* routing, not this process's
+        view); ``ring_epoch`` for modulo routing, which has no word.
+        :meth:`commit_ring` writes both in one call, so they agree."""
+        for pool in self.ring_pools():
+            fields = pool.root.fields()
+            if RING_STATE_FIELD in fields:
+                return unpack_ring_state(fields[RING_STATE_FIELD])[0]
+        return self.ring_epoch
 
     # ------------------------------------------------------------------
     # failure / recovery
@@ -558,12 +633,10 @@ class OpenEmbeddingServer:
     def num_entries(self) -> int:
         return sum(node.num_entries for node in self.nodes)
 
-    def owned_keys(self) -> list[int]:
-        """Every key the cluster currently holds, across all shards."""
-        keys: list[int] = []
-        for node in self.nodes:
-            keys.extend(node.owned_keys())
-        return keys
+    def owned_keys(self) -> np.ndarray:
+        """Every key the cluster currently holds, across all shards
+        (``uint64``; shard by shard, slot order within one)."""
+        return np.concatenate([node.owned_keys() for node in self.nodes])
 
     def read_weights(self, key: int) -> np.ndarray:
         """Live weights of one key, routed to its shard."""

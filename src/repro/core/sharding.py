@@ -71,7 +71,7 @@ class HashPartitioner:
         n = arr.size
         if self.num_nodes == 1:
             return [arr], [np.arange(n, dtype=np.intp)]
-        owners = self._owner_array(arr)
+        owners = self.owners(arr)
         order = np.argsort(owners, kind="stable").astype(np.intp, copy=False)
         counts = np.bincount(owners, minlength=self.num_nodes)
         bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -83,11 +83,17 @@ class HashPartitioner:
             per_node_positions.append(sel)
         return per_node_keys, per_node_positions
 
-    def _owner_array(self, arr: np.ndarray) -> np.ndarray:
-        """Owning node of every key in ``arr`` (vectorized ``node_of``)."""
-        return (mix64_array(arr) % np.uint64(self.num_nodes)).astype(
+    def owners(self, keys) -> np.ndarray:
+        """Owning node of every key (vectorized ``node_of``, ``intp``)."""
+        return (mix64_array(keys) % np.uint64(self.num_nodes)).astype(
             np.intp, copy=False
         )
+
+    def moved_keys(self, target: "HashPartitioner", keys) -> np.ndarray:
+        """The ``uint64`` keys, in input order, whose owner differs under
+        ``target`` — "which keys change owner", stated once."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        return keys[self.owners(keys) != target.owners(keys)]
 
 
 DEFAULT_VNODES = 64
@@ -144,8 +150,8 @@ class ConsistentHashRing(HashPartitioner):
             idx = 0  # wrap past the top of the ring
         return self._owners[idx]
 
-    def _owner_array(self, arr: np.ndarray) -> np.ndarray:
-        points = mix64_array(arr)
+    def owners(self, keys) -> np.ndarray:
+        points = mix64_array(keys)
         # searchsorted(side="left") == bisect_left; wrap past the top.
         idx = np.searchsorted(self._positions_arr, points, side="left")
         idx[idx == len(self._positions_arr)] = 0
@@ -154,10 +160,6 @@ class ConsistentHashRing(HashPartitioner):
     def with_nodes(self, num_nodes: int) -> "ConsistentHashRing":
         """A ring over ``num_nodes`` nodes with the same vnode count."""
         return ConsistentHashRing(num_nodes, self.vnodes)
-
-    def moved_keys(self, target: "HashPartitioner", keys: Sequence[int]) -> list[int]:
-        """Subset of ``keys`` whose owner differs under ``target``."""
-        return [k for k in keys if self.node_of(k) != target.node_of(k)]
 
 
 RING_STATE_FIELD = "ring_state"

@@ -28,7 +28,7 @@ _FORMAT_VERSION = 1
 
 def _read_pinned(backend, snapshot_id: int) -> tuple[np.ndarray, np.ndarray]:
     """Every owned key (sorted ``uint64``) and its row at ``snapshot_id``."""
-    keys = np.array(sorted(backend.owned_keys()), dtype=np.uint64)
+    keys = np.sort(np.asarray(backend.owned_keys(), dtype=np.uint64))
     return keys, backend.lookup(keys, snapshot_id).weights
 
 

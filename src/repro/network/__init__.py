@@ -23,11 +23,11 @@ real wire messages:
   :class:`~repro.core.server.OpenEmbeddingServer` whose per-shard calls
   round-trip through encoded messages, so byte counts and wire timing
   are real; pushes carry ``(worker_id, seq)`` dedup headers. Cluster
-  policy (routing, checkpoints, retention, ring commit) is inherited
-  from ``core/server.py``, not restated;
-* :mod:`repro.network.transports` — ``RpcMigrationTransport`` /
-  ``RpcFailoverTransport``: live resharding and failure detection +
-  promotion over the same wire.
+  policy (routing, checkpoints, retention, ring commit, resharding,
+  failover) is inherited from ``core/server.py``, not restated: a live
+  reshard's entries travel as ``Migrate`` frames, a failover's probes
+  and promotions as ``Heartbeat`` / ``Promote`` frames, through the
+  same per-shard hooks as training traffic.
 
 Fault injection on this boundary lives in
 :mod:`repro.failure.network_faults`.

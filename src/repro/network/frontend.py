@@ -2,11 +2,13 @@
 
 The client *is* an :class:`~repro.core.server.OpenEmbeddingServer`:
 routing, request-order gather, cluster-wide checkpoints, retention
-barriers and the ring commit are inherited, not restated. What this
-module adds is how one shard is reached — every per-shard ``pull`` /
-``push`` / ``lookup`` / ``maintain`` / checkpoint request round-trips
-through encoded bytes on a simulated link (a faithful stand-in for the
-paper's TensorFlow-operator <-> PS RPC) — plus the bookkeeping that only
+barriers, the ring commit, resharding and failover policy are
+inherited, not restated. What this module adds is how one shard is
+reached — every per-shard ``pull`` / ``push`` / ``lookup`` /
+``maintain`` / checkpoint request, every migrated entry block and every
+heartbeat or promotion round-trips through encoded bytes on a simulated
+link (a faithful stand-in for the paper's TensorFlow-operator <-> PS
+RPC) — plus the bookkeeping that only
 exists on the wire: one :class:`~repro.network.service.PSNodeService`
 and :class:`~repro.network.rpc.RpcChannel` per shard, failover-aware
 re-issue, and the wire statistics. Tests assert the trained weights are
@@ -32,7 +34,7 @@ from repro.core.cache import MaintainResult, PullResult
 from repro.core.failover import FailoverManager, NodeState
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer
-from repro.core.replication import ReplicatedPSNode
+from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
 from repro.core.server import OpenEmbeddingServer
 from repro.core.serving_backend import LookupResult
 from repro.core.sharding import HashPartitioner, make_partitioner, unpack_ring_state
@@ -46,28 +48,51 @@ from repro.failure.network_faults import FaultyLink, LinkFaultStats
 from repro.network.messages import (
     ANONYMOUS_SEQ_BASE,
     CheckpointRequest,
+    HeartbeatRequest,
     LookupRequest,
     MaintainRequest,
+    MigrateRequest,
+    PromoteRequest,
     PullRequest,
     PushRequest,
     RingUpdateRequest,
     mirror,
 )
 from repro.network.rpc import RpcChannel
-from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService
-from repro.network.transports import RpcFailoverTransport, RpcMigrationTransport
+from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService, row_width
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.pmem.space import NO_ENTRIES, EntryBlock
 from repro.simulation.clock import SimClock
 from repro.simulation.metrics import RpcReliabilityStats
 from repro.simulation.network import NetworkModel
+
+PROBE_CHANNEL_BASE = 1000
+"""Probe channels get ``PROBE_CHANNEL_BASE + node_id`` identities so
+their RPC spans/metrics never collide with the data-plane channels."""
+
+PROBE_RETRY = RetryConfig(
+    max_attempts=3,
+    attempt_timeout_s=0.05,
+    call_timeout_s=0.5,
+    base_backoff_s=1e-3,
+    max_backoff_s=0.02,
+    jitter=0.0,
+)
+"""Short-fused policy for heartbeats and promotions.
+
+A probe exists to *measure* liveness, so it must not hide death behind
+a long retry ladder: three quick attempts, then the prober reports the
+silence to the failure detector and lets the lease decide.
+"""
 
 
 class RemotePSClient(OpenEmbeddingServer):
     """Sharded PS access over RPC channels, one per node.
 
-    An :class:`OpenEmbeddingServer` whose five per-shard calls are
-    framed RPCs (so it implements
+    An :class:`OpenEmbeddingServer` whose per-shard calls are framed
+    RPCs — the five training calls, a reshard's export / ingest / drop
+    and a failover's probe / promote (so it implements
     :class:`~repro.core.backend.TrainBackend` and
     :class:`~repro.core.backend.ReadBackend` by inheritance).
     ``client.nodes`` are the real shard objects — the PS processes this
@@ -143,6 +168,7 @@ class RemotePSClient(OpenEmbeddingServer):
         self._push_seq = 0
         self._migrate_seq = 0
         self._pending_members: dict[int, tuple[PSNodeService, RpcChannel]] = {}
+        self._probe_channels: dict[int, RpcChannel] = {}
         self.failover: FailoverManager | None = None
 
     def _node_tracer(self, node_id: int) -> Tracer:
@@ -184,18 +210,17 @@ class RemotePSClient(OpenEmbeddingServer):
     ) -> FailoverManager:
         """Arm lease-based failure detection and client-driven promotion.
 
-        Builds a :class:`~repro.core.failover.FailoverManager` over an
-        :class:`RpcFailoverTransport` and hooks every data channel's
-        ``node_dead`` callback into the detector's lease table: once a
-        lease expired and the node was declared dead, in-flight calls
-        fail *fast* with :class:`~repro.errors.NodeDeadError` instead of
-        burning their whole retry budget against a corpse. Data-plane
-        calls then reroute through :meth:`_ha_call`.
+        Builds a :class:`~repro.core.failover.FailoverManager` over this
+        client and hooks every data channel's ``node_dead`` callback
+        into the detector's lease table: once a lease expired and the
+        node was declared dead, in-flight calls fail *fast* with
+        :class:`~repro.errors.NodeDeadError` instead of burning their
+        whole retry budget against a corpse. Data-plane calls then
+        reroute through :meth:`_ha_call`.
         """
         manager = FailoverManager(
-            RpcFailoverTransport(self),
+            self,
             self.clock,
-            self.server_config,
             registry=registry if registry is not None else self.registry,
             tracer=self.tracer,
             recorder=recorder if recorder is not None else self.recorder,
@@ -225,17 +250,27 @@ class RemotePSClient(OpenEmbeddingServer):
                 return channel
         raise ShardRoutingError(f"no channel for node {node_id}")
 
-    def ring_pools(self):
-        """Every pool that may hold the durable ring word, in preference
-        order: the coordinator shard's primary pool first, then — when
-        replicated — its backup's (the mirror that survives a primary
-        kill)."""
-        coordinator = self.nodes[0]
-        pools = [coordinator.pool]
-        backup = getattr(coordinator, "backup", None)
-        if backup is not None:
-            pools.append(backup.pool)
-        return pools
+    def probe_channel(self, node_id: int) -> RpcChannel:
+        """The (lazily built) heartbeat / promotion channel to ``node_id``.
+
+        It shares the client's — possibly faulty — link under
+        :data:`PROBE_RETRY`, and deliberately has **no** ``node_dead``
+        callback: it must keep reaching a node the detector already
+        declared dead — that is how an idempotent promotion (or a
+        false-positive recheck) gets through.
+        """
+        channel = self._probe_channels.get(node_id)
+        if channel is None:
+            channel = self._probe_channels[node_id] = RpcChannel(
+                self.channel_for(node_id).server,
+                self.link,
+                self.clock,
+                retry=PROBE_RETRY,
+                channel_id=PROBE_CHANNEL_BASE + node_id,
+                tracer=self.tracer,
+                registry=self.registry,
+            )
+        return channel
 
     def _ha_call(self, channel: RpcChannel, request, concurrent_flows: int = 1):
         """One data-plane RPC with failover-aware rerouting.
@@ -381,13 +416,62 @@ class RemotePSClient(OpenEmbeddingServer):
         self._ha_call(self.channels[index], CheckpointRequest(batch_id=batch_id))
 
     # ------------------------------------------------------------------
-    # elasticity (repro.core.migration over the wire)
+    # the control plane over the wire: reshard and failover
     # ------------------------------------------------------------------
 
-    def next_migrate_seq(self) -> int:
-        """Fresh dedup sequence number for one migration RPC."""
+    def _shard_export(self, node, keys) -> EntryBlock:
+        if not len(keys):
+            return NO_ENTRIES
+        return self._migrate(
+            node, MigrateRequest.OP_EXPORT, width=row_width(node), keys=keys
+        ).entries
+
+    def _shard_ingest(self, node, block: EntryBlock) -> int:
+        if not len(block):
+            return 0
+        return self._migrate(
+            node, MigrateRequest.OP_PUT, width=row_width(node), entries=block
+        ).value
+
+    def _shard_drop(self, node, keys) -> int:
+        if not len(keys):
+            return 0
+        return self._migrate(node, MigrateRequest.OP_DELETE, keys=keys).value
+
+    def _migrate(self, node, op: int, **payload):
+        """One migration RPC under a fresh ``(source, seq)`` dedup
+        identity. A rejection never comes back as a value: the channel
+        raises the typed error for every non-OK status."""
         self._migrate_seq += 1
-        return self._migrate_seq
+        return self.channel_for(node.node_id).call(
+            MigrateRequest(
+                op=op, source=self.worker_id, seq=self._migrate_seq, **payload
+            )
+        )
+
+    def _shard_probe(self, index: int) -> bool:
+        """One :class:`HeartbeatRequest` round-trip; ``False`` means
+        *silence*, which the detector converts into lease expiry, never
+        directly into death."""
+        try:
+            return self.probe_channel(index).call(
+                HeartbeatRequest(node_id=index, requester=self.worker_id)
+            ).ok
+        except RpcTimeoutError:
+            return False
+
+    def _shard_promote(self, index: int, committed_epoch: int) -> float:
+        """A :class:`PromoteRequest`; a double fault's
+        :class:`~repro.errors.FailoverError` crosses the wire as
+        ``ERR_FAILOVER`` and is raised here, typed."""
+        self.probe_channel(index).call(
+            PromoteRequest(
+                node_id=index,
+                committed_epoch=committed_epoch,
+                requester=self.worker_id,
+            )
+        )
+        return FAILOVER_SECONDS
 
     def provision_node(self, node_id: int, server_config: ServerConfig) -> PSNode:
         """Build the node + service + channel for a joining shard.
@@ -427,25 +511,6 @@ class RemotePSClient(OpenEmbeddingServer):
                     self.failover.detector.watch(node.node_id)
             self._arm_channel_death_checks()
         return new_epoch
-
-    def _migrator(self, on_step):
-        from repro.core.migration import ShardMigrator
-
-        return ShardMigrator(
-            self,
-            transport=RpcMigrationTransport(self),
-            on_step=on_step,
-            tracer=self.tracer,
-            recorder=self.recorder,
-        )
-
-    def scale_out(self, on_step=None):
-        """Live-grow the cluster by one node, entries moving over RPC."""
-        return self._migrator(on_step).scale_out()
-
-    def scale_in(self, on_step=None):
-        """Live-shrink the cluster by one node, entries moving over RPC."""
-        return self._migrator(on_step).scale_in()
 
     def refresh_ring(self) -> int:
         """Re-sync the partitioner with the committed ring over the wire.

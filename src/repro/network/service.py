@@ -12,6 +12,11 @@ maintenance rounds by batch id. A retried frame whose first copy
 already applied is answered from the window, never re-applied — which is
 what makes retries and duplicates *semantics-free* (trained weights are
 bit-identical to a clean wire).
+
+The control plane arrives here too, sent by the client's ``_shard_*``
+hooks: ``Migrate`` frames carry a reshard's entries, ``Heartbeat`` and
+``Promote`` frames a failover's probes and promotions. Handlers only
+answer; background re-replication is ticked by the failover manager.
 """
 
 from __future__ import annotations
@@ -44,6 +49,11 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 DEFAULT_DEDUP_WINDOW = 1024
 """Replayed pushes older than this many pushes are no longer absorbed."""
+
+
+def row_width(node) -> int:
+    """Floats per stored row in a migration frame (``0``: metadata-only)."""
+    return 0 if node.metadata_only else node.store.entry_bytes // 4
 
 
 class _ReplayWindow(OrderedDict):
@@ -147,15 +157,11 @@ class PSNodeService:
         """Answer a lease-renewal probe (silence when the primary died).
 
         The reply carries the node's newest completed batch so the
-        detector doubles as a liveness *and* progress probe. While a
-        promoted node is re-replicating, each heartbeat also advances
-        the background rebuild one chunk — re-replication literally
-        rides the heartbeat cadence, the way the paper's asynchronous
-        recovery rides training traffic.
+        detector doubles as a liveness *and* progress probe. A probe
+        changes nothing: the heartbeat round that sent it advances a
+        promoted node's re-replication, once, through the facade.
         """
         self._check_alive()
-        if isinstance(self.node, ReplicatedPSNode) and self.node.degraded:
-            self.node.rebuild_tick()
         return self._progress_reply()
 
     def _progress_reply(self) -> StatusResponse:
@@ -332,12 +338,8 @@ class PSNodeService:
         ) as span:
             if request.op == MigrateRequest.OP_EXPORT:
                 block = self.node.export_entries(request.keys)
-                width = (
-                    0 if self.node.metadata_only
-                    else self.node.store.entry_bytes // 4
-                )
                 span.set(keys=len(block))
-                return MigrateResponse(width=width, entries=block)
+                return MigrateResponse(width=row_width(self.node), entries=block)
             dedup_key = request.dedup_key
             cached = self._replayed(self._migrate_replies, dedup_key, span)
             if cached is not None:
@@ -345,7 +347,7 @@ class PSNodeService:
             if request.op == MigrateRequest.OP_PUT:
                 count = self.node.ingest_entries(request.entries)
             elif request.op == MigrateRequest.OP_DELETE:
-                count = self.node.drop_keys(request.keys.tolist())
+                count = self.node.drop_keys(request.keys)
             else:
                 raise ServerError(f"unknown migrate op {request.op}")
             span.set(keys=count)

@@ -556,10 +556,9 @@ class TrainingSimulator:
             self.reshard_to,
             self.server.ring_vnodes,
         )
-        keys_total = len(self._keys_seen)
-        keys_moved = sum(
-            1 for key in self._keys_seen if old.node_of(key) != new.node_of(key)
-        )
+        seen = np.fromiter(self._keys_seen, np.uint64, len(self._keys_seen))
+        keys_total = len(seen)
+        keys_moved = len(old.moved_keys(new, seen))
         timing = self.cost_model.price_migration(
             keys_moved=keys_moved,
             flushed_entries=self.backend.num_entries,

@@ -38,11 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import ServerConfig
-from repro.core.failover import (
-    FailoverManager,
-    LocalFailoverTransport,
-    PromotionReport,
-)
+from repro.core.failover import FailoverManager, PromotionReport
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.errors import FailoverError
@@ -183,9 +179,8 @@ class ChaosSoak:
                 self.config, cache_config(), PSAdagrad(lr=0.05)
             )
             manager = FailoverManager(
-                LocalFailoverTransport(backend),
+                backend,
                 self.clock,
-                self.config,
                 registry=self.registry,
                 recorder=self.recorder,
             )
@@ -264,9 +259,8 @@ class ChaosSoak:
         )
         self.backend = server
         self.manager = FailoverManager(
-            LocalFailoverTransport(server),
+            server,
             self.clock,
-            self.config,
             registry=self.registry,
             recorder=self.recorder,
         )

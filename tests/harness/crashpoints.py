@@ -41,7 +41,6 @@ from repro.core.migration import (
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.network.frontend import RemotePSClient
-from repro.network.transports import RpcMigrationTransport
 
 DIM = 8
 NUM_KEYS = 96
@@ -194,12 +193,10 @@ def run_crashpoint_scenario(
             faults=FAULTS if faulty else None,
             retry=RETRY if faulty else None,
         )
-        transport = RpcMigrationTransport(backend)
     else:
         if faulty:
             raise ValueError("fault injection needs the remote backend")
         backend = OpenEmbeddingServer(config, cache_config(), PSAdagrad(lr=0.05))
-        transport = None
     trail: list[int] = []
 
     def train(first: int, last: int) -> None:
@@ -217,7 +214,7 @@ def run_crashpoint_scenario(
     train(0, batches_before)
 
     scheduler = CrashPointScheduler(crash_at)
-    migrator = ShardMigrator(backend, transport=transport, on_step=scheduler)
+    migrator = ShardMigrator(backend, on_step=scheduler)
     run = migrator.scale_out if direction == "scale_out" else migrator.scale_in
     crashed = False
     retried = False
@@ -301,9 +298,10 @@ def assert_exclusive_ownership(backend) -> None:
     """Every resident key lives on exactly the shard the committed
     partitioner routes it to (no dual-ownership leftovers)."""
     for node in backend.nodes:
-        for key in node.owned_keys():
-            owner = backend.partitioner.node_of(key)
-            assert owner == node.node_id, (
-                f"key {key} resident on node {node.node_id} "
-                f"but routed to {owner}"
-            )
+        keys = node.owned_keys()
+        owners = backend.partitioner.owners(keys)
+        stray = owners != node.node_id
+        assert not stray.any(), (
+            f"key {keys[stray][0]} resident on node {node.node_id} "
+            f"but routed to {owners[stray][0]}"
+        )

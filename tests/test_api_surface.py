@@ -182,9 +182,9 @@ class TestClusterExistsOnce:
     """``RemotePSClient`` inherits cluster policy; it may not re-fork it."""
 
     #: Everything the RPC client is allowed to define over the facade:
-    #: construction (itself, its nodes' tracers), the five per-shard
-    #: calls, and the three extensions that call ``super()`` and then
-    #: do their wire-side half.
+    #: construction (itself, its nodes' tracers), the per-shard calls
+    #: that cross the wire, and the three extensions that call
+    #: ``super()`` and then do their wire-side half.
     WIRE_OVERRIDES = {
         "__init__",
         "_node_tracer",
@@ -193,6 +193,11 @@ class TestClusterExistsOnce:
         "_shard_lookup",
         "_shard_maintain",
         "_shard_request_checkpoint",
+        "_shard_export",
+        "_shard_ingest",
+        "_shard_drop",
+        "_shard_probe",
+        "_shard_promote",
         "provision_node",
         "commit_ring",
         "collect_metrics",
@@ -239,26 +244,19 @@ class TestClusterExistsOnce:
             assert f"super().{name}(" in source, name
 
     def test_moved_names_import_from_their_new_homes(self):
-        """``frontend.py`` was split: the service and the transports have
-        their own modules and are *not* re-exported from the old one."""
+        """``frontend.py`` was split: the service has its own module and
+        is *not* re-exported from the old one; the probe channel's policy
+        lives with the client that opens it."""
         import repro.network
         import repro.network.frontend as frontend
+        from repro.network.frontend import PROBE_CHANNEL_BASE, PROBE_RETRY
         from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService
-        from repro.network.transports import (
-            PROBE_CHANNEL_BASE,
-            PROBE_RETRY,
-            RpcFailoverTransport,
-            RpcMigrationTransport,
-        )
 
         assert repro.network.PSNodeService is PSNodeService
         assert repro.network.RemotePSClient is frontend.RemotePSClient
         assert DEFAULT_DEDUP_WINDOW == 1024
         assert PROBE_CHANNEL_BASE == 1000 and PROBE_RETRY.max_attempts == 3
-        for moved in (PSNodeService, RpcFailoverTransport, RpcMigrationTransport):
-            assert moved.__module__ != frontend.__name__
-        for name in ("PROBE_CHANNEL_BASE", "PROBE_RETRY"):
-            assert not hasattr(frontend, name)
+        assert PSNodeService.__module__ != frontend.__name__
         assert repro.network.__all__ == [
             "PullRequest", "PullResponse", "PushRequest", "CheckpointRequest",
             "MaintainRequest", "MaintainResponse", "StatusResponse",
@@ -266,6 +264,62 @@ class TestClusterExistsOnce:
             "RpcChannel", "RpcServer", "RpcStats", "RemotePSClient",
             "PSNodeService",
         ]
+
+
+class TestOneWayToAShard:
+    """Migration and failover reach a shard through the facade's
+    ``_shard_*`` hooks, like training traffic: no transport seam of
+    their own, in process or over the wire."""
+
+    #: The hooks the facade had before resharding and failover used it.
+    DATA_PLANE_OVERRIDES = {
+        "__init__", "_node_tracer", "_shard_pull", "_shard_push",
+        "_shard_lookup", "_shard_maintain", "_shard_request_checkpoint",
+        "provision_node", "commit_ring", "collect_metrics",
+    }
+
+    def test_no_transport_class_anywhere(self):
+        import ast
+
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ClassDef):
+                    assert not node.name.endswith("Transport"), (path, node.name)
+
+    def test_no_protocol_in_migration_or_failover(self):
+        import ast
+
+        for path, source in TestOneKeyMapPerNode.sources("core").items():
+            if path.name not in ("migration.py", "failover.py"):
+                continue
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ImportFrom):
+                    assert "Protocol" not in [a.name for a in node.names], path
+                if isinstance(node, ast.ClassDef):
+                    bases = [getattr(base, "id", "") for base in node.bases]
+                    assert "Protocol" not in bases, (path, node.name)
+
+    def test_no_transport_knob(self):
+        import inspect
+
+        from repro.core.failover import FailoverManager
+        from repro.core.migration import ShardMigrator
+
+        assert "transport" not in inspect.signature(ShardMigrator.__init__).parameters
+        params = inspect.signature(FailoverManager.__init__).parameters
+        assert "transport" not in params and "config" not in params
+
+    def test_the_transports_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.network.transports")
+
+    def test_the_wire_overrides_grew_by_the_control_plane_hooks(self):
+        grown = TestClusterExistsOnce.WIRE_OVERRIDES - self.DATA_PLANE_OVERRIDES
+        assert self.DATA_PLANE_OVERRIDES <= TestClusterExistsOnce.WIRE_OVERRIDES
+        assert grown == {
+            "_shard_export", "_shard_ingest", "_shard_drop",
+            "_shard_probe", "_shard_promote",
+        }
 
 
 def test_trainer_server_kwarg_removed():

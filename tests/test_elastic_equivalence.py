@@ -30,6 +30,7 @@ from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
 from repro.errors import ServerError
 from repro.network.frontend import RemotePSClient
+from repro.obs.registry import MetricsRegistry
 
 FIELDS, DIM = 6, 8
 BATCHES = 10
@@ -74,13 +75,9 @@ def _backend(kind, seed, nodes):
 
 
 def _reshard(backend, direction):
-    """Scale the live backend by one node through its own transport."""
-    if isinstance(backend, RemotePSClient):
-        return (
-            backend.scale_out() if direction == "scale_out" else backend.scale_in()
-        )
-    migrator = ShardMigrator(backend)
-    return migrator.scale_out() if direction == "scale_out" else migrator.scale_in()
+    """Scale the live backend by one node; every backend reaches its
+    shards through its own ``_shard_*`` hooks."""
+    return backend.scale_out() if direction == "scale_out" else backend.scale_in()
 
 
 def _train(kind, seed, nodes, direction=None):
@@ -159,6 +156,29 @@ class TestElasticEquivalence:
         candidate = _train("remote_faulty", 8, nodes=3, direction="scale_in")
         _assert_identical(reference, candidate)
         assert candidate[0].server_config.num_nodes == 2
+
+    def test_a_migrator_over_a_client_moves_entries_as_migrate_rpcs(self):
+        """``ShardMigrator(client)`` and ``client.scale_out()`` are one
+        path: every move is an export, an ingest and a drop on the wire
+        (with no transport argument the migrator once copied node to
+        node behind the client's back, 0 RPCs)."""
+        def migrate_rpcs(reshard) -> int:
+            server_config, cache_config = _configs(4, 2)
+            registry = MetricsRegistry()
+            client = RemotePSClient(
+                server_config, cache_config, PSAdagrad(lr=0.05), registry=registry
+            )
+            keys = np.arange(300, dtype=np.uint64)
+            client.pull(keys, 0)
+            client.push(keys, np.ones((len(keys), DIM), np.float32), 0)
+            assert reshard(client).keys_moved > 0
+            return registry.histogram(
+                "repro_rpc_roundtrip_seconds", {"kind": "MigrateRequest"}
+            ).count
+
+        via_migrator = migrate_rpcs(lambda client: ShardMigrator(client).scale_out())
+        via_client = migrate_rpcs(lambda client: client.scale_out())
+        assert via_migrator == via_client == 3 * 2  # 2 sources -> the new node
 
     def test_reshard_moves_minimal_fraction(self):
         """The migration report's moved fraction stays near 1/(n+1) —

@@ -33,12 +33,7 @@ from repro.config import (
     ServerConfig,
     WorkloadConfig,
 )
-from repro.core.failover import (
-    FailureDetector,
-    FailoverManager,
-    LocalFailoverTransport,
-    NodeState,
-)
+from repro.core.failover import FailureDetector, FailoverManager, NodeState
 from repro.core.migration import MIGRATION_STEPS, ShardMigrator
 from repro.core.optimizers import PSAdagrad
 from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
@@ -213,9 +208,7 @@ def make_local(nodes=3, seed=0, lease=LEASE):
     server = OpenEmbeddingServer(config, cache_config(), PSAdagrad(lr=0.05))
     clock = SimClock()
     registry = MetricsRegistry()
-    manager = FailoverManager(
-        LocalFailoverTransport(server), clock, config, registry=registry
-    )
+    manager = FailoverManager(server, clock, registry=registry)
     return server, clock, manager, registry
 
 
@@ -281,7 +274,7 @@ class TestLocalFailover:
 
     def test_transport_promote_is_idempotent_on_alive_node(self):
         server, __, manager, __r = make_local()
-        assert manager.transport.promote(0, 0) == 0.0
+        assert manager.cluster._shard_promote(0, 0) == 0.0
         assert server.nodes[0].failovers == 0
 
     def test_rebuild_rides_the_heartbeat_rounds(self):
@@ -502,7 +495,7 @@ class TestRemoteFailover:
     def test_heartbeat_reports_progress(self):
         client, manager, __ = make_remote()
         train(client, 0, 0, 2)
-        response = manager.transport.probe_channel(1).call(
+        response = manager.cluster.probe_channel(1).call(
             HeartbeatRequest(node_id=1)
         )
         assert response.ok
@@ -561,7 +554,7 @@ class TestRemoteFailover:
 
     def test_promote_rpc_idempotent_on_alive_node(self):
         client, manager, __ = make_remote()
-        response = manager.transport.probe_channel(0).call(
+        response = manager.cluster.probe_channel(0).call(
             PromoteRequest(node_id=0, committed_epoch=0)
         )
         assert response.ok
@@ -574,7 +567,48 @@ class TestRemoteFailover:
         node.failover()
         node.kill_primary()  # promoted primary dies; no backup left
         with pytest.raises(FailoverError):
-            manager.transport.promote(1, 0)
+            manager.cluster._shard_promote(1, 0)
+
+    def test_rebuild_ticks_once_per_beat_on_both_backends(self):
+        """One ``rebuild_chunk`` per heartbeat round, ticked by the
+        manager alone: the same 2 000-key rebuild takes the same rounds
+        in process and over RPC, and the ticks counter counts them (a
+        probe that also ticked on the service halved the RPC rounds)."""
+        config = ServerConfig(
+            num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 26,
+            replicas=2, lease_s=LEASE,
+        )
+        keys = np.arange(2000, dtype=np.uint64)
+        rounds = {}
+        for kind in ("local", "remote"):
+            registry = MetricsRegistry()
+            if kind == "local":
+                backend = OpenEmbeddingServer(config, cache_config(), PSAdagrad(lr=0.05))
+                manager = FailoverManager(backend, SimClock(), registry=registry)
+            else:
+                backend = RemotePSClient(config, cache_config(), PSAdagrad(lr=0.05))
+                manager = backend.enable_failover(registry)
+            backend.pull(keys, 0)
+            backend.maintain(0)
+            backend.push(keys, np.full((len(keys), DIM), 0.01, np.float32), 0)
+            backend.barrier_checkpoint(0)
+            backend.nodes[0].kill_primary()
+            manager.handle_timeout(0)
+            node = backend.nodes[0]
+            beats = 0
+            while node.degraded:
+                manager.beat()
+                beats += 1
+            census = node.rebuild_report.keys_total
+            # started + one per chunk + done
+            assert beats == 2 + -(-census // manager.rebuild_chunk), kind
+            ticks = registry.counter(
+                "repro_failover_rereplication_ticks_total", {"node": "0"}
+            ).value
+            assert ticks == beats, kind
+            node.verify_replicas_identical()
+            rounds[kind] = beats
+        assert rounds["local"] == rounds["remote"]
 
     def test_wire_roundtrip(self):
         hb = HeartbeatRequest(node_id=3, requester=9)
