@@ -138,8 +138,9 @@ class TrainBackend(ReadBackend, Protocol):
        deferred cache-maintenance round;
     3. ``push(keys, grads, b)`` applies the batch's gradients.
 
-    Checkpoint control (``request_checkpoint`` queues, completion is
-    opportunistic; ``barrier_checkpoint`` forces completion) and
+    Checkpoint control (``request_checkpoint`` queues, completion
+    follows in later ``maintain`` rounds; ``barrier_checkpoint`` forces
+    it) and
     introspection (``state_snapshot``) round out the surface.
     """
 

@@ -9,10 +9,10 @@ The functional contract (independent of timing):
   accessed entries on the access queue — it never reorders the cache or
   moves data between tiers (that is deferred, the "pipeline").
 * ``maintain(n)`` is one cache-maintainer round for batch ``n``: flush
-  entries whose version is covered by an outstanding checkpoint, advance
+  entries whose state an outstanding checkpoint still needs, advance
   versions, reorder, load missed entries into DRAM and evict victims —
-  completing the on-going checkpoint when the victim's version has moved
-  past it (Algorithm 2 lines 22-28).
+  then complete every pending checkpoint below ``n`` that no resident
+  entry still owes (Algorithm 2 lines 22-28, as a predicate; see below).
 * ``update(keys, grads, n)`` applies pushed gradients via the PS-side
   optimizer.
 
@@ -63,19 +63,38 @@ arrival past the free room takes the next victim candidate (listed
 slots oldest stamp first) the policy does not protect at that position,
 and an evicted candidate that is accessed later re-enters as an arrival.
 One loop (:class:`_Events`) visits the candidates whose fate depends on
-where the walk stands — touched in the segment, second-chance, or past
-the oldest pending checkpoint; the runs of candidates between them, and
-the arrivals that pay for those, are counted, and what the evictions
-produce (flushes, backfills, freed rows, loads) is gathered from the
-columns afterwards. A round longer than the capacity is cut into
-segments of at most ``capacity_entries`` accesses so that the slots
-touched inside one segment can never all be needed as victims. The rows
-then move in bulk: gather the leaving rows from the arena, one
-``store.put`` (heads in, heads out), one ``store.read_latest`` at the
-heads, one arena scatter; every planned flush is durable before
-``complete_head()`` persists the Checkpointed Batch ID. A segment whose
+where the walk stands — touched in the segment, or second-chance; the
+runs of candidates between them, and the arrivals that pay for those,
+are counted, and what the evictions produce (flushes, freed rows,
+loads) is gathered from the columns afterwards. A round longer
+than the capacity is cut into segments of at most ``capacity_entries``
+accesses so that the slots touched inside one segment can never all be
+needed as victims. The rows then move in bulk: gather the leaving rows
+from the arena, one ``store.put`` (heads in, heads out), one
+``store.read_latest`` at the heads, one arena scatter. A segment whose
 flushes the pool cannot hold is refused before it writes anything, and
-stays queued.
+stays queued. The request queue does not change while a round runs.
+
+**Completion is one predicate after the round.** Every flush stores a
+row under ``updated``, the batch whose state its bytes are — not under
+``version``, the last access, which read-only traffic (evaluation,
+serving warm-up) advances without changing the state. So a clean
+resident slot's newest stored version is its state at every checkpoint
+from ``updated`` on, and a slot *owes* checkpoint ``cp`` exactly when it
+is dirty with ``updated <= cp`` (:meth:`PipelinedCache._owing`): one
+column predicate. ``cp`` is complete when no slot owes it. (Algorithm 2
+asks instead whether the LRU victim's ``version`` is past ``cp``; that
+test never fires in a cache that does not evict, and ``version`` is no
+evidence of durability.) The same predicate is the flush before a
+change: a round flushes a row it touches that owes a pending checkpoint
+(Algorithm 2 lines 13-15), and so does a push ahead of its rows'
+rounds. Once the round's rows have moved, ``maintain(n)`` completes the
+pending checkpoints below ``n`` that nothing owes; while one is owed, a
+*drain* flushes the owing rows, oldest stamp first and at most as many
+as the round processed, and the test runs again. The barrier
+(:meth:`PipelinedCache.complete_pending_checkpoints`) is the same drain
+with no bound.
+
 ``tests/harness/reference_cache.py`` holds the per-key, object-per-entry
 oracle the equivalence suites compare this module against.
 """
@@ -169,8 +188,10 @@ class PipelinedCache:
             block reached the size the key-seeded initializer draws in
             its array form), every bulk move to or from PMem one
             ``pmem.store`` / ``pmem.load`` instant carrying ``rows=``
-            and ``bytes=``, and opportunistic checkpoint completion
-            emits ``checkpoint.completed``.
+            and ``bytes=``, and the completion test, while a checkpoint
+            it may complete is pending, one ``checkpoint.drain`` span
+            (``rows=`` flushed, ``budget=``, ``completed=``) with a
+            ``checkpoint.completed`` instant per checkpoint.
     """
 
     def __init__(
@@ -296,10 +317,10 @@ class PipelinedCache:
         The round is a left fold over its accesses, so it is planned in
         consecutive segments. One segment suffices unless an eviction is
         possible; then a segment holds at most ``capacity_entries``
-        accesses, which is what :class:`_Events` needs. A round at or
-        below a pending checkpoint's batch id (a checkpoint of a batch
-        not trained yet) would flush a row again on every repeated touch:
-        its segments are single accesses.
+        accesses, which is what :class:`_Events` needs. Once the rows
+        have moved, :meth:`_drain` completes the checkpoints below
+        ``batch_id`` that nothing owes, flushing at most ``processed``
+        owing rows.
 
         Raises:
             OutOfSpaceError: the pool cannot hold the rows a segment
@@ -321,17 +342,15 @@ class PipelinedCache:
             # rows given up; ``rows`` how many rows it flushes so far (what
             # the pool must have room for); and the counts.
             plan, n = SimpleNamespace(
-                out=[], loads=[], freed=[], rows=0, flushes=0, evictions=0, completed=0,
+                out=[], loads=[], freed=[], rows=0, flushes=0, evictions=0,
                 examined=0, steps=0, segments=0,
             ), len(accessed)
-            # Local view of the request queue: planned completions pop
-            # its head, and the flush barrier (its tail) changes only then.
+            # Nothing completes before the rows have moved: the request
+            # queue is fixed for the whole plan.
             pending = self.coordinator.queue.pending()
             unlisted = np.count_nonzero(self.index.columns.stamp[accessed] < 0)
             step = max(n, 1)
-            if pending and batch_id <= pending[-1]:
-                step = 1
-            elif unlisted > self.capacity_entries - self._listed:
+            if unlisted > self.capacity_entries - self._listed:
                 step = self.capacity_entries
             lo = 0
             # (A segment the walk cut short leaves evictions owed: the
@@ -342,14 +361,15 @@ class PipelinedCache:
                     lo += self._plan_segment(segment, batch_id, pending, plan, lo > 0)
                 except OutOfSpaceError:
                     self.access_queue.requeue(batch_id, accessed[lo:])
-                    self._move(plan, lo)
+                    self._move(plan)
                     raise
                 plan.segments += 1
-            result = self._move(plan, n)
+            loads = self._move(plan)
+            drained, completed = self._drain(n, below=batch_id)
+            result = MaintainResult(n, loads, plan.flushes + drained, plan.evictions, len(completed))
             span.set(
-                processed=n, loads=result.loads, flushes=result.flushes,
-                evictions=result.evictions, candidates=plan.examined,
-                decisions=plan.steps, segments=plan.segments,
+                processed=n, loads=loads, flushes=result.flushes, evictions=plan.evictions,
+                candidates=plan.examined, decisions=plan.steps, segments=plan.segments,
             )
             return result
 
@@ -365,34 +385,33 @@ class PipelinedCache:
 
         Array operations apply what a hit — an access to a listed slot —
         does: flush before the version advances if a pending checkpoint
-        still needs the current one (Alg. 2 lines 13-15), stamp the batch
-        id, touch. That flush test is independent of position: a listed
-        row with ``version <= B`` keeps checkpoint ``B`` from completing,
-        so ``B`` is still the barrier when the row is reached (a created
-        row not listed yet does not; the walk strikes it if every
-        checkpoint completes before its touch). Accesses
+        still needs the current state (Alg. 2 lines 13-15: the row owes
+        one, :meth:`_owing`), stamp the batch id, touch. The test needs
+        no position: the request queue is fixed for the round, and the
+        flush clears the row's dirty bit, so a later touch finds nothing
+        owed. Accesses
         to slots that are not listed, and a list already over capacity,
         are events and go through :class:`_Events` first (it reads the
         columns as the segment found them, and its results overwrite the
-        defaults written here). Nothing is written — no column, not
-        ``pending``, no planned move — before the pool is known to have
-        room for every row the round flushes so far (counting a row that
-        merely restates a stored version, which ``put`` would not charge).
+        defaults written here). Nothing is written — no column, no
+        planned move — before the pool is known to have room for every
+        row the round flushes so far (counting a row that merely
+        restates a stored version, which ``put`` would not charge).
         """
         columns, rule = self.index.columns, self._rule
         listed = columns.stamp[accessed] >= 0
         hits = accessed if listed.all() else accessed[listed]
         due = hits[:0]
         if pending:
-            resident = accessed[(columns.handle[accessed] & 1) == 0]
-            due = np.unique(resident[columns.version[resident] <= pending[-1]])
+            resident = np.unique(accessed[(columns.handle[accessed] & 1) == 0])
+            due = resident[self._owing(resident, pending[-1])]
         events = None
         if len(hits) < len(accessed) or self._listed > self.capacity_entries:
             first = self._first_touch(accessed)
             arrivals = np.flatnonzero(~listed & (first == np.arange(len(accessed))))
             try:
                 carried = follows and self._listed > self.capacity_entries
-                events = _Events(self, accessed, arrivals, due, batch_id, pending, carried)
+                events = _Events(self, accessed, arrivals, due, batch_id, carried)
             finally:
                 self._first[accessed] = _NEVER
             # A prefix, if the walk cut the segment; what is still due in it.
@@ -403,7 +422,7 @@ class PipelinedCache:
         if len(due):
             # Ahead of the events' flushes: a slot's touch precedes any
             # eviction that does not cancel it.
-            plan.out.append((due, columns.version[due], columns.row[due]))
+            plan.out.append((due, columns.updated[due], columns.row[due]))
             columns.dirty[due] = False
             plan.flushes += len(due)
         columns.version[accessed] = batch_id
@@ -411,7 +430,7 @@ class PipelinedCache:
             columns.referenced[hits] = True
         self._stamp(accessed if rule.touch_restamps else events.inserted if events else ())
         if events is not None:
-            events.write_back(pending, plan)
+            events.write_back(plan)
         return len(accessed)
 
     def _candidates(self, chunk: int) -> Iterator[tuple]:
@@ -442,8 +461,9 @@ class PipelinedCache:
                   columns.row, columns.updated)
         return (slots, *(field[slots] for field in fields))
 
-    def _move(self, plan: SimpleNamespace, processed: int) -> MaintainResult:
-        """Move the rows a round planned, in blocks.
+    def _move(self, plan: SimpleNamespace) -> int:
+        """Move the rows a round planned, in blocks; returns the rows
+        loaded.
 
         The plan left list order, versions, dirty bits and counters
         exactly as if each row had moved the moment it was planned. A
@@ -458,9 +478,10 @@ class PipelinedCache:
         3. ``store.put`` the rare flushes of rows that arrived in this
            very round (loaded and evicted again: their bytes are in the
            block just read, never in the arena);
-        4. only now ``complete_head()`` for every completion the plan
-           reached — no flush a checkpoint depends on is still pending;
-        5. scatter the arrived rows into freshly allocated arena rows.
+        4. scatter the arrived rows into freshly allocated arena rows.
+
+        Whether a checkpoint completes is decided afterwards, once every
+        planned flush is durable (:meth:`_drain`).
         """
         columns, value_mode = self.index.columns, self.arena is not None
         loads = np.concatenate(plan.loads) if plan.loads else np.empty(0, np.int64)
@@ -484,10 +505,6 @@ class PipelinedCache:
             at = len(loads) - 1 - self._first[late_slots]
             self._store_rows(late_slots, late_versions, block[at])
         self._first[loads] = _NEVER
-        for __ in range(plan.completed):
-            head = self.coordinator.complete_head()
-            self.metrics.checkpoints_completed += 1
-            self.tracer.instant("checkpoint.completed", track="checkpoint", batch=head)
         loaded = len(loads)
         if value_mode:
             if plan.freed:
@@ -506,7 +523,7 @@ class PipelinedCache:
         self.metrics.pmem_flush_entries += plan.flushes
         self.metrics.cache.flushes += plan.flushes
         self.metrics.cache.evictions += plan.evictions
-        return MaintainResult(processed, loaded, plan.flushes, plan.evictions, plan.completed)
+        return loaded
 
     # ------------------------------------------------------------------
     # update (push) path
@@ -558,6 +575,13 @@ class PipelinedCache:
         # updated by read-modify-write through the store, which retains
         # checkpoint-protected versions.
         cold = np.flatnonzero(columns.handle[slots] & 1)
+        if pending := self.coordinator.queue.pending():
+            # Flush before the gradient lands what a pending checkpoint
+            # still needs of a resident row (:meth:`_owing`). In the
+            # serial flow its maintenance round already has; a push ahead
+            # of its rows' rounds (async, lookahead) has not.
+            warm = np.delete(slots, cold)
+            self._flush_slots(warm[self._owing(warm, pending[-1])])
         columns.dirty[slots] = True
         columns.updated[slots] = np.maximum(columns.updated[slots], batch_id)
         behind = batch_id > columns.version[slots]
@@ -567,19 +591,11 @@ class PipelinedCache:
             # a delayed push carries the scheduler step it is applied
             # in, ahead of the last round that maintained its rows —
             # and the lookahead case, where the pull was served from a
-            # prefetch buffer. Apply maintain's flush-before-advance
-            # rule here instead: persist the pre-update state if a
-            # pending checkpoint still needs it, then advance the
-            # version and touch, so stamp order keeps its version order
-            # under LRU (the one-comparison checkpoint-completion test
-            # depends on it). A cold key's version stays behind.
+            # prefetch buffer. Advance the version and touch here
+            # instead, so stamp order keeps its version order under LRU.
+            # A cold key's version stays behind.
             behind[cold] = False
             advancing = slots[behind]
-            flushed = advancing[:0]
-            flush_barrier = self.coordinator.max_pending()
-            if flush_barrier is not None:
-                flushed = advancing[columns.version[advancing] <= flush_barrier]
-                self._flush_slots(flushed, backfill=False)
             columns.version[advancing] = batch_id
             fresh = advancing[columns.stamp[advancing] < 0]
             self._listed += len(fresh)
@@ -587,7 +603,6 @@ class PipelinedCache:
                 columns.referenced[advancing] = True
                 columns.referenced[fresh] = False
             self._stamp(advancing if self._rule.touch_restamps else fresh)
-            columns.dirty[flushed] = True  # the flush cleared it; final state is dirty
         block = None
         if self.arena is not None:
             # Segment-sum: the first occurrence of each key seeds its
@@ -614,7 +629,7 @@ class PipelinedCache:
             self.arena.data[rows[resident]] = block[resident]
         if len(cold):
             stored = None if block is None else block[cold]
-            self._store_rows(slots[cold], batch_id, stored, traced=False)
+            self._store_rows(slots[cold], columns.updated[slots[cold]], stored, traced=False)
             columns.dirty[slots[cold]] = False  # the store holds this state
             self.metrics.pmem_flush_entries += len(cold)
         self.metrics.updates += len(slots)
@@ -624,35 +639,66 @@ class PipelinedCache:
     # barriers / draining
     # ------------------------------------------------------------------
 
-    def flush_all(self) -> int:
-        """Durably flush every cached entry at its current version.
-
-        Used at training barriers (epoch end, clean shutdown). Returns
-        the number of entries flushed.
-        """
-        with self.tracer.span("cache.flush_all") as span:
-            cached = np.flatnonzero(self.index.columns.stamp >= 0)
-            self._flush_slots(cached, backfill=True)
-            span.set(flushed=len(cached))
-            return len(cached)
-
     def complete_pending_checkpoints(self) -> list[int]:
-        """Flush the cache and complete every queued checkpoint.
+        """The training barrier (epoch end, clean shutdown, a reshard's
+        quiesce): :meth:`_drain` with no bound. Every row a queued
+        checkpoint still waits for is flushed and every queued
+        checkpoint completes. Returns their batch ids, oldest first."""
+        return self._drain(None)[1]
 
-        The paper's system completes checkpoints opportunistically via
-        evictions; at a barrier (or in tests) we force completion: after
-        ``flush_all`` every pending snapshot is durable, so all queued
-        requests can finish.
+    def _drain(self, budget: int | None, below: int = _NEVER) -> tuple[int, list[int]]:
+        """Complete the head checkpoint while no resident slot owes it.
+
+        Listed slots that owe it (:meth:`_owing`) are flushed first —
+        oldest stamp first, at most ``budget`` rows over the call (None:
+        all); a flushed row owes nothing. Stops at the first checkpoint
+        still owed, or not below ``below``: a round at batch ``n`` runs
+        before that batch's updates, so a checkpoint at or past ``n`` may
+        still change. A flush the pool cannot hold is skipped (the
+        checkpoint waits). Returns ``(rows flushed, checkpoints
+        completed)``.
         """
-        if self.coordinator.head() is not None:
-            self.flush_all()
-        return self.coordinator.complete_all_pending()
+        coordinator, drained, completed = self.coordinator, 0, []
+        if (head := coordinator.head()) is None or head >= below:
+            return drained, completed
+        stamp = self.index.columns.stamp
+        listed = np.flatnonzero(stamp >= 0)  # a flush moves no row in or out
+        with self.tracer.span("checkpoint.drain", track="checkpoint") as span:
+            while (cp := coordinator.head()) is not None and cp < below:
+                owing = listed[self._owing(listed, cp)]
+                room = len(owing) if budget is None else min(len(owing), budget - drained)
+                if room:
+                    try:
+                        self._flush_slots(owing[np.argsort(stamp[owing])][:room])
+                    except OutOfSpaceError:
+                        break
+                    drained += room
+                if room < len(owing):
+                    break
+                completed.append(coordinator.complete_head())
+                self.metrics.checkpoints_completed += 1
+                self.tracer.instant("checkpoint.completed", track="checkpoint", batch=cp)
+            self.metrics.checkpoint_drained_rows += drained
+            span.set(rows=drained, budget=budget, completed=len(completed))
+        return drained, completed
+
+    def _owing(self, slots: np.ndarray, cp: int) -> np.ndarray:
+        """Which resident ``slots`` owe checkpoint ``cp`` (asked of the
+        newest pending one: which owe any): their state at it — the
+        state since ``updated`` — is not durable. Every flush stores a
+        row under its ``updated``, the batch its bytes are the state of,
+        so a clean row's newest stored version is its state at every
+        checkpoint from ``updated`` on, and a dirty one's is nowhere.
+        (``version`` is no evidence: read-only traffic advances it and
+        flushes nothing.)"""
+        columns = self.index.columns
+        return columns.dirty[slots] & (columns.updated[slots] <= cp)
 
     def drop_cache(self) -> int:
         """Flush and evict everything (leaves an empty, consistent cache)."""
         columns = self.index.columns
         cached = np.flatnonzero(columns.stamp >= 0)
-        self._flush_slots(cached, backfill=True)
+        self._flush_slots(cached)
         columns.stamp[cached] = -1
         columns.handle[cached] |= 1
         self._release(cached)
@@ -814,21 +860,13 @@ class PipelinedCache:
     def _moved(self, event: str, rows: int) -> None:
         self.tracer.instant(event, track="pmem", rows=rows, bytes=rows * self.store.entry_bytes)
 
-    def _flush_slots(self, slots: np.ndarray, backfill: bool) -> None:
-        """Persist resident ``slots`` at their current versions, as one
-        put; ``backfill`` adds the row a pending checkpoint still lacks
-        (see :func:`_backfill`)."""
+    def _flush_slots(self, slots: np.ndarray) -> None:
+        """Persist resident ``slots`` as one put, each under its
+        ``updated`` (see :meth:`_owing`)."""
         if not len(slots):
             return
         columns = self.index.columns
-        flushed, versions, rows = slots, columns.version[slots], columns.row[slots]
-        pending = self.coordinator.queue.pending() if backfill else ()
-        if pending:
-            behind, at = _backfill(versions, columns.updated[slots], pending)
-            flushed = np.concatenate([slots, slots[behind]])
-            versions = np.concatenate([versions, at[behind]])
-            rows = np.concatenate([rows, rows[behind]])
-        self._store_rows(flushed, versions, self._gather(rows))
+        self._store_rows(slots, columns.updated[slots], self._gather(columns.row[slots]))
         columns.dirty[slots] = False
         self.metrics.pmem_flush_entries += len(slots)
         self.metrics.cache.flushes += len(slots)
@@ -858,9 +896,8 @@ class _Events:
 
     **The walk visits decisions, not rows.** A candidate needs to know
     where the walk stands only if it is touched in the segment (protected
-    or not, what it is evicted with, when it comes back), if CLOCK may
-    spare it, or if its version is past the oldest pending checkpoint
-    (its eviction may complete one). Every other candidate is evicted
+    or not, what it is evicted with, when it comes back) or if CLOCK may
+    spare it. Every other candidate is evicted
     whenever its turn comes, with no side effect on the walk, so a *run*
     of ``u`` of them between two decisions is not walked: it absorbs the
     next ``u`` evictions owed, and the arrivals that owe them are
@@ -869,7 +906,7 @@ class _Events:
     Eviction ``j`` is owed by arrival number ``j + free + 1`` (``free``,
     the room before the segment, may be negative: a list over capacity
     evicts at position 0), which is all the arithmetic there is. What the
-    evictions produce — flushes, backfills, freed rows — is computed
+    evictions produce — flushes, freed rows — is computed
     afterwards as column gathers over the examined candidates less the
     protected ones: candidate order *is* eviction order, because every
     eviction takes the first candidate not yet consumed.
@@ -885,19 +922,18 @@ class _Events:
     starts by paying them, before its first access (``carried``).
 
     The walk reads the columns as the segment found them and writes
-    nothing, ``pending`` included; :meth:`write_back` applies what it
-    decided once the pool is known to hold the flushes.
+    nothing; :meth:`write_back` applies what it decided once the pool is
+    known to hold the flushes. It completes no checkpoint.
     """
 
-    def __init__(self, cache, accessed, arrivals, due, batch_id, pending, carried):
+    def __init__(self, cache, accessed, arrivals, due, batch_id, carried):
         """Walk the segment ``accessed`` (whose ``arrivals`` are the
         first positions of its unlisted slots); ``due`` are the slots to
         flush before their version advances, if they are still resident
-        (and a checkpoint pending) when first touched."""
+        when first touched."""
         self.cache, self.accessed = cache, accessed
-        self.pending, self.carried, self.due, self.next = pending, carried, due, None  # later()
-        pending = list(pending)  # the walk's own copy
-        columns, rule, first = cache.index.columns, cache._rule, cache._first
+        self.carried, self.due, self.next = carried, due, None  # later()
+        columns, rule = cache.index.columns, cache._rule
         admission, later = cache.admission, self.later
         arrived = accessed[arrivals]
         cold = (columns.handle[arrived] & 1) != 0
@@ -917,11 +953,9 @@ class _Events:
         # time. The static arrivals list themselves.
         listings: list[tuple] = []
         blocks = [cache._describe(arrivals[:0])]  # candidates examined, in order
-        # Candidates by what was decided; ``completions`` holds one per
-        # checkpoint completed: the candidate whose eviction completed it.
-        protected, returned, advanced, completions = [], [], [], []
+        protected, returned, advanced = [], [], []  # candidates by what was decided
         taken = at = examined = evicted = steps = 0
-        position, unbarred = -1 if self.carried else 0, _NEVER
+        position = -1 if self.carried else 0
 
         def take(target: int) -> bool:
             """Let arrivals in, in position order, until ``target`` of
@@ -955,26 +989,23 @@ class _Events:
 
         def decisions() -> Iterator[tuple]:
             """The candidates that need a decision, each as ``(index among
-            the candidates, slot, first touch, version, referenced)``; a
-            negative slot is no candidate: -1 closes a block of candidates
-            (a run may end there), -2 says none is left."""
-            barrier, total = pending[0] if pending else _NEVER, 0
+            the candidates, slot, first touch, referenced)``; a negative
+            slot is no candidate: -1 closes a block of candidates (a run
+            may end there), -2 says none is left."""
+            total = 0
             for block in cache._candidates(2 * (len(static) + len(reloads)) + 64):
                 blocks.append(block)
-                slots, touch, version, referenced = block[:4]
-                ask = (touch < _NEVER) | (version > barrier) | (referenced & rule.second_chance)
-                ask = np.flatnonzero(ask)
-                yield from zip(
-                    (ask + total).tolist(), slots[ask].tolist(), touch[ask].tolist(),
-                    version[ask].tolist(), referenced[ask].tolist(),
-                )
+                slots, touch, __, referenced = block[:4]
+                ask = np.flatnonzero((touch < _NEVER) | (referenced & rule.second_chance))
+                yield from zip((ask + total).tolist(), slots[ask].tolist(), touch[ask].tolist(),
+                               referenced[ask].tolist())
                 total += len(slots)
-                yield total, -1, 0, 0, False
-            yield total, -2, 0, 0, False
+                yield total, -1, 0, False
+            yield total, -2, 0, False
 
         if free < 0 and not self.carried and 0 in (static[:1] + reloads[:1]):
             take(1)  # the arrival at position 0 is in before its evictions
-        for index, slot, touch, version, referenced in decisions():
+        for index, slot, touch, referenced in decisions():
             # The candidates before this one concern no decision: the next
             # evictions owed take them, as far as the arrivals go; one more
             # arrival owes the eviction this decision is about.
@@ -1006,33 +1037,8 @@ class _Events:
                 continue
             again = touch
             if touched:
-                version, again = batch_id, later(slot, position)
+                again = later(slot, position)
                 advanced.append(index)
-            if pending and version > pending[0]:
-                # Algorithm 2 lines 23-28: once the oldest cached
-                # version has moved past the on-going checkpoint,
-                # every entry it needs is (planned) durable. The
-                # paper's one-comparison test is sound ONLY under
-                # LRU, where stamp order equals version order; FIFO
-                # and CLOCK keep insertion order, so they scan for
-                # the true minimum cached version instead.
-                floor = version
-                if not rule.touch_restamps:
-                    # ... over the slots listed before the segment, at the
-                    # batch id if touched by now, less those that have left
-                    # — plus, at the batch id, whatever the segment listed.
-                    old = np.flatnonzero(columns.stamp >= 0)
-                    floor = np.where(first[old] <= position, batch_id, columns.version[old])
-                    left = np.ones(index, dtype=bool)
-                    left[protected + returned] = False
-                    left = np.concatenate([block[0] for block in blocks])[:index][left]
-                    floor[np.isin(old, left)] = _NEVER
-                    floor = np.append(floor, batch_id if taken > len(returned) else _NEVER).min()
-                while pending and floor > pending[0]:
-                    completions.append(index)
-                    del pending[0]
-                if not pending:
-                    unbarred = position  # no barrier left for later touches
             evicted += 1
             if again < _NEVER:
                 gone[slot] = index
@@ -1049,14 +1055,11 @@ class _Events:
         evicted[protected], late[advanced] = False, True
         version[late] = batch_id
         # A due slot is not flushed at its touch if it was evicted before
-        # it, if no checkpoint was pending any more, or if the walk cut the
-        # segment before it; one evicted after that flush leaves clean.
-        if len(self.due):
-            due, touch = self.due, first[self.due]
-            self.due = due = due[
-                (touch <= unbarred) & (touch < len(self.accessed))
-                & ~np.isin(due, slots[evicted & ~late])
-            ]
+        # it or if the walk cut the segment before it; one evicted after
+        # that flush leaves clean.
+        if len(due := self.due):
+            kept = (cache._first[due] < len(self.accessed)) & ~np.isin(due, slots[evicted & ~late])
+            self.due = due = due[kept]
             dirty[late & np.isin(slots, due)] = False
         stays = evicted.copy()  # gone for good: evicted and not let in again
         stays[returned] = False
@@ -1064,23 +1067,13 @@ class _Events:
         barred = np.array([slot for slot, index in gone.items() if index < 0], dtype=np.int64)
         self.gone = np.concatenate([slots[stays], barred])
         self.gone_version = np.concatenate([version[stays], columns.version[barred]])
-        order = np.flatnonzero(evicted)  # candidate order is eviction order
-        slots, version, row, updated = slots[order], version[order], row[order], updated[order]
-        # Every eviction flushes its row (unless clean and tracked) and
-        # then the version a pending checkpoint still lacks (_backfill):
-        # two planned rows per eviction, in that order, less the unneeded.
-        wanted = np.zeros((len(order), 2), dtype=bool)
-        stored = np.stack([version, version], axis=1)
-        wanted[:, 0] = dirty[order] | (not cache.config.track_dirty)
-        if self.pending:
-            done = np.searchsorted(completions, order, side="right")
-            wanted[:, 1], stored[:, 1] = _backfill(version, updated, self.pending, done)
-        self.pending, self.completed, self.freed = pending, len(completions), row[row >= 0]
-        wanted = wanted.ravel()
-        self.out = (
-            np.repeat(slots, 2)[wanted], stored.ravel()[wanted], np.repeat(row, 2)[wanted]
-        )
-        self.flushes, self.evictions = int(np.count_nonzero(wanted[::2])), len(order)
+        # Every eviction flushes its row under ``updated`` (unless clean
+        # and tracked); candidate order is eviction order.
+        order = np.flatnonzero(evicted)
+        flushed = order[dirty[order] | (not cache.config.track_dirty)]
+        self.out = slots[flushed], updated[flushed], row[flushed]
+        self.flushes, self.evictions = len(flushed), len(order)
+        self.freed = row[order][row[order] >= 0]
         # What the segment listed, in order: the static arrivals let in
         # and the one-at-a-time listings, an arrival ahead of the
         # candidates requeued at its position. All of it is still listed.
@@ -1107,14 +1100,13 @@ class _Events:
             at = self.next[at]
         return at
 
-    def write_back(self, pending: list[int], plan: SimpleNamespace) -> None:
-        """Apply the walk: its share of the round's plan, the request
-        queue as it left it, the columns (after the hits' defaults)."""
+    def write_back(self, plan: SimpleNamespace) -> None:
+        """Apply the walk: its share of the round's plan, the columns
+        (after the hits' defaults)."""
         cache, columns = self.cache, self.cache.index.columns
-        pending[:] = self.pending
         for name in ("out", "loads", "freed"):
             getattr(plan, name).append(getattr(self, name))
-        for name in ("flushes", "evictions", "completed", "examined", "steps"):
+        for name in ("flushes", "evictions", "examined", "steps"):
             setattr(plan, name, getattr(plan, name) + getattr(self, name))
         columns.handle[self.loads] = self.loads << 1
         columns.row[self.loads] = -1  # lands when the round moves its rows
@@ -1133,26 +1125,3 @@ class _Events:
         columns.stamp[gone] = columns.row[gone] = -1
         columns.dirty[gone] = False
         cache._listed = self.size
-
-
-def _backfill(version, updated, pending: Sequence[int], done=0):
-    """The pending checkpoint a flush must also be stamped at, if any.
-
-    Read-only traffic (evaluation pulls, serving warm-up) advances an
-    entry's ``version`` without changing state. A checkpoint then
-    requested at a barrier ``B < version`` finds the flush stamped too
-    new — ``read_at_most(key, B)`` misses the row even though the bytes
-    *are* the state at ``B``, because nothing updated the entry since
-    ``updated <= B``. One extra version at the smallest such barrier
-    fixes that; reads pinned to every higher pending barrier resolve to
-    it too. Barriers below ``updated`` were already served by
-    flush-before-advance when the update landed.
-
-    ``done`` says how many of ``pending`` (oldest first) had completed
-    when the row was flushed. Takes scalars or arrays; returns ``(needed,
-    barrier)``.
-    """
-    pending = np.asarray(pending)
-    at = np.maximum(np.searchsorted(pending, updated), done)  # smallest barrier >= updated
-    barrier = pending[np.minimum(at, len(pending) - 1)]
-    return (at < len(pending)) & (barrier < version), barrier

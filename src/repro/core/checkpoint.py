@@ -1,9 +1,13 @@
 """Checkpoint coordination (the *checkpoint manager* of Figure 4).
 
 The coordinator owns the checkpoint request queue and the durable
-*Checkpointed Batch ID*. Requests are issued manually or by the
-periodic checkpoint thread; completion is detected inside cache
-maintenance (Algorithm 2) and delegated back here, which then
+*Checkpointed Batch ID*. Requests are issued manually or by a periodic
+trigger (the simulator's ``PeriodicTimer``). Completion is decided by
+the cache — one predicate over its columns after every maintenance
+round and at barriers: no resident entry still owes the checkpoint
+(:meth:`repro.core.cache.PipelinedCache._drain`) — and delegated back
+here, one :meth:`CheckpointCoordinator.complete_head` per checkpoint,
+which then
 
 1. atomically persists the checkpointed batch id in the PMem root,
 2. pops the request queue, and
@@ -19,7 +23,6 @@ from __future__ import annotations
 from repro.errors import CheckpointError
 from repro.core.queues import CheckpointRequestQueue
 from repro.pmem.space import NO_CHECKPOINT, VersionedEntryStore
-from repro.simulation.clock import PeriodicTimer
 
 
 class CheckpointCoordinator:
@@ -96,15 +99,8 @@ class CheckpointCoordinator:
         return self.queue.head()
 
     def max_pending(self) -> int | None:
-        """Largest queued checkpoint id.
-
-        Algorithm 2 compares entry versions against the queue *head*;
-        with more than one checkpoint outstanding that under-flushes (an
-        entry with ``head < version <= tail`` would advance without its
-        state becoming durable for the later checkpoint). The cache
-        therefore flushes against this larger barrier — a conservative
-        superset of the paper that coincides with it whenever at most
-        one checkpoint is outstanding (the paper's operating regime).
+        """Largest queued checkpoint id (None when idle) — what a
+        periodic trigger compares against so it never re-queues a batch.
         """
         pending = self.queue.pending()
         return pending[-1] if pending else None
@@ -131,17 +127,6 @@ class CheckpointCoordinator:
             self.store.recycle()
         return batch_id
 
-    def complete_all_pending(self) -> list[int]:
-        """Complete every queued checkpoint.
-
-        Valid only once the caller has made all pending snapshots
-        durable (e.g. after a full cache flush at a training barrier).
-        """
-        completed = []
-        while self.queue.head() is not None:
-            completed.append(self.complete_head())
-        return completed
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -167,35 +152,3 @@ class CheckpointCoordinator:
         if self._external_barrier is not None and self._external_barrier >= 0:
             barriers.add(self._external_barrier)
         self.store.set_retention_barriers(tuple(barriers))
-
-
-class PeriodicCheckpointer:
-    """The periodic checkpoint thread (Figure 5, right).
-
-    Call :meth:`maybe_request` after each batch with the simulated time;
-    when an interval boundary passed, it requests a checkpoint of the
-    latest completed batch — the paper's automatic trigger.
-    """
-
-    def __init__(self, coordinator: CheckpointCoordinator, interval_seconds: float):
-        self.coordinator = coordinator
-        self.timer = PeriodicTimer(interval_seconds)
-        self.requests_issued = 0
-
-    def maybe_request(self, now: float, latest_completed_batch: int) -> bool:
-        """Request a checkpoint if the interval elapsed.
-
-        Multiple elapsed intervals collapse into one request (snapshots
-        of the same batch id are indistinguishable). A request already
-        queued for ``latest_completed_batch`` makes this a no-op.
-        """
-        if self.timer.due(now) == 0:
-            return False
-        if latest_completed_batch <= self.coordinator.last_completed:
-            return False
-        pending = self.coordinator.queue.pending()
-        if pending and pending[-1] >= latest_completed_batch:
-            return False
-        self.coordinator.request(latest_completed_batch)
-        self.requests_issued += 1
-        return True

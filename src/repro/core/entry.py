@@ -80,10 +80,12 @@ class EntryColumns:
         updated: batch id at which the entry's *state* last changed
             (creation, gradient update, or the durable version it was
             loaded from). Read-only traffic advances ``version`` but not
-            ``updated``; the gap tells a flush that the current bytes
-            still equal the state at any barrier in between.
-        dirty: weights were updated since the last flush (used by the
-            dirty-tracking ablation; the paper's system always flushes).
+            ``updated``; a flush stores the row under ``updated``, so a
+            checkpoint anywhere in between finds it.
+        dirty: weights were updated since the last flush — the state at
+            ``updated`` is in no store yet (what a pending checkpoint
+            waits for; the dirty-tracking ablation also skips clean
+            victims' flushes, the paper's system always flushes).
         referenced: CLOCK's second-chance bit.
         row: row of the cache's embedding arena holding the packed
             weights+state while DRAM-resident (``-1`` otherwise, and

@@ -308,18 +308,16 @@ class PSNode:
         return batch_id
 
     def barrier_checkpoint(self, batch_id: int | None = None) -> int:
-        """Request a checkpoint and force it to complete synchronously.
-
-        Unlike the opportunistic in-pipeline completion, this flushes
-        the cache — the behaviour of a clean shutdown / final epoch
-        checkpoint.
-        """
+        """:meth:`request_checkpoint` + :meth:`complete_pending_checkpoints`:
+        the checkpoint completes synchronously (a clean shutdown, a final
+        epoch checkpoint, a reshard's quiesce)."""
         requested = self.request_checkpoint(batch_id)
-        self.cache.complete_pending_checkpoints()
+        self.complete_pending_checkpoints()
         return requested
 
     def complete_pending_checkpoints(self) -> None:
-        """Force queued checkpoints to complete (flushes the cache)."""
+        """Force queued checkpoints to complete: the cache's drain with
+        no bound flushes every row they still wait for."""
         self.cache.complete_pending_checkpoints()
 
     def set_external_barrier(self, batch_id: int | None) -> None:

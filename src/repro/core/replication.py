@@ -259,11 +259,8 @@ class ReplicatedPSNode:
         return requested
 
     def barrier_checkpoint(self, batch_id: int | None = None) -> int:
-        self._check_alive()
-        requested = self.primary.barrier_checkpoint(batch_id)
-        if self.backup is not None:
-            self.backup.request_checkpoint(requested)
-            self.backup.cache.complete_pending_checkpoints()
+        requested = self.request_checkpoint(batch_id)
+        self.complete_pending_checkpoints()
         return requested
 
     def complete_pending_checkpoints(self) -> None:

@@ -301,8 +301,8 @@ class SynchronousTrainer:
     def request_checkpoint(self) -> int:
         """Queue a checkpoint of the latest trained batch.
 
-        The sparse side completes opportunistically inside later cache
-        maintenance; the dense snapshot is taken now (training is at a
+        The sparse side completes in the cache-maintenance rounds after
+        the request; the dense snapshot is taken now (training is at a
         batch boundary, so the state is exactly batch ``b``'s).
         """
         if self.next_batch == 0:

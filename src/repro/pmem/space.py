@@ -330,9 +330,8 @@ class VersionedEntryStore:
         head_batch = np.where(head >= 0, slab.batch[head], NO_VERSION)
         below = versions < head_batch
         if below.any():
-            # Rows older than their key's newest version (a backfill
-            # behind a read-advanced flush): placed one by one, after
-            # the rest of the block. They move no head.
+            # Rows older than their key's newest version: placed one by
+            # one, after the rest of the block. They move no head.
             self._check_room(keys, head, versions)
             pick = np.flatnonzero(~below)
             head[pick] = self._write(

@@ -200,6 +200,9 @@ class Metrics(_Additive):
     updates: int = 0
     entries_created: int = 0
     checkpoints_completed: int = 0
+    #: rows flushed because a pending checkpoint waited for them (the
+    #: drain after a maintenance round, and the barrier)
+    checkpoint_drained_rows: int = 0
     pmem_flush_entries: int = 0
     pmem_load_entries: int = 0
     serving_lookups: int = 0

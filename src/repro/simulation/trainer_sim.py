@@ -250,7 +250,7 @@ class TrainingSimulator:
             sim_seconds=0.0,
             trace=self.trace if self.trace.enabled else None,
         )
-        timer = None
+        timer, fired = None, 0
         if self.checkpoint_config.mode != CheckpointMode.NONE:
             timer = PeriodicTimer(self.checkpoint_config.interval_seconds)
 
@@ -304,7 +304,7 @@ class TrainingSimulator:
                 pause = self._execute_checkpoint(batch_id)
                 self.clock.advance(pause)
                 result.checkpoint_pause_seconds += pause
-                result.checkpoints_completed += 1
+                fired += 1
                 if self.tracer.enabled:
                     self.tracer.add_span(
                         "checkpoint.pause",
@@ -334,6 +334,13 @@ class TrainingSimulator:
                 self._poll_failures(batch_id, iterations, result)
 
         result.sim_seconds = self.clock.now
+        # An incremental dump is done when its pause ends; a batch-aware
+        # request completes inside later maintain() rounds, or not at all
+        # if the run ends first — count what the node completed.
+        result.checkpoints_completed = (
+            fired if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL
+            else self.backend.checkpoints_completed
+        )
         result.miss_rate = self._miss_rate()
         if self.registry is not None:
             collect_bundle(

@@ -31,8 +31,8 @@ class EmbeddingEntry:
         updated: batch id at which the entry's *state* last changed
             (creation, gradient update, or the durable version it was
             loaded from). Read-only traffic advances ``version`` but not
-            ``updated``; the gap tells a flush that the current bytes
-            still equal the state at any barrier in between.
+            ``updated``; a flush stores the entry under ``updated``, so a
+            checkpoint anywhere in between finds it.
         location: DRAM or PMEM — the tag bit of the index handle.
         dirty: weights were updated since the last flush (used by the
             dirty-tracking ablation; the paper's system always flushes).

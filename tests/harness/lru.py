@@ -11,8 +11,9 @@ matching the C++ implementation and giving O(1) reorder/evict.
 Because an entry's ``version`` is assigned from the monotonically
 increasing batch id at every (re)insertion to the front, the list is
 always sorted front-to-back by non-increasing version; the tail victim
-therefore carries the oldest version in the cache — the property
-Algorithm 2's checkpoint-completion test relies on.
+therefore carries the oldest version in the cache (Algorithm 2 tests it
+for checkpoint completion; the oracle, like production, asks instead
+whether any listed entry still owes the checkpoint).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from repro.core.entry import Location
 from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
 from repro.core.ps_node import PSNode
 from repro.core.queues import AccessQueue
-from repro.errors import KeyNotFoundError, ServerError
+from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.space import VersionedEntryStore
 from repro.simulation.metrics import Metrics
@@ -80,8 +80,9 @@ class ReferenceCache:
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
             ``cache.maintain`` spans, per-entry PMem traffic becomes
-            ``pmem.store`` / ``pmem.load`` instants, and opportunistic
-            checkpoint completion emits ``checkpoint.completed``.
+            ``pmem.store`` / ``pmem.load`` instants, and checkpoint
+            completion a ``checkpoint.drain`` span with one
+            ``checkpoint.completed`` instant per checkpoint.
     """
 
     def __init__(
@@ -182,14 +183,14 @@ class ReferenceCache:
 
     def _maintain(self, batch_id: int) -> MaintainResult:
         entries = self.access_queue.pop_batch(batch_id)
-        loads = flushes = evictions = completed = 0
+        loads = flushes = evictions = 0
+        # Nothing completes before the round is over (:meth:`_drain`).
         for entry in entries:
-            flush_barrier = self.coordinator.max_pending()
             if entry.in_dram:
-                if flush_barrier is not None and entry.version <= flush_barrier:
-                    # The entry's current weights are the state the
-                    # on-going checkpoint must capture; persist them
-                    # before the version advances (Alg. 2 lines 13-15).
+                if self._owes_pending(entry):
+                    # The entry's current weights are the state a pending
+                    # checkpoint still needs; persist them before the
+                    # version advances (Alg. 2 lines 13-15).
                     self._flush(entry)
                     flushes += 1
                 entry.version = batch_id
@@ -207,16 +208,16 @@ class ReferenceCache:
                 loads += 1
                 entry.version = batch_id
                 self._reorder(entry)
-            ev, fl, done = self._evict_to_capacity()
+            ev, fl = self._evict_to_capacity()
             evictions += ev
             flushes += fl
-            completed += done
+        drained, completed = self._drain(len(entries), below=batch_id)
         return MaintainResult(
             processed=len(entries),
             loads=loads,
-            flushes=flushes,
+            flushes=flushes + drained,
             evictions=evictions,
-            checkpoints_completed=completed,
+            checkpoints_completed=len(completed),
         )
 
     # ------------------------------------------------------------------
@@ -268,20 +269,16 @@ class ReferenceCache:
             if entry is None:
                 raise KeyNotFoundError(key)
             if entry.in_dram:
+                if self._owes_pending(entry):
+                    # Persist what a pending checkpoint still needs before
+                    # the gradient changes it. In the strictly serial flow
+                    # the entry's maintenance round already has.
+                    self._flush(entry)
                 if batch_id > entry.version:
                     # Lookahead flow: this entry's pull for ``batch_id``
                     # was served from a prefetch buffer, so no
-                    # maintenance round advanced it. Apply maintain's
-                    # flush-before-advance rule here instead — persist
-                    # the pre-update state if a pending checkpoint still
-                    # needs it, then advance the version and reorder so
-                    # the LRU keeps its version order (the one-comparison
-                    # checkpoint-completion test depends on it). In the
-                    # strictly serial flow ``batch_id == entry.version``
-                    # after maintain, so this branch never fires.
-                    flush_barrier = self.coordinator.max_pending()
-                    if flush_barrier is not None and entry.version <= flush_barrier:
-                        self._flush(entry)
+                    # maintenance round advanced it: advance the version
+                    # and reorder here so the LRU keeps its version order.
                     entry.version = batch_id
                     self._reorder(entry)
                 if value_mode:
@@ -302,33 +299,60 @@ class ReferenceCache:
     # barriers / draining
     # ------------------------------------------------------------------
 
-    def flush_all(self) -> int:
-        """Durably flush every cached entry at its current version.
-
-        Used at training barriers (epoch end, clean shutdown). Returns
-        the number of entries flushed.
-        """
-        with self.tracer.span("cache.flush_all") as span:
-            flushed = 0
-            for entry in self.lru:
-                self._flush(entry)
-                self._backfill_pending(entry)
-                flushed += 1
-            span.set(flushed=flushed)
-            return flushed
-
     def complete_pending_checkpoints(self) -> list[int]:
-        """Flush the cache and complete every queued checkpoint.
+        """The barrier: :meth:`_drain` with no bound. Returns the
+        checkpoints completed, oldest first."""
+        return self._drain(None)[1]
 
-        The paper's system completes checkpoints opportunistically via
-        evictions; at a barrier (or in tests) we force completion: after
-        ``flush_all`` every pending snapshot is durable, so all queued
-        requests can finish.
+    def _drain(self, budget: int | None, below: int | None = None):
+        """Complete the head checkpoint while no listed entry owes it.
+
+        Entries that owe it are flushed first, LRU end first and at most
+        ``budget`` over the call (None: all of them); a flushed entry owes
+        nothing. Stops at the first checkpoint still owed, or not below
+        ``below`` (a round at batch ``n`` runs before that batch's
+        updates). Returns ``(entries flushed, checkpoints completed)``.
         """
-        if self.coordinator.head() is None:
-            return []
-        self.flush_all()
-        return self.coordinator.complete_all_pending()
+        coordinator = self.coordinator
+        head = coordinator.head()
+        if head is None or below is not None and head >= below:
+            return 0, []
+        drained, completed = 0, []
+        with self.tracer.span("checkpoint.drain", track="checkpoint") as span:
+            while (cp := coordinator.head()) is not None and (below is None or cp < below):
+                owing = [entry for entry in reversed(list(self.lru)) if self._owes(entry, cp)]
+                if owing:
+                    room = len(owing) if budget is None else min(len(owing), budget - drained)
+                    if room <= 0:
+                        break
+                    try:
+                        for entry in owing[:room]:
+                            self._flush(entry)
+                    except OutOfSpaceError:
+                        break  # skipped: the checkpoint waits for room
+                    drained += room
+                    if room < len(owing):
+                        break
+                completed.append(coordinator.complete_head())
+                self.metrics.checkpoints_completed += 1
+                self.tracer.instant("checkpoint.completed", track="checkpoint", batch=cp)
+            self.metrics.checkpoint_drained_rows += drained
+            span.set(rows=drained, budget=budget, completed=len(completed))
+        return drained, completed
+
+    def _owes(self, entry: EmbeddingEntry, barrier: int) -> bool:
+        """Whether resident ``entry``'s state at checkpoint ``barrier`` —
+        its state since ``entry.updated`` — is not durable yet. A flush
+        stores an entry under ``updated``, so a clean entry's newest
+        stored version is that state; a dirty entry's is nowhere. (Its
+        ``version`` says nothing: read-only traffic advances it.)"""
+        return entry.dirty and entry.updated <= barrier
+
+    def _owes_pending(self, entry: EmbeddingEntry) -> bool:
+        """Whether ``entry`` owes any pending checkpoint (the newest one
+        if any: it owes every one at or after ``updated``)."""
+        pending = self.coordinator.queue.pending()
+        return bool(pending) and self._owes(entry, pending[-1])
 
     def drop_cache(self) -> int:
         """Flush and evict everything (leaves an empty, consistent cache)."""
@@ -336,7 +360,6 @@ class ReferenceCache:
         while len(self.lru) > 0:
             victim = self.lru.pop_victim()
             self._flush(victim)
-            self._backfill_pending(victim)
             self._demote(victim)
             dropped += 1
         return dropped
@@ -457,32 +480,14 @@ class ReferenceCache:
         elif self.config.policy == EvictionPolicy.CLOCK:
             entry.referenced = True
 
-    def _backfill_pending(self, entry: EmbeddingEntry) -> None:
-        """Give pending checkpoints a durable row despite read-advances.
-
-        Read-only traffic (evaluation pulls, serving warm-up) advances
-        ``entry.version`` without changing state. A checkpoint then
-        requested at a barrier ``B < entry.version`` finds the flush
-        stamped too new — ``read_at_most(key, B)`` misses the row even
-        though the bytes *are* the state at ``B``, because nothing
-        updated the entry since ``entry.updated <= B``. Write one extra
-        version at the smallest such barrier; reads pinned to every
-        higher pending barrier resolve to it too. Barriers below
-        ``entry.updated`` were already served by flush-before-advance
-        when the update landed.
-        """
-        for barrier in self.coordinator.queue.pending():
-            if barrier >= entry.version:
-                return
-            if barrier >= entry.updated:
-                self._put_row(entry.key, barrier, self._pack(entry))
-                return
-
     def _flush(self, entry: EmbeddingEntry) -> None:
-        """Persist the entry's current state under its current version."""
+        """Persist the entry's current state under ``entry.updated``, the
+        batch it is the state of (not the last access: read-only traffic
+        moves ``version`` past the state, and a checkpoint between the
+        two must find the row)."""
         if not entry.in_dram:
             raise ServerError(f"cannot flush non-resident entry {entry.key}")
-        self._put_row(entry.key, entry.version, self._pack(entry))
+        self._put_row(entry.key, entry.updated, self._pack(entry))
         entry.dirty = False
         self.metrics.pmem_flush_entries += 1
         self.metrics.cache.flushes += 1
@@ -507,51 +512,21 @@ class ReferenceCache:
         entry.weights = None
         entry.opt_state = None
 
-    def _evict_to_capacity(self) -> tuple[int, int, int]:
-        """Evict victims until within capacity.
-
-        Returns (evictions, flushes, checkpoints_completed). The
-        checkpoint-completion test of Algorithm 2 lines 23-28 runs on
-        every victim: once the oldest cached version has moved past the
-        on-going checkpoint's batch id, every entry the checkpoint needs
-        is durable, so the *Checkpointed Batch ID* is persisted and the
-        request dequeued.
-
-        The paper's one-comparison completion test (victim.version > cp)
-        is sound ONLY under LRU, where list order equals version order
-        and the victim carries the cache's minimum version. FIFO and
-        CLOCK keep insertion order, so a re-accessed tail entry can have
-        a high version while a middle entry still holds pre-checkpoint
-        state — for those policies the completion check scans for the
-        true minimum cached version instead.
-        """
-        evictions = flushes = completed = 0
+    def _evict_to_capacity(self) -> tuple[int, int]:
+        """Evict victims until within capacity; returns (evictions,
+        flushes). Completing a checkpoint is not a victim's business:
+        :meth:`_drain` decides it after the round."""
+        evictions = flushes = 0
         while len(self.lru) > self.capacity_entries:
             victim = self._select_victim()
-            head = self.coordinator.head()
-            if head is not None and victim.version > head:
-                floor = (
-                    victim.version
-                    if self.config.policy == EvictionPolicy.LRU
-                    else self._min_cached_version()
-                )
-                while head is not None and floor > head:
-                    self.coordinator.complete_head()
-                    self.metrics.checkpoints_completed += 1
-                    completed += 1
-                    self.tracer.instant(
-                        "checkpoint.completed", track="checkpoint", batch=head
-                    )
-                    head = self.coordinator.head()
             self.lru.remove(victim)
             if victim.dirty or not self.config.track_dirty:
                 self._flush(victim)
                 flushes += 1
-            self._backfill_pending(victim)
             self._demote(victim)
             evictions += 1
             self.metrics.cache.evictions += 1
-        return evictions, flushes, completed
+        return evictions, flushes
 
     def _select_victim(self) -> EmbeddingEntry:
         """The entry to evict under the configured policy."""
@@ -565,10 +540,6 @@ class ReferenceCache:
                 return candidate
             candidate.referenced = False
             self.lru.move_to_front(candidate)
-
-    def _min_cached_version(self) -> int:
-        """Minimum version across the cache (policy-agnostic scan)."""
-        return min(entry.version for entry in self.lru)
 
     def _update_in_pmem(
         self,
@@ -585,7 +556,7 @@ class ReferenceCache:
             packed = stored
         else:
             packed = None
-        self._put_row(entry.key, batch_id, packed)
+        self._put_row(entry.key, max(entry.updated, batch_id), packed)
         self.metrics.pmem_flush_entries += 1
 
     # The store speaks blocks; the oracle moves one row at a time, so

@@ -547,3 +547,40 @@ class TestLookaheadExistsOnce:
 
         body = inspect.getsource(SynchronousTrainer._step)
         assert "pipeline.push" not in body and "reshape" not in body
+
+
+class TestCompletionIsOnePredicate:
+    """A checkpoint completes when no resident row owes it — decided after
+    the round (``PipelinedCache._drain``), never by the eviction walk, and
+    the barrier is the same drain: no second completion path."""
+
+    def test_the_walk_completes_no_checkpoint(self):
+        """``_Events`` never calls ``complete_head`` and reads no
+        ``pending[0]`` (the oldest checkpoint, the victim test's bound)."""
+        import ast
+
+        (tree,) = [
+            ast.parse(source)
+            for path, source in TestOneKeyMapPerNode.sources("core").items()
+            if path.name == "cache.py"
+        ]
+        (walk,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "_Events"
+        ]
+        for node in ast.walk(walk):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "complete_head", node.lineno
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == "pending":
+                index = node.slice
+                assert not (isinstance(index, ast.Constant) and index.value == 0), node.lineno
+
+    def test_the_second_barrier_path_is_gone(self):
+        import ast
+
+        retired = {"flush_all", "complete_all_pending", "PeriodicCheckpointer"}
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            for node in ast.walk(ast.parse(source)):
+                name = getattr(node, "name", None) or getattr(node, "attr", None)
+                name = name or getattr(node, "id", None)
+                assert name not in retired, (path, getattr(node, "lineno", 0), name)

@@ -243,8 +243,7 @@ class TestMetricsParity:
             backend.pull(keys, batch_id)
             backend.maintain(batch_id)
             backend.push(keys, ones, batch_id)
-            if batch_id == 1:
-                backend.request_checkpoint(1)  # stays pending: nothing newer is evicted
+        backend.request_checkpoint(2)  # stays pending: no round has run since
         registry = MetricsRegistry()
         backend.collect_metrics(registry)
         gauges = {
@@ -261,6 +260,35 @@ class TestMetricsParity:
         assert gauges["repro_pmem_pool_free_bytes"] == (1 << 20) - 8 * DIM * 4
         assert gauges["repro_checkpoint_pending"] == 1
         assert gauges["repro_cache_index_keys"] == 10
+
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_drained_rows_are_counted(self, transport):
+        """A checkpoint of eight trained rows, then rounds that touch two
+        of them: the first round flushes those two before they advance,
+        and each round drains at most two more (its own size), so the six
+        untouched rows take three rounds — the same on both backends, in
+        ``repro_checkpoint_drained_rows_total``."""
+        from repro.obs.registry import MetricsRegistry
+
+        server_config = ServerConfig(num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 20)
+        build = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = build(server_config, CacheConfig(capacity_bytes=64 * DIM * 4), PSSGD(lr=0.05))
+        keys = list(range(8))
+        backend.pull(keys, 0)
+        backend.maintain(0)
+        backend.push(keys, np.ones((8, DIM), dtype=np.float32), 0)
+        backend.request_checkpoint(0)
+        for batch_id in range(1, 4):
+            backend.pull([0, 1], batch_id)
+            (result,) = backend.maintain(batch_id)
+            assert result.flushes == (2 if batch_id == 1 else 0) + 2
+            assert result.checkpoints_completed == (batch_id == 3)
+        registry = MetricsRegistry()
+        backend.collect_metrics(registry)
+        series = {name: metric.value for name, __, metric in registry.items()}
+        assert series["repro_checkpoint_drained_rows_total"] == 6
+        assert series["repro_checkpoints_completed_total"] == 1
+        assert series["repro_checkpoint_pending"] == 0
 
 
 class TestAnonymousPushIdentity:

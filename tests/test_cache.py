@@ -205,6 +205,24 @@ class TestCheckpointCoDesign:
         self._train_batch(cache, [1], 1)
         assert cache.coordinator.last_completed == -1
 
+    def test_a_push_after_the_request_keeps_the_checkpoint_whole(self, cache):
+        """A round may run ahead of its batch's push (a lookahead
+        window): key 1's round 1 ran before checkpoint 0 was requested,
+        so batch 1's push is the first change after the request. It
+        flushes the state at 0 before it lands, and the next round
+        completes checkpoint 0 with that state."""
+        self._train_batch(cache, [1], 0)
+        cache.pull([1], 1)
+        cache.maintain(1)
+        at_0 = np.array(cache.read_current_weights(1), copy=True)
+        cache.coordinator.request(0)
+        cache.update([1], grads([1], 0.1), 1)
+        cache.pull([2], 2)
+        cache.maintain(2)
+        assert cache.coordinator.last_completed == 0
+        versions, stored = keyed(cache).read_at_most([1], 0)
+        assert versions[0] == 0 and np.array_equal(stored[0, :DIM], at_0)
+
     def test_forced_completion_at_barrier(self, cache):
         self._train_batch(cache, [1, 2], 0)
         cache.coordinator.request(0)
@@ -239,22 +257,23 @@ class TestDirtyTracking:
         cache.pull([1, 2], 0)
         cache.maintain(0)
         flushes_before = cache.metrics.cache.flushes
-        # Entries 1, 2 were flushed on creation-eviction? No: they are
-        # dirty (new). Make them clean by flushing, then re-access and
-        # evict without updating.
-        cache.flush_all()
+        # Entries 1, 2 are dirty (new). A barrier checkpoint flushes them
+        # (they owe it), then they are evicted without an update.
+        coordinator.request(0)
+        cache.complete_pending_checkpoints()
         cache.pull([3, 4], 1)  # evicts 1 and 2, both clean
         result = cache.maintain(1)
         assert result.evictions == 2
         # Only the maintenance of new entries flushed nothing extra for
         # the clean victims.
-        assert cache.metrics.cache.flushes == flushes_before + 2  # flush_all only
+        assert cache.metrics.cache.flushes == flushes_before + 2  # the barrier only
 
     def test_always_flush_without_tracking(self, store, coordinator):
         cache = make_cache(store, coordinator, capacity_entries=2, track_dirty=False)
         cache.pull([1, 2], 0)
         cache.maintain(0)
-        cache.flush_all()
+        coordinator.request(0)
+        cache.complete_pending_checkpoints()  # 1 and 2 are clean now
         before = cache.metrics.cache.flushes
         cache.pull([3, 4], 1)
         cache.maintain(1)
@@ -313,12 +332,18 @@ class TestMetadataOnlyMode:
 
 
 class TestBarriers:
-    def test_flush_all_persists_every_cached_entry(self, cache):
+    def test_barrier_persists_every_entry_the_checkpoint_needs(self, cache):
         cache.pull([1, 2, 3], 0)
         cache.maintain(0)
-        assert cache.flush_all() == 3
+        cache.coordinator.request(0)
+        assert cache.complete_pending_checkpoints() == [0]
+        assert cache.metrics.cache.flushes == cache.metrics.checkpoint_drained_rows == 3
         for key in (1, 2, 3):
-            assert keyed(cache).has(key)
+            assert keyed(cache).read_at_most([key], 0)[0][0] == 0
+        # Nothing is owed a second time: the next barrier flushes nothing.
+        cache.coordinator.request(1)
+        assert cache.complete_pending_checkpoints() == [1]
+        assert cache.metrics.cache.flushes == 3
 
     def test_drop_cache_empties_and_stays_consistent(self, cache):
         cache.pull([1, 2, 3], 0)

@@ -1,8 +1,8 @@
-"""CheckpointCoordinator and the periodic checkpoint thread."""
+"""CheckpointCoordinator: requests, completion, retention barriers."""
 
 import pytest
 
-from repro.core.checkpoint import CheckpointCoordinator, PeriodicCheckpointer
+from repro.core.checkpoint import CheckpointCoordinator
 from repro.errors import CheckpointError
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
@@ -52,7 +52,9 @@ class TestCoordinator:
     def test_complete_all_pending(self, coordinator):
         coordinator.request(3)
         coordinator.request(7)
-        assert coordinator.complete_all_pending() == [3, 7]
+        # The cache completes a queue one head at a time, oldest first.
+        assert [coordinator.complete_head() for __ in range(2)] == [3, 7]
+        assert coordinator.head() is None
         assert coordinator.last_completed == 7
 
     def test_barriers_follow_requests(self, coordinator, store):
@@ -96,28 +98,3 @@ class TestCoordinator:
         fresh = CheckpointCoordinator(store)
         assert fresh.last_completed == 7
 
-
-class TestPeriodicCheckpointer:
-    def test_fires_on_interval(self, coordinator):
-        periodic = PeriodicCheckpointer(coordinator, interval_seconds=10.0)
-        assert not periodic.maybe_request(now=5.0, latest_completed_batch=3)
-        assert periodic.maybe_request(now=10.0, latest_completed_batch=3)
-        assert coordinator.head() == 3
-
-    def test_no_duplicate_request_for_same_batch(self, coordinator):
-        periodic = PeriodicCheckpointer(coordinator, interval_seconds=10.0)
-        periodic.maybe_request(10.0, 3)
-        assert not periodic.maybe_request(20.0, 3)
-        assert len(coordinator.queue) == 1
-
-    def test_skips_if_nothing_new_since_completion(self, coordinator):
-        periodic = PeriodicCheckpointer(coordinator, interval_seconds=10.0)
-        periodic.maybe_request(10.0, 3)
-        coordinator.complete_head()
-        assert not periodic.maybe_request(20.0, 3)
-
-    def test_multiple_intervals_collapse(self, coordinator):
-        periodic = PeriodicCheckpointer(coordinator, interval_seconds=10.0)
-        assert periodic.maybe_request(55.0, 8)
-        assert periodic.requests_issued == 1
-        assert coordinator.queue.pending() == [8]

@@ -65,9 +65,9 @@ def test_max_turns_the_total_into_a_budget(tmp_path, capsys):
 
 def test_the_miss_path_files_stay_within_their_budget():
     """What CI's tier-1 job gates: the six cache files plus the store
-    (and any module split out of them) hold at most 1 136 code lines."""
+    (and any module split out of them) hold at most 1 101 code lines."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1136", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
+    assert code_lines.main(["--max", "1101", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
 
 
 SHARD_REACH_FILES = [

@@ -169,7 +169,6 @@ class TestArenaEquivalence:
         # The schedule may already have queued a checkpoint at ``last``;
         # complete whatever is pending, then barrier only if needed —
         # either way the newest durable version equals the live state.
-        src.cache.flush_all()
         src.complete_pending_checkpoints()
         if last > src.coordinator.last_completed:
             src.barrier_checkpoint(last)
@@ -399,9 +398,9 @@ class TestMaintainPlanHazards:
         self.round(nodes, [1], 2)
 
     def test_checkpoints_completing_mid_round(self):
-        """Two queued checkpoints; the round's evictions complete the
-        first early and the second later, flushes before, between and
-        after — and a read-advanced row needs a backfilled version."""
+        """Two queued checkpoints and read-advanced rows (their state is
+        older than their version); the round's evictions flush rows
+        owed to either, and both complete once it has moved its rows."""
         nodes = self.pair(3)
         self.round(nodes, [0, 1, 2], 0)
         self.round(nodes, [0, 1, 2], 1, push=False)  # read-only: versions advance
@@ -520,9 +519,12 @@ class TestColumnarPlanner:
         elif action == "drop_cache":
             node.cache.drop_cache()
         elif action == "migrate":
-            # Out through the durable versions and back in: every other
-            # key comes back PMem-resident, adopted at its newest version.
-            node.cache.flush_all()
+            # Quiesce at a checkpoint of the round (every row durable),
+            # then out through the durable versions and back in: every
+            # other key comes back PMem-resident, adopted at its newest
+            # version.
+            if fresh:
+                coordinator.request(batch_id)
             node.complete_pending_checkpoints()
             keys = sorted(node.owned_keys())[::2]
             block = node.export_entries(keys)
@@ -640,14 +642,14 @@ class TestDecisionWalk:
     def test_pending_barrier_passed_in_the_middle_of_a_run(self, policy, track_dirty):
         """Rows of batch 0, then rows of batch 1; a checkpoint of batch
         0 and one of batch 1 are pending when 14 arrivals evict
-        across the boundary: the first batch-1 victim completes
-        checkpoint 0, the flushes before and after it differ (backfills
-        stop), and a batch-1 row touched late in the round is still due
-        its flush-before-advance — unless evicted first."""
+        across the boundary: victims of both batches leave flushed under
+        their state's batch, nothing completes inside the walk, and a
+        batch-1 row touched late in the round is still due its
+        flush-before-advance — unless evicted first."""
         nodes = self.pair(20, policy=policy, track_dirty=track_dirty)
         first = self.fill(nodes, 10, batch_id=0)
         second = self.fill(nodes, 10, batch_id=1, first_key=2000)
-        self.round(nodes, first[:4], 2, push=False)  # read-advanced: they will need backfills
+        self.round(nodes, first[:4], 2, push=False)  # read-advanced: version past state
         for node in nodes:
             node.coordinator.request(0)
             node.coordinator.request(1)
@@ -672,6 +674,31 @@ class TestDecisionWalk:
         assert 0 < result.loads < len(set(keys))
         self.round(nodes, keys[::-1], 2)
         self.round(nodes, [1, 2, 1000, 1004], 3)
+
+    @pytest.mark.parametrize("policy", (EvictionPolicy.FIFO, EvictionPolicy.CLOCK))
+    def test_a_checkpoint_pending_across_segments_completes_after_the_round(self, policy):
+        """Four rows trained at batch 0 and read (no push) at batch 1, so
+        their versions are past checkpoint 0 and their states are not
+        durable. A round three times the cache's length evicts them in
+        its first segments and reloads some of them later: the walk
+        completes nothing, the round completes checkpoint 0 once its rows
+        have moved, and every read pinned to 0 is the trained row."""
+        nodes = self.pair(4, policy=policy)
+        trained = self.fill(nodes, 4)
+        self.round(nodes, trained, 1, push=False)
+        at_0 = {key: nodes[0].read_weights(key).copy() for key in trained}
+        for node in nodes:
+            node.coordinator.request(0)
+        attrs = self.traced(nodes)
+        keys = [trained[0], 1, 2, trained[1], 3, 4, 5, trained[2], 6, 7, trained[0], trained[3]]
+        result = self.round(nodes, keys, 2)
+        assert attrs()["segments"] >= 3 and result.evictions >= 8
+        assert result.checkpoints_completed == 1
+        assert nodes[0].coordinator.last_completed == 0
+        pinned = nodes[0].lookup(trained, 0)
+        assert pinned.cold == 0
+        for key, weights in zip(trained, pinned.weights):
+            assert np.array_equal(weights, at_0[key]), f"key {key}"
 
     def test_clock_walks_into_the_segments_own_insertions(self):
         """Every listed row is referenced, so CLOCK spares (requeues) them

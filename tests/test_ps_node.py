@@ -306,3 +306,35 @@ class TestPoolTooSmallForTheRound:
         node.cache.index.validate()
         for key in range(12, 40):
             assert np.array_equal(node.read_weights(key), expected[key])
+
+
+class TestCompletionWithoutEvictions:
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_requested_checkpoints_complete_in_an_all_hit_cache(self, transport):
+        """Regression: 3 000 keys in a 4 000-row cache, pulled, maintained
+        and pushed every step, with a checkpoint requested every fifth.
+        Completion used to be a victim test, and an all-hit cache has no
+        victims: after 300 steps all 60 requests were pending and every
+        key held 60 retained versions. Now the round after a request
+        finds no row owing it, so the queue stays short and so does the
+        version chain."""
+        server_config = ServerConfig(num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 22)
+        cache_config = CacheConfig(capacity_bytes=4000 * DIM * 4)
+        build = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = build(server_config, cache_config)
+        node = backend.nodes[0]
+        keys = np.arange(3000, dtype=np.uint64)
+        step_grads = np.full((len(keys), DIM), 0.01, dtype=np.float32)
+        for step in range(300):
+            backend.pull(keys, step)
+            backend.maintain(step)
+            backend.push(keys, step_grads, step)
+            if step % 5 == 0:
+                backend.request_checkpoint(step)
+            pending = len(node.coordinator.queue)
+            stored = np.count_nonzero(node.cache.index.columns.head >= 0)
+            assert pending <= 2, step
+            assert node.store.slab.rows <= (pending + 2) * stored, step
+        assert node.metrics.cache.evictions == 0
+        requested = node.coordinator.queue.total_requested
+        assert requested == 60 and node.coordinator.completed_count >= requested - 2

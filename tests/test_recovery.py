@@ -58,7 +58,7 @@ class TestRecoverNode:
         train(node, [1, 2], 0)
         node.barrier_checkpoint()
         train(node, [1, 2, 3], 1)
-        node.cache.flush_all()  # key 3 is durable but post-checkpoint
+        node.cache.drop_cache()  # key 3 is durable but post-checkpoint
         pool = node.crash()
         recovered, report = recover_node(pool, *node_configs(node))
         assert 3 not in recovered.cache.index
@@ -129,11 +129,12 @@ class TestMaintainCrashPoints:
     """Durability order of one plan-then-move round.
 
     The round below evicts 0, 1, 2 (their batch-1 state is what the
-    pending checkpoint 1 must capture), completes checkpoint 1 when the
-    next victim's version has moved past it, and re-loads key 0. The
-    Checkpointed Batch ID may only become durable after every flush the
-    checkpoint depends on: killing the node anywhere in the round must
-    recover exactly one checkpoint, bit for bit.
+    pending checkpoint 1 must capture) and re-loads key 0; once its rows
+    have moved, nothing resident owes checkpoint 1 and the round
+    completes it. The Checkpointed Batch ID may only become durable
+    after every flush the checkpoint depends on: killing the node
+    anywhere in the round must recover exactly one checkpoint, bit for
+    bit.
     """
 
     def crashed_round(self, kill):
@@ -181,11 +182,23 @@ class TestMaintainCrashPoints:
         # ... but its id is not: recovery lands on checkpoint 0.
         assert self.crashed_round(kill) == 0
 
-    def test_killed_between_complete_head_and_the_bulk_load(self):
+    def test_killed_between_the_bulk_load_and_complete_head(self):
         assert (
             self.crashed_round(lambda node: self.dies(node.cache.arena, "alloc_many"))
-            == 1
+            == 0
         )
+
+    def test_killed_right_after_complete_head(self):
+        def kill(node):
+            complete = node.coordinator.complete_head
+
+            def then_dead():
+                complete()
+                raise _Killed("after complete_head")
+
+            node.coordinator.complete_head = then_dead
+
+        assert self.crashed_round(kill) == 1
 
 
 class TestRecoveryTiming:

@@ -225,7 +225,7 @@ class TestHeadsInHeadsOut:
     def test_row_below_its_keys_head_moves_no_head(self, raw):
         raw.set_retention_barriers((2,))
         (head,) = raw.put([5], [-1], 7, self.rows(7))
-        (same,) = raw.put([5], [head], 2, self.rows(2))  # a backfill behind the flush
+        (same,) = raw.put([5], [head], 2, self.rows(2))  # a version older than the head
         assert same == head
         assert self.chain(raw, head) == [(2, 2.0), (7, 7.0)]
         # Mixed block: key 6 is new, key 5 gets a row below and restates it.

@@ -113,6 +113,30 @@ class TestCheckpointing:
         overhead = with_ckpt.sim_seconds / base.sim_seconds - 1
         assert overhead < 0.02
 
+    def test_fig12_shaped_requests_complete(self):
+        """Figure 12's operating point (BATCH_AWARE, 16 workers, the
+        profile's cache) on a short epoch: ``checkpoints_completed`` is
+        what the node's coordinator completed, and that is every request
+        the timer fired but the last two at most — a request completes in
+        the maintenance rounds after it, not only when an eviction's
+        victim happens to be past it."""
+        from repro.simulation.profiles import DEFAULT_PROFILE as profile
+
+        def simulate(ckpt):
+            return TrainingSimulator(
+                SystemKind.PMEM_OE, profile.cluster_config(16), profile.server_config(),
+                profile.cache_config(paper_mb=2048), ckpt,
+                WorkloadGenerator(profile.workload_config(1.0)),
+            )
+
+        base = simulate(CheckpointConfig.none()).run(40)
+        sim = simulate(CheckpointConfig(CheckpointMode.BATCH_AWARE, base.sim_seconds / 10))
+        result = sim.run(40)
+        fired = sim.backend.coordinator.queue.total_requested
+        assert fired >= 8
+        assert result.checkpoints_completed == sim.backend.coordinator.completed_count
+        assert fired - 2 <= result.checkpoints_completed <= fired
+
     def test_incremental_costs_more_than_batch_aware(self):
         base = self._epoch()
         interval = base.sim_seconds / 4
