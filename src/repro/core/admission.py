@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.sharding import mix64
+from repro.core.sharding import mix64, mix64_array
 from repro.errors import ConfigError
 
 
@@ -40,22 +40,34 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self._rows = np.zeros((depth, width), dtype=np.uint32)
-        self._seeds = [mix64((seed << 8) | row) for row in range(depth)]
+        self._seeds = np.array(
+            [[mix64((seed << 8) | row)] for row in range(depth)], dtype=np.uint64
+        )
         self.total_adds = 0
 
-    def _indices(self, key: int) -> list[int]:
-        return [mix64(key ^ s) % self.width for s in self._seeds]
+    def _cells(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, column)`` of every key's counter in every row, ``[depth, n]``."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        columns = mix64_array(keys ^ self._seeds) % np.uint64(self.width)
+        return np.arange(self.depth)[:, None], columns.astype(np.intp)
+
+    def add_many(self, keys, count: int = 1) -> None:
+        """Record ``count`` occurrences of each of ``keys`` (a key listed
+        twice is recorded twice)."""
+        np.add.at(self._rows, self._cells(keys), count)
+        self.total_adds += count * len(keys)
+
+    def estimate_many(self, keys) -> np.ndarray:
+        """Upper-biased frequency estimate of each of ``keys``."""
+        return self._rows[self._cells(keys)].min(axis=0)
 
     def add(self, key: int, count: int = 1) -> None:
         """Record ``count`` occurrences of ``key``."""
-        for row, index in enumerate(self._indices(key)):
-            self._rows[row, index] += count
-        self.total_adds += count
+        self.add_many([key], count)
 
     def estimate(self, key: int) -> int:
         """Upper-biased frequency estimate for ``key``."""
-        return int(min(self._rows[row, index] for row, index in
-                       enumerate(self._indices(key))))
+        return int(self.estimate_many([key])[0])
 
     def halve(self) -> None:
         """Age all counters (the TinyLFU reset), keeping recency."""
@@ -94,17 +106,28 @@ class FrequencyAdmission:
 
     def should_admit(self, key: int) -> bool:
         """Record one access of ``key``; True when it may enter DRAM."""
+        return bool(self.admit_many([key])[0])
+
+    def admit_many(self, keys) -> np.ndarray:
+        """Record one access of each of ``keys``; the mask of those that
+        may enter DRAM.
+
+        Every estimate sees the whole batch's accesses, and the sketch
+        halves once if they carry ``total_adds`` across a multiple of
+        ``halve_every``. For one key this is :meth:`should_admit`.
+        """
         if self.threshold == 0:
-            self.admitted += 1
-            return True
-        self.sketch.add(key)
-        if self.sketch.total_adds % self.halve_every == 0:
+            self.admitted += len(keys)
+            return np.ones(len(keys), dtype=bool)
+        before = self.sketch.total_adds
+        self.sketch.add_many(keys)
+        if self.sketch.total_adds // self.halve_every > before // self.halve_every:
             self.sketch.halve()
-        if self.sketch.estimate(key) > self.threshold:
-            self.admitted += 1
-            return True
-        self.bypassed += 1
-        return False
+        admit = self.sketch.estimate_many(keys) > self.threshold
+        admitted = int(np.count_nonzero(admit))
+        self.admitted += admitted
+        self.bypassed += len(keys) - admitted
+        return admit
 
     @property
     def bypass_rate(self) -> float:

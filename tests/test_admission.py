@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheConfig, ServerConfig
 from repro.core.admission import CountMinSketch, FrequencyAdmission
 from repro.core.entry import Location
 from repro.core.ps_node import PSNode
+from repro.core.sharding import mix64
 from repro.errors import ConfigError
 
 DIM = 4
@@ -36,6 +39,37 @@ class TestCountMinSketch:
         with pytest.raises(ConfigError):
             CountMinSketch(width=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+        probes=st.lists(st.integers(0, 2**64 - 1), max_size=8),
+        width=st.integers(1, 300),
+        depth=st.integers(1, 5),
+        seed=st.integers(0, 1000),
+    )
+    def test_batched_forms_equal_the_per_key_sketch(self, keys, probes, width, depth, seed):
+        """``add_many`` / ``estimate_many`` over a block (repeats
+        included) equal the per-key count-min sketch, key for key."""
+        seeds = [mix64((seed << 8) | row) for row in range(depth)]
+        reference = np.zeros((depth, width), dtype=np.uint32)
+        for key in keys:
+            for row, row_seed in enumerate(seeds):
+                reference[row, mix64(key ^ row_seed) % width] += 1
+
+        def expected(key):
+            return min(int(reference[row, mix64(key ^ s) % width]) for row, s in enumerate(seeds))
+
+        batched, scalar = CountMinSketch(width, depth, seed), CountMinSketch(width, depth, seed)
+        batched.add_many(np.array(keys, dtype=np.uint64))
+        for key in keys:
+            scalar.add(key)
+        asked = keys + probes
+        assert batched.estimate_many(np.array(asked, dtype=np.uint64)).tolist() == [
+            expected(key) for key in asked
+        ]
+        assert [scalar.estimate(key) for key in asked] == [expected(key) for key in asked]
+        assert batched.total_adds == scalar.total_adds == len(keys)
+
 
 class TestFrequencyAdmission:
     def test_threshold_zero_admits_everything(self):
@@ -59,6 +93,19 @@ class TestFrequencyAdmission:
     def test_invalid_threshold(self):
         with pytest.raises(ConfigError):
             FrequencyAdmission(threshold=-1)
+
+    def test_a_batch_that_crosses_halve_every_halves(self):
+        """7 accesses, then 5 more: the total passes 10 without landing
+        on it, and the sketch still ages once."""
+        admission = FrequencyAdmission(threshold=1, sketch_width=1 << 12, halve_every=10)
+        assert admission.admit_many(np.array([7, 7, 7, 7, 1, 2, 3])).tolist() == [
+            True, True, True, True, False, False, False,
+        ]
+        admitted = admission.admit_many(np.array([7, 8, 9, 10, 11]))
+        assert admission.sketch.total_adds == 6  # 12, halved
+        assert admission.sketch.estimate(7) == 2  # 5, halved
+        assert admitted.tolist() == [True, False, False, False, False]
+        assert (admission.admitted, admission.bypassed) == (5, 7)
 
 
 class TestCacheIntegration:

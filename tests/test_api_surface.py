@@ -584,3 +584,42 @@ class TestCompletionIsOnePredicate:
                 name = getattr(node, "name", None) or getattr(node, "attr", None)
                 name = name or getattr(node, "id", None)
                 assert name not in retired, (path, getattr(node, "lineno", 0), name)
+
+
+class TestServingTierIsColumns:
+    """The serving cache is tag / stamp / pin columns over one row block:
+    no ordered dict, no row objects, no loop over the keys of a lookup."""
+
+    @staticmethod
+    def tree():
+        import ast
+        from pathlib import Path
+
+        import repro.dlrm.hps as module
+
+        return ast.parse(Path(module.__file__).read_text())
+
+    def test_no_ordered_dict_and_no_row_objects(self):
+        """(An import is an ``alias`` named ``OrderedDict``; a use, a
+        ``Name`` or an ``Attribute``.)"""
+        import ast
+
+        for node in ast.walk(self.tree()):
+            for field in ("name", "attr", "id"):
+                name = getattr(node, field, None)
+                assert name not in ("OrderedDict", "_CachedRow", "_touched"), (
+                    getattr(node, "lineno", 0), name,
+                )
+
+    def test_the_lookup_and_the_admission_have_no_loop(self):
+        import ast
+
+        methods = {
+            node.name: node for node in ast.walk(self.tree())
+            if isinstance(node, ast.FunctionDef)
+        }
+        for name in ("_lookup_unpinned", "_admit"):
+            for node in ast.walk(methods[name]):
+                assert not isinstance(node, (ast.For, ast.While, ast.comprehension)), (
+                    name, node.lineno,
+                )

@@ -83,3 +83,16 @@ def test_reaching_a_shard_stays_within_its_budget():
     1 887 code lines — one way to reach a shard, not three seams."""
     root = SCRIPT.parents[1]
     assert code_lines.main(["--max", "1887", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+
+
+SERVING_CACHE_FILES = ["src/repro/dlrm/hps.py", "src/repro/core/admission.py"]
+
+
+def test_the_serving_cache_stays_within_its_budget():
+    """CI's fourth gated budget: the set-associative serving tier and its
+    count-min admission hold at most 255 code lines (204 + 59 while the
+    cache was a per-key OrderedDict), and the tier alone at most 204."""
+    root = SCRIPT.parents[1]
+    files = [str(root / name) for name in SERVING_CACHE_FILES]
+    assert code_lines.main(["--max", "255", *files]) == 0
+    assert code_lines.main(["--max", "204", files[0]]) == 0

@@ -222,7 +222,7 @@ class TestServingIntegration:
             raise RuntimeError("shard unreachable")
 
         tier.backend.lookup = boom
-        tier._cache.clear()  # force the backend path
+        tier.invalidate()  # force the backend path
         with pytest.raises(RuntimeError, match="shard unreachable"):
             tier.lookup([1, 2])
         avail = slo.objectives["serving_availability"]
