@@ -183,7 +183,10 @@ class ServingLoadDriver:
         miss_latency = Histogram("serving_latency_miss")
         stats = self.tier.stats
         t_start = self.clock.now
-        rows = cold = 0
+        # The tier's stats are its lifetime counters: the report reads
+        # deltas over this run's own requests.
+        hits_start, cold_start = stats.cache_hits, stats.cold_rows
+        rows = 0
         for i in range(requests):
             if on_request is not None:
                 on_request(i)
@@ -209,7 +212,6 @@ class ServingLoadDriver:
             else:
                 miss_latency.observe(request_latency)
             rows += len(keys)
-        cold = stats.cold_rows
         return ServingReport(
             requests=requests,
             rows=rows,
@@ -217,8 +219,8 @@ class ServingLoadDriver:
             latency=latency,
             hit_latency=hit_latency,
             miss_latency=miss_latency,
-            hit_rate=stats.hit_rate,
-            cold_rows=cold,
+            hit_rate=(stats.cache_hits - hits_start) / rows if rows else 0.0,
+            cold_rows=stats.cold_rows - cold_start,
         )
 
 
