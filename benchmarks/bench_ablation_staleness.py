@@ -17,7 +17,7 @@ minority stays inside the sync envelope, plain mean diverges.
 from benchmarks.common import failures
 from repro.bench import Headline, Param, Ref, register
 from repro.failure.injection import hostile_fleet
-from tests.harness.async_chaos import run_async, run_sync_baseline
+from tests.harness.scenario import Fleet, Scenario, sync_baseline
 
 SCALE = 6.0  # sign-flip amplification (matches the chaos soak)
 ROBUST = ("trimmed_mean", "median", "krum")
@@ -37,15 +37,11 @@ def _cell(*, steps, workers, staleness_k, aggregator, hostile_fraction, seed):
             delay_prob=0.1,
             seed=seed,
         )
-    return run_async(
-        steps=steps,
-        workers=workers,
-        staleness=1,
-        staleness_bound=staleness_k,
-        aggregator=aggregator,
-        fleet=fleet,
-        seed=seed,
-    )
+    return Scenario(
+        seed=seed, nodes=2, partitioner="modulo", batches=steps,
+        fleet=Fleet(workers, staleness=1, profiles=fleet),
+        staleness_bound=staleness_k, aggregator=aggregator,
+    ).run()
 
 
 def _check(metrics: dict, params: dict) -> list:
@@ -116,19 +112,19 @@ def entry(*, staleness_k, aggregator, hostile_fraction, workers, steps, seed):
     )
     run = _cell(aggregator=aggregator, **cell)
     mean = run if aggregator == "mean" else _cell(aggregator="mean", **cell)
-    baseline = run_sync_baseline(batches=steps)
+    baseline = sync_baseline(steps)
     return {
         "auc": run.metrics["auc"],
         "logloss": run.metrics["logloss"],
         "mean_auc": mean.metrics["auc"],
         "sync_auc": baseline["auc"],
         "sync_logloss": baseline["logloss"],
-        "byzantine_pushes": run.stats.byzantine_pushes,
-        "duplicate_pushes": run.stats.duplicate_pushes,
-        "pulls_rejected": sum(node.staleness.rejected for node in run.server.nodes),
+        "byzantine_pushes": run.trainer.stats.byzantine_pushes,
+        "duplicate_pushes": run.trainer.stats.duplicate_pushes,
+        "pulls_rejected": sum(node.staleness.rejected for node in run.backend.nodes),
         "aggregator_folds": sum(
             node.aggregation.stats.folds
-            for node in run.server.nodes
+            for node in run.backend.nodes
             if node.aggregation is not None
         ),
     }

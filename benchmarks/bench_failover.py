@@ -18,11 +18,12 @@ default lease) against the paper's ~380 s — and unlike recovery, the
 failover loses *nothing*: post-checkpoint batches survive on the
 backup.
 
-The live half runs the MTTF chaos soak (``tests/harness/chaos.py``) on
-all three transports (in-process, RPC, RPC over a lossy wire):
-Poisson-scheduled kills land mid-batch while a deterministic workload
-trains, promotions answer them, and the final weights are compared
-bitwise against a fault-free replay. A soak fails if it loses an
+The live half runs the MTTF chaos soak (a ``tests/harness/scenario.py``
+scenario with an MTTF kill schedule) on all three transports
+(in-process, RPC, RPC over a lossy wire): Poisson-scheduled kills land
+mid-batch while a deterministic workload trains, promotions answer
+them, and the weights are compared bitwise against a fault-free replay
+after every batch. A soak fails if it loses an
 update, regresses a checkpoint id, or blows the unavailability bound.
 """
 
@@ -35,15 +36,17 @@ from repro.core.replication import (
     replication_vs_recovery_seconds,
 )
 from repro.failure.mttf import expected_lost_work_seconds, young_interval_seconds
-from tests.harness.chaos import assert_soak_survived, percentile, run_chaos_soak
+from tests.harness.scenario import Scenario, percentile, poisson_kills
 
 PAPER_ENTRIES = 2_100_000_000
 LEASE_S = 0.5
 MTTF_S = 12.0 * 3600
 SCENARIOS = {
-    "local": dict(seed=0),
-    "remote": dict(remote=True, seed=1),
-    "faulty": dict(remote=True, faulty=True, seed=2, mttf_s=2.0),
+    "local": dict(transport="local", seed=0, mttf_s=4.0),
+    "remote": dict(transport="rpc", seed=1, mttf_s=4.0),
+    # The lossy wire advances the clock fast; a tighter MTTF keeps the
+    # kills inside the soak's horizon.
+    "faulty": dict(transport="rpc_lossy", seed=2, mttf_s=2.0),
 }
 #: per-transport soak counters reported beside the verdict
 SOAK_COLUMNS = ("kills", "promotions", "double_faults", "absorbed", "rebuilt")
@@ -53,10 +56,14 @@ def run_soaks(kills: int, batches: int) -> dict:
     """The three-transport chaos soak: flat per-transport metrics plus
     ``soak_failures``."""
     metrics = {"soak_failures": 0}
-    for label, kwargs in SCENARIOS.items():
-        result = run_chaos_soak(kills=kills, batches=batches, **kwargs)
+    for label, scenario in SCENARIOS.items():
+        result = Scenario(
+            transport=scenario["transport"], seed=scenario["seed"], replicas=2,
+            batches=batches, checkpoint_every=3,
+            mttf=poisson_kills(kills, batches, scenario["seed"], mttf_s=scenario["mttf_s"]),
+        )
         try:
-            assert_soak_survived(result, min_kills=kills)
+            result.run().audit(min_kills=kills)
         except AssertionError:
             metrics["soak_failures"] += 1
         metrics.update({

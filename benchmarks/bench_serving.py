@@ -26,15 +26,11 @@ The chaos soak's ``repro-slo-v1`` verdict rides along as the
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from benchmarks.common import failures
 from repro.bench import Headline, Param, Ref, register
-from repro.core.optimizers import PSAdagrad
 from repro.dlrm.hps import HierarchicalPS
-from repro.network.frontend import RemotePSClient
 from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOTracker
 from repro.simulation.clock import SimClock
@@ -44,8 +40,7 @@ from repro.simulation.serving_sim import (
     TrainServeSoak,
 )
 from repro.workload.distributions import TABLE2_BANDS, BandedSkewDistribution
-from tests.harness.chaos import replicated_config
-from tests.harness.crashpoints import cache_config
+from tests.harness.scenario import build_backend, server_config
 
 NUM_KEYS = 20_000
 BATCH_KEYS = 64
@@ -63,15 +58,14 @@ TOP1PCT_SKEW = sum(mass for frac, mass in TABLE2_BANDS[:3])
 
 def build_tier(seed: int, capacity_rows: int, policy: str = "round_robin", slo=None):
     """Replicated 3-shard RPC cluster + serving tier + closed-loop driver."""
-    config = dataclasses.replace(
-        replicated_config(3, seed=seed, lease_s=0.5),
-        serving_replica_policy=policy,
+    config = server_config(
+        3, seed, replicas=2, lease_s=0.5, serving_replica_policy=policy
     )
     clock = SimClock()
     registry = MetricsRegistry()
-    client = RemotePSClient(
-        config, cache_config(), PSAdagrad(lr=0.05), clock=clock, registry=registry
-    )
+    # The default retry policy: the committed serving cells priced the
+    # failover window with it.
+    client = build_backend("rpc", config, clock=clock, registry=registry, retry=None)
     client.enable_failover(registry)
     tier = HierarchicalPS(
         client,

@@ -228,6 +228,7 @@ class PipelinedCache:
         self._rule = _RULES[config.policy]
         self._clock = 0  # next order stamp
         self._listed = 0  # slots carrying a stamp
+        self._newest = -1  # newest version an access (round or push) gave
         # Scratch column, _NEVER outside a call: first position of each
         # slot in the batch at hand.
         self._first = np.full(256, _NEVER, dtype=np.int64)
@@ -426,6 +427,7 @@ class PipelinedCache:
             columns.dirty[due] = False
             plan.flushes += len(due)
         columns.version[accessed] = batch_id
+        self._newest = max(self._newest, batch_id)
         if rule.second_chance:
             columns.referenced[hits] = True
         self._stamp(accessed if rule.touch_restamps else events.inserted if events else ())
@@ -592,11 +594,13 @@ class PipelinedCache:
             # in, ahead of the last round that maintained its rows —
             # and the lookahead case, where the pull was served from a
             # prefetch buffer. Advance the version and touch here
-            # instead, so stamp order keeps its version order under LRU.
+            # instead, so stamp order keeps its version order under LRU:
+            # the touch is the newest, so is the version — a fold of old
+            # contributions lands after later rounds, not under its batch.
             # A cold key's version stays behind.
             behind[cold] = False
             advancing = slots[behind]
-            columns.version[advancing] = batch_id
+            columns.version[advancing] = self._newest = max(self._newest, batch_id)
             fresh = advancing[columns.stamp[advancing] < 0]
             self._listed += len(fresh)
             if self._rule.second_chance:

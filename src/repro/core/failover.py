@@ -222,10 +222,18 @@ class FailoverManager:
         self.recorder = recorder
         self.rebuild_chunk = rebuild_chunk
         self.detector = FailureDetector(clock, cluster.server_config.lease_s)
-        for node_id in range(len(cluster.nodes)):
-            self.detector.watch(node_id)
+        self.watch_members()
         self.promotions: list[PromotionReport] = []
         self.double_faults = 0
+
+    def watch_members(self) -> None:
+        """Lease every member shard not watched yet. A scale-out commits
+        a new member: the RPC client calls this at its commit; in process
+        the next beat or timeout does."""
+        watched = self.detector.watched()
+        for node_id in range(len(self.cluster.nodes)):
+            if node_id not in watched:
+                self.detector.watch(node_id)
 
     # ------------------------------------------------------------------
     # periodic heartbeat round
@@ -240,6 +248,7 @@ class FailoverManager:
         answered advances its re-replication by one ``rebuild_chunk`` —
         once per round, here and nowhere else.
         """
+        self.watch_members()
         states: dict[int, NodeState] = {}
         for node_id in range(len(self.cluster.nodes)):
             if not self.detector.declared_dead(node_id):
@@ -293,6 +302,7 @@ class FailoverManager:
                 checkpoint recovery.
         """
         noticed = self.clock.now
+        self.watch_members()
         self._rec("timeout_noticed", node=node_id)
         if not self.detector.declared_dead(node_id):
             # Even an expired lease yields to fresh evidence of life —

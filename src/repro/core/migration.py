@@ -42,12 +42,12 @@ migrator moves entries by node calls in process and as ``Migrate`` RPCs
 — retried and deduplicated like training traffic — on a
 :class:`~repro.network.frontend.RemotePSClient`.
 
-Crash consistency: every step is labelled and the
-``tests/harness/crashpoints.py`` scheduler kills the cluster at each
-label. Because transfer copies and the ring commit is a single
-untearable word, :func:`recover_elastic` always lands on a consistent
-pre- or post-migration ring, then purges any dual-ownership leftovers
-the crash stranded on non-owner shards. The crash-point sweep asserts
+Crash consistency: every step is labelled, and the scenario engine
+(``tests/harness/scenario.py``) kills the cluster at each label.
+Because transfer copies and the ring commit is a single untearable
+word, :func:`recover_elastic` always lands on a consistent pre- or
+post-migration ring, then purges any dual-ownership leftovers the crash
+stranded on non-owner shards. The crash-point sweep asserts
 the recovered-and-replayed weights are *bitwise* identical to an
 unsharded reference.
 """

@@ -15,6 +15,7 @@ pipeline is semantics-free.
 
 from __future__ import annotations
 
+import copy
 from functools import partial
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.initializer import key_seeded_rows
 from repro.core.optimizers import PSOptimizer, PSSGD
 from repro.core.serving_backend import LookupResult
+from repro.core.sharding import RING_STATE_FIELD
 from repro.core.staleness import StalenessController
 from repro.errors import CheckpointError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -292,6 +294,9 @@ class PSNode:
         """Queue a checkpoint (manual trigger, Figure 5 right).
 
         Defaults to the latest batch whose updates this node has seen.
+        Asking again for the newest queued checkpoint is a no-op, so a
+        barrier (a replica rebuild's, a reshard's) behind a pending
+        request completes that request.
 
         Raises:
             CheckpointError: nothing has been trained yet.
@@ -304,7 +309,8 @@ class PSNode:
             batch_id = self.latest_completed_batch
         if batch_id < 0:
             raise CheckpointError("no completed batch to checkpoint")
-        self.coordinator.request(batch_id)
+        if batch_id != self.coordinator.max_pending():
+            self.coordinator.request(batch_id)
         return batch_id
 
     def barrier_checkpoint(self, batch_id: int | None = None) -> int:
@@ -340,6 +346,25 @@ class PSNode:
         self.coordinator.last_completed = batch_id
         self.coordinator._sync_barriers()
         self.latest_completed_batch = batch_id
+
+    def adopt_live_state(self, other: "PSNode", batch_id: int) -> None:
+        """Take over what ``other`` holds beyond its durable entries, so a
+        replica rebuilt from them promotes into the same decisions: the
+        committed ring word of its pool root, the keys ``other`` created
+        that no push has stored yet (their rows are still the
+        initializer's; async pushes trail their pulls), the progress
+        vectors admission reads and the aggregation buffer (queued
+        contributions, replay window, counters)."""
+        fields = other.pool.root.fields()
+        if RING_STATE_FIELD in fields:
+            self.set_root_field(RING_STATE_FIELD, fields[RING_STATE_FIELD])
+        missing = np.setdiff1d(other.owned_keys(), self.owned_keys())
+        if len(missing):
+            self.cache.pull(missing, batch_id)
+        self.staleness = copy.deepcopy(other.staleness)
+        if other.aggregation is not None:
+            memo = {id(other.aggregation.tracer): self.tracer}
+            self.aggregation = copy.deepcopy(other.aggregation, memo)
 
     def set_root_field(self, field: str, value) -> None:
         """Durably write one named field of the pool root (atomic).

@@ -532,18 +532,12 @@ class ReplicatedPSNode:
         )
         if len(patch):
             self._rebuild_target.ingest_entries(self.primary.export_entries(patch))
+        # Everything the entries do not carry — the committed ring word a
+        # future promotion must serve (and recover) by, progress vectors,
+        # the aggregation buffer, keys still ahead of their pushes.
+        self._rebuild_target.adopt_live_state(self.primary, sealed)
         if sealed >= 0:
             self._rebuild_target.seal_at(sealed)
-        # Mirror cluster facts (the committed ring word) onto the fresh
-        # replica pool so a *future* promotion of this backup still
-        # serves — and can durably recover — the committed routing.
-        from repro.core.sharding import RING_STATE_FIELD
-
-        primary_fields = self.primary.pool.root.fields()
-        if RING_STATE_FIELD in primary_fields:
-            self._rebuild_target.set_root_field(
-                RING_STATE_FIELD, primary_fields[RING_STATE_FIELD]
-            )
         self.backup = self._rebuild_target
         report = self.rebuild_report
         report.keys_copied += len(patch)

@@ -504,11 +504,10 @@ class RemotePSClient(OpenEmbeddingServer):
         self.channels = [by_id[node.node_id][1] for node in nodes]
         self._pending_members = {}
         if self.failover is not None:
-            # New members enter the lease table; channel death checks
-            # re-arm over the post-commit membership.
-            for node in nodes:
-                if node.node_id not in self.failover.detector.watched():
-                    self.failover.detector.watch(node.node_id)
+            # New members enter the lease table before a channel death
+            # check asks about them; the checks re-arm over the
+            # post-commit membership.
+            self.failover.watch_members()
             self._arm_channel_death_checks()
         return new_epoch
 

@@ -33,6 +33,20 @@ DIM = 4
 ENTRY_BYTES = DIM * 4
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--soak",
+        action="store_true",
+        help="raise the example counts of the scenario searches (tests/test_scenarios.py)",
+    )
+
+
+@pytest.fixture
+def soak(request) -> bool:
+    """True under ``pytest --soak``: the long schedule searches."""
+    return request.config.getoption("--soak")
+
+
 @pytest.fixture
 def pool():
     return PmemPool(capacity_bytes=1 << 20)

@@ -14,24 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.server import OpenEmbeddingServer
 from repro.core.staleness import StalenessController
-from repro.dlrm.async_trainer import AsynchronousTrainer
-from repro.dlrm.optimizers import Adam
 from repro.errors import StalenessError
 from repro.failure.injection import WorkerFaultProfile, hostile_fleet
-from repro.obs.registry import MetricsRegistry
 
-from tests.harness.async_chaos import (
-    BATCH,
-    DIM,
-    build_dataset,
-    build_model,
-    build_server,
-    evaluate,
-    run_async,
-    run_sync_baseline,
-)
+from tests.harness.scenario import SEED, Fleet, Scenario, evaluate, sync_baseline
 
 WORKERS = 6  # n >= 3f + 2 for f = 1
 F = 1
@@ -56,24 +43,31 @@ def byzantine_fleet(**overrides):
     return hostile_fleet(WORKERS, F, "sign_flip", **kwargs)
 
 
-@pytest.fixture(scope="module")
-def sync_baseline():
-    return run_sync_baseline(batches=STEPS)
+def fleet_scenario(
+    aggregator, profiles=None, *, steps=STEPS, bound=BOUND, staleness=1, envelope=None
+):
+    """The async fleet on the two-shard cluster the envelope is pinned on;
+    ``envelope`` makes the scenario's final verdict hold AUC / log-loss
+    within that slack of the synchronous baseline."""
+    return Scenario(
+        seed=SEED, nodes=2, partitioner="modulo", batches=steps,
+        fleet=Fleet(WORKERS, staleness, profiles), envelope=envelope,
+        staleness_bound=bound, aggregator=aggregator, aggregator_f=F,
+    )
+
+
+@pytest.fixture(scope="module", name="sync_baseline")
+def sync_baseline_metrics():
+    return sync_baseline(STEPS)
 
 
 @pytest.fixture(scope="module")
 def hostile_runs():
     """Same fleet, same seeds — only the aggregator differs."""
     return {
-        agg: run_async(
-            steps=STEPS,
-            workers=WORKERS,
-            staleness=1,
-            staleness_bound=BOUND,
-            aggregator=agg,
-            f=F,
-            fleet=byzantine_fleet(),
-        )
+        agg: fleet_scenario(
+            agg, byzantine_fleet(), envelope=None if agg == "mean" else ROBUST_AUC_SLACK
+        ).run()
         for agg in ("trimmed_mean", "median", "mean")
     }
 
@@ -84,14 +78,7 @@ class TestConvergenceEnvelope:
         assert sync_baseline["logloss"] < 0.55
 
     def test_honest_async_within_tight_envelope(self, sync_baseline):
-        run = run_async(
-            steps=STEPS,
-            workers=WORKERS,
-            staleness=1,
-            staleness_bound=BOUND,
-            aggregator="trimmed_mean",
-            f=F,
-        )
+        run = fleet_scenario("trimmed_mean", envelope=HONEST_AUC_SLACK).run()
         assert run.metrics["auc"] >= sync_baseline["auc"] - HONEST_AUC_SLACK
         assert run.metrics["logloss"] <= sync_baseline["logloss"] + HONEST_AUC_SLACK
 
@@ -103,7 +90,7 @@ class TestConvergenceEnvelope:
         assert metrics["auc"] >= ROBUST_AUC_FLOOR
         assert metrics["auc"] >= sync_baseline["auc"] - ROBUST_AUC_SLACK
         assert metrics["logloss"] <= ROBUST_LOGLOSS_CEIL
-        assert hostile_runs[agg].stats.byzantine_pushes > 0  # injection ran
+        assert hostile_runs[agg].trainer.stats.byzantine_pushes > 0  # injection ran
 
     def test_mean_demonstrably_diverges_under_same_injection(
         self, hostile_runs
@@ -118,11 +105,11 @@ class TestConvergenceEnvelope:
 
     def test_duplicates_and_delays_were_absorbed(self, hostile_runs):
         run = hostile_runs["trimmed_mean"]
-        assert run.stats.duplicate_pushes > 0
-        assert run.stats.delayed_pushes > 0
+        assert run.trainer.stats.duplicate_pushes > 0
+        assert run.trainer.stats.delayed_pushes > 0
         dropped = sum(
             node.aggregation.stats.duplicates_dropped
-            for node in run.server.nodes
+            for node in run.backend.nodes
         )
         # Every duplicated push was sent to every shard holding its keys
         # and absorbed by the (worker_id, seq) dedup window.
@@ -137,32 +124,22 @@ class TestBoundedStalenessInvariant:
             fleet[w] = WorkerFaultProfile(
                 straggle_prob=0.4, straggle_steps=24, seed=7
             )
-        registry = MetricsRegistry()
-        run = run_async(
-            steps=240,
-            workers=WORKERS,
-            staleness=1,
-            staleness_bound=2,
-            aggregator="trimmed_mean",
-            f=F,
-            fleet=fleet,
-            registry=registry,
-        )
-        run.server.collect_metrics(registry)
-        return run, registry
+        run = fleet_scenario("trimmed_mean", fleet, steps=240, bound=2).run()
+        run.backend.collect_metrics(run.registry)
+        return run, run.registry
 
     def test_stragglers_get_rejected_then_fast_forward(self, straggler_run):
         run, __ = straggler_run
-        assert run.stats.straggle_skips > 0
-        assert run.stats.staleness_rejects > 0
-        assert run.stats.skipped_batches > 0
-        assert set(run.stats.rejects_by_worker) <= {1, 2}  # only stragglers
+        assert run.trainer.stats.straggle_skips > 0
+        assert run.trainer.stats.staleness_rejects > 0
+        assert run.trainer.stats.skipped_batches > 0
+        assert set(run.trainer.stats.rejects_by_worker) <= {1, 2}  # only stragglers
 
     def test_no_pull_admitted_beyond_bound(self, straggler_run):
         run, __ = straggler_run
-        for node in run.server.nodes:
+        for node in run.backend.nodes:
             controller = node.staleness
-            assert controller.rejected + run.stats.staleness_rejects >= 0
+            assert controller.rejected + run.trainer.stats.staleness_rejects >= 0
             assert controller.max_admitted_lag() <= 2
             assert all(lag <= 2 for __, lag in controller.admitted_lags)
 
@@ -182,11 +159,11 @@ class TestBoundedStalenessInvariant:
         assert folds > 0
         assert (
             registry.counter("repro_async_staleness_rejects_total").value
-            == run.stats.staleness_rejects
+            == run.trainer.stats.staleness_rejects
         )
         assert (
             registry.counter("repro_async_straggle_steps_total").value
-            == run.stats.straggle_skips
+            == run.trainer.stats.straggle_skips
         )
 
     def test_still_converges_despite_rejections(self, straggler_run):
@@ -228,18 +205,9 @@ class TestQuiescedCheckpointRecovery:
     def test_async_checkpoint_recovers_through_crash_path(self):
         """Quiesce -> checkpoint -> crash -> recover: bitwise state, and
         training continues on the recovered cluster."""
-        dataset = build_dataset()
-        server = build_server(
-            staleness_bound=BOUND, aggregator="trimmed_mean",
-            workers=WORKERS, f=F,
-        )
-        model = build_model()
-        trainer = AsynchronousTrainer(
-            server, model, dataset,
-            num_workers=WORKERS, batch_size=BATCH, staleness=2,
-            dense_optimizer=Adam(1e-2), worker_faults=byzantine_fleet(),
-        )
-        trainer.run_steps(60)
+        s = fleet_scenario("trimmed_mean", byzantine_fleet(), steps=60, staleness=2)
+        s.train(0, 60)
+        server, trainer = s.backend, s.trainer
         missed = trainer.checkpoint(quiesce=True)
         assert missed == 0
         assert trainer.pending_pushes == 0
@@ -249,25 +217,20 @@ class TestQuiescedCheckpointRecovery:
             for k, v in server.state_snapshot().items()
         }
 
-        pools = server.crash()
-        recovered, reports = OpenEmbeddingServer.recover(
-            pools, server.server_config, server.cache_config, server.optimizer
-        )
+        s.recover()
+        recovered, reports = s.backend, s.recovery_reports
         restored = recovered.state_snapshot()
         assert set(restored) == set(snapshot)
         for key in snapshot:
             assert np.array_equal(restored[key], snapshot[key])
         assert all(r.entries_recovered > 0 for r in reports)
 
-        # The recovered cluster keeps its defenses and keeps training.
+        # The recovered cluster keeps its defenses and keeps training
+        # (the scenario hands it a fresh trainer over the same model).
         assert all(n.staleness.bound == BOUND for n in recovered.nodes)
         assert all(n.aggregation is not None for n in recovered.nodes)
-        resumed = AsynchronousTrainer(
-            recovered, model, dataset,
-            num_workers=WORKERS, batch_size=BATCH, staleness=2,
-            dense_optimizer=Adam(1e-2), worker_faults=byzantine_fleet(),
-        )
-        losses = resumed.run_steps(12)
+        s.train(60, 72)
+        losses = s.trainer.loss_history
         assert losses and all(np.isfinite(l) for l in losses)
-        metrics = evaluate(recovered, model, dataset)
+        metrics = evaluate(recovered, s.model, s.dataset)
         assert metrics["logloss"] < np.log(2)

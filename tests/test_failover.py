@@ -33,11 +33,9 @@ from repro.config import (
     ServerConfig,
     WorkloadConfig,
 )
-from repro.core.failover import FailureDetector, FailoverManager, NodeState
-from repro.core.migration import MIGRATION_STEPS, ShardMigrator
-from repro.core.optimizers import PSAdagrad
-from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
-from repro.core.server import OpenEmbeddingServer
+from repro.core.failover import FailureDetector, NodeState
+from repro.core.migration import MIGRATION_STEPS
+from repro.core.replication import FAILOVER_SECONDS
 from repro.core.sharding import (
     RING_STATE_FIELD,
     pack_ring_state,
@@ -55,35 +53,30 @@ from repro.failure.mttf import (
     sample_failure_times,
     young_interval_seconds,
 )
-from repro.network.frontend import RemotePSClient
 from repro.network.messages import (
     HeartbeatRequest,
     MaintainRequest,
     PromoteRequest,
     StatusResponse,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.simulation.clock import SimClock
 from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
-from tests.harness.chaos import (
-    ChaosSoak,
-    assert_soak_survived,
-    percentile,
-    replicated_config,
-    run_chaos_soak,
-)
-from tests.harness.crashpoints import (
+from tests.harness.scenario import (
     DIM,
-    RETRY,
+    Scenario,
     assert_bitwise_equal,
     assert_exclusive_ownership,
     assert_monotone_checkpoints,
-    batch_payload,
-    cache_config,
+    build_backend,
+    kill,
+    percentile,
+    poisson_kills,
     reference_state,
+    reshard,
+    server_config,
 )
 
 LEASE = 0.5
@@ -203,35 +196,24 @@ class TestKillSchedule:
 # ----------------------------------------------------------------------
 
 
-def make_local(nodes=3, seed=0, lease=LEASE):
-    config = replicated_config(nodes, seed, lease)
-    server = OpenEmbeddingServer(config, cache_config(), PSAdagrad(lr=0.05))
-    clock = SimClock()
-    registry = MetricsRegistry()
-    manager = FailoverManager(server, clock, registry=registry)
-    return server, clock, manager, registry
-
-
-def train(backend, seed, first, last, checkpoint_every=None):
-    for batch in range(first, last):
-        keys, grads = batch_payload(seed, batch)
-        backend.pull(keys, batch)
-        backend.maintain(batch)
-        backend.push(keys, grads, batch)
-        if checkpoint_every and (batch + 1) % checkpoint_every == 0:
-            backend.barrier_checkpoint(batch)
+def replicated(transport="local", seed=0, nodes=3, **kwargs):
+    """A hot-replicated cluster with its failover manager (the scenario
+    construction); ``kwargs`` are further scenario inputs."""
+    return Scenario(
+        transport=transport, seed=seed, nodes=nodes, replicas=2, lease_s=LEASE, **kwargs
+    )
 
 
 class TestLocalFailover:
     def test_beat_keeps_everyone_alive(self):
-        server, __, manager, __r = make_local()
-        states = manager.beat()
+        states = replicated().manager.beat()
         assert all(s is NodeState.ALIVE for s in states.values())
 
     def test_kill_promote_and_keep_training(self):
         seed = 0
-        server, clock, manager, registry = make_local(seed=seed)
-        train(server, seed, 0, 4, checkpoint_every=2)
+        s = replicated(seed=seed, batches=8, checkpoint_every=2)
+        server, manager, registry = s.backend, s.manager, s.registry
+        s.train(0, 4)
         victim = server.nodes[1]
         victim.kill_primary()
         assert manager.handle_timeout(1) == "promoted"
@@ -240,7 +222,7 @@ class TestLocalFailover:
         assert report.promotion_seconds == FAILOVER_SECONDS
         assert report.unavailability_seconds <= manager.unavailability_bound_s()
         assert manager.detector.state_of(1) is NodeState.ALIVE
-        train(server, seed, 4, 8, checkpoint_every=2)
+        s.train(4, 8)
         assert_bitwise_equal(server.state_snapshot(), reference_state(seed, 8))
         # Metrics recorded the episode.
         assert (
@@ -255,32 +237,33 @@ class TestLocalFailover:
         )
 
     def test_promotion_waits_out_the_lease(self):
-        server, clock, manager, __ = make_local()
-        manager.beat()  # fresh leases at t=0
-        server.nodes[2].kill_primary()
-        before = clock.now
-        manager.handle_timeout(2)
+        s = replicated()
+        s.manager.beat()  # fresh leases at t=0
+        s.backend.nodes[2].kill_primary()
+        before = s.clock.now
+        s.manager.handle_timeout(2)
         # Detection cannot finish before the lease deadline.
-        assert clock.now >= before + LEASE - 1e-9
+        assert s.clock.now >= before + LEASE - 1e-9
 
     def test_false_positive_is_retry_not_promotion(self):
-        server, clock, manager, __ = make_local()
-        clock.advance(LEASE * 3)  # every lease lapsed, nobody died
-        assert manager.detector.state_of(0) is NodeState.DEAD
-        assert manager.handle_timeout(0) == "retry"
-        assert manager.promotions == []
-        assert manager.detector.state_of(0) is NodeState.ALIVE
-        assert server.nodes[0].failovers == 0
+        s = replicated()
+        s.clock.advance(LEASE * 3)  # every lease lapsed, nobody died
+        assert s.manager.detector.state_of(0) is NodeState.DEAD
+        assert s.manager.handle_timeout(0) == "retry"
+        assert s.manager.promotions == []
+        assert s.manager.detector.state_of(0) is NodeState.ALIVE
+        assert s.backend.nodes[0].failovers == 0
 
     def test_transport_promote_is_idempotent_on_alive_node(self):
-        server, __, manager, __r = make_local()
-        assert manager.cluster._shard_promote(0, 0) == 0.0
-        assert server.nodes[0].failovers == 0
+        s = replicated()
+        assert s.manager.cluster._shard_promote(0, 0) == 0.0
+        assert s.backend.nodes[0].failovers == 0
 
     def test_rebuild_rides_the_heartbeat_rounds(self):
         seed = 2
-        server, clock, manager, registry = make_local(seed=seed)
-        train(server, seed, 0, 4, checkpoint_every=2)
+        s = replicated(seed=seed, batches=4, checkpoint_every=2)
+        server, manager, registry = s.backend, s.manager, s.registry
+        s.train(0, 4)
         server.nodes[0].kill_primary()
         manager.handle_timeout(0)
         node = server.nodes[0]
@@ -298,13 +281,14 @@ class TestLocalFailover:
             == 1.0
         )
         # Training continues seamlessly on the re-replicated pair.
-        train(server, seed, 4, 6)
+        s.train(4, 6)
         assert_bitwise_equal(server.state_snapshot(), reference_state(seed, 6))
 
     def test_double_fault_falls_back_to_checkpoint_recovery(self):
         seed = 3
-        server, clock, manager, registry = make_local(seed=seed)
-        train(server, seed, 0, 4, checkpoint_every=2)
+        s = replicated(seed=seed, batches=4, checkpoint_every=2)
+        server, manager, registry = s.backend, s.manager, s.registry
+        s.train(0, 4)
         server.nodes[1].kill_primary()
         manager.handle_timeout(1)  # promoted; node 1 now degraded
         server.nodes[1].kill_primary()  # backup (now primary) dies too
@@ -315,18 +299,14 @@ class TestLocalFailover:
             registry.counter("repro_failover_double_faults_total").value == 1
         )
         # The paper's path: crash survivors, recover from PMem, replay.
-        pools = [node.crash() for node in server.nodes]
-        recovered, reports = OpenEmbeddingServer.recover(
-            pools, server.server_config, cache_config(), PSAdagrad(lr=0.05)
-        )
-        resume = recovered.global_completed_checkpoint + 1
+        resume = s.recover() + 1
         assert resume >= 1
-        train(recovered, seed, resume, 8)
+        s.train(resume, 8)
         assert_bitwise_equal(
-            recovered.state_snapshot(), reference_state(seed, 8)
+            s.backend.state_snapshot(), reference_state(seed, 8)
         )
         # replicas=2 recovery re-replicates before serving.
-        assert all(not node.degraded for node in recovered.nodes)
+        assert all(not node.degraded for node in s.backend.nodes)
 
 
 # ----------------------------------------------------------------------
@@ -335,20 +315,15 @@ class TestLocalFailover:
 
 
 def single_replicated(seed=0):
-    config = ServerConfig(
-        num_nodes=1,
-        embedding_dim=DIM,
-        pmem_capacity_bytes=1 << 26,
-        seed=seed,
-        replicas=2,
-    )
-    return ReplicatedPSNode(0, config, cache_config(), PSAdagrad(lr=0.05))
+    """A one-shard replicated scenario and its ReplicatedPSNode."""
+    s = replicated(seed=seed, nodes=1)
+    return s, s.backend.nodes[0]
 
 
 class TestReplicatedRebuild:
     def test_tick_state_machine(self):
-        node = single_replicated()
-        train(node, 0, 0, 3)
+        s, node = single_replicated()
+        s.train(0, 3)
         assert node.rebuild_tick() == "idle"  # healthy pair: nothing to do
         node.fail_primary()
         assert node.rebuild_tick() == "idle"  # dead primary: cannot rebuild
@@ -367,13 +342,13 @@ class TestReplicatedRebuild:
         assert node.rebuild_report.finished
 
     def test_writes_during_rebuild_are_patched(self):
-        node = single_replicated(seed=4)
-        train(node, 4, 0, 3)
+        s, node = single_replicated(seed=4)
+        s.train(0, 3)
         node.fail_primary()
         node.failover()
         node.begin_rebuild()
         # Concurrent training while the census copies.
-        train(node, 4, 3, 6)
+        s.train(3, 6)
         while node.rebuild_step(16):
             pass
         report = node.finish_rebuild()
@@ -381,8 +356,8 @@ class TestReplicatedRebuild:
         node.verify_replicas_identical()
 
     def test_ring_word_mirrored_onto_fresh_backup(self):
-        node = single_replicated()
-        train(node, 0, 0, 2)
+        s, node = single_replicated()
+        s.train(0, 2)
         packed = pack_ring_state(3, 1, 8)
         node.set_root_field(RING_STATE_FIELD, packed)
         assert node.backup.pool.root.fields()[RING_STATE_FIELD] == packed
@@ -395,7 +370,7 @@ class TestReplicatedRebuild:
         assert node.backup.pool.root.fields()[RING_STATE_FIELD] == packed
 
     def test_failover_reconciles_committed_epoch(self):
-        node = single_replicated()
+        __, node = single_replicated()
         node.follow_ring(2)
         node.fail_primary()
         node.failover(committed_epoch=5)
@@ -407,7 +382,7 @@ class TestReplicatedRebuild:
         assert node.ring_epoch == 5
 
     def test_guards(self):
-        node = single_replicated()
+        __, node = single_replicated()
         with pytest.raises(ServerError, match="without a failed primary"):
             node.failover()
         node.fail_primary()
@@ -422,38 +397,25 @@ class TestReplicatedRebuild:
 
 
 # ----------------------------------------------------------------------
-# satellite a: fail_primary interleaved at every migration step
+# satellite a: a primary killed at every migration step
 # ----------------------------------------------------------------------
 
 
 class TestMigrationInterleaving:
     @pytest.mark.parametrize("step", MIGRATION_STEPS)
     def test_promotion_mid_migration_serves_committed_ring(self, step):
-        """Kill+promote node 1's primary right before each labelled
-        migration step; the promoted backup must end on the committed
-        ring epoch, own exactly its routed keys, and the final weights
-        must equal the fault-free replay bitwise."""
-        seed = 1
-        config = replicated_config(3, seed, LEASE)
-        server = OpenEmbeddingServer(
-            config, cache_config(), PSAdagrad(lr=0.05)
-        )
-        train(server, seed, 0, 4, checkpoint_every=2)
-        fired = []
-
-        def hook(label):
-            if label == step and not fired:
-                fired.append(label)
-                victim = server.nodes[1]
-                victim.fail_primary()
-                committed = unpack_ring_state(
-                    server.nodes[0].pool.root.fields()[RING_STATE_FIELD]
-                )[0]
-                victim.failover(committed_epoch=committed)
-
-        report = ShardMigrator(server, on_step=hook).scale_out()
-        assert fired == [step]
-        assert report.to_nodes == 4
+        """Kill node 1's primary right before each labelled migration step
+        (the manager promotes it there); the promoted backup must end on
+        the committed ring epoch, own exactly its routed keys, and the
+        final weights must equal the fault-free replay bitwise."""
+        s = replicated(
+            seed=1, batches=8, checkpoint_every=2,
+            schedule=[reshard(3, "scale_out"), kill(3, 1, phase=step)],
+        ).run()
+        server = s.backend
+        assert [e.phase for e in s.log if e.kind == "kill"] == [step]
+        assert len(s.promotions) == 1 and s.promotions[0].node_id == 1
+        assert s.report.to_nodes == 4
         # Reconciliation: every replica serves the committed epoch.
         committed = unpack_ring_state(
             server.nodes[0].pool.root.fields()[RING_STATE_FIELD]
@@ -465,8 +427,7 @@ class TestMigrationInterleaving:
                 f"cluster committed {server.ring_epoch}"
             )
         assert_exclusive_ownership(server)
-        train(server, seed, 4, 8, checkpoint_every=2)
-        assert_bitwise_equal(server.state_snapshot(), reference_state(seed, 8))
+        assert_bitwise_equal(server.state_snapshot(), reference_state(1, 8))
 
 
 # ----------------------------------------------------------------------
@@ -474,41 +435,25 @@ class TestMigrationInterleaving:
 # ----------------------------------------------------------------------
 
 
-def make_remote(seed=0, nodes=3, lease=LEASE, faulty=False):
-    from tests.harness.crashpoints import FAULTS
-
-    config = replicated_config(nodes, seed, lease)
-    registry = MetricsRegistry()
-    client = RemotePSClient(
-        config,
-        cache_config(),
-        PSAdagrad(lr=0.05),
-        retry=RETRY,
-        faults=FAULTS if faulty else None,
-        registry=registry,
-    )
-    manager = client.enable_failover(registry)
-    return client, manager, registry
-
-
 class TestRemoteFailover:
     def test_heartbeat_reports_progress(self):
-        client, manager, __ = make_remote()
-        train(client, 0, 0, 2)
-        response = manager.cluster.probe_channel(1).call(
+        s = replicated("rpc")
+        s.train(0, 2)
+        response = s.manager.cluster.probe_channel(1).call(
             HeartbeatRequest(node_id=1)
         )
         assert response.ok
-        assert response.value == client.nodes[1].latest_completed_batch
+        assert response.value == s.backend.nodes[1].latest_completed_batch
 
     def test_dead_shard_goes_silent_and_client_promotes(self):
         seed = 0
-        client, manager, registry = make_remote(seed=seed)
-        train(client, seed, 0, 3, checkpoint_every=3)
+        s = replicated("rpc", seed=seed, batches=7, checkpoint_every=3)
+        client, manager, registry = s.backend, s.manager, s.registry
+        s.train(0, 3)
         client.nodes[2].kill_primary()
         # The client discovers the death through its own unanswered
         # calls — nothing here tells the manager.
-        train(client, seed, 3, 7, checkpoint_every=3)
+        s.train(3, 7)
         assert len(manager.promotions) == 1
         assert manager.promotions[0].node_id == 2
         assert client.nodes[2].failovers == 1
@@ -528,10 +473,7 @@ class TestRemoteFailover:
         wire may just be slow")."""
         # Phase 1 — no death verdict armed: a silent shard burns the
         # whole retry budget and surfaces as a timeout ("maybe slow").
-        config = replicated_config(3, 0, LEASE)
-        plain = RemotePSClient(
-            config, cache_config(), PSAdagrad(lr=0.05), retry=RETRY
-        )
+        plain = build_backend("rpc", server_config(3, 0, replicas=2, lease_s=LEASE))
         plain.nodes[1].kill_primary()
         before = plain.clock.now
         with pytest.raises(RpcTimeoutError):
@@ -540,7 +482,8 @@ class TestRemoteFailover:
         assert timeout_cost > 0
         # Phase 2 — lease expired and death declared: the same call on
         # an armed channel fails fast and typed ("reroute me").
-        client, manager, __ = make_remote()
+        s = replicated("rpc")
+        client, manager = s.backend, s.manager
         client.nodes[1].kill_primary()
         client.clock.advance(client.server_config.lease_s * 2)
         manager.detector.declare_dead(1)
@@ -553,41 +496,32 @@ class TestRemoteFailover:
         assert channel.stats.dead_fails >= 1
 
     def test_promote_rpc_idempotent_on_alive_node(self):
-        client, manager, __ = make_remote()
-        response = manager.cluster.probe_channel(0).call(
+        s = replicated("rpc")
+        response = s.manager.cluster.probe_channel(0).call(
             PromoteRequest(node_id=0, committed_epoch=0)
         )
         assert response.ok
-        assert client.nodes[0].failovers == 0
+        assert s.backend.nodes[0].failovers == 0
 
     def test_promote_rpc_double_fault_is_typed_wire_error(self):
-        client, manager, __ = make_remote()
-        node = client.nodes[1]
+        s = replicated("rpc")
+        node = s.backend.nodes[1]
         node.kill_primary()
         node.failover()
         node.kill_primary()  # promoted primary dies; no backup left
         with pytest.raises(FailoverError):
-            manager.cluster._shard_promote(1, 0)
+            s.manager.cluster._shard_promote(1, 0)
 
     def test_rebuild_ticks_once_per_beat_on_both_backends(self):
         """One ``rebuild_chunk`` per heartbeat round, ticked by the
         manager alone: the same 2 000-key rebuild takes the same rounds
         in process and over RPC, and the ticks counter counts them (a
         probe that also ticked on the service halved the RPC rounds)."""
-        config = ServerConfig(
-            num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 26,
-            replicas=2, lease_s=LEASE,
-        )
         keys = np.arange(2000, dtype=np.uint64)
         rounds = {}
-        for kind in ("local", "remote"):
-            registry = MetricsRegistry()
-            if kind == "local":
-                backend = OpenEmbeddingServer(config, cache_config(), PSAdagrad(lr=0.05))
-                manager = FailoverManager(backend, SimClock(), registry=registry)
-            else:
-                backend = RemotePSClient(config, cache_config(), PSAdagrad(lr=0.05))
-                manager = backend.enable_failover(registry)
+        for kind in ("local", "rpc"):
+            s = replicated(kind, nodes=2)
+            backend, manager, registry = s.backend, s.manager, s.registry
             backend.pull(keys, 0)
             backend.maintain(0)
             backend.push(keys, np.full((len(keys), DIM), 0.01, np.float32), 0)
@@ -608,7 +542,7 @@ class TestRemoteFailover:
             assert ticks == beats, kind
             node.verify_replicas_identical()
             rounds[kind] = beats
-        assert rounds["local"] == rounds["remote"]
+        assert rounds["local"] == rounds["rpc"]
 
     def test_wire_roundtrip(self):
         hb = HeartbeatRequest(node_id=3, requester=9)
@@ -624,17 +558,26 @@ class TestRemoteFailover:
 # ----------------------------------------------------------------------
 
 
+def soak(seed, kills, transport="local", batches=30, mttf_s=4.0):
+    """Poisson MTTF kills polled before and mid batch, barriers every
+    third batch: the scenario the failover bench runs per transport."""
+    return replicated(
+        transport, seed=seed, batches=batches, checkpoint_every=3,
+        mttf=poisson_kills(kills, batches, seed, mttf_s=mttf_s),
+    ).run()
+
+
 class TestChaosSoak:
     def test_local_soak_survives_three_kills(self):
-        result = run_chaos_soak(seed=0, kills=3, batches=30)
-        assert_soak_survived(result, min_kills=3)
+        result = soak(0, 3)
+        result.audit(min_kills=3)
         assert percentile(result.unavailability_seconds, 99) <= (
             result.unavailability_bound_s
         )
 
     def test_remote_soak_survives_three_kills(self):
-        result = run_chaos_soak(remote=True, seed=1, kills=3, batches=30)
-        assert_soak_survived(result, min_kills=3)
+        result = soak(1, 3, "rpc")
+        result.audit(min_kills=3)
         # Client-driven promotions (unless a double fault rerouted a
         # kill through checkpoint recovery, or a kill landed inside an
         # earlier kill's detection window).
@@ -650,10 +593,8 @@ class TestChaosSoak:
         # The lossy wire advances the simulated clock fast (retries,
         # backoff), so a tighter MTTF keeps all three kills inside the
         # soak's horizon.
-        result = run_chaos_soak(
-            remote=True, faulty=True, seed=2, kills=3, batches=30, mttf_s=2.0
-        )
-        assert_soak_survived(result, min_kills=3)
+        result = soak(2, 3, "rpc_lossy", mttf_s=2.0)
+        result.audit(min_kills=3)
 
     def test_soak_double_fault_completes_via_recovery(self):
         """Two kills on the same shard, closer together than the
@@ -665,18 +606,17 @@ class TestChaosSoak:
         schedule = NodeKillSchedule(
             kill_times=(2.05, 4.0), victims=(1, 1)
         )
-        soak = ChaosSoak(
-            seed=3, kills=2, batches=16, schedule=schedule
-        )
-        result = soak.run()
+        result = replicated(
+            seed=3, batches=16, checkpoint_every=3, mttf=schedule
+        ).run()
         assert result.kills == 2
         assert result.double_faults >= 1
         assert result.recoveries >= 1
-        assert_bitwise_equal(result.final_state, result.reference)
+        assert_bitwise_equal(result.backend.state_snapshot(), result.reference)
         assert_monotone_checkpoints(result.checkpoint_trail)
 
     def test_soak_regains_fault_tolerance(self):
-        result = run_chaos_soak(seed=0, kills=2, batches=30)
+        result = soak(0, 2)
         # Background re-replication restored every shard's backup by
         # the end of the soak (heartbeat rounds ticked it forward).
         assert result.rebuilds_completed == len(result.backend.nodes)

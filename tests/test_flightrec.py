@@ -19,21 +19,11 @@ import json
 
 import pytest
 
-from repro.core.migration import ShardMigrator
-from repro.core.optimizers import PSAdagrad
-from repro.core.server import OpenEmbeddingServer
 from repro.errors import ConfigError
 from repro.obs import FlightRecorder, Tracer
 from repro.obs.flightrec import FLIGHTREC_SCHEMA
 from repro.simulation.clock import SimClock
-from tests.harness.chaos import assert_soak_survived, run_chaos_soak
-from tests.harness.crashpoints import (
-    CrashPointScheduler,
-    InjectedCrash,
-    batch_payload,
-    cache_config,
-    server_config,
-)
+from tests.harness.scenario import Scenario, poisson_kills, reshard
 
 
 # ----------------------------------------------------------------------
@@ -117,22 +107,9 @@ class TestTracerTap:
 
 class TestMigrationAbort:
     def test_aborted_migration_dumps_naming_the_step(self):
-        backend = OpenEmbeddingServer(
-            server_config(3, seed=0), cache_config(), PSAdagrad(lr=0.05)
-        )
-        for batch in range(3):
-            keys, grads = batch_payload(0, batch)
-            backend.pull(keys, batch)
-            backend.maintain(batch)
-            backend.push(keys, grads, batch)
-        rec = FlightRecorder(node="cluster")
-        migrator = ShardMigrator(
-            backend,
-            on_step=CrashPointScheduler("mid_transfer"),
-            recorder=rec,
-        )
-        with pytest.raises(InjectedCrash):
-            migrator.scale_out()
+        # Three batches, then a scale-out the cluster dies in at
+        # mid_transfer; the scenario recovers and finishes the job.
+        rec = Scenario(batches=3, schedule=[reshard(2, "scale_out", "mid_transfer")]).run().recorder
         dumps = rec.dumps_triggered("migration_abort")
         assert len(dumps) == 1
         assert dumps[0]["attrs"] == {
@@ -150,8 +127,11 @@ class TestMigrationAbort:
 
 
 @pytest.fixture(scope="module")
-def soak_result():
-    return run_chaos_soak(remote=True, seed=1, kills=3, batches=30)
+def soak_result(tmp_path_factory):
+    return Scenario(
+        transport="rpc", seed=1, replicas=2, batches=30, checkpoint_every=3,
+        mttf=poisson_kills(3, 30, seed=1), artifact_dir=tmp_path_factory.mktemp("postmortem"),
+    ).run()
 
 
 class TestChaosSoakDumps:
@@ -178,12 +158,10 @@ class TestChaosSoakDumps:
             promoted = names.index("promoted", dead)
             assert expired < dead < promoted
 
-    def test_failed_audit_writes_postmortem_artifact(self, soak_result, tmp_path):
+    def test_failed_audit_writes_postmortem_artifact(self, soak_result):
         impossible = soak_result.kills + 100
         with pytest.raises(AssertionError) as excinfo:
-            assert_soak_survived(
-                soak_result, min_kills=impossible, artifact_dir=tmp_path
-            )
+            soak_result.audit(min_kills=impossible)
         message = str(excinfo.value)
         assert "postmortem artifact:" in message
         path = message.rsplit("postmortem artifact:", 1)[1].strip()

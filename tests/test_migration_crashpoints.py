@@ -1,12 +1,13 @@
 """Crash-point sweep: kill a live migration at EVERY labelled step.
 
-Drives ``tests/harness/crashpoints.py`` over the full matrix
+Runs ``tests/harness/scenario.py`` over the full matrix
 
     every step in ``MIGRATION_STEPS``
   x {scale-out, scale-in}
   x {in-process, remote RPC, remote RPC with injected wire faults}
 
-and asserts, for each cell:
+— one :func:`reshard` event with a crash point after batch 4 of a
+deterministic push stream — and asserts, for each cell:
 
 * the final weights are **bitwise identical** to an unsharded reference
   replay — i.e. no push was lost and none was applied twice, whatever
@@ -24,20 +25,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.migration import MIGRATION_STEPS
-from tests.harness.crashpoints import (
+from repro.core.migration import MIGRATION_STEPS, ShardMigrator
+from tests.harness.scenario import (
+    Scenario,
     assert_bitwise_equal,
     assert_exclusive_ownership,
     assert_monotone_checkpoints,
-    run_crashpoint_scenario,
+    reshard,
 )
 
 DIRECTIONS = ("scale_out", "scale_in")
-MODES = {
-    "local": dict(remote=False, faulty=False),
-    "remote": dict(remote=True, faulty=False),
-    "remote_faulty": dict(remote=True, faulty=True),
-}
+MODES = {"local": "local", "remote": "rpc", "remote_faulty": "rpc_lossy"}
 
 #: Steps that fire before the atomic ring commit — a crash there must
 #: recover onto the OLD ring and re-run the migration.
@@ -46,8 +44,17 @@ POST_COMMIT = ("cleanup", "done")
 assert set(PRE_COMMIT) | set(POST_COMMIT) == set(MIGRATION_STEPS)
 
 
+def run_crashpoint(direction, crash_at, transport="local", batches_after=4):
+    """Five batches (barriers after every second), the reshard killed at
+    ``crash_at``, recovery + replay + retry, then ``batches_after`` more."""
+    return Scenario(
+        transport=transport, batches=5 + batches_after, checkpoint_every=2,
+        schedule=[reshard(4, direction, crash_at)],
+    ).run()
+
+
 def _check(result):
-    assert_bitwise_equal(result.final_state, result.reference)
+    assert_bitwise_equal(result.backend.state_snapshot(), result.reference)
     assert_monotone_checkpoints(result.checkpoint_trail)
     assert_exclusive_ownership(result.backend)
 
@@ -57,7 +64,7 @@ class TestCrashPointSweep:
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("crash_at", MIGRATION_STEPS)
     def test_crash_recover_replay_is_exact(self, crash_at, direction, mode):
-        result = run_crashpoint_scenario(direction, crash_at, **MODES[mode])
+        result = run_crashpoint(direction, crash_at, MODES[mode])
         assert result.crashed
         _check(result)
         # The crash side of the commit point decides the recovered ring.
@@ -79,7 +86,7 @@ class TestCrashPointSweep:
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_uninterrupted_migration_is_exact(self, direction, mode):
         """The crash_at=None control row of the matrix."""
-        result = run_crashpoint_scenario(direction, None, **MODES[mode])
+        result = run_crashpoint(direction, None, MODES[mode])
         assert not result.crashed
         assert result.report is not None
         assert result.report.direction == direction
@@ -90,15 +97,13 @@ class TestCrashPointSweep:
         """100 % crash-point coverage, by construction and by observation:
         the parametrization IS ``MIGRATION_STEPS``, and one uninterrupted
         run fires every label in protocol order."""
-        result = run_crashpoint_scenario("scale_out", None)
+        result = run_crashpoint("scale_out", None)
         assert tuple(result.steps_seen) == MIGRATION_STEPS
-        result = run_crashpoint_scenario("scale_in", None)
+        result = run_crashpoint("scale_in", None)
         assert tuple(result.steps_seen) == MIGRATION_STEPS
 
     def test_faulty_wire_actually_injected_faults(self):
-        result = run_crashpoint_scenario(
-            "scale_out", "mid_transfer", remote=True, faulty=True
-        )
+        result = run_crashpoint("scale_out", "mid_transfer", "rpc_lossy")
         _check(result)
         # Recovery rebuilds an in-process server, so read the stats the
         # remote leg accumulated before the crash from the scenario's
@@ -110,19 +115,15 @@ class TestCrashPointEdgeCases:
     def test_double_migration_without_training_between(self):
         """Back-to-back reshards hit the idempotent-barrier path (the
         cluster is already quiesced at a durable checkpoint)."""
-        result = run_crashpoint_scenario(
-            "scale_out", None, batches_after=0
-        )
+        result = run_crashpoint("scale_out", None, batches_after=0)
         _check(result)
 
     def test_scale_in_after_crashy_scale_out(self):
         """Grow through a mid-transfer crash, then shrink cleanly; the
         pair must round-trip to the reference."""
-        grown = run_crashpoint_scenario("scale_out", "mid_transfer")
+        grown = run_crashpoint("scale_out", "mid_transfer")
         _check(grown)
         # Shrink the recovered 4-node cluster back to 3.
-        from repro.core.migration import ShardMigrator
-
         report = ShardMigrator(grown.backend).scale_in()
         assert report.to_nodes == 3
         assert_bitwise_equal(grown.backend.state_snapshot(), grown.reference)

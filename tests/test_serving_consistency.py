@@ -27,16 +27,15 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad, PSSGD
-from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.hps import HierarchicalPS
-from repro.network.frontend import RemotePSClient
 from repro.simulation.clock import SimClock
 
-from tests.harness.crashpoints import FAULTS, RETRY
+from tests.harness.scenario import build_backend
 
 DIM = 4
 NUM_KEYS = 12
 STALENESS_K = 1
+TRANSPORTS = {"local": "local", "remote": "rpc", "faulty": "rpc_lossy"}
 
 
 def make_backend(transport: str, cache_rows: int | None = None):
@@ -50,17 +49,7 @@ def make_backend(transport: str, cache_rows: int | None = None):
     )
     row_bytes = 2 * DIM * 4  # weights + the Adagrad accumulator
     cache = CacheConfig(capacity_bytes=1 << 18 if cache_rows is None else cache_rows * row_bytes)
-    if transport == "local":
-        return OpenEmbeddingServer(config, cache, PSAdagrad(lr=0.1))
-    faults = FAULTS if transport == "faulty" else None
-    return RemotePSClient(
-        config,
-        cache,
-        PSAdagrad(lr=0.1),
-        clock=SimClock(),
-        faults=faults,
-        retry=RETRY if faults else None,
-    )
+    return build_backend(TRANSPORTS[transport], config, cache, PSAdagrad(lr=0.1), clock=SimClock())
 
 
 def op_strategy():
@@ -193,10 +182,7 @@ def test_a_row_read_past_its_state_serves_the_trained_row(transport, evicted):
     row."""
     config = ServerConfig(num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=9)
     cache = CacheConfig(capacity_bytes=4 * DIM * 4)
-    if transport == "local":
-        backend = OpenEmbeddingServer(config, cache, PSSGD(lr=0.5))
-    else:
-        backend = RemotePSClient(config, cache, PSSGD(lr=0.5), clock=SimClock())
+    backend = build_backend(TRANSPORTS[transport], config, cache, PSSGD(lr=0.5), clock=SimClock())
     for batch in range(5):
         backend.pull([7], batch)
         backend.maintain(batch)

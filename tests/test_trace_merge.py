@@ -14,9 +14,7 @@ import json
 
 import pytest
 
-from repro.core.optimizers import PSAdagrad
 from repro.errors import ConfigError
-from repro.network.frontend import RemotePSClient
 from repro.obs import Tracer, to_chrome_trace
 from repro.obs.merge import (
     MERGED_TRACE_SCHEMA,
@@ -25,8 +23,7 @@ from repro.obs.merge import (
     summarize_trace,
 )
 from repro.simulation.clock import SimClock
-from tests.harness.chaos import replicated_config
-from tests.harness.crashpoints import RETRY, batch_payload, cache_config
+from tests.harness.scenario import RETRY, Scenario, batch_payload
 
 US = 1e6  # Chrome trace timestamps are microseconds
 
@@ -118,25 +115,15 @@ class TestMergeTraces:
 def merged_promotion_trace(tmp_path_factory):
     """Train, kill a primary, pull through the promotion, merge traces."""
     seed, nodes = 0, 3
-    config = replicated_config(nodes, seed, lease_s=0.5)
     clock = SimClock()
     client_tracer = Tracer(clock=clock)
     node_tracers = [Tracer(clock=clock) for __ in range(nodes)]
-    client = RemotePSClient(
-        config,
-        cache_config(),
-        PSAdagrad(lr=0.05),
-        clock=clock,
-        retry=RETRY,
-        tracer=client_tracer,
-        node_tracers=node_tracers,
+    s = Scenario(
+        transport="rpc", seed=seed, nodes=nodes, replicas=2, lease_s=0.5, clock=clock,
+        wire=dict(tracer=client_tracer, node_tracers=node_tracers),
     )
-    client.enable_failover()
-    for batch in range(3):
-        keys, grads = batch_payload(seed, batch)
-        client.pull(keys, batch)
-        client.maintain(batch)
-        client.push(keys, grads, batch)
+    client = s.backend
+    s.train(0, 3)
 
     client.nodes[0].kill_primary()
     # This pull fans out per shard; the sub-request to shard 0 times
