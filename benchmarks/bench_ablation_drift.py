@@ -29,20 +29,22 @@ def run_drift_trace(days: int, iters_per_day: int, workers: int, drift_fraction:
         drift_fraction=drift_fraction,
         batches_per_day=iters_per_day * workers,
     )
+    # Zero rows and zero gradients, as the training simulator runs: the
+    # cold rate counts accesses, not bytes.
     node = PSNode(
         0,
-        ServerConfig(embedding_dim=64, pmem_capacity_bytes=1 << 30, seed=5),
+        ServerConfig(
+            embedding_dim=64, pmem_capacity_bytes=1 << 30, seed=5, initializer_scale=0.0
+        ),
         CacheConfig(capacity_bytes=int(0.004 * profile_keys) * 64 * 4),
-        metadata_only=True,
     )
     cold = []
     for batch in range(days * iters_per_day):
-        keys = []
-        for worker_batch in workload.sample_worker_batches(workers, 64):
-            keys.extend(worker_batch.tolist())
+        keys = np.concatenate(workload.sample_worker_batches(workers, 64))
         result = node.pull(keys, batch)
         node.maintain(batch)
-        node.push(keys, None, batch)
+        pushed = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        node.push(pushed, np.zeros((len(pushed), 64), dtype=np.float32), batch)
         cold.append(1.0 - result.hits / result.accesses)
     return np.array(cold), workload.rotations
 

@@ -17,25 +17,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.config import ServerConfig
-from repro.core.cache import MaintainResult, PullResult
-from repro.core.initializer import key_seeded_rows
-from repro.core.optimizers import PSOptimizer, PSSGD
-from repro.core.serving_backend import LookupResult
+from repro.baselines.block import BlockPSNode
 from repro.baselines.incremental import CheckpointStats, IncrementalCheckpointer
-from repro.errors import (
-    CheckpointError,
-    KeyNotFoundError,
-    RecoveryError,
-    ServerError,
-)
+from repro.config import ServerConfig
+from repro.core.arena import EmbeddingArena
+from repro.core.entry import Location
+from repro.core.hash_index import HashIndex
+from repro.core.optimizers import PSOptimizer
+from repro.core.serving_backend import LookupResult
+from repro.errors import CheckpointError
 from repro.pmem.pool import PmemPool
 from repro.simulation.device import MemoryDevice, PMEM_SPEC
-from repro.simulation.metrics import Metrics
 
 
-class DRAMPSNode:
+class DRAMPSNode(BlockPSNode):
     """A pure-DRAM PS node with incremental checkpointing.
+
+    Every entry's row lives in one :class:`EmbeddingArena`, so every
+    access is a hit.
 
     Args:
         server_config: dim / seed / init scale (pool sizing unused —
@@ -44,30 +43,23 @@ class DRAMPSNode:
         checkpoint_pool: the checkpoint device; defaults to a PMem pool
             (Section VI-A fixes PMem as every configuration's
             checkpoint device).
-        metadata_only: skip weight arrays (performance simulations).
         dram_capacity_bytes: optional hard DRAM budget; exceeding it
             raises — this is how the "500 GB model does not fit"
             scenario of Section VI-F is expressed.
     """
+
+    LOCATION = Location.DRAM
 
     def __init__(
         self,
         server_config: ServerConfig | None = None,
         optimizer: PSOptimizer | None = None,
         checkpoint_pool: PmemPool | None = None,
-        metadata_only: bool = False,
         dram_capacity_bytes: int | None = None,
     ):
-        self.server_config = server_config or ServerConfig()
-        self.optimizer = optimizer or PSSGD()
-        self.metadata_only = metadata_only
+        super().__init__(server_config, optimizer)
         self.dram_capacity_bytes = dram_capacity_bytes
-        self.metrics = Metrics()
-        dim = self.server_config.embedding_dim
-        self.entry_bytes = (dim + self.optimizer.state_width(dim)) * 4
-        self._weights: dict[int, np.ndarray | None] = {}
-        self._opt_state: dict[int, np.ndarray | None] = {}
-        self.latest_completed_batch = -1
+        self.arena = EmbeddingArena(self.dim, self.state_width)
         if checkpoint_pool is None:
             checkpoint_pool = PmemPool(
                 self.server_config.pmem_capacity_bytes,
@@ -76,35 +68,6 @@ class DRAMPSNode:
         self.checkpointer = IncrementalCheckpointer(
             checkpoint_pool, self.entry_bytes, self._read_state
         )
-
-    # ------------------------------------------------------------------
-    # PS protocol
-    # ------------------------------------------------------------------
-
-    def pull(self, keys: Sequence[int], batch_id: int) -> PullResult:
-        """Serve a pull; every access is a DRAM hit."""
-        dim = self.server_config.embedding_dim
-        value_mode = not self.metadata_only
-        out = np.empty((len(keys), dim), dtype=np.float32) if value_mode else None
-        created = 0
-        for i, key in enumerate(keys):
-            if key not in self._weights:
-                if not self.server_config.auto_create:
-                    raise KeyNotFoundError(key)
-                self._create(key)
-                created += 1
-            if out is not None:
-                out[i] = self._weights[key]
-        self.metrics.pulls += len(keys)
-        self.metrics.cache.hits += len(keys) - created
-        self.metrics.entries_created += created
-        return PullResult(
-            weights=out, hits=len(keys) - created, misses=0, created=created
-        )
-
-    def maintain(self, batch_id: int) -> list[MaintainResult]:
-        """No cache tier to maintain; returns an empty shard list."""
-        return []
 
     @property
     def latest_serving_snapshot(self) -> int:
@@ -126,12 +89,9 @@ class DRAMPSNode:
         checkpointed serve the deterministic key-seeded initializer.
 
         Raises:
-            ServerError: metadata-only node.
             CheckpointError: no committed checkpoint, or ``snapshot_id``
                 names any checkpoint other than the retained one.
         """
-        if self.metadata_only:
-            raise ServerError("lookup requires a value-mode node")
         latest = self.checkpointer.last_checkpoint_batch
         if snapshot_id is None:
             snapshot_id = latest
@@ -140,59 +100,7 @@ class DRAMPSNode:
                 f"snapshot {snapshot_id} is not servable (incremental "
                 f"checkpointing retains only checkpoint {latest})"
             )
-        cfg = self.server_config
-        dim = cfg.embedding_dim
-        n = len(keys)
-        weights = np.empty((n, dim), dtype=np.float32)
-        hits = cold = 0
-        for i, key in enumerate(keys):
-            try:
-                stored = self.checkpointer.read_entry(int(key))
-            except KeyError:
-                stored = None
-            if stored is None:
-                weights[i] = key_seeded_rows(cfg.seed, [key], cfg.initializer_scale, dim)[0]
-                cold += 1
-            else:
-                weights[i] = np.asarray(stored)[:dim]
-                hits += 1
-        self.metrics.serving_lookups += 1
-        self.metrics.serving_rows += n
-        self.metrics.serving_cold_rows += cold
-        return LookupResult(
-            weights=weights,
-            snapshot_id=snapshot_id,
-            hits=hits,
-            cold=cold,
-            row_snapshots=np.full(n, snapshot_id, dtype=np.int64),
-        )
-
-    def push(
-        self, keys: Sequence[int], grads: np.ndarray | None, batch_id: int
-    ) -> int:
-        """Apply pushed gradients (duplicates aggregated first)."""
-        value_mode = not self.metadata_only
-        if value_mode and grads is None:
-            raise ServerError("value-mode DRAM-PS requires gradients on push")
-        aggregated: dict[int, np.ndarray | None] = {}
-        for i, key in enumerate(keys):
-            if key not in self._weights:
-                raise KeyNotFoundError(key)
-            if not value_mode:
-                aggregated[key] = None
-            elif key in aggregated:
-                aggregated[key] = aggregated[key] + grads[i]
-            else:
-                aggregated[key] = np.array(grads[i], copy=True)
-        for key, grad in aggregated.items():
-            if value_mode:
-                self.optimizer.apply(self._weights[key], self._opt_state[key], grad)
-        self.checkpointer.mark_dirty(aggregated)
-        # Distinct entries updated, matching the return value (duplicate
-        # keys in one push aggregate into a single update).
-        self.metrics.updates += len(aggregated)
-        self.latest_completed_batch = max(self.latest_completed_batch, batch_id)
-        return len(aggregated)
+        return self._serve(keys, snapshot_id)
 
     # ------------------------------------------------------------------
     # checkpoint / recovery
@@ -234,8 +142,8 @@ class DRAMPSNode:
 
         Only the checkpoint pool survives.
         """
-        self._weights.clear()
-        self._opt_state.clear()
+        self.index = HashIndex()
+        self.arena = EmbeddingArena(self.dim, self.state_width)
         pool = self.checkpointer.pool
         pool.crash()
         return pool
@@ -246,7 +154,6 @@ class DRAMPSNode:
         checkpoint_pool: PmemPool,
         server_config: ServerConfig,
         optimizer: PSOptimizer | None = None,
-        metadata_only: bool = False,
     ) -> tuple["DRAMPSNode", int]:
         """Rebuild a node by replaying the checkpoint file into DRAM.
 
@@ -256,82 +163,48 @@ class DRAMPSNode:
             RecoveryError: no checkpoint was committed before the crash.
         """
         batch_id, state = IncrementalCheckpointer.restore_from_pool(checkpoint_pool)
-        node = cls(
-            server_config,
-            optimizer,
-            checkpoint_pool=checkpoint_pool,
-            metadata_only=metadata_only,
-        )
-        dim = server_config.embedding_dim
-        for key, stored in state.items():
-            if stored is None:
-                node._weights[key] = None
-                node._opt_state[key] = None
-            else:
-                node._weights[key] = np.array(stored[:dim], copy=True)
-                node._opt_state[key] = (
-                    np.array(stored[dim:], copy=True) if stored.size > dim else None
-                )
+        node = cls(server_config, optimizer, checkpoint_pool=checkpoint_pool)
+        keys = np.fromiter(state, dtype=np.uint64, count=len(state))
+        rows = node.arena.alloc_many(len(keys))
+        node.arena.data[rows] = np.reshape(list(state.values()), (len(keys), node.arena.row_width))
+        slots = node.index.insert_many(keys, cls.LOCATION)
+        node.index.columns.row[slots] = rows
         node.latest_completed_batch = batch_id
         return node, batch_id
 
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def num_entries(self) -> int:
-        return len(self._weights)
-
     @property
     def dram_bytes_used(self) -> int:
-        return len(self._weights) * self.entry_bytes
-
-    def read_weights(self, key: int) -> np.ndarray:
-        if key not in self._weights:
-            raise KeyNotFoundError(key)
-        return np.array(self._weights[key], copy=True)
-
-    def state_snapshot(self) -> dict[int, np.ndarray]:
-        return {
-            key: np.array(weights, copy=True)
-            for key, weights in self._weights.items()
-            if weights is not None
-        }
+        return len(self.index) * self.entry_bytes
 
     # ------------------------------------------------------------------
-    # internals
+    # the rows: one arena
     # ------------------------------------------------------------------
 
-    def _create(self, key: int) -> None:
+    def _place(self, keys: np.ndarray, block: np.ndarray, batch_id: int) -> np.ndarray:
         if (
             self.dram_capacity_bytes is not None
-            and self.dram_bytes_used + self.entry_bytes > self.dram_capacity_bytes
+            and self.dram_bytes_used + len(keys) * self.entry_bytes > self.dram_capacity_bytes
         ):
             raise MemoryError(
                 f"DRAM-PS out of memory: {self.dram_bytes_used} bytes used, "
-                f"capacity {self.dram_capacity_bytes}"
+                f"{len(keys)} entries more asked, capacity {self.dram_capacity_bytes}"
             )
-        if self.metadata_only:
-            self._weights[key] = None
-            self._opt_state[key] = None
-        else:
-            cfg = self.server_config
-            self._weights[key] = key_seeded_rows(
-                cfg.seed, [key], cfg.initializer_scale, cfg.embedding_dim
-            )[0]
-            self._opt_state[key] = self.optimizer.init_state(cfg.embedding_dim)
-        self.checkpointer.mark_dirty([key])
+        rows = self.arena.alloc_many(len(keys))
+        self.arena.data[rows] = block
+        self.checkpointer.mark_dirty(keys)
+        return rows
 
-    def _read_state(self, keys: Iterable[int]) -> dict[int, np.ndarray | None]:
-        state: dict[int, np.ndarray | None] = {}
-        for key in keys:
-            weights = self._weights.get(key)
-            opt_state = self._opt_state.get(key)
-            if weights is None:
-                state[key] = None
-            elif opt_state is None:
-                state[key] = np.array(weights, copy=True)
-            else:
-                state[key] = np.concatenate([weights, opt_state])
-        return state
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        return self.arena.data[rows]
+
+    def _write(self, keys: np.ndarray, rows: np.ndarray, block: np.ndarray, batch_id: int) -> None:
+        self.arena.data[rows] = block
+        self.checkpointer.mark_dirty(keys)
+
+    def _durable(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.checkpointer.read_entries(keys)
+
+    def _read_state(self, keys: Iterable[int]) -> dict[int, np.ndarray]:
+        keys = np.asarray(keys, dtype=np.uint64)
+        rows = self.arena.data[self.index.columns.row[self.index.lookup(keys)]]
+        return dict(zip(keys.tolist(), rows))

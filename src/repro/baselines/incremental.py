@@ -45,7 +45,7 @@ class IncrementalCheckpointer:
             dedicated — this is a *backup copy*, separate from any live
             training state).
         entry_bytes: payload size per entry.
-        read_state: callback ``keys -> {key: weights-or-None}`` reading
+        read_state: callback ``keys -> {key: packed row}`` reading
             the live state to snapshot. Called while training is paused
             (synchronous checkpointing), so the snapshot is
             batch-consistent by construction.
@@ -55,17 +55,19 @@ class IncrementalCheckpointer:
         self,
         pool: PmemPool,
         entry_bytes: int,
-        read_state: Callable[[Iterable[int]], dict[int, np.ndarray | None]],
+        read_state: Callable[[Iterable[int]], dict[int, np.ndarray]],
     ):
         self.pool = pool
         self.entry_bytes = entry_bytes
         self.read_state = read_state
-        self._dirty: set[int] = set()
+        # The key arrays marked since the last checkpoint, as marked.
+        self._marked: list[np.ndarray] = []
         self.stats_history: list[CheckpointStats] = []
 
     def mark_dirty(self, keys: Iterable[int]) -> None:
-        """Record keys updated since the last checkpoint."""
-        self._dirty.update(int(k) for k in keys)
+        """Record keys updated since the last checkpoint (one array op,
+        however many keys)."""
+        self._marked.append(np.asarray(keys, dtype=np.uint64))
 
     @property
     def last_checkpoint_batch(self) -> int:
@@ -78,17 +80,20 @@ class IncrementalCheckpointer:
         restore — the epoch root field advances with each commit)."""
         return self.pool.root.get(_CKPT_EPOCH_FIELD, 0)
 
-    def read_entry(self, key: int) -> np.ndarray | None:
-        """One key's durable checkpointed payload.
-
-        Raises:
-            KeyError: the key was never checkpointed.
-        """
-        return self.pool.read(("ckpt", key))
+    def read_entries(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The durable checkpointed payloads of ``keys``: which keys were
+        ever checkpointed, and their rows in order."""
+        found = np.array([("ckpt", key) in self.pool for key in keys.tolist()], dtype=bool)
+        rows = [self.pool.read(("ckpt", key)) for key in keys[found].tolist()]
+        return found, np.reshape(rows, (len(rows), self.entry_bytes // 4))
 
     @property
     def dirty_count(self) -> int:
-        return len(self._dirty)
+        return len(self._dirty())
+
+    def _dirty(self) -> list[int]:
+        """The distinct keys marked since the last checkpoint, ascending."""
+        return np.unique(np.concatenate([np.empty(0, np.uint64), *self._marked])).tolist()
 
     def checkpoint(self, batch_id: int) -> CheckpointStats:
         """Synchronously dump the dirty set as of ``batch_id``.
@@ -97,21 +102,19 @@ class IncrementalCheckpointer:
         checkpoint batch id, so a crash mid-dump recovers the *previous*
         checkpoint in full.
         """
-        dirty = sorted(self._dirty)
+        dirty = self._dirty()
         snapshot = self.read_state(dirty)
         elapsed = 0.0
         with Transaction(self.pool) as tx:
             for key in dirty:
-                elapsed += tx.write(
-                    ("ckpt", key), snapshot[key], nbytes=self.entry_bytes
-                )
+                elapsed += tx.write(("ckpt", key), snapshot[key])
         # Root updates are atomic; ordering after the data drain makes
         # the new batch id visible only with its data.
         self.pool.root.set(_CKPT_BATCH_FIELD, batch_id)
         self.pool.root.set(
             _CKPT_EPOCH_FIELD, self.pool.root.get(_CKPT_EPOCH_FIELD, 0) + 1
         )
-        self._dirty.clear()
+        self._marked.clear()
         stats = CheckpointStats(
             batch_id=batch_id,
             entries_written=len(dirty),
@@ -125,7 +128,7 @@ class IncrementalCheckpointer:
     # restore
     # ------------------------------------------------------------------
 
-    def restore(self) -> tuple[int, dict[int, np.ndarray | None]]:
+    def restore(self) -> tuple[int, dict[int, np.ndarray]]:
         """Load the latest durable checkpoint.
 
         Returns ``(batch_id, {key: weights})``.
@@ -137,16 +140,16 @@ class IncrementalCheckpointer:
             batch_id = self.pool.root.get(_CKPT_BATCH_FIELD)
         except KeyError:
             raise RecoveryError("no incremental checkpoint committed") from None
-        state: dict[int, np.ndarray | None] = {}
+        state: dict[int, np.ndarray] = {}
         for pool_key, value in self.pool.items():
             if isinstance(pool_key, tuple) and pool_key and pool_key[0] == "ckpt":
-                state[pool_key[1]] = None if value is None else np.array(value)
+                state[pool_key[1]] = np.array(value)
         return batch_id, state
 
     @classmethod
     def restore_from_pool(
         cls, pool: PmemPool
-    ) -> tuple[int, dict[int, np.ndarray | None]]:
+    ) -> tuple[int, dict[int, np.ndarray]]:
         """Restore without a live checkpointer (post-crash path)."""
         dummy = cls(pool, entry_bytes=1, read_state=lambda keys: {})
         return dummy.restore()

@@ -32,7 +32,6 @@ class TensorFlowPS(DRAMPSNode):
         self,
         server_config: ServerConfig | None = None,
         optimizer: PSOptimizer | None = None,
-        metadata_only: bool = False,
         dram_capacity_bytes: int = 384 << 30,
     ):
         server_config = server_config or ServerConfig()
@@ -44,7 +43,6 @@ class TensorFlowPS(DRAMPSNode):
         super().__init__(
             server_config,
             optimizer,
-            metadata_only=metadata_only,
             dram_capacity_bytes=dram_capacity_bytes,
         )
 

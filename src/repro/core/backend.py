@@ -144,9 +144,7 @@ class TrainBackend(ReadBackend, Protocol):
     introspection (``state_snapshot``) round out the surface.
     """
 
-    def push(
-        self, keys: Sequence[int], grads: np.ndarray | None, batch_id: int
-    ) -> int:
+    def push(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
         """Apply gradients for ``keys``; returns distinct entries updated."""
         ...
 

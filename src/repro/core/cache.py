@@ -21,12 +21,6 @@ the performance model (``CacheConfig.pipelined``); the functional
 behaviour — and therefore the trained weights — is identical either
 way, which tests assert.
 
-The cache supports a **metadata-only mode** (``initializer=None``) where
-entries carry no weight arrays: all bookkeeping, versioning, eviction
-and checkpoint logic runs identically, but pulls return None. The
-performance benchmarks run in this mode to simulate billions-scale
-models cheaply.
-
 **Everything is a column.** An entry is a *slot*: one position of the
 :class:`~repro.core.entry.EntryColumns` the hash index owns (``key``,
 tagged ``handle``, ``version``, ``updated``, ``dirty``, ``referenced``,
@@ -116,7 +110,7 @@ from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.initializer import block_min
-from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
+from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32, segment_sum
 from repro.core.queues import AccessQueue
 from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -128,7 +122,7 @@ from repro.simulation.metrics import Metrics
 class PullResult:
     """Outcome of one pull request (Algorithm 1)."""
 
-    weights: np.ndarray | None
+    weights: np.ndarray
     hits: int
     misses: int
     created: int
@@ -178,8 +172,7 @@ class PipelinedCache:
         coordinator: checkpoint request/completion tracking.
         dim: embedding dimension.
         initializer: ``uint64[n] keys -> float32[n, dim]`` for new
-            entries, as one block; None puts the cache in metadata-only
-            mode.
+            entries, as one block.
         optimizer: PS-side update rule (default plain SGD).
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
@@ -200,7 +193,7 @@ class PipelinedCache:
         store: VersionedEntryStore,
         coordinator: CheckpointCoordinator,
         dim: int,
-        initializer: Callable[[np.ndarray], np.ndarray] | None = None,
+        initializer: Callable[[np.ndarray], np.ndarray],
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
         auto_create: bool = True,
@@ -223,8 +216,7 @@ class PipelinedCache:
         self.capacity_entries = config.capacity_entries(stored_bytes)
         threshold = config.admission_threshold
         self.admission = FrequencyAdmission(threshold) if threshold > 0 else None
-        # The payload store; metadata-only mode has no payloads at all.
-        self.arena = None if initializer is None else EmbeddingArena(dim, self.state_width)
+        self.arena = EmbeddingArena(dim, self.state_width)
         self._rule = _RULES[config.policy]
         self._clock = 0  # next order stamp
         self._listed = 0  # slots carrying a stamp
@@ -257,13 +249,11 @@ class PipelinedCache:
         columns = self.index.columns
         cold = np.flatnonzero(columns.handle[slots] & 1)
         misses = len(cold)
-        out = None
-        if self.arena is not None:
-            # A PMem-resident entry's row is -1: the gather reads some
-            # valid row for it, and its stored weights overwrite that.
-            out = self.arena.data[columns.row[slots], : self.dim]
-            if misses:
-                out[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
+        # A PMem-resident entry's row is -1: the gather reads some valid
+        # row for it, and its stored weights overwrite that.
+        out = self.arena.data[columns.row[slots], : self.dim]
+        if misses:
+            out[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
         hits = n - misses - created
         self.access_queue.append(batch_id, slots)
         self.metrics.pulls += n
@@ -282,18 +272,17 @@ class PipelinedCache:
             raise KeyNotFoundError(int(keys[absent[0]]))
         new_keys = keys[absent]
         new_keys = new_keys[np.sort(np.unique(new_keys, return_index=True)[1])]
-        arrays = self.arena is not None and len(new_keys) >= block_min(self.dim)
+        arrays = len(new_keys) >= block_min(self.dim)
         with self.tracer.span("cache.create", track="cache", rows=len(new_keys), block=arrays):
-            block = None if self.arena is None else self.initial_rows(new_keys)
+            block = self.initial_rows(new_keys)
             new_slots = self.index.insert_many(new_keys, Location.DRAM)
             columns = self.index.columns
             columns.version[new_slots] = columns.updated[new_slots] = batch_id
             columns.dirty[new_slots] = True
-            if block is not None:
-                rows = columns.row[new_slots] = self.arena.alloc_many(len(new_keys))
-                self.arena.data[rows, : self.dim] = block
-                if self.state_width:
-                    self.arena.data[rows, self.dim :] = self.optimizer.init_state(self.dim)
+            rows = columns.row[new_slots] = self.arena.alloc_many(len(new_keys))
+            self.arena.data[rows, : self.dim] = block
+            if self.state_width:
+                self.arena.data[rows, self.dim :] = self.optimizer.init_state(self.dim)
             slots[absent] = self.index.lookup(keys[absent])
         return len(new_keys)
 
@@ -485,17 +474,17 @@ class PipelinedCache:
         Whether a checkpoint completes is decided afterwards, once every
         planned flush is durable (:meth:`_drain`).
         """
-        columns, value_mode = self.index.columns, self.arena is not None
+        columns = self.index.columns
         loads = np.concatenate(plan.loads) if plan.loads else np.empty(0, np.int64)
         late = None
         if plan.out:
             slots, versions, rows = (np.concatenate(column) for column in zip(*plan.out))
-            if value_mode and len(rows) and rows.min() < 0:
+            if len(rows) and rows.min() < 0:
                 late = rows < 0
                 late_slots, late_versions = slots[late], versions[late]
                 slots, versions, rows = slots[~late], versions[~late], rows[~late]
             if len(slots):
-                self._store_rows(slots, versions, self._gather(rows))
+                self._store_rows(slots, versions, self.arena.data[rows])
         block = None
         if len(loads):
             block = self.store.read_latest(columns.head[loads])[1]
@@ -508,18 +497,17 @@ class PipelinedCache:
             self._store_rows(late_slots, late_versions, block[at])
         self._first[loads] = _NEVER
         loaded = len(loads)
-        if value_mode:
-            if plan.freed:
-                self.arena.free_many(np.concatenate(plan.freed))
-            # A row may arrive and leave again inside the round: only an
-            # entry's last load, and only if it stayed, lands.
-            stayed = (columns.handle[loads] & 1) == 0
-            lands = np.flatnonzero(stayed & (last == np.arange(loaded)))
-            if len(lands) < loaded:
-                loads, block = loads[lands], block[lands]
-            if len(loads):
-                rows = columns.row[loads] = self.arena.alloc_many(len(loads))
-                self.arena.data[rows] = block
+        if plan.freed:
+            self.arena.free_many(np.concatenate(plan.freed))
+        # A row may arrive and leave again inside the round: only an
+        # entry's last load, and only if it stayed, lands.
+        stayed = (columns.handle[loads] & 1) == 0
+        lands = np.flatnonzero(stayed & (last == np.arange(loaded)))
+        if len(lands) < loaded:
+            loads, block = loads[lands], block[lands]
+        if len(loads):
+            rows = columns.row[loads] = self.arena.alloc_many(len(loads))
+            self.arena.data[rows] = block
         self.metrics.pmem_load_entries += loaded
         self.metrics.cache.loads += loaded
         self.metrics.pmem_flush_entries += plan.flushes
@@ -531,7 +519,7 @@ class PipelinedCache:
     # update (push) path
     # ------------------------------------------------------------------
 
-    def update(self, keys: Sequence[int], grads: np.ndarray | None, batch_id: int) -> int:
+    def update(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
         """Apply pushed gradients for batch ``batch_id``.
 
         Duplicate keys within one push have their gradients summed
@@ -551,13 +539,10 @@ class PipelinedCache:
             ServerError: gradient shape mismatch.
         """
         n = len(keys)
-        if self.arena is not None:
-            if grads is None:
-                raise ServerError("value-mode cache requires gradients on update")
-            grads = np.asarray(grads)
-            if grads.shape != (n, self.dim):
-                raise ServerError(f"gradient shape {grads.shape} != ({n}, {self.dim})")
-            grads = coerce_f32(grads)
+        grads = np.asarray(grads)
+        if grads.shape != (n, self.dim):
+            raise ServerError(f"gradient shape {grads.shape} != ({n}, {self.dim})")
+        grads = coerce_f32(grads)
         if n == 0:
             return 0
         keys = np.asarray(keys, dtype=np.uint64)
@@ -607,33 +592,19 @@ class PipelinedCache:
                 columns.referenced[advancing] = True
                 columns.referenced[fresh] = False
             self._stamp(advancing if self._rule.touch_restamps else fresh)
-        block = None
-        if self.arena is not None:
-            # Segment-sum: the first occurrence of each key seeds its
-            # row (a copy — decoded wire gradients may be read-only),
-            # later duplicates accumulate in occurrence order — per
-            # element of the flattened block, where ``add.at`` is fast.
-            agg = grads[first_idx]
-            if n != len(slots):
-                at = np.empty(n, dtype=np.int64)
-                at[first_idx] = np.arange(0, len(slots) * self.dim, self.dim)
-                dup = first != np.arange(n)
-                flat = at[first[dup]][:, None] + np.arange(self.dim)
-                np.add.at(agg.reshape(-1), flat.reshape(-1), grads[dup].reshape(-1))
-            rows = columns.row[slots]
-            block = self.arena.data[rows]
-            if len(cold):
-                block[cold] = self.store.read_latest(columns.head[slots[cold]])[1]
-            self.optimizer.apply_batch(
-                block[:, : self.dim],
-                block[:, self.dim :] if self.state_width else None,
-                agg,
-            )
-            resident = rows >= 0 if len(cold) else slice(None)
-            self.arena.data[rows[resident]] = block[resident]
+        rows = columns.row[slots]
+        block = self.arena.data[rows]
         if len(cold):
-            stored = None if block is None else block[cold]
-            self._store_rows(slots[cold], columns.updated[slots[cold]], stored, traced=False)
+            block[cold] = self.store.read_latest(columns.head[slots[cold]])[1]
+        self.optimizer.apply_batch(
+            block[:, : self.dim],
+            block[:, self.dim :] if self.state_width else None,
+            segment_sum(grads, first, first_idx),
+        )
+        resident = rows >= 0 if len(cold) else slice(None)
+        self.arena.data[rows[resident]] = block[resident]
+        if len(cold):
+            self._store_rows(slots[cold], columns.updated[slots[cold]], block[cold], traced=False)
             columns.dirty[slots[cold]] = False  # the store holds this state
             self.metrics.pmem_flush_entries += len(cold)
         self.metrics.updates += len(slots)
@@ -761,9 +732,9 @@ class PipelinedCache:
         listed = np.flatnonzero(columns.stamp >= 0)
         return columns.key[listed[np.argsort(-columns.stamp[listed])]].tolist()
 
-    def read_current_state(self, key: int) -> np.ndarray | None:
+    def read_current_state(self, key: int) -> np.ndarray:
         """The live packed ``weights || optimizer state`` of ``key``
-        regardless of tier, as a copy (None in metadata-only mode).
+        regardless of tier, as a copy.
 
         Raises:
             KeyNotFoundError: unknown key.
@@ -772,9 +743,8 @@ class PipelinedCache:
         if entry is None:
             raise KeyNotFoundError(key)
         if not entry.in_dram:
-            rows = self.store.read_latest([entry.head])[1]
-            return None if rows is None else rows[0]
-        return None if self.arena is None else self.arena.data[entry.row].copy()
+            return self.store.read_latest([entry.head])[1][0]
+        return self.arena.data[entry.row].copy()
 
     def read_current_weights(self, key: int) -> np.ndarray:
         """The live weights of ``key`` regardless of tier (testing aid).
@@ -818,8 +788,7 @@ class PipelinedCache:
             "a PMem-resident entry holds an arena row":
                 np.any(columns.row[live[cold]] >= 0),
             f"{len(dram)} DRAM entries hold {len(rows)} distinct arena rows":
-                self.arena is not None
-                and not (len(rows) == len(dram) == len(self.arena) and -1 not in rows),
+                not (len(rows) == len(dram) == len(self.arena) and -1 not in rows),
         }
         for problem in (problem for problem, found in problems.items() if found):
             raise ServerError(problem)
@@ -846,10 +815,6 @@ class PipelinedCache:
             np.maximum.at(self.index.columns.stamp, slots, stamps)
             self._clock += len(slots)
 
-    def _gather(self, rows: np.ndarray) -> np.ndarray | None:
-        """Copy of arena rows ``rows`` (None in metadata-only mode)."""
-        return None if self.arena is None else self.arena.data[rows]
-
     def _store_rows(self, slots: np.ndarray, versions, block, traced: bool = True) -> None:
         """One bulk move DRAM -> PMem: ``block[i]`` becomes version
         ``versions[i]`` of the entry at ``slots[i]`` — one ``store.put``
@@ -870,7 +835,7 @@ class PipelinedCache:
         if not len(slots):
             return
         columns = self.index.columns
-        self._store_rows(slots, columns.updated[slots], self._gather(columns.row[slots]))
+        self._store_rows(slots, columns.updated[slots], self.arena.data[columns.row[slots]])
         columns.dirty[slots] = False
         self.metrics.pmem_flush_entries += len(slots)
         self.metrics.cache.flushes += len(slots)
@@ -879,8 +844,7 @@ class PipelinedCache:
         """Free the arena rows of ``slots``."""
         columns = self.index.columns
         rows = columns.row[slots]
-        if self.arena is not None:
-            self.arena.free_many(rows[rows >= 0])
+        self.arena.free_many(rows[rows >= 0])
         columns.row[slots] = -1
 
 

@@ -88,8 +88,7 @@ class EntryColumns:
             victims' flushes, the paper's system always flushes).
         referenced: CLOCK's second-chance bit.
         row: row of the cache's embedding arena holding the packed
-            weights+state while DRAM-resident (``-1`` otherwise, and
-            always ``-1`` in metadata-only simulation mode).
+            weights+state while DRAM-resident (``-1`` otherwise).
         stamp: replacement order — larger is more recent, ``-1`` means
             not listed (PMem-resident, or created and not yet seen by
             the maintainer). Stamps come from one monotone clock, so

@@ -101,6 +101,9 @@ def key_seeded_rows(seed: int, keys: np.ndarray, scale: float, dim: int) -> np.n
     if not (scale >= 0 and math.isfinite(2.0 * scale)):
         raise ConfigError(f"initializer scale must be finite and >= 0, got {scale}")
     keys = np.asarray(keys, dtype=np.uint64)
+    if scale == 0:
+        # uniform(-0, 0) is +0.0 in every word: no draw to make.
+        return np.zeros((len(keys), dim), dtype=np.float32)
     fewest = block_min(dim)
     if len(keys) < fewest:
         return _per_key_rows(seed, keys, scale, dim)

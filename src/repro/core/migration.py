@@ -360,7 +360,6 @@ def recover_elastic(
     cache_config: CacheConfig | None = None,
     optimizer: PSOptimizer | None = None,
     *,
-    metadata_only: bool = False,
     calibration: Calibration = DEFAULT_CALIBRATION,
     tracer: Tracer | None = None,
 ) -> tuple[OpenEmbeddingServer, list[RecoveryReport], int]:
@@ -414,7 +413,6 @@ def recover_elastic(
         cfg,
         cache_config,
         optimizer,
-        metadata_only=metadata_only,
         calibration=calibration,
         cluster_mode=True,
         tracer=tracer,

@@ -38,6 +38,27 @@ def coerce_f32(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
+def segment_sum(grads: np.ndarray, first: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """One summed gradient per distinct id of a push, ``(len(starts), dim)``.
+
+    ``first[i]`` is the first position holding position ``i``'s id and
+    ``starts`` the positions that are first, ascending. The first
+    occurrence of each id seeds its row (a copy — decoded wire gradients
+    may be read-only), later duplicates accumulate in occurrence order —
+    per element of the flattened block, where ``add.at`` is fast. Every
+    PS sums a push this one way, so their float32 bits agree.
+    """
+    agg = grads[starts]
+    n, dim = grads.shape
+    if n != len(starts):
+        at = np.empty(n, dtype=np.int64)
+        at[starts] = np.arange(0, len(starts) * dim, dim)
+        dup = first != np.arange(n)
+        flat = at[first[dup]][:, None] + np.arange(dim)
+        np.add.at(agg.reshape(-1), flat.reshape(-1), grads[dup].reshape(-1))
+    return agg
+
+
 class PSOptimizer(abc.ABC):
     """Update rule applied by the PS when gradients are pushed."""
 

@@ -48,8 +48,6 @@ class PSNode:
         server_config: model shape / pool size / seed.
         cache_config: DRAM cache parameters.
         optimizer: PS-side update rule.
-        metadata_only: run without real weight arrays (performance
-            simulations); pulls return None.
         pool: reuse an existing pool — this is how crash recovery hands
             the surviving PMem DIMMs to a fresh node process.
         cluster_mode: this node is one shard of a coordinated cluster;
@@ -66,7 +64,6 @@ class PSNode:
         server_config: ServerConfig,
         cache_config: CacheConfig | None = None,
         optimizer: PSOptimizer | None = None,
-        metadata_only: bool = False,
         pool: PmemPool | None = None,
         cluster_mode: bool = False,
         tracer: Tracer | None = None,
@@ -75,7 +72,6 @@ class PSNode:
         self.server_config = server_config
         self.cache_config = cache_config or CacheConfig()
         self.optimizer = optimizer or PSSGD()
-        self.metadata_only = metadata_only
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = Metrics()
 
@@ -90,13 +86,12 @@ class PSNode:
         )
         self.store = VersionedEntryStore(self.pool, entry_bytes=stored_bytes)
         self.coordinator = CheckpointCoordinator(self.store, cluster_mode=cluster_mode)
-        initializer = None if metadata_only else self._make_initializer()
         self.cache = PipelinedCache(
             self.cache_config,
             self.store,
             self.coordinator,
             dim=dim,
-            initializer=initializer,
+            initializer=self._make_initializer(),
             optimizer=self.optimizer,
             metrics=self.metrics,
             auto_create=server_config.auto_create,
@@ -154,7 +149,7 @@ class PSNode:
     def push(
         self,
         keys,
-        grads: np.ndarray | None,
+        grads: np.ndarray,
         batch_id: int,
         *,
         worker_id: int | None = None,
@@ -174,7 +169,7 @@ class PSNode:
                 dedup window or a queue changes — inside a fold it would
                 take the round's honest contributions down with it.
         """
-        buffered = self.aggregation is not None and grads is not None
+        buffered = self.aggregation is not None
         if buffered:
             grads = np.asarray(grads)
             n, dim = len(keys), self.server_config.embedding_dim
@@ -249,12 +244,9 @@ class PSNode:
         weights they had (virtually) at snapshot time.
 
         Raises:
-            ServerError: metadata-only node (no real weights to serve).
             CheckpointError: ``snapshot_id`` is newer than the newest
                 completed checkpoint (or no checkpoint exists yet).
         """
-        if self.metadata_only:
-            raise ServerError("lookup requires a value-mode node")
         latest = self.coordinator.last_completed
         if snapshot_id is None:
             snapshot_id = latest
@@ -267,9 +259,7 @@ class PSNode:
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
         versions, stored = self.store.read_at_most(self._heads(keys), snapshot_id)
-        weights = np.empty((n, dim), dtype=np.float32)
-        if stored is not None:  # None: this shard never stored a row
-            weights[:] = stored[:, :dim]
+        weights = stored[:, :dim]
         missing = np.flatnonzero(versions == NO_VERSION)
         cold = len(missing)
         if cold:
@@ -392,7 +382,7 @@ class PSNode:
         Must be called after a barrier checkpoint (``barrier_checkpoint``)
         so the store's newest version of every key equals its live
         state. The block's rows are the packed weights+optimizer-state
-        arrays (None in metadata-only mode).
+        arrays.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         return self.store.export(keys, self._heads(keys))
@@ -405,9 +395,13 @@ class PSNode:
         result is always exactly the sender's versions. Returns the
         number of keys ingested (keys the block holds no version of are
         skipped).
+
+        Raises:
+            ServerError: the block holds rows of another width (another
+                dimension or optimizer); nothing is ingested.
         """
-        width = self.store.entry_bytes // 4
-        if block.rows is not None and block.rows.shape[1] != width:
+        width = self.store.slab.width
+        if len(block.rows) and block.rows.shape[1] != width:
             raise ServerError(
                 f"transferred rows are {block.rows.shape[1]} floats wide, "
                 f"this node's rows are {width} (dim "

@@ -50,7 +50,6 @@ def recover_node(
     optimizer: PSOptimizer | None = None,
     *,
     node_id: int = 0,
-    metadata_only: bool = False,
     target_batch_id: int | None = None,
     calibration: Calibration = DEFAULT_CALIBRATION,
     parallelism: int = 1,
@@ -87,7 +86,6 @@ def recover_node(
         server_config,
         cache_config,
         optimizer,
-        metadata_only=metadata_only,
         pool=pool,
         cluster_mode=cluster_mode,
         tracer=tracer,

@@ -83,7 +83,6 @@ class ReplicatedPSNode:
         server_config: ServerConfig,
         cache_config: CacheConfig | None = None,
         optimizer: PSOptimizer | None = None,
-        metadata_only: bool = False,
         pool: PmemPool | None = None,
         cluster_mode: bool = False,
         tracer: Tracer | None = None,
@@ -93,8 +92,7 @@ class ReplicatedPSNode:
         self.cluster_mode = cluster_mode
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.primary = PSNode(
-            node_id, server_config, cache_config, optimizer,
-            metadata_only=metadata_only, pool=pool,
+            node_id, server_config, cache_config, optimizer, pool=pool,
             cluster_mode=cluster_mode, tracer=tracer,
         )
         # Normalized by PSNode — reuse for replica (re)provisioning so a
@@ -103,7 +101,6 @@ class ReplicatedPSNode:
         self.optimizer = self.primary.optimizer
         self.backup: PSNode | None = PSNode(
             node_id, server_config, cache_config, optimizer,
-            metadata_only=metadata_only,
             cluster_mode=cluster_mode, tracer=tracer,
         )
         self.failovers = 0
@@ -213,7 +210,7 @@ class ReplicatedPSNode:
     def push(
         self,
         keys,
-        grads: np.ndarray | None,
+        grads: np.ndarray,
         batch_id: int,
         *,
         worker_id: int | None = None,
@@ -479,8 +476,7 @@ class ReplicatedPSNode:
             self.primary.barrier_checkpoint()
         self._rebuild_target = PSNode(
             self.node_id, self.server_config, self.cache_config,
-            self.optimizer, metadata_only=self.primary.metadata_only,
-            cluster_mode=self.cluster_mode, tracer=self.tracer,
+            self.optimizer, cluster_mode=self.cluster_mode, tracer=self.tracer,
         )
         self._rebuild_pending = np.sort(self.primary.owned_keys())
         self._rebuild_touched = np.empty(0, np.uint64)
@@ -597,10 +593,6 @@ class ReplicatedPSNode:
     def metrics(self):
         """Primary's stat bundle (what the cluster aggregates)."""
         return self.primary.metrics
-
-    @property
-    def metadata_only(self) -> bool:
-        return self.primary.metadata_only
 
     @property
     def pool(self):

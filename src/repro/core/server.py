@@ -53,7 +53,6 @@ class OpenEmbeddingServer:
         server_config: shard count, embedding dim, pool sizing, seed.
         cache_config: per-node DRAM cache parameters.
         optimizer: PS-side optimizer (shared rule, per-entry state).
-        metadata_only: no real weights (performance simulations).
         tracer: span/event sink threaded through to every shard (cache
             maintenance, PMem traffic, checkpoint completion).
     """
@@ -63,7 +62,6 @@ class OpenEmbeddingServer:
         server_config: ServerConfig | None = None,
         cache_config: CacheConfig | None = None,
         optimizer: PSOptimizer | None = None,
-        metadata_only: bool = False,
         nodes: list[PSNode] | None = None,
         cluster_mode: bool | None = None,
         tracer: Tracer | None = None,
@@ -71,7 +69,6 @@ class OpenEmbeddingServer:
         self.server_config = server_config or ServerConfig()
         self.cache_config = cache_config or CacheConfig()
         self.optimizer = optimizer or PSSGD()
-        self.metadata_only = metadata_only
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Cluster retention semantics are needed whenever some wider
         # scope must agree on a common checkpoint: multiple shards here,
@@ -123,7 +120,6 @@ class OpenEmbeddingServer:
             server_config,
             self.cache_config,
             self.optimizer,
-            metadata_only=self.metadata_only,
             cluster_mode=cluster_mode,
             tracer=self._node_tracer(node_id),
         )
@@ -237,13 +233,8 @@ class OpenEmbeddingServer:
             "server.pull", batch=batch_id, keys=len(keys)
         ) as span:
             slices = self._route(keys)
-            value_mode = not self.metadata_only
-            out = (
-                np.empty(
-                    (len(keys), self.server_config.embedding_dim), dtype=np.float32
-                )
-                if value_mode
-                else None
+            out = np.empty(
+                (len(keys), self.server_config.embedding_dim), dtype=np.float32
             )
             hits = misses = created = 0
             for index, node_keys, positions in slices:
@@ -253,8 +244,7 @@ class OpenEmbeddingServer:
                 hits += result.hits
                 misses += result.misses
                 created += result.created
-                if out is not None:
-                    out[positions] = result.weights
+                out[positions] = result.weights
             span.set(hits=hits, misses=misses, created=created)
             return PullResult(weights=out, hits=hits, misses=misses, created=created)
 
@@ -329,7 +319,7 @@ class OpenEmbeddingServer:
     def push(
         self,
         keys,
-        grads: np.ndarray | None,
+        grads: np.ndarray,
         batch_id: int,
         *,
         worker_id: int | None = None,
@@ -347,9 +337,8 @@ class OpenEmbeddingServer:
             slices = self._route(keys)
             updated = 0
             for index, node_keys, positions in slices:
-                node_grads = grads[positions] if grads is not None else None
                 updated += self._shard_push(
-                    index, node_keys, node_grads, batch_id,
+                    index, node_keys, grads[positions], batch_id,
                     worker_id, seq, len(slices),
                 )
             span.set(updated=updated)
@@ -551,7 +540,6 @@ class OpenEmbeddingServer:
         cache_config: CacheConfig | None = None,
         optimizer: PSOptimizer | None = None,
         *,
-        metadata_only: bool = False,
         calibration: Calibration = DEFAULT_CALIBRATION,
         target_batch_id: int | None = None,
         cluster_mode: bool | None = None,
@@ -595,7 +583,6 @@ class OpenEmbeddingServer:
                 cache_config,
                 optimizer,
                 node_id=node_id,
-                metadata_only=metadata_only,
                 target_batch_id=global_target,
                 calibration=calibration,
                 cluster_mode=cluster_mode,
@@ -617,7 +604,6 @@ class OpenEmbeddingServer:
             server_config,
             cache_config,
             optimizer,
-            metadata_only=metadata_only,
             nodes=nodes,
             cluster_mode=cluster_mode,
             tracer=tracer,
@@ -690,8 +676,8 @@ class OpenEmbeddingServer:
                     node.store.slab.rows / stored_keys if stored_keys else 0.0
                 ),
                 "repro_checkpoint_pending": len(node.coordinator.queue),
-                "repro_arena_rows": 0 if arena is None else len(arena),
-                "repro_arena_capacity_rows": 0 if arena is None else arena.capacity,
+                "repro_arena_rows": len(arena),
+                "repro_arena_capacity_rows": arena.capacity,
                 "repro_cache_resident_entries": cache.cached_entries,
                 "repro_cache_capacity_entries": cache.capacity_entries,
                 "repro_cache_index_keys": len(cache.index),

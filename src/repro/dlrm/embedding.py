@@ -47,8 +47,6 @@ class PSEmbedding:
         if key_matrix.ndim != 2:
             raise ConfigError(f"key matrix must be 2-D, got shape {key_matrix.shape}")
         result = self.server.pull(key_matrix.reshape(-1), batch_id)
-        if result.weights is None:
-            raise ConfigError("server is metadata-only; cannot train weights")
         return result.weights.reshape(*key_matrix.shape, self.dim)
 
     def push(

@@ -52,11 +52,9 @@ step costs a fixed number of numpy calls whatever the batch size. The
 *order* of the keys inside each backend pull is part of the contract —
 demand keys in first-appearance order, prefetch and patch keys
 ascending — because the server's LRU order, and through it every
-eviction and every counter, follows it. A metadata-only backend
-(:class:`~repro.simulation.trainer_sim.TrainingSimulator` drives this
-same class over one) returns no weights: the row block is dropped,
-membership is all that is kept, and :meth:`PrefetchPipeline.gather`
-refuses.
+eviction and every counter, follows it.
+:class:`~repro.simulation.trainer_sim.TrainingSimulator` drives this
+same class.
 
 Timing
 ------
@@ -112,7 +110,7 @@ class PrefetchPipeline:
 
     Args:
         backend: any :class:`TrainBackend` (in-process server, remote RPC
-            client, a baseline, or a metadata-only node).
+            client, or a baseline).
         config: lookahead depth / patching / buffer cap.
         dim: embedding dimension of the buffered rows.
         keys_for_batch: deterministic peek into the workload stream —
@@ -159,8 +157,8 @@ class PrefetchPipeline:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = metrics.prefetch if metrics is not None else PrefetchStats()
         self._keys = _NO_KEYS
-        #: rows aligned with ``_keys``; None once a pull returned no weights
-        self._rows: np.ndarray | None = np.empty((0, dim), dtype=np.float32)
+        #: rows aligned with ``_keys``
+        self._rows = np.empty((0, dim), dtype=np.float32)
         self._window = _NO_KEYS
         self._pushed = _NO_KEYS
 
@@ -202,8 +200,6 @@ class PrefetchPipeline:
             raise ConfigError(
                 f"key matrix must be 2-D, got shape {key_matrix.shape}"
             )
-        if self._rows is None:
-            raise ConfigError("gather requires a value-mode backend")
         flat = key_matrix.reshape(-1).astype(np.uint64, copy=False)
         at = np.searchsorted(self._keys, flat)
         found = at < self._keys.size
@@ -266,9 +262,7 @@ class PrefetchPipeline:
             self.clock.advance(gpu)
         return results
 
-    def push(
-        self, keys: Sequence[int], grads: np.ndarray | None, batch_id: int
-    ) -> int:
+    def push(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
         """Forward a push and invalidate every touched buffered key.
 
         Invalidation is the first half of the staleness invariant: a
@@ -346,8 +340,7 @@ class PrefetchPipeline:
     def _keep(self, mask: np.ndarray) -> None:
         """Drop every buffered key whose ``mask`` entry is False."""
         self._keys = self._keys[mask]
-        if self._rows is not None:
-            self._rows = self._rows[mask]
+        self._rows = self._rows[mask]
 
     def _pull_into_buffer(
         self, keys: np.ndarray, tag: int, *, lookahead: bool
@@ -359,7 +352,4 @@ class PrefetchPipeline:
         merged = np.concatenate((self._keys, keys))
         order = np.argsort(merged)
         self._keys = merged[order]
-        if result.weights is None:
-            self._rows = None
-        else:
-            self._rows = np.concatenate((self._rows, result.weights))[order]
+        self._rows = np.concatenate((self._rows, result.weights))[order]

@@ -38,12 +38,7 @@ from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
 from repro.core.server import OpenEmbeddingServer
 from repro.core.serving_backend import LookupResult
 from repro.core.sharding import HashPartitioner, make_partitioner, unpack_ring_state
-from repro.errors import (
-    NodeDeadError,
-    RpcTimeoutError,
-    ServerError,
-    ShardRoutingError,
-)
+from repro.errors import NodeDeadError, RpcTimeoutError, ShardRoutingError
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
 from repro.network.messages import (
     ANONYMOUS_SEQ_BASE,
@@ -387,8 +382,6 @@ class RemotePSClient(OpenEmbeddingServer):
         right worker — and so an *intentionally duplicated* push reuses
         its seq and is absorbed exactly-once everywhere.
         """
-        if grads is None:
-            raise ServerError("remote push requires gradients")
         if worker_id is None:
             self._push_seq += 1
             worker_id, seq = self.worker_id, ANONYMOUS_SEQ_BASE | self._push_seq

@@ -71,7 +71,7 @@ LookupResponse          0x0E  snapshot_id i64, n u32, dim u32,
 
 The entry block is an :class:`~repro.pmem.space.EntryBlock` — the
 columns a store exports are the arrays on the wire, with ``total =
-nversions.sum()`` and no ``rows`` when ``width`` is 0 (metadata-only).
+nversions.sum()``.
 
 ``PushRequest``'s ``(worker_id, seq)`` header gives the server a dedup
 identity: a retried push (the client never learned whether its first
@@ -123,7 +123,7 @@ class MessageError(ReproError):
 
 _SLOT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i32": "i", "i64": "q"}
 _COLUMN_DTYPES = {"u32": "<u4", "u64": "<u8", "i64": "<i8", "f32": "<f4"}
-_ITEM = re.compile(r"(?:([\w.]+) )?(\w+)(?:\[([\w, ]+)\])?(\??)")
+_ITEM = re.compile(r"(?:([\w.]+) )?(\w+)(?:\[([\w, ]+)\])?")
 
 
 class _Column(NamedTuple):
@@ -135,7 +135,6 @@ class _Column(NamedTuple):
     get: Callable  # reads it off a message
     dtype: np.dtype
     shape: tuple[str, ...]  # its extents, by name
-    optional: bool  # ``?``: None on the message when its rows are 0 wide
     sums_to: str | None  # the extent this column's sum defines
 
 
@@ -157,7 +156,7 @@ class _Wire:
         self.slot_types: dict[str, str] = {}
         self.text: str | None = None
         fmt = "<"
-        for name, kind, extents, __ in _ITEM.findall(body):
+        for name, kind, extents in _ITEM.findall(body):
             if kind == "pad":
                 fmt += "x" * int(extents)
             elif kind == "utf8":
@@ -205,10 +204,9 @@ def _columns(text: str, sums: dict[str, str]) -> tuple[_Column, ...]:
             get=operator.attrgetter(name),
             dtype=np.dtype(_COLUMN_DTYPES[kind]),
             shape=tuple(extents.split(", ")),
-            optional=bool(optional),
             sums_to=sums.get(name),
         )
-        for name, kind, extents, optional in _ITEM.findall(text)
+        for name, kind, extents in _ITEM.findall(text)
         if kind in _COLUMN_DTYPES and extents
     )
 
@@ -251,14 +249,8 @@ class _Message:
             return header.pack(*wire.get_fields(self), len(text)) + text
         extents = dict(zip(wire.field_slots, wire.get_fields(self)))
         parts = [b""]  # the header's place, once the extents are known
-        for name, get, dtype, shape, optional, sums_to in wire.columns_for(extents):
-            value = get(self)
-            if value is None and optional:
-                # Absent (metadata-only rows) is how an empty column reads.
-                if math.prod(extents[extent] for extent in shape):
-                    raise MessageError(f"{wire.kind}.{name} is missing")
-                continue
-            array = np.ascontiguousarray(value, dtype=dtype)
+        for name, get, dtype, shape, sums_to in wire.columns_for(extents):
+            array = np.ascontiguousarray(get(self), dtype=dtype)
             if sums_to:
                 extents[sums_to] = int(array.sum())
             # The first array to name an extent sets it; the rest must agree.
@@ -300,7 +292,7 @@ class _Message:
         extents = dict(zip(wire.slots, header.unpack_from(body)))
         fields = {slot: extents[slot] for slot in wire.field_slots}
         block = {}
-        for name, __, dtype, shape, optional, sums_to in wire.columns_for(extents):
+        for name, __, dtype, shape, sums_to in wire.columns_for(extents):
             shape = [extents[extent] for extent in shape]
             count = math.prod(shape)
             end = offset + count * dtype.itemsize
@@ -310,9 +302,7 @@ class _Message:
             offset = end
             if sums_to:
                 extents[sums_to] = int(value.sum())
-            if optional and not shape[-1]:
-                value = None
-            elif len(shape) > 1:
+            if len(shape) > 1:
                 value = value.reshape(shape)
             group, __, leaf = name.rpartition(".")
             (block if group else fields)[leaf] = value
@@ -530,10 +520,10 @@ class StatusResponse(_Message):
 
 _ENTRY_COLUMNS = (
     "entries.keys u64[n], entries.nversions u32[n], "
-    "entries.batch_ids i64[total], entries.rows f32[total, width]?"
+    "entries.batch_ids i64[total], entries.rows f32[total, width]"
 )
 """An :class:`~repro.pmem.space.EntryBlock` on the wire: its four
-columns as they are. ``rows`` is absent (``?``) when ``width`` is 0."""
+columns as they are."""
 
 _ENTRY_TOTAL = {"entries.nversions": "total"}
 _KEYS = "keys u64[n]"
@@ -555,8 +545,7 @@ class MigrateRequest(_Message):
       (reply: :class:`StatusResponse` with ``value`` = keys dropped).
       Unknown keys are ignored, so replays are absorbed.
 
-    ``width`` is floats per stored array (weights + optimizer state);
-    ``0`` means metadata-only.
+    ``width`` is floats per stored row (weights + optimizer state).
     """
 
     TYPE = 0x08

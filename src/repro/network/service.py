@@ -52,8 +52,8 @@ DEFAULT_DEDUP_WINDOW = 1024
 
 
 def row_width(node) -> int:
-    """Floats per stored row in a migration frame (``0``: metadata-only)."""
-    return 0 if node.metadata_only else node.store.entry_bytes // 4
+    """Floats per stored row in a migration frame: the store's width."""
+    return node.store.slab.width
 
 
 class _ReplayWindow(OrderedDict):
@@ -215,8 +215,6 @@ class PSNodeService:
                 worker_id=worker_id if worker_id >= 0 else None,
                 progress=int(request.progress),
             )
-            if result.weights is None:
-                raise ServerError("remote pull requires a value-mode node")
             span.set(hits=result.hits, misses=result.misses, created=result.created)
             return mirror(PullResponse, result, batch_id=request.batch_id)
 

@@ -40,14 +40,12 @@ class Transaction:
         self._writes = 0
         self._committed = False
 
-    def write(
-        self, key: object, value: np.ndarray | None, *, nbytes: int | None = None
-    ) -> float:
+    def write(self, key: object, value: np.ndarray) -> float:
         """Stage one write; durable only after the transaction commits."""
         if self._committed:
             raise PMemError("transaction already committed")
         self._writes += 1
-        return self.pool.write(key, value, nbytes=nbytes, flush=False)
+        return self.pool.write(key, value, flush=False)
 
     def commit(self) -> int:
         """Drain all staged writes; returns the number of writes."""
@@ -68,19 +66,3 @@ class Transaction:
         # On error the staged writes are simply left un-drained; a
         # subsequent crash (the usual reason for the error) wipes them.
 
-
-def flush_entries(
-    pool: PmemPool,
-    entries: dict[object, np.ndarray | None],
-    *,
-    entry_bytes: int,
-) -> float:
-    """Durably write a set of entries; returns total simulated seconds.
-
-    Convenience used by baseline checkpoint dumps (DRAM-PS writes its
-    whole delta to the checkpoint device in one go).
-    """
-    total = 0.0
-    for key, value in entries.items():
-        total += pool.write(key, value, nbytes=entry_bytes, flush=True)
-    return total

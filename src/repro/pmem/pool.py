@@ -10,11 +10,9 @@ semantics that matter for checkpoint correctness:
   Batch ID*) updated with single-word atomicity — a crash never tears
   them, it only decides whether the update landed.
 
-Values are numpy arrays (copied on write so the durable snapshot is
-decoupled from the caller's live DRAM buffer) or ``None`` in
-metadata-only mode, where only sizes are accounted — used by the
-performance benchmarks, which need traffic and versions but not actual
-weights.
+Values are numpy arrays, copied on write so the durable snapshot is
+decoupled from the caller's live DRAM buffer; an object occupies its
+``nbytes``.
 
 Embedding rows do not go through the object dict. They live in the
 pool's :class:`EntrySlab`: one contiguous float32 matrix of fixed-size
@@ -78,9 +76,7 @@ class EntrySlab:
     Attributes:
         key, batch, live: the per-slot header columns. A slot whose
             ``live`` bit is clear is free space whatever else it holds.
-        data: the ``(capacity, width)`` float32 payload matrix; None
-            until a row with a payload is written, so metadata-only
-            pools keep the slot accounting and no matrix.
+        data: the ``(capacity, width)`` float32 payload matrix.
 
     Every slot costs ``slot_bytes`` of pool space and one device
     operation of ``slot_bytes`` per write or read, exactly what one
@@ -94,7 +90,7 @@ class EntrySlab:
         self.key = np.zeros(INITIAL_SLOTS, dtype=np.uint64)
         self.batch = np.zeros(INITIAL_SLOTS, dtype=np.int64)
         self.live = np.zeros(INITIAL_SLOTS, dtype=bool)
-        self.data: np.ndarray | None = None
+        self.data = np.zeros((INITIAL_SLOTS, self.width), dtype=np.float32)
         # A stack of free slot numbers (top at ``_nfree - 1``); popping
         # from the end hands out low slots first.
         self._free = np.arange(INITIAL_SLOTS - 1, -1, -1, dtype=np.intp)
@@ -114,9 +110,7 @@ class EntrySlab:
         """Live slots."""
         return len(self.live) - self._nfree
 
-    def write(
-        self, keys: np.ndarray, batches: np.ndarray, rows: np.ndarray | None
-    ) -> np.ndarray:
+    def write(self, keys: np.ndarray, batches: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Persist one new slot per ``(key, batch)``; returns the slots.
 
         All or nothing: raises before anything changes.
@@ -139,20 +133,18 @@ class EntrySlab:
         self.live[slots] = True
         return slots
 
-    def rewrite(
-        self, slots: np.ndarray, batches: np.ndarray, rows: np.ndarray | None
-    ) -> None:
+    def rewrite(self, slots: np.ndarray, batches: np.ndarray, rows: np.ndarray) -> None:
         """Overwrite live ``slots`` in place: new batch ids, new payload."""
         self._check_rows(len(slots), rows)
         self.pool._check_open()
         self.batch[slots] = batches
         self._store(slots, rows)
 
-    def read(self, slots: np.ndarray) -> np.ndarray | None:
-        """Copy of the payload of ``slots`` (None without a matrix)."""
+    def read(self, slots: np.ndarray) -> np.ndarray:
+        """Copy of the payload of ``slots``."""
         self.pool._check_open()
         self.pool.device.read(self.slot_bytes, ops=len(slots))
-        return None if self.data is None else self.data[slots]
+        return self.data[slots]
 
     def free(self, slots: np.ndarray) -> None:
         """Clear the ``live`` bit of ``slots`` and reclaim their space."""
@@ -162,18 +154,15 @@ class EntrySlab:
         self._free[self._nfree : self._nfree + n] = slots
         self._nfree += n
 
-    def _check_rows(self, n: int, rows: np.ndarray | None) -> None:
-        if rows is not None and rows.shape != (n, self.width):
+    def _check_rows(self, n: int, rows: np.ndarray) -> None:
+        if rows.shape != (n, self.width):
             raise PMemError(
                 f"rows of shape {rows.shape} do not fill {n} slots of "
                 f"{self.width} floats"
             )
 
-    def _store(self, slots: np.ndarray, rows: np.ndarray | None) -> None:
-        if rows is not None:
-            if self.data is None:
-                self.data = np.zeros((self.capacity, self.width), dtype=np.float32)
-            self.data[slots] = rows
+    def _store(self, slots: np.ndarray, rows: np.ndarray) -> None:
+        self.data[slots] = rows
         self.pool.device.write(self.slot_bytes, ops=len(slots))
 
     def _grow(self, shortfall: int) -> None:
@@ -187,9 +176,9 @@ class EntrySlab:
             out[:old] = column
             return out
 
-        self.key, self.batch, self.live = map(grown, (self.key, self.batch, self.live))
-        if self.data is not None:
-            self.data = grown(self.data)
+        self.key, self.batch, self.live, self.data = map(
+            grown, (self.key, self.batch, self.live, self.data)
+        )
         # New (high) slots go under the existing free ones.
         free = np.empty(capacity, dtype=np.intp)
         added = capacity - old
@@ -209,8 +198,7 @@ class PmemPool:
             device with Table I characteristics.
 
     The pool tracks used bytes exactly: an object's footprint is its
-    payload size (callers pass explicit ``nbytes`` in metadata-only
-    mode), a live slab slot's is the slab's slot size.
+    array's ``nbytes``, a live slab slot's is the slab's slot size.
     """
 
     def __init__(self, capacity_bytes: int, device: MemoryDevice | None = None):
@@ -219,10 +207,8 @@ class PmemPool:
         self.capacity_bytes = capacity_bytes
         self.device = device or MemoryDevice(PMEM_SPEC, capacity_bytes)
         self.root = PoolRoot()
-        # key -> the stored array, or (metadata-only) its payload size:
-        # an array's size is its ``nbytes``, so it is not held twice.
-        self._durable: dict[object, np.ndarray | int] = {}
-        self._staged: dict[object, np.ndarray | int] = {}
+        self._durable: dict[object, np.ndarray] = {}
+        self._staged: dict[object, np.ndarray] = {}
         self._slab: EntrySlab | None = None
         self._used_bytes = 0
         self._closed = False
@@ -248,22 +234,12 @@ class PmemPool:
     # basic object operations
     # ------------------------------------------------------------------
 
-    def write(
-        self,
-        key: object,
-        value: np.ndarray | None,
-        *,
-        nbytes: int | None = None,
-        flush: bool = True,
-    ) -> float:
+    def write(self, key: object, value: np.ndarray, *, flush: bool = True) -> float:
         """Store ``value`` under ``key``; returns simulated write seconds.
 
         Args:
             key: object identifier (any hashable).
-            value: numpy array to persist (copied), or None in
-                metadata-only mode.
-            nbytes: explicit payload size; required when ``value`` is
-                None, inferred from the array otherwise.
+            value: numpy array to persist (copied).
             flush: when False the write is staged in the CPU cache and
                 lost on crash until :meth:`drain` is called.
 
@@ -271,9 +247,9 @@ class PmemPool:
             PoolClosedError: the pool was closed or crashed.
             OutOfSpaceError: capacity would be exceeded.
         """
-        size = self._payload_size(value, nbytes)
+        size = value.nbytes
         self._reserve(size, replacing=self._current_size(key))
-        held = size if value is None else np.array(value, copy=True)
+        held = np.array(value, copy=True)
         if flush:
             self._durable[key] = held
             self._staged.pop(key, None)
@@ -281,7 +257,7 @@ class PmemPool:
             self._staged[key] = held
         return self.device.write(size)
 
-    def read(self, key: object) -> np.ndarray | None:
+    def read(self, key: object) -> np.ndarray:
         """Read the current (staged-over-durable) value of ``key``.
 
         Returns a copy, so callers cannot mutate pool contents in place.
@@ -291,9 +267,6 @@ class PmemPool:
         """
         self._check_open()
         held = self._lookup(key)
-        if isinstance(held, int):
-            self.device.read(held)
-            return None
         self.device.read(held.nbytes)
         return np.array(held, copy=True)
 
@@ -323,11 +296,10 @@ class PmemPool:
             if key not in seen:
                 yield key
 
-    def items(self) -> Iterator[tuple[object, np.ndarray | None]]:
+    def items(self) -> Iterator[tuple[object, np.ndarray]]:
         """All live (key, value) pairs; values are NOT copied (scan path)."""
         for key in self.keys():
-            held = self._lookup(key)
-            yield key, None if isinstance(held, int) else held
+            yield key, self._lookup(key)
 
     # ------------------------------------------------------------------
     # crash / recovery
@@ -342,7 +314,7 @@ class PmemPool:
         (slab slots are never staged, so every live one stays).
         """
         self._staged.clear()
-        self._used_bytes = sum(map(self._size, self._durable.values()))
+        self._used_bytes = sum(held.nbytes for held in self._durable.values())
         if self._slab is not None:
             self._used_bytes += self._slab.rows * self._slab.slot_bytes
 
@@ -405,27 +377,13 @@ class PmemPool:
         self.require_free(size - replacing)
         self._used_bytes += size - replacing
 
-    @staticmethod
-    def _payload_size(value: np.ndarray | None, nbytes: int | None) -> int:
-        if value is not None:
-            return int(value.nbytes)
-        if nbytes is None:
-            raise PMemError("metadata-only write requires explicit nbytes")
-        if nbytes < 0:
-            raise PMemError(f"negative payload size {nbytes}")
-        return nbytes
-
-    @staticmethod
-    def _size(held: np.ndarray | int) -> int:
-        return held if isinstance(held, int) else int(held.nbytes)
-
     def _current_size(self, key: object) -> int:
         held = self._staged.get(key)
         if held is None:
             held = self._durable.get(key)
-        return 0 if held is None else self._size(held)
+        return 0 if held is None else held.nbytes
 
-    def _lookup(self, key: object) -> np.ndarray | int:
+    def _lookup(self, key: object) -> np.ndarray:
         if key in self._staged:
             return self._staged[key]
         if key in self._durable:

@@ -75,16 +75,17 @@ class EntryBlock:
     keys: np.ndarray  # u64[n]
     nversions: np.ndarray  # u32[n]
     batch_ids: np.ndarray  # i64[total], total = nversions.sum()
-    rows: np.ndarray | None  # f32[total, width]; None = metadata-only
+    rows: np.ndarray  # f32[total, width]
 
     def __len__(self) -> int:
         return len(self.keys)
 
 
 NO_ENTRIES = EntryBlock(
-    np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty(0, np.int64), None
+    np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty(0, np.int64),
+    np.empty((0, 0), np.float32),
 )
-"""The block of no keys (what exporting nothing returns)."""
+"""The block of no keys and no rows (ingesting it changes nothing)."""
 
 
 class VersionedEntryStore:
@@ -115,16 +116,15 @@ class VersionedEntryStore:
     # write path
     # ------------------------------------------------------------------
 
-    def put(self, keys, heads, versions, rows: np.ndarray | None) -> np.ndarray:
+    def put(self, keys, heads, versions, rows: np.ndarray) -> np.ndarray:
         """Persist ``rows[i]`` as version ``versions[i]`` of ``keys[i]``,
         whose newest stored version is slot ``heads[i]`` (-1: none).
 
         Returns the new head of every position (every occurrence of a
         repeated key reports that key's final head). ``versions`` is one
         batch id for the whole block or one per key; ``rows`` is
-        ``(len(keys), entry_bytes / 4)`` float32, or None in
-        metadata-only mode. A key may repeat: the block then behaves
-        like its rows put one after another. Versions of the written
+        ``(len(keys), entry_bytes / 4)`` float32. A key may repeat: the
+        block then behaves like its rows put one after another. Versions of the written
         keys that no retention barrier protects are recycled.
 
         The block needs room for every version it adds before the ones
@@ -199,11 +199,10 @@ class VersionedEntryStore:
     # read path
     # ------------------------------------------------------------------
 
-    def read_latest(self, heads) -> tuple[np.ndarray, np.ndarray | None]:
+    def read_latest(self, heads) -> tuple[np.ndarray, np.ndarray]:
         """The version at every head as ``(batch ids, rows)``.
 
-        ``rows`` is a fresh ``(len(heads), entry_bytes / 4)`` array (None
-        in metadata-only mode).
+        ``rows`` is a fresh ``(len(heads), entry_bytes / 4)`` array.
 
         Raises:
             KeyError: a head is -1 (the key has no stored version).
@@ -213,7 +212,7 @@ class VersionedEntryStore:
             raise KeyError(f"{np.count_nonzero(heads < 0)} keys have no stored version")
         return self.slab.batch[heads], self.slab.read(heads)
 
-    def read_at_most(self, heads, barrier) -> tuple[np.ndarray, np.ndarray | None]:
+    def read_at_most(self, heads, barrier) -> tuple[np.ndarray, np.ndarray]:
         """Newest version of every chain with ``batch_id <= barrier``.
 
         ``barrier`` is one batch id or one per head. A key with no such
@@ -225,11 +224,8 @@ class VersionedEntryStore:
         found = slots >= 0
         if found.all():
             return batch[slots], self.slab.read(slots)
-        stored = self.slab.read(slots[found])
-        rows = None
-        if stored is not None:
-            rows = np.zeros((len(slots), self.slab.width), dtype=np.float32)
-            rows[found] = stored
+        rows = np.zeros((len(slots), self.slab.width), dtype=np.float32)
+        rows[found] = self.slab.read(slots[found])
         return np.where(found, batch[slots], NO_VERSION), rows
 
     def export(self, keys, heads) -> EntryBlock:
@@ -322,8 +318,7 @@ class VersionedEntryStore:
             for r in range(int(rank.max()) + 1):
                 pick = np.flatnonzero(rank == r)
                 current[group[pick]] = self._write(
-                    keys[pick], current[group[pick]], versions[pick],
-                    _pick(rows, pick), prune,
+                    keys[pick], current[group[pick]], versions[pick], rows[pick], prune,
                 )
             return current[group]
         slab = self.slab
@@ -334,11 +329,9 @@ class VersionedEntryStore:
             # one, after the rest of the block. They move no head.
             self._check_room(keys, head, versions)
             pick = np.flatnonzero(~below)
-            head[pick] = self._write(
-                keys[pick], head[pick], versions[pick], _pick(rows, pick), prune
-            )
+            head[pick] = self._write(keys[pick], head[pick], versions[pick], rows[pick], prune)
             for i in np.flatnonzero(below).tolist():
-                self._write_below(keys[i], head[i], versions[i], _pick(rows, [i]), prune)
+                self._write_below(keys[i], head[i], versions[i], rows[[i]], prune)
             return head
         # Every row becomes (or overwrites) its key's newest version:
         # one slab scatter, one chain update. The block needs room for
@@ -358,8 +351,8 @@ class VersionedEntryStore:
             )
         if reuse.any():
             fresh = np.flatnonzero(~reuse)
-            slab.rewrite(head[reuse], versions[reuse], _pick(rows, reuse))
-            keys, versions, rows = keys[fresh], versions[fresh], _pick(rows, fresh)
+            slab.rewrite(head[reuse], versions[reuse], rows[reuse])
+            keys, versions, rows = keys[fresh], versions[fresh], rows[fresh]
         else:
             fresh = slice(None)
         slots = slab.write(keys, versions, rows)
@@ -450,8 +443,3 @@ class VersionedEntryStore:
     def _free(self, slots: np.ndarray) -> None:
         self._older[slots] = -1
         self.slab.free(slots)
-
-
-def _pick(rows, pick):
-    """``rows[pick]`` of a row matrix, or None (no rows)."""
-    return None if rows is None else rows[pick]

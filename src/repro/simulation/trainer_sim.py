@@ -2,9 +2,10 @@
 
 A :class:`TrainingSimulator` couples
 
-* a **functional backend** — the real cache/PS data structures running
-  in metadata-only mode, producing exact hit/miss/flush/eviction
-  streams for the configured workload, and
+* a **functional backend** — the real cache/PS data structures, over
+  rows that are all zero (a zero-scale initializer, zero gradients:
+  no count depends on the bytes), producing exact
+  hit/miss/flush/eviction streams for the configured workload, and
 * the **cost model** (:class:`repro.simulation.cluster.PSCostModel`) —
   which prices each phase of every iteration in simulated seconds,
 
@@ -110,7 +111,7 @@ class TrainingSimulator:
             ``lookahead`` batches' deduplicated keys are pulled inside
             the overlap slot, and pushed keys are invalidated/patched —
             by a real :class:`repro.dlrm.prefetch.PrefetchPipeline`
-            (:attr:`pipeline`) over the metadata backend, so the priced
+            (:attr:`pipeline`) over the functional backend, so the priced
             op streams are the functional pipeline's by construction.
         use_cache: Figure 9 ablation switch (hybrids only).
         reshard_at: perform one live reshard after this many completed
@@ -194,8 +195,7 @@ class TrainingSimulator:
         self.backend = self._build_backend()
         self._dirty_since_ckpt: set[int] = set()
         self._key_stream: list[np.ndarray] = []
-        self._keys_seen: set[int] = set()
-        #: the lookahead discipline itself, over the metadata backend
+        #: the lookahead discipline itself, over the functional backend
         self.pipeline = None
         if self.prefetch.enabled:
             # not at module level: repro.dlrm.prefetch imports this package
@@ -258,7 +258,6 @@ class TrainingSimulator:
             self.pipeline.horizon = iterations - 1
         for batch_id in range(iterations):
             counts = self._run_functional_iteration(batch_id)
-            self._keys_seen.update(self._key_stream[batch_id].tolist())
             timing = self.cost_model.price_iteration(counts)
             start = self.clock.now
             self.trace.record(start, RequestTrace.PULL, counts.requests)
@@ -483,16 +482,24 @@ class TrainingSimulator:
             self._key_stream.append(np.concatenate(batches))
         return self._key_stream[batch_id]
 
+    def _keys_seen(self, batch_id: int) -> np.ndarray:
+        """The distinct keys of batches ``0 .. batch_id``."""
+        return np.unique(np.concatenate(self._key_stream[: batch_id + 1]))
+
     def _run_functional_iteration(self, batch_id: int) -> IterationCounts:
         keys = self._batch_keys(batch_id)
         pipeline = self.pipeline
         lookahead = {}
+        # One zero gradient per distinct key, in first-occurrence order:
+        # the order (and the entries) a push of every key would update.
+        pushed = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        grads = np.zeros((len(pushed), self.server.embedding_dim), dtype=np.float32)
         if pipeline is None:
             pull = self.backend.pull(keys, batch_id)
             requests = len(keys)
             hits, misses, created = pull.hits, pull.misses, pull.created
             maintain = aggregate_maintain(self.backend.maintain(batch_id))
-            self.backend.push(keys, None, batch_id)
+            self.backend.push(pushed, grads, batch_id)
         else:
             # One pipeline step, counted into a bundle of its own so the
             # iteration's share can be priced; the run's totals stay on
@@ -500,7 +507,7 @@ class TrainingSimulator:
             total, pipeline.stats = pipeline.stats, PrefetchStats()
             pipeline.begin_batch(batch_id, keys)
             maintain = aggregate_maintain(pipeline.run_overlap(batch_id))
-            pipeline.push(keys, None, batch_id)
+            pipeline.push(pushed, grads, batch_id)
             pipeline.end_batch(batch_id)
             step, pipeline.stats = pipeline.stats, total
             total.merge(step)
@@ -563,7 +570,7 @@ class TrainingSimulator:
             self.reshard_to,
             self.server.ring_vnodes,
         )
-        seen = np.fromiter(self._keys_seen, np.uint64, len(self._keys_seen))
+        seen = self._keys_seen(batch_id)
         keys_total = len(seen)
         keys_moved = len(old.moved_keys(new, seen))
         timing = self.cost_model.price_migration(
@@ -639,9 +646,11 @@ class TrainingSimulator:
                 )
             )
         for __, victim in self._kill_injector.due(self.clock.now):
-            self._execute_failure(victim, result)
+            self._execute_failure(victim, batch_id, result)
 
-    def _execute_failure(self, victim: int, result: TrainingRunResult) -> None:
+    def _execute_failure(
+        self, victim: int, batch_id: int, result: TrainingRunResult
+    ) -> None:
         """Price one node death: hot failover or checkpoint recovery.
 
         ``replicas=2`` pays the bounded unavailability window (lease
@@ -650,7 +659,7 @@ class TrainingSimulator:
         paper's ~380 s at 2.1 B entries, scaled to this run's residency.
         """
         result.failures_injected += 1
-        entries = max(1, len(self._keys_seen) // max(1, self.server.num_nodes))
+        entries = max(1, len(self._keys_seen(batch_id)) // max(1, self.server.num_nodes))
         at = self.clock.now
         if self.server.replicas == 2:
             timing = self.cost_model.price_failover(
@@ -743,17 +752,13 @@ class TrainingSimulator:
     # ------------------------------------------------------------------
 
     def _build_backend(self):
+        server = replace(self.server, initializer_scale=0.0)
         if self.system in (SystemKind.PMEM_OE, SystemKind.ORI_CACHE):
-            return PSNode(
-                0,
-                self.server,
-                self.cache_config,
-                metadata_only=True,
-            )
+            return PSNode(0, server, self.cache_config)
         if self.system in (SystemKind.DRAM_PS, SystemKind.TF_PS):
-            return DRAMPSNode(self.server, metadata_only=True)
+            return DRAMPSNode(server)
         if self.system == SystemKind.PMEM_HASH:
-            return PMemHashNode(self.server, metadata_only=True)
+            return PMemHashNode(server)
         raise ConfigError(f"no backend for system {self.system}")
 
     def _validate_checkpoint_mode(self) -> None:

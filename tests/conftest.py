@@ -72,20 +72,18 @@ def make_cache(
     coordinator,
     capacity_entries: int = 4,
     *,
-    value_mode: bool = True,
     track_dirty: bool = False,
 ) -> PipelinedCache:
     """A small cache; capacity is given in entries for readability."""
     config = CacheConfig(
         capacity_bytes=capacity_entries * ENTRY_BYTES, track_dirty=track_dirty
     )
-    initializer = key_valued_rows if value_mode else None
     return PipelinedCache(
         config,
         store,
         coordinator,
         dim=DIM,
-        initializer=initializer,
+        initializer=key_valued_rows,
         optimizer=PSSGD(lr=0.5),
     )
 
@@ -101,7 +99,6 @@ def make_node(
     num_nodes: int = 1,
     dim: int = DIM,
     seed: int = 0,
-    metadata_only: bool = False,
     optimizer=None,
 ) -> PSNode:
     server_config = ServerConfig(
@@ -116,7 +113,6 @@ def make_node(
         server_config,
         cache_config,
         optimizer or PSSGD(lr=0.5),
-        metadata_only=metadata_only,
     )
 
 

@@ -75,7 +75,7 @@ class ReferenceCache:
         dim: embedding dimension.
         initializer: the production block callable (``uint64[n] keys ->
             float32[n, dim]``), which the oracle calls with one key at a
-            time; None puts the cache in metadata-only mode.
+            time.
         optimizer: PS-side update rule (default plain SGD).
         metrics: statistics sink (a fresh one is created if omitted).
         tracer: span/event sink — maintenance rounds become
@@ -91,7 +91,7 @@ class ReferenceCache:
         store: VersionedEntryStore,
         coordinator: CheckpointCoordinator,
         dim: int,
-        initializer: Callable[[np.ndarray], np.ndarray] | None = None,
+        initializer: Callable[[np.ndarray], np.ndarray],
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
         auto_create: bool = True,
@@ -131,12 +131,9 @@ class ReferenceCache:
         Raises:
             KeyNotFoundError: unseen key with ``auto_create`` disabled.
         """
-        value_mode = self.initializer is not None
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
-        out = (
-            np.empty((len(keys), self.dim), dtype=np.float32) if value_mode else None
-        )
+        out = np.empty((len(keys), self.dim), dtype=np.float32)
         entries: list[EmbeddingEntry] = []
         hits = misses = created = 0
         for i, key in enumerate(keys):
@@ -150,8 +147,7 @@ class ReferenceCache:
                 hits += 1
             else:
                 misses += 1
-            if out is not None:
-                out[i] = self._read_weights(entry)
+            out[i] = self._read_weights(entry)
             entries.append(entry)
         self.access_queue.append(batch_id, entries)
         self.metrics.pulls += len(keys)
@@ -227,7 +223,7 @@ class ReferenceCache:
     def update(
         self,
         keys: Sequence[int],
-        grads: np.ndarray | None,
+        grads: np.ndarray,
         batch_id: int,
     ) -> int:
         """Apply pushed gradients for batch ``batch_id``.
@@ -248,19 +244,11 @@ class ReferenceCache:
             KeyNotFoundError: a key that was never pulled.
             ServerError: gradient shape mismatch.
         """
-        value_mode = self.initializer is not None
         n = len(keys)
-        if value_mode:
-            if grads is None:
-                raise ServerError("value-mode cache requires gradients on update")
-            grads = np.asarray(grads)
-            if grads.shape != (n, self.dim):
-                raise ServerError(
-                    f"gradient shape {grads.shape} != ({n}, {self.dim})"
-                )
-            grads = coerce_f32(grads)
-        else:
-            grads = None
+        grads = np.asarray(grads)
+        if grads.shape != (n, self.dim):
+            raise ServerError(f"gradient shape {grads.shape} != ({n}, {self.dim})")
+        grads = coerce_f32(grads)
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
         aggregated = self._aggregate(keys, grads)
@@ -281,15 +269,14 @@ class ReferenceCache:
                     # and reorder here so the LRU keeps its version order.
                     entry.version = batch_id
                     self._reorder(entry)
-                if value_mode:
-                    self.optimizer.apply(entry.weights, entry.opt_state, grad)
+                self.optimizer.apply(entry.weights, entry.opt_state, grad)
                 entry.dirty = True
             else:
                 # Not expected in the normal pull -> maintain -> update
                 # order (maintenance loads every accessed entry), but
                 # kept for robustness: read-modify-write through the
                 # store, which retains checkpoint-protected versions.
-                self._update_in_pmem(entry, grad, batch_id, value_mode)
+                self._update_in_pmem(entry, grad, batch_id)
             if batch_id > entry.updated:
                 entry.updated = batch_id
         self.metrics.updates += len(aggregated)
@@ -444,27 +431,23 @@ class ReferenceCache:
 
     def _create_entry(self, key: int, batch_id: int) -> EmbeddingEntry:
         entry = ReferenceEntry(key, version=batch_id)
-        if self.initializer is not None:
-            one = np.array([key], dtype=np.uint64)
-            weights = np.asarray(self.initializer(one), dtype=np.float32)[0]
-            if weights.shape != (self.dim,):
-                raise ServerError(
-                    f"initializer returned shape {weights.shape}, want ({self.dim},)"
-                )
-            entry.weights = weights
-            entry.opt_state = self.optimizer.init_state(self.dim)
+        one = np.array([key], dtype=np.uint64)
+        weights = np.asarray(self.initializer(one), dtype=np.float32)[0]
+        if weights.shape != (self.dim,):
+            raise ServerError(
+                f"initializer returned shape {weights.shape}, want ({self.dim},)"
+            )
+        entry.weights = weights
+        entry.opt_state = self.optimizer.init_state(self.dim)
         entry.location = Location.DRAM
         entry.dirty = True
         self.index.insert(entry)
         return entry
 
-    def _read_weights(self, entry: EmbeddingEntry) -> np.ndarray | None:
+    def _read_weights(self, entry: EmbeddingEntry) -> np.ndarray:
         if entry.in_dram:
             return entry.weights
-        stored = self._read_row(entry.key)
-        if stored is None:
-            return None
-        return stored[: self.dim]
+        return self._read_row(entry.key)[: self.dim]
 
     def _reorder(self, entry: EmbeddingEntry) -> None:
         if self.config.policy == EvictionPolicy.LRU:
@@ -544,43 +527,30 @@ class ReferenceCache:
     def _update_in_pmem(
         self,
         entry: EmbeddingEntry,
-        grad: np.ndarray | None,
+        grad: np.ndarray,
         batch_id: int,
-        value_mode: bool,
     ) -> None:
-        if value_mode:
-            stored = self._read_row(entry.key)
-            weights = stored[: self.dim]
-            state = stored[self.dim :] if stored.size > self.dim else None
-            self.optimizer.apply(weights, state, grad)
-            packed = stored
-        else:
-            packed = None
-        self._put_row(entry.key, max(entry.updated, batch_id), packed)
+        stored = self._read_row(entry.key)
+        state = stored[self.dim :] if stored.size > self.dim else None
+        self.optimizer.apply(stored[: self.dim], state, grad)
+        self._put_row(entry.key, max(entry.updated, batch_id), stored)
         self.metrics.pmem_flush_entries += 1
 
     # The store speaks blocks; the oracle moves one row at a time, so
     # it goes through this length-1 adapter.
 
-    def _read_row(self, key: int) -> np.ndarray | None:
-        rows = self.store.read_latest([key])[1]
-        return None if rows is None else rows[0]
+    def _read_row(self, key: int) -> np.ndarray:
+        return self.store.read_latest([key])[1][0]
 
-    def _put_row(self, key: int, version: int, packed: np.ndarray | None) -> None:
-        self.store.put([key], version, None if packed is None else packed[None, :])
+    def _put_row(self, key: int, version: int, packed: np.ndarray) -> None:
+        self.store.put([key], version, packed[None, :])
 
-    def _pack(self, entry: EmbeddingEntry) -> np.ndarray | None:
-        if entry.weights is None:
-            return None
+    def _pack(self, entry: EmbeddingEntry) -> np.ndarray:
         if entry.opt_state is None:
             return entry.weights
         return np.concatenate([entry.weights, entry.opt_state])
 
-    def _unpack(self, entry: EmbeddingEntry, stored: np.ndarray | None) -> None:
-        if stored is None:
-            entry.weights = None
-            entry.opt_state = None
-            return
+    def _unpack(self, entry: EmbeddingEntry, stored: np.ndarray) -> None:
         entry.weights = np.array(stored[: self.dim], copy=True)
         if stored.size > self.dim:
             entry.opt_state = np.array(stored[self.dim :], copy=True)
@@ -588,15 +558,11 @@ class ReferenceCache:
             entry.opt_state = None
 
     @staticmethod
-    def _aggregate(
-        keys: Sequence[int], grads: np.ndarray | None
-    ) -> dict[int, np.ndarray | None]:
-        """Sum duplicate keys' gradients (None grads pass through)."""
-        aggregated: dict[int, np.ndarray | None] = {}
+    def _aggregate(keys: Sequence[int], grads: np.ndarray) -> dict[int, np.ndarray]:
+        """Sum duplicate keys' gradients, in occurrence order."""
+        aggregated: dict[int, np.ndarray] = {}
         for i, key in enumerate(keys):
-            if grads is None:
-                aggregated[key] = None
-            elif key in aggregated:
+            if key in aggregated:
                 aggregated[key] = aggregated[key] + grads[i]
             else:
                 aggregated[key] = np.array(grads[i], copy=True)

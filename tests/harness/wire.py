@@ -51,12 +51,9 @@ def messages_of(draw, kind: type):
     block = {}
     for column in columns:
         shape = tuple(values[extent] for extent in column.shape)
-        if column.optional and not shape[-1]:
-            value = None
-        else:
-            # A column whose sum is an extent holds small counts.
-            elements = _EXTENT if column.sums_to else from_dtype(column.dtype)
-            value = draw(arrays(column.dtype, shape, elements=elements))
+        # A column whose sum is an extent holds small counts.
+        elements = _EXTENT if column.sums_to else from_dtype(column.dtype)
+        value = draw(arrays(column.dtype, shape, elements=elements))
         if column.sums_to:
             values[column.sums_to] = int(value.sum())
         group, __, leaf = column.name.rpartition(".")

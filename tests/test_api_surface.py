@@ -623,3 +623,40 @@ class TestServingTierIsColumns:
                 assert not isinstance(node, (ast.For, ast.While, ast.comprehension)), (
                     name, node.lineno,
                 )
+
+
+class TestOneRowMode:
+    """Every node stores its rows: one row format from the arena to the
+    wire. There is no row-less mode to ask for, in a signature, the pool
+    or the wire schema."""
+
+    def test_no_metadata_only_identifier(self):
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        for package in ("src", "benchmarks"):
+            for path in (root / package).rglob("*.py"):
+                assert "metadata_only" not in path.read_text(), path
+
+    def test_no_signature_takes_it(self):
+        import ast
+
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    names = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+                    assert "metadata_only" not in names, (path, node.lineno)
+
+    def test_the_pool_writes_arrays(self):
+        from repro.pmem.pool import PmemPool
+
+        pool = PmemPool(1 << 10)
+        with pytest.raises(AttributeError):
+            pool.write("k", None)
+        assert "k" not in pool and pool.used_bytes == 0
+
+    def test_no_optional_wire_column(self):
+        from repro.network.messages import _Column
+
+        assert "optional" not in _Column._fields

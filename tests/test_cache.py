@@ -303,32 +303,34 @@ class TestPolicies:
         assert cache.index.location_of(2) == Location.DRAM
 
 
-class TestMetadataOnlyMode:
-    def test_pull_returns_no_weights(self, store, coordinator):
-        cache = make_cache(store, coordinator, value_mode=False)
-        result = cache.pull([1, 2], 0)
-        assert result.weights is None
-        assert result.created == 2
-
-    def test_update_without_grads(self, store, coordinator):
-        cache = make_cache(store, coordinator, value_mode=False)
-        cache.pull([1], 0)
-        cache.maintain(0)
-        assert cache.update([1], None, 0) == 1
-
-    def test_full_lifecycle_counts_match_value_mode(self, store, coordinator):
-        meta = make_cache(store, coordinator, capacity_entries=2, value_mode=False)
-        pool2 = PmemPool(1 << 20)
-        store2 = VersionedEntryStore(pool2, entry_bytes=ENTRY_BYTES)
+class TestCountsIgnoreTheBytes:
+    def test_zero_rows_count_like_real_rows(self, store, coordinator):
+        """What the training simulator leans on: a cache of zero rows
+        pushed zero gradients decides, moves and counts exactly what one
+        of real rows pushed real gradients does."""
+        zero = PipelinedCache(
+            CacheConfig(capacity_bytes=2 * ENTRY_BYTES),
+            store,
+            coordinator,
+            dim=DIM,
+            initializer=lambda keys: np.zeros((len(keys), DIM), dtype=np.float32),
+            optimizer=PSSGD(lr=0.5),
+        )
+        store2 = VersionedEntryStore(PmemPool(1 << 20), entry_bytes=ENTRY_BYTES)
         value = make_cache(store2, CheckpointCoordinator(store2), capacity_entries=2)
-        stream = [[1, 2], [3], [1], [4, 2], [1, 3]]
+        stream = [[1, 2], [3], [1], [4, 2, 4], [1, 3]]
         for batch, keys in enumerate(stream):
-            r1 = meta.pull(keys, batch)
-            r2 = value.pull(keys, batch)
+            r1, r2 = zero.pull(keys, batch), value.pull(keys, batch)
             assert (r1.hits, r1.misses, r1.created) == (r2.hits, r2.misses, r2.created)
-            m1 = meta.maintain(batch)
-            m2 = value.maintain(batch)
-            assert m1 == m2
+            assert zero.maintain(batch) == value.maintain(batch)
+            assert zero.update(keys, grads(keys, 0.0), batch) == value.update(
+                keys, grads(keys), batch
+            )
+            if batch == 2:
+                zero.coordinator.request(batch)
+                value.coordinator.request(batch)
+        assert zero.metrics.cache == value.metrics.cache
+        assert not zero.state_snapshot()[1].any()
 
 
 class TestBarriers:

@@ -1,5 +1,6 @@
 """CheckpointCoordinator: requests, completion, retention barriers."""
 
+import numpy as np
 import pytest
 
 from repro.core.checkpoint import CheckpointCoordinator
@@ -7,6 +8,8 @@ from repro.errors import CheckpointError
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import VersionedEntryStore
 from tests.harness.keyed_store import KeyedStore
+
+ROW = np.zeros((1, 4), dtype=np.float32)  # one 16-byte entry
 
 
 @pytest.fixture
@@ -59,23 +62,23 @@ class TestCoordinator:
 
     def test_barriers_follow_requests(self, coordinator, store):
         coordinator.request(5)
-        store.put([1], 2, None)
-        store.put([1], 9, None)
+        store.put([1], 2, ROW)
+        store.put([1], 9, ROW)
         assert store.versions_of(1) == [2, 9]  # 2 kept for checkpoint 5
 
     def test_barriers_include_last_completed(self, coordinator, store):
         coordinator.request(5)
         coordinator.complete_head()
-        store.put([1], 4, None)
-        store.put([1], 8, None)
+        store.put([1], 4, ROW)
+        store.put([1], 8, ROW)
         assert store.versions_of(1) == [4, 8]  # 4 recoverable for ckpt 5
 
     def test_completion_recycles(self, coordinator, store):
         coordinator.request(5)
-        store.put([1], 2, None)
-        store.put([1], 9, None)
+        store.put([1], 2, ROW)
+        store.put([1], 9, ROW)
         coordinator.request(12)
-        store.put([1], 13, None)
+        store.put([1], 13, ROW)
         coordinator.complete_head()  # ckpt 5 done; barrier moves on
         coordinator.complete_head()  # ckpt 12 done -> only <=12 + newest
         assert store.versions_of(1) == [9, 13]
@@ -88,9 +91,9 @@ class TestCoordinator:
         coordinator.complete_head()
         # Own last_completed is 10 but the cluster is only at 5: both
         # barriers hold.
-        store.put([1], 4, None)
-        store.put([1], 7, None)
-        store.put([1], 11, None)
+        store.put([1], 4, ROW)
+        store.put([1], 7, ROW)
+        store.put([1], 11, ROW)
         assert store.versions_of(1) == [4, 7, 11]
 
     def test_recovered_coordinator_reads_durable_id(self, store):

@@ -30,6 +30,7 @@ from repro.pmem.space import VersionedEntryStore
 from tests.harness.keyed_store import KeyedStore, keyed
 
 DIM = 2
+ROW = np.zeros((1, 2), dtype=np.float32)  # one 8-byte entry
 
 
 BACKENDS = pytest.mark.parametrize(
@@ -176,9 +177,9 @@ class TestCoordinatorClusterMode:
         coordinator.request(2)
         coordinator.complete_head()
         # Both completed checkpoints remain barriers (external unknown).
-        store.put([1], 0, None)
-        store.put([1], 2, None)
-        store.put([1], 5, None)
+        store.put([1], 0, ROW)
+        store.put([1], 2, ROW)
+        store.put([1], 5, ROW)
         assert store.versions_of(1) == [0, 2, 5]
         # Cluster confirms 2 is globally complete: 0 may be recycled.
         coordinator.set_external_barrier(2)
@@ -192,11 +193,11 @@ class TestCoordinatorClusterMode:
         shard never holds three generations."""
         coordinator = CheckpointCoordinator(store, cluster_mode=True)
         coordinator.request(0)
-        store.put([1], 0, None)
+        store.put([1], 0, ROW)
         coordinator.complete_head()
         coordinator.set_external_barrier(0)
         coordinator.request(2)
-        store.put([1], 2, None)
+        store.put([1], 2, ROW)
         coordinator.complete_head()
         coordinator.set_external_barrier(2)
         assert store.versions_of(1) == [0, 2]
@@ -209,16 +210,16 @@ class TestCoordinatorClusterMode:
         coordinator.complete_head()
         coordinator.request(2)
         coordinator.complete_head()
-        store.put([1], 0, None)
-        store.put([1], 2, None)
-        store.put([1], 5, None)
+        store.put([1], 0, ROW)
+        store.put([1], 2, ROW)
+        store.put([1], 5, ROW)
         # Only the newest completed checkpoint (2) is protected.
         assert store.versions_of(1) == [2, 5]
 
     def test_history_survives_recovery_construction(self, store):
         store.set_checkpointed_batch_id(4)
         coordinator = CheckpointCoordinator(store, cluster_mode=True)
-        store.put([1], 3, None)
-        store.put([1], 7, None)
+        store.put([1], 3, ROW)
+        store.put([1], 7, ROW)
         # The durable checkpoint (4) seeds the history: version 3 stays.
         assert store.versions_of(1) == [3, 7]

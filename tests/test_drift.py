@@ -84,18 +84,21 @@ class TestCacheUnderDrift:
             drift_fraction=0.6,
             batches_per_day=40,
         )
+        # Zero rows and zero gradients, as the training simulator runs.
         node = PSNode(
             0,
-            ServerConfig(embedding_dim=4, pmem_capacity_bytes=1 << 26, seed=3),
+            ServerConfig(
+                embedding_dim=4, pmem_capacity_bytes=1 << 26, seed=3, initializer_scale=0.0
+            ),
             CacheConfig(capacity_bytes=400 * 4 * 4),  # ~2% of keys
-            metadata_only=True,
         )
         cold_per_batch = []
         for batch in range(80):  # day boundary at batch 40
-            keys = workload.sample_batch_keys(64).tolist()
+            keys = workload.sample_batch_keys(64)
             result = node.pull(keys, batch)
             node.maintain(batch)
-            node.push(keys, None, batch)
+            pushed = keys[np.sort(np.unique(keys, return_index=True)[1])]
+            node.push(pushed, np.zeros((len(pushed), 4), dtype=np.float32), batch)
             # "Cold" = anything not served from DRAM: PMem misses plus
             # first-ever accesses (rotated-in hot keys are often new).
             cold_per_batch.append(1.0 - result.hits / result.accesses)

@@ -49,7 +49,6 @@ def make_node(
     arena: bool,
     capacity_entries: int,
     optimizer,
-    metadata_only: bool = False,
     **cache_options,
 ) -> PSNode:
     """``arena=False`` builds the node around the per-key oracle."""
@@ -60,9 +59,7 @@ def make_node(
     cache_config = CacheConfig(
         capacity_bytes=capacity_entries * entry_bytes, **cache_options
     )
-    node = PSNode(
-        0, server_config, cache_config, optimizer, metadata_only=metadata_only
-    )
+    node = PSNode(0, server_config, cache_config, optimizer)
     return node if arena else install_reference_cache(node)
 
 
@@ -302,13 +299,12 @@ class TestMaintainPlanHazards:
     served afterwards.
     """
 
-    def pair(self, capacity: int, *, metadata_only: bool = False, **cache_options):
+    def pair(self, capacity: int, **cache_options):
         return [
             make_node(
                 arena=arena,
                 capacity_entries=capacity,
                 optimizer=PSAdagrad(lr=0.1),
-                metadata_only=metadata_only,
                 **cache_options,
             )
             for arena in (True, False)
@@ -326,22 +322,20 @@ class TestMaintainPlanHazards:
             keys = keys + extra
         rounds = [node.maintain(batch_id) for node in nodes]
         assert rounds[0] == rounds[1]
-        value_mode = not nodes[0].metadata_only
         if push:
             rng = np.random.default_rng((batch_id, 5))
             grads = rng.standard_normal((len(keys), DIM)).astype(np.float32)
             for node in nodes:
-                node.push(keys, grads if value_mode else None, batch_id)
+                node.push(keys, grads, batch_id)
         fast, ref = nodes
         fast.cache.validate()
         a, b = pulls
         assert (a.hits, a.misses, a.created) == (b.hits, b.misses, b.created)
-        if value_mode:
-            assert np.array_equal(a.weights, b.weights)
-            snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
-            assert set(snap_fast) == set(snap_ref)
-            for key in snap_ref:
-                assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
+        assert np.array_equal(a.weights, b.weights)
+        snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+        assert set(snap_fast) == set(snap_ref)
+        for key in snap_ref:
+            assert np.array_equal(snap_fast[key], snap_ref[key]), f"key {key}"
         assert metrics_tuple(fast) == metrics_tuple(ref)
         assert fast.cache.cached_keys() == ref.cache.cached_keys()
         assert store_dump(fast) == store_dump(ref)
@@ -465,20 +459,6 @@ class TestMaintainPlanHazards:
         assert result.loads == 600 and result.flushes == 40
         assert nodes[0].cache.arena.capacity > rows_at_start
 
-    def test_metadata_only_mode(self):
-        """No arena, no rows: the plan is the whole round."""
-        nodes = self.pair(2, metadata_only=True)
-        rng = np.random.default_rng(3)
-        for batch_id in range(30):
-            keys = rng.integers(0, 9, size=int(rng.integers(1, 7))).tolist()
-            self.round(nodes, keys, batch_id)
-            if batch_id % 7 == 3:
-                for node in nodes:
-                    node.coordinator.request(batch_id)
-        assert nodes[0].cache.arena is None
-        assert nodes[0].metrics.checkpoints_completed > 0
-        assert nodes[0].pool.slab(nodes[0].store.entry_bytes).data is None
-
 
 SPARSE_KEYS = [0, 1, 2**64 - 1, 2**63, 2**32] + [
     (0x9E3779B97F4A7C15 * i) % 2**64 for i in range(3, 12)
@@ -537,15 +517,13 @@ class TestColumnarPlanner:
         policy=st.sampled_from(list(EvictionPolicy)),
         track_dirty=st.booleans(),
         admission=st.sampled_from((0, 0, 1, 2)),
-        metadata_only=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_every_observable_matches_the_oracle(
-        self, schedule, capacity, policy, track_dirty, admission, metadata_only
+        self, schedule, capacity, policy, track_dirty, admission
     ):
         nodes = TestMaintainPlanHazards().pair(
             capacity,
-            metadata_only=metadata_only,
             policy=policy,
             track_dirty=track_dirty,
             admission_threshold=admission,

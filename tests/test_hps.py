@@ -184,24 +184,6 @@ class TestBackendLookup:
         assert fresh.snapshot_id == 1
         assert not np.array_equal(fresh.weights, frozen.weights)
 
-    def test_metadata_only_rejected(self):
-        server = OpenEmbeddingServer(
-            ServerConfig(
-                num_nodes=1,
-                embedding_dim=DIM,
-                pmem_capacity_bytes=1 << 22,
-            ),
-            CacheConfig(capacity_bytes=1 << 18),
-            metadata_only=True,
-        )
-        train_batch_keys = [1]
-        server.pull(train_batch_keys, 0)
-        server.maintain(0)
-        server.push(train_batch_keys, None, 0)
-        server.barrier_checkpoint()
-        with pytest.raises(ServerError, match="value-mode"):
-            server.lookup(train_batch_keys)
-
 
 # ----------------------------------------------------------------------
 # the hierarchical tier

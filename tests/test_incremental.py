@@ -84,3 +84,15 @@ class TestRestore:
         checkpointer.checkpoint(0)
         assert len(checkpointer.stats_history) == 1
         assert checkpointer.stats_history[0].sim_seconds > 0
+
+
+class TestReadEntries:
+    def test_masks_the_keys_never_checkpointed(self, checkpointer, live_state):
+        live_state.update({1: w(1), 2: w(2)})
+        checkpointer.mark_dirty(np.array([2, 1, 2], dtype=np.uint64))
+        checkpointer.checkpoint(0)
+        found, rows = checkpointer.read_entries(np.array([2, 5, 1], dtype=np.uint64))
+        assert found.tolist() == [True, False, True]
+        assert rows.tolist() == [[2.0, 2.0], [1.0, 1.0]]
+        found, rows = checkpointer.read_entries(np.array([5], dtype=np.uint64))
+        assert not found.any() and rows.shape == (0, 2)

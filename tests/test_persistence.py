@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PMemError
-from repro.pmem.persistence import Transaction, flush_entries
+from repro.pmem.persistence import Transaction
 from repro.pmem.pool import PmemPool
 
 
@@ -69,13 +69,3 @@ class TestTransaction:
         pool.crash()  # second dump never committed
         assert pool.read("a")[0] == 1
 
-
-class TestFlushEntries:
-    def test_writes_everything_durably(self, pool):
-        elapsed = flush_entries(
-            pool, {"a": arr(1), "b": None}, entry_bytes=4
-        )
-        assert elapsed > 0
-        pool.crash()
-        assert pool.read("a")[0] == 1
-        assert pool.read("b") is None

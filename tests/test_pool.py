@@ -16,6 +16,11 @@ def arr(*values):
     return np.array(values, dtype=np.float32)
 
 
+def zeros(nbytes):
+    """An array of ``nbytes`` bytes."""
+    return np.zeros(nbytes, dtype=np.uint8)
+
+
 class TestBasicOps:
     def test_write_read_roundtrip(self, pool):
         pool.write("k", arr(1, 2, 3))
@@ -58,15 +63,6 @@ class TestBasicOps:
         pool.write("k", arr(1))
         assert pool.used_bytes == 4
 
-    def test_metadata_only_write(self, pool):
-        pool.write("k", None, nbytes=64)
-        assert pool.read("k") is None
-        assert pool.used_bytes == 64
-
-    def test_metadata_write_requires_nbytes(self, pool):
-        with pytest.raises(PMemError):
-            pool.write("k", None)
-
     def test_len_and_keys(self, pool):
         pool.write("a", arr(1))
         pool.write("b", arr(2), flush=False)
@@ -76,17 +72,17 @@ class TestBasicOps:
 
 class TestCapacity:
     def test_out_of_space(self, pool):
-        pool.write("big", None, nbytes=1024)
+        pool.write("big", zeros(1024))
         with pytest.raises(OutOfSpaceError):
-            pool.write("more", None, nbytes=1)
+            pool.write("more", zeros(1))
 
     def test_overwrite_does_not_double_count(self, pool):
-        pool.write("k", None, nbytes=1024)
-        pool.write("k", None, nbytes=1024)  # same footprint: fine
+        pool.write("k", zeros(1024))
+        pool.write("k", zeros(1024))  # same footprint: fine
         assert pool.used_bytes == 1024
 
     def test_free_bytes(self, pool):
-        pool.write("k", None, nbytes=100)
+        pool.write("k", zeros(100))
         assert pool.free_bytes == 924
 
 
@@ -120,8 +116,8 @@ class TestDurability:
         assert pool.durable_keys() == ["a"]
 
     def test_space_accounting_recomputed_after_crash(self, pool):
-        pool.write("a", None, nbytes=100, flush=True)
-        pool.write("b", None, nbytes=200, flush=False)
+        pool.write("a", zeros(100), flush=True)
+        pool.write("b", zeros(200), flush=False)
         assert pool.used_bytes == 300
         pool.crash()
         assert pool.used_bytes == 100

@@ -234,35 +234,6 @@ class TestClockPrimitive:
             clock.advance_overlapping(0.0, -1.0)
 
 
-class TestMetadataBackend:
-    """A metadata-only backend returns no weights: the pipeline keeps
-    membership only (the parent refused with ``ConfigError: requires a
-    value-mode backend`` at the first demand pull)."""
-
-    def test_full_step_without_rows(self):
-        from repro.core.ps_node import PSNode
-
-        node = PSNode(
-            0,
-            ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22),
-            CacheConfig(capacity_bytes=1 << 18),
-            metadata_only=True,
-        )
-        pipeline = PrefetchPipeline(node, PrefetchConfig(lookahead=2), DIM, stream)
-        for batch_id in range(3):
-            pipeline.begin_batch(batch_id, stream(batch_id))
-            pipeline.run_overlap(batch_id)
-            pipeline.push(stream(batch_id).reshape(-1), None, batch_id)
-            pipeline.end_batch(batch_id)
-            pipeline.validate()
-        assert pipeline.stats.demand_keys == 4  # batch 0 only
-        assert pipeline.stats.patched_keys > 0
-        assert pipeline.buffered_keys == 6  # the window of batch 2: keys 6..11
-        assert node.num_entries == 12
-        with pytest.raises(ConfigError, match="value-mode"):
-            pipeline.gather(stream(2))
-
-
 GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "golden_prefetch_pulls.json").read_text()
 )

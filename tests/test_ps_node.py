@@ -8,7 +8,9 @@ from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.errors import CheckpointError, OutOfSpaceError, ReproError, ServerError
 from repro.network.frontend import RemotePSClient
-from repro.pmem.space import EntryBlock
+from repro.network.messages import MigrateRequest, StatusResponse, decode_message, encode_message
+from repro.network.service import PSNodeService
+from repro.pmem.space import NO_ENTRIES, EntryBlock
 
 from tests.conftest import DIM, make_node
 from tests.harness.keyed_store import keyed
@@ -127,14 +129,46 @@ class TestCrash:
         assert pool.root.get("checkpointed_batch_id") == 0
 
 
-class TestMetadataOnly:
-    def test_no_weights_anywhere(self):
-        node = make_node(metadata_only=True)
-        result = node.pull([1, 2], 0)
-        assert result.weights is None
-        node.maintain(0)
-        node.push([1, 2], None, 0)
-        assert node.num_entries == 2
+class TestRowsOfAnotherWidth:
+    """A migration PUT whose rows are 0 floats wide (``width=0``) was
+    acked ``OK`` by a node that stores wider rows: it then served
+    uninitialized memory from ``lookup`` and died in ``pull``. A block
+    whose rows are not the node's width is refused whole."""
+
+    PUT = MigrateRequest(
+        op=MigrateRequest.OP_PUT,
+        source=1,
+        seq=1,
+        width=0,
+        entries=EntryBlock(
+            keys=np.array([7, 8], dtype=np.uint64),
+            nversions=np.ones(2, dtype=np.uint32),
+            batch_ids=np.zeros(2, dtype=np.int64),
+            rows=np.empty((2, 0), dtype=np.float32),
+        ),
+    )
+
+    def test_the_node_refuses_the_block(self):
+        node = make_node()
+        block = decode_message(encode_message(self.PUT)).entries
+        with pytest.raises(ServerError, match="rows are 0 floats wide"):
+            node.ingest_entries(block)
+        assert node.num_entries == 0 and node.store.total_versions() == 0
+
+    def test_the_service_answers_err_server(self):
+        node = make_node()
+        reply = PSNodeService(node).server.dispatch(encode_message(self.PUT))
+        assert decode_message(reply).code == StatusResponse.ERR_SERVER
+        assert node.num_entries == 0
+        node.seal_at(0)
+        served = node.lookup([7, 8], 0)
+        assert served.cold == 2
+        assert np.array_equal(served.weights, node.cache.initial_rows(self.PUT.entries.keys))
+
+    def test_the_empty_block_is_still_a_no_op(self):
+        node = make_node()
+        node.pull([1], 0)
+        assert node.ingest_entries(NO_ENTRIES) == 0 and node.num_entries == 1
 
 
 class TestQueuedAccessHazards:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.optimizers import PSAdagrad, PSSGD
+from repro.core.optimizers import PSAdagrad, PSSGD, segment_sum
 from repro.errors import ConfigError
 
 
@@ -64,3 +64,30 @@ class TestPSAdagrad:
             PSAdagrad(eps=0)
         with pytest.raises(ConfigError):
             PSAdagrad(initial_accumulator=-0.1)
+
+
+class TestSegmentSum:
+    def test_duplicates_accumulate_in_occurrence_order(self):
+        """Bit for bit a dict that seeds each id's sum with its first
+        gradient and adds the later ones as they come; the input (a
+        read-only wire view, say) is never written."""
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 6, 40)
+        grads = (rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-6, 6, (40, 1)))
+        grads = grads.astype(np.float32)
+        grads.flags.writeable = False
+        sums: dict[int, np.ndarray] = {}
+        for i, key in enumerate(ids.tolist()):
+            sums[key] = sums[key] + grads[i] if key in sums else grads[i].copy()
+        __, index, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        first = index[inverse]
+        starts = np.flatnonzero(first == np.arange(len(ids)))
+        agg = segment_sum(grads, first, starts)
+        assert ids[starts].tolist() == list(sums)  # first-occurrence order
+        assert agg.tobytes() == np.stack(list(sums.values())).tobytes()
+
+    def test_distinct_ids_are_a_copy(self):
+        grads = np.ones((3, 2), dtype=np.float32)
+        agg = segment_sum(grads, np.arange(3), np.arange(3))
+        agg += 1
+        assert (grads == 1).all()

@@ -9,6 +9,7 @@ from repro.errors import OutOfSpaceError, RecoveryError
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import (
     NO_CHECKPOINT,
+    NO_ENTRIES,
     NO_VERSION,
     EntryBlock,
     VersionedEntryStore,
@@ -273,6 +274,18 @@ class TestHeadsInHeadsOut:
         assert self.chain(other, taken[0]) == [(2, 2.0), (9, 9.0)]
         assert raw.drop([heads[0], -1]) == 2 and raw.total_versions() == 1
 
+    def test_every_slot_holds_a_row(self, raw):
+        """The slab is a matrix from its first slot on, and a write
+        without rows is no write."""
+        assert raw.slab.data.shape == (raw.slab.capacity, 4)
+        with pytest.raises(AttributeError):
+            raw.put([1], [-1], 0, None)
+        assert raw.total_versions() == 0 and raw.pool.used_bytes == 0
+
+    def test_the_empty_block_ingests_nothing(self, raw):
+        assert len(raw.ingest(NO_ENTRIES)) == 0
+        assert raw.total_versions() == 0 and raw.pool.device.write_ops == 0
+
     def test_dropped_keys_slot_reused_by_another_key(self, raw):
         """A head is only ever what a call returned for that key: after a
         drop the caller holds -1, and whoever gets the slot next starts
@@ -371,7 +384,7 @@ class StoreModel:
         return eligible[-1] if eligible else NO_VERSION
 
 
-def _assert_store_matches(store, model, value_mode):
+def _assert_store_matches(store, model):
     pool, slab = store.pool, store.slab
     for key in range(6):
         assert store.versions_of(key) == model.versions_of(key), f"key {key}"
@@ -390,15 +403,14 @@ def _assert_store_matches(store, model, value_mode):
     free = slab._free[: slab.free_rows].tolist()
     assert len(set(free)) == len(free) and not slab.live[free].any()
     assert slab.rows + slab.free_rows == slab.capacity
-    if value_mode:
-        for slot in slots:
-            pair = (int(slab.key[slot]), int(slab.batch[slot]))
-            assert slab.data[slot, 0] == model.rows[pair]
+    for slot in slots:
+        pair = (int(slab.key[slot]), int(slab.batch[slot]))
+        assert slab.data[slot, 0] == model.rows[pair]
 
 
-@given(ops=model_operations(), value_mode=st.booleans())
+@given(ops=model_operations())
 @settings(max_examples=150, deadline=None)
-def test_block_store_matches_dict_model(ops, value_mode):
+def test_block_store_matches_dict_model(ops):
     pool = PmemPool(MODEL_CAPACITY)
     store = KeyedStore(VersionedEntryStore(pool, entry_bytes=SLOT))
     model = StoreModel()
@@ -407,11 +419,7 @@ def test_block_store_matches_dict_model(ops, value_mode):
         if op in ("put", "ingest"):
             values = [stamp + i + 1 for i in range(len(arg))]
             stamp += len(arg)
-            rows = (
-                np.repeat(np.array(values, dtype=np.float32)[:, None], 4, axis=1)
-                if value_mode
-                else None
-            )
+            rows = np.repeat(np.array(values, dtype=np.float32)[:, None], 4, axis=1)
             keys = [key for key, __ in arg]
             versions = [version for __, version in arg]
             if op == "put":
@@ -435,7 +443,7 @@ def test_block_store_matches_dict_model(ops, value_mode):
                 model.read += len(arg)
                 want = [model.versions_of(key)[-1] for key in arg]
                 assert versions.tolist() == want
-                if value_mode and arg:
+                if arg:
                     assert rows[:, 0].tolist() == [
                         model.rows[pair] for pair in zip(arg, want)
                     ]
@@ -449,21 +457,19 @@ def test_block_store_matches_dict_model(ops, value_mode):
             assert block.keys.tolist() == arg
             assert block.nversions.tolist() == [len(v) for v in retained]
             assert block.batch_ids.tolist() == [v for vs in retained for v in vs]
-            if value_mode and block.rows is not None:
-                assert block.rows[:, 0].tolist() == [
-                    model.rows[key, v] for key, vs in zip(arg, retained) for v in vs
-                ]
+            assert block.rows[:, 0].tolist() == [
+                model.rows[key, v] for key, vs in zip(arg, retained) for v in vs
+            ]
         elif op == "read_at_most":
             keys, barrier = arg
             versions, rows = store.read_at_most(keys, barrier)
             want = [model.at_most(key, barrier) for key in keys]
             model.read += sum(version != NO_VERSION for version in want)
             assert versions.tolist() == want
-            if value_mode and rows is not None:
-                assert rows[:, 0].tolist() == [
-                    model.rows.get((key, version), 0.0)
-                    for key, version in zip(keys, want)
-                ]
+            assert rows[:, 0].tolist() == [
+                model.rows.get((key, version), 0.0)
+                for key, version in zip(keys, want)
+            ]
         elif op == "barriers":
             model.barriers = tuple(arg)
             store.set_retention_barriers(tuple(arg))
@@ -491,4 +497,4 @@ def test_block_store_matches_dict_model(ops, value_mode):
                 assert store.recover() == {
                     key: model.versions_of(key)[-1] for key in model.keys()
                 }
-        _assert_store_matches(store, model, value_mode)
+        _assert_store_matches(store, model)

@@ -53,6 +53,17 @@ class TestBasics:
         result = make_sim(SystemKind.DRAM_PS).run(10)
         assert result.miss_rate == 0.0
 
+    @pytest.mark.parametrize(
+        "system", [SystemKind.PMEM_OE, SystemKind.DRAM_PS, SystemKind.PMEM_HASH]
+    )
+    def test_the_functional_backend_holds_zero_rows(self, system):
+        """Counts do not depend on the bytes, so the simulator's backend
+        creates zero rows and pushes zero gradients."""
+        sim = make_sim(system)
+        sim.run(5)
+        rows = sim.backend.state_snapshot()
+        assert rows and not any(row.any() for row in rows.values())
+
     def test_invalid_iterations(self):
         with pytest.raises(ConfigError):
             make_sim(SystemKind.PMEM_OE).run(0)

@@ -182,22 +182,8 @@ class TestColumnarMigratePayload:
         assert np.array_equal(decoded.entries.rows, entries.rows)
         assert not decoded.entries.rows.flags.writeable  # zero-copy frame view
 
-    def test_metadata_only_roundtrip(self):
-        entries = EntryBlock(
-            keys=np.array([3, 4], dtype=np.uint64),
-            nversions=np.array([2, 1], dtype=np.uint32),
-            batch_ids=np.array([0, 2, 1], dtype=np.int64),
-            rows=None,
-        )
-        msg = MigrateResponse(width=0, entries=entries)
-        decoded = decode_message(bytes(encode_message(msg))).entries
-        assert decoded.keys.tolist() == [3, 4]
-        assert decoded.nversions.tolist() == [2, 1]
-        assert decoded.batch_ids.tolist() == [0, 2, 1]
-        assert decoded.rows is None
-
     def test_empty_payload(self):
         decoded = decode_message(
-            bytes(encode_message(MigrateResponse(width=4, entries=NO_ENTRIES)))
+            bytes(encode_message(MigrateResponse(entries=NO_ENTRIES)))
         )
         assert len(decoded.entries) == 0 and decoded.entries.batch_ids.size == 0
