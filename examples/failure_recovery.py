@@ -54,7 +54,7 @@ def main() -> None:
     print(f"reference run: {TOTAL_BATCHES} batches, no failures ...")
     reference = build_trainer(dataset)
     reference.train(TOTAL_BATCHES)
-    ref_state = reference.server.state_snapshot()
+    ref_state = reference.backend.state_snapshot()
 
     print(f"failure run: killing the cluster after batch {CRASH_AT} ...")
     victim = build_trainer(dataset)
@@ -81,7 +81,7 @@ def main() -> None:
           f"(re-training {lost} lost batches)")
     recovered.train(TOTAL_BATCHES - recovered.next_batch)
 
-    got_state = recovered.server.state_snapshot()
+    got_state = recovered.backend.state_snapshot()
     mismatched = sum(
         0 if np.array_equal(got_state[key], ref_state[key]) else 1
         for key in ref_state

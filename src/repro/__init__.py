@@ -45,11 +45,9 @@ from repro.core import (
     ReadBackend,
     RecoveryReport,
     ReplicaSelector,
-    ServingBackend,
     TrainBackend,
     aggregate_maintain,
     check_backend,
-    check_serving_backend,
     recover_node,
 )
 from repro.errors import (
@@ -78,10 +76,8 @@ __all__ = [
     "WorkloadConfig",
     "ReadBackend",
     "TrainBackend",
-    "ServingBackend",
     "LookupResult",
     "ReplicaSelector",
-    "check_serving_backend",
     "aggregate_maintain",
     "check_backend",
     "OpenEmbeddingServer",

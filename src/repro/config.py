@@ -3,6 +3,12 @@
 All configs are frozen dataclasses: construct once, validate eagerly in
 ``__post_init__``, and pass around freely. Sizes are in bytes and times
 in (simulated) seconds unless a field name says otherwise.
+
+Every field is read by the code it configures. A value that no CLI
+command, benchmark or workload varies is a constant where it is used
+instead: the retry backoff doubles per attempt, a shard is suspect after
+half its lease (:mod:`repro.core.failover`), and a node remembers the
+last :data:`DEFAULT_DEDUP_WINDOW` requests of a kind.
 """
 
 from __future__ import annotations
@@ -16,6 +22,11 @@ from repro.errors import ConfigError
 
 FLOAT_BYTES = 4
 """Embedding weights are float32, as in the paper (vectors of floats)."""
+
+DEFAULT_DEDUP_WINDOW = 1024
+"""Request identities a node remembers per kind: a replayed push older
+than this many pushes is no longer absorbed, by a node's RPC service or
+by its aggregation buffer."""
 
 
 class CheckpointMode(enum.Enum):
@@ -153,9 +164,6 @@ class ServerConfig:
             heartbeats stop is declared dead only once its lease
             expires, which bounds both false positives and the
             detection half of the unavailability window.
-        heartbeat_interval_s: how often the detector probes each shard
-            and renews its lease; must be strictly less than
-            ``lease_s`` or healthy nodes would flap dead.
         serving_replica_policy: which replica of a shard answers
             serving lookups (see
             :class:`~repro.core.serving_backend.ReplicaSelector`):
@@ -192,7 +200,6 @@ class ServerConfig:
     ring_vnodes: int = 64
     replicas: int = 1
     lease_s: float = 0.5
-    heartbeat_interval_s: float = 0.1
     serving_replica_policy: str = "round_robin"
     staleness_bound: int | None = None
     aggregator: str = "none"
@@ -225,13 +232,6 @@ class ServerConfig:
             )
         if self.lease_s <= 0:
             raise ConfigError("lease_s must be positive")
-        if self.heartbeat_interval_s <= 0:
-            raise ConfigError("heartbeat_interval_s must be positive")
-        if self.heartbeat_interval_s >= self.lease_s:
-            raise ConfigError(
-                "heartbeat_interval_s must be < lease_s "
-                f"({self.heartbeat_interval_s} >= {self.lease_s})"
-            )
         if self.serving_replica_policy not in (
             "primary", "round_robin", "least_loaded"
         ):
@@ -308,8 +308,8 @@ class RetryConfig:
         attempt_timeout_s: patience per attempt before a retry.
         call_timeout_s: total per-call budget; exhausting it raises
             :class:`~repro.errors.RpcTimeoutError`.
-        base_backoff_s: backoff before the second attempt.
-        backoff_multiplier: exponential growth factor per retry.
+        base_backoff_s: backoff before the second attempt; each later
+            retry doubles it.
         max_backoff_s: backoff ceiling.
         jitter: symmetric +/- fraction randomizing each backoff
             (0 disables jitter; draws come from a seeded per-channel
@@ -322,7 +322,6 @@ class RetryConfig:
     attempt_timeout_s: float = 0.05
     call_timeout_s: float = 2.0
     base_backoff_s: float = 1e-3
-    backoff_multiplier: float = 2.0
     max_backoff_s: float = 0.1
     jitter: float = 0.2
     seed: int = 0
@@ -336,17 +335,8 @@ class RetryConfig:
             raise ConfigError("call_timeout_s must be >= attempt_timeout_s")
         if self.base_backoff_s < 0 or self.max_backoff_s < self.base_backoff_s:
             raise ConfigError("need 0 <= base_backoff_s <= max_backoff_s")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigError("backoff_multiplier must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ConfigError("jitter must be in [0, 1]")
-
-    def backoff_for_attempt(self, attempt: int) -> float:
-        """Deterministic (un-jittered) backoff after ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ConfigError(f"attempt must be >= 1, got {attempt}")
-        raw = self.base_backoff_s * self.backoff_multiplier ** (attempt - 1)
-        return min(self.max_backoff_s, raw)
 
 
 @dataclass(frozen=True)
@@ -369,8 +359,9 @@ class NetworkFaultConfig:
         delay_mean_s: mean of the exponential extra delay.
         seed: RNG seed; the whole fault schedule is a deterministic
             function of it.
-        on_request: inject on the worker -> PS direction.
-        on_response: inject on the PS -> worker direction.
+
+    Faults hit both directions: worker -> PS requests and PS -> worker
+    responses.
     """
 
     drop_rate: float = 0.0
@@ -379,8 +370,6 @@ class NetworkFaultConfig:
     delay_rate: float = 0.0
     delay_mean_s: float = 1e-3
     seed: int = 0
-    on_request: bool = True
-    on_response: bool = True
 
     def __post_init__(self) -> None:
         for name in ("drop_rate", "duplicate_rate", "corrupt_rate", "delay_rate"):
@@ -446,31 +435,22 @@ class PrefetchConfig:
 
     Correctness: the pipeline guarantees bit-identical weights versus
     serial execution. A buffered entry whose key is touched by an
-    in-flight push is invalidated and re-pulled ("patched") before any
-    later batch consumes it — the staleness invariant.
+    in-flight push is invalidated and re-pulled ("patched") at the end
+    of the step, before any later batch consumes it — the staleness
+    invariant. The buffer holds at most the window: the distinct keys
+    of the next ``lookahead`` batches.
 
     Attributes:
         lookahead: how many future batches to peek. ``0`` disables the
             pipeline (strictly serial pull -> compute -> push ->
             maintain, the pre-pipeline behaviour).
-        patch: re-pull pushed keys that remain in the lookahead window
-            at the end of each step. Disabling this is only safe for
-            measurement runs that do not read the trained weights;
-            the equivalence tests always run with ``patch=True``.
-        max_buffer_entries: optional cap on distinct keys held in the
-            prefetch buffer; ``None`` means unbounded (the window is
-            naturally bounded by ``lookahead`` x batch keys).
     """
 
     lookahead: int = 0
-    patch: bool = True
-    max_buffer_entries: int | None = None
 
     def __post_init__(self) -> None:
         if self.lookahead < 0:
             raise ConfigError(f"lookahead must be >= 0, got {self.lookahead}")
-        if self.max_buffer_entries is not None and self.max_buffer_entries <= 0:
-            raise ConfigError("max_buffer_entries must be positive when set")
 
     @property
     def enabled(self) -> bool:

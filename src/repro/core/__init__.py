@@ -13,8 +13,6 @@ This package implements the paper's primary contribution:
 """
 
 from repro.core.backend import (
-    PS_BACKEND_METHODS,
-    PS_BACKEND_PROPERTIES,
     READ_BACKEND_METHODS,
     READ_BACKEND_PROPERTIES,
     TRAIN_BACKEND_METHODS,
@@ -24,12 +22,7 @@ from repro.core.backend import (
     check_backend,
 )
 from repro.core.cache import MaintainResult, PipelinedCache, PullResult
-from repro.core.serving_backend import (
-    LookupResult,
-    ReplicaSelector,
-    ServingBackend,
-    check_serving_backend,
-)
+from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import EntryColumns, EntryView, Location, pack_handle, unpack_handle
 from repro.core.failover import (
@@ -50,15 +43,11 @@ from repro.core.sharding import HashPartitioner
 __all__ = [
     "ReadBackend",
     "TrainBackend",
-    "PS_BACKEND_METHODS",
-    "PS_BACKEND_PROPERTIES",
     "READ_BACKEND_METHODS",
     "READ_BACKEND_PROPERTIES",
     "TRAIN_BACKEND_METHODS",
-    "ServingBackend",
     "LookupResult",
     "ReplicaSelector",
-    "check_serving_backend",
     "aggregate_maintain",
     "check_backend",
     "EntryColumns",

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.config import DEFAULT_DEDUP_WINDOW
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -247,8 +248,9 @@ class AggregationBuffer:
     ``q = max(1, num_workers - f)`` workers have a contribution
     pending, one contribution is popped from *every* pending worker and
     the round is folded with the aggregator, one block per multiplicity
-    class (module docstring). ``(worker_id, seq)`` replay dedup happens
-    here too (``seq=0`` opts out), so duplicated pushes are absorbed
+    class (module docstring). ``(worker_id, seq)`` replay dedup over the
+    last :data:`~repro.config.DEFAULT_DEDUP_WINDOW` pushes happens here
+    too (``seq=0`` opts out), so duplicated pushes are absorbed
     identically on the local and RPC transports.
     """
 
@@ -261,7 +263,6 @@ class AggregationBuffer:
         aggregator: GradientAggregator,
         num_workers: int,
         f: int = 0,
-        dedup_window: int = 1024,
     ):
         if num_workers < 1:
             raise ConfigError("aggregation needs num_workers >= 1")
@@ -277,7 +278,7 @@ class AggregationBuffer:
         self._queues: dict[int, deque[_Contribution]] = {}
         self._pending = 0  # contributions queued, over every worker
         self._pending_workers = 0  # workers whose queue is not empty
-        self._seen: deque[tuple[int, int]] = deque(maxlen=dedup_window)
+        self._seen: deque[tuple[int, int]] = deque(maxlen=DEFAULT_DEDUP_WINDOW)
         self._seen_set: set[tuple[int, int]] = set()
         self.stats = AggregatorStats()
 

@@ -70,13 +70,6 @@ TRAIN_BACKEND_METHODS = (
     "state_snapshot",
 )
 
-#: The full (train-role) method surface — kept for back-compat with
-#: pre-split callers that iterated the fat-protocol tuples.
-PS_BACKEND_METHODS = READ_BACKEND_METHODS + TRAIN_BACKEND_METHODS
-
-#: The full (train-role) property surface.
-PS_BACKEND_PROPERTIES = READ_BACKEND_PROPERTIES
-
 
 @runtime_checkable
 class ReadBackend(Protocol):
@@ -177,24 +170,16 @@ class TrainBackend(ReadBackend, Protocol):
         ...
 
 
-_EMPTY = MaintainResult(
-    processed=0, loads=0, flushes=0, evictions=0, checkpoints_completed=0
-)
-
-
 def aggregate_maintain(
-    results: Iterable[MaintainResult] | MaintainResult | None,
+    results: Iterable[MaintainResult] | MaintainResult,
 ) -> MaintainResult:
     """Collapse a backend's ``maintain`` return into one summed result.
 
-    Accepts the protocol's ``list[MaintainResult]``, a bare
+    Accepts the protocol's ``list[MaintainResult]`` or a bare
     :class:`MaintainResult` (single-shard components such as
-    :class:`~repro.core.ps_node.PSNode`), or ``None`` (legacy
-    maintenance-free backends), so callers can account maintenance work
-    uniformly without caring which backend produced it.
+    :class:`~repro.core.ps_node.PSNode`), so callers can account
+    maintenance work uniformly without caring which backend produced it.
     """
-    if results is None:
-        return _EMPTY
     if isinstance(results, MaintainResult):
         return results
     processed = loads = flushes = evictions = completed = 0
@@ -215,7 +200,11 @@ def aggregate_maintain(
 
 _ROLE_SURFACES = {
     "read": (READ_BACKEND_METHODS, READ_BACKEND_PROPERTIES, "ReadBackend"),
-    "train": (PS_BACKEND_METHODS, PS_BACKEND_PROPERTIES, "TrainBackend"),
+    "train": (
+        READ_BACKEND_METHODS + TRAIN_BACKEND_METHODS,
+        READ_BACKEND_PROPERTIES,
+        "TrainBackend",
+    ),
 }
 
 

@@ -14,7 +14,7 @@ Two pieces:
 * :class:`FailureDetector` — a pure, SimClock-driven lease table. Each
   watched node holds a lease of ``ServerConfig.lease_s`` seconds that a
   successful heartbeat renews. A node whose lease has expired is DEAD;
-  one past the suspect threshold but inside its lease is SUSPECT (do
+  one silent for half its lease but still inside it is SUSPECT (do
   not reroute yet — the wire may just be slow).
 * :class:`FailoverManager` — the policy loop over one cluster facade
   (:class:`~repro.core.server.OpenEmbeddingServer`), reaching each
@@ -23,7 +23,8 @@ Two pieces:
   :class:`~repro.network.frontend.RemotePSClient` the probe is a
   ``Heartbeat`` RPC on a short-retry channel and the promotion a
   ``Promote`` RPC. ``beat()`` probes every shard, renews leases and
-  advances background re-replication one chunk per round;
+  advances background re-replication one :data:`REBUILD_CHUNK` per
+  round;
   ``handle_timeout(node)`` is the client's reaction to an unanswered
   call: re-probe, wait out the remaining lease on the shared clock
   (detection latency is therefore *bounded by the lease*), promote the
@@ -48,6 +49,9 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.clock import SimClock
 
+REBUILD_CHUNK = 64
+"""Keys a degraded shard re-replicates per answered heartbeat round."""
+
 
 class NodeState(enum.Enum):
     """Detector's belief about one shard."""
@@ -71,26 +75,15 @@ class FailureDetector:
     it evidence (:meth:`heartbeat`) and ask for beliefs
     (:meth:`state_of`). Because leases live on the same
     :class:`SimClock` that prices training, detection latency shows up
-    in every simulated-time measurement, exactly like retries do.
+    in every simulated-time measurement, exactly like retries do. A
+    node silent for half its lease is suspect.
     """
 
-    def __init__(
-        self,
-        clock: SimClock,
-        lease_s: float,
-        suspect_after_s: float | None = None,
-    ):
+    def __init__(self, clock: SimClock, lease_s: float):
         if lease_s <= 0:
             raise ServerError(f"lease_s must be positive, got {lease_s}")
-        if suspect_after_s is None:
-            suspect_after_s = lease_s / 2.0
-        if not 0 < suspect_after_s <= lease_s:
-            raise ServerError(
-                f"need 0 < suspect_after_s <= lease_s, got {suspect_after_s}"
-            )
         self.clock = clock
         self.lease_s = lease_s
-        self.suspect_after_s = suspect_after_s
         self._leases: dict[int, _Lease] = {}
 
     def watch(self, node_id: int) -> None:
@@ -129,7 +122,7 @@ class FailureDetector:
         now = self.clock.now
         if now >= lease.deadline:
             return NodeState.DEAD
-        if now - lease.last_beat >= self.suspect_after_s:
+        if now - lease.last_beat >= self.lease_s / 2.0:
             return NodeState.SUSPECT
         return NodeState.ALIVE
 
@@ -207,7 +200,6 @@ class FailoverManager:
         *,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        rebuild_chunk: int = 64,
         recorder=None,
     ):
         self.cluster = cluster
@@ -220,7 +212,6 @@ class FailoverManager:
         #: double fault — the postmortem record of what the detector
         #: saw in the seconds around the outage.
         self.recorder = recorder
-        self.rebuild_chunk = rebuild_chunk
         self.detector = FailureDetector(clock, cluster.server_config.lease_s)
         self.watch_members()
         self.promotions: list[PromotionReport] = []
@@ -245,7 +236,7 @@ class FailoverManager:
         Returns each shard's post-round state. Heartbeats ride the
         background (off the request critical path), so the round itself
         charges no clock time beyond what the probes do. A shard that
-        answered advances its re-replication by one ``rebuild_chunk`` —
+        answered advances its re-replication by one :data:`REBUILD_CHUNK` —
         once per round, here and nowhere else.
         """
         self.watch_members()
@@ -261,7 +252,7 @@ class FailoverManager:
         return states
 
     def _tick_rebuild(self, node_id: int) -> None:
-        state = self.cluster._shard_rebuild_tick(node_id, self.rebuild_chunk)
+        state = self.cluster._shard_rebuild_tick(node_id, REBUILD_CHUNK)
         if state == "idle":
             return
         progress = self.cluster._shard_rebuild_progress(node_id)

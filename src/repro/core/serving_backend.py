@@ -2,16 +2,12 @@
 
 Training talks to the PS through
 :class:`~repro.core.backend.TrainBackend`; *serving* needs far less —
-and far stricter reads. This module defines that contract:
+and far stricter reads: the
+:class:`~repro.core.backend.ReadBackend` role, whose ``lookup`` this
+module describes:
 
 * :class:`LookupResult` — the return of one batched ``lookup``: a dense
   ``(n, dim)`` weight matrix plus the snapshot every row was read at;
-* :class:`ServingBackend` — the structural protocol of anything the
-  online inference tier can read from: the in-process
-  :class:`~repro.core.server.OpenEmbeddingServer`, the wire-level
-  :class:`~repro.network.frontend.RemotePSClient`, the baselines, and
-  the hierarchical :class:`~repro.dlrm.hps.HierarchicalPS` client cache
-  itself;
 * :class:`ReplicaSelector` — read fan-out policy across a shard's
   primary + backup replicas (round-robin / least-loaded / primary).
 
@@ -35,21 +31,10 @@ only ever pins to values it observed from ``latest_serving_snapshot``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro.errors import ConfigError
-
-#: Methods every serving-capable backend must expose.
-SERVING_BACKEND_METHODS = ("lookup",)
-
-#: Read-only attributes every serving-capable backend must expose.
-SERVING_BACKEND_PROPERTIES = (
-    "latest_serving_snapshot",
-    "checkpoints_completed",
-    "num_entries",
-)
 
 #: Replica fan-out policies understood by :class:`ReplicaSelector`.
 REPLICA_POLICIES = ("primary", "round_robin", "least_loaded")
@@ -82,59 +67,6 @@ class LookupResult:
     hits: int = 0
     cold: int = 0
     row_snapshots: np.ndarray | None = None
-
-
-@runtime_checkable
-class ServingBackend(Protocol):
-    """Structural protocol of a snapshot-consistent embedding reader.
-
-    ``lookup(keys, snapshot_id)`` must return every requested row as it
-    stood at the pinned Checkpointed Batch ID (``snapshot_id=None``
-    means "the newest one"), never a torn or partially-updated row.
-    ``latest_serving_snapshot`` is the newest checkpoint durably
-    completed by every shard (-1 before the first checkpoint).
-    """
-
-    def lookup(
-        self, keys: Sequence[int], snapshot_id: int | None = None
-    ) -> LookupResult:
-        """Batched snapshot-pinned read of ``keys``, in request order."""
-        ...
-
-    @property
-    def latest_serving_snapshot(self) -> int:
-        """Newest cluster-wide completed checkpoint id (-1 if none)."""
-        ...
-
-    @property
-    def checkpoints_completed(self) -> int:
-        """Monotone count of completed checkpoints (staleness clock)."""
-        ...
-
-    @property
-    def num_entries(self) -> int:
-        """Distinct embedding entries stored."""
-        ...
-
-
-def check_serving_backend(backend: object) -> ServingBackend:
-    """Validate ``backend`` against the serving protocol; returns it typed.
-
-    Raises:
-        TypeError: the object is missing part of the surface, with the
-            missing names spelled out.
-    """
-    missing = [
-        name
-        for name in (*SERVING_BACKEND_METHODS, *SERVING_BACKEND_PROPERTIES)
-        if not hasattr(backend, name)
-    ]
-    if missing:
-        raise TypeError(
-            f"{type(backend).__name__} does not implement ServingBackend; "
-            f"missing: {', '.join(sorted(missing))}"
-        )
-    return backend  # type: ignore[return-value]
 
 
 @dataclass

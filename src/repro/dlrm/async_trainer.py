@@ -147,8 +147,6 @@ class AsynchronousTrainer:
         if model.use_first_order:
             raise ConfigError("async trainer supports models without first-order")
         self.backend = check_backend(backend, role="train")
-        #: Deprecated alias of :attr:`backend`.
-        self.server = self.backend
         self.model = model
         self.dataset = dataset
         self.num_workers = num_workers

@@ -20,15 +20,10 @@ Staleness invariant
 Weights must be **bit-identical** to serial execution. The one hazard
 is a buffered entry whose key is touched by an in-flight push: its
 buffered copy is stale the moment the push applies. The pipeline
-therefore *invalidates* every pushed key, and restores it either
-
-* **eagerly** (``PrefetchConfig.patch=True``): re-pulled at the end of
-  the step, off the next batch's critical path, or
-* **lazily** (``patch=False``): the next batch's demand pull fetches
-  it again.
-
-Both are bit-identical — a re-pull simply observes the post-push
-weights, exactly what a serial pull at the later batch would see.
+therefore *invalidates* every pushed key and, at the end of the step,
+re-pulls ("patches") the ones still inside the lookahead window, off the
+next batch's critical path. The re-pull observes the post-push weights,
+exactly what a serial pull at the later batch would see.
 
 Access-queue discipline
 -----------------------
@@ -82,7 +77,7 @@ from repro.core.cache import MaintainResult
 from repro.errors import ConfigError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulation.clock import SimClock
-from repro.simulation.metrics import Metrics, PrefetchStats
+from repro.simulation.metrics import PrefetchStats
 
 _NO_KEYS = np.empty(0, dtype=np.uint64)
 
@@ -111,7 +106,7 @@ class PrefetchPipeline:
     Args:
         backend: any :class:`TrainBackend` (in-process server, remote RPC
             client, or a baseline).
-        config: lookahead depth / patching / buffer cap.
+        config: the lookahead depth.
         dim: embedding dimension of the buffered rows.
         keys_for_batch: deterministic peek into the workload stream —
             returns the key array (any shape) of a future global batch.
@@ -125,9 +120,9 @@ class PrefetchPipeline:
         tracer: span sink for demand/overlap/patch phases; the overlap
             window additionally emits a ``gpu.compute`` span on the
             ``gpu`` track so traces show PS work hidden behind it.
-        metrics: share a :class:`~repro.simulation.metrics.Metrics`
-            bundle — the pipeline then accumulates into its
-            ``prefetch`` sub-bundle instead of a private one.
+
+    The pipeline's counters are :attr:`stats`, a
+    :class:`~repro.simulation.metrics.PrefetchStats`.
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class PrefetchPipeline:
         gpu_batch_time_s: float = 0.0,
         horizon: int | None = None,
         tracer: Tracer | None = None,
-        metrics: Metrics | None = None,
     ):
         if dim <= 0:
             raise ConfigError(f"dim must be positive, got {dim}")
@@ -155,7 +149,7 @@ class PrefetchPipeline:
         self.gpu_batch_time_s = float(gpu_batch_time_s)
         self.horizon = horizon
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.stats = metrics.prefetch if metrics is not None else PrefetchStats()
+        self.stats = PrefetchStats()
         self._keys = _NO_KEYS
         #: rows aligned with ``_keys``
         self._rows = np.empty((0, dim), dtype=np.float32)
@@ -229,9 +223,6 @@ class PrefetchPipeline:
         self._window = self._peek_window(batch_id)
         candidates = np.setdiff1d(self._window, self._keys, assume_unique=True)
         self.stats.deduped_keys += self._window.size - candidates.size
-        cap = self.config.max_buffer_entries
-        if cap is not None:
-            candidates = candidates[: max(0, cap - self._keys.size)]
         if candidates.size:
             with self.tracer.span(
                 "prefetch.prefetch_pull",
@@ -267,8 +258,8 @@ class PrefetchPipeline:
 
         Invalidation is the first half of the staleness invariant: a
         pushed key's buffered copy is stale and must never be served
-        again. :meth:`end_batch` (eager) or the next
-        :meth:`begin_batch` (lazy) re-pulls it.
+        again. :meth:`end_batch` re-pulls it if the window still needs
+        it.
         """
         updated = self.backend.push(keys, grads, batch_id)
         pushed = np.asarray(keys, dtype=np.uint64)
@@ -281,14 +272,13 @@ class PrefetchPipeline:
     def end_batch(self, batch_id: int) -> None:
         """Patch pushed window keys and prune the buffer.
 
-        With eager patching, every pushed key still scheduled inside
-        the lookahead window is re-pulled now (tagged ``batch_id + 1``,
-        after this batch's maintenance round), restoring the second
-        half of the staleness invariant off the next batch's critical
-        path. The buffer is then pruned to the window, bounding it to
+        Every pushed key still scheduled inside the lookahead window is
+        re-pulled now (tagged ``batch_id + 1``, after this batch's
+        maintenance round), restoring the second half of the staleness
+        invariant off the next batch's critical path. The buffer is then pruned to the window, bounding it to
         roughly ``lookahead`` batches' worth of distinct keys.
         """
-        if self.config.patch and self.config.enabled:
+        if self.config.enabled:
             to_patch = np.intersect1d(
                 _distinct(self._pushed), self._window, assume_unique=True
             )

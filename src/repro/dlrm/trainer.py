@@ -138,9 +138,6 @@ class SynchronousTrainer:
                 "model uses the first-order FM term; pass first_order_server"
             )
         self.backend = check_backend(backend, role="train")
-        #: Deprecated alias of :attr:`backend`, kept for callers that
-        #: still read ``trainer.server``.
-        self.server = self.backend
         self.model = model
         self.dataset = dataset
         self.num_workers = num_workers
@@ -308,7 +305,7 @@ class SynchronousTrainer:
         if self.next_batch == 0:
             raise CheckpointError("nothing trained yet")
         batch_id = self.next_batch - 1
-        self.server.request_checkpoint(batch_id)
+        self.backend.request_checkpoint(batch_id)
         if self.first_order_server is not None:
             self.first_order_server.request_checkpoint(batch_id)
         self.dense_checkpoints.save(
@@ -323,7 +320,7 @@ class SynchronousTrainer:
     def barrier_checkpoint(self) -> int:
         """Checkpoint and force completion (clean-shutdown semantics)."""
         batch_id = self.request_checkpoint()
-        self.server.complete_pending_checkpoints()
+        self.backend.complete_pending_checkpoints()
         if self.first_order_server is not None:
             self.first_order_server.complete_pending_checkpoints()
         return batch_id
@@ -338,7 +335,7 @@ class SynchronousTrainer:
         Returns ``(sparse_pools, first_order_pools, dense_checkpoints)``
         — the PMem DIMM contents and the dense checkpoint files.
         """
-        pools = self.server.crash()
+        pools = self.backend.crash()
         first_pools = (
             self.first_order_server.crash()
             if self.first_order_server is not None

@@ -101,12 +101,6 @@ class FaultyLink:
         flip_pos = int(self._rng.integers(0, max(1, len(frame))))
 
         elapsed = self.network.transfer_time(len(frame), concurrent_flows)
-        active = (direction == "request" and cfg.on_request) or (
-            direction == "response" and cfg.on_response
-        )
-        if not active:
-            return Delivery(copies=(frame,), elapsed=elapsed)
-
         if drop_coin < cfg.drop_rate:
             self.stats.drops += 1
             self.stats._record(direction, "drop")

@@ -54,7 +54,7 @@ from repro.network.messages import (
     mirror,
 )
 from repro.network.rpc import RpcChannel
-from repro.network.service import DEFAULT_DEDUP_WINDOW, PSNodeService, row_width
+from repro.network.service import PSNodeService, row_width
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.pmem.space import NO_ENTRIES, EntryBlock
@@ -106,7 +106,6 @@ class RemotePSClient(OpenEmbeddingServer):
         faults: when given, all channels share one seeded
             :class:`FaultyLink` over ``network``.
         worker_id: this client's identity in push dedup headers.
-        dedup_window: per-node service replay window.
         tracer: span sink shared by every channel (client-side
             call/attempt/backoff spans), every node service (handler
             spans) and every node's cache.
@@ -134,7 +133,6 @@ class RemotePSClient(OpenEmbeddingServer):
         retry: RetryConfig | None = None,
         faults: NetworkFaultConfig | None = None,
         worker_id: int = 0,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
         node_tracers: list[Tracer] | None = None,
@@ -145,7 +143,6 @@ class RemotePSClient(OpenEmbeddingServer):
         self.node_tracers = node_tracers
         super().__init__(server_config, cache_config, optimizer, tracer=tracer)
         self.retry = retry
-        self.dedup_window = dedup_window
         self.clock = clock or SimClock()
         self.worker_id = worker_id
         self.recorder = recorder
@@ -178,11 +175,7 @@ class RemotePSClient(OpenEmbeddingServer):
     ) -> tuple[PSNodeService, RpcChannel]:
         """Put ``node`` behind a service and open this client's channel
         to it (the channel id is the node id)."""
-        service = PSNodeService(
-            node,
-            dedup_window=self.dedup_window,
-            tracer=self._node_tracer(node.node_id),
-        )
+        service = PSNodeService(node, tracer=self._node_tracer(node.node_id))
         channel = RpcChannel(
             service.server,
             self.link,

@@ -465,9 +465,14 @@ class RpcChannel:
         return response_delivery.copies[0], elapsed
 
     def _jittered_backoff(self, attempt: int) -> float:
-        backoff = self.retry.backoff_for_attempt(attempt)
-        if self.retry.jitter > 0:
-            swing = self.retry.jitter * (2.0 * self._jitter_rng.random() - 1.0)
+        """The wait after ``attempt`` (1-based): ``base_backoff_s``
+        doubled per retry, capped at ``max_backoff_s``, then jittered."""
+        retry = self.retry
+        backoff = min(
+            retry.max_backoff_s, retry.base_backoff_s * 2.0 ** (attempt - 1)
+        )
+        if retry.jitter > 0:
+            swing = retry.jitter * (2.0 * self._jitter_rng.random() - 1.0)
             backoff *= 1.0 + swing
         return max(0.0, backoff)
 

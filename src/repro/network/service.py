@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.config import DEFAULT_DEDUP_WINDOW
 from repro.core.ps_node import PSNode
 from repro.core.replication import ReplicatedPSNode
 from repro.core.sharding import RING_STATE_FIELD
@@ -46,9 +47,6 @@ from repro.network.messages import (
 )
 from repro.network.rpc import RpcServer, Unresponsive
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-DEFAULT_DEDUP_WINDOW = 1024
-"""Replayed pushes older than this many pushes are no longer absorbed."""
 
 
 def row_width(node) -> int:
@@ -74,34 +72,25 @@ class _ReplayWindow(OrderedDict):
 class PSNodeService:
     """One PS node's RPC surface.
 
+    A retried push among the last :data:`DEFAULT_DEDUP_WINDOW` pushes
+    is suppressed — at-most-once gradient application; its original
+    reply is returned verbatim.
+
     Args:
         node: the wrapped shard.
-        dedup_window: how many recent ``(worker_id, seq)`` push
-            identities to remember (and whose cached replies to
-            replay). A retried push inside the window is suppressed —
-            at-most-once gradient application; its original reply is
-            returned verbatim.
         tracer: span sink; every handler invocation becomes a
             ``ps.pull`` / ``ps.push`` / ``ps.maintain`` /
             ``ps.checkpoint`` span carrying its request counts.
     """
 
-    def __init__(
-        self,
-        node: PSNode,
-        dedup_window: int = DEFAULT_DEDUP_WINDOW,
-        tracer: Tracer | None = None,
-    ):
-        if dedup_window < 1:
-            raise ServerError(f"dedup_window must be >= 1, got {dedup_window}")
+    def __init__(self, node: PSNode, tracer: Tracer | None = None):
         self.node = node
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.dedup_window = dedup_window
         self.dup_suppressed = 0
-        self._push_replies = _ReplayWindow(dedup_window)  # (worker_id, seq)
-        self._maintain_replies = _ReplayWindow(dedup_window)  # batch id
-        self._checkpoint_replies = _ReplayWindow(dedup_window)  # batch id
-        self._migrate_replies = _ReplayWindow(dedup_window)  # (source, seq)
+        self._push_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (worker_id, seq)
+        self._maintain_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
+        self._checkpoint_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
+        self._migrate_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (source, seq)
         self.server = RpcServer()
         self.server.register(PullRequest.TYPE, self._handle_pull)
         self.server.register(PushRequest.TYPE, self._handle_push)
@@ -135,7 +124,7 @@ class PSNodeService:
         cached = window.get(key) if key is not None else None
         if cached is not None:
             self.dup_suppressed += 1
-            self.node.metrics.rpc.dup_suppressed += 1
+            self.node.metrics.dup_suppressed += 1
             span.set(dup_suppressed=True)
         return cached
 

@@ -1,9 +1,9 @@
 """A unified, labeled, mergeable metrics registry.
 
-The existing stat bundles (:class:`~repro.simulation.metrics.CacheStats`,
-``RpcReliabilityStats``, ``PrefetchStats`` and the plain ``Metrics``
-ints) each tell one layer's story. A :class:`MetricsRegistry` unifies
-them under *named metrics with label sets* — the per-PS-node cluster
+A node's stat bundle (:class:`~repro.simulation.metrics.Metrics`: its
+``CacheStats`` and plain ints) tells each layer's story. A
+:class:`MetricsRegistry` puts them under *named metrics with label
+sets* — the per-PS-node cluster
 view the paper's evaluation needs, and the shape the exporters
 (:mod:`repro.obs.exporters`) serialize.
 
@@ -184,26 +184,7 @@ _BUNDLE_COUNTERS: tuple[tuple[str, str], ...] = (
     ("repro_cache_evictions_total", "cache.evictions"),
     ("repro_cache_flushes_total", "cache.flushes"),
     ("repro_cache_loads_total", "cache.loads"),
-    ("repro_rpc_retries_total", "rpc.retries"),
-    ("repro_rpc_timeouts_total", "rpc.timeouts"),
-    ("repro_rpc_wire_errors_total", "rpc.wire_errors"),
-    ("repro_rpc_dup_suppressed_total", "rpc.dup_suppressed"),
-    ("repro_rpc_backoff_seconds_total", "rpc.backoff_seconds"),
-    ("repro_rpc_faults_injected_total", "rpc.faults_injected"),
-    ("repro_prefetch_demand_keys_total", "prefetch.demand_keys"),
-    ("repro_prefetch_buffer_hits_total", "prefetch.buffer_hits"),
-    ("repro_prefetch_keys_total", "prefetch.prefetch_keys"),
-    ("repro_prefetch_patched_keys_total", "prefetch.patched_keys"),
-    ("repro_prefetch_invalidated_keys_total", "prefetch.invalidated_keys"),
-    ("repro_prefetch_deduped_keys_total", "prefetch.deduped_keys"),
-    ("repro_prefetch_batches_total", "prefetch.batches"),
-    ("repro_prefetch_overlap_hidden_seconds_total", "prefetch.overlap_hidden_seconds"),
-    ("repro_prefetch_demand_hits_total", "prefetch.demand_hits"),
-    ("repro_prefetch_demand_misses_total", "prefetch.demand_misses"),
-    ("repro_prefetch_demand_created_total", "prefetch.demand_created"),
-    ("repro_prefetch_lookahead_hits_total", "prefetch.lookahead_hits"),
-    ("repro_prefetch_lookahead_misses_total", "prefetch.lookahead_misses"),
-    ("repro_prefetch_lookahead_created_total", "prefetch.lookahead_created"),
+    ("repro_rpc_dup_suppressed_total", "dup_suppressed"),
     ("repro_serving_lookups_total", "serving_lookups"),
     ("repro_serving_rows_total", "serving_rows"),
     ("repro_serving_cold_rows_total", "serving_cold_rows"),

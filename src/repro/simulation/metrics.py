@@ -58,12 +58,13 @@ class CacheStats(_Additive):
 
 @dataclass
 class RpcReliabilityStats(_Additive):
-    """Retry/timeout/dedup observability for the RPC path.
+    """Retry/timeout/dedup observability for the RPC path: what
+    :meth:`~repro.network.frontend.RemotePSClient.reliability` returns.
 
     Channels contribute ``retries`` / ``timeouts`` / ``wire_errors`` /
-    ``backoff_seconds``; the server side contributes
-    ``dup_suppressed`` (retried pushes whose replay was absorbed by
-    the dedup window) and fault-injection totals come from the link.
+    ``backoff_seconds``; the services contribute ``dup_suppressed``
+    (retried requests whose replay was absorbed by the dedup window)
+    and fault-injection totals come from the link.
     """
 
     retries: int = 0
@@ -183,19 +184,18 @@ class RequestTrace:
 
 @dataclass
 class Metrics(_Additive):
-    """A bundle of all statistics one PS node (or run) collects.
+    """A bundle of all statistics one PS node collects.
 
-    Every sub-bundle lives here — cache, RPC reliability, prefetch
-    pipeline, request trace — so one ``Metrics`` object snapshots (and
-    one :meth:`reset` clears) a whole run. The observability layer
-    hoists the bundle into labeled registry metrics via
-    :func:`repro.obs.registry.collect_bundle`.
+    One ``Metrics`` object snapshots (and one :meth:`reset` clears) a
+    node's cache, update, checkpoint, PMem and serving counters, and
+    the requests its RPC service answered from the dedup window. The
+    observability layer hoists the bundle into labeled registry metrics
+    via :func:`repro.obs.registry.collect_bundle`.
     """
 
     cache: CacheStats = field(default_factory=CacheStats)
-    rpc: RpcReliabilityStats = field(default_factory=RpcReliabilityStats)
-    prefetch: PrefetchStats = field(default_factory=PrefetchStats)
-    trace: RequestTrace = field(default_factory=RequestTrace)
+    #: retried requests answered from the node's dedup window
+    dup_suppressed: int = 0
     pulls: int = 0
     updates: int = 0
     entries_created: int = 0
@@ -208,7 +208,3 @@ class Metrics(_Additive):
     serving_lookups: int = 0
     serving_rows: int = 0
     serving_cold_rows: int = 0
-
-    def reset(self) -> None:
-        super().reset()
-        self.trace.clear()

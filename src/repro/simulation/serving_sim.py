@@ -42,6 +42,10 @@ _REQUEST_HEADER = 16
 _RESPONSE_HEADER = 24
 #: Wire frame overhead: type + length + crc32.
 _FRAME_HEADER = 9
+#: Client-side threads probing the hot-row cache.
+PROBE_THREADS = 8
+#: PS-node device threads serving the store reads.
+DEVICE_THREADS = 4
 
 
 class ServingCostModel:
@@ -51,29 +55,20 @@ class ServingCostModel:
         network: wire model for the client -> shard miss path. Pass
             None when the backend charges its own wire time (the RPC
             transports), so only device time is added here.
-        probe_threads: client-side threads probing the hot-row cache.
-        device_threads: PS-node device threads serving the store reads.
     """
 
-    def __init__(
-        self,
-        network: NetworkModel | None = None,
-        probe_threads: int = 8,
-        device_threads: int = 4,
-    ):
+    def __init__(self, network: NetworkModel | None = None):
         self.dram = MemoryDevice(DRAM_SPEC)
         self.pmem = MemoryDevice(PMEM_SPEC)
         self.network = network
-        self.probe_threads = probe_threads
-        self.device_threads = device_threads
 
     def hit_seconds(self, rows: int, row_bytes: int) -> float:
         """Client-local DRAM probe of ``rows`` cached rows."""
-        return self.dram.burst_read(rows, row_bytes, self.probe_threads)
+        return self.dram.burst_read(rows, row_bytes, PROBE_THREADS)
 
     def miss_seconds(self, rows: int, row_bytes: int, flows: int = 1) -> float:
         """Remote fetch: wire (if modelled here) + shard device read."""
-        elapsed = self.pmem.burst_read(rows, row_bytes, self.device_threads)
+        elapsed = self.pmem.burst_read(rows, row_bytes, DEVICE_THREADS)
         if self.network is not None and rows:
             request = _FRAME_HEADER + _REQUEST_HEADER + 8 * rows
             response = _FRAME_HEADER + _RESPONSE_HEADER + rows * row_bytes

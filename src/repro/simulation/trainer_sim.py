@@ -48,6 +48,9 @@ from repro.simulation.device import PMEM_SPEC
 from repro.simulation.metrics import PrefetchStats, RequestTrace
 from repro.workload.generator import WorkloadGenerator
 
+MTTF_SEED = 0
+"""Seed of the Poisson kill schedule an ``mttf_s`` run samples."""
+
 
 @dataclass
 class TrainingRunResult:
@@ -153,7 +156,6 @@ class TrainingSimulator:
         reshard_at: int | None = None,
         reshard_to: int | None = None,
         mttf_s: float | None = None,
-        mttf_seed: int = 0,
         record_trace: bool = False,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
@@ -231,7 +233,6 @@ class TrainingSimulator:
         if mttf_s is not None and mttf_s <= 0:
             raise ConfigError(f"mttf_s must be positive, got {mttf_s}")
         self.mttf_s = mttf_s
-        self.mttf_seed = mttf_seed
         self._kill_injector = None
         self._validate_checkpoint_mode()
 
@@ -642,7 +643,7 @@ class TrainingSimulator:
                     self.mttf_s,
                     horizon,
                     self.server.num_nodes,
-                    seed=self.mttf_seed,
+                    seed=MTTF_SEED,
                 )
             )
         for __, victim in self._kill_injector.due(self.clock.now):

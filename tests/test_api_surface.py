@@ -96,9 +96,7 @@ class TestPSBackendProtocol:
             "latest_serving_snapshot",
             "checkpoints_completed",
         )
-        assert backend_module.PS_BACKEND_METHODS == (
-            "pull",
-            "lookup",
+        assert backend_module.TRAIN_BACKEND_METHODS == (
             "push",
             "maintain",
             "request_checkpoint",
@@ -510,7 +508,7 @@ class TestLookaheadExistsOnce:
             for node in ast.walk(ast.parse(source)):
                 if (
                     isinstance(node, ast.Attribute)
-                    and node.attr in ("lookahead", "patch", "max_buffer_entries")
+                    and node.attr == "lookahead"
                     and not (isinstance(node.value, ast.Name) and node.value.id == "args")
                 ):
                     raise AssertionError(f"{path}:{node.lineno} reads .{node.attr}")
@@ -660,3 +658,58 @@ class TestOneRowMode:
         from repro.network.messages import _Column
 
         assert "optional" not in _Column._fields
+
+
+class TestEveryOptionHasACaller:
+    """A value no program outside the tests sets is a constant where it
+    is used, not a setting: each independent option doubles the
+    configurations the tests must cover."""
+
+    #: The settings only tests (or nobody) set, by the class they left.
+    RETIRED = {
+        ("repro.config", "ServerConfig"): ("heartbeat_interval_s",),
+        ("repro.config", "PrefetchConfig"): ("patch", "max_buffer_entries"),
+        ("repro.config", "NetworkFaultConfig"): ("on_request", "on_response"),
+        ("repro.config", "RetryConfig"): ("backoff_multiplier",),
+        ("repro.dlrm.prefetch", "PrefetchPipeline"): ("metrics",),
+        ("repro.core.failover", "FailureDetector"): ("suspect_after_s",),
+        ("repro.core.failover", "FailoverManager"): ("rebuild_chunk",),
+        ("repro.network.service", "PSNodeService"): ("dedup_window",),
+        ("repro.network.frontend", "RemotePSClient"): ("dedup_window",),
+        ("repro.core.aggregators", "AggregationBuffer"): ("dedup_window",),
+        ("repro.simulation.serving_sim", "ServingCostModel"): (
+            "probe_threads", "device_threads",
+        ),
+        ("repro.simulation.trainer_sim", "TrainingSimulator"): ("mttf_seed",),
+    }
+
+    def test_every_config_field_is_read_outside_config(self):
+        import ast
+        import dataclasses
+        from pathlib import Path
+
+        import repro.config as config
+
+        read = set()
+        for path, source in TestOneKeyMapPerNode.sources("").items():
+            if path != Path(config.__file__):
+                read |= {
+                    node.attr for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute)
+                }
+        for name, cls in vars(config).items():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == config.__name__:
+                for field in dataclasses.fields(cls):
+                    assert field.name in read, f"nothing reads {name}.{field.name}"
+
+    def test_the_retired_settings_are_gone(self):
+        import dataclasses
+        import inspect
+
+        assert sum(len(names) for names in self.RETIRED.values()) == 15
+        for (module, name), gone in self.RETIRED.items():
+            cls = getattr(importlib.import_module(module), name)
+            settable = set(inspect.signature(cls).parameters)
+            if dataclasses.is_dataclass(cls):
+                settable |= {field.name for field in dataclasses.fields(cls)}
+            assert not settable & set(gone), (name, sorted(settable & set(gone)))

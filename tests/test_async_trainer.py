@@ -77,7 +77,7 @@ class TestSyncVsAsync:
         async_trainer = build_async(dataset, workers=2, staleness=2)
         async_trainer.run_steps(20)
         async_trainer.checkpoint(quiesce=True)
-        async_state = async_trainer.server.state_snapshot()
+        async_state = async_trainer.backend.state_snapshot()
 
         sync_server = OpenEmbeddingServer(
             ServerConfig(
@@ -117,7 +117,7 @@ class TestSyncVsAsync:
             num_workers=1, batch_size=16, dense_optimizer=Adam(1e-2),
         )
         sync.train(6)
-        a = async_trainer.server.state_snapshot()
+        a = async_trainer.backend.state_snapshot()
         b = sync_server.state_snapshot()
         assert set(a) == set(b)
         for key in a:
@@ -145,10 +145,10 @@ class TestAsyncCheckpoints:
         # snapshot and the live state diverge.
         snapshot = {
             k: np.array(v, copy=True)
-            for k, v in trainer.server.state_snapshot().items()
+            for k, v in trainer.backend.state_snapshot().items()
         }
         trainer.run_steps(4)  # applies the stale pushes
-        live = trainer.server.state_snapshot()
+        live = trainer.backend.state_snapshot()
         assert any(
             not np.array_equal(snapshot[k], live[k]) for k in snapshot
         )

@@ -88,6 +88,11 @@ class TestServerConfig:
         with pytest.raises(ConfigError):
             ServerConfig(pmem_capacity_bytes=0)
 
+    def test_a_short_lease_constructs(self):
+        assert ServerConfig(replicas=2, lease_s=0.05).lease_s == 0.05
+        with pytest.raises(ConfigError):
+            ServerConfig(lease_s=0.0)
+
 
 class TestClusterAndNetwork:
     def test_cluster_validation(self):

@@ -33,7 +33,7 @@ from repro.config import (
     ServerConfig,
     WorkloadConfig,
 )
-from repro.core.failover import FailureDetector, NodeState
+from repro.core.failover import REBUILD_CHUNK, FailureDetector, NodeState
 from repro.core.migration import MIGRATION_STEPS
 from repro.core.replication import FAILOVER_SECONDS
 from repro.core.sharding import (
@@ -152,8 +152,6 @@ class TestFailureDetector:
         clock = SimClock()
         with pytest.raises(ServerError):
             FailureDetector(clock, 0.0)
-        with pytest.raises(ServerError):
-            FailureDetector(clock, 1.0, suspect_after_s=2.0)
 
 
 # ----------------------------------------------------------------------
@@ -513,7 +511,7 @@ class TestRemoteFailover:
             s.manager.cluster._shard_promote(1, 0)
 
     def test_rebuild_ticks_once_per_beat_on_both_backends(self):
-        """One ``rebuild_chunk`` per heartbeat round, ticked by the
+        """One ``REBUILD_CHUNK`` per heartbeat round, ticked by the
         manager alone: the same 2 000-key rebuild takes the same rounds
         in process and over RPC, and the ticks counter counts them (a
         probe that also ticked on the service halved the RPC rounds)."""
@@ -535,7 +533,7 @@ class TestRemoteFailover:
                 beats += 1
             census = node.rebuild_report.keys_total
             # started + one per chunk + done
-            assert beats == 2 + -(-census // manager.rebuild_chunk), kind
+            assert beats == 2 + -(-census // REBUILD_CHUNK), kind
             ticks = registry.counter(
                 "repro_failover_rereplication_ticks_total", {"node": "0"}
             ).value
@@ -815,3 +813,13 @@ class TestSimulateCli:
         out = capsys.readouterr().out
         assert "node kills" in out
         assert "recovery pause" in out
+
+    def test_simulate_accepts_a_short_lease(self, capsys):
+        """A lease of 100 ms or less used to die with a ConfigError from a
+        heartbeat-interval check nothing read."""
+        code = main(
+            "simulate --system pmem_oe --workers 4 --iterations 5 "
+            "--replicas 2 --lease-ms 50".split()
+        )
+        assert code == 0
+        assert "iterations        : 5" in capsys.readouterr().out

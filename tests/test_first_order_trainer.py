@@ -66,7 +66,7 @@ def recover(survivors, prefetch=None, first_order_config=FIRST_CONFIG):
 
 
 def tables(trainer):
-    return trainer.server.state_snapshot(), trainer.first_order_server.state_snapshot()
+    return trainer.backend.state_snapshot(), trainer.first_order_server.state_snapshot()
 
 
 def assert_tables_equal(got, want):
@@ -110,7 +110,7 @@ class TestCrashResume:
         trainer.train(4)
         trainer.barrier_checkpoint()
         trainer.train(2)  # requests checkpoint 5 on both tables ...
-        trainer.server.complete_pending_checkpoints()  # ... one completes
+        trainer.backend.complete_pending_checkpoints()  # ... one completes
         with pytest.raises(RecoveryError, match="different checkpoints"):
             recover(trainer.crash())
 

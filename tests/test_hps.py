@@ -2,8 +2,7 @@
 
 Unit coverage for the online inference extension:
 
-* the :class:`~repro.core.serving_backend.ServingBackend` protocol and
-  its checker;
+* the read role a serving backend satisfies, and its checker;
 * :class:`~repro.core.serving_backend.ReplicaSelector` policies;
 * :class:`~repro.dlrm.hps.HierarchicalPS` — hot-row cache hits,
   snapshot-window invalidation at every ``staleness_bound_k``, pinned
@@ -22,12 +21,7 @@ import pytest
 
 from repro.config import CacheConfig, ConfigError, ServerConfig
 from repro.core.backend import ReadBackend, TrainBackend, check_backend
-from repro.core.serving_backend import (
-    LookupResult,
-    ReplicaSelector,
-    ServingBackend,
-    check_serving_backend,
-)
+from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.server import OpenEmbeddingServer
 from repro.core.sharding import mix64
 from repro.dlrm.hps import WAYS, HierarchicalPS
@@ -77,15 +71,15 @@ def trained_server(batches: int = 1, keys=range(16)) -> OpenEmbeddingServer:
 class TestServingProtocol:
     def test_server_is_serving_backend(self):
         server = make_server()
-        assert isinstance(server, ServingBackend)
-        assert check_serving_backend(server) is server
+        assert isinstance(server, ReadBackend)
+        assert check_backend(server, role="read") is server
 
     def test_checker_names_missing_members(self):
         class NotServing:
             pass
 
         with pytest.raises(TypeError, match="lookup"):
-            check_serving_backend(NotServing())
+            check_backend(NotServing(), role="read")
 
     def test_role_split(self):
         server = make_server()

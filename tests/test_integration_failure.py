@@ -67,7 +67,7 @@ def run_with_failures(schedule: CrashSchedule, dataset):
     recoveries = 0
     while trainer.next_batch < TOTAL_BATCHES:
         if injector.should_crash(trainer.next_batch):
-            if trainer.server.global_completed_checkpoint < 0:
+            if trainer.backend.global_completed_checkpoint < 0:
                 # Crash before any completed checkpoint: a real system
                 # restarts from scratch; so do we.
                 trainer, *_ = build_trainer(
@@ -93,11 +93,11 @@ class TestFailureLoops:
     def test_single_crash_matches_reference(self, dataset):
         reference, *_ = build_trainer(dataset)
         reference.train(TOTAL_BATCHES)
-        ref_state = reference.server.state_snapshot()
+        ref_state = reference.backend.state_snapshot()
 
         crashed, recoveries = run_with_failures(CrashSchedule((17,)), dataset)
         assert recoveries == 1
-        got = crashed.server.state_snapshot()
+        got = crashed.backend.state_snapshot()
         assert set(got) == set(ref_state)
         for key in ref_state:
             assert np.array_equal(got[key], ref_state[key])
@@ -105,12 +105,12 @@ class TestFailureLoops:
     def test_multiple_crashes_still_converge_to_reference(self, dataset):
         reference, *_ = build_trainer(dataset)
         reference.train(TOTAL_BATCHES)
-        ref_state = reference.server.state_snapshot()
+        ref_state = reference.backend.state_snapshot()
         ref_dense = reference.model.dense_state()
 
         crashed, recoveries = run_with_failures(CrashSchedule((9, 18, 25)), dataset)
         assert recoveries == 3
-        got = crashed.server.state_snapshot()
+        got = crashed.backend.state_snapshot()
         for key in ref_state:
             assert np.array_equal(got[key], ref_state[key])
         for a, b in zip(ref_dense, crashed.model.dense_state()):
@@ -138,11 +138,11 @@ class TestFailureLoops:
         and the model state matches the uninterrupted reference."""
         reference, *_ = build_trainer(dataset)
         reference.train(TOTAL_BATCHES)
-        ref_state = reference.server.state_snapshot()
+        ref_state = reference.backend.state_snapshot()
 
         schedule = CrashSchedule.poisson(TOTAL_BATCHES, mttf_batches=8, seed=3)
         trainer, recoveries = run_with_failures(schedule, dataset)
         assert trainer.next_batch == TOTAL_BATCHES
-        got = trainer.server.state_snapshot()
+        got = trainer.backend.state_snapshot()
         for key in ref_state:
             assert np.array_equal(got[key], ref_state[key])

@@ -86,8 +86,7 @@ class TestCollectBundle:
         metrics.pulls = 10
         metrics.cache.hits = 8
         metrics.cache.misses = 2
-        metrics.rpc.retries = 3
-        metrics.prefetch.demand_keys = 5
+        metrics.dup_suppressed = 3
         return metrics
 
     def test_hoists_nonzero_counters_with_labels(self):
@@ -95,10 +94,9 @@ class TestCollectBundle:
         collect_bundle(registry, self._bundle(), {"node": "0"})
         assert registry.counter("repro_pulls_total", {"node": "0"}).value == 10
         assert registry.counter("repro_cache_hits_total", {"node": "0"}).value == 8
-        assert registry.counter("repro_rpc_retries_total", {"node": "0"}).value == 3
         assert (
-            registry.counter("repro_prefetch_demand_keys_total", {"node": "0"}).value
-            == 5
+            registry.counter("repro_rpc_dup_suppressed_total", {"node": "0"}).value
+            == 3
         )
         assert registry.gauge("repro_cache_miss_rate", {"node": "0"}).value == (
             pytest.approx(0.2)

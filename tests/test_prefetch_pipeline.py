@@ -28,11 +28,9 @@ def stream(batch_id: int) -> np.ndarray:
     return np.arange(2 * batch_id, 2 * batch_id + 4).reshape(2, 2)
 
 
-def make_pipeline(lookahead=2, patch=True, cap=None, **kwargs):
+def make_pipeline(lookahead=2, **kwargs):
     backend = make_backend()
-    config = PrefetchConfig(
-        lookahead=lookahead, patch=patch, max_buffer_entries=cap
-    )
+    config = PrefetchConfig(lookahead=lookahead)
     return PrefetchPipeline(backend, config, DIM, stream, **kwargs), backend
 
 
@@ -40,10 +38,6 @@ class TestConfig:
     def test_lookahead_must_be_non_negative(self):
         with pytest.raises(ConfigError):
             PrefetchConfig(lookahead=-1)
-
-    def test_buffer_cap_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            PrefetchConfig(lookahead=1, max_buffer_entries=0)
 
     def test_enabled(self):
         assert not PrefetchConfig(lookahead=0).enabled
@@ -106,20 +100,20 @@ class TestStepProtocol:
         assert pipeline.stats.demand_keys == 4  # batch 0 only
 
     def test_push_invalidates_buffered_keys(self):
-        pipeline, _ = make_pipeline(lookahead=1, patch=False)
+        pipeline, _ = make_pipeline(lookahead=1)
         pipeline.begin_batch(0, stream(0))
         pipeline.run_overlap(0)
+        held = pipeline.buffered_keys
         grads = np.ones((4, DIM), dtype=np.float32)
         pipeline.push([2, 3, 4, 5], grads, 0)
-        assert pipeline.stats.invalidated_keys > 0
-        pipeline.end_batch(0)
-        pipeline.validate()  # no stale key survives in the buffer
-        # lazily re-pulled on the next demand round
-        pipeline.begin_batch(1, stream(1))
-        assert pipeline.stats.demand_keys > 4
+        # every pushed key left the buffer until end_batch patches it
+        assert pipeline.stats.invalidated_keys == 4
+        assert pipeline.buffered_keys == held - 4
+        with pytest.raises(ServerError, match="not buffered"):
+            pipeline.gather(np.array([[2, 3]]))
 
     def test_eager_patch_restores_window_keys(self):
-        pipeline, _ = make_pipeline(lookahead=1, patch=True)
+        pipeline, _ = make_pipeline(lookahead=1)
         pipeline.begin_batch(0, stream(0))
         pipeline.run_overlap(0)
         pipeline.push([2, 3], np.ones((2, DIM), dtype=np.float32), 0)
@@ -138,12 +132,6 @@ class TestStepProtocol:
         pipeline.end_batch(0)
         # window of batch 0 is batch 1's keys {2..5}
         assert pipeline.buffered_keys == 4
-
-    def test_buffer_cap_limits_prefetch(self):
-        pipeline, _ = make_pipeline(lookahead=4, cap=6)
-        pipeline.begin_batch(0, stream(0))
-        pipeline.run_overlap(0)
-        assert pipeline.buffered_keys <= 6
 
     def test_horizon_clips_window(self):
         pipeline, backend = make_pipeline(lookahead=8)
@@ -237,11 +225,7 @@ class TestClockPrimitive:
 GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "golden_prefetch_pulls.json").read_text()
 )
-SCENARIOS = {
-    "lookahead2_patched": PrefetchConfig(lookahead=2),
-    "lookahead3_unpatched": PrefetchConfig(lookahead=3, patch=False),
-    "lookahead2_capped": PrefetchConfig(lookahead=2, max_buffer_entries=20),
-}
+SCENARIOS = {"lookahead2_patched": PrefetchConfig(lookahead=2)}
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -102,12 +102,21 @@ class TestConfigValidation:
 
     def test_backoff_schedule_is_capped(self):
         retry = RetryConfig(
-            base_backoff_s=1e-3, backoff_multiplier=4.0, max_backoff_s=8e-3
+            max_attempts=6, attempt_timeout_s=0.01, call_timeout_s=1.0,
+            base_backoff_s=1e-3, max_backoff_s=6e-3, jitter=0.0,
         )
-        assert retry.backoff_for_attempt(1) == pytest.approx(1e-3)
-        assert retry.backoff_for_attempt(2) == pytest.approx(4e-3)
-        assert retry.backoff_for_attempt(3) == pytest.approx(8e-3)  # capped
-        assert retry.backoff_for_attempt(9) == pytest.approx(8e-3)
+        channel = RpcChannel(
+            _echo_server(),
+            FaultyLink(NetworkModel(), NetworkFaultConfig(drop_rate=1.0)),
+            SimClock(),
+            retry=retry,
+        )
+        with pytest.raises(RpcTimeoutError):
+            channel.call(CheckpointRequest(1))
+        # after attempts 1..5: 1 ms, doubling, capped at 6 ms
+        assert channel.stats.backoff_seconds == pytest.approx(
+            (1 + 2 + 4 + 6 + 6) * 1e-3
+        )
 
     def test_any_faults_flag(self):
         assert not NetworkFaultConfig().any_faults
@@ -160,13 +169,6 @@ class TestFaultyLink:
             assert damaged != frame
             with pytest.raises(MessageError):
                 decode_message(damaged)
-
-    def test_direction_filter(self):
-        config = NetworkFaultConfig(drop_rate=1.0, on_request=False)
-        link = FaultyLink(NetworkModel(), config)
-        frame = encode_message(CheckpointRequest(1))
-        assert link.transfer(frame, "request").copies == (frame,)
-        assert link.transfer(frame, "response").copies == ()
 
     def test_same_seed_same_schedule(self):
         frame = encode_message(CheckpointRequest(1))
@@ -238,7 +240,7 @@ class TestRetrySemantics:
         clock = SimClock()
         retry = RetryConfig(
             max_attempts=3, attempt_timeout_s=0.01, call_timeout_s=0.1,
-            base_backoff_s=1e-3, backoff_multiplier=2.0, max_backoff_s=1e-2,
+            base_backoff_s=1e-3, max_backoff_s=1e-2,
             jitter=0.0,
         )
         channel = RpcChannel(
@@ -364,9 +366,7 @@ class TestWireErrorDiscipline:
 class TestPushIdempotency:
     def test_duplicate_frame_applies_once(self):
         server_config, cache_config = _configs(num_nodes=1)
-        service = PSNodeService(
-            PSNode_like(server_config, cache_config), dedup_window=8
-        )
+        service = PSNodeService(PSNode_like(server_config, cache_config))
         keys = [1, 2, 3]
         service.node.pull(keys, 0)
         service.node.maintain(0)
@@ -411,11 +411,10 @@ class TestPushIdempotency:
         assert not np.array_equal(after_one, service.node.read_weights(5))
         assert service.dup_suppressed == 0
 
-    def test_window_eviction_bounds_memory(self):
+    def test_window_eviction_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr("repro.network.service.DEFAULT_DEDUP_WINDOW", 4)
         server_config, cache_config = _configs(num_nodes=1)
-        service = PSNodeService(
-            PSNode_like(server_config, cache_config), dedup_window=4
-        )
+        service = PSNodeService(PSNode_like(server_config, cache_config))
         service.node.pull([1], 0)
         service.node.maintain(0)
         for seq in range(1, 10):

@@ -2,7 +2,7 @@
 
 Multi-node aggregation relies on ``merge`` being exact addition and on
 ``reset`` returning a bundle to its zero element — these tests pin the
-algebra for every bundle the registry bridge hoists.
+algebra for every stat bundle.
 """
 
 import dataclasses
@@ -71,8 +71,7 @@ class TestMetricsBundle:
     def _metrics(self, seed: int) -> Metrics:
         m = Metrics()
         _fill(m.cache, seed)
-        _fill(m.rpc, seed + 10)
-        _fill(m.prefetch, seed + 20)
+        m.dup_suppressed = seed + 10
         m.pulls = seed
         m.updates = seed + 1
         m.entries_created = seed + 2
@@ -85,29 +84,16 @@ class TestMetricsBundle:
         a, b = self._metrics(1), self._metrics(50)
         expected_pulls = a.pulls + b.pulls
         expected_hits = a.cache.hits + b.cache.hits
-        expected_retries = a.rpc.retries + b.rpc.retries
-        expected_demand = a.prefetch.demand_keys + b.prefetch.demand_keys
+        expected_dups = a.dup_suppressed + b.dup_suppressed
         a.merge(b)
         assert a.pulls == expected_pulls
         assert a.cache.hits == expected_hits
-        assert a.rpc.retries == expected_retries
-        assert a.prefetch.demand_keys == expected_demand
+        assert a.dup_suppressed == expected_dups
 
-    def test_merge_does_not_touch_traces(self):
-        a, b = Metrics(), Metrics()
-        b.trace.enabled = True
-        b.trace.record(0.5, "pull", 3)
-        a.merge(b)
-        assert a.trace.events == []
-
-    def test_reset_clears_prefetch_too(self):
+    def test_reset_clears_every_counter(self):
         m = self._metrics(4)
-        m.trace.enabled = True
-        m.trace.record(0.1, "pull")
         m.reset()
-        assert m.prefetch.demand_keys == 0
-        assert m.cache.hits == 0 and m.pulls == 0
-        assert m.trace.events == []
+        assert m == Metrics()
 
     def test_registry_roundtrip_matches_merged_bundle(self):
         """collect per-node then sum across labels == merge then collect."""

@@ -88,7 +88,7 @@ class TestTraining:
         trainer, *_ = build()
         with pytest.raises(ConfigError):
             SynchronousTrainer(
-                trainer.server,
+                trainer.backend,
                 DeepFM(FIELDS, DIM, use_first_order=True),
                 trainer.dataset,
             )
@@ -112,7 +112,7 @@ class TestCheckpointing:
         trainer.train(3)
         batch_id = trainer.barrier_checkpoint()
         assert batch_id == 2
-        assert trainer.server.global_completed_checkpoint == 2
+        assert trainer.backend.global_completed_checkpoint == 2
 
     def test_dense_store_prunes(self):
         trainer, *_ = build(checkpoint_every=1)
@@ -146,7 +146,7 @@ class TestRecovery:
         reference.train(12)
         reference.request_checkpoint()
         reference.train(total - 12)
-        ref_sparse = reference.server.state_snapshot()
+        ref_sparse = reference.backend.state_snapshot()
         ref_dense = reference.model.dense_state()
 
         crashed, server_config, cache_config, ps_optimizer, dataset = build()
@@ -160,7 +160,7 @@ class TestRecovery:
         assert recovered.next_batch == 12
         recovered.train(total - recovered.next_batch)
 
-        got_sparse = recovered.server.state_snapshot()
+        got_sparse = recovered.backend.state_snapshot()
         assert set(got_sparse) == set(ref_sparse)
         for key in ref_sparse:
             assert np.array_equal(got_sparse[key], ref_sparse[key])
