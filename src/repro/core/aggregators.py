@@ -25,23 +25,26 @@ actually reaches ``optimizer.apply_batch``:
     neighbours and keep the single lowest-scoring row — a gradient
     vouched for by a majority neighbourhood.
 
-The :class:`AggregationBuffer` supplies the rows: pushes are queued
-per worker (with the same occurrence-order segment-sum the cache's
-fast path uses, so a buffered-then-folded push stays *bitwise* equal
-to an unbuffered one when the fold is an identity), and a fold round
-fires whenever a quorum ``q = max(1, num_workers - f)`` of workers has
-a contribution pending — the ``f`` workers the defense is sized for
-may be straggling or dead, and must not be able to stall folding.
+The :class:`AggregationBuffer` supplies the rows: each push is summed
+per key with one sort into ascending distinct keys (a key's repeats
+accumulate in occurrence order, seeded from the first — the cache fast
+path's float32 sequence, so a buffered-then-folded push stays
+*bitwise* equal to an unbuffered one when the fold is an identity) and
+queued per worker, and a fold round fires whenever a
+quorum ``q = max(1, num_workers - f)`` of workers has a contribution
+pending — the ``f`` workers the defense is sized for may be straggling
+or dead, and must not be able to stall folding.
 
 A round is folded **in blocks, by multiplicity class**: the popped
-contributions are concatenated, one ``np.unique`` lays the key union
-out in (worker order, occurrence order), keys only one worker pushed
-are copied straight through, and for every multiplicity ``c >= 2``
-present the ``n_c`` keys exactly ``c`` workers pushed are gathered into
-one ``(n_c, c, width)`` block that :meth:`GradientAggregator.fold`
-reduces in a single call. The float32 bits equal a key-by-key fold of
-the same rows; ``tests/harness/reference_fold.py`` keeps that per-key
-loop as the oracle the property test compares against.
+contributions are concatenated in worker order, and one stable argsort
+merges their ascending runs into the ascending key union with each
+key's rows in worker order. Keys only one worker pushed are copied
+straight through, and for every multiplicity ``c >= 2`` present the
+``n_c`` keys exactly ``c`` workers pushed are gathered into one
+``(n_c, c, width)`` block that :meth:`GradientAggregator.fold` reduces
+in a single call. The float32 bits equal a key-by-key fold of the same
+rows; ``tests/harness/reference_fold.py`` keeps that per-key loop as
+the oracle the property test compares against.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import DEFAULT_DEDUP_WINDOW
+from repro.core.optimizers import segment_sum
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -181,10 +185,14 @@ def make_aggregator(name: str, f: int = 1) -> GradientAggregator | None:
 
 @dataclass
 class _Contribution:
-    """One worker's pre-deduplicated, key-unique push."""
+    """One worker's push, summed per key.
 
-    keys: np.ndarray  # u64[n], unique, occurrence order
-    grads: np.ndarray  # f32[n, width]
+    It owns both arrays: decoded wire views may not outlive their frame,
+    and a contribution waits in its queue for a quorum.
+    """
+
+    keys: np.ndarray  # u64[n], unique, ascending
+    grads: np.ndarray  # f32[n, width], row i summed over keys[i]'s repeats
     batch_id: int
 
 
@@ -211,34 +219,33 @@ class AggregatorStats:
     max_queue_depth: int = 0
 
 
-def _first_occurrence_layout(keys: np.ndarray):
-    """``np.unique`` of ``keys``, re-laid in first-occurrence order.
+def _sorted_runs(keys: np.ndarray, kind: str | None = None):
+    """One sort of ``keys``: ``(order, unique, head)``.
 
-    Returns ``(unique, first, inverse, counts)``: ``unique[i]`` is the
-    i-th distinct key to appear, ``first[i]`` where it first appears,
-    ``counts[i]`` how often, and ``inverse`` maps every position of
-    ``keys`` to its row of that layout.
+    ``keys[order]`` ascends (equal keys in position order when ``kind``
+    is ``"stable"``), ``head`` marks the sorted positions where a
+    distinct key's run begins, and ``unique`` holds those keys.
     """
-    unique, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return unique[order], first[order], rank[inverse], counts[order]
+    order = np.argsort(keys, kind=kind)
+    ordered = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return order, ordered[head], head
 
 
 def _segment_sum(keys: np.ndarray, grads: np.ndarray):
-    """Occurrence-order per-key sum — the cache fast path's exact idiom,
-    so buffering + folding stays bitwise-transparent when the fold is
-    an identity."""
-    unique, first, inverse, __ = _first_occurrence_layout(keys)
-    agg = grads[first]  # a copy: decoded wire gradients may be read-only
-    if len(unique) != len(keys):
-        dup = np.ones(len(keys), dtype=bool)
-        dup[first] = False
-        np.add.at(agg, inverse[dup], grads[dup])
-    return unique, agg
+    """Per-key sum in ascending key order. A key's rows accumulate in
+    occurrence order, seeded from the first, through the PS's own
+    :func:`~repro.core.optimizers.segment_sum` — so buffering + folding
+    stays bitwise-transparent when the fold is an identity."""
+    order, unique, head = _sorted_runs(keys)  # unstable: the runs are enough
+    run = np.cumsum(head) - 1  # each sorted position's row of ``unique``
+    first = np.full(len(unique), len(keys))
+    np.minimum.at(first, run, order)  # where each key first appears
+    inverse = np.empty_like(order)
+    inverse[order] = run
+    return unique, segment_sum(grads, first[inverse], first)
 
 
 class AggregationBuffer:
@@ -271,8 +278,6 @@ class AggregationBuffer:
                 f"byzantine tolerance f={f} must be in [0, num_workers)"
             )
         self.aggregator = aggregator
-        self.num_workers = num_workers
-        self.f = f
         self.quorum = max(1, num_workers - f)
         #: worker id -> its unfolded pushes; kept in worker-id order.
         self._queues: dict[int, deque[_Contribution]] = {}
@@ -348,30 +353,25 @@ class AggregationBuffer:
                     if not queue:
                         self._pending_workers -= 1
             self._pending -= len(popped)
-            # One contribution is the identity fold: the pre-summed push
-            # goes through untouched, so the single-worker path stays
+            # Every contribution ascends, so the stable sort of their
+            # worker-order concatenation merges sorted runs, and a key's
+            # rows stay in worker order (one per contribution). A lone
+            # contribution's layout is the identity: its pre-summed rows
+            # go through unchanged, so the single-worker path stays
             # bitwise-equal to no buffering.
-            keys, grads, reduced = popped[0].keys, popped[0].grads, 0
-            if len(popped) > 1:
-                # Concatenated in worker order, so first-occurrence order
-                # is the output layout: worker order, then occurrence order.
-                rows = np.concatenate([c.grads for c in popped])
-                keys, first, inverse, counts = _first_occurrence_layout(
-                    np.concatenate([c.keys for c in popped])
-                )
-                grads = rows[first]  # one-contributor keys are done
-                shared = counts > 1
-                reduced = int(shared.sum())
-                if reduced:
-                    # Positions grouped by output row; inside a group
-                    # they ascend, which is worker order (a contribution
-                    # holds each key once).
-                    by_row = np.argsort(inverse, kind="stable")
-                    starts = np.cumsum(counts) - counts
-                    for c in np.unique(counts[shared]).tolist():
-                        at = np.flatnonzero(counts == c)
-                        block = rows[by_row[starts[at, None] + np.arange(c)]]
-                        grads[at] = self.aggregator.fold(block)
+            rows = np.concatenate([c.grads for c in popped])
+            order, keys, head = _sorted_runs(
+                np.concatenate([c.keys for c in popped]), kind="stable"
+            )
+            starts = np.flatnonzero(head)
+            counts = np.diff(starts, append=len(order))
+            grads = rows[order[starts]]  # one-contributor keys are done
+            shared = counts > 1
+            reduced = int(shared.sum())
+            for c in np.unique(counts[shared]).tolist():
+                at = np.flatnonzero(counts == c)
+                block = rows[order[starts[at, None] + np.arange(c)]]
+                grads[at] = self.aggregator.fold(block)
             self.stats.folds += 1
             self.stats.rows_folded += len(keys)
             self.stats.rows_reduced += reduced

@@ -110,7 +110,7 @@ from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.initializer import block_min
-from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32, segment_sum
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32, segment_sum
 from repro.core.queues import AccessQueue
 from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -539,10 +539,7 @@ class PipelinedCache:
             ServerError: gradient shape mismatch.
         """
         n = len(keys)
-        grads = np.asarray(grads)
-        if grads.shape != (n, self.dim):
-            raise ServerError(f"gradient shape {grads.shape} != ({n}, {self.dim})")
-        grads = coerce_f32(grads)
+        grads = coerce_f32(checked_grads(grads, n, self.dim))
         if n == 0:
             return 0
         keys = np.asarray(keys, dtype=np.uint64)

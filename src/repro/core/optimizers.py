@@ -27,7 +27,20 @@ import abc
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServerError
+
+
+def checked_grads(grads, n: int, dim: int) -> np.ndarray:
+    """``grads`` as an array, refused unless it is the ``(n, dim)`` block
+    of a push of ``n`` keys.
+
+    Raises:
+        ServerError: any other shape.
+    """
+    grads = np.asarray(grads)
+    if grads.shape != (n, dim):
+        raise ServerError(f"gradient shape {grads.shape} != ({n}, {dim})")
+    return grads
 
 
 def coerce_f32(grad: np.ndarray) -> np.ndarray:
@@ -42,7 +55,8 @@ def segment_sum(grads: np.ndarray, first: np.ndarray, starts: np.ndarray) -> np.
     """One summed gradient per distinct id of a push, ``(len(starts), dim)``.
 
     ``first[i]`` is the first position holding position ``i``'s id and
-    ``starts`` the positions that are first, ascending. The first
+    ``starts`` the positions that are first, in the order of the output
+    rows (ascending for first-occurrence order). The first
     occurrence of each id seeds its row (a copy — decoded wire gradients
     may be read-only), later duplicates accumulate in occurrence order —
     per element of the flattened block, where ``add.at`` is fast. Every

@@ -23,17 +23,18 @@ import numpy as np
 from repro.config import CacheConfig, ServerConfig
 from repro.core.aggregators import (
     AggregationBuffer,
+    FoldedPush,
     default_byzantine_tolerance,
     make_aggregator,
 )
 from repro.core.cache import MaintainResult, PipelinedCache, PullResult
 from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.initializer import key_seeded_rows
-from repro.core.optimizers import PSOptimizer, PSSGD
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads
 from repro.core.serving_backend import LookupResult
 from repro.core.sharding import RING_STATE_FIELD
 from repro.core.staleness import StalenessController
-from repro.errors import CheckpointError, ServerError
+from repro.errors import CheckpointError, KeyNotFoundError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import NO_VERSION, EntryBlock, VersionedEntryStore
@@ -164,25 +165,26 @@ class PSNode:
         defense layer existed).
 
         Raises:
-            ServerError: gradient shape mismatch. A push bound for the
-                buffer is refused here, before the progress vector, the
-                dedup window or a queue changes — inside a fold it would
-                take the round's honest contributions down with it.
+            ServerError: gradient shape mismatch.
+            KeyNotFoundError: a key that was never pulled.
+
+            A push bound for the buffer is refused for either before the
+            progress vector, the dedup window or a queue changes —
+            inside a fold it would take the round's honest contributions
+            down with it.
         """
-        buffered = self.aggregation is not None
-        if buffered:
-            grads = np.asarray(grads)
-            n, dim = len(keys), self.server_config.embedding_dim
-            if grads.shape != (n, dim):
-                raise ServerError(f"gradient shape {grads.shape} != ({n}, {dim})")
+        if self.aggregation is not None:
+            grads = checked_grads(grads, len(keys), self.server_config.embedding_dim)
+            keys = np.asarray(keys, dtype=np.uint64)
+            unknown = self.cache.index.lookup(keys) < 0
+            if unknown.any():
+                raise KeyNotFoundError(int(keys[unknown][0]))
         self.staleness.record_push(worker_id, batch_id)
-        if buffered:
-            return self._apply_folds(
-                self.aggregation.add(worker_id, keys, grads, batch_id, seq=seq)
-            )
-        updated = self.cache.update(keys, grads, batch_id)
-        self.latest_completed_batch = max(self.latest_completed_batch, batch_id)
-        return updated
+        if self.aggregation is None:  # one round of one push, as it came
+            return self._apply_folds([FoldedPush(keys=keys, grads=grads, batch_id=batch_id)])
+        return self._apply_folds(
+            self.aggregation.add(worker_id, keys, grads, batch_id, seq=seq)
+        )
 
     def flush_aggregation(self) -> int:
         """Fold every buffered contribution now (quorum or not).

@@ -26,7 +26,7 @@ import numpy as np
 from repro.config import CacheConfig, ServerConfig
 from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
-from repro.core.optimizers import PSOptimizer, PSSGD
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads
 from repro.core.recovery import RecoveryReport, recover_node
 from repro.core.replication import ReplicatedPSNode
 from repro.core.serving_backend import LookupResult, ReplicaSelector
@@ -330,7 +330,12 @@ class OpenEmbeddingServer:
         ``worker_id`` / ``seq`` identify the push for the per-shard
         aggregation buffer (robust folding + duplicate absorption);
         both default to the anonymous direct-apply path.
+
+        Raises:
+            ServerError: the gradient block is not ``(len(keys),
+                embedding_dim)``; no shard is touched.
         """
+        grads = checked_grads(grads, len(keys), self.server_config.embedding_dim)
         with self.tracer.span(
             "server.push", batch=batch_id, keys=len(keys)
         ) as span:
@@ -355,11 +360,17 @@ class OpenEmbeddingServer:
     def request_checkpoint(self, batch_id: int | None = None) -> int:
         """Queue a cluster-wide checkpoint on every shard.
 
+        The default id is the newest batch any shard applied, read after
+        every shard folded its buffered pushes (each shard folds them
+        before it queues a checkpoint anyway): read before, it would
+        leave the rows those folds update out of the snapshot.
+
         Raises:
             CheckpointError: no trained batch to snapshot (the derived
                 id is ``-1``; the first shard rejects it).
         """
         if batch_id is None:
+            self.flush_aggregation()
             batch_id = self.latest_completed_batch
         for index in range(len(self.nodes)):
             self._shard_request_checkpoint(index, batch_id)

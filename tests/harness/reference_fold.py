@@ -1,16 +1,18 @@
 """The per-key robust-aggregation fold — the oracle for ``core/aggregators.py``.
 
 This is the ``AggregationBuffer`` as it stood before the fold went
-block-wise, moved here verbatim (as ``reference_cache.py`` keeps the
-per-key cache): the 2-D ``fold`` bodies, the segment-sum, the queues
-with their generator sums, and ``_fold_round`` building an
-``OrderedDict[key -> [(contribution, row)]]`` in a Python double loop,
-then stacking and folding one key at a time. Too slow to serve pushes,
-exactly right as the definition of what a fold round must return: the
-production buffer's output keys, their order, ``batch_id``,
-``contributors``, ``stats`` and every float32 bit are compared against
-this module in ``tests/test_aggregators.py``. Only the class names
-changed (``Reference`` prefix); do not "modernise" it.
+block-wise (as ``reference_cache.py`` keeps the per-key cache): the 2-D
+``fold`` bodies, the queues with their generator sums, a per-push sum
+that walks the push one key at a time through a dict, and
+``_fold_round`` building a ``dict[key -> [(contribution, row)]]`` in a
+Python double loop, then stacking and folding one key at a time in
+ascending key order. Too slow to serve pushes, exactly right as the
+definition of what a fold round must return: the production buffer's
+output keys, their order, ``batch_id``, ``contributors``, ``stats``
+and every float32 bit are compared against this module in
+``tests/test_aggregators.py``. It shares no layout code with the
+production buffer (Python dicts and ``sorted``, no argsort), so a
+layout bug cannot hide in both; do not "modernise" it.
 """
 
 from __future__ import annotations
@@ -109,24 +111,20 @@ def make_reference_aggregator(name: str, f: int = 1) -> GradientAggregator:
 
 
 def _segment_sum(keys: np.ndarray, grads: np.ndarray):
-    """Occurrence-order per-key sum — the cache fast path's exact idiom,
-    so buffering + folding stays bitwise-transparent when the fold is
-    an identity."""
-    unique, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    unique = unique[order]
-    remap = np.empty_like(order)
-    remap[order] = np.arange(len(order))
-    inverse = remap[inverse]
-    first_occurrence = np.sort(first_idx)
-    agg = np.array(grads[first_occurrence], dtype=np.float32, copy=True)
-    dup = np.ones(len(keys), dtype=bool)
-    dup[first_occurrence] = False
-    if dup.any():
-        np.add.at(agg, inverse[dup], grads[dup])
-    return unique, agg
+    """Per-key sum, one key at a time: a key's rows accumulate in
+    occurrence order, seeded from the first (the cache fast path's
+    float32 sequence); the keys come out ascending."""
+    sums: dict[int, np.ndarray] = {}
+    for key, row in zip(keys.tolist(), grads):
+        if key in sums:
+            sums[key] = sums[key] + row
+        else:
+            sums[key] = np.array(row, dtype=np.float32, copy=True)
+    unique = sorted(sums)
+    agg = np.empty((len(unique), grads.shape[1]), dtype=np.float32)
+    for i, key in enumerate(unique):
+        agg[i] = sums[key]
+    return np.array(unique, dtype=np.uint64), agg
 
 
 class ReferenceAggregationBuffer:
@@ -233,16 +231,17 @@ class ReferenceAggregationBuffer:
                 keys=only.keys, grads=only.grads,
                 batch_id=batch_id, contributors=1,
             )
-        # Union of keys in (worker order, occurrence order) for a
-        # deterministic output layout.
-        index: OrderedDict[int, list] = OrderedDict()
+        # Union of keys, each with its sources in worker order; the
+        # output layout is ascending key order.
+        index: dict[int, list] = {}
         for ci, contribution in enumerate(contributions):
             for ki, key in enumerate(contribution.keys.tolist()):
                 index.setdefault(key, []).append((ci, ki))
         width = contributions[0].grads.shape[1]
-        out_keys = np.fromiter(index, dtype=np.uint64, count=len(index))
+        ordered = sorted(index.items())
+        out_keys = np.array([key for key, __ in ordered], dtype=np.uint64)
         out = np.empty((len(index), width), dtype=np.float32)
-        for row, (key, sources) in enumerate(index.items()):
+        for row, (key, sources) in enumerate(ordered):
             rows = np.stack(
                 [contributions[ci].grads[ki] for ci, ki in sources]
             )

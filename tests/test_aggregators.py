@@ -1,5 +1,6 @@
 """Robust-aggregation math and the quorum-fold buffer."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServerConfig
+from repro.core import aggregators
 from repro.core.aggregators import (
     AGGREGATOR_NAMES,
     AggregationBuffer,
@@ -92,10 +94,26 @@ class TestSegmentSum:
         keys = np.array([7, 3, 7, 9, 3], dtype=np.uint64)
         grads = np.arange(5 * DIM, dtype=np.float32).reshape(5, DIM)
         unique, summed = _segment_sum(keys, grads)
-        assert unique.tolist() == [7, 3, 9]  # first-occurrence order
-        assert np.array_equal(summed[0], grads[0] + grads[2])
-        assert np.array_equal(summed[1], grads[1] + grads[4])
+        assert unique.tolist() == [3, 7, 9]  # ascending
+        assert np.array_equal(summed[0], grads[1] + grads[4])
+        assert np.array_equal(summed[1], grads[0] + grads[2])
         assert np.array_equal(summed[2], grads[3])
+
+    def test_far_apart_repeats_accumulate_in_occurrence_order(self):
+        """A key's repeats at positions 0, 500 and 999, hundreds of other
+        keys between them: float32 addition is not associative, and
+        (1e8 - 1e8) + 1 is 1 while (1 - 1e8) + 1e8 is 0, so only the
+        occurrence order gives these bits."""
+        keys = np.arange(1000, dtype=np.uint64) + 10
+        keys[[0, 500, 999]] = 5
+        grads = np.zeros((1000, DIM), dtype=np.float32)
+        grads[[0, 500, 999]] = [[1e8] * DIM, [-1e8] * DIM, [1.0] * DIM]
+        unique, summed = _segment_sum(keys, grads)
+        assert unique[0] == 5 and len(unique) == 998
+        assert np.array_equal(summed[0], np.ones(DIM, dtype=np.float32))
+        rev_keys, rev_grads = _segment_sum(keys[::-1].copy(), grads[::-1].copy())
+        assert np.array_equal(rev_keys, unique)
+        assert np.array_equal(rev_grads[0], np.zeros(DIM, dtype=np.float32))
 
     def test_matches_cache_fast_path_accumulation_order(self):
         """Seed-from-first then add-in-position-order, the exact float32
@@ -214,17 +232,72 @@ class TestAggregationBuffer:
         assert span.attrs == {"rows": 2, "contributors": 2, "reduced": 2}
 
     def test_queues_fold_in_worker_id_order_whatever_the_arrival_order(self):
-        buf = AggregationBuffer(Krum(0), num_workers=3, f=0)
-        self.push(buf, 2, [7], 2.0)
-        self.push(buf, 0, [5], 0.0)
-        (fold,) = self.push(buf, 1, [6], 1.0)
-        assert fold.keys.tolist() == [5, 6, 7]  # worker order, not arrival order
+        """The output keys ascend, so a shared key's rows show the queue
+        order: float32 addition is not associative, and the mean of 1e8,
+        -1e8 and 1 is 1/3 summed in worker order (0, 1, 2) but 0 in this
+        arrival order (2, 0, 1)."""
+        buf = AggregationBuffer(Mean(), num_workers=3, f=0)
+        self.push(buf, 2, [7, 5], 1.0)
+        self.push(buf, 0, [5], 1e8)
+        (fold,) = self.push(buf, 1, [6, 5], -1e8)
+        assert fold.keys.tolist() == [5, 6, 7]
+        third = np.float32(1) / np.float32(3)
+        assert np.array_equal(fold.grads[0], np.full(DIM, third, dtype=np.float32))
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ConfigError):
             AggregationBuffer(Mean(), num_workers=2, f=2)
         with pytest.raises(ConfigError):
             AggregationBuffer(Mean(), num_workers=0)
+
+
+class _SortCountingNumpy:
+    """numpy as ``core/aggregators.py`` sees it, counting its sorts."""
+
+    SORTS = ("argsort", "sort", "unique")
+
+    def __init__(self):
+        self.calls = dict.fromkeys(self.SORTS, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestSortBudget:
+    """The buffer's layout is one sorted order: a push is summed with at
+    most one sort, a round is laid out with one (a merge of ascending
+    runs) plus the ``np.unique`` over its multiplicity classes, and no
+    first-occurrence relayout (``np.unique``'s index / inverse outputs)
+    comes back beside it."""
+
+    def test_one_sort_per_push_and_one_merge_per_round(self, monkeypatch):
+        counting = _SortCountingNumpy()
+        monkeypatch.setattr(aggregators, "np", counting)
+        buf = AggregationBuffer(Mean(), num_workers=3, f=0)
+        rng = np.random.default_rng(5)
+        for wid in range(3):
+            keys = rng.integers(0, 40, size=64).astype(np.uint64)  # repeats
+            grads = rng.normal(size=(64, DIM)).astype(np.float32)
+            before = dict(counting.calls)
+            folds = buf.add(wid, keys, grads, 0)
+            made = {name: counting.calls[name] - before[name] for name in counting.SORTS}
+            if wid < 2:
+                assert not folds and made == {"argsort": 1, "sort": 0, "unique": 0}
+            else:  # the push's sum, then the round's merge and its classes
+                assert len(folds) == 1 and folds[0].contributors == 3
+                assert made == {"argsort": 2, "sort": 0, "unique": 1}
+
+    def test_no_first_occurrence_layout_in_the_module(self):
+        source = inspect.getsource(aggregators)
+        assert "return_index" not in source and "return_inverse" not in source
 
 
 # Quantised on purpose: a handful of values makes exact ties common, so

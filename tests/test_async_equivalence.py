@@ -26,7 +26,7 @@ from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
-from repro.errors import ServerError
+from repro.errors import KeyNotFoundError, ServerError
 from repro.network.frontend import RemotePSClient
 
 FIELDS, DIM = 5, 8
@@ -324,24 +324,26 @@ class TestAnonymousPushIdentity:
         assert all(np.array_equal(final[key], after[key]) for key in keys)
 
 
+def two_worker_backend(transport: str, nodes: int = 1, aggregator: str = "mean"):
+    """A ``mean``-folding backend whose rounds wait for 2 workers."""
+    server_config = ServerConfig(
+        num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26, seed=SEED,
+        partitioner="ring", aggregator=aggregator, aggregator_workers=2, aggregator_f=0,
+    )
+    backend_cls = OpenEmbeddingServer if transport == "local" else RemotePSClient
+    return backend_cls(server_config, CacheConfig(capacity_bytes=64 << 10), PSSGD(lr=0.05))
+
+
 class TestMalformedPushRefused:
-    @pytest.mark.parametrize("transport", ("local", "rpc"))
-    def test_wrong_width_push_is_refused_before_any_state_changes(self, transport):
-        """Regression: a push whose gradient block is not ``(len(keys),
-        embedding_dim)`` used to be buffered unchecked and blow up inside
-        the fold as a raw ``ValueError`` — after the round had popped the
-        honest worker's contribution (lost) and after ``(worker_id, seq)``
-        had entered the dedup window (the corrected retry dropped as a
-        replay). It is refused typed, on both transports, with nothing
-        changed."""
-        server_config = ServerConfig(
-            num_nodes=1, embedding_dim=DIM, pmem_capacity_bytes=1 << 26, seed=SEED,
-            aggregator="mean", aggregator_workers=2, aggregator_f=0,
-        )
-        backend_cls = OpenEmbeddingServer if transport == "local" else RemotePSClient
-        backend = backend_cls(
-            server_config, CacheConfig(capacity_bytes=64 << 10), PSSGD(lr=0.05)
-        )
+    """A push that could not be folded is refused typed, on both
+    transports, before the progress vector, the dedup window or any
+    queue changes. Reaching the fold, it used to fail after the round had
+    popped the honest worker's contribution (lost) and after its
+    ``(worker_id, seq)`` had entered the dedup window (the corrected retry
+    then dropped as a replay)."""
+
+    def refused_then_corrected(self, transport, bad_keys, bad_grads, error, match):
+        backend = two_worker_backend(transport)
         (node,) = backend.nodes
         keys = list(range(6))
         backend.pull(keys, 0)
@@ -350,9 +352,8 @@ class TestMalformedPushRefused:
         honest = np.ones((len(keys), DIM), dtype=np.float32)
 
         assert backend.push(keys, honest, 0, worker_id=0, seq=1) == 0  # buffered
-        malformed = np.ones((len(keys), 2 * DIM), dtype=np.float32)
-        with pytest.raises(ServerError, match="gradient shape"):
-            backend.push(keys, malformed, 0, worker_id=1, seq=1)
+        with pytest.raises(error, match=match):
+            backend.push(bad_keys, bad_grads, 0, worker_id=1, seq=1)
         buffer = node.aggregation
         assert buffer.pending == 1 and buffer.stats.folds == 0  # worker 0 intact
         assert buffer.stats.pushes_buffered == 1
@@ -364,7 +365,87 @@ class TestMalformedPushRefused:
         assert buffer.pending == 0 and buffer.stats.duplicates_dropped == 0
         assert (buffer.stats.folds, buffer.stats.rows_reduced) == (1, len(keys))
         after = backend.state_snapshot()
+        assert sorted(after) == keys  # the unknown key was never created
         for key in keys:  # SGD on the mean of the two pushes: (1 + 3) / 2
             assert np.array_equal(
                 after[key], before[key] - np.float32(0.05) * np.float32(2.0)
             )
+
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_wrong_width_push_is_refused_before_any_state_changes(self, transport):
+        malformed = np.ones((6, 2 * DIM), dtype=np.float32)
+        self.refused_then_corrected(
+            transport, list(range(6)), malformed, ServerError, "gradient shape"
+        )
+
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_never_pulled_key_is_refused_before_any_state_changes(self, transport):
+        """``ERR_KEY_NOT_FOUND`` over RPC: the typed error round-trips."""
+        grads = np.ones((6, DIM), dtype=np.float32)
+        self.refused_then_corrected(
+            transport, [0, 1, 2, 3, 4, 999], grads, KeyNotFoundError, "999"
+        )
+
+
+class TestFacadeChecksTheGradientBlock:
+    @pytest.mark.parametrize("aggregator", ("none", "mean"))
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    @pytest.mark.parametrize("rows, width", [(15, DIM), (8, DIM), (12, DIM - 1)])
+    def test_a_block_of_another_shape_touches_no_shard(
+        self, transport, aggregator, rows, width
+    ):
+        """Regression: the facade sliced ``grads[positions]`` per shard
+        unchecked — extra rows were dropped silently, and too few raised
+        a raw ``IndexError``, possibly after a shard had applied its
+        part. Any block that is not ``(len(keys), embedding_dim)`` is
+        refused before the first shard is reached."""
+        backend = two_worker_backend(transport, nodes=2, aggregator=aggregator)
+        keys = list(range(100, 112))
+        backend.pull(keys, 0)
+        backend.maintain(0)
+        assert all(len(node.owned_keys()) for node in backend.nodes)  # both shards
+        before = backend.state_snapshot()
+        grads = np.ones((rows, width), dtype=np.float32)
+        with pytest.raises(ServerError, match=r"gradient shape \(%d, %d\)" % (rows, width)):
+            backend.push(keys, grads, 0, worker_id=0, seq=1)
+        after = backend.state_snapshot()
+        assert all(np.array_equal(after[key], before[key]) for key in keys)
+        for node in backend.nodes:
+            assert node.latest_completed_batch == -1
+            assert node.staleness.last_push.get(0) is None
+            if node.aggregation is not None:
+                assert node.aggregation.stats.pushes_buffered == 0
+        # The same push with its block in shape goes through.
+        backend.push(keys, np.ones((12, DIM), dtype=np.float32), 0, worker_id=0, seq=1)
+        assert backend.latest_completed_batch == (0 if aggregator == "none" else -1)
+
+
+class TestReshardFoldsBeforeItsBarrier:
+    @pytest.mark.parametrize("transport", ("local", "rpc"))
+    def test_a_reshard_moves_the_rows_its_barrier_folds(self, transport):
+        """Regression: the facade's default checkpoint id was read before
+        the shards folded their buffered pushes, so a reshard's barrier
+        completed below the rows those folds updated. The migration then
+        moved stale versions of them — or no version, dropping a key its
+        new owner had never seen, so a later push into it failed."""
+
+        def run(reshard: bool):
+            backend = two_worker_backend(transport, nodes=2)
+            keys = list(range(40))
+            grads = np.ones((len(keys), DIM), dtype=np.float32)
+            for batch in range(3):
+                backend.pull(keys, batch)
+                backend.maintain(batch)
+                backend.push(keys, grads * (batch + 1), batch, worker_id=0, seq=batch + 1)
+                if batch < 2:  # worker 0's last push waits for a quorum
+                    backend.push(keys, grads, batch, worker_id=1, seq=batch + 1)
+            if reshard:
+                assert backend.scale_out().barrier_batch == 2
+            else:
+                backend.flush_aggregation()
+            return backend.state_snapshot()
+
+        moved, stayed = run(reshard=True), run(reshard=False)
+        assert sorted(moved) == sorted(stayed)
+        for key, weights in stayed.items():
+            np.testing.assert_array_equal(moved[key], weights)
