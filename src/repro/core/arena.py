@@ -11,7 +11,8 @@ single ``(capacity, dim + state_width)`` float32 matrix: weights in
 ``[:dim]``, optimizer state in ``[dim:]``. Each resident entry records
 its row number, so
 
-* a batched pull is one fancy-index gather ``data[rows, :dim]``,
+* a batched pull is one whole-row gather ``np.take(data, rows, axis=0)``
+  whose first ``dim`` columns it returns,
 * a batched push gathers ``data[rows]``, applies the vectorized
   optimizer, and scatters the block back, and
 * flushing gathers the rows that leave (``data[rows]``) into the block

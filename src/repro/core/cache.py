@@ -251,7 +251,7 @@ class PipelinedCache:
         misses = len(cold)
         # A PMem-resident entry's row is -1: the gather reads some valid
         # row for it, and its stored weights overwrite that.
-        out = self.arena.data[columns.row[slots], : self.dim]
+        out = np.take(self.arena.data, columns.row[slots], axis=0)[:, : self.dim]
         if misses:
             out[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
         hits = n - misses - created
@@ -484,7 +484,7 @@ class PipelinedCache:
                 late_slots, late_versions = slots[late], versions[late]
                 slots, versions, rows = slots[~late], versions[~late], rows[~late]
             if len(slots):
-                self._store_rows(slots, versions, self.arena.data[rows])
+                self._store_rows(slots, versions, np.take(self.arena.data, rows, axis=0))
         block = None
         if len(loads):
             block = self.store.read_latest(columns.head[loads])[1]
@@ -757,7 +757,7 @@ class PipelinedCache:
         columns = self.index.columns
         slots = columns.live()
         keys = columns.key[slots]
-        weights = self.arena.data[columns.row[slots], : self.dim]
+        weights = np.take(self.arena.data, columns.row[slots], axis=0)[:, : self.dim]
         cold = np.flatnonzero(columns.handle[slots] & 1)
         if len(cold):
             weights[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]

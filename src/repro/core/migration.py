@@ -231,6 +231,10 @@ class ShardMigrator:
 
         # -- barrier: quiesce training at a batch boundary ------------
         self._step("barrier")
+        # Fold buffered pushes first: read before the fold, the watermarks
+        # could call a cluster quiesced while contributions still queue
+        # on shards whose keys are about to move.
+        cluster.flush_aggregation()
         latest = cluster.latest_completed_batch
         completed = cluster.global_completed_checkpoint
         if latest >= 0 and completed == latest:

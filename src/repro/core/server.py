@@ -1,9 +1,12 @@
 """Distributed OpenEmbedding server: hash-partitioned PS nodes.
 
-The facade the training framework talks to. Keys are routed to shards
-with :class:`HashPartitioner`; pulls gather per-node responses back into
-request order; checkpoints are coordinated cluster-wide so recovery
-always restores a single consistent batch across all shards.
+The facade the training framework talks to. A key array is routed once
+into a :class:`~repro.core.sharding.KeyPlan` that a pull and the
+matching push share: each shard is sent its distinct keys once, a pull
+gathers the per-node rows back into request order, and a push is
+summed per key before it leaves. Checkpoints are coordinated
+cluster-wide so recovery always restores a single consistent batch
+across all shards.
 
 This is the reference implementation of the
 :class:`~repro.core.backend.TrainBackend` protocol — the surface the
@@ -26,13 +29,14 @@ import numpy as np
 from repro.config import CacheConfig, ServerConfig
 from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
-from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32, segment_sum
 from repro.core.recovery import RecoveryReport, recover_node
 from repro.core.replication import ReplicatedPSNode
 from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.sharding import (
     RING_STATE_FIELD,
     HashPartitioner,
+    KeyPlan,
     make_partitioner,
     pack_ring_state,
     unpack_ring_state,
@@ -200,7 +204,8 @@ class OpenEmbeddingServer:
 
     def _route(self, keys) -> list[tuple]:
         """``(shard index, its keys, their request positions)`` for every
-        shard that owns at least one of ``keys``."""
+        shard that owns at least one of ``keys`` — the serving read's
+        routing, which keeps a lookup's duplicates."""
         per_node_keys, per_node_positions = self.partitioner.split(keys)
         return [
             (index, node_keys, positions)
@@ -214,6 +219,13 @@ class OpenEmbeddingServer:
     # PS protocol
     # ------------------------------------------------------------------
 
+    def plan(self, keys) -> KeyPlan:
+        """Route ``keys`` once for a pull and the matching push
+        (:meth:`~repro.core.sharding.HashPartitioner.plan`): both take
+        the plan wherever they take keys, so the second one neither
+        sorts nor splits."""
+        return self.partitioner.plan(keys)
+
     def pull(
         self,
         keys,
@@ -222,30 +234,34 @@ class OpenEmbeddingServer:
         worker_id: int | None = None,
         progress: int | None = None,
     ) -> PullResult:
-        """Gather weights for ``keys`` across shards, in request order.
+        """Gather weights for ``keys`` (or their :meth:`plan`) across
+        shards, in request order.
 
+        Each shard is sent its distinct keys once, ascending, and every
+        repeat reads its key's row; the counts are per distinct key.
         ``worker_id`` / ``progress`` feed each touched shard's
         bounded-staleness admission check; anonymous pulls (the
         default) bypass it. A :class:`~repro.errors.StalenessError`
         from any shard aborts the pull.
         """
+        plan = self.plan(keys)
         with self.tracer.span(
-            "server.pull", batch=batch_id, keys=len(keys)
+            "server.pull", batch=batch_id, keys=len(plan)
         ) as span:
-            slices = self._route(keys)
-            out = np.empty(
-                (len(keys), self.server_config.embedding_dim), dtype=np.float32
+            rows = np.empty(
+                (len(plan.unique), self.server_config.embedding_dim), dtype=np.float32
             )
             hits = misses = created = 0
-            for index, node_keys, positions in slices:
+            for index, positions, node_keys in plan.shards:
                 result = self._shard_pull(
-                    index, node_keys, batch_id, worker_id, progress, len(slices)
+                    index, node_keys, batch_id, worker_id, progress, len(plan.shards)
                 )
                 hits += result.hits
                 misses += result.misses
                 created += result.created
-                out[positions] = result.weights
+                rows[positions] = result.weights
             span.set(hits=hits, misses=misses, created=created)
+            out = np.take(rows, plan.inverse, axis=0)
             return PullResult(weights=out, hits=hits, misses=misses, created=created)
 
     def lookup(self, keys, snapshot_id: int | None = None) -> LookupResult:
@@ -325,26 +341,31 @@ class OpenEmbeddingServer:
         worker_id: int | None = None,
         seq: int = 0,
     ) -> int:
-        """Scatter gradients to owning shards; returns entries updated.
+        """Scatter gradients for ``keys`` (or their :meth:`plan`) to the
+        owning shards; returns entries updated.
 
-        ``worker_id`` / ``seq`` identify the push for the per-shard
-        aggregation buffer (robust folding + duplicate absorption);
-        both default to the anonymous direct-apply path.
+        Each key's rows are summed here, in occurrence order (the
+        float32 sequence every PS sums a push in), so a shard receives
+        one row per distinct key. ``worker_id`` / ``seq`` identify the
+        push for the per-shard aggregation buffer (robust folding +
+        duplicate absorption); both default to the anonymous
+        direct-apply path.
 
         Raises:
             ServerError: the gradient block is not ``(len(keys),
                 embedding_dim)``; no shard is touched.
         """
-        grads = checked_grads(grads, len(keys), self.server_config.embedding_dim)
+        plan = self.plan(keys)
+        grads = coerce_f32(checked_grads(grads, len(plan), self.server_config.embedding_dim))
         with self.tracer.span(
-            "server.push", batch=batch_id, keys=len(keys)
+            "server.push", batch=batch_id, keys=len(plan)
         ) as span:
-            slices = self._route(keys)
+            summed = segment_sum(grads, plan.first[plan.inverse], plan.first)
             updated = 0
-            for index, node_keys, positions in slices:
+            for index, positions, node_keys in plan.shards:
                 updated += self._shard_push(
-                    index, node_keys, grads[positions], batch_id,
-                    worker_id, seq, len(slices),
+                    index, node_keys, summed[positions], batch_id,
+                    worker_id, seq, len(plan.shards),
                 )
             span.set(updated=updated)
             return updated

@@ -9,6 +9,7 @@ salted per process and would break recovery tests).
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +40,33 @@ def mix64_array(values: np.ndarray) -> np.ndarray:
         v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return v ^ (v >> np.uint64(31))
+
+
+@dataclass(frozen=True, eq=False)
+class KeyPlan:
+    """A key array routed once — what a pull and the matching push share
+    (built by :meth:`HashPartitioner.plan`).
+
+    ``unique`` holds the distinct keys ascending and ``inverse[i]`` the
+    index in ``unique`` of position ``i``'s key, so ``unique[inverse]``
+    is the request, flattened; ``first[j]`` is the first position that
+    holds ``unique[j]``. ``shards`` has one ``(shard, positions, keys)``
+    triple per shard owning any of the keys: ``positions`` index
+    ``unique`` ascending and ``keys = unique[positions]``. ``shape`` is
+    the shape of the key array the plan was built from, and
+    ``partitioner`` the routing it was split under.
+    """
+
+    unique: np.ndarray
+    inverse: np.ndarray
+    first: np.ndarray
+    shards: tuple
+    shape: tuple
+    partitioner: "HashPartitioner"
+
+    def __len__(self) -> int:
+        """Positions in the request (duplicates included)."""
+        return len(self.inverse)
 
 
 class HashPartitioner:
@@ -82,6 +110,45 @@ class HashPartitioner:
             per_node_keys.append(arr[sel])
             per_node_positions.append(sel)
         return per_node_keys, per_node_positions
+
+    def plan(self, keys) -> KeyPlan:
+        """Route ``keys`` (any shape) once: one unstable argsort finds
+        the distinct keys, one owner pass splits them by shard.
+
+        A :class:`KeyPlan` this partitioner built is returned as it is;
+        one built under other routing (a reshard committed between a
+        pull and its push) keeps its keys and is split again here.
+        """
+        if isinstance(keys, KeyPlan):
+            if keys.partitioner is self:
+                return keys
+            unique, inverse, first, shape = keys.unique, keys.inverse, keys.first, keys.shape
+        else:
+            keys = np.asarray(keys, dtype=np.uint64)
+            shape, flat = keys.shape, keys.reshape(-1)
+            n = len(flat)
+            order = np.argsort(flat)
+            ordered = flat[order]
+            head = np.empty(n, dtype=bool)
+            head[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+            unique = ordered[head]
+            inverse = np.empty(n, dtype=np.intp)
+            inverse[order] = np.cumsum(head) - 1
+            # The sort is unstable: the first position is the smallest.
+            first = np.full(len(unique), n, dtype=np.intp)
+            np.minimum.at(first, inverse, np.arange(n))
+        if self.num_nodes == 1:
+            shards = ((0, slice(None), unique),) if len(unique) else ()
+        else:
+            owners = self.owners(unique)
+            per_node = (np.flatnonzero(owners == node) for node in range(self.num_nodes))
+            shards = tuple(
+                (node, positions, unique[positions])
+                for node, positions in enumerate(per_node)
+                if len(positions)
+            )
+        return KeyPlan(unique, inverse, first, shards, shape, self)
 
     def owners(self, keys) -> np.ndarray:
         """Owning node of every key (vectorized ``node_of``, ``intp``)."""

@@ -58,7 +58,7 @@ class _PendingWork:
 
     worker: int
     step_computed: int
-    keys: np.ndarray
+    keys: object  # the pull's KeyPlan, or the flat key array
     embedding_grads: np.ndarray
     dense_grads: list[np.ndarray]
     loss: float
@@ -295,8 +295,11 @@ class AsynchronousTrainer:
                 self.pipeline.begin_batch(self.step, batch.keys)
                 embeddings = self.pipeline.gather(batch.keys)
                 self.pipeline.run_overlap(self.step)
+                keys = batch.keys.reshape(-1)
             else:
-                pulled = self._pull(worker, batch.keys.reshape(-1))
+                # Routed once: the delayed push reuses the pull's plan.
+                keys = self._plan(batch.keys.reshape(-1))
+                pulled = self._pull(worker, keys)
                 self.backend.maintain(self.step)
                 embeddings = pulled.weights.reshape(
                     self.batch_size, self.model.num_fields, self.model.dim
@@ -304,7 +307,7 @@ class AsynchronousTrainer:
                 self._advance_clock()
             self.model.zero_grad()
             grads = self.model.train_batch(embeddings, batch.labels)
-            self._enqueue_push(worker, batch, grads)
+            self._enqueue_push(worker, keys, grads)
         self._completed[worker] += 1
         self.loss_history.append(grads.loss)
         if self.staleness == 0:
@@ -312,6 +315,12 @@ class AsynchronousTrainer:
         if self.pipeline is not None:
             self.pipeline.end_batch(self.step)
         return grads.loss
+
+    def _plan(self, flat_keys):
+        """The backend's :class:`~repro.core.sharding.KeyPlan` of
+        ``flat_keys``; the array itself for a backend without ``plan``."""
+        planner = getattr(self.backend, "plan", None)
+        return flat_keys if planner is None else planner(flat_keys)
 
     def _pull(self, worker: int, flat_keys):
         """One admission-checked pull; fast-forwards on rejection.
@@ -349,7 +358,7 @@ class AsynchronousTrainer:
                 worker_id=worker, progress=self._completed[worker],
             )
 
-    def _enqueue_push(self, worker: int, batch, grads) -> None:
+    def _enqueue_push(self, worker: int, keys, grads) -> None:
         """Queue this step's gradients, applying the fault profile."""
         profile = self.worker_faults.get(worker)
         embedding_grads = grads.embedding_grads
@@ -386,7 +395,7 @@ class AsynchronousTrainer:
             _PendingWork(
                 worker=worker,
                 step_computed=self.step,
-                keys=batch.keys,
+                keys=keys,
                 embedding_grads=embedding_grads,
                 dense_grads=dense_grads,
                 loss=grads.loss,
@@ -400,16 +409,16 @@ class AsynchronousTrainer:
     def _push(self, work: _PendingWork) -> None:
         """Apply one delayed gradient (through the pipeline if present)."""
         self._last_push_batch = max(self._last_push_batch, self.step)
-        flat_keys = work.keys.reshape(-1)
+        keys = work.keys
         flat_grads = work.embedding_grads.reshape(-1, self.model.dim)
         if self.pipeline is not None:
             # Routing through the pipeline invalidates buffered copies
             # of the touched keys — the staleness invariant for the
             # async flow, where pushes land mid-schedule.
-            self.pipeline.push(flat_keys, flat_grads, self.step)
+            self.pipeline.push(keys, flat_grads, self.step)
         elif self.track_progress:
             self.backend.push(
-                flat_keys, flat_grads, self.step,
+                keys, flat_grads, self.step,
                 worker_id=work.worker, seq=work.seq,
             )
             if work.duplicate:
@@ -419,11 +428,11 @@ class AsynchronousTrainer:
                 self.stats.duplicate_pushes += 1
                 self._count("repro_async_duplicate_pushes_total")
                 self.backend.push(
-                    flat_keys, flat_grads, self.step,
+                    keys, flat_grads, self.step,
                     worker_id=work.worker, seq=work.seq,
                 )
         else:
-            self.backend.push(flat_keys, flat_grads, self.step)
+            self.backend.push(keys, flat_grads, self.step)
         if not work.byzantine:
             self.dense_optimizer.step(
                 self.model.mlp.parameters(), work.dense_grads

@@ -7,13 +7,17 @@ distributed server, and pushes the per-lookup gradients back.
 
 The synchronous-batch protocol is: ``pull`` at the start of the batch,
 ``maintain`` once every worker's pulls are in (the trainer calls it),
-``push`` at the end. A key matrix crosses this layer as the flattened
-``ndarray`` it already is — the server's partitioner works on arrays, so
-no key becomes a Python ``int`` between the trainer and the wire.
-Duplicate keys inside one batch are pulled as
-duplicates (they all see the same pre-batch weights) and their
-gradients are aggregated by the server on push — exactly the paired
-burst pattern of Figure 2.
+``push`` at the end. A key matrix is routed once: :meth:`PSEmbedding.plan`
+asks the server for its :class:`~repro.core.sharding.KeyPlan`, and the
+pull and the matching push both take that plan, so the keys are sorted
+and split by shard once per worker step and no key becomes a Python
+``int`` between the trainer and the wire. Duplicate keys inside one
+batch cross the wire once each way: the server sends each shard its
+distinct keys, every repeat reads its key's pulled row, and the
+repeats' gradients are summed on the client, in occurrence order, into
+one row per key — the paired burst pattern of Figure 2 with each row
+moved once. A backend without ``plan`` (the baselines) receives the
+flattened key array instead.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.server import OpenEmbeddingServer
+from repro.core.sharding import KeyPlan
 from repro.errors import ConfigError
 
 
@@ -38,25 +43,40 @@ class PSEmbedding:
         self.server = server
         self.dim = dim
 
-    def pull(self, key_matrix: np.ndarray, batch_id: int) -> np.ndarray:
-        """Pull embeddings for a (batch, fields) int key matrix.
+    def plan(self, keys):
+        """Route a (batch, fields) key matrix once: the server's
+        :class:`~repro.core.sharding.KeyPlan` of it, or the matrix
+        itself when the server builds no plans. A plan is returned as
+        it is, so :meth:`pull` and :meth:`push` take either."""
+        if isinstance(keys, KeyPlan):
+            return keys
+        keys = np.asarray(keys)
+        if keys.ndim != 2:
+            raise ConfigError(f"key matrix must be 2-D, got shape {keys.shape}")
+        planner = getattr(self.server, "plan", None)
+        return keys if planner is None else planner(keys)
+
+    def pull(self, keys, batch_id: int) -> np.ndarray:
+        """Pull embeddings for a (batch, fields) key matrix or its plan.
 
         Returns a float32 tensor of shape (batch, fields, dim).
         """
-        key_matrix = np.asarray(key_matrix)
-        if key_matrix.ndim != 2:
-            raise ConfigError(f"key matrix must be 2-D, got shape {key_matrix.shape}")
-        result = self.server.pull(key_matrix.reshape(-1), batch_id)
-        return result.weights.reshape(*key_matrix.shape, self.dim)
+        keys = self.plan(keys)
+        result = self.server.pull(_flat(keys), batch_id)
+        return result.weights.reshape(*keys.shape, self.dim)
 
-    def push(
-        self, key_matrix: np.ndarray, grads: np.ndarray, batch_id: int
-    ) -> int:
-        """Push per-lookup gradients of shape (batch, fields, dim)."""
-        key_matrix = np.asarray(key_matrix)
+    def push(self, keys, grads: np.ndarray, batch_id: int) -> int:
+        """Push per-lookup gradients of shape (batch, fields, dim) for a
+        key matrix or its plan."""
+        keys = self.plan(keys)
         grads = np.asarray(grads, dtype=np.float32)
-        expected = (*key_matrix.shape, self.dim)
+        expected = (*keys.shape, self.dim)
         if grads.shape != expected:
             raise ConfigError(f"grads shape {grads.shape}, want {expected}")
         flat_grads = grads.reshape(-1, self.dim)
-        return self.server.push(key_matrix.reshape(-1), flat_grads, batch_id)
+        return self.server.push(_flat(keys), flat_grads, batch_id)
+
+
+def _flat(keys):
+    """What the server routes: a plan as it is, a matrix flattened."""
+    return keys if isinstance(keys, KeyPlan) else keys.reshape(-1)

@@ -98,11 +98,12 @@ class SynchronousTrainer:
             manual only).
         prefetch: lookahead prefetch configuration. ``None`` keeps the
             classic serial protocol (pull → maintain → push, every
-            duplicate pulled). A :class:`PrefetchConfig` routes pulls
-            through a :class:`PrefetchPipeline`: demand misses on the
-            critical path, maintenance + next-window prefetch inside
-            the overlap window. Final weights are bit-identical either
-            way; only request traffic and simulated timing change.
+            worker's keys pulled each step). A :class:`PrefetchConfig`
+            routes pulls through a :class:`PrefetchPipeline`: demand
+            misses on the critical path, maintenance + next-window
+            prefetch inside the overlap window. Final weights are
+            bit-identical either way; only request traffic and
+            simulated timing change.
         clock: optional simulated clock shared with the backend, used
             by the pipeline's overlap accounting.
         gpu_batch_time_s: simulated per-batch GPU compute the overlap
@@ -204,16 +205,17 @@ class SynchronousTrainer:
         ]
 
         # Phase 1: the pull burst — every worker pulls simultaneously.
-        # On the pipelined path, demand misses are pulled once (deduped)
-        # and the shards are served from the lookahead buffer.
+        # Each worker's key matrix is routed once; its push reuses the
+        # plan. On the pipelined path, demand misses are pulled once
+        # (deduped) and the shards are served from the lookahead buffer.
         with self.tracer.span("train.pull", batch=batch_id):
             if self.pipeline is not None:
                 self.pipeline.begin_batch(batch_id, global_batch.keys)
-                pulled = [self.pipeline.gather(keys) for keys, *__ in shards]
+                planned = [keys for keys, *__ in shards]
+                pulled = [self.pipeline.gather(keys) for keys in planned]
             else:
-                pulled = [
-                    self.embedding.pull(keys, batch_id) for keys, *__ in shards
-                ]
+                planned = [self.embedding.plan(keys) for keys, *__ in shards]
+                pulled = [self.embedding.pull(plan, batch_id) for plan in planned]
             first_pulled = None
             if self.first_order is not None:
                 first_pulled = [
@@ -252,7 +254,7 @@ class SynchronousTrainer:
                 grads = worker_grads[w]
                 scale = 1.0 / self.num_workers
                 self._push_embedding.push(
-                    keys, grads.embedding_grads * scale, batch_id
+                    planned[w], grads.embedding_grads * scale, batch_id
                 )
                 if self.first_order is not None:
                     self.first_order.push(

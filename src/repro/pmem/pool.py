@@ -144,7 +144,7 @@ class EntrySlab:
         """Copy of the payload of ``slots``."""
         self.pool._check_open()
         self.pool.device.read(self.slot_bytes, ops=len(slots))
-        return self.data[slots]
+        return np.take(self.data, slots, axis=0)
 
     def free(self, slots: np.ndarray) -> None:
         """Clear the ``live`` bit of ``slots`` and reclaim their space."""

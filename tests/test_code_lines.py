@@ -81,12 +81,14 @@ SHARD_REACH_FILES = [
 def test_reaching_a_shard_stays_within_its_budget():
     """CI's third gated budget: the facade, its RPC subclass and service,
     and the reshard / failover / replication state machines hold at most
-    1 827 code lines (1 852 while failover and the services took
+    1 833 code lines (1 852 while failover and the services took
     settings only tests set, 1 825 before the facade checked a push's
     gradient block and folded the shards' buffers ahead of choosing a
-    checkpoint id) — one way to reach a shard, not three seams."""
+    checkpoint id, 1 827 before pull and push took a KeyPlan and a
+    reshard folded buffered pushes ahead of its quiesce check) — one
+    way to reach a shard, not three seams."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1827", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+    assert code_lines.main(["--max", "1833", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
 
 
 LOOKAHEAD_FILES = ["src/repro/dlrm/prefetch.py", "src/repro/simulation/trainer_sim.py"]

@@ -1,7 +1,9 @@
 """Keys stay arrays from the trainer to the backend.
 
 ``PSEmbedding`` and both trainers hand ``backend.pull`` / ``push`` the
-flattened key ``ndarray`` — never a Python list of ints for the
+backend's :class:`~repro.core.sharding.KeyPlan` of the key matrix —
+every field an array — or, for a backend that builds no plans, the
+flattened key ``ndarray``: never a Python list of ints for the
 partitioner to turn straight back into an array.
 """
 
@@ -14,6 +16,7 @@ from repro.baselines.dram_ps import DRAMPSNode
 from repro.config import CacheConfig, PrefetchConfig, ServerConfig
 from repro.core.optimizers import PSSGD
 from repro.core.server import OpenEmbeddingServer
+from repro.core.sharding import KeyPlan
 from repro.dlrm.async_trainer import AsynchronousTrainer
 from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
@@ -32,16 +35,30 @@ BACKENDS = {
 }
 
 
-def spy_on(backend, *names: str) -> list[tuple[str, int]]:
-    """Wrap ``backend``'s calls: every one must receive a flat key
-    ``ndarray``. Returns the log of ``(name, number of keys)``."""
+def assert_flat_keys(keys) -> None:
+    assert isinstance(keys, np.ndarray), f"got a {type(keys).__name__}"
+    assert keys.ndim == 1 and keys.dtype.kind in "iu"
+
+
+def spy_on(backend, *names: str, plans: bool | None = None) -> list[tuple[str, int]]:
+    """Wrap ``backend``'s calls: every one must receive a plan whose
+    fields are arrays (``plans``; by default, a backend that builds
+    them) or a flat key ``ndarray``. Returns the log of ``(name, number
+    of keys)``."""
     calls: list[tuple[str, int]] = []
+    plans = hasattr(backend, "plan") if plans is None else plans
 
     def wrap(name, real):
         @functools.wraps(real)  # the async trainer reads the signature
         def spy(keys, *args, **kwargs):
-            assert isinstance(keys, np.ndarray), f"{name} got a {type(keys).__name__}"
-            assert keys.ndim == 1 and keys.dtype.kind in "iu"
+            assert isinstance(keys, KeyPlan) == plans, f"{name} got a {type(keys).__name__}"
+            if plans:
+                for array in (keys.unique, keys.inverse, keys.first):
+                    assert_flat_keys(array)
+                for __, __, shard_keys in keys.shards:
+                    assert_flat_keys(shard_keys)
+            else:
+                assert_flat_keys(keys)
             calls.append((name, len(keys)))
             return real(keys, *args, **kwargs)
 
@@ -83,7 +100,7 @@ class TestArraysThrough:
         """The lookahead pipeline pulls the keys *it* found missing (its
         own dedup); the trainer's push through it carries the array."""
         backend = BACKENDS[backend_name]()
-        calls = spy_on(backend, "push")
+        calls = spy_on(backend, "push", plans=False)
         model, dataset = model_and_data()
         SynchronousTrainer(
             backend, model, dataset, num_workers=2, batch_size=BATCH,

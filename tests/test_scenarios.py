@@ -33,6 +33,7 @@ from tests.harness.scenario import (
     TRANSPORTS,
     Fleet,
     Scenario,
+    build_backend,
     checkpoint,
     kill,
     reshard,
@@ -278,3 +279,30 @@ class TestFoundByTheEngine:
             node.push(keys, grads, batch)
         node.push([1, 2], grads, 3)  # lands after round 5, carries batch 3
         node.cache.validate()
+
+    @pytest.mark.parametrize("transport", ["local", "rpc"])
+    def test_a_reshard_folds_pushes_still_buffered(self, transport):
+        """migration x aggregation: the barrier's "already quiesced"
+        shortcut read the watermarks before any shard folded, so a push
+        queued below quorum stayed on its old owners through the move,
+        and the next push folded it into keys the move had dropped."""
+        config = server_config(2, aggregator="mean", aggregator_workers=2, aggregator_f=0)
+        backend = build_backend(transport, config)
+        keys = np.arange(200, dtype=np.uint64)
+        grads = np.full((200, DIM), 0.1, np.float32)
+        backend.pull(keys, 0)
+        backend.maintain(0)
+        for worker in (0, 1):
+            backend.push(keys, grads, 0, worker_id=worker, seq=1)
+        backend.barrier_checkpoint(0)
+        backend.pull(keys, 1, worker_id=0, progress=1)
+        backend.maintain(1)
+        backend.push(keys, grads, 1, worker_id=0, seq=2)  # queued below quorum
+        report = backend.scale_out()
+        queued = sum(node.aggregation.pending for node in backend.nodes)
+        before = backend.state_snapshot()
+        backend.push(keys, grads, 1, worker_id=1, seq=2)  # raised KeyNotFoundError
+        backend.flush_aggregation()
+        after = backend.state_snapshot()
+        assert report.barrier_batch == 1 and queued == 0
+        assert all(not np.array_equal(before[key], after[key]) for key in range(200))
