@@ -56,11 +56,9 @@ SLO_AVAILABILITY_BUDGET = 0.001
 TOP1PCT_SKEW = sum(mass for frac, mass in TABLE2_BANDS[:3])
 
 
-def build_tier(seed: int, capacity_rows: int, policy: str = "round_robin", slo=None):
+def build_tier(seed: int, capacity_rows: int, slo=None):
     """Replicated 3-shard RPC cluster + serving tier + closed-loop driver."""
-    config = server_config(
-        3, seed, replicas=2, lease_s=0.5, serving_replica_policy=policy
-    )
+    config = server_config(3, seed, replicas=2, lease_s=0.5)
     clock = SimClock()
     registry = MetricsRegistry()
     # The default retry policy: the committed serving cells priced the
@@ -160,15 +158,7 @@ def run_chaos(requests: int) -> dict:
     slo = build_slo_tracker()
     client, tier, driver = build_tier(seed=37, capacity_rows=CACHE_ROWS, slo=slo)
     soak = TrainServeSoak(
-        tier,
-        client,
-        driver,
-        rng_seed=37,
-        train_every=3,
-        checkpoint_every=2,
-        kill_primary_at=requests // 2,
-        kill_node=0,
-        slo=slo,
+        tier, client, driver, rng_seed=37, kill_primary_at=requests // 2, slo=slo
     )
     verdict = soak.run(requests)
     return {

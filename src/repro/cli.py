@@ -1,27 +1,31 @@
 """Command-line interface.
 
-Eleven subcommands::
+Nine subcommands::
 
     repro simulate   --system pmem_oe --workers 16 ...   # one simulated epoch
     repro train      --batches 200 --crash-at 120 ...    # functional DeepFM demo
-    repro serve-bench --requests 400 --chaos ...         # online serving QPS/p99
     repro plan       --model-gb 500 --mttf-hours 12      # sizing & intervals
     repro workload   --keys 500000 ...                   # Table II skew check
-    repro faults     --drop 0.05 --duplicate 0.03 ...    # lossy-wire RPC demo
     repro metrics    run.metrics.json                    # pretty-print a snapshot
     repro trace      merge node0.json node1.json -o m.json  # multi-node timeline
     repro slo        slo_serving.json                    # render an SLO verdict
     repro sweep      --grid benchmarks/grids/paper.json --full   # every figure
     repro bench      list | run NAME --smoke | show NAME | gate --baseline DIR ...
 
-``simulate`` and ``train`` accept ``--trace-out FILE.json`` (Chrome
-``trace_event`` timeline, open in Perfetto / ``chrome://tracing``) and
-``--metrics-out FILE`` (``.json`` snapshot or Prometheus text; the
-``.json`` form is what ``repro metrics`` renders). ``repro trace
-merge`` stitches per-node trace files into one causally flow-linked
-timeline; ``repro trace show`` summarizes any trace file in the
-terminal. ``repro slo`` renders the machine-readable SLO verdict that
-``serve-bench --chaos`` and ``bench run serving --record DIR`` emit.
+The experiments are registered benches, run through ``repro bench``:
+``bench run ablation_network_faults`` trains over a lossy wire and
+checks the weights against the clean wire's, ``bench run serving``
+prices the online serving tier and audits its train-while-serve chaos
+soak. ``simulate`` and ``train`` accept ``--trace-out FILE.json``
+(Chrome ``trace_event`` timeline, open in Perfetto /
+``chrome://tracing``) and ``--metrics-out FILE`` (``.json`` snapshot or
+Prometheus text; the ``.json`` form is what ``repro metrics``
+renders). ``repro trace merge`` stitches per-node trace files into one
+causally flow-linked timeline; ``repro trace show`` summarizes any
+trace file in the terminal. ``repro slo`` renders the machine-readable
+SLO verdict that ``bench run serving --record DIR`` writes. The three
+readers exit 2 on a missing file, invalid JSON or a document that is
+not a JSON object.
 
 Run ``python -m repro.cli <subcommand> --help`` for options.
 """
@@ -377,247 +381,47 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_faults(args: argparse.Namespace) -> int:
-    """Train over a lossy wire and prove retries are semantics-free."""
-    from repro.config import NetworkFaultConfig, RetryConfig
-    from repro.network.frontend import RemotePSClient
-
-    server_config = ServerConfig(
-        num_nodes=args.nodes,
-        embedding_dim=args.dim,
-        pmem_capacity_bytes=1 << 26,
-        seed=args.seed,
-    )
-    cache_config = CacheConfig(capacity_bytes=args.cache_kb << 10)
-    faults = NetworkFaultConfig(
-        drop_rate=args.drop,
-        duplicate_rate=args.duplicate,
-        corrupt_rate=args.corrupt,
-        delay_rate=args.delay,
-        delay_mean_s=args.delay_mean_ms * 1e-3,
-        seed=args.seed,
-    )
-    retry = RetryConfig(
-        max_attempts=args.max_attempts,
-        attempt_timeout_s=args.attempt_timeout_ms * 1e-3,
-        call_timeout_s=args.call_timeout_s,
-        seed=args.seed,
-    )
-
-    def run(fault_config):
-        client = RemotePSClient(
-            server_config, cache_config,
-            faults=fault_config, retry=retry,
-        )
-        rng = np.random.default_rng(args.seed)
-        for batch in range(args.batches):
-            keys = sorted(
-                rng.choice(args.keys, size=args.batch_keys, replace=False).tolist()
-            )
-            grads = rng.normal(0, 0.1, (args.batch_keys, args.dim)).astype(
-                np.float32
-            )
-            client.pull(keys, batch)
-            client.maintain(batch)
-            client.push(keys, grads, batch)
-        return client
-
-    clean = run(None)
-    faulty = run(faults)
-    clean_state, faulty_state = clean.state_snapshot(), faulty.state_snapshot()
-    identical = set(clean_state) == set(faulty_state) and all(
-        np.array_equal(clean_state[key], faulty_state[key]) for key in clean_state
-    )
-    reliability = faulty.reliability()
-    injected = faulty.fault_stats()
-    print(f"batches           : {args.batches} ({args.batch_keys} keys each)")
-    print(f"fault schedule    : drop {args.drop:.1%}, dup {args.duplicate:.1%}, "
-          f"corrupt {args.corrupt:.1%}, delay {args.delay:.1%} "
-          f"(seed {args.seed})")
-    print(f"injected faults   : {injected.total} {injected.summary()}")
-    print(f"retries           : {reliability.retries}")
-    print(f"timeouts          : {reliability.timeouts}")
-    print(f"wire errors       : {reliability.wire_errors}")
-    print(f"dup-suppressed    : {reliability.dup_suppressed}")
-    print(f"backoff time      : {reliability.backoff_seconds * 1e3:.2f} ms")
-    print(f"wire bytes        : clean {clean.wire_bytes()}, "
-          f"faulty {faulty.wire_bytes()} "
-          f"(+{faulty.wire_bytes() - clean.wire_bytes()})")
-    print(f"simulated time    : clean {clean.clock.now * 1e3:.2f} ms, "
-          f"faulty {faulty.clock.now * 1e3:.2f} ms")
-    print(f"weights identical : {identical}")
-    if args.mttf is not None:
-        from repro.failure.mttf import (
-            expected_lost_work_seconds,
-            young_interval_seconds,
-        )
-
-        interval = young_interval_seconds(args.checkpoint_cost, args.mttf)
-        lost = expected_lost_work_seconds(interval, args.mttf)
-        print(f"-- failure planning (Young 1974) --")
-        print(f"MTTF              : {args.mttf:.1f} s")
-        print(f"checkpoint cost   : {args.checkpoint_cost:.3f} s")
-        print(f"optimal interval  : {interval:.3f} s  (sqrt(2*C*MTTF))")
-        print(f"expected lost work: {lost:.3f} s per failure "
-              f"(interval/2; recovery accounted separately)")
-    return 0 if identical else 1
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    """Closed-loop online serving benchmark over the RPC cluster."""
-    import dataclasses
-
-    from repro.core.optimizers import PSAdagrad
-    from repro.dlrm.hps import HierarchicalPS
-    from repro.network.frontend import RemotePSClient
-    from repro.obs import MetricsRegistry, SLOTracker, render_verdict
-    from repro.simulation.clock import SimClock
-    from repro.simulation.serving_sim import (
-        ServingCostModel,
-        ServingLoadDriver,
-        TrainServeSoak,
-    )
-    from repro.workload.distributions import BandedSkewDistribution
-
-    server_config = ServerConfig(
-        num_nodes=args.nodes,
-        embedding_dim=args.dim,
-        pmem_capacity_bytes=1 << 26,
-        seed=args.seed,
-        partitioner="ring",
-        replicas=args.replicas,
-        lease_s=0.5,
-    )
-    server_config = dataclasses.replace(
-        server_config, serving_replica_policy=args.policy
-    )
-    cache_config = CacheConfig(capacity_bytes=args.cache_kb << 10)
-    clock = SimClock()
-    registry = MetricsRegistry()
-    slo = None
-    if args.chaos:
-        # SLO-gated chaos: the run fails on error-budget exhaustion,
-        # not only on torn/stale rows.
-        slo = SLOTracker()
-        slo.latency("serving_p99", args.slo_p99_ms * 1e-3, budget=args.slo_budget)
-        slo.availability("serving_availability")
-        slo.staleness("serving_staleness", args.staleness_k, budget=0.0)
-    client = RemotePSClient(
-        server_config, cache_config, PSAdagrad(lr=0.05),
-        clock=clock, registry=registry,
-    )
-    if args.replicas == 2:
-        client.enable_failover(registry)
-    tier = HierarchicalPS(
-        client,
-        capacity_rows=args.cache_rows,
-        staleness_bound_k=args.staleness_k,
-        registry=registry,
-        slo=slo,
-    )
-    distribution = BandedSkewDistribution(args.keys, seed=args.seed)
-    driver = ServingLoadDriver(
-        tier, distribution, ServingCostModel(network=None), clock,
-        batch_keys=args.batch_keys, num_keys=args.keys, slo=slo,
-    )
-    rng = np.random.default_rng(args.seed)
-    for batch in range(args.pretrain_batches):
-        keys = distribution.sample_keys(256)
-        grads = rng.normal(0, 0.01, (len(keys), args.dim)).astype(np.float32)
-        client.pull(keys, batch)
-        client.maintain(batch)
-        client.push(keys, grads, batch)
-    client.barrier_checkpoint()
-
-    kill_at = args.kill_at if args.kill_at and args.kill_at < args.requests else None
-    if args.chaos and kill_at is None:
-        kill_at = args.requests // 2
-    if kill_at is not None and args.replicas != 2:
-        print("error: --kill-at/--chaos needs --replicas 2 (hot failover)",
-              file=sys.stderr)
-        return 2
-    driver.run(args.warm)
-    if kill_at is not None:
-        soak = TrainServeSoak(
-            tier, client, driver, rng_seed=args.seed,
-            train_every=3, checkpoint_every=2,
-            kill_primary_at=kill_at, kill_node=0, slo=slo,
-        )
-        verdict = soak.run(args.requests)
-        report = verdict.report
-    else:
-        verdict = None
-        report = driver.run(args.requests)
-    print(f"requests          : {report.requests} "
-          f"({args.batch_keys} keys each, {args.keys} key space)")
-    print(f"cache             : {args.cache_rows} rows, "
-          f"staleness bound k={args.staleness_k}, policy {args.policy}")
-    print(f"throughput        : {report.qps:.0f} req/s (simulated)")
-    print(f"latency p50/p95/p99: {report.latency.p50 * 1e6:.1f} / "
-          f"{report.latency.p95 * 1e6:.1f} / "
-          f"{report.latency.p99 * 1e6:.1f} us")
-    print(f"hit rate          : {tier.stats.hit_rate:.1%} "
-          f"({tier.stats.cache_hits} hits / {tier.stats.rows} rows)")
-    if report.hit_latency.count:
-        print(f"hit-path p99      : {report.hit_latency.p99 * 1e6:.2f} us")
-    if report.miss_latency.count:
-        print(f"miss-path p99     : {report.miss_latency.p99 * 1e6:.1f} us")
-    if verdict is not None:
-        print(f"chaos             : killed node 0's primary at request "
-              f"{kill_at}; served through kill: "
-              f"{verdict.served_through_kill}")
-        print(f"consistency       : {verdict.rows_audited} rows audited, "
-              f"{verdict.torn_rows} torn, {verdict.stale_rows} beyond k "
-              f"(max staleness {verdict.max_staleness})")
-        failed = bool(verdict.torn_rows or verdict.stale_rows)
-        if slo is not None:
-            slo_verdict = slo.verdict()
-            print()
-            print(render_verdict(slo_verdict))
-            if args.slo_out:
-                import json
-
-                with open(args.slo_out, "w") as handle:
-                    json.dump(slo_verdict, handle, indent=2)
-                    handle.write("\n")
-                print(f"slo verdict       -> {args.slo_out}")
-            failed = failed or bool(slo.exhausted())
-        return 1 if failed else 0
-    return 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Merge per-node traces / summarize a trace file."""
+def _load_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``. A missing file, invalid JSON or a
+    document that is not an object raises :class:`ConfigError`, which
+    the readers below turn into exit 2 (a usage error, not a verdict)."""
     import json
     import pathlib
 
     from repro.errors import ConfigError
+
+    path = pathlib.Path(path)
+    if not path.is_file():
+        raise ConfigError(f"no such {what} file: {path}")
+    try:
+        document = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON ({exc})") from None
+    if not isinstance(document, dict):
+        raise ConfigError(
+            f"{path} must hold a JSON object, not {type(document).__name__}"
+        )
+    return document
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
+    """Merge per-node traces / summarize a trace file."""
+    from repro.errors import ConfigError
     from repro.obs import merge_trace_files, summarize_trace
 
-    if args.action == "merge":
-        paths = [pathlib.Path(p) for p in args.files]
-        for path in paths:
-            if not path.is_file():
-                print(f"error: no such trace file: {path}", file=sys.stderr)
-                return 2
-        try:
-            merged = merge_trace_files(paths, out=args.out)
-        except (ConfigError, json.JSONDecodeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        flows = merged["otherData"]["flows"]
-        print(f"merged {len(paths)} trace(s), {len(merged['traceEvents'])} "
-              f"events, {flows} cross-node flow link(s) -> {args.out}")
-        return 0
-    # show
-    path = pathlib.Path(args.file)
-    if not path.is_file():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
     try:
-        trace = json.loads(path.read_text())
-        print(summarize_trace(trace))
-    except (ConfigError, json.JSONDecodeError, ValueError) as exc:
+        if args.action == "merge":
+            for path in args.files:
+                if not os.path.isfile(path):
+                    raise ConfigError(f"no such trace file: {path}")
+            merged = merge_trace_files(args.files, out=args.out)
+            flows = merged["otherData"]["flows"]
+            print(f"merged {len(args.files)} trace(s), "
+                  f"{len(merged['traceEvents'])} events, {flows} cross-node "
+                  f"flow link(s) -> {args.out}")
+        else:
+            print(summarize_trace(_load_json_object(args.file, "trace")))
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -629,20 +433,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     """Render a machine-readable repro-slo-v1 verdict file."""
-    import json
-    import pathlib
-
     from repro.errors import ConfigError
     from repro.obs import render_verdict
 
-    path = pathlib.Path(args.verdict)
-    if not path.is_file():
-        print(f"error: no such verdict file: {path}", file=sys.stderr)
-        return 2
     try:
-        verdict = json.loads(path.read_text())
+        verdict = _load_json_object(args.verdict, "verdict")
         print(render_verdict(verdict))
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if verdict.get("ok") else 1
@@ -650,26 +447,14 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Pretty-print a JSON metrics snapshot written by --metrics-out."""
-    import json
-    import pathlib
-
+    from repro.errors import ConfigError
     from repro.obs import render_snapshot
 
-    path = pathlib.Path(args.snapshot)
-    if not path.is_file():
-        print(f"error: no such snapshot file: {path}", file=sys.stderr)
-        return 2
     try:
-        snapshot = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        print(f"error: {path} is not valid JSON ({exc}); "
-              "`repro metrics` reads the .json form of --metrics-out",
-              file=sys.stderr)
-        return 2
-    try:
-        print(render_snapshot(snapshot))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(render_snapshot(_load_json_object(args.snapshot, "snapshot")))
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}; `repro metrics` reads the .json form of "
+              "--metrics-out", file=sys.stderr)
         return 2
     return 0
 
@@ -938,90 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--seed", type=int, default=1)
     workload.set_defaults(handler=_cmd_workload)
 
-    faults = sub.add_parser(
-        "faults", help="RPC fault-injection demo: lossy wire, identical weights"
-    )
-    faults.add_argument("--batches", type=int, default=20)
-    faults.add_argument("--keys", type=int, default=500,
-                        help="distinct embedding ids in the demo workload")
-    faults.add_argument("--batch-keys", type=int, default=8)
-    faults.add_argument("--dim", type=int, default=8)
-    faults.add_argument("--nodes", type=int, default=2)
-    faults.add_argument("--cache-kb", type=int, default=64)
-    faults.add_argument("--drop", type=float, default=0.05,
-                        help="message drop probability")
-    faults.add_argument("--duplicate", type=float, default=0.03,
-                        help="message duplication probability")
-    faults.add_argument("--corrupt", type=float, default=0.02,
-                        help="byte-flip probability (CRC-detected)")
-    faults.add_argument("--delay", type=float, default=0.05,
-                        help="extra-delay probability")
-    faults.add_argument("--delay-mean-ms", type=float, default=5.0)
-    faults.add_argument("--max-attempts", type=int, default=10)
-    faults.add_argument("--attempt-timeout-ms", type=float, default=50.0)
-    faults.add_argument("--call-timeout-s", type=float, default=5.0)
-    faults.add_argument("--seed", type=int, default=7)
-    faults.add_argument("--mttf", type=float, default=None,
-                        help="mean time to failure in seconds; prints the "
-                             "Young-optimal checkpoint interval and the "
-                             "expected lost work per failure")
-    faults.add_argument("--checkpoint-cost", type=float, default=1.0,
-                        help="cost of one checkpoint in seconds (C in "
-                             "Young's sqrt(2*C*MTTF); used with --mttf)")
-    faults.set_defaults(handler=_cmd_faults)
-
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="online serving tier: closed-loop QPS / tail latency "
-             "(optionally train-while-serve chaos with --kill-at)",
-    )
-    serve_bench.add_argument("--requests", type=int, default=400,
-                             help="measured closed-loop requests")
-    serve_bench.add_argument("--warm", type=int, default=100,
-                             help="cache warm-up requests before measuring")
-    serve_bench.add_argument("--batch-keys", type=int, default=64,
-                             help="embedding rows per request")
-    serve_bench.add_argument("--keys", type=int, default=20_000,
-                             help="key-space size (Table II banded skew)")
-    serve_bench.add_argument("--cache-rows", type=int, default=512,
-                             help="hot-row cache capacity (0 disables)")
-    serve_bench.add_argument("--staleness-k", type=int, default=1,
-                             help="max checkpoints a served row may lag")
-    serve_bench.add_argument("--policy",
-                             choices=["primary", "round_robin", "least_loaded"],
-                             default="round_robin",
-                             help="replica fan-out policy for shard reads")
-    serve_bench.add_argument("--nodes", type=int, default=3)
-    serve_bench.add_argument("--replicas", type=int, default=2,
-                             help="replicas per shard (2 enables failover)")
-    serve_bench.add_argument("--dim", type=int, default=8)
-    serve_bench.add_argument("--cache-kb", type=int, default=64,
-                             help="training-side PS cache size")
-    serve_bench.add_argument("--pretrain-batches", type=int, default=6,
-                             help="training batches before the first "
-                                  "checkpoint pin")
-    serve_bench.add_argument("--kill-at", type=int, default=None,
-                             help="kill a serving primary after this many "
-                                  "measured requests (train-while-serve "
-                                  "chaos; audits consistency)")
-    serve_bench.add_argument("--chaos", action="store_true",
-                             help="SLO-gated chaos run: kill a primary "
-                                  "mid-run (at --kill-at, default the "
-                                  "midpoint) and fail on error-budget "
-                                  "exhaustion as well as torn/stale rows")
-    serve_bench.add_argument("--slo-p99-ms", type=float, default=50.0,
-                             help="latency SLO threshold for --chaos "
-                                  "(milliseconds)")
-    serve_bench.add_argument("--slo-budget", type=float, default=0.02,
-                             help="latency error budget for --chaos "
-                                  "(fraction of requests allowed over "
-                                  "the threshold)")
-    serve_bench.add_argument("--slo-out", metavar="FILE.json", default=None,
-                             help="write the machine-readable SLO verdict "
-                                  "(render with `repro slo`)")
-    serve_bench.add_argument("--seed", type=int, default=11)
-    serve_bench.set_defaults(handler=_cmd_serve_bench)
-
     metrics = sub.add_parser(
         "metrics", help="pretty-print a JSON metrics snapshot (--metrics-out)"
     )
@@ -1051,8 +752,8 @@ def build_parser() -> argparse.ArgumentParser:
         "slo", help="render a machine-readable SLO verdict (repro-slo-v1)"
     )
     slo.add_argument("verdict",
-                     help="verdict file from serve-bench --slo-out or "
-                          "bench run serving --record DIR (slo_serving.json)")
+                     help="verdict file from bench run serving --record DIR "
+                          "(DIR/slo_serving.json)")
     slo.set_defaults(handler=_cmd_slo)
 
     sweep = sub.add_parser(

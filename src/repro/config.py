@@ -159,16 +159,13 @@ class ServerConfig:
             backup (:class:`~repro.core.replication.ReplicatedPSNode`)
             that failure detection can promote in
             :data:`~repro.core.replication.FAILOVER_SECONDS` instead of
-            the ~380 s PMem rescan (Section V-C).
+            the ~380 s PMem rescan (Section V-C). Serving reads of a
+            replicated shard alternate primary / backup
+            (:class:`~repro.core.serving_backend.ReplicaSelector`).
         lease_s: failure-detection lease duration. A shard whose
             heartbeats stop is declared dead only once its lease
             expires, which bounds both false positives and the
             detection half of the unavailability window.
-        serving_replica_policy: which replica of a shard answers
-            serving lookups (see
-            :class:`~repro.core.serving_backend.ReplicaSelector`):
-            ``"round_robin"`` (default), ``"least_loaded"``, or
-            ``"primary"``. Irrelevant with ``replicas=1``.
         staleness_bound: bounded-staleness admission ``k`` for
             asynchronous training: a pull whose reported worker
             progress is more than ``k`` batches behind the slowest
@@ -200,7 +197,6 @@ class ServerConfig:
     ring_vnodes: int = 64
     replicas: int = 1
     lease_s: float = 0.5
-    serving_replica_policy: str = "round_robin"
     staleness_bound: int | None = None
     aggregator: str = "none"
     aggregator_workers: int = 0
@@ -232,13 +228,6 @@ class ServerConfig:
             )
         if self.lease_s <= 0:
             raise ConfigError("lease_s must be positive")
-        if self.serving_replica_policy not in (
-            "primary", "round_robin", "least_loaded"
-        ):
-            raise ConfigError(
-                "serving_replica_policy must be 'primary', 'round_robin' "
-                f"or 'least_loaded', got {self.serving_replica_policy!r}"
-            )
         if self.staleness_bound is not None and self.staleness_bound < 0:
             raise ConfigError(
                 f"staleness_bound must be >= 0 or None, got {self.staleness_bound}"

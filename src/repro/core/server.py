@@ -90,9 +90,7 @@ class OpenEmbeddingServer:
         # Serving reads fan out across a replicated shard's primary +
         # backup (reads never mutate, so the hot-standby doubles as a
         # serving replica).
-        self.replica_selector = ReplicaSelector(
-            policy=self.server_config.serving_replica_policy
-        )
+        self.replica_selector = ReplicaSelector()
         if nodes is None:
             self.nodes = [
                 self._build_node(node_id, self.server_config, self.cluster_mode)
@@ -270,8 +268,8 @@ class OpenEmbeddingServer:
         The serving read path: pinned to a cluster-wide Checkpointed
         Batch ID (defaults to :attr:`latest_serving_snapshot`), routed
         by the partitioner, and — on replicated shards — fanned out
-        across primary/backup replicas by the configured
-        :class:`~repro.core.serving_backend.ReplicaSelector` policy.
+        across primary/backup replicas round-robin by the
+        :class:`~repro.core.serving_backend.ReplicaSelector`.
         Never perturbs cache or LRU state.
         """
         with self.tracer.span(

@@ -8,8 +8,8 @@ module describes:
 
 * :class:`LookupResult` — the return of one batched ``lookup``: a dense
   ``(n, dim)`` weight matrix plus the snapshot every row was read at;
-* :class:`ReplicaSelector` — read fan-out policy across a shard's
-  primary + backup replicas (round-robin / least-loaded / primary).
+* :class:`ReplicaSelector` — round-robin read fan-out across a
+  shard's primary + backup replicas.
 
 Consistency contract (the tentpole invariant): every lookup is pinned
 to a **Checkpointed Batch ID** — a checkpoint that has durably
@@ -33,11 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from repro.errors import ConfigError
-
-#: Replica fan-out policies understood by :class:`ReplicaSelector`.
-REPLICA_POLICIES = ("primary", "round_robin", "least_loaded")
 
 
 @dataclass
@@ -76,32 +71,17 @@ class ReplicaSelector:
     PR-5's :class:`~repro.core.replication.ReplicatedPSNode` keeps the
     backup bitwise identical to the primary, so *reads* (which never
     mutate) can fan out across both — the paper's hot-standby doubles as
-    a serving replica for free. The selector is deliberately tiny and
-    deterministic:
+    a serving replica for free. The selector is a deterministic
+    round-robin: each shard keeps its own turn counter and alternates
+    primary / backup per read.
 
-    * ``primary`` — all reads on the primary (writes-only backup);
-    * ``round_robin`` — alternate primary/backup per request;
-    * ``least_loaded`` — pick the replica with the fewest reads served
-      so far (degenerates to round-robin under uniform service times,
-      but skews toward the idler replica when one replica also absorbs
-      training mirroring).
-
-    ``replicas(shard)`` asks the shard how many live replicas it has
-    (1 for a plain or degraded node); the selection is always taken
+    ``replica_count(shard)`` asks the shard how many live replicas it
+    has (1 for a plain or degraded node); the turn is always taken
     modulo that count, so a failover mid-stream transparently collapses
     the fan-out back onto the surviving replica.
     """
 
-    policy: str = "round_robin"
-    _rr: dict[int, int] = field(default_factory=dict)
-    _served: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.policy not in REPLICA_POLICIES:
-            raise ConfigError(
-                f"unknown replica policy {self.policy!r}; "
-                f"choose from {REPLICA_POLICIES}"
-            )
+    _turns: dict[int, int] = field(default_factory=dict)
 
     @staticmethod
     def replica_count(shard) -> int:
@@ -113,26 +93,6 @@ class ReplicaSelector:
         """The replica index (0 = primary) for the next read on a shard."""
         if replicas <= 1:
             return 0
-        if self.policy == "primary":
-            return 0
-        if self.policy == "round_robin":
-            turn = self._rr.get(node_id, 0)
-            self._rr[node_id] = turn + 1
-            choice = turn % replicas
-        else:  # least_loaded
-            loads = [
-                self._served.get((node_id, r), 0) for r in range(replicas)
-            ]
-            choice = int(np.argmin(loads))
-        self._served[(node_id, choice)] = (
-            self._served.get((node_id, choice), 0) + 1
-        )
-        return choice
-
-    def loads(self, node_id: int) -> dict[int, int]:
-        """Reads served per replica of ``node_id`` (introspection)."""
-        return {
-            replica: count
-            for (nid, replica), count in sorted(self._served.items())
-            if nid == node_id
-        }
+        turn = self._turns.get(node_id, 0)
+        self._turns[node_id] = turn + 1
+        return turn % replicas

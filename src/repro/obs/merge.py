@@ -128,13 +128,17 @@ def merge_trace_files(paths: list[str | Path], out: str | Path | None = None) ->
     """Load, merge, and optionally write trace files (CLI backend).
 
     Process names are the file stems (deduplicated with a numeric
-    suffix when two files share one).
+    suffix when two files share one). A file whose document is not a
+    JSON object raises :class:`ConfigError`.
     """
     traces = []
     names: list[str] = []
     for path in paths:
         path = Path(path)
-        traces.append(json.loads(path.read_text()))
+        trace = json.loads(path.read_text())
+        if not isinstance(trace, dict):
+            raise ConfigError(f"{path} must hold a JSON object, not {type(trace).__name__}")
+        traces.append(trace)
         stem = path.stem
         name = stem
         n = 2

@@ -46,6 +46,14 @@ _FRAME_HEADER = 9
 PROBE_THREADS = 8
 #: PS-node device threads serving the store reads.
 DEVICE_THREADS = 4
+#: :class:`TrainServeSoak` runs one training step every this many requests.
+SOAK_TRAIN_EVERY = 3
+#: :class:`TrainServeSoak` completes a barrier checkpoint every this many steps.
+SOAK_CHECKPOINT_EVERY = 2
+#: Rows one :class:`TrainServeSoak` training step pulls and pushes.
+SOAK_TRAIN_KEYS = 32
+#: The shard whose primary :class:`TrainServeSoak` kills at ``kill_primary_at``.
+SOAK_KILL_NODE = 0
 
 
 class ServingCostModel:
@@ -238,12 +246,13 @@ class SoakVerdict:
 class TrainServeSoak:
     """Serve reads while training mutates the same cluster.
 
-    Every ``train_every`` requests one training step (pull + push)
-    lands on the backend; every ``checkpoint_every`` training steps a
-    barrier checkpoint completes and the soak snapshots a *reference
-    copy* of every trained key's live weights at that Checkpointed
-    Batch ID. Each served row is audited against the reference pinned
-    at the row's reported snapshot:
+    Every :data:`SOAK_TRAIN_EVERY` requests one training step (pull +
+    push of :data:`SOAK_TRAIN_KEYS` rows) lands on the backend; every
+    :data:`SOAK_CHECKPOINT_EVERY` training steps a barrier checkpoint
+    completes and the soak snapshots a *reference copy* of every
+    trained key's live weights at that Checkpointed Batch ID. Each
+    served row is audited against the reference pinned at the row's
+    reported snapshot:
 
     * value mismatch => **torn row** (the read mixed checkpoints);
     * row snapshot more than ``tier.staleness_bound_k`` checkpoints
@@ -254,9 +263,8 @@ class TrainServeSoak:
         train_backend: the training-facing backend (may be the same
             object as ``tier.backend``).
         driver: the closed-loop read driver.
-        train_keys_per_step: rows trained per step.
         kill_primary_at: request index at which to kill the primary of
-            ``kill_node``; None disables the chaos variant.
+            shard :data:`SOAK_KILL_NODE`; None disables the chaos variant.
         slo: optional :class:`~repro.obs.SLOTracker`; every audited
             row records a good/bad event on the ``serving_staleness``
             objective (bad when the row's checkpoint lag exceeds the
@@ -270,11 +278,7 @@ class TrainServeSoak:
         train_backend,
         driver: ServingLoadDriver,
         rng_seed: int = 0,
-        train_every: int = 4,
-        checkpoint_every: int = 4,
-        train_keys_per_step: int = 32,
         kill_primary_at: int | None = None,
-        kill_node: int = 0,
         slo=None,
     ):
         self.tier = tier
@@ -284,11 +288,7 @@ class TrainServeSoak:
         if slo is not None:
             slo.staleness("serving_staleness", tier.staleness_bound_k)
         self.rng = np.random.default_rng(rng_seed)
-        self.train_every = train_every
-        self.checkpoint_every = checkpoint_every
-        self.train_keys_per_step = train_keys_per_step
         self.kill_primary_at = kill_primary_at
-        self.kill_node = kill_node
         self.dim = tier.backend.server_config.embedding_dim
         #: Checkpointed Batch ID -> {key: weights at that checkpoint}.
         self.references: dict[int, dict[int, np.ndarray]] = {}
@@ -304,7 +304,7 @@ class TrainServeSoak:
     # -- training interleave -------------------------------------------
 
     def _train_step(self) -> None:
-        n = self.train_keys_per_step
+        n = SOAK_TRAIN_KEYS
         num_keys = self.driver.num_keys or 1 << 20
         keys = self.rng.integers(0, num_keys, size=n)
         grads = self.rng.normal(0, 0.01, size=(n, self.dim)).astype(np.float32)
@@ -313,7 +313,7 @@ class TrainServeSoak:
         backend.maintain(self._batch)
         backend.push(keys, grads, self._batch)
         self._steps += 1
-        if self._steps % self.checkpoint_every == 0:
+        if self._steps % SOAK_CHECKPOINT_EVERY == 0:
             before = backend.checkpoints_completed
             snapshot_id = backend.barrier_checkpoint()
             # Record only a NEWLY completed checkpoint: a barrier that
@@ -337,12 +337,12 @@ class TrainServeSoak:
 
     def _on_request(self, i: int) -> None:
         if self.kill_primary_at is not None and i == self.kill_primary_at:
-            node = self.train_backend.nodes[self.kill_node]
+            node = self.train_backend.nodes[SOAK_KILL_NODE]
             kill = getattr(node, "kill_primary", None)
             if kill is not None:
                 kill()
                 self._kills += 1
-        if i % self.train_every == 0:
+        if i % SOAK_TRAIN_EVERY == 0:
             # Chaos mode stops training at the kill (a real deployment
             # fails the trainer over separately); reads keep flowing.
             if self._kills == 0:

@@ -104,11 +104,15 @@ class TestTrain:
 
 class TestPlanAndWorkload:
     def test_plan(self, capsys):
-        assert main(["plan", "--model-gb", "500"]) == 0
+        assert main([
+            "plan", "--model-gb", "500", "--mttf-hours", "12", "--ckpt-cost-s", "15",
+        ]) == 0
         out = capsys.readouterr().out
         assert "DRAM-PS: 2 x" in out
         assert "PMem-OE: 1 x" in out
         assert "recovery estimate" in out
+        # Young (1974): sqrt(2 * 15 s * 43 200 s) = 1 138.4 s
+        assert "Young-optimal checkpoint interval: 19.0 min" in out
 
     def test_workload_matches_table2(self, capsys):
         assert main([
@@ -117,64 +121,6 @@ class TestPlanAndWorkload:
         out = capsys.readouterr().out
         assert "85." in out  # top 0.05 % share
         assert "exponential fit" in out
-
-
-class TestFaults:
-    def test_lossy_wire_run(self, capsys):
-        code = main([
-            "faults", "--batches", "10", "--keys", "100", "--dim", "4",
-            "--drop", "0.1", "--duplicate", "0.05", "--corrupt", "0.03",
-            "--delay", "0.05", "--seed", "3",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "weights identical : True" in out
-        assert "retries" in out
-        assert "dup-suppressed" in out
-        assert "backoff time" in out
-
-    def test_clean_wire_run(self, capsys):
-        code = main([
-            "faults", "--batches", "5", "--keys", "50", "--dim", "4",
-            "--drop", "0", "--duplicate", "0", "--corrupt", "0",
-            "--delay", "0",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "injected faults   : 0" in out
-        assert "weights identical : True" in out
-
-
-class TestServeBench:
-    def test_closed_loop_run(self, capsys):
-        code = main([
-            "serve-bench", "--requests", "60", "--warm", "20",
-            "--keys", "2000", "--batch-keys", "16",
-            "--pretrain-batches", "3", "--seed", "5",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "latency p50/p95/p99" in out
-        assert "hit rate" in out
-
-    def test_chaos_variant_audits_consistency(self, capsys):
-        code = main([
-            "serve-bench", "--requests", "80", "--warm", "20",
-            "--keys", "2000", "--batch-keys", "16",
-            "--pretrain-batches", "3", "--kill-at", "40", "--seed", "5",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served through kill: True" in out
-        assert "0 torn, 0 beyond k" in out
-
-    def test_kill_requires_replicas(self, capsys):
-        code = main([
-            "serve-bench", "--requests", "20", "--warm", "0",
-            "--keys", "500", "--replicas", "1", "--kill-at", "10",
-        ])
-        assert code == 2
-        assert "--replicas 2" in capsys.readouterr().err
 
 
 class TestBench:
@@ -205,6 +151,14 @@ class TestBench:
     def test_run_unknown_name_or_param(self, capsys):
         assert main(["bench", "run", "not_an_experiment", "--smoke"]) == 2
         assert main(["bench", "run", "table1_devices", "--set", "bogus=1"]) == 2
+
+    def test_run_serving_records_a_verdict_slo_renders(self, tmp_path, capsys):
+        """The serving bench's chaos soak writes the SLO verdict `repro slo`
+        reads: a torn or beyond-k row, or an exhausted budget, exits 1."""
+        assert main(["bench", "run", "serving", "--smoke", "--record", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["slo", str(tmp_path / "slo_serving.json")]) == 0
+        assert "serving_staleness" in capsys.readouterr().out
 
     def test_run_records_only_where_told(self, tmp_path, capsys):
         import pathlib
@@ -312,3 +266,46 @@ class TestObservabilityFlags:
         bad.write_text('{"schema": "other"}')
         assert main(["metrics", str(bad)]) == 2
         assert "not a repro-metrics-v1" in capsys.readouterr().err
+
+
+def _slo_verdict(tmp_path, bad: int):
+    import json
+
+    from repro.obs import SLOTracker
+
+    tracker = SLOTracker()
+    tracker.availability("serving_availability", budget=0.1)
+    tracker.record("serving_availability", good=10 - bad, bad=bad)
+    path = tmp_path / "slo.json"
+    path.write_text(json.dumps(tracker.verdict()))
+    return str(path)
+
+
+class TestJsonReaders:
+    """`slo`, `metrics` and `trace`: exit 2 on a usage error, and only
+    `slo`'s exhausted budget reads as exit 1."""
+
+    def test_slo_within_budget_exits_0(self, tmp_path, capsys):
+        assert main(["slo", _slo_verdict(tmp_path, bad=0)]) == 0
+        assert "serving_availability" in capsys.readouterr().out
+
+    def test_slo_exhausted_budget_exits_1(self, tmp_path, capsys):
+        assert main(["slo", _slo_verdict(tmp_path, bad=5)]) == 1
+        assert "serving_availability" in capsys.readouterr().out
+
+    def test_slo_missing_file_exits_2(self, capsys):
+        assert main(["slo", "/nonexistent/slo.json"]) == 2
+        assert "no such verdict file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[]", '"x"'])
+    @pytest.mark.parametrize("command", [
+        ["slo"], ["metrics"], ["trace", "show"], ["trace", "merge", "-o", "merged.json"],
+    ])
+    def test_non_object_document_exits_2(
+        self, tmp_path, monkeypatch, capsys, command, document
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.json").write_text(document)
+        assert main([*command, "doc.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must hold a JSON object" in err

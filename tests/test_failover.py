@@ -17,7 +17,7 @@ paper's checkpoint-recovery story:
 * the MTTF chaos soak over all three transports (in-process, RPC, RPC
   over a lossy wire) with bitwise equality against a fault-free replay;
 * failover pricing in the cost model / TrainingSimulator and the Young
-  checkpoint-interval planning surfaced by ``repro faults --mttf``.
+  checkpoint-interval planning that ``repro plan`` prints.
 """
 
 import numpy as np
@@ -727,47 +727,6 @@ class TestYoungPlanning:
         assert expected_lost_work_seconds(interval, 43200.0) == pytest.approx(
             interval / 2
         )
-
-    def test_faults_cli_prints_planning_block(self, capsys):
-        code = main(
-            [
-                "faults",
-                "--batches",
-                "4",
-                "--keys",
-                "40",
-                "--batch-keys",
-                "4",
-                "--dim",
-                "4",
-                "--mttf",
-                "43200",
-                "--checkpoint-cost",
-                "15",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "failure planning (Young 1974)" in out
-        assert "optimal interval  : 1138.420 s" in out
-        assert "expected lost work: 569.210 s" in out
-
-    def test_faults_cli_silent_without_mttf(self, capsys):
-        code = main(
-            [
-                "faults",
-                "--batches",
-                "4",
-                "--keys",
-                "40",
-                "--batch-keys",
-                "4",
-                "--dim",
-                "4",
-            ]
-        )
-        assert code == 0
-        assert "Young" not in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Unit coverage for the online inference extension:
 
 * the read role a serving backend satisfies, and its checker;
-* :class:`~repro.core.serving_backend.ReplicaSelector` policies;
+* :class:`~repro.core.serving_backend.ReplicaSelector` round-robin fan-out;
 * :class:`~repro.dlrm.hps.HierarchicalPS` — hot-row cache hits,
   snapshot-window invalidation at every ``staleness_bound_k``, pinned
   reads bypassing the cache, frequency-gated admission;
@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig, ConfigError, ServerConfig
+from repro.config import CacheConfig, ServerConfig
 from repro.core.backend import ReadBackend, TrainBackend, check_backend
 from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.server import OpenEmbeddingServer
@@ -107,32 +107,11 @@ class TestServingProtocol:
 
 
 class TestReplicaSelector:
-    def test_primary_policy_never_fans_out(self):
-        selector = ReplicaSelector(policy="primary")
-        assert [selector.pick(0, 2) for __ in range(4)] == [0, 0, 0, 0]
-
     def test_round_robin_alternates_per_node(self):
-        selector = ReplicaSelector(policy="round_robin")
+        selector = ReplicaSelector()
         assert [selector.pick(0, 2) for __ in range(4)] == [0, 1, 0, 1]
         # Each node keeps its own turn counter.
         assert selector.pick(1, 2) == 0
-
-    def test_least_loaded_balances(self):
-        selector = ReplicaSelector(policy="least_loaded")
-        picks = [selector.pick(0, 2) for __ in range(6)]
-        assert picks.count(0) == picks.count(1) == 3
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError, match="policy"):
-            ReplicaSelector(policy="random")
-
-    def test_config_validates_policy(self):
-        with pytest.raises(ConfigError, match="serving_replica_policy"):
-            ServerConfig(
-                embedding_dim=8,
-                pmem_capacity_bytes=1 << 22,
-                serving_replica_policy="sometimes",
-            )
 
     def test_unreplicated_shard_counts_one(self):
         server = make_server()
