@@ -48,26 +48,31 @@ slots in stamp order, oldest first. A policy is two rules
 FIFO / CLOCK no), and does a referenced victim candidate get a second
 chance (CLOCK). ``cached_keys()`` is an ``argsort`` of the stamps.
 
-``maintain`` is **plan-then-move** with one body. Array operations
-decide everything a guaranteed hit does — flush-before-advance under a
-pending checkpoint, version advance, restamp. What is left are *events*:
-arrivals (an accessed slot that is not listed: created, PMem-resident,
-or evicted earlier in the round) and the evictions they owe. The ``k``-th
-arrival past the free room takes the next victim candidate (listed
-slots oldest stamp first) the policy does not protect at that position,
-and an evicted candidate that is accessed later re-enters as an arrival.
-One loop (:class:`_Events`) visits the candidates whose fate depends on
-where the walk stands — touched in the segment, or second-chance; the
-runs of candidates between them, and the arrivals that pay for those,
-are counted, and what the evictions produce (flushes, freed rows,
-loads) is gathered from the columns afterwards. A round longer
-than the capacity is cut into segments of at most ``capacity_entries``
-accesses so that the slots touched inside one segment can never all be
-needed as victims. The rows then move in bulk: gather the leaving rows
-from the arena, one ``store.put`` (heads in, heads out), one
-``store.read_latest`` at the heads, one arena scatter. A segment whose
-flushes the pool cannot hold is refused before it writes anything, and
-stays queued. The request queue does not change while a round runs.
+``maintain`` is **plan-then-move**. A round whose slots do not fit the
+cache is cut into segments of ``capacity_entries`` accesses, and each
+segment is planned on metadata in two steps. First every access is
+applied as if nothing left: flush-before-advance under a pending
+checkpoint, version advance, restamp; a slot that is not listed (created,
+or PMem-resident) *arrives* at its first access, loaded if it was in
+PMem. Then the segment chooses its victims: the listed slots it does
+**not** touch, oldest stamp first (CLOCK spares a referenced one once,
+clears its bit and requeues it after the segment's own listings), as
+many as its arrivals overfill the cache by. A segment therefore never
+evicts a row it touches, so no row leaves and comes back inside it, and
+a batch's rows are resident for its update — the point of Algorithm 2's
+write lock. Under LRU this is the per-access rule exactly, minus those
+evict→reload pairs: every touch restamps, so by stack inclusion the
+per-access loop's untouched victims are the oldest ones and its touched
+victims all come back within the segment; the resident set, stamp
+order, versions and checkpoints match. Under FIFO and CLOCK the victim
+choice differs from per-access replacement on purpose. The choice is a
+few array operations over the candidates in stamp order, and the
+evictions' flushes and freed rows are column gathers. The rows then move
+in bulk: gather the leaving rows from the arena, one ``store.put`` (heads
+in, heads out), one ``store.read_latest`` at the heads, one arena
+scatter. A segment whose flushes the pool cannot hold is refused before
+it writes anything, and stays queued. The request queue does not change
+while a round runs.
 
 **Completion is one predicate after the round.** Every flush stores a
 row under ``updated``, the batch whose state its bytes are — not under
@@ -95,8 +100,6 @@ oracle the equivalence suites compare this module against.
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -304,13 +307,12 @@ class PipelinedCache:
         the batch's updates are applied — the write lock in Algorithm 2
         enforces exactly this ordering in the real system.
 
-        The round is a left fold over its accesses, so it is planned in
-        consecutive segments. One segment suffices unless an eviction is
-        possible; then a segment holds at most ``capacity_entries``
-        accesses, which is what :class:`_Events` needs. Once the rows
-        have moved, :meth:`_drain` completes the checkpoints below
-        ``batch_id`` that nothing owes, flushing at most ``processed``
-        owing rows.
+        The round is planned in consecutive segments
+        (:meth:`_segments`): one if its slots fit the cache, else
+        ``capacity_entries`` accesses each, so the slots a segment
+        touches can never all be needed as victims. Once the rows have moved,
+        :meth:`_drain` completes the checkpoints below ``batch_id`` that
+        nothing owes, flushing at most ``processed`` owing rows.
 
         Raises:
             OutOfSpaceError: the pool cannot hold the rows a segment
@@ -320,115 +322,178 @@ class PipelinedCache:
                 every later one stay queued for the same batch id — once
                 room exists, ``maintain(batch_id)`` finishes the round.
                 (An admission filter has by then counted the refused
-                segment's cold arrivals once more.)
+                segment's cold accesses once more.)
         """
         with self.tracer.span("cache.maintain", batch=batch_id) as span:
             accessed = self.access_queue.pop_batch(batch_id)
             # What the round plans: ``out`` holds the planned flushes in
             # plan order, one ``(slots, versions to store them under, arena
-            # rows holding them — negative when the row arrived this very
-            # round and never reached the arena)`` block per segment part;
-            # ``loads`` the slots to load, in order; ``freed`` the arena
-            # rows given up; ``rows`` how many rows it flushes so far (what
-            # the pool must have room for); and the counts.
+            # rows holding them — negative when the row arrived earlier in
+            # this very round and never reached the arena)`` block per
+            # segment part; ``loads`` the slots to load, in order; ``freed``
+            # the arena rows given up; ``rows`` how many rows it flushes so
+            # far (what the pool must have room for); and the counts.
             plan, n = SimpleNamespace(
                 out=[], loads=[], freed=[], rows=0, flushes=0, evictions=0,
-                examined=0, steps=0, segments=0,
+                candidates=0, segments=0,
             ), len(accessed)
             # Nothing completes before the rows have moved: the request
             # queue is fixed for the whole plan.
             pending = self.coordinator.queue.pending()
-            unlisted = np.count_nonzero(self.index.columns.stamp[accessed] < 0)
-            step = max(n, 1)
-            if unlisted > self.capacity_entries - self._listed:
-                step = self.capacity_entries
             lo = 0
-            # (A segment the walk cut short leaves evictions owed: the
-            # next one, empty if need be, starts by paying them.)
-            while lo < n or (lo and self._listed > self.capacity_entries):
-                segment = accessed[lo : lo + step]
+            for end in self._segments(accessed):
                 try:
-                    lo += self._plan_segment(segment, batch_id, pending, plan, lo > 0)
+                    self._plan_segment(accessed[lo:end], batch_id, pending, plan)
                 except OutOfSpaceError:
                     self.access_queue.requeue(batch_id, accessed[lo:])
                     self._move(plan)
                     raise
-                plan.segments += 1
+                lo, plan.segments = end, plan.segments + 1
             loads = self._move(plan)
             drained, completed = self._drain(n, below=batch_id)
             result = MaintainResult(n, loads, plan.flushes + drained, plan.evictions, len(completed))
             span.set(
                 processed=n, loads=loads, flushes=result.flushes, evictions=plan.evictions,
-                candidates=plan.examined, decisions=plan.steps, segments=plan.segments,
+                candidates=plan.candidates, segments=plan.segments,
             )
             return result
 
-    def _plan_segment(
-        self, accessed: np.ndarray, batch_id: int, pending: list[int],
-        plan: SimpleNamespace, follows: bool,
-    ) -> int:
-        """Algorithm 2 for the accesses ``accessed`` (slots, in order), on
-        metadata alone: decide, move nothing. Returns how many of them it
-        planned — all, unless the walk ended the segment early; a
-        segment that ``follows`` another and finds the list over capacity
-        follows such a cut, and evicts before its first access.
-
-        Array operations apply what a hit — an access to a listed slot —
-        does: flush before the version advances if a pending checkpoint
-        still needs the current state (Alg. 2 lines 13-15: the row owes
-        one, :meth:`_owing`), stamp the batch id, touch. The test needs
-        no position: the request queue is fixed for the round, and the
-        flush clears the row's dirty bit, so a later touch finds nothing
-        owed. Accesses
-        to slots that are not listed, and a list already over capacity,
-        are events and go through :class:`_Events` first (it reads the
-        columns as the segment found them, and its results overwrite the
-        defaults written here). Nothing is written — no column, no
-        planned move — before the pool is known to have room for every
-        row the round flushes so far (counting a row that merely
-        restates a stored version, which ``put`` would not charge).
-        """
-        columns, rule = self.index.columns, self._rule
-        listed = columns.stamp[accessed] >= 0
-        hits = accessed if listed.all() else accessed[listed]
-        due = hits[:0]
-        if pending:
-            resident = np.unique(accessed[(columns.handle[accessed] & 1) == 0])
-            due = resident[self._owing(resident, pending[-1])]
-        events = None
-        if len(hits) < len(accessed) or self._listed > self.capacity_entries:
+    def _segments(self, accessed: np.ndarray) -> list[int]:
+        """Where the round's segments end: the whole round if its slots
+        fit the cache (then no row it touches leaves), else every
+        ``capacity_entries`` accesses — a segment then always leaves
+        enough listed slots it does not touch to evict."""
+        n, capacity = len(accessed), self.capacity_entries
+        unlisted = np.count_nonzero(self.index.columns.stamp[accessed] < 0)
+        if unlisted > capacity - self._listed and n > capacity:
             first = self._first_touch(accessed)
-            arrivals = np.flatnonzero(~listed & (first == np.arange(len(accessed))))
+            self._first[accessed] = _NEVER
+            if np.count_nonzero(first == np.arange(n)) > capacity:
+                return list(range(capacity, n, capacity)) + [n]
+        return [n] if n else []
+
+    def _plan_segment(
+        self, accessed: np.ndarray, batch_id: int, pending: list[int], plan: SimpleNamespace
+    ) -> None:
+        """Algorithm 2 for the accesses ``accessed`` (slots, in order), on
+        metadata alone: decide, move nothing.
+
+        Every access is applied as if the segment held no eviction: flush
+        before the version advances if a pending checkpoint still needs
+        the current state (Alg. 2 lines 13-15: the row owes one,
+        :meth:`_owing`), stamp the batch id, touch; a slot that is not
+        listed *arrives* at its first access — loaded if PMem-resident,
+        listed either way. With an admission filter, the accesses of the
+        slots that are PMem-resident when the segment starts ask it once,
+        together; a slot it turns away stays in PMem, untouched. Only
+        then are the evictions the arrivals owe chosen
+        (:meth:`_victims`): listed slots the segment does not touch, so
+        none of its rows leaves and comes back. Nothing is written — no
+        column, no planned move — before the pool is known to have room
+        for every row the round flushes so far (counting a row that
+        merely restates a stored version, which ``put`` would not charge).
+        """
+        columns, rule, admission = self.index.columns, self._rule, self.admission
+        listed = columns.stamp[accessed] >= 0
+        every = bool(listed.all())
+        cold = ~listed if every else (columns.handle[accessed] & 1) != 0
+        due = accessed[:0]
+        if pending:
+            resident = np.unique(accessed[~cold])
+            due = resident[self._owing(resident, pending[-1])]
+        if admission is not None and cold.any():
+            # Admission filter (extension): a cold key it turns away stays
+            # in PMem — its durable copy remains authoritative and its
+            # version does not advance, so checkpoint bookkeeping is
+            # untouched. Its next segment asks again.
+            asked = np.flatnonzero(cold)
+            barred = asked[~admission.admit_many(columns.key[accessed[asked]])]
+            if len(barred):
+                accessed, listed, cold = (
+                    np.delete(column, barred) for column in (accessed, listed, cold)
+                )
+        arrivals = loads = victims = spared = accessed[:0]
+        again = None  # CLOCK: the accesses after a slot's first, if any slot arrives
+        if not every or self._listed > self.capacity_entries:
+            first = self._first_touch(accessed)
             try:
-                carried = follows and self._listed > self.capacity_entries
-                events = _Events(self, accessed, arrivals, due, batch_id, carried)
+                new = ~listed & (first == np.arange(len(accessed)))
+                arrivals, loads, again = accessed[new], accessed[new & cold], accessed[~new]
+                need = self._listed + len(arrivals) - self.capacity_entries
+                if need > 0:
+                    victims, spared = self._victims(need)
             finally:
                 self._first[accessed] = _NEVER
-            # A prefix, if the walk cut the segment; what is still due in it.
-            accessed, due = events.accessed, events.due
-            hits = accessed[listed[: len(accessed)]]
-        plan.rows += len(due) + (len(events.out[0]) if events is not None else 0)
+        flushed = victims
+        if len(victims) and self.config.track_dirty:
+            flushed = victims[columns.dirty[victims]]
+        plan.rows += len(due) + len(flushed)
         self.store.pool.require_free(plan.rows * self.store.entry_bytes)
-        if len(due):
-            # Ahead of the events' flushes: a slot's touch precedes any
-            # eviction that does not cancel it.
-            plan.out.append((due, columns.updated[due], columns.row[due]))
-            columns.dirty[due] = False
-            plan.flushes += len(due)
+        for slots in (due, flushed):  # the touches' flushes ahead of the evictions'
+            if len(slots):
+                plan.out.append((slots, columns.updated[slots], columns.row[slots]))
+                columns.dirty[slots] = False
+        plan.flushes += len(due) + len(flushed)
         columns.version[accessed] = batch_id
         self._newest = max(self._newest, batch_id)
+        if len(loads):
+            plan.loads.append(loads)
+            columns.handle[loads] = loads << 1
+            columns.row[loads] = -1  # lands when the round moves its rows
+            columns.dirty[loads] = False
+        if len(victims):
+            rows = columns.row[victims]
+            plan.freed.append(rows[rows >= 0])
+            plan.evictions += len(victims)
+            plan.candidates += len(victims) + len(spared)
+            columns.handle[victims] = (victims << 1) | 1
+            columns.stamp[victims] = columns.row[victims] = -1
         if rule.second_chance:
-            columns.referenced[hits] = True
-        self._stamp(accessed if rule.touch_restamps else events.inserted if events else ())
-        if events is not None:
-            events.write_back(plan)
-        return len(accessed)
+            # Set by every access but an arrival's own; spent by a
+            # victim and by a candidate spared for it.
+            columns.referenced[arrivals] = False
+            columns.referenced[accessed if again is None else again] = True
+            columns.referenced[victims] = columns.referenced[spared] = False
+        self._stamp(accessed if rule.touch_restamps else np.concatenate([arrivals, spared]))
+        self._listed += len(arrivals) - len(victims)
 
-    def _candidates(self, chunk: int) -> Iterator[tuple]:
-        """Listed slots, oldest stamp first, as column blocks (see
-        :meth:`_describe`) — ``chunk`` of them, then twice that, …, so a
-        round pays for the candidates it examines, not for sorting the
-        cache."""
+    def _victims(self, need: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``need`` listed slots a segment evicts, in eviction order,
+        and the ones CLOCK spares on the way, in the order it spares them.
+
+        The candidates are the listed slots the segment does not touch
+        (``_first`` is ``_NEVER``), oldest stamp first. LRU and FIFO take
+        the oldest ``need``. CLOCK sweeps them: a referenced one is spared
+        (its bit cleared, requeued as the newest, after what the segment
+        lists) and the next one is asked; if the sweep passes every
+        candidate, the spared ones come round again, unreferenced, in the
+        order they were spared. A segment touches at most
+        ``capacity_entries`` slots, so at least ``need`` candidates
+        exist.
+        """
+        referenced = self.index.columns.referenced
+        victims, spared, short = [], [], need
+        for slots in self._candidates(2 * need + 64):
+            slots = slots[self._first[slots] == _NEVER]
+            if self._rule.second_chance:
+                bits = referenced[slots]
+                if len(free := np.flatnonzero(~bits)) >= short:
+                    slots, bits = slots[: free[short - 1] + 1], bits[: free[short - 1] + 1]
+                spared.append(slots[bits])
+                slots = slots[~bits]
+            victims.append(slots[:short])
+            if not (short := short - len(victims[-1])):
+                break
+        victims = np.concatenate(victims)
+        spared = np.concatenate(spared) if spared else victims[:0]
+        if short:  # CLOCK came round to the candidates it spared
+            victims, spared = np.concatenate([victims, spared[:short]]), spared[short:]
+        return victims, spared
+
+    def _candidates(self, chunk: int) -> Iterator[np.ndarray]:
+        """Listed slots, oldest stamp first, in blocks — ``chunk`` of
+        them, then twice that, …, so a round pays for the candidates it
+        examines, not for sorting the cache."""
         columns = self.index.columns
         after = -1
         while True:
@@ -441,16 +506,8 @@ class PipelinedCache:
                 slots, stamps = slots[oldest], stamps[oldest]
             slots = slots[np.argsort(stamps)]
             after = int(columns.stamp[slots[-1]])
-            yield self._describe(slots)
+            yield slots
             chunk *= 2
-
-    def _describe(self, slots: np.ndarray) -> tuple:
-        """``(slots, first touch in the segment being planned, version,
-        referenced, dirty, row, updated)`` of victim candidates."""
-        columns = self.index.columns
-        fields = (self._first, columns.version, columns.referenced, columns.dirty,
-                  columns.row, columns.updated)
-        return (slots, *(field[slots] for field in fields))
 
     def _move(self, plan: SimpleNamespace) -> int:
         """Move the rows a round planned, in blocks; returns the rows
@@ -553,9 +610,10 @@ class PipelinedCache:
         first_idx = np.flatnonzero(first == np.arange(n))
         slots = every[first_idx]
         columns = self.index.columns
-        # Not expected in the normal pull -> maintain -> update order
-        # (maintenance loads every accessed entry) but reachable behind
-        # the admission filter or a lookahead: a PMem-resident key is
+        # Not expected in the normal pull -> maintain -> update order (a
+        # round whose keys fit the cache leaves every one it admitted
+        # resident) but reachable behind the admission filter, a round
+        # larger than the cache or a lookahead: a PMem-resident key is
         # updated by read-modify-write through the store, which retains
         # checkpoint-protected versions.
         cold = np.flatnonzero(columns.handle[slots] & 1)
@@ -844,249 +902,3 @@ class PipelinedCache:
         self.arena.free_many(rows[rows >= 0])
         columns.row[slots] = -1
 
-
-class _Events:
-    """The part of a segment that is not a hit: arrivals and evictions.
-
-    Arrivals are the first positions of the accessed slots that are not
-    listed, merged in position order with a heap of positions that become
-    arrivals on the way: a later access of a slot evicted here, or of a
-    PMem-resident slot the admission filter turned away. Each one loads
-    or adopts its slot and lists it; the ``k``-th arrival past the free
-    room owes the ``k``-th eviction, which takes the next victim
-    candidate — listed slots, oldest stamp first — the policy does not
-    protect at that arrival's position (LRU: it was touched earlier in
-    the segment and is no longer old; CLOCK: it is referenced — clear
-    the bit and requeue it as the newest).
-
-    **The walk visits decisions, not rows.** A candidate needs to know
-    where the walk stands only if it is touched in the segment (protected
-    or not, what it is evicted with, when it comes back) or if CLOCK may
-    spare it. Every other candidate is evicted
-    whenever its turn comes, with no side effect on the walk, so a *run*
-    of ``u`` of them between two decisions is not walked: it absorbs the
-    next ``u`` evictions owed, and the arrivals that owe them are
-    *counted* — the sorted static arrivals are jumped with one ``bisect``
-    up to the next reload, and only reloads are stepped through.
-    Eviction ``j`` is owed by arrival number ``j + free + 1`` (``free``,
-    the room before the segment, may be negative: a list over capacity
-    evicts at position 0), which is all the arithmetic there is. What the
-    evictions produce — flushes, freed rows — is computed
-    afterwards as column gathers over the examined candidates less the
-    protected ones: candidate order *is* eviction order, because every
-    eviction takes the first candidate not yet consumed.
-
-    A segment is at most ``capacity_entries`` accesses long, so when the
-    list is over capacity the slots touched so far cannot fill it: an
-    untouched slot listed before the segment is always left, and under
-    LRU it is older than everything the segment listed. FIFO and CLOCK
-    (which requeues) can run out of slots listed before the segment; the
-    walk then *ends the segment* after the arrival it stands at
-    (``accessed`` is cut there) with evictions still owed, and the next
-    segment — for which this one's listings are ordinary candidates —
-    starts by paying them, before its first access (``carried``).
-
-    The walk reads the columns as the segment found them and writes
-    nothing; :meth:`write_back` applies what it decided once the pool is
-    known to hold the flushes. It completes no checkpoint.
-    """
-
-    def __init__(self, cache, accessed, arrivals, due, batch_id, carried):
-        """Walk the segment ``accessed`` (whose ``arrivals`` are the
-        first positions of its unlisted slots); ``due`` are the slots to
-        flush before their version advances, if they are still resident
-        when first touched."""
-        self.cache, self.accessed = cache, accessed
-        self.carried, self.due, self.next = carried, due, None  # later()
-        columns, rule = cache.index.columns, cache._rule
-        admission, later = cache.admission, self.later
-        arrived = accessed[arrivals]
-        cold = (columns.handle[arrived] & 1) != 0
-        # ``gone``: slot -> the candidate it was evicted as (-1: it was
-        # never listed), for the slots that are to arrive again — at the
-        # positions in the ``reloads`` heap.
-        gone, reloads = {}, []
-        if admission is not None:
-            # Every cold arrival asks the filter: it is walked as the
-            # reload of a slot that is gone from the start.
-            gone = dict.fromkeys(arrived[cold].tolist(), -1)
-            reloads = arrivals[cold].tolist()
-            arrivals, arrived, cold = arrivals[~cold], arrived[~cold], cold[~cold]
-        static, free = arrivals.tolist(), cache.capacity_entries - cache._listed
-        # (2 * position, + 1 for a requeued candidate: it follows the
-        # arrival at its position; slot) of what the walk lists one at a
-        # time. The static arrivals list themselves.
-        listings: list[tuple] = []
-        blocks = [cache._describe(arrivals[:0])]  # candidates examined, in order
-        protected, returned, advanced = [], [], []  # candidates by what was decided
-        taken = at = examined = evicted = steps = 0
-        position = -1 if self.carried else 0
-
-        def take(target: int) -> bool:
-            """Let arrivals in, in position order, until ``target`` of
-            them are listed; False when they run out first."""
-            nonlocal taken, at, position, steps
-            while taken < target:
-                stop = bisect_left(static, reloads[0], at) if reloads else len(static)
-                if stop > at:  # static arrivals up to the next reload: counted
-                    jump = min(stop - at, target - taken)
-                    at, taken = at + jump, taken + jump
-                    position = static[at - 1]
-                    continue
-                if not reloads:
-                    return False
-                steps += 1
-                position = heapq.heappop(reloads)
-                slot = int(accessed[position])
-                if admission is not None and not admission.should_admit(int(columns.key[slot])):
-                    # Admission filter (extension): a cold key stays in
-                    # PMem — its durable copy remains authoritative and
-                    # its version does not advance, so checkpoint
-                    # bookkeeping is untouched. Its next access asks again.
-                    if (again := later(slot, position)) < _NEVER:
-                        heapq.heappush(reloads, again)
-                    continue
-                if (index := gone.pop(slot)) >= 0:
-                    returned.append(index)
-                listings.append((2 * position, slot))  # ``loadToDRAM``
-                taken += 1
-            return True
-
-        def decisions() -> Iterator[tuple]:
-            """The candidates that need a decision, each as ``(index among
-            the candidates, slot, first touch, referenced)``; a negative
-            slot is no candidate: -1 closes a block of candidates (a run
-            may end there), -2 says none is left."""
-            total = 0
-            for block in cache._candidates(2 * (len(static) + len(reloads)) + 64):
-                blocks.append(block)
-                slots, touch, __, referenced = block[:4]
-                ask = np.flatnonzero((touch < _NEVER) | (referenced & rule.second_chance))
-                yield from zip((ask + total).tolist(), slots[ask].tolist(), touch[ask].tolist(),
-                               referenced[ask].tolist())
-                total += len(slots)
-                yield total, -1, 0, False
-            yield total, -2, 0, False
-
-        if free < 0 and not self.carried and 0 in (static[:1] + reloads[:1]):
-            take(1)  # the arrival at position 0 is in before its evictions
-        for index, slot, touch, referenced in decisions():
-            # The candidates before this one concern no decision: the next
-            # evictions owed take them, as far as the arrivals go; one more
-            # arrival owes the eviction this decision is about.
-            run = index - examined
-            short = evicted + run + free + 1 - taken
-            if short > 0:
-                stop = bisect_left(static, reloads[0], at) if reloads else len(static)
-                if stop - at >= short:  # static arrivals, all of them: counted
-                    at, taken = at + short, taken + short
-                    position = static[at - 1]
-                elif not take(taken + short):
-                    run = max(0, min(run, taken - free - evicted))
-                    examined, evicted = examined + run, evicted + run
-                    break  # no eviction is owed any more: the arrivals are all in
-            examined, evicted, steps = index, evicted + run, steps + 1
-            if slot < 0:
-                if slot == -1:
-                    continue
-                # Every slot listed before the segment is spoken for: it
-                # ends here, after the arrival the walk stands at.
-                self.accessed = accessed[: position + 1]
-                break
-            examined += 1
-            touched = touch <= position
-            if touched and rule.touch_restamps or rule.second_chance and (referenced or touched):
-                protected.append(index)
-                if rule.second_chance:  # requeued as the newest, its bit cleared
-                    listings.append((2 * position + 1, slot))
-                continue
-            again = touch
-            if touched:
-                again = later(slot, position)
-                advanced.append(index)
-            evicted += 1
-            if again < _NEVER:
-                gone[slot] = index
-                heapq.heappush(reloads, again)
-        if self.accessed is accessed:
-            take(_NEVER)
-        self.size, self.examined, self.steps = cache._listed + taken - evicted, examined, steps
-
-        # What the decisions produce, as arrays over the candidates.
-        slots, __, version, __, dirty, row, updated = (
-            np.concatenate(column)[:examined] for column in zip(*blocks)
-        )
-        evicted, late = np.ones(examined, dtype=bool), np.zeros(examined, dtype=bool)
-        evicted[protected], late[advanced] = False, True
-        version[late] = batch_id
-        # A due slot is not flushed at its touch if it was evicted before
-        # it or if the walk cut the segment before it; one evicted after
-        # that flush leaves clean.
-        if len(due := self.due):
-            kept = (cache._first[due] < len(self.accessed)) & ~np.isin(due, slots[evicted & ~late])
-            self.due = due = due[kept]
-            dirty[late & np.isin(slots, due)] = False
-        stays = evicted.copy()  # gone for good: evicted and not let in again
-        stays[returned] = False
-        # ... and the cold slots the admission filter never let in.
-        barred = np.array([slot for slot, index in gone.items() if index < 0], dtype=np.int64)
-        self.gone = np.concatenate([slots[stays], barred])
-        self.gone_version = np.concatenate([version[stays], columns.version[barred]])
-        # Every eviction flushes its row under ``updated`` (unless clean
-        # and tracked); candidate order is eviction order.
-        order = np.flatnonzero(evicted)
-        flushed = order[dirty[order] | (not cache.config.track_dirty)]
-        self.out = slots[flushed], updated[flushed], row[flushed]
-        self.flushes, self.evictions = len(flushed), len(order)
-        self.freed = row[order][row[order] >= 0]
-        # What the segment listed, in order: the static arrivals let in
-        # and the one-at-a-time listings, an arrival ahead of the
-        # candidates requeued at its position. All of it is still listed.
-        when, listed = np.array(listings, dtype=np.int64).reshape(-1, 2).T
-        when = np.concatenate([2 * arrivals[:at], when])
-        order = np.argsort(when, kind="stable")
-        self.inserted = np.concatenate([arrived[:at], listed])[order]
-        self.inserted_at = when[order] >> 1
-        self.loads = self.inserted[np.concatenate([cold[:at], when[at:] & 1 == 0])[order]]
-
-    def later(self, slot: int, position: int) -> int:
-        """The first access of ``slot`` after ``position`` in the
-        segment, or ``_NEVER``: follows the slot's accesses from its
-        first, each linked to the next (one sort, on the first call)."""
-        if self.next is None:
-            accessed = self.accessed
-            order = np.argsort(accessed, kind="stable")
-            repeated = np.flatnonzero(accessed[order[1:]] == accessed[order[:-1]])
-            following = np.full(len(order), _NEVER, dtype=np.int64)
-            following[order[repeated]] = order[repeated + 1]
-            self.next = following.tolist()
-        at = int(self.cache._first[slot])
-        while at <= position:
-            at = self.next[at]
-        return at
-
-    def write_back(self, plan: SimpleNamespace) -> None:
-        """Apply the walk: its share of the round's plan, the columns
-        (after the hits' defaults)."""
-        cache, columns = self.cache, self.cache.index.columns
-        for name in ("out", "loads", "freed"):
-            getattr(plan, name).append(getattr(self, name))
-        for name in ("flushes", "evictions", "examined", "steps"):
-            setattr(plan, name, getattr(plan, name) + getattr(self, name))
-        columns.handle[self.loads] = self.loads << 1
-        columns.row[self.loads] = -1  # lands when the round moves its rows
-        columns.dirty[self.loads] = False
-        gone = self.gone
-        columns.version[gone] = self.gone_version
-        columns.handle[gone] = (gone << 1) | 1
-        if cache._rule.second_chance:
-            # Whatever was evicted had its bit clear; accesses after that
-            # (hits by the defaults) did not set it. What the segment
-            # listed has it set by any access after the listing.
-            columns.referenced[gone[columns.stamp[gone] >= 0]] = False
-            last = np.full(len(columns.stamp), -1)
-            np.maximum.at(last, self.accessed, np.arange(len(self.accessed)))
-            columns.referenced[self.inserted] = last[self.inserted] > self.inserted_at
-        columns.stamp[gone] = columns.row[gone] = -1
-        columns.dirty[gone] = False
-        cache._listed = self.size

@@ -7,7 +7,12 @@ before the arena became the only payload store, reduced to its per-key
 path: every resident entry owns its own ``weights`` / ``opt_state``
 numpy arrays, pull / maintain / update are plain loops over keys that
 follow Algorithms 1 and 2 line by line, duplicate gradients are summed
-in a dict and applied with one ``optimizer.apply`` per row.
+in a dict and applied with one ``optimizer.apply`` per row. A round
+evicts at the end of each chunk of its accesses (the whole round if its
+entries fit the cache, else ``capacity_entries`` accesses), and spares
+what the chunk touched; the per-access loop that evicts after
+every access is kept beside it (``per_access=True``), as the reference
+the LRU rule is held to.
 
 It shares the checkpoint coordinator and the versioned store (through
 ``tests/harness/keyed_store.py``: the oracle addresses it by key) with
@@ -83,6 +88,8 @@ class ReferenceCache:
             ``pmem.store`` / ``pmem.load`` instants, and checkpoint
             completion a ``checkpoint.drain`` span with one
             ``checkpoint.completed`` instant per checkpoint.
+        per_access: run a round as the per-access loop
+            (:meth:`_maintain_per_access`) instead of in chunks.
     """
 
     def __init__(
@@ -96,6 +103,7 @@ class ReferenceCache:
         metrics: Metrics | None = None,
         auto_create: bool = True,
         tracer: Tracer | None = None,
+        per_access: bool = False,
     ):
         self.config = config
         self.store = store
@@ -115,6 +123,8 @@ class ReferenceCache:
             if config.admission_threshold > 0
             else None
         )
+        self.per_access = per_access
+        self.reloads = self.reload_flushes = 0
 
     # ------------------------------------------------------------------
     # Algorithm 1: pull
@@ -168,7 +178,7 @@ class ReferenceCache:
         enforces exactly this ordering in the real system.
         """
         with self.tracer.span("cache.maintain", batch=batch_id) as span:
-            result = self._maintain(batch_id)
+            result = (self._maintain_per_access if self.per_access else self._maintain)(batch_id)
             span.set(
                 processed=result.processed,
                 loads=result.loads,
@@ -178,38 +188,92 @@ class ReferenceCache:
             return result
 
     def _maintain(self, batch_id: int) -> MaintainResult:
+        """The round in chunks (:meth:`_chunks`): each access as
+        Algorithm 2 has it, then the chunk's evictions, which spare what
+        the chunk touched. With an admission filter, the accesses of the
+        entries that are PMem-resident when a chunk starts ask it
+        together."""
         entries = self.access_queue.pop_batch(batch_id)
-        loads = flushes = evictions = 0
-        # Nothing completes before the round is over (:meth:`_drain`).
-        for entry in entries:
-            if entry.in_dram:
-                if self._owes_pending(entry):
-                    # The entry's current weights are the state a pending
-                    # checkpoint still needs; persist them before the
-                    # version advances (Alg. 2 lines 13-15).
-                    self._flush(entry)
-                    flushes += 1
-                entry.version = batch_id
-                self._reorder(entry)
-            else:
-                if self.admission is not None and not self.admission.should_admit(
-                    entry.key
-                ):
-                    # Admission filter (extension): a cold key stays in
-                    # PMem — its durable copy remains authoritative and
-                    # its version does not advance, so checkpoint
-                    # bookkeeping is untouched.
-                    continue
-                self._load_to_dram(entry)
-                loads += 1
-                entry.version = batch_id
-                self._reorder(entry)
-            ev, fl = self._evict_to_capacity()
-            evictions += ev
-            flushes += fl
-        drained, completed = self._drain(len(entries), below=batch_id)
+        counts = [0, 0, 0]  # loads, flushes, evictions
+        for chunk in self._chunks(entries):
+            admitted = None
+            if self.admission is not None:
+                cold = [entry.key for entry in chunk if not entry.in_dram]
+                admitted = {key for key, ok in zip(cold, self.admission.admit_many(cold)) if ok}
+            for entry in chunk:
+                self._access(entry, batch_id, counts, admitted)
+            self._evict_to_capacity(counts, spare={id(entry) for entry in chunk})
+        return self._close_round(batch_id, len(entries), counts)
+
+    def _maintain_per_access(self, batch_id: int) -> MaintainResult:
+        """The round as a per-access loop: Algorithm 2 line by line, an
+        eviction check after every access, the admission filter asked at
+        every cold access. Under LRU it is the chunked round plus the
+        evictions of rows a chunk touches again, each of which comes
+        back within that chunk. ``reloads`` counts those loads;
+        ``reload_flushes`` the flushes the chunked round saves by not
+        evicting them: what those evictions cost (but a pending
+        checkpoint's, which the chunked round pays at the touch), less
+        the flushes a later eviction of the same row in the round then
+        skips (the reload left this loop's copy clean; the chunked
+        round's is still dirty and pays there)."""
+        entries = self.access_queue.pop_batch(batch_id)
+        counts = [0, 0, 0]
+        cleaned = set()  # ids a flushed eviction and a reload left clean
+        for chunk in self._chunks(entries):
+            self.evicted: dict[int, bool] = {}  # id -> its flush is saved, this chunk
+            for entry in chunk:
+                admitted = None
+                if self.admission is not None and not entry.in_dram:
+                    admitted = {entry.key} if self.admission.should_admit(entry.key) else set()
+                if id(entry) in self.evicted and (admitted is None or admitted):  # it comes back
+                    self.reloads += 1
+                    if self.evicted.pop(id(entry)):
+                        self.reload_flushes += 1
+                        cleaned.add(id(entry))
+                self._access(entry, batch_id, counts, admitted)
+                self._evict_to_capacity(counts)
+            for gone, flushed in self.evicted.items():  # evicted for good
+                if gone in cleaned:
+                    cleaned.discard(gone)
+                    self.reload_flushes -= not flushed
+        return self._close_round(batch_id, len(entries), counts)
+
+    def _chunks(self, entries: list) -> list[list]:
+        """The round's accesses as consecutive chunks: one if its entries
+        fit the cache, else ``capacity_entries`` accesses each, so an
+        entry the chunk does not touch is always there to evict."""
+        step = len(entries) or 1
+        if len({id(entry) for entry in entries}) > self.capacity_entries:
+            step = self.capacity_entries
+        return [entries[lo : lo + step] for lo in range(0, len(entries), step)]
+
+    def _access(self, entry, batch_id: int, counts: list[int], admitted) -> None:
+        """One access of the round (Alg. 2 lines 12-21)."""
+        if entry.in_dram:
+            if self._owes_pending(entry):
+                # The entry's current weights are the state a pending
+                # checkpoint still needs; persist them before the
+                # version advances (Alg. 2 lines 13-15).
+                self._flush(entry)
+                counts[1] += 1
+        elif admitted is not None and entry.key not in admitted:
+            # Admission filter (extension): a cold key stays in PMem —
+            # its durable copy remains authoritative and its version
+            # does not advance, so checkpoint bookkeeping is untouched.
+            return
+        else:
+            self._load_to_dram(entry)
+            counts[0] += 1
+        entry.version = batch_id
+        self._reorder(entry)
+
+    def _close_round(self, batch_id: int, processed: int, counts: list[int]) -> MaintainResult:
+        """Complete what the round let complete (:meth:`_drain`)."""
+        loads, flushes, evictions = counts
+        drained, completed = self._drain(processed, below=batch_id)
         return MaintainResult(
-            processed=len(entries),
+            processed=processed,
             loads=loads,
             flushes=flushes + drained,
             evictions=evictions,
@@ -495,31 +559,36 @@ class ReferenceCache:
         entry.weights = None
         entry.opt_state = None
 
-    def _evict_to_capacity(self) -> tuple[int, int]:
-        """Evict victims until within capacity; returns (evictions,
-        flushes). Completing a checkpoint is not a victim's business:
+    def _evict_to_capacity(self, counts: list[int], spare=frozenset()) -> None:
+        """Evict victims until within capacity, counting evictions and
+        flushes into ``counts``; never one whose ``id`` is in ``spare``.
+        Completing a checkpoint is not a victim's business:
         :meth:`_drain` decides it after the round."""
-        evictions = flushes = 0
         while len(self.lru) > self.capacity_entries:
-            victim = self._select_victim()
+            victim = self._select_victim(spare)
             self.lru.remove(victim)
-            if victim.dirty or not self.config.track_dirty:
+            # (A flush the victim owes a pending checkpoint is one the
+            # chunked round pays at its touch instead.)
+            owed = self._owes_pending(victim)
+            flushed = victim.dirty or not self.config.track_dirty
+            if flushed:
                 self._flush(victim)
-                flushes += 1
+                counts[1] += 1
             self._demote(victim)
-            evictions += 1
+            counts[2] += 1
             self.metrics.cache.evictions += 1
-        return evictions, flushes
+            if self.per_access:
+                self.evicted[id(victim)] = flushed and not owed
 
-    def _select_victim(self) -> EmbeddingEntry:
-        """The entry to evict under the configured policy."""
-        if self.config.policy != EvictionPolicy.CLOCK:
-            return self.lru.peek_victim()
-        # CLOCK: sweep from the tail; referenced entries get a second
-        # chance (bit cleared, moved to the front).
+    def _select_victim(self, spare) -> EmbeddingEntry:
+        """The entry to evict under the configured policy: the oldest one
+        not spared. CLOCK gives a referenced one a second chance instead
+        (bit cleared, moved to the front) and asks again."""
         while True:
             candidate = self.lru.peek_victim()
-            if not candidate.referenced:
+            while id(candidate) in spare:
+                candidate = candidate.lru_prev
+            if self.config.policy != EvictionPolicy.CLOCK or not candidate.referenced:
                 return candidate
             candidate.referenced = False
             self.lru.move_to_front(candidate)
@@ -603,8 +672,9 @@ class _KeyedNode(PSNode):
         return dropped
 
 
-def install_reference_cache(node):
-    """Swap ``node``'s cache for a :class:`ReferenceCache`; returns ``node``.
+def install_reference_cache(node, per_access: bool = False):
+    """Swap ``node``'s cache for a :class:`ReferenceCache` (``per_access``:
+    see there); returns ``node``.
 
     Must run on a freshly built node, before any key exists: the oracle
     shares the node's store (behind a key-taking face: the ``key ->
@@ -626,5 +696,6 @@ def install_reference_cache(node):
         metrics=cache.metrics,
         auto_create=cache.auto_create,
         tracer=cache.tracer,
+        per_access=per_access,
     )
     return node

@@ -553,8 +553,9 @@ class TestCompletionIsOnePredicate:
     the barrier is the same drain: no second completion path."""
 
     def test_the_walk_completes_no_checkpoint(self):
-        """``_Events`` never calls ``complete_head`` and reads no
-        ``pending[0]`` (the oldest checkpoint, the victim test's bound)."""
+        """The segment planner and its victim choice never call
+        ``complete_head`` and read no ``pending[0]`` (the oldest
+        checkpoint, the victim test's bound)."""
         import ast
 
         (tree,) = [
@@ -562,11 +563,12 @@ class TestCompletionIsOnePredicate:
             for path, source in TestOneKeyMapPerNode.sources("core").items()
             if path.name == "cache.py"
         ]
-        (walk,) = [
+        planner = [
             node for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and node.name == "_Events"
+            if isinstance(node, ast.FunctionDef) and node.name in ("_plan_segment", "_victims")
         ]
-        for node in ast.walk(walk):
+        assert len(planner) == 2
+        for node in (node for function in planner for node in ast.walk(function)):
             if isinstance(node, ast.Attribute):
                 assert node.attr != "complete_head", node.lineno
             if isinstance(node, ast.Subscript) and getattr(node.value, "id", "") == "pending":

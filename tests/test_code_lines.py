@@ -65,10 +65,11 @@ def test_max_turns_the_total_into_a_budget(tmp_path, capsys):
 
 def test_the_miss_path_files_stay_within_their_budget():
     """What CI's tier-1 job gates: the six cache files plus the store
-    (and any module split out of them) hold at most 1 074 code lines
-    (1 103 while the cache and the store had a row-less mode)."""
+    (and any module split out of them) hold at most 962 code lines
+    (1 103 while the cache and the store had a row-less mode, 1 074
+    while a round walked its victim decisions one at a time)."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1074", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
+    assert code_lines.main(["--max", "962", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
 
 
 SHARD_REACH_FILES = [

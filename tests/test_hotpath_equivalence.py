@@ -351,13 +351,14 @@ class TestMaintainPlanHazards:
 
     def test_row_loaded_and_evicted_in_the_same_round(self):
         """More distinct misses than the cache holds: most rows arrive
-        and leave inside the round and never see the arena."""
+        in one segment and leave in the next, and never see the arena.
+        (0 is touched in every segment, so it never leaves.)"""
         nodes = self.pair(2)
         self.round(nodes, [0, 1, 2, 3, 4, 5], 0)
         for node in nodes:
             node.cache.drop_cache()
         result = self.round(nodes, [0, 1, 2, 0, 3, 4, 0, 5], 1)
-        assert result.loads == 8 and result.evictions == 6
+        assert result.loads == 7 and result.evictions == 5
         self.round(nodes, [5, 0, 3], 2)
 
     def test_resident_row_evicted_and_reloaded_in_the_same_round(self):
@@ -541,12 +542,87 @@ class TestColumnarPlanner:
             assert fast.coordinator.last_completed == ref.coordinator.last_completed
 
 
+class TestLRULicence:
+    """Under LRU the round that evicts only rows it does not touch is the
+    per-access loop (``install_reference_cache(per_access=True)``) minus
+    its evict→reload pairs. Every touch restamps, so by LRU stack
+    inclusion the loop's untouched victims are the oldest rows and each
+    row it evicts and then touches again comes back within the same
+    ``capacity_entries`` accesses. Everything but those pairs must match:
+    the resident set and its order, versions, post-push dirty bits, pull
+    hits and misses, pulled weights and the durable state at every
+    completed checkpoint; loads, evictions and flushes are lower by
+    exactly the reloads (and the flushes their evictions cost)."""
+
+    @given(
+        schedule=planner_schedule(),
+        capacity=st.integers(1, 6),
+        track_dirty=st.booleans(),
+        shrink=st.sampled_from((0, 0, 1, 3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_round_is_the_per_access_loop_without_its_reloads(
+        self, schedule, capacity, track_dirty, shrink
+    ):
+        fast, ref = (
+            make_node(True, capacity + shrink, PSAdagrad(lr=0.1), track_dirty=track_dirty),
+            install_reference_cache(
+                make_node(True, capacity + shrink, PSAdagrad(lr=0.1), track_dirty=track_dirty),
+                per_access=True,
+            ),
+        )
+        completed = -1
+        for batch_id, (pulls, __, after) in enumerate(schedule):
+            if batch_id == 1 and shrink:  # the list is over capacity now
+                for node in (fast, ref):
+                    node.cache.capacity_entries = capacity
+            keys = []
+            for pull in pulls:
+                pull = [SPARSE_KEYS[i] for i in pull]
+                a, b = fast.pull(pull, batch_id), ref.pull(pull, batch_id)
+                assert (a.hits, a.misses, a.created) == (b.hits, b.misses, b.created)
+                assert np.array_equal(a.weights, b.weights)
+                keys += pull
+            reloads, reload_flushes = ref.cache.reloads, ref.cache.reload_flushes
+            a, b = fast.maintain(batch_id), ref.maintain(batch_id)
+            reloads = ref.cache.reloads - reloads
+            reload_flushes = ref.cache.reload_flushes - reload_flushes
+            assert (a.processed, a.checkpoints_completed) == (b.processed, b.checkpoints_completed)
+            assert (a.loads, a.evictions, a.flushes) == (
+                b.loads - reloads, b.evictions - reloads, b.flushes - reload_flushes
+            )
+            grads = np.random.default_rng((batch_id, 9)).standard_normal((len(keys), DIM))
+            for node in (fast, ref):
+                node.push(keys, grads.astype(np.float32), batch_id)
+            if after in ("request", "barrier"):
+                for node in (fast, ref):
+                    TestColumnarPlanner.act(node, after, batch_id)
+            fast.cache.validate()
+            ref.cache.validate()
+            assert fast.cache.cached_keys() == ref.cache.cached_keys()
+            for entry in ref.cache.index.entries():
+                twin = fast.cache.index.find(entry.key)
+                assert (twin.version, twin.updated, twin.dirty, twin.location) == (
+                    entry.version, entry.updated, entry.dirty, entry.location
+                ), f"key {entry.key}"
+            snap_fast, snap_ref = fast.state_snapshot(), ref.state_snapshot()
+            assert all(np.array_equal(snap_fast[key], snap_ref[key]) for key in snap_ref)
+            assert fast.coordinator.queue.pending() == ref.coordinator.queue.pending()
+            assert fast.coordinator.last_completed == ref.coordinator.last_completed
+            if fast.coordinator.last_completed > completed:
+                completed = fast.coordinator.last_completed
+                durable = [keyed(node).read_at_most(SPARSE_KEYS, completed) for node in (fast, ref)]
+                (versions_fast, rows_fast), (versions_ref, rows_ref) = durable
+                assert np.array_equal(versions_fast, versions_ref)
+                assert np.array_equal(rows_fast, rows_ref)
+
+
 class TestDecisionWalk:
-    """Directed rounds for the walk that visits decisions instead of
-    rows: a *run* of candidates nothing in the segment concerns is
-    counted, not walked, and the arrivals that pay for it are jumped.
-    Each round is compared with the per-key oracle (``round``); the span
-    of the production round says how much was walked."""
+    """Directed rounds for the victim choice: a segment evicts the listed
+    rows it does not touch, oldest first (CLOCK sparing a referenced one
+    once), after applying every access. Each round is compared with the
+    per-key oracle (``round``); the span of the production round says how
+    many candidates the choice examined and how many segments it planned."""
 
     pair = TestMaintainPlanHazards.pair
     round = staticmethod(TestMaintainPlanHazards.round)
@@ -567,52 +643,49 @@ class TestDecisionWalk:
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
     def test_untouched_run_across_a_candidate_block_boundary(self, policy):
         """10 arrivals fetch candidates in blocks of 2 * 10 + 64 = 84. The
-        80 oldest rows are touched first (LRU protects them, CLOCK spares
-        them; FIFO just evicts ten of them), so the run of untouched rows
-        that pays for the arrivals starts in the first block and ends in
-        the second."""
+        80 oldest rows are touched, so the ten untouched rows that pay
+        for the arrivals start in the first block and end in the second,
+        under every policy (nothing untouched is referenced)."""
         nodes = self.pair(120, policy=policy)
         old = self.fill(nodes, 120)
         attrs = self.traced(nodes)
         result = self.round(nodes, old[:80] + list(range(10)), 1)
-        assert attrs()["segments"] == 1
-        assert attrs()["candidates"] == (10 if policy == EvictionPolicy.FIFO else 90)
-        if policy == EvictionPolicy.LRU:
-            assert (result.evictions, result.loads) == (10, 0)
-            assert attrs()["decisions"] <= 85
-            assert set(nodes[0].cache.cached_keys()) == set(old[:80] + old[90:]) | set(range(10))
+        assert attrs()["segments"] == 1 and attrs()["candidates"] == 10
+        assert (result.evictions, result.loads) == (10, 0)
+        assert set(nodes[0].cache.cached_keys()) == set(old[:80] + old[90:]) | set(range(10))
         self.round(nodes, old[85:95] + [3, 4], 2)
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
     def test_reload_lands_inside_an_untouched_run(self, policy):
-        """The oldest row is evicted by the first arrival and accessed
-        again in the middle of the round: its reload is one more arrival,
-        between static ones that a single run of untouched rows pays for."""
+        """The oldest row is accessed in the middle of 16 arrivals. A
+        per-access round would evict it for the first arrival and reload
+        it; the segment keeps it, and the 16 untouched rows after it pay."""
         nodes = self.pair(40, policy=policy)
         old = self.fill(nodes, 40)
         attrs = self.traced(nodes)
         keys = list(range(8)) + [old[0]] + list(range(8, 16))
         result = self.round(nodes, keys, 1)
-        assert (result.evictions, result.loads) == (17, 1)
-        # old[0], the reload, the run before it and the run after: not 17 + 17.
-        assert attrs()["candidates"] == 17 and attrs()["decisions"] <= 6
+        assert (result.evictions, result.loads) == (16, 0)
+        assert attrs()["candidates"] == 16
+        assert old[0] in nodes[0].cache.cached_keys()
+        assert old[16] not in nodes[0].cache.cached_keys()
         self.round(nodes, [old[0], old[20], 3], 2)
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
     @pytest.mark.parametrize("arrival_first", (False, True))
     def test_list_over_capacity_before_the_round(self, policy, arrival_first):
         """The list holds 6 more rows than the cache may (as after pushes
-        ahead of their rows): they are owed at position 0 — after the
-        access there, be it a hit or an arrival."""
+        ahead of their rows): the segment evicts them and one row per
+        arrival, all untouched, and keeps the rows it touches."""
         nodes = self.pair(30, policy=policy)
         old = self.fill(nodes, 30)
         for node in nodes:
             node.cache.capacity_entries = 24
         keys = ([7] if arrival_first else []) + [old[2], 8, old[1], 9, old[2]]
         result = self.round(nodes, keys, 1)
-        if policy != EvictionPolicy.FIFO:  # old[2] is spared at 0; old[1] leaves and returns
-            assert (result.evictions, result.loads) == (9 + 2 * arrival_first, 1 + arrival_first)
+        assert (result.evictions, result.loads) == (8 + arrival_first, 0)
         assert nodes[0].cache.cached_entries == 24
+        assert {old[1], old[2]} <= set(nodes[0].cache.cached_keys())
         self.round(nodes, [old[0], old[29], 7], 2)
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
@@ -621,9 +694,9 @@ class TestDecisionWalk:
         """Rows of batch 0, then rows of batch 1; a checkpoint of batch
         0 and one of batch 1 are pending when 14 arrivals evict
         across the boundary: victims of both batches leave flushed under
-        their state's batch, nothing completes inside the walk, and a
-        batch-1 row touched late in the round is still due its
-        flush-before-advance — unless evicted first."""
+        their state's batch, nothing completes while the round is
+        planned, and a batch-1 row touched late in the round is still
+        due its flush-before-advance."""
         nodes = self.pair(20, policy=policy, track_dirty=track_dirty)
         first = self.fill(nodes, 10, batch_id=0)
         second = self.fill(nodes, 10, batch_id=1, first_key=2000)
@@ -641,8 +714,9 @@ class TestDecisionWalk:
 
     @pytest.mark.parametrize("policy", list(EvictionPolicy))
     def test_admission_refusals_inside_the_round(self, policy):
-        """Cold keys seen once are turned away — each asks again at its
-        next access in the round, and some get in the second time."""
+        """Cold keys seen once are turned away. The cold accesses of a
+        segment ask the filter together, so a key accessed twice in one
+        segment gets in; one turned away asks again in the next."""
         nodes = self.pair(6, policy=policy, admission_threshold=1)
         self.fill(nodes, 12)
         for node in nodes:
@@ -658,9 +732,10 @@ class TestDecisionWalk:
         """Four rows trained at batch 0 and read (no push) at batch 1, so
         their versions are past checkpoint 0 and their states are not
         durable. A round three times the cache's length evicts them in
-        its first segments and reloads some of them later: the walk
-        completes nothing, the round completes checkpoint 0 once its rows
-        have moved, and every read pinned to 0 is the trained row."""
+        its first segments and reloads some of them in later ones: the
+        plan completes nothing, the round completes checkpoint 0 once
+        its rows have moved, and every read pinned to 0 is the trained
+        row."""
         nodes = self.pair(4, policy=policy)
         trained = self.fill(nodes, 4)
         self.round(nodes, trained, 1, push=False)
@@ -670,7 +745,7 @@ class TestDecisionWalk:
         attrs = self.traced(nodes)
         keys = [trained[0], 1, 2, trained[1], 3, 4, 5, trained[2], 6, 7, trained[0], trained[3]]
         result = self.round(nodes, keys, 2)
-        assert attrs()["segments"] >= 3 and result.evictions >= 8
+        assert attrs()["segments"] == 3 and result.evictions >= 8
         assert result.checkpoints_completed == 1
         assert nodes[0].coordinator.last_completed == 0
         pinned = nodes[0].lookup(trained, 0)
@@ -679,20 +754,22 @@ class TestDecisionWalk:
             assert np.array_equal(weights, at_0[key]), f"key {key}"
 
     def test_clock_walks_into_the_segments_own_insertions(self):
-        """Every listed row is referenced, so CLOCK spares (requeues) them
-        all and runs out of rows listed before the segment: the segment
-        ends there, and the next one — whose candidates are what this one
-        listed — pays the evictions still owed before its first access."""
+        """Every untouched row is referenced, so CLOCK spares (requeues)
+        them all and comes round to them again, unreferenced, in the
+        order it spared them — never to the rows the segment listed."""
         nodes = self.pair(4, policy=EvictionPolicy.CLOCK)
         old = self.fill(nodes, 4)
         self.round(nodes, old, 1)  # all four referenced
         attrs = self.traced(nodes)
         result = self.round(nodes, [1, 2, 3], 2)
-        assert attrs()["segments"] == 2  # three accesses fit one segment: it was cut
-        assert result.evictions == 3 and attrs()["candidates"] == 4 + 3
+        assert attrs()["segments"] == 1 and attrs()["candidates"] == 4
+        assert result.evictions == 3
+        assert nodes[0].cache.cached_keys() == [old[3], 3, 2, 1]
         self.round(nodes, [1, old[3], 2, 3, 1], 3)  # all four referenced again
         result = self.round(nodes, [5, 6, old[3], 7, 5, 8], 4)
-        assert (result.evictions, result.loads) == (6, 2)  # old[3] and 5 leave and return
+        # [5, 6, old[3], 7] evicts 1, 2, 3 as they come round; then 8
+        # spares old[3] (touched in the segment before) and takes 6.
+        assert (result.evictions, result.loads, attrs()["segments"]) == (4, 0, 2)
         self.round(nodes, [old[0], 1, 5, 6, 7, 8, 1], 5)
 
 
@@ -780,6 +857,36 @@ class TestNoPerKeyPython:
         node.cache.validate()
         # (A collision chain or a second block of candidates more is a
         # few dozen instructions; one step per row would be > 10 000.)
+        assert small > 300 and large <= small + 600, (small, large)
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_a_round_that_retouches_old_rows_is_not_walked(self, policy):
+        """``sync_miss``'s shape: cold arrivals, then the oldest resident
+        rows again — the rows a per-access round would evict for those
+        arrivals and load back. 4 096 such accesses execute the
+        instructions of 256, and none of the re-touched rows leaves."""
+        node = make_node(
+            arena=True, capacity_entries=9_000, optimizer=PSAdagrad(), policy=policy
+        )
+        rng = np.random.default_rng(4)
+        universe = rng.choice(2**40, 18_000, replace=False).astype(np.uint64)
+        cold, resident = universe[:9_000], universe[9_000:]
+        step(node, rng, cold, 0)
+        node.cache.drop_cache()
+        step(node, rng, resident, 1)  # listed oldest first, in ``resident`` order
+
+        def round_of(arrivals, again, batch_id):
+            node.cache.pull(np.concatenate([arrivals, again]), batch_id)
+            return self.count(lambda: node.cache.maintain(batch_id))
+
+        # The small round evicts resident[128:256], the oldest rows it
+        # does not touch; the large one re-touches the oldest rows left
+        # that the small one did not touch.
+        small = round_of(cold[:128], resident[:128], 2)
+        large = round_of(cold[128:2176], resident[256:2304], 3)
+        assert node.metrics.cache.evictions == node.metrics.cache.loads == 128 + 2048
+        assert all(node.cache.index.find(int(key)).in_dram for key in resident[256:2304])
+        node.cache.validate()
         assert small > 300 and large <= small + 600, (small, large)
 
     def test_lookup_opcode_count_does_not_grow_with_the_batch(self):

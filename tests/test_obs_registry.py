@@ -1,5 +1,11 @@
-"""MetricsRegistry: labels, kind safety, merging, bundle collection."""
+"""MetricsRegistry: labels, kind safety, merging, bundle collection, and
+the metric catalogue in docs/OBSERVABILITY.md."""
 
+import dataclasses
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -121,3 +127,75 @@ class TestCollectBundle:
         )
         assert total == 30
         assert cluster.counter("repro_pulls_total", {"node": "2"}).value == 10
+
+
+def brace_expand(token: str) -> list[str]:
+    """``a_{b,c}_d`` -> ``[a_b_d, a_c_d]``, nested and repeated braces
+    included."""
+    match = re.search(r"\{([^{}]*)\}", token)
+    if match is None:
+        return [token]
+    return [
+        name
+        for choice in match.group(1).split(",")
+        for name in brace_expand(token[: match.start()] + choice + token[match.end() :])
+    ]
+
+
+class TestMetricCatalogue:
+    """``docs/OBSERVABILITY.md`` names every ``repro_*`` series the code
+    emits: what a live registry holds after a local and an RPC run, and
+    every name a module spells out."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @classmethod
+    def documented(cls) -> set[str]:
+        text = (cls.ROOT / "docs" / "OBSERVABILITY.md").read_text()
+        text = re.sub(r"\{[^{}]*=[^{}]*\}", "", text)  # label sets: {phase=...}
+        return {
+            name
+            for token in re.findall(r"repro_[a-z_{},]*[a-z_}]", text)
+            for name in brace_expand(token)
+        }
+
+    def test_brace_expansion(self):
+        assert brace_expand("repro_{a,b}_x_{c,d}") == [
+            "repro_a_x_c", "repro_a_x_d", "repro_b_x_c", "repro_b_x_d",
+        ]
+
+    def test_every_series_of_a_sync_run_is_documented(self):
+        from repro.config import CacheConfig, ServerConfig
+        from repro.core.server import OpenEmbeddingServer
+        from repro.dlrm.hps import ServingStats
+        from repro.network.frontend import RemotePSClient
+
+        registry = MetricsRegistry()
+        for build in (OpenEmbeddingServer, RemotePSClient):
+            backend = build(
+                ServerConfig(num_nodes=2, embedding_dim=4, pmem_capacity_bytes=1 << 22),
+                CacheConfig(capacity_bytes=8 * 4 * 4),  # 8 rows a shard: rounds evict
+            )
+            rng = np.random.default_rng(5)
+            for batch_id in range(6):
+                keys = rng.integers(0, 40, 24).astype(np.uint64)
+                backend.pull(keys, batch_id)
+                backend.maintain(batch_id)
+                backend.push(keys, np.ones((len(keys), 4), np.float32), batch_id)
+                if batch_id % 2:
+                    backend.barrier_checkpoint(batch_id)
+            backend.lookup(keys)
+            backend.collect_metrics(registry)
+        emitted = {name for name, __, __ in registry.items()}
+        emitted |= {f"repro_serving_{field.name}_total" for field in dataclasses.fields(ServingStats)}
+        assert {"repro_cache_evictions_total", "repro_serving_lookups_total"} <= emitted
+        assert sorted(emitted - self.documented()) == []
+
+    def test_every_name_a_module_spells_is_documented(self):
+        spelled = {
+            name
+            for path in (self.ROOT / "src").rglob("*.py")
+            for name in re.findall(r"[\"'](repro_[a-z_]+)[\"']", path.read_text())
+        }
+        assert len(spelled) > 60
+        assert sorted(spelled - self.documented()) == []

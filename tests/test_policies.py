@@ -18,12 +18,12 @@ from repro.errors import RecoveryError
 DIM = 2
 
 
-def make_node(policy, capacity_entries=3, seed=17):
+def make_node(policy, capacity_entries=3, seed=17, **cache_options):
     return PSNode(
         0,
         ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=seed),
         CacheConfig(
-            capacity_bytes=capacity_entries * DIM * 4, policy=policy
+            capacity_bytes=capacity_entries * DIM * 4, policy=policy, **cache_options
         ),
         PSSGD(lr=0.25),
     )
@@ -47,14 +47,16 @@ class TestClock:
         node.cache.validate()
 
     def test_second_chance_beats_fifo_on_reaccess(self):
-        """A hot entry re-referenced every batch stays cached under
-        CLOCK, while FIFO (no second chance) eventually evicts it."""
+        """A hot entry re-referenced every other batch stays cached under
+        CLOCK, while FIFO (no second chance) evicts it in a batch that
+        does not touch it. (No policy evicts a row its own round
+        touches.)"""
 
         def run(policy):
             node = make_node(policy, capacity_entries=2)
             cycle(node, [1, 2], 0)
-            for batch in range(1, 8):
-                cycle(node, [1, 100 + batch], batch)  # 1 is hot, rest scan
+            for batch in range(1, 9):  # 1 is hot, the rest a scan
+                cycle(node, [1, 100 + batch] if batch % 2 else [100 + batch], batch)
             return node.cache.index.location_of(1)
 
         assert run(EvictionPolicy.CLOCK) == Location.DRAM
@@ -94,14 +96,17 @@ class TestVictimChoice:
         cycle(node, [5, 6], 2)
         assert node.cache.cached_keys() == [6, 5, 1, 3]
 
-    def test_lru_victim_touched_later_in_the_round_is_reloaded(self):
-        """1 is the oldest when 4 arrives and is evicted — its own access
-        comes later in the round and brings it back (evicting 2)."""
+    def test_lru_victim_touched_later_in_the_round_is_kept(self):
+        """1 is the oldest when 4 arrives, but its own access comes later
+        in the round: the round evicts 2, the oldest row it does not
+        touch, and 1 never leaves (a per-access loop would evict 1 for 4
+        and reload it, evicting 2 — the same cache, one load and one
+        eviction more)."""
         node = make_node(EvictionPolicy.LRU, capacity_entries=3)
         cycle(node, [1, 2, 3], 0)
         node.pull([4, 1], 1)
         result = node.maintain(1)
-        assert (result.loads, result.evictions) == (1, 2)
+        assert (result.loads, result.evictions) == (0, 1)
         assert node.cache.cached_keys() == [1, 4, 3]
 
     def test_fifo_ignores_touches(self):
@@ -128,6 +133,43 @@ class TestVictimChoice:
         cycle(node, [7], 4)  # 1's chance is spent
         assert node.cache.cached_keys() == [7, 6, 5]
         node.cache.validate()
+
+
+class TestARoundStaysResident:
+    """Algorithm 2's write lock exists so that a batch's rows are resident
+    for its update. A round evicts only rows it does not touch, so under
+    every policy a round whose distinct keys fit the cache leaves each
+    of them in DRAM (with an admission filter: each it admitted), and
+    the serial pull -> maintain -> push never takes ``update``'s
+    read-modify-write through PMem."""
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_key_of_a_round_that_fits_is_resident(self, policy, data):
+        capacity = data.draw(st.integers(1, 5))
+        admission = data.draw(st.sampled_from((0, 0, 1)))
+        node = make_node(policy, capacity, admission_threshold=admission)
+        for batch in range(data.draw(st.integers(2, 10))):
+            distinct = data.draw(st.lists(st.integers(0, 11), min_size=1, max_size=capacity, unique=True))
+            keys = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=3 * capacity))
+            index = node.cache.index
+            missed = {key for key in keys if index.find(key) and not index.find(key).in_dram}
+            node.pull(keys, batch)
+            bypassed = node.cache.admission.bypassed if admission else 0
+            node.maintain(batch)
+            out = {key for key in keys if not index.find(key).in_dram}
+            if admission:
+                assert out <= missed
+                assert len(out) <= node.cache.admission.bypassed - bypassed
+            else:
+                assert not out, (sorted(out), keys)
+            flushed = node.metrics.pmem_flush_entries
+            node.push(keys, np.full((len(keys), DIM), 0.5, dtype=np.float32), batch)
+            assert node.metrics.pmem_flush_entries - flushed == len(out)
+            if data.draw(st.booleans()):
+                node.request_checkpoint(batch)
+            node.cache.validate()
 
 
 class TestPolicySemantics:
