@@ -387,8 +387,3 @@ class FailoverManager:
         from repro.core.replication import FAILOVER_SECONDS
 
         return self.detector.lease_s + call_timeout_s + FAILOVER_SECONDS
-
-    def max_unavailability_s(self) -> float:
-        if not self.promotions:
-            return 0.0
-        return max(p.unavailability_seconds for p in self.promotions)

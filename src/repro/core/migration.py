@@ -31,8 +31,9 @@ commit      ONE atomic root-field write of the packed ring state
             This is the point of no return: recovery lands on the
             old ring before it and on the new ring after it.
 cleanup     End the dual-ownership window: sources drop the moved
-            keys from every tier. Until then both copies exist and
-            the source keeps serving stale-ring clients.
+            keys from every tier. Until then both copies exist; the
+            commit swapped the cluster's routing with the ring word,
+            so no request reaches a dropped copy.
 done        Migration complete; training resumes.
 ========== ==========================================================
 

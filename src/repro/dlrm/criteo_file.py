@@ -109,9 +109,6 @@ class CriteoFileDataset:
         for index in range(num_batches):
             yield self.batch(batch_size, index)
 
-    def positive_rate(self) -> float:
-        return float(self._labels.mean())
-
     # ------------------------------------------------------------------
     # parsing
     # ------------------------------------------------------------------

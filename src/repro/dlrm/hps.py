@@ -138,7 +138,6 @@ class HierarchicalPS:
         sets = max(1, -(-capacity_rows // ways))
         self.capacity_rows = sets * ways if capacity_rows else 0
         self.staleness_bound_k = staleness_bound_k
-        self.freq_admission = freq_admission
         self.registry = registry
         self.tracer = tracer or NULL_TRACER
         self.slo = slo
@@ -175,11 +174,6 @@ class HierarchicalPS:
     # ------------------------------------------------------------------
     # staleness clock
     # ------------------------------------------------------------------
-
-    @property
-    def current_snapshot(self) -> int:
-        """Newest completed checkpoint seen (-1 before any refresh)."""
-        return self._snapshot
 
     def refresh(self) -> int:
         """Re-read the backend's checkpoint watermark and counter.

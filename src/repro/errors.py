@@ -28,14 +28,6 @@ class PoolClosedError(PMemError):
     """An operation was attempted on a closed or crashed pool."""
 
 
-class TornWriteError(PMemError):
-    """A crash left a torn (partially persisted) object behind.
-
-    Recovery code treats torn objects as absent; tests use this error to
-    assert the pool detected the tear.
-    """
-
-
 class ServerError(ReproError):
     """Base class for parameter-server errors."""
 

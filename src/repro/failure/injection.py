@@ -273,16 +273,6 @@ class WorkerFaultProfile:
     def is_byzantine(self) -> bool:
         return self.byzantine != "none"
 
-    @property
-    def is_hostile(self) -> bool:
-        """Any misbehavior at all (used for fleet accounting)."""
-        return (
-            self.is_byzantine
-            or self.straggle_prob > 0
-            or self.delay_prob > 0
-            or self.duplicate_prob > 0
-        )
-
     def corrupt(
         self, grads: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

@@ -5,7 +5,7 @@ Section V-C: the TensorFlow operators (``PullWeights`` /
 low-overhead RPC on RDMA. This package reproduces that boundary with
 real wire messages:
 
-* :mod:`repro.network.messages` — the 14 message kinds, each a frozen
+* :mod:`repro.network.messages` — the 13 message kinds, each a frozen
   dataclass that declares its body once (a fixed little-endian header
   whose slots are fields or array extents, then typed numpy arrays);
   one generic encode / zero-copy decode pair, the type registry and the

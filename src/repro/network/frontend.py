@@ -37,7 +37,7 @@ from repro.core.optimizers import PSOptimizer
 from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
 from repro.core.server import OpenEmbeddingServer
 from repro.core.serving_backend import LookupResult
-from repro.core.sharding import HashPartitioner, make_partitioner, unpack_ring_state
+from repro.core.sharding import HashPartitioner
 from repro.errors import NodeDeadError, RpcTimeoutError, ShardRoutingError
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
 from repro.network.messages import (
@@ -50,11 +50,10 @@ from repro.network.messages import (
     PromoteRequest,
     PullRequest,
     PushRequest,
-    RingUpdateRequest,
     mirror,
 )
 from repro.network.rpc import RpcChannel
-from repro.network.service import PSNodeService, row_width
+from repro.network.service import PSNodeService
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.pmem.space import NO_ENTRIES, EntryBlock
@@ -408,15 +407,13 @@ class RemotePSClient(OpenEmbeddingServer):
     def _shard_export(self, node, keys) -> EntryBlock:
         if not len(keys):
             return NO_ENTRIES
-        return self._migrate(
-            node, MigrateRequest.OP_EXPORT, width=row_width(node), keys=keys
-        ).entries
+        return self._migrate(node, MigrateRequest.OP_EXPORT, keys=keys).entries
 
     def _shard_ingest(self, node, block: EntryBlock) -> int:
         if not len(block):
             return 0
         return self._migrate(
-            node, MigrateRequest.OP_PUT, width=row_width(node), entries=block
+            node, MigrateRequest.OP_PUT, width=block.rows.shape[1], entries=block
         ).value
 
     def _shard_drop(self, node, keys) -> int:
@@ -440,9 +437,7 @@ class RemotePSClient(OpenEmbeddingServer):
         *silence*, which the detector converts into lease expiry, never
         directly into death."""
         try:
-            return self.probe_channel(index).call(
-                HeartbeatRequest(node_id=index, requester=self.worker_id)
-            ).ok
+            return self.probe_channel(index).call(HeartbeatRequest(node_id=index)).ok
         except RpcTimeoutError:
             return False
 
@@ -450,13 +445,7 @@ class RemotePSClient(OpenEmbeddingServer):
         """A :class:`PromoteRequest`; a double fault's
         :class:`~repro.errors.FailoverError` crosses the wire as
         ``ERR_FAILOVER`` and is raised here, typed."""
-        self.probe_channel(index).call(
-            PromoteRequest(
-                node_id=index,
-                committed_epoch=committed_epoch,
-                requester=self.worker_id,
-            )
-        )
+        self.probe_channel(index).call(PromoteRequest(committed_epoch=committed_epoch))
         return FAILOVER_SECONDS
 
     def provision_node(self, node_id: int, server_config: ServerConfig) -> PSNode:
@@ -479,7 +468,10 @@ class RemotePSClient(OpenEmbeddingServer):
     ) -> int:
         """Commit the new ring epoch (the inherited root-field write is
         the commit point), then bring the wire membership — services,
-        channels, lease table — in line with the committed node list."""
+        channels, lease table — in line with the committed node list.
+        Probe channels are keyed by node id, and a scale-in then a
+        scale-out reuses an id for a new node: they are dropped here and
+        rebuilt on first use."""
         new_epoch = super().commit_ring(partitioner, server_config, nodes)
         by_id = {
             service.node.node_id: (service, channel)
@@ -489,6 +481,7 @@ class RemotePSClient(OpenEmbeddingServer):
         self.services = [by_id[node.node_id][0] for node in nodes]
         self.channels = [by_id[node.node_id][1] for node in nodes]
         self._pending_members = {}
+        self._probe_channels = {}
         if self.failover is not None:
             # New members enter the lease table before a channel death
             # check asks about them; the checks re-arm over the
@@ -496,33 +489,6 @@ class RemotePSClient(OpenEmbeddingServer):
             self.failover.watch_members()
             self._arm_channel_death_checks()
         return new_epoch
-
-    def refresh_ring(self) -> int:
-        """Re-sync the partitioner with the committed ring over the wire.
-
-        Sends a :class:`RingUpdateRequest` to the coordinator (node 0)
-        and rebuilds the partitioner from the packed reply. This is the
-        stale-client path of the dual-ownership window: after a routing
-        error a worker refreshes and retries. Returns the epoch.
-
-        Raises:
-            ShardRoutingError: the committed membership differs from
-                this client's node set (the client missed a scale
-                event it cannot reconstruct locally).
-        """
-        response = self.channels[0].call(
-            RingUpdateRequest(requester=self.worker_id)
-        )
-        epoch, num_nodes, vnodes = unpack_ring_state(response.value)
-        if num_nodes != len(self.nodes):
-            raise ShardRoutingError(
-                f"committed ring has {num_nodes} nodes, client holds "
-                f"{len(self.nodes)}; rejoin via scale_out/scale_in"
-            )
-        if epoch != self.ring_epoch:
-            self.partitioner = make_partitioner("ring", num_nodes, vnodes)
-            self.ring_epoch = epoch
-        return self.ring_epoch
 
     # ------------------------------------------------------------------
     # wire statistics

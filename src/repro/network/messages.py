@@ -4,8 +4,8 @@ Every message is ``[1-byte type][4-byte LE body length][4-byte CRC32]
 [body]``; bodies pack fixed little-endian headers followed by raw numpy
 buffers, so the byte counts the simulator charges are the byte counts a
 real implementation would move. When the high bit of the type byte
-(:data:`CONTEXT_FLAG`) is set, a 17-byte :class:`TraceContext` prefix
-(``trace_id u64, parent_span_id u64, sampled u8``) sits between the
+(:data:`CONTEXT_FLAG`) is set, a 16-byte :class:`TraceContext` prefix
+(``trace_id u64, parent_span_id u64``) sits between the
 header and the body — see :func:`decode_envelope`. The CRC covers the
 type byte as sent (flag bit included), the context and the body, so
 in-flight corruption (see
@@ -32,9 +32,8 @@ Message                 Type  Body
 ======================  ====  =======================================
 PullRequest             0x01  batch_id u64, worker_id i32, progress i64,
                               n u32, keys u64[n]
-PullResponse            0x02  batch_id u64, n u32, dim u32,
-                              hits u32, misses u32, created u32,
-                              weights f32[n, dim]
+PullResponse            0x02  n u32, dim u32, hits u32, misses u32,
+                              created u32, weights f32[n, dim]
 PushRequest             0x03  batch_id u64, worker_id u32, seq u64,
                               n u32, dim u32,
                               keys u64[n], grads f32[n, dim]
@@ -42,9 +41,8 @@ CheckpointRequest       0x04  batch_id i64
 StatusResponse          0x05  code u8, value i64, detail_len u16,
                               detail utf8[detail_len]
 MaintainRequest         0x06  batch_id u64
-MaintainResponse        0x07  batch_id u64, processed u32, loads u32,
-                              flushes u32, evictions u32,
-                              checkpoints_completed u32
+MaintainResponse        0x07  processed u32, loads u32, flushes u32,
+                              evictions u32, checkpoints_completed u32
 MigrateRequest          0x08  op u8, source u32, seq u64, width u32,
                               n u32, then keys u64[n] (EXPORT /
                               DELETE) or the entry block (PUT):
@@ -55,14 +53,12 @@ MigrateResponse         0x09  width u32, n u32, then the entry block
                               (EXPORT reply): keys u64[n],
                               nversions u32[n], batch_ids i64[total],
                               rows f32[total, width]
-RingUpdateRequest       0x0A  requester u32 (reply: StatusResponse
-                              whose value is the packed ring state)
-HeartbeatRequest        0x0B  node_id u32, requester u32 (reply:
-                              StatusResponse, value = latest batch;
-                              a dead primary answers with silence)
-PromoteRequest          0x0C  node_id u32, committed_epoch i64,
-                              requester u32 (reply: StatusResponse,
-                              value = latest batch after promotion)
+HeartbeatRequest        0x0B  node_id u32 (reply: StatusResponse,
+                              value = latest batch; a dead primary
+                              answers with silence)
+PromoteRequest          0x0C  committed_epoch i64 (reply:
+                              StatusResponse, value = latest batch
+                              after promotion)
 LookupRequest           0x0D  snapshot_id i64, replica u8, pad[3],
                               n u32, keys u64[n]
 LookupResponse          0x0E  snapshot_id i64, n u32, dim u32,
@@ -71,7 +67,7 @@ LookupResponse          0x0E  snapshot_id i64, n u32, dim u32,
 
 The entry block is an :class:`~repro.pmem.space.EntryBlock` — the
 columns a store exports are the arrays on the wire, with ``total =
-nversions.sum()``.
+nversions.sum()``. Type ``0x0A`` is unassigned.
 
 ``PushRequest``'s ``(worker_id, seq)`` header gives the server a dedup
 identity: a retried push (the client never learned whether its first
@@ -326,7 +322,7 @@ def mirror(cls: type, source, **fields):
 
 
 # ----------------------------------------------------------------------
-# the 14 kinds
+# the 13 kinds
 # ----------------------------------------------------------------------
 
 
@@ -364,12 +360,8 @@ class PullResponse(_Message):
     """
 
     TYPE = 0x02
-    WIRE = _Wire(
-        "batch_id u64, n u32, dim u32, hits u32, misses u32, created u32, "
-        "weights f32[n, dim]"
-    )
+    WIRE = _Wire("n u32, dim u32, hits u32, misses u32, created u32, weights f32[n, dim]")
 
-    batch_id: int
     weights: np.ndarray  # f32[n, dim]
     hits: int = 0
     misses: int = 0
@@ -459,11 +451,9 @@ class MaintainResponse(_Message):
 
     TYPE = 0x07
     WIRE = _Wire(
-        "batch_id u64, processed u32, loads u32, flushes u32, evictions u32, "
-        "checkpoints_completed u32"
+        "processed u32, loads u32, flushes u32, evictions u32, checkpoints_completed u32"
     )
 
-    batch_id: int
     processed: int = 0
     loads: int = 0
     flushes: int = 0
@@ -492,7 +482,6 @@ class StatusResponse(_Message):
     ERR_SERVER = 2
     ERR_CHECKPOINT = 3
     ERR_KEY_NOT_FOUND = 4
-    ERR_ROUTING = 5
     ERR_MESSAGE = 6
     ERR_UNHANDLED = 7
     #: Promotion impossible: double fault — both replicas of the shard
@@ -545,7 +534,9 @@ class MigrateRequest(_Message):
       (reply: :class:`StatusResponse` with ``value`` = keys dropped).
       Unknown keys are ignored, so replays are absorbed.
 
-    ``width`` is floats per stored row (weights + optimizer state).
+    ``width`` is floats per stored row (weights + optimizer state): the
+    width of a PUT's rows, 0 on EXPORT and DELETE, whose frames carry
+    no rows.
     """
 
     TYPE = 0x08
@@ -596,14 +587,14 @@ class HeartbeatRequest(_Message):
     *silence* — the service raises
     :class:`~repro.network.rpc.Unresponsive`, the dispatcher delivers
     no reply, and the probe times out exactly like a dead process's
-    socket would.
+    socket would. ``node_id`` names the probed shard: a kind carries at
+    least one field.
     """
 
     TYPE = 0x0B
-    WIRE = _Wire("node_id u32, requester u32")
+    WIRE = _Wire("node_id u32")
 
     node_id: int
-    requester: int = 0
 
 
 @dataclass(frozen=True)
@@ -624,27 +615,9 @@ class PromoteRequest(_Message):
     """
 
     TYPE = 0x0C
-    WIRE = _Wire("node_id u32, committed_epoch i64, requester u32")
+    WIRE = _Wire("committed_epoch i64")
 
-    node_id: int
     committed_epoch: int = 0
-    requester: int = 0
-
-
-@dataclass(frozen=True)
-class RingUpdateRequest(_Message):
-    """Worker -> coordinator PS: fetch the committed ring state.
-
-    The reply is a :class:`StatusResponse` whose ``value`` carries the
-    packed ring word (:func:`repro.core.sharding.pack_ring_state` —
-    epoch, num_nodes, vnodes). A client that hits a routing error after
-    a migration refreshes its partitioner with this and retries.
-    """
-
-    TYPE = 0x0A
-    WIRE = _Wire("requester u32")
-
-    requester: int = 0
 
 
 @dataclass(frozen=True)
@@ -693,16 +666,16 @@ CONTEXT_FLAG = 0x80
 """High bit of the type byte: frame carries a trace context prefix.
 
 Context-bearing frames are ``[type|0x80][4-byte LE length of
-ctx+body][4-byte CRC32][17-byte ctx][body]`` where ctx is ``trace_id
-u64, parent_span_id u64, sampled u8``. The CRC covers the flagged type
+ctx+body][4-byte CRC32][16-byte ctx][body]`` where ctx is ``trace_id
+u64, parent_span_id u64``. The CRC covers the flagged type
 byte and the context bytes, so a flag or context corrupted in flight
 surfaces as :class:`MessageError` (retryable) rather than a mis-parented
 span. Senders only attach a context when tracing is enabled, so obs-off
 wire traffic carries no flag and no prefix: a context costs exactly its
-17 bytes, and a frame without one decodes with ``context=None``.
+16 bytes, and a frame without one decodes with ``context=None``.
 """
 
-_CONTEXT = struct.Struct("<QQB")
+_CONTEXT = struct.Struct("<QQ")
 
 
 @dataclass(frozen=True)
@@ -711,25 +684,15 @@ class TraceContext:
 
     trace_id: int
     parent_span_id: int
-    sampled: bool = True
 
     def pack(self) -> bytes:
         return _CONTEXT.pack(
-            self.trace_id & 0xFFFFFFFFFFFFFFFF,
-            self.parent_span_id & 0xFFFFFFFFFFFFFFFF,
-            1 if self.sampled else 0,
+            self.trace_id & 0xFFFFFFFFFFFFFFFF, self.parent_span_id & 0xFFFFFFFFFFFFFFFF
         )
 
     @classmethod
     def unpack(cls, raw) -> "TraceContext":
-        trace_id, parent_span_id, sampled = _CONTEXT.unpack(raw)
-        if sampled > 1:
-            # Encoders only ever write 0 or 1; anything else did not come
-            # from one (outside input is checked, checksum or not).
-            raise MessageError(
-                f"trace context sampled byte 0x{sampled:02x} is not a flag"
-            )
-        return cls(trace_id, parent_span_id, bool(sampled))
+        return cls(*_CONTEXT.unpack(raw))
 
 
 _TYPE_CRC = tuple(zlib.crc32(bytes([type_byte])) for type_byte in range(256))

@@ -36,7 +36,6 @@ from repro.errors import (
     ReproError,
     RpcTimeoutError,
     ServerError,
-    ShardRoutingError,
     StalenessError,
 )
 from repro.network.messages import (
@@ -62,7 +61,6 @@ from repro.simulation.network import Delivery, NetworkModel
 _CODE_FOR_ERROR: tuple[tuple[type, int], ...] = (
     (CheckpointError, StatusResponse.ERR_CHECKPOINT),
     (KeyNotFoundError, StatusResponse.ERR_KEY_NOT_FOUND),
-    (ShardRoutingError, StatusResponse.ERR_ROUTING),
     (MessageError, StatusResponse.ERR_MESSAGE),
     (FailoverError, StatusResponse.ERR_FAILOVER),
     (StalenessError, StatusResponse.ERR_STALENESS),
@@ -73,7 +71,6 @@ _CODE_FOR_ERROR: tuple[tuple[type, int], ...] = (
 _ERROR_FOR_CODE: dict[int, type] = {
     StatusResponse.ERR_CHECKPOINT: CheckpointError,
     StatusResponse.ERR_KEY_NOT_FOUND: KeyNotFoundError,
-    StatusResponse.ERR_ROUTING: ShardRoutingError,
     StatusResponse.ERR_MESSAGE: MessageError,
     StatusResponse.ERR_UNHANDLED: MessageError,
     StatusResponse.ERR_FAILOVER: FailoverError,
@@ -180,11 +177,7 @@ class RpcServer:
 
     def __init__(self) -> None:
         self._handlers: dict[int, Callable] = {}
-        self.dispatches = 0
         self.handler_errors = 0
-        self.rejected_frames = 0
-        #: Requests answered with silence (dead-process simulation).
-        self.silent_drops = 0
         #: Trace context of the request currently being dispatched
         #: (None for context-free frames). Handlers read this to parent
         #: their server-side spans to the client's attempt span.
@@ -205,19 +198,16 @@ class RpcServer:
         (simulated-)dead and sends nothing; the client's attempt will
         time out.
         """
-        self.dispatches += 1
         self.current_context = None
         try:
             request, context = decode_envelope(frame)
         except MessageError as exc:
-            self.rejected_frames += 1
             return encode_message(
                 StatusResponse(code=StatusResponse.ERR_MESSAGE, detail=str(exc))
             )
         self.current_context = context
         handler = self._handlers.get(type(request).TYPE)
         if handler is None:
-            self.rejected_frames += 1
             return encode_message(
                 StatusResponse(
                     code=StatusResponse.ERR_UNHANDLED,
@@ -227,7 +217,6 @@ class RpcServer:
         try:
             response = handler(request)
         except Unresponsive:
-            self.silent_drops += 1
             return None
         except ReproError as exc:
             self.handler_errors += 1

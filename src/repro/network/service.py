@@ -26,8 +26,7 @@ from collections import OrderedDict
 from repro.config import DEFAULT_DEDUP_WINDOW
 from repro.core.ps_node import PSNode
 from repro.core.replication import ReplicatedPSNode
-from repro.core.sharding import RING_STATE_FIELD
-from repro.errors import ServerError, ShardRoutingError
+from repro.errors import ServerError
 from repro.network.messages import (
     CheckpointRequest,
     HeartbeatRequest,
@@ -41,17 +40,11 @@ from repro.network.messages import (
     PullRequest,
     PullResponse,
     PushRequest,
-    RingUpdateRequest,
     StatusResponse,
     mirror,
 )
 from repro.network.rpc import RpcServer, Unresponsive
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-def row_width(node) -> int:
-    """Floats per stored row in a migration frame: the store's width."""
-    return node.store.slab.width
 
 
 class _ReplayWindow(OrderedDict):
@@ -97,7 +90,6 @@ class PSNodeService:
         self.server.register(CheckpointRequest.TYPE, self._handle_checkpoint)
         self.server.register(MaintainRequest.TYPE, self._handle_maintain)
         self.server.register(MigrateRequest.TYPE, self._handle_migrate)
-        self.server.register(RingUpdateRequest.TYPE, self._handle_ring_update)
         self.server.register(HeartbeatRequest.TYPE, self._handle_heartbeat)
         self.server.register(PromoteRequest.TYPE, self._handle_promote)
         self.server.register(LookupRequest.TYPE, self._handle_lookup)
@@ -112,7 +104,7 @@ class PSNodeService:
         client attempt that caused it.
         """
         context = self.server.current_context
-        if context is not None and context.sampled:
+        if context is not None:
             attrs["trace_id"] = context.trace_id
             attrs["parent_span_id"] = context.parent_span_id
         return self.tracer.span(name, track=track, **attrs)
@@ -205,7 +197,7 @@ class PSNodeService:
                 progress=int(request.progress),
             )
             span.set(hits=result.hits, misses=result.misses, created=result.created)
-            return mirror(PullResponse, result, batch_id=request.batch_id)
+            return mirror(PullResponse, result)
 
     def _handle_lookup(self, request: LookupRequest) -> LookupResponse:
         """Serve a snapshot-pinned batched read (the inference path).
@@ -305,7 +297,7 @@ class PSNodeService:
                 if cached is not None:
                     return cached
         return self._maintain_replies.remember(
-            batch_id, mirror(MaintainResponse, result, batch_id=batch_id)
+            batch_id, mirror(MaintainResponse, result)
         )
 
     def _handle_migrate(self, request: MigrateRequest):
@@ -326,7 +318,7 @@ class PSNodeService:
             if request.op == MigrateRequest.OP_EXPORT:
                 block = self.node.export_entries(request.keys)
                 span.set(keys=len(block))
-                return MigrateResponse(width=row_width(self.node), entries=block)
+                return MigrateResponse(width=block.rows.shape[1], entries=block)
             dedup_key = request.dedup_key
             cached = self._replayed(self._migrate_replies, dedup_key, span)
             if cached is not None:
@@ -342,22 +334,4 @@ class PSNodeService:
             if dedup_key is not None:
                 self._migrate_replies.remember(dedup_key, response)
             return response
-
-    def _handle_ring_update(self, request: RingUpdateRequest) -> StatusResponse:
-        """Serve the committed ring state (coordinator shard only).
-
-        The packed ring word travels back in ``StatusResponse.value``;
-        a shard whose pool holds no ring state answers ``ERR_ROUTING``
-        so a misdirected refresh fails typed, not silently.
-        """
-        self._check_alive()
-        fields = self.node.pool.root.fields()
-        if RING_STATE_FIELD not in fields:
-            raise ShardRoutingError(
-                f"node {self.node.node_id} holds no ring state "
-                "(ask the coordinator, node 0)"
-            )
-        return StatusResponse(
-            code=StatusResponse.OK, value=fields[RING_STATE_FIELD]
-        )
 

@@ -107,11 +107,6 @@ class PrefetchStats(_Additive):
     lookahead_created: int = 0
 
     @property
-    def backend_keys(self) -> int:
-        """Keys actually pulled from the backend (all causes)."""
-        return self.demand_keys + self.prefetch_keys + self.patched_keys
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of trainer lookups served from the buffer."""
         total = self.demand_keys + self.buffer_hits

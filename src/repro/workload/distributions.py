@@ -88,7 +88,6 @@ class BandedSkewDistribution:
         masses = masses**temperature
         masses /= masses.sum()
         self.num_keys = num_keys
-        self.temperature = temperature
         self._band_mass = masses
         self._band_cum_mass = np.cumsum(masses)
         # Rank boundaries of each band; every band holds >= 1 rank.

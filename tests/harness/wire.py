@@ -66,9 +66,7 @@ def messages_of(draw, kind: type):
 MESSAGES = st.one_of(*(messages_of(kind) for kind in KINDS))
 
 _U64 = _SLOT_RANGES["u64"]
-CONTEXTS = st.builds(
-    messages.TraceContext, trace_id=_U64, parent_span_id=_U64, sampled=st.booleans()
-)
+CONTEXTS = st.builds(messages.TraceContext, trace_id=_U64, parent_span_id=_U64)
 
 
 def _same(a, b) -> bool:

@@ -496,7 +496,7 @@ class TestRemoteFailover:
     def test_promote_rpc_idempotent_on_alive_node(self):
         s = replicated("rpc")
         response = s.manager.cluster.probe_channel(0).call(
-            PromoteRequest(node_id=0, committed_epoch=0)
+            PromoteRequest(committed_epoch=0)
         )
         assert response.ok
         assert s.backend.nodes[0].failovers == 0
@@ -543,9 +543,9 @@ class TestRemoteFailover:
         assert rounds["local"] == rounds["rpc"]
 
     def test_wire_roundtrip(self):
-        hb = HeartbeatRequest(node_id=3, requester=9)
+        hb = HeartbeatRequest(node_id=3)
         assert HeartbeatRequest.decode_body(hb.encode_body()) == hb
-        pr = PromoteRequest(node_id=2, committed_epoch=7, requester=1)
+        pr = PromoteRequest(committed_epoch=7)
         assert PromoteRequest.decode_body(pr.encode_body()) == pr
         err = StatusResponse(code=StatusResponse.ERR_FAILOVER, detail="df")
         assert not err.ok

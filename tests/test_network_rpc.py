@@ -45,8 +45,7 @@ class TestMessageRoundtrips:
 
     def test_pull_response(self):
         weights = np.arange(8, dtype=np.float32).reshape(2, 4)
-        decoded = decode_message(encode_message(PullResponse(3, weights)))
-        assert decoded.batch_id == 3
+        decoded = decode_message(encode_message(PullResponse(weights)))
         assert np.array_equal(decoded.weights, weights)
 
     def test_push_request(self):
@@ -71,7 +70,7 @@ class TestMessageRoundtrips:
     def test_pull_response_cache_stats(self):
         weights = np.zeros((2, 4), dtype=np.float32)
         decoded = decode_message(
-            encode_message(PullResponse(1, weights, hits=5, misses=2, created=1))
+            encode_message(PullResponse(weights, hits=5, misses=2, created=1))
         )
         assert (decoded.hits, decoded.misses, decoded.created) == (5, 2, 1)
 

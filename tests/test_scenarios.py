@@ -261,6 +261,15 @@ class TestFoundByTheEngine:
         s = replicated([reshard(1, "scale_out"), kill(3, NODES)], transport="local").run()
         assert [p.node_id for p in s.promotions] == [NODES]
 
+    def test_a_node_id_a_scale_out_reuses_is_probed_at_its_new_node(self):
+        """reshard x reshard x kill over RPC: probe channels are keyed by
+        node id and outlived the ring commit, so after a scale-in and a
+        scale-out the heartbeat to the new node 2 reached the retired
+        node 2, which answered for it: its kill was never detected."""
+        schedule = [reshard(1, "scale_in"), reshard(2, "scale_out"), kill(4, NODES - 1)]
+        s = replicated(schedule, transport="rpc").run()
+        assert [p.node_id for p in s.promotions] == [NODES - 1]
+
     def test_a_rebuild_barrier_behind_a_pending_request_completes_it(self):
         """kill x checkpoint request: a rebuild's barrier re-requested the
         checkpoint a pending request had queued, and the queue refused."""
