@@ -13,9 +13,10 @@ its row number, so
 
 * a batched pull is one whole-row gather ``np.take(data, rows, axis=0)``
   whose first ``dim`` columns it returns,
-* a batched push gathers ``data[rows]``, applies the vectorized
-  optimizer, and scatters the block back, and
-* flushing gathers the rows that leave (``data[rows]``) into the block
+* a batched push gathers its rows the same way, applies the vectorized
+  optimizer to contiguous copies of the block's weight and state halves,
+  and scatters the rejoined block back, and
+* flushing gathers the rows that leave (``take`` again) into the block
   one ``store.put`` persists, and loading scatters the block one
   ``store.read_latest`` returned into freshly allocated rows.
 

@@ -33,10 +33,14 @@ slot's tag bit says DRAM or PMem, ``row`` is the DRAM pointer and
 version. The store owns no map: every call into it passes
 ``columns.head[slots]`` and the writing ones hand the new heads back.
 ``pull`` is one vectorised index lookup, a tag-bit mask, and one
-fancy-index gather; ``update`` one lookup, column writes, a segment-sum
-and one ``apply_batch``. The positions that are not
-resident (a key to create, a PMem row to read or read-modify-write) are
-resolved as blocks; an all-hit batch is the case where there are none.
+``take`` of the rows; ``update`` is column writes, one ``take`` and one
+``apply_batch`` on contiguous weight and state blocks. A push of
+exactly the keys an ascending pull of its batch sent reuses the slots
+that pull resolved (:meth:`PipelinedCache.update`); any other push
+resolves its keys with one lookup and sums repeats. The positions that
+are not resident (a key to create, a PMem row to read or
+read-modify-write) are resolved as blocks; an all-hit batch is the case
+where there are none.
 Creation is a block too: the initializer is a function of the key
 column (:mod:`repro.core.initializer`), so a pull of unseen keys
 draws, indexes and fills their rows without a Python step per key.
@@ -227,6 +231,13 @@ class PipelinedCache:
         # Scratch column, _NEVER outside a call: first position of each
         # slot in the batch at hand.
         self._first = np.full(256, _NEVER, dtype=np.int64)
+        # The current batch's ascending pulls, by (length, first key, last
+        # key): ``(their keys, the slots they resolved, index.removals
+        # then)``. Both arrays are copies: a record neither sees the
+        # caller reuse its key buffer nor keeps the access queue's slot
+        # array alive past its round. A push of the same keys takes the
+        # slots (:meth:`update`).
+        self._pulled, self._pulled_batch = {}, None
 
     # ------------------------------------------------------------------
     # Algorithm 1: pull
@@ -259,6 +270,11 @@ class PipelinedCache:
             out[cold] = self.store.read_latest(columns.head[slots[cold]])[1][:, : self.dim]
         hits = n - misses - created
         self.access_queue.append(batch_id, slots)
+        if batch_id != self._pulled_batch:
+            self._pulled, self._pulled_batch = {}, batch_id
+        if n and (keys[1:] > keys[:-1]).all():  # strictly ascending: distinct
+            record = keys.copy(), slots.copy(), self.index.removals
+            self._pulled[n, int(keys[0]), int(keys[-1])] = record
         self.metrics.pulls += n
         self.metrics.cache.hits += hits
         self.metrics.cache.misses += misses
@@ -579,11 +595,16 @@ class PipelinedCache:
     def update(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
         """Apply pushed gradients for batch ``batch_id``.
 
-        Duplicate keys within one push have their gradients summed
-        before a single optimizer application — standard sparse-gradient
-        aggregation. Returns the number of distinct entries updated;
-        ``metrics.updates`` counts the same distinct entries (duplicate
-        keys in one push are one update, not several).
+        A push of exactly the keys an ascending pull of this batch sent
+        applies to the slots that pull resolved, unless a key has left
+        the index since (the index's ``removals`` moved): its keys are
+        distinct, so there is nothing to probe or sum. Any other push is
+        resolved here. Duplicate keys within one push have their
+        gradients summed before a single optimizer application —
+        standard sparse-gradient aggregation. Returns the number of
+        distinct entries updated; ``metrics.updates`` counts the same
+        distinct entries (duplicate keys in one push are one update, not
+        several).
 
         Gradients are coerced to float32 here, at the aggregation
         boundary, so a float64 gradient cannot change the arithmetic
@@ -600,15 +621,18 @@ class PipelinedCache:
         if n == 0:
             return 0
         keys = np.asarray(keys, dtype=np.uint64)
-        every = self.index.lookup(keys)
-        if every.min() < 0:
-            raise KeyNotFoundError(int(keys[every < 0][0]))
-        # Distinct slots in first-occurrence order (the order a push
-        # ahead of its rows touches them in).
-        first = self._first_touch(every)
-        self._first[every] = _NEVER
-        first_idx = np.flatnonzero(first == np.arange(n))
-        slots = every[first_idx]
+        slots = self._pulled_slots(keys)
+        if slots is None:
+            every = self.index.lookup(keys)
+            if every.min() < 0:
+                raise KeyNotFoundError(int(keys[every < 0][0]))
+            # Distinct slots in first-occurrence order (the order a push
+            # ahead of its rows touches them in).
+            first = self._first_touch(every)
+            self._first[every] = _NEVER
+            first_idx = np.flatnonzero(first == np.arange(n))
+            slots = every[first_idx]
+            grads = segment_sum(grads, first, first_idx)
         columns = self.index.columns
         # Not expected in the normal pull -> maintain -> update order (a
         # round whose keys fit the cache leaves every one it admitted
@@ -623,7 +647,7 @@ class PipelinedCache:
             # serial flow its maintenance round already has; a push ahead
             # of its rows' rounds (async, lookahead) has not.
             warm = np.delete(slots, cold)
-            self._flush_slots(warm[self._owing(warm, pending[-1])])
+            self.flush_slots(warm[self._owing(warm, pending[-1])])
         columns.dirty[slots] = True
         columns.updated[slots] = np.maximum(columns.updated[slots], batch_id)
         behind = batch_id > columns.version[slots]
@@ -648,14 +672,14 @@ class PipelinedCache:
                 columns.referenced[fresh] = False
             self._stamp(advancing if self._rule.touch_restamps else fresh)
         rows = columns.row[slots]
-        block = self.arena.data[rows]
+        block = np.take(self.arena.data, rows, axis=0)
         if len(cold):
             block[cold] = self.store.read_latest(columns.head[slots[cold]])[1]
-        self.optimizer.apply_batch(
-            block[:, : self.dim],
-            block[:, self.dim :] if self.state_width else None,
-            segment_sum(grads, first, first_idx),
-        )
+        # The optimizer is elementwise: on contiguous copies of the two
+        # halves it runs ~3x faster than on the block's strided ones.
+        weights, state = block[:, : self.dim].copy(), block[:, self.dim :].copy()
+        self.optimizer.apply_batch(weights, state if self.state_width else None, grads)
+        block = np.concatenate([weights, state], axis=1)
         resident = rows >= 0 if len(cold) else slice(None)
         self.arena.data[rows[resident]] = block[resident]
         if len(cold):
@@ -699,7 +723,7 @@ class PipelinedCache:
                 room = len(owing) if budget is None else min(len(owing), budget - drained)
                 if room:
                     try:
-                        self._flush_slots(owing[np.argsort(stamp[owing])][:room])
+                        self.flush_slots(owing[np.argsort(stamp[owing])][:room])
                     except OutOfSpaceError:
                         break
                     drained += room
@@ -728,7 +752,7 @@ class PipelinedCache:
         """Flush and evict everything (leaves an empty, consistent cache)."""
         columns = self.index.columns
         cached = np.flatnonzero(columns.stamp >= 0)
-        self._flush_slots(cached)
+        self.flush_slots(cached)
         columns.stamp[cached] = -1
         columns.handle[cached] |= 1
         self._release(cached)
@@ -852,6 +876,15 @@ class PipelinedCache:
     # internals
     # ------------------------------------------------------------------
 
+    def _pulled_slots(self, keys: np.ndarray) -> np.ndarray | None:
+        """The slots this batch's ascending pull of exactly ``keys``
+        resolved, if no key has left the index since; else None. The
+        record goes either way: a push uses its pull's once."""
+        record = self._pulled.pop((len(keys), int(keys[0]), int(keys[-1])), None)
+        if record is None or record[2] != self.index.removals:
+            return None
+        return record[1] if np.array_equal(record[0], keys) else None
+
     def _first_touch(self, slots: np.ndarray) -> np.ndarray:
         """For each position of ``slots``, the first position holding the
         same slot. Leaves those positions in the ``_first`` scratch
@@ -884,13 +917,14 @@ class PipelinedCache:
     def _moved(self, event: str, rows: int) -> None:
         self.tracer.instant(event, track="pmem", rows=rows, bytes=rows * self.store.entry_bytes)
 
-    def _flush_slots(self, slots: np.ndarray) -> None:
+    def flush_slots(self, slots: np.ndarray) -> None:
         """Persist resident ``slots`` as one put, each under its
         ``updated`` (see :meth:`_owing`)."""
         if not len(slots):
             return
         columns = self.index.columns
-        self._store_rows(slots, columns.updated[slots], self.arena.data[columns.row[slots]])
+        block = np.take(self.arena.data, columns.row[slots], axis=0)
+        self._store_rows(slots, columns.updated[slots], block)
         columns.dirty[slots] = False
         self.metrics.pmem_flush_entries += len(slots)
         self.metrics.cache.flushes += len(slots)

@@ -43,6 +43,10 @@ class HashIndex:
 
     def __init__(self) -> None:
         self.columns = EntryColumns()
+        #: Keys removed so far. :meth:`remove_many` is the only place a
+        #: slot is freed, so slots resolved while this held still are
+        #: the same keys' slots.
+        self.removals = 0
         self._reset(_MIN_CELLS)
 
     def __len__(self) -> int:
@@ -95,6 +99,7 @@ class HashIndex:
             raise KeyError(int(keys[cells < 0][0]))
         self.columns.free(self._slots[cells])
         self._slots[cells] = _TOMB
+        self.removals += len(cells)
 
     def remove(self, key: int) -> None:
         """:meth:`remove_many` for one key."""

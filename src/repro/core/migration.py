@@ -13,8 +13,11 @@ Protocol (labels in :data:`MIGRATION_STEPS`, in execution order):
 Step        What happens
 ========== ==========================================================
 barrier     Quiesce at a batch barrier: a cluster-wide barrier
-            checkpoint at batch ``B`` flushes every DRAM cache, so
-            each shard's newest durable version *is* its live state.
+            checkpoint at batch ``B`` flushes the rows it waits for,
+            and every export flushes the moved keys' dirty resident
+            rows (in the middle of a batch, the rows its pulls
+            created), so each moved key's newest durable version *is*
+            its live state.
 provision   Scale-out: build the empty new node (highest id).
             Scale-in: pick the surviving owners of the leaving
             node's keys under the target ring.

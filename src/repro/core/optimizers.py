@@ -62,7 +62,7 @@ def segment_sum(grads: np.ndarray, first: np.ndarray, starts: np.ndarray) -> np.
     per element of the flattened block, where ``add.at`` is fast. Every
     PS sums a push this one way, so their float32 bits agree.
     """
-    agg = grads[starts]
+    agg = np.take(grads, starts, axis=0)
     n, dim = grads.shape
     if n != len(starts):
         at = np.empty(n, dtype=np.int64)

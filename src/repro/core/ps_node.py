@@ -381,12 +381,20 @@ class PSNode:
     def export_entries(self, keys) -> EntryBlock:
         """Read all retained durable versions of ``keys`` for transfer.
 
-        Must be called after a barrier checkpoint (``barrier_checkpoint``)
-        so the store's newest version of every key equals its live
-        state. The block's rows are the packed weights+optimizer-state
-        arrays.
+        Called after a barrier checkpoint (``barrier_checkpoint``). The
+        barrier flushes only the rows a checkpoint waits for, so a row
+        the in-flight batch's pull created (a reshard between a batch's
+        pulls and its pushes) is still dirty with no stored version:
+        the keys' dirty resident rows are flushed here first, and the
+        store's newest version of every key is its live state. The
+        block's rows are the packed weights+optimizer-state arrays.
         """
         keys = np.asarray(keys, dtype=np.uint64)
+        slots = self.cache.index.lookup(keys)
+        slots = slots[slots >= 0]
+        columns = self.cache.index.columns
+        resident = (columns.handle[slots] & 1) == 0
+        self.cache.flush_slots(slots[columns.dirty[slots] & resident])
         return self.store.export(keys, self._heads(keys))
 
     def ingest_entries(self, block: EntryBlock) -> int:

@@ -362,7 +362,7 @@ class OpenEmbeddingServer:
             updated = 0
             for index, positions, node_keys in plan.shards:
                 updated += self._shard_push(
-                    index, node_keys, summed[positions], batch_id,
+                    index, node_keys, plan.shard_rows(summed, positions), batch_id,
                     worker_id, seq, len(plan.shards),
                 )
             span.set(updated=updated)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dlrm.layers import field_sum
 from repro.errors import ConfigError
 
 
@@ -112,8 +113,8 @@ class CriteoSynthetic:
         self, keys: np.ndarray, dense: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         effect = self._key_effect[keys].sum(axis=1)
-        factors = self._key_factor[keys]  # (B, F, 4)
-        sum_fac = factors.sum(axis=1)
+        factors = np.take(self._key_factor, keys, axis=0)  # (B, F, 4)
+        sum_fac = field_sum(factors)
         inter = 0.5 * ((sum_fac**2).sum(axis=1) - (factors**2).sum(axis=(1, 2)))
         logits = self._bias + effect + inter
         if self.num_dense:

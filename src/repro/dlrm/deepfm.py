@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dlrm.layers import MLP, binary_cross_entropy, stable_sigmoid
+from repro.dlrm.layers import MLP, binary_cross_entropy, field_sum, stable_sigmoid
 from repro.errors import ConfigError
 
 
@@ -92,8 +92,8 @@ class DeepFM:
                 raise ConfigError(
                     f"first_order shape {first_order.shape}, want {(batch, fields, 1)}"
                 )
-        sum_v = embeddings.sum(axis=1)  # (B, D)
-        sum_sq = (embeddings**2).sum(axis=1)  # (B, D)
+        sum_v = field_sum(embeddings)  # (B, D)
+        sum_sq = field_sum(embeddings**2)  # (B, D)
         fm2 = 0.5 * (sum_v**2 - sum_sq).sum(axis=1)  # (B,)
         deep_in = embeddings.reshape(batch, fields * dim)
         deep = self.mlp.forward(deep_in).reshape(-1)  # (B,)

@@ -28,6 +28,17 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out.astype(x.dtype if x.dtype.kind == "f" else np.float64)
 
 
+def field_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a ``(batch, fields, width)`` block, bit for bit.
+
+    At width >= 2 numpy adds the fields one after another either way, and
+    ``einsum`` does it ~4x faster than the strided reduction. At width 1
+    the field axis is the contiguous one, which ``sum`` adds pairwise:
+    there it stays ``sum``.
+    """
+    return np.einsum("bfd->bd", x) if x.shape[2] >= 2 else x.sum(axis=1)
+
+
 class Dense:
     """A fully connected layer ``y = act(x @ W + b)``.
 

@@ -65,11 +65,12 @@ def test_max_turns_the_total_into_a_budget(tmp_path, capsys):
 
 def test_the_miss_path_files_stay_within_their_budget():
     """What CI's tier-1 job gates: the six cache files plus the store
-    (and any module split out of them) hold at most 962 code lines
+    (and any module split out of them) hold at most 977 code lines
     (1 103 while the cache and the store had a row-less mode, 1 074
-    while a round walked its victim decisions one at a time)."""
+    while a round walked its victim decisions one at a time, 962 before
+    a push reused its pull's slots)."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "962", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
+    assert code_lines.main(["--max", "977", *(str(root / name) for name in MISS_PATH_FILES)]) == 0
 
 
 SHARD_REACH_FILES = [

@@ -1,12 +1,19 @@
 """PSNode: pull/maintain/push lifecycle, determinism, crash handoff."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.config import CacheConfig, ServerConfig
+from repro.core.hash_index import HashIndex
 from repro.core.optimizers import PSAdagrad
+from repro.core.recovery import recover_node
+from repro.core.replication import ReplicatedPSNode
 from repro.core.server import OpenEmbeddingServer
-from repro.errors import CheckpointError, OutOfSpaceError, ReproError, ServerError
+from repro.errors import (
+    CheckpointError, KeyNotFoundError, OutOfSpaceError, ReproError, ServerError,
+)
 from repro.network.frontend import RemotePSClient
 from repro.network.messages import MigrateRequest, StatusResponse, decode_message, encode_message
 from repro.network.service import PSNodeService
@@ -372,3 +379,232 @@ class TestCompletionWithoutEvictions:
         assert node.metrics.cache.evictions == 0
         requested = node.coordinator.queue.total_requested
         assert requested == 60 and node.coordinator.completed_count >= requested - 2
+
+
+# ----------------------------------------------------------------------
+# a push reuses its pull's slots
+# ----------------------------------------------------------------------
+
+KEYS = np.arange(3, 40, 3, dtype=np.uint64)  # 13 ascending keys, 8 fit the cache
+EXTRA = np.uint64(1000)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts ``HashIndex.lookup`` calls, on every index."""
+    calls = []
+    lookup = HashIndex.lookup
+
+    def counted(index, keys):
+        calls.append(len(keys))
+        return lookup(index, keys)
+
+    monkeypatch.setattr(HashIndex, "lookup", counted)
+    return calls
+
+
+def adagrad_node(replicated: bool = False):
+    if not replicated:
+        return make_node(capacity_entries=8, optimizer=PSAdagrad(0.05))
+    return ReplicatedPSNode(
+        0, ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22),
+        CacheConfig(capacity_bytes=8 * DIM * 4), PSAdagrad(0.05),
+    )
+
+
+def batch_grads(n, batch):
+    return np.random.default_rng(batch).standard_normal((n, DIM)).astype(np.float32)
+
+
+def warm(node, batches=2):
+    """Full batches over ``KEYS`` and ``EXTRA`` (a checkpoint after the first)."""
+    keys = np.append(KEYS, EXTRA)
+    for batch in range(batches):
+        node.pull(keys, batch)
+        node.maintain(batch)
+        node.push(keys, batch_grads(len(keys), batch), batch)
+        if batch == 0:
+            node.request_checkpoint(0)
+
+
+def fingerprint(node):
+    """What a push writes: every key's packed state (any tier), its
+    columns, and the node's counters."""
+    cache = node.cache
+    columns = cache.index.columns
+    slots = columns.live()
+    slots = slots[np.argsort(columns.key[slots])]
+    keys = columns.key[slots].tolist()
+    names = ("version", "updated", "dirty", "referenced", "stamp", "head", "handle")
+    return (
+        keys,
+        [cache.read_current_state(key).tobytes() for key in keys],
+        [getattr(columns, name)[slots].tolist() for name in names],
+        dataclasses.asdict(node.metrics),
+    )
+
+
+def reused_and_resolved(script, probes):
+    """``script(push)`` run twice: as it is, and with every push
+    resolving its keys (the node's pull records forgotten first — the
+    path before a push could reuse its pull's slots). Returns both runs'
+    fingerprints and index probes made inside pushes."""
+    runs = []
+    for forget in (False, True):
+        inside = []
+
+        def push(node, keys, batch, forget=forget, inside=inside):
+            for replica in (getattr(node, "primary", node), getattr(node, "backup", None)):
+                if forget and replica is not None:
+                    replica.cache._pulled.clear()
+            before = len(probes)
+            try:
+                return node.push(keys, batch_grads(len(keys), batch), batch)
+            finally:
+                inside.append(len(probes) - before)
+
+        node = script(push)
+        runs.append((fingerprint(node), inside))
+    return runs
+
+
+class TestSlotReuse:
+    def test_a_push_of_its_pulls_keys_probes_the_index_once(self, probes):
+        """pull -> maintain -> push of one ascending key array: the pull
+        probes the index, the push applies to the slots it resolved."""
+        node = adagrad_node()
+        warm(node)
+        del probes[:]
+        node.pull(KEYS, 2)
+        after_pull = len(probes)
+        node.maintain(2)
+        after_maintain = len(probes)
+        node.push(KEYS, batch_grads(len(KEYS), 2), 2)
+        assert (after_pull, after_maintain, len(probes)) == (1, 1, 1)
+        node.cache.validate()
+
+    def test_a_facade_push_probes_no_shard(self, probes):
+        """The facade sends each shard its distinct keys ascending, so
+        every shard's push reuses its pull's slots, repeats and all."""
+        server = OpenEmbeddingServer(
+            ServerConfig(num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22),
+            CacheConfig(capacity_bytes=64 * DIM * 4), PSAdagrad(0.05),
+        )
+        keys = np.array([[40, 3, 9], [3, 77, 40]], dtype=np.uint64)
+        plan = server.plan(keys)
+        server.pull(plan, 0)
+        server.maintain(0)
+        del probes[:]
+        server.push(plan, batch_grads(6, 0), 0)
+        assert probes == []
+
+    def test_the_reused_path_lands_what_resolving_lands(self, probes):
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            for batch in (2, 3):
+                node.pull(KEYS, batch)
+                node.maintain(batch)
+                push(node, KEYS, batch)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [0, 0]
+
+    def test_a_key_array_mutated_after_its_pull_is_resolved(self, probes):
+        """The record holds its own copy of the keys."""
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            keys = KEYS.copy()
+            node.pull(keys, 2)
+            node.maintain(2)
+            keys[4] = EXTRA  # the caller reuses its buffer
+            push(node, keys, 2)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [1]
+
+    def test_keys_that_differ_only_inside_are_resolved(self, probes):
+        """Same length, same first and last key as the pull: not its keys."""
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            node.pull(KEYS, 2)
+            node.maintain(2)
+            keys = KEYS.copy()
+            keys[6] += 1  # still ascending; created by no pull
+            node.pull(keys[6:7], 2)
+            push(node, keys, 2)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [1]
+
+    def test_a_key_dropped_after_the_pull_voids_every_record(self, probes):
+        """``drop_keys`` frees a slot: no record of the batch is trusted."""
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            node.pull(KEYS[:6], 2)
+            node.pull(KEYS[6:], 2)
+            node.maintain(2)
+            node.drop_keys([KEYS[-1]])
+            push(node, KEYS[:6], 2)
+            with pytest.raises(KeyNotFoundError):
+                push(node, KEYS[6:], 2)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [1, 1]
+
+    @pytest.mark.parametrize(
+        "keys", [np.repeat(KEYS, 2), KEYS[::-1].copy()], ids=["repeats", "descending"]
+    )
+    def test_a_pull_with_repeats_or_out_of_order_is_not_recorded(self, probes, keys):
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            node.pull(keys, 2)
+            node.maintain(2)
+            push(node, keys, 2)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [1]
+
+    def test_a_recovered_node_resolves_the_push(self, probes):
+        def script(push):
+            node = adagrad_node()
+            warm(node)
+            node.barrier_checkpoint(1)
+            node.pull(KEYS, 2)
+            node.maintain(2)
+            recovered, __ = recover_node(
+                node.crash(), node.server_config, node.cache_config, PSAdagrad(0.05)
+            )
+            push(recovered, KEYS, 2)
+            return recovered
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [1]
+
+    def test_a_promoted_replica_reuses_its_own_pull(self, probes):
+        """The backup replayed the pull into its own cache, so the
+        promoted replica's push applies to the slots it resolved."""
+        def script(push):
+            node = adagrad_node(replicated=True)
+            warm(node)
+            node.pull(KEYS, 2)
+            node.maintain(2)
+            node.fail_primary()
+            node.failover()
+            push(node, KEYS, 2)
+            node.pull(KEYS, 3)
+            node.maintain(3)
+            push(node, KEYS, 3)
+            return node
+
+        (reused, probed), (resolved, _) = reused_and_resolved(script, probes)
+        assert reused == resolved and probed == [0, 0]

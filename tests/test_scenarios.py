@@ -290,6 +290,21 @@ class TestFoundByTheEngine:
         node.cache.validate()
 
     @pytest.mark.parametrize("transport", ["local", "rpc"])
+    @pytest.mark.parametrize("batch, direction", [(2, "scale_out"), (4, "scale_out"), (2, "scale_in")])
+    def test_a_reshard_between_pulls_and_pushes_moves_the_keys_they_created(
+        self, transport, batch, direction
+    ):
+        """reshard at ``mid``: the barrier flushed only the rows a
+        checkpoint waited for, so a row the in-flight batch's pull had
+        created left with no stored version, the target skipped it and
+        cleanup dropped it: the batch's push raised KeyNotFoundError."""
+        s = Scenario(
+            seed=3, transport=transport, nodes=NODES, batches=BATCHES,
+            schedule=[reshard(batch, direction, phase="mid")],
+        ).run()
+        assert [event.arg[0] for event in s.log] == [direction]
+
+    @pytest.mark.parametrize("transport", ["local", "rpc"])
     def test_a_reshard_folds_pushes_still_buffered(self, transport):
         """migration x aggregation: the barrier's "already quiesced"
         shortcut read the watermarks before any shard folded, so a push
