@@ -43,7 +43,7 @@ def run_drift_trace(days: int, iters_per_day: int, workers: int, drift_fraction:
         keys = np.concatenate(workload.sample_worker_batches(workers, 64))
         result = node.pull(keys, batch)
         node.maintain(batch)
-        pushed = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        pushed = np.unique(keys)
         node.push(pushed, np.zeros((len(pushed), 64), dtype=np.float32), batch)
         cold.append(1.0 - result.hits / result.accesses)
     return np.array(cold), workload.rotations

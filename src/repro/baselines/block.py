@@ -9,9 +9,10 @@ Everything else is :class:`BlockPSNode`: a
 :class:`~repro.core.hash_index.HashIndex` resolves a batch of keys to
 slots whose ``row`` column addresses the rows. A pull is one probe, one
 :func:`~repro.core.initializer.key_seeded_rows` call for the keys it
-creates and one gather; a push is one probe, one
-:func:`~repro.core.optimizers.segment_sum`, one ``apply_batch`` and one
-scatter — the arithmetic :class:`~repro.core.cache.PipelinedCache`
+creates and one gather; a push is one probe of its distinct keys (one
+whose keys do not ascend is summed per key first,
+:func:`~repro.core.sharding.summed_per_key`), one ``apply_batch`` and
+one scatter — the arithmetic :class:`~repro.core.cache.PipelinedCache`
 does, so every system trains to the same bits.
 """
 
@@ -26,8 +27,9 @@ from repro.core.cache import MaintainResult, PullResult
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.initializer import key_seeded_rows
-from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32, segment_sum
+from repro.core.optimizers import PSOptimizer, PSSGD, coerce_f32
 from repro.core.serving_backend import LookupResult
+from repro.core.sharding import summed_per_key
 from repro.errors import KeyNotFoundError
 from repro.simulation.metrics import Metrics
 
@@ -80,28 +82,22 @@ class BlockPSNode:
         return []
 
     def push(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
-        """Apply pushed gradients: duplicates are summed first, and each
-        distinct entry takes one optimizer step. Returns the distinct
-        entries updated."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        """Apply pushed gradients: each distinct entry takes one
+        optimizer step (:func:`~repro.core.sharding.summed_per_key`).
+        Returns the distinct entries updated."""
+        keys, grads = summed_per_key(keys, coerce_f32(grads))
         slots = self.index.lookup(keys)
         if len(keys) and slots.min() < 0:
             raise KeyNotFoundError(int(keys[slots < 0][0]))
-        __, first, inverse = np.unique(slots, return_index=True, return_inverse=True)
-        first = first[inverse]
-        starts = np.flatnonzero(first == np.arange(len(keys)))
-        rows = self.index.columns.row[slots[starts]]
+        rows = self.index.columns.row[slots]
         block = self._read(rows)
         self.optimizer.apply_batch(
-            block[:, : self.dim],
-            block[:, self.dim :] if self.state_width else None,
-            segment_sum(coerce_f32(grads), first, starts),
+            block[:, : self.dim], block[:, self.dim :] if self.state_width else None, grads
         )
-        self._write(keys[starts], rows, block, batch_id)
-        # Distinct entries updated, matching the return value.
-        self.metrics.updates += len(starts)
+        self._write(keys, rows, block, batch_id)
+        self.metrics.updates += len(keys)
         self.latest_completed_batch = max(self.latest_completed_batch, batch_id)
-        return len(starts)
+        return len(keys)
 
     # ------------------------------------------------------------------
     # introspection
@@ -132,8 +128,6 @@ class BlockPSNode:
         < 0) and fill their positions of ``slots`` in; returns how many."""
         absent = np.flatnonzero(slots < 0)
         cfg = self.server_config
-        if not cfg.auto_create:
-            raise KeyNotFoundError(int(keys[absent[0]]))
         new = np.unique(keys[absent])
         block = np.empty((len(new), self.dim + self.state_width), dtype=np.float32)
         block[:, : self.dim] = key_seeded_rows(cfg.seed, new, cfg.initializer_scale, self.dim)

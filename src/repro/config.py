@@ -145,8 +145,6 @@ class ServerConfig:
         seed: seed of the key-seeded initializer, >= 0: a new key's
             weights are a function of ``(seed, key)`` on every node
             (:func:`repro.core.initializer.key_seeded_rows`).
-        auto_create: initialise unseen keys on first pull (Algorithm 1
-            lines 6-12); when False unseen keys raise KeyNotFoundError.
         partitioner: key -> node routing scheme. ``"modulo"`` is the
             paper's static ``mix64(key) % num_nodes``; ``"ring"`` is a
             consistent-hash ring with virtual nodes that supports live
@@ -192,7 +190,6 @@ class ServerConfig:
     pmem_capacity_bytes: int = 756 << 30
     initializer_scale: float = 0.01
     seed: int = 0
-    auto_create: bool = True
     partitioner: str = "modulo"
     ring_vnodes: int = 64
     replicas: int = 1

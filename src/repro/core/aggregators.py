@@ -25,12 +25,12 @@ actually reaches ``optimizer.apply_batch``:
     neighbours and keep the single lowest-scoring row — a gradient
     vouched for by a majority neighbourhood.
 
-The :class:`AggregationBuffer` supplies the rows: each push is summed
-per key with one sort into ascending distinct keys (a key's repeats
-accumulate in occurrence order, seeded from the first — the cache fast
-path's float32 sequence, so a buffered-then-folded push stays
-*bitwise* equal to an unbuffered one when the fold is an identity) and
-queued per worker, and a fold round fires whenever a
+The :class:`AggregationBuffer` supplies the rows: each push is queued
+per worker as one row per distinct key, keys ascending — a facade push
+already is, and any other is summed by
+:func:`~repro.core.sharding.summed_per_key`, the sum every PS applies,
+so a buffered-then-folded push stays *bitwise* equal to an unbuffered
+one when the fold is an identity — and a fold round fires whenever a
 quorum ``q = max(1, num_workers - f)`` of workers has a contribution
 pending — the ``f`` workers the defense is sized for may be straggling
 or dead, and must not be able to stall folding.
@@ -49,13 +49,13 @@ the oracle the property test compares against.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.config import DEFAULT_DEDUP_WINDOW
-from repro.core.optimizers import segment_sum
+from repro.core.sharding import summed_per_key
 from repro.errors import ConfigError
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -67,6 +67,7 @@ __all__ = [
     "Krum",
     "Mean",
     "Median",
+    "ReplayWindow",
     "TrimmedMean",
     "default_byzantine_tolerance",
     "make_aggregator",
@@ -183,6 +184,25 @@ def make_aggregator(name: str, f: int = 1) -> GradientAggregator | None:
     )
 
 
+class ReplayWindow(OrderedDict):
+    """The last ``bound`` request identities a node took, oldest first,
+    each with its reply. The RPC service replays a retried request's
+    reply verbatim; a node drops a push whose ``(worker_id, seq)`` it
+    holds, so a copy applies once (``seq=0`` opts out).
+    """
+
+    def __init__(self, bound: int = DEFAULT_DEDUP_WINDOW):
+        super().__init__()
+        self.bound = bound
+
+    def remember(self, key, reply=True):
+        """Record ``reply`` for replay, forgetting the oldest beyond the bound."""
+        self[key] = reply
+        while len(self) > self.bound:
+            self.popitem(last=False)
+        return reply
+
+
 @dataclass
 class _Contribution:
     """One worker's push, summed per key.
@@ -219,35 +239,6 @@ class AggregatorStats:
     max_queue_depth: int = 0
 
 
-def _sorted_runs(keys: np.ndarray, kind: str | None = None):
-    """One sort of ``keys``: ``(order, unique, head)``.
-
-    ``keys[order]`` ascends (equal keys in position order when ``kind``
-    is ``"stable"``), ``head`` marks the sorted positions where a
-    distinct key's run begins, and ``unique`` holds those keys.
-    """
-    order = np.argsort(keys, kind=kind)
-    ordered = keys[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    return order, ordered[head], head
-
-
-def _segment_sum(keys: np.ndarray, grads: np.ndarray):
-    """Per-key sum in ascending key order. A key's rows accumulate in
-    occurrence order, seeded from the first, through the PS's own
-    :func:`~repro.core.optimizers.segment_sum` — so buffering + folding
-    stays bitwise-transparent when the fold is an identity."""
-    order, unique, head = _sorted_runs(keys)  # unstable: the runs are enough
-    run = np.cumsum(head) - 1  # each sorted position's row of ``unique``
-    first = np.full(len(unique), len(keys))
-    np.minimum.at(first, run, order)  # where each key first appears
-    inverse = np.empty_like(order)
-    inverse[order] = run
-    return unique, segment_sum(grads, first[inverse], first)
-
-
 class AggregationBuffer:
     """Per-worker push queues + quorum-triggered robust folding.
 
@@ -255,10 +246,10 @@ class AggregationBuffer:
     ``q = max(1, num_workers - f)`` workers have a contribution
     pending, one contribution is popped from *every* pending worker and
     the round is folded with the aggregator, one block per multiplicity
-    class (module docstring). ``(worker_id, seq)`` replay dedup over the
-    last :data:`~repro.config.DEFAULT_DEDUP_WINDOW` pushes happens here
-    too (``seq=0`` opts out), so duplicated pushes are absorbed
-    identically on the local and RPC transports.
+    class (module docstring). A push whose ``(worker_id, seq)`` is in
+    the buffer's :class:`ReplayWindow` is dropped (``seq=0`` opts out),
+    so duplicated pushes are absorbed identically on the local and RPC
+    transports.
     """
 
     #: Sink of the per-round ``aggregator.fold`` span; the owning
@@ -283,8 +274,7 @@ class AggregationBuffer:
         self._queues: dict[int, deque[_Contribution]] = {}
         self._pending = 0  # contributions queued, over every worker
         self._pending_workers = 0  # workers whose queue is not empty
-        self._seen: deque[tuple[int, int]] = deque(maxlen=DEFAULT_DEDUP_WINDOW)
-        self._seen_set: set[tuple[int, int]] = set()
+        self._replays = ReplayWindow()
         self.stats = AggregatorStats()
 
     @property
@@ -302,27 +292,18 @@ class AggregationBuffer:
         """Buffer one push; returns every fold round it unlocked."""
         wid = 0 if worker_id is None or worker_id < 0 else int(worker_id)
         if seq:
-            dedup_key = (wid, int(seq))
-            if dedup_key in self._seen_set:
+            if (wid, seq) in self._replays:
                 self.stats.duplicates_dropped += 1
                 return []
-            if len(self._seen) == self._seen.maxlen and self._seen:
-                self._seen_set.discard(self._seen[0])
-            self._seen.append(dedup_key)
-            self._seen_set.add(dedup_key)
-        unique, summed = _segment_sum(
-            np.asarray(keys, dtype=np.uint64),
-            np.asarray(grads, dtype=np.float32),
-        )
+            self._replays.remember((wid, int(seq)))
+        keys, grads = summed_per_key(keys, np.asarray(grads, dtype=np.float32))
         queue = self._queues.get(wid)
         if queue is None:
             self._queues[wid] = queue = deque()
             self._queues = dict(sorted(self._queues.items()))
         if not queue:
             self._pending_workers += 1
-        queue.append(
-            _Contribution(keys=unique, grads=summed, batch_id=int(batch_id))
-        )
+        queue.append(_Contribution(keys.copy(), grads.copy(), int(batch_id)))
         self._pending += 1
         self.stats.pushes_buffered += 1
         self.stats.max_queue_depth = max(self.stats.max_queue_depth, len(queue))
@@ -360,10 +341,14 @@ class AggregationBuffer:
             # go through unchanged, so the single-worker path stays
             # bitwise-equal to no buffering.
             rows = np.concatenate([c.grads for c in popped])
-            order, keys, head = _sorted_runs(
-                np.concatenate([c.keys for c in popped]), kind="stable"
-            )
+            every = np.concatenate([c.keys for c in popped])
+            order = np.argsort(every, kind="stable")
+            ordered = every[order]
+            head = np.empty(len(order), dtype=bool)
+            head[:1] = True
+            np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
             starts = np.flatnonzero(head)
+            keys = ordered[starts]
             counts = np.diff(starts, append=len(order))
             grads = rows[order[starts]]  # one-contributor keys are done
             shared = counts > 1

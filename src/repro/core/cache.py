@@ -34,10 +34,13 @@ version. The store owns no map: every call into it passes
 ``columns.head[slots]`` and the writing ones hand the new heads back.
 ``pull`` is one vectorised index lookup, a tag-bit mask, and one
 ``take`` of the rows; ``update`` is column writes, one ``take`` and one
-``apply_batch`` on contiguous weight and state blocks. A push of
+``apply_batch`` on contiguous weight and state blocks. A push is one
+row per distinct key, keys ascending (one whose keys do not ascend is
+summed per key by :func:`~repro.core.sharding.summed_per_key` on
+entry); one of
 exactly the keys an ascending pull of its batch sent reuses the slots
-that pull resolved (:meth:`PipelinedCache.update`); any other push
-resolves its keys with one lookup and sums repeats. The positions that
+that pull resolved (:meth:`PipelinedCache.update`), any other resolves
+its keys with one lookup. The positions that
 are not resident (a key to create, a PMem row to read or
 read-modify-write) are resolved as blocks; an all-hit batch is the case
 where there are none.
@@ -117,8 +120,9 @@ from repro.core.checkpoint import CheckpointCoordinator
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.initializer import block_min
-from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32, segment_sum
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32
 from repro.core.queues import AccessQueue
+from repro.core.sharding import summed_per_key
 from repro.errors import KeyNotFoundError, OutOfSpaceError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.space import VersionedEntryStore
@@ -203,7 +207,6 @@ class PipelinedCache:
         initializer: Callable[[np.ndarray], np.ndarray],
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
-        auto_create: bool = True,
         tracer: Tracer | None = None,
     ):
         self.config = config
@@ -214,7 +217,6 @@ class PipelinedCache:
         self.optimizer = optimizer or PSSGD()
         self.metrics = metrics or Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.auto_create = auto_create
         self.index = HashIndex()
         self.access_queue = AccessQueue()
         self.state_width = self.optimizer.state_width(dim)
@@ -250,9 +252,6 @@ class PipelinedCache:
         entries are appended to the access queue for the maintainer
         (Algorithm 1 line 17). New keys are initialised in DRAM
         (lines 6-12).
-
-        Raises:
-            KeyNotFoundError: unseen key with ``auto_create`` disabled.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
@@ -287,8 +286,6 @@ class PipelinedCache:
         their positions of ``slots`` in. A repeat of a new key later in
         the same pull is then a hit. Returns the number created."""
         absent = np.flatnonzero(slots < 0)
-        if not self.auto_create:
-            raise KeyNotFoundError(int(keys[absent[0]]))
         new_keys = keys[absent]
         new_keys = new_keys[np.sort(np.unique(new_keys, return_index=True)[1])]
         arrays = len(new_keys) >= block_min(self.dim)
@@ -595,44 +592,36 @@ class PipelinedCache:
     def update(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
         """Apply pushed gradients for batch ``batch_id``.
 
+        A push is first made one row per distinct key, keys ascending
+        (:func:`~repro.core.sharding.summed_per_key`; one that already
+        is, as every facade push and fold is, costs the order check), so
+        each distinct entry takes one optimizer step and a push ahead of
+        its rows touches them in ascending key order.
         A push of exactly the keys an ascending pull of this batch sent
         applies to the slots that pull resolved, unless a key has left
-        the index since (the index's ``removals`` moved): its keys are
-        distinct, so there is nothing to probe or sum. Any other push is
-        resolved here. Duplicate keys within one push have their
-        gradients summed before a single optimizer application —
-        standard sparse-gradient aggregation. Returns the number of
-        distinct entries updated; ``metrics.updates`` counts the same
-        distinct entries (duplicate keys in one push are one update, not
-        several).
+        the index since (the index's ``removals`` moved); any other push
+        resolves its keys with one lookup. Returns the number of
+        distinct entries updated, which ``metrics.updates`` counts too.
 
         Gradients are coerced to float32 here, at the aggregation
         boundary, so a float64 gradient cannot change the arithmetic
         (and the trained bits) relative to the float32 path. Decoded
         wire gradients may be read-only views; this path never mutates
-        them (aggregation copies).
+        them.
 
         Raises:
             KeyNotFoundError: a key that was never pulled.
             ServerError: gradient shape mismatch.
         """
-        n = len(keys)
-        grads = coerce_f32(checked_grads(grads, n, self.dim))
-        if n == 0:
+        grads = coerce_f32(checked_grads(grads, len(keys), self.dim))
+        if len(keys) == 0:
             return 0
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys, grads = summed_per_key(keys, grads)
         slots = self._pulled_slots(keys)
         if slots is None:
-            every = self.index.lookup(keys)
-            if every.min() < 0:
-                raise KeyNotFoundError(int(keys[every < 0][0]))
-            # Distinct slots in first-occurrence order (the order a push
-            # ahead of its rows touches them in).
-            first = self._first_touch(every)
-            self._first[every] = _NEVER
-            first_idx = np.flatnonzero(first == np.arange(n))
-            slots = every[first_idx]
-            grads = segment_sum(grads, first, first_idx)
+            slots = self.index.lookup(keys)
+            if slots.min() < 0:
+                raise KeyNotFoundError(int(keys[slots < 0][0]))
         columns = self.index.columns
         # Not expected in the normal pull -> maintain -> update order (a
         # round whose keys fit the cache leaves every one it admitted

@@ -24,6 +24,7 @@ from repro.config import CacheConfig, ServerConfig
 from repro.core.aggregators import (
     AggregationBuffer,
     FoldedPush,
+    ReplayWindow,
     default_byzantine_tolerance,
     make_aggregator,
 )
@@ -95,7 +96,6 @@ class PSNode:
             initializer=self._make_initializer(),
             optimizer=self.optimizer,
             metrics=self.metrics,
-            auto_create=server_config.auto_create,
             tracer=self.tracer,
         )
         self.latest_completed_batch = -1
@@ -105,6 +105,9 @@ class PSNode:
         self.staleness = StalenessController(server_config.staleness_bound)
         #: Robust-aggregation buffer, or None for the direct-apply path.
         self.aggregation: AggregationBuffer | None = None
+        #: The direct path's ``(worker_id, seq)`` identities of the last
+        #: pushes it applied (the buffer keeps its own).
+        self.replays = ReplayWindow()
         if server_config.aggregator != "none":
             workers = server_config.aggregator_workers
             f = server_config.aggregator_f
@@ -162,7 +165,10 @@ class PSNode:
         the other workers' contributions (quorum-triggered) before any
         gradient reaches ``apply_batch``; without one it applies
         directly (the synchronous path, bit-identical to before the
-        defense layer existed).
+        defense layer existed). Either way a copy of a push the node
+        took (same ``(worker_id, seq)``, ``seq`` not 0) is dropped, so
+        it applies once on every transport; a refused push is not
+        remembered.
 
         Raises:
             ServerError: gradient shape mismatch.
@@ -173,15 +179,20 @@ class PSNode:
             inside a fold it would take the round's honest contributions
             down with it.
         """
-        if self.aggregation is not None:
-            grads = checked_grads(grads, len(keys), self.server_config.embedding_dim)
-            keys = np.asarray(keys, dtype=np.uint64)
-            unknown = self.cache.index.lookup(keys) < 0
-            if unknown.any():
-                raise KeyNotFoundError(int(keys[unknown][0]))
-        self.staleness.record_push(worker_id, batch_id)
         if self.aggregation is None:  # one round of one push, as it came
-            return self._apply_folds([FoldedPush(keys=keys, grads=grads, batch_id=batch_id)])
+            if seq and (worker_id, seq) in self.replays:
+                return 0
+            self.staleness.record_push(worker_id, batch_id)
+            updated = self._apply_folds([FoldedPush(keys=keys, grads=grads, batch_id=batch_id)])
+            if seq:
+                self.replays.remember((worker_id, int(seq)))
+            return updated
+        grads = checked_grads(grads, len(keys), self.server_config.embedding_dim)
+        keys = np.asarray(keys, dtype=np.uint64)
+        unknown = self.cache.index.lookup(keys) < 0
+        if unknown.any():
+            raise KeyNotFoundError(int(keys[unknown][0]))
+        self.staleness.record_push(worker_id, batch_id)
         return self._apply_folds(
             self.aggregation.add(worker_id, keys, grads, batch_id, seq=seq)
         )
@@ -345,8 +356,9 @@ class PSNode:
         committed ring word of its pool root, the keys ``other`` created
         that no push has stored yet (their rows are still the
         initializer's; async pushes trail their pulls), the progress
-        vectors admission reads and the aggregation buffer (queued
-        contributions, replay window, counters)."""
+        vectors admission reads, the direct path's replay window and the
+        aggregation buffer (queued contributions, replay window,
+        counters)."""
         fields = other.pool.root.fields()
         if RING_STATE_FIELD in fields:
             self.set_root_field(RING_STATE_FIELD, fields[RING_STATE_FIELD])
@@ -354,6 +366,7 @@ class PSNode:
         if len(missing):
             self.cache.pull(missing, batch_id)
         self.staleness = copy.deepcopy(other.staleness)
+        self.replays = copy.deepcopy(other.replays)
         if other.aggregation is not None:
             memo = {id(other.aggregation.tracer): self.tracer}
             self.aggregation = copy.deepcopy(other.aggregation, memo)

@@ -29,7 +29,7 @@ import numpy as np
 from repro.config import CacheConfig, ServerConfig
 from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
-from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32, segment_sum
+from repro.core.optimizers import PSOptimizer, PSSGD, checked_grads, coerce_f32
 from repro.core.recovery import RecoveryReport, recover_node
 from repro.core.replication import ReplicatedPSNode
 from repro.core.serving_backend import LookupResult, ReplicaSelector
@@ -344,10 +344,10 @@ class OpenEmbeddingServer:
 
         Each key's rows are summed here, in occurrence order (the
         float32 sequence every PS sums a push in), so a shard receives
-        one row per distinct key. ``worker_id`` / ``seq`` identify the
-        push for the per-shard aggregation buffer (robust folding +
-        duplicate absorption); both default to the anonymous
-        direct-apply path.
+        one row per distinct key (:meth:`KeyPlan.summed`).
+        ``worker_id`` / ``seq`` identify the push to each shard's replay
+        window (a copy applies once) and aggregation buffer; ``seq=0``
+        is anonymous.
 
         Raises:
             ServerError: the gradient block is not ``(len(keys),
@@ -358,7 +358,7 @@ class OpenEmbeddingServer:
         with self.tracer.span(
             "server.push", batch=batch_id, keys=len(plan)
         ) as span:
-            summed = segment_sum(grads, plan.first[plan.inverse], plan.first)
+            summed = plan.summed(grads)
             updated = 0
             for index, positions, node_keys in plan.shards:
                 updated += self._shard_push(

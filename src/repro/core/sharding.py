@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.optimizers import segment_sum
 from repro.errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
@@ -76,6 +77,28 @@ class KeyPlan:
         if isinstance(positions, slice):
             return block[positions]
         return np.take(block, positions, axis=0)
+
+    def summed(self, grads: np.ndarray) -> np.ndarray:
+        """One gradient row per key of ``unique``: a key's first
+        occurrence seeds its row and later ones add in occurrence order
+        — the float32 sequence every PS sums a push in, stated here
+        once."""
+        return segment_sum(grads, self.first[self.inverse], self.first)
+
+
+def summed_per_key(keys, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A push as one row per distinct key, keys ascending.
+
+    A push whose ``keys`` already ascend strictly — every facade push
+    and every fold — comes back unchanged (no sort, no copy); any other
+    comes back as its one-shard plan's ``unique`` keys and
+    :meth:`KeyPlan.summed` rows.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if (keys[1:] > keys[:-1]).all():
+        return keys, grads
+    plan = HashPartitioner(1).plan(keys)
+    return plan.unique, plan.summed(grads)
 
 
 class HashPartitioner:

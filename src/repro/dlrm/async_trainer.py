@@ -423,8 +423,9 @@ class AsynchronousTrainer:
             )
             if work.duplicate:
                 # Same (worker_id, seq) identity on purpose: the dedup
-                # windows (RPC reply cache, aggregation buffer) must
-                # absorb the copy so the gradient lands exactly once.
+                # windows (RPC reply cache, aggregation buffer, a
+                # bufferless node's own) must absorb the copy so the
+                # gradient lands exactly once.
                 self.stats.duplicate_pushes += 1
                 self._count("repro_async_duplicate_pushes_total")
                 self.backend.push(

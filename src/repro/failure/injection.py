@@ -226,8 +226,9 @@ class WorkerFaultProfile:
         delay_steps: extra delay per delayed push.
         duplicate_prob: per-push probability the push is sent twice
             with the *same* ``(worker_id, seq)`` identity — the dedup
-            windows (RPC service reply cache, aggregation buffer) must
-            absorb the copy on every transport.
+            windows (RPC service reply cache, aggregation buffer, a
+            bufferless node's own) must absorb the copy on every
+            transport.
         byzantine: gradient corruption mode — ``"none"``,
             ``"sign_flip"`` (push ``-scale * g``), ``"scaled_noise"``
             (push ``scale * g`` + seeded Gaussian noise) or

@@ -21,9 +21,8 @@ answer; background re-replication is ticked by the failover manager.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.config import DEFAULT_DEDUP_WINDOW
+from repro.core.aggregators import ReplayWindow
 from repro.core.ps_node import PSNode
 from repro.core.replication import ReplicatedPSNode
 from repro.errors import ServerError
@@ -47,21 +46,6 @@ from repro.network.rpc import RpcServer, Unresponsive
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
-class _ReplayWindow(OrderedDict):
-    """The last ``bound`` replies of one message kind, by request identity."""
-
-    def __init__(self, bound: int):
-        super().__init__()
-        self.bound = bound
-
-    def remember(self, key, reply):
-        """Record ``reply`` for replay, forgetting the oldest beyond the bound."""
-        self[key] = reply
-        while len(self) > self.bound:
-            self.popitem(last=False)
-        return reply
-
-
 class PSNodeService:
     """One PS node's RPC surface.
 
@@ -80,10 +64,10 @@ class PSNodeService:
         self.node = node
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.dup_suppressed = 0
-        self._push_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (worker_id, seq)
-        self._maintain_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
-        self._checkpoint_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
-        self._migrate_replies = _ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (source, seq)
+        self._push_replies = ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (worker_id, seq)
+        self._maintain_replies = ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
+        self._checkpoint_replies = ReplayWindow(DEFAULT_DEDUP_WINDOW)  # batch id
+        self._migrate_replies = ReplayWindow(DEFAULT_DEDUP_WINDOW)  # (source, seq)
         self.server = RpcServer()
         self.server.register(PullRequest.TYPE, self._handle_pull)
         self.server.register(PushRequest.TYPE, self._handle_push)
@@ -109,7 +93,7 @@ class PSNodeService:
             attrs["parent_span_id"] = context.parent_span_id
         return self.tracer.span(name, track=track, **attrs)
 
-    def _replayed(self, window: _ReplayWindow, key, span):
+    def _replayed(self, window: ReplayWindow, key, span):
         """The remembered reply of a request that already executed,
         counted as one suppressed duplicate; ``None`` when the request
         is new (or carries no identity, ``key is None``)."""

@@ -491,9 +491,9 @@ class TrainingSimulator:
         keys = self._batch_keys(batch_id)
         pipeline = self.pipeline
         lookahead = {}
-        # One zero gradient per distinct key, in first-occurrence order:
-        # the order (and the entries) a push of every key would update.
-        pushed = keys[np.sort(np.unique(keys, return_index=True)[1])]
+        # One zero gradient per distinct key, keys ascending: the entries
+        # (and the order) a push of every key would update.
+        pushed = np.unique(keys)
         grads = np.zeros((len(pushed), self.server.embedding_dim), dtype=np.float32)
         if pipeline is None:
             pull = self.backend.pull(keys, batch_id)

@@ -101,7 +101,6 @@ class ReferenceCache:
         initializer: Callable[[np.ndarray], np.ndarray],
         optimizer: PSOptimizer | None = None,
         metrics: Metrics | None = None,
-        auto_create: bool = True,
         tracer: Tracer | None = None,
         per_access: bool = False,
     ):
@@ -113,7 +112,6 @@ class ReferenceCache:
         self.optimizer = optimizer or PSSGD()
         self.metrics = metrics or Metrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.auto_create = auto_create
         self.index = HashIndex()
         self.lru = LRUList()
         self.access_queue = EntryAccessQueue()
@@ -137,9 +135,6 @@ class ReferenceCache:
         entries are appended to the access queue for the maintainer
         (Algorithm 1 line 17). New keys are initialised in DRAM
         (lines 6-12).
-
-        Raises:
-            KeyNotFoundError: unseen key with ``auto_create`` disabled.
         """
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
@@ -149,8 +144,6 @@ class ReferenceCache:
         for i, key in enumerate(keys):
             entry = self.index.find(key)
             if entry is None:
-                if not self.auto_create:
-                    raise KeyNotFoundError(key)
                 entry = self._create_entry(key, batch_id)
                 created += 1
             elif entry.in_dram:
@@ -294,7 +287,9 @@ class ReferenceCache:
 
         Duplicate keys within one push have their gradients summed
         before a single optimizer application — standard sparse-gradient
-        aggregation. Returns the number of distinct entries updated;
+        aggregation — and the keys are applied in ascending order, the
+        order the production cache touches them in. Returns the number
+        of distinct entries updated;
         ``metrics.updates`` counts the same distinct entries (duplicate
         keys in one push are one update, not several).
 
@@ -316,7 +311,7 @@ class ReferenceCache:
         if isinstance(keys, np.ndarray):
             keys = keys.tolist()
         aggregated = self._aggregate(keys, grads)
-        for key, grad in aggregated.items():
+        for key, grad in sorted(aggregated.items()):
             entry = self.index.find(key)
             if entry is None:
                 raise KeyNotFoundError(key)
@@ -694,7 +689,6 @@ def install_reference_cache(node, per_access: bool = False):
         initializer=cache.initializer,
         optimizer=cache.optimizer,
         metrics=cache.metrics,
-        auto_create=cache.auto_create,
         tracer=cache.tracer,
         per_access=per_access,
     )

@@ -2,6 +2,8 @@
 
 import inspect
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServerConfig
-from repro.core import aggregators
+from repro.core import aggregators, sharding
 from repro.core.aggregators import (
     AGGREGATOR_NAMES,
     AggregationBuffer,
@@ -17,11 +19,11 @@ from repro.core.aggregators import (
     Mean,
     Median,
     TrimmedMean,
-    _segment_sum,
     default_byzantine_tolerance,
     make_aggregator,
 )
 from repro.core.ps_node import PSNode
+from repro.core.sharding import summed_per_key
 from repro.errors import ConfigError
 from repro.obs.tracer import Tracer
 from tests.harness.reference_fold import (
@@ -90,10 +92,13 @@ class TestFoldMath:
 
 
 class TestSegmentSum:
+    """:func:`~repro.core.sharding.summed_per_key`, the one sum of a
+    push every PS applies (through :meth:`KeyPlan.summed`)."""
+
     def test_occurrence_order_and_duplicate_accumulation(self):
         keys = np.array([7, 3, 7, 9, 3], dtype=np.uint64)
         grads = np.arange(5 * DIM, dtype=np.float32).reshape(5, DIM)
-        unique, summed = _segment_sum(keys, grads)
+        unique, summed = summed_per_key(keys, grads)
         assert unique.tolist() == [3, 7, 9]  # ascending
         assert np.array_equal(summed[0], grads[1] + grads[4])
         assert np.array_equal(summed[1], grads[0] + grads[2])
@@ -108,20 +113,20 @@ class TestSegmentSum:
         keys[[0, 500, 999]] = 5
         grads = np.zeros((1000, DIM), dtype=np.float32)
         grads[[0, 500, 999]] = [[1e8] * DIM, [-1e8] * DIM, [1.0] * DIM]
-        unique, summed = _segment_sum(keys, grads)
+        unique, summed = summed_per_key(keys, grads)
         assert unique[0] == 5 and len(unique) == 998
         assert np.array_equal(summed[0], np.ones(DIM, dtype=np.float32))
-        rev_keys, rev_grads = _segment_sum(keys[::-1].copy(), grads[::-1].copy())
+        rev_keys, rev_grads = summed_per_key(keys[::-1].copy(), grads[::-1].copy())
         assert np.array_equal(rev_keys, unique)
         assert np.array_equal(rev_grads[0], np.zeros(DIM, dtype=np.float32))
 
     def test_matches_cache_fast_path_accumulation_order(self):
         """Seed-from-first then add-in-position-order, the exact float32
-        sequence cache._update_fast uses (bitwise transparency)."""
+        sequence of a per-key loop (bitwise transparency)."""
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 8, size=64).astype(np.uint64)
         grads = rng.normal(0, 1, (64, DIM)).astype(np.float32)
-        unique, summed = _segment_sum(keys, grads)
+        unique, summed = summed_per_key(keys, grads)
         for row, key in enumerate(unique.tolist()):
             positions = np.flatnonzero(keys == key)
             acc = np.array(grads[positions[0]], copy=True)
@@ -164,7 +169,7 @@ class TestAggregationBuffer:
             [[0.1] * DIM, [7e-8] * DIM, [-0.3] * DIM], dtype=np.float32
         )
         (fold,) = buf.add(0, keys, grads, 4)
-        ref_keys, ref_grads = _segment_sum(keys, grads)
+        ref_keys, ref_grads = summed_per_key(keys, grads)
         assert np.array_equal(fold.keys, ref_keys)
         assert np.array_equal(fold.grads, ref_grads)
         assert fold.batch_id == 4
@@ -272,32 +277,64 @@ class _SortCountingNumpy:
 
 
 class TestSortBudget:
-    """The buffer's layout is one sorted order: a push is summed with at
-    most one sort, a round is laid out with one (a merge of ascending
-    runs) plus the ``np.unique`` over its multiplicity classes, and no
+    """The layout is one sorted order: a push is summed with at most one
+    sort — its plan's, none when its keys already ascend, as a facade
+    push's do — a round is laid out with one (a merge of ascending runs)
+    plus the ``np.unique`` over its multiplicity classes, and no
     first-occurrence relayout (``np.unique``'s index / inverse outputs)
     comes back beside it."""
 
-    def test_one_sort_per_push_and_one_merge_per_round(self, monkeypatch):
+    @pytest.fixture
+    def counting(self, monkeypatch):
         counting = _SortCountingNumpy()
-        monkeypatch.setattr(aggregators, "np", counting)
+        for module in (aggregators, sharding):  # the buffer and the plan it sums with
+            monkeypatch.setattr(module, "np", counting)
+        return counting
+
+    @staticmethod
+    def add(counting, buf, wid, keys):
+        grads = np.random.default_rng(wid).normal(size=(len(keys), DIM)).astype(np.float32)
+        before = dict(counting.calls)
+        folds = buf.add(wid, keys, grads, 0)
+        return folds, {name: counting.calls[name] - before[name] for name in counting.SORTS}
+
+    def test_one_sort_per_push_and_one_merge_per_round(self, counting):
         buf = AggregationBuffer(Mean(), num_workers=3, f=0)
         rng = np.random.default_rng(5)
         for wid in range(3):
             keys = rng.integers(0, 40, size=64).astype(np.uint64)  # repeats
-            grads = rng.normal(size=(64, DIM)).astype(np.float32)
-            before = dict(counting.calls)
-            folds = buf.add(wid, keys, grads, 0)
-            made = {name: counting.calls[name] - before[name] for name in counting.SORTS}
+            folds, made = self.add(counting, buf, wid, keys)
             if wid < 2:
                 assert not folds and made == {"argsort": 1, "sort": 0, "unique": 0}
             else:  # the push's sum, then the round's merge and its classes
                 assert len(folds) == 1 and folds[0].contributors == 3
                 assert made == {"argsort": 2, "sort": 0, "unique": 1}
 
+    def test_an_ascending_push_sorts_nothing(self, counting):
+        buf = AggregationBuffer(Mean(), num_workers=2, f=0)
+        folds, made = self.add(counting, buf, 0, np.arange(0, 128, 2, dtype=np.uint64))
+        assert not folds and made == {"argsort": 0, "sort": 0, "unique": 0}
+        folds, made = self.add(counting, buf, 1, np.arange(0, 128, 3, dtype=np.uint64))
+        assert len(folds) == 1  # only the round's merge and its classes
+        assert made == {"argsort": 1, "sort": 0, "unique": 1}
+
     def test_no_first_occurrence_layout_in_the_module(self):
         source = inspect.getsource(aggregators)
         assert "return_index" not in source and "return_inverse" not in source
+
+    def test_a_push_is_summed_in_one_place(self):
+        """``segment_sum`` has one caller in ``src/``, ``KeyPlan.summed``:
+        a second copy of the per-key sum does not come back."""
+        src = Path(sharding.__file__).resolve().parents[1]
+        callers = [
+            (path.relative_to(src).as_posix(), line.strip())
+            for path in sorted(src.rglob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"(?<!def )\bsegment_sum\(", line)
+        ]
+        assert callers == [
+            ("core/sharding.py", "return segment_sum(grads, self.first[self.inverse], self.first)")
+        ]
 
 
 # Quantised on purpose: a handful of values makes exact ties common, so

@@ -20,6 +20,7 @@ from repro.config import (
     ServerConfig,
 )
 from repro.core.optimizers import PSSGD
+from repro.core.ps_node import PSNode
 from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.async_trainer import AsynchronousTrainer
 from repro.dlrm.criteo import CriteoSynthetic
@@ -27,6 +28,7 @@ from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
 from repro.errors import KeyNotFoundError, ServerError
+from repro.failure.injection import WorkerFaultProfile
 from repro.network.frontend import RemotePSClient
 
 FIELDS, DIM = 5, 8
@@ -449,3 +451,59 @@ class TestReshardFoldsBeforeItsBarrier:
         assert sorted(moved) == sorted(stayed)
         for key, weights in stayed.items():
             np.testing.assert_array_equal(moved[key], weights)
+
+
+class TestDuplicatedPushAppliesOnce:
+    """A worker that sends every push twice under one ``(worker_id,
+    seq)`` trains the weights of one that sends it once, on every
+    transport: the RPC reply cache, the aggregation buffer's replay
+    window and, in process without a buffer, the node's own window each
+    absorb the copy."""
+
+    @staticmethod
+    def run(transport: str, aggregator: str, duplicate_prob: float):
+        server_config = ServerConfig(
+            num_nodes=2, embedding_dim=4, pmem_capacity_bytes=1 << 24, seed=1,
+            staleness_bound=8, aggregator=aggregator,
+            aggregator_workers=2 if aggregator != "none" else 0,
+        )
+        backend_type = OpenEmbeddingServer if transport == "local" else RemotePSClient
+        backend = backend_type(server_config, CacheConfig(), PSSGD(lr=0.1))
+        trainer = AsynchronousTrainer(
+            backend,
+            DeepFM(3, 4, hidden=(8,), use_first_order=False, seed=1),
+            CriteoSynthetic(num_fields=3, vocab_per_field=20, seed=2),
+            num_workers=2, batch_size=8, staleness=1,
+            worker_faults={0: WorkerFaultProfile(duplicate_prob=duplicate_prob, seed=3)},
+        )
+        trainer.run_steps(6)
+        return trainer, backend
+
+    @pytest.mark.parametrize(
+        "transport, aggregator", [("local", "none"), ("rpc", "none"), ("local", "mean")]
+    )
+    def test_the_copy_lands_once(self, transport, aggregator):
+        twice, backend = self.run(transport, aggregator, 1.0)
+        __, reference = self.run(transport, aggregator, 0.0)
+        assert twice.stats.duplicate_pushes == 3
+        got, want = backend.state_snapshot(), reference.state_snapshot()
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+        for node, twin in zip(backend.nodes, reference.nodes):
+            assert node.metrics.updates == twin.metrics.updates
+
+    def test_the_node_window_without_a_buffer(self):
+        """``seq=0`` opts out, and a refused push is not remembered: its
+        retry, once the key exists, applies."""
+        node = PSNode(0, ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22))
+        node.pull([1], 0)
+        node.maintain(0)
+        ones = np.ones((1, DIM), dtype=np.float32)
+        for seq, updated in ((5, 1), (5, 0), (0, 1), (0, 1)):
+            assert node.push([1], ones, 0, worker_id=0, seq=seq) == updated
+        with pytest.raises(KeyNotFoundError):
+            node.push([2], ones, 0, worker_id=0, seq=6)
+        node.pull([2], 1)
+        node.maintain(1)
+        assert node.push([2], ones, 1, worker_id=0, seq=6) == 1
+        assert node.metrics.updates == 4

@@ -49,12 +49,6 @@ class TestPull:
         assert result.misses == 1
         assert np.array_equal(result.weights[0], np.full(DIM, 1.0))
 
-    def test_auto_create_disabled(self, store, coordinator):
-        cache = make_cache(store, coordinator)
-        cache.auto_create = False
-        with pytest.raises(KeyNotFoundError):
-            cache.pull([1], 0)
-
     def test_duplicate_keys_in_one_pull(self, cache):
         result = cache.pull([1, 1, 1], 0)
         assert result.created == 1

@@ -916,7 +916,7 @@ class TestUpdateAdvanceHazards:
     No maintenance round ran at the push's batch id, so ``update`` itself
     applies flush-before-advance, stamps the version and reorders — the
     production cache for the whole push at once, the oracle one key at a
-    time. Each push here repeats keys (reorder follows first occurrence),
+    time. Each push here repeats keys (reorder follows ascending keys),
     mixes rows a pending checkpoint still needs with rows it does not,
     and carries a PMem-resident key the admission filter kept out of
     DRAM; list order, per-entry metadata, every durable version and the
@@ -984,8 +984,8 @@ class TestUpdateAdvanceHazards:
             assert node.metrics.cache.flushes - flushes == (3 if checkpoint else 0)
         self.same(nodes)
         fast = nodes[0]
-        if policy == EvictionPolicy.LRU:  # first-occurrence order, MRU first
-            assert fast.cache.cached_keys() == [1, 5, 2, 0, 4, 3]
+        if policy == EvictionPolicy.LRU:  # ascending key order, MRU first
+            assert fast.cache.cached_keys() == [5, 4, 2, 1, 0, 3]
         assert fast.cache.index.find(9).version == 0  # cold: its version stays behind
         assert all(fast.cache.index.find(key).dirty for key in (0, 1, 2, 4, 5))
 

@@ -350,17 +350,11 @@ class TestWireErrorDiscipline:
         )
 
     def test_key_not_found_travels_typed(self):
-        server_config, cache_config = _configs()
-        server_config = ServerConfig(
-            num_nodes=server_config.num_nodes,
-            embedding_dim=DIM,
-            pmem_capacity_bytes=1 << 22,
-            seed=4,
-            auto_create=False,
-        )
-        remote = RemotePSClient(server_config, cache_config)
+        """A push of a key no pull created is refused with the typed
+        error, across the wire."""
+        remote = RemotePSClient(*_configs())
         with pytest.raises(KeyNotFoundError):
-            remote.pull([123], 0)
+            remote.push([123], np.ones((1, DIM), dtype=np.float32), 0)
 
 
 class TestPushIdempotency:
