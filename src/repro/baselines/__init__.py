@@ -2,13 +2,13 @@
 
 * :class:`DRAMPSNode` — 'DRAM-PS': the classic pure-DRAM parameter
   server (the paper's performance upper bound), checkpointed with the
-  incremental scheme.
+  CheckFreq-style incremental scheme (each dump's footprint a
+  :class:`CheckpointStats`) into a versioned store on its checkpoint
+  pool.
 * :class:`PMemHashNode` — 'PMem-Hash': entries stored directly in a
   PMem hash (libpmemobj-style), no DRAM cache, no batch consistency.
 * :class:`TensorFlowPS` — the TensorFlow parameter-server baseline of
   Section VI-F (single-process, DRAM-only).
-* :class:`IncrementalCheckpointer` — the CheckFreq-style incremental
-  checkpoint used by DRAM-PS.
 
 'Ori-Cache' (inline, non-pipelined LRU maintenance) is not a module
 here: figures 3 / 6 / 7 / 11 model it as
@@ -17,8 +17,7 @@ here: figures 3 / 6 / 7 / 11 model it as
 unpipelined.
 """
 
-from repro.baselines.dram_ps import DRAMPSNode
-from repro.baselines.incremental import CheckpointStats, IncrementalCheckpointer
+from repro.baselines.dram_ps import CheckpointStats, DRAMPSNode
 from repro.baselines.pmem_hash import PMemHashNode
 from repro.baselines.tensorflow_ps import TensorFlowPS
 
@@ -26,6 +25,5 @@ __all__ = [
     "DRAMPSNode",
     "PMemHashNode",
     "TensorFlowPS",
-    "IncrementalCheckpointer",
     "CheckpointStats",
 ]

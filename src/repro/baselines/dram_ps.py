@@ -6,6 +6,19 @@ the paper's performance upper bound (no PMem on any path) and its cost
 lower bound's counterpoint (DRAM capacity is expensive — Table V needs
 two large-DRAM servers where one PMem server suffices).
 
+The incremental checkpoint is Table IV's CheckFreq baseline (Mohan et
+al., FAST'21): on every trigger, training pauses while the entries
+changed since the last checkpoint are dumped to the checkpoint device
+(the pause, and its I/O contention when that device is the training
+PMem, are what Figure 12 quantifies). The dump is stored the one way
+every durable row is: as versions in a
+:class:`~repro.pmem.space.VersionedEntryStore` on the checkpoint pool,
+each key's newest version addressed by the ``head`` column of the
+node's one hash index. The previous checkpoint's versions stay retained
+until the new one commits by one atomic root write of the
+*Checkpointed Batch ID* (Algorithm 2 line 25), so a crash mid-dump
+recovers the previous checkpoint in full.
+
 The node shares the deterministic key-seeded initializer and PS-side
 optimizer with :class:`repro.core.ps_node.PSNode`, so weight-for-weight
 comparisons in tests are exact.
@@ -13,21 +26,34 @@ comparisons in tests are exact.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.baselines.block import BlockPSNode
-from repro.baselines.incremental import CheckpointStats, IncrementalCheckpointer
 from repro.config import ServerConfig
 from repro.core.arena import EmbeddingArena
 from repro.core.entry import Location
 from repro.core.hash_index import HashIndex
 from repro.core.optimizers import PSOptimizer
 from repro.core.serving_backend import LookupResult
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, RecoveryError
 from repro.pmem.pool import PmemPool
+from repro.pmem.space import NO_VERSION, VersionedEntryStore
 from repro.simulation.device import MemoryDevice, PMEM_SPEC
+
+_CKPT_EPOCH_FIELD = "incremental_ckpt_epoch"
+
+
+@dataclass(frozen=True)
+class CheckpointStats:
+    """One incremental checkpoint's footprint."""
+
+    batch_id: int
+    entries_written: int
+    bytes_written: int
+    sim_seconds: float
 
 
 class DRAMPSNode(BlockPSNode):
@@ -65,34 +91,40 @@ class DRAMPSNode(BlockPSNode):
                 self.server_config.pmem_capacity_bytes,
                 MemoryDevice(PMEM_SPEC),
             )
-        self.checkpointer = IncrementalCheckpointer(
-            checkpoint_pool, self.entry_bytes, self._read_state
-        )
+        self.store = VersionedEntryStore(checkpoint_pool, self.entry_bytes)
+        self.store.set_retention_barriers((self.latest_serving_snapshot,))
+        # The key arrays marked since the last checkpoint, as marked.
+        self._marked: list[np.ndarray] = []
 
     @property
     def latest_serving_snapshot(self) -> int:
         """Batch id of the newest durable incremental checkpoint."""
-        return self.checkpointer.last_checkpoint_batch
+        return self.store.checkpointed_batch_id()
 
     @property
     def checkpoints_completed(self) -> int:
-        """Monotone count of committed checkpoints (staleness clock)."""
-        return self.checkpointer.checkpoint_epoch
+        """Monotone count of committed checkpoints (staleness clock;
+        durable — the epoch root field advances with each commit)."""
+        return self.store.pool.root.get(_CKPT_EPOCH_FIELD, 0)
+
+    @property
+    def dirty_count(self) -> int:
+        """Distinct keys marked since the last checkpoint."""
+        return len(self._dirty())
 
     def lookup(self, keys: Sequence[int], snapshot_id: int | None = None) -> LookupResult:
         """Snapshot-pinned read from the durable checkpoint.
 
-        The incremental checkpointer retains only the *newest* committed
-        checkpoint (each dump overwrites the per-key ``("ckpt", key)``
-        entry), so the only servable pin is
-        :attr:`latest_serving_snapshot`; older pins raise. Keys never
-        checkpointed serve the deterministic key-seeded initializer.
+        A committed checkpoint recycles the versions of the one before
+        it, so the only servable pin is :attr:`latest_serving_snapshot`;
+        older pins raise. Keys never checkpointed serve the
+        deterministic key-seeded initializer.
 
         Raises:
             CheckpointError: no committed checkpoint, or ``snapshot_id``
                 names any checkpoint other than the retained one.
         """
-        latest = self.checkpointer.last_checkpoint_batch
+        latest = self.latest_serving_snapshot
         if snapshot_id is None:
             snapshot_id = latest
         if snapshot_id < 0 or snapshot_id != latest:
@@ -107,12 +139,36 @@ class DRAMPSNode(BlockPSNode):
     # ------------------------------------------------------------------
 
     def checkpoint(self, batch_id: int | None = None) -> CheckpointStats:
-        """Synchronous incremental checkpoint (training is paused)."""
+        """Synchronous incremental checkpoint (training is paused).
+
+        The marked keys' rows are put as version ``batch_id`` while the
+        previous checkpoint's versions stay retained; the root write of
+        the *Checkpointed Batch ID* commits them, and only then are the
+        superseded versions recycled.
+        """
         if batch_id is None:
             batch_id = self.latest_completed_batch
-        stats = self.checkpointer.checkpoint(batch_id)
+        keys = self._dirty()
+        slots = self.index.lookup(keys)
+        columns, store = self.index.columns, self.store
+        device = store.pool.device
+        busy = device.busy_seconds
+        columns.head[slots] = store.put(
+            keys, columns.head[slots], batch_id, self.arena.data[columns.row[slots]]
+        )
+        elapsed = device.busy_seconds - busy
+        store.set_checkpointed_batch_id(batch_id)
+        store.pool.root.set(_CKPT_EPOCH_FIELD, self.checkpoints_completed + 1)
+        store.set_retention_barriers((batch_id,))
+        store.recycle()
+        self._marked.clear()
         self.metrics.checkpoints_completed += 1
-        return stats
+        return CheckpointStats(
+            batch_id=batch_id,
+            entries_written=len(keys),
+            bytes_written=len(keys) * self.entry_bytes,
+            sim_seconds=elapsed,
+        )
 
     def request_checkpoint(self, batch_id: int | None = None) -> int:
         """TrainBackend checkpoint entry point.
@@ -144,7 +200,7 @@ class DRAMPSNode(BlockPSNode):
         """
         self.index = HashIndex()
         self.arena = EmbeddingArena(self.dim, self.state_width)
-        pool = self.checkpointer.pool
+        pool = self.store.pool
         pool.crash()
         return pool
 
@@ -155,20 +211,29 @@ class DRAMPSNode(BlockPSNode):
         server_config: ServerConfig,
         optimizer: PSOptimizer | None = None,
     ) -> tuple["DRAMPSNode", int]:
-        """Rebuild a node by replaying the checkpoint file into DRAM.
+        """Rebuild a node by replaying the checkpoint into DRAM: the
+        three store calls of :func:`repro.core.recovery.recover_node`
+        (discard what the commit did not cover, rebuild the chains,
+        read every key's newest surviving version).
 
         Returns ``(node, checkpoint_batch_id)``.
 
         Raises:
             RecoveryError: no checkpoint was committed before the crash.
         """
-        batch_id, state = IncrementalCheckpointer.restore_from_pool(checkpoint_pool)
         node = cls(server_config, optimizer, checkpoint_pool=checkpoint_pool)
-        keys = np.fromiter(state, dtype=np.uint64, count=len(state))
+        store = node.store
+        batch_id = store.checkpointed_batch_id()
+        if batch_id < 0:
+            raise RecoveryError("no incremental checkpoint committed")
+        store.discard_newer_than(batch_id)
+        keys, heads, __ = store.rebuild_from_pool()
+        __, state = store.read_latest(heads)
         rows = node.arena.alloc_many(len(keys))
-        node.arena.data[rows] = np.reshape(list(state.values()), (len(keys), node.arena.row_width))
+        node.arena.data[rows] = state
         slots = node.index.insert_many(keys, cls.LOCATION)
         node.index.columns.row[slots] = rows
+        node.index.columns.head[slots] = heads
         node.latest_completed_batch = batch_id
         return node, batch_id
 
@@ -191,7 +256,7 @@ class DRAMPSNode(BlockPSNode):
             )
         rows = self.arena.alloc_many(len(keys))
         self.arena.data[rows] = block
-        self.checkpointer.mark_dirty(keys)
+        self._marked.append(keys)
         return rows
 
     def _read(self, rows: np.ndarray) -> np.ndarray:
@@ -199,12 +264,17 @@ class DRAMPSNode(BlockPSNode):
 
     def _write(self, keys: np.ndarray, rows: np.ndarray, block: np.ndarray, batch_id: int) -> None:
         self.arena.data[rows] = block
-        self.checkpointer.mark_dirty(keys)
+        self._marked.append(keys)
 
     def _durable(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.checkpointer.read_entries(keys)
+        """The rows of ``keys`` as of the committed checkpoint: a dump
+        the root write has not yet committed is not served."""
+        slots = self.index.lookup(keys)
+        heads = np.where(slots >= 0, self.index.columns.head[slots], -1)
+        versions, rows = self.store.read_at_most(heads, self.latest_serving_snapshot)
+        found = versions != NO_VERSION
+        return found, rows[found]
 
-    def _read_state(self, keys: Iterable[int]) -> dict[int, np.ndarray]:
-        keys = np.asarray(keys, dtype=np.uint64)
-        rows = self.arena.data[self.index.columns.row[self.index.lookup(keys)]]
-        return dict(zip(keys.tolist(), rows))
+    def _dirty(self) -> np.ndarray:
+        """The distinct keys marked since the last checkpoint, ascending."""
+        return np.unique(np.concatenate([np.empty(0, np.uint64), *self._marked]))

@@ -24,10 +24,6 @@ class OutOfSpaceError(PMemError):
     """The persistent pool has no room for a requested allocation."""
 
 
-class PoolClosedError(PMemError):
-    """An operation was attempted on a closed or crashed pool."""
-
-
 class ServerError(ReproError):
     """Base class for parameter-server errors."""
 

@@ -1,35 +1,27 @@
-"""A simulated persistent object pool (the PMDK ``pmemobj`` analogue).
+"""A simulated persistent pool (the PMDK ``pmemobj`` analogue).
 
-The pool is a key -> bytes-like object store with the durability
-semantics that matter for checkpoint correctness:
+The pool holds the two things that must survive a crash:
 
-* a **flushed** write is durable: it survives :meth:`PmemPool.crash`;
-* an **unflushed** write (``flush=False``) sits in the simulated CPU
-  cache until :meth:`PmemPool.drain` and is discarded by a crash;
-* the **root** region holds named 8-byte fields (e.g. the *Checkpointed
+* the **root** region: named 8-byte fields (e.g. the *Checkpointed
   Batch ID*) updated with single-word atomicity — a crash never tears
-  them, it only decides whether the update landed.
+  them, it only decides whether the update landed;
+* the :class:`EntrySlab`: embedding rows as one contiguous float32
+  matrix of fixed-size slots with a free list and a ``(key, batch_id,
+  live)`` header per slot, written, read and freed a block of slots at
+  a time. A slab write is always flushed (the ``live`` bit is its
+  commit point), so a crash keeps every live slot.
 
-Values are numpy arrays, copied on write so the durable snapshot is
-decoupled from the caller's live DRAM buffer; an object occupies its
-``nbytes``.
-
-Embedding rows do not go through the object dict. They live in the
-pool's :class:`EntrySlab`: one contiguous float32 matrix of fixed-size
-slots with a free list and a ``(key, batch_id, live)`` header per slot,
-written, read and freed a block of slots at a time. A slab write is
-always flushed (the ``live`` bit is its commit point), so a crash keeps
-every live slot; the pool owns the slab so that space accounting,
-:class:`OutOfSpaceError` and device charging stay in one place.
+Nothing else is stored: every durable row, whatever system wrote it, is
+a slab slot, and a checkpoint commits by one root write. The pool owns
+the slab so that space accounting, :class:`OutOfSpaceError` and device
+charging stay in one place.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-from repro.errors import OutOfSpaceError, PMemError, PoolClosedError
+from repro.errors import OutOfSpaceError, PMemError
 from repro.simulation.device import MemoryDevice, PMEM_SPEC
 
 
@@ -79,8 +71,7 @@ class EntrySlab:
         data: the ``(capacity, width)`` float32 payload matrix.
 
     Every slot costs ``slot_bytes`` of pool space and one device
-    operation of ``slot_bytes`` per write or read, exactly what one
-    pool object of that size costs.
+    operation of ``slot_bytes`` per write or read.
     """
 
     def __init__(self, pool: "PmemPool", slot_bytes: int):
@@ -116,13 +107,12 @@ class EntrySlab:
         All or nothing: raises before anything changes.
 
         Raises:
-            PoolClosedError: the pool was closed.
             OutOfSpaceError: the pool cannot hold ``len(keys)`` more slots.
             PMemError: ``rows`` is not ``(len(keys), width)``.
         """
         n = len(keys)
         self._check_rows(n, rows)
-        self.pool._reserve(n * self.slot_bytes)
+        self.pool.require_free(n * self.slot_bytes)
         if n > self._nfree:
             self._grow(n - self._nfree)
         self._nfree -= n
@@ -136,20 +126,17 @@ class EntrySlab:
     def rewrite(self, slots: np.ndarray, batches: np.ndarray, rows: np.ndarray) -> None:
         """Overwrite live ``slots`` in place: new batch ids, new payload."""
         self._check_rows(len(slots), rows)
-        self.pool._check_open()
         self.batch[slots] = batches
         self._store(slots, rows)
 
     def read(self, slots: np.ndarray) -> np.ndarray:
         """Copy of the payload of ``slots``."""
-        self.pool._check_open()
         self.pool.device.read(self.slot_bytes, ops=len(slots))
         return np.take(self.data, slots, axis=0)
 
     def free(self, slots: np.ndarray) -> None:
         """Clear the ``live`` bit of ``slots`` and reclaim their space."""
         n = len(slots)
-        self.pool._reserve(0, replacing=n * self.slot_bytes)
         self.live[slots] = False
         self._free[self._nfree : self._nfree + n] = slots
         self._nfree += n
@@ -189,7 +176,7 @@ class EntrySlab:
 
 
 class PmemPool:
-    """Persistent object pool backed by a (simulated) PMem device.
+    """Persistent pool backed by a (simulated) PMem device.
 
     Args:
         capacity_bytes: pool size; allocations beyond it raise
@@ -197,8 +184,8 @@ class PmemPool:
         device: device charged for traffic; defaults to a fresh PMem
             device with Table I characteristics.
 
-    The pool tracks used bytes exactly: an object's footprint is its
-    array's ``nbytes``, a live slab slot's is the slab's slot size.
+    A live slab slot occupies the slab's slot size; that is all the
+    space the pool accounts.
     """
 
     def __init__(self, capacity_bytes: int, device: MemoryDevice | None = None):
@@ -207,11 +194,7 @@ class PmemPool:
         self.capacity_bytes = capacity_bytes
         self.device = device or MemoryDevice(PMEM_SPEC, capacity_bytes)
         self.root = PoolRoot()
-        self._durable: dict[object, np.ndarray] = {}
-        self._staged: dict[object, np.ndarray] = {}
         self._slab: EntrySlab | None = None
-        self._used_bytes = 0
-        self._closed = False
 
     def slab(self, slot_bytes: int) -> EntrySlab:
         """The pool's row slab, created on first use.
@@ -230,162 +213,36 @@ class PmemPool:
             )
         return self._slab
 
-    # ------------------------------------------------------------------
-    # basic object operations
-    # ------------------------------------------------------------------
-
-    def write(self, key: object, value: np.ndarray, *, flush: bool = True) -> float:
-        """Store ``value`` under ``key``; returns simulated write seconds.
-
-        Args:
-            key: object identifier (any hashable).
-            value: numpy array to persist (copied).
-            flush: when False the write is staged in the CPU cache and
-                lost on crash until :meth:`drain` is called.
-
-        Raises:
-            PoolClosedError: the pool was closed or crashed.
-            OutOfSpaceError: capacity would be exceeded.
-        """
-        size = value.nbytes
-        self._reserve(size, replacing=self._current_size(key))
-        held = np.array(value, copy=True)
-        if flush:
-            self._durable[key] = held
-            self._staged.pop(key, None)
-        else:
-            self._staged[key] = held
-        return self.device.write(size)
-
-    def read(self, key: object) -> np.ndarray:
-        """Read the current (staged-over-durable) value of ``key``.
-
-        Returns a copy, so callers cannot mutate pool contents in place.
-
-        Raises:
-            KeyError: unknown key.
-        """
-        self._check_open()
-        held = self._lookup(key)
-        self.device.read(held.nbytes)
-        return np.array(held, copy=True)
-
-    def free(self, key: object) -> None:
-        """Remove ``key`` from the pool and reclaim its space."""
-        self._check_open()
-        if key not in self._durable and key not in self._staged:
-            raise KeyError(key)
-        self._used_bytes -= self._current_size(key)
-        self._durable.pop(key, None)
-        self._staged.pop(key, None)
-
-    def drain(self) -> None:
-        """Persist all staged writes (the ``sfence`` analogue)."""
-        self._check_open()
-        self._durable.update(self._staged)
-        self._staged.clear()
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._staged or key in self._durable
-
-    def keys(self) -> Iterator[object]:
-        """All live keys (staged and durable)."""
-        seen = set(self._staged)
-        yield from self._staged
-        for key in self._durable:
-            if key not in seen:
-                yield key
-
-    def items(self) -> Iterator[tuple[object, np.ndarray]]:
-        """All live (key, value) pairs; values are NOT copied (scan path)."""
-        for key in self.keys():
-            yield key, self._lookup(key)
-
-    # ------------------------------------------------------------------
-    # crash / recovery
-    # ------------------------------------------------------------------
-
     def crash(self) -> None:
-        """Simulate power loss: staged writes vanish, durable data stays.
+        """Simulate power loss: the pool keeps everything.
 
-        The pool remains usable afterwards (it represents the same
-        physical DIMMs after a restart); only the volatile staging layer
-        is wiped. Space accounting is recomputed from durable contents
-        (slab slots are never staged, so every live one stays).
+        Every slab write is flushed and every root update atomic, so a
+        crash loses no pool state; it represents the same physical DIMMs
+        after a restart. What a crash *does* lose is the writer's DRAM,
+        which is the caller's to drop.
         """
-        self._staged.clear()
-        self._used_bytes = sum(held.nbytes for held in self._durable.values())
-        if self._slab is not None:
-            self._used_bytes += self._slab.rows * self._slab.slot_bytes
-
-    def close(self) -> None:
-        """Cleanly close the pool (drains staged writes first)."""
-        if not self._closed:
-            self.drain()
-            self._closed = True
-
-    def reopen(self) -> None:
-        """Reopen a cleanly closed pool."""
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
 
     @property
     def used_bytes(self) -> int:
-        """Bytes currently allocated (staged + durable)."""
-        return self._used_bytes
+        """Bytes held by live slab slots."""
+        return 0 if self._slab is None else self._slab.rows * self._slab.slot_bytes
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used_bytes
-
-    def durable_keys(self) -> list[object]:
-        """Keys whose current value would survive a crash right now."""
-        return [key for key in self._durable if key not in self._staged]
+        return self.capacity_bytes - self.used_bytes
 
     def __len__(self) -> int:
-        """Objects plus live slab slots."""
-        slots = 0 if self._slab is None else self._slab.rows
-        return len(set(self._staged) | set(self._durable)) + slots
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise PoolClosedError("pool is closed")
+        """Live slab slots."""
+        return 0 if self._slab is None else self._slab.rows
 
     def require_free(self, size: int) -> None:
-        """Raise unless the pool is open and ``size`` more bytes fit.
+        """Raise unless ``size`` more bytes fit.
 
         Raises:
-            PoolClosedError: the pool was closed or crashed.
             OutOfSpaceError: capacity would be exceeded.
         """
-        self._check_open()
-        if self._used_bytes + size > self.capacity_bytes:
+        if self.used_bytes + size > self.capacity_bytes:
             raise OutOfSpaceError(
-                f"pool full: used={self._used_bytes}, need={size}, "
+                f"pool full: used={self.used_bytes}, need={size}, "
                 f"capacity={self.capacity_bytes}"
             )
-
-    def _reserve(self, size: int, replacing: int = 0) -> None:
-        """Account ``size`` new bytes in place of ``replacing`` old ones."""
-        self.require_free(size - replacing)
-        self._used_bytes += size - replacing
-
-    def _current_size(self, key: object) -> int:
-        held = self._staged.get(key)
-        if held is None:
-            held = self._durable.get(key)
-        return 0 if held is None else held.nbytes
-
-    def _lookup(self, key: object) -> np.ndarray:
-        if key in self._staged:
-            return self._staged[key]
-        if key in self._durable:
-            return self._durable[key]
-        raise KeyError(key)

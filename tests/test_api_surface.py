@@ -393,7 +393,7 @@ class TestOneKeyMapPerNode:
     def test_the_store_keeps_no_key_map(self):
         """No ``_latest`` (the retired ``key -> newest slot`` dict), no
         key-list helpers, anywhere in ``src/``; and a store under load
-        holds no dict besides the pool's generic object table."""
+        holds no dict."""
         import numpy as np
 
         from repro.pmem.pool import PmemPool
@@ -409,6 +409,22 @@ class TestOneKeyMapPerNode:
         assert store.total_versions() == 3 and heads[0] == heads[2]
         held = {name: value for name, value in vars(store).items() if isinstance(value, dict)}
         assert held == {}, f"the store holds a map: {sorted(held)}"
+
+    def test_dram_ps_keeps_its_heads_in_its_index(self):
+        """DRAM-PS's checkpoint versions are found through the ``head``
+        column of its one hash index, as a PSNode's are."""
+        import numpy as np
+
+        from repro.baselines import DRAMPSNode
+        from repro.config import ServerConfig
+
+        node = DRAMPSNode(ServerConfig(embedding_dim=4))
+        node.pull([3, 1], 0)
+        node.checkpoint(0)
+        heads = node.index.columns.head[node.index.lookup(np.array([1, 3], np.uint64))]
+        assert node.store.slab.key[heads].tolist() == [1, 3]
+        held = [name for name, value in vars(node).items() if isinstance(value, dict)]
+        assert held == [], f"the node holds a map: {held}"
 
     def test_store_calls_take_heads(self):
         import inspect
@@ -649,12 +665,18 @@ class TestOneRowMode:
                     assert "metadata_only" not in names, (path, node.lineno)
 
     def test_the_pool_writes_arrays(self):
+        """A row is a slab slot, written as a block of arrays; the pool
+        has no object API beside the slab and the root to store in."""
+        import numpy as np
+
         from repro.pmem.pool import PmemPool
 
         pool = PmemPool(1 << 10)
         with pytest.raises(AttributeError):
-            pool.write("k", None)
-        assert "k" not in pool and pool.used_bytes == 0
+            pool.slab(16).write(np.array([1], np.uint64), np.array([0]), None)
+        assert len(pool) == 0 and pool.used_bytes == 0
+        for gone in ("write", "read", "free", "drain", "keys", "items", "close", "reopen"):
+            assert not hasattr(pool, gone), gone
 
     def test_no_optional_wire_column(self):
         from repro.network.messages import _Column

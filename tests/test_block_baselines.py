@@ -102,12 +102,12 @@ class TestDRAMPS:
         node = DRAMPSNode(server_config())
         node.pull([3, 1, 3, 2], 0)
         node.push([1, 1], np.ones((2, DIM), np.float32), 0)
-        assert node.checkpointer.dirty_count == 3
+        assert node.dirty_count == 3
         assert node.checkpoint().entries_written == 3
         node.push([2, 2, 2], np.ones((3, DIM), np.float32), 1)
         assert node.checkpoint(1).entries_written == 1
         recovered, batch = DRAMPSNode.recover(node.crash(), server_config())
-        assert batch == 1 and recovered.checkpointer.dirty_count == 0
+        assert batch == 1 and recovered.dirty_count == 0
         assert recovered.num_entries == 3
 
 

@@ -155,13 +155,15 @@ def test_the_aggregation_buffer_stays_within_its_budget():
 
 def test_the_baselines_and_the_pool_stay_within_their_budget():
     """CI's sixth gated budget: the Table III baselines and the PMem pool
-    and store hold at most 850 code lines (514 + 498 while every layer
+    and store hold at most 701 code lines (514 + 498 while every layer
     had a row-less mode and the baselines looped over keys, 856 while a
     baseline push summed its repeats itself and a pull could refuse to
-    create) — one row format, moved as blocks."""
+    create, 850 while DRAM-PS dumped its checkpoints into a second,
+    per-object store in the pool with staged writes and a Transaction)
+    — one row format, moved as blocks."""
     root = SCRIPT.parents[1]
     packages = [str(root / "src/repro" / name) for name in ("baselines", "pmem")]
-    assert code_lines.main(["--max", "850", *packages]) == 0
+    assert code_lines.main(["--max", "701", *packages]) == 0
 
 
 def test_the_cli_stays_within_its_budget():

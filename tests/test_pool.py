@@ -1,10 +1,12 @@
-"""PmemPool durability semantics: flush, stage, crash, capacity."""
+"""PmemPool: the slab's rows, the root, capacity and crash."""
 
 import numpy as np
 import pytest
 
-from repro.errors import OutOfSpaceError, PMemError, PoolClosedError
+from repro.errors import OutOfSpaceError, PMemError
 from repro.pmem.pool import PmemPool
+
+SLOT = 16  # bytes: four floats
 
 
 @pytest.fixture
@@ -12,115 +14,82 @@ def pool():
     return PmemPool(capacity_bytes=1024)
 
 
-def arr(*values):
-    return np.array(values, dtype=np.float32)
+def rows(*values):
+    """One four-float row per value."""
+    return np.repeat(np.array(values, dtype=np.float32)[:, None], SLOT // 4, axis=1)
 
 
-def zeros(nbytes):
-    """An array of ``nbytes`` bytes."""
-    return np.zeros(nbytes, dtype=np.uint8)
+def write(pool, *values):
+    """Write one row per value under keys 0, 1, ...; returns the slots."""
+    keys = np.arange(len(values), dtype=np.uint64)
+    return pool.slab(SLOT).write(keys, np.zeros(len(values), np.int64), rows(*values))
 
 
 class TestBasicOps:
     def test_write_read_roundtrip(self, pool):
-        pool.write("k", arr(1, 2, 3))
-        assert np.array_equal(pool.read("k"), arr(1, 2, 3))
+        slots = write(pool, 1, 2, 3)
+        assert np.array_equal(pool.slab(SLOT).read(slots), rows(1, 2, 3))
 
     def test_read_returns_copy(self, pool):
-        pool.write("k", arr(1, 2))
-        out = pool.read("k")
+        slots = write(pool, 1, 2)
+        out = pool.slab(SLOT).read(slots)
         out[0] = 99
-        assert pool.read("k")[0] == 1
+        assert pool.slab(SLOT).read(slots)[0, 0] == 1
 
     def test_write_copies_input(self, pool):
-        value = arr(1, 2)
-        pool.write("k", value)
+        value = rows(1, 2)
+        slots = pool.slab(SLOT).write(np.arange(2, dtype=np.uint64), np.zeros(2, np.int64), value)
         value[0] = 99
-        assert pool.read("k")[0] == 1
-
-    def test_missing_key_raises(self, pool):
-        with pytest.raises(KeyError):
-            pool.read("nope")
-
-    def test_contains(self, pool):
-        pool.write("k", arr(1))
-        assert "k" in pool
-        assert "other" not in pool
+        assert pool.slab(SLOT).read(slots)[0, 0] == 1
 
     def test_free_reclaims_space(self, pool):
-        pool.write("k", arr(1, 2, 3, 4))
-        used = pool.used_bytes
-        pool.free("k")
-        assert pool.used_bytes == used - 16
-        assert "k" not in pool
-
-    def test_free_missing_raises(self, pool):
-        with pytest.raises(KeyError):
-            pool.free("nope")
-
-    def test_overwrite_replaces_size(self, pool):
-        pool.write("k", arr(1, 2, 3, 4))
-        pool.write("k", arr(1))
-        assert pool.used_bytes == 4
+        slots = write(pool, 1, 2)
+        pool.slab(SLOT).free(slots[:1])
+        assert pool.used_bytes == SLOT and len(pool) == 1
 
     def test_len_and_keys(self, pool):
-        pool.write("a", arr(1))
-        pool.write("b", arr(2), flush=False)
-        assert len(pool) == 2
-        assert set(pool.keys()) == {"a", "b"}
+        """The pool's entries are the slab's live slots; their keys are
+        the slot headers."""
+        slots = write(pool, 5, 6, 7)
+        pool.slab(SLOT).free(slots[1:2])
+        live = np.flatnonzero(pool.slab(SLOT).live)
+        assert len(pool) == 2 and sorted(pool.slab(SLOT).key[live].tolist()) == [0, 2]
+
+    def test_overwrite_replaces_size(self, pool):
+        slots = write(pool, 1)
+        pool.slab(SLOT).rewrite(slots, np.array([3]), rows(7))
+        assert pool.used_bytes == SLOT
+        assert pool.slab(SLOT).batch[slots].tolist() == [3]
 
 
 class TestCapacity:
     def test_out_of_space(self, pool):
-        pool.write("big", zeros(1024))
+        write(pool, *range(1024 // SLOT))
         with pytest.raises(OutOfSpaceError):
-            pool.write("more", zeros(1))
+            write(pool, 1)
 
     def test_overwrite_does_not_double_count(self, pool):
-        pool.write("k", zeros(1024))
-        pool.write("k", zeros(1024))  # same footprint: fine
+        slots = write(pool, *range(1024 // SLOT))
+        pool.slab(SLOT).rewrite(slots, np.ones(len(slots), np.int64), rows(*range(len(slots))))
         assert pool.used_bytes == 1024
 
     def test_free_bytes(self, pool):
-        pool.write("k", zeros(100))
-        assert pool.free_bytes == 924
+        write(pool, 1, 2)
+        assert pool.free_bytes == 1024 - 2 * SLOT
 
 
 class TestDurability:
     def test_flushed_write_survives_crash(self, pool):
-        pool.write("k", arr(7), flush=True)
+        slots = write(pool, 7)
         pool.crash()
-        assert np.array_equal(pool.read("k"), arr(7))
-
-    def test_staged_write_lost_on_crash(self, pool):
-        pool.write("k", arr(7), flush=False)
-        pool.crash()
-        assert "k" not in pool
-
-    def test_staged_overwrite_reverts_to_durable(self, pool):
-        pool.write("k", arr(1), flush=True)
-        pool.write("k", arr(2), flush=False)
-        assert pool.read("k")[0] == 2  # staged visible while running
-        pool.crash()
-        assert pool.read("k")[0] == 1  # durable value survives
-
-    def test_drain_persists_staged(self, pool):
-        pool.write("k", arr(3), flush=False)
-        pool.drain()
-        pool.crash()
-        assert pool.read("k")[0] == 3
-
-    def test_durable_keys(self, pool):
-        pool.write("a", arr(1), flush=True)
-        pool.write("b", arr(2), flush=False)
-        assert pool.durable_keys() == ["a"]
+        slab = pool.slab(SLOT)
+        assert slab.live[slots].all() and np.array_equal(slab.read(slots), rows(7))
 
     def test_space_accounting_recomputed_after_crash(self, pool):
-        pool.write("a", zeros(100), flush=True)
-        pool.write("b", zeros(200), flush=False)
-        assert pool.used_bytes == 300
+        slots = write(pool, 1, 2, 3)
+        pool.slab(SLOT).free(slots[1:2])
         pool.crash()
-        assert pool.used_bytes == 100
+        assert pool.used_bytes == 2 * SLOT and len(pool) == 2
 
 
 class TestRoot:
@@ -136,19 +105,6 @@ class TestRoot:
 
 
 class TestLifecycle:
-    def test_close_drains(self, pool):
-        pool.write("k", arr(1), flush=False)
-        pool.close()
-        pool.reopen()
-        assert pool.read("k")[0] == 1
-
-    def test_closed_pool_rejects_ops(self, pool):
-        pool.close()
-        with pytest.raises(PoolClosedError):
-            pool.write("k", arr(1))
-        with pytest.raises(PoolClosedError):
-            pool.read("k")
-
     def test_invalid_capacity(self):
         with pytest.raises(PMemError):
             PmemPool(0)

@@ -1,8 +1,9 @@
-"""Property-based durability model for PmemPool (hypothesis).
+"""Property-based durability model for the pool's slab (hypothesis).
 
-A reference model tracks what SHOULD be durable/visible after any
-sequence of writes (flushed or staged), drains, frees and crashes; the
-pool must agree exactly.
+A reference model tracks what every live slot SHOULD hold after any
+sequence of block writes, in-place rewrites, frees and crashes; the
+slab's live slots, their rows and the pool's space accounting must
+agree exactly at every step.
 """
 
 import numpy as np
@@ -11,83 +12,45 @@ from hypothesis import strategies as st
 
 from repro.pmem.pool import PmemPool
 
-KEYS = list(range(6))
+SLOT = 8  # bytes: two floats
 
 
 def operations():
-    write = st.tuples(
-        st.just("write"),
-        st.sampled_from(KEYS),
-        st.integers(0, 100),
-        st.booleans(),  # flush?
-    )
-    free = st.tuples(st.just("free"), st.sampled_from(KEYS), st.just(0), st.just(False))
-    drain = st.tuples(st.just("drain"), st.just(0), st.just(0), st.just(False))
-    crash = st.tuples(st.just("crash"), st.just(0), st.just(0), st.just(False))
-    return st.lists(
-        st.one_of(write, free, drain, crash), min_size=1, max_size=40
-    )
-
-
-class Reference:
-    """Oracle for pool visibility and durability."""
-
-    def __init__(self):
-        self.durable: dict[int, int] = {}
-        self.staged: dict[int, int] = {}
-
-    def write(self, key, value, flush):
-        if flush:
-            self.durable[key] = value
-            self.staged.pop(key, None)
-        else:
-            self.staged[key] = value
-
-    def free(self, key):
-        existed = key in self.staged or key in self.durable
-        self.staged.pop(key, None)
-        self.durable.pop(key, None)
-        return existed
-
-    def drain(self):
-        self.durable.update(self.staged)
-        self.staged.clear()
-
-    def crash(self):
-        self.staged.clear()
-
-    def visible(self):
-        merged = dict(self.durable)
-        merged.update(self.staged)
-        return merged
+    write = st.tuples(st.just("write"), st.lists(st.integers(0, 100), min_size=1, max_size=5))
+    rewrite = st.tuples(st.just("rewrite"), st.lists(st.integers(0, 100), min_size=1, max_size=5))
+    free = st.tuples(st.just("free"), st.lists(st.integers(0, 100), min_size=1, max_size=5))
+    crash = st.tuples(st.just("crash"), st.just([]))
+    return st.lists(st.one_of(write, rewrite, free, crash), min_size=1, max_size=40)
 
 
 @given(ops=operations())
 @settings(max_examples=120, deadline=None)
 def test_pool_matches_reference_model(ops):
     pool = PmemPool(1 << 16)
-    reference = Reference()
-    for op, key, value, flush in ops:
+    slab = pool.slab(SLOT)
+    reference: dict[int, float] = {}  # live slot -> value of its row
+    for op, values in ops:
+        held = sorted(reference)
         if op == "write":
-            pool.write(key, np.array([value], dtype=np.float32), flush=flush)
-            reference.write(key, value, flush)
-        elif op == "free":
-            if reference.free(key):
-                pool.free(key)
-        elif op == "drain":
-            pool.drain()
-            reference.drain()
+            n = len(values)
+            block = np.repeat(np.array(values, np.float32)[:, None], 2, axis=1)
+            slots = slab.write(np.arange(n, dtype=np.uint64), np.zeros(n, np.int64), block)
+            assert not set(slots.tolist()) & set(held)  # never a live slot
+            reference.update(zip(slots.tolist(), values))
+        elif op == "rewrite" and held:
+            slots = np.unique([held[v % len(held)] for v in values])
+            block = np.full((len(slots), 2), values[0], np.float32)
+            slab.rewrite(slots, np.ones(len(slots), np.int64), block)
+            reference.update(dict.fromkeys(slots.tolist(), values[0]))
+        elif op == "free" and held:
+            slots = np.unique([held[v % len(held)] for v in values])
+            slab.free(slots)
+            for slot in slots.tolist():
+                del reference[slot]
         elif op == "crash":
             pool.crash()
-            reference.crash()
-        # Invariant: visible contents match the oracle at every step.
-        visible = reference.visible()
-        assert set(pool.keys()) == set(visible)
-        for k, v in visible.items():
-            assert pool.read(k)[0] == v
-    # Final crash: only durable contents remain.
-    pool.crash()
-    reference.crash()
-    assert set(pool.keys()) == set(reference.visible())
-    # Space accounting is consistent with the contents.
-    assert pool.used_bytes == 4 * len(reference.visible())
+        # Invariant: live contents and space match the oracle at every step.
+        live = np.flatnonzero(slab.live)
+        assert live.tolist() == sorted(reference)
+        assert slab.read(live)[:, 0].tolist() == [reference[slot] for slot in live.tolist()]
+        assert pool.used_bytes == SLOT * len(reference) == SLOT * len(pool)
