@@ -96,10 +96,11 @@ change: a round flushes a row it touches that owes a pending checkpoint
 (Algorithm 2 lines 13-15), and so does a push ahead of its rows'
 rounds. Once the round's rows have moved, ``maintain(n)`` completes the
 pending checkpoints below ``n`` that nothing owes; while one is owed, a
-*drain* flushes the owing rows, oldest stamp first and at most as many
-as the round processed, and the test runs again. The barrier
-(:meth:`PipelinedCache.complete_pending_checkpoints`) is the same drain
-with no bound.
+*drain* flushes the owing rows, at most as many as the round processed
+(oldest stamp first when that bound cuts them), and the test runs
+again. The barrier (:meth:`PipelinedCache.complete_pending_checkpoints`)
+is the same drain with no bound: every owing row in one put, in slot
+order, with no sort.
 
 ``tests/harness/reference_cache.py`` holds the per-key, object-per-entry
 oracle the equivalence suites compare this module against.
@@ -692,12 +693,14 @@ class PipelinedCache:
     def _drain(self, budget: int | None, below: int = _NEVER) -> tuple[int, list[int]]:
         """Complete the head checkpoint while no resident slot owes it.
 
-        Listed slots that owe it (:meth:`_owing`) are flushed first —
-        oldest stamp first, at most ``budget`` rows over the call (None:
-        all); a flushed row owes nothing. Stops at the first checkpoint
-        still owed, or not below ``below``: a round at batch ``n`` runs
-        before that batch's updates, so a checkpoint at or past ``n`` may
-        still change. A flush the pool cannot hold is skipped (the
+        Listed slots that owe it (:meth:`_owing`) are flushed first, at
+        most ``budget`` rows over the call (None: all); a flushed row
+        owes nothing. When the budget cuts the owing rows, the oldest
+        stamps go first; otherwise all of them go in one put, in slot
+        order, since their order changes nothing. Stops at the first
+        checkpoint still owed, or not below ``below``: a round at batch
+        ``n`` runs before that batch's updates, so a checkpoint at or
+        past ``n`` may still change. A flush the pool cannot hold is skipped (the
         checkpoint waits). Returns ``(rows flushed, checkpoints
         completed)``.
         """
@@ -710,12 +713,13 @@ class PipelinedCache:
             while (cp := coordinator.head()) is not None and cp < below:
                 owing = listed[self._owing(listed, cp)]
                 room = len(owing) if budget is None else min(len(owing), budget - drained)
-                if room:
-                    try:
-                        self.flush_slots(owing[np.argsort(stamp[owing])][:room])
-                    except OutOfSpaceError:
-                        break
-                    drained += room
+                if room < len(owing):  # the budget cuts: oldest stamps first
+                    owing = owing[np.argsort(stamp[owing])]
+                try:
+                    self.flush_slots(owing[:room])
+                except OutOfSpaceError:
+                    break
+                drained += room
                 if room < len(owing):
                     break
                 completed.append(coordinator.complete_head())

@@ -78,12 +78,14 @@ class EntrySlab:
         self.pool = pool
         self.slot_bytes = slot_bytes
         self.width = slot_bytes // 4
+        self._row = np.dtype((np.void, 4 * self.width))
         self.key = np.zeros(INITIAL_SLOTS, dtype=np.uint64)
         self.batch = np.zeros(INITIAL_SLOTS, dtype=np.int64)
         self.live = np.zeros(INITIAL_SLOTS, dtype=bool)
         self.data = np.zeros((INITIAL_SLOTS, self.width), dtype=np.float32)
-        # A stack of free slot numbers (top at ``_nfree - 1``); popping
-        # from the end hands out low slots first.
+        # A stack of free slot numbers (top at ``_nfree - 1``); a fresh
+        # slab pops its low slots first. A write sorts what it pops, so
+        # its block lands in ascending slot order.
         self._free = np.arange(INITIAL_SLOTS - 1, -1, -1, dtype=np.intp)
         self._nfree = INITIAL_SLOTS
 
@@ -102,7 +104,8 @@ class EntrySlab:
         return len(self.live) - self._nfree
 
     def write(self, keys: np.ndarray, batches: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Persist one new slot per ``(key, batch)``; returns the slots.
+        """Persist one new slot per ``(key, batch)``; returns the slots,
+        ascending (``rows[i]`` lands in the ``i``-th lowest).
 
         All or nothing: raises before anything changes.
 
@@ -116,7 +119,7 @@ class EntrySlab:
         if n > self._nfree:
             self._grow(n - self._nfree)
         self._nfree -= n
-        slots = self._free[self._nfree : self._nfree + n].copy()
+        slots = np.sort(self._free[self._nfree : self._nfree + n])
         self.key[slots] = keys
         self.batch[slots] = batches
         self._store(slots, rows)
@@ -149,7 +152,10 @@ class EntrySlab:
             )
 
     def _store(self, slots: np.ndarray, rows: np.ndarray) -> None:
-        self.data[slots] = rows
+        # Each row moves as one ``slot_bytes`` element, not ``width``
+        # floats. The byte view must see float32 rows: a float64 block
+        # is cast here, never reinterpreted.
+        self.data.view(self._row)[slots] = np.ascontiguousarray(rows, np.float32).view(self._row)
         self.pool.device.write(self.slot_bytes, ops=len(slots))
 
     def _grow(self, shortfall: int) -> None:

@@ -109,6 +109,11 @@ class VersionedEntryStore:
         self.slab = pool.slab(entry_bytes)
         self._older = np.full(self.slab.capacity, -1, dtype=np.intp)
         self._barriers = np.empty(0, dtype=np.int64)
+        # Every chain is minimal under the current barriers: pruning any
+        # of them would free nothing. :meth:`recycle` establishes it and
+        # a put keeps it (see :meth:`put`); only a released barrier,
+        # :meth:`ingest` and :meth:`rebuild_from_pool` lose it.
+        self._minimal = True
         if CHECKPOINT_ID_FIELD not in pool.root.fields():
             pool.root.set(CHECKPOINT_ID_FIELD, NO_CHECKPOINT)
 
@@ -124,8 +129,14 @@ class VersionedEntryStore:
         repeated key reports that key's final head). ``versions`` is one
         batch id for the whole block or one per key; ``rows`` is
         ``(len(keys), entry_bytes / 4)`` float32. A key may repeat: the
-        block then behaves like its rows put one after another. Versions of the written
-        keys that no retention barrier protects are recycled.
+        block then behaves like its rows put one after another. Versions
+        of the written keys that no retention barrier protects are
+        recycled: a row no barrier separates from its key's head takes
+        the head's slot over, and the others land in fresh slots,
+        ascending. While every chain is minimal under the barriers
+        (since the last :meth:`recycle`, with no barrier released), that
+        is all a put has to free, and it walks no chain; otherwise it
+        prunes the chains of the keys it wrote.
 
         The block needs room for every version it adds before the ones
         it supersedes are freed, and is all or nothing about it.
@@ -149,6 +160,7 @@ class VersionedEntryStore:
         the new owner can recover to exactly the same checkpoints the
         old owner could.
         """
+        self._minimal = False
         counts = block.nversions.astype(np.intp)
         heads = self._write(
             np.repeat(block.keys, counts), np.full(int(counts.sum()), -1, np.intp),
@@ -163,8 +175,13 @@ class VersionedEntryStore:
         Called by the checkpoint manager whenever the set of outstanding
         checkpoints (plus the last completed one) changes. Pruning on
         subsequent writes honours the new barrier set; existing excess
-        versions are recycled lazily via :meth:`recycle`.
+        versions are recycled lazily via :meth:`recycle`. A set that
+        releases a barrier makes every put prune its keys' chains until
+        then.
         """
+        # A barrier added protects more; only a release can leave a
+        # kept version unprotected.
+        self._minimal &= set(self._barriers.tolist()) <= set(barriers)
         self._barriers = np.unique(np.asarray(barriers, dtype=np.int64))
 
     def drop(self, heads) -> int:
@@ -187,12 +204,16 @@ class VersionedEntryStore:
         Returns the number of versions freed. Invoked when a checkpoint
         completes ("the space manager will recycle the space of these
         entries once the new checkpoint is done"). Only keys holding
-        more than one version are visited; no head ever moves.
+        more than one version are visited, found by one mask over the
+        slab's chain links; no head ever moves. Afterwards every chain
+        is minimal under the barriers, so puts walk no chain until a
+        barrier is released.
         """
         older = self._older
         linked = np.flatnonzero(self.slab.live & (older >= 0))
         pointed_at = np.zeros(len(older), dtype=bool)
         pointed_at[older[linked]] = True
+        self._minimal = True
         return self._prune(linked[~pointed_at[linked]])
 
     # ------------------------------------------------------------------
@@ -290,6 +311,7 @@ class VersionedEntryStore:
         same_key = keys[1:] == keys[:-1]
         self._older = np.full(slab.capacity, -1, dtype=np.intp)
         self._older[slots[1:][same_key]] = slots[:-1][same_key]
+        self._minimal = False
         newest = np.append(~same_key, True)[: len(slots)]
         return keys[newest], slots[newest], slab.batch[slots[newest]]
 
@@ -356,10 +378,9 @@ class VersionedEntryStore:
         else:
             fresh = slice(None)
         slots = slab.write(keys, versions, rows)
-        self._fit_index()
-        self._older[slots] = head[fresh]
+        self._link(slots, head[fresh])
         head[fresh] = slots
-        if prune:
+        if prune and not self._minimal:  # a minimal chain stays so (see put)
             self._prune(head[self._older[head] >= 0])
         return head
 
@@ -373,8 +394,7 @@ class VersionedEntryStore:
             slab.rewrite(np.array([slot]), version, row)
         else:
             (new,) = slab.write(np.array([key], dtype=np.uint64), np.array([version]), row)
-            self._fit_index()
-            self._older[new] = slot
+            self._link(new, slot)
             self._older[above] = new
         if prune:
             self._prune(top)
@@ -387,12 +407,12 @@ class VersionedEntryStore:
         added = np.unique(np.stack([keys[~stored], versions[~stored].astype(np.uint64)]), axis=1)
         self.pool.require_free(added.shape[1] * self.entry_bytes)
 
-    def _fit_index(self) -> None:
-        """Grow the chain links to the slab's capacity."""
-        if len(self._older) < self.slab.capacity:
-            grown = np.full(self.slab.capacity, -1, dtype=np.intp)
-            grown[: len(self._older)] = self._older
-            self._older = grown
+    def _link(self, slots, older) -> None:
+        """Point new ``slots`` at their next-older versions (-1: none),
+        first growing the links to the slab's capacity."""
+        if (grow := self.slab.capacity - len(self._older)) > 0:
+            self._older = np.append(self._older, np.full(grow, -1, dtype=np.intp))
+        self._older[slots] = older
 
     def _prune(self, heads: np.ndarray) -> int:
         """Free the unprotected versions below ``heads`` (newest slots of

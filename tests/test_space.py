@@ -498,3 +498,106 @@ def test_block_store_matches_dict_model(ops):
                     key: model.versions_of(key)[-1] for key in model.keys()
                 }
         _assert_store_matches(store, model)
+
+
+# ----------------------------------------------------------------------
+# the prune rule: a put skips its prune walk only while every chain is
+# minimal under the barriers, and so agrees with a store that prunes on
+# every put
+# ----------------------------------------------------------------------
+
+
+class _PrunesEveryPut(VersionedEntryStore):
+    """The store with its invariant forced off: every put walks the
+    chains of the keys it wrote."""
+
+    _minimal = property(lambda self: False, lambda self, value: None)
+
+
+PRUNE_RULE_OPS = ["put"] * 6 + ["add"] * 3 + ["release"] * 2 + ["recycle"] * 2 + ["ingest", "crash"]
+
+
+def prune_rule_operations(rng, n):
+    """``n`` operations: puts of keys 0-4 around a rising batch clock,
+    so that barriers often fall between a key's versions (and a put may
+    still land on or below one), mixed with barrier adds and releases,
+    recycles, migrations of a key (its versions dropped, then a block
+    of them ingested) and crashes."""
+    ops, clock = [], 0
+    for kind in rng.choice(PRUNE_RULE_OPS, n).tolist():
+        near = lambda size=None: rng.integers(max(0, clock - 3), clock + 2, size)
+        if kind == "put":
+            size = rng.integers(1, 5)
+            arg = list(zip(rng.integers(0, 5, size).tolist(), near(size).tolist()))
+            clock += 1
+        elif kind == "release":
+            arg = int(rng.integers(0, 4))
+        elif kind == "ingest":
+            arg = int(rng.integers(0, 5)), set(near(rng.integers(1, 4)).tolist())
+        else:
+            arg = None if kind == "recycle" else int(near())
+        ops.append((kind, arg))
+    return ops
+
+
+def rows_of(values):
+    return np.repeat(np.asarray(values, dtype=np.float32)[:, None], SLOT // 4, axis=1)
+
+
+def _live_pairs(store):
+    slab = store.slab
+    live = np.flatnonzero(slab.live)
+    return sorted(zip(slab.key[live].tolist(), slab.batch[live].tolist()))
+
+
+def _assert_same_answers(store, reference, barriers):
+    assert _live_pairs(store) == _live_pairs(reference)
+    keys = sorted(store.keys())
+    assert keys == sorted(reference.keys())
+    reads = [lambda s: s.read_latest(keys)]
+    reads += [lambda s, b=b: s.read_at_most(keys, b) for b in barriers]
+    for read in reads:
+        (versions, rows), (want, want_rows) = read(store), read(reference)
+        assert versions.tolist() == want.tolist() and rows.tobytes() == want_rows.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_put_prunes_exactly_as_a_store_that_always_prunes(seed):
+    """Skipping the prune walk while every chain is minimal changes no
+    live version and no answer: a released barrier, an ingest and a
+    recovery scan each make the next puts prune again."""
+    stores = [
+        KeyedStore(kind(PmemPool(1 << 16), entry_bytes=SLOT))
+        for kind in (VersionedEntryStore, _PrunesEveryPut)
+    ]
+    barriers = []
+    for op, arg in prune_rule_operations(np.random.default_rng(seed), 150):
+        if op == "add" and arg not in barriers:
+            barriers.append(arg)
+        elif op == "release" and barriers:
+            barriers.pop(arg % len(barriers))
+        for at, store in enumerate(stores):
+            if op in ("add", "release"):
+                store.set_retention_barriers(tuple(barriers))
+            elif op == "put":
+                values = np.arange(len(arg), dtype=np.float32)
+                store.put([k for k, __ in arg], [v for __, v in arg], rows_of(values))
+            elif op == "recycle":
+                store.recycle()
+            elif op == "ingest":  # the key migrates away and back
+                key, versions = arg[0], np.array(sorted(arg[1]), dtype=np.int64)
+                store.drop_key(key)
+                block = EntryBlock(
+                    keys=np.array([key], dtype=np.uint64),
+                    nversions=np.array([len(versions)], dtype=np.uint32),
+                    batch_ids=versions,
+                    rows=rows_of(versions.astype(np.float32)),
+                )
+                store._set(block.keys, store.store.ingest(block))
+            else:  # crash: a fresh store on the pool, barriers first
+                store.pool.crash()
+                stores[at] = KeyedStore(type(store.store)(store.pool, entry_bytes=SLOT))
+                stores[at].set_retention_barriers(tuple(barriers))
+                stores[at].discard_newer_than(arg)
+        _assert_same_answers(*stores, barriers)
+
