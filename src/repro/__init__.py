@@ -53,7 +53,6 @@ from repro.core import (
 from repro.errors import (
     CheckpointError,
     ConfigError,
-    CrashError,
     KeyNotFoundError,
     PMemError,
     RecoveryError,
@@ -99,5 +98,4 @@ __all__ = [
     "KeyNotFoundError",
     "CheckpointError",
     "RecoveryError",
-    "CrashError",
 ]

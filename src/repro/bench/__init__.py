@@ -43,11 +43,10 @@ from repro.bench.registry import (
     discover,
     register,
 )
-from repro.bench.runner import SweepCell, SweepResult, SweepRunner
-from repro.bench.space import Axis, Grid, Param, expand_grid, load_grid, parse_grid
+from repro.bench.runner import SweepResult, SweepRunner
+from repro.bench.space import Grid, Param, load_grid, parse_grid
 
 __all__ = [
-    "Axis",
     "BENCH_SCHEMA",
     "BenchRegistry",
     "BenchSpec",
@@ -58,7 +57,6 @@ __all__ = [
     "REGISTRY",
     "Ref",
     "RunRecord",
-    "SweepCell",
     "SweepResult",
     "SweepRunner",
     "Trajectory",
@@ -68,7 +66,6 @@ __all__ = [
     "discover",
     "environment_info",
     "evaluate_gate",
-    "expand_grid",
     "load_grid",
     "parse_grid",
     "register",

@@ -45,6 +45,7 @@ from repro.config import (
     PrefetchConfig,
     ServerConfig,
 )
+from repro.errors import ConfigError
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.simulation.trainer_sim import TrainingSimulator
@@ -249,7 +250,6 @@ def _train_async(args: argparse.Namespace, dataset, tracer, registry) -> int:
     from repro.dlrm.async_trainer import AsynchronousTrainer
     from repro.dlrm.deepfm import DeepFM
     from repro.dlrm.optimizers import Adam
-    from repro.errors import ConfigError
     from repro.failure.injection import hostile_fleet
 
     if args.crash_at:
@@ -283,25 +283,21 @@ def _train_async(args: argparse.Namespace, dataset, tracer, registry) -> int:
         args.fields, args.dim, hidden=(64, 32), use_first_order=False,
         seed=args.seed,
     )
-    try:
-        trainer = AsynchronousTrainer(
-            server, model, dataset,
-            num_workers=args.workers, batch_size=args.batch_size,
-            staleness=args.staleness,
-            dense_optimizer=Adam(2e-3),
-            prefetch=(
-                PrefetchConfig(lookahead=args.lookahead)
-                if args.lookahead > 0
-                else None
-            ),
-            worker_faults=fleet,
-            track_progress=True if defended else None,
-            tracer=tracer,
-            registry=registry,
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trainer = AsynchronousTrainer(
+        server, model, dataset,
+        num_workers=args.workers, batch_size=args.batch_size,
+        staleness=args.staleness,
+        dense_optimizer=Adam(2e-3),
+        prefetch=(
+            PrefetchConfig(lookahead=args.lookahead)
+            if args.lookahead > 0
+            else None
+        ),
+        worker_faults=fleet,
+        track_progress=True if defended else None,
+        tracer=tracer,
+        registry=registry,
+    )
     losses = trainer.run_steps(args.batches)
     for step, loss in enumerate(losses):
         if step % 20 == 0:
@@ -384,11 +380,9 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 def _load_json_object(path: str, what: str) -> dict:
     """The JSON object in ``path``. A missing file, invalid JSON or a
     document that is not an object raises :class:`ConfigError`, which
-    the readers below turn into exit 2 (a usage error, not a verdict)."""
+    :func:`main` turns into exit 2 (a usage error, not a verdict)."""
     import json
     import pathlib
-
-    from repro.errors import ConfigError
 
     path = pathlib.Path(path)
     if not path.is_file():
@@ -406,7 +400,6 @@ def _load_json_object(path: str, what: str) -> dict:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Merge per-node traces / summarize a trace file."""
-    from repro.errors import ConfigError
     from repro.obs import merge_trace_files, summarize_trace
 
     try:
@@ -421,7 +414,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"flow link(s) -> {args.out}")
         else:
             print(summarize_trace(_load_json_object(args.file, "trace")))
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -433,21 +426,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     """Render a machine-readable repro-slo-v1 verdict file."""
-    from repro.errors import ConfigError
     from repro.obs import render_verdict
 
-    try:
-        verdict = _load_json_object(args.verdict, "verdict")
-        print(render_verdict(verdict))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    verdict = _load_json_object(args.verdict, "verdict")
+    print(render_verdict(verdict))
     return 0 if verdict.get("ok") else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """Pretty-print a JSON metrics snapshot written by --metrics-out."""
-    from repro.errors import ConfigError
     from repro.obs import render_snapshot
 
     try:
@@ -468,28 +455,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.bench import REGISTRY, SweepRunner, discover, load_grid, parse_grid
-    from repro.errors import ConfigError
 
     one = getattr(args, "name", None)
-    try:
-        discover()
-        if one is not None:
-            grid = parse_grid("; ".join([f"bench={one}", *args.set]))
-        elif pathlib.Path(args.grid).is_file():
-            grid = load_grid(args.grid)
-        else:
-            grid = parse_grid(args.grid)
-        runner = SweepRunner(
-            results_dir=args.out,
-            jobs=args.jobs if args.jobs > 0 else (os.cpu_count() or 1),
-            scale="smoke" if args.smoke else "full",
-            base_seed=args.seed,
-            repeats=args.repeats,
-        )
-        cells = runner.expand(grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    discover()
+    if one is not None:
+        grid = parse_grid("; ".join([f"bench={one}", *args.set]))
+    elif pathlib.Path(args.grid).is_file():
+        grid = load_grid(args.grid)
+    else:
+        grid = parse_grid(args.grid)
+    runner = SweepRunner(
+        results_dir=args.out,
+        jobs=args.jobs if args.jobs > 0 else (os.cpu_count() or 1),
+        scale="smoke" if args.smoke else "full",
+        base_seed=args.seed,
+        repeats=args.repeats,
+    )
+    cells = runner.expand(grid)
     benches = sorted({cell.bench for cell in cells})
     print(f"sweep: {len(cells)} cell(s) x {args.repeats} repeat(s) over "
           f"{len(benches)} bench(es) [{', '.join(benches)}], "
@@ -542,7 +524,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from repro.bench import REGISTRY, Trajectory, discover, evaluate_gate, render_gate
-    from repro.errors import ConfigError
 
     try:
         discover()
@@ -575,7 +556,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             args.baseline, args.current or args.baseline,
             scale=args.scale, benches=args.bench or None,
         )
-    except (ConfigError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_gate(verdict))
@@ -850,9 +831,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code. A
+    :class:`ConfigError` from any command is a usage error: one
+    ``error:`` line and exit 2, like argparse's own."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

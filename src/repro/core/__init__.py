@@ -12,25 +12,12 @@ This package implements the paper's primary contribution:
   scheduling and crash recovery.
 """
 
-from repro.core.backend import (
-    READ_BACKEND_METHODS,
-    READ_BACKEND_PROPERTIES,
-    TRAIN_BACKEND_METHODS,
-    ReadBackend,
-    TrainBackend,
-    aggregate_maintain,
-    check_backend,
-)
+from repro.core.backend import ReadBackend, TrainBackend, aggregate_maintain, check_backend
 from repro.core.cache import MaintainResult, PipelinedCache, PullResult
 from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.checkpoint import CheckpointCoordinator
-from repro.core.entry import EntryColumns, EntryView, Location, pack_handle, unpack_handle
-from repro.core.failover import (
-    FailoverManager,
-    FailureDetector,
-    NodeState,
-    PromotionReport,
-)
+from repro.core.entry import EntryColumns, EntryView, Location
+from repro.core.failover import FailoverManager, NodeState
 from repro.core.hash_index import HashIndex
 from repro.core.optimizers import PSAdagrad, PSOptimizer, PSSGD
 from repro.core.ps_node import PSNode
@@ -43,9 +30,6 @@ from repro.core.sharding import HashPartitioner
 __all__ = [
     "ReadBackend",
     "TrainBackend",
-    "READ_BACKEND_METHODS",
-    "READ_BACKEND_PROPERTIES",
-    "TRAIN_BACKEND_METHODS",
     "LookupResult",
     "ReplicaSelector",
     "aggregate_maintain",
@@ -53,8 +37,6 @@ __all__ = [
     "EntryColumns",
     "EntryView",
     "Location",
-    "pack_handle",
-    "unpack_handle",
     "HashIndex",
     "AccessQueue",
     "CheckpointRequestQueue",
@@ -72,8 +54,6 @@ __all__ = [
     "recover_node",
     "ReplicatedPSNode",
     "RebuildReport",
-    "FailureDetector",
     "FailoverManager",
     "NodeState",
-    "PromotionReport",
 ]

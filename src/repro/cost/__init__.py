@@ -1,11 +1,8 @@
 """Cloud cost modelling (Table V)."""
 
 from repro.cost.pricing import (
-    DRAM_PS_DEPLOYMENT,
-    ORI_CACHE_DEPLOYMENT,
     PMEM_OE_DEPLOYMENT,
     Deployment,
-    InstanceType,
     R6E_13XLARGE,
     RE6P_13XLARGE,
     cost_per_epoch,
@@ -13,13 +10,10 @@ from repro.cost.pricing import (
 )
 
 __all__ = [
-    "InstanceType",
     "Deployment",
     "R6E_13XLARGE",
     "RE6P_13XLARGE",
-    "DRAM_PS_DEPLOYMENT",
     "PMEM_OE_DEPLOYMENT",
-    "ORI_CACHE_DEPLOYMENT",
     "cost_per_epoch",
     "deployment_for_model",
 ]

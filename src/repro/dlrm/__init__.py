@@ -14,16 +14,15 @@ gradients, real crashes, bitwise recovery checks.
 from repro.dlrm.async_trainer import AsynchronousTrainer
 from repro.dlrm.collection import EmbeddingCollection, TableSpec
 from repro.dlrm.criteo import CriteoSynthetic
-from repro.dlrm.criteo_file import CriteoFileDataset
 from repro.dlrm.deepfm import DeepFM, DeepFMGradients
 from repro.dlrm.dlrm_model import DLRM, DLRMGradients
 from repro.dlrm.embedding import PSEmbedding
 from repro.dlrm.hps import HierarchicalPS, ServingStats
 from repro.dlrm.keras_api import Model, PSEmbeddingLayer
-from repro.dlrm.layers import Dense, MLP
-from repro.dlrm.metrics import calibration_ratio, evaluate_model, log_loss, roc_auc
+from repro.dlrm.layers import MLP
+from repro.dlrm.metrics import evaluate_model
 from repro.dlrm.serving import InferenceSession, export_model
-from repro.dlrm.optimizers import Adam, DenseOptimizer, DenseSGD
+from repro.dlrm.optimizers import Adam, DenseOptimizer
 from repro.dlrm.prefetch import PrefetchPipeline
 from repro.dlrm.trainer import SynchronousTrainer, TrainerCheckpoint
 
@@ -32,7 +31,6 @@ __all__ = [
     "EmbeddingCollection",
     "TableSpec",
     "CriteoSynthetic",
-    "CriteoFileDataset",
     "DeepFM",
     "DeepFMGradients",
     "DLRM",
@@ -40,17 +38,12 @@ __all__ = [
     "PSEmbedding",
     "Model",
     "PSEmbeddingLayer",
-    "Dense",
     "MLP",
     "DenseOptimizer",
-    "DenseSGD",
     "Adam",
     "PrefetchPipeline",
     "SynchronousTrainer",
     "TrainerCheckpoint",
-    "roc_auc",
-    "log_loss",
-    "calibration_ratio",
     "evaluate_model",
     "export_model",
     "InferenceSession",

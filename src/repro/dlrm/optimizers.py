@@ -2,8 +2,8 @@
 
 The sparse embeddings are updated on the parameter server with
 :mod:`repro.core.optimizers`; the dense part lives on the (simulated)
-GPU workers and uses these. Both SGD and Adam carry explicit state so
-the dense checkpoint can capture and restore them exactly.
+GPU workers and uses :class:`Adam`, which carries explicit state so
+the dense checkpoint can capture and restore it exactly.
 """
 
 from __future__ import annotations
@@ -29,46 +29,6 @@ class DenseOptimizer(abc.ABC):
     @abc.abstractmethod
     def load_state(self, state: dict) -> None:
         """Restore from :meth:`state` output."""
-
-
-class DenseSGD(DenseOptimizer):
-    """Plain SGD with optional momentum."""
-
-    def __init__(self, lr: float = 0.05, momentum: float = 0.0):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not 0 <= momentum < 1:
-            raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ConfigError("params/grads length mismatch")
-        if self.momentum == 0:
-            for param, grad in zip(params, grads):
-                param -= self.lr * grad
-            return
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for param, grad, vel in zip(params, grads, self._velocity):
-            vel *= self.momentum
-            vel += grad
-            param -= self.lr * vel
-
-    def state(self) -> dict:
-        return {
-            "velocity": None
-            if self._velocity is None
-            else [np.array(v, copy=True) for v in self._velocity]
-        }
-
-    def load_state(self, state: dict) -> None:
-        velocity = state.get("velocity")
-        self._velocity = (
-            None if velocity is None else [np.array(v, copy=True) for v in velocity]
-        )
 
 
 class Adam(DenseOptimizer):

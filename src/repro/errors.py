@@ -77,18 +77,6 @@ class StalenessError(ServerError):
         self.bound = bound
 
 
-class CrashError(ReproError):
-    """Raised by failure injection when a simulated crash fires.
-
-    The trainer catches this to emulate a process death; everything not
-    durably persisted at raise time is discarded by the substrate.
-    """
-
-    def __init__(self, message: str = "injected crash", *, batch_id: int | None = None):
-        super().__init__(message)
-        self.batch_id = batch_id
-
-
 class RpcError(ReproError):
     """Base class for RPC transport errors on the simulated wire."""
 

@@ -1,7 +1,8 @@
 """Failure injection and checkpoint-interval planning.
 
-* :mod:`repro.failure.injection` — deterministic and random crash
-  schedules for end-to-end recovery testing.
+* :mod:`repro.failure.injection` — seeded PS-node kill schedules in
+  simulated time, and hostile-worker profiles (stragglers, duplicated
+  or delayed pushes, Byzantine gradients) for async chaos runs.
 * :mod:`repro.failure.network_faults` — seeded message drop /
   duplicate / corrupt / delay injection on the simulated link (the
   network as a failure domain, not just processes).
@@ -10,12 +11,7 @@
   accounting.
 """
 
-from repro.failure.injection import (
-    CrashSchedule,
-    FailureInjector,
-    NodeKillInjector,
-    NodeKillSchedule,
-)
+from repro.failure.injection import NodeKillInjector, NodeKillSchedule
 from repro.failure.mttf import (
     expected_lost_work_seconds,
     sample_failure_times,
@@ -24,8 +20,6 @@ from repro.failure.mttf import (
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
 
 __all__ = [
-    "FailureInjector",
-    "CrashSchedule",
     "NodeKillSchedule",
     "NodeKillInjector",
     "FaultyLink",

@@ -1,11 +1,9 @@
-"""Crash-schedule generation and injection for recovery testing.
+"""Node-kill schedules and hostile-worker profiles for fault runs.
 
-A :class:`FailureInjector` wraps a trainer-like object (anything with
-``step()`` and ``crash()``) and kills it at scheduled batch boundaries,
-which is where the paper's synchronous-training crash model puts
-process deaths: between two atomic simulator calls. Property-based
-tests drive it with hypothesis-generated schedules to show recovery
-restores the checkpointed batch bit-for-bit at *any* crash point.
+:class:`NodeKillSchedule` / :class:`NodeKillInjector` kill single PS
+shards at seeded points in simulated time; the simulator prices each
+death (failover or checkpoint recovery) and the scenario engine's soak
+polls the injector between protocol operations.
 
 :class:`WorkerFaultProfile` widens the scenario space from *node death*
 to *worker misbehavior* (the ``blades``-style taxonomy): stragglers
@@ -13,7 +11,7 @@ to *worker misbehavior* (the ``blades``-style taxonomy): stragglers
 Byzantine gradients (sign-flip, scaled noise, zero-drop). All draws are
 seeded per ``(seed, worker)`` so a hostile run is exactly reproducible,
 and the async trainer applies them at scheduler-step granularity (the
-SimClock-driven analogue of the batch-boundary crash model above).
+SimClock-driven analogue of the paper's batch-boundary crash model).
 """
 
 from __future__ import annotations
@@ -22,93 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigError, CrashError
-
-
-@dataclass(frozen=True)
-class CrashSchedule:
-    """Batch ids after which a crash fires (sorted, each fires once)."""
-
-    crash_after_batches: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b < 0 for b in self.crash_after_batches):
-            raise ConfigError("crash batch ids must be non-negative")
-        ordered = tuple(sorted(self.crash_after_batches))
-        object.__setattr__(self, "crash_after_batches", ordered)
-
-    @classmethod
-    def random(
-        cls, num_batches: int, failures: int, seed: int = 0
-    ) -> "CrashSchedule":
-        """Uniformly random distinct crash points in ``[0, num_batches)``."""
-        if num_batches <= 0:
-            raise ConfigError("num_batches must be positive")
-        if failures < 0 or failures > num_batches:
-            raise ConfigError("failures must be in [0, num_batches]")
-        rng = np.random.default_rng((seed, 0xFA11))
-        points = rng.choice(num_batches, size=failures, replace=False)
-        return cls(tuple(int(p) for p in points))
-
-    @classmethod
-    def poisson(
-        cls, num_batches: int, mttf_batches: float, seed: int = 0
-    ) -> "CrashSchedule":
-        """Memoryless failures with a mean of ``mttf_batches`` between them."""
-        if mttf_batches <= 0:
-            raise ConfigError("mttf_batches must be positive")
-        rng = np.random.default_rng((seed, 0xFA22))
-        points = []
-        t = 0.0
-        while True:
-            t += rng.exponential(mttf_batches)
-            if t >= num_batches:
-                break
-            points.append(int(t))
-        return cls(tuple(sorted(set(points))))
-
-
-class FailureInjector:
-    """Runs a trainer under a crash schedule.
-
-    Usage::
-
-        injector = FailureInjector(schedule)
-        for batch in range(n):
-            if injector.should_crash(batch):
-                survivors = trainer.crash()
-                trainer = recover(survivors, ...)
-            trainer.step()
-    """
-
-    def __init__(self, schedule: CrashSchedule):
-        self.schedule = schedule
-        self._pending = list(schedule.crash_after_batches)
-        self.crashes_fired = 0
-
-    def should_crash(self, batch_id: int) -> bool:
-        """True exactly once for each scheduled crash point <= batch_id."""
-        if self._pending and batch_id >= self._pending[0]:
-            self._pending.pop(0)
-            self.crashes_fired += 1
-            return True
-        return False
-
-    def raise_if_scheduled(self, batch_id: int) -> None:
-        """Alternative style: raise :class:`CrashError` at crash points."""
-        if self.should_crash(batch_id):
-            raise CrashError(f"injected crash after batch {batch_id}", batch_id=batch_id)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._pending)
+from repro.errors import ConfigError
 
 
 @dataclass(frozen=True)
 class NodeKillSchedule:
     """Simulated-time instants at which one PS node dies.
 
-    Unlike :class:`CrashSchedule` (whole-process deaths at batch
+    Unlike the paper's crash model (whole-process deaths at batch
     boundaries), this targets *single PS shards* at arbitrary points in
     continuous simulated time — the chaos soak polls
     :class:`NodeKillInjector` between protocol operations, so a kill

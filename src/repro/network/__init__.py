@@ -45,13 +45,7 @@ from repro.network.messages import (
     StatusResponse,
     decode_message,
 )
-from repro.network.rpc import (
-    Delivery,
-    PerfectLink,
-    RpcChannel,
-    RpcServer,
-    RpcStats,
-)
+from repro.network.rpc import Delivery, RpcChannel, RpcServer, RpcStats
 from repro.network.service import PSNodeService
 
 __all__ = [
@@ -65,7 +59,6 @@ __all__ = [
     "MessageError",
     "decode_message",
     "Delivery",
-    "PerfectLink",
     "RpcChannel",
     "RpcServer",
     "RpcStats",

@@ -12,7 +12,7 @@ The cross-layer measurement surface of the reproduction (see
 * Exporters — Prometheus text, JSON snapshot, Chrome ``trace_event``
   JSON (open in Perfetto to see the Figure 7 pipeline overlap).
 * Distributed tracing — per-node traces merged into one causally
-  flow-linked timeline (:func:`merge_traces`, wire context in
+  flow-linked timeline (:func:`merge_trace_files`, wire context in
   :mod:`repro.network.messages`).
 * :class:`FlightRecorder` — bounded postmortem ring dumped on failure
   triggers (declare-dead, promotion, migration abort, soak audit).
@@ -24,23 +24,15 @@ from repro.obs.exporters import (
     METRICS_SCHEMA,
     TRACE_SCHEMA,
     render_snapshot,
-    to_chrome_trace,
-    to_json_snapshot,
-    to_prometheus,
     write_chrome_trace,
     write_metrics,
 )
 from repro.obs.flightrec import FLIGHTREC_SCHEMA, FlightRecorder
 from repro.obs.histogram import Histogram
-from repro.obs.merge import (
-    MERGED_TRACE_SCHEMA,
-    merge_trace_files,
-    merge_traces,
-    summarize_trace,
-)
+from repro.obs.merge import MERGED_TRACE_SCHEMA, merge_trace_files, summarize_trace
 from repro.obs.registry import Counter, Gauge, MetricsRegistry, collect_bundle
-from repro.obs.slo import SLO_SCHEMA, Objective, SLOTracker, render_verdict
-from repro.obs.tracer import NULL_TRACER, InstantEvent, Span, Tracer
+from repro.obs.slo import SLOTracker, render_verdict
+from repro.obs.tracer import NULL_TRACER, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -48,26 +40,19 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "InstantEvent",
     "MERGED_TRACE_SCHEMA",
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "NULL_TRACER",
-    "Objective",
-    "SLO_SCHEMA",
     "SLOTracker",
     "Span",
     "TRACE_SCHEMA",
     "Tracer",
     "collect_bundle",
     "merge_trace_files",
-    "merge_traces",
     "render_snapshot",
     "render_verdict",
     "summarize_trace",
-    "to_chrome_trace",
-    "to_json_snapshot",
-    "to_prometheus",
     "write_chrome_trace",
     "write_metrics",
 ]

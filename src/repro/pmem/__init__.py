@@ -24,7 +24,7 @@ every version newer than that id. PMem-OE and DRAM-PS checkpoints both
 commit this way.
 """
 
-from repro.pmem.pool import EntrySlab, PmemPool, PoolRoot
+from repro.pmem.pool import EntrySlab, PmemPool
 from repro.pmem.space import EntryBlock, VersionedEntryStore
 
-__all__ = ["PmemPool", "PoolRoot", "EntrySlab", "EntryBlock", "VersionedEntryStore"]
+__all__ = ["PmemPool", "EntrySlab", "EntryBlock", "VersionedEntryStore"]

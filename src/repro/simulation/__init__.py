@@ -21,7 +21,7 @@ from repro.simulation.metrics import (
     RpcReliabilityStats,
 )
 from repro.simulation.network import Delivery, NetworkModel
-from repro.simulation.contention import serialized_section_time, shared_bandwidth_time
+from repro.simulation.contention import serialized_section_time
 
 __all__ = [
     "SimClock",
@@ -40,5 +40,4 @@ __all__ = [
     "NetworkModel",
     "Delivery",
     "serialized_section_time",
-    "shared_bandwidth_time",
 ]

@@ -65,18 +65,3 @@ def parallel_section_time(ops: int, section_seconds: float, threads: int) -> flo
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
     return -(-ops // threads) * section_seconds
-
-
-def shared_bandwidth_time(nbytes: int, bandwidth: float, streams: int = 1) -> float:
-    """Time to move ``nbytes`` through a resource shared by ``streams``.
-
-    Each stream sees ``bandwidth / streams``; the call returns the time
-    for ONE stream's ``nbytes`` under that share.
-    """
-    if nbytes < 0:
-        raise SimulationError(f"negative transfer size {nbytes}")
-    if bandwidth <= 0:
-        raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
-    if streams < 1:
-        raise SimulationError(f"streams must be >= 1, got {streams}")
-    return nbytes / (bandwidth / streams)

@@ -1,14 +1,12 @@
 """Access-skew distributions over embedding keys.
 
-Two families:
-
 * :class:`BandedSkewDistribution` — piecewise-uniform over rank bands,
   calibrated so the generated trace reproduces Table II exactly
   (top 0.05 % of entries -> 85.7 % of accesses, etc.). A *temperature*
   knob produces the "more skew" / "less skew" variants of Figure 11
   while keeping the total access count fixed, as the paper does.
-* :class:`ExponentialRankDistribution` — pure exponential decay over
-  sorted ranks, the model the paper fits in Figure 10.
+* :func:`fit_exponential_rate` — the exponential-decay fit over sorted
+  access frequencies that the paper draws in Figure 10.
 
 Ranks are mapped to key ids through a deterministic pseudo-random
 permutation so that hot keys are scattered across the id (and therefore
@@ -79,6 +77,10 @@ class BandedSkewDistribution:
     ):
         if temperature <= 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
+        if num_keys < len(bands):
+            raise ConfigError(
+                f"num_keys must be >= {len(bands)} (one per band), got {num_keys}"
+            )
         key_fracs = np.array([b[0] for b in bands], dtype=np.float64)
         masses = np.array([b[1] for b in bands], dtype=np.float64)
         if not math.isclose(key_fracs.sum(), 1.0, rel_tol=1e-6):
@@ -139,45 +141,6 @@ class BandedSkewDistribution:
         return BandedSkewDistribution(
             self.num_keys, bands, temperature=temperature, seed=seed
         )
-
-
-class ExponentialRankDistribution:
-    """Exponential-decay access distribution: ``P(rank r) ~ exp(-rate * r/N)``.
-
-    This is the model of Figure 10; ``rate`` is the decay parameter the
-    paper adjusts to generate more/less skewed workloads.
-    """
-
-    def __init__(self, num_keys: int, rate: float, seed: int = 0):
-        if num_keys <= 0:
-            raise ConfigError(f"num_keys must be >= 1, got {num_keys}")
-        if rate <= 0:
-            raise ConfigError(f"rate must be positive, got {rate}")
-        self.num_keys = num_keys
-        self.rate = rate
-        self._norm = 1.0 - math.exp(-rate)
-        self._rng = np.random.default_rng((seed, 0xE4B0))
-        self._permutation = RankPermutation(num_keys, seed)
-
-    def sample_ranks(self, n: int) -> np.ndarray:
-        """Inverse-CDF sampling of the truncated exponential."""
-        u = self._rng.random(n)
-        x = -np.log1p(-u * self._norm) / self.rate  # in [0, 1)
-        ranks = (x * self.num_keys).astype(np.int64)
-        return np.minimum(ranks, self.num_keys - 1)
-
-    def sample_keys(self, n: int) -> np.ndarray:
-        return self._permutation.keys_for_ranks(self.sample_ranks(n))
-
-    def top_fraction_share(self, key_fraction: float) -> float:
-        """Analytic access mass of the hottest ``key_fraction`` of keys."""
-        if not 0 < key_fraction <= 1:
-            raise ConfigError(f"key_fraction must be in (0, 1], got {key_fraction}")
-        return (1.0 - math.exp(-self.rate * key_fraction)) / self._norm
-
-    def pdf_at_rank_fraction(self, x: np.ndarray) -> np.ndarray:
-        """Relative access frequency at rank fraction ``x`` (for plots)."""
-        return self.rate * np.exp(-self.rate * np.asarray(x)) / self._norm
 
 
 def fit_exponential_rate(frequencies: np.ndarray) -> tuple[float, float]:

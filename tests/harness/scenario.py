@@ -67,7 +67,7 @@ from repro.obs.flightrec import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.simulation.clock import SimClock
 from repro.simulation.serving_sim import ServingCostModel, ServingLoadDriver, TrainServeSoak
-from repro.workload.distributions import ExponentialRankDistribution
+from repro.workload.distributions import BandedSkewDistribution
 
 TRANSPORTS = ("local", "rpc", "rpc_lossy")
 DIM = 8
@@ -557,7 +557,8 @@ class Scenario:
             return  # nothing is servable before a checkpoint
         if self.serving is None:
             tier = HierarchicalPS(self.backend, capacity_rows=16, staleness_bound_k=1)
-            keys = ExponentialRankDistribution(NUM_KEYS, rate=8.0, seed=self.seed)
+            # Two bands spread over the keys (Table II's put 85.7 % of draws on one).
+            keys = BandedSkewDistribution(NUM_KEYS, ((0.25, 0.75), (0.75, 0.25)), seed=self.seed)
             driver = ServingLoadDriver(
                 tier, keys, ServingCostModel(network=None), self.clock,
                 batch_keys=8, num_keys=NUM_KEYS,

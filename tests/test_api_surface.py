@@ -12,6 +12,7 @@ PACKAGES = [
     "repro.dlrm",
     "repro.workload",
     "repro.network",
+    "repro.obs",
     "repro.simulation",
     "repro.failure",
     "repro.cost",
@@ -258,9 +259,8 @@ class TestClusterExistsOnce:
         assert repro.network.__all__ == [
             "PullRequest", "PullResponse", "PushRequest", "CheckpointRequest",
             "MaintainRequest", "MaintainResponse", "StatusResponse",
-            "MessageError", "decode_message", "Delivery", "PerfectLink",
-            "RpcChannel", "RpcServer", "RpcStats", "RemotePSClient",
-            "PSNodeService",
+            "MessageError", "decode_message", "Delivery", "RpcChannel",
+            "RpcServer", "RpcStats", "RemotePSClient", "PSNodeService",
         ]
 
 
@@ -737,3 +737,84 @@ class TestEveryOptionHasACaller:
             if dataclasses.is_dataclass(cls):
                 settable |= {field.name for field in dataclasses.fields(cls)}
             assert not settable & set(gone), (name, sorted(settable & set(gone)))
+
+
+class TestEveryExportHasACaller:
+    """A name in a package's ``__all__`` is API because a program calls
+    it: a file in ``src/``, ``benchmarks/``, ``examples/`` or
+    ``scripts/`` names it outside its own module and outside every
+    ``__init__.py``. A name only its own module uses is imported from
+    that module; a feature nothing runs is deleted."""
+
+    #: Types a called function returns or takes: callers hold them
+    #: without naming them, and the package exports them to say so.
+    RETURNED_OR_TAKEN = {
+        "ReadBackend": "check_backend(role='read') checks it; HierarchicalPS takes one",
+        "RebuildReport": "ReplicatedPSNode.rebuild_backup / finish_rebuild return it",
+        "CheckpointStats": "DRAMPSNode.checkpoint returns it",
+        "TrainerCheckpoint": "DenseCheckpointStore.load returns it",
+        "DeepFMGradients": "DeepFM.train_batch returns it",
+        "DLRMGradients": "DLRM.train_batch returns it",
+        "ServingStats": "HierarchicalPS.stats holds it",
+        "RpcStats": "RpcChannel.stats holds it",
+        "Deployment": "deployment_for_model returns it; cost_per_epoch takes it",
+        "DeviceSpec": "MemoryDevice takes it",
+        "EntrySlab": "PmemPool.slab returns it",
+        "Span": "a Tracer.span block enters as it",
+        "BenchSpec": "BenchRegistry.get returns it",
+        "SweepResult": "SweepRunner.run returns it",
+    }
+
+    @staticmethod
+    def own_module(package, name: str):
+        """The file that defines ``package.name``, found by following the
+        package's ``from ... import`` of it (constants carry no module)."""
+        import ast
+        from pathlib import Path
+
+        for node in ast.parse(Path(package.__file__).read_text()).body:
+            if isinstance(node, ast.ImportFrom) and name in [a.name for a in node.names]:
+                module = importlib.import_module(node.module)
+                if hasattr(module, "__path__"):
+                    return TestEveryExportHasACaller.own_module(module, name)
+                return Path(module.__file__).resolve()
+        raise AssertionError(f"{package.__name__} does not import {name}")
+
+    def test_every_export_has_a_program_caller(self):
+        import ast
+        import inspect
+        import pkgutil
+        from pathlib import Path
+
+        import repro
+
+        root = Path(__file__).resolve().parents[1]
+        named = {}
+        for folder in ("src", "benchmarks", "examples", "scripts"):
+            for path in (root / folder).rglob("*.py"):
+                if path.name != "__init__.py":
+                    named[path.resolve()] = {
+                        getattr(node, "id", None) or getattr(node, "attr", None)
+                        or node.name.rpartition(".")[2]
+                        for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                    }
+        packages = ["repro"] + [
+            f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+        ]
+        uncalled, allowed = [], set()
+        for package_name in packages:
+            package = importlib.import_module(package_name)
+            for name in package.__all__:
+                own = self.own_module(package, name)
+                if any(name in names for path, names in named.items() if path != own):
+                    continue
+                if name in self.RETURNED_OR_TAKEN:
+                    assert inspect.isclass(getattr(package, name)), name
+                    allowed.add(name)
+                else:
+                    uncalled.append(f"{package_name}.{name}")
+        assert uncalled == [], f"exported, but no program calls them: {uncalled}"
+        assert allowed == set(self.RETURNED_OR_TAKEN), (
+            f"listed but called (or not exported): {set(self.RETURNED_OR_TAKEN) - allowed}"
+        )

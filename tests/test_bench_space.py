@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.bench import Axis, Grid, Param, expand_grid, load_grid, parse_grid
+from repro.bench import Grid, Param, load_grid, parse_grid
+from repro.bench.space import Axis, expand_grid
 from repro.errors import ConfigError
 
 

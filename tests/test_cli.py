@@ -122,6 +122,15 @@ class TestPlanAndWorkload:
         assert "85." in out  # top 0.05 % share
         assert "exponential fit" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--keys", "0"],
+        ["--keys", "3", "--batches", "200", "--batch-size", "64"],  # < one key per band
+    ])
+    def test_workload_key_space_too_small_exits_2(self, capsys, argv):
+        assert main(["workload", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: num_keys must be >=") and err.count("\n") == 1
+
 
 class TestBench:
     """`bench show` / `bench run`: what `reproduce` did, from the registry."""

@@ -4,11 +4,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import SimulationError
-from repro.simulation.contention import (
-    parallel_section_time,
-    serialized_section_time,
-    shared_bandwidth_time,
-)
+from repro.simulation.contention import parallel_section_time, serialized_section_time
 from repro.simulation.network import NetworkModel
 
 
@@ -49,18 +45,6 @@ class TestParallelSection:
 
     def test_single_thread_serializes(self):
         assert parallel_section_time(7, 2.0, 1) == pytest.approx(14.0)
-
-
-class TestSharedBandwidth:
-    def test_full_share(self):
-        assert shared_bandwidth_time(100, 50.0) == pytest.approx(2.0)
-
-    def test_split_share(self):
-        assert shared_bandwidth_time(100, 50.0, streams=2) == pytest.approx(4.0)
-
-    def test_zero_bandwidth_rejected(self):
-        with pytest.raises(SimulationError):
-            shared_bandwidth_time(1, 0.0)
 
 
 class TestNetworkModel:

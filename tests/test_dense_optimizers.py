@@ -1,9 +1,9 @@
-"""Dense optimizers: SGD(+momentum) and Adam, with state round-trips."""
+"""The dense optimizer: Adam, with state round-trips."""
 
 import numpy as np
 import pytest
 
-from repro.dlrm.optimizers import Adam, DenseSGD
+from repro.dlrm.optimizers import Adam
 from repro.errors import ConfigError
 
 
@@ -11,44 +11,6 @@ def params_and_grads():
     params = [np.ones(3, dtype=np.float32), np.zeros(2, dtype=np.float32)]
     grads = [np.full(3, 2.0, dtype=np.float32), np.full(2, -1.0, dtype=np.float32)]
     return params, grads
-
-
-class TestDenseSGD:
-    def test_plain_step(self):
-        params, grads = params_and_grads()
-        DenseSGD(lr=0.1).step(params, grads)
-        assert np.allclose(params[0], 0.8)
-        assert np.allclose(params[1], 0.1)
-
-    def test_momentum_accumulates(self):
-        opt = DenseSGD(lr=0.1, momentum=0.9)
-        params, grads = params_and_grads()
-        opt.step(params, grads)
-        first = 1.0 - params[0][0]
-        opt.step(params, grads)
-        second = (1.0 - first) - params[0][0]
-        assert second > first  # velocity builds up
-
-    def test_state_roundtrip(self):
-        opt = DenseSGD(lr=0.1, momentum=0.9)
-        params, grads = params_and_grads()
-        opt.step(params, grads)
-        state = opt.state()
-        fresh = DenseSGD(lr=0.1, momentum=0.9)
-        fresh.load_state(state)
-        p1, g1 = params_and_grads()
-        p2, g2 = params_and_grads()
-        opt.step(p1, g1)
-        fresh.step(p2, g2)
-        assert np.allclose(p1[0], p2[0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            DenseSGD().step([np.zeros(1)], [])
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ConfigError):
-            DenseSGD(momentum=1.0)
 
 
 class TestAdam:

@@ -1,4 +1,4 @@
-"""Failure injection, Young's formula, and the Table V cost model."""
+"""Young's formula and the Table V cost model."""
 
 import pytest
 
@@ -12,8 +12,7 @@ from repro.cost.pricing import (
     deployment_for_model,
     storage_saving_vs,
 )
-from repro.errors import ConfigError, CrashError
-from repro.failure.injection import CrashSchedule, FailureInjector
+from repro.errors import ConfigError
 from repro.failure.mttf import (
     expected_lost_work_seconds,
     expected_total_overhead_seconds,
@@ -21,54 +20,6 @@ from repro.failure.mttf import (
 )
 
 GB = 1 << 30
-
-
-class TestCrashSchedule:
-    def test_sorted_and_validated(self):
-        schedule = CrashSchedule((5, 2, 9))
-        assert schedule.crash_after_batches == (2, 5, 9)
-        with pytest.raises(ConfigError):
-            CrashSchedule((-1,))
-
-    def test_random_deterministic(self):
-        a = CrashSchedule.random(100, 5, seed=1)
-        b = CrashSchedule.random(100, 5, seed=1)
-        assert a == b
-        assert len(a.crash_after_batches) == 5
-
-    def test_poisson_respects_bounds(self):
-        schedule = CrashSchedule.poisson(1000, mttf_batches=100, seed=2)
-        assert all(0 <= b < 1000 for b in schedule.crash_after_batches)
-        # Around 10 failures expected; allow wide slack.
-        assert 2 <= len(schedule.crash_after_batches) <= 30
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigError):
-            CrashSchedule.random(0, 1)
-        with pytest.raises(ConfigError):
-            CrashSchedule.random(10, 11)
-        with pytest.raises(ConfigError):
-            CrashSchedule.poisson(10, 0)
-
-
-class TestFailureInjector:
-    def test_fires_once_per_point(self):
-        injector = FailureInjector(CrashSchedule((3,)))
-        fired = [b for b in range(6) if injector.should_crash(b)]
-        assert fired == [3]
-        assert injector.crashes_fired == 1
-        assert injector.remaining == 0
-
-    def test_multiple_points(self):
-        injector = FailureInjector(CrashSchedule((1, 4)))
-        fired = [b for b in range(6) if injector.should_crash(b)]
-        assert fired == [1, 4]
-
-    def test_raise_style(self):
-        injector = FailureInjector(CrashSchedule((0,)))
-        with pytest.raises(CrashError) as excinfo:
-            injector.raise_if_scheduled(0)
-        assert excinfo.value.batch_id == 0
 
 
 class TestYoung:

@@ -10,7 +10,6 @@ from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
-from repro.failure.injection import CrashSchedule, FailureInjector
 
 FIELDS, DIM = 5, 8
 TOTAL_BATCHES = 30
@@ -60,13 +59,15 @@ def recover_trainer(survivors, dataset):
     )
 
 
-def run_with_failures(schedule: CrashSchedule, dataset):
-    """Train to TOTAL_BATCHES, crashing and recovering per schedule."""
-    injector = FailureInjector(schedule)
+def run_with_failures(crash_points: tuple[int, ...], dataset):
+    """Train to TOTAL_BATCHES, crashing and recovering once at each of
+    the sorted ``crash_points``, when ``next_batch`` first reaches it."""
+    pending = list(crash_points)
     trainer, *_ = build_trainer(dataset)
     recoveries = 0
     while trainer.next_batch < TOTAL_BATCHES:
-        if injector.should_crash(trainer.next_batch):
+        if pending and trainer.next_batch >= pending[0]:
+            pending.pop(0)
             if trainer.backend.global_completed_checkpoint < 0:
                 # Crash before any completed checkpoint: a real system
                 # restarts from scratch; so do we.
@@ -95,7 +96,7 @@ class TestFailureLoops:
         reference.train(TOTAL_BATCHES)
         ref_state = reference.backend.state_snapshot()
 
-        crashed, recoveries = run_with_failures(CrashSchedule((17,)), dataset)
+        crashed, recoveries = run_with_failures((17,), dataset)
         assert recoveries == 1
         got = crashed.backend.state_snapshot()
         assert set(got) == set(ref_state)
@@ -108,7 +109,7 @@ class TestFailureLoops:
         ref_state = reference.backend.state_snapshot()
         ref_dense = reference.model.dense_state()
 
-        crashed, recoveries = run_with_failures(CrashSchedule((9, 18, 25)), dataset)
+        crashed, recoveries = run_with_failures((9, 18, 25), dataset)
         assert recoveries == 3
         got = crashed.backend.state_snapshot()
         for key in ref_state:
@@ -117,7 +118,7 @@ class TestFailureLoops:
             assert np.array_equal(a, b)
 
     def test_crash_before_first_checkpoint_restarts_clean(self, dataset):
-        trainer, recoveries = run_with_failures(CrashSchedule((2,)), dataset)
+        trainer, recoveries = run_with_failures((2,), dataset)
         assert recoveries == 1
         assert trainer.next_batch == TOTAL_BATCHES
 
@@ -134,14 +135,16 @@ class TestFailureLoops:
         assert second.next_batch == resume_at
 
     def test_poisson_failure_storm(self, dataset):
-        """Frequent memoryless failures: training still reaches the end
-        and the model state matches the uninterrupted reference."""
+        """Frequent failures — one before the first completed checkpoint,
+        two back to back — and training still reaches the end with the
+        model state of the uninterrupted reference."""
         reference, *_ = build_trainer(dataset)
         reference.train(TOTAL_BATCHES)
         ref_state = reference.backend.state_snapshot()
 
-        schedule = CrashSchedule.poisson(TOTAL_BATCHES, mttf_batches=8, seed=3)
-        trainer, recoveries = run_with_failures(schedule, dataset)
+        storm = (3, 5, 6, 13, 21, 22, 29)
+        trainer, recoveries = run_with_failures(storm, dataset)
+        assert recoveries == len(storm)
         assert trainer.next_batch == TOTAL_BATCHES
         got = trainer.backend.state_snapshot()
         for key in ref_state:

@@ -11,12 +11,10 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     render_snapshot,
-    to_chrome_trace,
-    to_json_snapshot,
-    to_prometheus,
     write_chrome_trace,
     write_metrics,
 )
+from repro.obs.exporters import to_chrome_trace, to_json_snapshot, to_prometheus
 from repro.simulation.clock import SimClock
 from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator

@@ -4,10 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workload.distributions import (
-    BandedSkewDistribution,
-    ExponentialRankDistribution,
-)
+from repro.workload.distributions import BandedSkewDistribution
 
 
 class TestBandedProperties:
@@ -59,36 +56,3 @@ class TestBandedProperties:
         dist = BandedSkewDistribution(num_keys, seed=seed)
         assert dist.top_fraction_share(1.0) == np.float64(1.0)
 
-
-class TestExponentialProperties:
-    @given(
-        num_keys=st.integers(100, 100_000),
-        rate=st.floats(0.1, 50.0),
-        fraction=st.floats(1e-3, 1.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_share_bounds_and_dominates_uniform(self, num_keys, rate, fraction):
-        dist = ExponentialRankDistribution(num_keys, rate)
-        share = dist.top_fraction_share(fraction)
-        assert 0.0 <= share <= 1.0 + 1e-9
-        # A decaying distribution always gives the head at least its
-        # uniform share.
-        assert share >= fraction - 1e-9
-
-    @given(
-        num_keys=st.integers(1000, 50_000),
-        low_rate=st.floats(0.5, 5.0),
-        multiplier=st.floats(1.5, 10.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_higher_rate_more_head_mass(self, num_keys, low_rate, multiplier):
-        low = ExponentialRankDistribution(num_keys, low_rate)
-        high = ExponentialRankDistribution(num_keys, low_rate * multiplier)
-        assert high.top_fraction_share(0.01) >= low.top_fraction_share(0.01) - 1e-9
-
-    @given(num_keys=st.integers(10, 5000), rate=st.floats(0.1, 30.0))
-    @settings(max_examples=60, deadline=None)
-    def test_samples_in_range(self, num_keys, rate):
-        ranks = ExponentialRankDistribution(num_keys, rate).sample_ranks(500)
-        assert ranks.min() >= 0
-        assert ranks.max() < num_keys

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import Tracer, to_chrome_trace
+from repro.obs import Tracer
+from repro.obs.exporters import to_chrome_trace
 from repro.obs.merge import (
     MERGED_TRACE_SCHEMA,
     merge_trace_files,

@@ -7,7 +7,6 @@ from repro.config import WorkloadConfig
 from repro.errors import ConfigError
 from repro.workload.distributions import (
     BandedSkewDistribution,
-    ExponentialRankDistribution,
     RankPermutation,
     TABLE2_BANDS,
     fit_exponential_rate,
@@ -62,36 +61,16 @@ class TestBandedSkew:
             BandedSkewDistribution(1000, bands=((0.5, 0.5),))
         with pytest.raises(ConfigError):
             BandedSkewDistribution(1000, temperature=0)
+        with pytest.raises(ConfigError, match="one per band"):
+            BandedSkewDistribution(3)  # fewer keys than Table II's four bands
+        with pytest.raises(ConfigError, match="one per band"):
+            BandedSkewDistribution(0)
 
     def test_bands_sum_checked(self):
         key_fracs = sum(b[0] for b in TABLE2_BANDS)
         masses = sum(b[1] for b in TABLE2_BANDS)
         assert key_fracs == pytest.approx(1.0)
         assert masses == pytest.approx(1.0)
-
-
-class TestExponentialRank:
-    def test_share_formula(self):
-        dist = ExponentialRankDistribution(100_000, rate=10.0)
-        expected = (1 - np.exp(-10 * 0.1)) / (1 - np.exp(-10))
-        assert dist.top_fraction_share(0.1) == pytest.approx(expected)
-
-    def test_higher_rate_more_skew(self):
-        low = ExponentialRankDistribution(10_000, rate=2.0)
-        high = ExponentialRankDistribution(10_000, rate=20.0)
-        assert high.top_fraction_share(0.05) > low.top_fraction_share(0.05)
-
-    def test_empirical_matches_analytic(self):
-        dist = ExponentialRankDistribution(50_000, rate=8.0, seed=1)
-        ranks = dist.sample_ranks(200_000)
-        empirical = (ranks < 5000).mean()
-        assert empirical == pytest.approx(dist.top_fraction_share(0.1), abs=0.01)
-
-    def test_pdf_decreasing(self):
-        dist = ExponentialRankDistribution(1000, rate=5.0)
-        x = np.linspace(0, 1, 20)
-        pdf = dist.pdf_at_rank_fraction(x)
-        assert np.all(np.diff(pdf) < 0)
 
 
 class TestRankPermutation:
