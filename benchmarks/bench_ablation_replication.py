@@ -50,7 +50,7 @@ def live_demo():
     cycle(1)  # work past the checkpoint
     live_state = node.state_snapshot()
     node.verify_replicas_identical()
-    node.fail_primary()
+    node.kill_primary()
     elapsed = node.failover()
     preserved = all(
         np.array_equal(node.state_snapshot()[k], live_state[k]) for k in live_state

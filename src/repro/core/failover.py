@@ -28,9 +28,8 @@ Two pieces:
   ``handle_timeout(node)`` is the client's reaction to an unanswered
   call: re-probe, wait out the remaining lease on the shared clock
   (detection latency is therefore *bounded by the lease*), promote the
-  backup, publish the committed ring epoch to the promoted node, and
-  account the whole unavailability window in ``repro_failover_*``
-  metrics and ``failover.*`` spans.
+  backup, and account the whole unavailability window in
+  ``repro_failover_*`` metrics and ``failover.*`` spans.
 
 Exactly-once across promotion: the manager never re-issues requests
 itself — the caller retries with the SAME ``(worker_id, seq)``, and the
@@ -179,7 +178,7 @@ class PromotionReport:
     promotion_seconds: float
     #: noticed -> serving again: the client-visible outage.
     unavailability_seconds: float
-    #: Ring epoch published to the promoted primary.
+    #: The cluster's committed ring epoch at the promotion.
     committed_epoch: int
 
 
@@ -315,12 +314,12 @@ class FailoverManager:
         self._rec("declared_dead", node=node_id, detection_s=detection_s)
         if self.recorder is not None:
             self.recorder.dump("declare_dead", node=node_id)
-        epoch = self.cluster.committed_epoch()
+        epoch = self.cluster.ring_epoch
         with self.tracer.span(
             "failover.promote", track="failure", node=node_id, epoch=epoch
         ) as span:
             try:
-                promotion_s = self.cluster._shard_promote(node_id, epoch)
+                promotion_s = self.cluster._shard_promote(node_id)
             except FailoverError:
                 self.double_faults += 1
                 if self.registry is not None:

@@ -31,7 +31,7 @@ from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
 from repro.core.optimizers import PSOptimizer
 from repro.errors import FailoverError, NodeDeadError, ServerError
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.pmem.pool import PmemPool
 from repro.pmem.space import EntryBlock
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
@@ -42,8 +42,9 @@ class RebuildReport:
     """Progress/outcome of one background re-replication."""
 
     keys_total: int = 0
+    #: Census keys the copy rounds counted; the finish sets it to the
+    #: keys its one copy moved.
     keys_copied: int = 0
-    keys_patched: int = 0
     sealed_batch: int = -1
     finished: bool = False
 
@@ -64,8 +65,8 @@ class ReplicatedPSNode:
     can host replicated shards transparently
     (``ServerConfig(replicas=2)``).
 
-    Failure semantics: once :meth:`fail_primary` / :meth:`kill_primary`
-    crashed the primary, every data-plane operation raises
+    Failure semantics: once :meth:`kill_primary` crashed the primary,
+    every data-plane operation raises
     :class:`~repro.errors.NodeDeadError` (over RPC the node simply goes
     *silent* — see :class:`~repro.network.service.PSNodeService`).
     :meth:`failover` promotes the backup; afterwards the node is
@@ -83,30 +84,14 @@ class ReplicatedPSNode:
         server_config: ServerConfig,
         cache_config: CacheConfig | None = None,
         optimizer: PSOptimizer | None = None,
-        pool: PmemPool | None = None,
         cluster_mode: bool = False,
         tracer: Tracer | None = None,
     ):
-        self.node_id = node_id
-        self.server_config = server_config
-        self.cluster_mode = cluster_mode
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.primary = PSNode(
-            node_id, server_config, cache_config, optimizer, pool=pool,
-            cluster_mode=cluster_mode, tracer=tracer,
-        )
-        # Normalized by PSNode — reuse for replica (re)provisioning so a
-        # rebuilt backup runs the exact same optimizer/cache parameters.
-        self.cache_config = self.primary.cache_config
-        self.optimizer = self.primary.optimizer
-        self.backup: PSNode | None = PSNode(
+        primary = PSNode(
             node_id, server_config, cache_config, optimizer,
             cluster_mode=cluster_mode, tracer=tracer,
         )
-        self.failovers = 0
-        self.ring_epoch = 0
-        self._primary_dead = False
-        self._reset_rebuild()
+        self._wrap(primary, _empty_replica(primary))
 
     @classmethod
     def from_primary(cls, primary: PSNode) -> "ReplicatedPSNode":
@@ -114,19 +99,19 @@ class ReplicatedPSNode:
         replicated shard — no backup yet; run :meth:`rebuild_backup` (or
         tick the background rebuild) to regain fault tolerance."""
         node = cls.__new__(cls)
-        node.node_id = primary.node_id
-        node.server_config = primary.server_config
-        node.cache_config = primary.cache_config
-        node.optimizer = primary.optimizer
-        node.cluster_mode = primary.coordinator.cluster_mode
-        node.tracer = primary.tracer
-        node.primary = primary
-        node.backup = None
-        node.failovers = 0
-        node.ring_epoch = 0
-        node._primary_dead = False
-        node._reset_rebuild()
+        node._wrap(primary, None)
         return node
+
+    def _wrap(self, primary: PSNode, backup: PSNode | None) -> None:
+        """The one place a replicated shard's state is set."""
+        self.node_id = primary.node_id
+        self.server_config = primary.server_config
+        self.tracer = primary.tracer
+        self.primary = primary
+        self.backup = backup
+        self.failovers = 0
+        self._primary_dead = False
+        self._reset_rebuild()
 
     # ------------------------------------------------------------------
     # liveness guard
@@ -167,10 +152,6 @@ class ReplicatedPSNode:
             self.backup.pull(
                 keys, batch_id, worker_id=worker_id, progress=progress
             )
-        elif self._rebuilding:
-            # Auto-create may have made new keys; the catch-up copy must
-            # re-read them after the finish barrier.
-            self._touch(keys)
         return result
 
     def lookup(self, keys, snapshot_id: int | None = None, replica: int = 0):
@@ -224,9 +205,6 @@ class ReplicatedPSNode:
             self.backup.push(
                 keys, grads, batch_id, worker_id=worker_id, seq=seq
             )
-        elif self._rebuilding:
-            # Weights changed after the rebuild census: re-copy at finish.
-            self._touch(keys)
         return updated
 
     @property
@@ -287,23 +265,8 @@ class ReplicatedPSNode:
             self.backup.set_root_field(field, value)
 
     # ------------------------------------------------------------------
-    # shard migration — replicas follow the ring epoch
+    # shard migration — both replicas take every move
     # ------------------------------------------------------------------
-
-    def follow_ring(self, epoch: int) -> None:
-        """Adopt a committed ring epoch.
-
-        Epochs are monotone; both replicas serve the same epoch, so a
-        failover never resurrects pre-migration routing.
-
-        Raises:
-            ServerError: the epoch moves backwards.
-        """
-        if epoch < self.ring_epoch:
-            raise ServerError(
-                f"ring epoch must be monotone: {epoch} < {self.ring_epoch}"
-            )
-        self.ring_epoch = epoch
 
     def owned_keys(self) -> np.ndarray:
         return self.primary.owned_keys()
@@ -325,8 +288,6 @@ class ReplicatedPSNode:
         count = self.primary.ingest_entries(block)
         if self.backup is not None:
             self.backup.ingest_entries(block)
-        elif self._rebuilding:
-            self._touch(block.keys)
         return count
 
     def drop_keys(self, keys) -> int:
@@ -335,37 +296,20 @@ class ReplicatedPSNode:
         dropped = self.primary.drop_keys(keys)
         if self.backup is not None:
             self.backup.drop_keys(keys)
-        elif self._rebuilding:
-            keys = np.asarray(keys, dtype=np.uint64)
-            self._rebuild_target.drop_keys(keys)
-            self._rebuild_pending = np.setdiff1d(self._rebuild_pending, keys)
-            self._rebuild_touched = np.setdiff1d(self._rebuild_touched, keys)
         return dropped
 
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
 
-    def fail_primary(self) -> None:
-        """Kill the primary process (its pool survives but is unused
-        unless the backup also dies).
-
-        Raises:
-            ServerError: already degraded (no backup to fail over to —
-                use ordinary checkpoint recovery instead).
-        """
-        if self.backup is None:
-            raise ServerError("already degraded; use checkpoint recovery")
-        self.primary.crash()
-        self._primary_dead = True
-
     def kill_primary(self) -> None:
-        """Unconditional primary kill — the failure injector's view.
+        """Kill the primary process; its pool survives, unused unless the
+        backup dies too.
 
-        Unlike :meth:`fail_primary` this never refuses: killing the
-        primary of an already-degraded shard is exactly the double
-        fault, and the injector's job is to create it, not to be told
-        it is inconvenient. Idempotent (a dead primary stays dead).
+        Never refuses: killing the primary of a degraded shard is the
+        double fault (:meth:`failover` then raises), which a failure
+        injector must be able to create. Idempotent (a dead primary
+        stays dead).
         """
         if self._primary_dead:
             return
@@ -377,20 +321,15 @@ class ReplicatedPSNode:
         """False once the primary has crashed (heartbeats go silent)."""
         return not self._primary_dead
 
-    def failover(self, committed_epoch: int | None = None) -> float:
+    def failover(self) -> float:
         """Promote the backup; returns the simulated failover seconds.
 
         Nothing is scanned or rebuilt — the backup's DRAM structures are
         already live — so the cost is a role switch plus client
         redirection, orders of magnitude below checkpoint recovery.
-
-        Args:
-            committed_epoch: the coordinator's durable ring epoch at
-                promotion time. If the primary died mid-migration the
-                replica's last ``follow_ring`` announcement can lag the
-                committed ring word; promotion re-reads the commit so a
-                promoted backup never serves stale routing (epochs stay
-                monotone — an older value is ignored).
+        Routing is the client's partitioner; the committed ring word is
+        mirrored onto the backup's pool (:meth:`set_root_field`), so the
+        promoted replica holds it without being told.
 
         Raises:
             ServerError: no failed primary to replace.
@@ -409,15 +348,7 @@ class ReplicatedPSNode:
         self._primary_dead = False
         self.failovers += 1
         self._reset_rebuild()
-        if committed_epoch is not None and committed_epoch > self.ring_epoch:
-            # Satellite fix: reconcile with the durable ring word so a
-            # fail_primary() interleaved with a migration cannot leave
-            # the promoted node on pre-commit routing.
-            self.ring_epoch = committed_epoch
-        self.tracer.instant(
-            "failover.promote", track="failure", node=self.node_id,
-            epoch=self.ring_epoch,
-        )
+        self.tracer.instant("failover.promote", track="failure", node=self.node_id)
         return FAILOVER_SECONDS
 
     def crash(self) -> PmemPool:
@@ -446,26 +377,16 @@ class ReplicatedPSNode:
 
     def _reset_rebuild(self) -> None:
         self._rebuilding = False
-        self._rebuild_target: PSNode | None = None
-        # The census still to copy and the keys written since it was
-        # taken: sorted unique uint64 arrays.
-        self._rebuild_pending = self._rebuild_touched = np.empty(0, np.uint64)
-        self.rebuild_report = RebuildReport(finished=not getattr(self, "degraded", False))
-
-    def _touch(self, keys) -> None:
-        """Mark ``keys`` for the finish-time catch-up copy."""
-        self._rebuild_touched = np.union1d(
-            self._rebuild_touched, np.asarray(keys, dtype=np.uint64)
-        )
+        self.rebuild_report = RebuildReport(finished=self.backup is not None)
 
     def begin_rebuild(self) -> int:
-        """Start re-replicating a fresh backup; returns keys to copy.
+        """Start re-replicating a fresh backup; returns the key census.
 
         Takes a barrier checkpoint so the store's newest version of
-        every key equals its live state, provisions an empty replica,
-        and records the key census. Copying happens incrementally via
-        :meth:`rebuild_step` while training continues; any key touched
-        after this barrier is re-copied by :meth:`finish_rebuild`.
+        every key equals its live state, and records how many keys the
+        shard holds. :meth:`rebuild_step` paces the rebuild in rounds of
+        that census while training continues; :meth:`finish_rebuild`
+        makes the one copy.
         """
         self._check_alive()
         if not self.degraded:
@@ -474,47 +395,43 @@ class ReplicatedPSNode:
             raise ServerError("rebuild already in progress")
         if self.primary.latest_completed_batch > self.primary.coordinator.last_completed:
             self.primary.barrier_checkpoint()
-        self._rebuild_target = PSNode(
-            self.node_id, self.server_config, self.cache_config,
-            self.optimizer, cluster_mode=self.cluster_mode, tracer=self.tracer,
-        )
-        self._rebuild_pending = np.sort(self.primary.owned_keys())
-        self._rebuild_touched = np.empty(0, np.uint64)
         self._rebuilding = True
-        self.rebuild_report = RebuildReport(keys_total=len(self._rebuild_pending))
+        self.rebuild_report = RebuildReport(keys_total=self.primary.num_entries)
         self.tracer.instant(
             "failover.rebuild_begin", track="failure", node=self.node_id,
-            keys=len(self._rebuild_pending),
+            keys=self.rebuild_report.keys_total,
         )
-        return len(self._rebuild_pending)
+        return self.rebuild_report.keys_total
 
     def rebuild_step(self, max_keys: int = 64) -> int:
-        """Copy up to ``max_keys`` pending keys onto the new backup.
+        """Count one round of up to ``max_keys`` census keys.
 
-        Returns keys copied this step (0 once the census is drained —
-        call :meth:`finish_rebuild` then).
+        The rounds are the rebuild's pacing — one per heartbeat, so the
+        degraded window (where a second fault is a double fault) lasts
+        as long as copying the census would. Returns the keys this round
+        counted (0 once the census is counted — call
+        :meth:`finish_rebuild` then).
         """
         self._check_alive()
         if not self._rebuilding:
             raise ServerError("no rebuild in progress")
         if max_keys <= 0:
             raise ServerError(f"max_keys must be positive, got {max_keys}")
-        chunk = self._rebuild_pending[:max_keys]
-        self._rebuild_pending = self._rebuild_pending[max_keys:]
-        if len(chunk):
-            self._rebuild_target.ingest_entries(self.primary.export_entries(chunk))
-            self.rebuild_report.keys_copied += len(chunk)
-        return len(chunk)
+        report = self.rebuild_report
+        chunk = min(max_keys, report.keys_total - report.keys_copied)
+        report.keys_copied += chunk
+        return chunk
 
     def finish_rebuild(self) -> RebuildReport:
-        """Catch up and install the new backup; ends degraded mode.
+        """Copy the shard onto a fresh backup and install it; ends
+        degraded mode.
 
-        Takes a fresh barrier (the *seal batch*), re-copies every key
-        touched since :meth:`begin_rebuild` plus any census remainder,
-        seals the replica at the barrier batch, and installs it. From
-        here on the normal synchronous mirroring keeps the pair
-        bitwise identical — which the caller can check with
-        :meth:`verify_replicas_identical`.
+        Takes a fresh barrier (the *seal batch*) and moves every owned
+        key in one export → ingest, as a migration moves a shard, so
+        whatever training, pulls or reshards did during the rounds is in
+        the copy. The replica is sealed at the barrier batch; from here
+        on synchronous mirroring keeps the pair bitwise identical —
+        which :meth:`verify_replicas_identical` checks.
         """
         self._check_alive()
         if not self._rebuilding:
@@ -522,30 +439,24 @@ class ReplicatedPSNode:
         sealed = self.primary.coordinator.last_completed
         if self.primary.latest_completed_batch > sealed:
             sealed = self.primary.barrier_checkpoint()
-        patch = np.intersect1d(
-            np.union1d(self._rebuild_pending, self._rebuild_touched),
-            self.primary.owned_keys(),
-        )
-        if len(patch):
-            self._rebuild_target.ingest_entries(self.primary.export_entries(patch))
+        backup = _empty_replica(self.primary)
+        keys = np.sort(self.primary.owned_keys())
+        backup.ingest_entries(self.primary.export_entries(keys))
         # Everything the entries do not carry — the committed ring word a
         # future promotion must serve (and recover) by, progress vectors,
         # the aggregation buffer, keys still ahead of their pushes.
-        self._rebuild_target.adopt_live_state(self.primary, sealed)
+        backup.adopt_live_state(self.primary, sealed)
         if sealed >= 0:
-            self._rebuild_target.seal_at(sealed)
-        self.backup = self._rebuild_target
+            backup.seal_at(sealed)
+        self.backup = backup
+        self._rebuilding = False
         report = self.rebuild_report
-        report.keys_copied += len(patch)
-        report.keys_patched = len(patch)
+        report.keys_copied = len(keys)
         report.sealed_batch = sealed
         report.finished = True
-        self._rebuilding = False
-        self._rebuild_target = None
-        self._rebuild_pending = self._rebuild_touched = np.empty(0, np.uint64)
         self.tracer.instant(
             "failover.rebuild_done", track="failure", node=self.node_id,
-            patched=report.keys_patched, sealed=sealed,
+            keys=len(keys), sealed=sealed,
         )
         return report
 
@@ -554,7 +465,7 @@ class ReplicatedPSNode:
 
         State machine the serving path can poke between requests:
         ``"idle"`` (nothing to do), ``"started"`` (census taken),
-        ``"copying"`` (one chunk moved), ``"done"`` (backup installed
+        ``"copying"`` (one round counted), ``"done"`` (backup installed
         this tick). Safe to call anytime; never raises for liveness —
         a dead primary simply reports ``"idle"``.
         """
@@ -563,17 +474,14 @@ class ReplicatedPSNode:
         if not self._rebuilding:
             self.begin_rebuild()
             return "started"
-        if len(self._rebuild_pending):
-            self.rebuild_step(max_keys)
+        if self.rebuild_step(max_keys):
             return "copying"
         self.finish_rebuild()
         return "done"
 
-    def rebuild_backup(self, max_keys: int = 64) -> RebuildReport:
+    def rebuild_backup(self) -> RebuildReport:
         """Run a whole rebuild to completion (synchronous convenience)."""
         self.begin_rebuild()
-        while len(self._rebuild_pending):
-            self.rebuild_step(max_keys)
         return self.finish_rebuild()
 
     # ------------------------------------------------------------------
@@ -639,6 +547,16 @@ class ReplicatedPSNode:
         for key, weights in primary_state.items():
             if not np.array_equal(weights, backup_state[key]):
                 raise ServerError(f"replicas diverged on key {key}")
+
+
+def _empty_replica(primary: PSNode) -> PSNode:
+    """An empty node with ``primary``'s exact parameters (the cache
+    config and optimizer PSNode normalized), for a backup to fill."""
+    return PSNode(
+        primary.node_id, primary.server_config, primary.cache_config,
+        primary.optimizer, cluster_mode=primary.coordinator.cluster_mode,
+        tracer=primary.tracer,
+    )
 
 
 #: Simulated failover cost: lease expiry detection + client redirect.

@@ -86,6 +86,8 @@ class OpenEmbeddingServer:
             self.server_config.num_nodes,
             self.server_config.ring_vnodes,
         )
+        # The committed ring epoch: commit_ring sets it in the call that
+        # writes the durable ring word, and a promotion reports it.
         self.ring_epoch = 0
         # Serving reads fan out across a replicated shard's primary +
         # backup (reads never mutate, so the hot-standby doubles as a
@@ -177,7 +179,7 @@ class OpenEmbeddingServer:
         """One liveness check; True iff the shard's primary answered."""
         return bool(getattr(self.nodes[index], "primary_alive", True))
 
-    def _shard_promote(self, index: int, committed_epoch: int) -> float:
+    def _shard_promote(self, index: int) -> float:
         """Promote the shard's backup; returns simulated seconds (0 for a
         live primary: a false positive is an acknowledged no-op).
 
@@ -187,7 +189,7 @@ class OpenEmbeddingServer:
         node = self.nodes[index]
         if getattr(node, "primary_alive", True):
             return 0.0
-        return node.failover(committed_epoch=committed_epoch)
+        return node.failover()
 
     def _shard_rebuild_tick(self, index: int, max_keys: int) -> str:
         """Advance the shard's background re-replication one increment
@@ -502,12 +504,6 @@ class OpenEmbeddingServer:
         self.nodes = nodes
         self.cluster_mode = True
         self.ring_epoch = new_epoch
-        for node in nodes:
-            follow = getattr(node, "follow_ring", None)
-            if follow is not None:
-                # Replicated shards track the committed epoch so a later
-                # failover never resurrects pre-migration routing.
-                follow(new_epoch)
         self._sync_external_barriers()
         self.tracer.instant(
             "migration.ring_commit",
@@ -535,25 +531,6 @@ class OpenEmbeddingServer:
         from repro.core.migration import ShardMigrator
 
         return ShardMigrator(self, on_step=on_step).scale_in()
-
-    def ring_pools(self) -> list[PmemPool]:
-        """Every pool that holds the durable ring word, in preference
-        order: the coordinator's, then — when replicated — its backup's
-        (the mirror a promotion hands the shard to)."""
-        coordinator = self.nodes[0]
-        backup = getattr(coordinator, "backup", None)
-        return [coordinator.pool] + ([] if backup is None else [backup.pool])
-
-    def committed_epoch(self) -> int:
-        """The durably committed ring epoch, read from the ring word (a
-        promotion installs the *committed* routing, not this process's
-        view); ``ring_epoch`` for modulo routing, which has no word.
-        :meth:`commit_ring` writes both in one call, so they agree."""
-        for pool in self.ring_pools():
-            fields = pool.root.fields()
-            if RING_STATE_FIELD in fields:
-                return unpack_ring_state(fields[RING_STATE_FIELD])[0]
-        return self.ring_epoch
 
     # ------------------------------------------------------------------
     # failure / recovery

@@ -87,7 +87,7 @@ class NodeKillInjector:
     The soak calls :meth:`due` with the current simulated time between
     operations; each scheduled kill is returned exactly once, in time
     order. The injector never touches the cluster itself — the caller
-    owns the kill (``node.fail_primary()`` or a full ``crash()``) so
+    owns the kill (``node.kill_primary()`` or a full ``crash()``) so
     local, remote, and faulty-wire soaks share one schedule.
     """
 

@@ -441,11 +441,11 @@ class RemotePSClient(OpenEmbeddingServer):
         except RpcTimeoutError:
             return False
 
-    def _shard_promote(self, index: int, committed_epoch: int) -> float:
+    def _shard_promote(self, index: int) -> float:
         """A :class:`PromoteRequest`; a double fault's
         :class:`~repro.errors.FailoverError` crosses the wire as
         ``ERR_FAILOVER`` and is raised here, typed."""
-        self.probe_channel(index).call(PromoteRequest(committed_epoch=committed_epoch))
+        self.probe_channel(index).call(PromoteRequest(node_id=index))
         return FAILOVER_SECONDS
 
     def provision_node(self, node_id: int, server_config: ServerConfig) -> PSNode:

@@ -56,7 +56,7 @@ MigrateResponse         0x09  width u32, n u32, then the entry block
 HeartbeatRequest        0x0B  node_id u32 (reply: StatusResponse,
                               value = latest batch; a dead primary
                               answers with silence)
-PromoteRequest          0x0C  committed_epoch i64 (reply:
+PromoteRequest          0x0C  node_id u32 (reply:
                               StatusResponse, value = latest batch
                               after promotion)
 LookupRequest           0x0D  snapshot_id i64, replica u8, pad[3],
@@ -601,10 +601,10 @@ class HeartbeatRequest(_Message):
 class PromoteRequest(_Message):
     """Detector -> PS: promote the backup replica to primary.
 
-    Carries the coordinator's ``committed_epoch`` (the durable ring
-    word's epoch) so the promoted replica reconciles its routing epoch
-    at the commit point — a primary that died mid-migration cannot
-    leave the promoted backup serving stale routing.
+    ``node_id`` names the shard to promote: a kind carries at least one
+    field. The promoted replica needs no routing state — routing is the
+    client's partitioner, and the committed ring word is already on the
+    backup's pool.
 
     The reply is a :class:`StatusResponse`: ``value`` = the shard's
     ``latest_completed_batch`` after promotion. Idempotent: promoting a
@@ -615,9 +615,9 @@ class PromoteRequest(_Message):
     """
 
     TYPE = 0x0C
-    WIRE = _Wire("committed_epoch i64")
+    WIRE = _Wire("node_id u32")
 
-    committed_epoch: int = 0
+    node_id: int
 
 
 @dataclass(frozen=True)

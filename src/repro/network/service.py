@@ -159,9 +159,7 @@ class PSNodeService:
             if self.node.primary_alive:
                 span.set(noop=True)
                 return self._progress_reply()
-            committed = int(request.committed_epoch)
-            self.node.failover(committed_epoch=committed if committed >= 0 else None)
-            span.set(epoch=self.node.ring_epoch)
+            self.node.failover()
             return self._progress_reply()
 
     def _handle_pull(self, request: PullRequest) -> PullResponse:

@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 
 from repro.errors import ConfigError
+from repro.obs.exporters import TRACE_SCHEMA
 
 MERGED_TRACE_SCHEMA = "repro-trace-merged-v1"
 
@@ -128,14 +129,18 @@ def merge_trace_files(paths: list[str | Path], out: str | Path | None = None) ->
     """Load, merge, and optionally write trace files (CLI backend).
 
     Process names are the file stems (deduplicated with a numeric
-    suffix when two files share one). A file whose document is not a
-    JSON object raises :class:`ConfigError`.
+    suffix when two files share one). A file that is not JSON, or whose
+    document is not a JSON object, raises a :class:`ConfigError` naming
+    it.
     """
     traces = []
     names: list[str] = []
     for path in paths:
         path = Path(path)
-        trace = json.loads(path.read_text())
+        try:
+            trace = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON ({exc})") from None
         if not isinstance(trace, dict):
             raise ConfigError(f"{path} must hold a JSON object, not {type(trace).__name__}")
         traces.append(trace)
@@ -153,9 +158,19 @@ def merge_trace_files(paths: list[str | Path], out: str | Path | None = None) ->
 
 
 def summarize_trace(trace: dict) -> str:
-    """Human-readable summary of a (merged or single) Chrome trace."""
-    events = trace.get("traceEvents", [])
-    other = trace.get("otherData") or {}
+    """Human-readable summary of a (merged or single) Chrome trace.
+
+    Raises:
+        ConfigError: ``trace`` is not a ``repro-trace-v1`` /
+            ``repro-trace-merged-v1`` trace with a ``traceEvents`` list.
+    """
+    events = trace.get("traceEvents")
+    other = trace.get("otherData")
+    schema = other.get("schema") if isinstance(other, dict) else None
+    if schema not in (TRACE_SCHEMA, MERGED_TRACE_SCHEMA) or not isinstance(events, list):
+        raise ConfigError(
+            f"not a {TRACE_SCHEMA} / {MERGED_TRACE_SCHEMA} trace: schema={schema!r}"
+        )
     process_names: dict[int, str] = {}
     span_stats: dict[tuple[int, str], tuple[int, float]] = {}
     flows = 0
@@ -173,7 +188,7 @@ def summarize_trace(trace: dict) -> str:
         elif ph == "s":
             flows += 1
     lines = [
-        f"schema: {other.get('schema', '?')}   events: {len(events)}   "
+        f"schema: {schema}   events: {len(events)}   "
         f"flows: {flows}   instants: {instants}"
     ]
     for pid in sorted(set(pid for pid, _ in span_stats) | set(process_names)):

@@ -92,10 +92,15 @@ class BandedSkewDistribution:
         self.num_keys = num_keys
         self._band_mass = masses
         self._band_cum_mass = np.cumsum(masses)
-        # Rank boundaries of each band; every band holds >= 1 rank.
+        # Rank boundaries of each band; every band holds >= 1 rank: each
+        # edge sits at least one past the previous one and leaves one
+        # rank to every band after it.
         edges = np.round(np.cumsum(key_fracs) * num_keys).astype(np.int64)
-        edges = np.maximum(edges, np.arange(1, len(bands) + 1))
         edges[-1] = num_keys
+        floor = np.arange(1, len(bands) + 1)
+        edges = np.minimum(
+            np.maximum.accumulate(np.maximum(edges - floor, 0)), num_keys - len(bands)
+        ) + floor
         self._band_hi = edges
         self._band_lo = np.concatenate([[0], edges[:-1]])
         self._rng = np.random.default_rng((seed, 0xBAD5EED))

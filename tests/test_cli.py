@@ -318,3 +318,26 @@ class TestJsonReaders:
         assert main([*command, "doc.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must hold a JSON object" in err
+
+    @pytest.mark.parametrize("document", [
+        "{}", '{"traceEvents": []}',
+        '{"otherData": {"schema": "repro-trace-v1"}}',
+        '{"traceEvents": [], "otherData": {"schema": "repro-metrics-v1"}}',
+    ])
+    def test_trace_show_refuses_a_document_that_is_not_a_trace(
+        self, tmp_path, capsys, document
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        assert main(["trace", "show", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a repro-trace-v1")
+        assert captured.err.count("\n") == 1
+
+    def test_trace_merge_names_the_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("not json")
+        assert main(["trace", "merge", "-o", str(tmp_path / "m.json"), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "not valid JSON" in err

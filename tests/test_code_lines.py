@@ -86,15 +86,17 @@ SHARD_REACH_FILES = [
 def test_reaching_a_shard_stays_within_its_budget():
     """CI's third gated budget: the facade, its RPC subclass and service,
     and the reshard / failover / replication state machines hold at most
-    1 787 code lines (1 852 while failover and the services took
+    1 701 code lines (1 852 while failover and the services took
     settings only tests set, 1 825 before the facade checked a push's
     gradient block and folded the shards' buffers ahead of choosing a
     checkpoint id, 1 827 before pull and push took a KeyPlan and a
     reshard folded buffered pushes ahead of its quiesce check, 1 833
-    while the client kept a ring-refresh RPC nothing called) — one way
-    to reach a shard, not three seams."""
+    while the client kept a ring-refresh RPC nothing called, 1 787
+    while a replicated shard's rebuild tracked and patched the writes
+    landing mid-copy and every replica kept its own ring epoch) — one
+    way to reach a shard, not three seams."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1787", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+    assert code_lines.main(["--max", "1701", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
 
 
 WIRE_FILES = ["src/repro/network/messages.py", "src/repro/network/rpc.py"]
@@ -171,11 +173,12 @@ def test_the_baselines_and_the_pool_stay_within_their_budget():
 
 
 def test_the_cli_stays_within_its_budget():
-    """CI's eighth gated budget: the command-line front holds at most 726
+    """CI's eighth gated budget: the command-line front holds at most 723
     code lines (1 028 while `repro faults` and `repro serve-bench`
     restated the network-faults and serving benches, 740 while six
-    commands each turned a ConfigError into exit 2 instead of `main`).
+    commands each turned a ConfigError into exit 2 instead of `main`,
+    726 while `repro trace` kept its own exit-2 block).
     Experiments run through `repro bench`; a command that rebuilds a
     bench's cluster does not fit."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "726", str(root / "src/repro/cli.py")]) == 0
+    assert code_lines.main(["--max", "723", str(root / "src/repro/cli.py")]) == 0

@@ -8,9 +8,8 @@ paper's checkpoint-recovery story:
   including idempotent promotion on false positives and the
   double-fault fallback;
 * :class:`~repro.core.replication.ReplicatedPSNode` background
-  re-replication and mid-migration ring-epoch reconciliation
-  (the satellite fix: ``failover(committed_epoch=...)`` interleaved at
-  every labelled migration step);
+  re-replication, and a promotion interleaved at every labelled
+  migration step;
 * the typed dead-node channel error
   (:class:`~repro.errors.NodeDeadError` vs
   :class:`~repro.errors.RpcTimeoutError`);
@@ -254,7 +253,7 @@ class TestLocalFailover:
 
     def test_transport_promote_is_idempotent_on_alive_node(self):
         s = replicated()
-        assert s.manager.cluster._shard_promote(0, 0) == 0.0
+        assert s.manager.cluster._shard_promote(0) == 0.0
         assert s.backend.nodes[0].failovers == 0
 
     def test_rebuild_rides_the_heartbeat_rounds(self):
@@ -323,7 +322,7 @@ class TestReplicatedRebuild:
         s, node = single_replicated()
         s.train(0, 3)
         assert node.rebuild_tick() == "idle"  # healthy pair: nothing to do
-        node.fail_primary()
+        node.kill_primary()
         assert node.rebuild_tick() == "idle"  # dead primary: cannot rebuild
         node.failover()
         assert node.degraded
@@ -342,7 +341,7 @@ class TestReplicatedRebuild:
     def test_writes_during_rebuild_are_patched(self):
         s, node = single_replicated(seed=4)
         s.train(0, 3)
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         node.begin_rebuild()
         # Concurrent training while the census copies.
@@ -350,7 +349,7 @@ class TestReplicatedRebuild:
         while node.rebuild_step(16):
             pass
         report = node.finish_rebuild()
-        assert report.finished and report.keys_patched > 0
+        assert report.finished and report.keys_copied == node.num_entries
         node.verify_replicas_identical()
 
     def test_ring_word_mirrored_onto_fresh_backup(self):
@@ -359,7 +358,7 @@ class TestReplicatedRebuild:
         packed = pack_ring_state(3, 1, 8)
         node.set_root_field(RING_STATE_FIELD, packed)
         assert node.backup.pool.root.fields()[RING_STATE_FIELD] == packed
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         node.rebuild_backup()
         # The rebuilt replica's pool carries the committed ring word, so
@@ -367,31 +366,20 @@ class TestReplicatedRebuild:
         # still serves the committed routing.
         assert node.backup.pool.root.fields()[RING_STATE_FIELD] == packed
 
-    def test_failover_reconciles_committed_epoch(self):
-        __, node = single_replicated()
-        node.follow_ring(2)
-        node.fail_primary()
-        node.failover(committed_epoch=5)
-        assert node.ring_epoch == 5
-        node.rebuild_backup()
-        # An older committed word never moves the epoch backwards.
-        node.kill_primary()
-        node.failover(committed_epoch=1)
-        assert node.ring_epoch == 5
-
     def test_guards(self):
         __, node = single_replicated()
         with pytest.raises(ServerError, match="without a failed primary"):
             node.failover()
-        node.fail_primary()
+        node.kill_primary()
         node.kill_primary()  # idempotent
         with pytest.raises(NodeDeadError):
             node.pull([1], 0)
         node.failover()
-        with pytest.raises(ServerError, match="already degraded"):
-            node.fail_primary()
         with pytest.raises(ServerError, match="no rebuild in progress"):
             node.rebuild_step()
+        node.kill_primary()  # a degraded pair's kill is the double fault
+        with pytest.raises(FailoverError):
+            node.failover()
 
 
 # ----------------------------------------------------------------------
@@ -403,9 +391,10 @@ class TestMigrationInterleaving:
     @pytest.mark.parametrize("step", MIGRATION_STEPS)
     def test_promotion_mid_migration_serves_committed_ring(self, step):
         """Kill node 1's primary right before each labelled migration step
-        (the manager promotes it there); the promoted backup must end on
-        the committed ring epoch, own exactly its routed keys, and the
-        final weights must equal the fault-free replay bitwise."""
+        (the manager promotes it there); the cluster must route by the
+        committed ring word, the promoted backup must own exactly its
+        routed keys, and the final weights must equal the fault-free
+        replay bitwise."""
         s = replicated(
             seed=1, batches=8, checkpoint_every=2,
             schedule=[reshard(3, "scale_out"), kill(3, 1, phase=step)],
@@ -414,16 +403,10 @@ class TestMigrationInterleaving:
         assert [e.phase for e in s.log if e.kind == "kill"] == [step]
         assert len(s.promotions) == 1 and s.promotions[0].node_id == 1
         assert s.report.to_nodes == 4
-        # Reconciliation: every replica serves the committed epoch.
         committed = unpack_ring_state(
             server.nodes[0].pool.root.fields()[RING_STATE_FIELD]
         )[0]
         assert server.ring_epoch == committed
-        for node in server.nodes:
-            assert node.ring_epoch == server.ring_epoch, (
-                f"node {node.node_id} on epoch {node.ring_epoch}, "
-                f"cluster committed {server.ring_epoch}"
-            )
         assert_exclusive_ownership(server)
         assert_bitwise_equal(server.state_snapshot(), reference_state(1, 8))
 
@@ -496,7 +479,7 @@ class TestRemoteFailover:
     def test_promote_rpc_idempotent_on_alive_node(self):
         s = replicated("rpc")
         response = s.manager.cluster.probe_channel(0).call(
-            PromoteRequest(committed_epoch=0)
+            PromoteRequest(node_id=0)
         )
         assert response.ok
         assert s.backend.nodes[0].failovers == 0
@@ -508,7 +491,7 @@ class TestRemoteFailover:
         node.failover()
         node.kill_primary()  # promoted primary dies; no backup left
         with pytest.raises(FailoverError):
-            s.manager.cluster._shard_promote(1, 0)
+            s.manager.cluster._shard_promote(1)
 
     def test_rebuild_ticks_once_per_beat_on_both_backends(self):
         """One ``REBUILD_CHUNK`` per heartbeat round, ticked by the
@@ -545,7 +528,7 @@ class TestRemoteFailover:
     def test_wire_roundtrip(self):
         hb = HeartbeatRequest(node_id=3)
         assert HeartbeatRequest.decode_body(hb.encode_body()) == hb
-        pr = PromoteRequest(committed_epoch=7)
+        pr = PromoteRequest(node_id=7)
         assert PromoteRequest.decode_body(pr.encode_body()) == pr
         err = StatusResponse(code=StatusResponse.ERR_FAILOVER, detail="df")
         assert not err.ok

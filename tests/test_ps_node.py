@@ -598,7 +598,7 @@ class TestSlotReuse:
             warm(node)
             node.pull(KEYS, 2)
             node.maintain(2)
-            node.fail_primary()
+            node.kill_primary()
             node.failover()
             push(node, KEYS, 2)
             node.pull(KEYS, 3)

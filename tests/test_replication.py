@@ -64,7 +64,7 @@ class TestFailover:
         node.barrier_checkpoint(0)
         cycle(node, [1, 2], 1)  # past the checkpoint
         live = node.state_snapshot()
-        node.fail_primary()
+        node.kill_primary()
         elapsed = node.failover()
         assert elapsed == FAILOVER_SECONDS
         promoted = node.state_snapshot()
@@ -74,7 +74,7 @@ class TestFailover:
     def test_training_continues_after_failover(self):
         node = make_node()
         cycle(node, [1], 0)
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         assert node.degraded
         cycle(node, [1, 2], 1)
@@ -87,7 +87,7 @@ class TestFailover:
     def test_verify_after_failover_rejected(self):
         node = make_node()
         cycle(node, [1], 0)
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         with pytest.raises(ServerError):
             node.verify_replicas_identical()
@@ -102,7 +102,7 @@ class TestDoubleFault:
         node.barrier_checkpoint(0)
         expected = node.state_snapshot()
         cycle(node, [1, 2, 3], 1)
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         pool = node.primary.crash()  # the second fault
         recovered, report = recover_node(
@@ -118,27 +118,8 @@ class TestDoubleFault:
 
 
 class TestRingFollowing:
-    """Replicas follow the committed ring epoch and mirror migrations
-    (docs/ELASTICITY.md: a failover must never resurrect pre-migration
-    routing or serve a pre-migration shard)."""
-
-    def test_epoch_monotone(self):
-        node = make_node()
-        node.follow_ring(1)
-        node.follow_ring(1)  # re-announcement is fine
-        node.follow_ring(3)
-        assert node.ring_epoch == 3
-        with pytest.raises(ServerError, match="monotone"):
-            node.follow_ring(2)
-
-    def test_epoch_survives_failover(self):
-        node = make_node()
-        node.follow_ring(2)
-        node.fail_primary()
-        node.failover()
-        assert node.ring_epoch == 2
-        with pytest.raises(ServerError, match="monotone"):
-            node.follow_ring(1)
+    """Replicas mirror migrations (docs/ELASTICITY.md: a failover must
+    never serve a pre-migration shard)."""
 
     def test_ingest_and_drop_mirror_to_backup(self):
         donor = make_node()
@@ -170,8 +151,7 @@ class TestRingFollowing:
 
         node = make_node()
         node.ingest_entries(entries)
-        node.follow_ring(1)
-        node.fail_primary()
+        node.kill_primary()
         node.failover()
         got = node.state_snapshot()
         for key, weights in expected.items():

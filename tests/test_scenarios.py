@@ -24,6 +24,7 @@ from repro.config import CacheConfig
 from repro.core.migration import MIGRATION_STEPS
 from repro.core.optimizers import PSSGD
 from repro.core.ps_node import PSNode
+from repro.core.sharding import RING_STATE_FIELD, unpack_ring_state
 from repro.failure.injection import WorkerFaultProfile, hostile_fleet
 from tests.harness.scenario import (
     CHECKPOINT_KINDS,
@@ -275,6 +276,35 @@ class TestFoundByTheEngine:
         checkpoint a pending request had queued, and the queue refused."""
         s = replicated([kill(0, 0, "pre"), checkpoint(0, "request")], transport="local").run()
         assert s.rebuilds_completed == NODES and s.checkpoint_trail[-1] == BATCHES - 1
+
+    @pytest.mark.parametrize("transport", ["local", "rpc"])
+    def test_a_reshard_inside_the_rebuild_rounds_lands_in_its_one_copy(self, transport):
+        """kill x rebuild x reshard: the coordinator shard is promoted at
+        batch 2, its rebuild begins at batch 3's heartbeat and counts a
+        round at 4's, while a scale-out (batch 3) moves keys off the
+        degraded shard and a scale-in (batch 4) moves them back, each
+        committing a ring word to its pool alone. The copy at the seal
+        barrier must hold exactly what the primary holds then, ring word
+        included."""
+        schedule = [kill(2, 0), reshard(3, "scale_out"), reshard(4, "scale_in")]
+        s = replicated(schedule, transport=transport)
+        node = s.backend.nodes[0]
+        s.train(0, 3)
+        before = set(node.owned_keys().tolist())
+        assert [p.node_id for p in s.promotions] == [0] and node.degraded
+        s.train(3, 4)
+        assert len(s.backend.nodes) == NODES + 1 and not node.rebuild_report.finished
+        assert before - set(node.owned_keys().tolist())  # moved off mid-rebuild
+        s.train(4, 5)
+        assert len(s.backend.nodes) == NODES and node.degraded
+        assert before <= set(node.owned_keys().tolist())  # and back onto it
+        s.train(5, BATCHES)
+        assert not node.degraded and node.rebuild_report.finished
+        node.verify_replicas_identical()
+        word = node.backup.pool.root.fields()[RING_STATE_FIELD]
+        assert unpack_ring_state(word)[0] == s.backend.ring_epoch == 2
+        s.audit()  # exclusive ownership, bitwise against the fault-free replay
+        assert s.recoveries == 0
 
     def test_a_late_fold_keeps_lru_stamps_in_version_order(self):
         """async x aggregation: a fold of contributions older than the

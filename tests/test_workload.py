@@ -66,6 +66,19 @@ class TestBandedSkew:
         with pytest.raises(ConfigError, match="one per band"):
             BandedSkewDistribution(0)
 
+    def test_a_thin_band_between_wide_ones_keeps_a_rank(self):
+        """A band rounding to no ranks takes one from the band after it,
+        and every band still holds >= 1 rank and is sampled."""
+        dist = BandedSkewDistribution(
+            100, bands=((0.5, 0.5), (0.0001, 0.1), (0.4999, 0.4)), seed=1
+        )
+        assert dist._band_lo.tolist() == [0, 50, 51]
+        assert dist._band_hi.tolist() == [50, 51, 100]
+        ranks = dist.sample_ranks(5000)
+        assert ranks.max() < 100 and np.count_nonzero(ranks == 50) > 0
+        tail = BandedSkewDistribution(5, bands=((0.8, 0.5), (0.1, 0.2), (0.1, 0.3)))
+        assert tail._band_hi.tolist() == [3, 4, 5]  # the last bands keep theirs
+
     def test_bands_sum_checked(self):
         key_fracs = sum(b[0] for b in TABLE2_BANDS)
         masses = sum(b[1] for b in TABLE2_BANDS)
