@@ -1,15 +1,19 @@
 """Figure 2: access pattern in two batches — burst I/O in pairs.
 
-Records every pull/update request timestamp over a few synchronous
-batches and buckets them per millisecond. The figure's two signatures:
+Reads every pull/update burst off the simulator's ``iter.pull`` /
+``iter.push`` spans over a few synchronous batches and buckets their
+requests per millisecond. The figure's two signatures:
 
 1. pulls and updates come in equal totals ("in pairs"),
 2. traffic concentrates in instantaneous bursts at batch boundaries
    with an idle gap (GPU compute) in between.
 """
 
+from collections import Counter
+
 from benchmarks.common import failures, simulate_epoch
 from repro.bench import Headline, Param, Ref, register
+from repro.obs import Tracer
 from repro.simulation.cluster import SystemKind
 
 
@@ -54,17 +58,20 @@ def _check(metrics: dict, params: dict) -> list:
 def entry(*, workers, iterations):
     """Figure 2: per-ms request pattern over a few synchronous batches —
     pull/update pairing and burst concentration."""
+    tracer = Tracer()
     result = simulate_epoch(
         SystemKind.PMEM_OE, workers=workers, iterations=iterations,
-        record_trace=True,
+        tracer=tracer,
     )
-    trace = result.trace
-    totals = trace.totals()
-    bursts = sorted(trace.per_millisecond().items())
+    totals, per_ms = Counter(), Counter()
+    for span in tracer.spans_named("iter.pull") + tracer.spans_named("iter.push"):
+        totals[span.name] += span.attrs["requests"]
+        per_ms[int(span.start * 1000)] += span.attrs["requests"]
+    bursts = sorted(per_ms.items())
     metrics = {
-        "pairs_equal": totals["pull"] == totals["update"],
-        "pull_total": totals["pull"],
-        "update_total": totals["update"],
+        "pairs_equal": totals["iter.pull"] == totals["iter.push"],
+        "pull_total": totals["iter.pull"],
+        "update_total": totals["iter.push"],
         "busy_ms": len(bursts),
         "span_ms": int(result.sim_seconds * 1000) + 1,
     }

@@ -78,9 +78,8 @@ def _run(config: str, iterations: int):
 
 
 def _fingerprint(result) -> dict:
-    """Everything semantic in a run result (drop the trace object)."""
+    """Everything semantic in a run result."""
     fields = dataclasses.asdict(result)
-    fields.pop("trace", None)
     fields["system"] = result.system.value
     return fields
 

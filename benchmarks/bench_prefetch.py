@@ -37,8 +37,8 @@ from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
 from repro.network.frontend import RemotePSClient
+from repro.obs import Tracer
 from repro.simulation.cluster import SystemKind
-from repro.simulation.metrics import RequestTrace
 from repro.simulation.profiles import DEFAULT_PROFILE
 
 # --- functional (bit-identicality) half ---------------------------------
@@ -109,19 +109,6 @@ def _bitwise_identical(reference, candidate) -> bool:
 # --- simulated (throughput) half ----------------------------------------
 
 
-def _peak_prefetch_pull(trace: RequestTrace) -> int:
-    """Most keys pulled ahead inside one iteration's overlap slot — the
-    window fill, which grows with the lookahead depth. The trace logs
-    each iteration as a demand PULL, the prefetch PULL if any, then the
-    UPDATE."""
-    peak = pulls = 0
-    for __, op, count in trace.events:
-        pulls = pulls + 1 if op == RequestTrace.PULL else 0
-        if pulls == 2:
-            peak = max(peak, count)
-    return peak
-
-
 def _check(metrics: dict, params: dict) -> list:
     # The >= 1.3x floor is claimed at the default (2 GB-eq) cache.
     floor = params["lookahead"] >= 2 and params["cache_mb"] == 2048
@@ -168,22 +155,29 @@ _CELL = "L={lookahead} cache={cache_mb:.0f} faults={fault_rate:.0%}"
 def entry(*, lookahead, cache_mb, workers, iterations, fault_rate, seed):
     """Lookahead prefetch: simulated epoch speedup at one depth and
     cache size, plus the bit-identicality of the pipelined RPC path."""
-    serial, pipelined = (
-        simulate_epoch(
-            SystemKind.PMEM_OE, workers, iterations=iterations,
-            cache=DEFAULT_PROFILE.cache_config(paper_mb=cache_mb),
-            prefetch=PrefetchConfig(lookahead=depth), record_trace=True,
-        )
-        for depth in (0, lookahead)
+    cache = DEFAULT_PROFILE.cache_config(paper_mb=cache_mb)
+    serial = simulate_epoch(
+        SystemKind.PMEM_OE, workers, iterations=iterations, cache=cache
+    )
+    tracer = Tracer()
+    pipelined = simulate_epoch(
+        SystemKind.PMEM_OE, workers, iterations=iterations, cache=cache,
+        prefetch=PrefetchConfig(lookahead=lookahead), tracer=tracer,
     )
     reference = _train_functional("local", seed, None)
-    prefetch = PrefetchConfig(lookahead=lookahead) if lookahead else None
-    candidate = _train_functional("remote", seed, prefetch, fault_rate)
+    candidate = _train_functional(
+        "remote", seed, PrefetchConfig(lookahead=lookahead), fault_rate
+    )
     return {
         "speedup": serial.sim_seconds / pipelined.sim_seconds,
         "identical": _bitwise_identical(reference, candidate),
         "faults_injected": candidate[0].reliability().faults_injected,
         "demand_requests": pipelined.total_requests,
         "prefetch_requests": pipelined.prefetch_requests,
-        "peak_prefetch_pull": _peak_prefetch_pull(pipelined.trace),
+        # Most keys pulled ahead inside one iteration's overlap slot:
+        # the window fill, which grows with the lookahead depth.
+        "peak_prefetch_pull": max(
+            (span.attrs["keys"] for span in tracer.spans_named("prefetch.pull")),
+            default=0,
+        ),
     }

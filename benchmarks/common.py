@@ -44,8 +44,8 @@ def simulate_epoch(
     use_cache: bool = True,
     pipelined: bool = True,
     iterations: int | None = None,
-    record_trace: bool = False,
     prefetch=None,
+    tracer=None,
 ) -> TrainingRunResult:
     """One simulated training epoch at the shared operating point."""
     profile = DEFAULT_PROFILE
@@ -66,8 +66,8 @@ def simulate_epoch(
         checkpoint or CheckpointConfig.none(),
         WorkloadGenerator(profile.workload_config(skew)),
         use_cache=use_cache,
-        record_trace=record_trace,
         prefetch=prefetch,
+        tracer=tracer,
     )
     return simulator.run(iterations or bench_iterations(workers))
 

@@ -33,6 +33,7 @@ Run ``python -m repro.cli <subcommand> --help`` for options.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -185,11 +186,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             server, model, dataset,
             num_workers=args.workers, batch_size=args.batch_size,
             dense_optimizer=Adam(2e-3), checkpoint_every=args.checkpoint_every,
-            prefetch=(
-                PrefetchConfig(lookahead=args.lookahead)
-                if args.lookahead > 0
-                else None
-            ),
+            prefetch=PrefetchConfig(lookahead=args.lookahead),
             tracer=tracer,
         )
 
@@ -215,11 +212,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 ps_optimizer=PSAdagrad(lr=0.05),
                 num_workers=args.workers, batch_size=args.batch_size,
                 dense_optimizer=Adam(2e-3), checkpoint_every=args.checkpoint_every,
-                prefetch=(
-                    PrefetchConfig(lookahead=args.lookahead)
-                    if args.lookahead > 0
-                    else None
-                ),
+                prefetch=PrefetchConfig(lookahead=args.lookahead),
                 tracer=tracer,
             )
             print(f"-- resumed from checkpoint of batch {trainer.next_batch - 1}")
@@ -288,11 +281,7 @@ def _train_async(args: argparse.Namespace, dataset, tracer, registry) -> int:
         num_workers=args.workers, batch_size=args.batch_size,
         staleness=args.staleness,
         dense_optimizer=Adam(2e-3),
-        prefetch=(
-            PrefetchConfig(lookahead=args.lookahead)
-            if args.lookahead > 0
-            else None
-        ),
+        prefetch=PrefetchConfig(lookahead=args.lookahead),
         worker_faults=fleet,
         track_progress=True if defended else None,
         tracer=tracer,
@@ -565,6 +554,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if verdict["ok"] else 1
 
 
+def _finite(text: str) -> float:
+    """The ``type`` of every float flag: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", metavar="FILE.json", default=None,
@@ -592,15 +592,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument("--workers", type=int, default=16)
     simulate.add_argument("--iterations", type=int, default=None)
-    simulate.add_argument("--cache-mb", type=float, default=2048.0,
+    simulate.add_argument("--cache-mb", type=_finite, default=2048.0,
                           help="paper-equivalent cache size (MB of a 500 GB model)")
-    simulate.add_argument("--skew", type=float, default=1.0)
+    simulate.add_argument("--skew", type=_finite, default=1.0)
     simulate.add_argument(
         "--checkpoint",
         choices=["none", "batch_aware", "incremental", "sparse_only"],
         default="none",
     )
-    simulate.add_argument("--interval-seconds", type=float, default=1.0)
+    simulate.add_argument("--interval-seconds", type=_finite, default=1.0)
     simulate.add_argument("--lookahead", type=int, default=0,
                           help="prefetch the next N batches' keys inside the "
                                "overlap window (PMem-OE only; 0 disables)")
@@ -619,14 +619,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--reshard-to", type=int, default=None,
                           help="target PS node count for --reshard-at "
                                "(default: one more node)")
-    simulate.add_argument("--mttf", type=float, default=None,
+    simulate.add_argument("--mttf", type=_finite, default=None,
                           help="mean time to failure in simulated seconds; "
                                "samples a Poisson kill schedule and prices "
                                "each node death (failover or recovery)")
     simulate.add_argument("--replicas", type=int, default=1,
                           help="replicas per shard: 2 answers kills with "
                                "hot failover, 1 with checkpoint recovery")
-    simulate.add_argument("--lease-ms", type=float, default=500.0,
+    simulate.add_argument("--lease-ms", type=_finite, default=500.0,
                           help="failure-detector lease in milliseconds "
                                "(bounds detection latency)")
     _add_obs_flags(simulate)
@@ -653,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="async: robust per-key gradient fold buffered "
                             "at the PS before apply (default: none, "
                             "apply-as-they-arrive)")
-    train.add_argument("--hostile", type=float, default=0.0,
+    train.add_argument("--hostile", type=_finite, default=0.0,
                        metavar="FRACTION",
                        help="async: turn this fraction of workers "
                             "Byzantine (seeded sign-flip/noise gradients "
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="sign_flip",
                        help="async: gradient corruption the hostile "
                             "workers inject")
-    train.add_argument("--byzantine-scale", type=float, default=6.0,
+    train.add_argument("--byzantine-scale", type=_finite, default=6.0,
                        help="async: amplification of the corrupted "
                             "gradients")
     train.add_argument("--batches", type=int, default=100)
@@ -685,17 +685,17 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(handler=_cmd_train)
 
     plan = sub.add_parser("plan", help="deployment sizing and reliability planning")
-    plan.add_argument("--model-gb", type=float, default=500.0)
+    plan.add_argument("--model-gb", type=_finite, default=500.0)
     plan.add_argument("--dim", type=int, default=64)
-    plan.add_argument("--epoch-hours", type=float, default=5.33)
-    plan.add_argument("--mttf-hours", type=float, default=12.0)
-    plan.add_argument("--ckpt-cost-s", type=float, default=15.0)
+    plan.add_argument("--epoch-hours", type=_finite, default=5.33)
+    plan.add_argument("--mttf-hours", type=_finite, default=12.0)
+    plan.add_argument("--ckpt-cost-s", type=_finite, default=15.0)
     plan.set_defaults(handler=_cmd_plan)
 
     workload = sub.add_parser("workload", help="access-skew statistics (Table II)")
     workload.add_argument("--keys", type=int, default=500_000)
     workload.add_argument("--features", type=int, default=4)
-    workload.add_argument("--skew", type=float, default=1.0)
+    workload.add_argument("--skew", type=_finite, default=1.0)
     workload.add_argument("--batches", type=int, default=100)
     workload.add_argument("--batch-size", type=int, default=256)
     workload.add_argument("--seed", type=int, default=1)

@@ -427,9 +427,9 @@ class PrefetchConfig:
     of the next ``lookahead`` batches.
 
     Attributes:
-        lookahead: how many future batches to peek. ``0`` disables the
-            pipeline (strictly serial pull -> compute -> push ->
-            maintain, the pre-pipeline behaviour).
+        lookahead: how many future batches to peek. ``0`` is no
+            pipeline: the trainers and the simulator keep the serial
+            protocol.
     """
 
     lookahead: int = 0

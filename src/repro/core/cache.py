@@ -579,7 +579,6 @@ class PipelinedCache:
         if len(loads):
             rows = columns.row[loads] = self.arena.alloc_many(len(loads))
             self.arena.data[rows] = block
-        self.metrics.pmem_load_entries += loaded
         self.metrics.cache.loads += loaded
         self.metrics.pmem_flush_entries += plan.flushes
         self.metrics.cache.flushes += plan.flushes

@@ -211,11 +211,13 @@ class ConsistentHashRing(HashPartitioner):
     shard migration (``repro.core.migration``) cheap.
 
     Construction is deterministic: vnode ``j`` of node ``i`` sits at
-    position ``mix64((i << 32) | j)`` on a 64-bit ring, and a key
-    ``k`` is owned by the first vnode clockwise of ``mix64(k)``. No
-    process-salted hashing is involved, so routing is identical across
-    processes and runs (required by the recovery and crash-point
-    tests).
+    position ``mix64(mix64((i << 32) | j))`` on a 64-bit ring, and a key
+    ``k`` is owned by the first vnode clockwise of ``mix64(k)``. The
+    second mix keeps vnodes off the keys' own points: ``mix64((0 << 32)
+    | j)`` is key ``j``'s point, which would hand keys ``0 .. vnodes-1``
+    to node 0. No process-salted hashing is involved, so routing is
+    identical across processes and runs (required by the recovery and
+    crash-point tests).
 
     Physical nodes are always the contiguous range ``0..num_nodes-1``
     — scale-out adds node ``n``, scale-in removes node ``n-1`` — which
@@ -231,7 +233,7 @@ class ConsistentHashRing(HashPartitioner):
         for node_id in range(num_nodes):
             base = node_id << 32
             for j in range(vnodes):
-                points.append((mix64(base | j), node_id))
+                points.append((mix64(mix64(base | j)), node_id))
         # Ties (astronomically unlikely) break deterministically by node id.
         points.sort()
         self._positions = [p for p, __ in points]

@@ -49,7 +49,6 @@ from repro.errors import ConfigError, StalenessError
 from repro.failure.injection import WorkerFaultProfile
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulation.clock import SimClock
 
 
 @dataclass
@@ -102,11 +101,9 @@ class AsynchronousTrainer:
         prefetch: optional lookahead prefetch configuration; because
             the round-robin schedule is deterministic, future scheduler
             steps' key sets are peekable exactly as in the synchronous
-            trainer. Incompatible with ``track_progress`` / fault
-            injection (the pipeline's pulls are anonymous).
-        clock: optional simulated clock; each scheduler slot (compute
-            or straggle stall) advances it by ``gpu_batch_time_s``.
-        gpu_batch_time_s: simulated per-step compute time.
+            trainer. Lookahead 0 builds no pipeline. Incompatible with
+            ``track_progress`` / fault injection (the pipeline's pulls
+            are anonymous).
         track_progress: send ``(worker_id, progress)`` on every pull
             and ``(worker_id, seq)`` on every push, enabling the PS's
             bounded-staleness admission and robust aggregation. ``None``
@@ -131,8 +128,6 @@ class AsynchronousTrainer:
         dense_optimizer: DenseOptimizer | None = None,
         *,
         prefetch: PrefetchConfig | None = None,
-        clock: SimClock | None = None,
-        gpu_batch_time_s: float = 0.0,
         track_progress: bool | None = None,
         worker_faults: dict[int, WorkerFaultProfile] | None = None,
         tracer: Tracer | None = None,
@@ -153,8 +148,6 @@ class AsynchronousTrainer:
         self.batch_size = batch_size
         self.staleness = staleness
         self.dense_optimizer = dense_optimizer or Adam()
-        self.clock = clock
-        self.gpu_batch_time_s = gpu_batch_time_s
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.registry = registry
         self.step = 0
@@ -191,7 +184,7 @@ class AsynchronousTrainer:
         self.track_progress = track_progress
 
         self.pipeline: PrefetchPipeline | None = None
-        if prefetch is not None:
+        if prefetch is not None and prefetch.enabled:
             if self.track_progress:
                 raise ConfigError(
                     "prefetch is not supported with track_progress / "
@@ -205,8 +198,6 @@ class AsynchronousTrainer:
                 # At scheduler step s the computing worker trains global
                 # batch s, so the peek function is the step index itself.
                 lambda s: self.dataset.batch(self.batch_size, s).keys,
-                clock=clock,
-                gpu_batch_time_s=gpu_batch_time_s,
             )
 
     @staticmethod
@@ -255,10 +246,8 @@ class AsynchronousTrainer:
         self.stats.steps += 1
         self._count("repro_async_steps_total")
         if self._stalled(worker):
-            # The slot passes unused; simulated time still elapses.
             self.stats.straggle_skips += 1
             self._count("repro_async_straggle_steps_total")
-            self._advance_clock()
             self.step += 1
             return []
         loss = self._compute(worker)
@@ -291,7 +280,6 @@ class AsynchronousTrainer:
             "async.step", track="async", worker=worker, batch=batch_index
         ):
             if self.pipeline is not None:
-                # run_overlap advances the shared clock itself.
                 self.pipeline.begin_batch(self.step, batch.keys)
                 embeddings = self.pipeline.gather(batch.keys)
                 self.pipeline.run_overlap(self.step)
@@ -304,7 +292,6 @@ class AsynchronousTrainer:
                 embeddings = pulled.weights.reshape(
                     self.batch_size, self.model.num_fields, self.model.dim
                 )
-                self._advance_clock()
             self.model.zero_grad()
             grads = self.model.train_batch(embeddings, batch.labels)
             self._enqueue_push(worker, keys, grads)
@@ -457,10 +444,6 @@ class AsynchronousTrainer:
             else:
                 remaining.append(work)
         self._pending = remaining
-
-    def _advance_clock(self) -> None:
-        if self.clock is not None and self.gpu_batch_time_s > 0:
-            self.clock.advance(self.gpu_batch_time_s)
 
     def _count(self, name: str, value: int = 1) -> None:
         if self.registry is not None and value:

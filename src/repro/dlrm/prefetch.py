@@ -49,20 +49,8 @@ demand keys in first-appearance order, prefetch and patch keys
 ascending — because the server's LRU order, and through it every
 eviction and every counter, follows it.
 :class:`~repro.simulation.trainer_sim.TrainingSimulator` drives this
-same class.
-
-Timing
-------
-When constructed with a :class:`~repro.simulation.clock.SimClock` (the
-remote-RPC backend shares one), the overlap window is charged
-faithfully: maintenance and prefetch RPCs advance the clock — including
-any retry/timeout/backoff time on a faulty link — and GPU compute of
-``gpu_batch_time_s`` is then charged *overlapping* that work via
-:meth:`SimClock.advance_overlapping`, so the window costs
-``max(ps_work, gpu)`` instead of their sum. With ``lookahead=0`` the
-pipeline degrades to the strictly serial schedule (maintain on the
-critical path, GPU charged separately), which is the baseline the
-benchmarks compare against.
+same class, and its cost model prices the overlap window (the pipeline
+keeps no clock).
 """
 
 from __future__ import annotations
@@ -76,7 +64,6 @@ from repro.core.backend import TrainBackend, check_backend
 from repro.core.cache import MaintainResult
 from repro.errors import ConfigError, ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulation.clock import SimClock
 from repro.simulation.metrics import PrefetchStats
 
 _NO_KEYS = np.empty(0, dtype=np.uint64)
@@ -106,20 +93,17 @@ class PrefetchPipeline:
     Args:
         backend: any :class:`TrainBackend` (in-process server, remote RPC
             client, or a baseline).
-        config: the lookahead depth.
+        config: the lookahead depth, at least 1 (lookahead 0 is no
+            pipeline: the callers keep the serial protocol).
         dim: embedding dimension of the buffered rows.
         keys_for_batch: deterministic peek into the workload stream —
             returns the key array (any shape) of a future global batch.
-        clock: optional shared simulated clock for overlap accounting.
-        gpu_batch_time_s: simulated GPU forward+backward time that the
-            overlap window hides PS work behind (0 disables timing).
         horizon: last batch id that will ever be trained; the window is
             clipped to it so prefetch never creates entries for batches
             that no serial run would touch. ``None`` = unbounded
             (set by ``SynchronousTrainer.train``).
-        tracer: span sink for demand/overlap/patch phases; the overlap
-            window additionally emits a ``gpu.compute`` span on the
-            ``gpu`` track so traces show PS work hidden behind it.
+        tracer: span sink for the demand, maintain, prefetch and patch
+            phases.
 
     The pipeline's counters are :attr:`stats`, a
     :class:`~repro.simulation.metrics.PrefetchStats`.
@@ -132,21 +116,19 @@ class PrefetchPipeline:
         dim: int,
         keys_for_batch: Callable[[int], np.ndarray],
         *,
-        clock: SimClock | None = None,
-        gpu_batch_time_s: float = 0.0,
         horizon: int | None = None,
         tracer: Tracer | None = None,
     ):
         if dim <= 0:
             raise ConfigError(f"dim must be positive, got {dim}")
-        if gpu_batch_time_s < 0:
-            raise ConfigError("gpu_batch_time_s must be non-negative")
+        if not config.enabled:
+            raise ConfigError(
+                f"lookahead must be >= 1 for a pipeline, got {config.lookahead}"
+            )
         self.backend = check_backend(backend, role="train")
         self.config = config
         self.dim = dim
         self.keys_for_batch = keys_for_batch
-        self.clock = clock
-        self.gpu_batch_time_s = float(gpu_batch_time_s)
         self.horizon = horizon
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = PrefetchStats()
@@ -209,13 +191,8 @@ class PrefetchPipeline:
 
         Runs ``maintain(batch_id)`` (Algorithm 2's deferred round) and
         then prefetches the deduplicated keys of the next ``lookahead``
-        batches, tagged ``batch_id + 1``. On a clocked backend the
-        whole window is charged overlapping ``gpu_batch_time_s``. With
-        ``lookahead == 0`` the window is empty and this is the strictly
-        serial schedule: maintain sits on the critical path and GPU
-        time follows it.
+        batches, tagged ``batch_id + 1``.
         """
-        start = self.clock.now if self.clock is not None else 0.0
         with self.tracer.span(
             "prefetch.maintain", track="maintainer", batch=batch_id
         ):
@@ -232,25 +209,6 @@ class PrefetchPipeline:
             ):
                 self._pull_into_buffer(candidates, batch_id + 1, lookahead=True)
             self.stats.prefetch_keys += candidates.size
-        gpu = self.gpu_batch_time_s
-        if self.clock is None or gpu <= 0:
-            return results
-        if self.config.enabled:
-            # GPU compute starts when the overlap window opens — the
-            # trace shows maintainer-track work riding underneath it.
-            hidden = min(self.clock.now - start, gpu)
-            self.clock.advance_overlapping(start, gpu)
-            self.stats.overlap_hidden_seconds += hidden
-            self.tracer.add_span(
-                "gpu.compute", start=start, duration=gpu, track="gpu",
-                batch=batch_id, hidden_s=hidden,
-            )
-        else:
-            self.tracer.add_span(
-                "gpu.compute", start=self.clock.now, duration=gpu,
-                track="gpu", batch=batch_id,
-            )
-            self.clock.advance(gpu)
         return results
 
     def push(self, keys: Sequence[int], grads: np.ndarray, batch_id: int) -> int:
@@ -278,19 +236,18 @@ class PrefetchPipeline:
         invariant off the next batch's critical path. The buffer is then pruned to the window, bounding it to
         roughly ``lookahead`` batches' worth of distinct keys.
         """
-        if self.config.enabled:
-            to_patch = np.intersect1d(
-                _distinct(self._pushed), self._window, assume_unique=True
-            )
-            if to_patch.size:
-                with self.tracer.span(
-                    "prefetch.patch",
-                    track="prefetch",
-                    batch=batch_id,
-                    keys=to_patch.size,
-                ):
-                    self._pull_into_buffer(to_patch, batch_id + 1, lookahead=True)
-                self.stats.patched_keys += to_patch.size
+        to_patch = np.intersect1d(
+            _distinct(self._pushed), self._window, assume_unique=True
+        )
+        if to_patch.size:
+            with self.tracer.span(
+                "prefetch.patch",
+                track="prefetch",
+                batch=batch_id,
+                keys=to_patch.size,
+            ):
+                self._pull_into_buffer(to_patch, batch_id + 1, lookahead=True)
+            self.stats.patched_keys += to_patch.size
         self._keep(np.isin(self._keys, self._window, assume_unique=True))
         self._pushed = _NO_KEYS
         self.stats.batches += 1

@@ -34,7 +34,6 @@ from repro.dlrm.optimizers import Adam, DenseOptimizer
 from repro.dlrm.prefetch import PrefetchPipeline
 from repro.errors import CheckpointError, ConfigError, RecoveryError
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.simulation.clock import SimClock
 
 
 @dataclass
@@ -96,19 +95,14 @@ class SynchronousTrainer:
             first-order weights (always trained on the serial path).
         checkpoint_every: request a checkpoint every N batches (None =
             manual only).
-        prefetch: lookahead prefetch configuration. ``None`` keeps the
-            classic serial protocol (pull → maintain → push, every
-            worker's keys pulled each step). A :class:`PrefetchConfig`
-            routes pulls through a :class:`PrefetchPipeline`: demand
-            misses on the critical path, maintenance + next-window
-            prefetch inside the overlap window. Final weights are
-            bit-identical either way; only request traffic and
-            simulated timing change.
-        clock: optional simulated clock shared with the backend, used
-            by the pipeline's overlap accounting.
-        gpu_batch_time_s: simulated per-batch GPU compute the overlap
-            window hides PS work behind (only meaningful with
-            ``prefetch`` and ``clock``).
+        prefetch: lookahead prefetch configuration. ``None`` or
+            lookahead 0 keeps the classic serial protocol (pull →
+            maintain → push, every worker's keys pulled each step).
+            Lookahead ``>= 1`` routes pulls through a
+            :class:`PrefetchPipeline`: demand misses on the critical
+            path, maintenance + next-window prefetch inside the overlap
+            window. Final weights are bit-identical either way; only
+            the request traffic changes.
         tracer: span sink for per-step phases (``train.step`` /
             ``train.pull`` / ``train.compute`` / ``train.push`` /
             ``train.checkpoint``); shared with the prefetch pipeline.
@@ -126,8 +120,6 @@ class SynchronousTrainer:
         checkpoint_every: int | None = None,
         *,
         prefetch: PrefetchConfig | None = None,
-        clock: SimClock | None = None,
-        gpu_batch_time_s: float = 0.0,
         tracer: Tracer | None = None,
     ):
         if backend is None or model is None or dataset is None:
@@ -155,14 +147,12 @@ class SynchronousTrainer:
         self.loss_history: list[float] = []
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pipeline: PrefetchPipeline | None = None
-        if prefetch is not None:
+        if prefetch is not None and prefetch.enabled:
             self.pipeline = PrefetchPipeline(
                 backend,
                 prefetch,
                 model.dim,
                 self._keys_for_batch,
-                clock=clock,
-                gpu_batch_time_s=gpu_batch_time_s,
                 tracer=self.tracer,
             )
         # The update burst goes through the pipeline when there is one,

@@ -79,10 +79,13 @@ def sample_failure_times(
     actually injects the kills. Failure times land anywhere in
     continuous simulated time, i.e. mid-batch, not at tidy barriers.
     """
-    if mttf_seconds <= 0:
-        raise ConfigError("MTTF must be positive")
-    if horizon_seconds <= 0:
-        raise ConfigError("horizon must be positive")
+    # A NaN MTTF or horizon, or an infinite horizon, never ends the walk below.
+    if not 0 < mttf_seconds < math.inf:
+        raise ConfigError(f"MTTF must be positive and finite, got {mttf_seconds}")
+    if not 0 < horizon_seconds < math.inf:
+        raise ConfigError(
+            f"horizon must be positive and finite, got {horizon_seconds}"
+        )
     rng = np.random.default_rng((seed, 0xFA33))
     times: list[float] = []
     t = 0.0

@@ -178,7 +178,6 @@ _BUNDLE_COUNTERS: tuple[tuple[str, str], ...] = (
     ("repro_checkpoints_completed_total", "checkpoints_completed"),
     ("repro_checkpoint_drained_rows_total", "checkpoint_drained_rows"),
     ("repro_pmem_flush_entries_total", "pmem_flush_entries"),
-    ("repro_pmem_load_entries_total", "pmem_load_entries"),
     ("repro_cache_hits_total", "cache.hits"),
     ("repro_cache_misses_total", "cache.misses"),
     ("repro_cache_evictions_total", "cache.evictions"),

@@ -14,12 +14,7 @@ the core PS package in the dependency order.
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.simulation.clock import PeriodicTimer, SimClock
 from repro.simulation.device import DRAM_SPEC, PMEM_SPEC, SSD_SPEC, DeviceSpec, MemoryDevice
-from repro.simulation.metrics import (
-    Metrics,
-    PrefetchStats,
-    RequestTrace,
-    RpcReliabilityStats,
-)
+from repro.simulation.metrics import Metrics, PrefetchStats, RpcReliabilityStats
 from repro.simulation.network import Delivery, NetworkModel
 from repro.simulation.contention import serialized_section_time
 
@@ -34,7 +29,6 @@ __all__ = [
     "PMEM_SPEC",
     "SSD_SPEC",
     "Metrics",
-    "RequestTrace",
     "RpcReliabilityStats",
     "PrefetchStats",
     "NetworkModel",

@@ -13,8 +13,11 @@ from repro.errors import ClockError
 class SimClock:
     """Monotone simulated time in seconds.
 
-    The clock supports plain advancement plus a small convenience for
-    periodic events (used by the checkpoint scheduler).
+    The clock only moves forward, by :meth:`advance`. One clock is
+    shared by whatever prices work on it: the training simulator's
+    iterations (priced by :class:`~repro.simulation.cluster.PSCostModel`,
+    which also prices their overlap), an RPC channel's retries and
+    backoff, the failure detector's leases and the serving simulator.
     """
 
     def __init__(self, start: float = 0.0):
@@ -38,48 +41,6 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def advance_to(self, timestamp: float) -> float:
-        """Move time forward to an absolute ``timestamp``.
-
-        Advancing to a timestamp in the past is an error; advancing to
-        the current time is a no-op.
-        """
-        if timestamp < self._now:
-            raise ClockError(
-                f"cannot move clock backwards from {self._now} to {timestamp}"
-            )
-        self._now = float(timestamp)
-        return self._now
-
-    def advance_overlapping(self, start: float, seconds: float) -> float:
-        """Charge ``seconds`` of work that *began* at ``start``.
-
-        The overlap primitive of the prefetch pipeline (Figure 5): work
-        that ran concurrently with whatever advanced the clock since
-        ``start`` only costs the portion extending past ``now``. If the
-        work window ``start + seconds`` is already in the past, the
-        work was fully hidden and the clock does not move.
-
-        Raises:
-            ClockError: negative duration, or ``start`` in the future.
-        """
-        if seconds < 0:
-            raise ClockError(f"cannot overlap negative duration {seconds}")
-        if start > self._now:
-            raise ClockError(
-                f"overlap window starts at {start}, after now ({self._now})"
-            )
-        end = start + seconds
-        if end > self._now:
-            self._now = float(end)
-        return self._now
-
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock (used between benchmark repetitions)."""
-        if start < 0:
-            raise ClockError(f"clock cannot reset to negative time {start}")
-        self._now = float(start)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}s)"
 
@@ -87,7 +48,7 @@ class SimClock:
 class PeriodicTimer:
     """Fires every ``period`` seconds of simulated time.
 
-    Used by the checkpoint manager to trigger periodic checkpoints: call
+    The training simulator's checkpoint schedule: call
     :meth:`due` with the current time; it returns how many periods have
     elapsed since the last firing and advances its own phase.
     """
@@ -105,8 +66,3 @@ class PeriodicTimer:
             fired += 1
             self._next_fire += self.period
         return fired
-
-    @property
-    def next_fire(self) -> float:
-        """Simulated time of the next scheduled firing."""
-        return self._next_fire

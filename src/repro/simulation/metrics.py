@@ -1,14 +1,8 @@
-"""Metrics collection: cache statistics, stat bundles, request traces.
-
-``RequestTrace`` records per-request timestamps on the simulated clock
-and buckets them per millisecond — the exact view of Figure 2 ("Access
-pattern in two batches"), where pull and update bursts appear in pairs
-at batch boundaries.
-"""
+"""Metrics collection: cache statistics and the stat bundles nodes,
+channels and the prefetch pipeline count into."""
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
 
@@ -85,10 +79,9 @@ class PrefetchStats(_Additive):
     were pulled ahead of time in the overlap window; ``patched_keys``
     are pushed keys re-pulled to restore the staleness invariant;
     ``deduped_keys`` are window keys skipped because a valid buffered
-    copy already existed; ``overlap_hidden_seconds`` is simulated
-    maintenance + prefetch time hidden behind GPU compute. The
-    ``demand_*`` and ``lookahead_*`` (prefetch + patch) outcomes are
-    what the backend answered to the pipeline's own pulls, per cause.
+    copy already existed. The ``demand_*`` and ``lookahead_*`` (prefetch
+    + patch) outcomes are what the backend answered to the pipeline's
+    own pulls, per cause.
     """
 
     demand_keys: int = 0
@@ -98,7 +91,6 @@ class PrefetchStats(_Additive):
     invalidated_keys: int = 0
     deduped_keys: int = 0
     batches: int = 0
-    overlap_hidden_seconds: float = 0.0
     demand_hits: int = 0
     demand_misses: int = 0
     demand_created: int = 0
@@ -126,57 +118,6 @@ class PrefetchStats(_Additive):
             self.demand_created += result.created
 
 
-class RequestTrace:
-    """Timestamped request log bucketed per millisecond.
-
-    Args:
-        enabled: tracing costs memory proportional to request count, so
-            it is off by default and switched on only by the Figure 2
-            bench and trace-analysis tests.
-    """
-
-    PULL = "pull"
-    UPDATE = "update"
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self._events: list[tuple[float, str, int]] = []
-
-    def record(self, sim_time: float, op: str, count: int = 1) -> None:
-        """Log ``count`` requests of type ``op`` at ``sim_time`` seconds."""
-        if self.enabled:
-            self._events.append((sim_time, op, count))
-
-    @property
-    def events(self) -> list[tuple[float, str, int]]:
-        """All recorded (time, op, count) events, in arrival order."""
-        return list(self._events)
-
-    def per_millisecond(self, op: str | None = None) -> dict[int, int]:
-        """Request counts bucketed by integer millisecond.
-
-        Args:
-            op: restrict to one op type (``PULL``/``UPDATE``); None sums
-                everything.
-        """
-        buckets: dict[int, int] = defaultdict(int)
-        for time_s, event_op, count in self._events:
-            if op is not None and event_op != op:
-                continue
-            buckets[int(time_s * 1000)] += count
-        return dict(buckets)
-
-    def totals(self) -> dict[str, int]:
-        """Total request count per op type."""
-        totals: dict[str, int] = defaultdict(int)
-        for _, event_op, count in self._events:
-            totals[event_op] += count
-        return dict(totals)
-
-    def clear(self) -> None:
-        self._events.clear()
-
-
 @dataclass
 class Metrics(_Additive):
     """A bundle of all statistics one PS node collects.
@@ -199,7 +140,6 @@ class Metrics(_Additive):
     #: drain after a maintenance round, and the barrier)
     checkpoint_drained_rows: int = 0
     pmem_flush_entries: int = 0
-    pmem_load_entries: int = 0
     serving_lookups: int = 0
     serving_rows: int = 0
     serving_cold_rows: int = 0

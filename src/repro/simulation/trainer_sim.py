@@ -45,7 +45,7 @@ from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.simulation.clock import PeriodicTimer, SimClock
 from repro.simulation.cluster import IterationCounts, PSCostModel, SystemKind
 from repro.simulation.device import PMEM_SPEC
-from repro.simulation.metrics import PrefetchStats, RequestTrace
+from repro.simulation.metrics import PrefetchStats
 from repro.workload.generator import WorkloadGenerator
 
 MTTF_SEED = 0
@@ -90,7 +90,6 @@ class TrainingRunResult:
     rereplication_seconds: float = 0.0
     #: kills answered by checkpoint recovery (``replicas=1``)
     recovery_pause_seconds: float = 0.0
-    trace: RequestTrace | None = None
 
     @property
     def seconds_per_iteration(self) -> float:
@@ -127,12 +126,13 @@ class TrainingSimulator:
             new node count.
         reshard_to: target PS node count of the reshard (default:
             ``server.num_nodes + 1``, i.e. scale-out by one).
-        record_trace: keep a per-request timestamp trace (Figure 2).
         tracer: span sink on the *simulated* clock. When enabled, every
             iteration emits phase spans on per-layer tracks (worker /
             gpu / maintainer / checkpoint), so the exported Chrome
             trace shows deferred maintenance and prefetch riding under
-            GPU compute — Figure 7 as a timeline.
+            GPU compute — Figure 7 as a timeline. The ``requests`` of
+            its ``iter.pull`` / ``iter.push`` spans and the ``keys`` of
+            its ``prefetch.pull`` spans are Figure 2's request pattern.
         registry: labeled-metrics registry. When given, the simulator
             feeds per-phase latency histograms
             (``repro_pull_latency_seconds`` etc.), cumulative
@@ -156,7 +156,6 @@ class TrainingSimulator:
         reshard_at: int | None = None,
         reshard_to: int | None = None,
         mttf_s: float | None = None,
-        record_trace: bool = False,
         tracer: Tracer | None = None,
         registry: MetricsRegistry | None = None,
     ):
@@ -169,7 +168,6 @@ class TrainingSimulator:
         self.cal = calibration
         self.use_cache = use_cache
         self.clock = SimClock()
-        self.trace = RequestTrace(enabled=record_trace)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if tracer is not None and tracer.clock is None:
             # Simulated runs timestamp spans on the simulated clock so
@@ -249,7 +247,6 @@ class TrainingSimulator:
             num_workers=self.cluster.num_workers,
             iterations=iterations,
             sim_seconds=0.0,
-            trace=self.trace if self.trace.enabled else None,
         )
         timer, fired = None, 0
         if self.checkpoint_config.mode != CheckpointMode.NONE:
@@ -260,31 +257,8 @@ class TrainingSimulator:
         for batch_id in range(iterations):
             counts = self._run_functional_iteration(batch_id)
             timing = self.cost_model.price_iteration(counts)
-            start = self.clock.now
-            self.trace.record(start, RequestTrace.PULL, counts.requests)
-            overlap_at = start + timing.net_pull + timing.pull_service
-            if counts.prefetch_requests:
-                self.trace.record(
-                    overlap_at, RequestTrace.PULL, counts.prefetch_requests
-                )
-            push_at = (
-                overlap_at
-                + max(
-                    timing.gpu,
-                    timing.maintain_deferred + timing.prefetch_overlapped,
-                )
-                + timing.maintain_inline
-            )
-            push_requests = (
-                counts.requests
-                if counts.push_requests is None
-                else counts.push_requests
-            )
-            self.trace.record(push_at, RequestTrace.UPDATE, push_requests)
             if self.tracer.enabled:
-                self._emit_iteration_spans(
-                    batch_id, counts, timing, start, overlap_at, push_at
-                )
+                self._emit_iteration_spans(batch_id, counts, timing)
             if self.registry is not None:
                 self._observe_iteration(timing)
             self.clock.advance(timing.total)
@@ -350,10 +324,9 @@ class TrainingSimulator:
             )
         return result
 
-    def _emit_iteration_spans(
-        self, batch_id, counts, timing, start, overlap_at, push_at
-    ) -> None:
-        """Emit one iteration's phase layout as per-track spans.
+    def _emit_iteration_spans(self, batch_id, counts, timing) -> None:
+        """Emit one iteration's phase layout, as the cost model priced
+        it, as per-track spans starting at the clock's current time.
 
         The worker track carries the critical path (pull, inline
         maintenance remainder, push); the gpu and maintainer tracks
@@ -362,7 +335,13 @@ class TrainingSimulator:
         ride underneath the GPU-compute span (paper Figure 7).
         """
         tracer = self.tracer
+        start = self.clock.now
         pull = timing.net_pull + timing.pull_service
+        overlap_at = start + pull
+        middle = max(
+            timing.gpu, timing.maintain_deferred + timing.prefetch_overlapped
+        )
+        push_at = overlap_at + middle + timing.maintain_inline
         if pull > 0:
             tracer.add_span(
                 "iter.pull",
@@ -402,10 +381,6 @@ class TrainingSimulator:
                 keys=counts.prefetch_requests,
             )
         if timing.maintain_inline > 0:
-            middle = max(
-                timing.gpu,
-                timing.maintain_deferred + timing.prefetch_overlapped,
-            )
             tracer.add_span(
                 "maintain.inline",
                 start=overlap_at + middle,
@@ -422,6 +397,11 @@ class TrainingSimulator:
                 duration=push,
                 track="worker",
                 batch=batch_id,
+                requests=(
+                    counts.requests
+                    if counts.push_requests is None
+                    else counts.push_requests
+                ),
             )
 
     def _observe_iteration(self, timing) -> None:

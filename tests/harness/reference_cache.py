@@ -545,7 +545,6 @@ class ReferenceCache:
         self._unpack(entry, stored)
         self.index.set_location(entry, Location.DRAM)
         entry.dirty = False
-        self.metrics.pmem_load_entries += 1
         self.metrics.cache.loads += 1
         self.tracer.instant("pmem.load", track="pmem", key=entry.key)
 

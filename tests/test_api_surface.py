@@ -695,7 +695,13 @@ class TestEveryOptionHasACaller:
         ("repro.config", "PrefetchConfig"): ("patch", "max_buffer_entries"),
         ("repro.config", "NetworkFaultConfig"): ("on_request", "on_response"),
         ("repro.config", "RetryConfig"): ("backoff_multiplier",),
-        ("repro.dlrm.prefetch", "PrefetchPipeline"): ("metrics",),
+        ("repro.dlrm.prefetch", "PrefetchPipeline"): (
+            "metrics", "clock", "gpu_batch_time_s",
+        ),
+        ("repro.dlrm.trainer", "SynchronousTrainer"): ("clock", "gpu_batch_time_s"),
+        ("repro.dlrm.async_trainer", "AsynchronousTrainer"): (
+            "clock", "gpu_batch_time_s",
+        ),
         ("repro.core.failover", "FailureDetector"): ("suspect_after_s",),
         ("repro.core.failover", "FailoverManager"): ("rebuild_chunk",),
         ("repro.network.service", "PSNodeService"): ("dedup_window",),
@@ -704,7 +710,9 @@ class TestEveryOptionHasACaller:
         ("repro.simulation.serving_sim", "ServingCostModel"): (
             "probe_threads", "device_threads",
         ),
-        ("repro.simulation.trainer_sim", "TrainingSimulator"): ("mttf_seed",),
+        ("repro.simulation.trainer_sim", "TrainingSimulator"): (
+            "mttf_seed", "record_trace",
+        ),
     }
 
     def test_every_config_field_is_read_outside_config(self):
@@ -730,7 +738,7 @@ class TestEveryOptionHasACaller:
         import dataclasses
         import inspect
 
-        assert sum(len(names) for names in self.RETIRED.values()) == 15
+        assert sum(len(names) for names in self.RETIRED.values()) == 22
         for (module, name), gone in self.RETIRED.items():
             cls = getattr(importlib.import_module(module), name)
             settable = set(inspect.signature(cls).parameters)

@@ -20,6 +20,46 @@ class TestParser:
             build_parser().parse_args(["simulate", "--system", "bogus"])
 
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--mttf", "nan"],
+        ["simulate", "--skew", "nan"],
+        ["simulate", "--cache-mb", "nan"],
+        ["simulate", "--interval-seconds", "inf"],
+        ["simulate", "--lease-ms", "nan"],
+        ["train", "--hostile", "nan"],
+        ["train", "--byzantine-scale", "inf"],
+        ["plan", "--model-gb", "nan"],
+        ["plan", "--epoch-hours", "Infinity"],
+        ["plan", "--mttf-hours", "nan"],
+        ["plan", "--ckpt-cost-s", "nan"],
+        ["workload", "--skew", "nan"],
+    ])
+    def test_non_finite_float_flag_exits_2(self, capsys, argv):
+        """Every float flag refuses NaN and infinities before a command
+        runs (``--mttf nan`` once sampled a kill schedule forever)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1 and argv[1] in errors[0] and "finite" in errors[0]
+
+    def test_every_float_flag_is_checked(self):
+        """No ``type=float`` flag is left to take NaN."""
+        import argparse
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+                else:
+                    yield action
+
+        assert not [a.dest for a in walk(build_parser()) if a.type is float]
+
+
 class TestSimulate:
     def test_basic_run(self, capsys):
         code = main(["simulate", "--workers", "4", "--iterations", "10"])

@@ -36,27 +36,6 @@ class TestSimClock:
         clock.advance(0.0)
         assert clock.now == 1.0
 
-    def test_advance_to_absolute(self):
-        clock = SimClock()
-        clock.advance_to(7.0)
-        assert clock.now == 7.0
-
-    def test_advance_to_past_rejected(self):
-        clock = SimClock(5.0)
-        with pytest.raises(ClockError):
-            clock.advance_to(4.0)
-
-    def test_advance_to_current_is_noop(self):
-        clock = SimClock(5.0)
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestPeriodicTimer:
     def test_not_due_before_period(self):
@@ -75,7 +54,8 @@ class TestPeriodicTimer:
     def test_phase_advances(self):
         timer = PeriodicTimer(10.0)
         timer.due(10.0)
-        assert timer.next_fire == pytest.approx(20.0)
+        assert timer.due(19.99) == 0
+        assert timer.due(20.0) == 1
 
     def test_start_offset(self):
         timer = PeriodicTimer(10.0, start=5.0)

@@ -176,6 +176,11 @@ class TestKillSchedule:
         gaps = np.diff(np.concatenate([[0.0], np.asarray(times)]))
         assert 9.0 < float(gaps.mean()) < 11.0
 
+    @pytest.mark.parametrize("mttf", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sample_refuses_an_mttf_that_never_ends_the_walk(self, mttf):
+        with pytest.raises(ConfigError, match="MTTF"):
+            sample_failure_times(mttf, 100.0)
+
     def test_injector_dispenses_each_kill_once(self):
         s = NodeKillSchedule(kill_times=(1.0, 2.0, 3.0), victims=(0, 1, 0))
         inj = NodeKillInjector(s)

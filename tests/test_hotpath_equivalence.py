@@ -118,7 +118,6 @@ def metrics_tuple(node: PSNode) -> tuple:
         m.cache.loads,
         m.cache.flushes,
         m.cache.evictions,
-        m.pmem_load_entries,
         m.pmem_flush_entries,
     )
 

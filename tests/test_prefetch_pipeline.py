@@ -11,12 +11,11 @@ from repro.config import CacheConfig, PrefetchConfig, ServerConfig
 from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.prefetch import PrefetchPipeline
 from repro.errors import ConfigError, ServerError
-from repro.simulation.clock import SimClock
 
 DIM = 8
 
 
-def make_backend(clock=None):
+def make_backend():
     return OpenEmbeddingServer(
         ServerConfig(num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22),
         CacheConfig(capacity_bytes=1 << 18),
@@ -46,21 +45,14 @@ class TestConfig:
     def test_pipeline_rejects_bad_dim(self):
         backend = make_backend()
         with pytest.raises(ConfigError):
-            PrefetchPipeline(backend, PrefetchConfig(), 0, stream)
-
-    def test_pipeline_rejects_negative_gpu_time(self):
-        backend = make_backend()
-        with pytest.raises(ConfigError):
-            PrefetchPipeline(
-                backend, PrefetchConfig(), DIM, stream, gpu_batch_time_s=-1.0
-            )
+            PrefetchPipeline(backend, PrefetchConfig(lookahead=1), 0, stream)
 
     def test_pipeline_requires_full_backend(self):
         class NotABackend:
             pass
 
         with pytest.raises(TypeError):
-            PrefetchPipeline(NotABackend(), PrefetchConfig(), DIM, stream)
+            PrefetchPipeline(NotABackend(), PrefetchConfig(lookahead=1), DIM, stream)
 
 
 class TestStepProtocol:
@@ -143,12 +135,23 @@ class TestStepProtocol:
         assert backend.num_entries == 6
 
     def test_lookahead_zero_is_serial(self):
-        pipeline, _ = make_pipeline(lookahead=0)
-        pipeline.begin_batch(0, stream(0))
-        pipeline.run_overlap(0)
-        pipeline.end_batch(0)
-        assert pipeline.stats.prefetch_keys == 0
-        assert pipeline.buffered_keys == 0  # nothing survives the batch
+        """Lookahead 0 is no pipeline: the pipeline refuses it, and both
+        trainers keep the serial protocol."""
+        from repro.dlrm.async_trainer import AsynchronousTrainer
+        from repro.dlrm.criteo import CriteoSynthetic
+        from repro.dlrm.deepfm import DeepFM
+        from repro.dlrm.trainer import SynchronousTrainer
+
+        with pytest.raises(ConfigError, match="lookahead"):
+            make_pipeline(lookahead=0)
+        for trainer_class in (SynchronousTrainer, AsynchronousTrainer):
+            trainer = trainer_class(
+                make_backend(),
+                DeepFM(2, DIM, hidden=(4,), use_first_order=False, seed=0),
+                CriteoSynthetic(num_fields=2, vocab_per_field=20, seed=0),
+                prefetch=PrefetchConfig(lookahead=0),
+            )
+            assert trainer.pipeline is None, trainer_class
 
     def test_validate_raises_on_stale_buffer(self):
         pipeline, _ = make_pipeline(lookahead=1)
@@ -159,67 +162,46 @@ class TestStepProtocol:
 
 
 class TestOverlapTiming:
-    def test_overlap_charges_max_of_ps_and_gpu(self):
-        clock = SimClock()
-        backend = make_backend()
-        pipeline = PrefetchPipeline(
-            backend,
-            PrefetchConfig(lookahead=2),
-            DIM,
-            stream,
-            clock=clock,
-            gpu_batch_time_s=0.5,
+    """The overlap window is priced once, by the cost model the simulator
+    prices every iteration with; the pipeline keeps no clock."""
+
+    COUNTS = dict(
+        requests=64, hits=40, misses=8, created=16, maintain_processed=64,
+        maintain_loads=8, maintain_flushes=8, maintain_evictions=8,
+        prefetch_requests=128, prefetch_hits=100, prefetch_created=28,
+    )
+
+    @classmethod
+    def price(cls, pipelined: bool):
+        from repro.config import ClusterConfig
+        from repro.simulation.cluster import IterationCounts, PSCostModel, SystemKind
+
+        model = PSCostModel(
+            SystemKind.PMEM_OE,
+            ClusterConfig(gpu_batch_time_s=0.5),
+            ServerConfig(embedding_dim=DIM),
+            pipelined=pipelined,
         )
-        pipeline.begin_batch(0, stream(0))
-        start = clock.now
-        pipeline.run_overlap(0)
-        # The local backend charges no clock time, so the window costs
-        # exactly the GPU slice and all PS work is "hidden".
-        assert clock.now == pytest.approx(start + 0.5)
+        timing = model.price_iteration(IterationCounts(**cls.COUNTS))
+        edges = timing.net_pull + timing.pull_service + timing.net_push + timing.push_service
+        return timing, edges
+
+    def test_overlap_charges_max_of_ps_and_gpu(self):
+        timing, edges = self.price(pipelined=True)
+        ps_work = timing.maintain_deferred + timing.prefetch_overlapped
+        assert 0 < ps_work < timing.gpu == 0.5
+        # the PS work is hidden: the window costs exactly the GPU slice
+        assert timing.total == pytest.approx(edges + timing.gpu + timing.maintain_inline)
 
     def test_serial_mode_charges_gpu_after_maintain(self):
-        clock = SimClock()
-        backend = make_backend()
-        pipeline = PrefetchPipeline(
-            backend,
-            PrefetchConfig(lookahead=0),
-            DIM,
-            stream,
-            clock=clock,
-            gpu_batch_time_s=0.25,
-        )
-        pipeline.begin_batch(0, stream(0))
-        pipeline.run_overlap(0)
-        assert clock.now == pytest.approx(0.25)
-        assert pipeline.stats.overlap_hidden_seconds == 0.0
-
-
-class TestClockPrimitive:
-    def test_advance_overlapping_hidden(self):
-        clock = SimClock()
-        clock.advance(10.0)
-        clock.advance_overlapping(4.0, 3.0)  # ended at 7.0, in the past
-        assert clock.now == 10.0
-
-    def test_advance_overlapping_extends(self):
-        clock = SimClock()
-        clock.advance(2.0)
-        clock.advance_overlapping(1.0, 5.0)
-        assert clock.now == 6.0
-
-    def test_advance_overlapping_rejects_future_start(self):
-        from repro.errors import ClockError
-
-        clock = SimClock()
-        with pytest.raises(ClockError):
-            clock.advance_overlapping(1.0, 1.0)
-
-    def test_advance_overlapping_rejects_negative(self):
-        from repro.errors import ClockError
-
-        clock = SimClock()
-        with pytest.raises(ClockError):
-            clock.advance_overlapping(0.0, -1.0)
+        overlapped, __ = self.price(pipelined=True)
+        timing, edges = self.price(pipelined=False)
+        # nothing overlaps: maintenance and the lookahead pulls are
+        # charged on the critical path, after the GPU slice
+        assert timing.maintain_deferred == timing.prefetch_overlapped == 0.0
+        assert timing.maintain_inline >= overlapped.prefetch_overlapped
+        assert timing.total == pytest.approx(edges + timing.gpu + timing.maintain_inline)
+        assert timing.total > overlapped.total
 
 
 GOLDENS = json.loads(

@@ -21,6 +21,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,22 @@ class TestDeterminism:
     @settings(max_examples=100, deadline=None)
     def test_mix64_stays_in_range(self, data):
         assert 0 <= mix64(data) < 2**64
+
+
+class TestSmallKeysSpread:
+    """Vnode positions come from points no key maps to. With one mix,
+    node 0's vnode ``j`` sat exactly on key ``j``'s point, so keys
+    ``0 .. vnodes-1`` all went to node 0 (all 96 at 128 vnodes)."""
+
+    @pytest.mark.parametrize("vnodes", [32, 64, 128])
+    def test_keys_from_zero_reach_every_node(self, vnodes):
+        nodes, keys = 3, 96
+        ring = ConsistentHashRing(nodes, vnodes)
+        counts = np.bincount(ring.owners(np.arange(keys)), minlength=nodes)
+        assert counts.min() >= keys // (2 * nodes), counts
+        assert [ring.node_of(k) for k in range(keys)] == ring.owners(
+            np.arange(keys)
+        ).tolist()
 
 
 class TestMinimalMovement:

@@ -77,7 +77,6 @@ class TestMetricsBundle:
         m.entries_created = seed + 2
         m.checkpoints_completed = seed + 3
         m.pmem_flush_entries = seed + 4
-        m.pmem_load_entries = seed + 5
         return m
 
     def test_merge_accumulates_every_sub_bundle(self):

@@ -12,6 +12,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.errors import ConfigError
+from repro.obs import NULL_TRACER, Tracer
 from repro.simulation.cluster import SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
@@ -168,19 +169,45 @@ class TestCheckpointing:
 
 
 class TestTrace:
+    """Figure 2 is read off the tracer: the ``requests`` of the
+    ``iter.pull`` / ``iter.push`` spans, bucketed per millisecond."""
+
     def test_figure2_pattern(self):
         """Pulls and updates appear in equal-sized paired bursts."""
-        sim = make_sim(SystemKind.PMEM_OE, record_trace=True)
-        result = sim.run(5)
-        totals = result.trace.totals()
-        assert totals["pull"] == totals["update"] == result.total_requests
+        tracer = Tracer()
+        result = make_sim(SystemKind.PMEM_OE, tracer=tracer).run(5)
+        pulls = tracer.spans_named("iter.pull")
+        pushes = tracer.spans_named("iter.push")
+        assert [s.attrs["batch"] for s in pulls] == list(range(5))
+        assert [s.attrs["batch"] for s in pushes] == list(range(5))
+        for pull, push in zip(pulls, pushes):
+            assert pull.attrs["requests"] == push.attrs["requests"] > 0
+            # the GPU-compute gap separates a batch's two bursts
+            assert push.start - pull.end >= 0.999 * result.gpu_seconds / 5
+        assert sum(s.attrs["requests"] for s in pulls) == result.total_requests
         # Bursts are instants: few distinct milliseconds carry traffic.
-        buckets = result.trace.per_millisecond()
+        buckets = {int(s.start * 1000) for s in pulls + pushes}
         assert len(buckets) <= 2 * 5
 
+    def test_span_requests_sum_to_the_run_totals(self):
+        """Demand pulls on ``iter.pull``, lookahead pulls on
+        ``prefetch.pull``: each sums to its run total."""
+        from repro.config import PrefetchConfig
+
+        tracer = Tracer()
+        result = make_sim(
+            SystemKind.PMEM_OE, prefetch=PrefetchConfig(lookahead=2), tracer=tracer
+        ).run(12)
+        demand = sum(s.attrs["requests"] for s in tracer.spans_named("iter.pull"))
+        ahead = sum(s.attrs["keys"] for s in tracer.spans_named("prefetch.pull"))
+        assert demand == result.total_requests
+        assert ahead == result.prefetch_requests > 0
+
     def test_trace_disabled_by_default(self):
-        result = make_sim(SystemKind.PMEM_OE).run(3)
-        assert result.trace is None
+        """Without a tracer the simulator records no span."""
+        sim = make_sim(SystemKind.PMEM_OE)
+        sim.run(3)
+        assert sim.tracer is NULL_TRACER and not NULL_TRACER.spans
 
 
 class TestPrefetch:
