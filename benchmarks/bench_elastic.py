@@ -10,11 +10,11 @@ bounds the remap at the theoretical minimum ``1/(n+1)`` (keys only move
   counts — the ring must stay within 2x of the theoretical minimum
   while modulo moves the near-total ~n/(n+1);
 * **throughput dip**: the simulated migration pause of a mid-epoch
-  reshard 4 -> 5 nodes (``TrainingSimulator(reshard_at=...)``), ring vs
-  modulo — the pause scales with keys moved, so the ring's dip is a
-  fraction of modulo's;
-* a **live migration demo** on a real 3-node cluster: scale out, then
-  in, and verify the weights never change by a bit.
+  reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``),
+  ring vs modulo — the pause scales with keys moved, so the ring's dip
+  is a fraction of modulo's;
+* a **live migration demo** on a real ``num_nodes``-node cluster: scale
+  out, then in, and verify the weights never change by a bit.
 """
 
 import dataclasses
@@ -48,15 +48,15 @@ def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float]:
     return ring_moved / sample_keys, modulo_moved / sample_keys
 
 
-def throughput_dip(partitioner: str):
-    """The simulated epoch with a mid-epoch reshard 4 -> 5 nodes under
-    ``partitioner``."""
+def throughput_dip(partitioner: str, num_nodes: int):
+    """The simulated epoch with a mid-epoch reshard ``num_nodes -> num_nodes
+    + 1`` under ``partitioner``."""
     profile = DEFAULT_PROFILE
     simulator = TrainingSimulator(
         SystemKind.PMEM_OE,
         profile.cluster_config(8),
         dataclasses.replace(
-            profile.server_config(4), partitioner=partitioner, ring_vnodes=VNODES
+            profile.server_config(num_nodes), partitioner=partitioner, ring_vnodes=VNODES
         ),
         profile.cache_config(paper_mb=2048.0),
         workload=WorkloadGenerator(profile.workload_config(1.0)),
@@ -65,11 +65,11 @@ def throughput_dip(partitioner: str):
     return simulator.run(80)
 
 
-def live_demo() -> tuple[float, float, bool]:
-    """Scale a real 3-node cluster out then back in; return the two
-    moved fractions and whether every weight stayed bit-identical."""
+def live_demo(num_nodes: int) -> tuple[float, float, bool]:
+    """Scale a real ``num_nodes``-node cluster out then back in; return the
+    two moved fractions and whether every weight stayed bit-identical."""
     config = ServerConfig(
-        num_nodes=3,
+        num_nodes=num_nodes,
         embedding_dim=DIM,
         pmem_capacity_bytes=1 << 26,
         partitioner="ring",
@@ -134,17 +134,17 @@ def _check(metrics: dict, params: dict) -> list:
         Ref("modulo_moved_frac", "keys moved, {num_nodes} -> +1: modulo",
             "{:.1%}", paper={n: n / (n + 1) for n in (2, 4, 8)}),
         Ref("ring_vs_min_x", "  ring vs theoretical minimum", "{:.2f}x min"),
-        Ref("ring_pause_ms", "reshard pause (sim, 4 -> 5): ring", "{:.2f} ms",
+        Ref("ring_pause_ms", "reshard pause (sim, {num_nodes} -> +1): ring", "{:.2f} ms",
             paper="scales w/ moved"),
-        Ref("modulo_pause_ms", "reshard pause (sim, 4 -> 5): mod", "{:.2f} ms",
+        Ref("modulo_pause_ms", "reshard pause (sim, {num_nodes} -> +1): mod", "{:.2f} ms",
             paper="scales w/ moved"),
         Ref("dip_saved_x", "  pause, modulo over ring", "{:.1f}x dip saved"),
         Ref("ring_keys_moved", "keys moved mid-epoch: ring", "{}"),
         Ref("modulo_keys_moved", "keys moved mid-epoch: mod", "{}"),
         Ref("ring_epoch_s", "epoch time w/ reshard: ring", "{:.3f} s"),
         Ref("modulo_epoch_s", "epoch time w/ reshard: mod", "{:.3f} s"),
-        Ref("live_out_frac", "live 3-node demo: scale-out moved", "{:.1%}"),
-        Ref("live_in_frac", "live 3-node demo: scale-in moved", "{:.1%}"),
+        Ref("live_out_frac", "live demo, {num_nodes} -> +1: scale-out moved", "{:.1%}"),
+        Ref("live_in_frac", "live demo, {num_nodes} -> +1: scale-in moved", "{:.1%}"),
         Ref("live_identical", "live demo: weights bit-identical", "{}",
             paper="True"),
     ],
@@ -153,8 +153,8 @@ def entry(*, num_nodes, sample_keys):
     """Elasticity: ring-vs-modulo moved-key fractions at one cluster
     size, the mid-epoch reshard dip, and the live scale-out/in demo."""
     ring_frac, modulo_frac = moved_fractions(num_nodes, sample_keys)
-    ring, modulo = throughput_dip("ring"), throughput_dip("modulo")
-    out_frac, in_frac, identical = live_demo()
+    ring, modulo = throughput_dip("ring", num_nodes), throughput_dip("modulo", num_nodes)
+    out_frac, in_frac, identical = live_demo(num_nodes)
     return {
         "ring_moved_frac": ring_frac,
         "modulo_moved_frac": modulo_frac,

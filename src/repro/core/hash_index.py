@@ -66,8 +66,7 @@ class HashIndex:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Slot of every key of ``keys`` (``uint64``), ``-1`` if absent."""
-        cells = self._probe(keys)
-        return np.where(cells >= 0, self._slots[cells], -1)
+        return self._probe(keys)[1]
 
     def insert_many(self, keys: np.ndarray, location: Location) -> np.ndarray:
         """Index ``keys`` — distinct and all absent — as one block.
@@ -94,10 +93,10 @@ class HashIndex:
         Raises:
             KeyError: an unknown key (nothing is removed).
         """
-        cells = self._probe(keys)
+        cells, slots = self._probe(keys)
         if len(cells) and cells.min() < 0:
             raise KeyError(int(keys[cells < 0][0]))
-        self.columns.free(self._slots[cells])
+        self.columns.free(slots)
         self._slots[cells] = _TOMB
         self.removals += len(cells)
 
@@ -161,26 +160,30 @@ class HashIndex:
         self._shift = np.uint64(64 - cells.bit_length() + 1)
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
-        """First cell of each key's probe sequence."""
-        return ((keys * _GOLDEN) >> self._shift).astype(np.int64)
+        """First cell of each key's probe sequence (below ``2**63`` after
+        the shift, so the uint64 bits read as the same int64)."""
+        return ((keys * _GOLDEN) >> self._shift).view(np.int64)
 
-    def _probe(self, keys: np.ndarray) -> np.ndarray:
-        """Table cell holding each key, ``-1`` where the key is absent."""
+    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Table cell and slot holding each key, ``-1`` where the key is
+        absent."""
         cell = self._home(keys)
-        rest = None  # positions still walking their probe sequence; None: all
-        while True:
+        slots = self._slots[cell]
+        hit = self._keys[cell] == keys
+        hit &= slots >= 0
+        cells, found = np.where(hit, cell, -1), np.where(hit, slots, -1)
+        # Whatever neither hit nor ended on an empty cell collided (or
+        # passed a tombstone) and walks on: a shrinking set.
+        at = walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
+        while len(at):
+            cell = (cell[walking] + 1) & self._mask
             slots = self._slots[cell]
-            hit = (slots >= 0) & (self._keys[cell] == keys)
-            # Whatever neither hit nor ended on an empty cell collided
-            # (or passed a tombstone) and walks on: a shrinking set.
-            walking = np.flatnonzero(~hit & (slots != _EMPTY))
-            if rest is None:
-                out, rest = np.where(hit, cell, -1), walking
-            else:
-                out[rest[hit]], rest = cell[hit], rest[walking]
-            if not len(rest):
-                return out
-            keys, cell = keys[walking], (cell[walking] + 1) & self._mask
+            hit = self._keys[cell] == keys[at]
+            hit &= slots >= 0
+            cells[at[hit]], found[at[hit]] = cell[hit], slots[hit]
+            walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
+            at = at[walking]
+        return cells, found
 
     def _place(self, keys: np.ndarray, slots: np.ndarray) -> None:
         """Write ``keys[i] -> slots[i]`` into the table (keys absent)."""

@@ -273,7 +273,7 @@ class PSNode:
         n = len(keys)
         versions, stored = self.store.read_at_most(self._heads(keys), snapshot_id)
         weights = stored[:, :dim]
-        missing = np.flatnonzero(versions == NO_VERSION)
+        missing = (versions == NO_VERSION).nonzero()[0]
         cold = len(missing)
         if cold:
             weights[missing] = self.cache.initial_rows(keys[missing])
@@ -281,13 +281,8 @@ class PSNode:
         self.metrics.serving_lookups += 1
         self.metrics.serving_rows += n
         self.metrics.serving_cold_rows += cold
-        return LookupResult(
-            weights=weights,
-            snapshot_id=snapshot_id,
-            hits=hits,
-            cold=cold,
-            row_snapshots=np.full(n, snapshot_id, dtype=np.int64),
-        )
+        # Every row is at ``snapshot_id``: no per-row snapshots to fill.
+        return LookupResult(weights=weights, snapshot_id=snapshot_id, hits=hits, cold=cold)
 
     # ------------------------------------------------------------------
     # checkpoint control

@@ -33,14 +33,17 @@ def mix64_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a uint64 array.
 
     uint64 arithmetic wraps modulo 2^64, which is exactly the ``& MASK``
-    of the scalar version, so ``mix64_array(a)[i] == mix64(int(a[i]))``.
+    of the scalar version, so ``mix64_array(a)[i] == mix64(int(a[i]))``;
+    array arithmetic never warns on that wrap. Returns a fresh array.
     """
-    v = np.asarray(values, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        v = v + np.uint64(0x9E3779B97F4A7C15)
-        v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return v ^ (v >> np.uint64(31))
+    v = np.array(values, dtype=np.uint64)  # a copy the mix runs in place on
+    v += np.uint64(0x9E3779B97F4A7C15)
+    v ^= v >> np.uint64(30)
+    v *= np.uint64(0xBF58476D1CE4E5B9)
+    v ^= v >> np.uint64(27)
+    v *= np.uint64(0x94D049BB133111EB)
+    v ^= v >> np.uint64(31)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,24 +127,14 @@ class HashPartitioner:
         ``per_node_positions[n][j]`` is the index in ``keys`` of
         ``per_node_keys[n][j]`` — used to scatter per-node responses
         back into request order. Both are numpy arrays (uint64 keys,
-        intp positions); the stable owner sort preserves request order
-        within each node, matching the old append-in-scan-order lists.
+        intp positions) in request order: one owner mask per node.
         """
         arr = np.asarray(keys, dtype=np.uint64)
-        n = arr.size
         if self.num_nodes == 1:
-            return [arr], [np.arange(n, dtype=np.intp)]
+            return [arr], [np.arange(arr.size, dtype=np.intp)]
         owners = self.owners(arr)
-        order = np.argsort(owners, kind="stable").astype(np.intp, copy=False)
-        counts = np.bincount(owners, minlength=self.num_nodes)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        per_node_keys: list[np.ndarray] = []
-        per_node_positions: list[np.ndarray] = []
-        for node in range(self.num_nodes):
-            sel = order[bounds[node] : bounds[node + 1]]
-            per_node_keys.append(arr[sel])
-            per_node_positions.append(sel)
-        return per_node_keys, per_node_positions
+        positions = [(owners == node).nonzero()[0] for node in range(self.num_nodes)]
+        return [arr[sel] for sel in positions], positions
 
     def plan(self, keys) -> KeyPlan:
         """Route ``keys`` (any shape) once: one unstable argsort finds
@@ -184,9 +177,9 @@ class HashPartitioner:
 
     def owners(self, keys) -> np.ndarray:
         """Owning node of every key (vectorized ``node_of``, ``intp``)."""
-        return (mix64_array(keys) % np.uint64(self.num_nodes)).astype(
-            np.intp, copy=False
-        )
+        owners = mix64_array(keys)
+        owners %= np.uint64(self.num_nodes)
+        return owners.view(np.intp)
 
     def moved_keys(self, target: "HashPartitioner", keys) -> np.ndarray:
         """The ``uint64`` keys, in input order, whose owner differs under

@@ -241,47 +241,46 @@ class HierarchicalPS:
         with self.tracer.span("serving.lookup", track="serving", rows=n) as span:
             current = self.refresh()
             sets, ways = self._tag.shape
-            home = (mix64_array(keys) % np.uint64(sets)).astype(np.intp)
-            match = (self._tag[home] == keys[:, None]) & (self._ckpt[home] != EMPTY)
-            # A key is live in one way at most: the first match is its way,
-            # and way 0 (re-checked below) when it has none.
-            slot = home * ways + match.argmax(axis=1)
-            admitted = self._ckpt.take(slot)
-            found = (self._tag.take(slot) == keys) & (admitted != EMPTY)
-            fresh = found & (self._ckpt_count - admitted <= self.staleness_bound_k)
-            # A row past the bound is dropped: its way becomes the oldest.
-            stale = found & ~fresh
-            self._ckpt.put(slot[stale], EMPTY)
-            self._stamp.put(slot[stale], -1)
+            home = (mix64_array(keys) % np.uint64(sets)).view(np.intp)
+            # A key is live in one way at most: its match in the gathered
+            # (n, ways) block is its way, and way 0 when it has none.
+            live = self._tag.take(home, axis=0) == keys[:, None]
+            live &= self._ckpt.take(home, axis=0) != EMPTY
+            slot = home * ways + live.argmax(axis=1)
+            # The admission count of each key's live row, EMPTY when it has none.
+            admitted = np.where(self._tag.take(slot) == keys, self._ckpt.take(slot), EMPTY)
+            fresh = admitted >= max(self._ckpt_count - self.staleness_bound_k, 0)
+            stale = (admitted != EMPTY) ^ fresh
+            if stale.any():  # a row past the bound is dropped: its way becomes the oldest
+                self._ckpt.put(slot[stale], EMPTY)
+                self._stamp.put(slot[stale], -1)
             # Touch order is request order, so within a set the ways
             # keep the recency order of a per-key LRU.
-            self._stamp.put(slot[fresh], self._tick + fresh.nonzero()[0])
+            hit = fresh.nonzero()[0]
+            self._stamp.put(slot[hit], self._tick + hit)
             miss = (~fresh).nonzero()[0]
-            fetched = self.backend.lookup(keys[miss], current) if len(miss) else None
-            if fetched is not None and not self._rows.size:  # the row width is known
-                self._rows = np.zeros((sets * ways, fetched.weights.shape[1]), np.float32)
-            weights = self._rows[slot]
+            fetched = None
+            if len(miss) or not self._rows.size:  # an empty first lookup asks too
+                fetched = self.backend.lookup(keys[miss], current)
+                if not self._rows.size:  # the row width is known
+                    self._rows = np.zeros((sets * ways, fetched.weights.shape[1]), np.float32)
+            weights = self._rows.take(slot, axis=0)
             row_snapshots = self._pin.take(slot)
             invalidated = evicted = cold = 0
             if fetched is not None:
                 weights[miss] = fetched.weights
-                if fetched.row_snapshots is not None:
-                    row_snapshots[miss] = fetched.row_snapshots
-                else:
-                    row_snapshots[miss] = fetched.snapshot_id
+                pins = fetched.row_snapshots
+                row_snapshots[miss] = fetched.snapshot_id if pins is None else pins
                 cold = fetched.cold
                 invalidated, evicted = self._admit(keys, home, miss, stale, row_snapshots, weights)
-            hits = n - len(miss)
             self._tick += 2 * n
-            self._note(
-                requests=1, rows=n, cache_hits=hits, remote_rows=len(miss),
-                cold_rows=cold, invalidated=invalidated, evicted=evicted,
-            )
-            span.set(snapshot=current, hits=hits, remote=len(miss), cold=cold)
+            self._note(requests=1, rows=n, cache_hits=len(hit), remote_rows=len(miss),
+                       cold_rows=cold, invalidated=invalidated, evicted=evicted)
+            span.set(snapshot=current, hits=len(hit), remote=len(miss), cold=cold)
         return LookupResult(
             weights=weights,
             snapshot_id=current,
-            hits=hits + (fetched.hits if fetched is not None else 0),
+            hits=len(hit) + (fetched.hits if fetched is not None else 0),
             cold=cold,
             row_snapshots=row_snapshots,
         )
@@ -302,32 +301,42 @@ class HierarchicalPS:
         if not self.capacity_rows:
             return 0, 0
         ways = self._tag.shape[1]
-        # Each distinct key, at its last position in the request.
-        __, last = np.unique(keys[miss[::-1]], return_index=True)
-        position = miss[len(miss) - 1 - last]
+        # One stable sort of the reversed misses: by set, then key, a key's
+        # last request first — so a key's first row is its one admission.
+        newest = miss[::-1]
+        position = newest[np.lexsort((keys[newest], home[newest]))]
+        admitted = keys[position]
+        first = np.ones(len(position), dtype=bool)
+        np.not_equal(admitted[1:], admitted[:-1], out=first[1:])
+        position, admitted = position[first], admitted[first]
         invalidated = int(np.count_nonzero(stale[position]))
         if self._admission is not None:
-            position = position[self._admission.admit_many(keys[position])]
-        position = position[np.lexsort((-position, home[position]))]  # by set, newest first
+            allowed = self._admission.admit_many(admitted)
+            position, admitted = position[allowed], admitted[allowed]
         sets = home[position]
+        # A set's i-th key takes its i-th oldest way (which key takes which
+        # is immaterial); a set drawing more keys than ways keeps its newest.
         rank = np.arange(len(sets)) - np.searchsorted(sets, sets)
-        keep = rank < ways
-        position, sets, rank = position[keep], sets[keep], rank[keep]
-        oldest = np.argsort(self._stamp[sets], axis=1)
+        if rank.max(initial=0) >= ways:
+            kept, rank = np.lexsort((-position, sets))[rank < ways], rank[rank < ways]
+            position, admitted, sets = position[kept], admitted[kept], sets[kept]
+        # (Any order of tied empty ways would do; the stable sort is the
+        # faster one on rows this short.)
+        oldest = np.argsort(self._stamp.take(sets, axis=0), axis=1, kind="stable")
         slot = sets * ways + oldest[np.arange(len(sets)), rank]
         evicted = int(np.count_nonzero(self._ckpt.take(slot) != EMPTY))
-        self._tag.put(slot, keys[position])
+        self._tag.put(slot, admitted)
         self._ckpt.put(slot, self._ckpt_count)
         self._pin.put(slot, row_snapshots[position])
         self._stamp.put(slot, self._tick + len(keys) + position)
-        self._rows[slot] = weights[position]
+        self._rows[slot] = weights.take(position, axis=0)
         return invalidated, evicted
 
     def _note(self, **counts: int) -> None:
         """Add to :attr:`stats` and to the ``repro_serving_<field>_total``
         counters."""
         for field, value in counts.items():
-            setattr(self.stats, field, getattr(self.stats, field) + value)
+            vars(self.stats)[field] += value
             if value and self.registry is not None:
                 self.registry.counter(f"repro_serving_{field}_total").add(value)
 

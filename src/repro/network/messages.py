@@ -132,6 +132,7 @@ class _Column(NamedTuple):
     dtype: np.dtype
     shape: tuple[str, ...]  # its extents, by name
     sums_to: str | None  # the extent this column's sum defines
+    leaf: str  # the field it fills: the message's, or its block's when not ``name``
 
 
 class _Wire:
@@ -201,6 +202,7 @@ def _columns(text: str, sums: dict[str, str]) -> tuple[_Column, ...]:
             dtype=np.dtype(_COLUMN_DTYPES[kind]),
             shape=tuple(extents.split(", ")),
             sums_to=sums.get(name),
+            leaf=name.rpartition(".")[2],
         )
         for name, kind, extents in _ITEM.findall(text)
         if kind in _COLUMN_DTYPES and extents
@@ -245,14 +247,12 @@ class _Message:
             return header.pack(*wire.get_fields(self), len(text)) + text
         extents = dict(zip(wire.field_slots, wire.get_fields(self)))
         parts = [b""]  # the header's place, once the extents are known
-        for name, get, dtype, shape, sums_to in wire.columns_for(extents):
+        for name, get, dtype, shape, sums_to, __ in wire.columns_for(extents):
             array = np.ascontiguousarray(get(self), dtype=dtype)
             if sums_to:
                 extents[sums_to] = int(array.sum())
             # The first array to name an extent sets it; the rest must agree.
-            sizes = tuple(
-                extents.setdefault(extent, n) for extent, n in zip(shape, array.shape)
-            )
+            sizes = tuple(map(extents.setdefault, shape, array.shape))
             if array.shape != sizes or array.ndim != len(shape):
                 raise MessageError(
                     f"{wire.kind}.{name} has shape {array.shape}, not "
@@ -288,7 +288,7 @@ class _Message:
         extents = dict(zip(wire.slots, header.unpack_from(body)))
         fields = {slot: extents[slot] for slot in wire.field_slots}
         block = {}
-        for name, __, dtype, shape, sums_to in wire.columns_for(extents):
+        for name, __, dtype, shape, sums_to, leaf in wire.columns_for(extents):
             shape = [extents[extent] for extent in shape]
             count = math.prod(shape)
             end = offset + count * dtype.itemsize
@@ -300,8 +300,7 @@ class _Message:
                 extents[sums_to] = int(value.sum())
             if len(shape) > 1:
                 value = value.reshape(shape)
-            group, __, leaf = name.rpartition(".")
-            (block if group else fields)[leaf] = value
+            (fields if name == leaf else block)[leaf] = value
         if offset != len(body):
             raise wire.wrong_length(body, offset)
         if block:

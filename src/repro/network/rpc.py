@@ -434,9 +434,7 @@ class RpcChannel:
         elapsed = request_delivery.elapsed
         if not request_delivery.copies:
             return None, patience
-        replies = [
-            self.server.dispatch(copy) for copy in request_delivery.copies
-        ]
+        replies = list(map(self.server.dispatch, request_delivery.copies))
         reply = replies[0]
         if reply is None:
             # Dead-process silence: the request was consumed but nothing

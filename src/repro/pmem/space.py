@@ -242,9 +242,9 @@ class VersionedEntryStore:
         """
         batch = self.slab.batch
         slots = self._at_most(np.array(heads, dtype=np.intp), barrier)
+        if slots.min(initial=0) >= 0:
+            return batch.take(slots), self.slab.read(slots)
         found = slots >= 0
-        if found.all():
-            return batch[slots], self.slab.read(slots)
         rows = np.zeros((len(slots), self.slab.width), dtype=np.float32)
         rows[found] = self.slab.read(slots[found])
         return np.where(found, batch[slots], NO_VERSION), rows
@@ -442,7 +442,7 @@ class VersionedEntryStore:
         each chain's newest version ``<= barrier`` (-1: none)."""
         batch, barrier = self.slab.batch, np.asarray(barrier)
         while True:
-            newer = np.flatnonzero((slots >= 0) & (batch[slots] > barrier))
+            newer = ((slots >= 0) & (batch.take(slots) > barrier)).nonzero()[0]
             if not len(newer):
                 return slots
             slots[newer] = self._older[slots[newer]]

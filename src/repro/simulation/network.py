@@ -9,14 +9,13 @@ bandwidth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.config import NetworkConfig
 from repro.errors import SimulationError
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """Outcome of moving one frame across a link.
 
     Attributes:

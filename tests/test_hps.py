@@ -14,6 +14,11 @@ Unit coverage for the online inference extension:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import inspect
+import json
+import pathlib
 from collections import OrderedDict
 
 import numpy as np
@@ -24,8 +29,11 @@ from repro.core.backend import ReadBackend, TrainBackend, check_backend
 from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.server import OpenEmbeddingServer
 from repro.core.sharding import mix64
+from repro.dlrm import hps
 from repro.dlrm.hps import WAYS, HierarchicalPS
 from repro.errors import CheckpointError, ServerError
+from repro.network.frontend import RemotePSClient
+from tests.test_aggregators import _SortCountingNumpy as _AggregatorSortCounting
 
 DIM = 8
 
@@ -178,6 +186,15 @@ class TestHierarchicalPS:
         tier.lookup([1, 2])
         assert tier.stats.cache_hits == 0
         assert tier.stats.remote_rows == 4
+
+    def test_an_empty_first_lookup_has_the_row_width(self):
+        """Regression: before its first fetch the tier answered
+        ``lookup([])`` with weights of shape ``(0, 0)``; the backend
+        answers ``(0, dim)``."""
+        server = trained_server()
+        result = HierarchicalPS(server, capacity_rows=16).lookup([])
+        assert result.weights.shape == server.lookup([]).weights.shape == (0, DIM)
+        assert result.row_snapshots.shape == (0,) and result.hits == result.cold == 0
 
     def test_lru_eviction_respects_capacity(self):
         """Per set: each set keeps at most ``WAYS`` rows, whatever lands
@@ -411,6 +428,70 @@ class TestSetVictims:
         assert batch_id > 5 and model.invalidated > 0
 
 
+def serve_digests(lookups: int = 600, every: int = 100) -> list[str]:
+    """What two tiers serve over a 2-shard :class:`RemotePSClient` while
+    training writes beside them, as one running SHA-256 read every
+    ``every`` lookups.
+
+    Each lookup hashes its weights, its row snapshots, its pin, hits and
+    cold rows and the :class:`ServingStats` it added. The lookups draw
+    skewed keys with repeats, a third of them never trained (cold); a
+    train step lands after every 10th and a barrier checkpoint after
+    every 30th, so rows age past both tiers' bounds. One tier holds 64
+    rows (8 sets) at ``k = 1``; the other 5 rows (one set) at ``k = 0``
+    with second-touch admission.
+    """
+    client = RemotePSClient(
+        ServerConfig(
+            num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=7
+        ),
+        CacheConfig(capacity_bytes=1 << 16),
+    )
+    tiers = (
+        HierarchicalPS(client, capacity_rows=64, staleness_bound_k=1),
+        HierarchicalPS(
+            client, capacity_rows=5, staleness_bound_k=0, freq_admission=True
+        ),
+    )
+    rng = np.random.default_rng(45)
+    train_batch(client, list(range(64)), 0)
+    client.barrier_checkpoint()
+    batch_id, digest, out = 1, hashlib.sha256(), []
+    for n in range(lookups):
+        if n % 10 == 9:
+            train_batch(client, rng.integers(0, 96, 24).tolist(), batch_id)
+            batch_id += 1
+        if n % 30 == 29:
+            client.barrier_checkpoint()
+        tier = tiers[n % 2]
+        keys = (rng.zipf(1.3, int(rng.integers(1, 48))) - 1) % 96
+        before = dataclasses.astuple(tier.stats)
+        result = tier.lookup(keys)
+        added = np.subtract(dataclasses.astuple(tier.stats), before)
+        digest.update(np.ascontiguousarray(result.weights, np.float32).tobytes())
+        digest.update(np.asarray(result.row_snapshots, np.int64).tobytes())
+        counts = [result.snapshot_id, result.hits, result.cold, *added]
+        digest.update(np.array(counts, np.int64).tobytes())
+        if (n + 1) % every == 0:
+            out.append(digest.hexdigest())
+    return out
+
+
+GOLDEN_SERVING = pathlib.Path(__file__).parent / "golden_serving_lookups.json"
+
+
+class TestServedBitsGolden:
+    """``tests/golden_serving_lookups.json`` was recorded on the tree
+    before the lookup path's fixed cost was cut (every layer: the tier,
+    the routing, the codec, the RPC channel and the shard). Whatever makes
+    a lookup cheaper must serve the same rows, pins and counters, lookup
+    by lookup."""
+
+    def test_served_lookups_match_the_recorded_digests(self):
+        golden = json.loads(GOLDEN_SERVING.read_text())
+        assert serve_digests(golden["lookups"], golden["every"]) == golden["digests"]
+
+
 class TestServingLoadDriver:
     def test_a_run_reports_its_own_requests(self):
         """Regression: ``run`` reported the tier's lifetime hit rate and
@@ -432,6 +513,47 @@ class TestServingLoadDriver:
         assert (warm.hit_rate, warm.cold_rows) == (0.0, 4)
         assert (measured.hit_rate, measured.cold_rows) == (1.0, 0)
         assert tier.stats.hit_rate == 12 / 16
+
+
+class _SortCountingNumpy(_AggregatorSortCounting):
+    """numpy as ``dlrm/hps.py`` sees it, counting its sorts."""
+
+    SORTS = (*_AggregatorSortCounting.SORTS, "lexsort")
+
+
+class TestSortBudget:
+    """A lookup's admission is one sort of its misses (by set, then key,
+    which dedups them) plus one ordering of the chosen sets' ways by age;
+    a set drawing more keys than it has ways adds the one re-sort that
+    keeps its newest. ``np.unique`` (a sort and a relayout of its own)
+    is gone. All-hit lookups sort nothing."""
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        counting = _SortCountingNumpy()
+        monkeypatch.setattr(hps, "np", counting)
+        return counting
+
+    @staticmethod
+    def sorts(counting, tier, keys) -> int:
+        before = sum(counting.calls.values())
+        tier.lookup(keys)
+        return sum(counting.calls.values()) - before
+
+    def test_a_lookup_with_misses_sorts_twice(self, counting):
+        tier = HierarchicalPS(trained_server(), capacity_rows=128 * WAYS)
+        keys = np.random.default_rng(3).integers(0, 400, 208)  # repeats
+        assert self.sorts(counting, tier, keys) == 2
+        assert self.sorts(counting, tier, keys) == 0  # all hits
+        assert counting.calls["unique"] == 0
+
+    def test_a_crowded_set_adds_one_sort(self, counting):
+        tier = HierarchicalPS(trained_server(), capacity_rows=WAYS)  # one set
+        assert self.sorts(counting, tier, np.arange(3 * WAYS)) == 3
+        assert tier.cached_rows == WAYS
+
+    def test_no_unique_in_the_module(self):
+        assert "unique" not in inspect.getsource(hps)
 
 
 class TestNoPerKeyPython:
