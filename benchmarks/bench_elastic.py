@@ -3,12 +3,15 @@
 The paper's PS routes a key with ``hash(id) % num_nodes`` (Section IV),
 which remaps ~n/(n+1) of all keys when a node joins — effectively a
 full restart. The :class:`~repro.core.sharding.ConsistentHashRing`
-bounds the remap at the theoretical minimum ``1/(n+1)`` (keys only move
-*onto* the new node). This bench measures three things:
+(jump consistent hash) remaps the theoretical minimum ``1/(n+1)``, all
+of it *onto* the new node, and gives every node its ``1/n`` share. This
+bench measures three things:
 
-* **keys moved** on a sampled keyspace, ring vs modulo, across node
-  counts — the ring must stay within 2x of the theoretical minimum
-  while modulo moves the near-total ~n/(n+1);
+* **keys moved and balance** on a sampled keyspace, ring vs modulo,
+  across node counts — the ring moves within 10 % of the theoretical
+  minimum either way (fewer means the joining node is under-filled),
+  its largest node holds within 10 % of the mean share, and modulo
+  moves the near-total ~n/(n+1);
 * **throughput dip**: the simulated migration pause of a mid-epoch
   reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``),
   ring vs modulo — the pause scales with keys moved, so the ring's dip
@@ -33,19 +36,20 @@ from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
-VNODES = 64
 DIM = 8
 
 
-def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float]:
+def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float, float]:
     """(ring, modulo) fraction of a sampled keyspace that changes owner
-    when the cluster grows ``num_nodes -> num_nodes + 1``."""
+    when the cluster grows ``num_nodes -> num_nodes + 1``, and the ring's
+    largest node's share of it over the mean share."""
     keys = np.arange(sample_keys, dtype=np.uint64)
-    ring = ConsistentHashRing(num_nodes, VNODES)
+    ring = ConsistentHashRing(num_nodes)
     ring_moved = len(ring.moved_keys(ring.with_nodes(num_nodes + 1), keys))
     modulo = HashPartitioner(num_nodes)
     modulo_moved = len(modulo.moved_keys(HashPartitioner(num_nodes + 1), keys))
-    return ring_moved / sample_keys, modulo_moved / sample_keys
+    shares = np.bincount(ring.owners(keys), minlength=num_nodes)
+    return ring_moved / sample_keys, modulo_moved / sample_keys, shares.max() / shares.mean()
 
 
 def throughput_dip(partitioner: str, num_nodes: int):
@@ -56,7 +60,7 @@ def throughput_dip(partitioner: str, num_nodes: int):
         SystemKind.PMEM_OE,
         profile.cluster_config(8),
         dataclasses.replace(
-            profile.server_config(num_nodes), partitioner=partitioner, ring_vnodes=VNODES
+            profile.server_config(num_nodes), partitioner=partitioner
         ),
         profile.cache_config(paper_mb=2048.0),
         workload=WorkloadGenerator(profile.workload_config(1.0)),
@@ -73,7 +77,6 @@ def live_demo(num_nodes: int) -> tuple[float, float, bool]:
         embedding_dim=DIM,
         pmem_capacity_bytes=1 << 26,
         partitioner="ring",
-        ring_vnodes=VNODES,
         seed=11,
     )
     server = OpenEmbeddingServer(
@@ -98,13 +101,20 @@ def live_demo(num_nodes: int) -> tuple[float, float, bool]:
 
 
 def _check(metrics: dict, params: dict) -> list:
-    # Ring within 2x of the theoretical minimum at every node count;
-    # modulo near-total; the live reshard touches no value.
+    # The ring moves the theoretical minimum within 10 % either way and
+    # its largest node holds within 10 % of the mean share; modulo moves
+    # near all; the live reshard touches no value. Recorded: 0.97-1.01x
+    # the minimum and 1.002-1.013x the mean (smoke: 20 000 keys at 4
+    # nodes; full: 200 000 at 2 / 4 / 8), so both bands keep >= 0.07 of
+    # margin, over 4x the ~1.5 % binomial noise of the smoke's moved
+    # share. The 64-vnode ring this replaced read 0.81x and 1.38x.
     nodes = params["num_nodes"]
     return failures(
-        (metrics["ring_moved_frac"] <= 2 / (nodes + 1),
-         f"ring moved {metrics['ring_moved_frac']:.1%}, over 2x the "
-         f"{1 / (nodes + 1):.1%} theoretical minimum"),
+        (0.9 <= metrics["ring_vs_min_x"] <= 1.1,
+         f"ring moved {metrics['ring_vs_min_x']:.2f}x the "
+         f"{1 / (nodes + 1):.1%} theoretical minimum, outside 0.9-1.1x"),
+        (metrics["ring_imbalance"] <= 1.1,
+         f"the ring's largest node holds {metrics['ring_imbalance']:.2f}x the mean share"),
         (metrics["modulo_moved_frac"] >= 0.9 * nodes / (nodes + 1),
          f"modulo moved only {metrics['modulo_moved_frac']:.1%}"),
         (metrics["ring_keys_moved"] < metrics["modulo_keys_moved"],
@@ -123,7 +133,7 @@ def _check(metrics: dict, params: dict) -> list:
     ],
     smoke={"sample_keys": 20_000},
     headline={
-        "ring_moved_frac": Headline(direction="lower", max_regression=0.10),
+        "ring_imbalance": Headline(direction="lower", max_regression=0.05),
         "live_identical": Headline(),
     },
     check=_check,
@@ -134,6 +144,7 @@ def _check(metrics: dict, params: dict) -> list:
         Ref("modulo_moved_frac", "keys moved, {num_nodes} -> +1: modulo",
             "{:.1%}", paper={n: n / (n + 1) for n in (2, 4, 8)}),
         Ref("ring_vs_min_x", "  ring vs theoretical minimum", "{:.2f}x min"),
+        Ref("ring_imbalance", "  ring, largest share / mean", "{:.3f}x", paper=1.0),
         Ref("ring_pause_ms", "reshard pause (sim, {num_nodes} -> +1): ring", "{:.2f} ms",
             paper="scales w/ moved"),
         Ref("modulo_pause_ms", "reshard pause (sim, {num_nodes} -> +1): mod", "{:.2f} ms",
@@ -150,15 +161,17 @@ def _check(metrics: dict, params: dict) -> list:
     ],
 )
 def entry(*, num_nodes, sample_keys):
-    """Elasticity: ring-vs-modulo moved-key fractions at one cluster
-    size, the mid-epoch reshard dip, and the live scale-out/in demo."""
-    ring_frac, modulo_frac = moved_fractions(num_nodes, sample_keys)
+    """Elasticity: ring-vs-modulo moved-key fractions and the ring's
+    balance at one cluster size, the mid-epoch reshard dip, and the live
+    scale-out/in demo."""
+    ring_frac, modulo_frac, imbalance = moved_fractions(num_nodes, sample_keys)
     ring, modulo = throughput_dip("ring", num_nodes), throughput_dip("modulo", num_nodes)
     out_frac, in_frac, identical = live_demo(num_nodes)
     return {
         "ring_moved_frac": ring_frac,
         "modulo_moved_frac": modulo_frac,
         "ring_vs_min_x": ring_frac * (num_nodes + 1),
+        "ring_imbalance": imbalance,
         "ring_pause_ms": ring.migration_pause_seconds * 1e3,
         "modulo_pause_ms": modulo.migration_pause_seconds * 1e3,
         "dip_saved_x": modulo.migration_pause_seconds / ring.migration_pause_seconds,

@@ -90,7 +90,6 @@ def main() -> None:
         embedding_dim=DIM,
         pmem_capacity_bytes=1 << 26,
         partitioner="ring",
-        ring_vnodes=32,
         seed=SEED,
     )
     server = OpenEmbeddingServer(config, CACHE, PSAdagrad(lr=0.05))

@@ -158,5 +158,4 @@ class BlockPSNode:
             snapshot_id=snapshot_id,
             hits=len(keys) - len(cold),
             cold=len(cold),
-            row_snapshots=np.full(len(keys), snapshot_id, dtype=np.int64),
         )

@@ -93,7 +93,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     server_config = dataclasses.replace(
         profile.server_config(args.nodes),
         partitioner=args.partitioner,
-        ring_vnodes=args.ring_vnodes,
         replicas=args.replicas,
         lease_s=args.lease_ms * 1e-3,
     )
@@ -610,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                           default="modulo",
                           help="key -> PS node placement: static modulo hash "
                                "or consistent-hash ring (elastic)")
-    simulate.add_argument("--ring-vnodes", type=int, default=64,
-                          help="virtual nodes per PS node on the ring")
     simulate.add_argument("--reshard-at", type=int, default=None,
                           help="live-reshard the PS after this many "
                                "iterations; prices the migration pause and "

@@ -146,12 +146,10 @@ class ServerConfig:
             weights are a function of ``(seed, key)`` on every node
             (:func:`repro.core.initializer.key_seeded_rows`).
         partitioner: key -> node routing scheme. ``"modulo"`` is the
-            paper's static ``mix64(key) % num_nodes``; ``"ring"`` is a
-            consistent-hash ring with virtual nodes that supports live
-            scale-out/scale-in (``repro.core.migration``) with minimal
-            key movement.
-        ring_vnodes: virtual nodes per physical node when
-            ``partitioner == "ring"`` (ignored for ``"modulo"``).
+            paper's static ``mix64(key) % num_nodes``; ``"ring"`` is
+            jump consistent hash over ``mix64(key)``, which supports
+            live scale-out/scale-in (``repro.core.migration``) with
+            minimal key movement.
         replicas: replicas per shard. ``1`` is the paper's
             checkpoint-recovery-only deployment; ``2`` runs a hot
             backup (:class:`~repro.core.replication.ReplicatedPSNode`)
@@ -191,7 +189,6 @@ class ServerConfig:
     initializer_scale: float = 0.01
     seed: int = 0
     partitioner: str = "modulo"
-    ring_vnodes: int = 64
     replicas: int = 1
     lease_s: float = 0.5
     staleness_bound: int | None = None
@@ -217,8 +214,6 @@ class ServerConfig:
             raise ConfigError(
                 f"partitioner must be 'modulo' or 'ring', got {self.partitioner!r}"
             )
-        if self.ring_vnodes <= 0:
-            raise ConfigError("ring_vnodes must be >= 1")
         if self.replicas not in (1, 2):
             raise ConfigError(
                 f"replicas must be 1 (none) or 2 (hot backup), got {self.replicas}"

@@ -4,7 +4,8 @@ The paper scales synchronous DLRM training by hashing each embedding id
 to a PS node (Section IV), but a static ``mix64(key) % num_nodes``
 partition remaps almost every key when the node count changes. This
 module pairs the :class:`~repro.core.sharding.ConsistentHashRing`
-(minimal movement) with a :class:`ShardMigrator` that re-shards a
+(jump consistent hash: ``n -> n+1`` moves ~``1/(n+1)`` of the keys, all
+onto the new node) with a :class:`ShardMigrator` that re-shards a
 *running* cluster without losing or duplicating a single update.
 
 Protocol (labels in :data:`MIGRATION_STEPS`, in execution order):
@@ -30,7 +31,7 @@ seal        Persist the barrier's *Checkpointed Batch ID* on the new
             is well-defined. (No-op for scale-in: survivors sealed
             at the barrier.)
 commit      ONE atomic root-field write of the packed ring state
-            (epoch, num_nodes, vnodes) on the coordinator pool.
+            (epoch, num_nodes) on the coordinator pool.
             This is the point of no return: recovery lands on the
             old ring before it and on the new ring after it.
 cleanup     End the dual-ownership window: sources drop the moved
@@ -373,7 +374,7 @@ def recover_elastic(
 ) -> tuple[OpenEmbeddingServer, list[RecoveryReport], int]:
     """Recover a ring-partitioned cluster, even from a mid-migration crash.
 
-    The committed ring state (epoch, num_nodes, vnodes) is read from the
+    The committed ring state (epoch, num_nodes) is read from the
     coordinator pool (node 0) — whatever the single-word commit said
     last. Exactly ``num_nodes`` pools are recovered; surplus pools (a
     scale-out target whose migration never committed, or a scaled-in
@@ -385,8 +386,8 @@ def recover_elastic(
     Args:
         pools: ALL surviving pools in node-id order (see
             :meth:`ShardMigrator.crash`).
-        server_config: shape config; ``num_nodes``/``ring_vnodes`` are
-            overridden by the durable ring state.
+        server_config: shape config; ``num_nodes`` is overridden by
+            the durable ring state.
 
     Returns:
         ``(server, per-shard recovery reports, purged_keys)``.
@@ -403,19 +404,14 @@ def recover_elastic(
             "coordinator pool has no durable ring state; was the cluster "
             "built with ServerConfig.partitioner='ring'?"
         )
-    epoch, num_nodes, vnodes = unpack_ring_state(
+    epoch, num_nodes = unpack_ring_state(
         pools[0].root.get(RING_STATE_FIELD)
     )
     if len(pools) < num_nodes:
         raise RecoveryError(
             f"committed ring needs {num_nodes} pools, only {len(pools)} survived"
         )
-    cfg = dataclasses.replace(
-        server_config,
-        num_nodes=num_nodes,
-        partitioner="ring",
-        ring_vnodes=vnodes,
-    )
+    cfg = dataclasses.replace(server_config, num_nodes=num_nodes, partitioner="ring")
     server, reports = OpenEmbeddingServer.recover(
         pools[:num_nodes],
         cfg,

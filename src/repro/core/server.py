@@ -82,9 +82,7 @@ class OpenEmbeddingServer:
             cluster_mode = self.server_config.num_nodes > 1
         self.cluster_mode = cluster_mode
         self.partitioner = make_partitioner(
-            self.server_config.partitioner,
-            self.server_config.num_nodes,
-            self.server_config.ring_vnodes,
+            self.server_config.partitioner, self.server_config.num_nodes
         )
         # The committed ring epoch: commit_ring sets it in the call that
         # writes the durable ring word, and a promotion reports it.
@@ -283,7 +281,6 @@ class OpenEmbeddingServer:
             out = np.empty(
                 (len(keys), self.server_config.embedding_dim), dtype=np.float32
             )
-            row_snapshots = np.empty(len(keys), dtype=np.int64)
             hits = cold = 0
             for index, node_keys, positions in slices:
                 node = self.nodes[index]
@@ -299,15 +296,8 @@ class OpenEmbeddingServer:
                 hits += result.hits
                 cold += result.cold
                 out[positions] = result.weights
-                row_snapshots[positions] = result.snapshot_id
             span.set(snapshot=snapshot_id, hits=hits, cold=cold)
-            return LookupResult(
-                weights=out,
-                snapshot_id=snapshot_id,
-                hits=hits,
-                cold=cold,
-                row_snapshots=row_snapshots,
-            )
+            return LookupResult(weights=out, snapshot_id=snapshot_id, hits=hits, cold=cold)
 
     @property
     def latest_serving_snapshot(self) -> int:
@@ -454,24 +444,16 @@ class OpenEmbeddingServer:
             # coordinator mirrors the ring word onto both replica pools.
             self.nodes[0].set_root_field(
                 RING_STATE_FIELD,
-                pack_ring_state(
-                    0,
-                    self.server_config.num_nodes,
-                    self.server_config.ring_vnodes,
-                ),
+                pack_ring_state(0, self.server_config.num_nodes),
             )
             return
-        epoch, num_nodes, vnodes = unpack_ring_state(
+        epoch, num_nodes = unpack_ring_state(
             self.coordinator_pool.root.get(RING_STATE_FIELD)
         )
-        if (
-            num_nodes != self.server_config.num_nodes
-            or vnodes != self.server_config.ring_vnodes
-        ):
+        if num_nodes != self.server_config.num_nodes:
             raise RecoveryError(
-                f"durable ring ({num_nodes} nodes, {vnodes} vnodes) does not "
-                f"match config ({self.server_config.num_nodes} nodes, "
-                f"{self.server_config.ring_vnodes} vnodes); recover via "
+                f"durable ring ({num_nodes} nodes) does not match config "
+                f"({self.server_config.num_nodes} nodes); recover via "
                 "repro.core.migration.recover_elastic"
             )
         self.ring_epoch = epoch
@@ -495,9 +477,7 @@ class OpenEmbeddingServer:
         # a replicated coordinator mirrors it onto both replica pools.
         self.nodes[0].set_root_field(
             RING_STATE_FIELD,
-            pack_ring_state(
-                new_epoch, server_config.num_nodes, server_config.ring_vnodes
-            ),
+            pack_ring_state(new_epoch, server_config.num_nodes),
         )
         self.partitioner = partitioner
         self.server_config = server_config

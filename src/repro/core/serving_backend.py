@@ -44,17 +44,17 @@ class LookupResult:
             in request order. Rows are fresh arrays (never views into a
             store or a wire frame).
         snapshot_id: the Checkpointed Batch ID the read was pinned to.
-            For a hierarchical read some rows may come from an older
-            (still staleness-bounded) snapshot; ``row_snapshots`` then
-            carries the per-row provenance.
+            A backend pins every row of a read to it.
         hits: rows served from a durable version at or below the
             snapshot.
         cold: rows whose key had no durable version at the snapshot
             (created later, or never created) — served the
             deterministic key-seeded initializer.
-        row_snapshots: optional ``(n,)`` int64 array of the snapshot
-            each row was actually read at (consistency audits); when
-            None, every row is at ``snapshot_id``.
+        row_snapshots: ``(n,)`` int64 array of the snapshot each row
+            was actually read at, filled only by the hierarchical tier
+            (:class:`~repro.dlrm.hps.HierarchicalPS`), whose cached rows
+            may come from an older, still staleness-bounded snapshot;
+            None from a backend.
     """
 
     weights: np.ndarray

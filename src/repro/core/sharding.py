@@ -8,7 +8,6 @@ salted per process and would break recovery tests).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,9 +113,7 @@ class HashPartitioner:
 
     def node_of(self, key: int) -> int:
         """The shard owning ``key``."""
-        if self.num_nodes == 1:
-            return 0
-        return mix64(key) % self.num_nodes
+        return int(self.owners(np.array([key], dtype=np.uint64))[0])
 
     def split(
         self, keys: Sequence[int]
@@ -176,7 +173,7 @@ class HashPartitioner:
         return KeyPlan(unique, inverse, first, shards, shape, self)
 
     def owners(self, keys) -> np.ndarray:
-        """Owning node of every key (vectorized ``node_of``, ``intp``)."""
+        """Owning node of every key (``intp``)."""
         owners = mix64_array(keys)
         owners %= np.uint64(self.num_nodes)
         return owners.view(np.intp)
@@ -188,72 +185,51 @@ class HashPartitioner:
         return keys[self.owners(keys) != target.owners(keys)]
 
 
-DEFAULT_VNODES = 64
-"""Virtual nodes per physical PS node (elasticity vs ring-build cost)."""
-
-
 class ConsistentHashRing(HashPartitioner):
-    """Consistent-hash routing with virtual nodes.
+    """Elastic routing: jump consistent hash (Lamping and Veach, "A Fast,
+    Minimal Memory, Consistent Hash Algorithm", arXiv 1406.2294) over
+    each key's ``mix64``.
 
     Same ``num_nodes`` / ``node_of`` / ``split`` interface as
     :class:`HashPartitioner`, but changing the node count only remaps
-    the *minimal* fraction of keys: growing ``n -> n+1`` moves roughly
-    ``1/(n+1)`` of the keyspace — and moves it exclusively onto the new
-    node — while shrinking ``n -> n-1`` exactly restores the assignment
-    the ring had at ``n-1`` nodes. This is the property that makes live
-    shard migration (``repro.core.migration``) cheap.
+    the *minimal* fraction of keys: growing ``n -> n+1`` moves
+    ``1/(n+1)`` of the keyspace in expectation — and moves it exclusively
+    onto the new node — while shrinking ``n -> n-1`` exactly restores
+    the assignment at ``n-1`` nodes. This is the property that makes
+    live shard migration (``repro.core.migration``) cheap. Every node
+    holds ``1/n`` of the keys in expectation.
 
-    Construction is deterministic: vnode ``j`` of node ``i`` sits at
-    position ``mix64(mix64((i << 32) | j))`` on a 64-bit ring, and a key
-    ``k`` is owned by the first vnode clockwise of ``mix64(k)``. The
-    second mix keeps vnodes off the keys' own points: ``mix64((0 << 32)
-    | j)`` is key ``j``'s point, which would hand keys ``0 .. vnodes-1``
-    to node 0. No process-salted hashing is involved, so routing is
-    identical across processes and runs (required by the recovery and
-    crash-point tests).
+    Routing is a pure function of ``(key, num_nodes)``: no table is
+    built and nothing is salted per process, so it is identical across
+    processes and runs (required by the recovery and crash-point tests).
+    The ``mix64`` comes first: fed a raw key, jump's generator keeps key
+    0 on node 0 at every node count.
 
     Physical nodes are always the contiguous range ``0..num_nodes-1``
     — scale-out adds node ``n``, scale-in removes node ``n-1`` — which
-    matches how the server indexes its shard list.
+    are exactly the bucket changes jump hash supports and match how the
+    server indexes its shard list.
     """
 
-    def __init__(self, num_nodes: int, vnodes: int = DEFAULT_VNODES):
-        super().__init__(num_nodes)
-        if vnodes <= 0:
-            raise ConfigError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
-        points: list[tuple[int, int]] = []
-        for node_id in range(num_nodes):
-            base = node_id << 32
-            for j in range(vnodes):
-                points.append((mix64(mix64(base | j)), node_id))
-        # Ties (astronomically unlikely) break deterministically by node id.
-        points.sort()
-        self._positions = [p for p, __ in points]
-        self._owners = [owner for __, owner in points]
-        self._positions_arr = np.asarray(self._positions, dtype=np.uint64)
-        self._owners_arr = np.asarray(self._owners, dtype=np.intp)
-
-    def node_of(self, key: int) -> int:
-        """The shard owning ``key``: first vnode clockwise of ``mix64(key)``."""
-        if self.num_nodes == 1:
-            return 0
-        point = mix64(key)
-        idx = bisect.bisect_left(self._positions, point)
-        if idx == len(self._positions):
-            idx = 0  # wrap past the top of the ring
-        return self._owners[idx]
-
     def owners(self, keys) -> np.ndarray:
-        points = mix64_array(keys)
-        # searchsorted(side="left") == bisect_left; wrap past the top.
-        idx = np.searchsorted(self._positions_arr, points, side="left")
-        idx[idx == len(self._positions_arr)] = 0
-        return self._owners_arr[idx]
+        """Jump every key from node 0 until its next jump lands past the
+        last node; only the keys still jumping are touched each round."""
+        state = mix64_array(keys)
+        owners = np.zeros(len(state), dtype=np.intp)
+        live, node = np.arange(len(state)), owners
+        while len(live):
+            state = state * np.uint64(2862933555777941757) + np.uint64(1)
+            # The paper's float64 (b + 1) * (2^31 / ((key >> 33) + 1)).
+            spread = 2.0**31 / ((state >> np.uint64(33)) + np.uint64(1))
+            node = ((node + 1) * spread).astype(np.intp)
+            inside = node < self.num_nodes
+            live, state, node = live[inside], state[inside], node[inside]
+            owners[live] = node
+        return owners
 
     def with_nodes(self, num_nodes: int) -> "ConsistentHashRing":
-        """A ring over ``num_nodes`` nodes with the same vnode count."""
-        return ConsistentHashRing(num_nodes, self.vnodes)
+        """The ring over ``num_nodes`` nodes."""
+        return ConsistentHashRing(num_nodes)
 
 
 RING_STATE_FIELD = "ring_state"
@@ -261,40 +237,32 @@ RING_STATE_FIELD = "ring_state"
 
 A single :meth:`~repro.pmem.pool.PoolRoot.set` of this field is the
 atomic commit point of a migration: the packed value encodes the ring
-epoch plus everything needed to rebuild the partitioner
-(``num_nodes``, ``vnodes``), so recovery after a mid-migration crash
-always lands on a consistent pre- or post-migration ring.
+epoch and ``num_nodes``, all that rebuilds the ring, so recovery after a
+mid-migration crash always lands on a consistent pre- or post-migration
+ring.
 """
 
-_RING_EPOCH_SHIFT = 40
-_RING_NODES_SHIFT = 20
-_RING_FIELD_MASK = (1 << 20) - 1
+_RING_NODES_BITS = 20
 
 
-def pack_ring_state(epoch: int, num_nodes: int, vnodes: int) -> int:
-    """Encode ``(epoch, num_nodes, vnodes)`` into one root-field word."""
-    for name, value in (("epoch", epoch), ("num_nodes", num_nodes), ("vnodes", vnodes)):
-        if not 0 <= value <= _RING_FIELD_MASK and name != "epoch":
-            raise ConfigError(f"ring {name} {value} out of range")
+def pack_ring_state(epoch: int, num_nodes: int) -> int:
+    """Encode ``(epoch, num_nodes)`` into one root-field word."""
     if epoch < 0:
         raise ConfigError(f"ring epoch must be >= 0, got {epoch}")
-    return (epoch << _RING_EPOCH_SHIFT) | (num_nodes << _RING_NODES_SHIFT) | vnodes
+    if not 0 <= num_nodes < 1 << _RING_NODES_BITS:
+        raise ConfigError(f"ring num_nodes {num_nodes} out of range")
+    return (epoch << _RING_NODES_BITS) | num_nodes
 
 
-def unpack_ring_state(packed: int) -> tuple[int, int, int]:
-    """Decode :func:`pack_ring_state`'s word into ``(epoch, num_nodes, vnodes)``."""
-    epoch = packed >> _RING_EPOCH_SHIFT
-    num_nodes = (packed >> _RING_NODES_SHIFT) & _RING_FIELD_MASK
-    vnodes = packed & _RING_FIELD_MASK
-    return epoch, num_nodes, vnodes
+def unpack_ring_state(packed: int) -> tuple[int, int]:
+    """Decode :func:`pack_ring_state`'s word into ``(epoch, num_nodes)``."""
+    return packed >> _RING_NODES_BITS, packed & ((1 << _RING_NODES_BITS) - 1)
 
 
-def make_partitioner(
-    kind: str, num_nodes: int, vnodes: int = DEFAULT_VNODES
-) -> HashPartitioner:
+def make_partitioner(kind: str, num_nodes: int) -> HashPartitioner:
     """Build the partitioner named by ``kind`` (``modulo`` | ``ring``)."""
     if kind == "modulo":
         return HashPartitioner(num_nodes)
     if kind == "ring":
-        return ConsistentHashRing(num_nodes, vnodes)
+        return ConsistentHashRing(num_nodes)
     raise ConfigError(f"unknown partitioner kind {kind!r} (want 'modulo' or 'ring')")

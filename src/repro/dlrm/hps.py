@@ -269,8 +269,7 @@ class HierarchicalPS:
             invalidated = evicted = cold = 0
             if fetched is not None:
                 weights[miss] = fetched.weights
-                pins = fetched.row_snapshots
-                row_snapshots[miss] = fetched.snapshot_id if pins is None else pins
+                row_snapshots[miss] = fetched.snapshot_id
                 cold = fetched.cold
                 invalidated, evicted = self._admit(keys, home, miss, stale, row_snapshots, weights)
             self._tick += 2 * n

@@ -541,16 +541,8 @@ class TrainingSimulator:
         modulo it is ~``(m-1)/m`` — the contrast ``--reshard-at``
         exists to show.
         """
-        old = make_partitioner(
-            self.server.partitioner,
-            self.server.num_nodes,
-            self.server.ring_vnodes,
-        )
-        new = make_partitioner(
-            self.server.partitioner,
-            self.reshard_to,
-            self.server.ring_vnodes,
-        )
+        old = make_partitioner(self.server.partitioner, self.server.num_nodes)
+        new = make_partitioner(self.server.partitioner, self.reshard_to)
         seen = self._keys_seen(batch_id)
         keys_total = len(seen)
         keys_moved = len(old.moved_keys(new, seen))

@@ -73,7 +73,6 @@ TRANSPORTS = ("local", "rpc", "rpc_lossy")
 DIM = 8
 NUM_KEYS = 96
 BATCH_KEYS = 12
-RING_VNODES = 32
 #: The lossy wire: drops, duplicates and corrupts frames; RETRY rides it.
 FAULTS = NetworkFaultConfig(drop_rate=0.05, duplicate_rate=0.03, corrupt_rate=0.02, seed=5)
 RETRY = RetryConfig(max_attempts=12, attempt_timeout_s=0.05, call_timeout_s=30.0, seed=5)
@@ -101,7 +100,7 @@ def server_config(nodes: int = 3, seed: int = 0, **overrides) -> ServerConfig:
     :class:`~repro.config.ServerConfig` field may be overridden."""
     base = dict(
         num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26,
-        partitioner="ring", ring_vnodes=RING_VNODES, seed=seed,
+        partitioner="ring", seed=seed,
     )
     return ServerConfig(**{**base, **overrides})
 

@@ -86,17 +86,29 @@ SHARD_REACH_FILES = [
 def test_reaching_a_shard_stays_within_its_budget():
     """CI's third gated budget: the facade, its RPC subclass and service,
     and the reshard / failover / replication state machines hold at most
-    1 701 code lines (1 852 while failover and the services took
+    1 676 code lines (1 852 while failover and the services took
     settings only tests set, 1 825 before the facade checked a push's
     gradient block and folded the shards' buffers ahead of choosing a
     checkpoint id, 1 827 before pull and push took a KeyPlan and a
     reshard folded buffered pushes ahead of its quiesce check, 1 833
     while the client kept a ring-refresh RPC nothing called, 1 787
     while a replicated shard's rebuild tracked and patched the writes
-    landing mid-copy and every replica kept its own ring epoch) — one
-    way to reach a shard, not three seams."""
+    landing mid-copy and every replica kept its own ring epoch, 1 701
+    while the ring word carried a vnode count and a cluster lookup
+    filled a per-row snapshot array) — one way to reach a shard, not
+    three seams."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1701", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+    assert code_lines.main(["--max", "1676", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+
+
+def test_key_routing_stays_within_its_budget():
+    """CI's gated budget for ``core/sharding.py``: modulo routing, the
+    KeyPlan, the ring-state word and the ring hold at most 129 code
+    lines (157 while the ring was a vnode point table with a ``bisect``
+    scalar path beside its vectorized one). A second placement path does
+    not fit."""
+    root = SCRIPT.parents[1]
+    assert code_lines.main(["--max", "129", str(root / "src/repro/core/sharding.py")]) == 0
 
 
 WIRE_FILES = ["src/repro/network/messages.py", "src/repro/network/rpc.py"]
@@ -175,13 +187,14 @@ def test_the_baselines_and_the_pool_stay_within_their_budget():
 
 
 def test_the_cli_stays_within_its_budget():
-    """CI's eighth gated budget: the command-line front holds at most 720
+    """CI's eighth gated budget: the command-line front holds at most 717
     code lines (1 028 while `repro faults` and `repro serve-bench`
     restated the network-faults and serving benches, 740 while six
     commands each turned a ConfigError into exit 2 instead of `main`,
     726 while `repro trace` kept its own exit-2 block, 723 while three
-    commands each turned lookahead 0 into "no prefetch config").
+    commands each turned lookahead 0 into "no prefetch config", 720
+    while `repro simulate` took a ring vnode count).
     Experiments run through `repro bench`; a command that rebuilds a
     bench's cluster does not fit."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "720", str(root / "src/repro/cli.py")]) == 0
+    assert code_lines.main(["--max", "717", str(root / "src/repro/cli.py")]) == 0

@@ -360,7 +360,7 @@ class TestReplicatedRebuild:
     def test_ring_word_mirrored_onto_fresh_backup(self):
         s, node = single_replicated()
         s.train(0, 2)
-        packed = pack_ring_state(3, 1, 8)
+        packed = pack_ring_state(3, 1)
         node.set_root_field(RING_STATE_FIELD, packed)
         assert node.backup.pool.root.fields()[RING_STATE_FIELD] == packed
         node.kill_primary()

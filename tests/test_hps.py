@@ -348,9 +348,9 @@ class LRUModel:
         if misses:
             miss_keys = [keys[i] for i in misses]
             fetched = self.backend.lookup(miss_keys, self.backend.latest_serving_snapshot)
-            weights[misses], pins[misses] = fetched.weights, fetched.row_snapshots
+            weights[misses], pins[misses] = fetched.weights, fetched.snapshot_id
             for j, key in enumerate(miss_keys):
-                self.rows[key] = (fetched.weights[j], int(fetched.row_snapshots[j]), count)
+                self.rows[key] = (fetched.weights[j], fetched.snapshot_id, count)
                 self.rows.move_to_end(key)
                 while len(self.rows) > self.capacity:
                     self.rows.popitem(last=False)
