@@ -38,7 +38,7 @@ def _cell(*, steps, workers, staleness_k, aggregator, hostile_fraction, seed):
             seed=seed,
         )
     return Scenario(
-        seed=seed, nodes=2, partitioner="modulo", batches=steps,
+        seed=seed, nodes=2, batches=steps,
         fleet=Fleet(workers, staleness=1, profiles=fleet),
         staleness_bound=staleness_k, aggregator=aggregator,
     ).run()

@@ -1,11 +1,13 @@
-"""Elasticity ablation: consistent-hash ring vs static modulo partition.
+"""Elasticity ablation: the consistent-hash ring vs the paper's static hash.
 
 The paper's PS routes a key with ``hash(id) % num_nodes`` (Section IV),
 which remaps ~n/(n+1) of all keys when a node joins — effectively a
-full restart. The :class:`~repro.core.sharding.ConsistentHashRing`
-(jump consistent hash) remaps the theoretical minimum ``1/(n+1)``, all
-of it *onto* the new node, and gives every node its ``1/n`` share. This
-bench measures three things:
+full restart. Every cluster here routes with the
+:class:`~repro.core.sharding.HashPartitioner` (jump consistent hash,
+"the ring"), which remaps the theoretical minimum ``1/(n+1)``, all of
+it *onto* the new node, and gives every node its ``1/n`` share. The
+static side is computed here as ``mix64_array(keys) % n``. This bench
+measures three things:
 
 * **keys moved and balance** on a sampled keyspace, ring vs modulo,
   across node counts — the ring moves within 10 % of the theoretical
@@ -13,14 +15,13 @@ bench measures three things:
   its largest node holds within 10 % of the mean share, and modulo
   moves the near-total ~n/(n+1);
 * **throughput dip**: the simulated migration pause of a mid-epoch
-  reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``),
-  ring vs modulo — the pause scales with keys moved, so the ring's dip
-  is a fraction of modulo's;
+  reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``)
+  on the ring, against the pause ``PSCostModel.price_migration`` gives
+  the keys modulo would move at that point of the same run — the pause
+  scales with keys moved, so the ring's dip is a fraction of modulo's;
 * a **live migration demo** on a real ``num_nodes``-node cluster: scale
   out, then in, and verify the weights never change by a bit.
 """
-
-import dataclasses
 
 import numpy as np
 
@@ -30,13 +31,22 @@ from repro.config import CacheConfig, ServerConfig
 from repro.core.migration import ShardMigrator
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
-from repro.core.sharding import ConsistentHashRing, HashPartitioner
+from repro.core.sharding import HashPartitioner, mix64_array
 from repro.simulation.cluster import SystemKind
 from repro.simulation.profiles import DEFAULT_PROFILE
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
 DIM = 8
+RESHARD_AT = 40
+EPOCH_ITERATIONS = 80
+
+
+def modulo_moved(keys, num_nodes: int) -> int:
+    """How many of ``keys`` change owner under the paper's static
+    ``mix64 % n`` when the cluster grows ``num_nodes -> num_nodes + 1``."""
+    mixed = mix64_array(keys)
+    return int(np.count_nonzero(mixed % np.uint64(num_nodes) != mixed % np.uint64(num_nodes + 1)))
 
 
 def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float, float]:
@@ -44,29 +54,40 @@ def moved_fractions(num_nodes: int, sample_keys: int) -> tuple[float, float, flo
     when the cluster grows ``num_nodes -> num_nodes + 1``, and the ring's
     largest node's share of it over the mean share."""
     keys = np.arange(sample_keys, dtype=np.uint64)
-    ring = ConsistentHashRing(num_nodes)
+    ring = HashPartitioner(num_nodes)
     ring_moved = len(ring.moved_keys(ring.with_nodes(num_nodes + 1), keys))
-    modulo = HashPartitioner(num_nodes)
-    modulo_moved = len(modulo.moved_keys(HashPartitioner(num_nodes + 1), keys))
     shares = np.bincount(ring.owners(keys), minlength=num_nodes)
-    return ring_moved / sample_keys, modulo_moved / sample_keys, shares.max() / shares.mean()
+    modulo = modulo_moved(keys, num_nodes)
+    return ring_moved / sample_keys, modulo / sample_keys, shares.max() / shares.mean()
 
 
-def throughput_dip(partitioner: str, num_nodes: int):
-    """The simulated epoch with a mid-epoch reshard ``num_nodes -> num_nodes
-    + 1`` under ``partitioner``."""
+def simulator(num_nodes: int, **reshard) -> TrainingSimulator:
+    """The PMem-OE epoch the dip is measured on, ``num_nodes`` PS nodes."""
     profile = DEFAULT_PROFILE
-    simulator = TrainingSimulator(
+    return TrainingSimulator(
         SystemKind.PMEM_OE,
         profile.cluster_config(8),
-        dataclasses.replace(
-            profile.server_config(num_nodes), partitioner=partitioner
-        ),
+        profile.server_config(num_nodes),
         profile.cache_config(paper_mb=2048.0),
         workload=WorkloadGenerator(profile.workload_config(1.0)),
-        reshard_at=40,
+        **reshard,
     )
-    return simulator.run(80)
+
+
+def throughput_dip(num_nodes: int):
+    """The simulated epoch with a mid-epoch reshard ``num_nodes -> num_nodes
+    + 1`` on the ring, and the pause modulo's remap would cost at that
+    point: :meth:`~repro.simulation.cluster.PSCostModel.price_migration`
+    over the keys the run had seen, with the same barrier flush."""
+    ring = simulator(num_nodes, reshard_at=RESHARD_AT).run(EPOCH_ITERATIONS)
+    before = simulator(num_nodes)
+    before.run(RESHARD_AT)
+    seen = before.backend.owned_keys()
+    moved = modulo_moved(seen, num_nodes)
+    pause = before.cost_model.price_migration(
+        keys_moved=moved, flushed_entries=before.backend.num_entries
+    ).total
+    return ring, moved, pause
 
 
 def live_demo(num_nodes: int) -> tuple[float, float, bool]:
@@ -76,7 +97,6 @@ def live_demo(num_nodes: int) -> tuple[float, float, bool]:
         num_nodes=num_nodes,
         embedding_dim=DIM,
         pmem_capacity_bytes=1 << 26,
-        partitioner="ring",
         seed=11,
     )
     server = OpenEmbeddingServer(
@@ -165,7 +185,7 @@ def entry(*, num_nodes, sample_keys):
     balance at one cluster size, the mid-epoch reshard dip, and the live
     scale-out/in demo."""
     ring_frac, modulo_frac, imbalance = moved_fractions(num_nodes, sample_keys)
-    ring, modulo = throughput_dip("ring", num_nodes), throughput_dip("modulo", num_nodes)
+    ring, modulo_keys, modulo_pause = throughput_dip(num_nodes)
     out_frac, in_frac, identical = live_demo(num_nodes)
     return {
         "ring_moved_frac": ring_frac,
@@ -173,12 +193,13 @@ def entry(*, num_nodes, sample_keys):
         "ring_vs_min_x": ring_frac * (num_nodes + 1),
         "ring_imbalance": imbalance,
         "ring_pause_ms": ring.migration_pause_seconds * 1e3,
-        "modulo_pause_ms": modulo.migration_pause_seconds * 1e3,
-        "dip_saved_x": modulo.migration_pause_seconds / ring.migration_pause_seconds,
+        "modulo_pause_ms": modulo_pause * 1e3,
+        "dip_saved_x": modulo_pause / ring.migration_pause_seconds,
         "ring_keys_moved": ring.migration_keys_moved,
-        "modulo_keys_moved": modulo.migration_keys_moved,
+        "modulo_keys_moved": modulo_keys,
         "ring_epoch_s": ring.sim_seconds,
-        "modulo_epoch_s": modulo.sim_seconds,
+        # The same epoch with modulo's pause in place of the ring's.
+        "modulo_epoch_s": ring.sim_seconds - ring.migration_pause_seconds + modulo_pause,
         "live_out_frac": out_frac,
         "live_in_frac": in_frac,
         "live_identical": identical,

@@ -1,6 +1,7 @@
 """Elastic reshard demo: live scale-out/in + crash mid-migration.
 
-A 3-node ring-partitioned PS cluster trains a deterministic workload,
+A 3-node PS cluster (every cluster routes by jump consistent hash, so
+any can scale) trains a deterministic workload,
 then — without stopping the job —
 
 1. **scales out** to 4 nodes (only ~1/4 of resident keys move, each
@@ -8,10 +9,10 @@ then — without stopping the job —
 2. keeps training,
 3. starts **scaling back in** to 3 nodes and is **killed mid-transfer**
    (the crash-point hook fires inside the copy loop),
-4. recovers from the surviving PMem pools with ``recover_elastic`` —
-   the committed ring word says the migration never happened, so the
-   recovered cluster is back on 4 nodes and simply runs the reshard
-   again,
+4. recovers from the surviving PMem pools with
+   ``OpenEmbeddingServer.recover`` — the committed ring word says the
+   migration never happened, so the recovered cluster is back on 4
+   nodes and simply runs the reshard again,
 5. finishes training.
 
 The punchline: the final weights are **bitwise identical** to an
@@ -26,7 +27,7 @@ Run:  python examples/elastic_reshard.py
 import numpy as np
 
 from repro.config import CacheConfig, ServerConfig
-from repro.core.migration import ShardMigrator, recover_elastic
+from repro.core.migration import ShardMigrator
 from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 
@@ -71,7 +72,7 @@ def train(server, first: int, last: int) -> None:
 
 
 def reference_state() -> dict[int, np.ndarray]:
-    """One node, modulo routing, no reshard, no crash."""
+    """One node, no reshard, no crash."""
     server = OpenEmbeddingServer(
         ServerConfig(
             num_nodes=1, embedding_dim=DIM,
@@ -89,12 +90,11 @@ def main() -> None:
         num_nodes=3,
         embedding_dim=DIM,
         pmem_capacity_bytes=1 << 26,
-        partitioner="ring",
         seed=SEED,
     )
     server = OpenEmbeddingServer(config, CACHE, PSAdagrad(lr=0.05))
 
-    print(f"training batches 0..{SCALE_OUT_AFTER - 1} on 3 ring nodes ...")
+    print(f"training batches 0..{SCALE_OUT_AFTER - 1} on 3 nodes ...")
     train(server, 0, SCALE_OUT_AFTER)
 
     print("\nlive scale-out 3 -> 4 (training stays online):")
@@ -117,13 +117,13 @@ def main() -> None:
         print("  << power cut: every DRAM structure is gone >>")
 
     pools = migrator.crash()  # only the PMem pools survive
-    server, reports, purged = recover_elastic(
+    server, reports = OpenEmbeddingServer.recover(
         pools, config, CACHE, PSAdagrad(lr=0.05)
     )
     print(
         f"  recovered {len(reports)} shards onto the committed ring "
         f"(epoch {server.ring_epoch}, {server.server_config.num_nodes} nodes), "
-        f"purged {purged} stranded half-transferred copies"
+        f"every key on its one owner"
     )
 
     # The crash landed before the atomic commit, so the durable ring is

@@ -92,7 +92,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     tracer, registry = _obs_sinks(args)
     server_config = dataclasses.replace(
         profile.server_config(args.nodes),
-        partitioner=args.partitioner,
         replicas=args.replicas,
         lease_s=args.lease_ms * 1e-3,
     )
@@ -131,8 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if result.migrations_completed:
         moved = result.migration_keys_moved
         total = result.migration_keys_total or 1
-        print(f"reshard           : {args.partitioner} partitioner, "
-              f"{moved}/{result.migration_keys_total} keys moved "
+        print(f"reshard           : {moved}/{result.migration_keys_total} keys moved "
               f"({moved / total:.1%}), "
               f"pause {result.migration_pause_seconds * 1e3:.3f} ms")
     if result.failures_injected:
@@ -605,10 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "overlap window (PMem-OE only; 0 disables)")
     simulate.add_argument("--nodes", type=int, default=1,
                           help="PS node count the run starts with")
-    simulate.add_argument("--partitioner", choices=["modulo", "ring"],
-                          default="modulo",
-                          help="key -> PS node placement: static modulo hash "
-                               "or consistent-hash ring (elastic)")
     simulate.add_argument("--reshard-at", type=int, default=None,
                           help="live-reshard the PS after this many "
                                "iterations; prices the migration pause and "

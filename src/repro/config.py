@@ -137,7 +137,10 @@ class ServerConfig:
     """A distributed OpenEmbedding deployment.
 
     Attributes:
-        num_nodes: number of PS shards; keys are hash-partitioned.
+        num_nodes: number of PS shards; keys are placed by jump
+            consistent hash over their ``mix64``
+            (:class:`~repro.core.sharding.HashPartitioner`), so a
+            cluster can scale out or in live (``repro.core.migration``).
         embedding_dim: floats per embedding entry (paper default 64).
         pmem_capacity_bytes: persistent pool size per node.
         initializer_scale: uniform(-s, s) initialisation for new entries
@@ -145,11 +148,6 @@ class ServerConfig:
         seed: seed of the key-seeded initializer, >= 0: a new key's
             weights are a function of ``(seed, key)`` on every node
             (:func:`repro.core.initializer.key_seeded_rows`).
-        partitioner: key -> node routing scheme. ``"modulo"`` is the
-            paper's static ``mix64(key) % num_nodes``; ``"ring"`` is
-            jump consistent hash over ``mix64(key)``, which supports
-            live scale-out/scale-in (``repro.core.migration``) with
-            minimal key movement.
         replicas: replicas per shard. ``1`` is the paper's
             checkpoint-recovery-only deployment; ``2`` runs a hot
             backup (:class:`~repro.core.replication.ReplicatedPSNode`)
@@ -188,7 +186,6 @@ class ServerConfig:
     pmem_capacity_bytes: int = 756 << 30
     initializer_scale: float = 0.01
     seed: int = 0
-    partitioner: str = "modulo"
     replicas: int = 1
     lease_s: float = 0.5
     staleness_bound: int | None = None
@@ -209,10 +206,6 @@ class ServerConfig:
         if not (self.initializer_scale >= 0 and math.isfinite(2.0 * self.initializer_scale)):
             raise ConfigError(
                 f"initializer_scale must be finite and >= 0, got {self.initializer_scale}"
-            )
-        if self.partitioner not in ("modulo", "ring"):
-            raise ConfigError(
-                f"partitioner must be 'modulo' or 'ring', got {self.partitioner!r}"
             )
         if self.replicas not in (1, 2):
             raise ConfigError(

@@ -2,11 +2,12 @@
 
 The paper scales synchronous DLRM training by hashing each embedding id
 to a PS node (Section IV), but a static ``mix64(key) % num_nodes``
-partition remaps almost every key when the node count changes. This
-module pairs the :class:`~repro.core.sharding.ConsistentHashRing`
-(jump consistent hash: ``n -> n+1`` moves ~``1/(n+1)`` of the keys, all
-onto the new node) with a :class:`ShardMigrator` that re-shards a
-*running* cluster without losing or duplicating a single update.
+partition remaps almost every key when the node count changes. Every
+cluster here routes with the
+:class:`~repro.core.sharding.HashPartitioner` (jump consistent hash:
+``n -> n+1`` moves ~``1/(n+1)`` of the keys, all onto the new node),
+and this module's :class:`ShardMigrator` re-shards a *running* cluster
+without losing or duplicating a single update.
 
 Protocol (labels in :data:`MIGRATION_STEPS`, in execution order):
 
@@ -50,9 +51,10 @@ migrator moves entries by node calls in process and as ``Migrate`` RPCs
 Crash consistency: every step is labelled, and the scenario engine
 (``tests/harness/scenario.py``) kills the cluster at each label.
 Because transfer copies and the ring commit is a single untearable
-word, :func:`recover_elastic` always lands on a consistent pre- or
-post-migration ring, then purges any dual-ownership leftovers the crash
-stranded on non-owner shards. The crash-point sweep asserts
+word, :meth:`OpenEmbeddingServer.recover
+<repro.core.server.OpenEmbeddingServer.recover>` always lands on a
+consistent pre- or post-migration ring, then purges any dual-ownership
+leftovers the crash stranded on non-owner shards. The crash-point sweep asserts
 the recovered-and-replayed weights are *bitwise* identical to an
 unsharded reference.
 """
@@ -65,20 +67,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.config import CacheConfig, ServerConfig
+from repro.config import ServerConfig
 from repro.core.ps_node import PSNode
-from repro.core.recovery import RecoveryReport
 from repro.core.server import OpenEmbeddingServer
-from repro.core.sharding import (
-    RING_STATE_FIELD,
-    ConsistentHashRing,
-    unpack_ring_state,
-)
-from repro.core.optimizers import PSOptimizer
-from repro.errors import RecoveryError, ServerError
+from repro.errors import ServerError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.pmem.pool import PmemPool
-from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 
 MIGRATION_STEPS = (
     "barrier",
@@ -160,7 +154,7 @@ class ShardMigrator:
         self._current_step: str | None = None
         #: The node being provisioned by an in-flight scale-out; a crash
         #: handler collects its pool alongside the cluster's so
-        #: :func:`recover_elastic` sees every surviving DIMM.
+        #: :meth:`OpenEmbeddingServer.recover` sees every surviving DIMM.
         self.pending_target: PSNode | None = None
 
     # ------------------------------------------------------------------
@@ -169,42 +163,33 @@ class ShardMigrator:
 
     def scale_out(self) -> MigrationReport:
         """Grow the cluster by one node (ids stay contiguous)."""
-        ring = self._require_ring()
         n = self.cluster.server_config.num_nodes
         new_cfg = dataclasses.replace(self.cluster.server_config, num_nodes=n + 1)
-        new_ring = ring.with_nodes(n + 1)
         with self.tracer.span(
             "migration.run", track="migration", direction="scale_out",
             from_nodes=n, to_nodes=n + 1,
         ):
-            return self._migrate("scale_out", new_cfg, new_ring)
+            return self._migrate("scale_out", new_cfg)
 
     def scale_in(self) -> MigrationReport:
         """Shrink the cluster by one node (the highest id leaves)."""
-        ring = self._require_ring()
         n = self.cluster.server_config.num_nodes
         if n < 2:
             raise ServerError("cannot scale in a single-node cluster")
         new_cfg = dataclasses.replace(self.cluster.server_config, num_nodes=n - 1)
-        new_ring = ring.with_nodes(n - 1)
         with self.tracer.span(
             "migration.run", track="migration", direction="scale_in",
             from_nodes=n, to_nodes=n - 1,
         ):
-            return self._migrate("scale_in", new_cfg, new_ring)
+            return self._migrate("scale_in", new_cfg)
 
     # ------------------------------------------------------------------
     # the protocol
     # ------------------------------------------------------------------
 
-    def _migrate(
-        self,
-        direction: str,
-        new_cfg: ServerConfig,
-        new_ring: ConsistentHashRing,
-    ) -> MigrationReport:
+    def _migrate(self, direction: str, new_cfg: ServerConfig) -> MigrationReport:
         try:
-            return self._migrate_steps(direction, new_cfg, new_ring)
+            return self._migrate_steps(direction, new_cfg)
         except BaseException:
             # An aborted migration (crash-point kill, transport error,
             # routing bug) is exactly what the flight recorder exists
@@ -223,15 +208,11 @@ class ShardMigrator:
                 )
             raise
 
-    def _migrate_steps(
-        self,
-        direction: str,
-        new_cfg: ServerConfig,
-        new_ring: ConsistentHashRing,
-    ) -> MigrationReport:
+    def _migrate_steps(self, direction: str, new_cfg: ServerConfig) -> MigrationReport:
         cluster = self.cluster
         old_n = cluster.server_config.num_nodes
         new_n = new_cfg.num_nodes
+        new_ring = cluster.partitioner.with_nodes(new_n)
         scale_out = new_n > old_n
 
         # -- barrier: quiesce training at a batch boundary ------------
@@ -298,7 +279,7 @@ class ShardMigrator:
             new_nodes = list(cluster.nodes) + [target]
         else:
             new_nodes = list(cluster.nodes[:-1])
-        epoch = cluster.commit_ring(new_ring, new_cfg, new_nodes)
+        epoch = cluster.commit_ring(new_cfg, new_nodes)
         self.pending_target = None
 
         # -- cleanup: end the dual-ownership window -------------------
@@ -331,16 +312,6 @@ class ShardMigrator:
     # internals
     # ------------------------------------------------------------------
 
-    def _require_ring(self) -> ConsistentHashRing:
-        partitioner = self.cluster.partitioner
-        if not isinstance(partitioner, ConsistentHashRing):
-            raise ServerError(
-                "live migration requires the consistent-hash ring "
-                "(ServerConfig.partitioner='ring'); the modulo partitioner "
-                "would remap ~(n-1)/n of all keys"
-            )
-        return partitioner
-
     def _step(self, label: str, **info) -> None:
         self._current_step = label
         if self.recorder is not None:
@@ -354,7 +325,7 @@ class ShardMigrator:
 
         Returns pools in node-id order, including a pending (not yet
         committed) scale-out target's pool as the last element — the
-        exact list :func:`recover_elastic` expects.
+        exact list :meth:`OpenEmbeddingServer.recover` expects.
         """
         pools = self.cluster.crash()
         if self.pending_target is not None:
@@ -362,74 +333,3 @@ class ShardMigrator:
             self.pending_target = None
         return pools
 
-
-def recover_elastic(
-    pools: list[PmemPool],
-    server_config: ServerConfig,
-    cache_config: CacheConfig | None = None,
-    optimizer: PSOptimizer | None = None,
-    *,
-    calibration: Calibration = DEFAULT_CALIBRATION,
-    tracer: Tracer | None = None,
-) -> tuple[OpenEmbeddingServer, list[RecoveryReport], int]:
-    """Recover a ring-partitioned cluster, even from a mid-migration crash.
-
-    The committed ring state (epoch, num_nodes) is read from the
-    coordinator pool (node 0) — whatever the single-word commit said
-    last. Exactly ``num_nodes`` pools are recovered; surplus pools (a
-    scale-out target whose migration never committed, or a scaled-in
-    node's abandoned DIMMs) are discarded. Finally any key a shard holds
-    but the committed ring routes elsewhere — the stranded half of a
-    dual-ownership window — is purged, so every key has exactly one
-    owner.
-
-    Args:
-        pools: ALL surviving pools in node-id order (see
-            :meth:`ShardMigrator.crash`).
-        server_config: shape config; ``num_nodes`` is overridden by
-            the durable ring state.
-
-    Returns:
-        ``(server, per-shard recovery reports, purged_keys)``.
-
-    Raises:
-        RecoveryError: no pools, no durable ring state, or fewer pools
-            than the committed ring needs.
-    """
-    if not pools:
-        raise RecoveryError("no surviving pools")
-    tracer = tracer if tracer is not None else NULL_TRACER
-    if RING_STATE_FIELD not in pools[0].root.fields():
-        raise RecoveryError(
-            "coordinator pool has no durable ring state; was the cluster "
-            "built with ServerConfig.partitioner='ring'?"
-        )
-    epoch, num_nodes = unpack_ring_state(
-        pools[0].root.get(RING_STATE_FIELD)
-    )
-    if len(pools) < num_nodes:
-        raise RecoveryError(
-            f"committed ring needs {num_nodes} pools, only {len(pools)} survived"
-        )
-    cfg = dataclasses.replace(server_config, num_nodes=num_nodes, partitioner="ring")
-    server, reports = OpenEmbeddingServer.recover(
-        pools[:num_nodes],
-        cfg,
-        cache_config,
-        optimizer,
-        calibration=calibration,
-        cluster_mode=True,
-        tracer=tracer,
-    )
-    purged = 0
-    for node in server.nodes:
-        held = node.owned_keys()
-        purged += node.drop_keys(held[server.partitioner.owners(held) != node.node_id])
-    tracer.instant(
-        "migration.recovered",
-        track="migration",
-        epoch=epoch,
-        nodes=num_nodes,
-        purged=purged,
-    )
-    return server, reports, purged

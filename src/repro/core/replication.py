@@ -75,7 +75,7 @@ class ReplicatedPSNode:
     background, restoring tolerance of a second fault. A double fault
     (:meth:`crash`) leaves only pools; recover with
     :func:`repro.core.recovery.recover_node` /
-    :func:`repro.core.migration.recover_elastic`.
+    :meth:`repro.core.server.OpenEmbeddingServer.recover`.
     """
 
     def __init__(
@@ -356,7 +356,7 @@ class ReplicatedPSNode:
 
         Returns the primary's pool — the surviving durable state the
         checkpoint-recovery ladder (:func:`~repro.core.recovery.recover_node`
-        or :func:`~repro.core.migration.recover_elastic`) rebuilds from.
+        or :meth:`~repro.core.server.OpenEmbeddingServer.recover`) rebuilds from.
         """
         if self.backup is not None:
             self.backup.crash()

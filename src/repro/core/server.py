@@ -24,6 +24,8 @@ cross the wire to send the same request as a framed RPC.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.config import CacheConfig, ServerConfig
@@ -37,7 +39,6 @@ from repro.core.sharding import (
     RING_STATE_FIELD,
     HashPartitioner,
     KeyPlan,
-    make_partitioner,
     pack_ring_state,
     unpack_ring_state,
 )
@@ -81,9 +82,7 @@ class OpenEmbeddingServer:
         if cluster_mode is None:
             cluster_mode = self.server_config.num_nodes > 1
         self.cluster_mode = cluster_mode
-        self.partitioner = make_partitioner(
-            self.server_config.partitioner, self.server_config.num_nodes
-        )
+        self.partitioner = HashPartitioner(self.server_config.num_nodes)
         # The committed ring epoch: commit_ring sets it in the call that
         # writes the durable ring word, and a promotion reports it.
         self.ring_epoch = 0
@@ -102,8 +101,7 @@ class OpenEmbeddingServer:
                     f"got {len(nodes)} nodes for {self.server_config.num_nodes} shards"
                 )
             self.nodes = nodes
-        if self.server_config.partitioner == "ring":
-            self._restore_or_seed_ring_state()
+        self._restore_or_seed_ring_state()
 
     def _node_tracer(self, node_id: int) -> Tracer:
         """The span sink handed to shard ``node_id``."""
@@ -435,9 +433,8 @@ class OpenEmbeddingServer:
 
         The ring state lives in a single root field of the coordinator
         pool, so a fresh cluster seeds it once and a recovered cluster
-        (whose config already matches the committed ring — see
-        :func:`repro.core.migration.recover_elastic`) adopts the durable
-        epoch instead of clobbering it.
+        (whose config :meth:`recover` took from the committed ring)
+        adopts the durable epoch instead of clobbering it.
         """
         if RING_STATE_FIELD not in self.coordinator_pool.root.fields():
             # Write through the node (not the pool) so a replicated
@@ -453,18 +450,14 @@ class OpenEmbeddingServer:
         if num_nodes != self.server_config.num_nodes:
             raise RecoveryError(
                 f"durable ring ({num_nodes} nodes) does not match config "
-                f"({self.server_config.num_nodes} nodes); recover via "
-                "repro.core.migration.recover_elastic"
+                f"({self.server_config.num_nodes} nodes); recover through "
+                "OpenEmbeddingServer.recover"
             )
         self.ring_epoch = epoch
 
-    def commit_ring(
-        self,
-        partitioner: HashPartitioner,
-        server_config: ServerConfig,
-        nodes: list[PSNode],
-    ) -> int:
-        """Atomically commit a new ring epoch and switch routing to it.
+    def commit_ring(self, server_config: ServerConfig, nodes: list[PSNode]) -> int:
+        """Atomically commit a new ring epoch and switch routing to
+        ``server_config.num_nodes`` nodes.
 
         The single root-field write below is the migration's commit
         point: a crash before it recovers on the old ring, a crash
@@ -479,7 +472,7 @@ class OpenEmbeddingServer:
             RING_STATE_FIELD,
             pack_ring_state(new_epoch, server_config.num_nodes),
         )
-        self.partitioner = partitioner
+        self.partitioner = HashPartitioner(server_config.num_nodes)
         self.server_config = server_config
         self.nodes = nodes
         self.cluster_mode = True
@@ -532,21 +525,49 @@ class OpenEmbeddingServer:
         cluster_mode: bool | None = None,
         tracer: Tracer | None = None,
     ) -> tuple["OpenEmbeddingServer", list[RecoveryReport]]:
-        """Rebuild a whole cluster from surviving pools.
+        """Rebuild a whole cluster from surviving pools, a mid-migration
+        crash included.
 
+        The committed ring word on the coordinator pool (node 0) names
+        the cluster: its ``(epoch, num_nodes)`` are whatever the last
+        single-word commit wrote, and ``num_nodes`` overrides
+        ``server_config``'s. The first ``num_nodes`` pools are recovered;
+        surplus ones (a scale-out target whose migration never
+        committed, or a scaled-in node's abandoned DIMMs) are discarded.
         Every shard is restored to the newest checkpoint completed by
         ALL shards (or to ``target_batch_id`` when a wider scope — e.g.
         a multi-table collection — must agree on an older one), so the
-        recovered model is batch-consistent. Per-shard recoveries are
-        independent and would run in parallel on real hardware; the
-        reports' times reflect one shard each. The result is always the
-        in-process facade, whichever backend crashed: the pools are
-        local objects.
+        recovered model is batch-consistent. Last, every key a shard
+        holds but the ring routes elsewhere — the stranded half of a
+        migration's dual-ownership window — is purged, so each key has
+        exactly one owner.
+
+        Per-shard recoveries are independent and would run in parallel
+        on real hardware; the reports' times reflect one shard each. The
+        result is always the in-process facade, whichever backend
+        crashed: the pools are local objects. A cluster the ring has
+        grown or shrunk comes back in cluster mode, as it ran.
+
+        Args:
+            pools: ALL surviving pools in node-id order (see
+                :meth:`~repro.core.migration.ShardMigrator.crash`).
+
+        Raises:
+            RecoveryError: no pools, no ring word, fewer pools than the
+                committed ring needs, or no checkpoint every shard
+                completed (or one older than ``target_batch_id``).
         """
-        if len(pools) != server_config.num_nodes:
+        if not pools:
+            raise RecoveryError("no surviving pools")
+        if RING_STATE_FIELD not in pools[0].root.fields():
+            raise RecoveryError("the coordinator pool holds no ring word")
+        epoch, num_nodes = unpack_ring_state(pools[0].root.get(RING_STATE_FIELD))
+        if len(pools) < num_nodes:
             raise RecoveryError(
-                f"got {len(pools)} pools for {server_config.num_nodes} shards"
+                f"committed ring needs {num_nodes} pools, only {len(pools)} survived"
             )
+        pools = pools[:num_nodes]
+        server_config = dataclasses.replace(server_config, num_nodes=num_nodes)
         targets = [
             pool.root.get(CHECKPOINT_ID_FIELD, NO_CHECKPOINT) for pool in pools
         ]
@@ -560,7 +581,7 @@ class OpenEmbeddingServer:
         if global_target < 0:
             raise RecoveryError("some shard has no completed checkpoint")
         if cluster_mode is None:
-            cluster_mode = server_config.num_nodes > 1
+            cluster_mode = num_nodes > 1 or epoch > 0
         nodes = []
         reports = []
         for node_id, pool in enumerate(pools):
@@ -595,6 +616,9 @@ class OpenEmbeddingServer:
             cluster_mode=cluster_mode,
             tracer=tracer,
         )
+        for node in server.nodes:
+            held = node.owned_keys()
+            node.drop_keys(held[server.partitioner.owners(held) != node.node_id])
         server._sync_external_barriers()
         return server, reports
 

@@ -3,7 +3,9 @@
 Section IV: *"OpenEmbedding identifies the correct PS node by hashing
 the entry's id"*. We use a splitmix64-style integer mix so routing is
 deterministic across processes and runs (Python's builtin ``hash`` is
-salted per process and would break recovery tests).
+salted per process and would break recovery tests), and place the mixed
+id by jump consistent hash, so every cluster can grow or shrink by a
+node while moving only the keys it must.
 """
 
 from __future__ import annotations
@@ -104,12 +106,39 @@ def summed_per_key(keys, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class HashPartitioner:
-    """Stable key -> node routing for ``num_nodes`` shards."""
+    """Stable, elastic key -> node routing for ``num_nodes`` shards: jump
+    consistent hash (Lamping and Veach, "A Fast, Minimal Memory,
+    Consistent Hash Algorithm", arXiv 1406.2294) over each key's
+    ``mix64``.
+
+    Changing the node count remaps only the *minimal* fraction of keys:
+    growing ``n -> n+1`` moves ``1/(n+1)`` of the keyspace in
+    expectation — and moves it exclusively onto the new node — while
+    shrinking ``n -> n-1`` exactly restores the assignment at ``n-1``
+    nodes. This is the property that makes live shard migration
+    (``repro.core.migration``) cheap, and every node still holds ``1/n``
+    of the keys in expectation, as the paper's ``hash % n`` does.
+
+    Routing is a pure function of ``(key, num_nodes)``: no table is
+    built and nothing is salted per process, so it is identical across
+    processes and runs (required by the recovery and crash-point tests).
+    The ``mix64`` comes first: fed a raw key, jump's generator keeps key
+    0 on node 0 at every node count.
+
+    Physical nodes are always the contiguous range ``0..num_nodes-1``
+    — scale-out adds node ``n``, scale-in removes node ``n-1`` — which
+    are exactly the bucket changes jump hash supports and match how the
+    server indexes its shard list.
+    """
 
     def __init__(self, num_nodes: int):
         if num_nodes <= 0:
             raise ConfigError(f"num_nodes must be >= 1, got {num_nodes}")
         self.num_nodes = num_nodes
+
+    def with_nodes(self, num_nodes: int) -> "HashPartitioner":
+        """The routing over ``num_nodes`` nodes."""
+        return HashPartitioner(num_nodes)
 
     def node_of(self, key: int) -> int:
         """The shard owning ``key``."""
@@ -173,63 +202,35 @@ class HashPartitioner:
         return KeyPlan(unique, inverse, first, shards, shape, self)
 
     def owners(self, keys) -> np.ndarray:
-        """Owning node of every key (``intp``)."""
-        owners = mix64_array(keys)
-        owners %= np.uint64(self.num_nodes)
-        return owners.view(np.intp)
+        """Owning node (``intp``) of every key: each jumps from node 0
+        until its next jump lands past the last node, and a round
+        touches only the keys still jumping. A jump from node ``b``
+        lands on ``b + 1`` or past it, so a key still jumping after
+        ``r`` rounds sits on node ``r`` or higher, and ``num_nodes - 1``
+        rounds place every key (one at 2 nodes)."""
+        state = mix64_array(keys)
+        owners = np.zeros(len(state), dtype=np.intp)
+        # ``jump`` carries b + 1 for each key's node b, as a float64.
+        live, jump = np.arange(len(state)), np.ones(len(state))
+        for __ in range(self.num_nodes - 1):
+            if not len(live):
+                break
+            state *= np.uint64(2862933555777941757)
+            state += np.uint64(1)
+            # The paper's float64 (b + 1) * (2^31 / ((key >> 33) + 1)),
+            # compared before its int cast: int(x) < n iff x < n.
+            jump *= 2.0**31 / ((state >> np.uint64(33)) + np.uint64(1))
+            inside = np.flatnonzero(jump < self.num_nodes)
+            live, state, jump = live[inside], state[inside], np.floor(jump[inside])
+            owners[live] = jump
+            jump += 1.0
+        return owners
 
     def moved_keys(self, target: "HashPartitioner", keys) -> np.ndarray:
         """The ``uint64`` keys, in input order, whose owner differs under
         ``target`` — "which keys change owner", stated once."""
         keys = np.asarray(keys, dtype=np.uint64)
         return keys[self.owners(keys) != target.owners(keys)]
-
-
-class ConsistentHashRing(HashPartitioner):
-    """Elastic routing: jump consistent hash (Lamping and Veach, "A Fast,
-    Minimal Memory, Consistent Hash Algorithm", arXiv 1406.2294) over
-    each key's ``mix64``.
-
-    Same ``num_nodes`` / ``node_of`` / ``split`` interface as
-    :class:`HashPartitioner`, but changing the node count only remaps
-    the *minimal* fraction of keys: growing ``n -> n+1`` moves
-    ``1/(n+1)`` of the keyspace in expectation — and moves it exclusively
-    onto the new node — while shrinking ``n -> n-1`` exactly restores
-    the assignment at ``n-1`` nodes. This is the property that makes
-    live shard migration (``repro.core.migration``) cheap. Every node
-    holds ``1/n`` of the keys in expectation.
-
-    Routing is a pure function of ``(key, num_nodes)``: no table is
-    built and nothing is salted per process, so it is identical across
-    processes and runs (required by the recovery and crash-point tests).
-    The ``mix64`` comes first: fed a raw key, jump's generator keeps key
-    0 on node 0 at every node count.
-
-    Physical nodes are always the contiguous range ``0..num_nodes-1``
-    — scale-out adds node ``n``, scale-in removes node ``n-1`` — which
-    are exactly the bucket changes jump hash supports and match how the
-    server indexes its shard list.
-    """
-
-    def owners(self, keys) -> np.ndarray:
-        """Jump every key from node 0 until its next jump lands past the
-        last node; only the keys still jumping are touched each round."""
-        state = mix64_array(keys)
-        owners = np.zeros(len(state), dtype=np.intp)
-        live, node = np.arange(len(state)), owners
-        while len(live):
-            state = state * np.uint64(2862933555777941757) + np.uint64(1)
-            # The paper's float64 (b + 1) * (2^31 / ((key >> 33) + 1)).
-            spread = 2.0**31 / ((state >> np.uint64(33)) + np.uint64(1))
-            node = ((node + 1) * spread).astype(np.intp)
-            inside = node < self.num_nodes
-            live, state, node = live[inside], state[inside], node[inside]
-            owners[live] = node
-        return owners
-
-    def with_nodes(self, num_nodes: int) -> "ConsistentHashRing":
-        """The ring over ``num_nodes`` nodes."""
-        return ConsistentHashRing(num_nodes)
 
 
 RING_STATE_FIELD = "ring_state"
@@ -257,12 +258,3 @@ def pack_ring_state(epoch: int, num_nodes: int) -> int:
 def unpack_ring_state(packed: int) -> tuple[int, int]:
     """Decode :func:`pack_ring_state`'s word into ``(epoch, num_nodes)``."""
     return packed >> _RING_NODES_BITS, packed & ((1 << _RING_NODES_BITS) - 1)
-
-
-def make_partitioner(kind: str, num_nodes: int) -> HashPartitioner:
-    """Build the partitioner named by ``kind`` (``modulo`` | ``ring``)."""
-    if kind == "modulo":
-        return HashPartitioner(num_nodes)
-    if kind == "ring":
-        return ConsistentHashRing(num_nodes)
-    raise ConfigError(f"unknown partitioner kind {kind!r} (want 'modulo' or 'ring')")

@@ -37,7 +37,6 @@ from repro.core.optimizers import PSOptimizer
 from repro.core.replication import FAILOVER_SECONDS, ReplicatedPSNode
 from repro.core.server import OpenEmbeddingServer
 from repro.core.serving_backend import LookupResult
-from repro.core.sharding import HashPartitioner
 from repro.errors import NodeDeadError, RpcTimeoutError, ShardRoutingError
 from repro.failure.network_faults import FaultyLink, LinkFaultStats
 from repro.network.messages import (
@@ -460,19 +459,14 @@ class RemotePSClient(OpenEmbeddingServer):
         self._pending_members[node_id] = self._connect(node)
         return node
 
-    def commit_ring(
-        self,
-        partitioner: HashPartitioner,
-        server_config: ServerConfig,
-        nodes: list[PSNode],
-    ) -> int:
+    def commit_ring(self, server_config: ServerConfig, nodes: list[PSNode]) -> int:
         """Commit the new ring epoch (the inherited root-field write is
         the commit point), then bring the wire membership — services,
         channels, lease table — in line with the committed node list.
         Probe channels are keyed by node id, and a scale-in then a
         scale-out reuses an id for a new node: they are dropped here and
         rebuilt on first use."""
-        new_epoch = super().commit_ring(partitioner, server_config, nodes)
+        new_epoch = super().commit_ring(server_config, nodes)
         by_id = {
             service.node.node_id: (service, channel)
             for service, channel in zip(self.services, self.channels)

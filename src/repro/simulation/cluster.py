@@ -73,8 +73,8 @@ class MigrationTiming:
 
     Training is quiesced at the batch barrier, so ``total`` is the
     throughput dip (pause) the reshard costs — what
-    ``benchmarks/bench_elastic.py`` ablates against the modulo
-    partitioner's near-total remap.
+    ``benchmarks/bench_elastic.py`` sets against the near-total remap
+    of the paper's static ``hash % n``.
     """
 
     barrier_flush: float

@@ -35,7 +35,7 @@ from repro.config import (
 )
 from repro.core.backend import aggregate_maintain
 from repro.core.ps_node import PSNode
-from repro.core.sharding import make_partitioner
+from repro.core.sharding import HashPartitioner
 from repro.baselines.dram_ps import DRAMPSNode
 from repro.baselines.pmem_hash import PMemHashNode
 from repro.errors import ConfigError
@@ -120,9 +120,7 @@ class TrainingSimulator:
             iterations (elasticity ablation). The pause is priced by
             :meth:`repro.simulation.cluster.PSCostModel.price_migration`
             over the keys whose owner changes between the current and
-            target partitioner (``server.partitioner`` decides ring vs
-            modulo — the modulo run shows the near-total remap a naive
-            partitioner costs); subsequent iterations are priced on the
+            target node count; subsequent iterations are priced on the
             new node count.
         reshard_to: target PS node count of the reshard (default:
             ``server.num_nodes + 1``, i.e. scale-out by one).
@@ -534,15 +532,13 @@ class TrainingSimulator:
         Follows the quiesce-at-barrier protocol of
         :class:`repro.core.migration.ShardMigrator`: training pauses,
         the dirty cache is flushed (the barrier checkpoint), every key
-        whose owner changes between the old and new partitioner is read
+        whose owner changes between the old and new node count is read
         from source PMem, shipped, written on the target and indexed,
-        then training resumes on the new node count. With the ring
-        partitioner the moved set is ~``1/m`` of resident keys; with
-        modulo it is ~``(m-1)/m`` — the contrast ``--reshard-at``
-        exists to show.
+        then training resumes on the new node count. Growing by one node
+        to ``m`` moves ~``1/m`` of the resident keys.
         """
-        old = make_partitioner(self.server.partitioner, self.server.num_nodes)
-        new = make_partitioner(self.server.partitioner, self.reshard_to)
+        old = HashPartitioner(self.server.num_nodes)
+        new = old.with_nodes(self.reshard_to)
         seen = self._keys_seen(batch_id)
         keys_total = len(seen)
         keys_moved = len(old.moved_keys(new, seen))
@@ -575,7 +571,6 @@ class TrainingSimulator:
                 duration=timing.total,
                 track="migration",
                 batch=batch_id,
-                partitioner=self.server.partitioner,
                 keys_moved=keys_moved,
                 keys_total=keys_total,
                 to_nodes=self.reshard_to,

@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.config import CacheConfig, NetworkFaultConfig, RetryConfig, ServerConfig
 from repro.core.failover import FailoverManager
-from repro.core.migration import MIGRATION_STEPS, ShardMigrator, recover_elastic
+from repro.core.migration import MIGRATION_STEPS, ShardMigrator
 from repro.core.optimizers import PSSGD, PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.async_trainer import AsynchronousTrainer
@@ -96,12 +96,9 @@ class InjectedCrash(Exception):
 
 
 def server_config(nodes: int = 3, seed: int = 0, **overrides) -> ServerConfig:
-    """``nodes`` ring-partitioned shards of ``DIM``-wide rows; any
-    :class:`~repro.config.ServerConfig` field may be overridden."""
-    base = dict(
-        num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26,
-        partitioner="ring", seed=seed,
-    )
+    """``nodes`` shards of ``DIM``-wide rows; any :class:`~repro.config.ServerConfig`
+    field may be overridden."""
+    base = dict(num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26, seed=seed)
     return ServerConfig(**{**base, **overrides})
 
 
@@ -190,7 +187,7 @@ def sync_baseline(batches: int, seed: int = SEED) -> dict[str, float]:
     """The fault-free synchronous run an async envelope is pinned to: one
     worker, so it trains as many batches as ``batches`` async steps."""
     dataset, model = fleet_dataset(), fleet_model(seed)
-    config = server_config(2, seed, partitioner="modulo")
+    config = server_config(2, seed)
     backend = build_backend("local", config, CacheConfig(capacity_bytes=64 << 10), PSSGD(lr=LR))
     SynchronousTrainer(
         backend, model, dataset, num_workers=1, batch_size=BATCH, dense_optimizer=Adam(1e-2)
@@ -452,10 +449,7 @@ class Scenario:
         pools = (self._migrator or self.backend).crash()
         shape = self.backend.server_config, self.backend.cache_config, self.backend.optimizer
         try:
-            if shape[0].partitioner == "ring":
-                self.backend, self.recovery_reports, __ = recover_elastic(pools, *shape)
-            else:
-                self.backend, self.recovery_reports = OpenEmbeddingServer.recover(pools, *shape)
+            self.backend, self.recovery_reports = OpenEmbeddingServer.recover(pools, *shape)
         except RecoveryError:  # no checkpoint completed yet: start over
             self.backend, self.recovery_reports = build_backend("local", *shape), []
         retry = self._retry if self._migrator and self._target != len(self.backend.nodes) else None

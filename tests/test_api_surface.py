@@ -691,7 +691,7 @@ class TestEveryOptionHasACaller:
 
     #: The settings only tests (or nobody) set, by the class they left.
     RETIRED = {
-        ("repro.config", "ServerConfig"): ("heartbeat_interval_s", "ring_vnodes"),
+        ("repro.config", "ServerConfig"): ("heartbeat_interval_s", "ring_vnodes", "partitioner"),
         ("repro.config", "PrefetchConfig"): ("patch", "max_buffer_entries"),
         ("repro.config", "NetworkFaultConfig"): ("on_request", "on_response"),
         ("repro.config", "RetryConfig"): ("backoff_multiplier",),
@@ -713,7 +713,7 @@ class TestEveryOptionHasACaller:
         ("repro.simulation.trainer_sim", "TrainingSimulator"): (
             "mttf_seed", "record_trace",
         ),
-        ("repro.core.sharding", "ConsistentHashRing"): ("vnodes",),
+        ("repro.core.sharding", "HashPartitioner"): ("vnodes",),
     }
 
     def test_every_config_field_is_read_outside_config(self):
@@ -739,7 +739,7 @@ class TestEveryOptionHasACaller:
         import dataclasses
         import inspect
 
-        assert sum(len(names) for names in self.RETIRED.values()) == 24
+        assert sum(len(names) for names in self.RETIRED.values()) == 25
         for (module, name), gone in self.RETIRED.items():
             cls = getattr(importlib.import_module(module), name)
             settable = set(inspect.signature(cls).parameters)

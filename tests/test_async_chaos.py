@@ -50,7 +50,7 @@ def fleet_scenario(
     ``envelope`` makes the scenario's final verdict hold AUC / log-loss
     within that slack of the synchronous baseline."""
     return Scenario(
-        seed=SEED, nodes=2, partitioner="modulo", batches=steps,
+        seed=SEED, nodes=2, batches=steps,
         fleet=Fleet(WORKERS, staleness, profiles), envelope=envelope,
         staleness_bound=bound, aggregator=aggregator, aggregator_f=F,
     )

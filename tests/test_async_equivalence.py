@@ -330,7 +330,7 @@ def two_worker_backend(transport: str, nodes: int = 1, aggregator: str = "mean")
     """A ``mean``-folding backend whose rounds wait for 2 workers."""
     server_config = ServerConfig(
         num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26, seed=SEED,
-        partitioner="ring", aggregator=aggregator, aggregator_workers=2, aggregator_f=0,
+        aggregator=aggregator, aggregator_workers=2, aggregator_f=0,
     )
     backend_cls = OpenEmbeddingServer if transport == "local" else RemotePSClient
     return backend_cls(server_config, CacheConfig(capacity_bytes=64 << 10), PSSGD(lr=0.05))

@@ -125,8 +125,7 @@ class TestRpcClusterIsACluster:
 
     def test_shards_and_scaled_out_node_run_in_cluster_mode(self):
         config = ServerConfig(
-            num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22,
-            seed=31, partitioner="ring",
+            num_nodes=2, embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=31,
         )
         client = RemotePSClient(config, None, PSSGD(lr=0.25))
         train(client, list(range(16)), 0)

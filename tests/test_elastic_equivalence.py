@@ -15,15 +15,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, ServerConfig
 from repro.core.migration import ShardMigrator
+from repro.core.server import OpenEmbeddingServer
 from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
 from repro.dlrm.optimizers import Adam
 from repro.dlrm.trainer import SynchronousTrainer
-from repro.errors import ServerError
 from repro.obs.registry import MetricsRegistry
-from tests.harness.scenario import DIM, build_backend, server_config
+from tests.harness.scenario import (
+    DIM,
+    InjectedCrash,
+    assert_exclusive_ownership,
+    build_backend,
+    server_config,
+)
 
 FIELDS = 6
 BATCHES = 10
@@ -142,7 +148,53 @@ class TestElasticEquivalence:
         assert report is not None
         assert 0 < report.moved_fraction <= 2 * (1 / 4)
 
-    def test_modulo_partitioner_refuses_live_migration(self):
-        modulo = build_backend("local", server_config(2, 1, partitioner="modulo"), CACHE)
-        with pytest.raises(ServerError, match="consistent-hash ring"):
-            ShardMigrator(modulo).scale_out()
+    @pytest.mark.parametrize("transport", ["local", "rpc"])
+    def test_a_default_cluster_scales_out_and_back_in(self, transport):
+        """No setting makes a cluster elastic: one built from a default
+        ``ServerConfig`` grows and shrinks, and shrinking moves back
+        exactly the keys growing moved, every weight bit-identical."""
+        backend = build_backend(transport, ServerConfig(num_nodes=2), CACHE)
+        keys = np.arange(300, dtype=np.uint64)
+        backend.pull(keys, 0)
+        backend.maintain(0)
+        backend.push(keys, np.ones((len(keys), backend.server_config.embedding_dim), np.float32), 0)
+        before = backend.state_snapshot()
+        out, back = backend.scale_out(), backend.scale_in()
+        assert 0 < out.keys_moved == back.keys_moved < len(keys)
+        assert backend.server_config.num_nodes == 2 and backend.ring_epoch == 2
+        after = backend.state_snapshot()
+        assert set(after) == set(before)
+        for key in before:
+            np.testing.assert_array_equal(after[key], before[key])
+
+    @pytest.mark.parametrize("crash_at, nodes", [("mid_transfer", 2), ("cleanup", 3)])
+    def test_a_crashed_migration_recovers_through_the_one_entry_point(self, crash_at, nodes):
+        """``OpenEmbeddingServer.recover`` reads the ring word: a crash
+        before the commit comes back on the old ring (the un-committed
+        target's pool is surplus), a crash after it on the new ring with
+        the stranded source copies purged."""
+        config = ServerConfig(num_nodes=2, embedding_dim=DIM)
+        server = OpenEmbeddingServer(config, CACHE)
+        keys = np.arange(300, dtype=np.uint64)
+        server.pull(keys, 0)
+        server.maintain(0)
+        server.push(keys, np.ones((len(keys), DIM), np.float32), 0)
+        before = server.state_snapshot()
+
+        def kill(label):
+            if label == crash_at:
+                raise InjectedCrash(label)
+
+        migrator = ShardMigrator(server, on_step=kill)
+        with pytest.raises(InjectedCrash):
+            migrator.scale_out()
+        pools = migrator.crash()
+        assert len(pools) == 3  # both members and the target, committed or not
+        recovered, reports = OpenEmbeddingServer.recover(pools, config, CACHE)
+        assert recovered.server_config.num_nodes == len(reports) == nodes
+        assert recovered.ring_epoch == nodes - 2
+        assert_exclusive_ownership(recovered)
+        after = recovered.state_snapshot()
+        assert set(after) == set(before)
+        for key in before:
+            np.testing.assert_array_equal(after[key], before[key])

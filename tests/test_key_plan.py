@@ -18,7 +18,7 @@ from repro.config import CacheConfig, ServerConfig
 from repro.core.optimizers import PSAdagrad
 from repro.core.ps_node import PSNode
 from repro.core.server import OpenEmbeddingServer
-from repro.core.sharding import ConsistentHashRing, HashPartitioner, KeyPlan
+from repro.core.sharding import HashPartitioner, KeyPlan
 from repro.dlrm.async_trainer import AsynchronousTrainer
 from repro.dlrm.criteo import CriteoSynthetic
 from repro.dlrm.deepfm import DeepFM
@@ -70,7 +70,7 @@ class TestThePlan:
 
     def test_a_plan_is_built_once_and_split_again_under_other_routing(self):
         keys = np.array([[7, TOP, 7], [0, 3, TOP]], dtype=np.uint64)
-        two, three = ConsistentHashRing(2), ConsistentHashRing(3)
+        two, three = HashPartitioner(2), HashPartitioner(3)
         plan = two.plan(keys)
         assert two.plan(plan) is plan
         moved = three.plan(plan)

@@ -1,16 +1,13 @@
-"""Hash partitioning: stability, coverage, balance."""
+"""Hash partitioning: stability, coverage, balance. The jump-hash laws
+(minimal movement, shrink restores, the scalar loop's placement) live
+in ``tests/test_ring_properties.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding import (
-    ConsistentHashRing,
-    HashPartitioner,
-    make_partitioner,
-    mix64,
-)
+from repro.core.sharding import HashPartitioner, mix64
 from repro.errors import ConfigError
 
 
@@ -73,12 +70,16 @@ class TestPartitioner:
                 assert keys[position] == key
 
 
+
 class TestConsistentHashRing:
-    """Interface-level ring checks; the movement / determinism / balance
-    properties live in ``tests/test_ring_properties.py``."""
+    """Interface-level checks of the partitioner as a consistent-hash
+    ring (jump hash); the movement / determinism / balance properties
+    live in ``tests/test_ring_properties.py``."""
 
     def test_same_interface_as_modulo(self):
-        ring = ConsistentHashRing(4)
+        # owners / split behave as the paper's ``hash % n`` routing did:
+        # every node is reached and a split reassembles the request.
+        ring = HashPartitioner(4)
         assert set(ring.owners(np.arange(1000)).tolist()) == {0, 1, 2, 3}
         keys = [5, 17, 5, 99, 3]
         per_node_keys, per_node_positions = ring.split(keys)
@@ -89,19 +90,8 @@ class TestConsistentHashRing:
         assert reassembled == keys
 
     def test_single_node_takes_everything(self):
-        assert not ConsistentHashRing(1).owners(np.arange(200)).any()
+        assert not HashPartitioner(1).owners(np.arange(200)).any()
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
-            ConsistentHashRing(0)
-
-
-class TestMakePartitioner:
-    def test_dispatch(self):
-        assert type(make_partitioner("modulo", 3)) is HashPartitioner
-        ring = make_partitioner("ring", 3)
-        assert isinstance(ring, ConsistentHashRing) and ring.num_nodes == 3
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="unknown partitioner"):
-            make_partitioner("rendezvous", 3)
+            HashPartitioner(0)
