@@ -112,13 +112,16 @@ class DRAMPSNode(BlockPSNode):
         """Distinct keys marked since the last checkpoint."""
         return len(self._dirty())
 
-    def lookup(self, keys: Sequence[int], snapshot_id: int | None = None) -> LookupResult:
+    def lookup(
+        self, keys: Sequence[int], snapshot_id: int | None = None, *, mixed=None
+    ) -> LookupResult:
         """Snapshot-pinned read from the durable checkpoint.
 
         A committed checkpoint recycles the versions of the one before
         it, so the only servable pin is :attr:`latest_serving_snapshot`;
         older pins raise. Keys never checkpointed serve the
-        deterministic key-seeded initializer.
+        deterministic key-seeded initializer. One store routes nothing,
+        so ``mixed`` goes unread.
 
         Raises:
             CheckpointError: no committed checkpoint, or ``snapshot_id``

@@ -69,7 +69,7 @@ class PMemHashNode(BlockPSNode):
         return self.latest_completed_batch + 1
 
     def lookup(
-        self, keys: Sequence[int], snapshot_id: int | None = None
+        self, keys: Sequence[int], snapshot_id: int | None = None, *, mixed=None
     ) -> LookupResult:
         """Read live pool state (NOT batch-consistent — Observation 2).
 
@@ -78,6 +78,7 @@ class PMemHashNode(BlockPSNode):
         whatever batch each entry last saw. This is the baseline's
         consistency gap that OpenEmbedding's versioned store closes.
         Missing keys serve the deterministic key-seeded initializer.
+        One pool routes nothing, so ``mixed`` goes unread.
 
         Raises:
             CheckpointError: ``snapshot_id`` is negative or newer than

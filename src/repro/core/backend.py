@@ -81,7 +81,9 @@ class ReadBackend(Protocol):
       weights and feeds the cache's access stream for batch ``b``;
     * ``lookup(keys, snapshot_id)`` — the *serving* read: pinned to a
       Checkpointed Batch ID so concurrent training never tears a row,
-      and side-effect-free on cache state.
+      and side-effect-free on cache state. A caller that already holds
+      the keys' ``mix64_array`` (the serving tier) passes it as
+      ``mixed``; a sharded backend routes with it, others ignore it.
     """
 
     def pull(self, keys: Sequence[int], batch_id: int) -> PullResult:
@@ -89,7 +91,7 @@ class ReadBackend(Protocol):
         ...
 
     def lookup(
-        self, keys: Sequence[int], snapshot_id: int | None = None
+        self, keys: Sequence[int], snapshot_id: int | None = None, *, mixed=None
     ) -> LookupResult:
         """Snapshot-pinned serving read of ``keys``, in request order."""
         ...

@@ -692,11 +692,12 @@ class PipelinedCache:
     def _drain(self, budget: int | None, below: int = _NEVER) -> tuple[int, list[int]]:
         """Complete the head checkpoint while no resident slot owes it.
 
-        Listed slots that owe it (:meth:`_owing`) are flushed first, at
-        most ``budget`` rows over the call (None: all); a flushed row
-        owes nothing. When the budget cuts the owing rows, the oldest
-        stamps go first; otherwise all of them go in one put, in slot
-        order, since their order changes nothing. Stops at the first
+        Resident slots that owe it (:meth:`_owing`), listed or not (a
+        row a pull created is dirty before any round lists it), are
+        flushed first, at most ``budget`` rows over the call (None:
+        all); a flushed row owes nothing. When the budget cuts the owing
+        rows, the oldest stamps go first; otherwise all of them go in
+        one put, in slot order, since their order changes nothing. Stops at the first
         checkpoint still owed, or not below ``below``: a round at batch
         ``n`` runs before that batch's updates, so a checkpoint at or
         past ``n`` may still change. A flush the pool cannot hold is skipped (the
@@ -707,10 +708,10 @@ class PipelinedCache:
         if (head := coordinator.head()) is None or head >= below:
             return drained, completed
         stamp = self.index.columns.stamp
-        listed = np.flatnonzero(stamp >= 0)  # a flush moves no row in or out
+        resident = np.flatnonzero(self.index.columns.row >= 0)  # a flush moves no row in or out
         with self.tracer.span("checkpoint.drain", track="checkpoint") as span:
             while (cp := coordinator.head()) is not None and cp < below:
-                owing = listed[self._owing(listed, cp)]
+                owing = resident[self._owing(resident, cp)]
                 room = len(owing) if budget is None else min(len(owing), budget - drained)
                 if room < len(owing):  # the budget cuts: oldest stamps first
                     owing = owing[np.argsort(stamp[owing])]

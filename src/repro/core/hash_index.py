@@ -66,7 +66,23 @@ class HashIndex:
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Slot of every key of ``keys`` (``uint64``), ``-1`` if absent."""
-        return self._probe(keys)[1]
+        cell = self._home(keys)
+        slots = self._slots[cell]
+        hit = self._keys[cell] == keys
+        hit &= slots >= 0
+        found = np.where(hit, slots, -1)
+        # Whatever neither hit nor ended on an empty cell collided (or
+        # passed a tombstone) and walks on: a shrinking set.
+        at = walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
+        while len(at):
+            cell = (cell[walking] + 1) & self._mask
+            slots = self._slots[cell]
+            hit = self._keys[cell] == keys[at]
+            hit &= slots >= 0
+            found[at[hit]] = slots[hit]
+            walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
+            at = at[walking]
+        return found
 
     def insert_many(self, keys: np.ndarray, location: Location) -> np.ndarray:
         """Index ``keys`` — distinct and all absent — as one block.
@@ -93,12 +109,13 @@ class HashIndex:
         Raises:
             KeyError: an unknown key (nothing is removed).
         """
-        cells, slots = self._probe(keys)
-        if len(cells) and cells.min() < 0:
-            raise KeyError(int(keys[cells < 0][0]))
+        slots = self.lookup(keys)
+        if len(slots) and slots.min() < 0:
+            raise KeyError(int(keys[slots < 0][0]))
         self.columns.free(slots)
-        self._slots[cells] = _TOMB
-        self.removals += len(cells)
+        # A live slot sits in one cell; removals are rare, so a scan finds them.
+        self._slots[np.isin(self._slots, slots)] = _TOMB
+        self.removals += len(slots)
 
     def remove(self, key: int) -> None:
         """:meth:`remove_many` for one key."""
@@ -163,27 +180,6 @@ class HashIndex:
         """First cell of each key's probe sequence (below ``2**63`` after
         the shift, so the uint64 bits read as the same int64)."""
         return ((keys * _GOLDEN) >> self._shift).view(np.int64)
-
-    def _probe(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Table cell and slot holding each key, ``-1`` where the key is
-        absent."""
-        cell = self._home(keys)
-        slots = self._slots[cell]
-        hit = self._keys[cell] == keys
-        hit &= slots >= 0
-        cells, found = np.where(hit, cell, -1), np.where(hit, slots, -1)
-        # Whatever neither hit nor ended on an empty cell collided (or
-        # passed a tombstone) and walks on: a shrinking set.
-        at = walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
-        while len(at):
-            cell = (cell[walking] + 1) & self._mask
-            slots = self._slots[cell]
-            hit = self._keys[cell] == keys[at]
-            hit &= slots >= 0
-            cells[at[hit]], found[at[hit]] = cell[hit], slots[hit]
-            walking = ((slots != _EMPTY) ^ hit).nonzero()[0]
-            at = at[walking]
-        return cells, found
 
     def _place(self, keys: np.ndarray, slots: np.ndarray) -> None:
         """Write ``keys[i] -> slots[i]`` into the table (keys absent)."""

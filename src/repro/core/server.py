@@ -198,11 +198,12 @@ class OpenEmbeddingServer:
         report = getattr(self.nodes[index], "rebuild_report", None)
         return 1.0 if report is None or report.finished else report.progress
 
-    def _route(self, keys) -> list[tuple]:
+    def _route(self, keys, mixed) -> list[tuple]:
         """``(shard index, its keys, their request positions)`` for every
-        shard that owns at least one of ``keys`` — the serving read's
-        routing, which keeps a lookup's duplicates."""
-        per_node_keys, per_node_positions = self.partitioner.split(keys)
+        shard that owns at least one of ``keys`` (``mixed``: their
+        ``mix64``, or None) — the serving read's routing, which keeps a
+        lookup's duplicates."""
+        per_node_keys, per_node_positions = self.partitioner.split(keys, mixed)
         return [
             (index, node_keys, positions)
             for index, (node_keys, positions) in enumerate(
@@ -260,12 +261,13 @@ class OpenEmbeddingServer:
             out = np.take(rows, plan.inverse, axis=0)
             return PullResult(weights=out, hits=hits, misses=misses, created=created)
 
-    def lookup(self, keys, snapshot_id: int | None = None) -> LookupResult:
+    def lookup(self, keys, snapshot_id: int | None = None, *, mixed=None) -> LookupResult:
         """Serve a snapshot-pinned batched read across shards.
 
         The serving read path: pinned to a cluster-wide Checkpointed
         Batch ID (defaults to :attr:`latest_serving_snapshot`), routed
-        by the partitioner, and — on replicated shards — fanned out
+        by the partitioner — over ``mixed``, the keys' ``mix64`` when
+        the caller holds it — and, on replicated shards, fanned out
         across primary/backup replicas round-robin by the
         :class:`~repro.core.serving_backend.ReplicaSelector`.
         Never perturbs cache or LRU state.
@@ -275,7 +277,7 @@ class OpenEmbeddingServer:
         ) as span:
             if snapshot_id is None:
                 snapshot_id = self.global_completed_checkpoint
-            slices = self._route(keys)
+            slices = self._route(keys, mixed)
             out = np.empty(
                 (len(keys), self.server_config.embedding_dim), dtype=np.float32
             )

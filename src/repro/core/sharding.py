@@ -145,9 +145,10 @@ class HashPartitioner:
         return int(self.owners(np.array([key], dtype=np.uint64))[0])
 
     def split(
-        self, keys: Sequence[int]
+        self, keys: Sequence[int], mixed=None
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Partition ``keys`` by owner, vectorized.
+        """Partition ``keys`` by owner, vectorized (``mixed``: as for
+        :meth:`owners`).
 
         Returns ``(per_node_keys, per_node_positions)`` where
         ``per_node_positions[n][j]`` is the index in ``keys`` of
@@ -158,7 +159,7 @@ class HashPartitioner:
         arr = np.asarray(keys, dtype=np.uint64)
         if self.num_nodes == 1:
             return [arr], [np.arange(arr.size, dtype=np.intp)]
-        owners = self.owners(arr)
+        owners = self.owners(arr, mixed)
         positions = [(owners == node).nonzero()[0] for node in range(self.num_nodes)]
         return [arr[sel] for sel in positions], positions
 
@@ -201,29 +202,33 @@ class HashPartitioner:
             )
         return KeyPlan(unique, inverse, first, shards, shape, self)
 
-    def owners(self, keys) -> np.ndarray:
+    def owners(self, keys, mixed=None) -> np.ndarray:
         """Owning node (``intp``) of every key: each jumps from node 0
         until its next jump lands past the last node, and a round
         touches only the keys still jumping. A jump from node ``b``
         lands on ``b + 1`` or past it, so a key still jumping after
         ``r`` rounds sits on node ``r`` or higher, and ``num_nodes - 1``
-        rounds place every key (one at 2 nodes)."""
-        state = mix64_array(keys)
+        rounds place every key (one at 2 nodes). ``mixed`` is the keys'
+        :func:`mix64_array` when the caller holds it; it is not written."""
+        state = mix64_array(keys) if mixed is None else mixed
         owners = np.zeros(len(state), dtype=np.intp)
-        # ``jump`` carries b + 1 for each key's node b, as a float64.
-        live, jump = np.arange(len(state)), np.ones(len(state))
-        for __ in range(self.num_nodes - 1):
-            if not len(live):
-                break
-            state *= np.uint64(2862933555777941757)
-            state += np.uint64(1)
+        # ``jump`` carries b + 1 for each key's node b; before the first
+        # round every key is on node 0.
+        live, jump = None, 1.0
+        for rounds_left in range(self.num_nodes - 2, -1, -1):
+            state = state * np.uint64(2862933555777941757) + np.uint64(1)
             # The paper's float64 (b + 1) * (2^31 / ((key >> 33) + 1)),
             # compared before its int cast: int(x) < n iff x < n.
-            jump *= 2.0**31 / ((state >> np.uint64(33)) + np.uint64(1))
-            inside = np.flatnonzero(jump < self.num_nodes)
-            live, state, jump = live[inside], state[inside], np.floor(jump[inside])
-            owners[live] = jump
-            jump += 1.0
+            jump = jump * (2.0**31 / ((state >> np.uint64(33)) + np.uint64(1)))
+            inside = (jump < self.num_nodes).nonzero()[0]
+            live = inside if live is None else live[inside]
+            if not rounds_left or not len(live):
+                # The keys still jumping sit on node n - 2 or n - 1, so a
+                # last jump that stays inside lands on node n - 1.
+                owners[live] = self.num_nodes - 1
+                break
+            owners[live] = jump = np.floor(jump[inside])
+            state, jump = state[inside], jump + 1.0
         return owners
 
     def moved_keys(self, target: "HashPartitioner", keys) -> np.ndarray:

@@ -47,7 +47,7 @@ Consistency contract (the part a cache can silently break):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -95,8 +95,9 @@ class HierarchicalPS:
             in-process :class:`~repro.core.server.PSServer`, a
             :class:`~repro.network.frontend.RemotePSClient` (which adds
             the replica fan-out and the simulated wire), or a baseline.
-        capacity_rows: hot-row cache size in rows; 0 disables caching
-            (every lookup goes to the backend). It is rounded up to
+        capacity_rows: hot-row cache size in rows; 0 is no cache (a
+            lookup is the backend's at the refreshed pin, every row
+            remote). It is rounded up to
             whole sets of ``min(WAYS, capacity_rows)`` ways — at most 7
             rows more — and :attr:`capacity_rows` reads the rounded size.
         staleness_bound_k: max checkpoints a served row may lag the
@@ -146,11 +147,12 @@ class HierarchicalPS:
             slo.staleness("serving_staleness", staleness_bound_k)
         self.stats = ServingStats()
         # Way ``w`` of set ``s`` caches row ``s * ways + w`` of ``_rows``:
-        # the row's key (``_tag``), the backend's checkpoints_completed
-        # at its admission (``_ckpt``; EMPTY: no row), its last touch
-        # (``_stamp``; -1 when empty, so empty ways are the oldest) and
-        # its Checkpointed Batch ID (``_pin``). The row block is sized
-        # by the first fetch, which tells the row width.
+        # the row's key (``_tag``, kept when the way empties), the
+        # backend's checkpoints_completed at its admission (``_ckpt``;
+        # EMPTY: no row), its last touch (``_stamp``; -1 when empty, so
+        # empty ways are the oldest) and its Checkpointed Batch ID
+        # (``_pin``). The row block is sized by the first fetch, which
+        # tells the row width.
         self._tag = np.zeros((sets, ways), dtype=np.uint64)
         self._ckpt = np.full((sets, ways), EMPTY, dtype=np.int64)
         self._stamp = np.full((sets, ways), -1, dtype=np.int64)
@@ -240,13 +242,21 @@ class HierarchicalPS:
         n = len(keys)
         with self.tracer.span("serving.lookup", track="serving", rows=n) as span:
             current = self.refresh()
+            if not self.capacity_rows:  # no cache: every row is the backend's, at the pin
+                fetched = self.backend.lookup(keys, current)
+                self._note(requests=1, rows=n, remote_rows=n, cold_rows=fetched.cold)
+                span.set(snapshot=current, hits=0, remote=n, cold=fetched.cold)
+                return replace(fetched, row_snapshots=np.full(n, current, dtype=np.int64))
             sets, ways = self._tag.shape
-            home = (mix64_array(keys) % np.uint64(sets)).view(np.intp)
-            # A key is live in one way at most: its match in the gathered
-            # (n, ways) block is its way, and way 0 when it has none.
-            live = self._tag.take(home, axis=0) == keys[:, None]
-            live &= self._ckpt.take(home, axis=0) != EMPTY
-            slot = home * ways + live.argmax(axis=1)
+            # One mix per key: it picks the key's set here and its shard
+            # in the backend.
+            mixed = mix64_array(keys)
+            home = (mixed % np.uint64(sets)).view(np.intp)
+            # A key is live in one way at most, and a dropped row's tag
+            # stays only in ways after it (admission fills empty ways in
+            # order): its first tag match is its live way, if it has one,
+            # and way 0 stands in when nothing matches.
+            slot = home * ways + (self._tag.take(home, axis=0) == keys[:, None]).argmax(axis=1)
             # The admission count of each key's live row, EMPTY when it has none.
             admitted = np.where(self._tag.take(slot) == keys, self._ckpt.take(slot), EMPTY)
             fresh = admitted >= max(self._ckpt_count - self.staleness_bound_k, 0)
@@ -261,7 +271,7 @@ class HierarchicalPS:
             miss = (~fresh).nonzero()[0]
             fetched = None
             if len(miss) or not self._rows.size:  # an empty first lookup asks too
-                fetched = self.backend.lookup(keys[miss], current)
+                fetched = self.backend.lookup(keys[miss], current, mixed=mixed[miss])
                 if not self._rows.size:  # the row width is known
                     self._rows = np.zeros((sets * ways, fetched.weights.shape[1]), np.float32)
             weights = self._rows.take(slot, axis=0)
@@ -297,8 +307,6 @@ class HierarchicalPS:
         one by one would end with. Returns how many of them had been
         dropped as stale and how many live rows they evicted.
         """
-        if not self.capacity_rows:
-            return 0, 0
         ways = self._tag.shape[1]
         # One stable sort of the reversed misses: by set, then key, a key's
         # last request first — so a key's first row is its one admission.
@@ -315,14 +323,19 @@ class HierarchicalPS:
         sets = home[position]
         # A set's i-th key takes its i-th oldest way (which key takes which
         # is immaterial); a set drawing more keys than ways keeps its newest.
-        rank = np.arange(len(sets)) - np.searchsorted(sets, sets)
+        rank = np.arange(len(sets)) - sets.searchsorted(sets)
         if rank.max(initial=0) >= ways:
             kept, rank = np.lexsort((-position, sets))[rank < ways], rank[rank < ways]
             position, admitted, sets = position[kept], admitted[kept], sets[kept]
-        # (Any order of tied empty ways would do; the stable sort is the
-        # faster one on rows this short.)
-        oldest = np.argsort(self._stamp.take(sets, axis=0), axis=1, kind="stable")
-        slot = sets * ways + oldest[np.arange(len(sets)), rank]
+        # The oldest way is the first minimum stamp, and empty ways (-1)
+        # go in way order, which the lookup's tag match relies on; only
+        # a set's second and later keys need the ways in order.
+        stamps = self._stamp.take(sets, axis=0)
+        way = stamps.argmin(axis=1)
+        if len(later := rank.nonzero()[0]):
+            order = np.argsort(stamps[later], axis=1, kind="stable")
+            way[later] = order[np.arange(len(later)), rank[later]]
+        slot = sets * ways + way
         evicted = int(np.count_nonzero(self._ckpt.take(slot) != EMPTY))
         self._tag.put(slot, admitted)
         self._ckpt.put(slot, self._ckpt_count)

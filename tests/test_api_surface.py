@@ -111,6 +111,8 @@ class TestPSBackendProtocol:
         train step + checkpoint (the serving-role protocol member)."""
         import numpy as np
 
+        from repro.core.sharding import mix64_array
+
         for backend in self._implementations():
             name = type(backend).__name__
             keys = [1, 2, 3]
@@ -123,6 +125,9 @@ class TestPSBackendProtocol:
             result = backend.lookup(keys)
             assert result.weights.shape == (3, 8), name
             assert result.snapshot_id == pin, name
+            # A caller holding the keys' mix (the serving tier) passes it.
+            held = backend.lookup(keys, pin, mixed=mix64_array(np.array(keys, dtype=np.uint64)))
+            assert held.weights.tobytes() == result.weights.tobytes(), name
 
     def test_psbackend_alias_is_gone(self):
         """The pre-split name resolves nowhere: no module-level shim."""

@@ -145,11 +145,14 @@ SERVING_CACHE_FILES = ["src/repro/dlrm/hps.py", "src/repro/core/admission.py"]
 
 def test_the_serving_cache_stays_within_its_budget():
     """CI's fourth gated budget: the set-associative serving tier and its
-    count-min admission hold at most 255 code lines (204 + 59 while the
-    cache was a per-key OrderedDict), and the tier alone at most 204."""
+    count-min admission hold at most 260 code lines (204 + 59 while the
+    cache was a per-key OrderedDict, 255 before capacity 0 forwarded to
+    the backend and a set's first admitted key took its oldest way by
+    argmin, the ways ordered only for sets drawing a second key), and
+    the tier alone at most 204."""
     root = SCRIPT.parents[1]
     files = [str(root / name) for name in SERVING_CACHE_FILES]
-    assert code_lines.main(["--max", "255", *files]) == 0
+    assert code_lines.main(["--max", "260", *files]) == 0
     assert code_lines.main(["--max", "204", files[0]]) == 0
 
 
@@ -182,10 +185,11 @@ def test_the_baselines_and_the_pool_stay_within_their_budget():
     per-object store in the pool with staged writes and a Transaction,
     701 before a put skipped its prune walk while every chain is
     minimal and a slab write landed in ascending slots through a byte
-    view) — one row format, moved as blocks."""
+    view, 704 before every ``ReadBackend.lookup`` took the serving tier's
+    held key mix) — one row format, moved as blocks."""
     root = SCRIPT.parents[1]
     packages = [str(root / "src/repro" / name) for name in ("baselines", "pmem")]
-    assert code_lines.main(["--max", "704", *packages]) == 0
+    assert code_lines.main(["--max", "705", *packages]) == 0
 
 
 def test_the_cli_stays_within_its_budget():

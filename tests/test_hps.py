@@ -30,7 +30,7 @@ from repro.core.serving_backend import LookupResult, ReplicaSelector
 from repro.core.server import OpenEmbeddingServer
 from repro.core.sharding import mix64
 from repro.dlrm import hps
-from repro.dlrm.hps import WAYS, HierarchicalPS
+from repro.dlrm.hps import WAYS, HierarchicalPS, ServingStats
 from repro.errors import CheckpointError, ServerError
 from repro.network.frontend import RemotePSClient
 from tests.test_aggregators import _SortCountingNumpy as _AggregatorSortCounting
@@ -186,6 +186,24 @@ class TestHierarchicalPS:
         tier.lookup([1, 2])
         assert tier.stats.cache_hits == 0
         assert tier.stats.remote_rows == 4
+
+    def test_capacity_zero_is_the_backends_pinned_lookup(self):
+        """No cache, no tier: the lookup is the backend's at the pin the
+        refresh read, bit for bit, and every row counts as remote."""
+        server = trained_server(keys=range(8))
+        tier = HierarchicalPS(server, capacity_rows=0)
+        keys = [3, 5, 3, 99]  # a repeat and a key no batch trained
+        result = tier.lookup(keys)
+        pinned = server.lookup(keys, server.latest_serving_snapshot)
+        assert result.weights.tobytes() == pinned.weights.tobytes()
+        assert (result.snapshot_id, result.hits, result.cold) == (
+            pinned.snapshot_id, pinned.hits, pinned.cold,
+        ) == (0, 3, 1)
+        assert result.row_snapshots.tolist() == [0] * len(keys)
+        assert tier.stats == ServingStats(
+            requests=1, rows=4, remote_rows=4, cold_rows=1, refreshes=1
+        )
+        assert tier.cached_rows == 0
 
     def test_an_empty_first_lookup_has_the_row_width(self):
         """Regression: before its first fetch the tier answered
@@ -398,6 +416,20 @@ class TestSetVictims:
         tier.lookup(live + [stale])
         assert tier.stats.cache_hits - hits == WAYS
 
+    def test_a_dropped_rows_tag_never_shadows_a_live_row(self):
+        """The tag match reads no valid bit: a dropped row keeps its tag,
+        and a key's first tag match must be its live way. Admission fills
+        empty ways in way order, so a left-over tag sits after its key's
+        live row (were key 0 re-admitted to way 7, its dropped tag in
+        way 0 would hide it)."""
+        tier = HierarchicalPS(trained_server(), capacity_rows=WAYS)  # one set
+        tier.lookup(range(WAYS))  # key i in way i
+        tier.invalidate()
+        tier.lookup([0])
+        hits = tier.stats.cache_hits
+        tier.lookup([0])
+        assert tier.stats.cache_hits == hits + 1 and tier.cached_rows == 1
+
     @pytest.mark.parametrize("capacity", [1, 3, WAYS])
     @pytest.mark.parametrize("k", [0, 1])
     def test_one_set_is_the_per_key_lru(self, capacity, k):
@@ -523,10 +555,11 @@ class _SortCountingNumpy(_AggregatorSortCounting):
 
 class TestSortBudget:
     """A lookup's admission is one sort of its misses (by set, then key,
-    which dedups them) plus one ordering of the chosen sets' ways by age;
-    a set drawing more keys than it has ways adds the one re-sort that
-    keeps its newest. ``np.unique`` (a sort and a relayout of its own)
-    is gone. All-hit lookups sort nothing."""
+    which dedups them) plus one ordering by age of the ways of the sets
+    that draw a second key (a set's first key takes its oldest way, an
+    ``argmin``); a set drawing more keys than it has ways adds the one
+    re-sort that keeps its newest. ``np.unique`` (a sort and a relayout
+    of its own) is gone. All-hit lookups sort nothing."""
 
     @pytest.fixture
     def counting(self, monkeypatch):

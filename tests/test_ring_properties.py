@@ -5,7 +5,7 @@ The elasticity layer leans on five guarantees of
 
 1. routing is a pure function of ``(key, num_nodes)`` — identical
    across runs AND across processes (no salted hashing), and equal to
-   the paper's scalar loop;
+   the paper's scalar loop, whether or not the caller holds the mix;
 2. growing ``n -> n+1`` moves at most ``(1/(n+1))·(1+ε)`` of a sampled
    keyspace, and everything that moves lands on the new node;
 3. shrinking ``n+1 -> n`` restores the *exact* assignment the ring had
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sharding
 from repro.core.sharding import (
     HashPartitioner,
     mix64,
@@ -99,6 +100,106 @@ class TestDeterminism:
     @settings(max_examples=100, deadline=None)
     def test_mix64_stays_in_range(self, data):
         assert 0 <= mix64(data) < 2**64
+
+
+class TestHeldMix:
+    """A caller already holding the keys' ``mix64`` (the serving tier
+    sets its cache index with it) routes with it: the owners the keys
+    get on their own, the paper's loop's, and the held array unwritten."""
+
+    def test_a_held_mix_routes_as_the_keys_do(self):
+        rng = np.random.default_rng(5)
+        batches = (
+            np.array([], dtype=np.uint64),
+            np.array([2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**63, 120, dtype=np.uint64),
+        )
+        for num_nodes in range(1, 41):
+            partitioner = HashPartitioner(num_nodes)
+            for keys in batches:
+                mixed = mix64_array(keys)
+                held = mixed.copy()
+                owners = partitioner.owners(keys, mixed)
+                assert owners.dtype == np.intp and np.array_equal(mixed, held)
+                assert np.array_equal(owners, partitioner.owners(keys))
+                assert owners.tolist() == [jump(mix64(int(k)), num_nodes) for k in keys]
+                split = partitioner.split(keys, mixed)
+                for ours, theirs in zip(split, partitioner.split(keys)):
+                    assert all(map(np.array_equal, ours, theirs))
+
+
+class _CountedArray(np.ndarray):
+    """An array that counts the numpy operations run on it and on every
+    array derived from it: ufuncs, indexing and ``nonzero``."""
+
+    calls = 0
+
+    @staticmethod
+    def _plain(values):
+        return tuple(v.view(np.ndarray) if isinstance(v, _CountedArray) else v for v in values)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _CountedArray.calls += 1
+        if out is not None:
+            getattr(ufunc, method)(*self._plain(inputs), out=self._plain(out), **kwargs)
+            return out[0]
+        result = getattr(ufunc, method)(*self._plain(inputs), **kwargs)
+        return result.view(_CountedArray) if isinstance(result, np.ndarray) else result
+
+    def __getitem__(self, index):
+        _CountedArray.calls += 1
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        _CountedArray.calls += 1
+        super().__setitem__(index, value)
+
+    def nonzero(self):
+        _CountedArray.calls += 1
+        return tuple(part.view(_CountedArray) for part in super().nonzero())
+
+
+class _CountingNumpy:
+    """numpy as ``core/sharding.py`` sees it: every function call counts
+    and hands back a :class:`_CountedArray` (ufuncs count on the arrays;
+    dtypes are not calls)."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, (type, np.ufunc)) or not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            _CountedArray.calls += 1
+            result = attr(*args, **kwargs)
+            return result.view(_CountedArray) if isinstance(result, np.ndarray) else result
+
+        return counted
+
+
+class TestOwnersCallBudget:
+    """At 2 nodes ``owners`` is the mix (none when the caller holds it)
+    and one jump round: ``zeros``, the generator step (2), the jump
+    (4), the compare, ``nonzero`` and the owner write — 10 numpy calls,
+    and the mix's 10, whatever the key count. No ``arange`` / ``ones``
+    set-up and no work after the last round."""
+
+    @pytest.fixture
+    def counting(self, monkeypatch):
+        monkeypatch.setattr(sharding, "np", _CountingNumpy())
+
+    @staticmethod
+    def calls(keys, held: bool) -> int:
+        mixed = mix64_array(keys).view(_CountedArray) if held else None
+        _CountedArray.calls = 0
+        HashPartitioner(2).owners(keys.view(_CountedArray), mixed)
+        return _CountedArray.calls
+
+    @pytest.mark.parametrize("size", [0, 1, 208, 5000])
+    def test_two_nodes_cost_a_fixed_number_of_calls(self, counting, size):
+        keys = np.random.default_rng(size).integers(0, 2**63, size, dtype=np.uint64)
+        assert self.calls(keys, held=True) == 10
+        assert self.calls(keys, held=False) == 20
 
 
 class TestSmallKeysSpread:

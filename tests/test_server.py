@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, ServerConfig
+from repro.core.optimizers import PSAdagrad
 from repro.core.server import OpenEmbeddingServer
 from repro.errors import CheckpointError, RecoveryError
+from tests.harness.scenario import build_backend
 
 
 def make_server(num_nodes=3, dim=4, capacity_entries=8, seed=0):
@@ -137,6 +139,29 @@ class TestClusterRecovery:
         recovered, __ = OpenEmbeddingServer.recover(pools, server_config, cache_config)
         assert recovered.global_completed_checkpoint == 0
         restored = recovered.state_snapshot()
+        for key, weights in snapshot.items():
+            assert np.array_equal(restored[key], weights)
+
+    @pytest.mark.parametrize("transport", ["local", "rpc"])
+    def test_a_barrier_makes_durable_the_rows_no_round_listed(self, transport):
+        """A pull creates its rows dirty and unlisted; a push with no
+        maintenance round between them leaves them so. The barrier must
+        flush them all the same: the checkpoint it reports complete is
+        one recovery restores every key of."""
+        server_config = ServerConfig(num_nodes=2, embedding_dim=8)
+        cache_config = CacheConfig(capacity_bytes=3072)
+        optimizer = PSAdagrad(lr=0.05)
+        backend = build_backend(transport, server_config, cache_config, optimizer)
+        keys = list(range(300))
+        backend.pull(keys, 0)
+        backend.push(keys, grads(len(keys), dim=8), 0)
+        assert backend.barrier_checkpoint() == 0
+        snapshot = backend.state_snapshot()
+        recovered, __ = OpenEmbeddingServer.recover(
+            backend.crash(), server_config, cache_config, optimizer
+        )
+        restored = recovered.state_snapshot()
+        assert len(restored) == len(snapshot) == len(keys)
         for key, weights in snapshot.items():
             assert np.array_equal(restored[key], weights)
 

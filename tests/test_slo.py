@@ -218,7 +218,7 @@ class TestServingIntegration:
         tier = make_tier(slo)
         tier.lookup([1])
 
-        def boom(keys, snapshot_id=None):
+        def boom(keys, snapshot_id=None, *, mixed=None):
             raise RuntimeError("shard unreachable")
 
         tier.backend.lookup = boom
