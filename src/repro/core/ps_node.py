@@ -271,8 +271,7 @@ class PSNode:
         dim = self.server_config.embedding_dim
         keys = np.asarray(keys, dtype=np.uint64)
         n = len(keys)
-        versions, stored = self.store.read_at_most(self._heads(keys), snapshot_id)
-        weights = stored[:, :dim]
+        versions, weights = self.store.read_at_most(self._heads(keys), snapshot_id, dim)
         missing = (versions == NO_VERSION).nonzero()[0]
         cold = len(missing)
         if cold:

@@ -281,6 +281,9 @@ class OpenEmbeddingServer:
             out = np.empty(
                 (len(keys), self.server_config.embedding_dim), dtype=np.float32
             )
+            # A row lands as one element, not as ``dim`` floats.
+            row = np.dtype((np.void, out.strides[0]))
+            placed = out.view(row)[:, 0]
             hits = cold = 0
             for index, node_keys, positions in slices:
                 node = self.nodes[index]
@@ -295,7 +298,7 @@ class OpenEmbeddingServer:
                 )
                 hits += result.hits
                 cold += result.cold
-                out[positions] = result.weights
+                placed[positions] = result.weights.view(row)[:, 0]
             span.set(snapshot=snapshot_id, hits=hits, cold=cold)
             return LookupResult(weights=out, snapshot_id=snapshot_id, hits=hits, cold=cold)
 
@@ -309,7 +312,7 @@ class OpenEmbeddingServer:
         """Monotone count of checkpoints completed by ALL shards (the
         serving tier's staleness clock — checkpoint ids are batch ids,
         so lag in checkpoints cannot be derived from id arithmetic)."""
-        return min(node.checkpoints_completed for node in self.nodes)
+        return min([node.coordinator.completed_count for node in self.nodes])
 
     def maintain(self, batch_id: int) -> list[MaintainResult]:
         """Run the maintenance round on every shard."""
@@ -412,7 +415,7 @@ class OpenEmbeddingServer:
     @property
     def global_completed_checkpoint(self) -> int:
         """Newest checkpoint durably completed by ALL shards (-1 if none)."""
-        return min(node.coordinator.last_completed for node in self.nodes)
+        return min([node.coordinator.last_completed for node in self.nodes])
 
     def _sync_external_barriers(self) -> None:
         """Keep every shard's retention covering the global checkpoint."""

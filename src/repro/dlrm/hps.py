@@ -47,7 +47,7 @@ Consistency contract (the part a cache can silently break):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -246,7 +246,8 @@ class HierarchicalPS:
                 fetched = self.backend.lookup(keys, current)
                 self._note(requests=1, rows=n, remote_rows=n, cold_rows=fetched.cold)
                 span.set(snapshot=current, hits=0, remote=n, cold=fetched.cold)
-                return replace(fetched, row_snapshots=np.full(n, current, dtype=np.int64))
+                return LookupResult(fetched.weights, fetched.snapshot_id, fetched.hits,
+                                    fetched.cold, np.full(n, current, dtype=np.int64))
             sets, ways = self._tag.shape
             # One mix per key: it picks the key's set here and its shard
             # in the backend.
@@ -347,8 +348,9 @@ class HierarchicalPS:
     def _note(self, **counts: int) -> None:
         """Add to :attr:`stats` and to the ``repro_serving_<field>_total``
         counters."""
+        fields = vars(self.stats)
         for field, value in counts.items():
-            vars(self.stats)[field] += value
+            fields[field] += value
             if value and self.registry is not None:
                 self.registry.counter(f"repro_serving_{field}_total").add(value)
 

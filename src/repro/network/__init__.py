@@ -8,14 +8,18 @@ real wire messages:
 * :mod:`repro.network.messages` — the 13 message kinds, each a frozen
   dataclass that declares its body once (a fixed little-endian header
   whose slots are fields or array extents, then typed numpy arrays);
-  one generic encode / zero-copy decode pair, the type registry and the
-  tests' strategies derive from the declarations. Frames carry a CRC32
-  over the type byte, the optional trace context and the body;
+  each declaration is compiled into the kind's own straight-line
+  encode / zero-copy decode pair when the kind is created, and the type
+  registry and the tests' strategies derive from the declarations too.
+  Frames carry a CRC32 over the type byte, the optional trace context
+  and the body;
 * :mod:`repro.network.rpc` — a channel that moves encoded bytes over
   the simulated link, charging transfer time, with retry + exponential
   backoff + per-call timeout budgets and wire-error discipline
   (server-side exceptions arrive as error-coded status frames and are
-  re-raised as typed errors), plus a server-side dispatcher;
+  re-raised as typed errors), plus a server-side dispatcher. A clean
+  call (no tracer, no registry, first attempt answered) takes a short
+  path around the retry loop;
 * :mod:`repro.network.service` — ``PSNodeService``, one PS node's
   handlers behind the dispatcher, with a bounded replay window per
   mutating message kind so retries never double-apply;

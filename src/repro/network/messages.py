@@ -18,12 +18,14 @@ its body once, in ``WIRE``, in the notation of the catalogue below:
 ``name type`` header slots, then ``name type[extents]`` arrays whose
 extents name header slots. A slot that is not a dataclass field is an
 *extent*: encoding reads it off the arrays' shapes, decoding sizes the
-arrays with it. From that one declaration the generic
-:func:`encode_body` / :func:`decode_body` pair derives the
+arrays with it. When a kind is created, that one declaration is
+compiled into the kind's own straight-line ``encode_body`` /
+``decode_body`` (as :mod:`dataclasses` writes ``__init__``): the
 single-buffer encode, the exact-length check (a truncated, trailing or
-extent-inconsistent body is a :class:`MessageError` naming the kind),
-the zero-copy decode views and the type registry; the tests derive
-their per-kind strategies from it too.
+extent-inconsistent body is a :class:`MessageError` naming the kind)
+and the zero-copy decode views, with no walk over the declaration per
+message. The type registry fills itself from the same classes, and the
+tests derive their per-kind strategies from the declaration too.
 
 Message catalogue:
 
@@ -90,13 +92,12 @@ header and the arrays' own buffers, never per-field ``tobytes``.
 
 from __future__ import annotations
 
-import math
-import operator
+import functools
 import re
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -114,7 +115,7 @@ class MessageError(ReproError):
 
 
 # ----------------------------------------------------------------------
-# the schema: one declaration per kind, one codec for all of them
+# the schema: one declaration per kind, compiled into that kind's codec
 # ----------------------------------------------------------------------
 
 _SLOT_CODES = {"u8": "B", "u16": "H", "u32": "I", "u64": "Q", "i32": "i", "i64": "q"}
@@ -128,15 +129,13 @@ class _Column(NamedTuple):
     #: Attribute path on the message: ``keys``, or ``entries.rows`` for
     #: a column of the message's :class:`EntryBlock`.
     name: str
-    get: Callable  # reads it off a message
     dtype: np.dtype
     shape: tuple[str, ...]  # its extents, by name
     sums_to: str | None  # the extent this column's sum defines
-    leaf: str  # the field it fills: the message's, or its block's when not ``name``
 
 
 class _Wire:
-    """One kind's body layout, compiled from its ``WIRE`` declaration.
+    """One kind's body layout, parsed from its ``WIRE`` declaration.
 
     Args:
         body: the header slots, then the columns every body of the kind
@@ -171,26 +170,150 @@ class _Wire:
             for value, text in cases.items()
         }
 
-    def bind(self, cls: type) -> None:
-        """Learn from the message class which slots are its fields."""
+    def compile(self, cls: type) -> None:
+        """Give ``cls`` an ``encode_body`` and a ``decode_body`` written
+        out for this layout, the way :mod:`dataclasses` writes
+        ``__init__``: every slot a local, every column one array call
+        and one shape test, every offset an expression — no walk over
+        the declaration when a message crosses the wire."""
         self.kind = cls.__name__
-        fields = tuple(cls.__annotations__)
-        self.field_slots = tuple(slot for slot in self.slots if slot in fields)
-        get = operator.attrgetter(*self.field_slots)
-        self.get_fields = get if len(self.field_slots) > 1 else lambda m: (get(m),)
-        #: Header-only kinds whose slots are the fields, in field order,
-        #: pack and unpack without the column walk.
-        self.fixed = self.slots == fields
+        self._fields = tuple(cls.__annotations__)
+        self.field_slots = tuple(slot for slot in self.slots if slot in self._fields)
+        self._scope = {
+            "MessageError": MessageError, "EntryBlock": EntryBlock, "np": np,
+            "join": b"".join, "utf8": _bounded_utf8, "bad_shape": _bad_shape,
+            "pack": self.header.pack, "unpack_from": self.header.unpack_from,
+        }
+        encode, decode = self._text_codec() if self.text else self._column_codec()
+        self.source = "\n".join(["def encode_body(self):", *encode,
+                                 "def decode_body(cls, body):", *decode])
+        exec(compile(self.source, f"<{self.kind} codec>", "exec"), self._scope)
+        cls.encode_body = self._scope["encode_body"]
+        cls.decode_body = classmethod(self._scope["decode_body"])
 
-    def wrong_length(self, body, want: int) -> MessageError:
-        return MessageError(f"{self.kind} length {len(body)}, want {want}")
+    def _column(self, column: _Column) -> str:
+        """A scope name bound to ``column``; its dtype is ``<name>.dtype``."""
+        name = f"col{len(self._scope)}"
+        self._scope[name] = column
+        return name
 
-    def columns_for(self, extents: dict) -> tuple[_Column, ...]:
-        """The columns of a body with these header values."""
-        selector = extents.get(self.switch)
-        if selector not in self.cases:
-            raise MessageError(f"unknown {self.kind} {self.switch} {selector}")
-        return self.cases[selector]
+    def _unpack(self) -> str:
+        return f"{''.join(f's_{slot}, ' for slot in self.slots)}= unpack_from(body)"
+
+    def _build(self, fields: dict[str, str]) -> str:
+        """The constructor call: positional up to the first field the
+        body does not carry, by keyword after it."""
+        args, keyword = [], False
+        for name in self._fields:
+            keyword |= name not in fields
+            if name in fields:
+                args.append(f"{name}={fields[name]}" if keyword else fields[name])
+        return f"cls({', '.join(args)})"
+
+    def _wrong_length(self, want) -> str:
+        """The refusal of a body of ``size`` bytes (``want``: a count, or
+        the expression that computes it)."""
+        want = want if isinstance(want, int) else f"{{{want}}}"
+        return f"raise MessageError(f'{self.kind} length {{size}}, want {want}')"
+
+    def _text_codec(self) -> tuple[list[str], list[str]]:
+        """Header slots, then the text its last slot measures."""
+        size, length = self.header.size, f"{self.header.size} + s_{self.slots[-1]}"
+        fields = {slot: f"s_{slot}" for slot in self.field_slots}
+        fields[self.text] = f"bytes(body[{size}:]).decode('utf-8', errors='replace')"
+        return [
+            f"    text = utf8(self.{self.text})",
+            f"    return pack({''.join(f'self.{s}, ' for s in self.field_slots)}len(text)) + text",
+        ], [
+            "    size = len(body)",
+            f"    if size < {size}: raise MessageError('truncated {self.kind}')",
+            f"    {self._unpack()}",
+            f"    if size != {length}: {self._wrong_length(length)}",
+            f"    return {self._build(fields)}",
+        ]
+
+    def _column_codec(self) -> tuple[list[str], list[str]]:
+        """Header slots, then the columns (of the switch slot's case), if
+        any."""
+        encode = [f"    s_{slot} = self.{slot}" for slot in self.field_slots]
+        decode = [
+            "    size = len(body)",
+            f"    if size < {self.header.size}: raise MessageError('truncated {self.kind}')",
+            f"    {self._unpack()}",
+        ]
+        for value, columns in self.cases.items():
+            indent = "    "
+            if self.switch is not None:
+                encode.append(f"    if s_{self.switch} == {value!r}:")
+                decode.append(f"    if s_{self.switch} == {value!r}:")
+                indent = "        "
+            encode += [indent + line for line in self._encode_case(columns)]
+            decode += [indent + line for line in self._decode_case(columns)]
+        if self.switch is not None:
+            unknown = f"raise MessageError(f'unknown {self.kind} {self.switch} {{s_{self.switch}}}')"
+            encode.append(f"    {unknown}")
+            decode.append(f"    {unknown}")
+        return encode, decode
+
+    def _encode_case(self, columns) -> list[str]:
+        """Each column as one contiguous array of its dtype; the first
+        array to name an extent sets it, the rest must agree."""
+        known = {slot: f"s_{slot}" for slot in self.field_slots}
+        lines = []
+        for k, column in enumerate(columns):
+            array, name = f"a{k}", self._column(column)
+            lines.append(f"{array} = np.ascontiguousarray(self.{column.name}, {name}.dtype)")
+            if column.sums_to:
+                lines.append(f"s_{column.sums_to} = int({array}.sum())")
+                known[column.sums_to] = f"s_{column.sums_to}"
+            tests, new = [f"{array}.ndim != {len(column.shape)}"], {}
+            for axis, extent in enumerate(column.shape):
+                if extent in known or extent in new:
+                    tests.append(f"{array}.shape[{axis}] != {known.get(extent) or new[extent]}")
+                else:
+                    new[extent] = f"{array}.shape[{axis}]"
+            extents = ", ".join(f"{name!r}: {value}" for name, value in known.items())
+            lines.append(
+                f"if {' or '.join(tests)}: "
+                f"raise bad_shape('{self.kind}', {name}, {array}, {{{extents}}})"
+            )
+            lines += [f"s_{extent} = {value}" for extent, value in new.items()]
+            known.update((extent, f"s_{extent}") for extent in new)
+        if missing := set(self.slots) - set(known):
+            raise TypeError(f"{self.kind}: no column sizes {sorted(missing)}")
+        header = ", ".join(f"s_{slot}" for slot in self.slots)
+        parts = "".join(f"a{k}, " for k in range(len(columns)))
+        return lines + [f"return join((pack({header}), {parts}))"]
+
+    def _decode_case(self, columns) -> list[str]:
+        """Each column a read-only view of ``body`` at its offset."""
+        fields = {slot: f"s_{slot}" for slot in self.field_slots}
+        blocks: dict[str, list[str]] = {}
+        lines, end = [], self.header.size
+        for k, column in enumerate(columns):
+            array, start, end = f"a{k}", end, f"end{k}"
+            count = " * ".join(f"s_{extent}" for extent in column.shape)
+            name = self._column(column)
+            lines += [
+                f"{end} = {start} + {count} * {column.dtype.itemsize}",
+                f"if {end} > size: raise MessageError('truncated {self.kind}.{column.name}')",
+                f"{array} = np.frombuffer(body, {name}.dtype, {count}, {start})",
+            ]
+            if column.sums_to:
+                lines.append(f"s_{column.sums_to} = int({array}.sum())")
+            if len(column.shape) > 1:
+                lines.append(f"{array} = {array}.reshape(({count.replace(' *', ',')}))")
+            group, __, leaf = column.name.rpartition(".")
+            if group:
+                blocks.setdefault(group, []).append(f"{leaf}={array}")
+            else:
+                fields[leaf] = array
+        for group, columns in blocks.items():
+            fields[group] = f"EntryBlock({', '.join(columns)})"
+        return lines + [
+            f"if {end} != size: {self._wrong_length(end)}",
+            f"return {self._build(fields)}",
+        ]
 
 
 def _columns(text: str, sums: dict[str, str]) -> tuple[_Column, ...]:
@@ -198,14 +321,22 @@ def _columns(text: str, sums: dict[str, str]) -> tuple[_Column, ...]:
     return tuple(
         _Column(
             name=name,
-            get=operator.attrgetter(name),
             dtype=np.dtype(_COLUMN_DTYPES[kind]),
             shape=tuple(extents.split(", ")),
             sums_to=sums.get(name),
-            leaf=name.rpartition(".")[2],
         )
         for name, kind, extents in _ITEM.findall(text)
         if kind in _COLUMN_DTYPES and extents
+    )
+
+
+def _bad_shape(kind: str, column: _Column, array, extents: dict) -> MessageError:
+    """The refusal of an array that does not fit its column's extents
+    (``extents``: the ones known before it)."""
+    sizes = tuple(map(extents.setdefault, column.shape, array.shape))
+    return MessageError(
+        f"{kind}.{column.name} has shape {array.shape}, not "
+        f"[{', '.join(column.shape)}] = {sizes}"
     )
 
 
@@ -227,85 +358,25 @@ _MESSAGE_TYPES: dict[int, type] = {}
 
 
 class _Message:
-    """What every kind shares: the codec over its ``WIRE`` declaration."""
+    """What every kind shares: the codec compiled from its ``WIRE``
+    declaration when the kind is created. ``encode_body()`` lays the
+    message out in one buffer; ``decode_body(body)`` is its inverse,
+    whose arrays are read-only views into ``body`` (the module's
+    ownership contract) and which raises :class:`MessageError` when the
+    body is truncated, has trailing bytes or its extents disagree with
+    its length."""
 
     TYPE: ClassVar[int]
     WIRE: ClassVar[_Wire]
 
     def __init_subclass__(cls) -> None:
-        cls.WIRE.bind(cls)
+        cls.WIRE.compile(cls)
         _MESSAGE_TYPES[cls.TYPE] = cls
 
-    def encode_body(self) -> bytes:
-        """This message's body as ``WIRE`` lays it out, in one buffer."""
-        wire = self.WIRE
-        header = wire.header
-        if wire.fixed:
-            return header.pack(*wire.get_fields(self))
-        if wire.text:
-            text = _bounded_utf8(getattr(self, wire.text))
-            return header.pack(*wire.get_fields(self), len(text)) + text
-        extents = dict(zip(wire.field_slots, wire.get_fields(self)))
-        parts = [b""]  # the header's place, once the extents are known
-        for name, get, dtype, shape, sums_to, __ in wire.columns_for(extents):
-            array = np.ascontiguousarray(get(self), dtype=dtype)
-            if sums_to:
-                extents[sums_to] = int(array.sum())
-            # The first array to name an extent sets it; the rest must agree.
-            sizes = tuple(map(extents.setdefault, shape, array.shape))
-            if array.shape != sizes or array.ndim != len(shape):
-                raise MessageError(
-                    f"{wire.kind}.{name} has shape {array.shape}, not "
-                    f"[{', '.join(shape)}] = {sizes}"
-                )
-            parts.append(array)
-        parts[0] = header.pack(*map(extents.__getitem__, wire.slots))
-        return b"".join(parts)
 
-    @classmethod
-    def decode_body(cls, body):
-        """Inverse of :meth:`encode_body`. Arrays of the result are
-        read-only views into ``body`` (the module's ownership contract).
-
-        Raises:
-            MessageError: the body is truncated, has trailing bytes or
-                its extents disagree with its length.
-        """
-        wire = cls.WIRE
-        header = wire.header
-        if wire.fixed:
-            if len(body) != header.size:
-                raise wire.wrong_length(body, header.size)
-            return cls(*header.unpack(body))
-        if len(body) < header.size:
-            raise MessageError(f"truncated {wire.kind}")
-        offset = header.size
-        if wire.text:
-            *fields, length = header.unpack_from(body)
-            if len(body) != offset + length:
-                raise wire.wrong_length(body, offset + length)
-            return cls(*fields, bytes(body[offset:]).decode("utf-8", errors="replace"))
-        extents = dict(zip(wire.slots, header.unpack_from(body)))
-        fields = {slot: extents[slot] for slot in wire.field_slots}
-        block = {}
-        for name, __, dtype, shape, sums_to, leaf in wire.columns_for(extents):
-            shape = [extents[extent] for extent in shape]
-            count = math.prod(shape)
-            end = offset + count * dtype.itemsize
-            if end > len(body):
-                raise MessageError(f"truncated {wire.kind}.{name}")
-            value = np.frombuffer(body, dtype, count, offset)
-            offset = end
-            if sums_to:
-                extents[sums_to] = int(value.sum())
-            if len(shape) > 1:
-                value = value.reshape(shape)
-            (fields if name == leaf else block)[leaf] = value
-        if offset != len(body):
-            raise wire.wrong_length(body, offset)
-        if block:
-            fields["entries"] = EntryBlock(**block)
-        return cls(**fields)
+@functools.cache
+def _shared_fields(cls: type, source: type) -> tuple[str, ...]:
+    return tuple(cls.__dataclass_fields__.keys() & source.__dataclass_fields__.keys())
 
 
 def mirror(cls: type, source, **fields):
@@ -313,9 +384,10 @@ def mirror(cls: type, source, **fields):
 
     A reply message and the result it carries (``PullResponse`` /
     ``PullResult``, ...) name their counters alike; either side is built
-    from the other with the rest given as ``fields``.
+    from the other with the rest given as ``fields``. Each pair of
+    classes resolves its shared names once.
     """
-    for name in cls.__dataclass_fields__.keys() & source.__dataclass_fields__.keys():
+    for name in _shared_fields(cls, type(source)):
         fields[name] = getattr(source, name)
     return cls(**fields)
 

@@ -48,7 +48,7 @@ from repro.network.messages import (
     encode_message,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_SPAN, NULL_TRACER, Tracer
 from repro.simulation.clock import SimClock
 from repro.simulation.network import Delivery, NetworkModel
 
@@ -127,7 +127,7 @@ class PerfectLink:
     ) -> Delivery:
         """Move ``frame`` one way; never drops, duplicates or delays."""
         elapsed = self.network.transfer_time(len(frame), concurrent_flows)
-        return Delivery(copies=(frame,), elapsed=elapsed)
+        return Delivery((frame,), elapsed)
 
 
 def as_link(network) -> "PerfectLink":
@@ -206,7 +206,7 @@ class RpcServer:
                 StatusResponse(code=StatusResponse.ERR_MESSAGE, detail=str(exc))
             )
         self.current_context = context
-        handler = self._handlers.get(type(request).TYPE)
+        handler = self._handlers.get(request.TYPE)
         if handler is None:
             return encode_message(
                 StatusResponse(
@@ -305,14 +305,43 @@ class RpcChannel:
         """
         body = request.encode_body()
         frame = encode_frame(request.TYPE, body)
-        retry = self.retry
         self.stats.calls += 1
+        if self.tracer.enabled or self.registry is not None:
+            return self._retry(request, body, frame, concurrent_flows, trace_id)
+        # The short path of a clean call: no span, no histogram, and the
+        # first attempt answered. Any other outcome resumes in the retry
+        # loop exactly where that loop would stand after attempt 1.
+        self._raise_if_dead(NULL_SPAN, 0)
+        retry = self.retry
+        self.stats.attempts += 1
+        reply_frame, elapsed = self._attempt(
+            frame, concurrent_flows, min(retry.attempt_timeout_s, retry.call_timeout_s)
+        )
+        self._advance(elapsed)
+        response, failure = self._settle(reply_frame, NULL_SPAN, NULL_SPAN)
+        if failure is None:
+            return response
+        return self._retry(
+            request, body, frame, concurrent_flows, trace_id, 1, elapsed, failure
+        )
+
+    def _retry(
+        self,
+        request,
+        body: bytes,
+        frame: bytes,
+        concurrent_flows: int,
+        trace_id: int | None,
+        attempt: int = 0,
+        spent: float = 0.0,
+        failure: str = "no attempt made",
+    ):
+        """The attempt loop of :meth:`call`, from ``attempt`` attempts
+        made in ``spent`` seconds (the last one failing as ``failure``)."""
+        retry = self.retry
         sampled = self.tracer.enabled
         if sampled and trace_id is None:
             trace_id = ((self.channel_id + 1) << 32) | self.stats.calls
-        spent = 0.0
-        failure = "no attempt made"
-        attempt = 0
         kind = type(request).__name__
         with self.tracer.span(
             "rpc.call", kind=kind, channel=self.channel_id
@@ -320,6 +349,15 @@ class RpcChannel:
             if sampled:
                 call_span.set(trace_id=trace_id)
             while attempt < retry.max_attempts:
+                if attempt and spent < retry.call_timeout_s:
+                    backoff = min(
+                        self._jittered_backoff(attempt),
+                        retry.call_timeout_s - spent,
+                    )
+                    spent += backoff
+                    self.stats.backoff_seconds += backoff
+                    with self.tracer.span("rpc.backoff", seconds=backoff):
+                        self._advance(backoff)
                 # Declared dead: fail fast and typed instead of burning
                 # the remaining retry budget on a corpse.
                 self._raise_if_dead(call_span, attempt)
@@ -351,46 +389,14 @@ class RpcChannel:
                     spent += elapsed
                     self._advance(elapsed)
                     attempt_span.set(lost=reply_frame is None)
-                if reply_frame is None:
-                    failure = "message lost (no reply within attempt timeout)"
-                    attempt_span.set(reason="lost")
-                else:
-                    try:
-                        response = decode_message(reply_frame)
-                    except MessageError as exc:
-                        failure = f"reply damaged in flight: {exc}"
-                        attempt_span.set(reason="reply_damaged")
-                    else:
-                        if isinstance(response, StatusResponse) and not response.ok:
-                            self.stats.wire_errors += 1
-                            if response.retryable:
-                                failure = (
-                                    "request damaged in flight "
-                                    f"(server says: {response.detail})"
-                                )
-                                attempt_span.set(reason="rejected")
-                            else:
-                                call_span.set(error=response.code)
-                                attempt_span.set(reason="error")
-                                raise error_for_status(response)
-                        else:
-                            attempt_span.set(reason="ok")
-                            call_span.set(attempts=attempt)
-                            if self.registry is not None:
-                                self.registry.histogram(
-                                    "repro_rpc_roundtrip_seconds",
-                                    {"kind": kind},
-                                ).observe(spent)
-                            return response
-                if attempt < retry.max_attempts and spent < retry.call_timeout_s:
-                    backoff = min(
-                        self._jittered_backoff(attempt),
-                        retry.call_timeout_s - spent,
-                    )
-                    spent += backoff
-                    self.stats.backoff_seconds += backoff
-                    with self.tracer.span("rpc.backoff", seconds=backoff):
-                        self._advance(backoff)
+                response, failure = self._settle(reply_frame, call_span, attempt_span)
+                if failure is None:
+                    call_span.set(attempts=attempt)
+                    if self.registry is not None:
+                        self.registry.histogram(
+                            "repro_rpc_roundtrip_seconds", {"kind": kind}
+                        ).observe(spent)
+                    return response
             self._raise_if_dead(call_span, attempt)
             self.stats.timeouts += 1
             call_span.set(timeout=True, attempts=attempt)
@@ -400,6 +406,29 @@ class RpcChannel:
                 attempts=attempt,
                 spent_seconds=spent,
             )
+
+    def _settle(self, reply_frame: bytes | None, call_span, attempt_span):
+        """What one attempt's reply means: ``(response, None)`` when it
+        answered, ``(None, why)`` when the call may try again. A
+        non-retryable error status raises its typed error."""
+        if reply_frame is None:
+            attempt_span.set(reason="lost")
+            return None, "message lost (no reply within attempt timeout)"
+        try:
+            response = decode_message(reply_frame)
+        except MessageError as exc:
+            attempt_span.set(reason="reply_damaged")
+            return None, f"reply damaged in flight: {exc}"
+        if type(response) is StatusResponse and not response.ok:
+            self.stats.wire_errors += 1
+            if not response.retryable:
+                call_span.set(error=response.code)
+                attempt_span.set(reason="error")
+                raise error_for_status(response)
+            attempt_span.set(reason="rejected")
+            return None, f"request damaged in flight (server says: {response.detail})"
+        attempt_span.set(reason="ok")
+        return response, None
 
     # ------------------------------------------------------------------
     # internals

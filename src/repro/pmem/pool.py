@@ -132,10 +132,12 @@ class EntrySlab:
         self.batch[slots] = batches
         self._store(slots, rows)
 
-    def read(self, slots: np.ndarray) -> np.ndarray:
-        """Copy of the payload of ``slots``."""
+    def read(self, slots: np.ndarray, columns: int | None = None) -> np.ndarray:
+        """Copy of the payload of ``slots``: whole rows, or each row's
+        first ``columns`` floats (one gather, no strided copy to pack
+        later). The device reads whole slots either way."""
         self.pool.device.read(self.slot_bytes, ops=len(slots))
-        return np.take(self.data, slots, axis=0)
+        return np.take(self.data, slots, axis=0) if columns is None else self.data[slots, :columns]
 
     def free(self, slots: np.ndarray) -> None:
         """Clear the ``live`` bit of ``slots`` and reclaim their space."""

@@ -61,6 +61,16 @@ NO_VERSION = -1
 no version at or below its barrier (batch ids are non-negative)."""
 
 
+def separated(barriers: np.ndarray, older: np.ndarray, newer: np.ndarray) -> np.ndarray:
+    """Whether a retention barrier lies in ``[older, newer)``, per pair:
+    ``searchsorted(barriers, older) < searchsorted(barriers, newer)``, by
+    one comparison pair per barrier (a store holds one to three)."""
+    out = np.zeros(len(older), dtype=bool)
+    for barrier in barriers.tolist():
+        out |= (older <= barrier) & (barrier < newer)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class EntryBlock:
     """Every retained version of some keys, as four columns.
@@ -233,20 +243,21 @@ class VersionedEntryStore:
             raise KeyError(f"{np.count_nonzero(heads < 0)} keys have no stored version")
         return self.slab.batch[heads], self.slab.read(heads)
 
-    def read_at_most(self, heads, barrier) -> tuple[np.ndarray, np.ndarray]:
+    def read_at_most(self, heads, barrier, columns=None) -> tuple[np.ndarray, np.ndarray]:
         """Newest version of every chain with ``batch_id <= barrier``.
 
         ``barrier`` is one batch id or one per head. A key with no such
         version (or no version at all, head -1) reports
         :data:`NO_VERSION` and a zero row, and is not charged a read.
+        ``columns`` reads only each row's first floats (the weights).
         """
         batch = self.slab.batch
         slots = self._at_most(np.array(heads, dtype=np.intp), barrier)
         if slots.min(initial=0) >= 0:
-            return batch.take(slots), self.slab.read(slots)
+            return batch.take(slots), self.slab.read(slots, columns)
         found = slots >= 0
-        rows = np.zeros((len(slots), self.slab.width), dtype=np.float32)
-        rows[found] = self.slab.read(slots[found])
+        rows = np.zeros((len(slots), columns or self.slab.width), dtype=np.float32)
+        rows[found] = self.slab.read(slots[found], columns)
         return np.where(found, batch[slots], NO_VERSION), rows
 
     def export(self, keys, heads) -> EntryBlock:
@@ -365,12 +376,8 @@ class VersionedEntryStore:
             int(np.count_nonzero(versions != head_batch)) * self.entry_bytes
         )
         reuse = versions == head_batch
-        if prune:
-            barriers = self._barriers
-            reuse |= (head >= 0) & (
-                np.searchsorted(barriers, head_batch)
-                == np.searchsorted(barriers, versions)
-            )
+        if prune:  # every row here is at or above its head's version
+            reuse |= (head >= 0) & ~separated(self._barriers, head_batch, versions)
         if reuse.any():
             fresh = np.flatnonzero(~reuse)
             slab.rewrite(head[reuse], versions[reuse], rows[reuse])
@@ -426,9 +433,7 @@ class VersionedEntryStore:
             if not walking.any():
                 return freed
             above, slots = above[walking], slots[walking]
-            keep = np.searchsorted(barriers, slab.batch[slots]) < np.searchsorted(
-                barriers, slab.batch[above]
-            )
+            keep = separated(barriers, slab.batch[slots], slab.batch[above])
             below = older[slots]
             drop = ~keep
             if drop.any():

@@ -40,7 +40,7 @@ def messages_of(draw, kind: type):
     values: dict = {}
     if wire.switch is not None:
         values[wire.switch] = draw(st.sampled_from(sorted(wire.cases)))
-    columns = wire.columns_for(values)
+    columns = wire.cases[values.get(wire.switch)]
     sized = {extent for column in columns for extent in column.shape}
     for slot, slot_type in wire.slot_types.items():
         if slot not in values:

@@ -441,7 +441,7 @@ class TestOneKeyMapPerNode:
 
         assert params("put") == ["keys", "heads", "versions", "rows"]
         assert params("read_latest") == ["heads"]
-        assert params("read_at_most") == ["heads", "barrier"]
+        assert params("read_at_most") == ["heads", "barrier", "columns"]
         assert params("export") == ["keys", "heads"]
         assert params("drop") == ["heads"]
         for gone in ("has", "keys", "latest_versions", "drop_key"):

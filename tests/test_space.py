@@ -13,6 +13,7 @@ from repro.pmem.space import (
     NO_VERSION,
     EntryBlock,
     VersionedEntryStore,
+    separated,
 )
 from tests.harness.keyed_store import KeyedStore
 
@@ -114,6 +115,35 @@ class TestRetention:
         put(store, 1, 5, w(6))
         assert store.versions_of(1) == [5]
         assert latest(store, 1)[1][0] == 6.0
+
+
+_VERSIONS = st.integers(-1, 12)  # small, so pairs land on barriers and on each other
+
+
+class TestBarrierSeparation:
+    """``separated`` is the store's one test of whether a retention barrier
+    lies between two versions; it decides what a put overwrites and what
+    a prune keeps, so it must read exactly as the ``searchsorted`` pair
+    it replaced."""
+
+    @given(
+        barriers=st.lists(st.integers(-1, 12), max_size=3, unique=True).map(sorted),
+        pairs=st.lists(st.tuples(_VERSIONS, _VERSIONS), max_size=40),
+    )
+    @example(barriers=[], pairs=[(0, 5), (3, 3)])
+    @example(barriers=[4], pairs=[(4, 4), (3, 4), (4, 5), (2, 9), (5, 4)])
+    @example(barriers=[2, 6, 9], pairs=[(2, 6), (6, 6), (1, 2), (9, 9), (6, 9), (7, 8)])
+    def test_equals_the_searchsorted_form(self, barriers, pairs):
+        barriers = np.array(barriers, dtype=np.int64)
+        older = np.array([pair[0] for pair in pairs], dtype=np.int64)
+        newer = np.array([pair[1] for pair in pairs], dtype=np.int64)
+        left, right = np.searchsorted(barriers, older), np.searchsorted(barriers, newer)
+        got = separated(barriers, older, newer)
+        # The prune's question, for any pair: is a barrier in [older, newer)?
+        assert got.tolist() == (left < right).tolist()
+        # The put's question, for a version at or above its head: same interval?
+        ordered = older <= newer
+        assert (~got)[ordered].tolist() == (left == right)[ordered].tolist()
 
 
 class TestCheckpointId:
