@@ -132,7 +132,15 @@ from repro.simulation.metrics import Metrics
 
 @dataclass(frozen=True)
 class PullResult:
-    """Outcome of one pull request (Algorithm 1)."""
+    """Outcome of one pull request (Algorithm 1).
+
+    It is also the reply to a ``PullRequest`` as it crosses the wire
+    (``network/messages.py`` registers it as a kind), so a shard's
+    counters reach the client. A backend's ``pull`` returns fresh
+    ``weights`` (the cluster places its shards' replies into a new
+    matrix); a shard reply decoded off the wire holds a read-only view
+    of its frame.
+    """
 
     weights: np.ndarray
     hits: int
@@ -146,7 +154,8 @@ class PullResult:
 
 @dataclass(frozen=True)
 class MaintainResult:
-    """Outcome of one maintenance round (Algorithm 2)."""
+    """Outcome of one maintenance round (Algorithm 2); also the reply to
+    a ``MaintainRequest`` as it crosses the wire."""
 
     processed: int
     loads: int

@@ -37,12 +37,16 @@ import numpy as np
 
 @dataclass
 class LookupResult:
-    """One batched serving read.
+    """One batched serving read; also the reply to a ``LookupRequest``
+    as it crosses the wire (``network/messages.py`` registers it as a
+    kind).
 
     Attributes:
         weights: ``(n, dim)`` float32 matrix, one row per requested key,
-            in request order. Rows are fresh arrays (never views into a
-            store or a wire frame).
+            in request order. A backend's ``lookup`` returns fresh rows
+            (the cluster places its shards' replies into a new matrix);
+            a shard reply decoded off the wire holds a read-only view
+            of its frame.
         snapshot_id: the Checkpointed Batch ID the read was pinned to.
             A backend pins every row of a read to it.
         hits: rows served from a durable version at or below the
@@ -54,7 +58,7 @@ class LookupResult:
             was actually read at, filled only by the hierarchical tier
             (:class:`~repro.dlrm.hps.HierarchicalPS`), whose cached rows
             may come from an older, still staleness-bounded snapshot;
-            None from a backend.
+            None from a backend. It is no wire field.
     """
 
     weights: np.ndarray

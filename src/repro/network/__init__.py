@@ -5,9 +5,12 @@ Section V-C: the TensorFlow operators (``PullWeights`` /
 low-overhead RPC on RDMA. This package reproduces that boundary with
 real wire messages:
 
-* :mod:`repro.network.messages` — the 13 message kinds, each a frozen
-  dataclass that declares its body once (a fixed little-endian header
-  whose slots are fields or array extents, then typed numpy arrays);
+* :mod:`repro.network.messages` — the 13 message kinds, each declaring
+  its body once (a fixed little-endian header whose slots are fields or
+  array extents, then typed numpy arrays): the requests and the status
+  ack are frozen dataclasses there, and a data reply is the node's own
+  result class (``PullResult``, ``MaintainResult``, ``EntryBlock``,
+  ``LookupResult``), registered as a kind as it is;
   each declaration is compiled into the kind's own straight-line
   encode / zero-copy decode pair when the kind is created, and the type
   registry and the tests' strategies derive from the declarations too.
@@ -41,10 +44,8 @@ from repro.network.frontend import RemotePSClient
 from repro.network.messages import (
     CheckpointRequest,
     MaintainRequest,
-    MaintainResponse,
     MessageError,
     PullRequest,
-    PullResponse,
     PushRequest,
     StatusResponse,
     decode_message,
@@ -54,11 +55,9 @@ from repro.network.service import PSNodeService
 
 __all__ = [
     "PullRequest",
-    "PullResponse",
     "PushRequest",
     "CheckpointRequest",
     "MaintainRequest",
-    "MaintainResponse",
     "StatusResponse",
     "MessageError",
     "decode_message",

@@ -49,7 +49,6 @@ from repro.network.messages import (
     PromoteRequest,
     PullRequest,
     PushRequest,
-    mirror,
 )
 from repro.network.rpc import RpcChannel
 from repro.network.service import PSNodeService
@@ -307,14 +306,14 @@ class RemotePSClient(OpenEmbeddingServer):
     ) -> PullResult:
         """One shard's pull as a :class:`PullRequest` round-trip.
 
-        The shard's cache statistics travel back in the
-        :class:`~repro.network.messages.PullResponse`. ``worker_id`` /
+        The reply is the shard's :class:`PullResult`, cache statistics
+        and all, its weights a read-only view of the frame. ``worker_id`` /
         ``progress`` ride the request frame for the server-side
         bounded-staleness admission check (``-1`` on the wire =
         anonymous); a rejection arrives back as a typed
         :class:`~repro.errors.StalenessError`.
         """
-        response = self._ha_call(
+        return self._ha_call(
             self.channels[index],
             PullRequest(
                 batch_id=batch_id,
@@ -324,7 +323,6 @@ class RemotePSClient(OpenEmbeddingServer):
             ),
             concurrent_flows=flows,
         )
-        return mirror(PullResult, response)
 
     def _shard_lookup(
         self, index: int, keys, snapshot_id: int, replica: int | None, flows: int
@@ -337,9 +335,10 @@ class RemotePSClient(OpenEmbeddingServer):
         serving replica of a replicated shard. A shard whose primary
         died answers with silence and the read reroutes through
         :meth:`_ha_call` — the re-issued request is idempotent, so no
-        dedup identity is needed.
+        dedup identity is needed. The reply is the shard's
+        :class:`LookupResult`, its weights a read-only view of the frame.
         """
-        response = self._ha_call(
+        return self._ha_call(
             self.channels[index],
             LookupRequest(
                 snapshot_id=snapshot_id,
@@ -348,15 +347,11 @@ class RemotePSClient(OpenEmbeddingServer):
             ),
             concurrent_flows=flows,
         )
-        return mirror(LookupResult, response)
 
     def _shard_maintain(self, index: int, batch_id: int) -> MaintainResult:
-        """Trigger one shard's maintenance round; the round's counters
-        come back in the :class:`~repro.network.messages.MaintainResponse`."""
-        response = self._ha_call(
-            self.channels[index], MaintainRequest(batch_id=batch_id)
-        )
-        return mirror(MaintainResult, response)
+        """Trigger one shard's maintenance round; the shard's
+        :class:`MaintainResult` comes back as the reply."""
+        return self._ha_call(self.channels[index], MaintainRequest(batch_id=batch_id))
 
     def _shard_push(
         self, index: int, keys, grads, batch_id: int, worker_id, seq: int, flows: int
@@ -406,7 +401,7 @@ class RemotePSClient(OpenEmbeddingServer):
     def _shard_export(self, node, keys) -> EntryBlock:
         if not len(keys):
             return NO_ENTRIES
-        return self._migrate(node, MigrateRequest.OP_EXPORT, keys=keys).entries
+        return self._migrate(node, MigrateRequest.OP_EXPORT, keys=keys)
 
     def _shard_ingest(self, node, block: EntryBlock) -> int:
         if not len(block):

@@ -13,19 +13,26 @@ in-flight corruption (see
 detectable: a corrupt frame decodes to :class:`MessageError`, never to
 silently wrong weights or to another kind of message.
 
-**One statement per kind.** A message is a frozen dataclass that states
-its body once, in ``WIRE``, in the notation of the catalogue below:
-``name type`` header slots, then ``name type[extents]`` arrays whose
-extents name header slots. A slot that is not a dataclass field is an
-*extent*: encoding reads it off the arrays' shapes, decoding sizes the
-arrays with it. When a kind is created, that one declaration is
-compiled into the kind's own straight-line ``encode_body`` /
-``decode_body`` (as :mod:`dataclasses` writes ``__init__``): the
-single-buffer encode, the exact-length check (a truncated, trailing or
-extent-inconsistent body is a :class:`MessageError` naming the kind)
-and the zero-copy decode views, with no walk over the declaration per
-message. The type registry fills itself from the same classes, and the
-tests derive their per-kind strategies from the declaration too.
+**One statement per kind.** A kind states its body once, in ``WIRE``,
+in the notation of the catalogue below: ``name type`` header slots,
+then ``name type[extents]`` arrays whose extents name header slots. A
+slot that is not a dataclass field is an *extent*: encoding reads it off
+the arrays' shapes, decoding sizes the arrays with it. A request (and
+the status ack) is a frozen dataclass of this module; a data reply is
+the node's own result — :class:`~repro.core.cache.PullResult`,
+:class:`~repro.core.cache.MaintainResult`,
+:class:`~repro.pmem.space.EntryBlock` and
+:class:`~repro.core.serving_backend.LookupResult` cross the wire as
+themselves, each registered here once with its type byte and ``WIRE``
+(``core/`` and ``pmem/`` import nothing from ``network/``). When a kind
+is registered, that one declaration is compiled into the kind's own
+straight-line ``encode_body`` / ``decode_body`` (as :mod:`dataclasses`
+writes ``__init__``): the single-buffer encode, the exact-length check
+(a truncated, trailing or extent-inconsistent body is a
+:class:`MessageError` naming the kind) and the zero-copy decode views,
+with no walk over the declaration per message. The type registry fills
+itself from the same registrations, and the tests derive their per-kind
+strategies from the declaration too.
 
 Message catalogue:
 
@@ -34,7 +41,7 @@ Message                 Type  Body
 ======================  ====  =======================================
 PullRequest             0x01  batch_id u64, worker_id i32, progress i64,
                               n u32, keys u64[n]
-PullResponse            0x02  n u32, dim u32, hits u32, misses u32,
+PullResult              0x02  n u32, dim u32, hits u32, misses u32,
                               created u32, weights f32[n, dim]
 PushRequest             0x03  batch_id u64, worker_id u32, seq u64,
                               n u32, dim u32,
@@ -43,7 +50,7 @@ CheckpointRequest       0x04  batch_id i64
 StatusResponse          0x05  code u8, value i64, detail_len u16,
                               detail utf8[detail_len]
 MaintainRequest         0x06  batch_id u64
-MaintainResponse        0x07  processed u32, loads u32, flushes u32,
+MaintainResult          0x07  processed u32, loads u32, flushes u32,
                               evictions u32, checkpoints_completed u32
 MigrateRequest          0x08  op u8, source u32, seq u64, width u32,
                               n u32, then keys u64[n] (EXPORT /
@@ -51,10 +58,9 @@ MigrateRequest          0x08  op u8, source u32, seq u64, width u32,
                               keys u64[n], nversions u32[n],
                               batch_ids i64[total],
                               rows f32[total, width]
-MigrateResponse         0x09  width u32, n u32, then the entry block
-                              (EXPORT reply): keys u64[n],
+EntryBlock              0x09  width u32, n u32, keys u64[n],
                               nversions u32[n], batch_ids i64[total],
-                              rows f32[total, width]
+                              rows f32[total, width] (EXPORT reply)
 HeartbeatRequest        0x0B  node_id u32 (reply: StatusResponse,
                               value = latest batch; a dead primary
                               answers with silence)
@@ -63,13 +69,16 @@ PromoteRequest          0x0C  node_id u32 (reply:
                               after promotion)
 LookupRequest           0x0D  snapshot_id i64, replica u8, pad[3],
                               n u32, keys u64[n]
-LookupResponse          0x0E  snapshot_id i64, n u32, dim u32,
+LookupResult            0x0E  snapshot_id i64, n u32, dim u32,
                               hits u32, cold u32, weights f32[n, dim]
 ======================  ====  =======================================
 
 The entry block is an :class:`~repro.pmem.space.EntryBlock` — the
 columns a store exports are the arrays on the wire, with ``total =
-nversions.sum()``. Type ``0x0A`` is unassigned.
+nversions.sum()``; as a reply its ``width`` is an extent read off
+``rows``. A :class:`~repro.core.serving_backend.LookupResult`'s
+``row_snapshots`` belongs to the serving tier and is no wire field.
+Type ``0x0A`` is unassigned.
 
 ``PushRequest``'s ``(worker_id, seq)`` header gives the server a dedup
 identity: a retried push (the client never learned whether its first
@@ -79,10 +88,11 @@ at-most-once gradient application under at-least-once delivery.
 ``seq == 0`` means "no dedup identity" (raw protocol users).
 
 Ownership contract (zero-copy decode): array fields of decoded
-messages — ``keys``, ``grads``, ``weights``, the columns of migration
-``entries`` — are **read-only views into the received frame**, not
-fresh arrays. Decoding a frame costs one CRC pass and a few
-``np.frombuffer`` view constructions, never a payload copy. Consumers
+messages — ``keys``, ``grads``, ``weights``, the columns of an entry
+block — are **read-only views into the received frame**, not fresh
+arrays, and a shard reply a client decodes is no exception. Decoding a
+frame costs one CRC pass and a few ``np.frombuffer`` view
+constructions, never a payload copy. Consumers
 that need to mutate (or outlive the frame) must copy explicitly; writing
 through a view raises ``ValueError: assignment destination is
 read-only``, so a violation is loud, not silent. Encoding likewise
@@ -92,7 +102,6 @@ header and the arrays' own buffers, never per-field ``tobytes``.
 
 from __future__ import annotations
 
-import functools
 import re
 import struct
 import zlib
@@ -101,10 +110,14 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
+from repro.core.cache import MaintainResult, PullResult
+from repro.core.serving_backend import LookupResult
 from repro.errors import ReproError
 from repro.pmem.space import NO_ENTRIES, EntryBlock
 
-_HEADER = struct.Struct("<BII")
+FRAME_HEADER = struct.Struct("<BII")
+"""What precedes every frame's payload: type u8, payload length u32,
+CRC32 u32."""
 
 _MAX_DETAIL_BYTES = 512
 """Status detail strings are truncated to keep error frames bounded."""
@@ -357,43 +370,32 @@ def _bounded_utf8(text: str) -> bytes:
 _MESSAGE_TYPES: dict[int, type] = {}
 
 
+def _kind(cls: type, type_byte: int, wire: _Wire) -> None:
+    """Make ``cls`` the wire kind ``type_byte``, its body laid out as
+    ``wire``: the declaration is compiled into the class's codec, then
+    the type byte decodes to the class."""
+    cls.TYPE, cls.WIRE = type_byte, wire
+    wire.compile(cls)
+    _MESSAGE_TYPES[type_byte] = cls
+
+
 class _Message:
-    """What every kind shares: the codec compiled from its ``WIRE``
-    declaration when the kind is created. ``encode_body()`` lays the
-    message out in one buffer; ``decode_body(body)`` is its inverse,
-    whose arrays are read-only views into ``body`` (the module's
-    ownership contract) and which raises :class:`MessageError` when the
-    body is truncated, has trailing bytes or its extents disagree with
-    its length."""
+    """What every kind of this module shares: registration as a wire kind
+    when the kind is created. ``encode_body()`` lays the message out in
+    one buffer; ``decode_body(body)`` is its inverse, whose arrays are
+    read-only views into ``body`` (the module's ownership contract) and
+    which raises :class:`MessageError` when the body is truncated, has
+    trailing bytes or its extents disagree with its length."""
 
     TYPE: ClassVar[int]
     WIRE: ClassVar[_Wire]
 
     def __init_subclass__(cls) -> None:
-        cls.WIRE.compile(cls)
-        _MESSAGE_TYPES[cls.TYPE] = cls
-
-
-@functools.cache
-def _shared_fields(cls: type, source: type) -> tuple[str, ...]:
-    return tuple(cls.__dataclass_fields__.keys() & source.__dataclass_fields__.keys())
-
-
-def mirror(cls: type, source, **fields):
-    """Build ``cls`` from ``source`` by the dataclass fields they share.
-
-    A reply message and the result it carries (``PullResponse`` /
-    ``PullResult``, ...) name their counters alike; either side is built
-    from the other with the rest given as ``fields``. Each pair of
-    classes resolves its shared names once.
-    """
-    for name in _shared_fields(cls, type(source)):
-        fields[name] = getattr(source, name)
-    return cls(**fields)
+        _kind(cls, cls.TYPE, cls.WIRE)
 
 
 # ----------------------------------------------------------------------
-# the 13 kinds
+# the requests and the status ack
 # ----------------------------------------------------------------------
 
 
@@ -419,24 +421,6 @@ class PullRequest(_Message):
     keys: np.ndarray  # u64[n]
     worker_id: int = -1  # -1 = anonymous (no admission tracking)
     progress: int = -1  # batches completed by the caller
-
-
-@dataclass(frozen=True)
-class PullResponse(_Message):
-    """PS -> worker: the requested weight rows plus cache statistics.
-
-    The per-request ``hits`` / ``misses`` / ``created`` counters let the
-    client aggregate real cache behaviour across shards instead of
-    losing it at the wire boundary.
-    """
-
-    TYPE = 0x02
-    WIRE = _Wire("n u32, dim u32, hits u32, misses u32, created u32, weights f32[n, dim]")
-
-    weights: np.ndarray  # f32[n, dim]
-    hits: int = 0
-    misses: int = 0
-    created: int = 0
 
 
 ANONYMOUS_SEQ_BASE = 1 << 63
@@ -512,27 +496,6 @@ class MaintainRequest(_Message):
 
 
 @dataclass(frozen=True)
-class MaintainResponse(_Message):
-    """PS -> worker: the maintenance round's counters.
-
-    Mirrors :class:`~repro.core.cache.MaintainResult`, so the remote
-    client reports the same per-shard maintenance accounting as the
-    in-process server instead of losing it at the wire boundary.
-    """
-
-    TYPE = 0x07
-    WIRE = _Wire(
-        "processed u32, loads u32, flushes u32, evictions u32, checkpoints_completed u32"
-    )
-
-    processed: int = 0
-    loads: int = 0
-    flushes: int = 0
-    evictions: int = 0
-    checkpoints_completed: int = 0
-
-
-@dataclass(frozen=True)
 class StatusResponse(_Message):
     """PS -> caller: an ack carrying a status code, integer and detail.
 
@@ -578,14 +541,10 @@ class StatusResponse(_Message):
         return self.code == self.ERR_MESSAGE
 
 
-_ENTRY_COLUMNS = (
-    "entries.keys u64[n], entries.nversions u32[n], "
-    "entries.batch_ids i64[total], entries.rows f32[total, width]"
-)
+_ENTRY_COLUMNS = "keys u64[n], nversions u32[n], batch_ids i64[total], rows f32[total, width]"
 """An :class:`~repro.pmem.space.EntryBlock` on the wire: its four
-columns as they are."""
+columns as they are, ``total = nversions.sum()``."""
 
-_ENTRY_TOTAL = {"entries.nversions": "total"}
 _KEYS = "keys u64[n]"
 
 
@@ -596,7 +555,8 @@ class MigrateRequest(_Message):
     Three ops share the frame:
 
     * ``OP_EXPORT`` — read all retained versions of ``keys`` (reply:
-      :class:`MigrateResponse`). Read-only, naturally idempotent.
+      the :class:`~repro.pmem.space.EntryBlock` itself). Read-only,
+      naturally idempotent.
     * ``OP_PUT`` — ingest ``entries`` on the new owner (reply:
       :class:`StatusResponse` with ``value`` = keys ingested).
       Node-level ingest is idempotent, and the ``(source, seq)`` header
@@ -618,8 +578,13 @@ class MigrateRequest(_Message):
 
     WIRE = _Wire(
         "op u8, source u32, seq u64, width u32, n u32",
-        switch=("op", {OP_EXPORT: _KEYS, OP_PUT: _ENTRY_COLUMNS, OP_DELETE: _KEYS}),
-        sums=_ENTRY_TOTAL,
+        # A PUT carries the block's columns as its ``entries`` field.
+        switch=("op", {
+            OP_EXPORT: _KEYS,
+            OP_PUT: "entries." + _ENTRY_COLUMNS.replace("], ", "], entries."),
+            OP_DELETE: _KEYS,
+        }),
+        sums={"entries.nversions": "total"},
     )
 
     op: int
@@ -635,17 +600,6 @@ class MigrateRequest(_Message):
         if self.seq == 0:
             return None
         return (self.source, self.seq)
-
-
-@dataclass(frozen=True)
-class MigrateResponse(_Message):
-    """PS -> coordinator: the exported entries (``OP_EXPORT`` reply)."""
-
-    TYPE = 0x09
-    WIRE = _Wire("width u32, n u32, " + _ENTRY_COLUMNS, sums=_ENTRY_TOTAL)
-
-    width: int = 0
-    entries: EntryBlock = NO_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -712,25 +666,22 @@ class LookupRequest(_Message):
     replica: int = 0
 
 
-@dataclass(frozen=True)
-class LookupResponse(_Message):
-    """PS -> serving client: the snapshot-pinned weight rows.
+# ----------------------------------------------------------------------
+# the data replies: what a node returns, as it is
+# ----------------------------------------------------------------------
 
-    ``snapshot_id`` echoes the pin the shard actually served (resolving
-    a ``-1`` request pin), so the client can enforce its staleness bound
-    and record per-row provenance. ``hits`` / ``cold`` split rows served
-    from durable versions vs the deterministic cold-key initializer.
-    """
-
-    TYPE = 0x0E
-    WIRE = _Wire(
-        "snapshot_id i64, n u32, dim u32, hits u32, cold u32, weights f32[n, dim]"
-    )
-
-    snapshot_id: int
-    weights: np.ndarray  # f32[n, dim]
-    hits: int = 0
-    cold: int = 0
+_kind(PullResult, 0x02, _Wire(
+    "n u32, dim u32, hits u32, misses u32, created u32, weights f32[n, dim]"
+))
+_kind(MaintainResult, 0x07, _Wire(
+    "processed u32, loads u32, flushes u32, evictions u32, checkpoints_completed u32"
+))
+_kind(EntryBlock, 0x09, _Wire(
+    "width u32, n u32, " + _ENTRY_COLUMNS, sums={"nversions": "total"}
+))
+_kind(LookupResult, 0x0E, _Wire(
+    "snapshot_id i64, n u32, dim u32, hits u32, cold u32, weights f32[n, dim]"
+))
 
 
 CONTEXT_FLAG = 0x80
@@ -779,7 +730,7 @@ def encode_frame(msg_type: int, body, context: TraceContext | None = None) -> by
         msg_type |= CONTEXT_FLAG
         body = context.pack() + body
     crc = zlib.crc32(body, _TYPE_CRC[msg_type])
-    return _HEADER.pack(msg_type, len(body), crc) + body
+    return FRAME_HEADER.pack(msg_type, len(body), crc) + body
 
 
 def encode_message(message, context: TraceContext | None = None) -> bytes:
@@ -801,10 +752,10 @@ def decode_envelope(data: bytes):
         MessageError: unknown type, truncation, trailing bytes, or a
             checksum mismatch (the frame was corrupted in flight).
     """
-    if len(data) < _HEADER.size:
+    if len(data) < FRAME_HEADER.size:
         raise MessageError(f"frame too short: {len(data)} bytes")
-    msg_type, length, crc = _HEADER.unpack_from(data)
-    payload = memoryview(data)[_HEADER.size :]
+    msg_type, length, crc = FRAME_HEADER.unpack_from(data)
+    payload = memoryview(data)[FRAME_HEADER.size :]
     if len(payload) != length:
         raise MessageError(f"frame body {len(payload)} bytes, header says {length}")
     if zlib.crc32(payload, _TYPE_CRC[msg_type]) != crc:

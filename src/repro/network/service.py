@@ -3,7 +3,9 @@
 Wraps a :class:`~repro.core.ps_node.PSNode` (or a replicated pair)
 behind an :class:`~repro.network.rpc.RpcServer`: one handler per wire
 message kind, each opening a ``ps.*`` span parented to the requesting
-client's attempt.
+client's attempt. A data handler's reply is the node's own result — a
+``PullResult``, ``MaintainResult``, ``LookupResult`` or ``EntryBlock``
+is the wire kind it travels as.
 
 Mutating requests are not idempotent on the wire, so each kind keeps a
 bounded replay window: pushes and migration writes by their
@@ -23,24 +25,21 @@ from __future__ import annotations
 
 from repro.config import DEFAULT_DEDUP_WINDOW
 from repro.core.aggregators import ReplayWindow
+from repro.core.cache import MaintainResult, PullResult
 from repro.core.ps_node import PSNode
 from repro.core.replication import ReplicatedPSNode
+from repro.core.serving_backend import LookupResult
 from repro.errors import ServerError
 from repro.network.messages import (
     CheckpointRequest,
     HeartbeatRequest,
     LookupRequest,
-    LookupResponse,
     MaintainRequest,
-    MaintainResponse,
     MigrateRequest,
-    MigrateResponse,
     PromoteRequest,
     PullRequest,
-    PullResponse,
     PushRequest,
     StatusResponse,
-    mirror,
 )
 from repro.network.rpc import RpcServer, Unresponsive
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -162,7 +161,7 @@ class PSNodeService:
             self.node.failover()
             return self._progress_reply()
 
-    def _handle_pull(self, request: PullRequest) -> PullResponse:
+    def _handle_pull(self, request: PullRequest) -> PullResult:
         self._check_alive()
         with self._span(
             "ps.pull", node=self.node.node_id, keys=len(request.keys)
@@ -179,9 +178,9 @@ class PSNodeService:
                 progress=int(request.progress),
             )
             span.set(hits=result.hits, misses=result.misses, created=result.created)
-            return mirror(PullResponse, result)
+            return result
 
-    def _handle_lookup(self, request: LookupRequest) -> LookupResponse:
+    def _handle_lookup(self, request: LookupRequest) -> LookupResult:
         """Serve a snapshot-pinned batched read (the inference path).
 
         Lookups are pure reads — idempotent by construction, so unlike
@@ -209,7 +208,7 @@ class PSNodeService:
             span.set(
                 snapshot=result.snapshot_id, hits=result.hits, cold=result.cold
             )
-            return mirror(LookupResponse, result)
+            return result
 
     def _handle_push(self, request: PushRequest) -> StatusResponse:
         self._check_alive()
@@ -257,7 +256,7 @@ class PSNodeService:
                 batch_id, StatusResponse(code=StatusResponse.OK, value=batch_id)
             )
 
-    def _handle_maintain(self, request: MaintainRequest) -> MaintainResponse:
+    def _handle_maintain(self, request: MaintainRequest) -> MaintainResult:
         """Run the deferred maintenance round for one batch.
 
         Maintenance is state-idempotent — a retried trigger (first reply
@@ -278,9 +277,7 @@ class PSNodeService:
                 cached = self._replayed(self._maintain_replies, batch_id, span)
                 if cached is not None:
                     return cached
-        return self._maintain_replies.remember(
-            batch_id, mirror(MaintainResponse, result)
-        )
+        return self._maintain_replies.remember(batch_id, result)
 
     def _handle_migrate(self, request: MigrateRequest):
         """One live-migration op against this shard.
@@ -300,7 +297,7 @@ class PSNodeService:
             if request.op == MigrateRequest.OP_EXPORT:
                 block = self.node.export_entries(request.keys)
                 span.set(keys=len(block))
-                return MigrateResponse(width=block.rows.shape[1], entries=block)
+                return block
             dedup_key = request.dedup_key
             cached = self._replayed(self._migrate_replies, dedup_key, span)
             if cached is not None:

@@ -77,9 +77,11 @@ class EntryBlock:
 
     The one format entries move in — store to store within a process,
     between replicas, or over the wire, where these columns *are* the
-    arrays of a ``MigrateRequest(OP_PUT)`` / ``MigrateResponse`` body.
-    ``keys[i]`` owns the next ``nversions[i]`` positions of
-    ``batch_ids`` and ``rows``.
+    arrays of a ``MigrateRequest(OP_PUT)`` body and the block itself is
+    the reply to an ``OP_EXPORT`` (``network/messages.py`` registers it
+    as a kind, its ``width`` read off ``rows``). ``keys[i]`` owns the
+    next ``nversions[i]`` positions of ``batch_ids`` and ``rows``. A
+    block decoded off the wire holds read-only views of its frame.
     """
 
     keys: np.ndarray  # u64[n]

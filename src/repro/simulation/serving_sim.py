@@ -31,17 +31,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.initializer import key_seeded_rows
+from repro.core.serving_backend import LookupResult
 from repro.errors import SimulationError
+from repro.network.messages import FRAME_HEADER, LookupRequest
 from repro.obs.histogram import Histogram
 from repro.simulation.clock import SimClock
 from repro.simulation.device import DRAM_SPEC, PMEM_SPEC, MemoryDevice
 from repro.simulation.network import NetworkModel
 
-#: LookupRequest / LookupResponse fixed header bytes (network.messages).
-_REQUEST_HEADER = 16
-_RESPONSE_HEADER = 24
-#: Wire frame overhead: type + length + crc32.
-_FRAME_HEADER = 9
+#: Fixed bytes of a lookup's request and reply frames: the frame header
+#: and the body's header (``LookupResult`` is the reply kind once
+#: ``network.messages`` has registered it).
+_REQUEST_HEADER = FRAME_HEADER.size + LookupRequest.WIRE.header.size
+_RESPONSE_HEADER = FRAME_HEADER.size + LookupResult.WIRE.header.size
 #: Client-side threads probing the hot-row cache.
 PROBE_THREADS = 8
 #: PS-node device threads serving the store reads.
@@ -78,8 +80,8 @@ class ServingCostModel:
         """Remote fetch: wire (if modelled here) + shard device read."""
         elapsed = self.pmem.burst_read(rows, row_bytes, DEVICE_THREADS)
         if self.network is not None and rows:
-            request = _FRAME_HEADER + _REQUEST_HEADER + 8 * rows
-            response = _FRAME_HEADER + _RESPONSE_HEADER + rows * row_bytes
+            request = _REQUEST_HEADER + 8 * rows
+            response = _RESPONSE_HEADER + rows * row_bytes
             elapsed += self.network.transfer_time(request, flows)
             elapsed += self.network.transfer_time(response, flows)
         return elapsed

@@ -262,8 +262,8 @@ class TestClusterExistsOnce:
         assert PROBE_CHANNEL_BASE == 1000 and PROBE_RETRY.max_attempts == 3
         assert PSNodeService.__module__ != frontend.__name__
         assert repro.network.__all__ == [
-            "PullRequest", "PullResponse", "PushRequest", "CheckpointRequest",
-            "MaintainRequest", "MaintainResponse", "StatusResponse",
+            "PullRequest", "PushRequest", "CheckpointRequest",
+            "MaintainRequest", "StatusResponse",
             "MessageError", "decode_message", "Delivery", "RpcChannel",
             "RpcServer", "RpcStats", "RemotePSClient", "PSNodeService",
         ]

@@ -86,7 +86,7 @@ SHARD_REACH_FILES = [
 def test_reaching_a_shard_stays_within_its_budget():
     """CI's third gated budget: the facade, its RPC subclass and service,
     and the reshard / failover / replication state machines hold at most
-    1 596 code lines (1 852 while failover and the services took
+    1 587 code lines (1 852 while failover and the services took
     settings only tests set, 1 825 before the facade checked a push's
     gradient block and folded the shards' buffers ahead of choosing a
     checkpoint id, 1 827 before pull and push took a KeyPlan and a
@@ -98,9 +98,11 @@ def test_reaching_a_shard_stays_within_its_budget():
     filled a per-row snapshot array, 1 676 while the migrator refused
     a modulo cluster and a ring cluster had its own recovery entry
     point, 1 596 before a cluster lookup placed each shard's rows as one
-    element per row) — one way to reach a shard, not three seams."""
+    element per row, 1 598 while the service and the client copied
+    each data reply field by field into and out of a reply class of its
+    own) — one way to reach a shard, not three seams."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "1598", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
+    assert code_lines.main(["--max", "1587", *(str(root / name) for name in SHARD_REACH_FILES)]) == 0
 
 
 def test_key_routing_stays_within_its_budget():
@@ -119,16 +121,18 @@ WIRE_FILES = ["src/repro/network/messages.py", "src/repro/network/rpc.py"]
 
 def test_the_wire_stays_within_its_budget():
     """CI's ninth gated budget: the message schema and the RPC channel /
-    dispatcher hold at most 683 code lines (650 while a kind had no
+    dispatcher hold at most 657 code lines (650 while a kind had no
     sender, header fields and a trace-context flag byte had no reader
     and the dispatcher kept counters nothing read; 617 while every
     message walked its kind's columns through one generic codec and
-    every call ran the retry loop — raised, not squeezed, for the
-    writer of each kind's straight-line codec and the clean call's
-    short path). A kind with no sender, a field with no reader, or a
-    second codec beside the compiled one does not fit."""
+    every call ran the retry loop; 683 while every data reply was
+    declared twice, as the node's result and as a ``*Response`` kind
+    with the same fields, and a ``mirror`` copied one into the other).
+    A kind with no sender, a field with no reader, a reply class beside
+    the node's result, or a second codec beside the compiled one does
+    not fit."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "683", *(str(root / name) for name in WIRE_FILES)]) == 0
+    assert code_lines.main(["--max", "657", *(str(root / name) for name in WIRE_FILES)]) == 0
 
 
 LOOKAHEAD_FILES = ["src/repro/dlrm/prefetch.py", "src/repro/simulation/trainer_sim.py"]

@@ -21,11 +21,7 @@ from hypothesis import strategies as st
 from repro.config import CacheConfig, EvictionPolicy, ServerConfig
 from repro.core.optimizers import PSAdagrad, PSSGD
 from repro.core.ps_node import PSNode
-from repro.network.messages import (
-    MigrateResponse,
-    decode_message,
-    encode_message,
-)
+from repro.network.messages import decode_message, encode_message
 from tests.harness.reference_cache import install_reference_cache
 from tests.harness.keyed_store import keyed
 
@@ -170,13 +166,11 @@ class TestArenaEquivalence:
             src.barrier_checkpoint(last)
         keys = sorted(src.owned_keys())
         width = DIM + PSAdagrad().state_width(DIM)
-        frame = encode_message(
-            MigrateResponse(width=width, entries=src.export_entries(keys))
-        )
-        decoded = decode_message(bytes(frame))
+        decoded = decode_message(bytes(encode_message(src.export_entries(keys))))
+        assert decoded.rows.shape[1] == width
 
         dst = make_node(arena=True, capacity_entries=capacity, optimizer=PSAdagrad())
-        assert dst.ingest_entries(decoded.entries) == len(keys)
+        assert dst.ingest_entries(decoded) == len(keys)
         dst.seal_at(last)
         snap_src, snap_dst = src.state_snapshot(), dst.state_snapshot()
         assert set(snap_src) == set(snap_dst)
@@ -188,7 +182,7 @@ class TestArenaEquivalence:
         # transferred rows into the arena and the fast path takes over.
         extra = [(keys[:4] or [0], False, False, False)]
         ref = make_node(arena=False, capacity_entries=capacity, optimizer=PSAdagrad())
-        assert ref.ingest_entries(decoded.entries) == len(keys)
+        assert ref.ingest_entries(decoded) == len(keys)
         ref.seal_at(last)
         for batch_id, step in enumerate(extra, start=last + 1):
             ka = step[0]

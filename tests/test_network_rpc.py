@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, ServerConfig
+from repro.core.cache import PullResult
 from repro.core.server import OpenEmbeddingServer
 from repro.network.frontend import RemotePSClient
 from repro.network.messages import (
     CheckpointRequest,
     MessageError,
     PullRequest,
-    PullResponse,
     PushRequest,
     StatusResponse,
     decode_message,
@@ -45,7 +45,7 @@ class TestMessageRoundtrips:
 
     def test_pull_response(self):
         weights = np.arange(8, dtype=np.float32).reshape(2, 4)
-        decoded = decode_message(encode_message(PullResponse(weights)))
+        decoded = decode_message(encode_message(PullResult(weights, 0, 0, 0)))
         assert np.array_equal(decoded.weights, weights)
 
     def test_push_request(self):
@@ -70,7 +70,7 @@ class TestMessageRoundtrips:
     def test_pull_response_cache_stats(self):
         weights = np.zeros((2, 4), dtype=np.float32)
         decoded = decode_message(
-            encode_message(PullResponse(weights, hits=5, misses=2, created=1))
+            encode_message(PullResult(weights, hits=5, misses=2, created=1))
         )
         assert (decoded.hits, decoded.misses, decoded.created) == (5, 2, 1)
 
@@ -260,6 +260,35 @@ class TestRemotePSClient:
         assert remote.request_checkpoint() == 0
         remote.complete_pending_checkpoints()
         assert all(n.coordinator.last_completed == 0 for n in remote.nodes)
+
+    def test_shard_replies_are_frame_views_and_cluster_rows_are_fresh(self):
+        """The two halves of a reply's ownership (``PullResult`` /
+        ``LookupResult``): a shard reply decoded off the wire holds a
+        read-only view of its frame; the cluster's ``pull`` and
+        ``lookup`` return fresh rows, placed into a new matrix."""
+        server_config, cache_config = self._configs()
+        remote = RemotePSClient(server_config, cache_config)
+        keys = [3, 99, 42, 7, 3]
+        remote.pull(keys, 0)
+        remote.maintain(0)
+        remote.push(keys, np.ones((5, DIM), dtype=np.float32), 0)
+        remote.barrier_checkpoint(0)
+        index, positions, node_keys = remote.plan(keys).shards[0]
+        replies = (
+            remote._shard_pull(index, node_keys, 1, None, None, 1),
+            remote._shard_lookup(index, node_keys, 0, None, 1),
+        )
+        for reply in replies:
+            assert not reply.weights.flags.writeable
+            owner = reply.weights
+            while isinstance(owner, np.ndarray):
+                owner = owner.base
+            assert isinstance(owner, memoryview)  # the received frame
+        unique = np.unique(keys)
+        served = (remote.pull(unique, 1), remote.lookup(unique, 0))
+        for reply, result in zip(replies, served):
+            assert result.weights.flags.writeable and result.weights.flags.owndata
+            assert np.array_equal(result.weights[positions], reply.weights)
 
     def test_wire_bytes_accumulate(self):
         server_config, cache_config = self._configs()

@@ -21,7 +21,6 @@ from repro.core.optimizers import PSAdagrad, PSSGD
 from repro.core.ps_node import PSNode
 from repro.network.messages import (
     MigrateRequest,
-    MigrateResponse,
     PushRequest,
     StatusResponse,
     decode_message,
@@ -183,7 +182,5 @@ class TestColumnarMigratePayload:
         assert not decoded.entries.rows.flags.writeable  # zero-copy frame view
 
     def test_empty_payload(self):
-        decoded = decode_message(
-            bytes(encode_message(MigrateResponse(entries=NO_ENTRIES)))
-        )
-        assert len(decoded.entries) == 0 and decoded.entries.batch_ids.size == 0
+        decoded = decode_message(bytes(encode_message(NO_ENTRIES)))
+        assert len(decoded) == 0 and decoded.batch_ids.size == 0

@@ -14,16 +14,19 @@
 * **The type-byte hole** (regression): a one-bit flip of byte 0 used to
   decode clean as another kind of the same body size.
 * **EntryBlock**: entries leave one store and reach another — locally
-  or through ``MigrateRequest`` / ``MigrateResponse`` frames — as the
-  same four columns, equal to a direct ``store.ingest``.
+  or as the ``EntryBlock`` an export replies with and a
+  ``MigrateRequest`` PUT carries — as the same four columns, equal to a
+  direct ``store.ingest``.
 * **Catalogue**: the module docstring's table is the schema.
-* **No dead kind**: every request kind has a sender and a handler, and
-  every response kind a handler that returns it.
+* **No dead kind**: one request of each kind dispatched through a
+  ``PSNodeService``: every request kind has a sender and a handler, and
+  every other kind is what a handler returned.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
 from pathlib import Path
@@ -32,9 +35,12 @@ import numpy as np
 import pytest
 
 from repro.config import CacheConfig, ServerConfig
+from repro.core.cache import MaintainResult, PullResult
 from repro.core.optimizers import PSAdagrad, PSSGD
 from repro.core.ps_node import PSNode
-from repro.network import frontend, service
+from repro.core.replication import ReplicatedPSNode
+from repro.core.serving_backend import LookupResult
+from repro.network import frontend
 from repro.network import messages as m
 from repro.network.frontend import RemotePSClient
 from repro.network.rpc import RpcChannel
@@ -74,7 +80,7 @@ CASES = {
         batch_id=7, keys=_u64(1, 2, 2**64 - 1), worker_id=3, progress=6
     ),
     "PullRequest.anonymous": m.PullRequest(batch_id=0, keys=_u64()),
-    "PullResponse": m.PullResponse(weights=_f32(2, 3), hits=1, misses=1, created=0),
+    "PullResult": PullResult(weights=_f32(2, 3), hits=1, misses=1, created=0),
     "PushRequest": m.PushRequest(
         batch_id=9, keys=_u64(5, 6), grads=_f32(2, 2), worker_id=2,
         seq=m.ANONYMOUS_SEQ_BASE | 1,
@@ -86,7 +92,7 @@ CASES = {
     ),
     "StatusResponse.truncated": m.StatusResponse(code=1, detail="a" * 511 + "éé"),
     "MaintainRequest": m.MaintainRequest(batch_id=7),
-    "MaintainResponse": m.MaintainResponse(
+    "MaintainResult": MaintainResult(
         processed=1, loads=2, flushes=3, evictions=4, checkpoints_completed=5
     ),
     "MigrateRequest.put": m.MigrateRequest(
@@ -99,16 +105,12 @@ CASES = {
         op=0, source=2, seq=8, width=3, keys=_u64(7, 9, 11)
     ),
     "MigrateRequest.delete": m.MigrateRequest(op=2, source=2, seq=9, keys=_u64(7, 9)),
-    "MigrateResponse": m.MigrateResponse(width=3, entries=VALUE),
-    "MigrateResponse.empty": m.MigrateResponse(
-        width=4, entries=_block([], [], [], _f32(0, 4))
-    ),
+    "EntryBlock": VALUE,
+    "EntryBlock.empty": _block([], [], [], _f32(0, 4)),
     "HeartbeatRequest": m.HeartbeatRequest(node_id=1),
     "PromoteRequest": m.PromoteRequest(node_id=1),
     "LookupRequest": m.LookupRequest(snapshot_id=-1, keys=_u64(4, 5), replica=1),
-    "LookupResponse": m.LookupResponse(
-        snapshot_id=5, weights=_f32(2, 2), hits=1, cold=1
-    ),
+    "LookupResult": LookupResult(snapshot_id=5, weights=_f32(2, 2), hits=1, cold=1),
 }
 
 FRAMES = [
@@ -274,20 +276,18 @@ def _over_rpc(src: PSNode, dst: PSNode, keys: list[int], width: int) -> int:
     exported = RpcChannel(PSNodeService(src).server).call(
         m.MigrateRequest(op=m.MigrateRequest.OP_EXPORT, keys=keys)
     )
-    assert exported.width == width  # the reply's width is its block's
+    assert exported.rows.shape[1] == width  # the reply's width is its rows'
     return RpcChannel(PSNodeService(dst).server).call(
         m.MigrateRequest(
             op=m.MigrateRequest.OP_PUT, source=1, seq=1, width=width,
-            entries=exported.entries,
+            entries=exported,
         )
     ).value
 
 
 def _framed(src: PSNode, dst: PSNode, keys: list[int], width: int) -> int:
-    frame = m.encode_message(
-        m.MigrateResponse(width=width, entries=src.export_entries(keys))
-    )
-    return dst.ingest_entries(m.decode_message(bytes(frame)).entries)
+    frame = m.encode_message(src.export_entries(keys))
+    return dst.ingest_entries(m.decode_message(bytes(frame)))
 
 
 class TestEntryBlockEndToEnd:
@@ -407,55 +407,89 @@ class TestCatalogue:
         assert words == _declared_names(kind.WIRE)
 
 
-class TestMirror:
-    def test_builds_either_side_from_the_shared_fields(self):
-        from repro.core.cache import MaintainResult
-
-        result = MaintainResult(
-            processed=5, loads=4, flushes=3, evictions=2, checkpoints_completed=1
-        )
-        response = m.mirror(m.MaintainResponse, result)
-        assert response == m.MaintainResponse(5, 4, 3, 2, 1)
-        assert m.mirror(MaintainResult, response) == result
-
-
 # ----------------------------------------------------------------------
 # every kind is sent and read
 # ----------------------------------------------------------------------
 
-REQUESTS = {kind for kind in m._MESSAGE_TYPES.values() if kind.__name__.endswith("Request")}
-RESPONSES = {kind for kind in m._MESSAGE_TYPES.values() if kind.__name__.endswith("Response")}
 
-
-def _built(module, within: str | None = None) -> set[str]:
-    """Names a module's code constructs: ``Kind(...)`` or
-    ``mirror(Kind, ...)`` (inside class ``within`` when given)."""
+def _built(module) -> set[str]:
+    """Names a module's code calls: ``Kind(...)`` among them."""
     tree = ast.parse(Path(module.__file__).read_text())
-    if within is not None:
-        tree = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == within)
-    built = set()
-    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
-        if isinstance(call.func, ast.Name):
-            built.add(call.func.id)
-            if call.func.id == "mirror" and isinstance(call.args[0], ast.Name):
-                built.add(call.args[0].id)
-    return built
+    return {
+        call.func.id
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    }
+
+
+@functools.cache
+def _dispatched() -> dict[type, set[type]]:
+    """``{request kind: reply kinds}``: one request of each kind (a
+    ``MigrateRequest`` once per op) sent through a ``PSNodeService``
+    over a replicated shard that holds a checkpoint, each reply decoded
+    off the wire."""
+    node = ReplicatedPSNode(
+        0, ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 22, seed=3),
+        CacheConfig(capacity_bytes=8 * DIM * 4), PSSGD(lr=0.1), cluster_mode=True,
+    )
+    keys = _u64(1, 2, 3)
+    node.pull(keys, 0)
+    node.barrier_checkpoint(0)
+    channel = RpcChannel(PSNodeService(node).server)
+    requests = [
+        m.PullRequest(batch_id=1, keys=keys),
+        m.MaintainRequest(batch_id=1),
+        m.PushRequest(batch_id=1, keys=keys, grads=_f32(3, DIM)),
+        m.CheckpointRequest(batch_id=1),
+        m.HeartbeatRequest(node_id=0),
+        m.PromoteRequest(node_id=0),
+        m.LookupRequest(snapshot_id=-1, keys=keys),
+        m.MigrateRequest(op=m.MigrateRequest.OP_EXPORT, keys=keys),
+        m.MigrateRequest(op=m.MigrateRequest.OP_DELETE, source=1, seq=1, keys=keys),
+    ]
+    replies: dict[type, set[type]] = {}
+    for request in requests:
+        reply = channel.call(request)
+        replies.setdefault(type(request), set()).add(type(reply))
+        if isinstance(reply, EntryBlock):  # the export's block goes back in
+            put = m.MigrateRequest(
+                op=m.MigrateRequest.OP_PUT, source=1, seq=2,
+                width=reply.rows.shape[1], entries=reply,
+            )
+            replies[m.MigrateRequest].add(type(channel.call(put)))
+    return replies
 
 
 class TestNoDeadKind:
     """A kind with no sender is wire and handler code nothing runs (a
     ring-refresh RPC once had a client method, a handler and an error
-    code, and no caller)."""
+    code, and no caller); a reply kind no handler returns is a second
+    statement of a result nothing sends."""
+
+    @staticmethod
+    def _kinds() -> tuple[set[type], set[type]]:
+        """The request kinds dispatched, and the kinds they replied with."""
+        dispatched = _dispatched()
+        return set(dispatched), set().union(*dispatched.values())
 
     def test_every_kind_is_a_request_or_a_response(self):
-        assert REQUESTS | RESPONSES == set(m._MESSAGE_TYPES.values())
+        requests, replies = self._kinds()
+        assert not requests & replies
+        assert requests | replies == set(KINDS)
 
     def test_every_request_kind_has_a_handler_and_a_sender(self):
+        requests, __ = self._kinds()
         handled = set(PSNodeService(_node()).server._handlers)
-        assert handled == {kind.TYPE for kind in REQUESTS}
-        unsent = {kind.__name__ for kind in REQUESTS} - _built(frontend)
+        assert handled == {kind.TYPE for kind in requests}
+        unsent = {kind.__name__ for kind in requests} - _built(frontend)
         assert not unsent, f"no RemotePSClient code sends {sorted(unsent)}"
 
     def test_every_response_kind_is_returned_by_a_handler(self):
-        unreturned = {kind.__name__ for kind in RESPONSES} - _built(service, "PSNodeService")
+        requests, replies = self._kinds()
+        unreturned = {kind.__name__ for kind in set(KINDS) - requests - replies}
         assert not unreturned, f"no PSNodeService handler returns {sorted(unreturned)}"
+        dispatched = _dispatched()
+        assert dispatched[m.PullRequest] == {PullResult}
+        assert dispatched[m.MaintainRequest] == {MaintainResult}
+        assert dispatched[m.LookupRequest] == {LookupResult}
+        assert dispatched[m.MigrateRequest] == {EntryBlock, m.StatusResponse}
