@@ -15,10 +15,12 @@ measures three things:
   its largest node holds within 10 % of the mean share, and modulo
   moves the near-total ~n/(n+1);
 * **throughput dip**: the simulated migration pause of a mid-epoch
-  reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``)
-  on the ring, against the pause ``PSCostModel.price_migration`` gives
-  the keys modulo would move at that point of the same run — the pause
-  scales with keys moved, so the ring's dip is a fraction of modulo's;
+  reshard ``num_nodes -> num_nodes + 1`` (``TrainingSimulator(reshard_at=...)``,
+  the real migration on the simulated cluster) on the ring, against the
+  pause ``PSCostModel.price_migration`` gives the keys modulo would move
+  at that point of the same run, at the ring's barrier flush and
+  versions per key — the pause scales with keys moved, so the ring's
+  dip is a fraction of modulo's;
 * a **live migration demo** on a real ``num_nodes``-node cluster: scale
   out, then in, and verify the weights never change by a bit.
 """
@@ -78,14 +80,18 @@ def throughput_dip(num_nodes: int):
     """The simulated epoch with a mid-epoch reshard ``num_nodes -> num_nodes
     + 1`` on the ring, and the pause modulo's remap would cost at that
     point: :meth:`~repro.simulation.cluster.PSCostModel.price_migration`
-    over the keys the run had seen, with the same barrier flush."""
+    over the keys of the cluster modulo would move, at the barrier flush
+    and the versions per key the ring's migration paid, so the two
+    pauses differ by the moves alone."""
     ring = simulator(num_nodes, reshard_at=RESHARD_AT).run(EPOCH_ITERATIONS)
     before = simulator(num_nodes)
     before.run(RESHARD_AT)
-    seen = before.backend.owned_keys()
-    moved = modulo_moved(seen, num_nodes)
+    moved = modulo_moved(before.backend.owned_keys(), num_nodes)
+    versions_per_key = ring.migration_versions_moved / ring.migration_keys_moved
     pause = before.cost_model.price_migration(
-        keys_moved=moved, flushed_entries=before.backend.num_entries
+        keys_moved=moved,
+        versions_moved=round(moved * versions_per_key),
+        flushed_entries=ring.migration_flushed_entries,
     ).total
     return ring, moved, pause
 

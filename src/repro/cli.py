@@ -590,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--workers", type=int, default=16)
     simulate.add_argument("--iterations", type=int, default=None)
     simulate.add_argument("--cache-mb", type=_finite, default=2048.0,
-                          help="paper-equivalent cache size (MB of a 500 GB model)")
+                          help="paper-equivalent cache size of all nodes (MB of a 500 GB model)")
     simulate.add_argument("--skew", type=_finite, default=1.0)
     simulate.add_argument(
         "--checkpoint",
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="prefetch the next N batches' keys inside the "
                                "overlap window (PMem-OE only; 0 disables)")
     simulate.add_argument("--nodes", type=int, default=1,
-                          help="PS node count the run starts with")
+                          help="PS node count the run starts with (baselines: 1 only)")
     simulate.add_argument("--reshard-at", type=int, default=None,
                           help="live-reshard the PS after this many "
                                "iterations; prices the migration pause and "

@@ -335,7 +335,9 @@ class PipelinedCache:
         ``capacity_entries`` accesses each, so the slots a segment
         touches can never all be needed as victims. Once the rows have moved,
         :meth:`_drain` completes the checkpoints below ``batch_id`` that
-        nothing owes, flushing at most ``processed`` owing rows.
+        nothing owes, flushing at most ``processed`` owing rows — or
+        every one in a round with no accesses, whose maintainer window
+        is otherwise idle (so an idle shard still completes a request).
 
         Raises:
             OutOfSpaceError: the pool cannot hold the rows a segment
@@ -373,7 +375,7 @@ class PipelinedCache:
                     raise
                 lo, plan.segments = end, plan.segments + 1
             loads = self._move(plan)
-            drained, completed = self._drain(n, below=batch_id)
+            drained, completed = self._drain(n or None, below=batch_id)
             result = MaintainResult(n, loads, plan.flushes + drained, plan.evictions, len(completed))
             span.set(
                 processed=n, loads=loads, flushes=result.flushes, evictions=plan.evictions,

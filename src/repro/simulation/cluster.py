@@ -2,9 +2,10 @@
 
 One :class:`PSCostModel` prices the parameter-server side of a
 synchronous training iteration for each system of Table III. All
-inputs are *per-iteration aggregate op counts* produced by the
-functional backend (hits, misses, flushes, ...); all outputs are
-simulated seconds.
+inputs are *per-iteration, per-shard op counts* produced by the
+functional cluster (hits, misses, flushes, ...); all outputs are
+simulated seconds. A synchronous step waits for its slowest shard, so
+every PS phase is priced at the largest of the shards' times.
 
 The phase structure of an iteration (Figure 2 / Figure 5):
 
@@ -20,7 +21,7 @@ The phase structure of an iteration (Figure 2 / Figure 5):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.config import ClusterConfig, ServerConfig
 from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
@@ -41,18 +42,24 @@ class SystemKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IterationCounts:
-    """Aggregate functional op counts of one synchronous iteration.
+    """One PS shard's functional op counts of one synchronous iteration.
+
+    The simulator fills one per shard from that shard's own
+    :class:`~repro.core.cache.PullResult` and
+    :class:`~repro.core.cache.MaintainResult`; :meth:`summed` adds them
+    up for the network bursts, the spans and the run totals.
 
     ``requests`` counts the pulls on the *critical path*. Without a
-    prefetch pipeline that is every worker's every lookup; with one it
-    is only the demand misses of the lookahead buffer. The
-    ``prefetch_*`` fields count the lookahead pulls issued inside the
-    overlap window (zero when prefetch is off); pushes always carry the
-    full duplicate burst and are counted by the caller via ``requests``
-    of the unprefetched schedule, passed as ``push_requests``.
+    prefetch pipeline that is every lookup of every worker routed to
+    the shard; with one it is only the demand misses of the lookahead
+    buffer. The ``prefetch_*`` fields count the lookahead pulls issued
+    inside the overlap window (zero when prefetch is off); pushes always
+    carry the full duplicate burst and are counted by the caller via
+    ``requests`` of the unprefetched schedule, passed as
+    ``push_requests``.
     """
 
-    requests: int  # critical-path pull requests across all workers
+    requests: int  # critical-path pull requests sent to the shard
     hits: int
     misses: int
     created: int
@@ -65,6 +72,21 @@ class IterationCounts:
     prefetch_misses: int = 0
     prefetch_created: int = 0
     push_requests: int | None = None  # defaults to ``requests``
+
+    @property
+    def pushes(self) -> int:
+        """The push burst's requests (``push_requests`` or ``requests``)."""
+        return self.requests if self.push_requests is None else self.push_requests
+
+    @staticmethod
+    def summed(shards) -> "IterationCounts":
+        """Every field added up over ``shards``."""
+        total = {
+            spec.name: sum(getattr(counts, spec.name) or 0 for counts in shards)
+            for spec in fields(IterationCounts)
+        }
+        total["push_requests"] = sum(counts.pushes for counts in shards)
+        return IterationCounts(**total)
 
 
 @dataclass(frozen=True)
@@ -125,10 +147,14 @@ class IterationTiming:
 class PSCostModel:
     """Prices PS phases for one deployment shape.
 
+    The model holds no node count: it prices the shards it is handed,
+    one :class:`IterationCounts` each, and a step takes its slowest
+    shard's time in every PS phase (:meth:`price_iteration`).
+
     Args:
         system: which Table III system's cost structure to use.
         cluster: worker count / batch / threads / network.
-        server: embedding dim and PS node count.
+        server: the entry size (embedding dim).
         calibration: cost constants.
         pipelined: charge maintenance overlapped with GPU compute
             (OpenEmbedding's pipeline) or on the critical path.
@@ -149,7 +175,6 @@ class PSCostModel:
     ):
         self.system = system
         self.cluster = cluster
-        self.server = server
         self.cal = calibration
         self.pipelined = pipelined
         self.use_cache = use_cache
@@ -163,37 +188,36 @@ class PSCostModel:
     # main entry point
     # ------------------------------------------------------------------
 
-    def price_iteration(self, counts: IterationCounts) -> IterationTiming:
-        """Simulated time of one iteration given its op counts."""
+    def price_iteration(self, *shards: IterationCounts) -> IterationTiming:
+        """Simulated time of one iteration given each shard's op counts.
+
+        A synchronous step waits for its slowest shard: each PS phase
+        (pull service, deferred and inline maintenance, push service,
+        prefetch service) is the largest over ``shards``. The network
+        bursts carry every shard's requests, so they are priced on the
+        sums.
+        """
         workers = self.cluster.num_workers
-        nodes = self.server.num_nodes
-        push_requests = (
-            counts.requests
-            if counts.push_requests is None
-            else counts.push_requests
-        )
-        per_worker_pull = max(1, counts.requests // max(1, workers))
-        per_worker_push = max(1, push_requests // max(1, workers))
+        total = IterationCounts.summed(shards)
+        per_worker_pull = max(1, total.requests // max(1, workers))
+        per_worker_push = max(1, total.pushes // max(1, workers))
         net_pull = self.network.burst_transfer_time(
             workers, per_worker_pull * (self.entry_bytes + 8)
         )
         net_push = self.network.burst_transfer_time(
             workers, per_worker_push * (self.entry_bytes + 8)
         )
-
-        r_pull = -(-counts.requests // nodes)  # per-node requests (ceil)
-        r_push = -(-push_requests // nodes)
         pull_service, maintain_deferred, maintain_inline, push_service = (
-            self._service_times(r_pull, r_push, counts)
+            max(phase) for phase in zip(*map(self._service_times, shards))
         )
         prefetch_work = 0.0
-        if counts.prefetch_requests > 0:
+        if total.prefetch_requests > 0:
             # Lookahead pulls: same network + cache-pull cost structure
             # as the demand burst, but issued inside the overlap window.
-            per_worker_pf = max(1, counts.prefetch_requests // max(1, workers))
+            per_worker_pf = max(1, total.prefetch_requests // max(1, workers))
             prefetch_work = self.network.burst_transfer_time(
                 workers, per_worker_pf * (self.entry_bytes + 8)
-            ) + self._prefetch_service(counts)
+            ) + max(map(self._prefetch_service, shards))
         gpu = self.cluster.gpu_batch_time_s
         if self.pipelined:
             middle = max(gpu, maintain_deferred + prefetch_work)
@@ -217,11 +241,7 @@ class PSCostModel:
         )
 
     def price_migration(
-        self,
-        *,
-        keys_moved: int,
-        versions_moved: int | None = None,
-        flushed_entries: int = 0,
+        self, *, keys_moved: int, versions_moved: int, flushed_entries: int
     ) -> MigrationTiming:
         """Simulated pause of one live reshard (quiesce -> resume).
 
@@ -231,16 +251,16 @@ class PSCostModel:
         network burst carrying the packed entries, the target's PMem
         writes, and per-key DRAM index inserts on the new owner. The
         atomic ring commit itself is one 8-byte word — free at this
-        resolution.
+        resolution. The simulator passes what the real migration did:
+        its :class:`~repro.core.migration.MigrationReport` and the rows
+        its barrier flushed on the shards.
 
         Args:
             keys_moved: distinct keys changing owner.
-            versions_moved: stored versions transferred (defaults to
-                one per key — the steady state after a barrier).
-            flushed_entries: cache entries the barrier had to flush.
+            versions_moved: stored versions transferred.
+            flushed_entries: cache rows the barrier (and the exports)
+                flushed to PMem.
         """
-        if versions_moved is None:
-            versions_moved = keys_moved
         threads = self.cluster.ps_threads_per_node
         eb = self.entry_bytes
         barrier = self.pmem.burst_write(flushed_entries, eb, threads)
@@ -315,28 +335,23 @@ class PSCostModel:
     # per-system phase pricing
     # ------------------------------------------------------------------
 
-    def _service_times(
-        self, r: int, r_push: int, counts: IterationCounts
-    ) -> tuple[float, float, float, float]:
+    def _service_times(self, counts: IterationCounts) -> tuple[float, float, float, float]:
         """Returns (pull_service, maintain_deferred, maintain_inline,
-        push_service) for one PS node's share of the burst.
+        push_service) for one PS shard's share of the burst.
 
-        ``r`` is the per-node critical-path pull count, ``r_push`` the
-        per-node push count — identical without prefetch, but with a
-        lookahead buffer the pull side shrinks while pushes still carry
-        every duplicate gradient.
+        ``r`` is the shard's critical-path pull count, ``r_push`` its
+        push count — identical without prefetch, but with a lookahead
+        buffer the pull side shrinks while pushes still carry every
+        duplicate gradient.
         """
-        nodes = self.server.num_nodes
         threads = self.cluster.ps_threads_per_node
         workers = self.cluster.num_workers
         eb = self.entry_bytes
         cal = self.cal
-        hits = -(-counts.hits // nodes)
-        misses = -(-counts.misses // nodes)
-        created = -(-counts.created // nodes)
-        loads = -(-counts.maintain_loads // nodes)
-        flushes = -(-counts.maintain_flushes // nodes)
-        processed = -(-counts.maintain_processed // nodes)
+        r, r_push = counts.requests, counts.pushes
+        hits, misses, created = counts.hits, counts.misses, counts.created
+        loads, flushes = counts.maintain_loads, counts.maintain_flushes
+        processed = counts.maintain_processed
 
         hash_probe = parallel_section_time(r, cal.hash_lookup_s, threads)
         create = serialized_section_time(
@@ -479,15 +494,12 @@ class PSCostModel:
         running on the maintenance side of the pipeline, so it never
         touches the critical path.
         """
-        nodes = self.server.num_nodes
         threads = self.cluster.ps_threads_per_node
         workers = self.cluster.num_workers
         eb = self.entry_bytes
         cal = self.cal
-        r = -(-counts.prefetch_requests // nodes)
-        hits = -(-counts.prefetch_hits // nodes)
-        misses = -(-counts.prefetch_misses // nodes)
-        created = -(-counts.prefetch_created // nodes)
+        r, hits = counts.prefetch_requests, counts.prefetch_hits
+        misses, created = counts.prefetch_misses, counts.prefetch_created
         hash_probe = parallel_section_time(r, cal.hash_lookup_s, threads)
         create = serialized_section_time(
             created,

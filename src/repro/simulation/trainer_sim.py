@@ -2,12 +2,15 @@
 
 A :class:`TrainingSimulator` couples
 
-* a **functional backend** — the real cache/PS data structures, over
-  rows that are all zero (a zero-scale initializer, zero gradients:
-  no count depends on the bytes), producing exact
-  hit/miss/flush/eviction streams for the configured workload, and
+* a **functional backend** — for the cache-based systems the real
+  cluster, an :class:`~repro.core.server.OpenEmbeddingServer` of
+  ``num_nodes`` shards splitting the configured DRAM cache between
+  them, over rows that are all zero (a zero-scale initializer, zero
+  gradients: no count depends on the bytes) — producing each shard's
+  exact hit/miss/flush/eviction stream for the configured workload, and
 * the **cost model** (:class:`repro.simulation.cluster.PSCostModel`) —
-  which prices each phase of every iteration in simulated seconds,
+  which prices each phase of every iteration in simulated seconds, at
+  its slowest shard,
 
 plus checkpoint scheduling on the simulated clock. Epoch times,
 overhead percentages and miss rates for Figures 3 and 6-13 all come out
@@ -21,7 +24,7 @@ every 20 minutes of a 5-hour epoch" keeps its meaning at any scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +37,7 @@ from repro.config import (
     ServerConfig,
 )
 from repro.core.backend import aggregate_maintain
-from repro.core.ps_node import PSNode
-from repro.core.sharding import HashPartitioner
+from repro.core.server import OpenEmbeddingServer
 from repro.baselines.dram_ps import DRAMPSNode
 from repro.baselines.pmem_hash import PMemHashNode
 from repro.errors import ConfigError
@@ -45,11 +47,14 @@ from repro.simulation.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.simulation.clock import PeriodicTimer, SimClock
 from repro.simulation.cluster import IterationCounts, PSCostModel, SystemKind
 from repro.simulation.device import PMEM_SPEC
-from repro.simulation.metrics import PrefetchStats
+from repro.simulation.metrics import Metrics, PrefetchStats
 from repro.workload.generator import WorkloadGenerator
 
 MTTF_SEED = 0
 """Seed of the Poisson kill schedule an ``mttf_s`` run samples."""
+
+_CLUSTER_SYSTEMS = (SystemKind.PMEM_OE, SystemKind.ORI_CACHE)
+"""The cache-based systems, simulated on a real sharded cluster."""
 
 
 @dataclass
@@ -73,6 +78,9 @@ class TrainingRunResult:
     migration_pause_seconds: float = 0.0
     migration_keys_moved: int = 0
     migration_keys_total: int = 0
+    migration_versions_moved: int = 0
+    #: cache rows the reshard's barrier and exports flushed to PMem
+    migration_flushed_entries: int = 0
     migrations_completed: int = 0
     miss_rate: float = 0.0
     total_requests: int = 0
@@ -99,11 +107,20 @@ class TrainingRunResult:
 class TrainingSimulator:
     """Simulates synchronous data-parallel DLRM training on one system.
 
+    The cache-based systems (PMem-OE, Ori-Cache) run on a real
+    ``server.num_nodes``-shard cluster (:attr:`backend`): each shard is
+    sent its slice of every global batch and holds ``1 / num_nodes`` of
+    the DRAM cache, and a step is priced on its slowest shard. The
+    baselines (DRAM-PS, TF-PS, PMem-Hash) run on one node; a baseline
+    with ``num_nodes > 1`` or a reshard, and prefetch on more than one
+    node, are refused (nothing splits their work per shard).
+
     Args:
         system: which Table III system to simulate.
         cluster: workers / batch size / GPU time / threads / network.
         server: embedding dim, PS node count.
-        cache: DRAM cache config (hybrids only).
+        cache: DRAM cache config (hybrids only): the whole cluster's
+            budget, split evenly over its shards.
         checkpoint: checkpoint mode and interval in *simulated seconds*
             (use :meth:`interval_for_epoch_fraction` to scale).
         workload: key-access generator.
@@ -117,13 +134,19 @@ class TrainingSimulator:
             op streams are the functional pipeline's by construction.
         use_cache: Figure 9 ablation switch (hybrids only).
         reshard_at: perform one live reshard after this many completed
-            iterations (elasticity ablation). The pause is priced by
+            iterations (elasticity ablation): the cluster's own
+            ``scale_out`` / ``scale_in``, once per node of difference.
+            The pause is priced by
             :meth:`repro.simulation.cluster.PSCostModel.price_migration`
-            over the keys whose owner changes between the current and
-            target node count; subsequent iterations are priced on the
-            new node count.
+            over the keys and versions the migrations moved and the rows
+            their barrier flushed; later iterations run on the new
+            shards.
         reshard_to: target PS node count of the reshard (default:
             ``server.num_nodes + 1``, i.e. scale-out by one).
+        mttf_s: mean time to failure of one PS node; a Poisson kill
+            schedule prices each kill on the victim shard's resident
+            entries (hot failover with ``replicas=2``, checkpoint
+            recovery otherwise).
         tracer: span sink on the *simulated* clock. When enabled, every
             iteration emits phase spans on per-layer tracks (worker /
             gpu / maintainer / checkpoint), so the exported Chrome
@@ -173,6 +196,8 @@ class TrainingSimulator:
             tracer.clock = self.clock
         self.registry = registry
         pipelined = self.cache_config.pipelined and system == SystemKind.PMEM_OE
+        # The one cost model of the run: it holds no node count, so a
+        # reshard leaves it as it is.
         self.cost_model = PSCostModel(
             system,
             self.cluster,
@@ -190,9 +215,19 @@ class TrainingSimulator:
                     "pipelined cache enabled (the overlap slot the "
                     "lookahead pulls hide in)"
                 )
+        if (self.server.num_nodes > 1 or reshard_at is not None) and (
+            self.prefetch.enabled or system not in _CLUSTER_SYSTEMS
+        ):
+            raise ConfigError(
+                f"{system.value}{' with prefetch' * self.prefetch.enabled} is "
+                "simulated on one PS node without a reshard: nothing splits "
+                "its work per shard"
+            )
         self.backend = self._build_backend()
         self._dirty_since_ckpt: set[int] = set()
-        self._key_stream: list[np.ndarray] = []
+        #: sampled global batches not trained yet, by batch id
+        self._key_stream: dict[int, np.ndarray] = {}
+        self._sampled = 0
         #: the lookahead discipline itself, over the functional backend
         self.pipeline = None
         if self.prefetch.enabled:
@@ -207,7 +242,6 @@ class TrainingSimulator:
             )
         self.reshard_at = reshard_at
         self.reshard_to = reshard_to
-        self._resharded = False
         if reshard_at is not None:
             if reshard_at < 1:
                 raise ConfigError(
@@ -253,8 +287,9 @@ class TrainingSimulator:
         if self.pipeline is not None:
             self.pipeline.horizon = iterations - 1
         for batch_id in range(iterations):
-            counts = self._run_functional_iteration(batch_id)
-            timing = self.cost_model.price_iteration(counts)
+            shards = self._run_functional_iteration(batch_id)
+            timing = self.cost_model.price_iteration(*shards)
+            counts = IterationCounts.summed(shards)
             if self.tracer.enabled:
                 self._emit_iteration_spans(batch_id, counts, timing)
             if self.registry is not None:
@@ -295,11 +330,7 @@ class TrainingSimulator:
                         {"phase": "checkpoint_pause"},
                     ).add(pause)
 
-            if (
-                self.reshard_at is not None
-                and not self._resharded
-                and batch_id + 1 >= self.reshard_at
-            ):
+            if batch_id + 1 == self.reshard_at:
                 self._execute_reshard(batch_id, result)
 
             if self.mttf_s is not None:
@@ -313,13 +344,12 @@ class TrainingSimulator:
             fired if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL
             else self.backend.checkpoints_completed
         )
-        result.miss_rate = self._miss_rate()
+        metrics = Metrics()
+        for shard in self._shards:
+            metrics.merge(shard.metrics)
+        result.miss_rate = metrics.cache.miss_rate
         if self.registry is not None:
-            collect_bundle(
-                self.registry,
-                self.backend.metrics,
-                {"system": self.system.value},
-            )
+            collect_bundle(self.registry, metrics, {"system": self.system.value})
         return result
 
     def _emit_iteration_spans(self, batch_id, counts, timing) -> None:
@@ -395,11 +425,7 @@ class TrainingSimulator:
                 duration=push,
                 track="worker",
                 batch=batch_id,
-                requests=(
-                    counts.requests
-                    if counts.push_requests is None
-                    else counts.push_requests
-                ),
+                requests=counts.pushes,
             )
 
     def _observe_iteration(self, timing) -> None:
@@ -448,64 +474,87 @@ class TrainingSimulator:
     # functional iteration
     # ------------------------------------------------------------------
 
+    @property
+    def _shards(self) -> list:
+        """The backend's shards: the cluster's nodes, or a baseline's one
+        node."""
+        return getattr(self.backend, "nodes", [self.backend])
+
     def _batch_keys(self, batch_id: int) -> np.ndarray:
         """Flat key array (duplicates kept) of global batch ``batch_id``.
 
         Batches are sampled lazily in order, so the generated stream is
-        identical whether or not future batches are peeked early.
+        identical whether or not future batches are peeked early; a
+        batch is dropped from the stream once it is trained.
         """
-        while len(self._key_stream) <= batch_id:
+        while self._sampled <= batch_id:
             batches = self.workload.sample_worker_batches(
                 self.cluster.num_workers, self.cluster.batch_size
             )
-            self._key_stream.append(np.concatenate(batches))
+            self._key_stream[self._sampled] = np.concatenate(batches)
+            self._sampled += 1
         return self._key_stream[batch_id]
 
-    def _keys_seen(self, batch_id: int) -> np.ndarray:
-        """The distinct keys of batches ``0 .. batch_id``."""
-        return np.unique(np.concatenate(self._key_stream[: batch_id + 1]))
-
-    def _run_functional_iteration(self, batch_id: int) -> IterationCounts:
+    def _run_functional_iteration(self, batch_id: int) -> list[IterationCounts]:
+        """Train global batch ``batch_id`` on the backend; returns each
+        shard's counts."""
         keys = self._batch_keys(batch_id)
+        del self._key_stream[batch_id]
+        if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL:
+            self._dirty_since_ckpt.update(keys.tolist())
         pipeline = self.pipeline
-        lookahead = {}
         # One zero gradient per distinct key, keys ascending: the entries
         # (and the order) a push of every key would update.
         pushed = np.unique(keys)
         grads = np.zeros((len(pushed), self.server.embedding_dim), dtype=np.float32)
         if pipeline is None:
-            pull = self.backend.pull(keys, batch_id)
-            requests = len(keys)
-            hits, misses, created = pull.hits, pull.misses, pull.created
-            maintain = aggregate_maintain(self.backend.maintain(batch_id))
+            # Each shard is sent its slice of the batch: request order,
+            # duplicates kept.
+            shards = self._shards
+            if len(shards) == 1:
+                slices = [keys]
+            else:
+                owners = self.backend.partitioner.owners(keys)
+                slices = [keys[owners == index] for index in range(len(shards))]
+            pulls = [shard.pull(part, batch_id) for shard, part in zip(shards, slices)]
+            # A baseline has no cache to maintain (no rounds).
+            rounds = self.backend.maintain(batch_id) or [aggregate_maintain([])]
             self.backend.push(pushed, grads, batch_id)
-        else:
-            # One pipeline step, counted into a bundle of its own so the
-            # iteration's share can be priced; the run's totals stay on
-            # ``pipeline.stats``.
-            total, pipeline.stats = pipeline.stats, PrefetchStats()
-            pipeline.begin_batch(batch_id, keys)
-            maintain = aggregate_maintain(pipeline.run_overlap(batch_id))
-            pipeline.push(pushed, grads, batch_id)
-            pipeline.end_batch(batch_id)
-            step, pipeline.stats = pipeline.stats, total
-            total.merge(step)
-            requests = step.demand_keys
-            hits, misses = step.demand_hits, step.demand_misses
-            created = step.demand_created
-            lookahead = dict(
+            return [
+                self._shard_counts(len(part), pull.hits, pull.misses, pull.created, maintain)
+                for part, pull, maintain in zip(slices, pulls, rounds)
+            ]
+        # One pipeline step, counted into a bundle of its own so the
+        # iteration's share can be priced; the run's totals stay on
+        # ``pipeline.stats``.
+        total, pipeline.stats = pipeline.stats, PrefetchStats()
+        pipeline.begin_batch(batch_id, keys)
+        maintain = aggregate_maintain(pipeline.run_overlap(batch_id))
+        pipeline.push(pushed, grads, batch_id)
+        pipeline.end_batch(batch_id)
+        step, pipeline.stats = pipeline.stats, total
+        total.merge(step)
+        return [
+            self._shard_counts(
+                step.demand_keys,
+                step.demand_hits,
+                step.demand_misses,
+                step.demand_created,
+                maintain,
                 prefetch_requests=step.prefetch_keys + step.patched_keys,
                 prefetch_hits=step.lookahead_hits,
                 prefetch_misses=step.lookahead_misses,
                 prefetch_created=step.lookahead_created,
                 push_requests=len(keys),
             )
-        if self.checkpoint_config.mode == CheckpointMode.INCREMENTAL:
-            self._dirty_since_ckpt.update(keys.tolist())
-        if not self.use_cache and self.system in (
-            SystemKind.PMEM_OE,
-            SystemKind.ORI_CACHE,
-        ):
+        ]
+
+    def _shard_counts(
+        self, requests, hits, misses, created, maintain, **lookahead
+    ) -> IterationCounts:
+        """One shard's :class:`IterationCounts` from what its pulls
+        answered and its maintenance round."""
+        if not self.use_cache and self.system in _CLUSTER_SYSTEMS:
             # Cache-disabled ablation: hit/miss accounting is moot; the
             # cost model treats every request as a PMem access.
             hits, misses = 0, requests - created
@@ -527,24 +576,34 @@ class TrainingSimulator:
     # ------------------------------------------------------------------
 
     def _execute_reshard(self, batch_id: int, result: TrainingRunResult) -> None:
-        """Price one live reshard and re-shard the cost model.
+        """Reshard the functional cluster to ``reshard_to`` nodes and
+        price the pause.
 
-        Follows the quiesce-at-barrier protocol of
-        :class:`repro.core.migration.ShardMigrator`: training pauses,
-        the dirty cache is flushed (the barrier checkpoint), every key
-        whose owner changes between the old and new node count is read
-        from source PMem, shipped, written on the target and indexed,
-        then training resumes on the new node count. Growing by one node
-        to ``m`` moves ~``1/m`` of the resident keys.
+        The cluster's own :class:`repro.core.migration.ShardMigrator`
+        runs, one ``scale_out`` / ``scale_in`` per node of difference:
+        training quiesces at a barrier checkpoint, every key whose owner
+        changes is read from source PMem, shipped, written on the target
+        and indexed, and training resumes on the new shards. Growing by
+        one node to ``m`` moves ~``1/m`` of the resident keys. The pause
+        is priced from the migrations' reports and the rows their
+        barrier and exports flushed on the shards.
         """
-        old = HashPartitioner(self.server.num_nodes)
-        new = old.with_nodes(self.reshard_to)
-        seen = self._keys_seen(batch_id)
-        keys_total = len(seen)
-        keys_moved = len(old.moved_keys(new, seen))
+        backend = self.backend
+        members = list(backend.nodes)
+        flushed = -sum(node.metrics.pmem_flush_entries for node in members)
+        steps = self.reshard_to - len(members)
+        move = backend.scale_out if steps > 0 else backend.scale_in
+        reports = [move() for __ in range(abs(steps))]
+        members += backend.nodes[len(members):]  # the scale-out targets
+        flushed += sum(node.metrics.pmem_flush_entries for node in members)
+        keys_moved = sum(report.keys_moved for report in reports)
+        keys_total = reports[0].keys_total
+        result.migration_versions_moved = sum(report.versions_moved for report in reports)
+        result.migration_flushed_entries = flushed
         timing = self.cost_model.price_migration(
             keys_moved=keys_moved,
-            flushed_entries=self.backend.num_entries,
+            versions_moved=result.migration_versions_moved,
+            flushed_entries=result.migration_flushed_entries,
         )
         start = self.clock.now
         self.clock.advance(timing.total)
@@ -552,18 +611,6 @@ class TrainingSimulator:
         result.migration_keys_moved += keys_moved
         result.migration_keys_total = keys_total
         result.migrations_completed += 1
-        self._resharded = True
-        # Iterations after the reshard are priced on the new shard count.
-        self.server = replace(self.server, num_nodes=self.reshard_to)
-        self.cost_model = PSCostModel(
-            self.system,
-            self.cluster,
-            self.server,
-            self.cal,
-            pipelined=self.cost_model.pipelined,
-            use_cache=self.use_cache,
-            maintainer_threads=self.cache_config.maintainer_threads,
-        )
         if self.tracer.enabled:
             self.tracer.add_span(
                 "migration.pause",
@@ -609,44 +656,39 @@ class TrainingSimulator:
                 NodeKillSchedule.poisson(
                     self.mttf_s,
                     horizon,
-                    self.server.num_nodes,
+                    len(self._shards),
                     seed=MTTF_SEED,
                 )
             )
         for __, victim in self._kill_injector.due(self.clock.now):
-            self._execute_failure(victim, batch_id, result)
+            self._execute_failure(victim, result)
 
-    def _execute_failure(
-        self, victim: int, batch_id: int, result: TrainingRunResult
-    ) -> None:
+    def _execute_failure(self, victim: int, result: TrainingRunResult) -> None:
         """Price one node death: hot failover or checkpoint recovery.
 
         ``replicas=2`` pays the bounded unavailability window (lease
         wait-out + role switch) and queues background re-replication;
         ``replicas=1`` pays the full checkpoint-recovery rebuild — the
-        paper's ~380 s at 2.1 B entries, scaled to this run's residency.
+        paper's ~380 s at 2.1 B entries, scaled to the entries the
+        victim shard holds. A victim a scale-in removed is no longer a
+        process: its kill finds nothing to stop.
         """
+        if victim >= len(self._shards):
+            return
         result.failures_injected += 1
-        entries = max(1, len(self._keys_seen(batch_id)) // max(1, self.server.num_nodes))
         at = self.clock.now
+        timing = self.cost_model.price_failover(
+            resident_entries=self._shards[victim].num_entries,
+            lease_s=self.server.lease_s,
+        )
         if self.server.replicas == 2:
-            timing = self.cost_model.price_failover(
-                resident_entries=entries, lease_s=self.server.lease_s
-            )
             pause = timing.unavailability
             result.failovers_completed += 1
             result.failover_pause_seconds += pause
             result.rereplication_seconds += timing.rereplication
             kind = "failover"
         else:
-            from repro.core.recovery import estimate_recovery_seconds
-
-            pause = estimate_recovery_seconds(
-                entries=entries,
-                versions=entries,
-                entry_bytes=self.server.entry_bytes,
-                calibration=self.cal,
-            )
+            pause = timing.recovery_alternative
             result.recovery_pause_seconds += pause
             kind = "recovery"
         self.clock.advance(pause)
@@ -678,11 +720,7 @@ class TrainingSimulator:
             # request is queued and completion happens inside later
             # maintain() rounds, whose flush traffic is priced in the
             # (overlapped) deferred slot -> no training pause at all.
-            if isinstance(self.backend, PSNode):
-                if batch_id > self.backend.coordinator.last_completed and (
-                    self.backend.coordinator.max_pending() or -1
-                ) < batch_id:
-                    self.backend.coordinator.request(batch_id)
+            self.backend.request_checkpoint(batch_id)
         elif mode == CheckpointMode.INCREMENTAL:
             # Synchronous incremental dump of the dirty set; when the
             # checkpoint device is the PMem the training system lives
@@ -721,8 +759,14 @@ class TrainingSimulator:
 
     def _build_backend(self):
         server = replace(self.server, initializer_scale=0.0)
-        if self.system in (SystemKind.PMEM_OE, SystemKind.ORI_CACHE):
-            return PSNode(0, server, self.cache_config)
+        if self.system in _CLUSTER_SYSTEMS:
+            # ``cache`` is the cluster's DRAM budget: each shard (and a
+            # scale-out node, which the cluster builds alike) holds its
+            # share.
+            capacity = max(1, self.cache_config.capacity_bytes // server.num_nodes)
+            return OpenEmbeddingServer(
+                server, replace(self.cache_config, capacity_bytes=capacity)
+            )
         if self.system in (SystemKind.DRAM_PS, SystemKind.TF_PS):
             return DRAMPSNode(server)
         if self.system == SystemKind.PMEM_HASH:
@@ -737,10 +781,3 @@ class TrainingSimulator:
                     f"{mode.value} checkpointing requires the PMem-OE system "
                     f"(co-designed with its pipelined cache), got {self.system}"
                 )
-
-    def _miss_rate(self) -> float:
-        metrics = self.backend.metrics
-        accesses = metrics.cache.hits + metrics.cache.misses
-        if accesses == 0:
-            return 0.0
-        return metrics.cache.misses / accesses

@@ -135,18 +135,27 @@ def test_the_wire_stays_within_its_budget():
     assert code_lines.main(["--max", "657", *(str(root / name) for name in WIRE_FILES)]) == 0
 
 
-LOOKAHEAD_FILES = ["src/repro/dlrm/prefetch.py", "src/repro/simulation/trainer_sim.py"]
+LOOKAHEAD_FILES = [
+    "src/repro/dlrm/prefetch.py",
+    "src/repro/simulation/trainer_sim.py",
+    "src/repro/simulation/cluster.py",
+]
 
 
 def test_the_lookahead_discipline_stays_within_its_budget():
-    """CI's gated budget for the prefetch pipeline and the simulator that
-    drives it: at most 697 code lines (755 once the simulator stopped
+    """CI's gated budget for the prefetch pipeline, the simulator that
+    drives it and the cost model that prices both: at most 1 007 code
+    lines. The first two were 697 (755 once the simulator stopped
     carrying its own copy of the discipline, 746 while the pipeline had
     an unpatched mode and a buffer cap, 741 while the pipeline charged
     the overlap on its own clock and the simulator kept a request log
-    beside its tracer)."""
+    beside its tracer) and the cost model 331 while the simulator kept
+    its own estimates of the cluster (one node for any node count, an
+    even split of the counts, moved keys and failed-node entries
+    recounted over every batch); they went when it ran the real
+    cluster."""
     root = SCRIPT.parents[1]
-    assert code_lines.main(["--max", "697", *(str(root / name) for name in LOOKAHEAD_FILES)]) == 0
+    assert code_lines.main(["--max", "1007", *(str(root / name) for name in LOOKAHEAD_FILES)]) == 0
 
 
 SERVING_CACHE_FILES = ["src/repro/dlrm/hps.py", "src/repro/core/admission.py"]

@@ -1,5 +1,7 @@
 """PSCostModel: per-system phase pricing properties."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ClusterConfig, NetworkConfig, ServerConfig
@@ -20,11 +22,27 @@ def counts(requests=1000, misses=100, flushes=100, created=0):
     )
 
 
-def model(system, workers=8, nodes=1, **kwargs):
+def split_counts(total, shards):
+    """``total`` dealt over ``shards`` shards as evenly as it goes: every
+    field of the parts adds up to the field of ``total``."""
+    parts = [{} for __ in range(shards)]
+    for spec in dataclasses.fields(IterationCounts):
+        value = getattr(total, spec.name)
+        for index, part in enumerate(parts):
+            part[spec.name] = (
+                None if value is None
+                else value // shards + (index < value % shards)
+            )
+    parts = [IterationCounts(**part) for part in parts]
+    assert IterationCounts.summed(parts) == IterationCounts.summed([total])
+    return parts
+
+
+def model(system, workers=8, **kwargs):
     return PSCostModel(
         system,
         ClusterConfig(num_workers=workers, network=NetworkConfig(bandwidth_bytes_per_s=60e6)),
-        ServerConfig(num_nodes=nodes, embedding_dim=64),
+        ServerConfig(embedding_dim=64),
         Calibration(),
         **kwargs,
     )
@@ -70,10 +88,13 @@ class TestScaling:
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_more_nodes_reduce_service_time(self):
+        """The same counts split over four shards: each shard serves a
+        quarter, and the step waits for the slowest one."""
         c = counts(requests=10_000, misses=1000, flushes=1000)
-        one = model(SystemKind.PMEM_OE, nodes=1).price_iteration(c)
-        four = model(SystemKind.PMEM_OE, nodes=4).price_iteration(c)
+        one = model(SystemKind.PMEM_OE).price_iteration(c)
+        four = model(SystemKind.PMEM_OE).price_iteration(*split_counts(c, 4))
         assert four.pull_service < one.pull_service
+        assert four.net_pull == one.net_pull  # the burst carries every request
 
 
 class TestPipeline:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.config import ClusterConfig, NetworkConfig, ServerConfig
 from repro.simulation.calibration import Calibration
 from repro.simulation.cluster import IterationCounts, PSCostModel, SystemKind
+from tests.test_cost_model import split_counts
 
 
 def counts_strategy():
@@ -36,14 +37,14 @@ def make_counts(requests, misses, flushes):
     )
 
 
-def model(system, workers=8, nodes=1, **kwargs):
+def model(system, workers=8, **kwargs):
     return PSCostModel(
         system,
         ClusterConfig(
             num_workers=workers,
             network=NetworkConfig(bandwidth_bytes_per_s=60e6),
         ),
-        ServerConfig(num_nodes=nodes, embedding_dim=64),
+        ServerConfig(embedding_dim=64),
         Calibration(),
         **kwargs,
     )
@@ -101,9 +102,12 @@ class TestUniversalRelations:
     @given(raw=counts_strategy(), nodes=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_more_shards_never_slower(self, raw, nodes):
+        """The same counts split over ``nodes`` shards never price above
+        one shard holding them all."""
         counts = make_counts(*raw)
-        one = model(SystemKind.PMEM_OE, nodes=1).price_iteration(counts).total
-        many = model(SystemKind.PMEM_OE, nodes=nodes).price_iteration(counts).total
+        m = model(SystemKind.PMEM_OE)
+        one = m.price_iteration(counts).total
+        many = m.price_iteration(*split_counts(counts, nodes)).total
         assert many <= one + 1e-9
 
     @given(

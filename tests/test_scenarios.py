@@ -319,6 +319,21 @@ class TestFoundByTheEngine:
         node.push([1, 2], grads, 3)  # lands after round 5, carries batch 3
         node.cache.validate()
 
+    def test_an_idle_round_completes_a_requested_checkpoint(self):
+        """checkpoint request x no traffic: a round drained at most as
+        many owing rows as it processed, so a round with no accesses
+        completed nothing; after a request at batch 0, rounds 1-3 with
+        no pulls left the serving pin at -1 (on a cluster, one idle
+        shard held back every shard's pin)."""
+        node = PSNode(0, server_config(1), CacheConfig(capacity_bytes=1 << 16), PSSGD(lr=0.1))
+        keys = np.arange(20, dtype=np.uint64)
+        node.pull(keys, 0)
+        node.maintain(0)
+        node.push(keys, np.full((20, DIM), 0.1, np.float32), 0)
+        node.request_checkpoint(0)
+        completed = [node.maintain(batch).checkpoints_completed for batch in (1, 2, 3)]
+        assert completed == [1, 0, 0] and node.latest_serving_snapshot == 0
+
     @pytest.mark.parametrize("transport", ["local", "rpc"])
     @pytest.mark.parametrize("batch, direction", [(2, "scale_out"), (4, "scale_out"), (2, "scale_in")])
     def test_a_reshard_between_pulls_and_pushes_moves_the_keys_they_created(

@@ -1,5 +1,6 @@
 """TrainingSimulator: end-to-end simulated epochs (small scale)."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -11,9 +12,10 @@ from repro.config import (
     ServerConfig,
     WorkloadConfig,
 )
+from repro.core.sharding import HashPartitioner
 from repro.errors import ConfigError
 from repro.obs import NULL_TRACER, Tracer
-from repro.simulation.cluster import SystemKind
+from repro.simulation.cluster import IterationCounts, SystemKind
 from repro.simulation.trainer_sim import TrainingSimulator
 from repro.workload.generator import WorkloadGenerator
 
@@ -21,8 +23,8 @@ NUM_KEYS = 20_000
 DIM = 16
 
 
-def make_sim(system, workers=4, ckpt=None, cache_entries=200, **kwargs):
-    server = ServerConfig(embedding_dim=DIM, pmem_capacity_bytes=1 << 26)
+def make_sim(system, workers=4, ckpt=None, cache_entries=200, nodes=1, **kwargs):
+    server = ServerConfig(num_nodes=nodes, embedding_dim=DIM, pmem_capacity_bytes=1 << 26)
     cache = CacheConfig(capacity_bytes=cache_entries * DIM * 4)
     cluster = ClusterConfig(
         num_workers=workers,
@@ -144,9 +146,10 @@ class TestCheckpointing:
         base = simulate(CheckpointConfig.none()).run(40)
         sim = simulate(CheckpointConfig(CheckpointMode.BATCH_AWARE, base.sim_seconds / 10))
         result = sim.run(40)
-        fired = sim.backend.coordinator.queue.total_requested
+        coordinator = sim.backend.nodes[0].coordinator
+        fired = coordinator.queue.total_requested
         assert fired >= 8
-        assert result.checkpoints_completed == sim.backend.coordinator.completed_count
+        assert result.checkpoints_completed == coordinator.completed_count
         assert fired - 2 <= result.checkpoints_completed <= fired
 
     def test_incremental_costs_more_than_batch_aware(self):
@@ -321,3 +324,110 @@ class TestPrefetch:
         deep = self._run(6)
         assert deep.prefetch_requests >= shallow.prefetch_requests
         assert deep.iterations == shallow.iterations == 60
+
+
+class TestRealCluster:
+    """The cache-based systems run on a real ``num_nodes``-shard
+    cluster: its migrations, its shards' residency and its slowest
+    shard are what the simulator prices."""
+
+    @pytest.mark.parametrize("nodes, target", [(2, 3), (3, 2)])
+    def test_a_reshard_runs_the_real_migration(self, nodes, target):
+        twin = make_sim(SystemKind.PMEM_OE, nodes=nodes)
+        twin.run(6)
+        held = twin.backend.owned_keys()
+        sim = make_sim(SystemKind.PMEM_OE, nodes=nodes, reshard_at=6, reshard_to=target)
+        result = sim.run(6)  # the reshard follows the last batch
+        assert len(sim.backend.nodes) == target
+        assert sorted(sim.backend.owned_keys().tolist()) == sorted(held.tolist())
+        ring = HashPartitioner(nodes)
+        moved = ring.moved_keys(ring.with_nodes(target), held)
+        assert result.migration_keys_moved == len(moved) > 0
+        assert result.migration_keys_total == len(held)
+        assert result.migration_versions_moved >= len(moved)
+
+    def test_the_cache_budget_is_split_over_the_shards(self):
+        sim = make_sim(SystemKind.PMEM_OE, nodes=4, cache_entries=200)
+        one = make_sim(SystemKind.PMEM_OE, cache_entries=200)
+        [whole] = [node.cache.capacity_entries for node in one.backend.nodes]
+        assert [node.cache.capacity_entries for node in sim.backend.nodes] == [whole // 4] * 4
+
+    @pytest.mark.parametrize("nodes", [1, 3])
+    def test_a_failure_is_priced_on_the_victim_shard(self, nodes):
+        """At one node the victim holds every key trained so far (what
+        the simulator used to estimate); at three, its own share."""
+        mttf = make_sim(SystemKind.PMEM_OE, nodes=nodes).run(20).sim_seconds / 20
+        tracer = Tracer()
+        sim = make_sim(SystemKind.PMEM_OE, nodes=nodes, mttf_s=mttf, tracer=tracer)
+        priced, real_price = [], sim.cost_model.price_failover
+
+        def spy(*, resident_entries, lease_s):
+            priced.append((resident_entries, [n.num_entries for n in sim.backend.nodes]))
+            return real_price(resident_entries=resident_entries, lease_s=lease_s)
+
+        sim.cost_model.price_failover = spy
+        result = sim.run(20)
+        victims = [span.attrs["node"] for span in tracer.spans_named("failure.recovery")]
+        assert len(victims) == len(priced) == result.failures_injected >= 1
+        for victim, (entries, shards) in zip(victims, priced):
+            assert entries == shards[victim] > 0
+
+    def test_a_kill_aimed_at_a_node_a_scale_in_removed_finds_nothing(self):
+        mttf = make_sim(SystemKind.PMEM_OE, nodes=3).run(20).sim_seconds / 40
+        tracer = Tracer()
+        sim = make_sim(
+            SystemKind.PMEM_OE, nodes=3, mttf_s=mttf, reshard_at=2, reshard_to=1,
+            tracer=tracer,
+        )
+        result = sim.run(20)
+        reshard_at = tracer.spans_named("migration.pause")[0].start
+        late = [s.attrs["node"] for s in tracer.spans_named("failure.recovery") if s.start > reshard_at]
+        assert result.failures_injected >= 1 and set(late) <= {0}
+
+    @pytest.mark.parametrize("lookahead", [None, 2])
+    def test_the_key_stream_holds_no_trained_batch(self, lookahead):
+        from repro.config import PrefetchConfig
+
+        prefetch = PrefetchConfig(lookahead=lookahead) if lookahead else None
+        sim = make_sim(SystemKind.PMEM_OE, prefetch=prefetch)
+        sim.run(12)
+        assert not sim._key_stream
+
+    def test_two_shards_price_as_the_slower_one_phase_by_phase(self):
+        """Shard ``a`` pulls more, shard ``b`` maintains more: each phase
+        is the slower shard's, and the network carries both."""
+        a = IterationCounts(
+            requests=900, hits=700, misses=150, created=50, maintain_processed=100,
+            maintain_loads=10, maintain_flushes=10, maintain_evictions=10,
+        )
+        b = IterationCounts(
+            requests=100, hits=60, misses=30, created=10, maintain_processed=900,
+            maintain_loads=300, maintain_flushes=300, maintain_evictions=300,
+        )
+        for system in (SystemKind.PMEM_OE, SystemKind.ORI_CACHE):
+            model = make_sim(system).cost_model
+            both = model.price_iteration(a, b)
+            alone = [model.price_iteration(a), model.price_iteration(b)]
+            for phase in ("pull_service", "maintain_deferred", "maintain_inline", "push_service"):
+                assert getattr(both, phase) == max(getattr(t, phase) for t in alone)
+            summed = model.price_iteration(IterationCounts.summed([a, b]))
+            assert (both.net_pull, both.net_push) == (summed.net_pull, summed.net_push)
+            if system == SystemKind.PMEM_OE:  # the two phases come from two shards
+                assert both.pull_service == alone[0].pull_service > alone[1].pull_service
+                assert both.maintain_deferred == alone[1].maintain_deferred > alone[0].maintain_deferred
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (SystemKind.PMEM_OE, dict(nodes=2, prefetch=2)),
+        (SystemKind.PMEM_OE, dict(reshard_at=3, prefetch=2)),
+        (SystemKind.DRAM_PS, dict(nodes=2)),
+        (SystemKind.PMEM_HASH, dict(reshard_at=3)),
+    ])
+    def test_no_per_shard_split_is_refused(self, system, kwargs):
+        """Prefetch and the one-node baselines have no per-shard split:
+        more than one node, or a reshard, is refused."""
+        from repro.config import PrefetchConfig
+
+        if "prefetch" in kwargs:
+            kwargs["prefetch"] = PrefetchConfig(lookahead=kwargs["prefetch"])
+        with pytest.raises(ConfigError, match="one PS node"):
+            make_sim(system, **kwargs)
